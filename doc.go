@@ -3,9 +3,10 @@
 // IPDPS Workshops / HCW 2019).
 //
 // It contains a full port of the HAM/HAM-Offload programming model to Go
-// (packages offload and internal/ham, internal/core), the paper's two
-// SX-Aurora messaging protocols (internal/backend/veob and
-// internal/backend/dmab), a portable TCP/IP backend
+// (packages offload and internal/ham, internal/core), the paper's SX-Aurora
+// messaging protocol (internal/backend/ring) over its two placements — VEO
+// (internal/backend/veob, Fig. 5) and DMA (internal/backend/dmab, Fig. 8) —
+// a portable TCP/IP backend
 // (internal/backend/tcpb), and — because no Vector Engine hardware or Go
 // toolchain for it exists — a calibrated discrete-event simulation of the
 // whole SX-Aurora A300-8 platform (machine and the internal substrate

@@ -1,13 +1,20 @@
 // Package flagorder enforces the payload-before-flag protocol ordering of
 // the paper's two message channels (Fig. 5 for VEO, Fig. 8 for DMA).
 //
-// Both protocols publish a message by raising a flag word — written with
-// slots.Encode — after the payload bytes are in place; the receiver spins on
+// The protocol (backend/ring) publishes a message by raising a flag word —
+// built with slots.Encode — after the payload bytes are in place; the receiver spins on
 // the flag and then reads the payload. Any write that can land after the
 // flag is raised races the receiver: it may read a half-written message
 // while still trusting the length in the flag word. The analyzer therefore
 // flags every memory write that is reachable, within one function, from a
 // flag publish on a flag-free path.
+//
+// The rule is checked at two levels. In ring it applies to the calls on the
+// transport interfaces: a transport method whose name contains Flag
+// (PublishFlag, PublishResultFlag) publishes, the other transport write
+// methods (WriteMessage, PushResult) carry payload. In the transports
+// themselves (backend/dmab, backend/veob) it applies to the raw memory
+// writes inside each method.
 //
 // Loop iterations are handled by reasoning over the back-edge-pruned
 // (acyclic) CFG: the flag raised in iteration i may legitimately precede the
@@ -28,14 +35,20 @@ import (
 // Analyzer flags payload writes that may execute after a flag publish.
 var Analyzer = &analysis.Analyzer{
 	Name: "flagorder",
-	Doc: "in the dmab/veob/slots protocol paths, the flag word publishing a message " +
+	Doc: "in the ring/dmab/veob/slots protocol paths, the flag word publishing a message " +
 		"must be the last write: payload bytes written after it race the receiver (Fig. 5/8)",
 	Run: run,
 }
 
-// writeVerbs are the memory-write entry points of the protocol layers: host
-// and HBM stores, VEO bulk copies, VE store instructions, and DMA posts.
+// writeVerbs are the memory-write entry points of the protocol layers: the
+// ring transports' write methods, host and HBM stores, VEO bulk copies, VE
+// store instructions, and DMA posts.
 var writeVerbs = map[string]bool{
+	"WriteMessage":      true,
+	"PublishFlag":       true,
+	"PushResult":        true,
+	"PublishResultFlag": true,
+
 	"WriteAt":     true,
 	"WriteMem":    true,
 	"WriteUint64": true,
@@ -147,15 +160,15 @@ func reachableAcyclic(b *cfg.Block, back map[cfg.Edge]bool) []*cfg.Block {
 }
 
 // classify decides whether call is a protocol memory write and, if so,
-// whether it publishes a flag: its arguments contain either a slots.Encode
-// call (building the flag word) or a call to a *Flag* helper (computing the
-// flag address).
+// whether it publishes a flag: the verb itself is a *Flag* method of a ring
+// transport, or its arguments contain either a slots.Encode call (building
+// the flag word) or a call to a *Flag* helper (computing the flag address).
 func classify(info *types.Info, call *ast.CallExpr) (write, bool) {
 	name := calleeName(call)
 	if !writeVerbs[name] {
 		return write{}, false
 	}
-	w := write{pos: call.Pos(), name: name}
+	w := write{pos: call.Pos(), name: name, flag: containsFlag(name)}
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
 			inner, ok := n.(*ast.CallExpr)

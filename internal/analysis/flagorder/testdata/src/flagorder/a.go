@@ -15,7 +15,28 @@ func (memdev) StoreBytes(addr uint64, b []byte) error { return nil }
 func recvFlagOff(slot int) uint64 { return uint64(slot * slots.FlagBits) }
 func recvBufOff(slot int) uint64  { return 4096 }
 
+// transport mimics the ring transports' write surface: the protocol orders
+// calls on an interface, and a method whose name contains Flag publishes.
+type transport interface {
+	WriteMessage(slot int, msg []byte) error
+	PublishFlag(slot int, word uint64) error
+	PushResult(slot int, inline, overflow []byte) error
+	PublishResultFlag(slot int, word uint64) error
+}
+
 // --- accepted idioms ---
+
+// The ring's host and target sequences: payload through the interface, then
+// the publish.
+func goodRingCall(t transport, msg []byte, word uint64) {
+	_ = t.WriteMessage(0, msg)
+	_ = t.PublishFlag(0, word)
+}
+
+func goodRingRespond(t transport, resp []byte, word uint64) {
+	_ = t.PushResult(0, resp, nil)
+	_ = t.PublishResultFlag(0, word)
+}
 
 // The canonical Fig. 8 send: payload first, flag last.
 func goodSend(m memdev, msg []byte, seq uint32) {
@@ -77,6 +98,21 @@ func badLoop(m memdev, msgs [][]byte, seq uint32) {
 func badFlagHelper(m memdev, msg []byte, word uint64) {
 	_ = m.WriteUint64(recvFlagOff(0), word)
 	_ = m.WriteAt(msg, recvBufOff(0)) // want `WriteAt may execute after the flag publish at line \d+`
+}
+
+// A publish through the transport interface is a flag write by its name
+// alone — no slots.Encode or address helper in sight.
+func badRingCall(t transport, msg []byte, word uint64) {
+	_ = t.PublishFlag(0, word)
+	_ = t.WriteMessage(0, msg) // want `WriteMessage may execute after the flag publish at line \d+`
+}
+
+// The retried respond must re-push before it re-publishes.
+func badRingRespond(t transport, resp []byte, word uint64, big bool) {
+	_ = t.PublishResultFlag(0, word)
+	if big {
+		_ = t.PushResult(0, resp[:8], resp[8:]) // want `PushResult may execute after the flag publish at line \d+`
+	}
 }
 
 // Suppression works as everywhere else.

@@ -89,8 +89,12 @@ var unitcastExempt = []string{
 
 // flagOrderPackages implement the paper's message protocols (Fig. 5 VEO,
 // Fig. 8 DMA): payload bytes must be written before the flag word that
-// publishes them. flagorder applies here.
+// publishes them. The rule itself lives in ring, in its calls on the
+// transport interfaces; dmab and veob are the byte movers behind those
+// calls, each of which must keep its own writes in order. flagorder applies
+// here.
 var flagOrderPackages = []string{
+	"hamoffload/internal/backend/ring",
 	"hamoffload/internal/backend/dmab",
 	"hamoffload/internal/backend/veob",
 	"hamoffload/internal/backend/slots",
@@ -119,6 +123,7 @@ var hotPathScoped = []string{
 	"hamoffload/internal/simtime",
 	"hamoffload/internal/ham",
 	"hamoffload/internal/backend/slots",
+	"hamoffload/internal/backend/ring",
 	"hamoffload/internal/backend/dmab",
 	"hamoffload/internal/backend/veob",
 	"hamoffload/internal/dma",
@@ -127,7 +132,7 @@ var hotPathScoped = []string{
 // borrowckScoped are the packages living under the zero-copy buffer
 // ownership contracts that //ham:borrowed annotations seed: the runtime
 // core, the ham codec, every communication backend (the backend prefix
-// covers locb/tcpb/veob/dmab/mpib, slots, the adapters and conformance) and
+// covers locb/tcpb/ring/veob/dmab/mpib, slots, the adapters and conformance) and
 // the DMA/VEO layers their serve loops write through. borrowck reports only
 // inside these packages; summaries are still computed module-wide, so an
 // escape through a neutral helper surfaces at the in-scope call site.

@@ -13,6 +13,7 @@ func TestPolicyScoping(t *testing.T) {
 	}{
 		// walltime: simulation packages yes, wall-clock bridges no.
 		{"walltime", "hamoffload/internal/simtime", true},
+		{"walltime", "hamoffload/internal/backend/ring", true},
 		{"walltime", "hamoffload/internal/backend/dmab", true},
 		{"walltime", "hamoffload/internal/backend/veob", true},
 		{"walltime", "hamoffload/internal/backend/locb", true},
@@ -35,6 +36,20 @@ func TestPolicyScoping(t *testing.T) {
 		{"goroutine", "hamoffload/gateway", true},
 		{"goroutine", "hamoffload/internal/backend/tcpb", false},
 		{"goroutine", "hamoffload/internal/backend/mpib", false},
+
+		{"goroutine", "hamoffload/internal/backend/ring", true},
+
+		// flagorder: the slot-ring protocol, its two transports, the flag codec.
+		{"flagorder", "hamoffload/internal/backend/ring", true},
+		{"flagorder", "hamoffload/internal/backend/dmab", true},
+		{"flagorder", "hamoffload/internal/backend/veob", true},
+		{"flagorder", "hamoffload/internal/backend/slots", true},
+		{"flagorder", "hamoffload/internal/backend/mpib", false},
+
+		// hotalloc and borrowck follow the protocol into ring.
+		{"hotalloc", "hamoffload/internal/backend/ring", true},
+		{"hotalloc", "hamoffload/internal/backend/conformance", false},
+		{"borrowck", "hamoffload/internal/backend/ring", true},
 
 		// spanend: structural, everywhere.
 		{"spanend", "hamoffload/internal/dma", true},

@@ -1,51 +1,48 @@
-// Package dmab implements the paper's DMA-based communication protocol
-// (§IV, Fig. 8): a one-sided protocol with all communication buffers in
-// Vector Host memory, inside a SystemV shared-memory segment registered in
-// the VE's DMAATB (Fig. 7). The VE initiates every transfer: it polls the
-// receive flags with LHM instructions, fetches messages with user DMA, and
-// pushes result messages and flags back with SHM stores. All host-side
-// protocol steps become local memory accesses, which is what cuts the
-// empty-offload cost from ~430 µs (VEO protocol) to ~6 µs.
+// Package dmab is the placement and the byte movers of the paper's DMA-based
+// communication protocol (§IV, Fig. 8); the slot-ring protocol itself lives
+// in backend/ring. All communication buffers sit in Vector Host memory,
+// inside a SystemV shared-memory segment registered in the VE's DMAATB
+// (Fig. 7). The VE initiates every transfer: it polls the receive flags with
+// LHM instructions, fetches messages with user DMA, and pushes result
+// messages and flags back with SHM stores. All host-side protocol steps
+// become local memory accesses, which is what cuts the empty-offload cost
+// from ~430 µs (VEO protocol) to ~6 µs.
 //
 // Application start, initialisation and bulk data exchange still go through
 // the VEO API, exactly as in the paper.
 package dmab
 
 import (
-	"errors"
 	"fmt"
 
-	"hamoffload/internal/backend/adapter"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/backend/slots"
-	"hamoffload/internal/core"
+	"hamoffload/internal/dma"
 	"hamoffload/internal/hostmem"
 	"hamoffload/internal/mem"
+	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/trace"
-	"hamoffload/internal/vecore"
 	"hamoffload/internal/veo"
 	"hamoffload/internal/veos"
 )
 
-var hostModel = vecore.DefaultHostModel()
+// LibraryName is the VE library with the DMA backend's kernels.
+const LibraryName = "libham-offload-dmab.so"
 
-func memA(a uint64) mem.Addr { return mem.Addr(a) }
+func init() {
+	veos.RegisterLibrary(LibraryName, veos.Library{
+		"ham_dmab_init": hamDMABInit,
+		"ham_main":      ring.HamMain,
+	})
+}
 
 // Options configures the protocol.
 type Options struct {
-	// NumBuffers is the number of message slots per direction (default 8).
-	NumBuffers int
-	// BufSize is the capacity of one message buffer (default 4 KiB).
-	BufSize int
-	// ResultInline is the result payload the VE pushes via SHM word stores;
-	// larger results overflow through a user-DMA write (default 248).
-	ResultInline int
+	ring.Options
 	// ResultViaDMA returns even small results through a user-DMA write
 	// instead of SHM stores — slower for small messages per §V-B, kept as
 	// an ablation knob.
 	ResultViaDMA bool
-	// TargetArch labels the VE binary (default "aurora-ve").
-	TargetArch string
 	// NodeBase offsets the target node ids: the cards become nodes
 	// NodeBase+1 .. NodeBase+len(cards). Zero for a standalone machine; the
 	// cluster backend assigns global ranks through it.
@@ -53,491 +50,229 @@ type Options struct {
 	// TotalNodes overrides the application's node count (default
 	// len(cards)+1); cluster applications span more nodes than one machine.
 	TotalNodes int
-	// OffloadTimeout bounds how long one offload may stay in flight before
-	// Wait gives up with core.ErrOffloadTimeout, measured on the simulated
-	// clock from the start of the wait. Zero waits forever.
-	OffloadTimeout simtime.Duration
 }
 
-func (o *Options) fill() {
-	if o.NumBuffers <= 0 {
-		o.NumBuffers = 8
-	}
-	if o.BufSize <= 0 {
-		o.BufSize = 4096
-	}
-	if o.ResultInline <= 0 {
-		o.ResultInline = 248
-	}
-	// SHM stores and flag adjacency work at word granularity.
-	o.ResultInline = (o.ResultInline + 7) &^ 7
-	if o.TargetArch == "" {
-		o.TargetArch = "aurora-ve"
-	}
-}
+// Host is the initiator-side backend on the Vector Host.
+type Host = ring.Host
 
 // layout describes the communication area inside the VH shared-memory
-// segment. Offsets are relative to the segment base.
+// segment: per receive slot a flag and its message buffer, per send slot a
+// flag and its inline result, then the overflow buffers. base is the
+// segment's VH address on the host side, its DMAATB mapping (VEHVA) on the
+// VE side. Each region starts where the one before would hold its
+// NumBuffers-th element.
 type layout struct {
-	nbuf         int
-	bufSize      int
-	resultInline int
+	ring.Options
+	base mem.Addr
 }
 
-func (l layout) recvFlagOff(slot int) uint64 {
-	return uint64(slot * (slots.FlagBits + l.bufSize))
+func (l layout) recvFlag(slot int) mem.Addr {
+	return l.base + mem.Addr(slot*(slots.FlagBits+l.BufSize))
 }
-func (l layout) recvBufOff(slot int) uint64 {
-	return l.recvFlagOff(slot) + slots.FlagBits
+func (l layout) recvBuf(slot int) mem.Addr { return l.recvFlag(slot) + slots.FlagBits }
+func (l layout) sendFlag(slot int) mem.Addr {
+	return l.recvFlag(l.NumBuffers) + mem.Addr(slot*(slots.FlagBits+l.ResultInline))
 }
-func (l layout) sendBase() uint64 {
-	return uint64(l.nbuf * (slots.FlagBits + l.bufSize))
+func (l layout) sendInline(slot int) mem.Addr { return l.sendFlag(slot) + slots.FlagBits }
+func (l layout) overflow(slot int) mem.Addr {
+	return l.sendFlag(l.NumBuffers) + mem.Addr(slot*l.BufSize)
 }
-func (l layout) sendFlagOff(slot int) uint64 {
-	return l.sendBase() + uint64(slot*(slots.FlagBits+l.resultInline))
-}
-func (l layout) sendInlineOff(slot int) uint64 {
-	return l.sendFlagOff(slot) + slots.FlagBits
-}
-func (l layout) overflowBase() uint64 {
-	return l.sendBase() + uint64(l.nbuf*(slots.FlagBits+l.resultInline))
-}
-func (l layout) overflowOff(slot int) uint64 {
-	return l.overflowBase() + uint64(slot*l.bufSize)
-}
-func (l layout) totalSize() int64 {
-	return int64(l.overflowBase()) + int64(l.nbuf*l.bufSize)
-}
-
-// handle tracks one in-flight offload. It pins the conn it was issued on so
-// stale handles keep failing against a dead conn after RecoverNode builds a
-// fresh one.
-type handle struct {
-	target core.NodeID
-	c      *conn
-	slot   int
-	seq    uint32
-	resp   []byte
-	done   bool
-}
-
-// conn is the host-side state for one VE target.
-type conn struct {
-	proc  *veo.Proc
-	card  *veos.Card
-	seg   *hostmem.ShmSegment
-	lay   layout
-	seq   []uint32
-	inUse []*handle
-	next  int
-	dead  bool // VE process crashed; reject work until RecoverNode
-}
-
-// Host is the initiator-side backend on the Vector Host. All methods must
-// run on the simulated process passed to Connect.
-type Host struct {
-	p     *simtime.Proc
-	opts  Options
-	host  *hostmem.Host
-	conns []*conn
-	descs []core.NodeDescriptor
-	mem   core.LocalMemory
-	nt    *trace.NodeTracer // nil when the cards' Timing has no Tracer
-}
-
-// mid builds the protocol-level message correlator for a slot/sequence
-// pair; backend spans carry it so host and VE sides of one message line up.
-func (c *conn) mid(slot int, seq uint32) int64 {
-	return int64(seq)*int64(c.lay.nbuf) + int64(slot)
-}
+func (l layout) totalSize() int64 { return int64(l.overflow(l.NumBuffers) - l.base) }
 
 // Connect performs the full §IV-A setup for each card: VE process creation
 // and library load via VEO, SysV shared-memory creation on the VH, DMAATB
 // registration on the VE (through the ham_dmab_init kernel), and the
 // asynchronous start of ham_main.
 func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
-	opts.fill()
-	if len(cards) == 0 {
-		return nil, fmt.Errorf("dmab: no target cards")
-	}
-	h := &Host{p: p, opts: opts, host: cards[0].Host}
-	h.mem = &adapter.HostHeap{H: h.host}
-	h.nt = cards[0].Timing.Tracer.Node(0, "dmab", p)
-	total := opts.TotalNodes
-	if total == 0 {
-		total = len(cards) + 1
-	}
-	h.descs = append(h.descs, core.NodeDescriptor{Name: "vh", Arch: "x86_64", Device: "Intel Xeon Gold 6126 (VH)"})
-	for i, card := range cards {
-		c, err := h.connect(card, opts.NodeBase+i+1, total)
-		if err != nil {
-			return nil, err
-		}
-		h.conns = append(h.conns, c)
-		h.descs = append(h.descs, core.NodeDescriptor{
-			Name:   fmt.Sprintf("ve%d", card.ID),
-			Arch:   opts.TargetArch,
-			Device: "NEC VE Type 10B",
+	cfg := ring.HostConfig{Name: "dmab", Options: opts.Options, NodeBase: opts.NodeBase, TotalNodes: opts.TotalNodes}
+	return ring.ConnectCards(p, cfg, cards, func(p *simtime.Proc, card *veos.Card, o ring.Options, self, total int) (ring.HostTransport, ring.HostFacts, error) {
+		t := &hostSide{}
+		ve, err := ring.Launch(p, card, LibraryName, "ham_dmab_init", o.TargetArch, func(*veo.Proc) ([]uint64, error) {
+			seg, err := card.Host.ShmCreate(layout{Options: o}.totalSize())
+			if err != nil {
+				return nil, fmt.Errorf("dmab: creating shm segment: %w", err)
+			}
+			t.seg, t.lay = seg, layout{Options: o, base: seg.Addr}
+			var viaDMA uint64
+			if opts.ResultViaDMA {
+				viaDMA = 1
+			}
+			return []uint64{uint64(seg.Key), uint64(o.NumBuffers), uint64(o.BufSize), uint64(o.ResultInline),
+				uint64(self), uint64(total), viaDMA}, nil
 		})
-	}
-	return h, nil
-}
-
-func (h *Host) connect(card *veos.Card, self, total int) (*conn, error) {
-	proc, err := veo.ProcCreate(h.p, card)
-	if err != nil {
-		return nil, err
-	}
-	// A failed connect must not leak the VE process or the shm segment.
-	ok := false
-	defer func() {
-		if !ok {
-			_ = proc.Destroy(h.p)
-		}
-	}()
-	lib, err := proc.LoadLibrary(h.p, LibraryName)
-	if err != nil {
-		return nil, err
-	}
-	lay := layout{nbuf: h.opts.NumBuffers, bufSize: h.opts.BufSize, resultInline: h.opts.ResultInline}
-	seg, err := card.Host.ShmCreate(lay.totalSize())
-	if err != nil {
-		return nil, fmt.Errorf("dmab: creating shm segment: %w", err)
-	}
-	defer func() {
-		if !ok {
-			_ = card.Host.ShmRemove(seg.Key)
-		}
-	}()
-
-	ctx := proc.OpenContext(h.p)
-	commInit, err := lib.GetSym(h.p, "ham_dmab_init")
-	if err != nil {
-		return nil, err
-	}
-	viaDMA := uint64(0)
-	if h.opts.ResultViaDMA {
-		viaDMA = 1
-	}
-	if _, err := ctx.CallAsync(h.p, commInit,
-		uint64(seg.Key), uint64(lay.nbuf), uint64(lay.bufSize), uint64(lay.resultInline),
-		uint64(self), uint64(total), viaDMA,
-	).CallWaitResult(h.p); err != nil {
-		return nil, fmt.Errorf("dmab: ham_dmab_init: %w", err)
-	}
-	SetTargetArch(card, h.opts.TargetArch)
-	hamMain, err := lib.GetSym(h.p, "ham_main")
-	if err != nil {
-		return nil, err
-	}
-	ctx.CallAsync(h.p, hamMain)
-
-	ok = true
-	return &conn{
-		proc:  proc,
-		card:  card,
-		seg:   seg,
-		lay:   lay,
-		seq:   make([]uint32, lay.nbuf),
-		inUse: make([]*handle, lay.nbuf),
-	}, nil
-}
-
-// Self implements core.Backend.
-func (h *Host) Self() core.NodeID { return 0 }
-
-// NumNodes implements core.Backend.
-func (h *Host) NumNodes() int { return len(h.conns) + 1 }
-
-// Descriptor implements core.Backend.
-func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
-	if n == 0 {
-		return h.descs[0]
-	}
-	i := int(n) - h.opts.NodeBase
-	if i < 1 || i >= len(h.descs) {
-		return core.NodeDescriptor{Name: "invalid"}
-	}
-	return h.descs[i]
-}
-
-func (h *Host) conn(target core.NodeID) (*conn, error) {
-	i := int(target) - h.opts.NodeBase - 1
-	if i < 0 || i >= len(h.conns) {
-		return nil, fmt.Errorf("dmab: no target node %d", target)
-	}
-	return h.conns[i], nil
-}
-
-// Call implements core.Backend: both the message write and the flag set are
-// local VH memory stores — the host side of Fig. 8.
-func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
-	c, err := h.conn(target)
-	if err != nil {
-		return nil, err
-	}
-	if c.dead || c.card.Crashed() {
-		c.dead = true
-		return nil, fmt.Errorf("dmab: node %d: %w", target, core.ErrNodeFailed)
-	}
-	if len(msg) > c.lay.bufSize || len(msg) > slots.MaxLen {
-		return nil, fmt.Errorf("dmab: message of %d bytes exceeds buffer size %d", len(msg), c.lay.bufSize)
-	}
-	callStart := h.nt.Now()
-	h.p.Sleep(c.card.Timing.HAMHostOverhead)
-	slot := c.next
-	if prev := c.inUse[slot]; prev != nil {
-		if _, err := h.waitHandle(prev); err != nil {
-			return nil, fmt.Errorf("dmab: draining slot %d: %w", slot, err)
-		}
-	}
-	seq := c.seq[slot]
-
-	base := uint64(c.seg.Addr)
-	if err := h.host.Mem.WriteAt(msg, memA(base+c.lay.recvBufOff(slot))); err != nil {
-		return nil, err
-	}
-	h.p.Sleep(simtime.BytesOver(int64(len(msg)), c.card.Timing.HostMemCopyRate))
-	endFlag := h.nt.Begin(trace.PhaseFlagWrite, "dmab-flag-write", c.mid(slot, seq))
-	werr := h.host.Mem.WriteUint64(memA(base+c.lay.recvFlagOff(slot)), slots.Encode(seq, len(msg)))
-	endFlag()
-	if werr != nil {
-		return nil, werr
-	}
-	// Commit the slot only after the flag is set, so an aborted attempt
-	// cannot desynchronise the per-slot sequence — or the ring order the VE
-	// serves slots in — with the VE side; a retried attempt must land in
-	// the same slot.
-	c.seq[slot]++
-	c.next = (c.next + 1) % c.lay.nbuf
-	hd := &handle{target: target, c: c, slot: slot, seq: seq}
-	c.inUse[slot] = hd
-	h.nt.Since(trace.PhaseCall, "dmab-call", c.mid(slot, seq), callStart)
-	return hd, nil
-}
-
-// pollSlot checks the local result flag once and completes the handle when
-// the VE has pushed the result.
-func (h *Host) pollSlot(c *conn, hd *handle) (bool, error) {
-	base := uint64(c.seg.Addr)
-	flag, err := h.host.Mem.ReadUint64(memA(base + c.lay.sendFlagOff(hd.slot)))
-	if err != nil {
-		return false, err
-	}
-	n, ok := slots.Decode(flag, hd.seq)
-	if !ok {
-		return false, nil
-	}
-	resp := make([]byte, n)
-	inline := n
-	if inline > c.lay.resultInline {
-		inline = c.lay.resultInline
-	}
-	if err := h.host.Mem.ReadAt(resp[:inline], memA(base+c.lay.sendInlineOff(hd.slot))); err != nil {
-		return false, err
-	}
-	if n > inline {
-		if err := h.host.Mem.ReadAt(resp[inline:], memA(base+c.lay.overflowOff(hd.slot))); err != nil {
-			return false, err
-		}
-	}
-	hd.resp = resp
-	hd.done = true
-	if c.inUse[hd.slot] == hd {
-		c.inUse[hd.slot] = nil
-	}
-	return true, nil
-}
-
-func (h *Host) waitHandle(hd *handle) ([]byte, error) {
-	c := hd.c
-	defer h.nt.Begin(trace.PhaseWait, "dmab-wait", c.mid(hd.slot, hd.seq))()
-	start := h.p.Now()
-	for !hd.done {
-		// The host polls local memory, which never errors — a dead VE shows
-		// up as silence. Detect it through the card's crash state so
-		// in-flight futures fail instead of waiting for a result that will
-		// never be pushed.
-		if c.dead || c.card.Crashed() {
-			c.dead = true
-			return nil, fmt.Errorf("dmab: node %d: %w", hd.target, core.ErrNodeFailed)
-		}
-		ok, err := h.pollSlot(c, hd)
 		if err != nil {
-			return nil, err
+			// A failed connect must not leak the shm segment either.
+			if t.seg != nil {
+				_ = card.Host.ShmRemove(t.seg.Key)
+			}
+			return nil, ring.HostFacts{}, err
 		}
-		if !ok {
-			h.p.Sleep(c.card.Timing.HAMHostPollInterval)
-		}
-		if d := h.opts.OffloadTimeout; d > 0 && !hd.done && h.p.Now().Sub(start) >= d {
-			// The slot stays leased to the lost offload (bounded by
-			// NumBuffers); RecoverNode rebuilds the communication area.
-			return nil, fmt.Errorf("dmab: node %d slot %d: %w", hd.target, hd.slot, core.ErrOffloadTimeout)
-		}
-	}
-	h.p.Sleep(c.card.Timing.HAMHostOverhead)
-	return hd.resp, nil
+		t.VE = ve
+		// The host polls local memory, which is free and never errors: the
+		// re-check gap is the only cost of a miss.
+		return t, ring.HostFacts{PollGap: card.Timing.HAMHostPollInterval}, nil
+	})
 }
 
-// Wait implements core.Backend.
-func (h *Host) Wait(hh core.Handle) ([]byte, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, fmt.Errorf("dmab: foreign handle %T", hh)
-	}
-	return h.waitHandle(hd)
+// hostSide is the host half of Fig. 8: every protocol step is a local VH
+// memory access into the shared segment.
+type hostSide struct {
+	ring.VE
+	seg *hostmem.ShmSegment
+	lay layout
 }
 
-// Poll implements core.Backend.
-func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, false, fmt.Errorf("dmab: foreign handle %T", hh)
-	}
-	if hd.done {
-		return hd.resp, true, nil
-	}
-	c := hd.c
-	if c.dead || c.card.Crashed() {
-		c.dead = true
-		return nil, false, fmt.Errorf("dmab: node %d: %w", hd.target, core.ErrNodeFailed)
-	}
-	// Each poll costs one local flag check; charging it keeps user-level
-	// Test() busy-wait loops advancing simulated time.
-	h.p.Sleep(c.card.Timing.HAMHostPollInterval)
-	done, err := h.pollSlot(c, hd)
-	if err != nil || !done {
-		return nil, false, err
-	}
-	return hd.resp, true, nil
-}
-
-// Put implements core.Backend through veo_write_mem — bulk data exchange
-// stays on the VEO API in this protocol, as in the paper.
-func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
-	c, err := h.conn(target)
-	if err != nil {
+// WriteMessage implements ring.HostTransport with a local store.
+func (t *hostSide) WriteMessage(slot int, msg []byte) error {
+	if err := t.Card.Host.Mem.WriteAt(msg, t.lay.recvBuf(slot)); err != nil {
 		return err
 	}
-	if c.dead {
-		return fmt.Errorf("dmab: node %d: %w", target, core.ErrNodeFailed)
-	}
-	stage, err := c.card.Host.Alloc(int64(len(data)))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.card.Host.Free(stage) }()
-	if err := c.card.Host.Mem.WriteAt(data, stage); err != nil {
-		return err
-	}
-	return h.stepErr(c, target, c.proc.WriteMem(h.p, dstAddr, uint64(stage), int64(len(data))))
+	t.P.Sleep(simtime.BytesOver(int64(len(msg)), t.Card.Timing.HostMemCopyRate))
+	return nil
 }
 
-// stepErr classifies a failed VEO step: a crashed VE process marks the conn
-// dead and surfaces core.ErrNodeFailed; everything else (including injected
-// transient DMA errors) passes through.
-func (h *Host) stepErr(c *conn, target core.NodeID, err error) error {
-	if errors.Is(err, veos.ErrCrashed) {
-		c.dead = true
-		return fmt.Errorf("dmab: node %d: %w", target, core.ErrNodeFailed)
+// PublishFlag implements ring.HostTransport with a local word store.
+func (t *hostSide) PublishFlag(slot int, word uint64) error {
+	return t.Card.Host.Mem.WriteUint64(t.lay.recvFlag(slot), word)
+}
+
+// PollResult implements ring.HostTransport: the VE pushed the flag into VH
+// memory, so the poll is a local load.
+func (t *hostSide) PollResult(slot int) (uint64, error) {
+	return t.Card.Host.Mem.ReadUint64(t.lay.sendFlag(slot))
+}
+
+// ReadResult implements ring.HostTransport.
+func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
+	if err := t.Card.Host.Mem.ReadAt(inline, t.lay.sendInline(slot)); err != nil {
+		return err
+	}
+	if len(overflow) > 0 {
+		return t.Card.Host.Mem.ReadAt(overflow, t.lay.overflow(slot))
+	}
+	return nil
+}
+
+// Alive implements ring.HostTransport. Local polls cannot fail — a dead VE
+// shows up as silence — so liveness comes from the card's crash state.
+func (t *hostSide) Alive() bool { return !t.Card.Crashed() }
+
+// Close implements ring.HostTransport: destroy the VE process, remove the
+// shm segment.
+func (t *hostSide) Close() error {
+	err := t.Destroy()
+	if rerr := t.Card.Host.ShmRemove(t.seg.Key); err == nil {
+		err = rerr
 	}
 	return err
 }
 
-// Get implements core.Backend through veo_read_mem.
-func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
-	c, err := h.conn(target)
+// Abandon implements ring.HostTransport: a failed target leaves behind
+// exactly what Close removes.
+func (t *hostSide) Abandon() { _ = t.Close() }
+
+// veSide is the active side of Fig. 8, built by ham_dmab_init — the §IV-A
+// memory setup of Fig. 7. It polls receive flags in VH memory via LHM,
+// fetches messages with user DMA, and pushes results back with SHM stores
+// (or a DMA write).
+type veSide struct {
+	kctx         *veos.Ctx
+	card         *veos.Card
+	lay          layout // based at the DMAATB mapping of the VH shm segment
+	resultViaDMA bool
+
+	stage      mem.Addr // local HBM staging buffer (VEMVA)
+	stageVEHVA mem.Addr // DMAATB mapping of the staging buffer
+}
+
+// hamDMABInit performs the VE side of Fig. 7: attach the VH shm segment by
+// key, register it and a local staging buffer in the DMAATB, making both
+// addressable for user DMA and LHM/SHM.
+func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
+	if len(args) != 7 {
+		return 0, fmt.Errorf("dmab: ham_dmab_init wants 7 args, got %d", len(args))
+	}
+	card := ctx.Context.Process().Card()
+	o := ring.Options{NumBuffers: int(args[1]), BufSize: int(args[2]), ResultInline: int(args[3])}
+	seg, err := card.Host.ShmGet(int(args[0]))
 	if err != nil {
+		return 0, err
+	}
+	shmVEHVA, err := card.Mem.ATB().Register(card.Host.Mem, seg.Addr, seg.Size)
+	if err != nil {
+		return 0, err
+	}
+	ctx.P.Sleep(card.Timing.DMAATBRegister)
+	stage, err := card.Mem.Alloc(int64(o.BufSize))
+	if err != nil {
+		return 0, err
+	}
+	stageVEHVA, err := card.Mem.ATB().Register(card.Mem.HBM, stage, int64(o.BufSize))
+	if err != nil {
+		return 0, err
+	}
+	ctx.P.Sleep(card.Timing.DMAATBRegister)
+	ring.Register(ctx, ring.TargetConfig{
+		Name: "dmab", Options: o, Self: int(args[4]), Nodes: int(args[5]),
+		Transport: &veSide{
+			kctx: ctx, card: card, lay: layout{Options: o, base: shmVEHVA},
+			resultViaDMA: args[6] != 0, stage: stage, stageVEHVA: stageVEHVA,
+		},
+		// The VE pays an LHM word load per poll before it can execute — the
+		// cost the paper notes — while the host finds results locally.
+		IdlePollCost: card.Timing.LHMPerWord,
+	})
+	return 0, nil
+}
+
+// LoadFlag implements ring.TargetTransport with an LHM load from VH memory.
+func (t *veSide) LoadFlag(slot int) (uint64, error) {
+	return t.kctx.Instr().LoadWord(t.kctx.P, t.lay.recvFlag(slot))
+}
+
+// Fetch implements ring.TargetTransport: user DMA into the local staging
+// buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).
+func (t *veSide) Fetch(slot int, msg []byte) error {
+	if err := t.kctx.UserDMA().Post(t.kctx.P, dma.Raw, pcie.Down,
+		t.stageVEHVA, t.lay.recvBuf(slot), int64(len(msg))); err != nil {
 		return err
 	}
-	if c.dead {
-		return fmt.Errorf("dmab: node %d: %w", target, core.ErrNodeFailed)
-	}
-	stage, err := c.card.Host.Alloc(int64(len(dst)))
-	if err != nil {
+	if err := t.card.Mem.HBM.ReadAt(msg, t.stage); err != nil {
 		return err
 	}
-	defer func() { _ = c.card.Host.Free(stage) }()
-	if err := c.proc.ReadMem(h.p, uint64(stage), srcAddr, int64(len(dst))); err != nil {
-		return h.stepErr(c, target, err)
-	}
-	return c.card.Host.Mem.ReadAt(dst, stage)
-}
-
-// Serve implements core.Backend; the host does not serve messages.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("dmab: the host node does not serve active messages")
-}
-
-// Memory implements core.Backend.
-func (h *Host) Memory() core.LocalMemory { return h.mem }
-
-// ChargeVector implements core.Backend with the host roofline model.
-func (h *Host) ChargeVector(flops, bytes int64, cores int) {
-	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
-}
-
-// ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) {
-	h.p.Sleep(simtime.Duration(float64(ops) / 2.6e9 * float64(simtime.Second)))
-}
-
-// Backoff implements core's optional backoff surface: retry delays advance
-// the host process's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer: a wire message must fit one
-// message buffer and its length must be publishable in a slot flag word.
-func (h *Host) MaxMessageLen() int {
-	if h.opts.BufSize < slots.MaxLen {
-		return h.opts.BufSize
-	}
-	return slots.MaxLen
-}
-
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
-
-// RecoverNode implements core.Recoverer: it reaps the dead VE process,
-// removes the old shared-memory segment, and re-runs the §IV-A setup —
-// fresh process, shm segment, DMAATB registration, ham_main. Outstanding
-// handles stay pinned to the dead conn and keep failing with
-// core.ErrNodeFailed.
-func (h *Host) RecoverNode(n core.NodeID) error {
-	c, err := h.conn(n)
-	if err != nil {
-		return err
-	}
-	c.dead = true
-	if c.card.Process() != nil {
-		_ = c.card.DestroyProcess(h.p)
-	}
-	_ = h.host.ShmRemove(c.seg.Key)
-	total := h.opts.TotalNodes
-	if total == 0 {
-		total = len(h.conns) + 1
-	}
-	nc, err := h.connect(c.card, int(n), total)
-	if err != nil {
-		return err
-	}
-	h.conns[int(n)-h.opts.NodeBase-1] = nc
+	t.kctx.P.Sleep(t.card.Timing.HAMVEOverhead)
 	return nil
 }
 
-// Close implements core.Backend: tear down VE processes and shm segments.
-func (h *Host) Close() error {
-	var firstErr error
-	for _, c := range h.conns {
-		if err := c.proc.Destroy(h.p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := h.host.ShmRemove(c.seg.Key); err != nil && firstErr == nil {
-			firstErr = err
+// PushResult implements ring.TargetTransport: inline payload via SHM word
+// stores (the §V-B finding: SHM beats DMA up to 256 B), overflow via a
+// user-DMA write.
+func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
+	if len(inline) > 0 {
+		if t.resultViaDMA {
+			// Ablation path: stage the inline part locally, DMA it out.
+			if err := t.dmaOut(t.lay.sendInline(slot), inline); err != nil {
+				return err
+			}
+		} else if err := t.kctx.Instr().StoreBytes(t.kctx.P, t.lay.sendInline(slot), inline); err != nil {
+			return err
 		}
 	}
-	return firstErr
+	if len(overflow) > 0 {
+		return t.dmaOut(t.lay.overflow(slot), overflow)
+	}
+	return nil
 }
 
-var _ core.Backend = (*Host)(nil)
+// dmaOut writes data to VH memory at dst through the staging buffer.
+func (t *veSide) dmaOut(dst mem.Addr, data []byte) error {
+	if err := t.card.Mem.HBM.WriteAt(data, t.stage); err != nil {
+		return err
+	}
+	return t.kctx.UserDMA().Post(t.kctx.P, dma.Raw, pcie.Up, dst, t.stageVEHVA, int64(len(data)))
+}
+
+// PublishResultFlag implements ring.TargetTransport with an SHM word store.
+func (t *veSide) PublishResultFlag(slot int, word uint64) error {
+	return t.kctx.Instr().StoreWord(t.kctx.P, t.lay.sendFlag(slot), word)
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hamoffload/internal/backend/dmab"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/core"
 	"hamoffload/internal/dma"
 	"hamoffload/internal/hostmem"
@@ -96,7 +97,7 @@ func TestSlotWraparoundAndOrdering(t *testing.T) {
 
 func TestDeepAsyncPipeline(t *testing.T) {
 	r := newRig(t)
-	r.run(t, dmab.Options{NumBuffers: 4}, func(p *simtime.Proc, rt *core.Runtime) {
+	r.run(t, dmab.Options{Options: ring.Options{NumBuffers: 4}}, func(p *simtime.Proc, rt *core.Runtime) {
 		const depth = 13 // deliberately > 3× slot count
 		futs := make([]*core.Future[int64], depth)
 		for i := range futs {
@@ -226,7 +227,7 @@ func TestOversizedMessageRejected(t *testing.T) {
 	wide := core.NewFunc1[string]("dmab.wide",
 		func(c *core.Ctx, s string) (string, error) { return s, nil })
 	r := newRig(t)
-	r.run(t, dmab.Options{BufSize: 512}, func(p *simtime.Proc, rt *core.Runtime) {
+	r.run(t, dmab.Options{Options: ring.Options{BufSize: 512}}, func(p *simtime.Proc, rt *core.Runtime) {
 		_, err := core.Sync(rt, 1, wide.Bind(strings.Repeat("y", 1000)))
 		if err == nil || !strings.Contains(err.Error(), "exceeds buffer size") {
 			t.Fatalf("err = %v", err)

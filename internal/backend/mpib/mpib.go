@@ -343,9 +343,7 @@ func (h *Host) ChargeVector(flops, bytes int64, cores int) {
 }
 
 // ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) {
-	h.p.Sleep(simtime.Duration(float64(ops) / 2.6e9 * float64(simtime.Second)))
-}
+func (h *Host) ChargeScalar(ops int64) { h.p.Sleep(hostModel.ScalarTime(ops)) }
 
 // Backoff implements core's optional backoff surface: retry delays advance
 // the initiator's simulated clock.

@@ -1,0 +1,230 @@
+package ring
+
+import (
+	"fmt"
+
+	"hamoffload/internal/backend/slots"
+	"hamoffload/internal/core"
+	"hamoffload/internal/ham"
+	"hamoffload/internal/simtime"
+	"hamoffload/internal/trace"
+	"hamoffload/internal/veos"
+)
+
+// TargetTransport moves the bytes of the ring's target side. As on the host,
+// the protocol orders the writes: the result payload is pushed before its
+// flag is published.
+type TargetTransport interface {
+	// LoadFlag reads the slot's receive flag word once.
+	LoadFlag(slot int) (uint64, error)
+	// Fetch brings the slot's len(msg)-byte message into msg, charging the
+	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
+	Fetch(slot int, msg []byte) error
+	// PushResult places a result in the slot's send buffers: inline next to
+	// the flag, the rest in the overflow buffer.
+	//
+	//ham:borrowed inline overflow
+	PushResult(slot int, inline, overflow []byte) error
+	// PublishResultFlag makes the slot's result visible to the host.
+	PublishResultFlag(slot int, word uint64) error
+}
+
+// TargetConfig is what a transport's init kernel hands to Register.
+type TargetConfig struct {
+	Name        string // protocol name, as in HostConfig
+	Options            // the ring shape: the first three fields
+	Self, Nodes int
+	Transport   TargetTransport
+	// IdlePollCost is what one missed poll adds to the idle-time account on
+	// top of the poll gap: the LHM word load of the DMA protocol, nothing
+	// for a local-memory poll.
+	IdlePollCost simtime.Duration
+}
+
+// Target is the VE-side backend: it serves its receive slots in ring order,
+// executes each message through HAM and publishes the result in the paired
+// send slot.
+type Target struct {
+	TargetConfig
+	p     *simtime.Proc
+	poll  simtime.Duration // gap between receive-flag polls (HAMVEPollInterval)
+	alive func() bool      // false once the VE process has crashed
+	nt    *trace.NodeTracer
+	desc  core.NodeDescriptor
+	heap  core.LocalMemory
+	cpu   *veos.Ctx // charges kernel work to the VE's cores
+	// Span names, built once: the serve loop must not concatenate strings.
+	spanPollFault, spanPollHit, spanFetch, spanFetchFault, spanResult, spanRespondRetry string
+}
+
+func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive func() bool) *Target {
+	return &Target{
+		TargetConfig: cfg, p: p, poll: poll, alive: alive,
+		spanPollFault:    cfg.Name + "-poll-fault",
+		spanPollHit:      cfg.Name + "-poll-hit",
+		spanFetch:        cfg.Name + "-fetch",
+		spanFetchFault:   cfg.Name + "-fetch-fault",
+		spanResult:       cfg.Name + "-result",
+		spanRespondRetry: cfg.Name + "-respond-retry",
+	}
+}
+
+// Self implements core.Backend.
+func (t *Target) Self() core.NodeID { return core.NodeID(t.TargetConfig.Self) }
+
+// NumNodes implements core.Backend.
+func (t *Target) NumNodes() int { return t.Nodes }
+
+// Descriptor implements core.Backend.
+func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
+	if n == t.Self() {
+		return t.desc
+	}
+	if n == 0 {
+		return core.NodeDescriptor{Name: "vh", Arch: "x86_64", Device: "Vector Host"}
+	}
+	return core.NodeDescriptor{Name: fmt.Sprintf("node%d", n)}
+}
+
+func (t *Target) hostInitiated(what string) error {
+	return fmt.Errorf("%s: targets cannot initiate %s", t.Name, what)
+}
+
+// Call implements core.Backend; both protocols are host-initiated only.
+func (t *Target) Call(core.NodeID, []byte) (core.Handle, error) {
+	return nil, t.hostInitiated("offloads")
+}
+
+// Wait implements core.Backend.
+func (t *Target) Wait(core.Handle) ([]byte, error) { return nil, t.hostInitiated("offloads") }
+
+// Poll implements core.Backend.
+func (t *Target) Poll(core.Handle) ([]byte, bool, error) {
+	return nil, false, t.hostInitiated("offloads")
+}
+
+// Put implements core.Backend.
+func (t *Target) Put(core.NodeID, []byte, uint64) error { return t.hostInitiated("transfers") }
+
+// Get implements core.Backend.
+func (t *Target) Get(core.NodeID, uint64, []byte) error { return t.hostInitiated("transfers") }
+
+// respondRetries bounds the transient-error retry window of one result push.
+const respondRetries = 64
+
+// Serve implements core.Backend: the message-processing loop of §III-D and
+// of Fig. 8's VE side. The runtime polls the next receive slot's flag; when
+// the host has published a message it is fetched, executed through HAM, and
+// the result message is published in the paired send slot.
+func (t *Target) Serve(s core.Server) error {
+	seq := make([]uint32, t.NumBuffers)
+	next := 0
+
+	// So a quiet VE does not flood the event queue the poll gap backs off
+	// exponentially — but only after a sustained idle period, so back-to-back
+	// offloads always see the base interval.
+	const backoffAfter = 500 * simtime.Microsecond
+	interval := t.poll
+	var idle simtime.Duration
+
+	for !s.Done() {
+		if !t.alive() {
+			// The VE process died under us (injected crash): stop serving
+			// instead of spinning on a dead machine.
+			return fmt.Errorf("%s: serve aborted: %w", t.Name, veos.ErrCrashed)
+		}
+		pollStart := t.nt.Now()
+		word, err := t.Transport.LoadFlag(next)
+		if err != nil {
+			if core.IsTransient(err) {
+				// An injected glitch on the flag load reads as a miss: back
+				// off one poll interval and retry the load.
+				t.nt.Instant(trace.PhaseFault, t.spanPollFault, int64(next))
+				t.p.Sleep(interval)
+				continue
+			}
+			return err
+		}
+		n, ok := slots.Decode(word, seq[next])
+		if !ok {
+			t.p.Sleep(interval)
+			idle += interval + t.IdlePollCost
+			if idle >= backoffAfter && interval < t.poll*512 {
+				interval *= 2
+			}
+			continue
+		}
+		interval = t.poll
+		idle = 0
+		mid := t.mid(next, seq[next])
+		t.nt.Since(trace.PhasePoll, t.spanPollHit, mid, pollStart)
+
+		// The fetch span also covers the fixed VE-side framework overhead
+		// (key translation, functor decode — HAMVEOverhead).
+		endFetch := t.nt.Begin(trace.PhaseFetch, t.spanFetch, mid)
+		msg := make([]byte, n)
+		err = t.Transport.Fetch(next, msg)
+		endFetch()
+		if err != nil {
+			if core.IsTransient(err) {
+				// The flag is still set and the slot sequence untouched: the
+				// next iteration re-polls the same slot and refetches, so a
+				// transient transfer error delays the message, not drops it.
+				t.nt.Instant(trace.PhaseFault, t.spanFetchFault, mid)
+				t.p.Sleep(interval)
+				continue
+			}
+			return err
+		}
+
+		resp := s.Dispatch(msg)
+		endResult := t.nt.Begin(trace.PhaseResult, t.spanResult, mid)
+		err = t.respond(next, seq[next], resp)
+		// The handler already ran exactly once; only the result push is
+		// retried, within a bounded window, so a transient burst cannot
+		// wedge the serve loop forever.
+		for tries := 0; err != nil && core.IsTransient(err) && tries < respondRetries; tries++ {
+			t.nt.Instant(trace.PhaseRetry, t.spanRespondRetry, mid)
+			t.p.Sleep(t.poll)
+			err = t.respond(next, seq[next], resp)
+		}
+		endResult()
+		if err != nil {
+			return err
+		}
+		// Commit only after the result flag is out, mirroring the host.
+		seq[next]++
+		next = (next + 1) % t.NumBuffers
+	}
+	return nil
+}
+
+// respond publishes the result in the send slot paired with the receive
+// slot: payload first, flag last. A result no send buffer can hold becomes a
+// ham failure response, so the offload fails without corrupting the channel.
+func (t *Target) respond(slot int, seq uint32, resp []byte) error {
+	if len(resp) > t.ResultInline+t.BufSize {
+		resp = ham.EncodeFailure(fmt.Sprintf("%s: result of %d bytes exceeds the send buffer", t.Name, len(resp)))
+	}
+	inline := min(len(resp), t.ResultInline)
+	if err := t.Transport.PushResult(slot, resp[:inline], resp[inline:]); err != nil {
+		return err
+	}
+	return t.Transport.PublishResultFlag(slot, slots.Encode(seq, len(resp)))
+}
+
+// Memory implements core.Backend.
+func (t *Target) Memory() core.LocalMemory { return t.heap }
+
+// ChargeVector implements core.Backend with the VE roofline model.
+func (t *Target) ChargeVector(flops, bytes int64, cores int) {
+	t.cpu.ChargeVector(flops, bytes, cores)
+}
+
+// ChargeScalar implements core.Backend.
+func (t *Target) ChargeScalar(ops int64) { t.cpu.ChargeScalar(ops) }
+
+// Close implements core.Backend.
+func (t *Target) Close() error { return nil }
+
+var _ core.Backend = (*Target)(nil)

@@ -1,0 +1,168 @@
+package ring
+
+import (
+	"fmt"
+
+	"hamoffload/internal/backend/adapter"
+	"hamoffload/internal/core"
+	"hamoffload/internal/simtime"
+	"hamoffload/internal/veo"
+	"hamoffload/internal/veos"
+)
+
+// This file is the part of both protocols that runs on the VEO API whatever
+// the message path: application start, the init-kernel/ham_main bootstrap,
+// and bulk data exchange (§III-C, §IV-A — "application start, initialisation
+// and bulk data exchange still go through the VEO API").
+
+// targets holds the target backend of every running VE process. An entry
+// lives exactly as long as its process: Register adds it from the init
+// kernel; VE.Destroy, the only place a ring process dies, removes it. The
+// simulation is single-threaded per engine, so a plain map suffices.
+var targets = map[*veos.Process]*Target{}
+
+// Register builds the target backend of the process ctx runs in, for its
+// ham_main to serve. The transport is built over the init kernel's own
+// context; ham_main runs on the same one.
+func Register(ctx *veos.Ctx, cfg TargetConfig) {
+	vp := ctx.Context.Process()
+	card := vp.Card()
+	t := newTarget(cfg, ctx.P, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
+	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx.P)
+	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
+	t.heap = &adapter.VEHeap{VE: card.Mem}
+	t.cpu = ctx
+	targets[vp] = t
+}
+
+// HamMain is the ham_main kernel of both protocols — the renamed main() of
+// the target binary (§III-C): it runs the HAM-Offload runtime's message loop
+// over the transport the init kernel registered.
+func HamMain(ctx *veos.Ctx, _ []uint64) (uint64, error) {
+	vp := ctx.Context.Process()
+	t, ok := targets[vp]
+	if !ok {
+		return 1, fmt.Errorf("ring: ham_main before an init kernel on VE %d", vp.Card().ID)
+	}
+	rt := core.NewRuntime(t, t.desc.Arch)
+	rt.SetTracer(t.nt)
+	rt.SetTelemetry(vp.Card().Timing.Telemetry, ctx.P)
+	if err := rt.Serve(); err != nil {
+		return 1, err
+	}
+	return 0, nil
+}
+
+// CardDial builds the transport to one VE card; ConnectCards fills in the
+// facts every card shares (Node, Overhead).
+type CardDial func(p *simtime.Proc, card *veos.Card, o Options, self, total int) (HostTransport, HostFacts, error)
+
+// ConnectCards is Connect over VE cards: host memory and tracer come from
+// the first card's machine.
+func ConnectCards(p *simtime.Proc, cfg HostConfig, cards []*veos.Card, dial CardDial) (*Host, error) {
+	if len(cards) == 0 {
+		return nil, fmt.Errorf("%s: no target cards", cfg.Name)
+	}
+	cfg.Memory = &adapter.HostHeap{H: cards[0].Host}
+	cfg.Tracer = cards[0].Timing.Tracer.Node(0, cfg.Name, p)
+	return Connect(p, cfg, len(cards), func(o Options, i, self, total int) (HostTransport, HostFacts, error) {
+		t, f, err := dial(p, cards[i], o, self, total)
+		f.Node, f.Overhead = fmt.Sprintf("ve%d", cards[i].ID), cards[i].Timing.HAMHostOverhead
+		return t, f, err
+	})
+}
+
+// VE is a VE process started by Launch. Both host transports embed it: it
+// carries the VEO bulk-data path and owns the process's lifetime.
+type VE struct {
+	P    *simtime.Proc
+	Proc *veo.Proc
+	Card *veos.Card
+}
+
+// Launch runs the connect sequence both protocols share (Fig. 4, §IV-A):
+// create the VE process, load the library, let place lay out the
+// communication area (its result becomes the init kernel's arguments), open
+// a context, run the init kernel to completion, and start ham_main
+// asynchronously. A failed launch leaves no VE process behind.
+func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place func(*veo.Proc) ([]uint64, error)) (VE, error) {
+	proc, err := veo.ProcCreate(p, card)
+	if err != nil {
+		return VE{}, err
+	}
+	ve := VE{P: p, Proc: proc, Card: card}
+	started := false
+	defer func() {
+		if !started {
+			_ = ve.Destroy()
+		}
+	}()
+	lh, err := proc.LoadLibrary(p, lib)
+	if err != nil {
+		return VE{}, err
+	}
+	args, err := place(proc)
+	if err != nil {
+		return VE{}, err
+	}
+	ctx := proc.OpenContext(p)
+	init, err := lh.GetSym(p, initSym)
+	if err != nil {
+		return VE{}, err
+	}
+	if _, err := ctx.CallAsync(p, init, args...).CallWaitResult(p); err != nil {
+		return VE{}, fmt.Errorf("%s: %w", initSym, err)
+	}
+	// The architecture label is a property of the compiled target binary; it
+	// cannot travel as a kernel argument, so it is recorded on the side.
+	if t, ok := targets[proc.Process()]; ok {
+		t.desc.Arch = arch
+	}
+	hamMain, err := lh.GetSym(p, "ham_main")
+	if err != nil {
+		return VE{}, err
+	}
+	// ham_main never returns until terminated; do not wait on it.
+	ctx.CallAsync(p, hamMain)
+	started = true
+	return ve, nil
+}
+
+// Destroy tears the VE process down (veo_proc_destroy). On a failed target
+// it reaps whatever is left so the card can boot a fresh process; the error
+// then only says a crash had already taken the process.
+func (v VE) Destroy() error {
+	delete(targets, v.Proc.Process())
+	return v.Proc.Destroy(v.P)
+}
+
+// Put implements HostTransport through veo_write_mem, staged through a host
+// bounce buffer (an artifact of the Go API taking slices; the staging copy
+// is not charged as it does not exist on the real platform, where user data
+// already lives in host memory).
+func (v VE) Put(data []byte, dstAddr uint64) error {
+	host := v.Card.Host
+	stage, err := host.Alloc(int64(len(data)))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = host.Free(stage) }()
+	if err := host.Mem.WriteAt(data, stage); err != nil {
+		return err
+	}
+	return v.Proc.WriteMem(v.P, dstAddr, uint64(stage), int64(len(data)))
+}
+
+// Get implements HostTransport through veo_read_mem.
+func (v VE) Get(srcAddr uint64, dst []byte) error {
+	host := v.Card.Host
+	stage, err := host.Alloc(int64(len(dst)))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = host.Free(stage) }()
+	if err := v.Proc.ReadMem(v.P, uint64(stage), srcAddr, int64(len(dst))); err != nil {
+		return err
+	}
+	return host.Mem.ReadAt(dst, stage)
+}

@@ -1,10 +1,11 @@
-// Package veob implements the paper's VEO-based communication protocol
-// (§III-D, Fig. 5): a one-sided protocol coordinated by the Vector Host.
-// Message and result buffers live in VE memory; the host writes offload
-// messages and notification flags with veo_write_mem and polls result flags
-// with veo_read_mem, so every protocol step rides on VEOS' privileged DMA
-// with its high per-operation latency. The VE side finds messages in its
-// local memory, executes them, and leaves results in its local send buffers.
+// Package veob is the placement and the byte movers of the paper's VEO-based
+// communication protocol (§III-D, Fig. 5); the slot-ring protocol itself
+// lives in backend/ring. Message and result buffers live in VE memory; the
+// host writes offload messages and notification flags with veo_write_mem and
+// polls result flags with veo_read_mem, so every protocol step rides on
+// VEOS' privileged DMA with its high per-operation latency. The VE side
+// finds messages in its local memory, executes them, and leaves results in
+// its local send buffers.
 //
 // One optimisation over the figure's literal four-transfer sequence is kept
 // from the paper's "piggybacking" remark: each result flag is adjacent to
@@ -14,133 +15,54 @@
 package veob
 
 import (
-	"errors"
 	"fmt"
 
-	"hamoffload/internal/backend/adapter"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/backend/slots"
-	"hamoffload/internal/core"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/trace"
 	"hamoffload/internal/veo"
 	"hamoffload/internal/veos"
 )
 
+// LibraryName is the VE library containing the backend's C-API kernels and
+// ham_main — the build product of Fig. 4's target-side compilation.
+const LibraryName = "libham-offload-veob.so"
+
+func init() {
+	veos.RegisterLibrary(LibraryName, veos.Library{
+		"ham_comm_init": hamCommInit,
+		"ham_main":      ring.HamMain,
+	})
+}
+
 // Options configures the protocol.
-type Options struct {
-	// NumBuffers is the number of message slots per direction (default 8).
-	NumBuffers int
-	// BufSize is the capacity of one message buffer (default 4 KiB).
-	BufSize int
-	// ResultInline is the result payload fetched together with the flag in
-	// one read (default 248, making flag+inline one 256-byte slot).
-	ResultInline int
-	// TargetArch labels the VE binary for HAM's translation tables
-	// (default "aurora-ve").
-	TargetArch string
-	// OffloadTimeout bounds how long one offload may stay in flight before
-	// Wait gives up with core.ErrOffloadTimeout, measured on the simulated
-	// clock from the start of the wait. Zero waits forever (the pre-fault-
-	// tolerance behaviour).
-	OffloadTimeout simtime.Duration
-}
+type Options = ring.Options
 
-func (o *Options) fill() {
-	if o.NumBuffers <= 0 {
-		o.NumBuffers = 8
-	}
-	if o.BufSize <= 0 {
-		o.BufSize = 4096
-	}
-	if o.ResultInline <= 0 {
-		o.ResultInline = 248
-	}
-	// SHM stores and flag adjacency work at word granularity.
-	o.ResultInline = (o.ResultInline + 7) &^ 7
-	if o.TargetArch == "" {
-		o.TargetArch = "aurora-ve"
-	}
-}
+// Host is the initiator-side backend running on the Vector Host.
+type Host = ring.Host
 
-// layout describes the communication area in VE memory.
+// layout describes the communication area in VE memory: one veo_alloc_mem
+// block at base, the same addresses on both sides. Four arrays back to back
+// — receive flags, receive buffers, send slots (flag adjacent to inline
+// result), overflow buffers for large results — each starting where the one
+// before would hold its NumBuffers-th element.
 type layout struct {
-	nbuf         int
-	bufSize      int
-	resultInline int
-
-	base      uint64 // single veo_alloc_mem block
-	recvFlags uint64 // nbuf × 8
-	recvBufs  uint64 // nbuf × bufSize
-	sendSlots uint64 // nbuf × (8 + resultInline): flag adjacent to inline result
-	sendExtra uint64 // nbuf × bufSize overflow area for large results
+	ring.Options
+	base uint64
 }
 
-func makeLayout(o Options, base uint64) layout {
-	l := layout{nbuf: o.NumBuffers, bufSize: o.BufSize, resultInline: o.ResultInline, base: base}
-	off := base
-	l.recvFlags = off
-	off += uint64(l.nbuf * slots.FlagBits)
-	l.recvBufs = off
-	off += uint64(l.nbuf * l.bufSize)
-	l.sendSlots = off
-	off += uint64(l.nbuf * (slots.FlagBits + l.resultInline))
-	l.sendExtra = off
-	return l
+func (l layout) recvFlag(slot int) uint64 { return l.base + uint64(slot*slots.FlagBits) }
+func (l layout) recvBuf(slot int) uint64 {
+	return l.recvFlag(l.NumBuffers) + uint64(slot*l.BufSize)
 }
-
-func (l layout) totalSize() int64 {
-	return int64(l.nbuf*slots.FlagBits + l.nbuf*l.bufSize +
-		l.nbuf*(slots.FlagBits+l.resultInline) + l.nbuf*l.bufSize)
+func (l layout) sendSlot(slot int) uint64 {
+	return l.recvBuf(l.NumBuffers) + uint64(slot*(slots.FlagBits+l.ResultInline))
 }
-
-func (l layout) recvFlagAddr(slot int) uint64 { return l.recvFlags + uint64(slot*slots.FlagBits) }
-func (l layout) recvBufAddr(slot int) uint64  { return l.recvBufs + uint64(slot*l.bufSize) }
-func (l layout) sendSlotAddr(slot int) uint64 {
-	return l.sendSlots + uint64(slot*(slots.FlagBits+l.resultInline))
+func (l layout) sendExtra(slot int) uint64 {
+	return l.sendSlot(l.NumBuffers) + uint64(slot*l.BufSize)
 }
-func (l layout) sendExtraAddr(slot int) uint64 { return l.sendExtra + uint64(slot*l.bufSize) }
-
-// handle tracks one in-flight offload. It pins the conn it was issued on:
-// after a node recovery builds a fresh conn, stale handles must keep failing
-// against the dead one instead of polling slots they never owned.
-type handle struct {
-	target core.NodeID
-	c      *conn
-	slot   int
-	seq    uint32
-	resp   []byte
-	done   bool
-}
-
-// conn is the host-side state for one VE target.
-type conn struct {
-	proc   *veo.Proc
-	card   *veos.Card
-	lay    layout
-	seq    []uint32  // next send sequence per slot
-	inUse  []*handle // outstanding offload per slot
-	next   int       // round-robin slot cursor
-	bounce uint64    // persistent host-side bounce buffer for flag writes
-	dead   bool      // VE process crashed; reject work until RecoverNode
-}
-
-// Host is the initiator-side backend running on the Vector Host. All methods
-// must be called from the simulated process passed to Connect — HAM-Offload's
-// host runtime is single-threaded, like the C++ original's communication
-// layer.
-type Host struct {
-	p     *simtime.Proc
-	opts  Options
-	conns []*conn // index = NodeID-1
-	descs []core.NodeDescriptor
-	mem   core.LocalMemory
-	nt    *trace.NodeTracer // nil when the cards' Timing has no Tracer
-}
-
-// mid builds the protocol-level message correlator for a slot/sequence pair.
-func (c *conn) mid(slot int, seq uint32) int64 {
-	return int64(seq)*int64(c.lay.nbuf) + int64(slot)
-}
+func (l layout) totalSize() int64 { return int64(l.sendExtra(l.NumBuffers) - l.base) }
 
 // Connect builds the complete Fig. 4 runtime setup for the given VE cards:
 // it creates a VE process on each card, loads the application library,
@@ -148,410 +70,160 @@ func (c *conn) mid(slot int, seq uint32) int64 {
 // C-API kernels, and starts ham_main. The returned backend serves node 0;
 // cards become nodes 1..len(cards).
 func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
-	opts.fill()
-	if len(cards) == 0 {
-		return nil, fmt.Errorf("veob: no target cards")
-	}
-	h := &Host{p: p, opts: opts}
-	h.mem = &adapter.HostHeap{H: cards[0].Host}
-	h.nt = cards[0].Timing.Tracer.Node(0, "veob", p)
-	h.descs = append(h.descs, core.NodeDescriptor{Name: "vh", Arch: "x86_64", Device: "Intel Xeon Gold 6126 (VH)"})
-	for i, card := range cards {
-		c, err := h.connect(card, i+1, len(cards)+1)
+	return ring.ConnectCards(p, ring.HostConfig{Name: "veob", Options: opts}, cards, dial)
+}
+
+// hostSide is the host half of Fig. 5: every protocol step is a privileged
+// DMA transfer between a host bounce buffer and the VE communication area.
+type hostSide struct {
+	ring.VE
+	lay    layout
+	bounce mem.Addr // persistent host-side bounce buffer
+}
+
+func dial(p *simtime.Proc, card *veos.Card, o ring.Options, self, total int) (ring.HostTransport, ring.HostFacts, error) {
+	t := &hostSide{lay: layout{Options: o}}
+	// Allocate the communication area in VE memory (the host manages it),
+	// then communicate its address through the C-API kernel (Fig. 4's
+	// "HAM-Offload C-API").
+	ve, err := ring.Launch(p, card, LibraryName, "ham_comm_init", o.TargetArch, func(proc *veo.Proc) ([]uint64, error) {
+		base, err := proc.AllocMem(p, t.lay.totalSize())
 		if err != nil {
 			return nil, err
 		}
-		h.conns = append(h.conns, c)
-		h.descs = append(h.descs, core.NodeDescriptor{
-			Name:   fmt.Sprintf("ve%d", card.ID),
-			Arch:   opts.TargetArch,
-			Device: "NEC VE Type 10B",
-		})
+		t.lay.base = base
+		return []uint64{base, uint64(o.NumBuffers), uint64(o.BufSize), uint64(o.ResultInline),
+			uint64(self), uint64(total)}, nil
+	})
+	if err != nil {
+		return nil, ring.HostFacts{}, err
 	}
-	return h, nil
+	t.VE = ve
+	if t.bounce, err = card.Host.Alloc(int64(o.BufSize) + 16); err != nil {
+		_ = ve.Destroy()
+		return nil, ring.HostFacts{}, err
+	}
+	// Each poll is a full veo_read_mem: the privileged-DMA latency is the
+	// poll interval, no gap is added. An injected glitch on that read costs
+	// one poll and leaves the offload unharmed.
+	return t, ring.HostFacts{AbsorbPollFaults: true}, nil
 }
 
-func (h *Host) connect(card *veos.Card, self, total int) (*conn, error) {
-	proc, err := veo.ProcCreate(h.p, card)
-	if err != nil {
-		return nil, err
+// WriteMessage implements ring.HostTransport: stage the message in host
+// memory and write it into the VE buffer (the first veo_write_mem of Fig. 5).
+func (t *hostSide) WriteMessage(slot int, msg []byte) error {
+	if err := t.Card.Host.Mem.WriteAt(msg, t.bounce); err != nil {
+		return err
 	}
-	// A failed connect must not leak the VE process.
-	ok := false
-	defer func() {
-		if !ok {
-			_ = proc.Destroy(h.p)
+	return t.Proc.WriteMem(t.P, t.lay.recvBuf(slot), uint64(t.bounce), int64(len(msg)))
+}
+
+// PublishFlag implements ring.HostTransport (the second veo_write_mem).
+func (t *hostSide) PublishFlag(slot int, word uint64) error {
+	if err := t.Card.Host.Mem.WriteUint64(t.bounce, word); err != nil {
+		return err
+	}
+	return t.Proc.WriteMem(t.P, t.lay.recvFlag(slot), uint64(t.bounce), slots.FlagBits)
+}
+
+// PollResult implements ring.HostTransport: one read brings the flag and
+// the inline result into the bounce buffer.
+func (t *hostSide) PollResult(slot int) (uint64, error) {
+	n := int64(slots.FlagBits + t.lay.ResultInline)
+	if err := t.Proc.ReadMem(t.P, uint64(t.bounce), t.lay.sendSlot(slot), n); err != nil {
+		return 0, err
+	}
+	return t.Card.Host.Mem.ReadUint64(t.bounce)
+}
+
+// ReadResult implements ring.HostTransport: the inline part is already in
+// the bounce buffer; a large result costs a second read for the overflow.
+func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
+	if err := t.Card.Host.Mem.ReadAt(inline, t.bounce+slots.FlagBits); err != nil {
+		return err
+	}
+	if len(overflow) > 0 {
+		if err := t.Proc.ReadMem(t.P, uint64(t.bounce), t.lay.sendExtra(slot), int64(len(overflow))); err != nil {
+			return err
 		}
-	}()
-	lib, err := proc.LoadLibrary(h.p, LibraryName)
-	if err != nil {
-		return nil, err
+		return t.Card.Host.Mem.ReadAt(overflow, t.bounce)
 	}
-	// Allocate the communication area in VE memory; the host manages it.
-	probe := makeLayout(h.opts, 0)
-	base, err := proc.AllocMem(h.p, probe.totalSize())
-	if err != nil {
-		return nil, err
-	}
-	lay := makeLayout(h.opts, base)
-
-	// Communicate the data-structure addresses through the C-API kernel
-	// (Fig. 4's "HAM-Offload C-API"), then start ham_main asynchronously.
-	ctx := proc.OpenContext(h.p)
-	commInit, err := lib.GetSym(h.p, "ham_comm_init")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ctx.CallAsync(h.p, commInit,
-		lay.base, uint64(lay.nbuf), uint64(lay.bufSize), uint64(lay.resultInline),
-		uint64(self), uint64(total),
-	).CallWaitResult(h.p); err != nil {
-		return nil, fmt.Errorf("veob: ham_comm_init: %w", err)
-	}
-	// The architecture label is a property of the target binary.
-	SetTargetArch(card, h.opts.TargetArch)
-	hamMain, err := lib.GetSym(h.p, "ham_main")
-	if err != nil {
-		return nil, err
-	}
-	// ham_main never returns until terminated; do not wait on it.
-	ctx.CallAsync(h.p, hamMain)
-
-	bounce, err := card.Host.Alloc(int64(h.opts.BufSize) + 16)
-	if err != nil {
-		return nil, err
-	}
-	ok = true
-	return &conn{
-		proc:   proc,
-		card:   card,
-		lay:    lay,
-		seq:    make([]uint32, lay.nbuf),
-		inUse:  make([]*handle, lay.nbuf),
-		bounce: uint64(bounce),
-	}, nil
+	return nil
 }
 
-// Self implements core.Backend.
-func (h *Host) Self() core.NodeID { return 0 }
+// Alive implements ring.HostTransport: every poll is a VEOS call, which
+// fails by itself on a crashed card.
+func (t *hostSide) Alive() bool { return true }
 
-// NumNodes implements core.Backend.
-func (h *Host) NumNodes() int { return len(h.conns) + 1 }
-
-// Descriptor implements core.Backend.
-func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
-	if int(n) < 0 || int(n) >= len(h.descs) {
-		return core.NodeDescriptor{Name: "invalid"}
-	}
-	return h.descs[n]
-}
-
-func (h *Host) conn(target core.NodeID) (*conn, error) {
-	i := int(target) - 1
-	if i < 0 || i >= len(h.conns) {
-		return nil, fmt.Errorf("veob: no target node %d", target)
-	}
-	return h.conns[i], nil
-}
-
-// Call implements core.Backend: write the message into the next free
-// receive buffer on the VE, then set its notification flag — two
-// veo_write_mem operations, exactly the Fig. 5 sequence.
-func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
-	c, err := h.conn(target)
-	if err != nil {
-		return nil, err
-	}
-	if c.dead {
-		return nil, fmt.Errorf("veob: node %d: %w", target, core.ErrNodeFailed)
-	}
-	if len(msg) > c.lay.bufSize || len(msg) > slots.MaxLen {
-		return nil, fmt.Errorf("veob: message of %d bytes exceeds buffer size %d", len(msg), c.lay.bufSize)
-	}
-	callStart := h.nt.Now()
-	h.p.Sleep(h.timing(c).HAMHostOverhead)
-	slot := c.next
-	// The host manages the buffers: a slot is free again once the result of
-	// its previous use has been consumed.
-	if prev := c.inUse[slot]; prev != nil {
-		if _, err := h.waitHandle(prev); err != nil {
-			return nil, fmt.Errorf("veob: draining slot %d: %w", slot, err)
-		}
-	}
-	seq := c.seq[slot]
-
-	// Stage the message in host memory and write it into the VE buffer.
-	if err := c.card.Host.Mem.WriteAt(msg, memA(c.bounce)); err != nil {
-		return nil, err
-	}
-	if err := c.proc.WriteMem(h.p, c.lay.recvBufAddr(slot), c.bounce, int64(len(msg))); err != nil {
-		return nil, h.stepErr(c, target, err)
-	}
-	// Set the notification flag (second veo_write_mem).
-	if err := c.card.Host.Mem.WriteUint64(memA(c.bounce), slots.Encode(seq, len(msg))); err != nil {
-		return nil, err
-	}
-	endFlag := h.nt.Begin(trace.PhaseFlagWrite, "veob-flag-write", c.mid(slot, seq))
-	werr := c.proc.WriteMem(h.p, c.lay.recvFlagAddr(slot), c.bounce, slots.FlagBits)
-	endFlag()
-	if werr != nil {
-		return nil, h.stepErr(c, target, werr)
-	}
-	// Commit the slot only now: an attempt aborted mid-sequence never set a
-	// flag, so the VE — which serves its receive slots in ring order — still
-	// waits for this slot and sequence number. Advancing either cursor
-	// earlier would desynchronise the protocol forever; a retried attempt
-	// must land in the same slot.
-	c.seq[slot]++
-	c.next = (c.next + 1) % c.lay.nbuf
-	hd := &handle{target: target, c: c, slot: slot, seq: seq}
-	c.inUse[slot] = hd
-	h.nt.Since(trace.PhaseCall, "veob-call", c.mid(slot, seq), callStart)
-	return hd, nil
-}
-
-// stepErr classifies a failed protocol step: a crashed VE process marks the
-// conn dead and surfaces core.ErrNodeFailed; everything else — notably
-// injected transient DMA errors, which core's retry layer may resubmit —
-// passes through unchanged.
-func (h *Host) stepErr(c *conn, target core.NodeID, err error) error {
-	if errors.Is(err, veos.ErrCrashed) {
-		c.dead = true
-		return fmt.Errorf("veob: node %d: %w", target, core.ErrNodeFailed)
+// Close implements ring.HostTransport: release the bounce buffer and destroy
+// the VE process.
+func (t *hostSide) Close() error {
+	err := t.Card.Host.Free(t.bounce)
+	if derr := t.Destroy(); err == nil {
+		err = derr
 	}
 	return err
 }
 
-// pollSlot performs one flag+inline-result read and, if the result is
-// present, completes the handle.
-func (h *Host) pollSlot(c *conn, hd *handle) (bool, error) {
-	readLen := int64(slots.FlagBits + c.lay.resultInline)
-	if err := c.proc.ReadMem(h.p, c.bounce, c.lay.sendSlotAddr(hd.slot), readLen); err != nil {
-		return false, err
-	}
-	flag, err := c.card.Host.Mem.ReadUint64(memA(c.bounce))
-	if err != nil {
-		return false, err
-	}
-	n, ok := slots.Decode(flag, hd.seq)
-	if !ok {
-		return false, nil
-	}
-	resp := make([]byte, n)
-	inline := n
-	if inline > c.lay.resultInline {
-		inline = c.lay.resultInline
-	}
-	if err := c.card.Host.Mem.ReadAt(resp[:inline], memA(c.bounce+slots.FlagBits)); err != nil {
-		return false, err
-	}
-	if n > inline {
-		// Large result: fetch the overflow with a second read.
-		if err := c.proc.ReadMem(h.p, c.bounce, c.lay.sendExtraAddr(hd.slot), int64(n-inline)); err != nil {
-			return false, err
-		}
-		if err := c.card.Host.Mem.ReadAt(resp[inline:], memA(c.bounce)); err != nil {
-			return false, err
-		}
-	}
-	hd.resp = resp
-	hd.done = true
-	if c.inUse[hd.slot] == hd {
-		c.inUse[hd.slot] = nil
-	}
-	return true, nil
+// Abandon implements ring.HostTransport. The VE-side allocations died with
+// the process; release their simulated backing store as well.
+func (t *hostSide) Abandon() {
+	_ = t.Close()
+	_ = t.Card.Mem.Free(mem.Addr(t.lay.base))
 }
 
-func (h *Host) waitHandle(hd *handle) ([]byte, error) {
-	c := hd.c
-	defer h.nt.Begin(trace.PhaseWait, "veob-wait", c.mid(hd.slot, hd.seq))()
-	start := h.p.Now()
-	for !hd.done {
-		if c.dead {
-			return nil, fmt.Errorf("veob: node %d: %w", hd.target, core.ErrNodeFailed)
-		}
-		// Each poll is a full veo_read_mem; no extra backoff is needed, the
-		// privileged-DMA latency is the poll interval.
-		if _, err := h.pollSlot(c, hd); err != nil {
-			if core.IsTransient(err) {
-				// An injected glitch on the poll read costs one poll
-				// interval; the next read retries it for free and the
-				// offload itself is unharmed.
-				h.nt.Instant(trace.PhaseFault, "veob-poll-fault", c.mid(hd.slot, hd.seq))
-				continue
-			}
-			return nil, h.stepErr(c, hd.target, err)
-		}
-		if d := h.opts.OffloadTimeout; d > 0 && !hd.done && h.p.Now().Sub(start) >= d {
-			// The slot stays leased to the lost offload — the leak is
-			// bounded by NumBuffers, and RecoverNode rebuilds the whole
-			// communication area.
-			return nil, fmt.Errorf("veob: node %d slot %d: %w", hd.target, hd.slot, core.ErrOffloadTimeout)
-		}
-	}
-	h.p.Sleep(h.timing(c).HAMHostOverhead)
-	return hd.resp, nil
+// veSide is the VE half of Fig. 5: flags, messages and results all sit in
+// local HBM, where the host's privileged DMA put them or will fetch them.
+type veSide struct {
+	p    *simtime.Proc
+	card *veos.Card
+	lay  layout
 }
 
-// Wait implements core.Backend.
-func (h *Host) Wait(hh core.Handle) ([]byte, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, fmt.Errorf("veob: foreign handle %T", hh)
+// hamCommInit receives the addresses of the host-managed communication data
+// structures (Fig. 4's HAM-Offload C-API).
+func hamCommInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
+	if len(args) != 6 {
+		return 0, fmt.Errorf("veob: ham_comm_init wants 6 args, got %d", len(args))
 	}
-	return h.waitHandle(hd)
+	o := ring.Options{NumBuffers: int(args[1]), BufSize: int(args[2]), ResultInline: int(args[3])}
+	ring.Register(ctx, ring.TargetConfig{
+		Name: "veob", Options: o, Self: int(args[4]), Nodes: int(args[5]),
+		Transport: &veSide{p: ctx.P, card: ctx.Context.Process().Card(), lay: layout{Options: o, base: args[0]}},
+	})
+	return 0, nil
 }
 
-// Poll implements core.Backend.
-func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, false, fmt.Errorf("veob: foreign handle %T", hh)
-	}
-	if hd.done {
-		return hd.resp, true, nil
-	}
-	c := hd.c
-	if c.dead {
-		return nil, false, fmt.Errorf("veob: node %d: %w", hd.target, core.ErrNodeFailed)
-	}
-	done, err := h.pollSlot(c, hd)
-	if err != nil {
-		if core.IsTransient(err) {
-			// Absorbed like in waitHandle: the probe simply reports "not
-			// done yet" and the next poll retries the read.
-			h.nt.Instant(trace.PhaseFault, "veob-poll-fault", c.mid(hd.slot, hd.seq))
-			return nil, false, nil
-		}
-		return nil, false, h.stepErr(c, hd.target, err)
-	}
-	if !done {
-		return nil, false, nil
-	}
-	return hd.resp, true, nil
+// LoadFlag implements ring.TargetTransport with a local memory load.
+func (t *veSide) LoadFlag(slot int) (uint64, error) {
+	return t.card.Mem.HBM.ReadUint64(mem.Addr(t.lay.recvFlag(slot)))
 }
 
-// Put implements core.Backend: an explicit data transfer via veo_write_mem,
-// staged through a host bounce buffer (an artifact of the Go API taking
-// slices; the staging copy is not charged as it does not exist on the real
-// platform, where user data already lives in host memory).
-func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
-	c, err := h.conn(target)
-	if err != nil {
+// Fetch implements ring.TargetTransport: a local copy out of the receive
+// buffer.
+func (t *veSide) Fetch(slot int, msg []byte) error {
+	if err := t.card.Mem.HBM.ReadAt(msg, mem.Addr(t.lay.recvBuf(slot))); err != nil {
 		return err
 	}
-	if c.dead {
-		return fmt.Errorf("veob: node %d: %w", target, core.ErrNodeFailed)
-	}
-	stage, err := c.card.Host.Alloc(int64(len(data)))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.card.Host.Free(stage) }()
-	if err := c.card.Host.Mem.WriteAt(data, stage); err != nil {
-		return err
-	}
-	return h.stepErr(c, target, c.proc.WriteMem(h.p, dstAddr, uint64(stage), int64(len(data))))
-}
-
-// Get implements core.Backend via veo_read_mem.
-func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
-	c, err := h.conn(target)
-	if err != nil {
-		return err
-	}
-	if c.dead {
-		return fmt.Errorf("veob: node %d: %w", target, core.ErrNodeFailed)
-	}
-	stage, err := c.card.Host.Alloc(int64(len(dst)))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.card.Host.Free(stage) }()
-	if err := c.proc.ReadMem(h.p, uint64(stage), srcAddr, int64(len(dst))); err != nil {
-		return h.stepErr(c, target, err)
-	}
-	return c.card.Host.Mem.ReadAt(dst, stage)
-}
-
-// Serve implements core.Backend; the host node does not serve messages in
-// this backend (no reverse offloading over VEO).
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("veob: the host node does not serve active messages")
-}
-
-// Memory implements core.Backend.
-func (h *Host) Memory() core.LocalMemory { return h.mem }
-
-// ChargeVector implements core.Backend: host-side kernel work advances the
-// host process's simulated clock with the host roofline model.
-func (h *Host) ChargeVector(flops, bytes int64, cores int) {
-	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
-}
-
-// ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) {
-	h.p.Sleep(simtime.Duration(float64(ops) / (2.6e9) * float64(simtime.Second)))
-}
-
-// Backoff implements core's optional backoff surface: retry delays advance
-// the host process's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer: a wire message must fit one
-// message buffer and its length must be publishable in a slot flag word.
-func (h *Host) MaxMessageLen() int {
-	if h.opts.BufSize < slots.MaxLen {
-		return h.opts.BufSize
-	}
-	return slots.MaxLen
-}
-
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
-
-// RecoverNode implements core.Recoverer: it reaps the dead VE process,
-// releases the old communication area and bounce buffer, and re-runs the
-// full Fig. 4 connect sequence — fresh process, library load, ham_comm_init,
-// ham_main. Outstanding handles stay pinned to the dead conn and keep
-// failing with core.ErrNodeFailed; new offloads use the replacement.
-func (h *Host) RecoverNode(n core.NodeID) error {
-	c, err := h.conn(n)
-	if err != nil {
-		return err
-	}
-	c.dead = true
-	if c.card.Process() != nil {
-		_ = c.card.DestroyProcess(h.p)
-	}
-	// The VE-side allocations died with the process; release their
-	// simulated backing store along with the host bounce buffer.
-	_ = c.card.Mem.Free(memA(c.lay.base))
-	_ = c.card.Host.Free(memA(c.bounce))
-	nc, err := h.connect(c.card, int(n), h.NumNodes())
-	if err != nil {
-		return err
-	}
-	h.conns[int(n)-1] = nc
+	t.p.Sleep(simtime.BytesOver(int64(len(msg)), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
 	return nil
 }
 
-// Close implements core.Backend: release the host-side bounce buffers and
-// destroy the VE processes.
-func (h *Host) Close() error {
-	var firstErr error
-	for _, c := range h.conns {
-		if err := c.card.Host.Free(memA(c.bounce)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := c.proc.Destroy(h.p); err != nil && firstErr == nil {
-			firstErr = err
+// PushResult implements ring.TargetTransport with local copies.
+func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
+	if err := t.card.Mem.HBM.WriteAt(inline, mem.Addr(t.lay.sendSlot(slot)+slots.FlagBits)); err != nil {
+		return err
+	}
+	if len(overflow) > 0 {
+		if err := t.card.Mem.HBM.WriteAt(overflow, mem.Addr(t.lay.sendExtra(slot))); err != nil {
+			return err
 		}
 	}
-	return firstErr
+	t.p.Sleep(simtime.BytesOver(int64(len(inline)+len(overflow)), t.card.Timing.VEMemCopyRate))
+	return nil
 }
 
-func (h *Host) timing(c *conn) topoTiming { return c.card.Timing }
-
-var _ core.Backend = (*Host)(nil)
+// PublishResultFlag implements ring.TargetTransport with a local store.
+func (t *veSide) PublishResultFlag(slot int, word uint64) error {
+	return t.card.Mem.HBM.WriteUint64(mem.Addr(t.lay.sendSlot(slot)), word)
+}

@@ -47,9 +47,10 @@ type LocalMemory interface {
 
 // Backend is the abstract communication layer of Fig. 1. One Backend value
 // serves one node: initiator-side methods are used where offloads originate,
-// Serve runs the message loop where they execute. The paper's two SX-Aurora
-// protocols (backend/veob, backend/dmab), the portable TCP/IP backend
-// (backend/tcpb) and the in-process loopback (backend/locb) all implement it.
+// Serve runs the message loop where they execute. The paper's SX-Aurora
+// slot-ring protocol (backend/ring, over the backend/veob and backend/dmab
+// transports), the portable TCP/IP backend (backend/tcpb) and the in-process
+// loopback (backend/locb) all implement it.
 type Backend interface {
 	// Self returns this node's id.
 	Self() NodeID

@@ -132,6 +132,12 @@ func (h HostModel) VectorTime(flops, bytes int64, cores int) simtime.Duration {
 	return ft
 }
 
+// ScalarTime is the host-side time of ops scalar instructions on one core at
+// the socket's nominal clock, one instruction per cycle.
+func (h HostModel) ScalarTime(ops int64) simtime.Duration {
+	return simtime.Duration(float64(ops) / (h.Spec.ClockGHz * 1e9) * float64(simtime.Second))
+}
+
 // SpeedupOver reports the VE/host speed ratio for a kernel, a convenience
 // for sizing examples: a memory-bound kernel sees roughly the 1228.8/128
 // HBM-vs-DDR4 bandwidth ratio.

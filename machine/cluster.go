@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"hamoffload/internal/backend/dmab"
 	"hamoffload/internal/backend/mpib"
 	"hamoffload/internal/core"
 	"hamoffload/internal/ib"
@@ -91,15 +90,7 @@ func ConnectCluster(p *Proc, c *Cluster, opts ProtocolOptions) (*core.Runtime, e
 	for i, m := range c.Nodes {
 		cards[i] = opts.cards(m)
 	}
-	b, err := mpib.Connect(p, c.Eng, c.IB, cards, mpib.Options{
-		Local: dmab.Options{
-			NumBuffers:     opts.NumBuffers,
-			BufSize:        opts.BufSize,
-			ResultInline:   opts.ResultInline,
-			ResultViaDMA:   opts.ResultViaDMA,
-			OffloadTimeout: opts.OffloadTimeout,
-		},
-	})
+	b, err := mpib.Connect(p, c.Eng, c.IB, cards, mpib.Options{Local: opts.dmaOptions()})
 	if err != nil {
 		return nil, err
 	}

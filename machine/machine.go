@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/backend/dmab"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/backend/veob"
 	"hamoffload/internal/core"
 	"hamoffload/internal/dma"
@@ -227,16 +228,25 @@ func (o ProtocolOptions) cards(m *Machine) []*veos.Card {
 	return m.Cards[:o.VEs]
 }
 
+// ringOptions returns the slot-ring options both SX-Aurora protocols share.
+func (o ProtocolOptions) ringOptions() ring.Options {
+	return ring.Options{
+		NumBuffers:     o.NumBuffers,
+		BufSize:        o.BufSize,
+		ResultInline:   o.ResultInline,
+		OffloadTimeout: o.OffloadTimeout,
+	}
+}
+
+func (o ProtocolOptions) dmaOptions() dmab.Options {
+	return dmab.Options{Options: o.ringOptions(), ResultViaDMA: o.ResultViaDMA}
+}
+
 // ConnectVEO sets up HAM-Offload over the paper's VEO protocol (§III-D):
 // communication buffers in VE memory, all transfers through privileged DMA.
 // It returns the host runtime; targets are nodes 1..VEs.
 func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error) {
-	b, err := veob.Connect(p, opts.cards(m), veob.Options{
-		NumBuffers:     opts.NumBuffers,
-		BufSize:        opts.BufSize,
-		ResultInline:   opts.ResultInline,
-		OffloadTimeout: opts.OffloadTimeout,
-	})
+	b, err := veob.Connect(p, opts.cards(m), opts.ringOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -254,13 +264,7 @@ func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error
 // communication buffers in a VH shared-memory segment, VE-initiated LHM
 // polls, user-DMA message fetches and SHM result stores.
 func ConnectDMA(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error) {
-	b, err := dmab.Connect(p, opts.cards(m), dmab.Options{
-		NumBuffers:     opts.NumBuffers,
-		BufSize:        opts.BufSize,
-		ResultInline:   opts.ResultInline,
-		ResultViaDMA:   opts.ResultViaDMA,
-		OffloadTimeout: opts.OffloadTimeout,
-	})
+	b, err := dmab.Connect(p, opts.cards(m), opts.dmaOptions())
 	if err != nil {
 		return nil, err
 	}
