@@ -124,17 +124,9 @@ func AblateBufferCount(counts []int, pipelineDepth int) ([]AblationRow, error) {
 	// would mask behind serial VE execution time.
 	var rows []AblationRow
 	for _, n := range counts {
-		m, err := machine.New(machine.Config{VEs: 1})
-		if err != nil {
-			return nil, err
-		}
 		var us float64
-		err = m.RunMain(func(p *machine.Proc) error {
-			rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{NumBuffers: n})
-			if err != nil {
-				return err
-			}
-			defer func() { _ = rt.Finalize() }()
+		opts := machine.ProtocolOptions{NumBuffers: n}
+		err := withRuntime(machine.Config{VEs: 1}, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err
 			}
@@ -164,29 +156,16 @@ func AblateBufferCount(counts []int, pipelineDepth int) ([]AblationRow, error) {
 }
 
 func measureEmptyWithTiming(t *topology.Timing) (float64, error) {
-	m, err := machine.New(machine.Config{VEs: 1, Timing: t})
-	if err != nil {
-		return 0, err
-	}
-	return runEmptyLoop(m, machine.ProtocolOptions{})
+	return runEmptyLoop(machine.Config{VEs: 1, Timing: t}, machine.ProtocolOptions{})
 }
 
 func measureEmptyWithOptions(opts machine.ProtocolOptions) (float64, error) {
-	m, err := machine.New(machine.Config{VEs: 1})
-	if err != nil {
-		return 0, err
-	}
-	return runEmptyLoop(m, opts)
+	return runEmptyLoop(machine.Config{VEs: 1}, opts)
 }
 
-func runEmptyLoop(m *machine.Machine, opts machine.ProtocolOptions) (float64, error) {
+func runEmptyLoop(mcfg machine.Config, opts machine.ProtocolOptions) (float64, error) {
 	var us float64
-	err := m.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectDMA(p, m, opts)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 		op := func() error {
 			_, err := offload.Sync(rt, 1, benchEmpty.Bind())
 			return err
@@ -230,23 +209,8 @@ func AblateGranularity(kernelsUS []float64) ([]GranularityRow, error) {
 		})
 
 	measure := func(dma bool, flops int64) (float64, error) {
-		m, err := machine.New(machine.Config{VEs: 1})
-		if err != nil {
-			return 0, err
-		}
 		var us float64
-		err = m.RunMain(func(p *machine.Proc) error {
-			var rt *offload.Runtime
-			var cerr error
-			if dma {
-				rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-			} else {
-				rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-			}
-			if cerr != nil {
-				return cerr
-			}
-			defer func() { _ = rt.Finalize() }()
+		err := withRuntime(machine.Config{VEs: 1}, dma, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 			op := func() error {
 				_, err := offload.Sync(rt, 1, kernel.Bind(flops))
 				return err

@@ -97,19 +97,10 @@ func MeasureBatchEmpty(cfg BatchConfig, k int) (float64, error) {
 // per-message sample per timed batch instead of the mean.
 func MeasureBatchEmptySamples(cfg BatchConfig, k int) ([]float64, error) {
 	cfg.fill()
-	m, err := machine.New(machine.Config{VEs: 1, Socket: cfg.Socket})
-	if err != nil {
-		return nil, err
-	}
 	var samples []float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, cerr := machine.ConnectDMA(p, m, machine.ProtocolOptions{
-			Batch: offload.BatchPolicy{MaxMessages: k},
-		})
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	mcfg := machine.Config{VEs: 1, Socket: cfg.Socket}
+	opts := machine.ProtocolOptions{Batch: offload.BatchPolicy{MaxMessages: k}}
+	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 		fns := make([]offload.Functor[offload.Unit], k)
 		for i := range fns {
 			fns[i] = benchEmpty.Bind()
@@ -142,23 +133,8 @@ func MeasureBatchEmptySamples(cfg BatchConfig, k int) ([]float64, error) {
 // timed offload instead of the mean — the input of the regression baselines.
 func MeasureHAMEmptySamples(cfg Fig9Config, dmaProtocol bool) ([]float64, error) {
 	cfg.fill()
-	m, err := machine.New(cfg.machineConfig())
-	if err != nil {
-		return nil, err
-	}
 	var samples []float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		var rt *offload.Runtime
-		var cerr error
-		if dmaProtocol {
-			rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		} else {
-			rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		}
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 		for i := 0; i < cfg.Warmup; i++ {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err

@@ -17,8 +17,38 @@ import (
 	"fmt"
 
 	"hamoffload/internal/units"
+	"hamoffload/machine"
 	"hamoffload/offload"
 )
+
+// withRuntime runs fn as the VH program of a fresh machine, connected to its
+// VEs over the DMA protocol (dma) or the VEO protocol; the runtime is
+// finalized when fn returns.
+func withRuntime(mcfg machine.Config, dma bool, opts machine.ProtocolOptions,
+	fn func(p *machine.Proc, rt *offload.Runtime) error) error {
+	m, err := machine.New(mcfg)
+	if err != nil {
+		return err
+	}
+	return runOn(m, dma, opts, fn)
+}
+
+// runOn is withRuntime on a machine the caller built (and reads afterwards).
+func runOn(m *machine.Machine, dma bool, opts machine.ProtocolOptions,
+	fn func(p *machine.Proc, rt *offload.Runtime) error) error {
+	return m.RunMain(func(p *machine.Proc) error {
+		connect := machine.ConnectVEO
+		if dma {
+			connect = machine.ConnectDMA
+		}
+		rt, err := connect(p, m, opts)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = rt.Finalize() }()
+		return fn(p, rt)
+	})
+}
 
 // Point is one measurement of a size sweep.
 type Point struct {

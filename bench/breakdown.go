@@ -42,22 +42,7 @@ func Breakdown(cfg Fig9Config, dmaProtocol bool) (BreakdownResult, error) {
 	if dmaProtocol {
 		res.Protocol = "DMA"
 	}
-	m, err := machine.New(cfg.machineConfig())
-	if err != nil {
-		return res, err
-	}
-	err = m.RunMain(func(p *machine.Proc) error {
-		var rt *offload.Runtime
-		var cerr error
-		if dmaProtocol {
-			rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		} else {
-			rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		}
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(_ *machine.Proc, rt *offload.Runtime) error {
 		for i := 0; i < cfg.Warmup+1; i++ {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err

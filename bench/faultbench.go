@@ -52,22 +52,11 @@ func measureFaulted(cfg Fig9Config, dmaProtocol bool, retry offload.FaultToleran
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	err = m.RunMain(func(p *machine.Proc) error {
-		opts := machine.ProtocolOptions{
-			Retry:          retry,
-			OffloadTimeout: 50 * machine.Millisecond,
-		}
-		var rt *offload.Runtime
-		var cerr error
-		if dmaProtocol {
-			rt, cerr = machine.ConnectDMA(p, m, opts)
-		} else {
-			rt, cerr = machine.ConnectVEO(p, m, opts)
-		}
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	opts := machine.ProtocolOptions{
+		Retry:          retry,
+		OffloadTimeout: 50 * machine.Millisecond,
+	}
+	err = runOn(m, dmaProtocol, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 		for i := 0; i < cfg.Warmup; i++ {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err

@@ -147,23 +147,8 @@ func MeasureVEONative(cfg Fig9Config) (float64, error) {
 // protocol, in microseconds of simulated time.
 func MeasureHAMEmpty(cfg Fig9Config, dmaProtocol bool) (float64, error) {
 	cfg.fill()
-	m, err := machine.New(cfg.machineConfig())
-	if err != nil {
-		return 0, err
-	}
 	var us float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		var rt *offload.Runtime
-		var cerr error
-		if dmaProtocol {
-			rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		} else {
-			rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		}
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 		for i := 0; i < cfg.Warmup; i++ {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err

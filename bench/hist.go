@@ -12,27 +12,13 @@ import (
 // deterministic, so the histogram is reproducible.
 func MeasureHAMEmptyHist(cfg Fig9Config, dmaProtocol bool) (*trace.Histogram, error) {
 	cfg.fill()
-	m, err := machine.New(machine.Config{VEs: 1, Socket: cfg.Socket})
-	if err != nil {
-		return nil, err
-	}
 	name := "HAM-Offload empty offload (VEO protocol)"
 	if dmaProtocol {
 		name = "HAM-Offload empty offload (DMA protocol)"
 	}
 	hist := trace.NewHistogram(name)
-	err = m.RunMain(func(p *machine.Proc) error {
-		var rt *offload.Runtime
-		var cerr error
-		if dmaProtocol {
-			rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		} else {
-			rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		}
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	mcfg := machine.Config{VEs: 1, Socket: cfg.Socket}
+	err := withRuntime(mcfg, dmaProtocol, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 		for i := 0; i < cfg.Warmup; i++ {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err

@@ -84,22 +84,13 @@ func NativeVsOffload(cfg NativeVsOffloadConfig) ([]NativeVsOffloadRow, error) {
 		// Offload mode: scalar on the host (measured through the host
 		// model), vector phases offloaded over the DMA protocol on a real
 		// simulated machine, so the protocol cost is the measured one.
-		m, err := machine.New(machine.Config{VEs: 1})
-		if err != nil {
-			return nil, err
-		}
 		var offloadUS float64
-		err = m.RunMain(func(p *machine.Proc) error {
-			rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-			if err != nil {
-				return err
-			}
-			defer func() { _ = rt.Finalize() }()
+		err := withRuntime(machine.Config{VEs: 1}, true, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 			// Warm the protocol path.
 			if _, err := offload.Sync(rt, 1, nvoVector.Bind(0)); err != nil {
 				return err
 			}
-			start := m.Now()
+			start := p.Now()
 			for i := 0; i < cfg.Phases; i++ {
 				if _, err := offload.Sync(rt, 1, nvoVector.Bind(perPhaseVector)); err != nil {
 					return err
@@ -107,7 +98,7 @@ func NativeVsOffload(cfg NativeVsOffloadConfig) ([]NativeVsOffloadRow, error) {
 				// Scalar phase on the host: a serial region, one core.
 				p.Sleep(host.VectorTime(perPhaseScalar, 0, 1))
 			}
-			offloadUS = (m.Now() - start).Microseconds()
+			offloadUS = p.Now().Sub(start).Microseconds()
 			return nil
 		})
 		if err != nil {

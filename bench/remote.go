@@ -109,21 +109,13 @@ func PutGet(sizes []int64, reps int) ([]PutGetPoint, error) {
 		reps = 3
 	}
 	maxSize := sizes[len(sizes)-1]
-	m, err := machine.New(machine.Config{
+	mcfg := machine.Config{
 		VEs:             1,
 		HostMemoryBytes: maxSize*4 + (64 * units.MiB).Int64(),
 		VEMemoryBytes:   maxSize*2 + (64 * units.MiB).Int64(),
-	})
-	if err != nil {
-		return nil, err
 	}
 	var out []PutGetPoint
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(mcfg, true, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 		buf, err := offload.Allocate[float64](rt, 1, maxSize/8)
 		if err != nil {
 			return err

@@ -109,37 +109,29 @@ func resiliencePlan(factor float64) *faults.Plan {
 // and returns its per-offload latency samples and counters.
 func measureResilienceMode(cfg ResilienceConfig, mode *ResilienceMode) ([]float64, error) {
 	cfg.fill()
-	m, err := machine.New(machine.Config{VEs: 2, Faults: resiliencePlan(cfg.Factor)})
-	if err != nil {
-		return nil, err
+	nodes := []offload.NodeID{1, 2}
+	var trk *health.Tracker
+	opts := machine.ProtocolOptions{
+		BufSize: 1 << 16,
+		Retry: offload.FaultTolerance{
+			MaxRetries:  3,
+			BackoffBase: machine.Microsecond,
+			BackoffMax:  20 * machine.Microsecond,
+			Seed:        cfg.Seed,
+		},
+	}
+	if mode.Hedging {
+		opts.Hedge = offload.HedgePolicy{
+			Delay:   cfg.HedgeDelay,
+			Targets: nodes,
+			Healthy: func(n offload.NodeID) bool { return trk == nil || trk.Allows(n) },
+			Seed:    cfg.Seed,
+		}
+		opts.RetryBudget = offload.RetryBudget{Tokens: 64, Refill: 50 * machine.Microsecond}
 	}
 	var samples []float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		nodes := []offload.NodeID{1, 2}
-		var trk *health.Tracker
-		opts := machine.ProtocolOptions{
-			BufSize: 1 << 16,
-			Retry: offload.FaultTolerance{
-				MaxRetries:  3,
-				BackoffBase: machine.Microsecond,
-				BackoffMax:  20 * machine.Microsecond,
-				Seed:        cfg.Seed,
-			},
-		}
-		if mode.Hedging {
-			opts.Hedge = offload.HedgePolicy{
-				Delay:   cfg.HedgeDelay,
-				Targets: nodes,
-				Healthy: func(n offload.NodeID) bool { return trk == nil || trk.Allows(n) },
-				Seed:    cfg.Seed,
-			}
-			opts.RetryBudget = offload.RetryBudget{Tokens: 64, Refill: 50 * machine.Microsecond}
-		}
-		rt, err := machine.ConnectDMA(p, m, opts)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+	mcfg := machine.Config{VEs: 2, Faults: resiliencePlan(cfg.Factor)}
+	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 		pol := sched.RoundRobin()
 		if mode.Breaker {
 			trk = health.New(health.Config{

@@ -171,16 +171,7 @@ func Serving(cfg ServingConfig) (ServingResult, error) {
 	// ablate-poll experiment quantifies this trade-off.
 	timing.HAMVEPollInterval = 2 * simtime.Microsecond
 	mcfg.Timing = &timing
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return res, err
-	}
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, cerr := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		if cerr != nil {
-			return cerr
-		}
-		defer func() { _ = rt.Finalize() }()
+	err := withRuntime(mcfg, true, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
 		nodes := make([]offload.NodeID, cfg.VEs)
 		for i := range nodes {
 			nodes[i] = offload.NodeID(i + 1)

@@ -88,19 +88,15 @@ func Telemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 		return res, err
 	}
 	res.Engine, err = telemetry.ProfileEngine(m.Eng, func() error {
-		return m.RunMain(func(p *machine.Proc) error {
-			rt, cerr := machine.ConnectDMA(p, m, machine.ProtocolOptions{
-				Batch: offload.BatchPolicy{MaxMessages: 4},
-				Retry: offload.FaultTolerance{
-					MaxRetries:  3,
-					BackoffBase: 2 * machine.Microsecond,
-					BackoffMax:  16 * machine.Microsecond,
-				},
-			})
-			if cerr != nil {
-				return cerr
-			}
-			defer func() { _ = rt.Finalize() }()
+		opts := machine.ProtocolOptions{
+			Batch: offload.BatchPolicy{MaxMessages: 4},
+			Retry: offload.FaultTolerance{
+				MaxRetries:  3,
+				BackoffBase: 2 * machine.Microsecond,
+				BackoffMax:  16 * machine.Microsecond,
+			},
+		}
+		return runOn(m, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
 			nodes := make([]offload.NodeID, cfg.VEs)
 			for i := range nodes {
 				nodes[i] = offload.NodeID(i + 1)

@@ -24,22 +24,8 @@ func TraceOffloads(reps int, w io.Writer) error {
 	timing := topology.DefaultTiming()
 	timing.Tracer = rec
 	for _, dma := range []bool{false, true} {
-		m, err := machine.New(machine.Config{VEs: 1, Timing: &timing})
-		if err != nil {
-			return err
-		}
-		err = m.RunMain(func(p *machine.Proc) error {
-			var rt *offload.Runtime
-			var cerr error
-			if dma {
-				rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-			} else {
-				rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-			}
-			if cerr != nil {
-				return cerr
-			}
-			defer func() { _ = rt.Finalize() }()
+		mcfg := machine.Config{VEs: 1, Timing: &timing}
+		err := withRuntime(mcfg, dma, machine.ProtocolOptions{}, func(_ *machine.Proc, rt *offload.Runtime) error {
 			for i := 0; i < reps; i++ {
 				if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 					return err

@@ -121,7 +121,7 @@ func runPool(ves int, useHost bool) (machine.Duration, float64, error) {
 			if useHost && next < len(tasks) && (ves == 0 || pending == ves) {
 				t := tasks[next]
 				next++
-				rt.Backend().ChargeVector(2*t.m*t.m*t.m, 8*3*t.m*t.m, 6)
+				rt.Clock().ChargeVector(2*t.m*t.m*t.m, 8*3*t.m*t.m, 6)
 				total += squareChecksumHost(t.seed, t.m)
 			}
 			// When neither refill, harvest, nor host work happened, the

@@ -216,12 +216,6 @@ func (tk *Ticket[R]) Err() error { return tk.err }
 // Latency returns the admission-to-settle latency; ok once Done.
 func (tk *Ticket[R]) Latency() (simtime.Duration, bool) { return tk.lat, tk.done }
 
-// bucket is one tenant's token-bucket state.
-type bucket struct {
-	tokens int
-	last   simtime.Time // refill high-water mark; remainder carries over
-}
-
 // fifo is a slice-backed FIFO with a moving head, compacted when the dead
 // prefix outgrows the live tail.
 type fifo[R any] struct {
@@ -320,7 +314,7 @@ type Gateway[R any] struct {
 	queuedByClass [NumClasses]int
 	classCap      [NumClasses]int
 
-	buckets []bucket
+	buckets []core.TokenBucket
 	tenants []tenantStats
 	classes [NumClasses]classStats
 
@@ -348,7 +342,7 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 		maxQueue: make([]int, len(nodes)),
 		backlog:  make([]int, len(nodes)),
 		batcher:  core.NewBatcher(rt),
-		buckets:  make([]bucket, len(cfg.Tenants)),
+		buckets:  make([]core.TokenBucket, len(cfg.Tenants)),
 		tenants:  make([]tenantStats, max(1, len(cfg.Tenants))),
 	}
 	sum := 0
@@ -359,7 +353,7 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 		g.classCap[c] = max(1, cfg.MaxQueued*cfg.Weights[c]/sum)
 	}
 	for i := range g.buckets {
-		g.buckets[i] = bucket{tokens: cfg.Tenants[i].Burst, last: rt.SimNow()}
+		g.buckets[i] = core.NewTokenBucket(cfg.Tenants[i].Burst, rt.SimNow())
 	}
 	for c := range g.classes {
 		g.classes[c].slo = telemetry.NewSLO(cfg.SLOTargets[c], cfg.SLOBudget, cfg.SLOWindow, 0)
@@ -375,32 +369,14 @@ func (g *Gateway[R]) Nodes() []core.NodeID {
 	return append([]core.NodeID(nil), g.nodes...)
 }
 
-// takeToken charges tenant ti's bucket at simulated time now, refilling
-// first. Unmetered tenants always pass.
+// takeToken charges tenant ti's bucket at simulated time now. Unmetered
+// tenants always pass.
 func (g *Gateway[R]) takeToken(ti int, now simtime.Time) bool {
 	if ti >= len(g.buckets) {
 		return true // empty tenant table: single unmetered tenant
 	}
 	tc := g.cfg.Tenants[ti]
-	if tc.Refill <= 0 {
-		return true
-	}
-	b := &g.buckets[ti]
-	if dt := now.Sub(b.last); dt > 0 {
-		n := int64(dt / tc.Refill)
-		if n > 0 {
-			b.tokens += int(n)
-			if b.tokens > tc.Burst {
-				b.tokens = tc.Burst
-			}
-			b.last = b.last.Add(simtime.Duration(n) * tc.Refill)
-		}
-	}
-	if b.tokens <= 0 {
-		return false
-	}
-	b.tokens--
-	return true
+	return tc.Refill <= 0 || g.buckets[ti].Take(now, tc.Refill, tc.Burst)
 }
 
 // Submit runs the admission decision for one request and, if admitted,

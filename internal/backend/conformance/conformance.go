@@ -73,6 +73,34 @@ var (
 			}
 			return v[0], nil
 		})
+
+	cfLen = core.NewFunc1[int64]("conformance.len",
+		func(c *core.Ctx, s string) (int64, error) { return int64(len(s)), nil })
+
+	// cfSurface inspects the target's side of the Backend surface from the
+	// inside and returns its clock reading. simulated is what the host's
+	// clock says of itself; oneWay means the target cannot initiate.
+	cfSurface = core.NewFunc2[int64]("conformance.surface",
+		func(c *core.Ctx, simulated, oneWay bool) (int64, error) {
+			be, clk := c.Runtime().Backend(), c.Runtime().Clock()
+			if clk == nil || clk != be.Clock() {
+				return 0, fmt.Errorf("target runtime clock %v, backend clock %v", clk, be.Clock())
+			}
+			if clk.Simulated() != simulated {
+				return 0, fmt.Errorf("target clock Simulated() = %v, the host's is %v", clk.Simulated(), simulated)
+			}
+			if oneWay {
+				_, callErr := be.Call(0, nil)
+				_, waitErr := be.Wait(nil)
+				_, _, pollErr := be.Poll(nil)
+				for _, err := range []error{callErr, waitErr, pollErr, be.Put(0, nil, 0), be.Get(0, 0, nil), be.RecoverNode(0)} {
+					if !errors.Is(err, core.ErrTargetOnly) || !errors.Is(err, core.ErrUnsupported) {
+						return 0, fmt.Errorf("target-side initiator call = %v (want core.ErrTargetOnly)", err)
+					}
+				}
+			}
+			return int64(clk.Now()), nil
+		})
 )
 
 // Reporter receives failures; *testing.T satisfies it.
@@ -520,6 +548,72 @@ func ExerciseBackpressure(t Reporter, rt *core.Runtime, target core.NodeID) {
 	// The backend must be fully live after both saturation waves.
 	if v, err := core.Sync(rt, target, cfEcho.Bind(4096)); err != nil || v != 4096 {
 		t.Errorf("backpressure: echo after saturation = %d, %v", v, err)
+	}
+}
+
+// ExerciseSurface pins the part of core.Backend that is not message traffic:
+// both nodes have a clock, the runtime's is the backend's, and host and
+// target agree on whether (and roughly when) simulated time exists; a batch
+// frame splits at MaxMessageLen; RecoverNode recovers or says
+// core.ErrUnsupported. oneWay is true for every backend with distinct host
+// and target sides (all but the loopback, whose nodes are symmetric): there
+// the target's initiator methods and the host's Serve are the shared stubs.
+// It must run in the host's execution context.
+func ExerciseSurface(t Reporter, rt *core.Runtime, target core.NodeID, oneWay bool) {
+	be, clk := rt.Backend(), rt.Clock()
+	if clk == nil || clk != be.Clock() {
+		t.Errorf("surface: runtime clock %v, backend clock %v", clk, be.Clock())
+		return
+	}
+	before := clk.Now()
+	at, err := core.Sync(rt, target, cfSurface.Bind(clk.Simulated(), oneWay))
+	if err != nil {
+		t.Errorf("surface: %v", err)
+	} else if now := simtime.Time(at); clk.Simulated() && (now <= before || now >= clk.Now()) {
+		t.Errorf("surface: target clock read %v during an offload spanning %v..%v", now, before, clk.Now())
+	} else if !clk.Simulated() && (now != 0 || clk.Now() != 0) {
+		t.Errorf("surface: wall clocks read %v (target) and %v (host), want 0", now, clk.Now())
+	}
+	if oneWay {
+		if err := be.Serve(rt); !errors.Is(err, core.ErrHostOnly) || !errors.Is(err, core.ErrUnsupported) {
+			t.Errorf("surface: host Serve = %v (want core.ErrHostOnly)", err)
+		}
+	}
+
+	// Three messages of a third of the limit each cannot share a frame: the
+	// third add ships the first two. (Skipped where the limit is too large
+	// to fill: TCP frames carry up to a GiB.)
+	limit := be.MaxMessageLen()
+	if limit <= 0 {
+		t.Errorf("surface: MaxMessageLen = %d", limit)
+	} else if limit <= 1<<20 {
+		saved := rt.Batching()
+		rt.SetBatching(core.BatchPolicy{MaxMessages: 1 << 20})
+		b, payload := core.NewBatcher(rt), strings.Repeat("x", limit/3)
+		var futs []*core.Future[int64]
+		for i, want := range []int{1, 2, 1} {
+			futs = append(futs, core.BatchAdd(b, target, cfLen.Bind(payload)))
+			if n := b.Pending(target); n != want {
+				t.Errorf("surface: %d queued after add %d of %d-byte messages under a %d-byte limit, want %d", n, i+1, len(payload), limit, want)
+			}
+		}
+		b.FlushAll()
+		for i, f := range futs {
+			if v, err := f.Get(); err != nil || v != int64(len(payload)) {
+				t.Errorf("surface: split batch future %d = %d, %v", i, v, err)
+			}
+		}
+		rt.SetBatching(saved)
+	}
+
+	if err := rt.RecoverNode(core.NodeID(rt.NumNodes())); err == nil {
+		t.Errorf("surface: RecoverNode of a node outside the application succeeded")
+	}
+	if err := rt.RecoverNode(target); err != nil && !errors.Is(err, core.ErrUnsupported) {
+		t.Errorf("surface: RecoverNode = %v (want nil or core.ErrUnsupported)", err)
+	}
+	if v, err := core.Sync(rt, target, cfEcho.Bind(77)); err != nil || v != 77 {
+		t.Errorf("surface: echo after RecoverNode = %d, %v", v, err)
 	}
 }
 

@@ -803,8 +803,8 @@ func TestFaultsConformanceCluster(t *testing.T) {
 			Inj:  cl.Nodes[1].Timing.Faults,
 			Kill: func() error { cl.Nodes[1].Cards[0].Kill(); return nil },
 		})
-		if err := rt.RecoverNode(2); err == nil {
-			t.Errorf("remote RecoverNode succeeded; want unsupported error")
+		if err := rt.RecoverNode(2); !errors.Is(err, core.ErrUnsupported) {
+			t.Errorf("remote RecoverNode = %v; want core.ErrUnsupported", err)
 		}
 		return nil
 	})
@@ -1160,4 +1160,97 @@ func TestGrayFailureConformanceCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// forEachBackend runs fn as a subtest on a live application over each of the
+// five backends — in the host's execution context, the host runtime
+// finalized afterwards. targets are the nodes to exercise (the cluster has a
+// local and a remote one); oneWay is false only for the symmetric loopback.
+func forEachBackend(t *testing.T, fn func(t *testing.T, rt *core.Runtime, targets []core.NodeID, oneWay bool)) {
+	wallClock := func(t *testing.T, host, target core.Backend, oneWay bool) {
+		targetRT := core.NewRuntime(target, "conf-each-target")
+		rt := core.NewRuntime(host, "conf-each-host")
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := targetRT.Serve(); err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+		}()
+		fn(t, rt, []core.NodeID{1}, oneWay)
+		if err := rt.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+	}
+	t.Run("loopback", func(t *testing.T) {
+		hb, tb, err := locb.NewPair(1 << 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wallClock(t, hb, tb, false)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wallClock(t, hb, tgt, true)
+	})
+	for name, connect := range map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
+		"veo": machine.ConnectVEO, "dma": machine.ConnectDMA,
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := machine.New(machine.Config{VEs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = m.RunMain(func(p *machine.Proc) error {
+				rt, err := connect(p, m, machine.ProtocolOptions{})
+				if err != nil {
+					return err
+				}
+				defer func() { _ = rt.Finalize() }()
+				fn(t, rt, []core.NodeID{1}, true)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("cluster", func(t *testing.T) {
+		cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cl.RunMain(func(p *machine.Proc) error {
+			rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
+			if err != nil {
+				return err
+			}
+			defer func() { _ = rt.Finalize() }()
+			fn(t, rt, []core.NodeID{1, 2}, true) // local VE, remote VE
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSurfaceConformance pins the closed Backend surface — clock, message
+// size limit, recovery, the host-only/target-only stubs — on all five
+// backends.
+func TestSurfaceConformance(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt *core.Runtime, targets []core.NodeID, oneWay bool) {
+		for _, target := range targets {
+			conformance.ExerciseSurface(t, rt, target, oneWay)
+		}
+	})
 }

@@ -121,13 +121,13 @@ func (b *Node) SetFaultInjector(inj *faults.Injector) { b.inj = inj }
 // RecoverNode.
 func (b *Node) Kill(n core.NodeID) { b.life.kill(n) }
 
-// MaxMessageLen implements core.MessageSizer. The in-process channels have
+// MaxMessageLen implements core.Backend. The in-process channels have
 // no framing limit of their own; the bound keeps batch frames within what
 // any slot-protocol backend could also carry, so applications tested on
 // loopback do not silently depend on unbounded messages.
 func (b *Node) MaxMessageLen() int { return 1 << 20 }
 
-// RecoverNode implements core.Recoverer: it revives a killed node and drains
+// RecoverNode implements core.Backend: it revives a killed node and drains
 // stale requests from its inbox. The application must restart the node's
 // Serve loop afterwards (in-process, the "machine" is a goroutine).
 func (b *Node) RecoverNode(n core.NodeID) error {
@@ -333,12 +333,8 @@ func (b *Node) Serve(s core.Server) error {
 // Memory implements core.Backend.
 func (b *Node) Memory() core.LocalMemory { return b.heaps[b.self] }
 
-// ChargeVector implements core.Backend; wall-clock nodes compute for real,
-// so no simulated time is charged.
-func (b *Node) ChargeVector(flops, bytes int64, cores int) {}
-
-// ChargeScalar implements core.Backend.
-func (b *Node) ChargeScalar(ops int64) {}
+// Clock implements core.Backend: loopback nodes run in real time.
+func (b *Node) Clock() core.Clock { return core.WallClock }
 
 // Close implements core.Backend.
 func (b *Node) Close() error { return nil }

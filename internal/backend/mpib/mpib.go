@@ -23,11 +23,8 @@ import (
 	"hamoffload/internal/ib"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
-	"hamoffload/internal/vecore"
 	"hamoffload/internal/veos"
 )
-
-var hostModel = vecore.DefaultHostModel()
 
 // reqKind discriminates proxy requests.
 type reqKind int
@@ -67,6 +64,8 @@ type Options struct {
 
 // Host is the initiator backend on machine 0's VH.
 type Host struct {
+	core.HostOnly
+
 	p      *simtime.Proc
 	fabric *ib.Fabric
 	local  *dmab.Host // machine 0's VEs
@@ -329,45 +328,28 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return nil
 }
 
-// Serve implements core.Backend; the initiator does not serve.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("mpib: the host node does not serve active messages")
-}
-
 // Memory implements core.Backend.
 func (h *Host) Memory() core.LocalMemory { return h.mem }
 
-// ChargeVector implements core.Backend.
-func (h *Host) ChargeVector(flops, bytes int64, cores int) {
-	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
-}
+// Clock implements core.Backend: the local connection runs on the same
+// initiator process, so its clock is this node's.
+func (h *Host) Clock() core.Clock { return h.local.Clock() }
 
-// ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) { h.p.Sleep(hostModel.ScalarTime(ops)) }
-
-// Backoff implements core's optional backoff surface: retry delays advance
-// the initiator's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer. Local and proxied targets
-// both terminate in a DMA-protocol connection, so its slot limit governs
-// the whole cluster.
+// MaxMessageLen implements core.Backend. Local and proxied targets both
+// terminate in a DMA-protocol connection, so its slot limit governs the
+// whole cluster.
 func (h *Host) MaxMessageLen() int { return h.local.MaxMessageLen() }
 
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
-
-// RecoverNode implements core.Recoverer for machine 0's VEs by delegating to
+// RecoverNode implements core.Backend for machine 0's VEs by delegating to
 // the local DMA-protocol connection. Remote recovery would need a proxy-side
-// control message; until then it reports the limitation explicitly.
+// control message; until then it is core.ErrUnsupported.
 func (h *Host) RecoverNode(n core.NodeID) error {
 	m, local, err := h.route(n)
 	if err != nil {
 		return err
 	}
 	if m != 0 {
-		return fmt.Errorf("mpib: node %d is on remote machine %d; remote recovery is not supported", n, m)
+		return fmt.Errorf("mpib: recovering node %d on remote machine %d: %w", n, m, core.ErrUnsupported)
 	}
 	return h.local.RecoverNode(local)
 }

@@ -23,8 +23,6 @@ import (
 	"hamoffload/internal/veos"
 )
 
-var hostModel = vecore.DefaultHostModel()
-
 // Options configures the protocol; both backends embed or alias it. The
 // first three fields are the ring shape host and target must agree on: the
 // init kernel carries them to the VE as three words.
@@ -165,6 +163,8 @@ func (c *conn) alive() bool {
 // run on the simulated process passed to Connect — HAM-Offload's host
 // runtime is single-threaded, like the C++ original's communication layer.
 type Host struct {
+	core.HostOnly // no reverse offloading in either protocol
+
 	p     *simtime.Proc
 	cfg   HostConfig // options defaulted
 	dial  Dial
@@ -425,37 +425,18 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return h.stepErr(c, target, c.t.Get(srcAddr, dst))
 }
 
-// Serve implements core.Backend; the host node does not serve messages (no
-// reverse offloading in either protocol).
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("%s: the host node does not serve active messages", h.cfg.Name)
-}
-
 // Memory implements core.Backend.
 func (h *Host) Memory() core.LocalMemory { return h.cfg.Memory }
 
-// ChargeVector implements core.Backend: host-side kernel work advances the
-// host process's simulated clock with the host roofline model.
-func (h *Host) ChargeVector(flops, bytes int64, cores int) {
-	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
-}
+// Clock implements core.Backend: the host process's simulated clock, kernel
+// work charged by the host roofline model.
+func (h *Host) Clock() core.Clock { return vecore.HostClock{Proc: h.p} }
 
-// ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) { h.p.Sleep(hostModel.ScalarTime(ops)) }
-
-// Backoff implements core's optional backoff surface: retry delays advance
-// the host process's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer: a wire message must fit one
+// MaxMessageLen implements core.Backend: a wire message must fit one
 // message buffer and its length must be publishable in a slot flag word.
 func (h *Host) MaxMessageLen() int { return min(h.cfg.BufSize, slots.MaxLen) }
 
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
-
-// RecoverNode implements core.Recoverer: it abandons the failed target —
+// RecoverNode implements core.Backend: it abandons the failed target —
 // reaping the dead VE process and its communication area — and dials it
 // afresh. Outstanding handles stay pinned to the dead conn and keep failing
 // with core.ErrNodeFailed; new offloads use the replacement.

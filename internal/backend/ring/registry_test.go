@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hamoffload/internal/backend/ring"
+	"hamoffload/internal/simtime"
+	"hamoffload/internal/telemetry"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
@@ -103,5 +105,44 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 	}
 	if n := ring.Registered(); n != 0 {
 		t.Fatalf("cluster: %d target states outlive their machines", n)
+	}
+}
+
+// A target runtime is handed no clock of its own: its telemetry stamps come
+// from its backend's Clock — the kernel context ham_main runs on — so the
+// execute event of a causal record lands between the host's issue and settle
+// events instead of at t=0.
+func TestTargetFlowEventsCarryVETime(t *testing.T) {
+	for name, connect := range map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
+		"veo": machine.ConnectVEO, "dma": machine.ConnectDMA,
+	} {
+		col := telemetry.New(telemetry.Config{Flows: true})
+		m, err := machine.New(machine.Config{VEs: 1, Telemetry: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.RunMain(func(p *machine.Proc) error {
+			rt, err := connect(p, m, machine.ProtocolOptions{})
+			if err != nil {
+				return err
+			}
+			defer func() { _ = rt.Finalize() }()
+			_, err = offload.Sync(rt, 1, regEcho.Bind(3))
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		at := map[telemetry.FlowKind]simtime.Time{}
+		events := col.FlowEvents()
+		for _, e := range events {
+			if e.ID == events[0].ID { // the echo's record; terminate's follows
+				at[e.Kind] = e.T
+			}
+		}
+		issue, exec, settle := at[telemetry.FlowIssue], at[telemetry.FlowExecute], at[telemetry.FlowSettle]
+		if !(0 < issue && issue < exec && exec < settle) {
+			t.Errorf("%s: issue %v, execute %v, settle %v: the target's event is off the VE's clock", name, issue, exec, settle)
+		}
 	}
 }

@@ -527,8 +527,8 @@ func TestHostSurface(t *testing.T) {
 		if d := h.Descriptor(2); d.Name != "invalid" {
 			t.Errorf("Descriptor(2) = %+v", d)
 		}
-		if err := h.Serve(nil); err == nil {
-			t.Error("host Serve accepted")
+		if err := h.Serve(nil); !errors.Is(err, core.ErrHostOnly) {
+			t.Errorf("host Serve = %v", err)
 		}
 		if _, err := h.Call(2, nil); err == nil {
 			t.Error("Call to a missing node accepted")
@@ -544,7 +544,7 @@ func TestHostSurface(t *testing.T) {
 		}
 
 		hd := mustCall(t, h, "polled")
-		start, polls := h.SimNow(), 0
+		start, polls := p.Now(), 0
 		for {
 			resp, done, err := h.Poll(hd)
 			if err != nil {
@@ -557,8 +557,8 @@ func TestHostSurface(t *testing.T) {
 				break
 			}
 		}
-		if h.SimNow().Sub(start) < simtime.Duration(polls)*testGap {
-			t.Errorf("%d polls advanced the clock by only %v", polls, h.SimNow().Sub(start))
+		if p.Now().Sub(start) < simtime.Duration(polls)*testGap {
+			t.Errorf("%d polls advanced the clock by only %v", polls, p.Now().Sub(start))
 		}
 		if resp, done, _ := h.Poll(hd); !done || string(resp) != "polled" {
 			t.Error("settled handle not re-readable through Poll")
@@ -574,12 +574,12 @@ func TestHostSurface(t *testing.T) {
 		if h.Put(2, nil, 0) == nil || h.Get(2, 0, nil) == nil {
 			t.Error("bulk transfer to a missing node accepted")
 		}
-		before := h.SimNow()
-		h.Backoff(simtime.Microsecond)
-		h.ChargeScalar(2600)
-		h.ChargeVector(1, 0, 1)
-		if h.SimNow().Sub(before) < 2*simtime.Microsecond {
-			t.Errorf("Backoff+Charge advanced the clock by %v", h.SimNow().Sub(before))
+		clk, before := h.Clock(), p.Now()
+		clk.Sleep(simtime.Microsecond)
+		clk.ChargeScalar(2600)
+		clk.ChargeVector(1, 0, 1)
+		if !clk.Simulated() || clk.Now() != p.Now() || p.Now().Sub(before) < 2*simtime.Microsecond {
+			t.Errorf("Sleep+Charge advanced the clock by %v (clock reads %v)", p.Now().Sub(before), clk.Now())
 		}
 
 		// A transient bulk error passes through; a crashed process kills the
@@ -653,8 +653,8 @@ func TestTargetFaultPathsAndStubs(t *testing.T) {
 	_, callErr := tgt.Call(0, nil)
 	_, waitErr := tgt.Wait(nil)
 	_, _, pollErr := tgt.Poll(nil)
-	for _, err := range []error{callErr, waitErr, pollErr, tgt.Put(0, nil, 0), tgt.Get(0, 0, nil)} {
-		if err == nil || !strings.Contains(err.Error(), "fake: targets cannot initiate") {
+	for _, err := range []error{callErr, waitErr, pollErr, tgt.Put(0, nil, 0), tgt.Get(0, 0, nil), tgt.RecoverNode(0)} {
+		if !errors.Is(err, core.ErrTargetOnly) {
 			t.Errorf("target-side initiator call = %v", err)
 		}
 	}

@@ -46,13 +46,15 @@ type TargetConfig struct {
 // send slot.
 type Target struct {
 	TargetConfig
+	core.TargetOnly // both protocols are host-initiated only
+
 	p     *simtime.Proc
 	poll  simtime.Duration // gap between receive-flag polls (HAMVEPollInterval)
 	alive func() bool      // false once the VE process has crashed
 	nt    *trace.NodeTracer
 	desc  core.NodeDescriptor
 	heap  core.LocalMemory
-	cpu   *veos.Ctx // charges kernel work to the VE's cores
+	cpu   core.Clock // the kernel context ham_main runs on
 	// Span names, built once: the serve loop must not concatenate strings.
 	spanPollFault, spanPollHit, spanFetch, spanFetchFault, spanResult, spanRespondRetry string
 }
@@ -85,29 +87,6 @@ func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	}
 	return core.NodeDescriptor{Name: fmt.Sprintf("node%d", n)}
 }
-
-func (t *Target) hostInitiated(what string) error {
-	return fmt.Errorf("%s: targets cannot initiate %s", t.Name, what)
-}
-
-// Call implements core.Backend; both protocols are host-initiated only.
-func (t *Target) Call(core.NodeID, []byte) (core.Handle, error) {
-	return nil, t.hostInitiated("offloads")
-}
-
-// Wait implements core.Backend.
-func (t *Target) Wait(core.Handle) ([]byte, error) { return nil, t.hostInitiated("offloads") }
-
-// Poll implements core.Backend.
-func (t *Target) Poll(core.Handle) ([]byte, bool, error) {
-	return nil, false, t.hostInitiated("offloads")
-}
-
-// Put implements core.Backend.
-func (t *Target) Put(core.NodeID, []byte, uint64) error { return t.hostInitiated("transfers") }
-
-// Get implements core.Backend.
-func (t *Target) Get(core.NodeID, uint64, []byte) error { return t.hostInitiated("transfers") }
 
 // respondRetries bounds the transient-error retry window of one result push.
 const respondRetries = 64
@@ -216,13 +195,9 @@ func (t *Target) respond(slot int, seq uint32, resp []byte) error {
 // Memory implements core.Backend.
 func (t *Target) Memory() core.LocalMemory { return t.heap }
 
-// ChargeVector implements core.Backend with the VE roofline model.
-func (t *Target) ChargeVector(flops, bytes int64, cores int) {
-	t.cpu.ChargeVector(flops, bytes, cores)
-}
-
-// ChargeScalar implements core.Backend.
-func (t *Target) ChargeScalar(ops int64) { t.cpu.ChargeScalar(ops) }
+// Clock implements core.Backend: the kernel context ham_main runs on, which
+// charges kernel work to the VE's cores.
+func (t *Target) Clock() core.Clock { return t.cpu }
 
 // Close implements core.Backend.
 func (t *Target) Close() error { return nil }

@@ -15,6 +15,8 @@ import (
 // Target is the serving side of the TCP backend: it accepts one host
 // connection and processes frames until terminated.
 type Target struct {
+	core.TargetOnly
+
 	ln    net.Listener
 	self  core.NodeID
 	total int
@@ -101,31 +103,6 @@ func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	return core.NodeDescriptor{Name: fmt.Sprintf("node%d", n)}
 }
 
-// Call implements core.Backend; targets do not initiate offloads over TCP.
-func (t *Target) Call(core.NodeID, []byte) (core.Handle, error) {
-	return nil, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Wait implements core.Backend.
-func (t *Target) Wait(core.Handle) ([]byte, error) {
-	return nil, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Poll implements core.Backend.
-func (t *Target) Poll(core.Handle) ([]byte, bool, error) {
-	return nil, false, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Put implements core.Backend.
-func (t *Target) Put(core.NodeID, []byte, uint64) error {
-	return fmt.Errorf("tcpb: targets cannot initiate transfers")
-}
-
-// Get implements core.Backend.
-func (t *Target) Get(core.NodeID, uint64, []byte) error {
-	return fmt.Errorf("tcpb: targets cannot initiate transfers")
-}
-
 // Serve implements core.Backend: accept the host connection and process
 // frames until a terminate message has been dispatched.
 func (t *Target) Serve(s core.Server) error {
@@ -194,11 +171,8 @@ func (t *Target) Serve(s core.Server) error {
 // Memory implements core.Backend.
 func (t *Target) Memory() core.LocalMemory { return t.heap }
 
-// ChargeVector implements core.Backend.
-func (t *Target) ChargeVector(flops, bytes int64, cores int) {}
-
-// ChargeScalar implements core.Backend.
-func (t *Target) ChargeScalar(ops int64) {}
+// Clock implements core.Backend: this node runs in real time.
+func (t *Target) Clock() core.Clock { return core.WallClock }
 
 // Close implements core.Backend.
 func (t *Target) Close() error {

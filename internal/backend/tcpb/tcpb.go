@@ -66,6 +66,8 @@ func readFrame(r io.Reader) (typ byte, id, addr uint64, payload []byte, err erro
 
 // Host is the initiator side: one TCP connection per target node.
 type Host struct {
+	core.HostOnly
+
 	conns []*hostConn
 	descs []core.NodeDescriptor
 	heap  *core.Heap
@@ -306,7 +308,7 @@ func (h *Host) DropConn(target core.NodeID) error {
 	return hc.c.Close()
 }
 
-// MaxMessageLen implements core.MessageSizer: the frame header carries a
+// MaxMessageLen implements core.Backend: the frame header carries a
 // u32 payload length; 1 GiB keeps well clear of it on every platform.
 func (h *Host) MaxMessageLen() int { return 1 << 30 }
 
@@ -370,19 +372,17 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return nil
 }
 
-// Serve implements core.Backend; hosts do not serve in this backend.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("tcpb: the host node does not serve active messages")
-}
-
 // Memory implements core.Backend.
 func (h *Host) Memory() core.LocalMemory { return h.heap }
 
-// ChargeVector implements core.Backend; wall-clock nodes compute for real.
-func (h *Host) ChargeVector(flops, bytes int64, cores int) {}
+// Clock implements core.Backend: this node runs in real time.
+func (h *Host) Clock() core.Clock { return core.WallClock }
 
-// ChargeScalar implements core.Backend.
-func (h *Host) ChargeScalar(ops int64) {}
+// RecoverNode implements core.Backend: this backend cannot redial, so a
+// dropped node stays dead.
+func (h *Host) RecoverNode(n core.NodeID) error {
+	return fmt.Errorf("tcpb: recovering node %d: %w", n, core.ErrUnsupported)
+}
 
 // Close implements core.Backend.
 func (h *Host) Close() error {

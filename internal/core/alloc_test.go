@@ -46,8 +46,9 @@ func (b *allocBackend) Put(NodeID, []byte, uint64) error  { return nil }
 func (b *allocBackend) Get(NodeID, uint64, []byte) error  { return nil }
 func (b *allocBackend) Serve(Server) error                { return nil }
 func (b *allocBackend) Memory() LocalMemory               { return nil }
-func (b *allocBackend) ChargeVector(int64, int64, int)    {}
-func (b *allocBackend) ChargeScalar(int64)                {}
+func (b *allocBackend) Clock() Clock                      { return WallClock }
+func (b *allocBackend) MaxMessageLen() int                { return 1 << 20 }
+func (b *allocBackend) RecoverNode(NodeID) error          { return ErrUnsupported }
 func (b *allocBackend) Close() error                      { return nil }
 
 // TestDispatchZeroAlloc pins the un-armed target fast path — Dispatch of a

@@ -137,21 +137,6 @@ func (rt *Runtime) SetBatching(p BatchPolicy) { rt.batch = p }
 // Batching returns the runtime's batching policy.
 func (rt *Runtime) Batching() BatchPolicy { return rt.batch }
 
-// MessageSizer is implemented by backends with a bounded wire-message size
-// (the slot protocols cap messages at min(BufSize, slots.MaxLen)); the
-// batcher uses it to split frames so batch-aware length accounting never
-// exceeds what a flag word can publish.
-type MessageSizer interface {
-	MaxMessageLen() int
-}
-
-// simClock is implemented by backends whose initiator runs on the DES
-// clock; the batcher reads it for MaxDelay-based flushes. Wall-clock
-// backends do not implement it and ignore the deadline.
-type simClock interface {
-	SimNow() simtime.Time
-}
-
 // settler is the type-erased face of *Future[T] a batch frame settles
 // results through.
 type settler interface {
@@ -184,7 +169,6 @@ type batchQueue struct {
 	tks      []*batchTicket // tickets to rebind at flush, parallel to entries
 	fids     []uint64       // per-message causal trace IDs, 0 without flows
 	firstAdd simtime.Time   // clock at first queued message (deadline basis)
-	timed    bool           // firstAdd is valid
 }
 
 // putEntry copies one wire message into the frame arena.
@@ -204,7 +188,6 @@ func (q *batchQueue) reset() {
 	q.count = 0
 	q.tks = q.tks[:0]
 	q.fids = q.fids[:0]
-	q.timed = false
 }
 
 // queue returns (creating if needed) the queue for node.
@@ -219,12 +202,10 @@ func (b *Batcher) queue(node NodeID) *batchQueue {
 	return q
 }
 
-// frameCap returns the largest frame the policy and backend permit.
+// frameCap returns the largest frame the policy and backend permit, so
+// batch-aware length accounting never exceeds what a flag word can publish.
 func (b *Batcher) frameCap() int {
-	limit := int(^uint(0) >> 1) // effectively unbounded
-	if ms, ok := b.rt.backend.(MessageSizer); ok {
-		limit = ms.MaxMessageLen()
-	}
+	limit := b.rt.backend.MaxMessageLen()
 	if mb := b.rt.batch.MaxBytes; mb > 0 && mb < limit {
 		limit = mb
 	}
@@ -259,14 +240,11 @@ func (b *Batcher) FlushAll() {
 	}
 }
 
-// deadlineDue reports whether q's oldest message has outwaited MaxDelay.
+// deadlineDue reports whether q's oldest message has outwaited MaxDelay
+// (never, on a wall-clock node: no time passes there).
 func (b *Batcher) deadlineDue(q *batchQueue) bool {
 	d := b.rt.batch.MaxDelay
-	if d <= 0 || !q.timed {
-		return false
-	}
-	clk, ok := b.rt.backend.(simClock)
-	return ok && clk.SimNow().Sub(q.firstAdd) >= d
+	return d > 0 && q.count > 0 && b.rt.clock.Now().Sub(q.firstAdd) >= d
 }
 
 // BatchAdd queues fn for node on b and returns its future. The frame ships
@@ -317,10 +295,8 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 	f := &Future[R]{rt: rt, decode: fn.decode, onDone: endOff} //lint:allow hotalloc one future per offload is the API contract
 	f.btv = batchTicket{b: b, q: q}
 	f.bt = &f.btv
-	if !q.timed {
-		if clk, ok := rt.backend.(simClock); ok {
-			q.firstAdd, q.timed = clk.SimNow(), true
-		}
+	if q.count == 0 {
+		q.firstAdd = rt.clock.Now()
 	}
 	q.putEntry(wire)
 	q.pds = append(q.pds, pd)    //lint:allow hotalloc amortized: backing array cycles through the batchCall pool
@@ -328,7 +304,7 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 	q.tks = append(q.tks, f.bt)  //lint:allow hotalloc amortized growth of the queue's ticket list
 	q.fids = append(q.fids, fid)
 	if rt.tel != nil {
-		rt.tel.Gauge(int(node), telemetry.SeriesQueue, rt.telNow(), int64(q.count))
+		rt.tel.Gauge(int(node), telemetry.SeriesQueue, rt.clock.Now(), int64(q.count))
 	}
 	if q.count >= rt.batch.messages() || len(q.frame) >= b.frameCap() {
 		b.flushQueue(q)
@@ -369,7 +345,7 @@ func (b *Batcher) flushQueue(q *batchQueue) {
 		rt.tr.Count("batch.messages", int64(q.count))
 	}
 	if rt.tel != nil {
-		now := rt.telNow()
+		now := rt.clock.Now()
 		rt.tel.Add(int(q.node), telemetry.SeriesOccupancy, now, int64(q.count))
 		rt.tel.Gauge(int(q.node), telemetry.SeriesQueue, now, 0)
 		label := fmt.Sprintf("x%d", q.count)

@@ -164,21 +164,31 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// simBackend wraps the loopback backend with a manually advanced simulated
-// clock, so the MaxDelay flush path is testable without a full machine.
-type simBackend struct {
-	*locb.Node
+// manualClock is a hand-advanced simulated clock; Sleep and Charge* stay
+// the embedded WallClock's no-ops.
+type manualClock struct {
+	core.Clock
 	now simtime.Time
 }
 
-func (s *simBackend) SimNow() simtime.Time { return s.now }
+func (c *manualClock) Now() simtime.Time { return c.now }
+func (c *manualClock) Simulated() bool   { return true }
+
+// simBackend puts the loopback backend on a manualClock, so the MaxDelay
+// flush path is testable without a full machine.
+type simBackend struct {
+	*locb.Node
+	clk *manualClock
+}
+
+func (s *simBackend) Clock() core.Clock { return s.clk }
 
 func TestBatchDeadlineFlush(t *testing.T) {
 	hb, tb, err := locb.NewPair(1 << 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := &simBackend{Node: hb}
+	sb := &simBackend{Node: hb, clk: &manualClock{Clock: core.WallClock}}
 	target := core.NewRuntime(tb, "batch-deadline-target")
 	host := core.NewRuntime(sb, "batch-deadline-host")
 	serveDone := make(chan struct{})
@@ -196,14 +206,14 @@ func TestBatchDeadlineFlush(t *testing.T) {
 		t.Fatalf("Pending = %d", n)
 	}
 	// Within the deadline the queue keeps accumulating...
-	sb.now = sb.now.Add(2 * simtime.Microsecond)
+	sb.clk.now = sb.clk.now.Add(2 * simtime.Microsecond)
 	f2 := core.BatchAdd(b, 1, fnEcho.Bind("old"))
 	if n := b.Pending(1); n != 2 {
 		t.Fatalf("Pending before deadline = %d", n)
 	}
 	// ...but once the oldest message has waited past MaxDelay, the next add
 	// flushes the overdue frame before queuing itself.
-	sb.now = sb.now.Add(4 * simtime.Microsecond)
+	sb.clk.now = sb.clk.now.Add(4 * simtime.Microsecond)
 	f3 := core.BatchAdd(b, 1, fnEcho.Bind("new"))
 	if n := b.Pending(1); n != 1 {
 		t.Fatalf("Pending after deadline flush = %d (want just the new message)", n)

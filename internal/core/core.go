@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/simtime"
 	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
@@ -86,15 +87,42 @@ type Backend interface {
 	// Memory returns this node's local memory.
 	Memory() LocalMemory
 
-	// ChargeVector and ChargeScalar advance this node's notion of compute
-	// time for kernel work (roofline model on simulated VEs, no-ops on
-	// wall-clock nodes, where the Go computation itself takes the time).
-	ChargeVector(flops, bytes int64, cores int)
-	ChargeScalar(ops int64)
+	// Clock returns this node's clock. The runtime asks once, at NewRuntime;
+	// return the same value every time.
+	Clock() Clock
+
+	// MaxMessageLen bounds one wire message to Call (the slot protocols cap
+	// it at min(BufSize, slots.MaxLen)); the batcher splits frames at it.
+	MaxMessageLen() int
+
+	// RecoverNode re-establishes the connection to a failed node (destroy
+	// the dead VE process, boot a fresh one, rerun protocol setup). A
+	// backend that cannot wraps ErrUnsupported.
+	RecoverNode(n NodeID) error
 
 	// Close releases backend resources on the initiator side.
 	Close() error
 }
+
+// TargetOnly supplies the initiator half of Backend for a node that only
+// serves: embed it in a target-side backend.
+type TargetOnly struct{}
+
+func (TargetOnly) Call(NodeID, []byte) (Handle, error) { return nil, ErrTargetOnly }
+func (TargetOnly) Wait(Handle) ([]byte, error)         { return nil, ErrTargetOnly }
+func (TargetOnly) Poll(Handle) ([]byte, bool, error)   { return nil, false, ErrTargetOnly }
+func (TargetOnly) Put(NodeID, []byte, uint64) error    { return ErrTargetOnly }
+func (TargetOnly) Get(NodeID, uint64, []byte) error    { return ErrTargetOnly }
+func (TargetOnly) RecoverNode(NodeID) error            { return ErrTargetOnly }
+
+// MaxMessageLen is 0: a node that cannot call can send nothing.
+func (TargetOnly) MaxMessageLen() int { return 0 }
+
+// HostOnly supplies the serving half of Backend for a node that only
+// initiates: embed it in a host-side backend.
+type HostOnly struct{}
+
+func (HostOnly) Serve(Server) error { return ErrHostOnly }
 
 // Server is what a Backend's Serve loop drives; the Runtime implements it.
 type Server interface {
@@ -115,6 +143,7 @@ type Server interface {
 // Runtime is one node's HAM-Offload runtime instance.
 type Runtime struct {
 	backend Backend
+	clock   Clock // the backend's, resolved once
 	bin     *ham.Binary
 	tr      *trace.NodeTracer // nil disables lifecycle tracing
 
@@ -141,7 +170,7 @@ type Runtime struct {
 	// handles until their late responses drain.
 	hedge        HedgePolicy
 	budget       RetryBudget
-	buckets      []tokenBucket
+	buckets      []TokenBucket
 	strays       []Handle
 	hedges       int64
 	hedgeWins    int64
@@ -152,7 +181,6 @@ type Runtime struct {
 	// recently issued one (for scheduler placement events); inflight counts
 	// open offloads per target node for the gauge series.
 	tel      *telemetry.Collector
-	telClock trace.Clock
 	curFlow  uint64
 	lastFlow uint64
 	inflight map[NodeID]int64
@@ -176,13 +204,21 @@ type Runtime struct {
 // differing code layouts, and all message/function registration must happen
 // before the first NewRuntime of the application.
 func NewRuntime(b Backend, arch string) *Runtime {
-	rt := &Runtime{backend: b, bin: ham.NewBinary(arch)}
+	rt := &Runtime{backend: b, clock: b.Clock(), bin: ham.NewBinary(arch)}
 	rt.ctx.rt = rt
 	return rt
 }
 
 // Backend returns the node's communication backend.
 func (rt *Runtime) Backend() Backend { return rt.backend }
+
+// Clock returns the node's clock: host-side kernel work is charged here, as
+// Ctx.ChargeVector charges a target's.
+func (rt *Runtime) Clock() Clock { return rt.clock }
+
+// SimNow reads the node's clock (0 forever on a wall-clock node). Health
+// trackers, schedulers and the gateway timestamp with it.
+func (rt *Runtime) SimNow() simtime.Time { return rt.clock.Now() }
 
 // Binary returns the node's HAM binary (message table).
 func (rt *Runtime) Binary() *ham.Binary { return rt.bin }
@@ -311,7 +347,7 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 		}
 		return endSpan
 	}
-	start := rt.telNow()
+	start := rt.clock.Now()
 	var fid uint64
 	if rt.tel.FlowsEnabled() {
 		fid = rt.tel.NextTraceID()
@@ -327,7 +363,7 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 		if endSpan != nil {
 			endSpan()
 		}
-		end := rt.telNow()
+		end := rt.clock.Now()
 		rt.inflight[node]--
 		rt.tel.Gauge(int(node), telemetry.SeriesInflight, end, rt.inflight[node])
 		rt.tel.ObserveLatency(end, end.Sub(start))

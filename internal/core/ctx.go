@@ -23,12 +23,12 @@ func (c *Ctx) Node() NodeID { return c.rt.ThisNode() }
 // ChargeVector accounts roofline time for a vectorised kernel region on the
 // executing device (no-op on wall-clock nodes).
 func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
-	c.rt.backend.ChargeVector(flops, bytes, cores)
+	c.rt.clock.ChargeVector(flops, bytes, cores)
 }
 
 // ChargeScalar accounts scalar-pipeline time (no-op on wall-clock nodes).
 func (c *Ctx) ChargeScalar(ops int64) {
-	c.rt.backend.ChargeScalar(ops)
+	c.rt.clock.ChargeScalar(ops)
 }
 
 // checkLocal verifies that the buffer lives on the executing node.

@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // The typed error taxonomy of the fault-tolerant runtime. Backends wrap
 // these sentinels (with %w) so applications can classify failures with
@@ -20,6 +23,16 @@ var (
 	// payload was damaged in transit. It is transient: retransmission draws
 	// fresh transfers.
 	ErrPayloadCorrupt = errors.New("ham: payload corrupt")
+
+	// ErrUnsupported marks an operation this node's backend cannot perform
+	// at all: recovering a node it has no way to re-dial, initiating from a
+	// serve-only node, serving on an initiate-only one. It is permanent.
+	ErrUnsupported = errors.New("ham: not supported by this backend")
+
+	// ErrTargetOnly and ErrHostOnly are what the TargetOnly and HostOnly
+	// stubs fail with; both are ErrUnsupported.
+	ErrTargetOnly = fmt.Errorf("%w: targets cannot initiate offloads or transfers", ErrUnsupported)
+	ErrHostOnly   = fmt.Errorf("%w: the host node does not serve active messages", ErrUnsupported)
 )
 
 // transienter is the classification interface injected faults implement

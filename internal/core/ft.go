@@ -19,9 +19,9 @@ import (
 // With MaxRetries > 0 every offload request is framed in a checksummed,
 // sequence-numbered envelope (see envelope.go) and transient failures are
 // retried up to MaxRetries times with bounded exponential backoff on the
-// backend's clock: attempt k sleeps BackoffBase<<(k-1), capped at
-// BackoffMax. The target's dedup window preserves at-most-once handler
-// execution across retransmissions.
+// node's clock (wall-clock nodes retry immediately): attempt k sleeps
+// BackoffBase<<(k-1), capped at BackoffMax. The target's dedup window
+// preserves at-most-once handler execution across retransmissions.
 type FaultTolerance struct {
 	MaxRetries  int
 	BackoffBase simtime.Duration
@@ -35,20 +35,6 @@ type FaultTolerance struct {
 }
 
 func (ft FaultTolerance) enabled() bool { return ft.MaxRetries > 0 }
-
-// backoffSleeper is implemented by backends that can serve a retry delay
-// (the simulated backends sleep the initiating proc). Wall-clock backends
-// retry immediately.
-type backoffSleeper interface {
-	Backoff(d simtime.Duration)
-}
-
-// Recoverer is implemented by backends that can re-establish the
-// connection to a failed node (destroy the dead VE process, boot a fresh
-// one, rerun protocol setup).
-type Recoverer interface {
-	RecoverNode(n NodeID) error
-}
 
 // SetFaultTolerance installs the retry policy on the initiating runtime.
 // Call it before issuing offloads.
@@ -66,13 +52,9 @@ func (rt *Runtime) Timeouts() int64 { return rt.timeouts }
 
 // RecoverNode asks the backend to re-establish a failed node, the
 // machine-level recovery hook: after it succeeds, new offloads to the node
-// are accepted again. Futures that failed with ErrNodeFailed stay failed.
-func (rt *Runtime) RecoverNode(n NodeID) error {
-	if r, ok := rt.backend.(Recoverer); ok {
-		return r.RecoverNode(n)
-	}
-	return fmt.Errorf("core: backend %T cannot recover nodes", rt.backend)
-}
+// are accepted again. Futures that failed with ErrNodeFailed stay failed. A
+// backend that cannot recover the node fails with ErrUnsupported.
+func (rt *Runtime) RecoverNode(n NodeID) error { return rt.backend.RecoverNode(n) }
 
 // pending is the retransmission state of one fault-tolerant offload: the
 // sealed wire message and where it goes, so a transient failure can be
@@ -110,7 +92,7 @@ func (rt *Runtime) seal(node NodeID, msg []byte) ([]byte, *pending) {
 	if !rt.ft.enabled() {
 		return msg, nil
 	}
-	pd := &pending{node: node, seq: rt.nextSeq(), sentAt: rt.telNow()} //lint:allow hotalloc retransmission state must outlive the offload
+	pd := &pending{node: node, seq: rt.nextSeq(), sentAt: rt.clock.Now()} //lint:allow hotalloc retransmission state must outlive the offload
 	pd.msg = sealMessage(envRequest, pd.seq, msg)
 	return pd.msg, pd
 }
@@ -144,7 +126,7 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 		rt.tr.Instant(trace.PhaseRetry, fmt.Sprintf("retry %d seq %d", pd.attempt, pd.seq), rt.offloads)
 		rt.tr.Count("offload.retries", 1)
 		if rt.tel != nil {
-			now := rt.telNow()
+			now := rt.clock.Now()
 			rt.tel.Add(int(pd.node), telemetry.SeriesRetries, now, 1)
 			// For a retried batch frame pd.fid is the first entry's ID; the
 			// whole frame retransmits as a unit, so one event stands in.
@@ -163,9 +145,7 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 			if rt.ft.Seed != 0 {
 				d += simtime.Duration(faults.Mix(rt.ft.Seed, pd.seq, uint64(pd.attempt)) % uint64(d/2+1))
 			}
-			if b, ok := rt.backend.(backoffSleeper); ok {
-				b.Backoff(d)
-			}
+			rt.clock.Sleep(d)
 		}
 		rt.noteSent(pd.node, len(pd.msg))
 		h, err := rt.backend.Call(pd.node, pd.msg)

@@ -82,12 +82,6 @@ type RetryBudget struct {
 
 func (b RetryBudget) enabled() bool { return b.Tokens > 0 }
 
-// tokenBucket is one node's budget state.
-type tokenBucket struct {
-	tokens int
-	last   simtime.Time
-}
-
 // SetHedging installs the hedged-request policy on the initiating runtime.
 // Call it before issuing offloads; hedging only engages for offloads that
 // carry a fault-tolerance envelope (SetFaultTolerance with MaxRetries > 0).
@@ -113,11 +107,6 @@ func (rt *Runtime) HedgeWins() int64 { return rt.hedgeWins }
 // suppressed.
 func (rt *Runtime) BudgetDenied() int64 { return rt.budgetDenied }
 
-// SimNow returns this node's simulated clock: the telemetry clock when one
-// is attached, else the backend's, else 0 (wall-clock backends). Health
-// trackers and schedulers use it to timestamp observations.
-func (rt *Runtime) SimNow() simtime.Time { return rt.telNow() }
-
 // spendToken charges one retry/hedge token against node's bucket and
 // reports whether the budget allows the transmission. Always true with the
 // budget off, which keeps the un-budgeted path allocation-free.
@@ -133,34 +122,22 @@ func (rt *Runtime) spendToken(node NodeID) bool {
 //
 //hot:cold
 func (rt *Runtime) spendTokenSlow(node NodeID) bool {
+	now := rt.clock.Now()
 	if rt.buckets == nil {
-		rt.buckets = make([]tokenBucket, rt.NumNodes())
-		now := rt.telNow()
+		rt.buckets = make([]TokenBucket, rt.NumNodes())
 		for i := range rt.buckets {
-			rt.buckets[i] = tokenBucket{tokens: rt.budget.Tokens, last: now}
+			rt.buckets[i] = NewTokenBucket(rt.budget.Tokens, now)
 		}
 	}
 	if int(node) < 0 || int(node) >= len(rt.buckets) {
 		return true
 	}
-	b := &rt.buckets[node]
-	if rt.budget.Refill > 0 {
-		now := rt.telNow()
-		if add := int(now.Sub(b.last) / rt.budget.Refill); add > 0 {
-			b.tokens += add
-			if b.tokens > rt.budget.Tokens {
-				b.tokens = rt.budget.Tokens
-			}
-			b.last = b.last.Add(simtime.Duration(add) * rt.budget.Refill)
-		}
-	}
-	if b.tokens <= 0 {
+	if !rt.buckets[node].Take(now, rt.budget.Refill, rt.budget.Tokens) {
 		rt.budgetDenied++
 		rt.tr.Instant(trace.PhaseRetry, "retry budget exhausted", rt.offloads)
 		rt.tr.Count("offload.budget.denied", 1)
 		return false
 	}
-	b.tokens--
 	return true
 }
 
@@ -213,7 +190,7 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 	rt.tr.Instant(trace.PhaseHedge, fmt.Sprintf("hedge seq %d -> node %d", pd.seq, node), rt.offloads)
 	rt.tr.Count("offload.hedges", 1)
 	if rt.tel != nil {
-		now := rt.telNow()
+		now := rt.clock.Now()
 		rt.tel.Add(int(node), telemetry.SeriesHedges, now, 1)
 		rt.tel.Event(pd.fid, now, int(rt.ThisNode()), telemetry.FlowRetry, "hedge")
 	}
@@ -250,8 +227,6 @@ func (rt *Runtime) reapStrays() {
 //hot:cold
 func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 	rt.reapStrays()
-	clk, hasClock := rt.backend.(simClock)
-	pacer, canPace := rt.backend.(backoffSleeper)
 	// The delay measures in-flight time, so it counts from the moment the
 	// request was sealed — on protocols whose Call itself advances simulated
 	// time (veob's privileged-DMA writes) the primary may already be past the
@@ -265,7 +240,7 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 	for {
 		// Without a simulated clock the delay is unmeasurable; hedge before
 		// the first poll so wall-clock behaviour is deterministic.
-		if !hedgeTried && alive[0] && (!hasClock || clk.SimNow().Sub(start) >= delay) {
+		if !hedgeTried && alive[0] && (!rt.clock.Simulated() || rt.clock.Now().Sub(start) >= delay) {
 			hedgeTried = true
 			if nh := rt.issueHedge(pd); nh != nil {
 				hs[1], alive[1] = nh, true
@@ -311,13 +286,11 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 			}
 			hs[0], alive[0] = nh, true
 			hedgeTried = false
-			if hasClock {
-				start = clk.SimNow()
-			}
+			start = rt.clock.Now()
 			continue
 		}
-		if !progressed && canPace {
-			pacer.Backoff(hedgePollQuantum)
+		if !progressed {
+			rt.clock.Sleep(hedgePollQuantum)
 		}
 	}
 }

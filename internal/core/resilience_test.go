@@ -30,7 +30,7 @@ type resCall struct {
 
 // resBackend is a fail-slow Backend stub: node 0 is the initiator, nodes
 // 1..len(targets) dispatch on their own runtime after a per-node delay.
-// Backoff advances the simulated clock, which is how the resolveHedged
+// Sleep advances the simulated clock, which is how the resolveHedged
 // poll loop makes time pass.
 type resBackend struct {
 	targets []*Runtime // index 0 unused (self)
@@ -86,8 +86,13 @@ func (b *resBackend) Wait(h Handle) ([]byte, error) {
 	return rc.resp, nil
 }
 
-func (b *resBackend) Backoff(d simtime.Duration)       { b.now = b.now.Add(d) }
-func (b *resBackend) SimNow() simtime.Time             { return b.now }
+// The backend is its own (hand-advanced, simulated) clock.
+func (b *resBackend) Clock() Clock                     { return b }
+func (b *resBackend) Sleep(d simtime.Duration)         { b.now = b.now.Add(d) }
+func (b *resBackend) Now() simtime.Time                { return b.now }
+func (b *resBackend) Simulated() bool                  { return true }
+func (b *resBackend) MaxMessageLen() int               { return 1 << 20 }
+func (b *resBackend) RecoverNode(NodeID) error         { return ErrUnsupported }
 func (b *resBackend) Put(NodeID, []byte, uint64) error { return nil }
 func (b *resBackend) Get(NodeID, uint64, []byte) error { return nil }
 func (b *resBackend) Serve(Server) error               { return nil }

@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 
-	"hamoffload/internal/simtime"
 	"hamoffload/internal/telemetry"
-	"hamoffload/internal/trace"
 )
 
 // Continuous telemetry (see internal/telemetry): the runtime records
@@ -54,30 +52,15 @@ func openFlow(msg []byte) (id uint64, inner []byte, ok bool) {
 	return binary.LittleEndian.Uint64(msg[4:12]), msg[flowHeader:], true
 }
 
-// SetTelemetry attaches a collector to this runtime. clk supplies recording
-// timestamps (the node's simulated clock); when nil, the backend's own clock
-// is used if it exposes one, else everything records at t=0. The host and
-// target runtimes of one application should share a collector so causal
-// records span nodes. A nil collector (the default) disables telemetry at
-// the cost of one nil check per instrumentation site.
-func (rt *Runtime) SetTelemetry(c *telemetry.Collector, clk trace.Clock) {
-	rt.tel = c
-	rt.telClock = clk
-}
+// SetTelemetry attaches a collector to this runtime; records are stamped on
+// the node's clock. The host and target runtimes of one application should
+// share a collector so causal records span nodes. A nil collector (the
+// default) disables telemetry at the cost of one nil check per
+// instrumentation site.
+func (rt *Runtime) SetTelemetry(c *telemetry.Collector) { rt.tel = c }
 
 // Telemetry returns the attached collector (nil when telemetry is off).
 func (rt *Runtime) Telemetry() *telemetry.Collector { return rt.tel }
-
-// telNow reads the node's simulated clock for telemetry stamps.
-func (rt *Runtime) telNow() simtime.Time {
-	if rt.telClock != nil {
-		return rt.telClock.Now()
-	}
-	if c, ok := rt.backend.(simClock); ok {
-		return c.SimNow()
-	}
-	return 0
-}
 
 // flowSeal wraps one sealed wire message with the current offload's trace
 // ID, consuming it. With flows off (or no offload span open) the wire
@@ -103,7 +86,7 @@ func (rt *Runtime) noteSent(node NodeID, n int) {
 	if rt.tel == nil {
 		return
 	}
-	rt.tel.Add(int(node), telemetry.SeriesBytes, rt.telNow(), int64(n))
+	rt.tel.Add(int(node), telemetry.SeriesBytes, rt.clock.Now(), int64(n))
 }
 
 // noteExecute records the target-side causal event for a flow-framed
@@ -118,7 +101,7 @@ func (rt *Runtime) noteExecute(fid uint64, inner []byte) {
 	} else {
 		name = rt.bin.MessageName(inner)
 	}
-	rt.tel.Event(fid, rt.telNow(), int(rt.ThisNode()), telemetry.FlowExecute, name)
+	rt.tel.Event(fid, rt.clock.Now(), int(rt.ThisNode()), telemetry.FlowExecute, name)
 }
 
 // NotePlacement records a scheduler placement decision on the most recently
@@ -129,5 +112,5 @@ func (rt *Runtime) NotePlacement(policy string, node NodeID) {
 	if rt.tel == nil || rt.lastFlow == 0 {
 		return
 	}
-	rt.tel.Event(rt.lastFlow, rt.telNow(), int(node), telemetry.FlowPlace, policy)
+	rt.tel.Event(rt.lastFlow, rt.clock.Now(), int(node), telemetry.FlowPlace, policy)
 }

@@ -37,10 +37,10 @@ func runTelemetryWire(t *testing.T, col *telemetry.Collector) [][]byte {
 		t.Fatal(err)
 	}
 	target := core.NewRuntime(tb, "loopback-target-arch")
-	target.SetTelemetry(col, nil)
+	target.SetTelemetry(col)
 	var calls [][]byte
 	host := core.NewRuntime(&captureBackend{Backend: hb, calls: &calls}, "loopback-host-arch")
-	host.SetTelemetry(col, nil)
+	host.SetTelemetry(col)
 	host.SetBatching(core.BatchPolicy{MaxMessages: 3})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -138,6 +138,27 @@ func (h HostModel) ScalarTime(ops int64) simtime.Duration {
 	return simtime.Duration(float64(ops) / (h.Spec.ClockGHz * 1e9) * float64(simtime.Second))
 }
 
+// HostClock is the clock of a simulated Vector Host process: the process's
+// own simulated time, with kernel work charged by the default host roofline
+// model. It implements core.Clock for the initiator side of every backend
+// that runs on the DES (backend/ring, backend/mpib).
+type HostClock struct {
+	*simtime.Proc // Now and Sleep
+}
+
+var hostModel = DefaultHostModel()
+
+// ChargeVector advances the process by the host roofline time of the kernel.
+func (c HostClock) ChargeVector(flops, bytes int64, cores int) {
+	c.Sleep(hostModel.VectorTime(flops, bytes, cores))
+}
+
+// ChargeScalar advances the process by ops scalar instructions.
+func (c HostClock) ChargeScalar(ops int64) { c.Sleep(hostModel.ScalarTime(ops)) }
+
+// Simulated is true: the process runs on the DES clock.
+func (HostClock) Simulated() bool { return true }
+
 // SpeedupOver reports the VE/host speed ratio for a kernel, a convenience
 // for sizing examples: a memory-bound kernel sees roughly the 1228.8/128
 // HBM-vs-DDR4 bandwidth ratio.

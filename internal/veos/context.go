@@ -178,6 +178,12 @@ func (c *Ctx) ChargeScalar(ops int64) {
 	pool.Release(got)
 }
 
+// Now, Sleep and Simulated complete core.Clock: a kernel context is the
+// clock of the VE-side runtime it serves.
+func (c *Ctx) Now() simtime.Time        { return c.P.Now() }
+func (c *Ctx) Sleep(d simtime.Duration) { c.P.Sleep(d) }
+func (c *Ctx) Simulated() bool          { return true }
+
 // Syscall performs a reverse-offloaded system call serviced by the VH
 // pseudo-process, with body being the VH-side service time.
 func (c *Ctx) Syscall(body simtime.Duration) {

@@ -94,12 +94,5 @@ func ConnectCluster(p *Proc, c *Cluster, opts ProtocolOptions) (*core.Runtime, e
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh-cluster")
-	rt.SetTracer(c.Nodes[0].Timing.Tracer.Node(0, "mpib", p))
-	rt.SetTelemetry(c.Nodes[0].Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.runtime(b, "x86_64-vh-cluster", "mpib", &c.Nodes[0].Timing, p), nil
 }

@@ -242,6 +242,20 @@ func (o ProtocolOptions) dmaOptions() dmab.Options {
 	return dmab.Options{Options: o.ringOptions(), ResultViaDMA: o.ResultViaDMA}
 }
 
+// runtime wraps a connected backend in the host runtime: tracer (labelled
+// with the backend's name) and telemetry from the machine's timing, policies
+// from the options.
+func (o ProtocolOptions) runtime(b core.Backend, arch, name string, t *topology.Timing, p *Proc) *core.Runtime {
+	rt := core.NewRuntime(b, arch)
+	rt.SetTracer(t.Tracer.Node(0, name, p))
+	rt.SetTelemetry(t.Telemetry)
+	rt.SetFaultTolerance(o.Retry)
+	rt.SetBatching(o.Batch)
+	rt.SetHedging(o.Hedge)
+	rt.SetRetryBudget(o.RetryBudget)
+	return rt
+}
+
 // ConnectVEO sets up HAM-Offload over the paper's VEO protocol (§III-D):
 // communication buffers in VE memory, all transfers through privileged DMA.
 // It returns the host runtime; targets are nodes 1..VEs.
@@ -250,14 +264,7 @@ func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh")
-	rt.SetTracer(m.Timing.Tracer.Node(0, "veob", p))
-	rt.SetTelemetry(m.Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.runtime(b, "x86_64-vh", "veob", &m.Timing, p), nil
 }
 
 // ConnectDMA sets up HAM-Offload over the paper's DMA protocol (§IV-B):
@@ -268,12 +275,5 @@ func ConnectDMA(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh")
-	rt.SetTracer(m.Timing.Tracer.Node(0, "dmab", p))
-	rt.SetTelemetry(m.Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.runtime(b, "x86_64-vh", "dmab", &m.Timing, p), nil
 }

@@ -106,6 +106,9 @@ var (
 	// ErrPayloadCorrupt reports a checksum or envelope violation on a
 	// fault-tolerant message; it is transient and retried.
 	ErrPayloadCorrupt = core.ErrPayloadCorrupt
+	// ErrUnsupported reports an operation the node's backend cannot perform
+	// at all, such as Runtime.RecoverNode on a backend that cannot redial.
+	ErrUnsupported = core.ErrUnsupported
 )
 
 // IsTransient reports whether err is worth retrying (corrupt payloads and
