@@ -6,13 +6,14 @@
 // package introduces OS-scheduler nondeterminism that the picosecond clock
 // cannot see — the same program starts producing different event orders
 // under load, which is precisely the failure mode the simulator exists to
-// exclude. The engine's own goroutine launch sites carry //lint:allow.
+// exclude. The engine itself has no launch site to exempt: Spawn builds each
+// process as an iter.Pull coroutine.
 //
 // The second check targets a subtler escape: a function handed to
 // Engine.Spawn/Proc.Spawn that captures a *simtime.Proc from an enclosing
 // scope. Each spawned process must talk to the engine through its own Proc
-// argument; driving a parent's Proc from the child goroutine corrupts the
-// park-resume handshake.
+// argument; parking a parent's Proc from the child yields the wrong
+// coroutine.
 package goroutine
 
 import (

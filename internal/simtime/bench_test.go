@@ -1,6 +1,9 @@
 package simtime
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // BenchmarkEventThroughput measures the DES kernel's raw event rate — the
 // figure that bounds how fast bandwidth sweeps and offload loops simulate.
@@ -63,4 +66,19 @@ func BenchmarkResourceContention(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkPollBesideSleeper measures a poller ticking beside a longer sleep
+// — the shape of ring.Host.wait and the target's serve loop, where the next
+// event on the heap is usually the parking process's own.
+func BenchmarkPollBesideSleeper(b *testing.B) {
+	e := NewEngine()
+	e.MaxEvents = uint64(b.N) + 2 // the two spawn wakes
+	pollBesideSleeper(e, nil)
+	b.ResetTimer()
+	if err := e.Run(); !errors.Is(err, ErrEventLimit) {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	e.Shutdown()
 }

@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -93,16 +94,18 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
-// Engine is a deterministic discrete-event scheduler. It is not safe for
-// concurrent use from multiple OS threads; all interaction happens either
-// from the goroutine calling Run or from the single currently-running Proc.
+// Engine is a deterministic discrete-event scheduler. Every process is a
+// coroutine (iter.Pull) that Run resumes in-thread and that hands control
+// back from Proc.park, so exactly one of them runs at a time and no switch
+// goes through the Go scheduler. It is not safe for concurrent use: all
+// interaction happens either from the goroutine calling Run or from the
+// single currently-running Proc.
 type Engine struct {
 	now    Time
 	eq     eventQueue
 	seq    uint64
-	yield  chan struct{} // running proc -> engine: "I parked or finished"
-	live   int           // procs that have been spawned and not yet finished
 	stop   bool
+	failed error // the first process panic; ends Run
 	events uint64
 	maxq   int // event-queue high-water mark, for the engine profiler
 
@@ -113,12 +116,16 @@ type Engine struct {
 	// scheduled past the deadline aborts Run with ErrDeadline.
 	Deadline Time
 
-	procs []*Proc // all spawned procs, for diagnostics and shutdown
+	// The unfinished procs in spawn order, linked through Proc.prev/next so
+	// that a finishing proc unlinks itself in O(1) and a run that spawns
+	// short-lived procs forever holds on to none of them. Deadlock
+	// diagnostics and Shutdown walk the list.
+	first, last *Proc
 }
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current simulated time.
@@ -137,39 +144,47 @@ func (e *Engine) MaxQueueLen() int { return e.maxq }
 // Spawn registers fn as a new process named name. The process starts running
 // at the current simulated time, after already-pending events at that time.
 // Spawn may be called before Run or from within a running process.
+//
+// A panic in fn ends Run with an error naming the process. runtime.Goexit
+// in fn (t.Fatal, t.Skip) runs fn's deferred calls and then terminates the
+// goroutine that called Run the same way: its deferred calls run and Run
+// does not return.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan int),
+	p := &Proc{eng: e, name: name, blockedOn: "spawn", prev: e.last}
+	if e.last == nil {
+		e.first = p
+	} else {
+		e.last.next = p
 	}
-	e.live++
-	p.parked = true
-	p.blockedOn = "spawn"
-	e.procs = append(e.procs, p)
-	w := &waiter{p: p}
-	e.schedule(e.now, w, reasonEvent)
-	//lint:allow goroutine Spawn IS the sanctioned concurrency primitive: the
-	// goroutine below is engine-owned and serialized by the park/resume
-	// handshake, so exactly one process ever runs at a time.
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errKilled {
-					p.done = true
-					e.yield <- struct{}{}
-					return
-				}
-				p.panicked = r
-			}
-			p.done = true
-			e.live--
-			e.yield <- struct{}{}
-		}()
-		<-p.resume // wait for first scheduling
-		fn(p)
-	}()
+	e.last = p
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.finish()
+		if p.reason != reasonKill { // else: shut down before its first wake
+			fn(p)
+		}
+	})
+	e.schedule(e.now, p.singleWaiter(), reasonEvent)
 	return p
+}
+
+// finish runs deferred when a process body returns, panics or is killed: it
+// takes the process off the live list and records the first panic for Run.
+func (p *Proc) finish() {
+	e := p.eng
+	if r := recover(); r != nil && r != errKilled && e.failed == nil {
+		e.failed = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
+	}
+	if p.prev == nil {
+		e.first = p.next
+	} else {
+		p.prev.next = p.next
+	}
+	if p.next == nil {
+		e.last = p.prev
+	} else {
+		p.next.prev = p.prev
+	}
 }
 
 // schedule enqueues a wake for w at time at.
@@ -193,66 +208,85 @@ func (e *Engine) Stop() { e.stop = true }
 // Run executes the simulation until all processes finish, a process calls
 // Stop, the event budget or deadline is exceeded, or a deadlock is detected.
 func (e *Engine) Run() error {
-	maxEvents := e.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 1 << 40
-	}
 	for {
-		if e.stop {
-			return nil
+		p, err := e.step(nil)
+		if p == nil {
+			return err
 		}
-		if e.live == 0 {
-			return e.firstPanic()
+		p.resume()
+	}
+}
+
+// step is the one place that decides what the engine does next. It discards
+// stale wakes, then delivers the earliest wake event: pops it, counts it,
+// advances the clock, stores the wake reason in its process and returns the
+// process, which the caller must let run. Run calls step(nil) and, when step
+// returns no process, returns err: nil after Stop or once every process has
+// finished, otherwise the panic, deadlock, deadline or event-budget error.
+//
+// A parking process calls step(p) to ask whether the next event is its own
+// (a poller ticking beside longer sleeps); if so the process just keeps
+// running at the new time, with no switch. This cannot reorder delivery: it
+// is the same event Run would deliver next, to the same process, and nothing
+// else runs in between. Whatever step(p) cannot deliver to p in place —
+// another process's event, Stop, the deadline, the event budget, an empty
+// heap — it leaves untouched and returns nil, so p yields and Run's
+// step(nil) reaches the verdict.
+//
+//hot:path
+func (e *Engine) step(self *Proc) (*Proc, error) {
+	for {
+		if e.failed != nil || e.stop || e.first == nil {
+			return nil, e.failed
 		}
 		if len(e.eq) == 0 {
-			return e.deadlockError()
+			if self != nil {
+				return nil, nil
+			}
+			return nil, e.deadlockError()
+		}
+		head := &e.eq[0]
+		if head.w.woken {
+			e.eq.pop() // stale wake (e.g. timeout lost to an Event fire)
+			continue
+		}
+		maxEvents := e.MaxEvents
+		if maxEvents == 0 {
+			maxEvents = 1 << 40
+		}
+		late := e.Deadline != 0 && head.at > e.Deadline
+		spent := e.events >= maxEvents
+		if self != nil && (head.w.p != self || late || spent) {
+			return nil, nil
 		}
 		ev := e.eq.pop()
-		if ev.w.woken {
-			continue // stale wake (e.g. timeout lost to an Event fire)
-		}
-		if e.Deadline != 0 && ev.at > e.Deadline {
-			return deadlineError(ev.at)
+		if late {
+			return nil, deadlineError(ev.at)
 		}
 		e.events++
-		if e.events > maxEvents {
-			return limitError(maxEvents)
+		if spent {
+			return nil, limitError(maxEvents)
 		}
 		e.now = ev.at
 		ev.w.woken = true
-		ev.w.p.parked = false
-		ev.w.p.resume <- ev.rsn
-		<-e.yield
-		if p := e.firstPanic(); p != nil {
-			return p
-		}
+		ev.w.p.reason = ev.rsn
+		return ev.w.p, nil
 	}
 }
 
-// Shutdown kills all parked processes so their goroutines exit. It must be
-// called after Run returns, never concurrently with it.
+// Shutdown kills all unfinished processes in spawn order: each is resumed
+// with reasonKill, unwinds through its deferred calls, and its coroutine
+// exits; one that never started never runs its body. It must be called after
+// Run returns, never concurrently with it.
 func (e *Engine) Shutdown() {
-	for _, p := range e.procs {
-		if !p.done && p.parked {
-			p.parked = false
-			p.resume <- reasonKill
-			<-e.yield
-		}
+	e.stop = true // a park during the unwinding must not advance the simulation
+	for e.first != nil {
+		// A deferred call that parks yields back here with the process
+		// still first in line; the next round kills that park too.
+		p := e.first
+		p.reason = reasonKill
+		p.resume()
 	}
-}
-
-// firstPanic scans for a panicked process. The scan itself runs after every
-// wake event, but only allocates (the fmt.Errorf) when a panic is actually
-// found, which aborts the run.
-//
-//hot:cold
-func (e *Engine) firstPanic() error {
-	for _, p := range e.procs {
-		if p.panicked != nil {
-			return fmt.Errorf("simtime: process %q panicked: %v", p.name, p.panicked)
-		}
-	}
-	return nil
 }
 
 // deadlineError terminates the run; it allocates once.
@@ -269,13 +303,13 @@ func limitError(maxEvents uint64) error {
 	return fmt.Errorf("%w (%d events)", ErrEventLimit, maxEvents)
 }
 
+// deadlockError runs when no process is running, so every live one is parked.
+//
 //hot:cold
 func (e *Engine) deadlockError() error {
 	var stuck []string
-	for _, p := range e.procs {
-		if !p.done && p.parked {
-			stuck = append(stuck, p.name+" ("+p.blockedOn+")")
-		}
+	for p := e.first; p != nil; p = p.next {
+		stuck = append(stuck, p.name+" ("+p.blockedOn+")")
 	}
 	sort.Strings(stuck)
 	return fmt.Errorf("%w: at t=%v: %v", ErrDeadlock, e.now, stuck)

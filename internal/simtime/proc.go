@@ -3,23 +3,24 @@ package simtime
 import "errors"
 
 // errKilled is panicked inside a parked process during Engine.Shutdown so the
-// goroutine unwinds and exits.
+// process unwinds through its deferred calls and its coroutine exits.
 var errKilled = errors.New("simtime: process killed by shutdown")
 
 // Proc is one simulated process. Proc methods must only be called by the
 // process itself while it is the running process; the engine guarantees that
 // at most one process runs at a time.
 type Proc struct {
-	eng       *Engine
-	name      string
-	resume    chan int
-	done      bool
-	parked    bool
-	blockedOn string // human-readable label for deadlock diagnostics
-	panicked  any
+	eng        *Engine
+	name       string
+	resume     func() (struct{}, bool) // engine side of the coroutine: run until the next park
+	yield      func(struct{}) bool     // process side: hand control back to the engine
+	reason     int                     // why the process was last woken
+	blockedOn  string                  // human-readable label for deadlock diagnostics
+	prev, next *Proc                   // the engine's list of unfinished processes
 
-	// scratch is the reusable waiter for single-reference parks (Sleep,
-	// Queue.Pop, Event.Wait): exactly one pending wake references it, and
+	// scratch is the reusable waiter for single-reference parks (the first
+	// wake after Spawn, Sleep, Queue.Pop, Event.Wait, Resource.Acquire,
+	// Semaphore.Acquire): exactly one pending wake references it, and
 	// that wake is consumed before the process resumes, so the next park can
 	// reuse it. Parks with two outstanding references — PopTimeout and
 	// WaitTimeout, where a timer and a wake list both hold the waiter and
@@ -46,17 +47,21 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park hands control back to the engine and blocks until a wake event for
-// this process is delivered. It returns the wake reason.
+// park blocks until a wake event for this process is delivered and returns
+// the wake reason. When that event is the very next one the engine would
+// deliver, the process takes it in place and never stops running; otherwise
+// it switches back to Run.
+//
+//hot:path
 func (p *Proc) park(label string) int {
-	p.parked = true
-	p.blockedOn = label
-	p.eng.yield <- struct{}{}
-	r := <-p.resume
-	if r == reasonKill {
-		panic(errKilled)
+	if next, _ := p.eng.step(p); next == nil {
+		p.blockedOn = label
+		p.yield(struct{}{})
+		if p.reason == reasonKill {
+			panic(errKilled)
+		}
 	}
-	return r
+	return p.reason
 }
 
 // Sleep suspends the process for d of simulated time. Non-positive durations

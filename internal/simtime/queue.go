@@ -1,14 +1,52 @@
 package simtime
 
+// fifo is the slice-backed first-in-first-out list behind Queue's items and
+// every wait list. Its storage is bounded by the backlog rather than by the
+// number of values ever pushed, and in steady state push and take reuse it
+// without allocating: a drained list rewinds onto its storage, and one that
+// never quite drains slides its values down once the consumed prefix is the
+// larger half.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	f.buf = append(f.buf, v) //lint:allow hotalloc amortized growth up to the largest backlog
+}
+
+// peek returns the oldest value of a non-empty list in place.
+func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
+
+// take removes and returns the oldest value of a non-empty list.
+func (f *fifo[T]) take() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero // release for GC
+	f.head++
+	switch {
+	case f.head == len(f.buf):
+		f.buf = f.buf[:0]
+		f.head = 0
+	case f.head > 64 && f.head*2 >= len(f.buf):
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:]) // release the moved values' old slots for GC
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	return v
+}
+
 // Queue is an unbounded FIFO message queue between simulated processes,
 // analogous to a Go channel. Push never blocks; Pop blocks while the queue is
 // empty. The zero value is not usable; create Queues with NewQueue.
 type Queue[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	head    int
-	waiters []*waiter
+	items   fifo[T]
+	waiters fifo[*waiter]
 
 	// Park labels are precomputed here so that the blocking paths do not
 	// rebuild "queue <name>" by string concatenation on every empty-queue
@@ -24,22 +62,20 @@ func NewQueue[T any](e *Engine, name string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Push appends v and wakes one waiting consumer, if any. It may be called
 // from any running process (or before Run starts).
 //
 //hot:path
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v) //lint:allow hotalloc amortized growth of the queue's ring storage
+	q.items.push(v)
 	q.wakeOne()
 }
 
 func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if !w.woken {
+	for q.waiters.len() > 0 {
+		if w := q.waiters.take(); !w.woken {
 			q.eng.schedule(q.eng.now, w, reasonEvent)
 			return
 		}
@@ -54,17 +90,10 @@ func (q *Queue[T]) wakeOne() {
 //hot:path
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p.singleWaiter()) //lint:allow hotalloc amortized growth of the wait list
+		q.waiters.push(p.singleWaiter())
 		p.park(q.popLabel)
 	}
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release for GC
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		q.items = append([]T(nil), q.items[q.head:]...) //lint:allow hotalloc rare compaction: runs at most once per 64 pops
-		q.head = 0
-	}
+	v := q.items.take()
 	// More items may remain and more waiters may be parked (a woken waiter
 	// could have been overtaken); keep the wake chain going.
 	if q.Len() > 0 {
@@ -76,14 +105,11 @@ func (q *Queue[T]) Pop(p *Proc) T {
 // TryPop removes and returns the oldest item without blocking. The second
 // result reports whether an item was available.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
 	if q.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	return v, true
+	return q.items.take(), true
 }
 
 // PopTimeout is like Pop but gives up after d, returning ok=false.
@@ -99,7 +125,7 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
 		// scratch waiter — the losing reference stays behind as a stale
 		// entry and would see the scratch waiter's next incarnation.
 		w := &waiter{p: p}
-		q.waiters = append(q.waiters, w)
+		q.waiters.push(w)
 		q.eng.schedule(deadline, w, reasonTimer)
 		if p.park(q.timeoutLabel) == reasonTimer && q.Len() == 0 {
 			var zero T

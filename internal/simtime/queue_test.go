@@ -116,22 +116,50 @@ func TestQueuePopTimeout(t *testing.T) {
 	}
 }
 
+// Storage stays bounded by the backlog, not by the items ever pushed, through
+// Pop and through TryPop alike (veos's worker loop and mpib's proxy consume
+// their queues only through TryPop), both when every take drains the queue
+// and when a standing backlog keeps it from ever draining.
 func TestQueueCompaction(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	e.Spawn("main", func(p *Proc) {
-		// Push/pop enough to trigger the internal head compaction.
-		for i := 0; i < 1000; i++ {
-			q.Push(i)
-			if v := q.Pop(p); v != i {
-				t.Fatalf("pop = %d, want %d", v, i)
+	for _, tc := range []struct {
+		name    string
+		backlog int
+		tryPop  bool
+	}{
+		{"Pop/drained", 0, false},
+		{"Pop/backlog", 100, false},
+		{"TryPop/drained", 0, true},
+		{"TryPop/backlog", 100, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			q := NewQueue[int](e, "q")
+			e.Spawn("main", func(p *Proc) {
+				for i := 0; i < tc.backlog; i++ {
+					q.Push(i)
+				}
+				for i := 0; i < 100_000; i++ {
+					q.Push(tc.backlog + i)
+					v := -1
+					if tc.tryPop {
+						v, _ = q.TryPop()
+					} else {
+						v = q.Pop(p)
+					}
+					if v != i {
+						t.Fatalf("take %d = %d", i, v)
+					}
+				}
+				if q.Len() != tc.backlog {
+					t.Fatalf("Len = %d, want %d", q.Len(), tc.backlog)
+				}
+				if c := cap(q.items.buf); c > 4*(tc.backlog+64) {
+					t.Fatalf("cap(items) = %d after 100000 takes with a backlog of %d", c, tc.backlog)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
 			}
-		}
-		if q.Len() != 0 {
-			t.Fatalf("Len = %d, want 0", q.Len())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		})
 	}
 }

@@ -7,8 +7,9 @@ package simtime
 type Resource struct {
 	eng   *Engine
 	name  string
+	label string // park label, prebuilt so a contended Acquire does not concatenate
 	busy  bool
-	queue []*waiter
+	queue fifo[*waiter]
 
 	// Stats.
 	acquisitions uint64
@@ -18,7 +19,7 @@ type Resource struct {
 
 // NewResource returns an idle resource bound to the engine.
 func NewResource(e *Engine, name string) *Resource {
-	return &Resource{eng: e, name: name}
+	return &Resource{eng: e, name: name, label: "resource " + name}
 }
 
 // Busy reports whether the resource is currently held.
@@ -30,17 +31,18 @@ func (r *Resource) Acquisitions() uint64 { return r.acquisitions }
 // BusyTime returns the cumulative simulated time the resource was held.
 func (r *Resource) BusyTime() Duration { return r.busyTime }
 
-// Acquire blocks p until it holds the resource.
+// Acquire blocks p until it holds the resource. The waiter is referenced
+// from one place at a time — the wait list until Release transfers it to the
+// engine's event heap — so the process's scratch waiter is safe here.
 func (r *Resource) Acquire(p *Proc) {
-	if !r.busy && len(r.queue) == 0 {
+	if !r.busy && r.queue.len() == 0 {
 		r.busy = true
 		r.acquisitions++
 		r.lastAcquire = p.Now()
 		return
 	}
-	w := &waiter{p: p}
-	r.queue = append(r.queue, w)
-	p.park("resource " + r.name)
+	r.queue.push(p.singleWaiter())
+	p.park(r.label)
 	// Release transferred ownership to us before waking us.
 	r.acquisitions++
 	r.lastAcquire = p.Now()
@@ -52,10 +54,8 @@ func (r *Resource) Release(p *Proc) {
 		panic("simtime: Release of idle resource " + r.name)
 	}
 	r.busyTime += p.Now().Sub(r.lastAcquire)
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
-		if !w.woken {
+	for r.queue.len() > 0 {
+		if w := r.queue.take(); !w.woken {
 			// Ownership transfers directly; busy stays true.
 			r.eng.schedule(r.eng.now, w, reasonEvent)
 			return

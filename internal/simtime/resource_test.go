@@ -87,3 +87,38 @@ func TestReleaseIdlePanics(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// contendedAllocs reports the allocations per call of use while three other
+// processes run the same call in a loop, so that every one of them parks on
+// the wait list.
+func contendedAllocs(t *testing.T, e *Engine, use func(p *Proc)) float64 {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		e.Spawn("rival", func(p *Proc) {
+			for {
+				use(p)
+			}
+		})
+	}
+	var allocs float64
+	e.Spawn("measured", func(p *Proc) {
+		for i := 0; i < 100; i++ { // grow the wait list and the event heap first
+			use(p)
+		}
+		allocs = testing.AllocsPerRun(1000, func() { use(p) })
+		e.Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	e.Shutdown()
+	return allocs
+}
+
+func TestResourceContendedUseZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "link")
+	if allocs := contendedAllocs(t, e, func(p *Proc) { r.Use(p, 10) }); allocs != 0 {
+		t.Fatalf("contended Resource.Use allocates %.2f times per call, want 0", allocs)
+	}
+}

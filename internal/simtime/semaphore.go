@@ -8,9 +8,10 @@ package simtime
 type Semaphore struct {
 	eng   *Engine
 	name  string
+	label string // park label, prebuilt so a contended Acquire does not concatenate
 	total int
 	free  int
-	queue []semWaiter
+	queue fifo[semWaiter]
 }
 
 type semWaiter struct {
@@ -23,7 +24,7 @@ func NewSemaphore(e *Engine, name string, units int) *Semaphore {
 	if units <= 0 {
 		panic("simtime: semaphore " + name + " needs at least one unit")
 	}
-	return &Semaphore{eng: e, name: name, total: units, free: units}
+	return &Semaphore{eng: e, name: name, label: "semaphore " + name, total: units, free: units}
 }
 
 // Total returns the unit count.
@@ -34,6 +35,9 @@ func (s *Semaphore) Free() int { return s.free }
 
 // Acquire blocks p until n units are available and takes them. Requests for
 // more than the total are clamped (they would otherwise never complete).
+// The waiter is referenced from one place at a time — the wait list until
+// grant transfers it to the engine's event heap — so the process's scratch
+// waiter is safe here.
 func (s *Semaphore) Acquire(p *Proc, n int) int {
 	if n < 1 {
 		n = 1
@@ -42,13 +46,12 @@ func (s *Semaphore) Acquire(p *Proc, n int) int {
 		n = s.total
 	}
 	// FIFO: even if units are free, queued earlier requests go first.
-	if len(s.queue) == 0 && s.free >= n {
+	if s.queue.len() == 0 && s.free >= n {
 		s.free -= n
 		return n
 	}
-	w := &waiter{p: p}
-	s.queue = append(s.queue, semWaiter{w: w, n: n})
-	p.park("semaphore " + s.name)
+	s.queue.push(semWaiter{w: p.singleWaiter(), n: n})
+	p.park(s.label)
 	// grant() already deducted our units before waking us.
 	return n
 }
@@ -67,18 +70,17 @@ func (s *Semaphore) Release(n int) {
 
 // grant wakes queued requests from the front while units suffice.
 func (s *Semaphore) grant() {
-	for len(s.queue) > 0 {
-		head := s.queue[0]
+	for s.queue.len() > 0 {
+		head := s.queue.peek()
 		if head.w.woken {
-			s.queue = s.queue[1:]
+			s.queue.take()
 			continue
 		}
 		if s.free < head.n {
 			return
 		}
 		s.free -= head.n
-		s.queue = s.queue[1:]
-		s.eng.schedule(s.eng.now, head.w, reasonEvent)
+		s.eng.schedule(s.eng.now, s.queue.take().w, reasonEvent)
 	}
 }
 

@@ -125,3 +125,11 @@ func TestSemaphoreRejectsZeroUnits(t *testing.T) {
 	}()
 	NewSemaphore(NewEngine(), "bad", 0)
 }
+
+func TestSemaphoreContendedUseZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	s := NewSemaphore(e, "cores", 2)
+	if allocs := contendedAllocs(t, e, func(p *Proc) { s.Use(p, 2, 10) }); allocs != 0 {
+		t.Fatalf("contended Semaphore.Use allocates %.2f times per call, want 0", allocs)
+	}
+}
