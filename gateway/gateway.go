@@ -194,6 +194,7 @@ type Ticket[R any] struct {
 	Tenant int
 	Class  Class
 
+	g      *Gateway[R]
 	fn     core.Functor[R]
 	fut    *core.Future[R]
 	vi     int // index into the gateway's node list
@@ -216,6 +217,16 @@ func (tk *Ticket[R]) Err() error { return tk.err }
 // Latency returns the admission-to-settle latency; ok once Done.
 func (tk *Ticket[R]) Latency() (simtime.Duration, bool) { return tk.lat, tk.done }
 
+// ticketHook is a Ticket seen as its future's settle hook: the future holds
+// the ticket pointer itself, so tracking a request allocates no closure.
+type ticketHook[R any] Ticket[R]
+
+// FutureSettled implements core.SettleHook.
+func (h *ticketHook[R]) FutureSettled() {
+	tk := (*Ticket[R])(h)
+	tk.g.settle(tk)
+}
+
 // fifo is a slice-backed FIFO with a moving head, compacted when the dead
 // prefix outgrows the live tail.
 type fifo[R any] struct {
@@ -225,7 +236,22 @@ type fifo[R any] struct {
 
 func (q *fifo[R]) len() int { return len(q.items) - q.head }
 
-func (q *fifo[R]) push(tk *Ticket[R]) { q.items = append(q.items, tk) }
+func (q *fifo[R]) push(tk *Ticket[R]) {
+	n := len(q.items)
+	if n == cap(q.items) {
+		q.grow()
+	}
+	q.items = q.items[:n+1]
+	q.items[n] = tk
+}
+
+// grow doubles the backing array. pop compacts in place, so a queue stops
+// growing once it has held its peak backlog.
+//
+//hot:cold
+func (q *fifo[R]) grow() {
+	q.items = append(make([]*Ticket[R], 0, max(16, 2*cap(q.items))), q.items...)
+}
 
 func (q *fifo[R]) at(i int) *Ticket[R] { return q.items[q.head+i] }
 
@@ -244,13 +270,18 @@ func (q *fifo[R]) pop() *Ticket[R] {
 	return tk
 }
 
-// stealTail removes the back k items (preserving order) for a thief.
-func (q *fifo[R]) stealTail(k int) []*Ticket[R] {
+// dropTail removes the back k items, which the caller has handed to a
+// thief, and clears the vacated tail: the victim's backing array must keep
+// no pointer to a ticket it no longer owns, or settled tickets and their
+// futures stay reachable until a later push happens to overwrite them.
+func (q *fifo[R]) dropTail(k int) {
 	n := len(q.items)
-	out := q.items[n-k:]
+	clear(q.items[n-k:])
 	q.items = q.items[:n-k]
-	return out
 }
+
+// tail returns the back k items in order; valid until the next push or pop.
+func (q *fifo[R]) tail(k int) []*Ticket[R] { return q.items[len(q.items)-k:] }
 
 // veQueue is one VE's run queue. Latency-critical requests wait in their
 // own FIFO and always dispatch ahead of the bulk (batchable) FIFO, so a
@@ -320,6 +351,11 @@ type Gateway[R any] struct {
 
 	steals    int64
 	submitted int64
+
+	// The rejection errors, built once: a refusal is a third of the traffic
+	// at the peaks and must cost no formatting.
+	errQuota      []error // per tenant
+	errOverloaded [NumClasses]error
 }
 
 // New builds a gateway over rt's target nodes. The runtime's batching
@@ -357,6 +393,11 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 	}
 	for c := range g.classes {
 		g.classes[c].slo = telemetry.NewSLO(cfg.SLOTargets[c], cfg.SLOBudget, cfg.SLOWindow, 0)
+		g.errOverloaded[c] = fmt.Errorf("%w: class %s", ErrOverloaded, Class(c))
+	}
+	g.errQuota = make([]error, len(g.tenants))
+	for t := range g.errQuota {
+		g.errQuota[t] = fmt.Errorf("%w: tenant %d", ErrQuota, t)
 	}
 	if cfg.MaxBatch > 1 && !rt.Batching().Enabled() {
 		rt.SetBatching(core.BatchPolicy{MaxMessages: cfg.MaxBatch})
@@ -383,14 +424,13 @@ func (g *Gateway[R]) takeToken(ti int, now simtime.Time) bool {
 // places it on a VE queue and pumps the dispatch windows. The returned
 // ticket settles during a later Poll or Drain. A rejection returns a nil
 // ticket and ErrTenant, ErrQuota or ErrOverloaded.
+//
+//hot:path
 func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticket[R], error) {
 	if tenant < 0 || class >= NumClasses ||
 		(len(g.cfg.Tenants) > 0 && tenant >= len(g.cfg.Tenants)) ||
 		(len(g.cfg.Tenants) == 0 && tenant != 0) {
-		if class >= NumClasses {
-			return nil, fmt.Errorf("gateway: invalid class %d", class)
-		}
-		return nil, fmt.Errorf("%w: %d", ErrTenant, tenant)
+		return nil, errBadRequest(tenant, class)
 	}
 	now := g.rt.SimNow()
 	tel := g.rt.Telemetry()
@@ -398,24 +438,28 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	if !g.takeToken(tenant, now) {
 		g.classes[class].rejectedQuota++
 		g.tenants[tenant].rejected++
-		g.rt.Tracer().Instant(trace.PhaseAdmit,
-			fmt.Sprintf("reject quota tenant %d %s", tenant, class), g.submitted)
+		if tr := g.rt.Tracer(); tr != nil {
+			tr.Instant(trace.PhaseAdmit,
+				fmt.Sprintf("reject quota tenant %d %s", tenant, class), g.submitted)
+		}
 		tel.Add(int(g.rt.ThisNode()), telemetry.SeriesGatewayReject, now, 1)
-		return nil, fmt.Errorf("%w: tenant %d", ErrQuota, tenant)
+		return nil, g.errQuota[tenant]
 	}
 	if g.queuedByClass[class] >= g.classCap[class] {
 		g.classes[class].rejectedShare++
 		g.tenants[tenant].rejected++
-		g.rt.Tracer().Instant(trace.PhaseAdmit,
-			fmt.Sprintf("reject overload %s", class), g.submitted)
+		if tr := g.rt.Tracer(); tr != nil {
+			tr.Instant(trace.PhaseAdmit,
+				fmt.Sprintf("reject overload %s", class), g.submitted)
+		}
 		tel.Add(int(g.rt.ThisNode()), telemetry.SeriesGatewayReject, now, 1)
-		return nil, fmt.Errorf("%w: class %s", ErrOverloaded, class)
+		return nil, g.errOverloaded[class]
 	}
 	for i := range g.nodes {
 		g.backlog[i] = g.queues[i].len() + g.inflight[i]
 	}
 	vi := g.cfg.Placement.Pick(int(g.submitted), g.nodes, g.backlog)
-	tk := &Ticket[R]{Tenant: tenant, Class: class, fn: fn, vi: vi, arrive: now}
+	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, fn: fn, vi: vi, arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
 	g.queues[vi].push(tk)
 	g.queued++
 	g.queuedByClass[class]++
@@ -430,8 +474,20 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	return tk, nil
 }
 
-// settle records one ticket's completion. It runs from the future's
-// OnSettle hook, i.e. during Poll's Test sweep or a Drain Get.
+// errBadRequest renders the rejection of a request no table has a row for.
+//
+//hot:cold
+func errBadRequest(tenant int, class Class) error {
+	if class >= NumClasses {
+		return fmt.Errorf("gateway: invalid class %d", class)
+	}
+	return fmt.Errorf("%w: %d", ErrTenant, tenant)
+}
+
+// settle records one ticket's completion. It runs from the future's settle
+// hook, i.e. during Poll's Test sweep or a Drain Get.
+//
+//hot:path
 func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	now := g.rt.SimNow()
 	tk.done = true
@@ -445,7 +501,7 @@ func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	}
 	cs.slo.Observe(now, tk.lat)
 	if g.cfg.KeepSamples {
-		cs.samples = append(cs.samples, tk.lat.Microseconds())
+		cs.samples = append(cs.samples, tk.lat.Microseconds()) //lint:allow hotalloc KeepSamples asks the gateway to retain one latency per request
 	}
 }
 
@@ -471,18 +527,14 @@ func (g *Gateway[R]) steal(vi int) bool {
 	// backlog is mostly interactive.
 	vq := &g.queues[victim]
 	kBulk := min(k, vq.bulk.len())
-	moved := append([]*Ticket[R](nil), vq.bulk.stealTail(kBulk)...)
-	if kBulk < k {
-		moved = append(moved, vq.lc.stealTail(k-kBulk)...)
-	}
-	for _, tk := range moved {
-		tk.vi = vi
-		g.queues[vi].push(tk)
-	}
+	g.moveTail(&vq.bulk, kBulk, vi)
+	g.moveTail(&vq.lc, k-kBulk, vi)
 	g.steals++
 	g.stolen[vi] += int64(k)
-	g.rt.Tracer().Instant(trace.PhaseSteal,
-		fmt.Sprintf("ve %d steals %d of %d from ve %d", g.nodes[vi], k, best, g.nodes[victim]), g.steals)
+	if tr := g.rt.Tracer(); tr != nil {
+		tr.Instant(trace.PhaseSteal,
+			fmt.Sprintf("ve %d steals %d of %d from ve %d", g.nodes[vi], k, best, g.nodes[victim]), g.steals)
+	}
 	tel := g.rt.Telemetry()
 	tel.Add(int(g.nodes[vi]), telemetry.SeriesGatewaySteals, now, int64(k))
 	tel.Gauge(int(g.nodes[victim]), telemetry.SeriesGatewayQueue, now, int64(g.queues[victim].len()))
@@ -491,6 +543,17 @@ func (g *Gateway[R]) steal(vi int) bool {
 		g.maxQueue[vi] = n
 	}
 	return true
+}
+
+// moveTail re-homes the back k tickets of a victim's FIFO, in order, on
+// VE vi's queue. Thief and victim are different VEs, so the tickets go
+// straight from one backing array to the other.
+func (g *Gateway[R]) moveTail(from *fifo[R], k, vi int) {
+	for _, tk := range from.tail(k) {
+		tk.vi = vi
+		g.queues[vi].push(tk)
+	}
+	from.dropTail(k)
 }
 
 // pump fills every VE's dispatch window from its queue, stealing into fully
@@ -515,6 +578,8 @@ func (g *Gateway[R]) pump() {
 // latency-critical message, or one batch frame of bulk requests. It returns
 // false when it declines to ship (nothing runnable, or a partial frame held
 // back to fill).
+//
+//hot:path
 func (g *Gateway[R]) issue(vi int) bool {
 	q := &g.queues[vi]
 	node := g.nodes[vi]
@@ -555,8 +620,10 @@ func (g *Gateway[R]) noteIssued(tk *Ticket[R], vi int) {
 }
 
 // track registers the settle hook and adds tk to its VE's in-flight FIFO.
+//
+//hot:path
 func (g *Gateway[R]) track(tk *Ticket[R]) {
-	tk.fut.OnSettle(func() { g.settle(tk) })
+	tk.fut.OnSettleHook((*ticketHook[R])(tk))
 	g.infl[tk.vi].push(tk)
 }
 
@@ -566,6 +633,8 @@ func (g *Gateway[R]) track(tk *Ticket[R]) {
 // how many requests settled. Callers drive it from their event loop
 // between arrivals. A backend that settles out of order only delays
 // discovery to the next Drain — nothing is lost.
+//
+//hot:path
 func (g *Gateway[R]) Poll() int {
 	settled := 0
 	for vi := range g.infl {

@@ -18,8 +18,8 @@
 // branches guarded by a nil check of an armed handle (*trace.Tracer,
 // *trace.NodeTracer, *telemetry.Collector — analysis.ArmedGuardTypes) are
 // the instrumented slow path and are pruned, as are then-branches of
-// `if err != nil` error guards. Everything else reachable from a root must
-// be allocation-free:
+// `if err != nil` error guards and the argument of a panic. Everything else
+// reachable from a root must be allocation-free:
 //
 //   - &T{} / new(T) and slice/map composite literals
 //   - append whose base is not an explicit reuse slice (s[:0], s[:n])
@@ -550,6 +550,10 @@ func (w *walker) call(call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
+			case "panic":
+				// A panic ends the path: whatever renders its message runs at
+				// most once per process.
+				return
 			case "append":
 				w.appendCall(call)
 			case "make":

@@ -40,6 +40,7 @@ func root(tr *trace.Tracer, s []byte) {
 	_ = conv(len(s))
 	_ = gen(len(s))
 	coldPath(len(s))
+	invariant(len(s) >= 0, "root")
 
 	if tr != nil {
 		_ = fmt.Sprintf("armed %d", len(s)) // armed branch: pruned, no want
@@ -148,6 +149,14 @@ func gen[T any](v T) *T {
 //hot:cold
 func coldPath(n int) {
 	_ = fmt.Sprintf("cold %d", n) // no want: //hot:cold
+}
+
+// invariant panics with a rendered message: the path ends there, so the
+// argument is not on it.
+func invariant(ok bool, who string) {
+	if !ok {
+		panic("invariant broken in " + who) // no want: panic argument
+	}
 }
 
 // unreachable is never called from a root: nothing inside is reported.

@@ -113,12 +113,15 @@ var afterfreeExempt = []string{
 }
 
 // hotPathScoped are the packages whose code can appear on an offload or
-// engine hot path: the runtime core, the DES engine, the wire codec, the
-// flag protocol and the simulated transfer backends. hotalloc reports only
-// inside these packages — a hot root may call out into neutral packages
-// (trace, telemetry) but findings there are dropped, because those calls
-// are either pruned behind armed guards or sanctioned observability cost.
+// engine hot path: the serving gateway, the runtime core, the DES engine,
+// the wire codec, the flag protocol, the simulated transfer backends and
+// what every simulated transfer passes through (DMA engines, PCIe links,
+// the sparse memories, the fault hooks). hotalloc reports only inside these
+// packages — a hot root may call out into neutral packages (trace,
+// telemetry) but findings there are dropped, because those calls are either
+// pruned behind armed guards or sanctioned observability cost.
 var hotPathScoped = []string{
+	"hamoffload/gateway",
 	"hamoffload/internal/core",
 	"hamoffload/internal/simtime",
 	"hamoffload/internal/ham",
@@ -127,6 +130,9 @@ var hotPathScoped = []string{
 	"hamoffload/internal/backend/dmab",
 	"hamoffload/internal/backend/veob",
 	"hamoffload/internal/dma",
+	"hamoffload/internal/pcie",
+	"hamoffload/internal/mem",
+	"hamoffload/internal/faults",
 }
 
 // borrowckScoped are the packages living under the zero-copy buffer

@@ -138,6 +138,12 @@ type handle struct {
 	seq    uint32
 	resp   []byte
 	done   bool
+	// small backs resp for a result that fits: a scalar result, or a batch
+	// frame of a few of them, then costs no allocation of its own. The bytes
+	// cannot live in a per-slot buffer instead: they belong to the handle,
+	// which Wait and Poll may hand out any time later, and draining a slot
+	// for reuse (Call) completes a handle before its owner has asked.
+	small [48]byte
 }
 
 // conn is the host-side state for one target.
@@ -225,13 +231,36 @@ func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 func (h *Host) conn(target core.NodeID) (*conn, error) {
 	i := int(target) - h.cfg.NodeBase - 1
 	if i < 0 || i >= len(h.conns) {
-		return nil, fmt.Errorf("%s: no target node %d", h.cfg.Name, target)
+		return nil, h.errNoTarget(target)
 	}
 	return h.conns[i], nil
 }
 
+// The failures below end an offload; rendering them is off the hot path.
+
+//hot:cold
+func (h *Host) errNoTarget(target core.NodeID) error {
+	return fmt.Errorf("%s: no target node %d", h.cfg.Name, target)
+}
+
+//hot:cold
 func (h *Host) nodeFailed(target core.NodeID) error {
 	return fmt.Errorf("%s: node %d: %w", h.cfg.Name, target, core.ErrNodeFailed)
+}
+
+//hot:cold
+func (h *Host) errTooLong(n int) error {
+	return fmt.Errorf("%s: message of %d bytes exceeds buffer size %d", h.cfg.Name, n, h.cfg.BufSize)
+}
+
+//hot:cold
+func (h *Host) errTimeout(hd *handle) error {
+	return fmt.Errorf("%s: node %d slot %d: %w", h.cfg.Name, hd.target, hd.slot, core.ErrOffloadTimeout)
+}
+
+//hot:cold
+func (h *Host) errForeignHandle(hh core.Handle) error {
+	return fmt.Errorf("%s: foreign handle %T", h.cfg.Name, hh)
 }
 
 // stepErr classifies a failed transport step: a crashed VE process marks the
@@ -248,6 +277,8 @@ func (h *Host) stepErr(c *conn, target core.NodeID, err error) error {
 
 // Call implements core.Backend: the message into the next slot's receive
 // buffer, then its flag — the host half of Fig. 5 and Fig. 8.
+//
+//hot:path
 func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	c, err := h.conn(target)
 	if err != nil {
@@ -257,7 +288,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 		return nil, h.nodeFailed(target)
 	}
 	if len(msg) > h.MaxMessageLen() {
-		return nil, fmt.Errorf("%s: message of %d bytes exceeds buffer size %d", h.cfg.Name, len(msg), h.cfg.BufSize)
+		return nil, h.errTooLong(len(msg))
 	}
 	callStart := h.cfg.Tracer.Now()
 	h.p.Sleep(c.f.Overhead)
@@ -287,7 +318,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	// must land in the same slot.
 	c.seq[slot]++
 	c.next = (c.next + 1) % h.cfg.NumBuffers
-	hd := &handle{target: target, c: c, slot: slot, seq: seq}
+	hd := &handle{target: target, c: c, slot: slot, seq: seq} //lint:allow hotalloc the handle is what Call returns
 	c.inUse[slot] = hd
 	h.cfg.Tracer.Since(trace.PhaseCall, h.spanCall, mid, callStart)
 	return hd, nil
@@ -305,7 +336,12 @@ func (h *Host) pollSlot(hd *handle) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	resp := make([]byte, n)
+	var resp []byte
+	if n <= len(hd.small) {
+		resp = hd.small[:n]
+	} else {
+		resp = make([]byte, n) //lint:allow hotalloc the result belongs to the handle Call returned and outlives the poll
+	}
 	inline := min(n, h.cfg.ResultInline)
 	if err := c.t.ReadResult(hd.slot, resp[:inline], resp[inline:]); err != nil {
 		return false, err
@@ -329,6 +365,7 @@ func (h *Host) probe(hd *handle) (done, absorbed bool, err error) {
 	return done, false, h.stepErr(hd.c, hd.target, err)
 }
 
+//hot:path
 func (h *Host) wait(hd *handle) ([]byte, error) {
 	c := hd.c
 	defer h.cfg.Tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
@@ -354,7 +391,7 @@ func (h *Host) wait(hd *handle) ([]byte, error) {
 			// The slot stays leased to the lost offload — the leak is
 			// bounded by NumBuffers, and RecoverNode rebuilds the whole
 			// communication area.
-			return nil, fmt.Errorf("%s: node %d slot %d: %w", h.cfg.Name, hd.target, hd.slot, core.ErrOffloadTimeout)
+			return nil, h.errTimeout(hd)
 		}
 	}
 	h.p.Sleep(c.f.Overhead)
@@ -365,16 +402,18 @@ func (h *Host) wait(hd *handle) ([]byte, error) {
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
-		return nil, fmt.Errorf("%s: foreign handle %T", h.cfg.Name, hh)
+		return nil, h.errForeignHandle(hh)
 	}
 	return h.wait(hd)
 }
 
 // Poll implements core.Backend.
+//
+//hot:path
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
-		return nil, false, fmt.Errorf("%s: foreign handle %T", h.cfg.Name, hh)
+		return nil, false, h.errForeignHandle(hh)
 	}
 	if hd.done {
 		return hd.resp, true, nil

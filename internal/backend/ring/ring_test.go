@@ -660,6 +660,50 @@ func TestTargetFaultPathsAndStubs(t *testing.T) {
 	}
 }
 
+// A flag word announcing more than a message buffer holds was not written by
+// the protocol (Host.Call refuses to send such a message): the target stops
+// with an error naming it instead of fetching past the buffer, and never
+// dispatches.
+func TestOversizeAnnouncementRefused(t *testing.T) {
+	srv := &server{}
+	f, err := serveOnce(t, Options{BufSize: 64}, srv, func(f *fake) {
+		f.recvFlag[0] = slots.Encode(0, 65)
+	})
+	if err == nil || !strings.Contains(err.Error(), "fake: slot 0 announces a message of 65 bytes, buffer size is 64") {
+		t.Fatalf("Serve = %v", err)
+	}
+	if srv.dispatched != 0 || f.count["fetch"] != 0 {
+		t.Errorf("dispatched %d, fetched %d; want neither", srv.dispatched, f.count["fetch"])
+	}
+}
+
+// The serve loop hands every message to Dispatch in the same receive buffer:
+// what Dispatch saw must be intact while it runs, and a shorter message must
+// not show the tail of the longer one before it.
+func TestServeReusesReceiveBuffer(t *testing.T) {
+	var seen []string
+	var bufs []*byte
+	w := &world{t: t, srv: &server{handle: func(_ *simtime.Proc, msg []byte) []byte {
+		seen = append(seen, string(msg))
+		bufs = append(bufs, &msg[0])
+		return msg
+	}}}
+	w.run(Options{}, localPoll(), func(p *simtime.Proc, h *Host) {
+		for _, m := range []string{"a longer first message", "short", "mid-sized one"} {
+			resp, err := h.Wait(mustCall(t, h, m))
+			if err != nil || string(resp) != m {
+				t.Fatalf("echo of %q = %q, %v", m, resp, err)
+			}
+		}
+	})
+	if want := []string{"a longer first message", "short", "mid-sized one"}; !slices.Equal(seen, want) {
+		t.Fatalf("Dispatch saw %q, want %q", seen, want)
+	}
+	if bufs[0] != bufs[1] || bufs[1] != bufs[2] {
+		t.Error("every message should arrive in the one receive buffer")
+	}
+}
+
 // A quiet target backs its poll gap off, and snaps back on the next message.
 func TestIdleBackoff(t *testing.T) {
 	w := &world{t: t, srv: &server{}}

@@ -55,6 +55,11 @@ type Target struct {
 	desc  core.NodeDescriptor
 	heap  core.LocalMemory
 	cpu   core.Clock // the kernel context ham_main runs on
+	seq   []uint32   // next receive sequence per slot
+	// recv holds the message being served. One buffer serves every message:
+	// Dispatch only borrows it for the call (core.Server), and the loop
+	// fetches the next message after the previous response is out.
+	recv []byte
 	// Span names, built once: the serve loop must not concatenate strings.
 	spanPollFault, spanPollHit, spanFetch, spanFetchFault, spanResult, spanRespondRetry string
 }
@@ -62,6 +67,8 @@ type Target struct {
 func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive func() bool) *Target {
 	return &Target{
 		TargetConfig: cfg, p: p, poll: poll, alive: alive,
+		seq:              make([]uint32, cfg.NumBuffers),
+		recv:             make([]byte, cfg.BufSize),
 		spanPollFault:    cfg.Name + "-poll-fault",
 		spanPollHit:      cfg.Name + "-poll-hit",
 		spanFetch:        cfg.Name + "-fetch",
@@ -95,8 +102,10 @@ const respondRetries = 64
 // of Fig. 8's VE side. The runtime polls the next receive slot's flag; when
 // the host has published a message it is fetched, executed through HAM, and
 // the result message is published in the paired send slot.
+//
+//hot:path
 func (t *Target) Serve(s core.Server) error {
-	seq := make([]uint32, t.NumBuffers)
+	seq := t.seq
 	next := 0
 
 	// So a quiet VE does not flood the event queue the poll gap backs off
@@ -110,7 +119,7 @@ func (t *Target) Serve(s core.Server) error {
 		if !t.alive() {
 			// The VE process died under us (injected crash): stop serving
 			// instead of spinning on a dead machine.
-			return fmt.Errorf("%s: serve aborted: %w", t.Name, veos.ErrCrashed)
+			return t.errAborted()
 		}
 		pollStart := t.nt.Now()
 		word, err := t.Transport.LoadFlag(next)
@@ -138,10 +147,15 @@ func (t *Target) Serve(s core.Server) error {
 		mid := t.mid(next, seq[next])
 		t.nt.Since(trace.PhasePoll, t.spanPollHit, mid, pollStart)
 
+		if n > len(t.recv) {
+			// The host refuses to send what no buffer holds (Host.Call), so
+			// this flag word was not written by the protocol.
+			return t.errTooLong(next, n)
+		}
 		// The fetch span also covers the fixed VE-side framework overhead
 		// (key translation, functor decode — HAMVEOverhead).
 		endFetch := t.nt.Begin(trace.PhaseFetch, t.spanFetch, mid)
-		msg := make([]byte, n)
+		msg := t.recv[:n]
 		err = t.Transport.Fetch(next, msg)
 		endFetch()
 		if err != nil {
@@ -183,13 +197,30 @@ func (t *Target) Serve(s core.Server) error {
 // ham failure response, so the offload fails without corrupting the channel.
 func (t *Target) respond(slot int, seq uint32, resp []byte) error {
 	if len(resp) > t.ResultInline+t.BufSize {
-		resp = ham.EncodeFailure(fmt.Sprintf("%s: result of %d bytes exceeds the send buffer", t.Name, len(resp)))
+		resp = t.resultTooLong(len(resp))
 	}
 	inline := min(len(resp), t.ResultInline)
 	if err := t.Transport.PushResult(slot, resp[:inline], resp[inline:]); err != nil {
 		return err
 	}
 	return t.Transport.PublishResultFlag(slot, slots.Encode(seq, len(resp)))
+}
+
+// The serve loop's failures, rendered off the hot path.
+
+//hot:cold
+func (t *Target) errAborted() error {
+	return fmt.Errorf("%s: serve aborted: %w", t.Name, veos.ErrCrashed)
+}
+
+//hot:cold
+func (t *Target) errTooLong(slot, n int) error {
+	return fmt.Errorf("%s: slot %d announces a message of %d bytes, buffer size is %d", t.Name, slot, n, t.BufSize)
+}
+
+//hot:cold
+func (t *Target) resultTooLong(n int) []byte {
+	return ham.EncodeFailure(fmt.Sprintf("%s: result of %d bytes exceeds the send buffer", t.Name, n))
 }
 
 // Memory implements core.Backend.

@@ -142,3 +142,96 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 		t.Errorf("batch flush+settle allocates %.1f times per frame; the warm cycle is contractually zero-alloc (see docs/LINTING.md)", allocs)
 	}
 }
+
+var fnAllocAdd = NewFunc2[int64]("test.allocadd",
+	func(_ *Ctx, a, b int64) (int64, error) { return a + b, nil })
+
+// TestBindAllocs pins Bind at its one allocation, the closure holding the
+// bound arguments: the result decoder is built once, at registration.
+func TestBindAllocs(t *testing.T) {
+	var fn Functor[int64]
+	if n := testing.AllocsPerRun(100, func() { fn = fnAllocAdd.Bind(40, 2) }); n != 1 {
+		t.Errorf("Func2.Bind allocates %.1f objects, want 1", n)
+	}
+	enc := ham.NewEncoder()
+	fn.payload(enc)
+	dec := ham.NewDecoder(enc.Bytes())
+	if a, b := dec.I64(), dec.I64(); a != 40 || b != 2 || dec.Err() != nil {
+		t.Fatalf("bound arguments encode as %d, %d (%v); want 40, 2", a, b, dec.Err())
+	}
+}
+
+// TestBatchFramesInFlightZeroAlloc keeps several frames open at once, the
+// way the gateway does (up to Window frames per VE): every one of them must
+// come back through the free list, so a warm cycle of frames allocates
+// nothing. A single recycling slot would serve one frame of each wave and
+// allocate a call object, plus its regrown arrays, for every other.
+func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
+	const frames = 6
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-inflight-t")
+	tbk.target = target
+	hbk := &frameBackend{target: target, store: make([][]byte, frames)}
+	host := NewRuntime(hbk, "alloc-arch-inflight-h")
+	host.SetBatching(BatchPolicy{MaxMessages: 8})
+
+	b := NewBatcher(host)
+	q := b.queue(1)
+	fn := fnAllocInc.Bind(41)
+	wire, err := host.bin.EncodeRequest(fn.name, fn.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var futs [frames]*Future[int64]
+	for i := range futs {
+		futs[i] = &Future[int64]{rt: host, decode: fn.decode}
+	}
+	cycle := func() {
+		for _, f := range futs {
+			f.done, f.val, f.err = false, 0, nil
+			f.btv = batchTicket{b: b, q: q}
+			f.bt = &f.btv
+			q.putEntry(wire)
+			q.pds = append(q.pds, nil)
+			q.sinks = append(q.sinks, f)
+			q.tks = append(q.tks, f.bt)
+			q.fids = append(q.fids, 0)
+			b.flushQueue(q) // one frame per future, all left in flight
+		}
+		for _, f := range futs {
+			if v, err := f.Get(); v != 42 || err != nil {
+				t.Fatalf("batched result = %d, %v; want 42, nil", v, err)
+			}
+		}
+	}
+	cycle()
+	parked := 0
+	for bc := host.freeBC; bc != nil; bc = bc.next {
+		parked++
+	}
+	if parked != frames {
+		t.Fatalf("free list holds %d calls after %d frames in flight, want %d", parked, frames, frames)
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a warm wave of %d in-flight frames allocates %.1f objects, want 0", frames, allocs)
+	}
+}
+
+// frameBackend is allocBackend for several outstanding calls: each Call's
+// response is copied into one of a ring of reused buffers and handed back
+// when its handle asks.
+type frameBackend struct {
+	allocBackend
+	target *Runtime
+	store  [][]byte
+	calls  int
+}
+
+func (b *frameBackend) Call(_ NodeID, msg []byte) (Handle, error) {
+	slot := &b.store[b.calls%len(b.store)]
+	b.calls++
+	*slot = append((*slot)[:0], b.target.Dispatch(msg)...)
+	return slot, nil
+}
+
+func (b *frameBackend) Wait(h Handle) ([]byte, error) { return *h.(*[]byte), nil }

@@ -413,10 +413,12 @@ func (tk *batchTicket) ensureFlushed() {
 // fault-tolerance policy; the target answers retransmitted entries from
 // its dedup window, so handlers still run at most once.
 //
-// Completed calls recycle through the runtime's single-slot pool
-// (takeBatchCall): once deliver or failAll has settled every sink, the
-// futures short-circuit on their own done flag and never touch the call
-// again, so its arrays are free to back the next frame.
+// Completed calls recycle through the runtime's free list (takeBatchCall):
+// once deliver or failAll has settled every sink, the futures short-circuit
+// on their own done flag and never touch the call again, so its arrays are
+// free to back the next frame. The list grows to the number of frames ever
+// in flight at once — the gateway keeps up to Window frames open per VE, a
+// single slot missed almost every time there — and no further.
 type batchCall struct {
 	rt    *Runtime
 	h     Handle
@@ -424,27 +426,35 @@ type batchCall struct {
 	pds   []*pending // per-entry envelope state, nil entries with FT off
 	sinks []settler
 	done  bool
+	next  *batchCall // free-list link while parked
 
 	// deliver scratch, reused across retries and pool cycles.
-	subs     [][]byte
-	payloads [][]byte
+	subs [][]byte
 }
 
-// takeBatchCall returns a batchCall for the next flush, recycling the last
+// takeBatchCall returns a batchCall for the next flush, recycling a
 // completed one when available.
 func (rt *Runtime) takeBatchCall() *batchCall {
 	bc := rt.freeBC
 	if bc == nil {
-		return &batchCall{rt: rt} //lint:allow hotalloc pool miss: one call object per concurrently in-flight frame
+		return &batchCall{rt: rt} //lint:allow hotalloc pool miss: one call object per concurrently in-flight frame, then recycled
 	}
-	rt.freeBC = nil
-	bc.h, bc.fpd, bc.done = nil, nil, false
+	rt.freeBC, bc.next = bc.next, nil
+	bc.done = false
 	return bc
 }
 
-// recycle parks the completed call for reuse. Callers must have settled
-// every sink first.
-func (bc *batchCall) recycle() { bc.rt.freeBC = bc }
+// recycle parks the completed call for reuse, dropping what it still
+// references: the settled futures, their retransmission state and the
+// response bytes the scratch slices alias. Callers must have settled every
+// sink first.
+func (bc *batchCall) recycle() {
+	bc.h, bc.fpd = nil, nil
+	clear(bc.pds)
+	clear(bc.sinks)
+	clear(bc.subs)
+	bc.next, bc.rt.freeBC = bc.rt.freeBC, bc
+}
 
 // resolve blocks until the frame completes and settles every future.
 func (bc *batchCall) resolve() {
@@ -508,7 +518,7 @@ func (bc *batchCall) deliver(resp []byte) error {
 	bc.subs = subs
 	if !isBatch {
 		if bc.fpd != nil {
-			return fmt.Errorf("%w: batch response not framed", ErrPayloadCorrupt)
+			return errBatchUnframed
 		}
 		// Without FT nothing retries: surface whatever the target said —
 		// typically its failure response to a frame it could not parse —
@@ -524,28 +534,35 @@ func (bc *batchCall) deliver(resp []byte) error {
 		return err
 	}
 	if len(subs) != len(bc.sinks) {
-		return fmt.Errorf("%w: batch response carries %d entries, want %d",
-			ErrPayloadCorrupt, len(subs), len(bc.sinks))
+		return errBatchCount(len(subs), len(bc.sinks))
 	}
 	// Validate every entry before settling any, so a single corrupt entry
 	// retries the frame instead of splitting it into settled and lost
-	// halves. The dedup window answers the already-executed entries.
-	payloads := bc.payloads[:0]
+	// halves. The dedup window answers the already-executed entries. Each
+	// entry is replaced by its payload in place: subs is scratch, and a retry
+	// splits the next response afresh.
 	for i, sub := range subs {
 		p, err := bc.rt.openResponse(bc.pds[i], sub)
 		if err != nil {
-			bc.payloads = payloads
 			return err
 		}
-		payloads = append(payloads, p)
+		subs[i] = p
 	}
-	bc.payloads = payloads
 	for i, s := range bc.sinks {
-		s.settle(payloads[i])
+		s.settle(subs[i])
 	}
 	bc.done = true
 	bc.recycle()
 	return nil
+}
+
+// errBatchUnframed is an FT-armed frame answered by something that is not a
+// batch frame.
+var errBatchUnframed = fmt.Errorf("%w: batch response not framed", ErrPayloadCorrupt)
+
+//hot:cold
+func errBatchCount(got, want int) error {
+	return fmt.Errorf("%w: batch response carries %d entries, want %d", ErrPayloadCorrupt, got, want)
 }
 
 // failAll fails every unsettled future with err.

@@ -190,7 +190,8 @@ type Runtime struct {
 	// without a per-response decoder; batchScratch is the arena a batch
 	// response frame is built in (stolen for the duration of a dispatch so
 	// nested frames fall back to fresh buffers); subsScratch backs batch
-	// frame splitting the same way; freeBC recycles the per-flush batchCall.
+	// frame splitting the same way; freeBC heads the free list of completed
+	// batchCalls, one per frame that was ever in flight at once.
 	ctx          Ctx
 	respDec      ham.Decoder
 	batchScratch []byte

@@ -171,17 +171,24 @@ func (rt *Runtime) openResponse(pd *pending, resp []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !enveloped {
-		return nil, fmt.Errorf("%w: response not enveloped", ErrPayloadCorrupt)
-	}
-	if kind == envNack {
-		return nil, fmt.Errorf("%w: target rejected request checksum (seq %d)", ErrPayloadCorrupt, seq)
-	}
-	if kind != envResponse || seq != pd.seq {
-		return nil, fmt.Errorf("%w: response envelope kind %d seq %d (want seq %d)",
-			ErrPayloadCorrupt, kind, seq, pd.seq)
+	if !enveloped || kind != envResponse || seq != pd.seq {
+		return nil, errBadEnvelope(enveloped, kind, seq, pd.seq)
 	}
 	return payload, nil
+}
+
+// errBadEnvelope names what was wrong with a response that did not carry the
+// envelope its request went out in.
+//
+//hot:cold
+func errBadEnvelope(enveloped bool, kind uint8, seq, want uint64) error {
+	switch {
+	case !enveloped:
+		return fmt.Errorf("%w: response not enveloped", ErrPayloadCorrupt)
+	case kind == envNack:
+		return fmt.Errorf("%w: target rejected request checksum (seq %d)", ErrPayloadCorrupt, seq)
+	}
+	return fmt.Errorf("%w: response envelope kind %d seq %d (want seq %d)", ErrPayloadCorrupt, kind, seq, want)
 }
 
 // resolve blocks until the offload behind h completes, applying the retry

@@ -129,13 +129,13 @@ func (f Functor[R]) Name() string { return f.name }
 // Async performs an asynchronous offload of fn to node, returning a future
 // (Table II's async). The offload lifecycle span opens here and closes when
 // the future settles.
+//
+//hot:path
 func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
 	endOff := rt.beginOffload(node, fn.name)
 	h, pd, err := rt.callAsync(node, fn.name, fn.payload)
 	if err != nil {
-		f := &Future[R]{rt: rt, onDone: endOff}
-		f.fail(err)
-		return f
+		return failedFuture[R](rt, endOff, err)
 	}
 	f := newFuture(rt, h, fn.decode)
 	f.pd = pd
@@ -160,8 +160,8 @@ func fnName(name string) string { return "fn:" + name }
 
 // Func0 is a registered offloadable function with no arguments.
 type Func0[R any] struct {
-	name string
-	rc   valCodec[R]
+	name   string
+	decode func(*ham.Decoder) (R, error) // built once at registration, shared by every Bind
 }
 
 // NewFunc0 registers impl as an offloadable function. Registration must
@@ -177,19 +177,21 @@ func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 		rc.enc(enc, r)
 		return nil
 	})
-	return Func0[R]{name: fnName(name), rc: rc}
+	return Func0[R]{name: fnName(name), decode: resultDecoder(rc)}
 }
 
 // Bind produces the offloadable functor.
+//
+//hot:path
 func (f Func0[R]) Bind() Functor[R] {
-	return Functor[R]{name: f.name, payload: func(*ham.Encoder) {}, decode: resultDecoder(f.rc)}
+	return Functor[R]{name: f.name, payload: func(*ham.Encoder) {}, decode: f.decode}
 }
 
 // Func1 is a registered offloadable function with one argument.
 type Func1[R, A1 any] struct {
-	name string
-	rc   valCodec[R]
-	a1   valCodec[A1]
+	name   string
+	decode func(*ham.Decoder) (R, error)
+	a1     valCodec[A1]
 }
 
 // NewFunc1 registers impl as an offloadable one-argument function.
@@ -207,24 +209,29 @@ func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A
 		rc.enc(enc, r)
 		return nil
 	})
-	return Func1[R, A1]{name: fnName(name), rc: rc, a1: a1}
+	return Func1[R, A1]{name: fnName(name), decode: resultDecoder(rc), a1: a1}
 }
 
-// Bind binds the argument, producing the offloadable functor.
+// Bind binds the argument, producing the offloadable functor. The closure
+// captures the argument and its encoder only, not the whole Func1: it is the
+// one allocation of a Bind, so its size is per-request cost.
+//
+//hot:path
 func (f Func1[R, A1]) Bind(v1 A1) Functor[R] {
+	e1 := f.a1.enc
 	return Functor[R]{
 		name:    f.name,
-		payload: func(e *ham.Encoder) { f.a1.enc(e, v1) },
-		decode:  resultDecoder(f.rc),
+		payload: func(e *ham.Encoder) { e1(e, v1) }, //lint:allow hotalloc the bound-argument closure is what Bind returns
+		decode:  f.decode,
 	}
 }
 
 // Func2 is a registered offloadable function with two arguments.
 type Func2[R, A1, A2 any] struct {
-	name string
-	rc   valCodec[R]
-	a1   valCodec[A1]
-	a2   valCodec[A2]
+	name   string
+	decode func(*ham.Decoder) (R, error)
+	a1     valCodec[A1]
+	a2     valCodec[A2]
 }
 
 // NewFunc2 registers impl as an offloadable two-argument function.
@@ -243,28 +250,31 @@ func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Fu
 		rc.enc(enc, r)
 		return nil
 	})
-	return Func2[R, A1, A2]{name: fnName(name), rc: rc, a1: a1, a2: a2}
+	return Func2[R, A1, A2]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2}
 }
 
 // Bind binds the arguments, producing the offloadable functor.
+//
+//hot:path
 func (f Func2[R, A1, A2]) Bind(v1 A1, v2 A2) Functor[R] {
+	e1, e2 := f.a1.enc, f.a2.enc
 	return Functor[R]{
 		name: f.name,
-		payload: func(e *ham.Encoder) {
-			f.a1.enc(e, v1)
-			f.a2.enc(e, v2)
+		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
+			e1(e, v1)
+			e2(e, v2)
 		},
-		decode: resultDecoder(f.rc),
+		decode: f.decode,
 	}
 }
 
 // Func3 is a registered offloadable function with three arguments.
 type Func3[R, A1, A2, A3 any] struct {
-	name string
-	rc   valCodec[R]
-	a1   valCodec[A1]
-	a2   valCodec[A2]
-	a3   valCodec[A3]
+	name   string
+	decode func(*ham.Decoder) (R, error)
+	a1     valCodec[A1]
+	a2     valCodec[A2]
+	a3     valCodec[A3]
 }
 
 // NewFunc3 registers impl as an offloadable three-argument function.
@@ -284,30 +294,33 @@ func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, er
 		rc.enc(enc, r)
 		return nil
 	})
-	return Func3[R, A1, A2, A3]{name: fnName(name), rc: rc, a1: a1, a2: a2, a3: a3}
+	return Func3[R, A1, A2, A3]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3}
 }
 
 // Bind binds the arguments, producing the offloadable functor.
+//
+//hot:path
 func (f Func3[R, A1, A2, A3]) Bind(v1 A1, v2 A2, v3 A3) Functor[R] {
+	e1, e2, e3 := f.a1.enc, f.a2.enc, f.a3.enc
 	return Functor[R]{
 		name: f.name,
-		payload: func(e *ham.Encoder) {
-			f.a1.enc(e, v1)
-			f.a2.enc(e, v2)
-			f.a3.enc(e, v3)
+		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
+			e1(e, v1)
+			e2(e, v2)
+			e3(e, v3)
 		},
-		decode: resultDecoder(f.rc),
+		decode: f.decode,
 	}
 }
 
 // Func4 is a registered offloadable function with four arguments.
 type Func4[R, A1, A2, A3, A4 any] struct {
-	name string
-	rc   valCodec[R]
-	a1   valCodec[A1]
-	a2   valCodec[A2]
-	a3   valCodec[A3]
-	a4   valCodec[A4]
+	name   string
+	decode func(*ham.Decoder) (R, error)
+	a1     valCodec[A1]
+	a2     valCodec[A2]
+	a3     valCodec[A3]
+	a4     valCodec[A4]
 }
 
 // NewFunc4 registers impl as an offloadable four-argument function.
@@ -328,20 +341,23 @@ func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4
 		rc.enc(enc, r)
 		return nil
 	})
-	return Func4[R, A1, A2, A3, A4]{name: fnName(name), rc: rc, a1: a1, a2: a2, a3: a3, a4: a4}
+	return Func4[R, A1, A2, A3, A4]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3, a4: a4}
 }
 
 // Bind binds the arguments, producing the offloadable functor.
+//
+//hot:path
 func (f Func4[R, A1, A2, A3, A4]) Bind(v1 A1, v2 A2, v3 A3, v4 A4) Functor[R] {
+	e1, e2, e3, e4 := f.a1.enc, f.a2.enc, f.a3.enc, f.a4.enc
 	return Functor[R]{
 		name: f.name,
-		payload: func(e *ham.Encoder) {
-			f.a1.enc(e, v1)
-			f.a2.enc(e, v2)
-			f.a3.enc(e, v3)
-			f.a4.enc(e, v4)
+		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
+			e1(e, v1)
+			e2(e, v2)
+			e3(e, v3)
+			e4(e, v4)
 		},
-		decode: resultDecoder(f.rc),
+		decode: f.decode,
 	}
 }
 

@@ -19,8 +19,10 @@ type Future[T any] struct {
 	btv batchTicket
 
 	// onDone, when set, fires exactly once as the future settles or fails;
-	// the runtime uses it to close the offload lifecycle span.
+	// the runtime uses it to close the offload lifecycle span. hook runs
+	// right after it: the settle hooks callers registered, in order.
 	onDone func()
+	hook   SettleHook
 
 	done bool
 	val  T
@@ -73,20 +75,43 @@ func (f *Future[T]) Get() (T, error) {
 	return f.val, f.err
 }
 
+// SettleHook is notified once when a future completes, after any result
+// decoding. It is the allocation-free form of an OnSettle callback: a
+// caller that already holds a per-request object (the gateway's ticket)
+// passes a pointer to it instead of building a closure around it.
+type SettleHook interface {
+	FutureSettled()
+}
+
+// hookFunc adapts a plain callback; a func value fits the interface word.
+type hookFunc func()
+
+func (fn hookFunc) FutureSettled() { fn() }
+
+// hookPair chains a later hook behind an earlier one. Only a future with
+// more than one hook pays for it.
+type hookPair struct{ first, then SettleHook }
+
+func (p *hookPair) FutureSettled() {
+	p.first.FutureSettled()
+	p.then.FutureSettled()
+}
+
 // OnSettle registers fn to run once when the future completes, after any
 // result decoding; a future that already completed runs it immediately.
 // The cluster scheduler uses it for in-flight accounting.
-func (f *Future[T]) OnSettle(fn func()) {
-	if f.done {
-		fn()
-		return
-	}
-	prev := f.onDone
-	f.onDone = func() {
-		if prev != nil {
-			prev()
-		}
-		fn()
+func (f *Future[T]) OnSettle(fn func()) { f.OnSettleHook(hookFunc(fn)) }
+
+// OnSettleHook is OnSettle for a SettleHook. Hooks run in registration
+// order.
+func (f *Future[T]) OnSettleHook(h SettleHook) {
+	switch {
+	case f.done:
+		h.FutureSettled()
+	case f.hook == nil:
+		f.hook = h
+	default:
+		f.hook = &hookPair{first: f.hook, then: h} //lint:allow hotalloc a further hook is registration state the future keeps until it settles
 	}
 }
 
@@ -130,6 +155,10 @@ func (f *Future[T]) fireDone() {
 	if f.onDone != nil {
 		f.onDone()
 		f.onDone = nil
+	}
+	if h := f.hook; h != nil {
+		f.hook = nil
+		h.FutureSettled()
 	}
 }
 

@@ -25,10 +25,21 @@ import (
 	"hamoffload/internal/vemem"
 )
 
+// Span names per pcie.Direction, built once: a transfer must not concatenate
+// a label for a tracer that may be nil.
+var (
+	spanUserDMA = [2]string{pcie.Down: "user-dma " + pcie.Down.String(), pcie.Up: "user-dma " + pcie.Up.String()}
+	spanWire    = [2]string{pcie.Down: "pcie " + pcie.Down.String(), pcie.Up: "pcie " + pcie.Up.String()}
+)
+
+// The fault helpers take the engine's Timing by pointer: it is a table of
+// some forty calibration values, and copying it per hook was 5 % of a
+// serving run.
+
 // checkTransfer runs the shared fault hooks of a DMA transfer start: an
 // active link-down window or a scheduled transfer error fails the transfer
 // before any byte moves — a failed transfer delivers nothing.
-func checkTransfer(p *simtime.Proc, t topology.Timing, site faults.Site, path pcie.Path) error {
+func checkTransfer(p *simtime.Proc, t *topology.Timing, site faults.Site, path pcie.Path) error {
 	if t.Faults == nil {
 		return nil
 	}
@@ -47,19 +58,21 @@ func checkTransfer(p *simtime.Proc, t topology.Timing, site faults.Site, path pc
 // degrades this node, the transfer is delayed by the injector's verdict on
 // its nominal cost (SlowDown factors, seed-derived jitter) before the
 // engine starts. Zero cost without an injector; see faults.SlowDelay.
-func slowDown(p *simtime.Proc, t topology.Timing, site faults.Site, path pcie.Path, base simtime.Duration) {
+func slowDown(p *simtime.Proc, t *topology.Timing, site faults.Site, path pcie.Path, base simtime.Duration) {
 	if t.Faults == nil {
 		return
 	}
 	if d := t.Faults.SlowDelay(p.Now(), site, path.Link.VE(), base); d > 0 {
-		t.Tracer.Instant(p, "fault", "slow-down "+site.String())
+		if t.Tracer != nil {
+			t.Tracer.Instant(p, "fault", "slow-down "+site.String())
+		}
 		p.Sleep(d)
 	}
 }
 
 // corrupt flips one byte of the destination region when a bit-flip fault is
 // scheduled for this transfer, after the data moved.
-func corrupt(p *simtime.Proc, t topology.Timing, site faults.Site, path pcie.Path,
+func corrupt(p *simtime.Proc, t *topology.Timing, site faults.Site, path pcie.Path,
 	m *mem.Memory, addr mem.Addr, n int64) {
 	if t.Faults == nil {
 		return
@@ -73,9 +86,17 @@ func corrupt(p *simtime.Proc, t topology.Timing, site faults.Site, path pcie.Pat
 		return
 	}
 	b[0] ^= 0x10
-	if m.WriteAt(b[:], addr+mem.Addr(off)) == nil {
+	if m.WriteAt(b[:], addr+mem.Addr(off)) != nil {
+		return
+	}
+	if t.Tracer != nil {
 		t.Tracer.Instant(p, "fault", "bit-flip "+site.String())
 	}
+}
+
+//hot:cold
+func errNegativeSize(engine string, n int64) error {
+	return fmt.Errorf("dma: %s transfer of negative size %d", engine, n)
 }
 
 // TranslateMode selects the VEOS DMA manager's address-translation strategy.
@@ -167,9 +188,9 @@ func (d *Privileged) Read(p *simtime.Proc, hostAddr, veAddr mem.Addr, n int64) e
 
 func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostAddr mem.Addr, n int64) error {
 	if n < 0 {
-		return fmt.Errorf("dma: privileged transfer of negative size %d", n)
+		return errNegativeSize("privileged", n)
 	}
-	if err := checkTransfer(p, d.timing, faults.SitePrivDMA, d.path); err != nil {
+	if err := checkTransfer(p, &d.timing, faults.SitePrivDMA, d.path); err != nil {
 		return err
 	}
 	name := "priv-dma-write"
@@ -182,7 +203,7 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 		rate = d.timing.PrivDMAReadRate
 	}
 	wire := simtime.BytesOver(n, rate)
-	slowDown(p, d.timing, faults.SitePrivDMA, d.path, wire+d.timing.PrivDMAKick)
+	slowDown(p, &d.timing, faults.SitePrivDMA, d.path, wire+d.timing.PrivDMAKick)
 
 	d.engine.Acquire(p)
 	p.Sleep(d.translateTime(hostAddr, n, wire))
@@ -192,7 +213,7 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 		// with the VE memory controller before data flows back.
 		p.Sleep(d.timing.PrivDMAReadExtra)
 	}
-	endWire := d.timing.Tracer.Span(p, "pcie", "pcie "+dir.String())
+	endWire := d.timing.Tracer.Span(p, "pcie", spanWire[dir])
 	if n > 0 {
 		d.path.Link.Occupy(p, dir, n) // engine rate below link rate: charge engine rate
 		// The engine's sustained rate is below the link's TLP-limited rate;
@@ -209,13 +230,13 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 		if err := mem.Copy(d.veMem, veAddr, d.hostMem, hostAddr, n); err != nil {
 			return err
 		}
-		corrupt(p, d.timing, faults.SitePrivDMA, d.path, d.veMem, veAddr, n)
+		corrupt(p, &d.timing, faults.SitePrivDMA, d.path, d.veMem, veAddr, n)
 		return nil
 	}
 	if err := mem.Copy(d.hostMem, hostAddr, d.veMem, veAddr, n); err != nil {
 		return err
 	}
-	corrupt(p, d.timing, faults.SitePrivDMA, d.path, d.hostMem, hostAddr, n)
+	corrupt(p, &d.timing, faults.SitePrivDMA, d.path, d.hostMem, hostAddr, n)
 	return nil
 }
 
@@ -254,9 +275,11 @@ const (
 // Post moves n bytes from srcVEHVA to dstVEHVA in direction dir and blocks
 // until completion. Both ranges must be DMAATB-registered. Large transfers
 // split into pipelined descriptors of at most UserDMAMaxDescriptor bytes.
+//
+//hot:path
 func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHVA, srcVEHVA mem.Addr, n int64) error {
 	if n < 0 {
-		return fmt.Errorf("dma: user DMA transfer of negative size %d", n)
+		return errNegativeSize("user DMA", n)
 	}
 	dstMem, dstAddr, err := u.atb.Translate(dstVEHVA, n)
 	if err != nil {
@@ -266,7 +289,7 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	if err != nil {
 		return err
 	}
-	if err := checkTransfer(p, u.timing, faults.SiteUserDMA, u.path); err != nil {
+	if err := checkTransfer(p, &u.timing, faults.SiteUserDMA, u.path); err != nil {
 		return err
 	}
 
@@ -274,15 +297,15 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	if dir == pcie.Down {
 		rate = u.timing.UserDMAReadRate
 	}
-	slowDown(p, u.timing, faults.SiteUserDMA, u.path, simtime.BytesOver(n, rate)+u.timing.UserDMAHWLatency)
+	slowDown(p, &u.timing, faults.SiteUserDMA, u.path, simtime.BytesOver(n, rate)+u.timing.UserDMAHWLatency)
 
-	defer u.timing.Tracer.Span(p, "dma", "user-dma "+dir.String())()
+	defer u.timing.Tracer.Span(p, "dma", spanUserDMA[dir])()
 	u.engine.Acquire(p)
 	if level == API {
 		p.Sleep(u.timing.UserDMAAPISetup)
 	}
 	p.Sleep(u.timing.UserDMAHWLatency)
-	endWire := u.timing.Tracer.Span(p, "pcie", "pcie "+dir.String())
+	endWire := u.timing.Tracer.Span(p, "pcie", spanWire[dir])
 	if n > 0 {
 		// Descriptors pipeline: total time is rate-limited; per-descriptor
 		// overhead is hidden behind the transfer of the previous one.
@@ -305,7 +328,7 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	if err := mem.Copy(dstMem, dstAddr, srcMem, srcAddr, n); err != nil {
 		return err
 	}
-	corrupt(p, u.timing, faults.SiteUserDMA, u.path, dstMem, dstAddr, n)
+	corrupt(p, &u.timing, faults.SiteUserDMA, u.path, dstMem, dstAddr, n)
 	return nil
 }
 
@@ -330,15 +353,17 @@ func (in *Instr) Stores() int64 { return in.stores }
 
 // LoadWord performs one LHM: an 8-byte load from the VEHVA. LHM is a full
 // round trip over PCIe and does not pipeline.
+//
+//hot:path
 func (in *Instr) LoadWord(p *simtime.Proc, vehva mem.Addr) (uint64, error) {
 	m, addr, err := in.atb.Translate(vehva, 8)
 	if err != nil {
 		return 0, err
 	}
-	if err := checkTransfer(p, in.timing, faults.SiteLHM, in.path); err != nil {
+	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return 0, err
 	}
-	slowDown(p, in.timing, faults.SiteLHM, in.path, in.timing.LHMPerWord)
+	slowDown(p, &in.timing, faults.SiteLHM, in.path, in.timing.LHMPerWord)
 	defer in.timing.Tracer.Span(p, "pcie", "lhm-load")()
 	p.Sleep(in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2)
 	in.loads++
@@ -346,15 +371,17 @@ func (in *Instr) LoadWord(p *simtime.Proc, vehva mem.Addr) (uint64, error) {
 }
 
 // StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
+//
+//hot:path
 func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 	m, addr, err := in.atb.Translate(vehva, 8)
 	if err != nil {
 		return err
 	}
-	if err := checkTransfer(p, in.timing, faults.SiteLHM, in.path); err != nil {
+	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return err
 	}
-	slowDown(p, in.timing, faults.SiteLHM, in.path, in.timing.SHMFirstWord)
+	slowDown(p, &in.timing, faults.SiteLHM, in.path, in.timing.SHMFirstWord)
 	defer in.timing.Tracer.Span(p, "pcie", "shm-store")()
 	p.Sleep(in.timing.SHMFirstWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency)
 	in.stores++
@@ -364,6 +391,8 @@ func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 // StoreBytes stores data word-by-word via SHM. The first store pays the
 // setup cost; subsequent posted stores pipeline at SHMPerWord. Data is
 // padded to a whole word as the instruction writes 8 bytes at a time.
+//
+//hot:path
 func (in *Instr) StoreBytes(p *simtime.Proc, vehva mem.Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -373,21 +402,27 @@ func (in *Instr) StoreBytes(p *simtime.Proc, vehva mem.Addr, data []byte) error 
 	if err != nil {
 		return err
 	}
-	if err := checkTransfer(p, in.timing, faults.SiteLHM, in.path); err != nil {
+	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return err
 	}
 	words := padded / 8
 	cost := in.timing.SHMFirstWord + simtime.Duration(words-1)*in.timing.SHMPerWord
-	slowDown(p, in.timing, faults.SiteLHM, in.path, cost)
+	slowDown(p, &in.timing, faults.SiteLHM, in.path, cost)
 	defer in.timing.Tracer.Span(p, "pcie", "shm-store")()
 	p.Sleep(cost + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency)
 	in.stores += words
-	buf := make([]byte, padded)
-	copy(buf, data)
-	if err := m.WriteAt(buf, addr); err != nil {
+	// The last word's padding is stored as zeros behind the data rather than
+	// through a padded copy of it: same bytes in memory, no buffer.
+	if err := m.WriteAt(data, addr); err != nil {
 		return err
 	}
-	corrupt(p, in.timing, faults.SiteLHM, in.path, m, addr, padded)
+	if pad := padded - int64(len(data)); pad > 0 {
+		var zeros [8]byte
+		if err := m.WriteAt(zeros[:pad], addr+mem.Addr(len(data))); err != nil {
+			return err
+		}
+	}
+	corrupt(p, &in.timing, faults.SiteLHM, in.path, m, addr, padded)
 	return nil
 }
 
@@ -402,11 +437,11 @@ func (in *Instr) LoadBytes(p *simtime.Proc, vehva mem.Addr, out []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := checkTransfer(p, in.timing, faults.SiteLHM, in.path); err != nil {
+	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return err
 	}
 	words := padded / 8
-	slowDown(p, in.timing, faults.SiteLHM, in.path, simtime.Duration(words)*in.timing.LHMPerWord)
+	slowDown(p, &in.timing, faults.SiteLHM, in.path, simtime.Duration(words)*in.timing.LHMPerWord)
 	defer in.timing.Tracer.Span(p, "pcie", "lhm-load")()
 	p.Sleep(simtime.Duration(words)*in.timing.LHMPerWord +
 		simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2)

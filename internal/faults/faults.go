@@ -203,24 +203,57 @@ func (e *Error) Error() string {
 // process crash is: the next attempt draws a fresh op index.
 func (e *Error) Transient() bool { return e.Kind != Crash }
 
-// opKey counts operations per (kind, site, node), so rule op indices are
-// insensitive to unrelated traffic.
-type opKey struct {
-	kind Kind
-	site Site
-	node int
+// numKinds and numSites size the compiled tables: every declared Kind and
+// Site is an index (Kind 0 is unused, Site 0 is SiteAny, which LinkError
+// queries with).
+const (
+	numKinds = int(Jitter) + 1
+	numSites = int(SitePCIe) + 1
+)
+
+// siteTable is what New compiles for one (kind, site) hook point: which
+// rules can match there, for which nodes, and the op counters those rules
+// read. rules, anyNode and nodes never change after New, so hooks read them
+// without the lock; ops is guarded by Injector.mu.
+type siteTable struct {
+	rules   []int  // indices into Injector.rules of this kind matching this site, in plan order
+	anyNode bool   // one of them has Node == AnyNode
+	nodes   []bool // nodes[n]: one of them names node n
+	ops     []uint64
+}
+
+// grow extends the counters to node, the first time an op is counted for a
+// node id past the table.
+//
+//hot:cold
+func (st *siteTable) grow(node int) {
+	st.ops = append(st.ops, make([]uint64, node+1-len(st.ops))...)
+}
+
+// armed reports whether some rule can match node here.
+func (st *siteTable) armed(node int) bool {
+	return st.anyNode || (node < len(st.nodes) && st.nodes[node])
 }
 
 // Injector is the compiled, concurrency-safe decision engine for a Plan.
 // nil is a valid receiver for every method and decides "no fault".
 // Methods take the current simulated time where time-window rules apply;
-// wall-clock callers pass 0.
+// wall-clock callers pass 0. Hooks must name a declared Site and a
+// non-negative node id (AnyNode is for rules only).
+//
+// The op counter of a (kind, site, node) triple is read only by rules
+// matching that triple — the AfterOp/Every test, the probabilistic draw,
+// Error.Op and Corrupt's offset all sit behind the match. So a hook whose
+// triple no rule can match neither locks nor counts: the counter it skips is
+// one nothing can observe, and every counter a rule can read advances exactly
+// as if all of them were kept.
 type Injector struct {
+	seed   uint64
+	rules  []Rule
+	tables [numKinds][numSites]siteTable
+
 	mu       sync.Mutex
-	seed     uint64
-	rules    []Rule
 	left     []int // remaining fires per op-scheduled rule; -1 = not op-scheduled
-	ops      map[opKey]uint64
 	injected uint64
 }
 
@@ -234,17 +267,36 @@ func New(p *Plan) *Injector {
 		seed:  p.Seed,
 		rules: append([]Rule(nil), p.Rules...),
 		left:  make([]int, len(p.Rules)),
-		ops:   make(map[opKey]uint64),
 	}
 	for i, r := range in.rules {
-		if r.Rate > 0 || r.Until > 0 {
+		switch {
+		case r.Rate > 0 || r.Until > 0:
 			in.left[i] = -1
+		case r.Count <= 0:
+			in.left[i] = 1
+		default:
+			in.left[i] = r.Count
+		}
+		// A rule outside the declared kinds and sites, or naming a negative
+		// node, matches no hook.
+		if r.Kind == 0 || int(r.Kind) >= numKinds || int(r.Site) >= numSites || r.Node < AnyNode {
 			continue
 		}
-		if r.Count <= 0 {
-			in.left[i] = 1
-		} else {
-			in.left[i] = r.Count
+		first, last := r.Site, r.Site
+		if r.Site == SiteAny {
+			last = Site(numSites - 1)
+		}
+		for s := first; s <= last; s++ {
+			st := &in.tables[r.Kind][s]
+			st.rules = append(st.rules, i)
+			if r.Node == AnyNode {
+				st.anyNode = true
+				continue
+			}
+			for len(st.nodes) <= r.Node {
+				st.nodes = append(st.nodes, false)
+			}
+			st.nodes[r.Node] = true
 		}
 	}
 	return in
@@ -262,19 +314,17 @@ func (in *Injector) Injected() uint64 {
 }
 
 // fire advances the (kind, site, node) op counter and reports whether any
-// rule fires for this operation, returning the matched rule.
-func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (Rule, uint64, bool) {
-	key := opKey{kind, site, node}
-	op := in.ops[key]
-	in.ops[key] = op + 1
-	for i := range in.rules {
+// rule fires for this operation, returning the matched rule. The caller
+// holds in.mu and has checked armed(node).
+func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (*Rule, uint64, bool) {
+	st := &in.tables[kind][site]
+	if node >= len(st.ops) {
+		st.grow(node)
+	}
+	op := st.ops[node]
+	st.ops[node] = op + 1
+	for _, i := range st.rules {
 		r := &in.rules[i]
-		if r.Kind != kind {
-			continue
-		}
-		if r.Site != SiteAny && r.Site != site {
-			continue
-		}
 		if r.Node != AnyNode && r.Node != node {
 			continue
 		}
@@ -301,22 +351,24 @@ func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (Rule
 			in.left[i]--
 		}
 		in.injected++
-		return *r, op, true
+		return r, op, true
 	}
-	return Rule{}, op, false
+	return nil, op, false
 }
 
 // TransferError decides whether the transfer at site/node fails. The hook
 // point must consult it before moving any data: a failed transfer delivers
 // nothing.
+//
+//hot:path
 func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
-	if in == nil {
+	if in == nil || !in.tables[DMAError][site].armed(node) {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, op, ok := in.fire(DMAError, site, node, now); ok {
-		return &Error{Kind: DMAError, Site: site, Node: node, Op: op}
+		return &Error{Kind: DMAError, Site: site, Node: node, Op: op} //lint:allow hotalloc an injected fault is the error value the caller keeps
 	}
 	return nil
 }
@@ -324,8 +376,10 @@ func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
 // Corrupt decides whether an n-byte transfer gets one payload byte flipped,
 // returning the byte offset to corrupt, or -1. Transfers of 8 bytes or
 // fewer are never corrupted (see BitFlip).
+//
+//hot:path
 func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int64 {
-	if in == nil || n <= 8 {
+	if in == nil || n <= 8 || !in.tables[BitFlip][site].armed(node) {
 		return -1
 	}
 	in.mu.Lock()
@@ -338,8 +392,10 @@ func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int6
 
 // StallDelay decides whether a VEOS operation at node stalls, returning the
 // extra simulated delay to serve (0 = none).
+//
+//hot:path
 func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
-	if in == nil {
+	if in == nil || !in.tables[Stall][SiteVEOS].armed(node) {
 		return 0
 	}
 	in.mu.Lock()
@@ -363,19 +419,30 @@ func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
 // Jitter rules add noise drawn uniformly in [0, JitterMax) from the plan's
 // splitmix64 stream. Unlike TransferError the operation still succeeds:
 // this is the gray-failure hook, a node that is sick but alive.
+//
+//hot:path
 func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtime.Duration) simtime.Duration {
 	if in == nil {
+		return 0
+	}
+	slow := in.tables[SlowDown][site].armed(node)
+	jitter := in.tables[Jitter][site].armed(node)
+	if !slow && !jitter {
 		return 0
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var extra simtime.Duration
-	if r, _, ok := in.fire(SlowDown, site, node, now); ok && r.Factor > 1 && base > 0 {
-		extra += simtime.Duration(float64(base) * (r.Factor - 1))
+	if slow {
+		if r, _, ok := in.fire(SlowDown, site, node, now); ok && r.Factor > 1 && base > 0 {
+			extra += simtime.Duration(float64(base) * (r.Factor - 1))
+		}
 	}
-	if r, op, ok := in.fire(Jitter, site, node, now); ok && r.JitterMax > 0 {
-		h := mix(in.seed, uint64(Jitter), uint64(site)<<16|uint64(node), op)
-		extra += simtime.Duration(h % uint64(r.JitterMax))
+	if jitter {
+		if r, op, ok := in.fire(Jitter, site, node, now); ok && r.JitterMax > 0 {
+			h := mix(in.seed, uint64(Jitter), uint64(site)<<16|uint64(node), op)
+			extra += simtime.Duration(h % uint64(r.JitterMax))
+		}
 	}
 	return extra
 }
@@ -383,8 +450,10 @@ func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtim
 // CrashNow decides whether the VE process on node crashes at this
 // operation. The caller (the VEOS layer) records the crash; the injector
 // only schedules it.
+//
+//hot:path
 func (in *Injector) CrashNow(now simtime.Time, node int) bool {
-	if in == nil {
+	if in == nil || !in.tables[Crash][SiteVEOS].armed(node) {
 		return false
 	}
 	in.mu.Lock()
@@ -395,22 +464,26 @@ func (in *Injector) CrashNow(now simtime.Time, node int) bool {
 
 // LinkError decides whether a transfer crossing node's PCIe link fails
 // because the link is down.
+//
+//hot:path
 func (in *Injector) LinkError(now simtime.Time, node int) error {
-	if in == nil {
+	if in == nil || !in.tables[LinkDown][SiteAny].armed(node) {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, op, ok := in.fire(LinkDown, SiteAny, node, now); ok {
-		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op}
+		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op} //lint:allow hotalloc an injected fault is the error value the caller keeps
 	}
 	return nil
 }
 
 // ConnReset decides whether a wall-clock backend connection to node drops
 // at this operation.
+//
+//hot:path
 func (in *Injector) ConnReset(node int) bool {
-	if in == nil {
+	if in == nil || !in.tables[ConnReset][SiteConn].armed(node) {
 		return false
 	}
 	in.mu.Lock()

@@ -1,0 +1,357 @@
+package faults
+
+import (
+	"sync"
+	"testing"
+
+	"hamoffload/internal/simtime"
+)
+
+// refInjector is the map-keyed injector the compiled tables replaced, kept
+// as the oracle: it counts every hook call under map[refKey] and scans every
+// rule, with no pre-check. The differential test below holds the shipped
+// Injector to its decisions call by call.
+type refKey struct {
+	kind Kind
+	site Site
+	node int
+}
+
+type refInjector struct {
+	seed     uint64
+	rules    []Rule
+	left     []int
+	ops      map[refKey]uint64
+	injected uint64
+}
+
+func newRef(p *Plan) *refInjector {
+	in := &refInjector{
+		seed:  p.Seed,
+		rules: append([]Rule(nil), p.Rules...),
+		left:  make([]int, len(p.Rules)),
+		ops:   make(map[refKey]uint64),
+	}
+	for i, r := range in.rules {
+		if r.Rate > 0 || r.Until > 0 {
+			in.left[i] = -1
+			continue
+		}
+		if r.Count <= 0 {
+			in.left[i] = 1
+		} else {
+			in.left[i] = r.Count
+		}
+	}
+	return in
+}
+
+func (in *refInjector) fire(kind Kind, site Site, node int, now simtime.Time) (Rule, uint64, bool) {
+	key := refKey{kind, site, node}
+	op := in.ops[key]
+	in.ops[key] = op + 1
+	for i := range in.rules {
+		r := &in.rules[i]
+		if r.Kind != kind {
+			continue
+		}
+		if r.Site != SiteAny && r.Site != site {
+			continue
+		}
+		if r.Node != AnyNode && r.Node != node {
+			continue
+		}
+		switch {
+		case r.Rate > 0:
+			if r.Until > 0 && (now < r.From || now >= r.Until) {
+				continue
+			}
+			h := mix(in.seed, uint64(i), uint64(kind)<<16|uint64(site)<<8, uint64(node), op)
+			if float64(h>>11)/(1<<53) >= r.Rate {
+				continue
+			}
+		case r.Until > 0:
+			if now < r.From || now >= r.Until {
+				continue
+			}
+		default:
+			if op < r.AfterOp || in.left[i] == 0 {
+				continue
+			}
+			if r.Every > 0 && (op-r.AfterOp)%r.Every != 0 {
+				continue
+			}
+			in.left[i]--
+		}
+		in.injected++
+		return *r, op, true
+	}
+	return Rule{}, op, false
+}
+
+func (in *refInjector) transferError(now simtime.Time, site Site, node int) *Error {
+	if _, op, ok := in.fire(DMAError, site, node, now); ok {
+		return &Error{Kind: DMAError, Site: site, Node: node, Op: op}
+	}
+	return nil
+}
+
+func (in *refInjector) corrupt(now simtime.Time, site Site, node int, n int64) int64 {
+	if n <= 8 {
+		return -1
+	}
+	if _, op, ok := in.fire(BitFlip, site, node, now); ok {
+		return int64(mix(in.seed, uint64(BitFlip), uint64(site), uint64(node), op) % uint64(n))
+	}
+	return -1
+}
+
+func (in *refInjector) stallDelay(now simtime.Time, node int) simtime.Duration {
+	r, _, ok := in.fire(Stall, SiteVEOS, node, now)
+	if !ok {
+		return 0
+	}
+	if r.StallFor > 0 {
+		return r.StallFor
+	}
+	if r.Until > now {
+		return r.Until.Sub(now)
+	}
+	return 0
+}
+
+func (in *refInjector) slowDelay(now simtime.Time, site Site, node int, base simtime.Duration) simtime.Duration {
+	var extra simtime.Duration
+	if r, _, ok := in.fire(SlowDown, site, node, now); ok && r.Factor > 1 && base > 0 {
+		extra += simtime.Duration(float64(base) * (r.Factor - 1))
+	}
+	if r, op, ok := in.fire(Jitter, site, node, now); ok && r.JitterMax > 0 {
+		h := mix(in.seed, uint64(Jitter), uint64(site)<<16|uint64(node), op)
+		extra += simtime.Duration(h % uint64(r.JitterMax))
+	}
+	return extra
+}
+
+func (in *refInjector) crashNow(now simtime.Time, node int) bool {
+	_, _, ok := in.fire(Crash, SiteVEOS, node, now)
+	return ok
+}
+
+func (in *refInjector) linkError(now simtime.Time, node int) *Error {
+	if _, op, ok := in.fire(LinkDown, SiteAny, node, now); ok {
+		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op}
+	}
+	return nil
+}
+
+func (in *refInjector) connReset(node int) bool {
+	_, _, ok := in.fire(ConnReset, SiteConn, node, 0)
+	return ok
+}
+
+// gen is a splitmix64 stream over the package's own mix.
+type gen struct{ seed, n uint64 }
+
+func (g *gen) next() uint64        { g.n++; return mix(g.seed, g.n) }
+func (g *gen) intn(n int) int      { return int(g.next() % uint64(n)) }
+func (g *gen) chance(pct int) bool { return g.intn(100) < pct }
+
+// Node ids reach past what any rule lists, so the counter slices of
+// any-node rules must grow; maxNode also bounds the listed nodes.
+const maxNode = 20
+
+// genPlan draws 1–7 rules over every kind, all three scheduling modes,
+// SiteAny and specific sites, AnyNode and specific nodes. Few kinds against
+// many rules makes same-kind overlap the common case.
+func genPlan(g *gen) *Plan {
+	p := &Plan{Seed: g.next()}
+	kinds := int(Jitter)
+	if g.chance(50) {
+		kinds = 1 + g.intn(3) // force overlapping same-kind rules
+	}
+	first := 1 + g.intn(int(Jitter))
+	for n := 1 + g.intn(7); n > 0; n-- {
+		r := Rule{
+			Kind: Kind((first+g.intn(kinds)-1)%int(Jitter) + 1),
+			Node: AnyNode,
+		}
+		if g.chance(60) {
+			r.Site = Site(1 + g.intn(numSites-1))
+		}
+		if g.chance(60) {
+			r.Node = g.intn(maxNode / 2)
+		}
+		switch g.intn(3) {
+		case 0:
+			r.Rate = float64(1+g.intn(9)) / 10
+			if g.chance(30) {
+				r.From = simtime.Time(g.intn(500))
+				r.Until = r.From + simtime.Time(1+g.intn(500))
+			}
+		case 1:
+			r.From = simtime.Time(g.intn(500))
+			r.Until = r.From + simtime.Time(1+g.intn(500))
+		default:
+			r.AfterOp = uint64(g.intn(6))
+			r.Count = g.intn(5)
+			r.Every = uint64(g.intn(4))
+		}
+		r.StallFor = simtime.Duration(g.intn(2) * (1 + g.intn(100)))
+		r.Factor = float64(g.intn(5))
+		r.JitterMax = simtime.Duration(g.intn(3) * (1 + g.intn(1000)))
+		p.Rules = append(p.Rules, r)
+	}
+	return p
+}
+
+// TestCompiledTablesMatchMapKeyedReference drives the shipped injector and
+// the map-keyed reference with the same generated op streams and demands the
+// same answer from every single call: fired or not, the rule's effect (delay,
+// stall length), Error.Op, Corrupt's offset, and the running Injected().
+func TestCompiledTablesMatchMapKeyedReference(t *testing.T) {
+	const plans, calls = 400, 600
+	for seed := uint64(1); seed <= plans; seed++ {
+		g := &gen{seed: seed}
+		plan := genPlan(g)
+		in, ref := New(plan), newRef(plan)
+		sameErr := func(call int, what string, got error, want *Error) {
+			t.Helper()
+			if (got == nil) != (want == nil) {
+				t.Fatalf("plan %d call %d %s: got %v, reference %v\nplan: %+v", seed, call, what, got, want, *plan)
+			}
+			if want != nil && *got.(*Error) != *want {
+				t.Fatalf("plan %d call %d %s: got %+v, reference %+v\nplan: %+v", seed, call, what, got, want, *plan)
+			}
+		}
+		var now simtime.Time
+		for c := 0; c < calls; c++ {
+			now += simtime.Time(g.intn(4))
+			site := Site(1 + g.intn(numSites-1))
+			node := g.intn(maxNode)
+			switch g.intn(7) {
+			case 0:
+				sameErr(c, "TransferError", in.TransferError(now, site, node), ref.transferError(now, site, node))
+			case 1:
+				n := int64(g.intn(64))
+				if got, want := in.Corrupt(now, site, node, n), ref.corrupt(now, site, node, n); got != want {
+					t.Fatalf("plan %d call %d Corrupt(%d): got %d, reference %d\nplan: %+v", seed, c, n, got, want, *plan)
+				}
+			case 2:
+				if got, want := in.StallDelay(now, node), ref.stallDelay(now, node); got != want {
+					t.Fatalf("plan %d call %d StallDelay: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
+				}
+			case 3:
+				base := simtime.Duration(g.intn(3) * 1000)
+				if got, want := in.SlowDelay(now, site, node, base), ref.slowDelay(now, site, node, base); got != want {
+					t.Fatalf("plan %d call %d SlowDelay: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
+				}
+			case 4:
+				if got, want := in.CrashNow(now, node), ref.crashNow(now, node); got != want {
+					t.Fatalf("plan %d call %d CrashNow: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
+				}
+			case 5:
+				sameErr(c, "LinkError", in.LinkError(now, node), ref.linkError(now, node))
+			case 6:
+				if got, want := in.ConnReset(node), ref.connReset(node); got != want {
+					t.Fatalf("plan %d call %d ConnReset: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
+				}
+			}
+			if got := in.Injected(); got != ref.injected {
+				t.Fatalf("plan %d call %d: Injected() = %d, reference %d\nplan: %+v", seed, c, got, ref.injected, *plan)
+			}
+		}
+	}
+}
+
+// TestLinkErrorMatchesOnlySiteAnyRules pins the one hook that queries with
+// SiteAny: a LinkDown rule naming a specific site never sees it.
+func TestLinkErrorMatchesOnlySiteAnyRules(t *testing.T) {
+	in := New(&Plan{Rules: []Rule{{Kind: LinkDown, Site: SitePCIe, Node: AnyNode, Count: 1}}})
+	if err := in.LinkError(0, 0); err != nil {
+		t.Fatalf("site-specific LinkDown rule fired on the SiteAny query: %v", err)
+	}
+	in = New(&Plan{Rules: []Rule{{Kind: LinkDown, Node: 30, Count: 1}}})
+	if in.LinkError(0, 29) != nil || in.LinkError(0, 31) != nil {
+		t.Fatal("LinkDown rule for node 30 fired on a neighbour")
+	}
+	if in.LinkError(0, 30) == nil {
+		t.Fatal("LinkDown rule for node 30 did not fire")
+	}
+}
+
+// TestHooksAllocateNothingWhenNoRuleCanMatch pins the cost of an armed plan
+// at a hook it cannot touch: no lock, no count, no allocation.
+func TestHooksAllocateNothingWhenNoRuleCanMatch(t *testing.T) {
+	in := New(&Plan{Rules: []Rule{
+		{Kind: SlowDown, Site: SitePCIe, Node: 1, Factor: 4, Until: simtime.Time(simtime.Second)},
+		{Kind: DMAError, Site: SitePrivDMA, Node: 1, Rate: 0.5},
+		{Kind: BitFlip, Site: SitePrivDMA, Node: 1, Rate: 0.5},
+		{Kind: LinkDown, Node: 1, Until: simtime.Time(simtime.Second)},
+	}})
+	var sink int64
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, at := range []struct {
+			site Site
+			node int
+		}{{SiteUserDMA, 1}, {SitePrivDMA, 0}, {SitePCIe, 7}, {SiteLHM, 40}} {
+			if in.TransferError(1, at.site, at.node) != nil || in.LinkError(1, at.node+2) != nil {
+				t.Fatal("a rule fired at a hook it cannot match")
+			}
+			sink += int64(in.SlowDelay(1, SiteUserDMA, at.node, simtime.Microsecond))
+			sink += in.Corrupt(1, SiteUserDMA, at.node, 64)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("unmatched hooks allocate %.1f objects per run, want 0", allocs)
+	}
+	if in.Injected() != 0 {
+		t.Fatalf("Injected() = %d after unmatched hooks", in.Injected())
+	}
+	_ = sink
+}
+
+// TestHooksFromManyGoroutines hammers one injector from several goroutines,
+// as tcpb and locb do: the pre-check reads the compiled tables without the
+// lock while other goroutines count and grow under it. Run with -race. The
+// total is checked too — every op-scheduled fire must happen exactly once.
+func TestHooksFromManyGoroutines(t *testing.T) {
+	const workers, iters = 8, 2000
+	in := New(&Plan{Seed: 5, Rules: []Rule{
+		{Kind: DMAError, Site: SiteConn, Node: AnyNode, AfterOp: 10, Count: 5, Every: 3},
+		{Kind: ConnReset, Node: 3, AfterOp: 1, Count: 2},
+		{Kind: SlowDown, Site: SiteConn, Node: 2, Factor: 2, Until: simtime.Time(simtime.Second)},
+		{Kind: Jitter, Node: AnyNode, Rate: 0.5, JitterMax: simtime.Microsecond},
+		{Kind: BitFlip, Site: SiteConn, Node: AnyNode, Rate: 0.1},
+	}})
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				node := (w + i) % 40 // past every listed node: counters grow concurrently
+				_ = in.TransferError(0, SiteConn, node)
+				in.ConnReset(node % 5)
+				in.SlowDelay(1, SiteConn, node%4, simtime.Microsecond)
+				in.Corrupt(0, SiteConn, node, 128)
+				in.StallDelay(0, node)
+				_ = in.LinkError(0, node)
+				in.CrashNow(0, node)
+				in.Injected()
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Each of the 40 nodes has its own (DMAError, SiteConn, node) counter and
+	// sees 400 ops, but the rule's Count is plan-wide: 5 fires in total. The
+	// ConnReset rule fires twice on node 3.
+	var dma, reset uint64 = 5, 2
+	if got := in.Injected(); got < dma+reset {
+		t.Fatalf("Injected() = %d, want at least the %d op-scheduled fires", got, dma+reset)
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.left[0] != 0 || in.left[1] != 0 {
+		t.Fatalf("op-scheduled rules have %d and %d fires left, want 0 and 0", in.left[0], in.left[1])
+	}
+}

@@ -20,7 +20,14 @@ import (
 // exchangeable between the heterogeneous binaries.
 type Encoder struct {
 	buf []byte
+	// inline backs buf while the payload fits, so a small message costs the
+	// one allocation of its encoder and nothing for append growth.
+	inline [encInline]byte
 }
+
+// encInline makes an Encoder exactly one 80-byte allocation class: the key
+// plus 52 payload bytes, which covers every scalar-argument offload.
+const encInline = 56
 
 // NewEncoder returns an empty encoder.
 //
@@ -28,7 +35,11 @@ type Encoder struct {
 // pooled one: the wire it produces is handed to Backend.Call, which may park
 // the proc before copying, so a shared scratch could be clobbered by another
 // host proc mid-call.
-func NewEncoder() *Encoder { return &Encoder{} } //lint:allow hotalloc fresh buffer per request: Call may park before copying the wire
+func NewEncoder() *Encoder {
+	e := &Encoder{} //lint:allow hotalloc fresh buffer per request: Call may park before copying the wire
+	e.buf = e.inline[:0]
+	return e
+}
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }

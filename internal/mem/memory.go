@@ -6,10 +6,7 @@
 // real memory, which is what makes a simulated 48 GiB HBM affordable.
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Addr is an address within one Memory.
 type Addr uint64
@@ -40,17 +37,21 @@ func (e *extent) end() Addr { return e.addr + Addr(e.size) }
 // (clipped to the extent size); callers index it with off%ChunkSize.
 func (e *extent) chunk(off int64, allocate bool) []byte {
 	i := off / ChunkSize
-	if e.chunks[i] == nil {
-		if !allocate {
-			return nil
-		}
-		size := int64(ChunkSize)
-		if rem := e.size - i*ChunkSize; rem < size {
-			size = rem
-		}
-		e.chunks[i] = make([]byte, size)
+	if e.chunks[i] == nil && allocate {
+		e.touch(i)
 	}
 	return e.chunks[i]
+}
+
+// touch backs chunk i with real memory: once per chunk, on its first write.
+//
+//hot:cold
+func (e *extent) touch(i int64) {
+	size := int64(ChunkSize)
+	if rem := e.size - i*ChunkSize; rem < size {
+		size = rem
+	}
+	e.chunks[i] = make([]byte, size)
 }
 
 // NewMemory returns an empty address space. The name appears in errors.
@@ -82,9 +83,16 @@ func (m *Memory) ResidentBytes() int64 {
 
 // find returns the index of the first extent whose end is above addr.
 func (m *Memory) find(addr Addr) int {
-	return sort.Search(len(m.extents), func(i int) bool {
-		return m.extents[i].end() > addr
-	})
+	lo, hi := 0, len(m.extents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.extents[mid].end() > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Map creates a zero-filled extent of size bytes at addr. It fails if the
@@ -124,75 +132,119 @@ func (m *Memory) Mapped(addr Addr, size int64) bool {
 	if size <= 0 {
 		return size == 0
 	}
-	pos := addr
-	end := addr + Addr(size)
-	for pos < end {
+	_, gap := m.firstGap(addr, addr+Addr(size))
+	return !gap
+}
+
+// firstGap returns the lowest unmapped address in [addr, end), if there is
+// one.
+func (m *Memory) firstGap(addr, end Addr) (Addr, bool) {
+	for pos := addr; pos < end; {
 		i := m.find(pos)
 		if i >= len(m.extents) || m.extents[i].addr > pos {
-			return false
+			return pos, true
 		}
 		pos = m.extents[i].end()
 	}
-	return true
+	return 0, false
 }
 
 // ReadAt fills p from the bytes at addr. The range may span extents but must
 // be fully mapped; untouched chunks read as zero.
 func (m *Memory) ReadAt(p []byte, addr Addr) error {
-	return m.walk(addr, int64(len(p)), func(e *extent, off, n, pos int64) {
-		dst := p[pos : pos+n]
-		c := e.chunk(off, false)
-		if c == nil {
-			for i := range dst {
-				dst[i] = 0
-			}
-			return
+	end, err := m.rangeEnd(addr, int64(len(p)))
+	if err != nil {
+		return err
+	}
+	for pos := addr; pos < end; {
+		e, off, n := m.piece(pos, end)
+		if e == nil {
+			return m.faultError(pos, addr, int64(len(p)))
 		}
-		copy(dst, c[off%ChunkSize:])
-	})
+		dst := p[pos-addr:][:n]
+		if c := e.chunk(off, false); c != nil {
+			copy(dst, c[off%ChunkSize:])
+		} else {
+			clear(dst)
+		}
+		pos += Addr(n)
+	}
+	return nil
 }
 
 // WriteAt stores p at addr. The range may span extents but must be fully
 // mapped.
-func (m *Memory) WriteAt(p []byte, addr Addr) error {
-	return m.walk(addr, int64(len(p)), func(e *extent, off, n, pos int64) {
-		c := e.chunk(off, true)
-		copy(c[off%ChunkSize:], p[pos:pos+n])
-	})
-}
+func (m *Memory) WriteAt(p []byte, addr Addr) error { return m.store(p, addr, int64(len(p))) }
 
-// walk visits the range [addr, addr+n) chunk-piece by chunk-piece. For each
-// piece it calls f with the extent, the offset within the extent, the piece
-// length (never crossing a chunk boundary), and the offset within the range.
-func (m *Memory) walk(addr Addr, n int64, f func(e *extent, off, pieceLen, rangeOff int64)) error {
-	if n == 0 {
-		return nil
+// store writes the n bytes of p — or, with p nil, n zero bytes — at addr.
+func (m *Memory) store(p []byte, addr Addr, n int64) error {
+	end, err := m.rangeEnd(addr, n)
+	if err != nil {
+		return err
 	}
-	pos := addr
-	end := addr + Addr(n)
-	if end < addr {
-		return fmt.Errorf("mem %s: access [%#x,+%d) wraps the address space", m.name, addr, n)
-	}
-	for pos < end {
-		i := m.find(pos)
-		if i >= len(m.extents) || m.extents[i].addr > pos {
-			return fmt.Errorf("mem %s: fault at %#x (range [%#x,+%d))", m.name, pos, addr, n)
+	for pos := addr; pos < end; {
+		e, off, pn := m.piece(pos, end)
+		if e == nil {
+			return m.faultError(pos, addr, n)
 		}
-		e := m.extents[i]
-		for pos < end && pos < e.end() {
-			off := int64(pos - e.addr)
-			piece := ChunkSize - off%ChunkSize // bytes left in this chunk
-			if rem := e.size - off; piece > rem {
-				piece = rem
-			}
-			if rem := int64(end - pos); piece > rem {
-				piece = rem
-			}
-			f(e, off, piece, int64(pos-addr))
-			pos += Addr(piece)
+		dst := e.chunk(off, true)[off%ChunkSize:][:pn]
+		if p != nil {
+			copy(dst, p[pos-addr:])
+		} else {
+			clear(dst)
 		}
+		pos += Addr(pn)
 	}
 	return nil
+}
+
+// rangeEnd returns addr+n, failing when the range wraps the address space.
+func (m *Memory) rangeEnd(addr Addr, n int64) (Addr, error) {
+	end := addr + Addr(n)
+	if end < addr {
+		return 0, m.wrapError(addr, n)
+	}
+	return end, nil
+}
+
+// piece returns the extent mapping pos, pos's offset within it, and how many
+// bytes of [pos, end) follow without crossing a chunk boundary. The extent
+// is nil when pos is unmapped.
+func (m *Memory) piece(pos, end Addr) (e *extent, off, n int64) {
+	i := m.find(pos)
+	if i >= len(m.extents) || m.extents[i].addr > pos {
+		return nil, 0, 0
+	}
+	e = m.extents[i]
+	off = int64(pos - e.addr)
+	n = min(ChunkSize-off%ChunkSize, e.size-off, int64(end-pos))
+	return e, off, n
+}
+
+// checkMapped fails with the fault a ReadAt or WriteAt of [addr, addr+n)
+// would report, without touching a byte.
+func (m *Memory) checkMapped(addr Addr, n int64) error {
+	end, err := m.rangeEnd(addr, n)
+	if err != nil {
+		return err
+	}
+	if pos, gap := m.firstGap(addr, end); gap {
+		return m.faultError(pos, addr, n)
+	}
+	return nil
+}
+
+// An access outside the mapped extents is the simulated segmentation fault:
+// a bug in the caller, not traffic, so rendering it stays off the hot path.
+
+//hot:cold
+func (m *Memory) faultError(pos, addr Addr, n int64) error {
+	return fmt.Errorf("mem %s: fault at %#x (range [%#x,+%d))", m.name, pos, addr, n)
+}
+
+//hot:cold
+func (m *Memory) wrapError(addr Addr, n int64) error {
+	return fmt.Errorf("mem %s: access [%#x,+%d) wraps the address space", m.name, addr, n)
 }
 
 // Slice returns a direct, writable view of [addr, addr+n). The range must
@@ -223,45 +275,74 @@ func (m *Memory) Slice(addr Addr, n int64) ([]byte, error) {
 
 // Copy moves n bytes from src/srcAddr to dst/dstAddr, possibly between
 // different memories. Overlapping same-memory copies behave like memmove.
-// Large copies stream through a bounded buffer so a 256 MiB simulated DMA
-// does not allocate 256 MiB of real transient memory.
+// Either range faulting fails the copy before a byte moves.
+//
+// Non-overlapping ranges — every simulated DMA, which copies between two
+// memories — move chunk piece by chunk piece straight from the source's
+// backing store, with no bounce buffer whatever the size. Only an
+// overlapping copy within one memory stages its source first.
 func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 	if n == 0 {
 		return nil
 	}
 	if n < 0 {
-		return fmt.Errorf("mem: Copy negative length %d", n)
+		return negativeCopyError(n)
 	}
-	const stride = 4 * ChunkSize
-	if n <= stride {
-		buf := make([]byte, n)
-		if err := src.ReadAt(buf, srcAddr); err != nil {
+	if err := src.checkMapped(srcAddr, n); err != nil {
+		return err
+	}
+	if err := dst.checkMapped(dstAddr, n); err != nil {
+		return err
+	}
+	if dst == src && dstAddr < srcAddr+Addr(n) && srcAddr < dstAddr+Addr(n) {
+		return copyOverlapping(dst, dstAddr, srcAddr, n)
+	}
+	end := srcAddr + Addr(n)
+	for pos := srcAddr; pos < end; {
+		e, off, pn := src.piece(pos, end)
+		to := dstAddr + (pos - srcAddr)
+		var piece []byte // nil: an untouched source chunk, which reads as zeros
+		if c := e.chunk(off, false); c != nil {
+			piece = c[off%ChunkSize:][:pn]
+		}
+		if err := dst.store(piece, to, pn); err != nil {
 			return err
 		}
-		return dst.WriteAt(buf, dstAddr)
+		pos += Addr(pn)
 	}
-	// Overlapping forward copies within one memory would clobber unread
-	// source bytes when streamed front to back; copy backwards then.
-	backwards := dst == src && dstAddr > srcAddr && dstAddr < srcAddr+Addr(n)
-	buf := make([]byte, stride)
+	return nil
+}
+
+// copyOverlapping is memmove within one memory. It streams through a bounded
+// buffer so a 256 MiB move does not allocate 256 MiB of real transient
+// memory, front to back or — when the destination lies ahead of the source,
+// where that order would clobber unread bytes — back to front.
+//
+//hot:cold
+func copyOverlapping(m *Memory, dstAddr, srcAddr Addr, n int64) error {
+	const stride = 4 * ChunkSize
+	backwards := dstAddr > srcAddr
+	buf := make([]byte, min(n, stride))
 	for off := int64(0); off < n; off += stride {
-		chunk := n - off
-		if chunk > stride {
-			chunk = stride
-		}
+		chunk := min(n-off, stride)
 		pos := off
 		if backwards {
 			pos = n - off - chunk
 		}
 		b := buf[:chunk]
-		if err := src.ReadAt(b, srcAddr+Addr(pos)); err != nil {
+		if err := m.ReadAt(b, srcAddr+Addr(pos)); err != nil {
 			return err
 		}
-		if err := dst.WriteAt(b, dstAddr+Addr(pos)); err != nil {
+		if err := m.WriteAt(b, dstAddr+Addr(pos)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+//hot:cold
+func negativeCopyError(n int64) error {
+	return fmt.Errorf("mem: Copy negative length %d", n)
 }
 
 // PageCount returns how many pages of the given size the range

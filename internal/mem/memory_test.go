@@ -323,3 +323,89 @@ func TestCopyStreamingLarge(t *testing.T) {
 		t.Fatal("cross-memory streamed copy corrupted data")
 	}
 }
+
+// TestCopyMatchesBounceReference holds the piece-by-piece Copy to what a
+// copy through one whole-range buffer does — the same bytes everywhere in
+// the destination, the same chunks made resident, the same faults — over
+// layouts with several extents, untouched source chunks and ranges that
+// start and end off chunk boundaries, between two memories and within one
+// (overlapping or not).
+func TestCopyMatchesBounceReference(t *testing.T) {
+	const space = 5 * ChunkSize
+	build := func(seed uint64) *Memory {
+		m := NewMemory("m")
+		// Two adjacent extents, a gap, a third: [0,2C) [2C,3C) gap [3.5C,5C).
+		for _, e := range [][2]int64{{0, 2 * ChunkSize}, {2 * ChunkSize, ChunkSize}, {3*ChunkSize + ChunkSize/2, ChunkSize + ChunkSize/2}} {
+			if err := m.Map(Addr(e[0]), e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Touch some ranges only, so some chunks stay unbacked.
+		x := seed
+		for _, at := range []int64{100, ChunkSize - 50, 2*ChunkSize + 7, 4 * ChunkSize} {
+			b := make([]byte, 300)
+			for i := range b {
+				x = x*6364136223846793005 + 1442695040888963407
+				b[i] = byte(x >> 56)
+			}
+			if err := m.WriteAt(b, Addr(at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	bounce := func(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
+		buf := make([]byte, n)
+		if err := src.ReadAt(buf, srcAddr); err != nil {
+			return err
+		}
+		return dst.WriteAt(buf, dstAddr)
+	}
+	dump := func(m *Memory) []byte {
+		out := make([]byte, 0, space)
+		for _, e := range m.extents {
+			b := make([]byte, e.size)
+			if err := m.ReadAt(b, e.addr); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
+		}
+		return out
+	}
+	x := uint64(99)
+	draw := func(n int64) int64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return int64(x>>33) % n
+	}
+	for round := 0; round < 400; round++ {
+		same := round%3 == 0
+		srcA, srcB := build(1), build(1)
+		dstA, dstB := srcA, srcB
+		if !same {
+			dstA, dstB = build(2), build(2)
+		}
+		n := draw(3 * ChunkSize)
+		if round%4 == 0 {
+			n = draw(600) // message-sized
+		}
+		srcAddr, dstAddr := Addr(draw(space)), Addr(draw(space))
+		errA := Copy(dstA, dstAddr, srcA, srcAddr, n)
+		errB := bounce(dstB, dstAddr, srcB, srcAddr, n)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("round %d: Copy(%#x <- %#x, %d) = %v, reference %v", round, dstAddr, srcAddr, n, errA, errB)
+		}
+		if errA != nil {
+			if errA.Error() != errB.Error() {
+				t.Fatalf("round %d: Copy fails with %q, reference with %q", round, errA, errB)
+			}
+			continue
+		}
+		if !bytes.Equal(dump(dstA), dump(dstB)) {
+			t.Fatalf("round %d: Copy(%#x <- %#x, %d, same memory %v) left different bytes than the reference",
+				round, dstAddr, srcAddr, n, same)
+		}
+		if a, b := dstA.ResidentBytes(), dstB.ResidentBytes(); a != b {
+			t.Fatalf("round %d: Copy made %d bytes resident, reference %d", round, a, b)
+		}
+	}
+}

@@ -115,12 +115,12 @@ func (l *Link) BusyTime(dir Direction) simtime.Duration {
 type Path struct {
 	Link    *Link
 	UPIHops int
-	timing  topology.Timing
+	upi     simtime.Duration // latency of one UPI hop; a Path travels by value, so it carries this, not the Timing table
 }
 
 // OneWayLatency is the propagation latency along the path in one direction.
 func (pa Path) OneWayLatency() simtime.Duration {
-	return pa.Link.Latency() + simtime.Duration(pa.UPIHops)*pa.timing.UPILatency
+	return pa.Link.Latency() + simtime.Duration(pa.UPIHops)*pa.upi
 }
 
 // Transfer moves n payload bytes along the path in the given direction:
@@ -177,5 +177,5 @@ func (f *Fabric) PathFrom(socket, ve int) (Path, error) {
 	if crosses {
 		hops = 1
 	}
-	return Path{Link: l, UPIHops: hops, timing: f.timing}, nil
+	return Path{Link: l, UPIHops: hops, upi: f.timing.UPILatency}, nil
 }

@@ -56,7 +56,8 @@ func (s *SLO) observe(now simtime.Time, d simtime.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.total.Observe(d)
+	bucket := trace.Bucket(d) // once, for the total and the window histogram
+	s.total.ObserveIn(bucket, d)
 	viol := int64(0)
 	if d > s.target {
 		viol = 1
@@ -75,7 +76,7 @@ func (s *SLO) observe(now simtime.Time, d simtime.Duration) {
 		}
 	}
 	w := s.wins[len(s.wins)-1]
-	w.hist.Observe(d)
+	w.hist.ObserveIn(bucket, d)
 	w.violations += viol
 }
 

@@ -33,29 +33,32 @@ func NewHistogram(name string) *Histogram {
 // bucketOf maps a duration to a bucket index: 2 buckets per octave starting
 // at 1 ns. It is exactly consistent with bucketLow — for every d >= 1 ns,
 // bucketLow(bucketOf(d)) <= d, and d < bucketLow(bucketOf(d)+1) unless the
-// top bucket caught it. The float log estimate can land one bucket off at
-// boundaries (2*log2 truncation vs the truncated pow in bucketLow), so the
-// estimate is nudged until the invariant holds.
+// top bucket caught it. That invariant is the definition: the bucket is the
+// largest i with bucketLow(i) <= d, found by binary search over the bounds
+// tabulated once, with no float arithmetic per observation.
 func bucketOf(d simtime.Duration) int {
-	ns := float64(d) / float64(simtime.Nanosecond)
-	if ns < 1 {
+	if d < simtime.Nanosecond {
 		return 0
 	}
-	i := int(2 * math.Log2(ns))
-	if i < 0 {
-		i = 0
+	lo, hi := 0, len(bucketLows) // bucketLows[lo] <= d < bucketLows[hi]
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if bucketLows[mid] <= d {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	if i > 127 {
-		i = 127
-	}
-	for i > 0 && bucketLow(i) > d {
-		i--
-	}
-	for i < 127 && bucketLow(i+1) <= d {
-		i++
-	}
-	return i
+	return lo
 }
+
+// bucketLows[i] is bucketLow(i).
+var bucketLows = func() (t [128]simtime.Duration) {
+	for i := range t {
+		t[i] = bucketLow(i)
+	}
+	return t
+}()
 
 // bucketLow returns the lower bound of bucket i, saturating at MaxInt64:
 // buckets past ~2^53 ns exceed the picosecond range, and the naive float
@@ -68,8 +71,15 @@ func bucketLow(i int) simtime.Duration {
 	return simtime.Duration(v)
 }
 
+// Bucket returns the index of the bucket d falls in, for ObserveIn.
+func Bucket(d simtime.Duration) int { return bucketOf(d) }
+
 // Observe records one duration.
-func (h *Histogram) Observe(d simtime.Duration) {
+func (h *Histogram) Observe(d simtime.Duration) { h.ObserveIn(Bucket(d), d) }
+
+// ObserveIn is Observe for a caller that already holds bucket = Bucket(d),
+// so one observation feeding several histograms is bucketed once.
+func (h *Histogram) ObserveIn(bucket int, d simtime.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -81,7 +91,7 @@ func (h *Histogram) Observe(d simtime.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	h.buckets[bucketOf(d)]++
+	h.buckets[bucket]++
 }
 
 // Merge folds o's observations into h. Bucket layouts are identical by
