@@ -67,42 +67,11 @@ func (lf *life) revive(n core.NodeID) {
 	}
 }
 
-// lockedHeap makes a core.Heap safe for the concurrent host/target access
-// the loopback wiring allows.
-type lockedHeap struct {
-	mu sync.Mutex
-	h  *core.Heap
-}
-
-func (l *lockedHeap) Alloc(n int64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Alloc(n)
-}
-
-func (l *lockedHeap) Free(addr uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Free(addr)
-}
-
-func (l *lockedHeap) Read(addr uint64, p []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Read(addr, p)
-}
-
-func (l *lockedHeap) Write(addr uint64, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Write(addr, data)
-}
-
 // Node is one side of a loopback application.
 type Node struct {
 	self  core.NodeID
 	descs []core.NodeDescriptor
-	heaps []*lockedHeap
+	heaps []*core.Heap
 	chans []chan request // chans[n] is the inbox of node n
 	life  *life
 	inj   *faults.Injector
@@ -181,7 +150,7 @@ func NewN(n int, heapSize int64) ([]*Node, error) {
 
 func newN(n int, heapSize int64) (*Node, *Node, error) {
 	descs := make([]core.NodeDescriptor, n)
-	heaps := make([]*lockedHeap, n)
+	heaps := make([]*core.Heap, n)
 	chans := make([]chan request, n)
 	for i := 0; i < n; i++ {
 		role, arch := "target", "loopback-target"
@@ -193,11 +162,10 @@ func newN(n int, heapSize int64) (*Node, *Node, error) {
 			Arch:   arch,
 			Device: role,
 		}
-		h, err := core.NewHeap(fmt.Sprintf("locb%d", i), heapSize)
-		if err != nil {
+		var err error
+		if heaps[i], err = core.NewHeap(fmt.Sprintf("locb%d", i), heapSize); err != nil {
 			return nil, nil, err
 		}
-		heaps[i] = &lockedHeap{h: h}
 		chans[i] = make(chan request, 64)
 	}
 	lf := newLife(n)

@@ -20,7 +20,7 @@ type Target struct {
 	ln    net.Listener
 	self  core.NodeID
 	total int
-	heap  *lockedHeap
+	heap  *core.Heap
 	nt    *trace.NodeTracer
 
 	mu   sync.Mutex
@@ -31,36 +31,6 @@ type Target struct {
 // Call it before Serve.
 func (t *Target) SetTracer(tr *trace.Tracer, clock trace.Clock) {
 	t.nt = tr.Node(int(t.self), "tcpb", clock)
-}
-
-// lockedHeap guards the heap against concurrent put/get and dispatch access.
-type lockedHeap struct {
-	mu sync.Mutex
-	h  *core.Heap
-}
-
-func (l *lockedHeap) Alloc(n int64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Alloc(n)
-}
-
-func (l *lockedHeap) Free(addr uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Free(addr)
-}
-
-func (l *lockedHeap) Read(addr uint64, p []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Read(addr, p)
-}
-
-func (l *lockedHeap) Write(addr uint64, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Write(addr, data)
 }
 
 // Listen starts a target on addr (e.g. "127.0.0.1:0"). self is this node's
@@ -78,7 +48,7 @@ func Listen(addr string, self, total int, heapBytes int64) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Target{ln: ln, self: core.NodeID(self), total: total, heap: &lockedHeap{h: heap}}, nil
+	return &Target{ln: ln, self: core.NodeID(self), total: total, heap: heap}, nil
 }
 
 // Addr returns the listening address, for handing to Dial.

@@ -9,7 +9,7 @@ import (
 // Allocation guards for the zero-alloc hot paths that docs/LINTING.md's
 // hotalloc analyzer protects statically: the analyzer proves no *new*
 // allocation sites sneak onto the paths, these tests prove the existing
-// machinery (scratch codecs, frame arenas, the batchCall pool) really
+// machinery (scratch codecs, frame arenas, the call pool) really
 // reaches zero allocations per event at run time. The two must agree — a
 // regression in either fails the build.
 //
@@ -87,10 +87,11 @@ func TestDispatchZeroAlloc(t *testing.T) {
 
 // TestBatchFlushZeroAlloc pins the batch flush-and-settle cycle — frame
 // arena stamp, backend post, target-side batch dispatch, response split,
-// future settlement, batchCall recycling — at zero allocations once warm.
-// The queue is refilled by hand exactly as BatchAdd would fill it, because
-// BatchAdd's one future per offload is an intentional, allowed allocation
-// and would drown the signal this test watches.
+// future settlement, call recycling — at zero allocations once warm. The
+// futures are rewound and re-queued through Batcher.add, the part of BatchAdd
+// behind the encode, because BatchAdd's one future per offload is an
+// intentional, allowed allocation and would drown the signal this test
+// watches.
 func TestBatchFlushZeroAlloc(t *testing.T) {
 	tbk := &allocBackend{}
 	target := NewRuntime(tbk, "alloc-arch-batch-t")
@@ -100,7 +101,6 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	host.SetBatching(BatchPolicy{MaxMessages: 8})
 
 	b := NewBatcher(host)
-	q := b.queue(1)
 	fn := fnAllocInc.Bind(41)
 	wire, err := host.bin.EncodeRequest(fn.name, fn.payload)
 	if err != nil {
@@ -112,24 +112,14 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	var gotV int64
 	var gotErr error
 	cycle := func() {
-		// Rewind the two futures and queue them as BatchAdd would.
-		fu1.done, fu1.val, fu1.err = false, 0, nil
-		fu2.done, fu2.val, fu2.err = false, 0, nil
-		fu1.btv = batchTicket{b: b, q: q}
-		fu2.btv = batchTicket{b: b, q: q}
-		fu1.bt, fu2.bt = &fu1.btv, &fu2.btv
-		q.putEntry(wire)
-		q.putEntry(wire)
-		q.pds = append(q.pds, nil, nil)
-		q.sinks = append(q.sinks, fu1, fu2)
-		q.tks = append(q.tks, fu1.bt, fu2.bt)
-		q.fids = append(q.fids, 0, 0)
-		b.flushQueue(q)
+		requeue(b, wire, fu1)
+		requeue(b, wire, fu2)
+		b.Flush(1)
 		gotV, gotErr = fu1.Get()
 		fu2.Get()
 	}
 	// One explicit warm cycle (besides AllocsPerRun's own) grows every
-	// scratch buffer and fills the batchCall pool.
+	// scratch buffer and fills the call pool.
 	cycle()
 	if gotErr != nil || gotV != 42 {
 		t.Fatalf("batched result = %d, %v; want 42, nil", gotV, gotErr)
@@ -141,6 +131,22 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("batch flush+settle allocates %.1f times per frame; the warm cycle is contractually zero-alloc (see docs/LINTING.md)", allocs)
 	}
+}
+
+// requeue rewinds a settled future and queues it on b for node 1 the way
+// BatchAdd does once the wire message is built.
+func requeue(b *Batcher, wire []byte, f *Future[int64]) {
+	f.done, f.val, f.err = false, 0, nil
+	f.c = b.add(1, wire, nil, 0, f)
+}
+
+// parkedCalls walks rt's free list.
+func parkedCalls(rt *Runtime) []*call {
+	var out []*call
+	for c := rt.freeCall; c != nil; c = c.next {
+		out = append(out, c)
+	}
+	return out
 }
 
 var fnAllocAdd = NewFunc2[int64]("test.allocadd",
@@ -176,7 +182,6 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 	host.SetBatching(BatchPolicy{MaxMessages: 8})
 
 	b := NewBatcher(host)
-	q := b.queue(1)
 	fn := fnAllocInc.Bind(41)
 	wire, err := host.bin.EncodeRequest(fn.name, fn.payload)
 	if err != nil {
@@ -188,15 +193,8 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 	}
 	cycle := func() {
 		for _, f := range futs {
-			f.done, f.val, f.err = false, 0, nil
-			f.btv = batchTicket{b: b, q: q}
-			f.bt = &f.btv
-			q.putEntry(wire)
-			q.pds = append(q.pds, nil)
-			q.sinks = append(q.sinks, f)
-			q.tks = append(q.tks, f.bt)
-			q.fids = append(q.fids, 0)
-			b.flushQueue(q) // one frame per future, all left in flight
+			requeue(b, wire, f)
+			b.Flush(1) // one frame per future, all left in flight
 		}
 		for _, f := range futs {
 			if v, err := f.Get(); v != 42 || err != nil {
@@ -205,11 +203,7 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 		}
 	}
 	cycle()
-	parked := 0
-	for bc := host.freeBC; bc != nil; bc = bc.next {
-		parked++
-	}
-	if parked != frames {
+	if parked := len(parkedCalls(host)); parked != frames {
 		t.Fatalf("free list holds %d calls after %d frames in flight, want %d", parked, frames, frames)
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {

@@ -137,13 +137,6 @@ func (rt *Runtime) SetBatching(p BatchPolicy) { rt.batch = p }
 // Batching returns the runtime's batching policy.
 func (rt *Runtime) Batching() BatchPolicy { return rt.batch }
 
-// settler is the type-erased face of *Future[T] a batch frame settles
-// results through.
-type settler interface {
-	settle(resp []byte)
-	fail(err error)
-}
-
 // Batcher queues offloads per target node and ships each queue as batch
 // frames according to the runtime's BatchPolicy. It is not safe for
 // concurrent use, matching the rest of the runtime's initiator API.
@@ -159,16 +152,16 @@ func NewBatcher(rt *Runtime) *Batcher { return &Batcher{rt: rt} }
 // queues: each added message is copied into the frame arena behind its
 // length prefix, so a flush only stamps the header and posts the arena —
 // no per-flush assembly, and the queue never retains the (scratch-backed)
-// wire bytes it was handed.
+// wire bytes it was handed. The open frame is a pooled call from its first
+// message on: the queued futures already point at it, so a flush posts it
+// and rebinds nothing.
 type batchQueue struct {
+	rt       *Runtime
 	node     NodeID
-	frame    []byte         // the wire frame under construction: header + entries
-	count    int            // messages queued in frame
-	pds      []*pending     // per-message FT state, nil entries with FT off
-	sinks    []settler      // futures awaiting the frame, parallel to entries
-	tks      []*batchTicket // tickets to rebind at flush, parallel to entries
-	fids     []uint64       // per-message causal trace IDs, 0 without flows
-	firstAdd simtime.Time   // clock at first queued message (deadline basis)
+	frame    []byte       // the wire frame under construction: header + entries
+	c        *call        // the open frame's sinks and per-entry FT state; nil while empty
+	fids     []uint64     // per-message causal trace IDs, 0 without flows
+	firstAdd simtime.Time // clock at first queued message (deadline basis)
 }
 
 // putEntry copies one wire message into the frame arena.
@@ -177,17 +170,6 @@ func (q *batchQueue) putEntry(wire []byte) {
 	binary.LittleEndian.PutUint32(l[:], uint32(len(wire)))
 	q.frame = append(q.frame, l[:]...) //lint:allow hotalloc amortized growth of the frame arena (covers both appends)
 	q.frame = append(q.frame, wire...)
-	q.count++
-}
-
-// reset clears the queue for the next frame, keeping the arena and the
-// ticket/trace-ID capacity. pds and sinks are NOT touched here: flushQueue
-// hands their backing arrays to the batchCall and replaces them.
-func (q *batchQueue) reset() {
-	q.frame = q.frame[:batHeader]
-	q.count = 0
-	q.tks = q.tks[:0]
-	q.fids = q.fids[:0]
 }
 
 // queue returns (creating if needed) the queue for node.
@@ -197,7 +179,7 @@ func (b *Batcher) queue(node NodeID) *batchQueue {
 			return q
 		}
 	}
-	q := &batchQueue{node: node, frame: make([]byte, batHeader)} //lint:allow hotalloc one queue per target node, created on first use and reused forever
+	q := &batchQueue{rt: b.rt, node: node, frame: make([]byte, batHeader)} //lint:allow hotalloc one queue per target node, created on first use and reused forever
 	b.queues = append(b.queues, q)
 	return q
 }
@@ -216,8 +198,8 @@ func (b *Batcher) frameCap() int {
 // introspection.
 func (b *Batcher) Pending(node NodeID) int {
 	for _, q := range b.queues {
-		if q.node == node {
-			return q.count
+		if q.node == node && q.c != nil {
+			return len(q.c.sinks)
 		}
 	}
 	return 0
@@ -227,7 +209,7 @@ func (b *Batcher) Pending(node NodeID) int {
 func (b *Batcher) Flush(node NodeID) {
 	for _, q := range b.queues {
 		if q.node == node {
-			b.flushQueue(q)
+			q.flush()
 			return
 		}
 	}
@@ -236,7 +218,7 @@ func (b *Batcher) Flush(node NodeID) {
 // FlushAll ships every node's queued messages, in first-use node order.
 func (b *Batcher) FlushAll() {
 	for _, q := range b.queues {
-		b.flushQueue(q)
+		q.flush()
 	}
 }
 
@@ -244,7 +226,7 @@ func (b *Batcher) FlushAll() {
 // (never, on a wall-clock node: no time passes there).
 func (b *Batcher) deadlineDue(q *batchQueue) bool {
 	d := b.rt.batch.MaxDelay
-	return d > 0 && q.count > 0 && b.rt.clock.Now().Sub(q.firstAdd) >= d
+	return d > 0 && q.c != nil && b.rt.clock.Now().Sub(q.firstAdd) >= d
 }
 
 // BatchAdd queues fn for node on b and returns its future. The frame ships
@@ -259,57 +241,48 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 	if !rt.batch.Enabled() {
 		return Async(rt, node, fn)
 	}
-	endOff := rt.beginOffload(node, fn.name)
-	if node == rt.ThisNode() {
-		return failedFuture[R](rt, endOff, errOffloadSelf(node))
-	}
-	if int(node) < 0 || int(node) >= rt.NumNodes() {
-		return failedFuture[R](rt, endOff, errNoNode(node, rt.NumNodes()))
-	}
-	var endEnc func()
-	if rt.tr != nil {
-		endEnc = rt.tr.Begin(trace.PhaseEncode, "encode "+fn.name, rt.offloads+1)
-	}
-	msg, err := rt.bin.EncodeRequest(fn.name, fn.payload)
-	if endEnc != nil {
-		endEnc()
-	}
+	f := &Future[R]{rt: rt, decode: fn.decode, onDone: rt.beginOffload(node, fn.name)} //lint:allow hotalloc one future per offload is the API contract
+	wire, pd, fid, err := rt.encode(node, fn.name, fn.payload)
 	if err != nil {
-		return failedFuture[R](rt, endOff, err)
+		f.fail(err)
+		return f
 	}
-	rt.offloads++
-	wire, pd := rt.seal(node, msg)
-	wire, fid := rt.flowSeal(wire, pd)
+	f.c = b.add(node, wire, pd, fid, f)
+	return f
+}
 
-	q := b.queue(node)
+// add appends one sealed wire message to node's open frame — opening one
+// on a pooled call if the queue is empty — and returns the call sink now
+// rides. The policy may ship the frame before or after the append.
+func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, sink settler) *call {
+	rt, q := b.rt, b.queue(node)
 	// Length accounting against the frame cap: ship the current frame first
 	// if this message would overflow it. A message too large for any frame
 	// still goes out (as a batch of one) and draws the backend's own
 	// size error, like an unbatched oversized Call would.
-	if q.count > 0 && len(q.frame)+batPerMsg+len(wire) > b.frameCap() {
-		b.flushQueue(q)
+	if q.c != nil && len(q.frame)+batPerMsg+len(wire) > b.frameCap() {
+		q.flush()
 	}
 	if b.deadlineDue(q) {
-		b.flushQueue(q)
+		q.flush()
 	}
-	f := &Future[R]{rt: rt, decode: fn.decode, onDone: endOff} //lint:allow hotalloc one future per offload is the API contract
-	f.btv = batchTicket{b: b, q: q}
-	f.bt = &f.btv
-	if q.count == 0 {
+	c := q.c
+	if c == nil {
+		c = rt.takeCall()
+		c.frame, c.q, q.c = true, q, c
 		q.firstAdd = rt.clock.Now()
 	}
 	q.putEntry(wire)
-	q.pds = append(q.pds, pd)    //lint:allow hotalloc amortized: backing array cycles through the batchCall pool
-	q.sinks = append(q.sinks, f) //lint:allow hotalloc amortized: backing array cycles through the batchCall pool
-	q.tks = append(q.tks, f.bt)  //lint:allow hotalloc amortized growth of the queue's ticket list
+	c.pds = append(c.pds, pd)       //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
 	q.fids = append(q.fids, fid)
 	if rt.tel != nil {
-		rt.tel.Gauge(int(node), telemetry.SeriesQueue, rt.clock.Now(), int64(q.count))
+		rt.tel.Gauge(int(node), telemetry.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
 	}
-	if q.count >= rt.batch.messages() || len(q.frame) >= b.frameCap() {
-		b.flushQueue(q)
+	if len(c.sinks) >= rt.batch.messages() || len(q.frame) >= b.frameCap() {
+		q.flush()
 	}
-	return f
+	return c
 }
 
 // AsyncBatch offloads fns to node as batch frames under rt's policy and
@@ -325,235 +298,56 @@ func AsyncBatch[R any](rt *Runtime, node NodeID, fns []Functor[R]) []*Future[R] 
 	return futs
 }
 
-// flushQueue stamps the header onto q's frame arena, posts it, and rebinds
-// the queued futures to the in-flight batchCall.
+// flush stamps the header onto q's frame arena and posts the open frame.
 //
 //hot:path
-func (b *Batcher) flushQueue(q *batchQueue) {
-	if q.count == 0 {
+func (q *batchQueue) flush() {
+	c := q.c
+	if c == nil {
 		return
 	}
-	rt := b.rt
+	rt, n := q.rt, len(c.sinks)
 	frame := q.frame
 	binary.LittleEndian.PutUint32(frame[0:4], batMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(q.count))
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(n))
 	var endBatch func()
 	if rt.tr != nil {
 		endBatch = rt.tr.Begin(trace.PhaseBatch,
-			fmt.Sprintf("batch flush node %d x%d", q.node, q.count), rt.offloads)
+			fmt.Sprintf("batch flush node %d x%d", q.node, n), rt.offloads)
 		rt.tr.Count("batch.flushes", 1)
-		rt.tr.Count("batch.messages", int64(q.count))
+		rt.tr.Count("batch.messages", int64(n))
 	}
 	if rt.tel != nil {
 		now := rt.clock.Now()
-		rt.tel.Add(int(q.node), telemetry.SeriesOccupancy, now, int64(q.count))
+		rt.tel.Add(int(q.node), telemetry.SeriesOccupancy, now, int64(n))
 		rt.tel.Gauge(int(q.node), telemetry.SeriesQueue, now, 0)
-		label := fmt.Sprintf("x%d", q.count)
+		label := fmt.Sprintf("x%d", n)
 		for _, fid := range q.fids {
 			rt.tel.Event(fid, now, int(rt.ThisNode()), telemetry.FlowFlush, label)
 		}
 	}
-	var fpd *pending
 	if rt.ft.enabled() {
 		// The frame retransmits as a unit; the sub-envelopes' sequence
 		// numbers make re-execution safe, so the frame reuses the first
 		// entry's seq (and first trace ID) for bookkeeping and labels. The
 		// arena is reset below, so retransmission needs its own stable copy
 		// of the frame.
-		fpd = &pending{ //lint:allow hotalloc retransmission state must outlive the flush
+		c.pd = &pending{ //lint:allow hotalloc retransmission state must outlive the flush
 			node: q.node,
 			msg:  append([]byte(nil), frame...), //lint:allow hotalloc retransmission needs a stable copy of the scratch-backed frame
-			seq:  q.pds[0].seq,
+			seq:  c.pds[0].seq,
 			fid:  q.fids[0],
 		}
 	}
-	// The batchCall takes ownership of the pds and sinks arrays; the queue
-	// continues on the recycled call's arrays (nil on the first flush), so
-	// post-flush appends can never clobber the in-flight call's view.
-	bc := rt.takeBatchCall()
-	bc.fpd = fpd
-	bc.pds, q.pds = q.pds, bc.pds[:0]
-	bc.sinks, q.sinks = q.sinks, bc.sinks[:0]
-	rt.noteSent(q.node, len(frame))
-	h, err := rt.backend.Call(q.node, frame)
-	if err != nil && rt.canRetry(fpd, err) {
-		h, err = rt.resubmit(fpd)
-	}
+	q.c, c.q = nil, nil
+	err := c.post(q.node, frame)
 	if endBatch != nil {
 		endBatch()
 	}
-	for _, tk := range q.tks {
-		tk.bc, tk.q = bc, nil
-	}
-	q.reset()
+	q.frame, q.fids = q.frame[:batHeader], q.fids[:0]
 	if err != nil {
-		bc.failAll(err)
-		return
+		c.failAll(err)
 	}
-	bc.h = h
-}
-
-// batchTicket links one future to its frame: before the flush it points at
-// the queue (so a blocking Get can force the frame out), afterwards at the
-// in-flight batchCall.
-type batchTicket struct {
-	b  *Batcher
-	q  *batchQueue
-	bc *batchCall
-}
-
-func (tk *batchTicket) ensureFlushed() {
-	if tk.bc == nil {
-		tk.b.flushQueue(tk.q)
-	}
-}
-
-// batchCall is one in-flight batch frame: the shared resolution state of
-// all its futures. The whole frame retries as a unit under the runtime's
-// fault-tolerance policy; the target answers retransmitted entries from
-// its dedup window, so handlers still run at most once.
-//
-// Completed calls recycle through the runtime's free list (takeBatchCall):
-// once deliver or failAll has settled every sink, the futures short-circuit
-// on their own done flag and never touch the call again, so its arrays are
-// free to back the next frame. The list grows to the number of frames ever
-// in flight at once — the gateway keeps up to Window frames open per VE, a
-// single slot missed almost every time there — and no further.
-type batchCall struct {
-	rt    *Runtime
-	h     Handle
-	fpd   *pending   // frame retransmission state, nil with FT off
-	pds   []*pending // per-entry envelope state, nil entries with FT off
-	sinks []settler
-	done  bool
-	next  *batchCall // free-list link while parked
-
-	// deliver scratch, reused across retries and pool cycles.
-	subs [][]byte
-}
-
-// takeBatchCall returns a batchCall for the next flush, recycling a
-// completed one when available.
-func (rt *Runtime) takeBatchCall() *batchCall {
-	bc := rt.freeBC
-	if bc == nil {
-		return &batchCall{rt: rt} //lint:allow hotalloc pool miss: one call object per concurrently in-flight frame, then recycled
-	}
-	rt.freeBC, bc.next = bc.next, nil
-	bc.done = false
-	return bc
-}
-
-// recycle parks the completed call for reuse, dropping what it still
-// references: the settled futures, their retransmission state and the
-// response bytes the scratch slices alias. Callers must have settled every
-// sink first.
-func (bc *batchCall) recycle() {
-	bc.h, bc.fpd = nil, nil
-	clear(bc.pds)
-	clear(bc.sinks)
-	clear(bc.subs)
-	bc.next, bc.rt.freeBC = bc.rt.freeBC, bc
-}
-
-// resolve blocks until the frame completes and settles every future.
-func (bc *batchCall) resolve() {
-	if bc.done {
-		return
-	}
-	for {
-		resp, err := bc.rt.backend.Wait(bc.h)
-		if err == nil {
-			err = bc.deliver(resp)
-			if err == nil {
-				return
-			}
-		}
-		if !bc.rt.canRetry(bc.fpd, err) {
-			bc.rt.noteTimeout(err)
-			bc.failAll(err)
-			return
-		}
-		h, rerr := bc.rt.resubmit(bc.fpd)
-		if rerr != nil {
-			bc.failAll(rerr)
-			return
-		}
-		bc.h = h
-	}
-}
-
-// poll is the non-blocking variant of resolve, for Future.Test.
-func (bc *batchCall) poll() {
-	if bc.done {
-		return
-	}
-	resp, done, err := bc.rt.backend.Poll(bc.h)
-	if err == nil && !done {
-		return
-	}
-	if err == nil {
-		if err = bc.deliver(resp); err == nil {
-			return
-		}
-	}
-	if bc.rt.canRetry(bc.fpd, err) {
-		h, rerr := bc.rt.resubmit(bc.fpd)
-		if rerr == nil {
-			bc.h = h
-			return
-		}
-		err = rerr
-	}
-	bc.rt.noteTimeout(err)
-	bc.failAll(err)
-}
-
-// deliver splits the batch response and settles the futures. A non-nil
-// return means the frame must be treated as failed (and possibly retried):
-// the response was not batch-framed under FT, the entry count is off, or
-// an entry failed envelope validation.
-func (bc *batchCall) deliver(resp []byte) error {
-	subs, isBatch, err := openBatchInto(bc.subs[:0], resp)
-	bc.subs = subs
-	if !isBatch {
-		if bc.fpd != nil {
-			return errBatchUnframed
-		}
-		// Without FT nothing retries: surface whatever the target said —
-		// typically its failure response to a frame it could not parse —
-		// through every future.
-		for _, s := range bc.sinks {
-			s.settle(resp)
-		}
-		bc.done = true
-		bc.recycle()
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if len(subs) != len(bc.sinks) {
-		return errBatchCount(len(subs), len(bc.sinks))
-	}
-	// Validate every entry before settling any, so a single corrupt entry
-	// retries the frame instead of splitting it into settled and lost
-	// halves. The dedup window answers the already-executed entries. Each
-	// entry is replaced by its payload in place: subs is scratch, and a retry
-	// splits the next response afresh.
-	for i, sub := range subs {
-		p, err := bc.rt.openResponse(bc.pds[i], sub)
-		if err != nil {
-			return err
-		}
-		subs[i] = p
-	}
-	for i, s := range bc.sinks {
-		s.settle(subs[i])
-	}
-	bc.done = true
-	bc.recycle()
-	return nil
 }
 
 // errBatchUnframed is an FT-armed frame answered by something that is not a
@@ -563,15 +357,6 @@ var errBatchUnframed = fmt.Errorf("%w: batch response not framed", ErrPayloadCor
 //hot:cold
 func errBatchCount(got, want int) error {
 	return fmt.Errorf("%w: batch response carries %d entries, want %d", ErrPayloadCorrupt, got, want)
-}
-
-// failAll fails every unsettled future with err.
-func (bc *batchCall) failAll(err error) {
-	for _, s := range bc.sinks {
-		s.fail(err)
-	}
-	bc.done = true
-	bc.recycle()
 }
 
 // dispatchBatch executes one batch frame on the target: every entry runs

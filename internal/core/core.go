@@ -190,13 +190,15 @@ type Runtime struct {
 	// without a per-response decoder; batchScratch is the arena a batch
 	// response frame is built in (stolen for the duration of a dispatch so
 	// nested frames fall back to fresh buffers); subsScratch backs batch
-	// frame splitting the same way; freeBC heads the free list of completed
-	// batchCalls, one per frame that was ever in flight at once.
+	// frame splitting the same way; freeCall heads the free list of completed
+	// calls, one per wire message that was ever in flight at once; raw is
+	// the sink callSync resolves into.
 	ctx          Ctx
 	respDec      ham.Decoder
 	batchScratch []byte
 	subsScratch  [][]byte
-	freeBC       *batchCall
+	freeCall     *call
+	raw          rawSink
 }
 
 // NewRuntime creates the runtime for one node. arch labels this node's
@@ -372,18 +374,18 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 	}
 }
 
-// callAsync posts the named message with the given payload. With fault
-// tolerance enabled the message is sealed in a checksummed envelope and the
-// returned pending carries the retransmission state; transient failures of
-// the post itself are retried here.
+// encode builds the wire message of one offload: it validates the target,
+// encodes the request and — as the policies ask — seals it in the
+// fault-tolerance envelope (the returned pending carries the retransmission
+// state) and the causal-flow frame (fid is its trace ID).
 //
 //hot:path
-func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder)) (Handle, *pending, error) {
+func (rt *Runtime) encode(node NodeID, name string, payload func(*ham.Encoder)) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
-		return nil, nil, errOffloadSelf(node)
+		return nil, nil, 0, errOffloadSelf(node)
 	}
 	if int(node) < 0 || int(node) >= rt.NumNodes() {
-		return nil, nil, errNoNode(node, rt.NumNodes())
+		return nil, nil, 0, errNoNode(node, rt.NumNodes())
 	}
 	var endEnc func()
 	if rt.tr != nil {
@@ -394,27 +396,39 @@ func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder
 		endEnc()
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	rt.offloads++
-	wire, pd := rt.seal(node, msg)
+	wire, pd = rt.seal(node, msg)
 	if pd != nil && pinnedMessage(name) {
 		pd.pinned = true
 	}
-	wire, _ = rt.flowSeal(wire, pd)
-	rt.noteSent(node, len(wire))
-	h, err := rt.backend.Call(node, wire)
-	if err != nil && rt.canRetry(pd, err) {
-		h, err = rt.resubmit(pd)
-	}
+	wire, fid = rt.flowSeal(wire, pd)
+	return wire, pd, fid, nil
+}
+
+// callAsync posts the named message as a call of one and returns it; sink
+// receives the response payload or the failure, at once when the message
+// cannot be built or posted.
+//
+//hot:path
+func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder), sink settler) *call {
+	wire, pd, _, err := rt.encode(node, name, payload)
 	if err != nil {
-		return nil, nil, err
+		sink.fail(err)
+		return nil
 	}
-	return h, pd, nil
+	c := rt.takeCall()
+	c.pd = pd
+	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	if err := c.post(node, wire); err != nil {
+		c.failAll(err)
+	}
+	return c
 }
 
 // errOffloadSelf and errNoNode render the target-validation failures; split
-// out of callAsync so the successful offload path carries no formatting.
+// out of encode so the successful offload path carries no formatting.
 //
 //hot:cold
 func errOffloadSelf(node NodeID) error {
@@ -426,15 +440,16 @@ func errNoNode(node NodeID, n int) error {
 	return fmt.Errorf("core: no node %d in this application (%d nodes)", node, n)
 }
 
-// callSync posts the message and waits for its response payload.
+// callSync posts the message and waits for its response payload, settling
+// into the runtime's own raw sink rather than a typed future.
 func (rt *Runtime) callSync(node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
-	endOff := rt.beginOffload(node, name)
-	defer endOff()
-	h, pd, err := rt.callAsync(node, name, payload)
-	if err != nil {
-		return nil, err
+	defer rt.beginOffload(node, name)()
+	c := rt.callAsync(node, name, payload, &rt.raw)
+	if !rt.raw.done {
+		c.resolve()
 	}
-	resp, err := rt.resolve(h, pd)
+	resp, err := rt.raw.resp, rt.raw.err
+	rt.raw = rawSink{}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -470,6 +471,11 @@ func TestCheckCompatible(t *testing.T) {
 	}
 }
 
+// skewRuns numbers the runs of TestFingerprintDetectsProgramSkew: the message
+// table is process-global, so under -count=2 a fixed extra name would already
+// be registered the second time round.
+var skewRuns int
+
 func TestFingerprintDetectsProgramSkew(t *testing.T) {
 	// A target whose binary was instantiated BEFORE an extra registration is
 	// incompatible with a host instantiated after it — the mistake the
@@ -483,7 +489,8 @@ func TestFingerprintDetectsProgramSkew(t *testing.T) {
 	// registration, to dodge the "fn:" prefix), so existing keys keep their
 	// values (terminate still works for cleanup) while the fingerprints must
 	// differ.
-	ham.RegisterHandler("zzz.skew.extra",
+	skewRuns++
+	ham.RegisterHandler(fmt.Sprintf("zzz.skew.extra.%d", skewRuns),
 		func(env any, dec *ham.Decoder, enc *ham.Encoder) error { return nil })
 	host := core.NewRuntime(hb, "skew-host")
 	var wg sync.WaitGroup

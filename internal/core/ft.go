@@ -190,55 +190,3 @@ func errBadEnvelope(enveloped bool, kind uint8, seq, want uint64) error {
 	}
 	return fmt.Errorf("%w: response envelope kind %d seq %d (want seq %d)", ErrPayloadCorrupt, kind, seq, want)
 }
-
-// resolve blocks until the offload behind h completes, applying the retry
-// policy: transient failures (from the backend or from response
-// validation) are re-posted until the budget runs out. A hedging-armed
-// runtime resolves enveloped offloads through the racing path instead.
-func (rt *Runtime) resolve(h Handle, pd *pending) ([]byte, error) {
-	if rt.hedge.enabled() && pd != nil && !pd.pinned {
-		return rt.resolveHedged(h, pd)
-	}
-	for {
-		resp, err := rt.backend.Wait(h)
-		if err == nil {
-			resp, err = rt.openResponse(pd, resp)
-			if err == nil {
-				return resp, nil
-			}
-		}
-		if !rt.canRetry(pd, err) {
-			rt.noteTimeout(err)
-			return nil, err
-		}
-		h, err = rt.resubmit(pd)
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// pollResolved is the non-blocking variant of resolve, for Future.Test: it
-// returns the (possibly re-posted) handle and done=false while the offload
-// is still in flight.
-func (rt *Runtime) pollResolved(h Handle, pd *pending) (resp []byte, nh Handle, done bool, err error) {
-	resp, done, err = rt.backend.Poll(h)
-	if err == nil && !done {
-		return nil, h, false, nil
-	}
-	if err == nil {
-		resp, err = rt.openResponse(pd, resp)
-		if err == nil {
-			return resp, h, true, nil
-		}
-	}
-	if rt.canRetry(pd, err) {
-		nh, rerr := rt.resubmit(pd)
-		if rerr == nil {
-			return nil, nh, false, nil
-		}
-		err = rerr
-	}
-	rt.noteTimeout(err)
-	return nil, h, true, err
-}

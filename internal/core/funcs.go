@@ -132,14 +132,8 @@ func (f Functor[R]) Name() string { return f.name }
 //
 //hot:path
 func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
-	endOff := rt.beginOffload(node, fn.name)
-	h, pd, err := rt.callAsync(node, fn.name, fn.payload)
-	if err != nil {
-		return failedFuture[R](rt, endOff, err)
-	}
-	f := newFuture(rt, h, fn.decode)
-	f.pd = pd
-	f.onDone = endOff
+	f := &Future[R]{rt: rt, decode: fn.decode, onDone: rt.beginOffload(node, fn.name)} //lint:allow hotalloc one future per offload is the API contract
+	f.c = rt.callAsync(node, fn.name, fn.payload, f)
 	return f
 }
 

@@ -7,16 +7,8 @@ import "hamoffload/internal/ham"
 // until the result message arrived and decodes it.
 type Future[T any] struct {
 	rt     *Runtime
-	h      Handle
-	pd     *pending // fault-tolerance retransmission state, nil with FT off
+	c      *call // the wire message carrying this offload; shared by a frame's futures
 	decode func(*ham.Decoder) (T, error)
-
-	// bt, when set, marks this future as one entry of a batch frame (see
-	// batch.go): resolution goes through the shared batchCall instead of a
-	// private backend handle. btv is the ticket's storage, embedded so a
-	// batched future needs no second allocation; bt points at btv.
-	bt  *batchTicket
-	btv batchTicket
 
 	// onDone, when set, fires exactly once as the future settles or fails;
 	// the runtime uses it to close the offload lifecycle span. hook runs
@@ -33,45 +25,17 @@ type Future[T any] struct {
 // fault-tolerance policy a transient failure observed here re-posts the
 // request and keeps the future in flight.
 func (f *Future[T]) Test() bool {
-	if f.done {
-		return true
+	if !f.done {
+		f.c.poll()
 	}
-	if f.bt != nil {
-		// A still-queued frame cannot complete on its own; force it out so
-		// polling makes progress, then poll the shared call.
-		f.bt.ensureFlushed()
-		f.bt.bc.poll()
-		return f.done
-	}
-	resp, h, done, err := f.rt.pollResolved(f.h, f.pd)
-	f.h = h
-	if !done {
-		return false
-	}
-	if err != nil {
-		f.fail(err)
-		return true
-	}
-	f.settle(resp)
-	return true
+	return f.done
 }
 
 // Get blocks until the offload completed and returns its result.
 func (f *Future[T]) Get() (T, error) {
-	if f.done {
-		return f.val, f.err
+	if !f.done {
+		f.c.resolve()
 	}
-	if f.bt != nil {
-		f.bt.ensureFlushed()
-		f.bt.bc.resolve()
-		return f.val, f.err
-	}
-	resp, err := f.rt.resolve(f.h, f.pd)
-	if err != nil {
-		f.fail(err)
-		return f.val, f.err
-	}
-	f.settle(resp)
 	return f.val, f.err
 }
 
@@ -162,23 +126,8 @@ func (f *Future[T]) fireDone() {
 	}
 }
 
-// newFuture wires a backend handle to a result decoder.
-func newFuture[T any](rt *Runtime, h Handle, decode func(*ham.Decoder) (T, error)) *Future[T] {
-	return &Future[T]{rt: rt, h: h, decode: decode} //lint:allow hotalloc one future per offload is the API contract
-}
-
 // completedFuture wraps an already-finished operation, for the data-transfer
 // variants whose backends complete eagerly.
 func completedFuture[T any](val T, err error) *Future[T] {
 	return &Future[T]{done: true, val: val, err: err}
-}
-
-// failedFuture builds a future that failed before it was posted, closing the
-// offload span through onDone like a settled one would.
-//
-//hot:cold
-func failedFuture[T any](rt *Runtime, onDone func(), err error) *Future[T] {
-	f := &Future[T]{rt: rt, onDone: onDone}
-	f.fail(err)
-	return f
 }

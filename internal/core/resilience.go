@@ -141,7 +141,7 @@ func (rt *Runtime) spendTokenSlow(node NodeID) bool {
 	return true
 }
 
-// hedgePollQuantum paces the resolveHedged poll loop on simulated
+// hedgePollQuantum paces the hedge race's poll loop on simulated
 // backends: between unproductive polls the initiator sleeps this long, so
 // the loop always advances the simulated clock toward the hedge deadline.
 const hedgePollQuantum = 250 * simtime.Nanosecond
@@ -177,7 +177,7 @@ func (rt *Runtime) hedgeTarget(primary NodeID) NodeID {
 // issueHedge re-posts pd's sealed wire bytes to the hedge target, spending
 // a budget token. It returns the hedge handle, or nil when the budget
 // denied the hedge or the post itself failed (the primary remains the only
-// copy in flight; resolveHedged does not retry a failed hedge — the retry
+// copy in flight; the race does not retry a failed hedge — the retry
 // machinery belongs to the primary).
 //
 //hot:cold
@@ -218,36 +218,35 @@ func (rt *Runtime) reapStrays() {
 	rt.strays = kept
 }
 
-// resolveHedged is resolve for a hedging-armed runtime: poll the primary,
-// issue the hedge once the delay elapses, first settled copy wins, the
+// race is backend.Wait for a hedging-armed runtime: poll the primary, issue
+// the hedge once the delay elapses, the first copy that delivers wins, the
 // loser is left to the stray reaper. A copy that fails transiently drops
-// out of the race; when both copies have failed, the ordinary retry
-// machinery takes over.
+// out of the race; when both copies have failed the last error goes back
+// to resolve, whose retry re-posts a new primary that may hedge again.
 //
 //hot:cold
-func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
-	rt.reapStrays()
-	// The delay measures in-flight time, so it counts from the moment the
-	// request was sealed — on protocols whose Call itself advances simulated
-	// time (veob's privileged-DMA writes) the primary may already be past the
-	// deadline when the caller first blocks.
-	start := pd.sentAt
+func (c *call) race() error {
+	rt, pd := c.rt, c.pd
 	delay := rt.hedgeDelay(pd)
-	hs := [2]Handle{h, nil}
+	hs := [2]Handle{c.h, nil}
 	alive := [2]bool{true, false}
 	hedgeTried := false
 	var lastErr error
-	for {
+	for alive[0] || alive[1] {
+		// The delay measures in-flight time, so it counts from the moment the
+		// request was sealed (or re-posted) — on protocols whose Call itself
+		// advances simulated time (veob's privileged-DMA writes) the primary
+		// may already be past the deadline when the caller first blocks.
 		// Without a simulated clock the delay is unmeasurable; hedge before
 		// the first poll so wall-clock behaviour is deterministic.
-		if !hedgeTried && alive[0] && (!rt.clock.Simulated() || rt.clock.Now().Sub(start) >= delay) {
+		if !hedgeTried && alive[0] && (!rt.clock.Simulated() || rt.clock.Now().Sub(pd.sentAt) >= delay) {
 			hedgeTried = true
 			if nh := rt.issueHedge(pd); nh != nil {
 				hs[1], alive[1] = nh, true
 			}
 		}
 		progressed := false
-		for i := 0; i < 2; i++ {
+		for i := range hs {
 			if !alive[i] {
 				continue
 			}
@@ -257,8 +256,7 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 			}
 			progressed = true
 			if err == nil {
-				resp, err = rt.openResponse(pd, resp)
-				if err == nil {
+				if err = c.deliver(resp); err == nil {
 					if i == 1 {
 						rt.hedgeWins++
 						rt.tr.Count("offload.hedge.wins", 1)
@@ -266,31 +264,15 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 					if other := 1 - i; alive[other] {
 						rt.strays = append(rt.strays, hs[other])
 					}
-					return resp, nil
+					return nil
 				}
 			}
 			alive[i] = false
 			lastErr = err
 		}
-		if !alive[0] && !alive[1] {
-			// Both copies failed: fall back to the plain retry machinery on
-			// the primary target. The re-post becomes the new primary and may
-			// hedge again after another delay.
-			if !rt.canRetry(pd, lastErr) {
-				rt.noteTimeout(lastErr)
-				return nil, lastErr
-			}
-			nh, err := rt.resubmit(pd)
-			if err != nil {
-				return nil, err
-			}
-			hs[0], alive[0] = nh, true
-			hedgeTried = false
-			start = rt.clock.Now()
-			continue
-		}
 		if !progressed {
 			rt.clock.Sleep(hedgePollQuantum)
 		}
 	}
+	return lastErr
 }

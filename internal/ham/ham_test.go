@@ -120,6 +120,18 @@ func registerN(prefix string, n int) []string {
 	return names
 }
 
+// freshNames numbers the names freshName has handed out.
+var freshNames int
+
+// freshName returns a handler name this process has not registered yet. The
+// table is process-global, so a test that must observe a registration (and
+// may run twice, under -count=2) cannot use a fixed name. The zzz prefix
+// sorts it after every real message, so existing keys keep their values.
+func freshName(stem string) string {
+	freshNames++
+	return fmt.Sprintf("zzz.%s.%d", stem, freshNames)
+}
+
 func TestBinariesAgreeOnKeys(t *testing.T) {
 	names := registerN("test.agree", 20)
 	host := NewBinary("x86_64-host")
@@ -313,23 +325,24 @@ func TestRegisterHandlerValidation(t *testing.T) {
 }
 
 func TestRegisteredCountAndNameOf(t *testing.T) {
+	one := freshName("count.one")
 	before := RegisteredCount()
-	RegisterHandler("test.count.one", func(env any, dec *Decoder, enc *Encoder) error { return nil })
+	RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
 	if RegisteredCount() != before+1 {
 		t.Errorf("RegisteredCount did not advance")
 	}
 	// Re-registration replaces, not duplicates.
-	RegisterHandler("test.count.one", func(env any, dec *Decoder, enc *Encoder) error { return nil })
+	RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
 	if RegisteredCount() != before+1 {
 		t.Errorf("re-registration changed the count")
 	}
 	b := NewBinary("count-arch")
-	k, err := b.KeyOf("test.count.one")
+	k, err := b.KeyOf(one)
 	if err != nil {
 		t.Fatal(err)
 	}
 	name, err := b.NameOf(k)
-	if err != nil || name != "test.count.one" {
+	if err != nil || name != one {
 		t.Errorf("NameOf = %q, %v", name, err)
 	}
 	if _, err := b.NameOf(Key(1 << 30)); err == nil {
@@ -343,7 +356,7 @@ func TestFingerprintStableAcrossArch(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("fingerprint must depend on the program, not the architecture")
 	}
-	RegisterHandler("test.fp.extra", func(env any, dec *Decoder, enc *Encoder) error { return nil })
+	RegisterHandler(freshName("fp.extra"), func(env any, dec *Decoder, enc *Encoder) error { return nil })
 	c := NewBinary("arch-z")
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Error("fingerprint must change when the program changes")
