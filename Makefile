@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check test race bench bench-check gobench repro examples fmt vet lint cover cover-check shuffle
+.PHONY: all check test race bench bench-check samples samples-check gobench repro examples fmt vet lint cover cover-check shuffle
 
 all: check
 
@@ -21,8 +21,9 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# Benchmark-regression harness: rerun the Fig. 9 and batch experiments and
-# refresh the committed BENCH_fig9.json / BENCH_batch.json baselines.
+# Benchmark-regression harness: rerun every row of the experiment table
+# (bench/experiments.go) that has a Measure and refresh its committed
+# BENCH_<name>.json baseline. The rows' design gates are checked either way.
 bench:
 	$(GO) run ./cmd/benchreg
 
@@ -31,6 +32,28 @@ bench:
 # `go run ./cmd/benchreg -check -tol 0.05` manually for a looser gate.
 bench-check:
 	$(GO) run ./cmd/benchreg -check -tol 0
+
+# Sample outputs, generated from the same table: docs/sample-output/NAME.txt
+# is `hambench -exp NAME` (a file that names no row fails the run; a row
+# without a file fails bench's table test), except the two named below.
+# `samples` rewrites every file, `samples-check` fails on any byte of drift.
+SAMPLES := docs/sample-output
+BUILD := .bench_build
+
+samples samples-check:
+	@mkdir -p $(BUILD) && $(GO) build -o $(BUILD)/hambench ./cmd/hambench
+	@set -e; for f in $(SAMPLES)/*.txt; do \
+		exp=$$(basename $$f .txt); \
+		case $$exp in \
+		fig9-socket1) cmd="$(BUILD)/hambench -exp fig9 -socket 1" ;; \
+		tables-1-and-3) cmd="$(GO) run ./cmd/veinfo" ;; \
+		*) cmd="$(BUILD)/hambench -exp $$exp" ;; \
+		esac; \
+		$$cmd > $(BUILD)/fresh.txt 2> $(BUILD)/fresh.err || { cat $(BUILD)/fresh.err >&2; exit 1; }; \
+		if [ $@ = samples ]; then cp $(BUILD)/fresh.txt $$f; \
+		else cmp $(BUILD)/fresh.txt $$f || { echo "$$f: drifted from \`$$cmd\`; run \`make samples\` if intended" >&2; exit 1; }; fi; \
+	done; \
+	echo "$@: $$(ls $(SAMPLES)/*.txt | wc -l) sample outputs"
 
 gobench:
 	$(GO) test -bench=. -benchmem ./...

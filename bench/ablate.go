@@ -74,7 +74,7 @@ func AblatePollInterval(intervalsNS []int64) ([]AblationRow, error) {
 	for _, ns := range intervalsNS {
 		timing := topology.DefaultTiming()
 		timing.HAMVEPollInterval = simtime.Duration(ns) * simtime.Nanosecond
-		us, err := measureEmptyWithTiming(&timing)
+		us, err := runEmptyLoop(machine.Config{VEs: 1, Timing: &timing}, machine.ProtocolOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func AblateResultPath() ([]AblationRow, error) {
 		if viaDMA {
 			label = "user-DMA write"
 		}
-		us, err := measureEmptyWithOptions(machine.ProtocolOptions{ResultViaDMA: viaDMA})
+		us, err := runEmptyLoop(machine.Config{VEs: 1}, machine.ProtocolOptions{ResultViaDMA: viaDMA})
 		if err != nil {
 			return nil, err
 		}
@@ -155,26 +155,11 @@ func AblateBufferCount(counts []int, pipelineDepth int) ([]AblationRow, error) {
 	return rows, nil
 }
 
-func measureEmptyWithTiming(t *topology.Timing) (float64, error) {
-	return runEmptyLoop(machine.Config{VEs: 1, Timing: t}, machine.ProtocolOptions{})
-}
-
-func measureEmptyWithOptions(opts machine.ProtocolOptions) (float64, error) {
-	return runEmptyLoop(machine.Config{VEs: 1}, opts)
-}
-
+// runEmptyLoop is the DMA-protocol empty-offload cost under one machine and
+// protocol configuration, at Fig. 9's default warm-ups and repetitions.
 func runEmptyLoop(mcfg machine.Config, opts machine.ProtocolOptions) (float64, error) {
-	var us float64
-	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
-		op := func() error {
-			_, err := offload.Sync(rt, 1, benchEmpty.Bind())
-			return err
-		}
-		v, err := timedLoop(p, 10, 100, op)
-		us = v
-		return err
-	})
-	return us, err
+	samples, err := emptySamples(mcfg, true, opts, 10, 100)
+	return meanUS(samples), err
 }
 
 // GranularityRow is one point of the offload-granularity sweep.

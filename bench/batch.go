@@ -129,32 +129,6 @@ func MeasureBatchEmptySamples(cfg BatchConfig, k int) ([]float64, error) {
 	return samples, nil
 }
 
-// MeasureHAMEmptySamples is MeasureHAMEmpty returning one latency sample per
-// timed offload instead of the mean — the input of the regression baselines.
-func MeasureHAMEmptySamples(cfg Fig9Config, dmaProtocol bool) ([]float64, error) {
-	cfg.fill()
-	var samples []float64
-	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
-		for i := 0; i < cfg.Warmup; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < cfg.Reps; i++ {
-			start := p.Now()
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-			samples = append(samples, p.Now().Sub(start).Microseconds())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
 // RenderBatch prints the sweep as a fixed-width table.
 func RenderBatch(w io.Writer, r BatchResult) {
 	fmt.Fprintf(w, "Batch amortisation — empty offloads, DMA protocol (socket %d)\n", r.Socket)

@@ -8,9 +8,10 @@
 //	plus the ablations called out in DESIGN.md (huge pages, 4dma bulk
 //	translation, poll interval, buffer count, result-return path).
 //
-// The same entry points back both the cmd/hambench tool and the testing.B
-// benchmarks in the repository root, so the printed artefacts and the
-// benchmark metrics always agree.
+// Experiments (experiments.go) is the one table of them: cmd/hambench,
+// cmd/benchreg and `make samples` are loops over it. The same entry points
+// back the testing.B benchmarks in the repository root, so the printed
+// artefacts and the benchmark metrics always agree.
 package bench
 
 import (

@@ -311,7 +311,7 @@ func TestGranularitySweep(t *testing.T) {
 // end: both protocols leave their signature spans.
 func TestTraceOffloadsProducesChromeJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := TraceOffloads(2, &buf); err != nil {
+	if err := traceOffloads(2, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -9,7 +9,6 @@ import (
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
 	"hamoffload/machine"
-	"hamoffload/offload"
 )
 
 // BreakdownResult decomposes one empty synchronous offload into its
@@ -42,15 +41,7 @@ func Breakdown(cfg Fig9Config, dmaProtocol bool) (BreakdownResult, error) {
 	if dmaProtocol {
 		res.Protocol = "DMA"
 	}
-	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(_ *machine.Proc, rt *offload.Runtime) error {
-		for i := 0; i < cfg.Warmup+1; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, 1); err != nil {
 		return res, err
 	}
 

@@ -56,24 +56,9 @@ func measureFaulted(cfg Fig9Config, dmaProtocol bool, retry offload.FaultToleran
 		Retry:          retry,
 		OffloadTimeout: 50 * machine.Millisecond,
 	}
-	err = runOn(m, dmaProtocol, opts, func(p *machine.Proc, rt *offload.Runtime) error {
-		for i := 0; i < cfg.Warmup; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		start := p.Now()
-		for i := 0; i < cfg.Reps; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		us = p.Now().Sub(start).Microseconds() / float64(cfg.Reps)
-		retries = rt.Retries()
-		return nil
-	})
-	injected = m.Timing.Faults.Injected()
-	return us, retries, injected, err
+	samples, err := emptyOffloads(m, dmaProtocol, opts, cfg.Warmup, cfg.Reps,
+		func(rt *offload.Runtime) { retries = rt.Retries() })
+	return meanUS(samples), retries, m.Timing.Faults.Injected(), err
 }
 
 // FaultOverhead runs the three configurations over both protocols.

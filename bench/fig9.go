@@ -143,27 +143,88 @@ func MeasureVEONative(cfg Fig9Config) (float64, error) {
 	return us, err
 }
 
+// emptyOffloads is the paper's §V-A measurement loop, written once: connect
+// to m over one protocol, warm up, then time reps empty sync offloads to
+// node 1, one sample per offload. The simulated clock only moves inside an
+// offload, so the samples sum to the span of the whole timed loop exactly.
+// after, when non-nil, reads the runtime's counters before it is finalized.
+func emptyOffloads(m *machine.Machine, dma bool, opts machine.ProtocolOptions,
+	warmup, reps int, after func(*offload.Runtime)) ([]simtime.Duration, error) {
+	samples := make([]simtime.Duration, 0, reps)
+	err := runOn(m, dma, opts, func(p *machine.Proc, rt *offload.Runtime) error {
+		for i := 0; i < warmup+reps; i++ {
+			start := p.Now()
+			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
+				return err
+			}
+			if i >= warmup {
+				samples = append(samples, p.Now().Sub(start))
+			}
+		}
+		if after != nil {
+			after(rt)
+		}
+		return nil
+	})
+	return samples, err
+}
+
+// emptySamples is emptyOffloads on a fresh machine.
+func emptySamples(mcfg machine.Config, dma bool, opts machine.ProtocolOptions,
+	warmup, reps int) ([]simtime.Duration, error) {
+	m, err := machine.New(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	return emptyOffloads(m, dma, opts, warmup, reps, nil)
+}
+
+// meanUS averages integer-picosecond samples in microseconds: the sum is
+// exact, so the mean equals (end - start) / reps of the loop they tile.
+func meanUS(samples []simtime.Duration) float64 {
+	var sum simtime.Duration
+	for _, s := range samples {
+		sum += s
+	}
+	return sum.Microseconds() / float64(len(samples))
+}
+
 // MeasureHAMEmpty times an empty HAM-Offload sync offload over either
 // protocol, in microseconds of simulated time.
 func MeasureHAMEmpty(cfg Fig9Config, dmaProtocol bool) (float64, error) {
 	cfg.fill()
-	var us float64
-	err := withRuntime(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
-		for i := 0; i < cfg.Warmup; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		start := p.Now()
-		for i := 0; i < cfg.Reps; i++ {
-			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
-				return err
-			}
-		}
-		us = p.Now().Sub(start).Microseconds() / float64(cfg.Reps)
-		return nil
-	})
+	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
+	return meanUS(samples), err
+}
+
+// MeasureHAMEmptySamples is MeasureHAMEmpty returning one latency sample per
+// timed offload instead of the mean — the input of the regression baselines.
+func MeasureHAMEmptySamples(cfg Fig9Config, dmaProtocol bool) ([]float64, error) {
+	cfg.fill()
+	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
+	us := make([]float64, len(samples))
+	for i, s := range samples {
+		us[i] = s.Microseconds()
+	}
 	return us, err
+}
+
+// MeasureHAMEmptyHist is MeasureHAMEmpty with a per-offload latency
+// distribution: it exposes protocol jitter such as poll-phase alignment and
+// slot-drain stalls that the plain average hides. The simulation is
+// deterministic, so the histogram is reproducible.
+func MeasureHAMEmptyHist(cfg Fig9Config, dmaProtocol bool) (*trace.Histogram, error) {
+	cfg.fill()
+	name := "HAM-Offload empty offload (VEO protocol)"
+	if dmaProtocol {
+		name = "HAM-Offload empty offload (DMA protocol)"
+	}
+	hist := trace.NewHistogram(name)
+	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
+	for _, s := range samples {
+		hist.Observe(s)
+	}
+	return hist, err
 }
 
 // timedLoop is a helper for size sweeps: warm-ups then timed reps of op.

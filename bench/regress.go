@@ -4,15 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 )
 
-// This file is the benchmark-regression harness: it reduces the Fig. 9 and
-// batch experiments to per-operation latency statistics, serialises them as
-// JSON baselines (BENCH_fig9.json, BENCH_batch.json at the repo root), and
-// compares fresh runs against the committed baselines within a tolerance.
-// All times are simulated, so on an unchanged tree a rerun reproduces the
-// baseline exactly; any drift is a real change to the modelled protocols.
+// This file is the benchmark-regression harness: an experiment's Measure
+// reduces it to a value — usually a Report of per-operation latency
+// statistics — that is committed as BENCH_<Name>.json at the repo root, and
+// Regress holds a fresh run against that file and against the experiment's
+// Gates. All times are simulated, so on an unchanged tree a rerun reproduces
+// the baseline exactly; any drift is a real change to the modelled protocols.
 
 // Stats summarises per-operation latency samples in microseconds of
 // simulated time. Percentiles are nearest-rank over the sorted samples.
@@ -122,27 +124,125 @@ func BatchReport(cfg BatchConfig) (Report, error) {
 	return r, nil
 }
 
-// WriteReport serialises r as indented JSON at path (trailing newline, so
-// the baseline diffs cleanly).
-func WriteReport(path string, r Report) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// Gate is a design target as data: Num's Stat may be at most Max times
+// Den's Stat, both entries of the experiment's fresh Report.
+type Gate struct {
+	Doc      string  // what the target protects, and where it is argued
+	Num, Den string  // entry names
+	Stat     string  // "mean", "p99" or "p999"
+	Max      float64 // largest allowed Num/Den
 }
 
-// ReadReport loads a baseline written by WriteReport.
-func ReadReport(path string) (Report, error) {
-	var r Report
-	data, err := os.ReadFile(path)
+// stat returns the named statistic of the named entry.
+func (r Report) stat(entry, stat string) (float64, error) {
+	e, ok := r.Entry(entry)
+	if !ok {
+		return 0, fmt.Errorf("%s report has no entry %q", r.Experiment, entry)
+	}
+	switch stat {
+	case "mean":
+		return e.MeanUS, nil
+	case "p99":
+		return e.P99US, nil
+	case "p999":
+		return e.P999US, nil
+	}
+	return 0, fmt.Errorf("unknown stat %q", stat)
+}
+
+// Check evaluates the gate on r. The returned line states the measured
+// ratio; the error is non-nil when an entry is missing or the ratio is
+// above Max.
+func (g Gate) Check(r Report) (string, error) {
+	num, err := r.stat(g.Num, g.Stat)
 	if err != nil {
-		return r, err
+		return "", err
 	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("bench: parsing %s: %w", path, err)
+	den, err := r.stat(g.Den, g.Stat)
+	if err != nil {
+		return "", err
 	}
-	return r, nil
+	line := fmt.Sprintf("%s %s %.2f us vs %s %.2f us (ratio %.2f, gate %.2f)",
+		g.Stat, g.Num, num, g.Den, den, num/den, g.Max)
+	if num/den > g.Max {
+		return line, fmt.Errorf("gate failed: %s — %s", line, g.Doc)
+	}
+	return line, nil
+}
+
+// BaselineFile is the name of e's committed baseline.
+func (e Experiment) BaselineFile() string { return "BENCH_" + e.Name + ".json" }
+
+// Regress measures e afresh, checks its gates, and then either writes the
+// result to dir as the new baseline or, with check set, compares it against
+// the one committed there: a Report stat by stat within tol (CompareReports),
+// any other value byte for byte, because simulated numbers that are not
+// latency distributions have no tolerance to speak of. The notes narrate
+// what passed; the error names every gate or stat that did not. The gates
+// run in both modes: refreshing a baseline that violates a design target
+// should be just as loud as regressing against one.
+func (e Experiment) Regress(dir string, check bool, tol float64) (notes []string, err error) {
+	cur, err := e.Measure()
+	if err != nil {
+		return nil, err
+	}
+	rep, isReport := cur.(Report)
+	for _, g := range e.Gates {
+		line, err := g.Check(rep)
+		if err != nil {
+			return notes, err
+		}
+		notes = append(notes, line)
+	}
+	data, err := json.MarshalIndent(cur, "", "  ")
+	if err != nil {
+		return notes, err
+	}
+	data = append(data, '\n') // so the baseline diffs cleanly
+	path := filepath.Join(dir, e.BaselineFile())
+	if !check {
+		return append(notes, "wrote "+path), os.WriteFile(path, data, 0o644)
+	}
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		return notes, fmt.Errorf("no baseline (run benchreg without -check to create it): %w", err)
+	}
+	var bad []string
+	if isReport {
+		var base Report
+		if err := json.Unmarshal(committed, &base); err != nil {
+			return notes, fmt.Errorf("parsing %s: %w", path, err)
+		}
+		bad = CompareReports(base, rep, tol)
+	} else {
+		bad = diffLines(e.Name, string(committed), string(data))
+	}
+	if len(bad) > 0 {
+		return notes, fmt.Errorf("%d value(s) off the committed %s:\n  %s",
+			len(bad), path, strings.Join(bad, "\n  "))
+	}
+	return notes, nil
+}
+
+// diffLines compares two indented-JSON documents line by line — one field
+// per line, so each returned violation names the field that drifted.
+func diffLines(name, base, cur string) []string {
+	b, c := strings.Split(base, "\n"), strings.Split(cur, "\n")
+	var bad []string
+	for i := 0; i < len(b) || i < len(c); i++ {
+		var bl, cl string
+		if i < len(b) {
+			bl = b[i]
+		}
+		if i < len(c) {
+			cl = c[i]
+		}
+		if bl != cl {
+			bad = append(bad, fmt.Sprintf("%s: deterministic value drifted: %s -> %s",
+				name, strings.TrimSpace(bl), strings.TrimSpace(cl)))
+		}
+	}
+	return bad
 }
 
 // CompareReports checks cur against the committed baseline base: every

@@ -116,6 +116,25 @@ func RenderTableIV(w io.Writer, rows []TableIVRow) {
 	}
 }
 
+// RenderCrossover prints the sizes up to which SHM stores beat the bulk
+// paths in the VE=>VH direction of a Fig. 10 sweep.
+func RenderCrossover(w io.Writer, sweep []Series) {
+	find := func(method string) Series {
+		for _, s := range sweep {
+			if s.Method == method && s.Direction == DirUp {
+				return s
+			}
+		}
+		return Series{}
+	}
+	shm := find(MethodInst)
+	fmt.Fprintln(w, "Crossover points, VE=>VH direction (§V-B)")
+	fmt.Fprintf(w, "SHM faster than VE user DMA up to : %8s   (paper: 256B)\n",
+		sizeLabel(Crossover(shm, find(MethodDMA))))
+	fmt.Fprintf(w, "SHM faster than VEO read up to    : %8s   (paper: 32KiB; see EXPERIMENTS.md)\n",
+		sizeLabel(Crossover(shm, find(MethodVEO))))
+}
+
 // RenderAblation prints ablation rows as a two-column table.
 func RenderAblation(w io.Writer, title string, rows []AblationRow) {
 	fmt.Fprintln(w, title)

@@ -29,9 +29,9 @@ import (
 //     off the sick VE, and hedge-target selection avoids ejected nodes.
 //
 // Everything runs on the simulated clock, so the percentiles are exactly
-// reproducible; BENCH_resilience.json pins them, and benchreg enforces the
-// design target that hedged-breaker recovers at least 2x of the baseline's
-// p99.9 (see cmd/benchreg).
+// reproducible; BENCH_resilience.json pins them, and the row's Gate in
+// experiments.go is the design target that hedged-breaker recovers at least
+// 2x of the baseline's p99.9.
 
 // ResilienceConfig parameterises the gray-failure tail-latency experiment.
 type ResilienceConfig struct {

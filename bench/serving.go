@@ -44,7 +44,7 @@ type ServingConfig struct {
 	Seed     uint64 // seeds the arrival process (default 42)
 	// GapPeakNS / GapTroughNS bound the diurnal base inter-arrival gap in
 	// nanoseconds: the peak of the wave offers one request per GapPeakNS
-	// (defaults 140 / 1000 — the peak oversubscribes the fleet, the trough
+	// (defaults 250 / 2500 — the peak oversubscribes the fleet, the trough
 	// leaves it mostly idle).
 	GapPeakNS, GapTroughNS int64
 	// DiurnalCycles is how many peak-trough cycles span the run (default 4).

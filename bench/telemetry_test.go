@@ -55,8 +55,8 @@ func TestTelemetryArmedDeterministic(t *testing.T) {
 	}
 }
 
-// The engine report's deterministic fields must reproduce across separate
-// profiled runs; the wall-clock fields are benchreg's to judge.
+// The engine report is simulated-clock data only, so separate runs must
+// agree on every field.
 func TestEngineReportDeterministicFields(t *testing.T) {
 	cfg := TelemetryConfig{VEs: 2, Tasks: 8, Waves: 2}
 	r1, err := EngineProfileReport(cfg)
@@ -67,12 +67,7 @@ func TestEngineReportDeterministicFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Neutralise the machine-dependent fields, then demand exact agreement.
-	// The throughput floor is sized for the full workload without the race
-	// detector (benchreg -check); this run is neither.
-	r2.WallEventsPerSec = minEventsPerWallSec
-	r2.AllocsPerEvent = r1.AllocsPerEvent
-	if bad := CompareEngineReports(r1, r2); len(bad) != 0 {
-		t.Errorf("deterministic engine fields drifted: %v", bad)
+	if r1 != r2 {
+		t.Errorf("engine report differs between identical runs: %+v vs %+v", r1, r2)
 	}
 }

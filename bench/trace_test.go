@@ -4,15 +4,36 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
+	"hamoffload/machine"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// traceOffloads runs reps empty offloads over each protocol with one span
+// recorder attached and writes the Chrome trace-event JSON to w. In Perfetto
+// the export shows the structural difference between the two protocols at a
+// glance: the VEO protocol's offload is dominated by two veo_write_mem spans
+// and a long veo_read_mem poll, the DMA protocol shows only thin user-DMA
+// slivers on the VE worker's row.
+func traceOffloads(reps int, w io.Writer) error {
+	rec := trace.NewTracer()
+	timing := topology.DefaultTiming()
+	timing.Tracer = rec
+	for _, dma := range []bool{false, true} {
+		if _, err := emptySamples(machine.Config{VEs: 1, Timing: &timing}, dma, machine.ProtocolOptions{}, 0, reps); err != nil {
+			return err
+		}
+	}
+	return rec.ExportChrome(w)
+}
 
 // TestNilTracerKeepsFig9BitIdentical is the near-zero-cost guarantee: with a
 // tracer attached the DMA protocol's simulated offload cost must be
@@ -112,7 +133,7 @@ func TestHostSpansSumToOffload(t *testing.T) {
 // format or timing changes.
 func TestChromeExportGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := TraceOffloads(2, &buf); err != nil {
+	if err := traceOffloads(2, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

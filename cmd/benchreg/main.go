@@ -1,168 +1,51 @@
-// Command benchreg is the benchmark-regression harness. It runs the Fig. 9
-// and batch experiments with per-operation sampling and either refreshes the
-// committed JSON baselines or verifies a fresh run against them:
+// Command benchreg is the benchmark-regression harness. It walks the
+// experiment table (bench.Experiments) and, for every row that commits a
+// baseline, measures it afresh and either rewrites the baseline or verifies
+// the fresh run against it:
 //
-//	benchreg                 rerun and (re)write BENCH_fig9.json, BENCH_batch.json,
-//	                         BENCH_resilience.json, BENCH_serving.json, BENCH_engine.json
+//	benchreg                 rerun and (re)write every baseline in -dir
 //	benchreg -check          rerun and fail if any stat regresses beyond -tol
 //	benchreg -check -tol 0   demand bit-exact reproduction (simulated time is
 //	                         deterministic, so this holds on an unchanged tree)
 //
-// In both modes it also enforces three design targets: a 16-message batch's
-// amortised per-message empty-offload cost must stay at or below half the
-// single-message DMA-protocol cost (see docs/BATCHING.md); with one of
-// two VEs degraded 10x, hedging plus health-aware scheduling must recover
-// at least 2x of the baseline's p99.9 offload latency (see docs/FAULTS.md);
-// and on the million-offload serving sweep, latency-critical traffic must
-// keep a p99 at or below half the best-effort p99 on the same saturated
-// fleet (see docs/SERVING.md).
-//
-// BENCH_engine.json is the DES engine's own profile over the telemetry
-// workload. Its simulated-clock fields (event count, final time, queue
-// depth) are compared exactly regardless of -tol; its wall-clock fields pass
-// through fixed sanity gates only, because they depend on the host.
+// In both modes it also enforces each row's design targets (bench.Gate).
+// What is compared how — latency distributions within -tol, every other
+// simulated value exactly — is Experiment.Regress's rule, stated there.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"hamoffload/bench"
-)
-
-const (
-	amortisationGate = 0.5 // batch-16 per-msg mean <= 50% of single-dma mean
-	resilienceGate   = 2.0 // baseline p99.9 / hedged-breaker p99.9 >= 2x
-	servingGate      = 0.5 // latency-critical p99 <= 50% of best-effort p99
 )
 
 func main() {
 	check := flag.Bool("check", false, "compare against the committed baselines instead of rewriting them")
 	tol := flag.Float64("tol", 0.05, "allowed relative regression per stat in -check mode (0.05 = 5%)")
-	dir := flag.String("dir", ".", "directory holding the BENCH_*.json baselines")
+	dir := flag.String("dir", ".", "directory holding the baselines")
 	flag.Parse()
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "benchreg: "+format+"\n", args...)
+	failed := false
+	for _, e := range bench.Experiments {
+		if e.Measure == nil {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "benchreg: %s: %s...\n", e.Name, e.Doc)
+		notes, err := e.Regress(*dir, *check, *tol)
+		for _, n := range notes {
+			fmt.Fprintf(os.Stderr, "benchreg: %s: %s\n", e.Name, n)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchreg: %s: %v\n", e.Name, err)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
 	}
-
-	fmt.Fprintln(os.Stderr, "benchreg: running fig9 experiment...")
-	fig9, err := bench.Fig9Report(bench.Fig9Config{})
-	if err != nil {
-		fail("fig9: %v", err)
+	if *check {
+		fmt.Fprintln(os.Stderr, "benchreg: baselines hold")
 	}
-	fmt.Fprintln(os.Stderr, "benchreg: running batch experiment...")
-	batch, err := bench.BatchReport(bench.BatchConfig{})
-	if err != nil {
-		fail("batch: %v", err)
-	}
-	fmt.Fprintln(os.Stderr, "benchreg: running resilience experiment...")
-	resilience, err := bench.ResilienceReport(bench.ResilienceConfig{})
-	if err != nil {
-		fail("resilience: %v", err)
-	}
-	fmt.Fprintln(os.Stderr, "benchreg: running serving experiment (10^6 offloads)...")
-	serving, err := bench.ServingReport(bench.ServingConfig{})
-	if err != nil {
-		fail("serving: %v", err)
-	}
-	fmt.Fprintln(os.Stderr, "benchreg: profiling the DES engine on the telemetry workload...")
-	engine, err := bench.EngineProfileReport(bench.TelemetryConfig{})
-	if err != nil {
-		fail("engine: %v", err)
-	}
-
-	// The design target is checked in every mode: refreshing a baseline that
-	// violates it should be just as loud as regressing against one.
-	single, ok1 := batch.Entry("single-dma")
-	b16, ok2 := batch.Entry("batch-16-per-msg")
-	if !ok1 || !ok2 {
-		fail("batch report is missing single-dma or batch-16-per-msg")
-	}
-	ratio := b16.MeanUS / single.MeanUS
-	fmt.Fprintf(os.Stderr, "benchreg: batch-16 per-msg %.2f us vs single %.2f us (ratio %.2f, gate %.2f)\n",
-		b16.MeanUS, single.MeanUS, ratio, amortisationGate)
-	if ratio > amortisationGate {
-		fail("amortisation gate failed: batch-16 per-msg cost is %.0f%% of single-message cost (target <= %.0f%%)",
-			ratio*100, amortisationGate*100)
-	}
-
-	rbase, ok1 := resilience.Entry("baseline")
-	rhb, ok2 := resilience.Entry("hedged-breaker")
-	if !ok1 || !ok2 {
-		fail("resilience report is missing baseline or hedged-breaker")
-	}
-	recovered := rbase.P999US / rhb.P999US
-	fmt.Fprintf(os.Stderr, "benchreg: gray-failure p99.9 baseline %.2f us vs hedged-breaker %.2f us (recovered %.2fx, gate %.2fx)\n",
-		rbase.P999US, rhb.P999US, recovered, resilienceGate)
-	if recovered < resilienceGate {
-		fail("resilience gate failed: hedging + health-aware scheduling recovered %.2fx of baseline p99.9 (target >= %.2fx)",
-			recovered, resilienceGate)
-	}
-
-	slc, ok1 := serving.Entry("latency-critical")
-	sbe, ok2 := serving.Entry("best-effort")
-	if !ok1 || !ok2 {
-		fail("serving report is missing latency-critical or best-effort")
-	}
-	qos := slc.P99US / sbe.P99US
-	fmt.Fprintf(os.Stderr, "benchreg: serving p99 latency-critical %.2f us vs best-effort %.2f us (ratio %.2f, gate %.2f)\n",
-		slc.P99US, sbe.P99US, qos, servingGate)
-	if qos > servingGate {
-		fail("serving QoS gate failed: latency-critical p99 is %.0f%% of best-effort p99 (target <= %.0f%%)",
-			qos*100, servingGate*100)
-	}
-
-	reports := []struct {
-		path string
-		rep  bench.Report
-	}{
-		{filepath.Join(*dir, "BENCH_fig9.json"), fig9},
-		{filepath.Join(*dir, "BENCH_batch.json"), batch},
-		{filepath.Join(*dir, "BENCH_resilience.json"), resilience},
-		{filepath.Join(*dir, "BENCH_serving.json"), serving},
-	}
-
-	enginePath := filepath.Join(*dir, "BENCH_engine.json")
-
-	if !*check {
-		for _, r := range reports {
-			if err := bench.WriteReport(r.path, r.rep); err != nil {
-				fail("%v", err)
-			}
-			fmt.Fprintln(os.Stderr, "benchreg: wrote", r.path)
-		}
-		if err := bench.WriteEngineReport(enginePath, engine); err != nil {
-			fail("%v", err)
-		}
-		fmt.Fprintln(os.Stderr, "benchreg: wrote", enginePath)
-		return
-	}
-
-	bad := 0
-	for _, r := range reports {
-		base, err := bench.ReadReport(r.path)
-		if err != nil {
-			fail("no baseline %s (run benchreg without -check to create it): %v", r.path, err)
-		}
-		for _, line := range bench.CompareReports(base, r.rep, *tol) {
-			fmt.Fprintln(os.Stderr, "benchreg:", line)
-			bad++
-		}
-	}
-	engineBase, err := bench.ReadEngineReport(enginePath)
-	if err != nil {
-		fail("no baseline %s (run benchreg without -check to create it): %v", enginePath, err)
-	}
-	for _, line := range bench.CompareEngineReports(engineBase, engine) {
-		fmt.Fprintln(os.Stderr, "benchreg:", line)
-		bad++
-	}
-	if bad > 0 {
-		fail("%d stat(s) regressed beyond tolerance", bad)
-	}
-	fmt.Fprintln(os.Stderr, "benchreg: baselines hold")
 }

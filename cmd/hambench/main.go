@@ -1,41 +1,15 @@
 // Command hambench regenerates the paper's evaluation artefacts from the
-// simulated SX-Aurora machine:
+// simulated SX-Aurora machine: `hambench -exp NAME` prints one experiment of
+// the table in bench/experiments.go, `hambench -exp all` every one in table
+// order; see `hambench -h` for the names and what each prints.
 //
-//	hambench -exp fig9                offload cost, three systems (Fig. 9)
-//	hambench -exp fig9 -socket 1      §V-A second-socket variant
-//	hambench -exp breakdown           per-phase split of one offload (Fig. 9 text)
-//	hambench -exp fig10               bandwidth sweep, four panels (Fig. 10)
-//	hambench -exp table4              max bandwidths (Table IV)
-//	hambench -exp crossover           §V-B crossover points
-//	hambench -exp ablate-hugepages    huge-page / DMA-manager ablation
-//	hambench -exp ablate-4dma         naive vs 4dma bulk translation
-//	hambench -exp ablate-poll         VE poll-interval sweep
-//	hambench -exp ablate-buffers      message-slot count sweep
-//	hambench -exp ablate-result-path  SHM vs DMA result return
-//	hambench -exp ablate-granularity  protocol gap vs kernel duration
-//	hambench -exp native-vs-offload   §I: native VE execution vs offloading
-//	hambench -exp remote              §VI outlook: offloading over InfiniBand
-//	hambench -exp putget              public-API data path vs Fig. 10 curves
-//	hambench -exp faults              fault-tolerance overhead on the Fig. 9 path
-//	hambench -exp batch               batched-message amortisation vs Fig. 9 baseline
-//	hambench -exp resilience          gray-failure tail latency: hedging + circuit breakers
-//	hambench -exp telemetry           continuous telemetry: sparklines, SLO table, causal flows
-//	hambench -exp serving             million-offload serving gateway: QoS, quotas, stealing
-//	hambench -exp all                 everything above
+// -trace FILE records the experiments that support it with full lifecycle
+// tracing and writes the spans as Chrome trace-event JSON (load in Perfetto
+// or chrome://tracing).
 //
-// Additional flags: -hist prints per-offload latency histograms with fig9;
-// -chrome FILE writes a Chrome/Perfetto trace of both protocols; -trace FILE
-// records the fig9/breakdown runs with full lifecycle tracing and writes the
-// spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing);
-// -flows FILE / -folded FILE export the telemetry experiment's causal offload
-// flows as Chrome trace flow events / folded flamegraph stacks.
-//
-// The telemetry experiment prints only simulated-clock data on stdout, so two
-// runs are byte-identical (CI diffs them); the wall-clock engine profile goes
-// to stderr.
-//
-// All numbers are simulated time from the calibrated machine model, so they
-// are deterministic and reproducible.
+// All numbers on stdout are simulated time from the calibrated machine
+// model, so they are deterministic and two runs are byte-identical (CI diffs
+// them); anything read off the wall clock goes to stderr.
 package main
 
 import (
@@ -44,362 +18,81 @@ import (
 	"os"
 
 	"hamoffload/bench"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
 )
 
-// experiments lists every valid -exp name, in the order the runs are
-// registered below. An unknown name is an error that prints this list —
-// silently running nothing buries typos.
-var experiments = []string{
-	"fig9", "breakdown", "fig10", "table4", "crossover",
-	"ablate-hugepages", "ablate-4dma", "ablate-poll", "ablate-buffers",
-	"ablate-granularity", "remote", "putget", "native-vs-offload",
-	"faults", "batch", "resilience", "telemetry", "serving",
-	"ablate-result-path",
-}
-
-func knownExperiment(name string) bool {
-	if name == "all" {
-		return true
-	}
-	for _, e := range experiments {
-		if e == name {
-			return true
+// listExperiments prints the runnable rows of the table: the usage text and
+// the unknown-name message are the same list.
+func listExperiments() {
+	fmt.Fprintf(os.Stderr, "  %-20s every experiment below, in this order\n", "all")
+	for _, e := range bench.Experiments {
+		if e.Run != nil {
+			fmt.Fprintf(os.Stderr, "  %-20s %s\n", e.Name, e.Doc)
 		}
 	}
-	return false
+}
+
+func fail(args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"hambench:"}, args...)...)
+	os.Exit(1)
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig9, breakdown, fig10, table4, crossover, ablate-{hugepages,4dma,poll,buffers,result-path,granularity}, native-vs-offload, remote, putget, faults, batch, resilience, telemetry, serving, all)")
-	socket := flag.Int("socket", 0, "VH socket to offload from (fig9)")
-	reps := flag.Int("reps", 0, "timed repetitions per point (0 = defaults)")
-	maxSize := flag.Int64("max-size", (256 * units.MiB).Int64(), "largest transfer size for sweeps")
-	csvPath := flag.String("csv", "", "write the fig10 sweep as CSV to this file")
-	plot := flag.Bool("plot", true, "render ASCII plots for fig10")
-	hist := flag.Bool("hist", false, "also print per-offload latency histograms for fig9")
-	chrome := flag.String("chrome", "", "write a Chrome trace-event JSON of a few offloads per protocol to this file")
-	tracePath := flag.String("trace", "", "record fig9/breakdown with lifecycle tracing and write Chrome trace-event JSON to this file")
-	flowsPath := flag.String("flows", "", "write the telemetry experiment's causal flows as Chrome trace-event JSON to this file")
-	foldedPath := flag.String("folded", "", "write the telemetry experiment's causal flows as folded flamegraph stacks to this file")
+	env := &bench.Env{Out: os.Stdout}
+	exp := flag.String("exp", "all", "experiment to run (names below)")
+	flag.IntVar(&env.Socket, "socket", 0, "VH socket to offload from")
+	flag.IntVar(&env.Reps, "reps", 0, "timed repetitions per point (0 = defaults)")
+	flag.Int64Var(&env.MaxSize, "max-size", (256 * units.MiB).Int64(), "largest transfer size for sweeps")
+	flag.StringVar(&env.CSV, "csv", "", "write the bandwidth sweep as CSV to this file")
+	flag.BoolVar(&env.Plot, "plot", true, "render ASCII plots of the bandwidth sweep")
+	flag.BoolVar(&env.Hist, "hist", false, "also print per-offload latency histograms of the offload-cost bars")
+	tracePath := flag.String("trace", "", "record with lifecycle tracing and write Chrome trace-event JSON to this file")
+	flag.StringVar(&env.Flows, "flows", "", "write the causal offload flows as Chrome trace-event JSON to this file")
+	flag.StringVar(&env.Folded, "folded", "", "write the causal offload flows as folded flamegraph stacks to this file")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: hambench [flags]")
+		flag.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "experiments:")
+		listExperiments()
+	}
 	flag.Parse()
 
-	if !knownExperiment(*exp) {
-		fmt.Fprintf(os.Stderr, "hambench: unknown experiment %q; valid names:\n  all\n", *exp)
-		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, "  %s\n", e)
+	// An unknown name is an error that prints the list — silently running
+	// nothing buries typos.
+	run := bench.Experiments
+	if *exp != "all" {
+		e, ok := bench.Lookup(*exp)
+		if !ok || e.Run == nil {
+			fmt.Fprintf(os.Stderr, "hambench: unknown experiment %q; valid names:\n", *exp)
+			listExperiments()
+			os.Exit(2)
 		}
-		os.Exit(2)
+		run = []bench.Experiment{e}
+	}
+	if *tracePath != "" {
+		env.Tracer = trace.NewTracer()
 	}
 
-	var tracer *trace.Tracer
-	if *tracePath != "" {
-		tracer = trace.NewTracer()
-	}
-	writeTrace := func() {
-		if tracer == nil || tracer.Len() == 0 {
-			return
+	for _, e := range run {
+		if e.Run == nil {
+			continue
 		}
+		if err := e.Run(env); err != nil {
+			fail(e.Name+":", err)
+		}
+		fmt.Println()
+	}
+
+	if env.Tracer != nil && env.Tracer.Len() > 0 {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hambench:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		if err := tracer.ExportChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, "hambench: trace:", err)
-			os.Exit(1)
+		if err := env.Tracer.ExportChrome(f); err != nil {
+			fail("trace:", err)
 		}
 		_ = f.Close()
 		fmt.Fprintln(os.Stderr, "hambench: wrote", *tracePath)
 	}
-	defer writeTrace()
-
-	if *chrome != "" {
-		f, err := os.Create(*chrome)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hambench:", err)
-			os.Exit(1)
-		}
-		if err := bench.TraceOffloads(5, f); err != nil {
-			fmt.Fprintln(os.Stderr, "hambench: trace:", err)
-			os.Exit(1)
-		}
-		_ = f.Close()
-		fmt.Fprintln(os.Stderr, "hambench: wrote", *chrome)
-	}
-
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "hambench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	var sweep []bench.Series // shared between fig10 / table4 / crossover
-	ensureSweep := func() error {
-		if sweep != nil {
-			return nil
-		}
-		fmt.Fprintln(os.Stderr, "hambench: running bandwidth sweep (up to",
-			units.Bytes(*maxSize).String(), ")...")
-		var err error
-		sweep, err = bench.Fig10(bench.Fig10Config{
-			Socket:  *socket,
-			MaxSize: *maxSize,
-			Reps:    *reps,
-		})
-		return err
-	}
-
-	run("fig9", func() error {
-		r, err := bench.Fig9(bench.Fig9Config{Socket: *socket, Reps: *reps, Tracer: tracer})
-		if err != nil {
-			return err
-		}
-		bench.RenderFig9(os.Stdout, r)
-		if *hist {
-			for _, dma := range []bool{false, true} {
-				h, err := bench.MeasureHAMEmptyHist(
-					bench.Fig9Config{Socket: *socket, Reps: *reps}, dma)
-				if err != nil {
-					return err
-				}
-				fmt.Println()
-				h.Render(os.Stdout)
-			}
-		}
-		return nil
-	})
-
-	run("breakdown", func() error {
-		cfg := bench.Fig9Config{Socket: *socket, Reps: *reps, Tracer: tracer}
-		if cfg.Tracer == nil {
-			cfg.Tracer = trace.NewTracer()
-		}
-		res, err := bench.Breakdown(cfg, true)
-		if err != nil {
-			return err
-		}
-		bench.RenderBreakdown(os.Stdout, res)
-		fmt.Println()
-		fmt.Println("Per-node metrics registries")
-		for _, reg := range cfg.Tracer.Registries() {
-			reg.Render(os.Stdout)
-		}
-		return nil
-	})
-
-	run("fig10", func() error {
-		if err := ensureSweep(); err != nil {
-			return err
-		}
-		bench.RenderFig10(os.Stdout, sweep, 1024)
-		if *plot {
-			bench.RenderASCIIPlot(os.Stdout, sweep, bench.DirDown)
-			bench.RenderASCIIPlot(os.Stdout, sweep, bench.DirUp)
-		}
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteCSV(f, sweep); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "hambench: wrote", *csvPath)
-		}
-		return nil
-	})
-
-	run("table4", func() error {
-		if err := ensureSweep(); err != nil {
-			return err
-		}
-		bench.RenderTableIV(os.Stdout, bench.TableIV(sweep))
-		return nil
-	})
-
-	run("crossover", func() error {
-		if err := ensureSweep(); err != nil {
-			return err
-		}
-		find := func(method, dir string) bench.Series {
-			for _, s := range sweep {
-				if s.Method == method && s.Direction == dir {
-					return s
-				}
-			}
-			return bench.Series{}
-		}
-		shm := find(bench.MethodInst, bench.DirUp)
-		dma := find(bench.MethodDMA, bench.DirUp)
-		veo := find(bench.MethodVEO, bench.DirUp)
-		fmt.Println("Crossover points, VE=>VH direction (§V-B)")
-		fmt.Printf("SHM faster than VE user DMA up to : %8s   (paper: 256B)\n",
-			units.Bytes(bench.Crossover(shm, dma)).String())
-		fmt.Printf("SHM faster than VEO read up to    : %8s   (paper: 32KiB; see EXPERIMENTS.md)\n",
-			units.Bytes(bench.Crossover(shm, veo)).String())
-		return nil
-	})
-
-	run("ablate-hugepages", func() error {
-		rows, err := bench.AblateHugePages(64 * units.MiB.Int64())
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "A2 — host page size x DMA manager (VEO write bandwidth)", rows)
-		return nil
-	})
-
-	run("ablate-4dma", func() error {
-		rows, err := bench.AblateHugePages(64 * units.MiB.Int64())
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "A3 — VEOS 1.3.2-4dma bulk translation vs naive", rows)
-		return nil
-	})
-
-	run("ablate-poll", func() error {
-		rows, err := bench.AblatePollInterval(nil)
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "Ablation — VE receive-flag poll interval (DMA protocol)", rows)
-		return nil
-	})
-
-	run("ablate-buffers", func() error {
-		rows, err := bench.AblateBufferCount(nil, 32)
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "Ablation — message-buffer count (async pipeline)", rows)
-		return nil
-	})
-
-	run("ablate-granularity", func() error {
-		rows, err := bench.AblateGranularity(nil)
-		if err != nil {
-			return err
-		}
-		bench.RenderGranularity(os.Stdout, rows)
-		return nil
-	})
-
-	run("remote", func() error {
-		r, err := bench.Remote(*reps)
-		if err != nil {
-			return err
-		}
-		bench.RenderRemote(os.Stdout, r)
-		return nil
-	})
-
-	run("putget", func() error {
-		pts, err := bench.PutGet(nil, *reps)
-		if err != nil {
-			return err
-		}
-		bench.RenderPutGet(os.Stdout, pts)
-		return nil
-	})
-
-	run("native-vs-offload", func() error {
-		rows, err := bench.NativeVsOffload(bench.NativeVsOffloadConfig{})
-		if err != nil {
-			return err
-		}
-		bench.RenderNativeVsOffload(os.Stdout, rows)
-		return nil
-	})
-
-	run("faults", func() error {
-		rows, err := bench.FaultOverhead(*reps)
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "Fault tolerance — empty-offload cost (Fig. 9 path)", rows)
-		return nil
-	})
-
-	run("batch", func() error {
-		r, err := bench.Batch(bench.BatchConfig{Socket: *socket, Reps: *reps})
-		if err != nil {
-			return err
-		}
-		bench.RenderBatch(os.Stdout, r)
-		return nil
-	})
-
-	run("resilience", func() error {
-		res, err := bench.Resilience(bench.ResilienceConfig{Offloads: *reps})
-		if err != nil {
-			return err
-		}
-		bench.RenderResilience(os.Stdout, res)
-		return nil
-	})
-
-	run("telemetry", func() error {
-		res, err := bench.Telemetry(bench.TelemetryConfig{})
-		if err != nil {
-			return err
-		}
-		bench.RenderTelemetry(os.Stdout, res)
-		// The wall-clock half of the engine profile is machine-dependent,
-		// so it goes to stderr and stays out of CI's byte comparison.
-		telemetry.RenderEngineStats(os.Stderr, res.Engine)
-		export := func(path string, f func(*os.File) error) error {
-			if path == "" {
-				return nil
-			}
-			out, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := f(out); err != nil {
-				_ = out.Close()
-				return err
-			}
-			if err := out.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "hambench: wrote", path)
-			return nil
-		}
-		if err := export(*flowsPath, func(f *os.File) error {
-			return res.Collector.ExportChromeFlows(f)
-		}); err != nil {
-			return err
-		}
-		return export(*foldedPath, func(f *os.File) error {
-			return res.Collector.ExportFolded(f)
-		})
-	})
-
-	run("serving", func() error {
-		res, err := bench.Serving(bench.ServingConfig{Offloads: *reps, Tracer: tracer})
-		if err != nil {
-			return err
-		}
-		bench.RenderServing(os.Stdout, res)
-		return nil
-	})
-
-	run("ablate-result-path", func() error {
-		rows, err := bench.AblateResultPath()
-		if err != nil {
-			return err
-		}
-		bench.RenderAblation(os.Stdout, "Ablation — result return path (DMA protocol)", rows)
-		return nil
-	})
 }

@@ -2,12 +2,12 @@
 //
 // The ROADMAP's million-request serving item needs the DES engine and the
 // offload fast path to run 10^7 simulated offloads in seconds of wall
-// clock; BENCH_engine.json already gates allocs/event dynamically, but
-// nothing stopped a new fmt.Sprintf or escaping closure from creeping into
-// Dispatch until the benchmark drifted. hotalloc closes that gap
-// statically: it walks every function reachable from a declared hot-path
-// root and reports each operation that may allocate, with the full
-// root→allocation call chain.
+// clock; the perf ledger (BENCHMARK.json: allocs_per_op on every workload)
+// already bounds allocations dynamically, but nothing stopped a new
+// fmt.Sprintf or escaping closure from creeping into Dispatch until the
+// benchmark drifted. hotalloc closes that gap statically: it walks every
+// function reachable from a declared hot-path root and reports each
+// operation that may allocate, with the full root→allocation call chain.
 //
 // Roots are declared centrally — analysis.HotPathRoots in policy.go, or a
 // //hot:path marker in a function's doc comment. A //hot:cold marker
