@@ -1254,3 +1254,13 @@ func TestSurfaceConformance(t *testing.T) {
 		}
 	})
 }
+
+// TestBulkConformance runs the bulk-data contract — every element kind,
+// sizes across the chunk boundary, borrowed slices — on all five backends.
+func TestBulkConformance(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt *core.Runtime, targets []core.NodeID, _ bool) {
+		for _, target := range targets {
+			conformance.ExerciseBulk(t, rt, target)
+		}
+	})
+}

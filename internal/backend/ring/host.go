@@ -82,7 +82,9 @@ type HostTransport interface {
 	// ReadResult copies the result PollResult just announced: the part inline
 	// with the flag, then whatever went to the overflow buffer.
 	ReadResult(slot int, inline, overflow []byte) error
-	// Put and Get are the bulk data path (Table II's put/get).
+	// Put and Get are the bulk data path (Table II's put/get), under
+	// core.Backend's contract: data and dst are the caller's own memory, read
+	// or written in full before the method returns and not retained after.
 	Put(data []byte, dstAddr uint64) error
 	Get(srcAddr uint64, dst []byte) error
 	// Alive is the liveness probe made before every poll. A transport whose

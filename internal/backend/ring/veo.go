@@ -136,33 +136,27 @@ func (v VE) Destroy() error {
 	return v.Proc.Destroy(v.P)
 }
 
-// Put implements HostTransport through veo_write_mem, staged through a host
-// bounce buffer (an artifact of the Go API taking slices; the staging copy
-// is not charged as it does not exist on the real platform, where user data
-// already lives in host memory).
+// Put implements HostTransport through veo_write_mem. As in VEO, the source
+// is the user's buffer where it lies: data is mapped into VH memory for the
+// duration of the call, so the privileged DMA reads the caller's bytes.
 func (v VE) Put(data []byte, dstAddr uint64) error {
 	host := v.Card.Host
-	stage, err := host.Alloc(int64(len(data)))
+	src, err := host.AllocBytes(data)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = host.Free(stage) }()
-	if err := host.Mem.WriteAt(data, stage); err != nil {
-		return err
-	}
-	return v.Proc.WriteMem(v.P, dstAddr, uint64(stage), int64(len(data)))
+	defer func() { _ = host.Free(src) }()
+	return v.Proc.WriteMem(v.P, dstAddr, uint64(src), int64(len(data)))
 }
 
-// Get implements HostTransport through veo_read_mem.
+// Get implements HostTransport through veo_read_mem, the privileged DMA
+// storing straight into dst; a failed transfer leaves dst untouched.
 func (v VE) Get(srcAddr uint64, dst []byte) error {
 	host := v.Card.Host
-	stage, err := host.Alloc(int64(len(dst)))
+	to, err := host.AllocBytes(dst)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = host.Free(stage) }()
-	if err := v.Proc.ReadMem(v.P, uint64(stage), srcAddr, int64(len(dst))); err != nil {
-		return err
-	}
-	return host.Mem.ReadAt(dst, stage)
+	defer func() { _ = host.Free(to) }()
+	return v.Proc.ReadMem(v.P, uint64(to), srcAddr, int64(len(dst)))
 }

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"hamoffload/internal/ham"
 )
 
 // Elem constrains buffer element types to fixed-size scalars, whose byte
-// representation is identical on the VH and the VE.
+// representation is identical on the VH and the VE: little-endian.
 type Elem interface {
 	~int8 | ~int16 | ~int32 | ~int64 |
 		~uint8 | ~uint16 | ~uint32 | ~uint64 |
@@ -55,11 +56,8 @@ func (b *BufferPtr[T]) DecodeHAM(d *ham.Decoder) {
 	b.Count = d.I64()
 }
 
-// sizeOf returns the wire size of one element of T.
-func sizeOf[T Elem]() int64 {
-	var zero T
-	return int64(binary.Size(zero))
-}
+// sizeOf returns the size of one element of T, in Go and in target memory.
+func sizeOf[T Elem]() int64 { return int64(unsafe.Sizeof(*new(T))) }
 
 // Allocate reserves count elements of type T on target memory (Table II's
 // allocate). Like in the C++ runtime, allocation is itself an active message
@@ -92,22 +90,39 @@ func Free[T Elem](rt *Runtime, b BufferPtr[T]) error {
 	return err
 }
 
-// elemsToBytes serialises a slice of elements little-endian.
-func elemsToBytes[T Elem](src []T) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(src) * int(sizeOf[T]()))
-	if err := binary.Write(&buf, binary.LittleEndian, src); err != nil {
-		return nil, fmt.Errorf("core: encoding %T: %w", src, err)
-	}
-	return buf.Bytes(), nil
+// littleEndian reports whether this build lays scalars out as target memory
+// does — true wherever the simulator is run; where it is not, the copies
+// below keep target memory little-endian.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// elemBytes returns the memory of s as bytes, in place: an element slice and
+// its byte image are one storage, so bulk data reaches a backend or a local
+// memory without being copied or re-encoded.
+func elemBytes[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int64(len(s))*sizeOf[T]())
 }
 
-// bytesToElems deserialises little-endian bytes into dst.
-func bytesToElems[T Elem](data []byte, dst []T) error {
-	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, dst); err != nil {
-		return fmt.Errorf("core: decoding %T: %w", dst, err)
+// swapElems converts b, made of size-byte elements, between this build's
+// byte order and target memory's, in place: nothing to do but on a
+// big-endian one.
+func swapElems(b []byte, size int64) {
+	if littleEndian {
+		return
 	}
-	return nil
+	for ; int64(len(b)) >= size; b = b[size:] {
+		slices.Reverse(b[:size])
+	}
+}
+
+// wireBytes returns the little-endian image of src for a backend or a local
+// memory to read: src's own memory, or on a big-endian build a converted copy.
+func wireBytes[T Elem](src []T) []byte {
+	b := elemBytes(src)
+	if !littleEndian {
+		b = slices.Clone(b)
+		swapElems(b, sizeOf[T]())
+	}
+	return b
 }
 
 // Put writes src into target memory at dst (Table II's put). It fails if
@@ -119,11 +134,7 @@ func Put[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) error {
 	if len(src) == 0 {
 		return nil
 	}
-	data, err := elemsToBytes(src)
-	if err != nil {
-		return err
-	}
-	return rt.backend.Put(dst.Node, data, dst.Addr)
+	return rt.backend.Put(dst.Node, wireBytes(src), dst.Addr)
 }
 
 // Get reads len(dst) elements from target memory at src (Table II's get).
@@ -134,11 +145,11 @@ func Get[T Elem](rt *Runtime, src BufferPtr[T], dst []T) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	raw := make([]byte, int64(len(dst))*sizeOf[T]())
-	if err := rt.backend.Get(src.Node, src.Addr, raw); err != nil {
+	if err := rt.backend.Get(src.Node, src.Addr, elemBytes(dst)); err != nil {
 		return err
 	}
-	return bytesToElems(raw, dst)
+	swapElems(elemBytes(dst), sizeOf[T]())
+	return nil
 }
 
 // PutAsync is the asynchronous variant of Put (Table II's future<void>

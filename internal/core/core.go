@@ -75,9 +75,13 @@ type Backend interface {
 	// Poll checks for the response without blocking.
 	Poll(h Handle) (resp []byte, done bool, err error)
 
-	// Put writes data into target memory at dstAddr (Table II's put).
+	// Put writes data into target memory at dstAddr (Table II's put). data
+	// is the caller's own element memory (core.Put passes no copy): Put must
+	// finish reading it before returning and may not retain it.
 	Put(target NodeID, data []byte, dstAddr uint64) error
-	// Get reads len(dst) bytes from target memory at srcAddr (Table II's get).
+	// Get reads len(dst) bytes from target memory at srcAddr (Table II's
+	// get). dst is the caller's own element memory: Get must finish writing
+	// it before returning, may not retain it, and writes nothing when it fails.
 	Get(target NodeID, srcAddr uint64, dst []byte) error
 
 	// Serve runs the target-side message loop: receive, dispatch, respond,

@@ -41,7 +41,8 @@ func (c *Ctx) checkLocal(node NodeID) error {
 
 // ReadLocal loads count elements starting at element offset off from a
 // local buffer — how an offloaded function gets at the data behind a
-// buffer_ptr argument.
+// buffer_ptr argument. The result is a copy: changing it changes the buffer
+// only through WriteLocal.
 func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 	if err := c.checkLocal(b.Node); err != nil {
 		return nil, err
@@ -49,14 +50,11 @@ func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 	if off < 0 || count < 0 || off+count > b.Count {
 		return nil, fmt.Errorf("core: local read [%d,+%d) outside buffer of %d elements", off, count, b.Count)
 	}
-	raw := make([]byte, count*sizeOf[T]())
-	if err := c.rt.backend.Memory().Read(b.Addr+uint64(off*sizeOf[T]()), raw); err != nil {
-		return nil, err
-	}
 	out := make([]T, count)
-	if err := bytesToElems(raw, out); err != nil {
+	if err := c.rt.backend.Memory().Read(b.Addr+uint64(off*sizeOf[T]()), elemBytes(out)); err != nil {
 		return nil, err
 	}
+	swapElems(elemBytes(out), sizeOf[T]())
 	return out, nil
 }
 
@@ -68,9 +66,5 @@ func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
 	if off < 0 || off+int64(len(vals)) > b.Count {
 		return fmt.Errorf("core: local write [%d,+%d) outside buffer of %d elements", off, len(vals), b.Count)
 	}
-	data, err := elemsToBytes(vals)
-	if err != nil {
-		return err
-	}
-	return c.rt.backend.Memory().Write(b.Addr+uint64(off*sizeOf[T]()), data)
+	return c.rt.backend.Memory().Write(b.Addr+uint64(off*sizeOf[T]()), wireBytes(vals))
 }

@@ -66,9 +66,24 @@ func (h *Host) Alloc(size int64) (mem.Addr, error) {
 	return addr, nil
 }
 
-// Free releases an allocation made with Alloc. The range is unmapped while
-// the allocation is still live — once alloc.Free runs, the allocator may
-// re-issue the range, so addr must not be touched afterwards.
+// AllocBytes is Alloc, at the address Alloc would return, with data itself
+// mapped there uncopied: on the real platform user data already lives in VH
+// memory. Free drops the alias with the extent.
+func (h *Host) AllocBytes(data []byte) (mem.Addr, error) {
+	addr, err := h.alloc.Alloc(int64(len(data)))
+	if err != nil {
+		return 0, err
+	}
+	if err := h.Mem.MapBytes(addr, data); err != nil {
+		_ = h.alloc.Free(addr)
+		return 0, err
+	}
+	return addr, nil
+}
+
+// Free releases an allocation made with Alloc or AllocBytes. The range is
+// unmapped while the allocation is still live — once alloc.Free runs, the
+// allocator may re-issue the range, so addr must not be touched afterwards.
 func (h *Host) Free(addr mem.Addr) error {
 	if err := h.Mem.Unmap(addr); err != nil {
 		return err

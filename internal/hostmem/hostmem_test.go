@@ -134,3 +134,40 @@ func TestAllocExhaustion(t *testing.T) {
 		t.Error("over-capacity alloc should fail")
 	}
 }
+
+// TestAllocBytes: the caller's bytes are host memory at the address Alloc
+// would have returned, for as long as the allocation lives, and no longer.
+func TestAllocBytes(t *testing.T) {
+	h := newHost(t)
+	probe, err := h.Alloc(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Free(probe); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("user data already lives in VH memory")
+	addr, err := h.AllocBytes(data)
+	if err != nil || addr != probe {
+		t.Fatalf("AllocBytes = %#x, %v; Alloc returned %#x for the same heap", addr, err, probe)
+	}
+	got := make([]byte, len(data))
+	if err := h.Mem.ReadAt(got, addr); err != nil || string(got) != string(data) {
+		t.Fatalf("host memory at the allocation reads %q, %v", got, err)
+	}
+	if err := h.Mem.WriteAt([]byte("USER"), addr); err != nil || string(data[:4]) != "USER" {
+		t.Fatalf("a store to host memory did not reach the caller's bytes: %q, %v", data[:9], err)
+	}
+	if h.LiveAllocs() != 1 || h.Mem.MappedBytes() != int64(len(data)) {
+		t.Errorf("%d live allocations, %d mapped bytes", h.LiveAllocs(), h.Mem.MappedBytes())
+	}
+	if err := h.Free(addr); err != nil {
+		t.Fatal(err)
+	}
+	if h.LiveAllocs() != 0 || h.Mem.MappedBytes() != 0 || h.Mem.ReadAt(got, addr) == nil {
+		t.Errorf("after Free: %d live allocations, %d mapped bytes", h.LiveAllocs(), h.Mem.MappedBytes())
+	}
+	if _, err := h.AllocBytes(nil); err == nil || h.LiveAllocs() != 0 {
+		t.Errorf("AllocBytes of nothing: %v, %d live allocations", err, h.LiveAllocs())
+	}
+}

@@ -27,7 +27,7 @@ type Memory struct {
 type extent struct {
 	addr   Addr
 	size   int64
-	chunks [][]byte // ceil(size/ChunkSize) entries, nil until first write
+	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or MapBytes windows
 }
 
 func (e *extent) end() Addr { return e.addr + Addr(e.size) }
@@ -114,6 +114,21 @@ func (m *Memory) Map(addr Addr, size int64) error {
 	m.extents = append(m.extents, nil)
 	copy(m.extents[i+1:], m.extents[i:])
 	m.extents[i] = &extent{addr: addr, size: size, chunks: make([][]byte, nChunks)}
+	return nil
+}
+
+// MapBytes maps data itself at addr, uncopied: the chunk table is ChunkSize
+// windows onto data, so a store to the range lands in data and a load reads
+// it — a caller's buffer as the end point of a simulated DMA. The alias lasts
+// until Unmap. It fails as Map does.
+func (m *Memory) MapBytes(addr Addr, data []byte) error {
+	if err := m.Map(addr, int64(len(data))); err != nil {
+		return err
+	}
+	e := m.extents[m.find(addr)]
+	for i := range e.chunks {
+		e.chunks[i] = data[i*ChunkSize : min((i+1)*ChunkSize, len(data))]
+	}
 	return nil
 }
 

@@ -409,3 +409,115 @@ func TestCopyMatchesBounceReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMapBytes holds an extent mapped over a caller's bytes to an ordinary
+// one holding a copy of them: every load, store, Copy and Slice agrees, the
+// caller's slice is the storage (stores show up in it, at once), and Unmap
+// ends the alias without touching the bytes.
+func TestMapBytes(t *testing.T) {
+	const base = Addr(0x40_0000 + 24) // chunk windows are relative to the extent, not the address
+	for _, size := range []int{1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 17} {
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(i*13 + i>>8)
+		}
+		m, ref := NewMemory("alias"), NewMemory("copy")
+		if err := m.MapBytes(base, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Map(base, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.WriteAt(data, base); err != nil {
+			t.Fatal(err)
+		}
+		same := func(after string) {
+			t.Helper()
+			got, want := make([]byte, size), make([]byte, size)
+			if err := m.ReadAt(got, base); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.ReadAt(want, base); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(data, want) {
+				t.Fatalf("size %d, after %s: alias reads like the copy: %v; caller's slice holds it: %v",
+					size, after, bytes.Equal(got, want), bytes.Equal(data, want))
+			}
+		}
+		same("MapBytes")
+
+		other := NewMemory("other")
+		if err := other.Map(0, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		stamp := bytes.Repeat([]byte{0xC3}, size)
+		if err := other.WriteAt(stamp, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{0, 1}, {size / 2, size - size/2}, {max(0, ChunkSize-3), min(6, size-max(0, ChunkSize-3))}} {
+			off, n := r[0], r[1]
+			if off >= size || n <= 0 {
+				continue
+			}
+			for _, mm := range []*Memory{m, ref} {
+				if err := mm.WriteAt(stamp[:n], base+Addr(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("WriteAt")
+			for _, mm := range []*Memory{m, ref} {
+				if err := Copy(mm, base, other, Addr(off), int64(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("Copy in")
+		}
+		out := NewMemory("out")
+		if err := out.Map(0, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := Copy(out, 0, m, base, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, size)
+		if err := out.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("size %d: Copy out of the alias: %v, bytes equal %v", size, err, bytes.Equal(got, data))
+		}
+
+		view, err := m.Slice(base+Addr(size-1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view[0] ^= 0xFF
+		if err := ref.WriteAt(view, base+Addr(size-1)); err != nil {
+			t.Fatal(err)
+		}
+		same("a store through Slice")
+
+		if got := m.MappedBytes(); got != int64(size) {
+			t.Errorf("size %d: MappedBytes = %d", size, got)
+		}
+		kept := bytes.Clone(data)
+		if err := m.Unmap(base); err != nil {
+			t.Fatal(err)
+		}
+		if m.MappedBytes() != 0 || m.ReadAt(got[:1], base) == nil {
+			t.Errorf("size %d: the range is still mapped after Unmap", size)
+		}
+		if !bytes.Equal(data, kept) {
+			t.Errorf("size %d: Unmap changed the caller's bytes", size)
+		}
+	}
+
+	m := NewMemory("m")
+	if err := m.MapBytes(base, nil); err == nil {
+		t.Error("MapBytes of no bytes succeeded; Map of size 0 fails")
+	}
+	if err := m.Map(base, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MapBytes(base+8, make([]byte, 8)); err == nil || m.MappedBytes() != 64 {
+		t.Errorf("MapBytes over an extent: %v, %d bytes mapped", err, m.MappedBytes())
+	}
+}

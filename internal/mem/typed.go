@@ -1,34 +1,10 @@
 package mem
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // Typed accessors used by simulated kernels to operate on buffers in
 // simulated memories. All values are little-endian, matching both the x86
 // Vector Host and the VE ABI.
-
-// WriteFloat64s stores vals as consecutive float64 words at addr.
-func (m *Memory) WriteFloat64s(addr Addr, vals []float64) error {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return m.WriteAt(buf, addr)
-}
-
-// ReadFloat64s loads len(out) float64 words from addr into out.
-func (m *Memory) ReadFloat64s(addr Addr, out []float64) error {
-	buf := make([]byte, 8*len(out))
-	if err := m.ReadAt(buf, addr); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
-}
 
 // WriteUint64 stores one 64-bit word at addr — the granularity of the VE's
 // LHM/SHM instructions.
@@ -45,20 +21,4 @@ func (m *Memory) ReadUint64(addr Addr) (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-// WriteUint32 stores one 32-bit word at addr.
-func (m *Memory) WriteUint32(addr Addr, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return m.WriteAt(buf[:], addr)
-}
-
-// ReadUint32 loads one 32-bit word from addr.
-func (m *Memory) ReadUint32(addr Addr) (uint32, error) {
-	var buf [4]byte
-	if err := m.ReadAt(buf[:], addr); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
 }
