@@ -246,3 +246,30 @@ func TestConnectValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Back-to-back small sync offloads — the sync-dma shape — spend two thirds of
+// their events on host polls of the local result flag that miss (ROADMAP
+// counted 25.3 of 37.3 per offload): each is a tick the engine answers for
+// the waiting host. The VE's own polls go through LHM, take time, and stay
+// the VE's.
+func TestHostPollMissesAreTheEngines(t *testing.T) {
+	r := newRig(t)
+	r.run(t, dmab.Options{}, func(p *simtime.Proc, rt *core.Runtime) {
+		const ops = 200
+		sync := func(n int64) {
+			for i := int64(0); i < n; i++ {
+				if v, err := core.Sync(rt, 1, dbEcho.Bind(i)); err != nil || v != i {
+					t.Fatalf("offload %d = %d, %v", i, v, err)
+				}
+			}
+		}
+		sync(10)
+		ticks, events := r.eng.PollTicks(), r.eng.Events()
+		sync(ops)
+		perOp := float64(r.eng.PollTicks()-ticks) / ops
+		t.Logf("%.2f of %.2f events per offload are poll ticks the engine took", perOp, float64(r.eng.Events()-events)/ops)
+		if perOp < 23 || perOp > 27 {
+			t.Errorf("the engine took %.2f missed polls per offload, want the ~25.3 the host loop used to wake for", perOp)
+		}
+	})
+}

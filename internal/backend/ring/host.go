@@ -77,7 +77,10 @@ type HostTransport interface {
 	WriteMessage(slot int, msg []byte) error
 	// PublishFlag makes the slot's message visible to the target.
 	PublishFlag(slot int, word uint64) error
-	// PollResult reads the slot's result flag word once.
+	// PollResult reads the slot's result flag word once. When the transport's
+	// HostFacts.PollGap > 0 this is a free load: it takes no simulated time,
+	// passes no fault site and changes nothing, so it may be called any
+	// number of times — the engine calls it for the waiting host (resultPoll).
 	PollResult(slot int) (uint64, error)
 	// ReadResult copies the result PollResult just announced: the part inline
 	// with the flag, then whatever went to the overflow buffer.
@@ -104,7 +107,8 @@ type HostFacts struct {
 	// Wait (HAMHostOverhead).
 	Overhead simtime.Duration
 	// PollGap is slept after a poll that missed and before a Poll probe.
-	// Zero means the poll itself takes the time and no gap is added.
+	// Zero means the poll itself takes the time and no gap is added; above
+	// zero the poll is free, under PollResult's purity contract.
 	PollGap simtime.Duration
 	// AbsorbPollFaults makes a transient PollResult error read as a miss,
 	// marked by a <name>-poll-fault instant: the offload is unharmed and the
@@ -173,10 +177,11 @@ func (c *conn) alive() bool {
 type Host struct {
 	core.HostOnly // no reverse offloading in either protocol
 
-	p     *simtime.Proc
-	cfg   HostConfig // options defaulted
-	dial  Dial
-	conns []*conn
+	p      *simtime.Proc
+	cfg    HostConfig // options defaulted
+	dial   Dial
+	conns  []*conn
+	polled resultPoll // wait's poll loop; one wait runs at a time
 	// Span names, built once: the hot path must not concatenate strings.
 	spanCall, spanFlagWrite, spanWait, spanPollFault string
 }
@@ -367,29 +372,57 @@ func (h *Host) probe(hd *handle) (done, absorbed bool, err error) {
 	return done, false, h.stepErr(hd.c, hd.target, err)
 }
 
+// resultPoll is wait's loop over a free poll (PollGap > 0), in the form
+// simtime.Proc.Poll takes: every PollGap, has anything happened that wait
+// must look at — the target gone, the poll failing, the result flag of this
+// offload up? wait then looks for itself, in its own order.
+type resultPoll struct{ hd *handle }
+
+// Hit implements simtime.Poller. Unlike conn.alive it latches nothing.
+//
+//hot:path
+func (q *resultPoll) Hit() bool {
+	c := q.hd.c
+	if c.dead || !c.t.Alive() {
+		return true
+	}
+	word, err := c.t.PollResult(q.hd.slot)
+	if err != nil {
+		return true
+	}
+	_, ok := slots.Decode(word, q.hd.seq)
+	return ok
+}
+
+// Gap implements simtime.Poller.
+//
+//hot:path
+func (q *resultPoll) Gap() simtime.Duration { return q.hd.c.f.PollGap }
+
 //hot:path
 func (h *Host) wait(hd *handle) ([]byte, error) {
 	c := hd.c
 	defer h.cfg.Tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
-	start := h.p.Now()
+	var deadline simtime.Time // zero: none
+	if d := h.cfg.OffloadTimeout; d > 0 {
+		deadline = h.p.Now().Add(d)
+	}
 	for !hd.done {
 		// A dead target may show up only as silence; in-flight futures must
 		// fail instead of waiting for a result that will never be pushed.
 		if !c.alive() {
 			return nil, h.nodeFailed(hd.target)
 		}
+		// An absorbed glitch cost one poll; the next read retries it for free.
 		done, absorbed, err := h.probe(hd)
 		if err != nil {
 			return nil, err
 		}
-		if absorbed {
-			// The glitch cost one poll; the next read retries it for free.
-			continue
+		if !done && !absorbed && c.f.PollGap > 0 {
+			h.polled.hd = hd
+			h.p.Poll(&h.polled, deadline)
 		}
-		if !done && c.f.PollGap > 0 {
-			h.p.Sleep(c.f.PollGap)
-		}
-		if d := h.cfg.OffloadTimeout; d > 0 && !hd.done && h.p.Now().Sub(start) >= d {
+		if deadline != 0 && !hd.done && h.p.Now() >= deadline {
 			// The slot stays leased to the lost offload — the leak is
 			// bounded by NumBuffers, and RecoverNode rebuilds the whole
 			// communication area.

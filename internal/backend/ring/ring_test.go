@@ -28,7 +28,10 @@ var errBroken = errors.New("fake: broken for good")
 
 // fake is an in-memory transport. Every operation is logged as "<op> <slot>"
 // and numbered per op name; fail makes the n-th one ("write#1") fail, always
-// makes every one ("push") fail.
+// makes every one ("push") fail. The exception is a poll that is free —
+// PollResult without pollCost, LoadFlag without loadCost — which honours the
+// transports' purity contract: a bare load, unlogged and unnumbered, that
+// fails only by a standing fault (always).
 type fake struct {
 	recvFlag, sendFlag   []uint64
 	recvBuf              [][]byte
@@ -37,6 +40,8 @@ type fake struct {
 
 	p        *simtime.Proc    // host process, for pollCost
 	pollCost simtime.Duration // time one PollResult takes
+	vp       *simtime.Proc    // target process, for loadCost
+	loadCost simtime.Duration // time one LoadFlag takes (the target's IdlePollCost)
 	count    map[string]int
 	fail     map[string]error
 	always   map[string]error
@@ -83,9 +88,10 @@ func (f *fake) PublishFlag(slot int, word uint64) error {
 }
 
 func (f *fake) PollResult(slot int) (uint64, error) {
-	if f.pollCost > 0 {
-		f.p.Sleep(f.pollCost)
+	if f.pollCost == 0 {
+		return f.sendFlag[slot], f.always["poll"]
 	}
+	f.p.Sleep(f.pollCost)
 	if err := f.step("poll", slot); err != nil {
 		return 0, err
 	}
@@ -122,6 +128,10 @@ func (f *fake) Close() error { f.closed++; return f.always["close"] }
 func (f *fake) Abandon()     { f.dropped++ }
 
 func (f *fake) LoadFlag(slot int) (uint64, error) {
+	if f.loadCost == 0 {
+		return f.recvFlag[slot], f.always["load"]
+	}
+	f.vp.Sleep(f.loadCost)
 	if err := f.step("load", slot); err != nil {
 		return 0, err
 	}
@@ -178,6 +188,11 @@ type world struct {
 	srv      *server // nil: nobody answers
 	arm      func(f *fake)
 	serveErr []error
+	serveEnd simtime.Time // when the last Serve returned
+	// maxEvents, if set, bounds the run; runErr then receives Run's error
+	// instead of the test failing on it.
+	maxEvents uint64
+	runErr    error
 }
 
 const (
@@ -190,6 +205,7 @@ const (
 func (w *world) run(o Options, facts HostFacts, body func(p *simtime.Proc, h *Host)) {
 	w.t.Helper()
 	w.eng = simtime.NewEngine()
+	w.eng.MaxEvents = w.maxEvents
 	w.eng.Spawn("vh", func(p *simtime.Proc) {
 		defer w.eng.Stop()
 		h, err := Connect(p, HostConfig{Name: "fake", Options: o}, 1, func(o Options, i, self, total int) (HostTransport, HostFacts, error) {
@@ -200,7 +216,7 @@ func (w *world) run(o Options, facts HostFacts, body func(p *simtime.Proc, h *Ho
 			}
 			w.links = append(w.links, f)
 			if w.srv != nil {
-				w.serve(f, TargetConfig{Name: "fake", Options: o, Self: self, Nodes: total, Transport: f})
+				w.serve(f, TargetConfig{Name: "fake", Options: o, Self: self, Nodes: total, Transport: f, IdlePollCost: f.loadCost})
 			}
 			facts.Node = fmt.Sprintf("fake%d", i)
 			return f, facts, nil
@@ -214,19 +230,20 @@ func (w *world) run(o Options, facts HostFacts, body func(p *simtime.Proc, h *Ho
 			w.srv.done = true
 		}
 	})
-	if err := w.eng.Run(); err != nil {
-		w.t.Fatalf("Run: %v", err)
+	if w.runErr = w.eng.Run(); w.runErr != nil && w.maxEvents == 0 {
+		w.t.Fatalf("Run: %v", w.runErr)
 	}
 	w.eng.Shutdown()
 }
 
 func (w *world) serve(f *fake, cfg TargetConfig) {
 	w.eng.Spawn("ve", func(tp *simtime.Proc) {
-		w.srv.p = tp
+		w.srv.p, f.vp = tp, tp
 		tgt := newTarget(cfg, tp, testPoll, f.Alive)
 		if err := tgt.Serve(w.srv); err != nil {
 			w.serveErr = append(w.serveErr, err)
 		}
+		w.serveEnd = tp.Now()
 	})
 }
 
@@ -345,7 +362,7 @@ func TestTimeoutLeavesSlotLeased(t *testing.T) {
 // and never reads the replacement conn's slots.
 func TestStaleHandleAfterRecover(t *testing.T) {
 	w := &world{t: t}
-	w.run(Options{}, localPoll(), func(p *simtime.Proc, h *Host) {
+	w.run(Options{}, remotePoll(), func(p *simtime.Proc, h *Host) { // polls that cost are counted
 		stale := mustCall(t, h, "doomed")
 		if err := h.RecoverNode(1); err != nil {
 			t.Fatalf("RecoverNode: %v", err)
@@ -393,8 +410,8 @@ func serveOnce(t *testing.T, o Options, srv *server, arm func(f *fake)) (*fake, 
 	var serveErr error
 	eng := simtime.NewEngine()
 	eng.Spawn("ve", func(tp *simtime.Proc) {
-		srv.p = tp
-		tgt := newTarget(TargetConfig{Name: "fake", Options: o, Self: 1, Nodes: 2, Transport: f}, tp, testPoll, f.Alive)
+		srv.p, f.vp = tp, tp
+		tgt := newTarget(TargetConfig{Name: "fake", Options: o, Self: 1, Nodes: 2, Transport: f, IdlePollCost: f.loadCost}, tp, testPoll, f.Alive)
 		serveErr = tgt.Serve(srv)
 	})
 	if err := eng.Run(); err != nil {
@@ -484,7 +501,12 @@ func TestPollFaults(t *testing.T) {
 		absorb bool
 	}{{"absorbed", remotePoll(), true}, {"surfaced", localPoll(), false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := &world{t: t, srv: &server{}, arm: func(f *fake) { f.fail["poll#1"] = glitch{} }}
+			// A costed poll fails by number, a free one by a standing fault.
+			arm := func(f *fake) { f.fail["poll#1"] = glitch{} }
+			if !tc.absorb {
+				arm = func(f *fake) { f.always["poll"] = glitch{} }
+			}
+			w := &world{t: t, srv: &server{}, arm: arm}
 			w.run(Options{}, tc.facts, func(p *simtime.Proc, h *Host) {
 				hd := mustCall(t, h, "m")
 				_, err := h.Wait(hd)
@@ -492,6 +514,7 @@ func TestPollFaults(t *testing.T) {
 					if !core.IsTransient(err) {
 						t.Fatalf("Wait = %v, want the poll error", err)
 					}
+					delete(w.links[0].always, "poll")
 					mustWait(t, h, hd, "m") // the offload itself is unharmed
 					return
 				}
@@ -625,13 +648,14 @@ func TestHostSurface(t *testing.T) {
 // message, a hard error ends the loop, and targets cannot initiate anything.
 func TestTargetFaultPathsAndStubs(t *testing.T) {
 	f, err := serveOnce(t, Options{}, stopAfter(1), func(f *fake) {
+		f.loadCost = testPoll // only a load that costs has a fault site
 		f.fail["load#1"], f.fail["fetch#1"] = glitch{}, glitch{}
 	})
 	if err != nil || f.sendFlag[0] != slots.Encode(0, 4) || string(f.sendInline[0]) != "ping" {
 		t.Errorf("glitched load+fetch: Serve = %v, flag %#x, result %q", err, f.sendFlag[0], f.sendInline[0])
 	}
-	if f.count["fetch"] != 2 || f.count["push"] != 1 {
-		t.Errorf("fetched %d times, pushed %d", f.count["fetch"], f.count["push"])
+	if f.count["load"] != 3 || f.count["fetch"] != 2 || f.count["push"] != 1 {
+		t.Errorf("loaded %d times, fetched %d, pushed %d", f.count["load"], f.count["fetch"], f.count["push"])
 	}
 	for _, op := range []string{"load", "fetch", "push"} {
 		if _, err := serveOnce(t, Options{}, &server{}, func(f *fake) { f.always[op] = errBroken }); !errors.Is(err, errBroken) {
@@ -704,9 +728,11 @@ func TestServeReusesReceiveBuffer(t *testing.T) {
 	}
 }
 
-// A quiet target backs its poll gap off, and snaps back on the next message.
+// A quiet target backs its poll gap off, and snaps back on the next message;
+// here with a load that costs (and is therefore counted), below with a free
+// one.
 func TestIdleBackoff(t *testing.T) {
-	w := &world{t: t, srv: &server{}}
+	w := &world{t: t, srv: &server{}, arm: func(f *fake) { f.loadCost = 50 * simtime.Nanosecond }}
 	w.run(Options{}, localPoll(), func(p *simtime.Proc, h *Host) {
 		p.Sleep(2 * simtime.Millisecond)
 		f := w.links[0]
@@ -718,6 +744,139 @@ func TestIdleBackoff(t *testing.T) {
 		mustWait(t, h, mustCall(t, h, "hot"), "hot")
 		if n := f.count["load"] - before; n > 16 {
 			t.Errorf("%d polls between back-to-back offloads: interval not reset", n)
+		}
+	})
+}
+
+// OffloadTimeout also bounds a wait whose every poll is absorbed as a glitch:
+// the deadline is checked on that path too.
+func TestAbsorbedPollsHonourTimeout(t *testing.T) {
+	w := &world{t: t, maxEvents: 100_000, arm: func(f *fake) { f.always["poll"] = glitch{} }}
+	w.run(Options{OffloadTimeout: 50 * simtime.Microsecond}, remotePoll(), func(p *simtime.Proc, h *Host) {
+		hd := mustCall(t, h, "m")
+		start := p.Now()
+		if _, err := h.Wait(hd); !errors.Is(err, core.ErrOffloadTimeout) {
+			t.Fatalf("Wait = %v, want ErrOffloadTimeout", err)
+		}
+		if got := p.Now().Sub(start); got != 50*simtime.Microsecond {
+			t.Errorf("timed out after %v, want 50us: 250 polls of %v", got, testGap)
+		}
+	})
+	if w.runErr != nil {
+		t.Fatalf("Run: %v", w.runErr)
+	}
+}
+
+// Host.wait over a free poll is one park, and it ends on the tick the
+// poll-by-poll loop ended on, with the loop's verdict. Times are from the
+// start of the wait; the poll gap is 200 ns, so ticks fall on its multiples.
+func TestWaitEndsOnTheLoopsTick(t *testing.T) {
+	const ns = simtime.Nanosecond
+	publish := func(f *fake) { f.sendInline[0], f.sendFlag[0] = []byte("r"), slots.Encode(0, 1) }
+	crash := func(f *fake) { f.dead = true }
+	for _, tc := range []struct {
+		name    string
+		timeout simtime.Duration
+		at      simtime.Duration // when do runs, on a process spawned before the wait
+		do      func(f *fake)
+		want    simtime.Duration // when Wait returns
+		err     error
+		ticks   uint64 // polls that missed
+	}{
+		{"deadline on a tick", 1000 * ns, 0, nil, 1000 * ns, core.ErrOffloadTimeout, 4},
+		{"deadline between ticks", 1100 * ns, 0, nil, 1200 * ns, core.ErrOffloadTimeout, 5},
+		{"flag between ticks", 0, 700 * ns, publish, 800*ns + testGap, nil, 3},
+		{"flag on a tick", 0, 800 * ns, publish, 800*ns + testGap, nil, 3},
+		{"flag the tick before the deadline", 1000 * ns, 750 * ns, publish, 800*ns + testGap, nil, 3},
+		// The loop looks at the clock before it looks at the flag.
+		{"flag and deadline on one tick", 1000 * ns, 950 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 4},
+		{"flag and deadline at one instant", 1000 * ns, 1000 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 4},
+		// Local polls cannot fail: a dead target is silence until the liveness
+		// probe of the next tick.
+		{"crash between ticks", 0, 500 * ns, crash, 600 * ns, core.ErrNodeFailed, 2},
+		{"crash on a tick", 0, 600 * ns, crash, 600 * ns, core.ErrNodeFailed, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &world{t: t}
+			w.run(Options{OffloadTimeout: tc.timeout}, localPoll(), func(p *simtime.Proc, h *Host) {
+				hd := mustCall(t, h, "m")
+				if tc.do != nil {
+					p.Spawn("ve", func(vp *simtime.Proc) {
+						vp.Sleep(tc.at)
+						tc.do(w.links[0])
+					})
+				}
+				start, ticks := p.Now(), w.eng.PollTicks()
+				resp, err := h.Wait(hd)
+				if !errors.Is(err, tc.err) || (err == nil && string(resp) != "r") {
+					t.Fatalf("Wait = %q, %v; want error %v", resp, err, tc.err)
+				}
+				if got := p.Now().Sub(start); got != tc.want {
+					t.Errorf("Wait returned after %v, want %v", got, tc.want)
+				}
+				if got := w.eng.PollTicks() - ticks; got != tc.ticks {
+					t.Errorf("the engine took %d missed polls, want %d", got, tc.ticks)
+				}
+				if errors.Is(err, core.ErrOffloadTimeout) && tc.do != nil {
+					mustWait(t, h, hd, "r") // the result the timeout passed over is still there
+				}
+			})
+		})
+	}
+}
+
+// idleGrid is the serve loop's idle polling as the loop performed it, one
+// Sleep per missed poll: the first poll at or after event, for a target that
+// went idle at from.
+func idleGrid(from, event simtime.Time) simtime.Time {
+	interval, idle := testPoll, simtime.Duration(0)
+	tick := from
+	for tick < event {
+		tick = tick.Add(interval)
+		idle += interval
+		if idle >= 500*simtime.Microsecond && interval < testPoll*512 {
+			interval *= 2
+		}
+	}
+	return tick
+}
+
+// An idle target whose flag load is free parks once, yet sees each message,
+// and the end of serving, on the poll the loop would have seen it on —
+// through 10 ms of silence, the back-off and its reset.
+func TestIdleTargetWakesOnTheLoopsGrid(t *testing.T) {
+	var dispatched []simtime.Time
+	w := &world{t: t, srv: &server{handle: func(vp *simtime.Proc, msg []byte) []byte {
+		dispatched = append(dispatched, vp.Now())
+		return msg
+	}}}
+	w.run(Options{}, localPoll(), func(p *simtime.Proc, h *Host) {
+		idleSince := simtime.Time(0) // the target polls from its spawn on
+		for i, silence := range []simtime.Duration{
+			0, 100 * simtime.Microsecond, 0, 499 * simtime.Microsecond, 777 * simtime.Microsecond,
+			3 * simtime.Millisecond, 0, 10 * simtime.Millisecond, 0, 0,
+		} {
+			p.Sleep(silence + simtime.Duration(i)) // off the grid
+			published := p.Now().Add(testGap)      // Call: the overhead, then message and flag at once
+			mustWait(t, h, mustCall(t, h, "m"), "m")
+			if want := idleGrid(idleSince, published); dispatched[i] != want {
+				t.Fatalf("message %d, published at %v after %v of silence, was seen at %v; the loop's poll was at %v",
+					i, published, silence, dispatched[i], want)
+			}
+			idleSince = dispatched[i] // fetch, dispatch and respond are instantaneous here
+		}
+		ticks := w.eng.PollTicks()
+		// Each silence past 500 us spends 3 333 polls at the base gap first.
+		if max := uint64(15 * simtime.Millisecond / testPoll / 4); ticks == 0 || ticks > max {
+			t.Errorf("the engine took %d missed polls, host and target, want some but under %d: no back-off", ticks, max)
+		}
+		p.Sleep(2*simtime.Millisecond + 1)
+		w.srv.done = true
+		doneAt := p.Now()
+		p.Sleep(testPoll * 512)
+		if w.serveErr != nil || w.serveEnd != idleGrid(idleSince, doneAt) {
+			t.Errorf("Serve returned %v at %v; Done was set at %v, the loop's next poll was at %v",
+				w.serveErr, w.serveEnd, doneAt, idleGrid(idleSince, doneAt))
 		}
 	})
 }

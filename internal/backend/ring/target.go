@@ -15,7 +15,11 @@ import (
 // the protocol orders the writes: the result payload is pushed before its
 // flag is published.
 type TargetTransport interface {
-	// LoadFlag reads the slot's receive flag word once.
+	// LoadFlag reads the slot's receive flag word once. When the target's
+	// TargetConfig.IdlePollCost == 0 this is a free load: it takes no
+	// simulated time, passes no fault site and changes nothing, so it may be
+	// called any number of times — the engine calls it for the idle target
+	// (flagPoll).
 	LoadFlag(slot int) (uint64, error)
 	// Fetch brings the slot's len(msg)-byte message into msg, charging the
 	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
@@ -37,7 +41,8 @@ type TargetConfig struct {
 	Transport   TargetTransport
 	// IdlePollCost is what one missed poll adds to the idle-time account on
 	// top of the poll gap: the LHM word load of the DMA protocol, nothing
-	// for a local-memory poll.
+	// for a local-memory poll, which is free under LoadFlag's purity
+	// contract.
 	IdlePollCost simtime.Duration
 }
 
@@ -50,6 +55,7 @@ type Target struct {
 
 	p     *simtime.Proc
 	poll  simtime.Duration // gap between receive-flag polls (HAMVEPollInterval)
+	idle  flagPoll         // the gap's idle back-off, and Serve's poll loop where polls are free
 	alive func() bool      // false once the VE process has crashed
 	nt    *trace.NodeTracer
 	desc  core.NodeDescriptor
@@ -64,8 +70,17 @@ type Target struct {
 	spanPollFault, spanPollHit, spanFetch, spanFetchFault, spanResult, spanRespondRetry string
 }
 
+// idleBackoffAfter and idleBackoffMax shape the poll gap of a quiet VE: so it
+// does not flood the event queue the gap backs off exponentially, up to 512
+// poll intervals — but only after a sustained idle period, so back-to-back
+// offloads always see the base interval.
+const (
+	idleBackoffAfter = 500 * simtime.Microsecond
+	idleBackoffMax   = 512
+)
+
 func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive func() bool) *Target {
-	return &Target{
+	t := &Target{
 		TargetConfig: cfg, p: p, poll: poll, alive: alive,
 		seq:              make([]uint32, cfg.NumBuffers),
 		recv:             make([]byte, cfg.BufSize),
@@ -76,6 +91,37 @@ func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive f
 		spanResult:       cfg.Name + "-result",
 		spanRespondRetry: cfg.Name + "-respond-retry",
 	}
+	t.idle = flagPoll{t: t, Backoff: simtime.Backoff{
+		Base: poll, After: idleBackoffAfter, Max: poll * idleBackoffMax, PollCost: cfg.IdlePollCost,
+	}}
+	return t
+}
+
+// flagPoll is Serve's idle loop over a free poll (IdlePollCost == 0), in the
+// form simtime.Proc.Poll takes: every back-off gap, has anything happened
+// that Serve must look at — the server done, the VE process gone, the load
+// failing, the next message's flag up? Serve then looks for itself.
+type flagPoll struct {
+	simtime.Backoff // Gap
+	t               *Target
+	s               core.Server
+	slot            int
+}
+
+// Hit implements simtime.Poller.
+//
+//hot:path
+func (q *flagPoll) Hit() bool {
+	t := q.t
+	if q.s.Done() || !t.alive() {
+		return true
+	}
+	word, err := t.Transport.LoadFlag(q.slot)
+	if err != nil {
+		return true
+	}
+	_, ok := slots.Decode(word, t.seq[q.slot])
+	return ok
 }
 
 // Self implements core.Backend.
@@ -108,12 +154,9 @@ func (t *Target) Serve(s core.Server) error {
 	seq := t.seq
 	next := 0
 
-	// So a quiet VE does not flood the event queue the poll gap backs off
-	// exponentially — but only after a sustained idle period, so back-to-back
-	// offloads always see the base interval.
-	const backoffAfter = 500 * simtime.Microsecond
-	interval := t.poll
-	var idle simtime.Duration
+	idle := &t.idle
+	idle.Reset()
+	idle.s = s
 
 	for !s.Done() {
 		if !t.alive() {
@@ -128,22 +171,22 @@ func (t *Target) Serve(s core.Server) error {
 				// An injected glitch on the flag load reads as a miss: back
 				// off one poll interval and retry the load.
 				t.nt.Instant(trace.PhaseFault, t.spanPollFault, int64(next))
-				t.p.Sleep(interval)
+				t.p.Sleep(idle.Current())
 				continue
 			}
 			return err
 		}
 		n, ok := slots.Decode(word, seq[next])
 		if !ok {
-			t.p.Sleep(interval)
-			idle += interval + t.IdlePollCost
-			if idle >= backoffAfter && interval < t.poll*512 {
-				interval *= 2
+			if t.IdlePollCost == 0 {
+				idle.slot = next
+				t.p.Poll(idle, 0)
+			} else {
+				t.p.Sleep(idle.Gap())
 			}
 			continue
 		}
-		interval = t.poll
-		idle = 0
+		idle.Reset()
 		mid := t.mid(next, seq[next])
 		t.nt.Since(trace.PhasePoll, t.spanPollHit, mid, pollStart)
 
@@ -164,7 +207,7 @@ func (t *Target) Serve(s core.Server) error {
 				// next iteration re-polls the same slot and refetches, so a
 				// transient transfer error delays the message, not drops it.
 				t.nt.Instant(trace.PhaseFault, t.spanFetchFault, mid)
-				t.p.Sleep(interval)
+				t.p.Sleep(t.poll)
 				continue
 			}
 			return err

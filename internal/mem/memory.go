@@ -6,7 +6,10 @@
 // real memory, which is what makes a simulated 48 GiB HBM affordable.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Addr is an address within one Memory.
 type Addr uint64
@@ -132,13 +135,14 @@ func (m *Memory) MapBytes(addr Addr, data []byte) error {
 	return nil
 }
 
-// Unmap removes the extent starting exactly at addr.
+// Unmap removes the extent starting exactly at addr and lets go of its
+// backing store — the chunks, or the caller's bytes MapBytes put there.
 func (m *Memory) Unmap(addr Addr) error {
 	i := m.find(addr)
 	if i >= len(m.extents) || m.extents[i].addr != addr {
 		return fmt.Errorf("mem %s: Unmap: no extent starts at %#x", m.name, addr)
 	}
-	m.extents = append(m.extents[:i], m.extents[i+1:]...)
+	m.extents = slices.Delete(m.extents, i, i+1) // zeroes the vacated slot
 	return nil
 }
 

@@ -414,6 +414,29 @@ func TestCopyMatchesBounceReference(t *testing.T) {
 // one holding a copy of them: every load, store, Copy and Slice agrees, the
 // caller's slice is the storage (stores show up in it, at once), and Unmap
 // ends the alias without touching the bytes.
+// Unmap lets go of the backing store: bulk transfers map the caller's own
+// slices for the length of one call (hostmem.AllocBytes), and a stale pointer
+// left in the vacated slot of the extent table would keep the last of them
+// reachable for as long as the Memory lives.
+func TestUnmapLetsGoOfBacking(t *testing.T) {
+	m := NewMemory("unmap")
+	for i := range 3 {
+		if err := m.MapBytes(Addr(0x1000*(i+1)), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range []Addr{0x3000, 0x1000, 0x2000} { // the last, the first, the only one
+		if err := m.Unmap(addr); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range m.extents[:cap(m.extents)][len(m.extents):] {
+			if e != nil {
+				t.Errorf("after Unmap(%#x): vacated slot %d still points at the extent at %#x", addr, len(m.extents)+i, e.addr)
+			}
+		}
+	}
+}
+
 func TestMapBytes(t *testing.T) {
 	const base = Addr(0x40_0000 + 24) // chunk windows are relative to the extent, not the address
 	for _, size := range []int{1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 17} {

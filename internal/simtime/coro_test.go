@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wakeLog records one line per wake, "<now ps> <proc> <reason>", written by
@@ -28,9 +29,10 @@ func won(event bool) string {
 
 // goldenScenario mixes every blocking primitive, contended and not, with
 // same-timestamp ties, a timer that wins and one that loses for each timeout
-// variant, stale wakes left behind by the losers, and a spawn from inside a
-// process.
-func goldenScenario(e *Engine, log *wakeLog) {
+// variant, stale wakes left behind by the losers, a spawn from inside a
+// process, and a poller — polling through poll — whose ticks fall on other
+// processes' instants, ended once by its condition and once by until.
+func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	q := NewQueue[int](e, "q")
 	ev1, ev2 := NewEvent(e), NewEvent(e)
 	link := NewResource(e, "link")
@@ -122,10 +124,17 @@ func goldenScenario(e *Engine, log *wakeLog) {
 			cores.Release(got)
 		})
 	}
+	e.Spawn("watch", func(p *Proc) {
+		poll(p, &cond{hit: ev2.Fired, gap: 4}, 0) // ev2 fires at 30, between the ticks at 28 and 32
+		log.rec(p, "poll")
+		poll(p, &cond{hit: never, gap: 5}, p.Now().Add(12)) // ticks at 37 and 42, until at 44
+		log.rec(p, "poll")
+	})
 }
 
 // goldenWakes is goldenScenario's log as the goroutine-and-channels engine of
-// PR 13 (c00e21a) produced it, with its Events() and MaxQueueLen().
+// PR 13 (c00e21a) produced it, with its Events() and MaxQueueLen(); the
+// poller's lines and events are the tick-by-tick loop's on PR 21's engine.
 var goldenWakes = []string{
 	"0 link0 acquired",
 	"1 core0 timer",
@@ -172,19 +181,30 @@ var goldenWakes = []string{
 	"30 tick timer",
 	"30 waiter event",
 	"30 consumer event pop=5",
+	"32 watch poll",
 	"33 tick timer",
 	"36 tick timer",
+	"47 watch poll",
 }
 
 const (
-	goldenEvents   = 56
-	goldenMaxQueue = 12
+	goldenEvents   = 68 // 56 without the poller: its spawn wake and 11 ticks
+	goldenMaxQueue = 13
 )
 
 func TestGoldenDeliveryOrder(t *testing.T) {
+	for _, poll := range []struct {
+		name string
+		fn   pollFn
+	}{{"Poll", enginePoll}, {"loop", loopPoll}} {
+		t.Run(poll.name, func(t *testing.T) { testGoldenDeliveryOrder(t, poll.fn) })
+	}
+}
+
+func testGoldenDeliveryOrder(t *testing.T, poll pollFn) {
 	e := NewEngine()
 	var log wakeLog
-	goldenScenario(e, &log)
+	goldenScenario(e, &log, poll)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -210,9 +230,14 @@ func TestGoldenDeliveryOrder(t *testing.T) {
 
 // pollBesideSleeper is the ring.Host.wait shape: a 200 ns poller, 24 of whose
 // 25 ticks are the engine's next event, beside a 5 us sleeper whose every
-// wake falls on the instant of a tick and was scheduled before it.
-func pollBesideSleeper(e *Engine, log *wakeLog) {
+// wake falls on the instant of a tick and was scheduled before it. With
+// viaPoll the poller is one Proc.Poll that never hits, so its ticks are the
+// engine's and it logs none.
+func pollBesideSleeper(e *Engine, log *wakeLog, viaPoll bool) {
 	e.Spawn("poll", func(p *Proc) {
+		if viaPoll {
+			p.Poll(&cond{hit: never, gap: 200 * Nanosecond}, 0)
+		}
 		for {
 			p.Sleep(200 * Nanosecond)
 			if log != nil {
@@ -232,8 +257,8 @@ func pollBesideSleeper(e *Engine, log *wakeLog) {
 
 // The limits cut a run short at the same event, with the same error and the
 // same Events(), whether the event that trips them would have been taken in
-// place by the poller or delivered by Run. Expected values are the PR 13
-// engine's.
+// place by the poller, answered by the engine for a Proc.Poll, or delivered
+// by Run. Expected values are the PR 13 engine's.
 func TestSelfWakeHonoursLimits(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -253,20 +278,39 @@ func TestSelfWakeHonoursLimits(t *testing.T) {
 		{"budget", func(e *Engine) { e.MaxEvents = 20 }, ErrEventLimit, 21, Time(3600 * Nanosecond), "3600000 poll timer", 18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine()
-			var log wakeLog
-			pollBesideSleeper(e, &log)
-			tc.arm(e)
-			err := e.Run()
-			e.Shutdown()
-			if !errors.Is(err, tc.err) {
-				t.Fatalf("err = %v, want %v", err, tc.err)
-			}
-			if e.Events() != tc.events || e.Now() != tc.now {
-				t.Errorf("Events, Now = %d, %d, want %d, %d", e.Events(), int64(e.Now()), tc.events, int64(tc.now))
-			}
-			if len(log) != tc.totalWakes || log[len(log)-1] != tc.lastWake {
-				t.Errorf("%d wakes ending in %q, want %d ending in %q", len(log), log[len(log)-1], tc.totalWakes, tc.lastWake)
+			var loopLog wakeLog
+			for _, viaPoll := range []bool{false, true} {
+				t.Run(fmt.Sprintf("viaPoll=%v", viaPoll), func(t *testing.T) {
+					e := NewEngine()
+					var log wakeLog
+					pollBesideSleeper(e, &log, viaPoll)
+					tc.arm(e)
+					err := e.Run()
+					e.Shutdown()
+					if !errors.Is(err, tc.err) {
+						t.Fatalf("err = %v, want %v", err, tc.err)
+					}
+					if e.Events() != tc.events || e.Now() != tc.now {
+						t.Errorf("Events, Now = %d, %d, want %d, %d", e.Events(), int64(e.Now()), tc.events, int64(tc.now))
+					}
+					if viaPoll {
+						// What is left of the loop's log without the poller's lines.
+						var want wakeLog
+						for _, l := range loopLog {
+							if !strings.Contains(l, " poll ") {
+								want = append(want, l)
+							}
+						}
+						if !reflect.DeepEqual(log, want) {
+							t.Errorf("wakes = %q, want the sleeper's %q", []string(log), []string(want))
+						}
+						return
+					}
+					loopLog = log
+					if len(log) != tc.totalWakes || log[len(log)-1] != tc.lastWake {
+						t.Errorf("%d wakes ending in %q, want %d ending in %q", len(log), log[len(log)-1], tc.totalWakes, tc.lastWake)
+					}
+				})
 			}
 		})
 	}
@@ -364,6 +408,8 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 		never.Wait(p)
 	})
 	parkIn("sleep", func(p *Proc) { p.Sleep(Second) })
+	var polling *Proc
+	parkIn("poll", func(p *Proc) { polling = p; p.Poll(&cond{hit: never.Fired, gap: Second}, 0) })
 	parkIn("pop", func(p *Proc) { q.Pop(p) })
 	parkIn("pop-timeout", func(p *Proc) { q.PopTimeout(p, Second) })
 	parkIn("wait", func(p *Proc) { never.Wait(p) })
@@ -382,9 +428,12 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if polling.blockedOn != "poll" {
+		t.Errorf("a process in Poll is labelled %q, want poll", polling.blockedOn)
+	}
 	events, now := e.Events(), e.Now()
 	e.Shutdown()
-	want := []string{"holder", "sleep", "pop", "pop-timeout", "wait", "wait-timeout", "resource", "semaphore", "defer-parks"}
+	want := []string{"holder", "sleep", "poll", "pop", "pop-timeout", "wait", "wait-timeout", "resource", "semaphore", "defer-parks"}
 	if !reflect.DeepEqual(unwound, want) {
 		t.Errorf("unwound = %q, want %q (spawn order)", unwound, want)
 	}
@@ -503,6 +552,48 @@ func TestFinishedProcsLeaveLiveSet(t *testing.T) {
 	}
 	if e.first != nil || e.last != nil {
 		t.Errorf("live list after Run: first=%v last=%v, want empty", e.first, e.last)
+	}
+}
+
+// A finished process holds on to nothing its body captured, however it ended:
+// callers keep a *Proc (and, through it, the engine) long after Run — one per
+// round in bench/perf — and iter.Pull's functions would otherwise keep every
+// body and its buffers reachable with it.
+func TestFinishedProcLetsGoOfItsBody(t *testing.T) {
+	e := NewEngine()
+	freed := make(chan string, 2)
+	spawn := func(name string, rest func(p *Proc)) *Proc {
+		buf := new([1 << 16]byte)
+		runtime.SetFinalizer(buf, func(*[1 << 16]byte) { freed <- name })
+		return e.Spawn(name, func(p *Proc) {
+			buf[0]++
+			rest(p)
+		})
+	}
+	procs := []*Proc{
+		spawn("returns", func(p *Proc) { p.Sleep(1); e.Stop() }),
+		spawn("killed", func(p *Proc) { p.Sleep(Second) }),
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	e.Shutdown()
+	got := map[string]bool{}
+	for tries := 0; len(got) < len(procs) && tries < 200; tries++ {
+		runtime.GC()
+		select {
+		case name := <-freed:
+			got[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	for _, p := range procs {
+		if !got[p.Name()] {
+			t.Errorf("process %q finished, yet what its body captured is still reachable from the *Proc", p.Name())
+		}
+		if _, more := p.resume(); more {
+			t.Errorf("process %q: resume after finish reports more to run", p.Name())
+		}
 	}
 }
 

@@ -32,6 +32,10 @@ const (
 type waiter struct {
 	p     *Proc
 	woken bool
+	// A waiter parked in Proc.Poll: the wake is a poll tick, which step
+	// answers itself while poll.Hit says miss and the tick is before until.
+	poll  Poller
+	until Time
 }
 
 type event struct {
@@ -107,7 +111,10 @@ type Engine struct {
 	stop   bool
 	failed error // the first process panic; ends Run
 	events uint64
-	maxq   int // event-queue high-water mark, for the engine profiler
+	polls  uint64 // events that were poll ticks step answered itself
+	maxq   int    // event-queue high-water mark, for the engine profiler
+	// The process whose Poller.Hit is being evaluated, for park's guard.
+	hitting *Proc
 
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.
@@ -170,11 +177,14 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // finish runs deferred when a process body returns, panics or is killed: it
 // takes the process off the live list and records the first panic for Run.
+// The coroutine goes with it: iter.Pull's functions keep the body — and all
+// it captured — reachable, and a *Proc may well outlive its engine's run.
 func (p *Proc) finish() {
 	e := p.eng
 	if r := recover(); r != nil && r != errKilled && e.failed == nil {
 		e.failed = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
 	}
+	p.resume, p.yield = resumeFinished, nil
 	if p.prev == nil {
 		e.first = p.next
 	} else {
@@ -186,6 +196,10 @@ func (p *Proc) finish() {
 		p.next.prev = p.prev
 	}
 }
+
+// resumeFinished is the resume of a finished process: what iter.Pull's next
+// answers once the sequence has ended.
+func resumeFinished() (struct{}, bool) { return struct{}{}, false }
 
 // schedule enqueues a wake for w at time at.
 //
@@ -218,20 +232,32 @@ func (e *Engine) Run() error {
 }
 
 // step is the one place that decides what the engine does next. It discards
-// stale wakes, then delivers the earliest wake event: pops it, counts it,
-// advances the clock, stores the wake reason in its process and returns the
+// stale wakes and then takes the earliest wake event: pops it, counts it and
+// advances the clock. What happens to the event is one of three things.
+//
+// A wake is delivered: step stores the reason in the process and returns the
 // process, which the caller must let run. Run calls step(nil) and, when step
 // returns no process, returns err: nil after Stop or once every process has
 // finished, otherwise the panic, deadlock, deadline or event-budget error.
 //
-// A parking process calls step(p) to ask whether the next event is its own
-// (a poller ticking beside longer sleeps); if so the process just keeps
-// running at the new time, with no switch. This cannot reorder delivery: it
-// is the same event Run would deliver next, to the same process, and nothing
-// else runs in between. Whatever step(p) cannot deliver to p in place —
-// another process's event, Stop, the deadline, the event budget, an empty
-// heap — it leaves untouched and returns nil, so p yields and Run's
-// step(nil) reaches the verdict.
+// A wake for the caller is taken in place: a parking process calls step(p) to
+// ask whether the next event is its own (a poller ticking beside longer
+// sleeps); if so the process just keeps running at the new time, with no
+// switch. This cannot reorder delivery: it is the same event Run would
+// deliver next, to the same process, and nothing else runs in between.
+//
+// A poll tick that misses is answered here: the event of a process parked in
+// Proc.Poll, before its until, whose Hit says miss, wakes nobody. Popped,
+// counted and the clock advanced like any other, it goes back on the heap one
+// Gap later (repoll) — the operations the polling process would have
+// performed had it been woken to look for itself, in the same order, with
+// nothing able to run in between. It is engine work whoever's stack step is
+// on, so a process parking beside a poller no longer yields for the poller's
+// misses.
+//
+// Whatever step(p) cannot settle without switching — another process's wake,
+// Stop, the deadline, the event budget, an empty heap — it leaves untouched
+// and returns nil, so p yields and Run's step(nil) reaches the verdict.
 //
 //hot:path
 func (e *Engine) step(self *Proc) (*Proc, error) {
@@ -246,7 +272,8 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			return nil, e.deadlockError()
 		}
 		head := &e.eq[0]
-		if head.w.woken {
+		w := head.w
+		if w.woken {
 			e.eq.pop() // stale wake (e.g. timeout lost to an Event fire)
 			continue
 		}
@@ -256,7 +283,8 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 		}
 		late := e.Deadline != 0 && head.at > e.Deadline
 		spent := e.events >= maxEvents
-		if self != nil && (head.w.p != self || late || spent) {
+		miss := w.poll != nil && !late && !spent && (w.until == 0 || head.at < w.until) && !e.hit(w.p, w.poll)
+		if self != nil && !miss && (w.p != self || late || spent) {
 			return nil, nil
 		}
 		ev := e.eq.pop()
@@ -268,9 +296,13 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			return nil, limitError(maxEvents)
 		}
 		e.now = ev.at
-		ev.w.woken = true
-		ev.w.p.reason = ev.rsn
-		return ev.w.p, nil
+		if miss {
+			e.repoll(w, maxEvents)
+			continue
+		}
+		w.woken = true
+		w.p.reason = ev.rsn
+		return w.p, nil
 	}
 }
 
@@ -279,7 +311,8 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 // exits; one that never started never runs its body. It must be called after
 // Run returns, never concurrently with it.
 func (e *Engine) Shutdown() {
-	e.stop = true // a park during the unwinding must not advance the simulation
+	e.stop = true   // a park during the unwinding must not advance the simulation
+	e.hitting = nil // a Hit that panicked left it set; the unwinding may park
 	for e.first != nil {
 		// A deferred call that parks yields back here with the process
 		// still first in line; the next round kills that park too.

@@ -1,0 +1,407 @@
+package simtime
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// pollFn is how a test process polls: through the engine or, as the oracle,
+// tick by tick.
+type pollFn func(p *Proc, q Poller, until Time)
+
+func enginePoll(p *Proc, q Poller, until Time) { p.Poll(q, until) }
+
+// loopPoll is the loop Proc.Poll is defined as, written out.
+func loopPoll(p *Proc, q Poller, until Time) {
+	for !q.Hit() {
+		p.Sleep(q.Gap())
+		if until != 0 && p.Now() >= until {
+			return
+		}
+	}
+}
+
+// cond is a Poller over a condition, polled every gap.
+type cond struct {
+	hit func() bool
+	gap Duration
+}
+
+func (c *cond) Hit() bool     { return c.hit() }
+func (c *cond) Gap() Duration { return c.gap }
+
+// backoffCond is a Poller over a condition, polled on a Backoff schedule.
+type backoffCond struct {
+	Backoff
+	hit func() bool
+}
+
+func (c *backoffCond) Hit() bool { return c.hit() }
+
+func never() bool { return false }
+
+// rng is splitmix64: the worlds below must not depend on math/rand's stream.
+type rng uint64
+
+func (r *rng) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *rng) n(k int) int { return int(r.next() % uint64(k)) }
+
+// fork returns an independent stream, so that what one process draws does not
+// depend on how the processes interleave.
+func (r *rng) fork() *rng { f := rng(r.next()); return &f }
+
+// pollWorld is the outcome of one generated world.
+type pollWorld struct {
+	log       wakeLog
+	events    uint64
+	maxq      int
+	qlen      int
+	now       Time
+	err       string
+	missed    uint64 // ticks that missed, as countMisses sees them
+	pollTicks uint64 // Engine.PollTicks
+	byUntil   int    // polls that until ended
+}
+
+// runPollWorld expands seed into a small world — 1-4 pollers over flags, a
+// queue and an event, with fixed and back-off gaps and optional until;
+// sleepers; flag flippers; an event firer with timed-out waiters (stale
+// wakes); a queue producer; and a MaxEvents, Deadline or Stop cut-off — and
+// runs it with the given poll. All times are small integers, so ticks, flips
+// and wakes collide at the same timestamp all the time.
+func runPollWorld(seed uint64, poll pollFn) *pollWorld {
+	w := &pollWorld{}
+	e := NewEngine()
+	r := rng(seed)
+	var flags [3]bool
+	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
+	counted := func(p *Proc, pl Poller, until Time) {
+		poll(p, &countMisses{Poller: pl, n: &w.missed}, until)
+	}
+
+	for i, n := 0, 1+r.n(4); i < n; i++ {
+		pr := r.fork()
+		var hit func() bool
+		var consume func()
+		switch f := pr.n(3); pr.n(4) {
+		case 0:
+			hit, consume = func() bool { return q.Len() > 0 }, func() { q.TryPop() }
+		case 1:
+			hit, consume = ev.Fired, func() {}
+		default:
+			hit, consume = func() bool { return flags[f] }, func() { flags[f] = false }
+		}
+		var pl Poller = &cond{hit: hit, gap: Duration(1 + pr.n(5))}
+		reset := func() {}
+		if pr.n(3) == 0 {
+			base := Duration(1 + pr.n(3))
+			b := &backoffCond{hit: hit, Backoff: Backoff{Base: base, After: Duration(3 + pr.n(20)), Max: base << pr.n(4)}}
+			pl, reset = b, b.Reset
+		}
+		e.Spawn(fmt.Sprintf("poller%d", i), func(p *Proc) {
+			for round, rounds := 0, 1+pr.n(4); round < rounds; round++ {
+				var until Time
+				if pr.n(2) == 0 {
+					until = p.Now().Add(Duration(1 + pr.n(30)))
+				}
+				counted(p, pl, until)
+				got := hit()
+				if !got {
+					w.byUntil++
+				}
+				w.log.rec(p, fmt.Sprintf("poll hit=%v", got))
+				if got {
+					consume()
+					reset()
+				}
+				// A plain park on the waiter the poll just used.
+				p.Sleep(Duration(pr.n(5)))
+				w.log.rec(p, "timer")
+			}
+		})
+	}
+	for i, n := 0, r.n(3); i < n; i++ {
+		pr := r.fork()
+		e.Spawn(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
+			for k, n := 0, 1+pr.n(8); k < n; k++ {
+				p.Sleep(Duration(1 + pr.n(12)))
+				w.log.rec(p, "timer")
+			}
+		})
+	}
+	for i, n := 0, 1+r.n(3); i < n; i++ {
+		pr := r.fork()
+		e.Spawn(fmt.Sprintf("flipper%d", i), func(p *Proc) {
+			for k, n := 0, 1+pr.n(6); k < n; k++ {
+				p.Sleep(Duration(pr.n(15)))
+				flags[pr.n(3)] = pr.n(4) != 0
+				w.log.rec(p, "flip")
+			}
+		})
+	}
+	if pr := r.fork(); r.n(2) == 0 {
+		e.Spawn("firer", func(p *Proc) {
+			p.Sleep(Duration(pr.n(40)))
+			ev.Fire()
+			w.log.rec(p, "fire")
+		})
+		e.Spawn("waiter", func(p *Proc) {
+			w.log.rec(p, won(ev.WaitTimeout(p, Duration(pr.n(30)))))
+			w.log.rec(p, won(ev.WaitTimeout(p, Duration(pr.n(30)))))
+		})
+	}
+	if pr := r.fork(); r.n(2) == 0 {
+		e.Spawn("producer", func(p *Proc) {
+			for k, n := 0, 1+pr.n(5); k < n; k++ {
+				p.Sleep(Duration(pr.n(10)))
+				q.Push(k)
+				w.log.rec(p, "push")
+			}
+		})
+		e.Spawn("consumer", func(p *Proc) {
+			_, ok := q.PopTimeout(p, Duration(pr.n(25)))
+			w.log.rec(p, won(ok))
+		})
+	}
+	// A poller nobody answers polls for ever; the deadline ends the run of an
+	// engine that lost count.
+	e.MaxEvents, e.Deadline = 1500, 5000
+	switch pr := r.fork(); r.n(4) {
+	case 0:
+		e.MaxEvents = uint64(3 + pr.n(150))
+	case 1:
+		e.Deadline = Time(3 + pr.n(80))
+	case 2:
+		e.Spawn("stopper", func(p *Proc) {
+			p.Sleep(Duration(pr.n(60)))
+			w.log.rec(p, "stop")
+			e.Stop()
+		})
+	}
+
+	if err := e.Run(); err != nil {
+		w.err = err.Error()
+	}
+	w.events, w.maxq, w.qlen, w.now, w.pollTicks = e.Events(), e.MaxQueueLen(), e.QueueLen(), e.Now(), e.PollTicks()
+	e.Shutdown()
+	return w
+}
+
+// countMisses counts the ticks of one poll that missed: Gap is asked once
+// when the poll parks and then once after every tick that missed.
+type countMisses struct {
+	Poller
+	parked bool
+	n      *uint64
+}
+
+func (c *countMisses) Gap() Duration {
+	if c.parked {
+		*c.n++
+	}
+	c.parked = true
+	return c.Poller.Gap()
+}
+
+// checkPollWorld runs one world both ways and reports every difference.
+func checkPollWorld(t *testing.T, seed uint64) (byEngine, byLoop *pollWorld) {
+	t.Helper()
+	byEngine, byLoop = runPollWorld(seed, enginePoll), runPollWorld(seed, loopPoll)
+	if !reflect.DeepEqual(byEngine.log, byLoop.log) {
+		for i := 0; i < len(byEngine.log) || i < len(byLoop.log); i++ {
+			var got, want string
+			if i < len(byEngine.log) {
+				got = byEngine.log[i]
+			}
+			if i < len(byLoop.log) {
+				want = byLoop.log[i]
+			}
+			if got != want {
+				t.Fatalf("seed %d: delivery %d is %q with Poll, %q with the loop", seed, i, got, want)
+			}
+		}
+	}
+	if byEngine.events != byLoop.events || byEngine.maxq != byLoop.maxq || byEngine.qlen != byLoop.qlen ||
+		byEngine.now != byLoop.now || byEngine.err != byLoop.err {
+		t.Fatalf("seed %d: Events, MaxQueueLen, QueueLen, Now, Run error\n  with Poll     %d, %d, %d, %d, %q\n  with the loop %d, %d, %d, %d, %q", seed,
+			byEngine.events, byEngine.maxq, byEngine.qlen, int64(byEngine.now), byEngine.err,
+			byLoop.events, byLoop.maxq, byLoop.qlen, int64(byLoop.now), byLoop.err)
+	}
+	if byLoop.pollTicks != 0 || byEngine.pollTicks != byLoop.missed || byEngine.missed != byLoop.missed {
+		t.Fatalf("seed %d: %d ticks missed in the loop (where PollTicks = %d); with Poll %d did and PollTicks = %d",
+			seed, byLoop.missed, byLoop.pollTicks, byEngine.missed, byEngine.pollTicks)
+	}
+	return byEngine, byLoop
+}
+
+// Proc.Poll against the loop it is defined as, over generated worlds: the
+// same deliveries (process, time, reason) in the same order, the same Events,
+// MaxQueueLen and Run error.
+func TestPollEquivalence(t *testing.T) {
+	var ticks uint64
+	var byUntil, deadlines, limits, clean int
+	for seed := uint64(0); seed < 1000; seed++ {
+		w, _ := checkPollWorld(t, seed)
+		ticks += w.pollTicks
+		byUntil += w.byUntil
+		switch {
+		case strings.Contains(w.err, "deadline"):
+			deadlines++
+		case strings.Contains(w.err, "event limit"):
+			limits++
+		case w.err == "":
+			clean++
+		}
+	}
+	t.Logf("ticks=%d byUntil=%d deadlines=%d limits=%d clean=%d", ticks, byUntil, deadlines, limits, clean)
+	// The generator must keep reaching what the comparison is about.
+	if ticks < 50_000 || byUntil < 300 || deadlines < 100 || limits < 100 || clean < 100 {
+		t.Errorf("1000 worlds had %d engine-taken ticks, %d polls ended by until, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
+			ticks, byUntil, deadlines, limits, clean)
+	}
+}
+
+func FuzzPollEquivalence(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 7, 31, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { checkPollWorld(t, seed) })
+}
+
+// PollTicks counts exactly the ticks that missed, skipped ones included, and
+// each of them is an event.
+func TestPollTicksCountsMisses(t *testing.T) {
+	e := NewEngine()
+	flag := false
+	e.Spawn("poll", func(p *Proc) {
+		p.Poll(&cond{hit: func() bool { return flag }, gap: 3}, 0)
+		if p.Now() != 102 {
+			t.Errorf("poll returned at %v, want 102ps", p.Now())
+		}
+		p.Poll(&cond{hit: never, gap: 5}, p.Now().Add(12)) // ticks at 107, 112, 117
+		if p.Now() != 117 {
+			t.Errorf("poll with until returned at %v, want 117ps", p.Now())
+		}
+	})
+	e.Spawn("set", func(p *Proc) {
+		p.Sleep(100)
+		flag = true
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Ticks 3..99 miss (33), 102 hits; 107 and 112 miss, 117 is until.
+	// Events: 2 spawns, set's wake, 34 + 3 ticks.
+	if e.PollTicks() != 35 || e.Events() != 40 {
+		t.Errorf("PollTicks, Events = %d, %d, want 35, 40", e.PollTicks(), e.Events())
+	}
+}
+
+// A Hit that parks is refused by name, whether the engine evaluates it on the
+// poller's own stack, on another process's, or on Run's.
+func TestHitMustNotPark(t *testing.T) {
+	const want = `simtime: the Poller of process "bad" parked inside Hit`
+	parksAfter := func(e *Engine, calls int) (bad *Proc, pl Poller) {
+		pl = &cond{gap: 2, hit: func() bool {
+			if calls--; calls < 0 {
+				bad.Sleep(1)
+			}
+			return false
+		}}
+		bad = e.Spawn("bad", func(p *Proc) { p.Poll(pl, 0) })
+		return bad, pl
+	}
+	t.Run("own stack", func(t *testing.T) {
+		e := NewEngine()
+		parksAfter(e, 0)
+		err := e.Run()
+		e.Shutdown()
+		if err == nil || err.Error() != `simtime: process "bad" panicked: `+want {
+			t.Fatalf("Run = %v", err)
+		}
+	})
+	t.Run("another process's stack", func(t *testing.T) {
+		e := NewEngine()
+		parksAfter(e, 1)
+		e.Spawn("bystander", func(p *Proc) {
+			p.Sleep(1)
+			p.Sleep(10) // parks with bad's tick next in line
+		})
+		err := e.Run()
+		e.Shutdown()
+		if err == nil || err.Error() != `simtime: process "bystander" panicked: `+want {
+			t.Fatalf("Run = %v", err)
+		}
+	})
+	t.Run("Run's stack", func(t *testing.T) {
+		e := NewEngine()
+		parksAfter(e, 1)
+		e.Spawn("bystander", func(*Proc) {}) // its spawn wake makes bad yield to Run
+		defer func() {
+			if r := recover(); r != want {
+				t.Fatalf("Run panicked with %v, want %q", r, want)
+			}
+			e.Shutdown()
+		}()
+		_ = e.Run()
+		t.Fatal("Run returned")
+	})
+}
+
+// The waiter a poll parked on carries no Poller into the process's next park:
+// a plain Sleep after a Poll whose condition has gone false again is a Sleep.
+func TestScratchWaiterForgetsPoller(t *testing.T) {
+	e := NewEngine()
+	flag := true
+	e.Spawn("p", func(p *Proc) {
+		pl := &cond{hit: func() bool { return flag }, gap: 2}
+		flag = false
+		p.Spawn("set", func(c *Proc) { c.Sleep(5); flag = true })
+		p.Poll(pl, 0) // hits on the tick at 6
+		flag = false
+		ticks := e.PollTicks()
+		p.Sleep(10)
+		if p.Now() != 16 || e.PollTicks() != ticks {
+			t.Errorf("Sleep(10) after a Poll ended at %v with %d more poll ticks, want 16ps and none", p.Now(), e.PollTicks()-ticks)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The Backoff schedule against the arithmetic both idle loops used to carry.
+func TestBackoffSchedule(t *testing.T) {
+	const base, after, factor = 150 * Nanosecond, 500 * Microsecond, 512
+	for _, cost := range []Duration{0, 40 * Nanosecond} {
+		b := Backoff{Base: base, After: after, Max: base * factor, PollCost: cost}
+		interval, idle, peak := base, Duration(0), base
+		for i := 0; i < 5000; i++ {
+			peak = max(peak, interval)
+			if i == 4000 {
+				b.Reset()
+				interval, idle = base, 0
+			}
+			if cur, got := b.Current(), b.Gap(); got != interval || cur != interval {
+				t.Fatalf("cost %v: gap %d = %v (Current %v), want %v", cost, i, got, cur, interval)
+			}
+			idle += interval + cost
+			if idle >= after && interval < base*factor {
+				interval *= 2
+			}
+		}
+		if peak != base*factor || interval != base {
+			t.Fatalf("cost %v: the reference peaked at %v and ended at %v, want %v and %v", cost, peak, interval, base*factor, base)
+		}
+	}
+}

@@ -19,7 +19,7 @@ type Proc struct {
 	prev, next *Proc                   // the engine's list of unfinished processes
 
 	// scratch is the reusable waiter for single-reference parks (the first
-	// wake after Spawn, Sleep, Queue.Pop, Event.Wait, Resource.Acquire,
+	// wake after Spawn, Sleep, Poll, Queue.Pop, Event.Wait, Resource.Acquire,
 	// Semaphore.Acquire): exactly one pending wake references it, and
 	// that wake is consumed before the process resumes, so the next park can
 	// reuse it. Parks with two outstanding references — PopTimeout and
@@ -54,6 +54,9 @@ func (p *Proc) Now() Time { return p.eng.now }
 //
 //hot:path
 func (p *Proc) park(label string) int {
+	if h := p.eng.hitting; h != nil {
+		panic(parkedInHit(h))
+	}
 	if next, _ := p.eng.step(p); next == nil {
 		p.blockedOn = label
 		p.yield(struct{}{})

@@ -19,6 +19,7 @@ type Context struct {
 	proc *Process
 	cmdQ *simtime.Queue[*Command]
 	stop bool
+	idle cmdPoll // workerLoop's wait for the next command
 
 	udma  *dma.UserDMA
 	instr *dma.Instr
@@ -31,9 +32,39 @@ type Command struct {
 	Kernel Kernel
 	Args   []uint64
 
-	done   *simtime.Event
-	result uint64
-	err    error
+	done    *simtime.Event
+	pollGap simtime.Duration // between Wait's looks at done
+	result  uint64
+	err     error
+}
+
+// waitPoll is a Command as Context.Wait polls it, in the form
+// simtime.Proc.Poll takes: every VEOResultPollInterval, has it finished?
+type waitPoll Command
+
+// Hit implements simtime.Poller.
+//
+//hot:path
+func (w *waitPoll) Hit() bool { return w.done.Fired() }
+
+// Gap implements simtime.Poller.
+//
+//hot:path
+func (w *waitPoll) Gap() simtime.Duration { return w.pollGap }
+
+// cmdPoll is workerLoop's idle loop in the same form: every back-off gap, is
+// there a command to run or a reason to stop?
+type cmdPoll struct {
+	simtime.Backoff // Gap
+	ctx             *Context
+}
+
+// Hit implements simtime.Poller.
+//
+//hot:path
+func (q *cmdPoll) Hit() bool {
+	ctx := q.ctx
+	return ctx.stop || ctx.proc.card.crashed || ctx.cmdQ.Len() > 0
 }
 
 // Done reports whether the command has finished.
@@ -54,6 +85,13 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 		udma:  dma.NewUserDMA(vp.card.Eng, fmt.Sprintf("ve%d-ctx%d", vp.card.ID, len(vp.ctxs)), t, vp.card.Mem.ATB(), vp.card.Path),
 		instr: dma.NewInstr(t, vp.card.Mem.ATB(), vp.card.Path),
 	}
+	// So a quiet VE does not flood the event queue, the command poll interval
+	// backs off exponentially — but only after a sustained idle period, so the
+	// hot path of back-to-back offload benchmarks always sees the base
+	// interval.
+	ctx.idle = cmdPoll{ctx: ctx, Backoff: simtime.Backoff{
+		Base: t.VEOCmdPollInterval, After: 500 * simtime.Microsecond, Max: 128 * t.VEOCmdPollInterval,
+	}}
 	vp.ctxs = append(vp.ctxs, ctx)
 	vp.card.Eng.Spawn(fmt.Sprintf("ve%d-worker%d", vp.card.ID, ctx.id), ctx.workerLoop)
 	return ctx
@@ -65,30 +103,17 @@ func (ctx *Context) Executed() int64 { return ctx.executed }
 // Process returns the VE process the context belongs to.
 func (ctx *Context) Process() *Process { return ctx.proc }
 
-// workerLoop polls the command queue at the VEO command poll interval. So a
-// quiet VE does not flood the event queue, the interval backs off
-// exponentially — but only after a sustained idle period, so the hot path of
-// back-to-back offload benchmarks always sees the base interval.
+// workerLoop runs the queued commands, polling the command queue at the VEO
+// command poll interval (ctx.idle) while it is empty.
 func (ctx *Context) workerLoop(p *simtime.Proc) {
 	t := ctx.proc.card.Timing
-	const (
-		backoffAfter = 500 * simtime.Microsecond
-		maxBackoff   = 128
-	)
-	interval := t.VEOCmdPollInterval
-	var idle simtime.Duration
 	for !ctx.stop && !ctx.proc.card.crashed {
 		cmd, ok := ctx.cmdQ.TryPop()
 		if !ok {
-			p.Sleep(interval)
-			idle += interval
-			if idle >= backoffAfter && interval < t.VEOCmdPollInterval*maxBackoff {
-				interval *= 2
-			}
+			p.Poll(&ctx.idle, 0)
 			continue
 		}
-		interval = t.VEOCmdPollInterval
-		idle = 0
+		ctx.idle.Reset()
 		end := t.Tracer.Span(p, "veo", "ve-kernel")
 		p.Sleep(t.VEOCallDispatchVE)
 		kctx := &Ctx{P: p, Context: ctx}
@@ -116,9 +141,10 @@ func (ctx *Context) Submit(p *simtime.Proc, k Kernel, args []uint64) *Command {
 	p.Sleep(t.VEOLibOverhead + t.VEOCallSubmit + t.IPCUserVEOS + t.DriverHop +
 		card.Path.OneWayLatency())
 	cmd := &Command{
-		Kernel: k,
-		Args:   args,
-		done:   simtime.NewEvent(card.Eng),
+		Kernel:  k,
+		Args:    args,
+		done:    simtime.NewEvent(card.Eng),
+		pollGap: t.VEOResultPollInterval,
 	}
 	ctx.cmdQ.Push(cmd)
 	return cmd
@@ -128,9 +154,7 @@ func (ctx *Context) Submit(p *simtime.Proc, k Kernel, args []uint64) *Command {
 // result poll interval, then pays the result return path.
 func (ctx *Context) Wait(p *simtime.Proc, cmd *Command) (uint64, error) {
 	t := ctx.proc.card.Timing
-	for !cmd.done.Fired() {
-		p.Sleep(t.VEOResultPollInterval)
-	}
+	p.Poll((*waitPoll)(cmd), 0)
 	p.Sleep(t.IPCUserVEOS + t.VEOLibOverhead)
 	return cmd.result, cmd.err
 }
