@@ -99,11 +99,11 @@ func Fig10(cfg Fig10Config) ([]Series, error) {
 		if err != nil {
 			return err
 		}
-		shmVEHVA, err := card.Mem.ATB().Register(host.Mem, seg.Addr, seg.Size)
+		shmVEHVA, err := card.Mem.ATB().Register(host.Memory, seg.Addr, seg.Size)
 		if err != nil {
 			return err
 		}
-		veVEHVA, err := card.Mem.ATB().Register(card.Mem.HBM, veBuf, cfg.MaxSize)
+		veVEHVA, err := card.Mem.ATB().Register(card.Mem.Memory, veBuf, cfg.MaxSize)
 		if err != nil {
 			return err
 		}

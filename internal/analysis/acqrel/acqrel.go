@@ -72,7 +72,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		release string // receiver, for Release
 	}
 	events := map[*cfg.Block][]event{}
-	any := false
+	sites := map[token.Pos]*site{}
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if _, ok := n.(*ast.DeferStmt); ok {
@@ -87,8 +87,9 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				switch kind {
 				case "Acquire":
 					if !deferred[recv] {
-						events[b] = append(events[b], event{acquire: &site{pos: call.Pos(), recv: recv}})
-						any = true
+						s := &site{pos: call.Pos(), recv: recv}
+						sites[s.pos] = s
+						events[b] = append(events[b], event{acquire: s})
 					}
 				case "Release":
 					events[b] = append(events[b], event{release: recv})
@@ -97,54 +98,23 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			})
 		}
 	}
-	if !any {
+	if len(sites) == 0 {
 		return
 	}
 
-	sites := map[token.Pos]*site{}
-	type held = map[token.Pos]bool
-	res := cfg.Forward(g, cfg.Problem[held]{
-		Entry: held{},
-		Transfer: func(b *cfg.Block, in held) held {
-			out := make(held, len(in))
-			for k := range in {
-				out[k] = true
+	// Solve: which acquires may still be held.
+	res := cfg.MaySet(g, func(b *cfg.Block, held map[token.Pos]bool) {
+		for _, e := range events[b] {
+			if e.acquire != nil {
+				held[e.acquire.pos] = true
+				continue
 			}
-			for _, e := range events[b] {
-				if e.acquire != nil {
-					out[e.acquire.pos] = true
-					sites[e.acquire.pos] = e.acquire
-				} else {
-					for pos := range out {
-						if sites[pos].recv == e.release {
-							delete(out, pos)
-						}
-					}
+			for pos := range held {
+				if sites[pos].recv == e.release {
+					delete(held, pos)
 				}
 			}
-			return out
-		},
-		Join: func(a, b held) held {
-			out := make(held, len(a)+len(b))
-			for k := range a {
-				out[k] = true
-			}
-			for k := range b {
-				out[k] = true
-			}
-			return out
-		},
-		Equal: func(a, b held) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
+		}
 	})
 
 	leaked := make([]token.Pos, 0, len(res.In[g.Exit]))

@@ -16,6 +16,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"hamoffload/internal/analysis"
 	"hamoffload/internal/analysis/cfg"
@@ -91,71 +92,29 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		return
 	}
 
-	// Solve: which keys may be freed at block entry.
-	type freed = map[string]bool
-	res := cfg.Forward(g, cfg.Problem[freed]{
-		Entry: freed{},
-		Transfer: func(b *cfg.Block, in freed) freed {
-			out := make(freed, len(in))
-			for k := range in {
-				out[k] = true
-			}
-			for _, e := range events[b] {
-				switch e.kind {
-				case "free":
-					out[e.key] = true
-				case "kill":
-					delete(out, e.key)
-				}
-			}
-			return out
-		},
-		Join: func(a, b freed) freed {
-			out := make(freed, len(a)+len(b))
-			for k := range a {
-				out[k] = true
-			}
-			for k := range b {
-				out[k] = true
-			}
-			return out
-		},
-		Equal: func(a, b freed) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
-	})
-
-	// Report: replay each reachable block, checking uses against the
-	// evolving freed set.
-	for _, b := range g.Blocks {
-		in, ok := res.In[b]
-		if !ok {
-			continue // unreachable
-		}
-		cur := make(freed, len(in))
-		for k := range in {
-			cur[k] = true
-		}
+	// replay pushes the freed set through b's events, checking each use
+	// against the set as it stands there when report is on.
+	replay := func(b *cfg.Block, freed map[string]bool, report bool) {
 		for _, e := range events[b] {
 			switch e.kind {
 			case "free":
-				cur[e.key] = true
+				freed[e.key] = true
 			case "kill":
-				delete(cur, e.key)
+				delete(freed, e.key)
 			case "use":
-				if cur[e.key] {
+				if report && freed[e.key] {
 					pass.Reportf(e.pos,
 						"use of %s after Free; the allocator may have re-issued the range", e.key)
 				}
 			}
+		}
+	}
+	// Solve which keys may be freed at block entry, then replay each
+	// reachable block from there.
+	res := cfg.MaySet(g, func(b *cfg.Block, freed map[string]bool) { replay(b, freed, false) })
+	for _, b := range g.Blocks {
+		if in, ok := res.In[b]; ok {
+			replay(b, maps.Clone(in), true)
 		}
 	}
 }

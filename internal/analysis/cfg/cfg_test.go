@@ -418,10 +418,10 @@ func TestForwardSolverLoop(t *testing.T) {
 	}
 }
 
-// taintProblem is a miniature of the borrowck engine over set-valued facts:
+// taintStep is a miniature of the borrowck engine as a MaySet step:
 // "borrow(x)" gens x, "alias(y, x)" copies x's fact to y, "own(x)" kills x.
-// Join is set union, so a fact killed on only one arm survives the join.
-func taintProblem(fset *token.FileSet) cfg.Problem[map[string]bool] {
+// MaySet joins by set union, so a fact killed on only one arm survives.
+func taintStep(fset *token.FileSet) func(*cfg.Block, map[string]bool) {
 	arg := func(s, verb string) (string, string, bool) {
 		rest, ok := strings.CutPrefix(s, verb+"(")
 		if !ok {
@@ -431,52 +431,23 @@ func taintProblem(fset *token.FileSet) cfg.Problem[map[string]bool] {
 		a, b, _ := strings.Cut(rest, ", ")
 		return a, b, true
 	}
-	return cfg.Problem[map[string]bool]{
-		Entry: map[string]bool{},
-		Transfer: func(b *cfg.Block, in map[string]bool) map[string]bool {
-			out := make(map[string]bool, len(in))
-			for k := range in {
-				out[k] = true
+	return func(b *cfg.Block, out map[string]bool) {
+		for _, n := range b.Nodes {
+			s := render(fset, n)
+			if x, _, ok := arg(s, "borrow"); ok {
+				out[x] = true
 			}
-			for _, n := range b.Nodes {
-				s := render(fset, n)
-				if x, _, ok := arg(s, "borrow"); ok {
-					out[x] = true
-				}
-				if y, x, ok := arg(s, "alias"); ok {
-					if out[x] {
-						out[y] = true
-					} else {
-						delete(out, y)
-					}
-				}
-				if x, _, ok := arg(s, "own"); ok {
-					delete(out, x)
+			if y, x, ok := arg(s, "alias"); ok {
+				if out[x] {
+					out[y] = true
+				} else {
+					delete(out, y)
 				}
 			}
-			return out
-		},
-		Join: func(a, b map[string]bool) map[string]bool {
-			u := make(map[string]bool, len(a)+len(b))
-			for k := range a {
-				u[k] = true
+			if x, _, ok := arg(s, "own"); ok {
+				delete(out, x)
 			}
-			for k := range b {
-				u[k] = true
-			}
-			return u
-		},
-		Equal: func(a, b map[string]bool) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
+		}
 	}
 }
 
@@ -493,7 +464,7 @@ func TestForwardSolverBranchKill(t *testing.T) {
 			own(y)
 		}
 		tail()`)
-	res := cfg.Forward(g, taintProblem(fset))
+	res := cfg.MaySet(g, taintStep(fset))
 	in := res.In[blockWith(t, g, fset, "tail()")]
 	if !in["x"] {
 		t.Error("x is killed on only one arm: the union join must keep it")
@@ -514,7 +485,7 @@ func TestForwardSolverAliasLoop(t *testing.T) {
 			alias(y, x)
 		}
 		tail()`)
-	res := cfg.Forward(g, taintProblem(fset))
+	res := cfg.MaySet(g, taintStep(fset))
 	if !res.In[blockWith(t, g, fset, "use(y)")]["y"] {
 		t.Error("the alias fact must flow around the back edge into the loop body")
 	}
@@ -532,7 +503,7 @@ func TestForwardSolverAliasKill(t *testing.T) {
 		own(x)
 		alias(y, x)
 		tail()`)
-	res := cfg.Forward(g, taintProblem(fset))
+	res := cfg.MaySet(g, taintStep(fset))
 	in := res.In[blockWith(t, g, fset, "tail()")]
 	if in["y"] {
 		t.Error("re-aliasing y from the now-owned x must kill y's fact")

@@ -1,9 +1,11 @@
 package cfg
 
+import "maps"
+
 // This file holds the graph algorithms the analyzers share: a generic
-// forward worklist solver, dominator computation (itself phrased as a
-// forward dataflow problem over the solver), and back-edge classification
-// for loop-aware path reasoning.
+// forward worklist solver, its "may" instance over sets, dominator
+// computation (itself phrased as a forward dataflow problem over the
+// solver), and back-edge classification for loop-aware path reasoning.
 
 // A Problem describes one forward dataflow analysis. Facts of type T flow
 // from Entry along edges; Join merges facts where paths meet; Transfer
@@ -87,6 +89,31 @@ func Forward[T any](g *Graph, p Problem[T]) Result[T] {
 	return res
 }
 
+// MaySet solves the forward "may" problem whose facts are sets of K: a key
+// is in the set at a point when some path from entry put it there and did
+// not take it out again. step applies one block's gens and kills, in order
+// and in place, to the set it is handed (a copy of the block's In); facts
+// start empty and join by union, so a key killed on only one arm survives.
+// Replaying step over a copy of Result.In[b] recovers the set at any point
+// inside b.
+func MaySet[K comparable](g *Graph, step func(b *Block, set map[K]bool)) Result[map[K]bool] {
+	type set = map[K]bool
+	return Forward(g, Problem[set]{
+		Entry: set{},
+		Transfer: func(b *Block, in set) set {
+			out := maps.Clone(in)
+			step(b, out)
+			return out
+		},
+		Join: func(a, b set) set {
+			out := maps.Clone(a)
+			maps.Copy(out, b)
+			return out
+		},
+		Equal: maps.Equal[set, set],
+	})
+}
+
 // postorder returns the blocks reachable from Entry in DFS postorder.
 func postorder(g *Graph) []*Block {
 	var order []*Block
@@ -119,10 +146,7 @@ func Dominators(g *Graph) *Dominance {
 	res := Forward(g, Problem[set]{
 		Entry: set{},
 		Transfer: func(b *Block, in set) set {
-			out := make(set, len(in)+1)
-			for k := range in {
-				out[k] = true
-			}
+			out := maps.Clone(in)
 			out[b] = true
 			return out
 		},
@@ -135,24 +159,11 @@ func Dominators(g *Graph) *Dominance {
 			}
 			return out
 		},
-		Equal: func(a, b set) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
+		Equal: maps.Equal[set, set],
 	})
 	d := &Dominance{dom: map[*Block]map[*Block]bool{}}
 	for b, in := range res.In {
-		all := make(map[*Block]bool, len(in)+1)
-		for k := range in {
-			all[k] = true
-		}
+		all := maps.Clone(in)
 		all[b] = true
 		d.dom[b] = all
 	}

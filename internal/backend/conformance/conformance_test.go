@@ -2,7 +2,7 @@ package conformance_test
 
 import (
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 
 	"hamoffload/internal/backend/conformance"
@@ -16,381 +16,236 @@ import (
 	"hamoffload/offload"
 )
 
-// TestLoopbackConformance runs the contract against the in-process backend.
-func TestLoopbackConformance(t *testing.T) {
+// The backend table. Every conformance test below is one exercise run on a
+// live application over one or more of the five backends; this is the one
+// place that knows how each of them is brought up, broken and torn down —
+// and so the one place a harness (tie-break seeds, invariant checks) wraps.
+
+// setup holds the few knobs the exercises vary.
+type setup struct {
+	// ves is the number of targets: VEs on the simulated machine, listening
+	// sockets for tcp. 0 means 1. The loopback is always a pair and the
+	// cluster always one VE on each of two machines.
+	ves int
+	// opts connects the simulated backends; opts.Retry also arms the host
+	// runtime of the wall-clock ones.
+	opts machine.ProtocolOptions
+	// plans is the fault plan per backend name — sites differ by substrate.
+	plans map[string]*faults.Plan
+	// traced attaches a fresh tracer, handed on as world.tracer.
+	traced bool
+}
+
+// world is a live application as an exercise sees it, in the host's
+// execution context. The host runtime is finalized when the exercise returns.
+type world struct {
+	rt *core.Runtime
+	// targets are the nodes to exercise (the cluster has a local and a
+	// remote one).
+	targets []core.NodeID
+	// oneWay is false only for the symmetric loopback.
+	oneWay bool
+	tracer *trace.Tracer
+	// hooks returns one target's injector, its fail-stop and — where the
+	// backend can — its recovery.
+	hooks func(core.NodeID) conformance.FaultHooks
+}
+
+// backends brings up the application of each backend, by subtest name.
+var backends = map[string]func(*testing.T, setup, func(*testing.T, world)){
+	"loopback": loopback,
+	"tcp":      tcp,
+	"veo": func(t *testing.T, s setup, fn func(*testing.T, world)) {
+		simulated(t, "veo", machine.ConnectVEO, s, fn)
+	},
+	"dma": func(t *testing.T, s setup, fn func(*testing.T, world)) {
+		simulated(t, "dma", machine.ConnectDMA, s, fn)
+	},
+	"cluster": cluster,
+}
+
+// forEachBackend runs fn as a subtest per named backend — all five when none
+// is named.
+func forEachBackend(t *testing.T, s setup, fn func(*testing.T, world), names ...string) {
+	if len(names) == 0 {
+		names = []string{"loopback", "tcp", "veo", "dma", "cluster"}
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) { backends[name](t, s, fn) })
+	}
+}
+
+// bothProtocols runs fn on the two SX-Aurora protocols of the simulated
+// machine.
+func bothProtocols(t *testing.T, s setup, fn func(*testing.T, world)) {
+	forEachBackend(t, s, fn, "veo", "dma")
+}
+
+// perTarget adapts a single-target exercise to a world.
+func perTarget(exercise func(conformance.Reporter, *core.Runtime, core.NodeID)) func(*testing.T, world) {
+	return func(t *testing.T, w world) {
+		for _, target := range w.targets {
+			exercise(t, w.rt, target)
+		}
+	}
+}
+
+// serving runs rt's message loop in the background and delivers its result.
+func serving(rt *core.Runtime) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- rt.Serve() }()
+	return done
+}
+
+// wallTracer is a fresh tracer and its wall clock, when the setup asks for one.
+func wallTracer(s setup) (*trace.Tracer, trace.Clock) {
+	if !s.traced {
+		return nil, nil
+	}
+	return trace.NewTracer(), trace.NewWallClock()
+}
+
+func loopback(t *testing.T, s setup, fn func(*testing.T, world)) {
 	hb, tb, err := locb.NewPair(1 << 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-loc-target")
-	host := core.NewRuntime(hb, "conf-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.Exercise(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestTCPConformance runs the contract over real loopback sockets.
-func TestTCPConformance(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	conformance.Exercise(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestSimulatedProtocolConformance runs the contract over both SX-Aurora
-// protocols on the simulated machine.
-func TestSimulatedProtocolConformance(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.Exercise(t, rt, 1)
-				conformance.Exercise(t, rt, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestClusterConformance runs the contract against a remote VE over the
-// InfiniBand cluster backend.
-func TestClusterConformance(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.Exercise(t, rt, 1) // local VE
-		conformance.Exercise(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAliasingConformanceLoopback drives the zero-copy aliasing contracts on
-// the in-process backend.
-func TestAliasingConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-loc-target")
-	host := core.NewRuntime(hb, "conf-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseAliasing(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestAliasingConformanceTCP drives the zero-copy aliasing contracts over real
-// sockets.
-func TestAliasingConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	conformance.ExerciseAliasing(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestAliasingConformanceSimulated drives the zero-copy aliasing contracts on
-// both SX-Aurora protocols, where Call parks the proc on the simulated clock
-// mid-transfer — the widest window for a retained-buffer bug to surface.
-func TestAliasingConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseAliasing(t, rt, 1)
-				conformance.ExerciseAliasing(t, rt, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestAliasingConformanceCluster drives the zero-copy aliasing contracts on
-// the InfiniBand cluster backend, local and remote.
-func TestAliasingConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseAliasing(t, rt, 1) // local VE
-		conformance.ExerciseAliasing(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchConformanceLoopback runs the batching contract against the
-// in-process backend.
-func TestBatchConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-loc-target")
-	host := core.NewRuntime(hb, "conf-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseBatch(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestBatchConformanceTCP runs the batching contract over real sockets.
-func TestBatchConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	conformance.ExerciseBatch(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestBatchConformanceSimulated runs the batching contract on both SX-Aurora
-// protocols.
-func TestBatchConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseBatch(t, rt, 1)
-				conformance.ExerciseBatch(t, rt, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestBatchConformanceCluster runs the batching contract on the InfiniBand
-// cluster backend, against both the local and the remote VE.
-func TestBatchConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseBatch(t, rt, 1) // local VE
-		conformance.ExerciseBatch(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchRetryConformanceLoopback pins batching against fault tolerance on
-// the in-process backend: injected send faults force whole-frame
-// retransmissions, and the dedup window must keep every batched message
-// at-most-once.
-func TestBatchRetryConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.New(&faults.Plan{Seed: 42, Rules: []faults.Rule{
-		{Kind: faults.DMAError, Site: faults.SiteConn, Node: 1, AfterOp: 2, Every: 3, Count: 4},
-	}})
+	inj := faults.New(s.plans["loopback"])
 	hb.SetFaultInjector(inj)
 	target := core.NewRuntime(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
-	host.SetFaultTolerance(ftPolicy())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseBatchRetry(t, host, 1, inj)
+	host.SetFaultTolerance(s.opts.Retry)
+	tr, clock := wallTracer(s)
+	if tr != nil {
+		hb.SetTracer(tr, clock)
+		tb.SetTracer(tr, clock)
+		target.SetTracer(tr.Node(1, "locb", clock))
+		host.SetTracer(tr.Node(0, "locb", clock))
+	}
+	served := serving(target)
+	fn(t, world{rt: host, targets: []core.NodeID{1}, tracer: tr,
+		hooks: func(core.NodeID) conformance.FaultHooks {
+			return conformance.FaultHooks{
+				Inj: inj,
+				Kill: func() error {
+					hb.Kill(1)
+					// The old serve loop must be gone before recovery restarts it.
+					err := <-served
+					served = nil
+					if !errors.Is(err, core.ErrNodeFailed) {
+						return fmt.Errorf("killed Serve = %v (want ErrNodeFailed)", err)
+					}
+					return nil
+				},
+				Recover: func() error {
+					if err := host.RecoverNode(1); err != nil {
+						return err
+					}
+					served = serving(target)
+					return nil
+				},
+			}
+		}})
 	if err := host.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	if served == nil {
+		t.Fatal("the target was killed and never recovered")
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
 }
 
-// TestBatchRetryConformanceSimulated pins batching against fault tolerance
-// on the DMA protocol, where injected user-DMA errors and VEOS stalls hit
-// frames mid-flight and timed-out frames are retransmitted after the target
-// may already have executed them — the dedup window must answer those from
-// cache.
-func TestBatchRetryConformanceSimulated(t *testing.T) {
-	plan := &faults.Plan{Seed: 7, Rules: []faults.Rule{
-		{Kind: faults.Stall, Site: faults.SiteVEOS, Node: 0,
-			AfterOp: 2, Every: 2, Count: 4, StallFor: 2 * machine.Microsecond},
-		{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0,
-			AfterOp: 6, Every: 4, Count: 3},
-	}}
-	m, err := machine.New(machine.Config{VEs: 1, Faults: plan})
+func tcp(t *testing.T, s setup, fn func(*testing.T, world)) {
+	n := max(s.ves, 1)
+	tr, clock := wallTracer(s)
+	var (
+		addrs   []string
+		targets []core.NodeID
+		served  []<-chan error
+	)
+	for i := 1; i <= n; i++ {
+		tgt, err := tcpb.Listen("127.0.0.1:0", i, n+1, 1<<22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+		if tr != nil {
+			tgt.SetTracer(tr, clock)
+			targetRT.SetTracer(tr.Node(i, "tcpb", clock))
+		}
+		addrs, targets, served = append(addrs, tgt.Addr()), append(targets, core.NodeID(i)), append(served, serving(targetRT))
+	}
+	hb, err := tcpb.Dial(addrs, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(s.plans["tcp"])
+	hb.SetFaultInjector(inj)
+	host := core.NewRuntime(hb, "conf-tcp-host")
+	host.SetFaultTolerance(s.opts.Retry)
+	if tr != nil {
+		hb.SetTracer(tr, clock)
+		host.SetTracer(tr.Node(0, "tcpb", clock))
+	}
+	// tcpb cannot redial: a dropped node stays dead, its serve loop dies with
+	// the connection and the terminate exchange cannot succeed.
+	dropped := false
+	fn(t, world{rt: host, targets: targets, oneWay: true, tracer: tr,
+		hooks: func(node core.NodeID) conformance.FaultHooks {
+			return conformance.FaultHooks{Inj: inj, Kill: func() error {
+				dropped = true
+				return hb.DropConn(node)
+			}}
+		}})
+	if err := host.Finalize(); err != nil && !dropped {
+		t.Fatal(err)
+	}
+	for _, ch := range served {
+		if err := <-ch; err != nil && !dropped {
+			t.Errorf("Serve: %v", err)
+		}
+	}
+}
+
+// simTiming is the machine timing model, with a fresh tracer when asked for.
+func simTiming(s setup) (*trace.Tracer, *topology.Timing) {
+	if !s.traced {
+		return nil, nil
+	}
+	tr := trace.NewTracer()
+	timing := topology.DefaultTiming()
+	timing.Tracer = tr
+	return tr, &timing
+}
+
+func simulated(t *testing.T, name string,
+	connect func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error),
+	s setup, fn func(*testing.T, world)) {
+	tr, timing := simTiming(s)
+	m, err := machine.New(machine.Config{VEs: max(s.ves, 1), Faults: s.plans[name], Timing: timing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = m.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{
-			OffloadTimeout: 10 * machine.Millisecond, Retry: ftPolicy(),
-		})
+		rt, err := connect(p, m, s.opts)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseBatchRetry(t, rt, 1, m.Timing.Faults)
+		w := world{rt: rt, oneWay: true, tracer: tr,
+			hooks: func(node core.NodeID) conformance.FaultHooks {
+				return conformance.FaultHooks{
+					Inj:     m.Timing.Faults,
+					Kill:    func() error { m.Cards[node-1].Kill(); return nil },
+					Recover: func() error { return rt.RecoverNode(node) },
+				}
+			}}
+		for i := range m.Cards {
+			w.targets = append(w.targets, core.NodeID(i+1))
+		}
+		fn(t, w)
 		return nil
 	})
 	if err != nil {
@@ -398,218 +253,107 @@ func TestBatchRetryConformanceSimulated(t *testing.T) {
 	}
 }
 
-// TestBackpressureConformanceLoopback saturates the in-process backend far
-// past its in-flight capacity.
+// cluster is two machines of one VE each on the InfiniBand fabric: node 1 is
+// the local VE, node 2 the remote one, which cannot be recovered.
+func cluster(t *testing.T, s setup, fn func(*testing.T, world)) {
+	tr, timing := simTiming(s)
+	cl, err := machine.NewCluster(2, machine.Config{VEs: 1, Faults: s.plans["cluster"], Timing: timing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.RunMain(func(p *machine.Proc) error {
+		rt, err := machine.ConnectCluster(p, cl, s.opts)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = rt.Finalize() }()
+		fn(t, world{rt: rt, targets: []core.NodeID{1, 2}, oneWay: true, tracer: tr,
+			hooks: func(node core.NodeID) conformance.FaultHooks {
+				m := cl.Nodes[node-1]
+				h := conformance.FaultHooks{
+					Inj:  m.Timing.Faults,
+					Kill: func() error { m.Cards[0].Kill(); return nil },
+				}
+				if node == 1 {
+					h.Recover = func() error { return rt.RecoverNode(1) }
+				}
+				return h
+			}})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The basic contract. The simulated machine has two VEs so that a second
+// target is exercised on the same connection.
+
+func TestLoopbackConformance(t *testing.T) { loopback(t, setup{}, perTarget(conformance.Exercise)) }
+func TestTCPConformance(t *testing.T)      { tcp(t, setup{}, perTarget(conformance.Exercise)) }
+func TestClusterConformance(t *testing.T)  { cluster(t, setup{}, perTarget(conformance.Exercise)) }
+func TestSimulatedProtocolConformance(t *testing.T) {
+	bothProtocols(t, setup{ves: 2}, perTarget(conformance.Exercise))
+}
+
+// The zero-copy aliasing contracts. On the simulated protocols Call parks the
+// proc on the simulated clock mid-transfer — the widest window for a
+// retained-buffer bug to surface.
+
+func TestAliasingConformanceLoopback(t *testing.T) {
+	loopback(t, setup{}, perTarget(conformance.ExerciseAliasing))
+}
+func TestAliasingConformanceTCP(t *testing.T) {
+	tcp(t, setup{}, perTarget(conformance.ExerciseAliasing))
+}
+func TestAliasingConformanceSimulated(t *testing.T) {
+	bothProtocols(t, setup{ves: 2}, perTarget(conformance.ExerciseAliasing))
+}
+func TestAliasingConformanceCluster(t *testing.T) {
+	cluster(t, setup{}, perTarget(conformance.ExerciseAliasing))
+}
+
+// The batching contract.
+
+func TestBatchConformanceLoopback(t *testing.T) {
+	loopback(t, setup{}, perTarget(conformance.ExerciseBatch))
+}
+func TestBatchConformanceTCP(t *testing.T) { tcp(t, setup{}, perTarget(conformance.ExerciseBatch)) }
+func TestBatchConformanceSimulated(t *testing.T) {
+	bothProtocols(t, setup{ves: 2}, perTarget(conformance.ExerciseBatch))
+}
+func TestBatchConformanceCluster(t *testing.T) {
+	cluster(t, setup{}, perTarget(conformance.ExerciseBatch))
+}
+
+// Backpressure: 96 concurrent asyncs, far past any backend's in-flight
+// capacity. The SX-Aurora protocols' 8 message slots are the tightest bound:
+// Call parks on the simulated clock until slots recycle.
+
 func TestBackpressureConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-bp-loc-target")
-	host := core.NewRuntime(hb, "conf-bp-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseBackpressure(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	loopback(t, setup{}, perTarget(conformance.ExerciseBackpressure))
 }
-
-// TestBackpressureConformanceTCP saturates the socket backend far past its
-// in-flight capacity.
 func TestBackpressureConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-bp-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-bp-tcp-host")
-	conformance.ExerciseBackpressure(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	tcp(t, setup{}, perTarget(conformance.ExerciseBackpressure))
 }
-
-// TestBackpressureConformanceSimulated saturates both SX-Aurora protocols,
-// whose 8 message slots are the tightest in-flight bound of any backend: 96
-// concurrent asyncs force Call to park on the simulated clock until slots
-// recycle.
 func TestBackpressureConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseBackpressure(t, rt, 1)
-				conformance.ExerciseBackpressure(t, rt, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	bothProtocols(t, setup{ves: 2}, perTarget(conformance.ExerciseBackpressure))
 }
-
-// TestBackpressureConformanceCluster saturates a local and a remote VE over
-// the InfiniBand cluster backend.
 func TestBackpressureConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseBackpressure(t, rt, 1) // local VE
-		conformance.ExerciseBackpressure(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster(t, setup{}, perTarget(conformance.ExerciseBackpressure))
 }
 
-// TestErrorsConformanceLoopback pins error propagation on the in-process
-// backend.
+// Error propagation.
+
 func TestErrorsConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-loc-target")
-	host := core.NewRuntime(hb, "conf-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseErrors(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	loopback(t, setup{}, perTarget(conformance.ExerciseErrors))
 }
-
-// TestErrorsConformanceTCP pins error propagation over real sockets.
-func TestErrorsConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	conformance.ExerciseErrors(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestErrorsConformanceSimulated pins error propagation on both SX-Aurora
-// protocols.
+func TestErrorsConformanceTCP(t *testing.T) { tcp(t, setup{}, perTarget(conformance.ExerciseErrors)) }
 func TestErrorsConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseErrors(t, rt, 1)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	bothProtocols(t, setup{}, perTarget(conformance.ExerciseErrors))
 }
-
-// TestErrorsConformanceCluster pins error propagation on the InfiniBand
-// cluster backend, local and remote.
 func TestErrorsConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseErrors(t, rt, 1) // local VE
-		conformance.ExerciseErrors(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster(t, setup{}, perTarget(conformance.ExerciseErrors))
 }
 
 // ftPolicy is the retry policy the fault exercises run under.
@@ -621,636 +365,137 @@ func ftPolicy() core.FaultTolerance {
 	}
 }
 
-// TestFaultsConformanceLoopback runs the fault-tolerance contract on the
-// in-process backend: op-scheduled send faults, a node kill and a recovery
-// with a restarted serve loop.
-func TestFaultsConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.New(&faults.Plan{Seed: 42, Rules: []faults.Rule{
+// faulty arms fault tolerance and, per backend, the injection its substrate
+// can take.
+func faulty() setup {
+	conn := &faults.Plan{Seed: 42, Rules: []faults.Rule{
 		{Kind: faults.DMAError, Site: faults.SiteConn, Node: 1, AfterOp: 2, Every: 3, Count: 4},
-	}})
-	hb.SetFaultInjector(inj)
-	target := core.NewRuntime(tb, "conf-loc-target")
-	host := core.NewRuntime(hb, "conf-loc-host")
-	host.SetFaultTolerance(ftPolicy())
-
-	var wg sync.WaitGroup
-	dead := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(dead)
-		if err := target.Serve(); !errors.Is(err, core.ErrNodeFailed) {
-			t.Errorf("killed Serve = %v (want ErrNodeFailed)", err)
-		}
-	}()
-	conformance.ExerciseFaults(t, host, 1, conformance.FaultHooks{
-		Inj: inj,
-		Kill: func() error {
-			hb.Kill(1)
-			<-dead // the old serve loop must be gone before recovery restarts it
-			return nil
-		},
-		Recover: func() error {
-			if err := host.RecoverNode(1); err != nil {
-				return err
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := target.Serve(); err != nil {
-					t.Errorf("Serve after recovery: %v", err)
-				}
-			}()
-			return nil
-		},
-	})
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestFaultsConformanceTCP runs the fault-tolerance contract over real
-// sockets: send faults are retried, and dropping the connection fails
-// in-flight and new offloads with ErrNodeFailed (no recovery — tcpb cannot
-// redial).
-func TestFaultsConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = core.NewRuntime(tgt, "conf-tcp-target").Serve() // dies with the dropped conn
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.New(&faults.Plan{Seed: 42, Rules: []faults.Rule{
-		{Kind: faults.DMAError, Site: faults.SiteConn, Node: 1, AfterOp: 2, Every: 3, Count: 4},
-	}})
-	hb.SetFaultInjector(inj)
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	host.SetFaultTolerance(ftPolicy())
-	conformance.ExerciseFaults(t, host, 1, conformance.FaultHooks{
-		Inj:  inj,
-		Kill: func() error { return hb.DropConn(1) },
-	})
-	_ = host.Finalize() // the node is dead; the terminate exchange cannot succeed
-	wg.Wait()
-}
-
-// TestFaultsConformanceSimulated runs the fault-tolerance contract on both
-// SX-Aurora protocols: substrate-level injection from a machine fault plan,
-// a VE process crash and machine-level recovery.
-func TestFaultsConformanceSimulated(t *testing.T) {
-	for name, tc := range map[string]struct {
-		rules   []faults.Rule
-		connect func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error)
-	}{
-		// The VEO protocol rides entirely on privileged DMA, so both the
-		// VEOS stalls and the transfer errors hit its hot path; the op
-		// offsets keep the errors clear of the (unretried) connect sequence.
-		"veo": {
-			rules: []faults.Rule{
+	}}
+	return setup{
+		opts: machine.ProtocolOptions{OffloadTimeout: 10 * machine.Millisecond, Retry: ftPolicy()},
+		plans: map[string]*faults.Plan{
+			// Op-scheduled send faults.
+			"loopback": conn,
+			"tcp":      conn,
+			// The VEO protocol rides entirely on privileged DMA, so both the
+			// VEOS stalls and the transfer errors hit its hot path; the op
+			// offsets keep the errors clear of the (unretried) connect
+			// sequence.
+			"veo": {Seed: 7, Rules: []faults.Rule{
 				{Kind: faults.Stall, Site: faults.SiteVEOS, Node: 0,
 					AfterOp: 10, Every: 25, Count: 6, StallFor: 2 * machine.Microsecond},
 				{Kind: faults.DMAError, Site: faults.SitePrivDMA, Node: 0,
 					AfterOp: 40, Every: 17, Count: 2},
-			},
-			connect: func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-				return machine.ConnectVEO(p, m, machine.ProtocolOptions{
-					OffloadTimeout: 10 * machine.Millisecond, Retry: ftPolicy(),
-				})
-			},
-		},
-		// The DMA protocol touches VEOS only at setup (stalls fire there,
-		// harmlessly) and uses user DMA for the VE's message fetches, which
-		// redeliver after an injected failure.
-		"dma": {
-			rules: []faults.Rule{
+			}},
+			// The DMA protocol touches VEOS only at setup (stalls fire there,
+			// harmlessly) and uses user DMA for the VE's message fetches,
+			// which redeliver after an injected failure.
+			"dma": {Seed: 7, Rules: []faults.Rule{
 				{Kind: faults.Stall, Site: faults.SiteVEOS, Node: 0,
 					AfterOp: 2, Every: 2, Count: 4, StallFor: 2 * machine.Microsecond},
 				{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0,
 					AfterOp: 6, Every: 4, Count: 3},
-			},
-			connect: func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-				return machine.ConnectDMA(p, m, machine.ProtocolOptions{
-					OffloadTimeout: 10 * machine.Millisecond, Retry: ftPolicy(),
-				})
-			},
+			}},
+			"cluster": {Seed: 9, Rules: []faults.Rule{
+				{Kind: faults.Stall, Site: faults.SiteVEOS, Node: 0,
+					AfterOp: 0, Every: 20, Count: 8, StallFor: 2 * machine.Microsecond},
+			}},
 		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			plan := &faults.Plan{Seed: 7, Rules: tc.rules}
-			m, err := machine.New(machine.Config{VEs: 1, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := tc.connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseFaults(t, rt, 1, conformance.FaultHooks{
-					Inj:     m.Timing.Faults,
-					Kill:    func() error { m.Cards[0].Kill(); return nil },
-					Recover: func() error { return rt.RecoverNode(1) },
-				})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
-// TestFaultsConformanceCluster runs the fault-tolerance contract on the
-// InfiniBand cluster backend: the local VE is killed and recovered; the
-// remote VE is killed and stays dead (remote recovery is unsupported).
-func TestFaultsConformanceCluster(t *testing.T) {
-	plan := &faults.Plan{Seed: 9, Rules: []faults.Rule{
-		{Kind: faults.Stall, Site: faults.SiteVEOS, Node: 0,
-			AfterOp: 0, Every: 20, Count: 8, StallFor: 2 * machine.Microsecond},
-	}}
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
+// Batching against fault tolerance: injected faults force whole-frame
+// retransmissions — on the DMA protocol, of frames the target may already
+// have executed — and the dedup window must keep every batched message
+// at-most-once, answering those from cache.
+
+func exerciseBatchRetry(t *testing.T, w world) {
+	conformance.ExerciseBatchRetry(t, w.rt, 1, w.hooks(1).Inj)
+}
+
+func TestBatchRetryConformanceLoopback(t *testing.T) { loopback(t, faulty(), exerciseBatchRetry) }
+func TestBatchRetryConformanceSimulated(t *testing.T) {
+	backends["dma"](t, faulty(), exerciseBatchRetry)
+}
+
+// The fault-tolerance contract: injected transient faults are retried; a
+// killed target fails in-flight and new offloads with ErrNodeFailed; where
+// the backend can recover the node (loopback restarts its serve loop, the
+// simulated machine its VE process, the cluster its local VE) offloads work
+// again afterwards.
+
+func exerciseFaults(t *testing.T, w world) {
+	for _, target := range w.targets {
+		conformance.ExerciseFaults(t, w.rt, target, w.hooks(target))
 	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{
-			OffloadTimeout: 10 * machine.Millisecond, Retry: ftPolicy(),
-		})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseFaults(t, rt, 1, conformance.FaultHooks{ // local VE
-			Inj:     cl.Nodes[0].Timing.Faults,
-			Kill:    func() error { cl.Nodes[0].Cards[0].Kill(); return nil },
-			Recover: func() error { return rt.RecoverNode(1) },
-		})
-		conformance.ExerciseFaults(t, rt, 2, conformance.FaultHooks{ // remote VE
-			Inj:  cl.Nodes[1].Timing.Faults,
-			Kill: func() error { cl.Nodes[1].Cards[0].Kill(); return nil },
-		})
-		if err := rt.RecoverNode(2); !errors.Is(err, core.ErrUnsupported) {
+}
+
+func TestFaultsConformanceLoopback(t *testing.T)  { loopback(t, faulty(), exerciseFaults) }
+func TestFaultsConformanceTCP(t *testing.T)       { tcp(t, faulty(), exerciseFaults) }
+func TestFaultsConformanceSimulated(t *testing.T) { bothProtocols(t, faulty(), exerciseFaults) }
+func TestFaultsConformanceCluster(t *testing.T) {
+	cluster(t, faulty(), func(t *testing.T, w world) {
+		exerciseFaults(t, w)
+		if err := w.rt.RecoverNode(2); !errors.Is(err, core.ErrUnsupported) {
 			t.Errorf("remote RecoverNode = %v; want core.ErrUnsupported", err)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// The mandatory lifecycle spans.
+
+func exerciseTrace(t *testing.T, w world) {
+	for _, target := range w.targets {
+		conformance.ExerciseTrace(t, w.rt, target, w.tracer)
 	}
 }
 
-// tracedTiming returns a machine timing model with a fresh tracer attached.
-func tracedTiming() (*trace.Tracer, *topology.Timing) {
-	tr := trace.NewTracer()
-	timing := topology.DefaultTiming()
-	timing.Tracer = tr
-	return tr, &timing
-}
-
-// TestTraceConformanceLoopback asserts the wall-clock loopback backend emits
-// the mandatory lifecycle spans.
-func TestTraceConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.NewTracer()
-	clock := trace.NewWallClock()
-	hb.SetTracer(tr, clock)
-	tb.SetTracer(tr, clock)
-	target := core.NewRuntime(tb, "conf-loc-target")
-	target.SetTracer(tr.Node(1, "locb", clock))
-	host := core.NewRuntime(hb, "conf-loc-host")
-	host.SetTracer(tr.Node(0, "locb", clock))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseTrace(t, host, 1, tr)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestTraceConformanceTCP asserts the socket backend emits the mandatory
-// lifecycle spans.
-func TestTraceConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.NewTracer()
-	clock := trace.NewWallClock()
-	tgt.SetTracer(tr, clock)
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
-	targetRT.SetTracer(tr.Node(1, "tcpb", clock))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.SetTracer(tr, clock)
-	host := core.NewRuntime(hb, "conf-tcp-host")
-	host.SetTracer(tr.Node(0, "tcpb", clock))
-	conformance.ExerciseTrace(t, host, 1, tr)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestTraceConformanceSimulated asserts both SX-Aurora protocols emit the
-// mandatory lifecycle spans.
+func TestTraceConformanceLoopback(t *testing.T) { loopback(t, setup{traced: true}, exerciseTrace) }
+func TestTraceConformanceTCP(t *testing.T)      { tcp(t, setup{traced: true}, exerciseTrace) }
 func TestTraceConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			tr, timing := tracedTiming()
-			m, err := machine.New(machine.Config{VEs: 1, Timing: timing})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseTrace(t, rt, 1, tr)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	bothProtocols(t, setup{traced: true}, exerciseTrace)
 }
+func TestTraceConformanceCluster(t *testing.T) { cluster(t, setup{traced: true}, exerciseTrace) }
 
-// TestTraceConformanceCluster asserts the InfiniBand cluster backend emits
-// the mandatory lifecycle spans for both local and remote targets.
-func TestTraceConformanceCluster(t *testing.T) {
-	tr, timing := tracedTiming()
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1, Timing: timing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseTrace(t, rt, 1, tr) // local VE
-		conformance.ExerciseTrace(t, rt, 2, tr) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
+// The hedged-request contract. Hedge delays run on the backend's clock: the
+// wall-clock backends hedge immediately.
 
-// TestHedgingConformanceLoopback drives the hedged-request contract on the
-// in-process backend (wall-clock: hedges fire immediately).
 func TestHedgingConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-hedge-loc-target")
-	host := core.NewRuntime(hb, "conf-hedge-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseHedging(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	loopback(t, setup{}, perTarget(conformance.ExerciseHedging))
 }
-
-// TestHedgingConformanceTCP drives the hedged-request contract over real
-// loopback sockets.
 func TestHedgingConformanceTCP(t *testing.T) {
-	tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetRT := core.NewRuntime(tgt, "conf-hedge-tcp-target")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := targetRT.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-hedge-tcp-host")
-	conformance.ExerciseHedging(t, host, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	tcp(t, setup{}, perTarget(conformance.ExerciseHedging))
 }
-
-// TestHedgingConformanceSimulated drives the hedged-request contract over
-// both SX-Aurora protocols; hedge delays run on the simulated clock.
 func TestHedgingConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseHedging(t, rt, 1)
-				conformance.ExerciseHedging(t, rt, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	bothProtocols(t, setup{ves: 2}, perTarget(conformance.ExerciseHedging))
 }
-
-// TestHedgingConformanceCluster drives the hedged-request contract against
-// a local and a remote VE over the InfiniBand cluster backend.
 func TestHedgingConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseHedging(t, rt, 1) // local VE
-		conformance.ExerciseHedging(t, rt, 2) // remote VE
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster(t, setup{}, perTarget(conformance.ExerciseHedging))
 }
 
-// TestGrayFailureConformanceLoopback drives the health-scored scheduling
-// contract on the pair-only in-process backend: a single target means the
+// Health-scored scheduling: ejection of a degraded target, routing around it
+// and probe re-admission. The middle target is the one degraded — the remote
+// VE on the cluster; on the pair-only loopback the single target means the
 // policy must fail open rather than starve.
-func TestGrayFailureConformanceLoopback(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := core.NewRuntime(tb, "conf-gray-loc-target")
-	host := core.NewRuntime(hb, "conf-gray-loc-host")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	conformance.ExerciseGrayFailure(t, host, []core.NodeID{1}, 1)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+
+func exerciseGrayFailure(t *testing.T, w world) {
+	conformance.ExerciseGrayFailure(t, w.rt, w.targets, w.targets[len(w.targets)/2])
 }
 
-// TestGrayFailureConformanceTCP drives ejection, routing-around and probe
-// re-admission across two socket targets.
-func TestGrayFailureConformanceTCP(t *testing.T) {
-	tgt1, err := tcpb.Listen("127.0.0.1:0", 1, 3, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt2, err := tcpb.Listen("127.0.0.1:0", 2, 3, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt1 := core.NewRuntime(tgt1, "conf-gray-tcp-t1")
-	rt2 := core.NewRuntime(tgt2, "conf-gray-tcp-t2")
-	var wg sync.WaitGroup
-	for _, trt := range []*core.Runtime{rt1, rt2} {
-		wg.Add(1)
-		go func(trt *core.Runtime) {
-			defer wg.Done()
-			if err := trt.Serve(); err != nil {
-				t.Errorf("Serve: %v", err)
-			}
-		}(trt)
-	}
-	hb, err := tcpb.Dial([]string{tgt1.Addr(), tgt2.Addr()}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := core.NewRuntime(hb, "conf-gray-tcp-host")
-	conformance.ExerciseGrayFailure(t, host, []core.NodeID{1, 2}, 2)
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestGrayFailureConformanceSimulated drives the contract over both
-// SX-Aurora protocols with three VEs, degrading the middle one.
+func TestGrayFailureConformanceLoopback(t *testing.T) { loopback(t, setup{}, exerciseGrayFailure) }
+func TestGrayFailureConformanceTCP(t *testing.T)      { tcp(t, setup{ves: 2}, exerciseGrayFailure) }
 func TestGrayFailureConformanceSimulated(t *testing.T) {
-	for name, connect := range map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
-		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-		},
-		"dma": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
-			return machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m)
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				conformance.ExerciseGrayFailure(t, rt, []core.NodeID{1, 2, 3}, 2)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	bothProtocols(t, setup{ves: 3}, exerciseGrayFailure)
 }
-
-// TestGrayFailureConformanceCluster degrades the remote VE of a two-machine
-// cluster: ejection and re-admission must work across the local/remote
-// split exactly as on one machine.
-func TestGrayFailureConformanceCluster(t *testing.T) {
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		conformance.ExerciseGrayFailure(t, rt, []core.NodeID{1, 2}, 2) // node 2 is remote
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// forEachBackend runs fn as a subtest on a live application over each of the
-// five backends — in the host's execution context, the host runtime
-// finalized afterwards. targets are the nodes to exercise (the cluster has a
-// local and a remote one); oneWay is false only for the symmetric loopback.
-func forEachBackend(t *testing.T, fn func(t *testing.T, rt *core.Runtime, targets []core.NodeID, oneWay bool)) {
-	wallClock := func(t *testing.T, host, target core.Backend, oneWay bool) {
-		targetRT := core.NewRuntime(target, "conf-each-target")
-		rt := core.NewRuntime(host, "conf-each-host")
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := targetRT.Serve(); err != nil {
-				t.Errorf("Serve: %v", err)
-			}
-		}()
-		fn(t, rt, []core.NodeID{1}, oneWay)
-		if err := rt.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-	}
-	t.Run("loopback", func(t *testing.T) {
-		hb, tb, err := locb.NewPair(1 << 22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wallClock(t, hb, tb, false)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		tgt, err := tcpb.Listen("127.0.0.1:0", 1, 2, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wallClock(t, hb, tgt, true)
-	})
-	for name, connect := range map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
-		"veo": machine.ConnectVEO, "dma": machine.ConnectDMA,
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := machine.New(machine.Config{VEs: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = m.RunMain(func(p *machine.Proc) error {
-				rt, err := connect(p, m, machine.ProtocolOptions{})
-				if err != nil {
-					return err
-				}
-				defer func() { _ = rt.Finalize() }()
-				fn(t, rt, []core.NodeID{1}, true)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	t.Run("cluster", func(t *testing.T) {
-		cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = cl.RunMain(func(p *machine.Proc) error {
-			rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
-			if err != nil {
-				return err
-			}
-			defer func() { _ = rt.Finalize() }()
-			fn(t, rt, []core.NodeID{1, 2}, true) // local VE, remote VE
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
+func TestGrayFailureConformanceCluster(t *testing.T) { cluster(t, setup{}, exerciseGrayFailure) }
 
 // TestSurfaceConformance pins the closed Backend surface — clock, message
 // size limit, recovery, the host-only/target-only stubs — on all five
 // backends.
 func TestSurfaceConformance(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, rt *core.Runtime, targets []core.NodeID, oneWay bool) {
-		for _, target := range targets {
-			conformance.ExerciseSurface(t, rt, target, oneWay)
+	forEachBackend(t, setup{}, func(t *testing.T, w world) {
+		for _, target := range w.targets {
+			conformance.ExerciseSurface(t, w.rt, target, w.oneWay)
 		}
 	})
 }
@@ -1258,9 +503,5 @@ func TestSurfaceConformance(t *testing.T) {
 // TestBulkConformance runs the bulk-data contract — every element kind,
 // sizes across the chunk boundary, borrowed slices — on all five backends.
 func TestBulkConformance(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, rt *core.Runtime, targets []core.NodeID, _ bool) {
-		for _, target := range targets {
-			conformance.ExerciseBulk(t, rt, target)
-		}
-	})
+	forEachBackend(t, setup{}, perTarget(conformance.ExerciseBulk))
 }

@@ -124,7 +124,7 @@ type hostSide struct {
 
 // WriteMessage implements ring.HostTransport with a local store.
 func (t *hostSide) WriteMessage(slot int, msg []byte) error {
-	if err := t.Card.Host.Mem.WriteAt(msg, t.lay.recvBuf(slot)); err != nil {
+	if err := t.Card.Host.WriteAt(msg, t.lay.recvBuf(slot)); err != nil {
 		return err
 	}
 	t.P.Sleep(simtime.BytesOver(int64(len(msg)), t.Card.Timing.HostMemCopyRate))
@@ -133,22 +133,22 @@ func (t *hostSide) WriteMessage(slot int, msg []byte) error {
 
 // PublishFlag implements ring.HostTransport with a local word store.
 func (t *hostSide) PublishFlag(slot int, word uint64) error {
-	return t.Card.Host.Mem.WriteUint64(t.lay.recvFlag(slot), word)
+	return t.Card.Host.WriteUint64(t.lay.recvFlag(slot), word)
 }
 
 // PollResult implements ring.HostTransport: the VE pushed the flag into VH
 // memory, so the poll is a local load.
 func (t *hostSide) PollResult(slot int) (uint64, error) {
-	return t.Card.Host.Mem.ReadUint64(t.lay.sendFlag(slot))
+	return t.Card.Host.ReadUint64(t.lay.sendFlag(slot))
 }
 
 // ReadResult implements ring.HostTransport.
 func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
-	if err := t.Card.Host.Mem.ReadAt(inline, t.lay.sendInline(slot)); err != nil {
+	if err := t.Card.Host.ReadAt(inline, t.lay.sendInline(slot)); err != nil {
 		return err
 	}
 	if len(overflow) > 0 {
-		return t.Card.Host.Mem.ReadAt(overflow, t.lay.overflow(slot))
+		return t.Card.Host.ReadAt(overflow, t.lay.overflow(slot))
 	}
 	return nil
 }
@@ -198,7 +198,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shmVEHVA, err := card.Mem.ATB().Register(card.Host.Mem, seg.Addr, seg.Size)
+	shmVEHVA, err := card.Mem.ATB().Register(card.Host.Memory, seg.Addr, seg.Size)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +207,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	stageVEHVA, err := card.Mem.ATB().Register(card.Mem.HBM, stage, int64(o.BufSize))
+	stageVEHVA, err := card.Mem.ATB().Register(card.Mem.Memory, stage, int64(o.BufSize))
 	if err != nil {
 		return 0, err
 	}
@@ -237,7 +237,7 @@ func (t *veSide) Fetch(slot int, msg []byte) error {
 		t.stageVEHVA, t.lay.recvBuf(slot), int64(len(msg))); err != nil {
 		return err
 	}
-	if err := t.card.Mem.HBM.ReadAt(msg, t.stage); err != nil {
+	if err := t.card.Mem.ReadAt(msg, t.stage); err != nil {
 		return err
 	}
 	t.kctx.P.Sleep(t.card.Timing.HAMVEOverhead)
@@ -266,7 +266,7 @@ func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
 
 // dmaOut writes data to VH memory at dst through the staging buffer.
 func (t *veSide) dmaOut(dst mem.Addr, data []byte) error {
-	if err := t.card.Mem.HBM.WriteAt(data, t.stage); err != nil {
+	if err := t.card.Mem.WriteAt(data, t.stage); err != nil {
 		return err
 	}
 	return t.kctx.UserDMA().Post(t.kctx.P, dma.Raw, pcie.Up, dst, t.stageVEHVA, int64(len(data)))

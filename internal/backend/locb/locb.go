@@ -11,6 +11,7 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/faults"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/trace"
 )
 
@@ -262,7 +263,7 @@ func (b *Node) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	if int(target) < 0 || int(target) >= len(b.heaps) {
 		return fmt.Errorf("locb: no node %d", target)
 	}
-	return b.heaps[target].Write(dstAddr, data)
+	return b.heaps[target].WriteAt(data, mem.Addr(dstAddr))
 }
 
 // Get implements core.Backend.
@@ -270,7 +271,7 @@ func (b *Node) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	if int(target) < 0 || int(target) >= len(b.heaps) {
 		return fmt.Errorf("locb: no node %d", target)
 	}
-	return b.heaps[target].Read(srcAddr, dst)
+	return b.heaps[target].ReadAt(dst, mem.Addr(srcAddr))
 }
 
 // Serve implements core.Backend: the target message loop. It returns with

@@ -17,7 +17,6 @@ package mpib
 import (
 	"fmt"
 
-	"hamoffload/internal/backend/adapter"
 	"hamoffload/internal/backend/dmab"
 	"hamoffload/internal/core"
 	"hamoffload/internal/ib"
@@ -101,7 +100,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 	}
 	h := &Host{p: p, fabric: fabric}
 	h.nt = cards[0][0].Timing.Tracer.Node(0, "mpib", p)
-	h.mem = &adapter.HostHeap{H: cards[0][0].Host}
+	h.mem = cards[0][0].Host.Heap
 	h.descs = append(h.descs, core.NodeDescriptor{
 		Name: "vh0", Arch: "x86_64", Device: "Vector Host, machine 0",
 	})

@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 
-	"hamoffload/internal/backend/adapter"
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/veo"
@@ -30,7 +29,7 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	t := newTarget(cfg, ctx.P, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
 	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx.P)
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
-	t.heap = &adapter.VEHeap{VE: card.Mem}
+	t.heap = card.Mem.Heap
 	t.cpu = ctx
 	targets[vp] = t
 }
@@ -63,7 +62,7 @@ func ConnectCards(p *simtime.Proc, cfg HostConfig, cards []*veos.Card, dial Card
 	if len(cards) == 0 {
 		return nil, fmt.Errorf("%s: no target cards", cfg.Name)
 	}
-	cfg.Memory = &adapter.HostHeap{H: cards[0].Host}
+	cfg.Memory = cards[0].Host.Heap
 	cfg.Tracer = cards[0].Timing.Tracer.Node(0, cfg.Name, p)
 	return Connect(p, cfg, len(cards), func(o Options, i, self, total int) (HostTransport, HostFacts, error) {
 		t, f, err := dial(p, cards[i], o, self, total)

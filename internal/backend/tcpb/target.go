@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"hamoffload/internal/core"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/trace"
 )
 
@@ -107,7 +108,7 @@ func (t *Target) Serve(s core.Server) error {
 				return err
 			}
 		case framePut:
-			if err := t.heap.Write(addr, payload); err != nil {
+			if err := t.heap.WriteAt(payload, mem.Addr(addr)); err != nil {
 				if werr := writeFrame(conn, frameError, id, 0, []byte(err.Error())); werr != nil {
 					return werr
 				}
@@ -122,7 +123,7 @@ func (t *Target) Serve(s core.Server) error {
 			}
 			n := binary.LittleEndian.Uint32(payload)
 			buf := make([]byte, n)
-			if err := t.heap.Read(addr, buf); err != nil {
+			if err := t.heap.ReadAt(buf, mem.Addr(addr)); err != nil {
 				if werr := writeFrame(conn, frameError, id, 0, []byte(err.Error())); werr != nil {
 					return werr
 				}

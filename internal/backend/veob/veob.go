@@ -112,7 +112,7 @@ func dial(p *simtime.Proc, card *veos.Card, o ring.Options, self, total int) (ri
 // WriteMessage implements ring.HostTransport: stage the message in host
 // memory and write it into the VE buffer (the first veo_write_mem of Fig. 5).
 func (t *hostSide) WriteMessage(slot int, msg []byte) error {
-	if err := t.Card.Host.Mem.WriteAt(msg, t.bounce); err != nil {
+	if err := t.Card.Host.WriteAt(msg, t.bounce); err != nil {
 		return err
 	}
 	return t.Proc.WriteMem(t.P, t.lay.recvBuf(slot), uint64(t.bounce), int64(len(msg)))
@@ -120,7 +120,7 @@ func (t *hostSide) WriteMessage(slot int, msg []byte) error {
 
 // PublishFlag implements ring.HostTransport (the second veo_write_mem).
 func (t *hostSide) PublishFlag(slot int, word uint64) error {
-	if err := t.Card.Host.Mem.WriteUint64(t.bounce, word); err != nil {
+	if err := t.Card.Host.WriteUint64(t.bounce, word); err != nil {
 		return err
 	}
 	return t.Proc.WriteMem(t.P, t.lay.recvFlag(slot), uint64(t.bounce), slots.FlagBits)
@@ -133,20 +133,20 @@ func (t *hostSide) PollResult(slot int) (uint64, error) {
 	if err := t.Proc.ReadMem(t.P, uint64(t.bounce), t.lay.sendSlot(slot), n); err != nil {
 		return 0, err
 	}
-	return t.Card.Host.Mem.ReadUint64(t.bounce)
+	return t.Card.Host.ReadUint64(t.bounce)
 }
 
 // ReadResult implements ring.HostTransport: the inline part is already in
 // the bounce buffer; a large result costs a second read for the overflow.
 func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
-	if err := t.Card.Host.Mem.ReadAt(inline, t.bounce+slots.FlagBits); err != nil {
+	if err := t.Card.Host.ReadAt(inline, t.bounce+slots.FlagBits); err != nil {
 		return err
 	}
 	if len(overflow) > 0 {
 		if err := t.Proc.ReadMem(t.P, uint64(t.bounce), t.lay.sendExtra(slot), int64(len(overflow))); err != nil {
 			return err
 		}
-		return t.Card.Host.Mem.ReadAt(overflow, t.bounce)
+		return t.Card.Host.ReadAt(overflow, t.bounce)
 	}
 	return nil
 }
@@ -196,13 +196,13 @@ func hamCommInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 
 // LoadFlag implements ring.TargetTransport with a local memory load.
 func (t *veSide) LoadFlag(slot int) (uint64, error) {
-	return t.card.Mem.HBM.ReadUint64(mem.Addr(t.lay.recvFlag(slot)))
+	return t.card.Mem.ReadUint64(mem.Addr(t.lay.recvFlag(slot)))
 }
 
 // Fetch implements ring.TargetTransport: a local copy out of the receive
 // buffer.
 func (t *veSide) Fetch(slot int, msg []byte) error {
-	if err := t.card.Mem.HBM.ReadAt(msg, mem.Addr(t.lay.recvBuf(slot))); err != nil {
+	if err := t.card.Mem.ReadAt(msg, mem.Addr(t.lay.recvBuf(slot))); err != nil {
 		return err
 	}
 	t.p.Sleep(simtime.BytesOver(int64(len(msg)), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
@@ -211,11 +211,11 @@ func (t *veSide) Fetch(slot int, msg []byte) error {
 
 // PushResult implements ring.TargetTransport with local copies.
 func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
-	if err := t.card.Mem.HBM.WriteAt(inline, mem.Addr(t.lay.sendSlot(slot)+slots.FlagBits)); err != nil {
+	if err := t.card.Mem.WriteAt(inline, mem.Addr(t.lay.sendSlot(slot)+slots.FlagBits)); err != nil {
 		return err
 	}
 	if len(overflow) > 0 {
-		if err := t.card.Mem.HBM.WriteAt(overflow, mem.Addr(t.lay.sendExtra(slot))); err != nil {
+		if err := t.card.Mem.WriteAt(overflow, mem.Addr(t.lay.sendExtra(slot))); err != nil {
 			return err
 		}
 	}
@@ -225,5 +225,5 @@ func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
 
 // PublishResultFlag implements ring.TargetTransport with a local store.
 func (t *veSide) PublishResultFlag(slot int, word uint64) error {
-	return t.card.Mem.HBM.WriteUint64(mem.Addr(t.lay.sendSlot(slot)), word)
+	return t.card.Mem.WriteUint64(mem.Addr(t.lay.sendSlot(slot)), word)
 }

@@ -35,37 +35,14 @@ const (
 	batPerMsg        = 4     // per-entry length prefix
 )
 
-// sealBatch frames msgs into one batch wire message.
-func sealBatch(msgs [][]byte) []byte {
-	n := batHeader
-	for _, m := range msgs {
-		n += batPerMsg + len(m)
-	}
-	out := make([]byte, batHeader, n)
-	binary.LittleEndian.PutUint32(out[0:4], batMagic)
-	binary.LittleEndian.PutUint32(out[4:8], uint32(len(msgs)))
-	for _, m := range msgs {
-		var l [batPerMsg]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(m)))
-		out = append(out, l[:]...)
-		out = append(out, m...)
-	}
-	return out
-}
-
-// openBatch undoes sealBatch. isBatch is false when msg does not carry the
-// magic (a plain HAM message or FT envelope). A magic match with broken
-// framing — truncated entry, trailing bytes, absurd count — returns
-// isBatch = true and an ErrPayloadCorrupt error.
-func openBatch(msg []byte) (msgs [][]byte, isBatch bool, err error) {
-	return openBatchInto(nil, msg)
-}
-
-// openBatchInto is openBatch appending the entries to dst, so steady-state
-// frame splitting can reuse one scratch slice instead of allocating an entry
-// list per frame. On a framing error dst is returned (possibly partially
-// filled) so the caller keeps its scratch capacity. The returned entries
-// alias msg and share its validity window.
+// openBatchInto splits a batch frame, appending its entries to dst so that
+// steady-state frame splitting can reuse one scratch slice instead of
+// allocating an entry list per frame. isBatch is false when msg does not
+// carry the magic (a plain HAM message or FT envelope). A magic match with
+// broken framing — truncated entry, trailing bytes, absurd count — returns
+// isBatch = true and an ErrPayloadCorrupt error. On a framing error dst is
+// returned (possibly partially filled) so the caller keeps its scratch
+// capacity. The returned entries alias msg and share its validity window.
 //
 //ham:borrowed msg
 func openBatchInto(dst [][]byte, msg []byte) (msgs [][]byte, isBatch bool, err error) {

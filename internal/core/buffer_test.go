@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"hamoffload/internal/mem"
 )
 
 // Put, Get, ReadLocal and WriteLocal move a []T as the bytes it already is
@@ -181,9 +183,11 @@ type heapBackend struct {
 
 func (b *heapBackend) Memory() LocalMemory { return b.heap }
 func (b *heapBackend) Put(_ NodeID, data []byte, dst uint64) error {
-	return b.heap.Write(dst, data)
+	return b.heap.WriteAt(data, mem.Addr(dst))
 }
-func (b *heapBackend) Get(_ NodeID, src uint64, dst []byte) error { return b.heap.Read(src, dst) }
+func (b *heapBackend) Get(_ NodeID, src uint64, dst []byte) error {
+	return b.heap.ReadAt(dst, mem.Addr(src))
+}
 
 // checkBufferAPI drives Put, Get, ReadLocal, WriteLocal and Copy for element
 // type T over raw and reads target memory back raw: every path must leave and
@@ -207,11 +211,11 @@ func checkBufferAPI[T Elem](t *testing.T, raw []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return BufferPtr[T]{Node: 0, Addr: addr, Count: n + 3}
+		return BufferPtr[T]{Node: 0, Addr: uint64(addr), Count: n + 3}
 	}
 	memory := func(b BufferPtr[T]) []byte {
 		out := make([]byte, len(raw))
-		if err := heap.Read(b.Addr, out); err != nil {
+		if err := heap.ReadAt(out, mem.Addr(b.Addr)); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/mem"
 )
 
 // Built-in active messages of the runtime. Like in the C++ original, memory
@@ -31,7 +32,7 @@ func init() {
 		if err != nil {
 			return fmt.Errorf("core: target allocate(%d): %w", size, err)
 		}
-		enc.PutU64(addr)
+		enc.PutU64(uint64(addr))
 		return nil
 	})
 
@@ -41,7 +42,7 @@ func init() {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		return rt.backend.Memory().Free(addr)
+		return rt.backend.Memory().Free(mem.Addr(addr))
 	})
 
 	ham.RegisterHandler(msgTerminate, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {

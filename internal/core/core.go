@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
@@ -34,16 +35,17 @@ type NodeDescriptor struct {
 type Handle any
 
 // LocalMemory is the target-local memory a node's built-in allocate/free
-// handlers and kernel buffer accessors operate on.
+// handlers and kernel buffer accessors operate on: a *mem.Heap, or the lock
+// around one (Heap).
 type LocalMemory interface {
 	// Alloc reserves n bytes and returns the buffer address.
-	Alloc(n int64) (uint64, error)
+	Alloc(n int64) (mem.Addr, error)
 	// Free releases an allocation made with Alloc.
-	Free(addr uint64) error
-	// Read copies len(p) bytes from addr into p.
-	Read(addr uint64, p []byte) error
-	// Write copies data to addr.
-	Write(addr uint64, data []byte) error
+	Free(addr mem.Addr) error
+	// ReadAt copies len(p) bytes from addr into p.
+	ReadAt(p []byte, addr mem.Addr) error
+	// WriteAt copies p to addr.
+	WriteAt(p []byte, addr mem.Addr) error
 }
 
 // Backend is the abstract communication layer of Fig. 1. One Backend value

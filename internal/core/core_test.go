@@ -384,19 +384,19 @@ func TestHeapLeakAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Live() != 1 {
-		t.Errorf("Live = %d", h.Live())
+	if h.LiveAllocs() != 1 {
+		t.Errorf("LiveAllocs = %d", h.LiveAllocs())
 	}
-	if err := h.Write(a1, []byte("x")); err != nil {
+	if err := h.WriteAt([]byte("x"), a1); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Free(a1); err != nil {
 		t.Fatal(err)
 	}
-	if h.Live() != 0 {
-		t.Errorf("Live after free = %d", h.Live())
+	if h.LiveAllocs() != 0 {
+		t.Errorf("LiveAllocs after free = %d", h.LiveAllocs())
 	}
-	if err := h.Read(a1, make([]byte, 1)); err == nil {
+	if err := h.ReadAt(make([]byte, 1), a1); err == nil {
 		t.Error("read after free should fault")
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"hamoffload/internal/mem"
+)
 
 // Ctx is the execution context passed to offloaded functions while they run
 // on a target node: access to the local memory behind buffer pointers, the
@@ -51,7 +55,7 @@ func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 		return nil, fmt.Errorf("core: local read [%d,+%d) outside buffer of %d elements", off, count, b.Count)
 	}
 	out := make([]T, count)
-	if err := c.rt.backend.Memory().Read(b.Addr+uint64(off*sizeOf[T]()), elemBytes(out)); err != nil {
+	if err := c.rt.backend.Memory().ReadAt(elemBytes(out), mem.Addr(b.Addr)+mem.Addr(off*sizeOf[T]())); err != nil {
 		return nil, err
 	}
 	swapElems(elemBytes(out), sizeOf[T]())
@@ -66,5 +70,5 @@ func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
 	if off < 0 || off+int64(len(vals)) > b.Count {
 		return fmt.Errorf("core: local write [%d,+%d) outside buffer of %d elements", off, len(vals), b.Count)
 	}
-	return c.rt.backend.Memory().Write(b.Addr+uint64(off*sizeOf[T]()), wireBytes(vals))
+	return c.rt.backend.Memory().WriteAt(wireBytes(vals), mem.Addr(b.Addr)+mem.Addr(off*sizeOf[T]()))
 }

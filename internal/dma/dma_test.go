@@ -68,18 +68,18 @@ func TestPrivilegedWriteMovesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.host.Mem.WriteAt([]byte("offload me"), hAddr); err != nil {
+	if err := r.host.WriteAt([]byte("offload me"), hAddr); err != nil {
 		t.Fatal(err)
 	}
 	d := NewPrivileged(r.eng, "ve0", r.tm, TranslateBulk4DMA,
-		r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+		r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 	took := r.runIn(t, func(p *simtime.Proc) {
 		if err := d.Write(p, vAddr, hAddr, 10); err != nil {
 			t.Errorf("Write: %v", err)
 		}
 	})
 	got := make([]byte, 10)
-	if err := r.ve.HBM.ReadAt(got, vAddr); err != nil {
+	if err := r.ve.ReadAt(got, vAddr); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "offload me" {
@@ -96,7 +96,7 @@ func TestPrivilegedReadSlowerThanWrite(t *testing.T) {
 	hAddr, _ := r.host.Alloc(4096)
 	vAddr, _ := r.ve.Alloc(4096)
 	d := NewPrivileged(r.eng, "ve0", r.tm, TranslateBulk4DMA,
-		r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+		r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 	var wTime, rTime simtime.Duration
 	r.runIn(t, func(p *simtime.Proc) {
 		s := p.Now()
@@ -127,7 +127,7 @@ func TestNaiveTranslationPenalizes4KiBPages(t *testing.T) {
 		hAddr, _ := r.host.Alloc(size)
 		vAddr, _ := r.ve.Alloc(size)
 		d := NewPrivileged(r.eng, "ve0", r.tm, mode,
-			r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+			r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 		return r.runIn(t, func(p *simtime.Proc) {
 			if err := d.Write(p, vAddr, hAddr, size); err != nil {
 				t.Error(err)
@@ -154,7 +154,7 @@ func TestHugePagesCutTranslationWork(t *testing.T) {
 		hAddr, _ := r.host.Alloc(size)
 		vAddr, _ := r.ve.Alloc(size)
 		d := NewPrivileged(r.eng, "ve0", r.tm, TranslateNaive,
-			r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+			r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 		return r.runIn(t, func(p *simtime.Proc) {
 			if err := d.Write(p, vAddr, hAddr, size); err != nil {
 				t.Error(err)
@@ -177,15 +177,15 @@ func TestUserDMAMovesBytesAndRespectsATB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostVEHVA, err := r.ve.ATB().Register(r.host.Mem, seg.Addr, seg.Size)
+	hostVEHVA, err := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	veVEHVA, err := r.ve.ATB().Register(r.ve.HBM, vAddr, 4096)
+	veVEHVA, err := r.ve.ATB().Register(r.ve.Memory, vAddr, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ve.HBM.WriteAt([]byte("result!"), vAddr); err != nil {
+	if err := r.ve.WriteAt([]byte("result!"), vAddr); err != nil {
 		t.Fatal(err)
 	}
 	u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
@@ -196,7 +196,7 @@ func TestUserDMAMovesBytesAndRespectsATB(t *testing.T) {
 		}
 	})
 	got := make([]byte, 7)
-	if err := r.host.Mem.ReadAt(got, seg.Addr); err != nil {
+	if err := r.host.ReadAt(got, seg.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "result!" {
@@ -217,8 +217,8 @@ func TestUserDMARawFasterThanAPI(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(4096)
 	vAddr, _ := r.ve.Alloc(4096)
-	hostVEHVA, _ := r.ve.ATB().Register(r.host.Mem, seg.Addr, seg.Size)
-	veVEHVA, _ := r.ve.ATB().Register(r.ve.HBM, vAddr, 4096)
+	hostVEHVA, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
+	veVEHVA, _ := r.ve.ATB().Register(r.ve.Memory, vAddr, 4096)
 	u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
 	var api, raw simtime.Duration
 	r.runIn(t, func(p *simtime.Proc) {
@@ -257,8 +257,8 @@ func TestUserDMAPeakBandwidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hostVEHVA, _ := r.ve.ATB().Register(r.host.Mem, seg.Addr, size)
-		veVEHVA, _ := r.ve.ATB().Register(r.ve.HBM, vAddr, size)
+		hostVEHVA, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, size)
+		veVEHVA, _ := r.ve.ATB().Register(r.ve.Memory, vAddr, size)
 		u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
 		took := r.runIn(t, func(p *simtime.Proc) {
 			dst, src := hostVEHVA, veVEHVA
@@ -279,7 +279,7 @@ func TestUserDMAPeakBandwidth(t *testing.T) {
 func TestSHMStoreAndLHMLoad(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(4096)
-	vehva, _ := r.ve.ATB().Register(r.host.Mem, seg.Addr, seg.Size)
+	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	in := NewInstr(r.tm, r.ve.ATB(), r.path)
 	r.runIn(t, func(p *simtime.Proc) {
 		if err := in.StoreWord(p, vehva, 0xdeadbeef); err != nil {
@@ -301,7 +301,7 @@ func TestSHMStoreAndLHMLoad(t *testing.T) {
 func TestSHMBytesPipelineAndLHMDoesNot(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(1 << 20)
-	vehva, _ := r.ve.ATB().Register(r.host.Mem, seg.Addr, seg.Size)
+	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	in := NewInstr(r.tm, r.ve.ATB(), r.path)
 	data := make([]byte, 4096)
 	for i := range data {
@@ -348,7 +348,7 @@ func TestSHMPeakBandwidths(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	size := (4 * units.MiB).Int64()
 	seg, _ := r.host.ShmCreate(size)
-	vehva, _ := r.ve.ATB().Register(r.host.Mem, seg.Addr, size)
+	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, size)
 	in := NewInstr(r.tm, r.ve.ATB(), r.path)
 	buf := make([]byte, size)
 	var storeT, loadT simtime.Duration
@@ -383,7 +383,7 @@ func TestPrivilegedEngineSerializesRequests(t *testing.T) {
 	v1, _ := r.ve.Alloc(size)
 	v2, _ := r.ve.Alloc(size)
 	d := NewPrivileged(r.eng, "ve0", r.tm, TranslateBulk4DMA,
-		r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+		r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 	var t1, t2 simtime.Time
 	r.eng.Spawn("a", func(p *simtime.Proc) {
 		if err := d.Write(p, v1, h1, size); err != nil {
@@ -408,7 +408,7 @@ func TestPrivilegedEngineSerializesRequests(t *testing.T) {
 func TestNegativeSizesRejected(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	d := NewPrivileged(r.eng, "ve0", r.tm, TranslateBulk4DMA,
-		r.host.PageSize.Int64(), r.path, r.host.Mem, r.ve.HBM)
+		r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
 	u := NewUserDMA(r.eng, "c0", r.tm, r.ve.ATB(), r.path)
 	r.runIn(t, func(p *simtime.Proc) {
 		if err := d.Write(p, 0, 0, -1); err == nil {

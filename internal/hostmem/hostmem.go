@@ -1,5 +1,5 @@
-// Package hostmem models the Vector Host's DRAM: a sparse memory with an
-// allocator, a configurable page size (4 KiB or 2 MiB huge pages — the paper
+// Package hostmem models the Vector Host's DRAM: a mem.Heap with a
+// configurable page size (4 KiB or 2 MiB huge pages — the paper
 // stresses that huge pages are required for peak VEO bandwidth), and the
 // SystemV shared-memory segment registry used by the DMA-based protocol
 // (paper §IV-A, Fig. 7).
@@ -15,10 +15,10 @@ import (
 // Base of the simulated VH heap; an arbitrary but recognisable constant.
 const heapBase mem.Addr = 0x7f00_0000_0000
 
-// Host is one Vector Host's memory system.
+// Host is one Vector Host's memory system: the DRAM heap plus what is
+// particular to a VH — its page size and the SysV segment registry.
 type Host struct {
-	Mem      *mem.Memory
-	alloc    *mem.Allocator
+	*mem.Heap
 	PageSize units.Bytes
 
 	shm     map[int]*ShmSegment
@@ -38,61 +38,17 @@ func New(name string, capacity, pageSize units.Bytes) (*Host, error) {
 	if !units.IsPowerOfTwo(pageSize) {
 		return nil, fmt.Errorf("hostmem: page size %v must be a power of two", pageSize)
 	}
-	a, err := mem.NewAllocator(name+"-alloc", heapBase, capacity.Int64(), 64)
+	heap, err := mem.NewHeap(name, heapBase, capacity.Int64())
 	if err != nil {
 		return nil, err
 	}
 	return &Host{
-		Mem:      mem.NewMemory(name),
-		alloc:    a,
+		Heap:     heap,
 		PageSize: pageSize,
 		shm:      make(map[int]*ShmSegment),
 		nextKey:  0x5845, // arbitrary ftok-style starting key
 	}, nil
 }
-
-// Alloc reserves and maps size bytes of host memory.
-func (h *Host) Alloc(size int64) (mem.Addr, error) {
-	addr, err := h.alloc.Alloc(size)
-	if err != nil {
-		return 0, err
-	}
-	mapped, _ := h.alloc.SizeOf(addr)
-	if err := h.Mem.Map(addr, mapped); err != nil {
-		// Cannot happen with a consistent allocator, but keep state sane.
-		_ = h.alloc.Free(addr)
-		return 0, err
-	}
-	return addr, nil
-}
-
-// AllocBytes is Alloc, at the address Alloc would return, with data itself
-// mapped there uncopied: on the real platform user data already lives in VH
-// memory. Free drops the alias with the extent.
-func (h *Host) AllocBytes(data []byte) (mem.Addr, error) {
-	addr, err := h.alloc.Alloc(int64(len(data)))
-	if err != nil {
-		return 0, err
-	}
-	if err := h.Mem.MapBytes(addr, data); err != nil {
-		_ = h.alloc.Free(addr)
-		return 0, err
-	}
-	return addr, nil
-}
-
-// Free releases an allocation made with Alloc or AllocBytes. The range is
-// unmapped while the allocation is still live — once alloc.Free runs, the
-// allocator may re-issue the range, so addr must not be touched afterwards.
-func (h *Host) Free(addr mem.Addr) error {
-	if err := h.Mem.Unmap(addr); err != nil {
-		return err
-	}
-	return h.alloc.Free(addr)
-}
-
-// LiveAllocs returns the number of live heap allocations.
-func (h *Host) LiveAllocs() int { return h.alloc.LiveCount() }
 
 // ShmCreate allocates a shared-memory segment of size bytes, aligned to the
 // host page size (SysV segments are page-granular), and returns it.
@@ -124,8 +80,11 @@ func (h *Host) ShmRemove(key int) error {
 	if !ok {
 		return fmt.Errorf("hostmem: shmctl(IPC_RMID): no segment with key %#x", key)
 	}
+	if err := h.Free(seg.Addr); err != nil {
+		return err // still registered: the segment's memory is still there
+	}
 	delete(h.shm, key)
-	return h.Free(seg.Addr)
+	return nil
 }
 
 // Pages returns how many host pages the range [addr, addr+n) touches, the

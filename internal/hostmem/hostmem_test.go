@@ -21,11 +21,11 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if err := h.Mem.WriteAt([]byte("host data"), addr); err != nil {
+	if err := h.WriteAt([]byte("host data"), addr); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	got := make([]byte, 9)
-	if err := h.Mem.ReadAt(got, addr); err != nil {
+	if err := h.ReadAt(got, addr); err != nil {
 		t.Fatalf("ReadAt: %v", err)
 	}
 	if string(got) != "host data" {
@@ -37,7 +37,7 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if err := h.Free(addr); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
-	if err := h.Mem.ReadAt(got, addr); err == nil {
+	if err := h.ReadAt(got, addr); err == nil {
 		t.Error("read after Free should fault")
 	}
 }
@@ -65,7 +65,7 @@ func TestShmLifecycle(t *testing.T) {
 	if err != nil || got != seg {
 		t.Fatalf("ShmGet = %v, %v", got, err)
 	}
-	if err := h.Mem.WriteAt([]byte{1, 2, 3}, seg.Addr); err != nil {
+	if err := h.WriteAt([]byte{1, 2, 3}, seg.Addr); err != nil {
 		t.Fatalf("segment not mapped: %v", err)
 	}
 	if err := h.ShmRemove(seg.Key); err != nil {
@@ -152,22 +152,41 @@ func TestAllocBytes(t *testing.T) {
 		t.Fatalf("AllocBytes = %#x, %v; Alloc returned %#x for the same heap", addr, err, probe)
 	}
 	got := make([]byte, len(data))
-	if err := h.Mem.ReadAt(got, addr); err != nil || string(got) != string(data) {
+	if err := h.ReadAt(got, addr); err != nil || string(got) != string(data) {
 		t.Fatalf("host memory at the allocation reads %q, %v", got, err)
 	}
-	if err := h.Mem.WriteAt([]byte("USER"), addr); err != nil || string(data[:4]) != "USER" {
+	if err := h.WriteAt([]byte("USER"), addr); err != nil || string(data[:4]) != "USER" {
 		t.Fatalf("a store to host memory did not reach the caller's bytes: %q, %v", data[:9], err)
 	}
-	if h.LiveAllocs() != 1 || h.Mem.MappedBytes() != int64(len(data)) {
-		t.Errorf("%d live allocations, %d mapped bytes", h.LiveAllocs(), h.Mem.MappedBytes())
+	if h.LiveAllocs() != 1 || h.MappedBytes() != int64(len(data)) {
+		t.Errorf("%d live allocations, %d mapped bytes", h.LiveAllocs(), h.MappedBytes())
 	}
 	if err := h.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if h.LiveAllocs() != 0 || h.Mem.MappedBytes() != 0 || h.Mem.ReadAt(got, addr) == nil {
-		t.Errorf("after Free: %d live allocations, %d mapped bytes", h.LiveAllocs(), h.Mem.MappedBytes())
+	if h.LiveAllocs() != 0 || h.MappedBytes() != 0 || h.ReadAt(got, addr) == nil {
+		t.Errorf("after Free: %d live allocations, %d mapped bytes", h.LiveAllocs(), h.MappedBytes())
 	}
 	if _, err := h.AllocBytes(nil); err == nil || h.LiveAllocs() != 0 {
 		t.Errorf("AllocBytes of nothing: %v, %d live allocations", err, h.LiveAllocs())
+	}
+}
+
+// TestShmRemoveKeepsSegmentOnFailure: a segment whose memory could not be
+// freed is still there, so it must still be found by key.
+func TestShmRemoveKeepsSegmentOnFailure(t *testing.T) {
+	h := newHost(t)
+	seg, err := h.ShmCreate(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unmap(seg.Addr); err != nil { // makes the Free inside ShmRemove fail
+		t.Fatal(err)
+	}
+	if err := h.ShmRemove(seg.Key); err == nil {
+		t.Fatal("ShmRemove succeeded though its Free cannot")
+	}
+	if got, err := h.ShmGet(seg.Key); err != nil || got != seg || h.LiveAllocs() != 1 {
+		t.Errorf("after the failed ShmRemove: ShmGet = %v, %v, %d live allocations", got, err, h.LiveAllocs())
 	}
 }

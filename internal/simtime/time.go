@@ -38,9 +38,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Picoseconds returns d as an integer picosecond count.
-func (d Duration) Picoseconds() int64 { return int64(d) }
-
 // Nanoseconds returns d rounded down to nanoseconds.
 func (d Duration) Nanoseconds() int64 { return int64(d / Nanosecond) }
 
@@ -77,13 +74,6 @@ func (t Time) String() string { return Duration(t).String() }
 // Microseconds returns the time since simulation start as a floating-point
 // microsecond count — the unit of the Chrome trace-event format.
 func (t Time) Microseconds() float64 { return Duration(t).Microseconds() }
-
-// PerByte converts a transfer rate in bytes/second into the duration one byte
-// occupies, for serialization-delay computations. Rates below 1 B/s are
-// rejected at construction time by the callers in internal/pcie.
-func PerByte(bytesPerSecond float64) Duration {
-	return Duration(float64(Second) / bytesPerSecond)
-}
 
 // BytesOver returns the serialization delay of n bytes at the given rate in
 // bytes/second, rounded up to a whole picosecond.

@@ -271,10 +271,3 @@ func (t Timing) Validate() error {
 	}
 	return nil
 }
-
-// PCIeEfficiency returns the fraction of the raw link rate available to
-// payload given the TLP payload/header sizes (≈0.91 for 256 B / 26 B).
-func (t Timing) PCIeEfficiency() float64 {
-	p := float64(t.PCIeMaxPayload)
-	return p / (p + float64(t.PCIeTLPHeader))
-}

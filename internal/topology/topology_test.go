@@ -116,7 +116,7 @@ func TestDefaultTimingValid(t *testing.T) {
 		t.Fatalf("DefaultTiming invalid: %v", err)
 	}
 	// The TLP efficiency must reproduce the paper's 91 % ⇒ 13.4 GiB/s bound.
-	eff := tm.PCIeEfficiency()
+	eff := float64(tm.PCIeMaxPayload) / float64(tm.PCIeMaxPayload+tm.PCIeTLPHeader)
 	if eff < 0.90 || eff > 0.92 {
 		t.Errorf("PCIe efficiency = %v, want ≈0.91", eff)
 	}

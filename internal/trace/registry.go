@@ -201,22 +201,6 @@ func (r *Registry) SpanStat(name string) SpanStat {
 	return SpanStat{Name: name}
 }
 
-// PhaseTotal sums the total duration of all span names tagged with a phase.
-func (r *Registry) PhaseTotal(ph Phase) simtime.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var sum simtime.Duration
-	for _, st := range r.spans {
-		if st.Phase == ph {
-			sum += st.Total
-		}
-	}
-	return sum
-}
-
 // Render writes a human-readable dump: counters, span stats, histograms.
 func (r *Registry) Render(w io.Writer) {
 	if r == nil {

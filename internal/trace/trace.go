@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"hamoffload/internal/simtime"
@@ -192,36 +191,5 @@ func (h *Histogram) Render(w io.Writer) {
 			bar = 1
 		}
 		fmt.Fprintf(w, "  >=%-10v %8d |%s\n", bucketLow(i), c, strings.Repeat("#", bar))
-	}
-}
-
-// Counters is a registry of named event counters.
-type Counters struct {
-	m map[string]int64
-}
-
-// NewCounters returns an empty registry.
-func NewCounters() *Counters { return &Counters{m: map[string]int64{}} }
-
-// Add increments a counter by delta.
-func (c *Counters) Add(name string, delta int64) { c.m[name] += delta }
-
-// Get reads a counter (0 when never touched).
-func (c *Counters) Get(name string) int64 { return c.m[name] }
-
-// Names returns all counter names, sorted.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Render writes all counters in sorted order.
-func (c *Counters) Render(w io.Writer) {
-	for _, n := range c.Names() {
-		fmt.Fprintf(w, "%-32s %12d\n", n, c.m[n])
 	}
 }

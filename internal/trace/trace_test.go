@@ -131,28 +131,6 @@ func TestHistogramQuantileBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Add("offloads", 3)
-	c.Add("offloads", 2)
-	c.Add("polls", 7)
-	if c.Get("offloads") != 5 || c.Get("polls") != 7 {
-		t.Errorf("Get = %d/%d", c.Get("offloads"), c.Get("polls"))
-	}
-	if c.Get("missing") != 0 {
-		t.Error("missing counter should be 0")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "offloads" || names[1] != "polls" {
-		t.Errorf("Names = %v", names)
-	}
-	var buf bytes.Buffer
-	c.Render(&buf)
-	if !strings.Contains(buf.String(), "offloads") {
-		t.Error("render missing counter")
-	}
-}
-
 func TestTracerSpansAndChromeExport(t *testing.T) {
 	eng := simtime.NewEngine()
 	r := NewTracer()

@@ -90,11 +90,8 @@ func TestNodeTracerSpansAndRegistry(t *testing.T) {
 		t.Error("histogram not fed")
 	}
 	st := reg.SpanStat("offload empty")
-	if st.Count != 1 || st.Total != 6*simtime.Microsecond || st.Min != 6*simtime.Microsecond {
+	if st.Count != 1 || st.Total != 6*simtime.Microsecond || st.Min != 6*simtime.Microsecond || st.Phase != PhaseOffload {
 		t.Errorf("SpanStat = %+v", st)
-	}
-	if got := reg.PhaseTotal(PhaseOffload); got != 6*simtime.Microsecond {
-		t.Errorf("PhaseTotal = %v", got)
 	}
 	regs := tr.Registries()
 	if len(regs) != 1 || regs[0].Node() != 0 || regs[0].Backend() != "dmab" {

@@ -40,9 +40,6 @@ func (b Bytes) Int() int {
 // Int64 returns b as an int64.
 func (b Bytes) Int64() int64 { return int64(b) }
 
-// GiBs returns b as a floating-point GiB count.
-func (b Bytes) GiBs() float64 { return float64(b) / float64(GiB) }
-
 // GBs returns b as a floating-point decimal-GB count.
 func (b Bytes) GBs() float64 { return float64(b) / float64(GB) }
 
@@ -86,14 +83,6 @@ func AlignUp(b, align Bytes) Bytes {
 		return b
 	}
 	return b + align - rem
-}
-
-// AlignDown rounds b down to a multiple of align.
-func AlignDown(b, align Bytes) Bytes {
-	if align <= 0 {
-		return b
-	}
-	return b - b%align
 }
 
 // IsPowerOfTwo reports whether b is a positive power of two.

@@ -158,15 +158,3 @@ func (c HostClock) ChargeScalar(ops int64) { c.Sleep(hostModel.ScalarTime(ops)) 
 
 // Simulated is true: the process runs on the DES clock.
 func (HostClock) Simulated() bool { return true }
-
-// SpeedupOver reports the VE/host speed ratio for a kernel, a convenience
-// for sizing examples: a memory-bound kernel sees roughly the 1228.8/128
-// HBM-vs-DDR4 bandwidth ratio.
-func SpeedupOver(ve Model, host HostModel, flops, bytes int64) float64 {
-	tve := ve.VectorTime(flops, bytes, ve.Spec.Cores)
-	th := host.VectorTime(flops, bytes, host.Spec.Cores)
-	if tve <= 0 {
-		return 0
-	}
-	return float64(th) / float64(tve)
-}

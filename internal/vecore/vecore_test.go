@@ -94,14 +94,18 @@ func TestLaunchOverheadApplied(t *testing.T) {
 func TestHostModelAndSpeedup(t *testing.T) {
 	ve := DefaultModel()
 	host := DefaultHostModel()
+	speedup := func(flops, bytes int64) float64 {
+		return float64(host.VectorTime(flops, bytes, host.Spec.Cores)) /
+			float64(ve.VectorTime(flops, bytes, ve.Spec.Cores))
+	}
 	// A memory-bound kernel should see roughly the HBM/DDR4 bandwidth ratio
 	// (1228.8/128 ≈ 9.6×).
-	s := SpeedupOver(ve, host, 0, units.GiB.Int64())
+	s := speedup(0, units.GiB.Int64())
 	if s < 7 || s > 12 {
 		t.Errorf("memory-bound speedup = %v, want ≈9.6", s)
 	}
 	// A compute-bound kernel sees the FLOPS ratio (~2150/998 ≈ 2.2×).
-	s = SpeedupOver(ve, host, 1e10, 0)
+	s = speedup(1e10, 0)
 	if s < 1.5 || s > 3 {
 		t.Errorf("compute-bound speedup = %v, want ≈2.2", s)
 	}

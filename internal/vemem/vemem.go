@@ -1,5 +1,5 @@
 // Package vemem models a Vector Engine's memory system: the HBM2-backed
-// local memory with its allocator, and the DMAATB (DMA Address Translation
+// local memory (a mem.Heap), and the DMAATB (DMA Address Translation
 // Buffer) through which VH shared-memory segments and local VE buffers are
 // registered and become addressable as VEHVA (VE Host Virtual Addresses) for
 // user DMA and the LHM/SHM instructions (paper §I-B and §IV-A).
@@ -20,56 +20,21 @@ const (
 	vehvaBase mem.Addr = 0x1000_0000_0000 // VEHVA window (DMAATB-mapped)
 )
 
-// VE is one Vector Engine's memory system.
+// VE is one Vector Engine's memory system: the HBM heap plus the DMAATB.
 type VE struct {
-	HBM    *mem.Memory
-	alloc  *mem.Allocator
+	*mem.Heap
 	dmaatb *DMAATB
 }
 
 // New creates a VE memory with the given HBM capacity (48 GiB on a Type
 // 10B; the sparse backing means only allocated buffers consume real memory).
 func New(name string, capacity units.Bytes) (*VE, error) {
-	a, err := mem.NewAllocator(name+"-hbm-alloc", HeapBase, capacity.Int64(), 64)
+	heap, err := mem.NewHeap(name+"-hbm", HeapBase, capacity.Int64())
 	if err != nil {
 		return nil, err
 	}
-	return &VE{
-		HBM:    mem.NewMemory(name + "-hbm"),
-		alloc:  a,
-		dmaatb: newDMAATB(name),
-	}, nil
+	return &VE{Heap: heap, dmaatb: newDMAATB(name)}, nil
 }
-
-// Alloc reserves and maps size bytes of HBM, returning the VEMVA.
-func (v *VE) Alloc(size int64) (mem.Addr, error) {
-	addr, err := v.alloc.Alloc(size)
-	if err != nil {
-		return 0, err
-	}
-	mapped, _ := v.alloc.SizeOf(addr)
-	if err := v.HBM.Map(addr, mapped); err != nil {
-		_ = v.alloc.Free(addr)
-		return 0, err
-	}
-	return addr, nil
-}
-
-// Free releases an allocation made with Alloc. The range is unmapped while
-// the allocation is still live — once alloc.Free runs, the allocator may
-// re-issue the range, so addr must not be touched afterwards.
-func (v *VE) Free(addr mem.Addr) error {
-	if err := v.HBM.Unmap(addr); err != nil {
-		return err
-	}
-	return v.alloc.Free(addr)
-}
-
-// LiveAllocs returns the number of live HBM allocations.
-func (v *VE) LiveAllocs() int { return v.alloc.LiveCount() }
-
-// FreeBytes returns the remaining HBM capacity.
-func (v *VE) FreeBytes() int64 { return v.alloc.FreeBytes() }
 
 // ATB returns the VE's DMA address translation buffer.
 func (v *VE) ATB() *DMAATB { return v.dmaatb }

@@ -26,7 +26,7 @@ func TestAllocFree(t *testing.T) {
 	if addr < HeapBase {
 		t.Errorf("VEMVA %#x below heap base", addr)
 	}
-	if err := v.HBM.WriteAt([]byte("hbm"), addr); err != nil {
+	if err := v.WriteAt([]byte("hbm"), addr); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	if err := v.Free(addr); err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"hamoffload/internal/dma"
 	"hamoffload/internal/hostmem"
-	"hamoffload/internal/mem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
@@ -116,7 +115,7 @@ func TestMemoryAPIRoundTrip(t *testing.T) {
 		}
 		src, _ := r.host.Alloc(1024)
 		dst, _ := r.host.Alloc(1024)
-		if err := r.host.Mem.WriteAt([]byte("veo api"), src); err != nil {
+		if err := r.host.WriteAt([]byte("veo api"), src); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.WriteMem(p, veBuf, uint64(src), 7); err != nil {
@@ -126,7 +125,7 @@ func TestMemoryAPIRoundTrip(t *testing.T) {
 			t.Fatalf("ReadMem: %v", err)
 		}
 		got := make([]byte, 7)
-		if err := r.host.Mem.ReadAt(got, dst); err != nil {
+		if err := r.host.ReadAt(got, dst); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != "veo api" {
@@ -219,119 +218,4 @@ func TestVHCallFromKernel(t *testing.T) {
 	if !called {
 		t.Error("VH handler never ran")
 	}
-}
-
-func TestArgsBuilder(t *testing.T) {
-	a := NewArgs()
-	if err := a.SetI64(-1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetU64(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetDouble(2.5); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	w := a.Words()
-	if int64(w[0]) != -1 || w[1] != 7 {
-		t.Errorf("words = %v", w)
-	}
-	// The argument cap of the calling convention.
-	b := NewArgs()
-	for i := 0; i < MaxArgs; i++ {
-		if err := b.SetU64(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.SetU64(0); err == nil {
-		t.Error("argument beyond MaxArgs accepted")
-	}
-}
-
-func TestCallAsyncArgs(t *testing.T) {
-	veos.RegisterLibrary("libargs.so", veos.Library{
-		"sub": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			return args[0] - args[1], nil
-		},
-	})
-	r := newRig(t)
-	r.run(t, func(p *simtime.Proc) {
-		h, _ := ProcCreate(p, r.card)
-		lib, err := h.LoadLibrary(p, "libargs.so")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sym, _ := lib.GetSym(p, "sub")
-		ctx := h.OpenContext(p)
-		a := NewArgs()
-		_ = a.SetU64(50)
-		_ = a.SetU64(8)
-		v, err := ctx.CallAsyncArgs(p, sym, a).CallWaitResult(p)
-		if err != nil || v != 42 {
-			t.Fatalf("sub = %d, %v", v, err)
-		}
-	})
-}
-
-func TestAsyncMemoryTransfersOverlap(t *testing.T) {
-	r := newRig(t)
-	r.run(t, func(p *simtime.Proc) {
-		h, err := ProcCreate(p, r.card)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ve1, _ := h.AllocMem(p, 1<<20)
-		ve2, _ := h.AllocMem(p, 1<<20)
-		h1, _ := r.host.Alloc(1 << 20)
-		h2, _ := r.host.Alloc(1 << 20)
-		if err := r.host.Mem.WriteAt([]byte("first"), h1); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.host.Mem.WriteAt([]byte("second"), h2); err != nil {
-			t.Fatal(err)
-		}
-
-		// Two async writes overlap with host-side work; both must land.
-		start := p.Now()
-		r1 := h.AsyncWriteMem(p, ve1, uint64(h1), 1<<20)
-		r2 := h.AsyncWriteMem(p, ve2, uint64(h2), 1<<20)
-		if done, _ := r1.Peek(); done {
-			t.Error("transfer reported done immediately")
-		}
-		p.Sleep(50 * simtime.Microsecond) // overlapping host work
-		if err := r1.Wait(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := r2.Wait(p); err != nil {
-			t.Fatal(err)
-		}
-		both := p.Now().Sub(start)
-
-		// Sequential reference: the same two transfers, blocking.
-		start = p.Now()
-		if err := h.WriteMem(p, ve1, uint64(h1), 1<<20); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.WriteMem(p, ve2, uint64(h2), 1<<20); err != nil {
-			t.Fatal(err)
-		}
-		sequential := p.Now().Sub(start)
-
-		// The engine serialises the DMAs, but the async form overlaps the
-		// submission chain, so it must be at least somewhat faster.
-		if both >= sequential {
-			t.Errorf("async pair (%v) not faster than sequential (%v)", both, sequential)
-		}
-
-		got := make([]byte, 6)
-		if err := r.card.Mem.HBM.ReadAt(got, mem.Addr(ve2)); err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "second" {
-			t.Errorf("VE memory = %q", got)
-		}
-	})
 }

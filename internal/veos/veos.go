@@ -81,7 +81,7 @@ func NewCard(eng *simtime.Engine, id int, t topology.Timing, host *hostmem.Host,
 		Timing: t,
 		Mem:    veMem,
 		Priv: dma.NewPrivileged(eng, name, t, mode, host.PageSize.Int64(),
-			path, host.Mem, veMem.HBM),
+			path, host.Memory, veMem.Memory),
 		Path:  path,
 		Host:  host,
 		Cores: simtime.NewSemaphore(eng, name+"-cores", topology.VEType10B().Cores),

@@ -221,7 +221,7 @@ func TestDMAWriteReadThroughVEOS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.host.Mem.WriteAt([]byte("through veos"), hAddr); err != nil {
+		if err := r.host.WriteAt([]byte("through veos"), hAddr); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.card.DMAWrite(p, vAddr, uint64(hAddr), 12); err != nil {
@@ -233,7 +233,7 @@ func TestDMAWriteReadThroughVEOS(t *testing.T) {
 			t.Fatalf("DMARead: %v", err)
 		}
 		got := make([]byte, 12)
-		if err := r.host.Mem.ReadAt(got, hAddr2); err != nil {
+		if err := r.host.ReadAt(got, hAddr2); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != "through veos" {

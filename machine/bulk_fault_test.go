@@ -48,9 +48,9 @@ func bulkFaultRun(t *testing.T, plan *faults.Plan) bulkFaultOutcome {
 		if err != nil {
 			return err
 		}
-		live, mapped := m.Host.LiveAllocs(), m.Host.Mem.MappedBytes()
+		live, mapped := m.Host.LiveAllocs(), m.Host.MappedBytes()
 		settled := func(after string) {
-			if l, b := m.Host.LiveAllocs(), m.Host.Mem.MappedBytes(); l != live || b != mapped {
+			if l, b := m.Host.LiveAllocs(), m.Host.MappedBytes(); l != live || b != mapped {
 				t.Errorf("after %s: %d live host allocations and %d mapped bytes, want %d and %d: the caller's slice is still mapped",
 					after, l, b, live, mapped)
 			}
