@@ -11,33 +11,62 @@ import (
 // external test package reaches it as conformance.ExerciseBulk, beside the
 // other exercises; only forEachBackend calls it so far.
 
-// cfPrivate checks, on the target, that ReadLocal hands out memory of its
-// own: changing the result changes nothing in the buffer until WriteLocal
-// stores it.
-var cfPrivate = core.NewFunc1[core.Unit]("conformance.private",
+// inPlaceElems makes cfInPlace's buffer cross a 256 KiB boundary of the
+// simulated memory (mem.ChunkSize) with elements to spare on either side.
+const inPlaceElems = 256<<10/4 + 64
+
+// inPlaceEdits is what cfInPlace does to its buffer, on a plain slice: the
+// host replays it to know what Get must return.
+func inPlaceEdits(v []int32) {
+	v[0]++
+	v[1] = 77
+	copy(v[1:], v[:len(v)-1])
+	copy(v[2:], []int32{9, 8, 7})
+}
+
+// cfInPlace checks, on the target, that ReadLocal hands out the buffer's own
+// memory: a store through the result is a store to the buffer, with no
+// WriteLocal; WriteLocal of that memory onto itself moves nothing and
+// detaches nothing; shifted onto itself across a chunk boundary it is copy
+// on a plain slice; and of a slice from elsewhere it still takes a copy.
+var cfInPlace = core.NewFunc1[core.Unit]("conformance.inplace",
 	func(c *core.Ctx, buf core.BufferPtr[int32]) (core.Unit, error) {
-		first, err := core.ReadLocal(c, buf, 0, buf.Count)
+		fail := func(format string, args ...any) (core.Unit, error) {
+			return core.Unit{}, fmt.Errorf(format, args...)
+		}
+		v, err := core.ReadLocal(c, buf, 0, buf.Count)
 		if err != nil {
 			return core.Unit{}, err
 		}
-		was := first[0]
-		first[0] = was + 1
-		again, err := core.ReadLocal(c, buf, 0, buf.Count)
-		if err != nil {
+		want := append([]int32(nil), v...)
+		inPlaceEdits(want)
+
+		v[0]++
+		if again, err := core.ReadLocal(c, buf, 0, 1); err != nil || again[0] != v[0] {
+			return fail("ReadLocal's result is a copy: after a store of %d a second ReadLocal gives %v, %v", v[0], again, err)
+		}
+		if err := core.WriteLocal(c, buf, 0, v); err != nil {
 			return core.Unit{}, err
 		}
-		if again[0] != was {
-			return core.Unit{}, fmt.Errorf("ReadLocal's result aliases the buffer: a later read saw %d, stored was %d", again[0], was)
+		v[1] = 77 // still the buffer after being written onto itself
+		sub, err := core.ReadLocal(c, buf, 1, 10)
+		if err != nil || len(sub) != 10 || &sub[0] != &v[1] || sub[0] != 77 {
+			return fail("ReadLocal at offset 1 is not the window v[1:11]: %d elements, first %v, %v", len(sub), sub[:1], err)
 		}
-		if err := core.WriteLocal(c, buf, 0, first[:1]); err != nil {
+		if err := core.WriteLocal(c, buf, 1, v[:len(v)-1]); err != nil { // overlapping, one element up
 			return core.Unit{}, err
 		}
-		first[0] = was + 2 // WriteLocal took a copy, not the slice
-		again, err = core.ReadLocal(c, buf, 0, 1)
-		if err == nil && again[0] != was+1 {
-			err = fmt.Errorf("after WriteLocal of %d the buffer reads %d", was+1, again[0])
+		src := []int32{9, 8, 7}
+		if err := core.WriteLocal(c, buf, 2, src); err != nil {
+			return core.Unit{}, err
 		}
-		return core.Unit{}, err
+		src[0], src[1], src[2] = -1, -1, -1 // WriteLocal took a copy, not the slice
+		for i := range v {
+			if v[i] != want[i] {
+				return fail("after the in-place edits element %d holds %d, a plain slice %d", i, v[i], want[i])
+			}
+		}
+		return core.Unit{}, nil
 	})
 
 // bulkLens are the transfer sizes of ExerciseBulk: elements, then bytes. The
@@ -168,7 +197,8 @@ func bulkInt[T ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~
 type celsius float64
 
 // ExerciseBulk is the bulk-data side of the contract (Table II's put, get and
-// copy, and the kernels' ReadLocal/WriteLocal): every element kind moves
+// copy, and the kernels' ReadLocal/WriteLocal, which work on the buffer in
+// place — cfInPlace): every element kind moves
 // bit-exactly at sizes and target addresses on both sides of the simulated
 // memories' chunk boundaries, and the caller's slices are borrowed for the
 // call only — Backend.Put has read src when it returns, Backend.Get writes
@@ -192,18 +222,33 @@ func ExerciseBulk(t Reporter, rt *core.Runtime, target core.NodeID) {
 		func(b uint64) celsius { return celsius(math.Float64frombits(b)) },
 		func(v celsius) uint64 { return math.Float64bits(float64(v)) }, f64Special...)
 
-	cell, err := core.Allocate[int32](rt, target, 4)
+	buf, err := core.Allocate[int32](rt, target, inPlaceElems)
 	if err != nil {
 		t.Errorf("bulk: Allocate: %v", err)
 		return
 	}
-	if err := core.Put(rt, []int32{41, 0, 0, 0}, cell); err != nil {
+	want := make([]int32, inPlaceElems)
+	for i := range want {
+		want[i] = int32(bulkMix(12, 0, uint64(i)))
+	}
+	if err := core.Put(rt, want, buf); err != nil {
 		t.Errorf("bulk: Put: %v", err)
 	}
-	if _, err := core.Sync(rt, target, cfPrivate.Bind(cell)); err != nil {
+	if _, err := core.Sync(rt, target, cfInPlace.Bind(buf)); err != nil {
 		t.Errorf("bulk: %v", err)
 	}
-	if err := core.Free(rt, cell); err != nil {
+	inPlaceEdits(want)
+	got := make([]int32, inPlaceElems)
+	if err := core.Get(rt, buf, got); err != nil {
+		t.Errorf("bulk: Get: %v", err)
+	}
+	for i := range got { // the kernel never called WriteLocal for most of this
+		if got[i] != want[i] {
+			t.Errorf("bulk: after the kernel's in-place edits Get returns %d at element %d, want %d", got[i], i, want[i])
+			break
+		}
+	}
+	if err := core.Free(rt, buf); err != nil {
 		t.Errorf("bulk: Free: %v", err)
 	}
 }

@@ -58,9 +58,9 @@ var (
 	cfWho = core.NewFunc0[int]("conformance.who",
 		func(c *core.Ctx) (int, error) { return int(c.Node()), nil })
 
-	// cfBump increments a one-cell counter on the target and returns the new
-	// value — a side effect that makes duplicate execution visible, which is
-	// what the batch retry exercise needs.
+	// cfBump increments a one-cell counter on the target, in place, and
+	// returns the new value — a side effect that makes duplicate execution
+	// visible, which is what the batch retry exercise needs.
 	cfBump = core.NewFunc1[int64]("conformance.bump",
 		func(c *core.Ctx, buf core.BufferPtr[int64]) (int64, error) {
 			v, err := core.ReadLocal(c, buf, 0, 1)
@@ -68,9 +68,6 @@ var (
 				return 0, err
 			}
 			v[0]++
-			if err := core.WriteLocal(c, buf, 0, v); err != nil {
-				return 0, err
-			}
 			return v[0], nil
 		})
 

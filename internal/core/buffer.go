@@ -1,16 +1,15 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 	"unsafe"
 
 	"hamoffload/internal/ham"
 )
 
-// Elem constrains buffer element types to fixed-size scalars, whose byte
-// representation is identical on the VH and the VE: little-endian.
+// Elem constrains buffer element types to fixed-size scalars. Simulated
+// memory holds them as this build lays them out, on the VH and the VE alike.
 type Elem interface {
 	~int8 | ~int16 | ~int32 | ~int64 |
 		~uint8 | ~uint16 | ~uint32 | ~uint64 |
@@ -33,9 +32,9 @@ func (b BufferPtr[T]) IsNil() bool { return b.Addr == 0 }
 func (b BufferPtr[T]) ByteSize() int64 { return b.Count * sizeOf[T]() }
 
 // Offset returns a pointer advanced by n elements; bounds-checked against
-// the allocation's element count.
+// the allocation's element count, without wrapping for a forged one.
 func (b BufferPtr[T]) Offset(n int64) (BufferPtr[T], error) {
-	if n < 0 || n > b.Count {
+	if n < 0 || n > b.Count || b.Count > math.MaxInt64/sizeOf[T]() {
 		return BufferPtr[T]{}, fmt.Errorf("core: offset %d outside buffer of %d elements", n, b.Count)
 	}
 	return BufferPtr[T]{Node: b.Node, Addr: b.Addr + uint64(n*sizeOf[T]()), Count: b.Count - n}, nil
@@ -90,11 +89,6 @@ func Free[T Elem](rt *Runtime, b BufferPtr[T]) error {
 	return err
 }
 
-// littleEndian reports whether this build lays scalars out as target memory
-// does — true wherever the simulator is run; where it is not, the copies
-// below keep target memory little-endian.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
 // elemBytes returns the memory of s as bytes, in place: an element slice and
 // its byte image are one storage, so bulk data reaches a backend or a local
 // memory without being copied or re-encoded.
@@ -102,27 +96,15 @@ func elemBytes[T Elem](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int64(len(s))*sizeOf[T]())
 }
 
-// swapElems converts b, made of size-byte elements, between this build's
-// byte order and target memory's, in place: nothing to do but on a
-// big-endian one.
-func swapElems(b []byte, size int64) {
-	if littleEndian {
-		return
+// bytesElems is elemBytes' inverse: the memory of b, a whole number of
+// elements long, as elements in place. It refuses memory misaligned for T,
+// which only a forged address yields (allocations are 64-byte aligned).
+func bytesElems[T Elem](b []byte) ([]T, error) {
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%unsafe.Alignof(*new(T)) != 0 {
+		return nil, fmt.Errorf("core: buffer memory is not aligned for %d-byte elements", sizeOf[T]())
 	}
-	for ; int64(len(b)) >= size; b = b[size:] {
-		slices.Reverse(b[:size])
-	}
-}
-
-// wireBytes returns the little-endian image of src for a backend or a local
-// memory to read: src's own memory, or on a big-endian build a converted copy.
-func wireBytes[T Elem](src []T) []byte {
-	b := elemBytes(src)
-	if !littleEndian {
-		b = slices.Clone(b)
-		swapElems(b, sizeOf[T]())
-	}
-	return b
+	return unsafe.Slice((*T)(p), int64(len(b))/sizeOf[T]()), nil
 }
 
 // Put writes src into target memory at dst (Table II's put). It fails if
@@ -134,7 +116,7 @@ func Put[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) error {
 	if len(src) == 0 {
 		return nil
 	}
-	return rt.backend.Put(dst.Node, wireBytes(src), dst.Addr)
+	return rt.backend.Put(dst.Node, elemBytes(src), dst.Addr)
 }
 
 // Get reads len(dst) elements from target memory at src (Table II's get).
@@ -145,11 +127,7 @@ func Get[T Elem](rt *Runtime, src BufferPtr[T], dst []T) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	if err := rt.backend.Get(src.Node, src.Addr, elemBytes(dst)); err != nil {
-		return err
-	}
-	swapElems(elemBytes(dst), sizeOf[T]())
-	return nil
+	return rt.backend.Get(src.Node, src.Addr, elemBytes(dst))
 }
 
 // PutAsync is the asynchronous variant of Put (Table II's future<void>

@@ -3,27 +3,30 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 
 	"hamoffload/internal/mem"
 )
 
 // Put, Get, ReadLocal and WriteLocal move a []T as the bytes it already is
-// (elemBytes). What those bytes must be is the codec the runtime used before:
-// encoding/binary over a bytes.Buffer, little-endian, one reflection walk per
-// slice. It is kept here — and only here — as the oracle the in-place view is
-// compared against, for every element kind.
+// (elemBytes, and bytesElems the other way). What those bytes must be is the
+// codec the runtime used before: encoding/binary over a bytes.Buffer, one
+// reflection walk per slice, in the build's own byte order — the order bulk
+// elements have in simulated memory. It is kept here — and only here — as
+// the oracle the in-place views are compared against, for every element kind.
 
-func oracleEncode[T Elem](order binary.ByteOrder, src []T) []byte {
+func oracleEncode[T Elem](src []T) []byte {
 	var buf bytes.Buffer
-	if err := binary.Write(&buf, order, src); err != nil {
+	if err := binary.Write(&buf, binary.NativeEndian, src); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
 func oracleDecode[T Elem](data []byte, dst []T) {
-	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, dst); err != nil {
+	if err := binary.Read(bytes.NewReader(data), binary.NativeEndian, dst); err != nil {
 		panic(err)
 	}
 }
@@ -32,10 +35,10 @@ func oracleDecode[T Elem](data []byte, dst []T) {
 // type whose underlying type is.
 type kelvin float64
 
-// checkElemKind reads raw as little-endian elements of T with the oracle and
-// checks the byte view against it both ways — as a source (wireBytes) and as
-// a destination (elemBytes filled, then swapElems) — plus that the view is
-// the slice's own storage and sizeOf is the encoded size.
+// checkElemKind reads raw as elements of T with the oracle and checks both
+// views against it — elemBytes as a source and as a destination, bytesElems
+// over memory that holds raw — plus that each view is the storage it was
+// made from and sizeOf is the encoded size.
 func checkElemKind[T Elem](t *testing.T, raw []byte) {
 	t.Helper()
 	var zero T
@@ -48,12 +51,12 @@ func checkElemKind[T Elem](t *testing.T, raw []byte) {
 	vals := make([]T, n)
 	oracleDecode(raw, vals)
 
-	if got := wireBytes(vals); !bytes.Equal(got, raw) || !bytes.Equal(got, oracleEncode(binary.LittleEndian, vals)) {
-		t.Errorf("%T × %d: wireBytes differs from the encoding/binary image", zero, n)
+	if got := elemBytes(vals); !bytes.Equal(got, raw) || !bytes.Equal(got, oracleEncode(vals)) {
+		t.Errorf("%T × %d: elemBytes differs from the encoding/binary image", zero, n)
 	}
 	for _, cut := range []int{1, n / 2} { // a view of a sub-slice starts at its first element
-		if cut <= n && !bytes.Equal(wireBytes(vals[cut:]), raw[cut*size:]) {
-			t.Errorf("%T × %d: wireBytes(vals[%d:]) is not the tail of the image", zero, n, cut)
+		if cut <= n && !bytes.Equal(elemBytes(vals[cut:]), raw[cut*size:]) {
+			t.Errorf("%T × %d: elemBytes(vals[%d:]) is not the tail of the image", zero, n, cut)
 		}
 	}
 
@@ -61,18 +64,40 @@ func checkElemKind[T Elem](t *testing.T, raw []byte) {
 	// oracle decodes, and nothing outside the view moves.
 	out := make([]T, n+2)
 	copy(elemBytes(out[1:n+1]), raw)
-	swapElems(elemBytes(out[1:n+1]), int64(size))
-	if !bytes.Equal(oracleEncode(binary.LittleEndian, out[1:n+1]), raw) {
+	if !bytes.Equal(oracleEncode(out[1:n+1]), raw) {
 		t.Errorf("%T × %d: elements filled through elemBytes differ from binary.Read's", zero, n)
 	}
 	if out[0] != 0 || out[n+1] != 0 {
 		t.Errorf("%T × %d: filling the view wrote outside it", zero, n)
 	}
 
-	if n > 0 { // in place: a store through the view is a store to the slice
+	// The way back: bytes as elements, over an 8-aligned array at an element
+	// offset, as ReadLocal sees a buffer. Under -race checkptr watches the
+	// conversion.
+	words := make([]uint64, 1+(len(raw)+7)/8)
+	image := elemBytes(words)[size:][:len(raw)]
+	copy(image, raw)
+	back, err := bytesElems[T](image)
+	if err != nil || len(back) != n || !bytes.Equal(oracleEncode(back), raw) {
+		t.Errorf("%T × %d: bytesElems: %v, %d elements, or they differ from binary.Read's", zero, n, err, len(back))
+	}
+	if round := elemBytes(back); len(round) != len(image) || n > 0 && &round[0] != &image[0] {
+		t.Errorf("%T × %d: elemBytes(bytesElems(b)) is not b", zero, n)
+	}
+	if size > 1 && n > 0 {
+		if _, err := bytesElems[T](elemBytes(words)[1:][:size]); err == nil {
+			t.Errorf("%T: bytesElems took memory one byte off an element boundary", zero)
+		}
+	}
+
+	if n > 0 { // in place: a store through either view is a store to what it views
 		elemBytes(vals)[0] ^= 0xFF
-		if bytes.Equal(oracleEncode(binary.LittleEndian, vals), raw) {
+		if bytes.Equal(oracleEncode(vals), raw) {
 			t.Errorf("%T: elemBytes is a copy, not the slice's own memory", zero)
+		}
+		back[0] = vals[0]
+		if !bytes.Equal(image, oracleEncode(vals)) {
+			t.Errorf("%T: bytesElems is a copy, not the bytes' own memory", zero)
 		}
 	}
 }
@@ -135,45 +160,6 @@ func FuzzElemBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) { checkAllElemKinds(t, raw) })
 }
 
-// TestBigEndianFallback runs the conversions of a build whose byte order is
-// not target memory's: the image a backend reads is a little-endian copy,
-// never the caller's storage, and a filled destination converts back.
-func TestBigEndianFallback(t *testing.T) {
-	defer func(was bool) { littleEndian = was }(littleEndian)
-	// With the flag flipped on a little-endian build the "converted" image is
-	// the big-endian one — the same element-wise reversal, seen from here.
-	littleEndian = !littleEndian
-	if littleEndian {
-		t.Skip("big-endian build: the fallback is what every other test runs")
-	}
-	vals := []float64{1.5, -0.0, 3e300}
-	want := oracleEncode(binary.BigEndian, vals)
-	got := wireBytes(vals)
-	if !bytes.Equal(got, want) {
-		t.Errorf("converted image % x, want % x", got, want)
-	}
-	got[0] ^= 0xFF
-	if vals[0] != 1.5 {
-		t.Errorf("the converted image aliases the caller's slice")
-	}
-	back := make([]float64, len(vals))
-	copy(elemBytes(back), want)
-	swapElems(elemBytes(back), 8)
-	if !bytes.Equal(oracleEncode(binary.LittleEndian, back), oracleEncode(binary.LittleEndian, vals)) {
-		t.Errorf("converted back: %v, want %v", back, vals)
-	}
-	for _, size := range []int64{1, 2, 4} { // every element width reverses within itself
-		b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-		swapElems(b, size)
-		for i := range b {
-			if e := int64(i) / size; b[i] != byte(e*size+size-int64(i)%size) {
-				t.Errorf("swapElems(size %d) = %v", size, b)
-				break
-			}
-		}
-	}
-}
-
 // heapBackend is allocBackend with a memory: node 0 holds a Heap, and Put and
 // Get reach it as a backend would, so the whole buffer API runs in-process.
 type heapBackend struct {
@@ -230,11 +216,11 @@ func checkBufferAPI[T Elem](t *testing.T, raw []byte) {
 		t.Errorf("%T: Put: %v; target memory holds the oracle's image: %v", zero, err, bytes.Equal(memory(at3), raw))
 	}
 	got := make([]T, n)
-	if err := Get(rt, at3, got); err != nil || !bytes.Equal(oracleEncode(binary.LittleEndian, got), raw) {
+	if err := Get(rt, at3, got); err != nil || !bytes.Equal(oracleEncode(got), raw) {
 		t.Errorf("%T: Get: %v, or elements differ from the oracle's", zero, err)
 	}
 	local, err := ReadLocal(&rt.ctx, buf, 3, n)
-	if err != nil || !bytes.Equal(oracleEncode(binary.LittleEndian, local), raw) {
+	if err != nil || !bytes.Equal(oracleEncode(local), raw) {
 		t.Errorf("%T: ReadLocal: %v, or elements differ from the oracle's", zero, err)
 	}
 	other := alloc()
@@ -260,5 +246,96 @@ func TestBufferAPIMatchesOracle(t *testing.T) {
 		checkBufferAPI[float32](t, raw)
 		checkBufferAPI[float64](t, raw)
 		checkBufferAPI[kelvin](t, raw)
+	}
+}
+
+// TestLocalAccessRejectsForgedPointers: a BufferPtr is decoded off the wire,
+// so ReadLocal, WriteLocal and Offset must hold against one that is forged or
+// corrupt — fail with an error, wrap nowhere, and touch no memory: nothing
+// becomes resident and the neighbouring allocation keeps its bytes.
+func TestLocalAccessRejectsForgedPointers(t *testing.T) {
+	heap, err := NewHeap("forged", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(&heapBackend{heap: heap}, "forged")
+	addr, err := heap.Alloc(8 * 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := heap.Alloc(64) // directly behind it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.WriteAt(bytes.Repeat([]byte{0x5A}, 64), next); err != nil {
+		t.Fatal(err)
+	}
+	resident := heap.h.ResidentBytes()
+	good := BufferPtr[int64]{Node: 0, Addr: uint64(addr), Count: 8}
+	forge := func(edit func(*BufferPtr[int64])) BufferPtr[int64] {
+		b := good
+		edit(&b)
+		return b
+	}
+	const maxI = math.MaxInt64
+	for _, c := range []struct {
+		name       string
+		b          BufferPtr[int64]
+		off, count int64
+		want       string
+	}{
+		{"negative offset", good, -1, 2, "outside buffer"},
+		{"negative count", good, 0, -1, "outside buffer"},
+		{"past the end", good, 7, 2, "outside buffer"},
+		{"off+count wraps", good, maxI, 2, "outside buffer"},
+		{"count wraps against a negative Count", forge(func(b *BufferPtr[int64]) { b.Count = -5 }), 0, maxI, "outside buffer"},
+		{"Count whose byte size wraps", forge(func(b *BufferPtr[int64]) { b.Count = maxI }), maxI / 2, 2, "outside buffer"},
+		{"Count larger than the allocation, into the neighbour", forge(func(b *BufferPtr[int64]) { b.Count = 16 }), 7, 2, "crosses the extent boundary"},
+		{"Count larger than the allocation, into nothing", forge(func(b *BufferPtr[int64]) { b.Count = 1 << 40 }), 0, 1 << 40, "fault at"},
+		{"unmapped address", forge(func(b *BufferPtr[int64]) { b.Addr = 0xdead000 }), 0, 1, "fault at"},
+		{"another node's buffer", forge(func(b *BufferPtr[int64]) { b.Node = 1 }), 0, 1, "accessed from node"},
+	} {
+		if v, err := ReadLocal(&rt.ctx, c.b, c.off, c.count); err == nil || v != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadLocal = %d elements, %v; want an error with %q", c.name, len(v), err, c.want)
+		}
+		if c.count >= 0 && c.count <= 16 {
+			vals := make([]int64, c.count)
+			for i := range vals {
+				vals[i] = -1
+			}
+			if err := WriteLocal(&rt.ctx, c.b, c.off, vals); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: WriteLocal = %v; want an error with %q", c.name, err, c.want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		b    BufferPtr[int64]
+		n    int64
+	}{
+		{"negative", good, -1},
+		{"past the end", good, 9},
+		{"byte offset wraps", forge(func(b *BufferPtr[int64]) { b.Count = maxI }), maxI / 2},
+	} {
+		if got, err := c.b.Offset(c.n); err == nil {
+			t.Errorf("Offset, %s: %+v, want an error", c.name, got)
+		}
+	}
+	if end, err := good.Offset(8); err != nil || end.Count != 0 || end.Addr != good.Addr+64 {
+		t.Errorf("Offset to the end = %+v, %v", end, err)
+	}
+
+	if got := heap.h.ResidentBytes(); got != resident {
+		t.Errorf("the refused accesses made %d more bytes resident", got-resident)
+	}
+	kept := make([]byte, 64)
+	if err := heap.ReadAt(kept, next); err != nil || !bytes.Equal(kept, bytes.Repeat([]byte{0x5A}, 64)) {
+		t.Errorf("the refused accesses changed the neighbouring allocation: %v, % x", err, kept[:8])
+	}
+
+	// An address off an element boundary is mapped memory but no []int64.
+	odd := forge(func(b *BufferPtr[int64]) { b.Addr++; b.Count = 7 })
+	if v, err := ReadLocal(&rt.ctx, odd, 0, 2); err == nil || v != nil || !strings.Contains(err.Error(), "not aligned") {
+		t.Errorf("misaligned address: ReadLocal = %d elements, %v; want an alignment error", len(v), err)
 	}
 }

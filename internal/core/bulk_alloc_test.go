@@ -9,11 +9,12 @@ import (
 )
 
 // TestBulkPathAllocBytes pins what bulk data costs the Go heap on the VEO
-// protocol, the path Fig. 10 measures. A round trip of n bytes — Put, a
-// kernel that ReadLocals the buffer and WriteLocals it back, Get — may
-// allocate one n-byte slice, the one ReadLocal returns; Put and Get by
-// themselves allocate nothing that grows with n. (With the reflection codec,
-// the per-call byte buffers and the host bounce extent it was about 11 n.)
+// protocol, the path Fig. 10 measures: nothing that grows with n. Not a round
+// trip of n bytes — Put, a kernel that ReadLocals the buffer, scales it and
+// WriteLocals it back, Get — once a first trip has backed the VE buffer and
+// made it one array, and not Put or Get by themselves. (With the reflection
+// codec, the per-call byte buffers and the host bounce extent a round trip
+// was about 11 n; with ReadLocal handing out a copy, 1 n.)
 func TestBulkPathAllocBytes(t *testing.T) {
 	const (
 		elems  = 1 << 20 / 8
@@ -48,7 +49,7 @@ func TestBulkPathAllocBytes(t *testing.T) {
 			return core.Get(rt, buf, dst)
 		}
 		// allocated returns the bytes fn allocates per run, after one
-		// unmeasured run has backed the VE buffer's chunks.
+		// unmeasured run has backed the VE buffer.
 		allocated := func(fn func() error) (uint64, error) {
 			if err := fn(); err != nil {
 				return 0, err
@@ -64,22 +65,13 @@ func TestBulkPathAllocBytes(t *testing.T) {
 			return (after.TotalAlloc - before.TotalAlloc) / rounds, nil
 		}
 
-		perTrip, err := allocated(roundTrip)
-		if err != nil {
-			return err
-		}
-		if dst[3] != 6 {
-			t.Errorf("round trip left dst[3] = %v, want 3 scaled by 2", dst[3])
-		}
-		if limit := uint64(nBytes + nBytes/4); perTrip > limit {
-			t.Errorf("a %d-byte round trip allocates %d bytes, want at most %d (1.25 n)", nBytes, perTrip, limit)
-		}
 		for _, op := range []struct {
 			name string
 			fn   func() error
 		}{
 			{"Put", func() error { return core.Put(rt, src, buf) }},
 			{"Get", func() error { return core.Get(rt, buf, dst) }},
+			{"round trip", roundTrip},
 		} {
 			name := op.name
 			per, err := allocated(op.fn)
@@ -91,7 +83,9 @@ func TestBulkPathAllocBytes(t *testing.T) {
 			}
 			t.Logf("%s of %d bytes: %d bytes allocated", name, nBytes, per)
 		}
-		t.Logf("round trip of %d bytes: %d bytes allocated (%.2f n)", nBytes, perTrip, float64(perTrip)/nBytes)
+		if dst[3] != 6 {
+			t.Errorf("round trip left dst[3] = %v, want 3 scaled by 2", dst[3])
+		}
 		return nil
 	})
 	if err != nil {

@@ -42,10 +42,8 @@ type LocalMemory interface {
 	Alloc(n int64) (mem.Addr, error)
 	// Free releases an allocation made with Alloc.
 	Free(addr mem.Addr) error
-	// ReadAt copies len(p) bytes from addr into p.
-	ReadAt(p []byte, addr mem.Addr) error
-	// WriteAt copies p to addr.
-	WriteAt(p []byte, addr mem.Addr) error
+	// View returns the memory of [addr, addr+n), in one allocation, itself.
+	View(addr mem.Addr, n int64) ([]byte, error)
 }
 
 // Backend is the abstract communication layer of Fig. 1. One Backend value

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -398,6 +399,54 @@ func TestHeapLeakAccounting(t *testing.T) {
 	}
 	if err := h.ReadAt(make([]byte, 1), a1); err == nil {
 		t.Error("read after free should fault")
+	}
+}
+
+// TestHeapViewsFromManyGoroutines: on the wall-clock backends a kernel's view
+// lives outside the Heap's lock while other goroutines allocate, view, copy
+// and free on the same heap. Each goroutine works on buffers of its own —
+// nothing but the heap is shared — so under -race this holds the lock to
+// covering all of the shared state, the first view's re-backing included.
+func TestHeapViewsFromManyGoroutines(t *testing.T) {
+	h, err := core.NewHeap("views", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 300 << 10 // more than one 256 KiB chunk
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				addr, err := h.Alloc(size)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				stamp := bytes.Repeat([]byte{byte(g*32 + i)}, size)
+				if err := h.WriteAt(stamp[:size/2], addr); err != nil { // chunk-backed first
+					t.Error(err)
+				}
+				v, err := h.View(addr, size)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				copy(v[size/2:], stamp[size/2:]) // outside the lock, as a kernel would
+				got := make([]byte, size)
+				if err := h.ReadAt(got, addr); err != nil || !bytes.Equal(got, stamp) {
+					t.Errorf("goroutine %d, buffer %d: ReadAt after a store through the view: %v, equal %v", g, i, err, bytes.Equal(got, stamp))
+				}
+				if err := h.Free(addr); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := h.LiveAllocs(); n != 0 {
+		t.Errorf("%d allocations left", n)
 	}
 }
 

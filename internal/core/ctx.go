@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hamoffload/internal/mem"
 )
@@ -35,40 +36,45 @@ func (c *Ctx) ChargeScalar(ops int64) {
 	c.rt.clock.ChargeScalar(ops)
 }
 
-// checkLocal verifies that the buffer lives on the executing node.
-func (c *Ctx) checkLocal(node NodeID) error {
-	if node != c.rt.ThisNode() {
-		return fmt.Errorf("core: buffer on node %d accessed from node %d", node, c.rt.ThisNode())
+// localView returns the memory of elements [off, off+count) of a buffer on
+// the executing node. b is decoded off the wire and may be forged or corrupt,
+// so no step of the bounds check may wrap.
+func localView[T Elem](c *Ctx, b BufferPtr[T], off, count int64, access string) ([]byte, error) {
+	if b.Node != c.rt.ThisNode() {
+		return nil, fmt.Errorf("core: buffer on node %d accessed from node %d", b.Node, c.rt.ThisNode())
 	}
-	return nil
+	size := sizeOf[T]()
+	if off < 0 || count < 0 || count > b.Count || off > b.Count-count || b.Count > math.MaxInt64/size {
+		return nil, fmt.Errorf("core: local %s [%d,+%d) outside buffer of %d elements", access, off, count, b.Count)
+	}
+	return c.rt.backend.Memory().View(mem.Addr(b.Addr)+mem.Addr(off*size), count*size)
 }
 
-// ReadLocal loads count elements starting at element offset off from a
-// local buffer — how an offloaded function gets at the data behind a
-// buffer_ptr argument. The result is a copy: changing it changes the buffer
-// only through WriteLocal.
+// ReadLocal returns count elements of a local buffer from element offset off
+// — how an offloaded function gets at the data behind a buffer_ptr argument,
+// and as in the paper it dereferences in place: the result is the buffer's
+// own memory, valid until Free, not a copy. A store through it is a store to
+// the buffer, seen by later ReadLocals and Gets with no WriteLocal (a kernel
+// that must keep its input copies it), and like a raw pointer nothing orders
+// it against another goroutine's Put or Get on the wall-clock backends.
 func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
-	if err := c.checkLocal(b.Node); err != nil {
+	v, err := localView(c, b, off, count, "read")
+	if err != nil {
 		return nil, err
 	}
-	if off < 0 || count < 0 || off+count > b.Count {
-		return nil, fmt.Errorf("core: local read [%d,+%d) outside buffer of %d elements", off, count, b.Count)
-	}
-	out := make([]T, count)
-	if err := c.rt.backend.Memory().ReadAt(elemBytes(out), mem.Addr(b.Addr)+mem.Addr(off*sizeOf[T]())); err != nil {
-		return nil, err
-	}
-	swapElems(elemBytes(out), sizeOf[T]())
-	return out, nil
+	return bytesElems[T](v)
 }
 
-// WriteLocal stores vals into a local buffer at element offset off.
+// WriteLocal stores vals into a local buffer at element offset off: one
+// memmove, so vals may be a ReadLocal of the same buffer at another offset,
+// and nothing at all when vals is already the memory it would be stored to.
 func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
-	if err := c.checkLocal(b.Node); err != nil {
+	dst, err := localView(c, b, off, int64(len(vals)), "write")
+	if err != nil {
 		return err
 	}
-	if off < 0 || off+int64(len(vals)) > b.Count {
-		return fmt.Errorf("core: local write [%d,+%d) outside buffer of %d elements", off, len(vals), b.Count)
+	if src := elemBytes(vals); len(src) > 0 && &src[0] != &dst[0] {
+		copy(dst, src)
 	}
-	return c.rt.backend.Memory().WriteAt(wireBytes(vals), mem.Addr(b.Addr)+mem.Addr(off*sizeOf[T]()))
+	return nil
 }

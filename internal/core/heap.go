@@ -39,14 +39,21 @@ func (h *Heap) Free(addr mem.Addr) error {
 	return h.h.Free(addr)
 }
 
-// ReadAt implements LocalMemory.
+// View implements LocalMemory; the view outlives the lock, as a pointer does.
+func (h *Heap) View(addr mem.Addr, n int64) ([]byte, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.View(addr, n)
+}
+
+// ReadAt copies len(p) bytes from addr into p: the backends' Get.
 func (h *Heap) ReadAt(p []byte, addr mem.Addr) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.h.ReadAt(p, addr)
 }
 
-// WriteAt implements LocalMemory.
+// WriteAt copies p to addr: the backends' Put.
 func (h *Heap) WriteAt(p []byte, addr mem.Addr) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -14,9 +14,8 @@ import (
 // Addr is an address within one Memory.
 type Addr uint64
 
-// ChunkSize is the granularity of lazy backing storage. Slice views must not
-// cross a chunk boundary; protocol-level buffers (messages, flags) are far
-// smaller than this, and bulk data uses ReadAt/WriteAt, which span freely.
+// ChunkSize is the granularity of lazy backing storage: an extent is backed
+// chunk by chunk, on first write, until a View makes it one array.
 const ChunkSize = 256 << 10
 
 // Memory is a sparse, byte-addressable address space made of mapped extents.
@@ -30,7 +29,8 @@ type Memory struct {
 type extent struct {
 	addr   Addr
 	size   int64
-	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or MapBytes windows
+	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or windows onto one array
+	flat   bool     // chunks are windows onto one array of size bytes: MapBytes, or the first View
 }
 
 func (e *extent) end() Addr { return e.addr + Addr(e.size) }
@@ -50,11 +50,19 @@ func (e *extent) chunk(off int64, allocate bool) []byte {
 //
 //hot:cold
 func (e *extent) touch(i int64) {
-	size := int64(ChunkSize)
-	if rem := e.size - i*ChunkSize; rem < size {
-		size = rem
+	e.chunks[i] = make([]byte, min(ChunkSize, e.size-i*ChunkSize))
+}
+
+// flatten makes data, the extent's size long, its backing store: what the
+// chunks held is copied in and the chunk table becomes ChunkSize windows onto
+// data. No window's capacity is clipped, so any range of the extent can be
+// resliced out of the window it starts in.
+func (e *extent) flatten(data []byte) {
+	for i, c := range e.chunks {
+		e.chunks[i] = data[i*ChunkSize : min((i+1)*ChunkSize, len(data))]
+		copy(e.chunks[i], c)
 	}
-	e.chunks[i] = make([]byte, size)
+	e.flat = true
 }
 
 // NewMemory returns an empty address space. The name appears in errors.
@@ -128,10 +136,7 @@ func (m *Memory) MapBytes(addr Addr, data []byte) error {
 	if err := m.Map(addr, int64(len(data))); err != nil {
 		return err
 	}
-	e := m.extents[m.find(addr)]
-	for i := range e.chunks {
-		e.chunks[i] = data[i*ChunkSize : min((i+1)*ChunkSize, len(data))]
-	}
+	m.extents[m.find(addr)].flatten(data)
 	return nil
 }
 
@@ -147,12 +152,15 @@ func (m *Memory) Unmap(addr Addr) error {
 }
 
 // Mapped reports whether the whole range [addr, addr+size) is mapped.
-func (m *Memory) Mapped(addr Addr, size int64) bool {
-	if size <= 0 {
-		return size == 0
+func (m *Memory) Mapped(addr Addr, size int64) bool { return m.checkMapped(addr, size) == nil }
+
+// Discard lets go of every extent's backing store — chunks, arrays and the
+// views onto them: the ranges stay mapped and read as zero again.
+func (m *Memory) Discard() {
+	for _, e := range m.extents {
+		clear(e.chunks)
+		e.flat = false
 	}
-	_, gap := m.firstGap(addr, addr+Addr(size))
-	return !gap
 }
 
 // firstGap returns the lowest unmapped address in [addr, end), if there is
@@ -266,30 +274,31 @@ func (m *Memory) wrapError(addr Addr, n int64) error {
 	return fmt.Errorf("mem %s: access [%#x,+%d) wraps the address space", m.name, addr, n)
 }
 
-// Slice returns a direct, writable view of [addr, addr+n). The range must
-// lie within a single backing chunk of a single extent; it is the zero-copy
-// fast path for small protocol structures such as flags and message headers.
-func (m *Memory) Slice(addr Addr, n int64) ([]byte, error) {
+// View returns the memory of [addr, addr+n) itself, which must lie in one
+// extent (a heap allocation is one): stores through the slice and every
+// other access to the range see each other until Unmap. The first view of an
+// extent backs all of it with one array that never moves (MapBytes extents
+// have theirs already), so views taken before and after each other stay
+// attached and a viewed extent is fully resident; others stay chunk-lazy.
+func (m *Memory) View(addr Addr, n int64) ([]byte, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("mem %s: Slice negative length %d", m.name, n)
+		return nil, m.wrapError(addr, n)
 	}
-	i := m.find(addr)
-	if i >= len(m.extents) || m.extents[i].addr > addr {
-		return nil, fmt.Errorf("mem %s: Slice fault at %#x", m.name, addr)
+	if n == 0 {
+		return nil, nil
 	}
-	e := m.extents[i]
-	off := int64(addr - e.addr)
-	if off+n > e.size {
-		return nil, fmt.Errorf("mem %s: Slice [%#x,+%d) crosses extent boundary at %#x",
-			m.name, addr, n, e.end())
+	e, off, _ := m.piece(addr, addr)
+	if e == nil || n > e.size-off {
+		if err := m.checkMapped(addr, n); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("mem %s: View [%#x,+%d) crosses the extent boundary at %#x", m.name, addr, n, e.end())
 	}
-	if off/ChunkSize != (off+n-1)/ChunkSize && n > 0 {
-		return nil, fmt.Errorf("mem %s: Slice [%#x,+%d) crosses a %d-byte chunk boundary",
-			m.name, addr, n, int64(ChunkSize))
+	if !e.flat {
+		e.flatten(make([]byte, e.size))
 	}
-	c := e.chunk(off, true)
 	co := off % ChunkSize
-	return c[co : co+n : co+n], nil
+	return e.chunks[off/ChunkSize][co : co+n : co+n], nil
 }
 
 // Copy moves n bytes from src/srcAddr to dst/dstAddr, possibly between

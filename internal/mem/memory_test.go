@@ -150,14 +150,17 @@ func TestMapped(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
+func TestView(t *testing.T) {
 	m := NewMemory("test")
 	if err := m.Map(0, 100); err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Slice(10, 20)
+	s, err := m.View(10, 20)
 	if err != nil {
-		t.Fatalf("Slice: %v", err)
+		t.Fatalf("View: %v", err)
+	}
+	if len(s) != 20 || cap(s) != 20 {
+		t.Errorf("View(10, 20) has len %d cap %d: it must not reach past its range", len(s), cap(s))
 	}
 	copy(s, "direct view works!")
 	got := make([]byte, 18)
@@ -167,12 +170,220 @@ func TestSlice(t *testing.T) {
 	if string(got) != "direct view works!" {
 		t.Fatalf("got %q", got)
 	}
-	if _, err := m.Slice(90, 20); err == nil {
-		t.Error("Slice past extent should fail")
+	if s, err := m.View(5000, 0); err != nil || len(s) != 0 {
+		t.Errorf("View of no bytes = %v, %v; like ReadAt of none it touches nothing", s, err)
 	}
-	if _, err := m.Slice(200, 1); err == nil {
-		t.Error("Slice of unmapped should fail")
+}
+
+// TestViewFaults: a view that cannot be one slice of one extent fails, with
+// the text a ReadAt of the range gives wherever ReadAt fails too, and makes
+// nothing resident.
+func TestViewFaults(t *testing.T) {
+	m := NewMemory("test")
+	for _, e := range [][2]int64{{0x1000, 100}, {0x1000 + 100, 50}, {0x3000, 64}} { // two adjacent, one apart
+		if err := m.Map(Addr(e[0]), e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for _, c := range []struct {
+		name string
+		addr Addr
+		n    int64
+		want string // "" = what ReadAt says
+	}{
+		{"past the extent's end into a gap", 0x3000 + 60, 8, ""},
+		{"unmapped", 0x2000, 1, ""},
+		{"just below an extent", 0x2fff, 2, ""},
+		{"wrapping the address space", ^Addr(0) - 3, 8, ""},
+		{"spanning two adjacent extents", 0x1000 + 90, 20, "mem test: View [0x105a,+20) crosses the extent boundary at 0x1064"},
+		{"negative length", 0x1000, -1, "mem test: access [0x1000,+-1) wraps the address space"},
+	} {
+		want := c.want
+		if want == "" {
+			err := m.ReadAt(make([]byte, c.n), c.addr)
+			if err == nil {
+				t.Fatalf("%s: ReadAt succeeds", c.name)
+			}
+			want = err.Error()
+		}
+		if s, err := m.View(c.addr, c.n); err == nil || err.Error() != want || s != nil {
+			t.Errorf("%s: View = %d bytes, %v; want the error %q", c.name, len(s), err, want)
+		}
+	}
+	if got := m.ResidentBytes(); got != 0 {
+		t.Errorf("failed views made %d bytes resident", got)
+	}
+}
+
+// TestViewIsTheMemory: the first view of an extent keeps what its chunks
+// held (untouched ones read zero), and from then on the views — taken
+// before and after each other, across chunk boundaries — and ReadAt,
+// WriteAt and Copy (every simulated DMA is one) all work on one storage,
+// in both directions.
+func TestViewIsTheMemory(t *testing.T) {
+	const base, size = Addr(0x40_0000 + 64), 3*ChunkSize + 1000
+	m := NewMemory("test")
+	if err := m.Map(base, size); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Map(base+size, 64); err != nil { // a neighbour that is never viewed
+		t.Fatal(err)
+	}
+	ref := make([]byte, size) // what the extent must hold
+
+	for _, at := range []int{5, ChunkSize - 3, 3*ChunkSize + 990} { // chunk 1 stays untouched
+		b := genStream(uint64(at), 10)
+		copy(ref[at:], b)
+		if err := m.WriteAt(b, base+Addr(at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(after string, views ...[]byte) {
+		t.Helper()
+		got := make([]byte, size)
+		if err := m.ReadAt(got, base); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("after %s: ReadAt differs from the reference", after)
+		}
+		for i, v := range views {
+			if !bytes.Equal(v, ref[len(ref)-len(v):]) && !bytes.Equal(v, ref[:len(v)]) {
+				t.Fatalf("after %s: view %d is detached from the extent", after, i)
+			}
+		}
+	}
+	if got := m.ResidentBytes(); got != 2*ChunkSize+1000 {
+		t.Fatalf("%d bytes resident before the first view, want three chunks' worth", got)
+	}
+	early, err := m.View(base, ChunkSize+100) // from the start, over a boundary
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ResidentBytes(); got != size {
+		t.Errorf("%d bytes resident after the first view, want the whole extent (%d) and none of its neighbour", got, size)
+	}
+	same("flattening", early)
+
+	copy(early[ChunkSize-2:], "over the boundary") // view → memory
+	copy(ref[ChunkSize-2:], "over the boundary")
+	same("a store through the view", early)
+
+	late, err := m.View(base+ChunkSize-7, size-(ChunkSize-7)) // to the end, overlapping early
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := genStream(7, 2*ChunkSize)
+	if err := m.WriteAt(stamp, base+100); err != nil { // memory → both views
+		t.Fatal(err)
+	}
+	copy(ref[100:], stamp)
+	same("WriteAt under two views", early, late)
+
+	other := NewMemory("other")
+	if err := other.MapBytes(0, genStream(8, ChunkSize+9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Copy(m, base+2*ChunkSize-4, other, 0, ChunkSize+9); err != nil { // a DMA in
+		t.Fatal(err)
+	}
+	copy(ref[2*ChunkSize-4:], genStream(8, ChunkSize+9))
+	same("Copy in", early, late)
+
+	late[len(late)-1] ^= 0xFF // view → a DMA out
+	ref[size-1] ^= 0xFF
+	out := make([]byte, 16)
+	if err := other.MapBytes(0x10_0000, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := Copy(other, 0x10_0000, m, base+size-16, 16); err != nil || !bytes.Equal(out, ref[size-16:]) {
+		t.Errorf("Copy out of a viewed extent: %v, the view's store arrived: %v", err, bytes.Equal(out, ref[size-16:]))
+	}
+	if err := Copy(m, base+10, m, base, 2*ChunkSize); err != nil { // memmove within the extent
+		t.Fatal(err)
+	}
+	copy(ref[10:], ref[:2*ChunkSize])
+	same("an overlapping Copy", early, late)
+
+	if err := m.Unmap(base); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ResidentBytes(); got != 0 {
+		t.Errorf("%d bytes resident after Unmap: the array is still held", got)
+	}
+}
+
+// TestViewOfMapBytes: an extent mapped over a caller's bytes is a view
+// already — View hands back the caller's slice and allocates nothing.
+func TestViewOfMapBytes(t *testing.T) {
+	data := genStream(3, 2*ChunkSize+50)
+	m := NewMemory("test")
+	if err := m.MapBytes(0x1000, data); err != nil {
+		t.Fatal(err)
+	}
+	var v []byte
+	if n := testing.AllocsPerRun(10, func() { v, _ = m.View(0x1000+ChunkSize-1, ChunkSize+51) }); n != 0 {
+		t.Errorf("View of a MapBytes extent allocates %v times", n)
+	}
+	if len(v) != ChunkSize+51 || &v[0] != &data[ChunkSize-1] {
+		t.Errorf("View of a MapBytes extent is not the caller's slice")
+	}
+}
+
+// TestDiscard: every extent — chunk-backed, viewed, mapped over a caller's
+// bytes — lets go of its storage and reads as zero, still mapped; earlier
+// views are detached, a new one is backed afresh.
+func TestDiscard(t *testing.T) {
+	m := NewMemory("test")
+	data := genStream(1, 100)
+	kept := bytes.Clone(data)
+	if err := m.Map(0, 2*ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Map(0x10_0000, 3*ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MapBytes(0x20_0000, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAt(genStream(2, 50), ChunkSize-25); err != nil {
+		t.Fatal(err)
+	}
+	old, err := m.View(0x10_0000+5, 2*ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[0] = 9
+	m.Discard()
+	if got := m.ResidentBytes(); got != 0 {
+		t.Errorf("%d bytes resident after Discard", got)
+	}
+	if got := m.MappedBytes(); got != 5*ChunkSize+100 {
+		t.Errorf("%d bytes mapped after Discard, want all of them", got)
+	}
+	for _, r := range [][2]int64{{0, 2 * ChunkSize}, {0x10_0000, 3 * ChunkSize}, {0x20_0000, 100}} {
+		got := make([]byte, r[1])
+		if err := m.ReadAt(got, Addr(r[0])); err != nil || !bytes.Equal(got, make([]byte, r[1])) {
+			t.Errorf("extent at %#x after Discard: %v, reads zero: %v", r[0], err, err == nil)
+		}
+	}
+	fresh, err := m.View(0x10_0000+5, 8)
+	if err != nil || fresh[0] != 0 || &fresh[0] == &old[0] {
+		t.Errorf("a view after Discard: %v, % x; it must be zeroed storage of its own", err, fresh)
+	}
+	if old[0] != 9 || !bytes.Equal(data, kept) {
+		t.Errorf("Discard wrote to storage it let go of")
+	}
+}
+
+// genStream returns n bytes of a fixed pseudo-random stream.
+func genStream(seed uint64, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		out[i] = byte(seed >> 56)
+	}
+	return out
 }
 
 func TestCopyBetweenMemories(t *testing.T) {
@@ -410,10 +621,6 @@ func TestCopyMatchesBounceReference(t *testing.T) {
 	}
 }
 
-// TestMapBytes holds an extent mapped over a caller's bytes to an ordinary
-// one holding a copy of them: every load, store, Copy and Slice agrees, the
-// caller's slice is the storage (stores show up in it, at once), and Unmap
-// ends the alias without touching the bytes.
 // Unmap lets go of the backing store: bulk transfers map the caller's own
 // slices for the length of one call (hostmem.AllocBytes), and a stale pointer
 // left in the vacated slot of the extent table would keep the last of them
@@ -437,6 +644,10 @@ func TestUnmapLetsGoOfBacking(t *testing.T) {
 	}
 }
 
+// TestMapBytes holds an extent mapped over a caller's bytes to an ordinary
+// one holding a copy of them: every load, store, Copy and View agrees, the
+// caller's slice is the storage (stores show up in it, at once), and Unmap
+// ends the alias without touching the bytes.
 func TestMapBytes(t *testing.T) {
 	const base = Addr(0x40_0000 + 24) // chunk windows are relative to the extent, not the address
 	for _, size := range []int{1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 17} {
@@ -508,7 +719,7 @@ func TestMapBytes(t *testing.T) {
 			t.Fatalf("size %d: Copy out of the alias: %v, bytes equal %v", size, err, bytes.Equal(got, data))
 		}
 
-		view, err := m.Slice(base+Addr(size-1), 1)
+		view, err := m.View(base+Addr(size-1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +727,7 @@ func TestMapBytes(t *testing.T) {
 		if err := ref.WriteAt(view, base+Addr(size-1)); err != nil {
 			t.Fatal(err)
 		}
-		same("a store through Slice")
+		same("a store through View")
 
 		if got := m.MappedBytes(); got != int64(size) {
 			t.Errorf("size %d: MappedBytes = %d", size, got)

@@ -166,7 +166,7 @@ func (c *Card) CreateProcess(p *simtime.Proc) (*Process, error) {
 }
 
 // DestroyProcess tears the VE process down; its contexts stop after their
-// current command.
+// current command, and as after veo_proc_destroy its memory image is gone.
 func (c *Card) DestroyProcess(p *simtime.Proc) error {
 	if c.proc == nil {
 		return fmt.Errorf("veos: VE %d runs no process", c.ID)
@@ -175,6 +175,7 @@ func (c *Card) DestroyProcess(p *simtime.Proc) error {
 		ctx.stop = true
 	}
 	c.proc = nil
+	c.Mem.Discard()
 	return nil
 }
 

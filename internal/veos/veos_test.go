@@ -5,6 +5,7 @@ import (
 
 	"hamoffload/internal/dma"
 	"hamoffload/internal/hostmem"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
@@ -73,8 +74,18 @@ func TestProcessLifecycle(t *testing.T) {
 		if _, err := r.card.CreateProcess(p); err == nil {
 			t.Error("second CreateProcess should fail")
 		}
+		addr, err := vp.AllocMem(p, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.card.Mem.WriteAt([]byte("image"), mem.Addr(addr)); err != nil {
+			t.Fatal(err)
+		}
 		if err := r.card.DestroyProcess(p); err != nil {
 			t.Fatalf("DestroyProcess: %v", err)
+		}
+		if n := r.card.Mem.ResidentBytes(); n != 0 || !r.card.Mem.Mapped(mem.Addr(addr), 4096) {
+			t.Errorf("after DestroyProcess %d bytes of the process's memory image are still resident (its mappings stay)", n)
 		}
 		if err := r.card.DestroyProcess(p); err == nil {
 			t.Error("double DestroyProcess should fail")

@@ -34,6 +34,8 @@
 //	fut := offload.Async(rt, target, innerProd.Bind(aT, bT, n))
 //	result, err := fut.Get()
 //
+// As in the paper the kernel dereferences in place: av and bv are the buffers.
+//
 // The communication backend is exchangeable (Fig. 1): the machine package
 // wires the two SX-Aurora protocols of the paper onto a simulated A300-8;
 // the TCP backend connects host processes over real sockets.
@@ -205,12 +207,14 @@ func Copy[T Elem](rt *Runtime, src, dst BufferPtr[T], count int64) error {
 	return core.Copy(rt, src, dst, count)
 }
 
-// ReadLocal loads elements from a local buffer inside an offloaded function.
+// ReadLocal returns elements [off, off+count) of a local buffer inside an
+// offloaded function: the buffer's own memory, valid until Free, not a copy.
 func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 	return core.ReadLocal(c, b, off, count)
 }
 
-// WriteLocal stores elements into a local buffer inside an offloaded function.
+// WriteLocal stores elements into a local buffer inside an offloaded
+// function; a no-op when vals is what ReadLocal returned for that offset.
 func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
 	return core.WriteLocal(c, b, off, vals)
 }
