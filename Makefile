@@ -35,7 +35,8 @@ bench-check:
 
 # Sample outputs, generated from the same table: docs/sample-output/NAME.txt
 # is `hambench -exp NAME` (a file that names no row fails the run; a row
-# without a file fails bench's table test), except the two named below.
+# without a file fails bench's table test), except the three named below
+# (veinfo-json pins the registry snapshot format of `veinfo -json`).
 # `samples` rewrites every file, `samples-check` fails on any byte of drift.
 SAMPLES := docs/sample-output
 BUILD := .bench_build
@@ -47,6 +48,7 @@ samples samples-check:
 		case $$exp in \
 		fig9-socket1) cmd="$(BUILD)/hambench -exp fig9 -socket 1" ;; \
 		tables-1-and-3) cmd="$(GO) run ./cmd/veinfo" ;; \
+		veinfo-json) cmd="$(GO) run ./cmd/veinfo -json" ;; \
 		*) cmd="$(BUILD)/hambench -exp $$exp" ;; \
 		esac; \
 		$$cmd > $(BUILD)/fresh.txt 2> $(BUILD)/fresh.err || { cat $(BUILD)/fresh.err >&2; exit 1; }; \

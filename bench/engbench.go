@@ -15,17 +15,16 @@ type EngineReport struct {
 }
 
 // EngineProfileReport runs the telemetry workload and reduces its engine
-// profile to a regression report.
+// footprint to a regression report.
 func EngineProfileReport(cfg TelemetryConfig) (EngineReport, error) {
 	cfg.fill()
 	res, err := Telemetry(cfg)
-	e := res.Engine
 	return EngineReport{
 		Experiment:    "engine",
 		Offloads:      cfg.Waves * cfg.Tasks,
 		VEs:           cfg.VEs,
-		Events:        e.Events,
-		SimTimeUS:     e.FinalTime.Microseconds(),
-		MaxQueueDepth: e.MaxQueueLen,
+		Events:        res.Events,
+		SimTimeUS:     res.FinalTime.Microseconds(),
+		MaxQueueDepth: res.MaxQueueLen,
 	}, err
 }

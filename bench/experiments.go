@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
 )
@@ -215,13 +214,10 @@ func runTelemetry(env *Env) error {
 		return err
 	}
 	RenderTelemetry(env.Out, res)
-	// The wall-clock half of the engine profile is machine-dependent, so it
-	// goes to stderr and stays out of CI's byte comparison.
-	telemetry.RenderEngineStats(os.Stderr, res.Engine)
-	if err := export(env.Flows, res.Collector.ExportChromeFlows); err != nil {
+	if err := export(env.Flows, res.Tracer.ExportChromeFlows); err != nil {
 		return err
 	}
-	return export(env.Folded, res.Collector.ExportFolded)
+	return export(env.Folded, res.Tracer.ExportFolded)
 }
 
 // export writes one side artefact to path; an empty path means not asked for.

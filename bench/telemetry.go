@@ -6,20 +6,19 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
+	"hamoffload/internal/topology"
+	"hamoffload/internal/trace"
 	"hamoffload/machine"
 	"hamoffload/offload"
 	"hamoffload/sched"
 )
 
-// The continuous-telemetry experiment exercises every instrument of
-// internal/telemetry on one deterministic workload: waves of scheduled
-// offloads over several VEs, batched four to a frame, with seeded user-DMA
-// faults so the retry path shows up in the series and the causal flows.
-// Everything the experiment prints through RenderTelemetry is simulated
-// time, so two runs produce byte-identical output; the wall-clock side of
-// the DES engine profile is reported separately (hambench sends it to
-// stderr) because it is machine-dependent by design.
+// The continuous-telemetry experiment exercises the series, SLO and flow
+// instruments of internal/trace on one deterministic workload: waves of
+// scheduled offloads over several VEs, batched four to a frame, with seeded
+// user-DMA faults so the retry path shows up in the series and the causal
+// flows. Everything the experiment prints through RenderTelemetry is
+// simulated time, so two runs produce byte-identical output.
 
 // TelemetryConfig parameterises the telemetry experiment.
 type TelemetryConfig struct {
@@ -43,9 +42,14 @@ func (c *TelemetryConfig) fill() {
 // TelemetryResult is one run of the experiment.
 type TelemetryResult struct {
 	VEs, Tasks, Waves int
-	Collector         *telemetry.Collector
-	Engine            telemetry.EngineStats
+	Tracer            *trace.Tracer
 	Retries           int64
+
+	// The DES engine's footprint on the run, all simulated: wake events
+	// processed, the clock at completion, the event-queue high-water mark.
+	Events      uint64
+	FinalTime   simtime.Time
+	MaxQueueLen int
 }
 
 // telemetryWork is the experiment's kernel: a roofline-charged vector loop
@@ -69,73 +73,71 @@ func telemetryPlan() *faults.Plan {
 }
 
 // Telemetry runs the workload with every instrument armed (flows included)
-// and returns the collector plus the engine profile of the run.
+// and returns the tracer plus the engine footprint of the run.
 func Telemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 	cfg.fill()
 	res := TelemetryResult{VEs: cfg.VEs, Tasks: cfg.Tasks, Waves: cfg.Waves}
-	col := telemetry.New(telemetry.Config{
+	res.Tracer = trace.New(trace.Config{
 		Interval:  5 * simtime.Microsecond,
 		SLOTarget: 60 * simtime.Microsecond,
 		SLOWindow: 250 * simtime.Microsecond,
 		Flows:     true,
 	})
+	timing := topology.DefaultTiming()
+	timing.Tracer = res.Tracer
 	m, err := machine.New(machine.Config{
-		VEs:       cfg.VEs,
-		Telemetry: col,
-		Faults:    telemetryPlan(),
+		VEs:    cfg.VEs,
+		Timing: &timing,
+		Faults: telemetryPlan(),
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Engine, err = telemetry.ProfileEngine(m.Eng, func() error {
-		opts := machine.ProtocolOptions{
-			Batch: offload.BatchPolicy{MaxMessages: 4},
-			Retry: offload.FaultTolerance{
-				MaxRetries:  3,
-				BackoffBase: 2 * machine.Microsecond,
-				BackoffMax:  16 * machine.Microsecond,
-			},
+	opts := machine.ProtocolOptions{
+		Batch: offload.BatchPolicy{MaxMessages: 4},
+		Retry: offload.FaultTolerance{
+			MaxRetries:  3,
+			BackoffBase: 2 * machine.Microsecond,
+			BackoffMax:  16 * machine.Microsecond,
+		},
+	}
+	err = runOn(m, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
+		nodes := make([]offload.NodeID, cfg.VEs)
+		for i := range nodes {
+			nodes[i] = offload.NodeID(i + 1)
 		}
-		return runOn(m, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
-			nodes := make([]offload.NodeID, cfg.VEs)
-			for i := range nodes {
-				nodes[i] = offload.NodeID(i + 1)
+		s, serr := sched.New(rt, nodes, sched.LeastInFlight())
+		if serr != nil {
+			return serr
+		}
+		for w := 0; w < cfg.Waves; w++ {
+			if w > 0 {
+				// Idle gap between waves, so the series show bursts.
+				p.Sleep(60 * machine.Microsecond)
 			}
-			s, serr := sched.New(rt, nodes, sched.LeastInFlight())
-			if serr != nil {
-				return serr
+			wave := w
+			err := sched.ForEach(s, cfg.Tasks, func(task int) offload.Functor[offload.Unit] {
+				return telemetryWork.Bind(int64(1 + (task+wave)%5))
+			})
+			if err != nil {
+				return err
 			}
-			for w := 0; w < cfg.Waves; w++ {
-				if w > 0 {
-					// Idle gap between waves, so the series show bursts.
-					p.Sleep(60 * machine.Microsecond)
-				}
-				wave := w
-				err := sched.ForEach(s, cfg.Tasks, func(task int) offload.Functor[offload.Unit] {
-					return telemetryWork.Bind(int64(1 + (task+wave)%5))
-				})
-				if err != nil {
-					return err
-				}
-			}
-			res.Retries = rt.Retries()
-			return nil
-		})
+		}
+		res.Retries = rt.Retries()
+		return nil
 	})
-	res.Collector = col
+	res.Events, res.FinalTime, res.MaxQueueLen = m.Eng.Events(), m.Eng.Now(), m.Eng.MaxQueueLen()
 	return res, err
 }
 
 // RenderTelemetry prints the experiment's deterministic artefacts: the
 // sparkline timelines, the SLO table, the causal-flow summary, and the
-// simulated-clock half of the engine profile. Wall-clock engine numbers are
-// deliberately excluded — print them with telemetry.RenderEngineStats to a
-// channel that is not diffed.
+// engine footprint.
 func RenderTelemetry(w io.Writer, r TelemetryResult) {
 	fmt.Fprintf(w, "Continuous telemetry — DMA protocol, %d VEs, %d waves x %d tasks (batch 4, retries armed)\n\n",
 		r.VEs, r.Waves, r.Tasks)
-	r.Collector.Render(w)
+	r.Tracer.Render(w)
 	fmt.Fprintf(w, "runtime retries observed: %d\n", r.Retries)
 	fmt.Fprintf(w, "engine (deterministic): %d events to t=%v, max queue depth %d\n",
-		r.Engine.Events, r.Engine.FinalTime, r.Engine.MaxQueueLen)
+		r.Events, r.FinalTime, r.MaxQueueLen)
 }

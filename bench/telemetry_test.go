@@ -22,10 +22,10 @@ func TestTelemetryArmedDeterministic(t *testing.T) {
 		var d dump
 		var render, chrome, folded bytes.Buffer
 		RenderTelemetry(&render, res)
-		if err := res.Collector.ExportChromeFlows(&chrome); err != nil {
+		if err := res.Tracer.ExportChromeFlows(&chrome); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Collector.ExportFolded(&folded); err != nil {
+		if err := res.Tracer.ExportFolded(&folded); err != nil {
 			t.Fatal(err)
 		}
 		d.render, d.chrome, d.folded = render.Bytes(), chrome.Bytes(), folded.Bytes()
@@ -42,10 +42,9 @@ func TestTelemetryArmedDeterministic(t *testing.T) {
 	if !bytes.Equal(d1.folded, d2.folded) {
 		t.Error("folded flamegraph export differs between identical runs")
 	}
-	if res1.Engine.Events != res2.Engine.Events ||
-		res1.Engine.FinalTime != res2.Engine.FinalTime ||
-		res1.Engine.MaxQueueLen != res2.Engine.MaxQueueLen {
-		t.Errorf("deterministic engine fields differ: %+v vs %+v", res1.Engine, res2.Engine)
+	if res1.Events != res2.Events || res1.FinalTime != res2.FinalTime || res1.MaxQueueLen != res2.MaxQueueLen {
+		t.Errorf("deterministic engine fields differ: %d/%v/%d vs %d/%v/%d",
+			res1.Events, res1.FinalTime, res1.MaxQueueLen, res2.Events, res2.FinalTime, res2.MaxQueueLen)
 	}
 	if res1.Retries != res2.Retries {
 		t.Errorf("retry counts differ: %d vs %d", res1.Retries, res2.Retries)

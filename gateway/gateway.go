@@ -10,7 +10,7 @@
 // weighted share of the queue capacity, and only then is the request placed
 // on a per-VE queue by the configured scheduling policy. Rejected requests
 // never reach a queue — the caller gets ErrQuota or ErrOverloaded and the
-// rejection is counted, traced (trace.PhaseAdmit) and recorded in telemetry.
+// rejection is counted, traced (trace.PhaseAdmit) and recorded as a series.
 //
 // Dispatch is window-based: each VE runs at most Window offloads at a time.
 // Latency-critical requests ship one per wire message; Batch and BestEffort
@@ -33,7 +33,6 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 	"hamoffload/sched"
 )
@@ -309,7 +308,7 @@ type classStats struct {
 	rejectedShare int64
 	completed     int64
 	failed        int64
-	slo           *telemetry.SLO
+	slo           *trace.SLO
 	samples       []float64 // µs, only with KeepSamples
 }
 
@@ -392,7 +391,7 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 		g.buckets[i] = core.NewTokenBucket(cfg.Tenants[i].Burst, rt.SimNow())
 	}
 	for c := range g.classes {
-		g.classes[c].slo = telemetry.NewSLO(cfg.SLOTargets[c], cfg.SLOBudget, cfg.SLOWindow, 0)
+		g.classes[c].slo = trace.NewSLO(cfg.SLOTargets[c], cfg.SLOBudget, cfg.SLOWindow)
 		g.errOverloaded[c] = fmt.Errorf("%w: class %s", ErrOverloaded, Class(c))
 	}
 	g.errQuota = make([]error, len(g.tenants))
@@ -433,26 +432,26 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 		return nil, errBadRequest(tenant, class)
 	}
 	now := g.rt.SimNow()
-	tel := g.rt.Telemetry()
+	tr := g.rt.Tracer()
 	g.submitted++
 	if !g.takeToken(tenant, now) {
 		g.classes[class].rejectedQuota++
 		g.tenants[tenant].rejected++
-		if tr := g.rt.Tracer(); tr != nil {
+		if tr != nil {
 			tr.Instant(trace.PhaseAdmit,
 				fmt.Sprintf("reject quota tenant %d %s", tenant, class), g.submitted)
+			tr.Tracer().Add(int(g.rt.ThisNode()), trace.SeriesGatewayReject, now, 1)
 		}
-		tel.Add(int(g.rt.ThisNode()), telemetry.SeriesGatewayReject, now, 1)
 		return nil, g.errQuota[tenant]
 	}
 	if g.queuedByClass[class] >= g.classCap[class] {
 		g.classes[class].rejectedShare++
 		g.tenants[tenant].rejected++
-		if tr := g.rt.Tracer(); tr != nil {
+		if tr != nil {
 			tr.Instant(trace.PhaseAdmit,
 				fmt.Sprintf("reject overload %s", class), g.submitted)
+			tr.Tracer().Add(int(g.rt.ThisNode()), trace.SeriesGatewayReject, now, 1)
 		}
-		tel.Add(int(g.rt.ThisNode()), telemetry.SeriesGatewayReject, now, 1)
 		return nil, g.errOverloaded[class]
 	}
 	for i := range g.nodes {
@@ -468,8 +467,10 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	if n := g.queues[vi].len(); n > g.maxQueue[vi] {
 		g.maxQueue[vi] = n
 	}
-	tel.Add(int(g.rt.ThisNode()), telemetry.SeriesGatewayAdmit, now, 1)
-	tel.Gauge(int(g.nodes[vi]), telemetry.SeriesGatewayQueue, now, int64(g.queues[vi].len()))
+	if tr != nil {
+		tr.Tracer().Add(int(g.rt.ThisNode()), trace.SeriesGatewayAdmit, now, 1)
+		tr.Tracer().Gauge(int(g.nodes[vi]), trace.SeriesGatewayQueue, now, int64(g.queues[vi].len()))
+	}
 	g.pump()
 	return tk, nil
 }
@@ -521,7 +522,6 @@ func (g *Gateway[R]) steal(vi int) bool {
 		return false
 	}
 	k := best / 2
-	now := g.rt.SimNow()
 	// Take bulk work first — moving batchables costs the victim nothing it
 	// was about to do — and dip into the latency-critical FIFO only when the
 	// backlog is mostly interactive.
@@ -534,11 +534,11 @@ func (g *Gateway[R]) steal(vi int) bool {
 	if tr := g.rt.Tracer(); tr != nil {
 		tr.Instant(trace.PhaseSteal,
 			fmt.Sprintf("ve %d steals %d of %d from ve %d", g.nodes[vi], k, best, g.nodes[victim]), g.steals)
+		now := g.rt.SimNow()
+		tr.Tracer().Add(int(g.nodes[vi]), trace.SeriesGatewaySteals, now, int64(k))
+		tr.Tracer().Gauge(int(g.nodes[victim]), trace.SeriesGatewayQueue, now, int64(g.queues[victim].len()))
+		tr.Tracer().Gauge(int(g.nodes[vi]), trace.SeriesGatewayQueue, now, int64(g.queues[vi].len()))
 	}
-	tel := g.rt.Telemetry()
-	tel.Add(int(g.nodes[vi]), telemetry.SeriesGatewaySteals, now, int64(k))
-	tel.Gauge(int(g.nodes[victim]), telemetry.SeriesGatewayQueue, now, int64(g.queues[victim].len()))
-	tel.Gauge(int(g.nodes[vi]), telemetry.SeriesGatewayQueue, now, int64(g.queues[vi].len()))
 	if n := g.queues[vi].len(); n > g.maxQueue[vi] {
 		g.maxQueue[vi] = n
 	}

@@ -7,6 +7,8 @@ import (
 
 	"hamoffload/gateway"
 	"hamoffload/internal/faults"
+	"hamoffload/internal/topology"
+	"hamoffload/internal/trace"
 	"hamoffload/machine"
 	"hamoffload/offload"
 	"hamoffload/sched"
@@ -21,10 +23,13 @@ var gwWork = offload.NewFunc1[offload.Unit]("gateway.test_work",
 	})
 
 // withGateway runs fn on a fresh simulated machine with a DMA-connected
-// runtime and a gateway over its VE nodes.
-func withGateway(t *testing.T, ves int, cfg gateway.Config, fn func(p *machine.Proc, gw *gateway.Gateway[offload.Unit])) {
+// runtime and a gateway over its VE nodes; tr, when non-nil, is the
+// machine's tracer.
+func withGateway(t *testing.T, tr *trace.Tracer, ves int, cfg gateway.Config, fn func(p *machine.Proc, gw *gateway.Gateway[offload.Unit])) {
 	t.Helper()
-	m, err := machine.New(machine.Config{VEs: ves})
+	timing := topology.DefaultTiming()
+	timing.Tracer = tr
+	m, err := machine.New(machine.Config{VEs: ves, Timing: &timing})
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)
 	}
@@ -57,7 +62,7 @@ func TestTenantQuotaRefill(t *testing.T) {
 			{Name: "free"},
 		},
 	}
-	withGateway(t, 2, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
+	withGateway(t, nil, 2, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		// Burst of 2 admits exactly 2.
 		for i := 0; i < 2; i++ {
 			if _, err := gw.Submit(0, gateway.LatencyCritical, gwWork.Bind(1)); err != nil {
@@ -100,7 +105,7 @@ func TestTenantQuotaRefill(t *testing.T) {
 func TestClassShareOverload(t *testing.T) {
 	// MaxQueued 10 with 6:3:1 weights gives strict queue shares 6/3/1.
 	cfg := gateway.Config{MaxQueued: 10, Window: 1, MaxBatch: 1}
-	withGateway(t, 1, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
+	withGateway(t, nil, 1, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		// First best-effort issues immediately (window 1), second queues and
 		// fills the class's share of 1, third must bounce.
 		for i := 0; i < 2; i++ {
@@ -147,7 +152,7 @@ func TestWorkStealing(t *testing.T) {
 		MaxBatch:  1,
 		Placement: sched.Affinity(func(task int) offload.NodeID { return 1 }),
 	}
-	withGateway(t, 2, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
+	withGateway(t, nil, 2, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		tks := make([]*gateway.Ticket[offload.Unit], 0, 16)
 		for i := 0; i < 16; i++ {
 			tk, err := gw.Submit(0, gateway.LatencyCritical, gwWork.Bind(1))
@@ -176,7 +181,7 @@ func TestWorkStealing(t *testing.T) {
 }
 
 func TestInvalidSubmits(t *testing.T) {
-	withGateway(t, 1, gateway.Config{}, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
+	withGateway(t, nil, 1, gateway.Config{}, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		if _, err := gw.Submit(1, gateway.Batch, gwWork.Bind(1)); !errors.Is(err, gateway.ErrTenant) {
 			t.Fatalf("want ErrTenant for tenant out of range, got %v", err)
 		}
@@ -190,9 +195,9 @@ func TestInvalidSubmits(t *testing.T) {
 	})
 }
 
-// runMixed drives one deterministic mixed workload and returns the report
-// serialised to JSON.
-func runMixed(t *testing.T, seed uint64) []byte {
+// runMixed drives one deterministic mixed workload, traced into tr when it
+// is non-nil, and returns the report serialised to JSON.
+func runMixed(t *testing.T, tr *trace.Tracer, seed uint64) []byte {
 	t.Helper()
 	cfg := gateway.Config{
 		Window:   4,
@@ -204,7 +209,7 @@ func runMixed(t *testing.T, seed uint64) []byte {
 		KeepSamples: true,
 	}
 	var out []byte
-	withGateway(t, 4, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
+	withGateway(t, tr, 4, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		for i := 0; i < 600; i++ {
 			r := faults.Mix(seed, uint64(i))
 			class := gateway.Class(r % 3)
@@ -243,13 +248,59 @@ func runMixed(t *testing.T, seed uint64) []byte {
 }
 
 func TestMixedWorkloadDeterministic(t *testing.T) {
-	a := runMixed(t, 0xC0FFEE)
-	b := runMixed(t, 0xC0FFEE)
+	a := runMixed(t, nil, 0xC0FFEE)
+	b := runMixed(t, nil, 0xC0FFEE)
 	if string(a) != string(b) {
 		t.Fatal("same seed must produce a byte-identical report")
 	}
-	c := runMixed(t, 0xBEEF)
+	c := runMixed(t, nil, 0xBEEF)
 	if string(a) == string(c) {
 		t.Fatal("different seeds should not collide byte-for-byte")
+	}
+}
+
+// TestTracedSeriesMatchReport: with a tracer armed the report is unchanged,
+// and the gateway's series tally exactly what the report counts — every
+// admission, rejection and stolen request.
+func TestTracedSeriesMatchReport(t *testing.T) {
+	tr := trace.NewTracer()
+	traced := runMixed(t, tr, 0xC0FFEE)
+	if string(traced) != string(runMixed(t, nil, 0xC0FFEE)) {
+		t.Fatal("arming a tracer changed the report")
+	}
+	var r gateway.Report
+	if err := json.Unmarshal(traced, &r); err != nil {
+		t.Fatal(err)
+	}
+	var admitted, rejected, stolen int64
+	for _, c := range r.Classes {
+		admitted += c.Admitted
+		rejected += c.RejectedQuota + c.RejectedShare
+	}
+	for _, v := range r.VEs {
+		stolen += v.StolenIn
+	}
+	if rejected == 0 || stolen == 0 {
+		t.Fatalf("workload exercises %d rejections and %d steals; want both", rejected, stolen)
+	}
+	sums := map[string]int64{}
+	queued := map[int]bool{}
+	for _, s := range tr.Series() {
+		sums[s.Name()] += s.Total().Sum
+		if s.Name() == trace.SeriesGatewayQueue {
+			queued[s.Node()] = true
+		}
+	}
+	for name, want := range map[string]int64{
+		trace.SeriesGatewayAdmit:  admitted,
+		trace.SeriesGatewayReject: rejected,
+		trace.SeriesGatewaySteals: stolen,
+	} {
+		if sums[name] != want {
+			t.Errorf("series %s sums to %d, report says %d", name, sums[name], want)
+		}
+	}
+	if len(queued) != len(r.VEs) {
+		t.Errorf("queue series on %d VEs, want %d", len(queued), len(r.VEs))
 	}
 }

@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"hamoffload/internal/telemetry"
+	"hamoffload/internal/trace"
 )
 
 // ClassReport is one QoS class's serving accounting.
@@ -12,7 +12,7 @@ type ClassReport struct {
 	RejectedShare int64 // rejected: class queue share full
 	Completed     int64
 	Failed        int64
-	SLO           telemetry.SLOReport
+	SLO           trace.SLOReport
 	// Samples holds every completed request's latency in µs of simulated
 	// time, in completion order. Populated only with Config.KeepSamples.
 	Samples []float64

@@ -16,7 +16,7 @@
 //
 // The traversal understands the repository's armed-observability idiom:
 // branches guarded by a nil check of an armed handle (*trace.Tracer,
-// *trace.NodeTracer, *telemetry.Collector — analysis.ArmedGuardTypes) are
+// *trace.NodeTracer — analysis.ArmedGuardTypes) are
 // the instrumented slow path and are pruned, as are then-branches of
 // `if err != nil` error guards and the argument of a panic. Everything else
 // reachable from a root must be allocation-free:

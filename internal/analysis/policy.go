@@ -9,9 +9,9 @@ import "strings"
 //
 // Two clock regimes exist in this repository. Simulation packages run on
 // the DES picosecond clock and must be bit-for-bit deterministic; the
-// wall-clock backends (tcpb over real sockets, mpib's proxy threads, and
-// trace's WallClock bridge) deal in real time and real goroutines by
-// design. The examples are demo programs, free to do either.
+// wall-clock backends (tcpb over real sockets, mpib's proxy threads) deal in
+// real time and real goroutines by design. The examples are demo programs,
+// free to do either.
 
 // desPackages are the simulation packages: the DES engine itself and every
 // component whose time is simulated picoseconds. walltime and goroutine
@@ -36,12 +36,12 @@ var desPackages = []string{
 	// the caller-supplied simulated clock, so the health tracker is as
 	// wall-clock-free as the policies it feeds.
 	"hamoffload/sched",
-	// telemetry records simulated-clock series and SLO windows; only its
-	// engine profiler reads the wall clock, under //lint:allow walltime.
-	"hamoffload/internal/telemetry",
+	// trace stamps spans, series, SLO windows and flows with whatever Clock
+	// its caller hands it and reads no clock of its own.
+	"hamoffload/internal/trace",
 	// The serving gateway admits, quotas and steals on the simulated clock:
-	// token buckets refill arithmetically from simtime, SLO windows ride the
-	// telemetry series, and placement is a pure function of queue state.
+	// token buckets refill arithmetically from simtime, SLO windows are
+	// trace.SLO trackers, and placement is a pure function of queue state.
 	"hamoffload/gateway",
 }
 
@@ -63,8 +63,9 @@ var goroutineExtra = []string{
 }
 
 // deterministicOutputPackages produce artifacts that must be bit-identical
-// across runs of the same simulation: trace exports, metric registries, the
-// HAM key tables, and the experiment drivers. detmap applies here.
+// across runs of the same simulation: trace exports (Chrome spans and flows,
+// folded stacks), metric registries, sparklines and SLO tables, the HAM key
+// tables, and the experiment drivers. detmap applies here.
 var deterministicOutputPackages = []string{
 	"hamoffload/internal/trace",
 	"hamoffload/internal/ham",
@@ -74,9 +75,6 @@ var deterministicOutputPackages = []string{
 	"hamoffload/cmd/benchreg",
 	"hamoffload/bench",
 	"hamoffload/sched", // batch frames and placement feed deterministic traces
-	// telemetry's renders and exports (sparklines, SLO table, Chrome flows,
-	// folded stacks) are diffed byte-for-byte in CI.
-	"hamoffload/internal/telemetry",
 	// the gateway's Report feeds the byte-compared serving experiment output
 	"hamoffload/gateway",
 }
@@ -117,9 +115,9 @@ var afterfreeExempt = []string{
 // the wire codec, the flag protocol, the simulated transfer backends and
 // what every simulated transfer passes through (DMA engines, PCIe links,
 // the sparse memories, the fault hooks). hotalloc reports only inside these
-// packages — a hot root may call out into neutral packages (trace,
-// telemetry) but findings there are dropped, because those calls are either
-// pruned behind armed guards or sanctioned observability cost.
+// packages — a hot root may call out into neutral packages (trace) but
+// findings there are dropped, because those calls are either pruned behind
+// armed guards or sanctioned observability cost.
 var hotPathScoped = []string{
 	"hamoffload/gateway",
 	"hamoffload/internal/core",
@@ -172,20 +170,15 @@ var HotPathRoots = []string{
 var ArmedGuardTypes = []string{
 	"hamoffload/internal/trace.Tracer",
 	"hamoffload/internal/trace.NodeTracer",
-	"hamoffload/internal/telemetry.Collector",
 }
 
 // WallClockSanctioned lists the packages allowed to touch the wall clock:
-// the wall-clock backends plus trace's explicit WallClock bridge. The
-// interprocedural walltime pass stops its call-graph traversal at these
-// packages — a DES package reaching time.Now through them is sanctioned.
+// the wall-clock backends. The interprocedural walltime pass stops its
+// call-graph traversal at these packages — a DES package reaching time.Now
+// through them is sanctioned.
 var WallClockSanctioned = []string{
 	"hamoffload/internal/backend/tcpb",
 	"hamoffload/internal/backend/mpib",
-	"hamoffload/internal/trace",
-	// telemetry's DES engine profiler measures real events-per-second by
-	// design; its two time.Now reads carry //lint:allow walltime markers.
-	"hamoffload/internal/telemetry",
 }
 
 // InAny reports whether path equals one of the roots or lies beneath one.

@@ -26,7 +26,8 @@ func TestPolicyScoping(t *testing.T) {
 		{"walltime", "hamoffload/gateway", true},
 		{"walltime", "hamoffload/internal/backend/tcpb", false},
 		{"walltime", "hamoffload/internal/backend/mpib", false},
-		{"walltime", "hamoffload/internal/trace", false}, // owns WallClock
+		// trace reads no clock of its own: every stamp comes from a Clock.
+		{"walltime", "hamoffload/internal/trace", true},
 		{"walltime", "hamoffload/examples/tcpcluster", false},
 
 		// goroutine: DES set plus the runtime core.
@@ -38,6 +39,7 @@ func TestPolicyScoping(t *testing.T) {
 		{"goroutine", "hamoffload/internal/backend/mpib", false},
 
 		{"goroutine", "hamoffload/internal/backend/ring", true},
+		{"goroutine", "hamoffload/internal/trace", true},
 
 		// flagorder: the slot-ring protocol, its two transports, the flag codec.
 		{"flagorder", "hamoffload/internal/backend/ring", true},

@@ -5,8 +5,8 @@
 // — holds only if simulated components never observe the host clock. One
 // stray time.Now in a backend silently turns a deterministic experiment
 // (Fig. 9 breakdowns, Tables I/III) into a flaky one. Simulation code must
-// take time from *simtime.Proc / trace.Clock; the wall-clock backends and
-// trace.WallClock are exempted by policy, not by this analyzer.
+// take time from *simtime.Proc / trace.Clock; the wall-clock backends are
+// exempted by policy, not by this analyzer.
 package walltime
 
 import (
@@ -71,7 +71,7 @@ func run(pass *analysis.Pass) error {
 // runModule is the interprocedural phase: from every function in a package
 // the walltime policy scopes, follow the call graph through neutral packages
 // — ones neither scoped (their own pass covers them) nor wall-clock
-// sanctioned (trace's WallClock bridge, the socket backends) — and flag any
+// sanctioned (the socket backends) — and flag any
 // call whose transitive callees read the wall clock. Direct time.* calls are
 // left to the per-package pass so each finding is reported exactly once.
 func runModule(pass *analysis.ModulePass) error {

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"hamoffload/internal/backend/conformance"
 	"hamoffload/internal/backend/locb"
 	"hamoffload/internal/backend/tcpb"
 	"hamoffload/internal/core"
 	"hamoffload/internal/faults"
+	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
 	"hamoffload/machine"
@@ -102,7 +104,16 @@ func wallTracer(s setup) (*trace.Tracer, trace.Clock) {
 	if !s.traced {
 		return nil, nil
 	}
-	return trace.NewTracer(), trace.NewWallClock()
+	return trace.NewTracer(), wallClock{start: time.Now()}
+}
+
+// wallClock maps real elapsed time since start onto the simulated picosecond
+// scale, so the wall-clock backends' spans share the export machinery with
+// the simulated ones.
+type wallClock struct{ start time.Time }
+
+func (w wallClock) Now() simtime.Time {
+	return simtime.Time(time.Since(w.start).Nanoseconds() * int64(simtime.Nanosecond))
 }
 
 func loopback(t *testing.T, s setup, fn func(*testing.T, world)) {

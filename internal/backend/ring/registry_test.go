@@ -5,7 +5,8 @@ import (
 
 	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
+	"hamoffload/internal/topology"
+	"hamoffload/internal/trace"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
@@ -116,8 +117,10 @@ func TestTargetFlowEventsCarryVETime(t *testing.T) {
 	for name, connect := range map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
 		"veo": machine.ConnectVEO, "dma": machine.ConnectDMA,
 	} {
-		col := telemetry.New(telemetry.Config{Flows: true})
-		m, err := machine.New(machine.Config{VEs: 1, Telemetry: col})
+		tr := trace.New(trace.Config{Flows: true})
+		timing := topology.DefaultTiming()
+		timing.Tracer = tr
+		m, err := machine.New(machine.Config{VEs: 1, Timing: &timing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,14 +136,14 @@ func TestTargetFlowEventsCarryVETime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		at := map[telemetry.FlowKind]simtime.Time{}
-		events := col.FlowEvents()
+		at := map[trace.FlowKind]simtime.Time{}
+		events := tr.FlowEvents()
 		for _, e := range events {
 			if e.ID == events[0].ID { // the echo's record; terminate's follows
 				at[e.Kind] = e.T
 			}
 		}
-		issue, exec, settle := at[telemetry.FlowIssue], at[telemetry.FlowExecute], at[telemetry.FlowSettle]
+		issue, exec, settle := at[trace.FlowIssue], at[trace.FlowExecute], at[trace.FlowSettle]
 		if !(0 < issue && issue < exec && exec < settle) {
 			t.Errorf("%s: issue %v, execute %v, settle %v: the target's event is off the VE's clock", name, issue, exec, settle)
 		}

@@ -45,7 +45,6 @@ func HamMain(ctx *veos.Ctx, _ []uint64) (uint64, error) {
 	}
 	rt := core.NewRuntime(t, t.desc.Arch)
 	rt.SetTracer(t.nt)
-	rt.SetTelemetry(vp.Card().Timing.Telemetry)
 	if err := rt.Serve(); err != nil {
 		return 1, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"hamoffload/internal/ham"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
 
@@ -253,8 +252,8 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, sink se
 	c.pds = append(c.pds, pd)       //lint:allow hotalloc amortized: backing array cycles through the call pool
 	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
 	q.fids = append(q.fids, fid)
-	if rt.tel != nil {
-		rt.tel.Gauge(int(node), telemetry.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
+	if rt.tr != nil {
+		rt.tr.Tracer().Gauge(int(node), trace.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
 	}
 	if len(c.sinks) >= rt.batch.messages() || len(q.frame) >= b.frameCap() {
 		q.flush()
@@ -293,14 +292,12 @@ func (q *batchQueue) flush() {
 			fmt.Sprintf("batch flush node %d x%d", q.node, n), rt.offloads)
 		rt.tr.Count("batch.flushes", 1)
 		rt.tr.Count("batch.messages", int64(n))
-	}
-	if rt.tel != nil {
-		now := rt.clock.Now()
-		rt.tel.Add(int(q.node), telemetry.SeriesOccupancy, now, int64(n))
-		rt.tel.Gauge(int(q.node), telemetry.SeriesQueue, now, 0)
+		tr, now := rt.tr.Tracer(), rt.clock.Now()
+		tr.Add(int(q.node), trace.SeriesOccupancy, now, int64(n))
+		tr.Gauge(int(q.node), trace.SeriesQueue, now, 0)
 		label := fmt.Sprintf("x%d", n)
 		for _, fid := range q.fids {
-			rt.tel.Event(fid, now, int(rt.ThisNode()), telemetry.FlowFlush, label)
+			tr.Event(fid, now, int(rt.ThisNode()), trace.FlowFlush, label)
 		}
 	}
 	if rt.ft.enabled() {

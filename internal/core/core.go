@@ -12,7 +12,6 @@ import (
 	"hamoffload/internal/ham"
 	"hamoffload/internal/mem"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
 
@@ -180,11 +179,10 @@ type Runtime struct {
 	hedgeWins    int64
 	budgetDenied int64
 
-	// Continuous telemetry (see telemetry.go). tel nil = off; curFlow is
-	// the trace ID of the offload currently being sealed, lastFlow the most
-	// recently issued one (for scheduler placement events); inflight counts
-	// open offloads per target node for the gauge series.
-	tel      *telemetry.Collector
+	// Continuous telemetry on tr (see telemetry.go): curFlow is the trace
+	// ID of the offload currently being sealed, lastFlow the most recently
+	// issued one (for scheduler placement events); inflight counts open
+	// offloads per target node for the gauge series.
 	curFlow  uint64
 	lastFlow uint64
 	inflight map[NodeID]int64
@@ -243,7 +241,11 @@ func (rt *Runtime) GetNodeDescriptor(n NodeID) NodeDescriptor {
 
 // SetTracer attaches a per-node trace handle. The runtime then records
 // lifecycle spans (offload, encode, execute) tagged with this node's id and
-// a per-runtime message id. A nil handle (the default) disables tracing.
+// a per-runtime message id, plus the time series, SLO latencies and — with
+// flows armed — causal records of telemetry.go into the handle's Tracer.
+// The host and target runtimes of one application should share a Tracer so
+// causal records span nodes. A nil handle (the default) disables all of it
+// at the cost of one nil check per instrumentation site.
 func (rt *Runtime) SetTracer(nt *trace.NodeTracer) { rt.tr = nt }
 
 // Tracer returns the attached trace handle (nil when tracing is off).
@@ -338,43 +340,35 @@ func (rt *Runtime) Serve() error {
 
 // beginOffload opens the whole-lifecycle span for the next offload to node
 // and returns the closure that closes it when the offload settles. With a
-// tracer attached it opens the PhaseOffload span; with telemetry attached it
-// additionally bumps the target's in-flight gauge, allocates the offload's
-// causal trace ID (flows armed), and — in the returned closure — feeds the
-// issue-to-settle latency to the SLO tracker. Without either it is a no-op.
+// tracer attached it opens the PhaseOffload span, bumps the target's
+// in-flight gauge, allocates the offload's causal trace ID (flows armed),
+// and — in the returned closure — feeds the issue-to-settle latency to the
+// SLO tracker. Without one it is a no-op.
 func (rt *Runtime) beginOffload(node NodeID, name string) func() {
-	id := rt.offloads + 1
-	var endSpan func()
-	if rt.tr != nil {
-		endSpan = rt.tr.Begin(trace.PhaseOffload, "offload "+name, id)
+	if rt.tr == nil {
+		return func() {}
 	}
-	if rt.tel == nil {
-		if endSpan == nil {
-			return func() {}
-		}
-		return endSpan
-	}
+	id, spanStart := rt.offloads+1, rt.tr.Now()
+	tr := rt.tr.Tracer()
 	start := rt.clock.Now()
 	var fid uint64
-	if rt.tel.FlowsEnabled() {
-		fid = rt.tel.NextTraceID()
-		rt.tel.Event(fid, start, int(rt.ThisNode()), telemetry.FlowIssue, name)
+	if tr.FlowsEnabled() {
+		fid = tr.NextTraceID()
+		tr.Event(fid, start, int(rt.ThisNode()), trace.FlowIssue, name)
 	}
 	rt.curFlow, rt.lastFlow = fid, fid
 	if rt.inflight == nil {
 		rt.inflight = map[NodeID]int64{}
 	}
 	rt.inflight[node]++
-	rt.tel.Gauge(int(node), telemetry.SeriesInflight, start, rt.inflight[node])
+	tr.Gauge(int(node), trace.SeriesInflight, start, rt.inflight[node])
 	return func() {
-		if endSpan != nil {
-			endSpan()
-		}
+		rt.tr.Since(trace.PhaseOffload, "offload "+name, id, spanStart)
 		end := rt.clock.Now()
 		rt.inflight[node]--
-		rt.tel.Gauge(int(node), telemetry.SeriesInflight, end, rt.inflight[node])
-		rt.tel.ObserveLatency(end, end.Sub(start))
-		rt.tel.Event(fid, end, int(rt.ThisNode()), telemetry.FlowSettle, name)
+		tr.Gauge(int(node), trace.SeriesInflight, end, rt.inflight[node])
+		tr.ObserveLatency(end, end.Sub(start))
+		tr.Event(fid, end, int(rt.ThisNode()), trace.FlowSettle, name)
 	}
 }
 

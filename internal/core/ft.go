@@ -6,7 +6,6 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
 
@@ -125,12 +124,12 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 		rt.retries++
 		rt.tr.Instant(trace.PhaseRetry, fmt.Sprintf("retry %d seq %d", pd.attempt, pd.seq), rt.offloads)
 		rt.tr.Count("offload.retries", 1)
-		if rt.tel != nil {
+		if tr := rt.tr.Tracer(); tr != nil {
 			now := rt.clock.Now()
-			rt.tel.Add(int(pd.node), telemetry.SeriesRetries, now, 1)
+			tr.Add(int(pd.node), trace.SeriesRetries, now, 1)
 			// For a retried batch frame pd.fid is the first entry's ID; the
 			// whole frame retransmits as a unit, so one event stands in.
-			rt.tel.Event(pd.fid, now, int(rt.ThisNode()), telemetry.FlowRetry,
+			tr.Event(pd.fid, now, int(rt.ThisNode()), trace.FlowRetry,
 				fmt.Sprintf("attempt %d", pd.attempt))
 		}
 		d := rt.ft.BackoffBase

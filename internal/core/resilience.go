@@ -36,7 +36,6 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
 
@@ -189,10 +188,10 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 	rt.hedges++
 	rt.tr.Instant(trace.PhaseHedge, fmt.Sprintf("hedge seq %d -> node %d", pd.seq, node), rt.offloads)
 	rt.tr.Count("offload.hedges", 1)
-	if rt.tel != nil {
+	if tr := rt.tr.Tracer(); tr != nil {
 		now := rt.clock.Now()
-		rt.tel.Add(int(node), telemetry.SeriesHedges, now, 1)
-		rt.tel.Event(pd.fid, now, int(rt.ThisNode()), telemetry.FlowRetry, "hedge")
+		tr.Add(int(node), trace.SeriesHedges, now, 1)
+		tr.Event(pd.fid, now, int(rt.ThisNode()), trace.FlowRetry, "hedge")
 	}
 	rt.noteSent(node, len(pd.msg))
 	h, err := rt.backend.Call(node, pd.msg)

@@ -3,15 +3,15 @@ package core
 import (
 	"encoding/binary"
 
-	"hamoffload/internal/telemetry"
+	"hamoffload/internal/trace"
 )
 
-// Continuous telemetry (see internal/telemetry): the runtime records
-// per-node time series (in-flight offloads, batch queue depth, retries,
-// bytes moved), feeds issue-to-settle latencies to the SLO tracker, and —
-// when causal flows are armed — carries a deterministic 64-bit trace ID on
-// every wire message so the initiator's issue/flush/retry events and the
-// target's execute event link into one causal record.
+// Continuous telemetry (see internal/trace): with a tracer attached the
+// runtime records per-node time series (in-flight offloads, batch queue
+// depth, retries, bytes moved), feeds issue-to-settle latencies to the SLO
+// tracker, and — when causal flows are armed — carries a deterministic
+// 64-bit trace ID on every wire message so the initiator's issue/flush/retry
+// events and the target's execute event link into one causal record.
 //
 // The trace ID travels in its own frame around whatever the message already
 // is (FT envelope or bare HAM message; inside a batch, each entry is framed
@@ -21,9 +21,9 @@ import (
 //
 // Like the FT envelope and the batch frame, detection relies on the magic
 // being far above any plain HAM handler key. The frame is only ever added
-// when Config.Flows is armed, because 12 extra bytes per message are a
-// (deterministic) change to simulated transfer timing; with flows off or no
-// collector attached, wire bytes are bit-identical to the un-instrumented
+// when trace.Config.Flows is armed, because 12 extra bytes per message are
+// a (deterministic) change to simulated transfer timing; with flows off or
+// no tracer attached, wire bytes are bit-identical to the un-instrumented
 // runtime.
 
 const (
@@ -52,16 +52,6 @@ func openFlow(msg []byte) (id uint64, inner []byte, ok bool) {
 	return binary.LittleEndian.Uint64(msg[4:12]), msg[flowHeader:], true
 }
 
-// SetTelemetry attaches a collector to this runtime; records are stamped on
-// the node's clock. The host and target runtimes of one application should
-// share a collector so causal records span nodes. A nil collector (the
-// default) disables telemetry at the cost of one nil check per
-// instrumentation site.
-func (rt *Runtime) SetTelemetry(c *telemetry.Collector) { rt.tel = c }
-
-// Telemetry returns the attached collector (nil when telemetry is off).
-func (rt *Runtime) Telemetry() *telemetry.Collector { return rt.tel }
-
 // flowSeal wraps one sealed wire message with the current offload's trace
 // ID, consuming it. With flows off (or no offload span open) the wire
 // passes through untouched. A non-nil pending is rebound to the wrapped
@@ -83,16 +73,16 @@ func (rt *Runtime) flowSeal(wire []byte, pd *pending) ([]byte, uint64) {
 // noteSent counts wire bytes shipped to node (every post attempt, including
 // retransmissions — the bytes move each time).
 func (rt *Runtime) noteSent(node NodeID, n int) {
-	if rt.tel == nil {
+	if rt.tr == nil {
 		return
 	}
-	rt.tel.Add(int(node), telemetry.SeriesBytes, rt.clock.Now(), int64(n))
+	rt.tr.Tracer().Add(int(node), trace.SeriesBytes, rt.clock.Now(), int64(n))
 }
 
 // noteExecute records the target-side causal event for a flow-framed
 // message, named after the inner HAM message when it can be resolved.
 func (rt *Runtime) noteExecute(fid uint64, inner []byte) {
-	if rt.tel == nil {
+	if rt.tr == nil {
 		return
 	}
 	name := ""
@@ -101,7 +91,7 @@ func (rt *Runtime) noteExecute(fid uint64, inner []byte) {
 	} else {
 		name = rt.bin.MessageName(inner)
 	}
-	rt.tel.Event(fid, rt.clock.Now(), int(rt.ThisNode()), telemetry.FlowExecute, name)
+	rt.tr.Tracer().Event(fid, rt.clock.Now(), int(rt.ThisNode()), trace.FlowExecute, name)
 }
 
 // NotePlacement records a scheduler placement decision on the most recently
@@ -109,8 +99,8 @@ func (rt *Runtime) noteExecute(fid uint64, inner []byte) {
 // the chosen target. The cluster scheduler calls it right after handing the
 // offload to the runtime. A no-op without armed flows.
 func (rt *Runtime) NotePlacement(policy string, node NodeID) {
-	if rt.tel == nil || rt.lastFlow == 0 {
+	if rt.lastFlow == 0 {
 		return
 	}
-	rt.tel.Event(rt.lastFlow, rt.clock.Now(), int(node), telemetry.FlowPlace, policy)
+	rt.tr.Tracer().Event(rt.lastFlow, rt.clock.Now(), int(node), trace.FlowPlace, policy)
 }

@@ -5,7 +5,6 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
 )
@@ -169,10 +168,13 @@ type Timing struct {
 	// VEMemCopyRate is the VE local HBM copy rate (bytes/s).
 	VEMemCopyRate float64
 
-	// Tracer, when non-nil, collects timeline spans from the instrumented
-	// components (VEO calls, privileged/user DMA, LHM/SHM ops, HAM protocol
-	// steps) for Chrome-trace export, latency breakdowns, and the per-node
-	// metrics registries. Nil disables recording at zero cost.
+	// Tracer, when non-nil, is the observability handle every component on
+	// this machine shares: timeline spans from the instrumented components
+	// (VEO calls, privileged/user DMA, LHM/SHM ops, HAM protocol steps) for
+	// Chrome-trace export, latency breakdowns and the per-node metrics
+	// registries, plus the HAM runtimes' time series, SLO latency accounting
+	// and (trace.Config.Flows) causal offload flows. Nil disables recording
+	// at zero cost.
 	Tracer *trace.Tracer
 
 	// Faults, when non-nil, is the deterministic fault injector consulted at
@@ -181,12 +183,6 @@ type Timing struct {
 	// exactly like Tracer. Substrate rules key their Node field to the VE
 	// card id.
 	Faults *faults.Injector
-
-	// Telemetry, when non-nil, is the continuous-observability collector the
-	// HAM runtimes on this machine share: simulated-clock time series, SLO
-	// latency accounting and (when armed) causal offload flows. Nil — the
-	// default — records nothing at zero cost, exactly like Tracer.
-	Telemetry *telemetry.Collector
 }
 
 // DefaultTiming returns the calibrated constants reproducing the paper's

@@ -28,25 +28,30 @@ func (s SpanStat) Mean() simtime.Duration {
 }
 
 // Registry aggregates one node's observability state: named counters, named
-// latency histograms, and per-span-name duration stats fed automatically as
-// spans close. It is safe for concurrent use; histograms handed out by
-// Hist must only be read once recording has quiesced.
+// latency histograms, per-span-name duration stats fed automatically as
+// spans close, and named time series (see Tracer.Gauge). It is safe for
+// concurrent use; histograms handed out by Hist must only be read once
+// recording has quiesced.
 type Registry struct {
 	mu       sync.Mutex
 	node     int
 	backend  string
+	interval simtime.Duration // initial bin width of new series
 	counters map[string]int64
 	hists    map[string]*Histogram
 	spans    map[string]*SpanStat
+	series   map[string]*Series
 }
 
-func newRegistry(node int, backend string) *Registry {
+func newRegistry(node int, backend string, interval simtime.Duration) *Registry {
 	return &Registry{
 		node:     node,
 		backend:  backend,
+		interval: interval,
 		counters: map[string]int64{},
 		hists:    map[string]*Histogram{},
 		spans:    map[string]*SpanStat{},
+		series:   map[string]*Series{},
 	}
 }
 
@@ -202,6 +207,7 @@ func (r *Registry) SpanStat(name string) SpanStat {
 }
 
 // Render writes a human-readable dump: counters, span stats, histograms.
+// Series have their own renderer, Tracer.RenderSeries.
 func (r *Registry) Render(w io.Writer) {
 	if r == nil {
 		return

@@ -15,7 +15,7 @@ import (
 func TestRegistryConcurrentUpdates(t *testing.T) {
 	const workers = 8
 	const perWorker = 200
-	r := newRegistry(0, "racetest")
+	r := newRegistry(0, "racetest", simtime.Microsecond)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -1,7 +1,24 @@
-// Package trace provides lightweight instrumentation for the simulation and
-// the benchmark harness: named counters and log-scaled latency histograms
-// with exact min/max/mean and quantile estimates. Everything works on
-// simulated durations, so distributions are reproducible bit-for-bit.
+// Package trace is the observability layer of the simulation and the
+// benchmark harness, behind one handle, *Tracer (nil = off):
+//
+//   - lifecycle spans on the simulated clock, exportable as Chrome trace
+//     events and decomposable into per-phase breakdowns;
+//   - one Registry per node holding named counters, log-scaled latency
+//     histograms (exact min/max/mean, quantile estimates), per-span-name
+//     stats and fixed-interval time series (gauges and rate counters) in
+//     ring buffers that downsample by pair-merging, so a series covers an
+//     arbitrarily long run in bounded memory without losing totals;
+//   - a windowed SLO tracker computing rolling p50/p99/p99.9 offload
+//     latency and violation (burn-rate) accounting against a target;
+//   - with Config.Flows, causal offload flows: a deterministic 64-bit trace
+//     ID carried through core's wire envelopes links issue, placement,
+//     batch flush, retry, execute and settle events of one offload into one
+//     record, exportable as Chrome flow events or folded flamegraph stacks.
+//
+// Everything is stamped with simulated time, so output is reproducible
+// bit-for-bit. Recording is host-side bookkeeping only — no simulated time,
+// no wire bytes — except Flows, whose 12-byte frame per message is a
+// deliberate, deterministic timing change.
 package trace
 
 import (

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sync"
-	"time"
 
 	"hamoffload/internal/simtime"
 )
@@ -72,7 +71,7 @@ const NodeInfra = -1
 
 // Span is one recorded operation on a timeline. Simulated backends stamp
 // spans with simulated picosecond times; wall-clock backends (locb, tcpb)
-// use a WallClock mapped onto the same scale.
+// use a Clock that maps real time onto the same scale.
 type Span struct {
 	Name    string
 	Cat     string // component category: "ham", "veo", "dma", "pcie", ...
@@ -90,43 +89,83 @@ type Span struct {
 func (s Span) Dur() simtime.Duration { return s.End.Sub(s.Start) }
 
 // Clock abstracts the time source spans are stamped with. *simtime.Proc
-// satisfies it for simulated components; NewWallClock covers real-time
-// backends.
+// satisfies it for simulated components; a wall-clock backend passes one
+// that maps real elapsed time onto the simulated picosecond scale.
 type Clock interface {
 	Now() simtime.Time
 }
 
-// WallClock maps real elapsed time since its creation onto the simulated
-// picosecond scale, so wall-clock backends (locb, tcpb) share the span and
-// export machinery with simulated ones.
-type WallClock struct {
-	start time.Time
+// Config parameterises a Tracer's time series and SLO. The zero value of
+// every field selects a default, so New(Config{}) is NewTracer().
+type Config struct {
+	// Interval is the initial time-series bin width (default 1 µs). Bins
+	// double in width every time a series outgrows its ring.
+	Interval simtime.Duration
+	// SLOTarget is the offload-latency objective (default 50 µs).
+	SLOTarget simtime.Duration
+	// SLOBudget is the allowed violation fraction (default 0.01 = 1%).
+	SLOBudget float64
+	// SLOWindow is the initial SLO accounting window (default 100 µs);
+	// windows double like series bins when too many accumulate.
+	SLOWindow simtime.Duration
+	// Flows arms causal tracing: trace IDs are allocated per offload and a
+	// causal frame is added to every wire message. Off by default because it
+	// changes wire bytes (and therefore simulated transfer timing).
+	Flows bool
 }
 
-// NewWallClock returns a clock whose zero is now.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now returns the elapsed real time as a simulated timestamp.
-func (w *WallClock) Now() simtime.Time {
-	return simtime.Time(time.Since(w.start).Nanoseconds() * int64(simtime.Nanosecond))
+func (c Config) fill() Config {
+	if c.Interval <= 0 {
+		c.Interval = simtime.Microsecond
+	}
+	if c.SLOTarget <= 0 {
+		c.SLOTarget = 50 * simtime.Microsecond
+	}
+	if c.SLOBudget <= 0 {
+		c.SLOBudget = 0.01
+	}
+	if c.SLOWindow <= 0 {
+		c.SLOWindow = 100 * simtime.Microsecond
+	}
+	return c
 }
 
-// Tracer collects spans from instrumented components and feeds per-node
-// Registries. A nil *Tracer is valid, records nothing, and costs one nil
-// check per instrumentation site, so tracing defaults to off everywhere.
-// Tracer is safe for concurrent use (the wall-clock backends record from
-// multiple goroutines).
+// Tracer is the one observability handle of a simulated application: the
+// host and target runtimes of a machine share one, so records span nodes.
+// It collects spans from instrumented components and feeds per-node
+// Registries (counters, histograms, span stats, time series), tracks
+// offload latency against an SLO, and — with Config.Flows — keeps the
+// causal flow log. A nil *Tracer is valid, records nothing, and costs one
+// nil check per instrumentation site, so observability defaults to off
+// everywhere. Tracer is safe for concurrent use (the wall-clock backends
+// record from multiple goroutines); on the simulated backends all recording
+// happens from the single running DES process, so contents are
+// deterministic.
 type Tracer struct {
-	mu    sync.Mutex
-	spans []Span
-	limit int
-	regs  map[int]*Registry
+	cfg      Config
+	mu       sync.Mutex
+	spans    []Span
+	limit    int
+	regs     map[int]*Registry
+	slo      *SLO
+	flows    []FlowEvent // recorded only when cfg.Flows
+	traceSeq uint64
 }
 
-// NewTracer returns an empty tracer with the default 1M-span cap.
-func NewTracer() *Tracer {
-	return &Tracer{limit: 1 << 20, regs: map[int]*Registry{}}
+// New returns an empty tracer with cfg's (defaulted) parameters and the
+// default 1M-span cap.
+func New(cfg Config) *Tracer {
+	cfg = cfg.fill()
+	return &Tracer{
+		cfg:   cfg,
+		limit: 1 << 20,
+		regs:  map[int]*Registry{},
+		slo:   newSLO(cfg.SLOTarget, cfg.SLOBudget, cfg.SLOWindow, maxWindows),
+	}
 }
+
+// NewTracer returns a tracer with the default configuration, New(Config{}).
+func NewTracer() *Tracer { return New(Config{}) }
 
 // Span opens an infrastructure span (Node = NodeInfra) at the process's
 // current simulated time; invoke the returned closure to close it. Usage:
@@ -177,7 +216,7 @@ func (t *Tracer) record(s Span) {
 func (t *Tracer) registryLocked(node int, backend string) *Registry {
 	r, ok := t.regs[node]
 	if !ok {
-		r = newRegistry(node, backend)
+		r = newRegistry(node, backend, t.cfg.Interval)
 		t.regs[node] = r
 	} else if r.backend == "" && backend != "" {
 		r.backend = backend
@@ -320,6 +359,16 @@ func (n *NodeTracer) Observe(name string, d simtime.Duration) {
 		return
 	}
 	n.Registry().Observe(name, d)
+}
+
+// Tracer returns the application-wide tracer the handle records into (nil
+// on a nil handle): series, SLO and flow records name their node
+// explicitly, so they go through it.
+func (n *NodeTracer) Tracer() *Tracer {
+	if n == nil {
+		return nil
+	}
+	return n.t
 }
 
 // Registry returns the node's metrics registry (nil on a nil handle).

@@ -116,7 +116,7 @@ func TestNilNodeTracerIsSafe(t *testing.T) {
 	nt.Since(PhaseCall, "b", 0, 0)
 	nt.Count("c", 1)
 	nt.Observe("d", 1)
-	if nt.Registry() != nil || nt.Now() != 0 {
+	if nt.Registry() != nil || nt.Tracer() != nil || nt.Now() != 0 {
 		t.Error("nil node tracer should be inert")
 	}
 	if tr.Registry(0) != nil || tr.Registries() != nil {
@@ -135,7 +135,7 @@ func TestEmptySpanStatMinIsZero(t *testing.T) {
 	if st.Min != 0 || st.Mean() != 0 {
 		t.Error("empty SpanStat must read as zero")
 	}
-	reg := newRegistry(0, "")
+	reg := newRegistry(0, "", simtime.Microsecond)
 	if got := reg.SpanStat("never"); got.Min != 0 || got.Count != 0 {
 		t.Errorf("unseen SpanStat = %+v", got)
 	}

@@ -25,7 +25,6 @@ import (
 	"hamoffload/internal/hostmem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/topology"
 	"hamoffload/internal/units"
 	"hamoffload/internal/vemem"
@@ -72,11 +71,6 @@ type Config struct {
 	// substrate (DMA engines, PCIe links, VEOS). Nil — the default — means
 	// no injection and zero overhead; see internal/faults and docs/FAULTS.md.
 	Faults *faults.Plan
-	// Telemetry attaches a continuous-telemetry collector shared by every
-	// HAM runtime on the machine (host and VE sides), so time series, SLO
-	// accounting and causal flows cover the whole application. Nil — the
-	// default — records nothing; see internal/telemetry and docs/TELEMETRY.md.
-	Telemetry *telemetry.Collector
 }
 
 // Machine is one simulated SX-Aurora node: engine, fabric, host memory and
@@ -118,9 +112,6 @@ func newWithEngine(eng *simtime.Engine, prefix string, cfg Config) (*Machine, er
 	}
 	if cfg.Faults != nil {
 		timing.Faults = faults.New(cfg.Faults)
-	}
-	if cfg.Telemetry != nil {
-		timing.Telemetry = cfg.Telemetry
 	}
 	if err := timing.Validate(); err != nil {
 		return nil, err
@@ -243,12 +234,11 @@ func (o ProtocolOptions) dmaOptions() dmab.Options {
 }
 
 // runtime wraps a connected backend in the host runtime: tracer (labelled
-// with the backend's name) and telemetry from the machine's timing, policies
-// from the options.
+// with the backend's name) from the machine's timing, policies from the
+// options.
 func (o ProtocolOptions) runtime(b core.Backend, arch, name string, t *topology.Timing, p *Proc) *core.Runtime {
 	rt := core.NewRuntime(b, arch)
 	rt.SetTracer(t.Tracer.Node(0, name, p))
-	rt.SetTelemetry(t.Telemetry)
 	rt.SetFaultTolerance(o.Retry)
 	rt.SetBatching(o.Batch)
 	rt.SetHedging(o.Hedge)

@@ -30,7 +30,6 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
 
@@ -134,8 +133,7 @@ type Tracker struct {
 	index []int // node id -> nodes index, -1 when untracked
 	trans int64
 
-	tr  *trace.NodeTracer
-	tel *telemetry.Collector
+	tr *trace.NodeTracer
 }
 
 // New builds a tracker over the given target nodes. clock supplies the
@@ -166,12 +164,9 @@ func New(cfg Config, nodes []core.NodeID, clock func() simtime.Time) *Tracker {
 }
 
 // SetTracer attaches a trace handle; breaker transitions are then recorded
-// as PhaseBreaker instants. Nil (the default) disables.
+// as PhaseBreaker instants, and the per-node latency EWMA (SeriesHealth)
+// and breaker state (SeriesBreaker) as series. Nil (the default) disables.
 func (t *Tracker) SetTracer(tr *trace.NodeTracer) { t.tr = tr }
-
-// SetTelemetry attaches a collector; the tracker then records the per-node
-// latency EWMA (SeriesHealth) and breaker state (SeriesBreaker) series.
-func (t *Tracker) SetTelemetry(tel *telemetry.Collector) { t.tel = tel }
 
 // Nodes returns the tracked node set in tracker order.
 func (t *Tracker) Nodes() []core.NodeID {
@@ -227,7 +222,7 @@ func (t *Tracker) bestEWMA(skip *node) (float64, bool) {
 	return best, ok
 }
 
-// transition moves n to state s, emitting the trace instant and telemetry
+// transition moves n to state s, emitting the trace instant and breaker
 // gauge every transition carries.
 func (t *Tracker) transition(n *node, s State) {
 	if n.state == s {
@@ -235,10 +230,10 @@ func (t *Tracker) transition(n *node, s State) {
 	}
 	now := t.clock()
 	t.trans++
-	t.tr.Instant(trace.PhaseBreaker,
-		fmt.Sprintf("node %d %s -> %s", n.id, n.state, s), t.trans)
-	if t.tel != nil {
-		t.tel.Gauge(int(n.id), telemetry.SeriesBreaker, now, int64(s))
+	if t.tr != nil {
+		t.tr.Instant(trace.PhaseBreaker,
+			fmt.Sprintf("node %d %s -> %s", n.id, n.state, s), t.trans)
+		t.tr.Tracer().Gauge(int(n.id), trace.SeriesBreaker, now, int64(s))
 	}
 	n.state = s
 	switch s {
@@ -280,8 +275,8 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 		} else {
 			n.ewma = a*float64(lat) + (1-a)*n.ewma
 		}
-		if t.tel != nil {
-			t.tel.Gauge(int(n.id), telemetry.SeriesHealth, t.clock(), int64(n.ewma))
+		if t.tr != nil {
+			t.tr.Tracer().Gauge(int(n.id), trace.SeriesHealth, t.clock(), int64(n.ewma))
 		}
 	}
 	outlier := false

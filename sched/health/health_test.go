@@ -5,6 +5,7 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
+	"hamoffload/internal/trace"
 )
 
 // testClock is a hand-advanced simulated clock.
@@ -12,6 +13,7 @@ type testClock struct{ now simtime.Time }
 
 func (c *testClock) tick(d simtime.Duration) { c.now = c.now.Add(d) }
 func (c *testClock) read() simtime.Time      { return c.now }
+func (c *testClock) Now() simtime.Time       { return c.now }
 func nodes(ids ...core.NodeID) []core.NodeID { return ids }
 func newT(cfg Config, clk *testClock, ids ...core.NodeID) *Tracker {
 	return New(cfg, nodes(ids...), clk.read)
@@ -213,5 +215,38 @@ func TestStateString(t *testing.T) {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
 		}
+	}
+}
+
+// TestSetTracerRecordsHealthSeries: a tracer attached with SetTracer alone
+// records the per-node latency EWMA and breaker-state gauges, stamped on the
+// tracker's clock, beside the breaker instants.
+func TestSetTracerRecordsHealthSeries(t *testing.T) {
+	clk := &testClock{}
+	trk := newT(Config{FailureStrikes: 1}, clk, 1)
+	tr := trace.NewTracer()
+	trk.SetTracer(tr.Node(0, "health", clk))
+	clk.tick(simtime.Microsecond)
+	trk.Observe(1, 5*simtime.Microsecond, false)
+	clk.tick(simtime.Microsecond)
+	trk.Observe(1, 0, true) // one strike opens the breaker
+	got := map[string]*trace.Series{}
+	for _, s := range tr.Series() {
+		got[s.Name()] = s
+	}
+	for name, want := range map[string]int64{
+		trace.SeriesHealth:  int64(5 * simtime.Microsecond),
+		trace.SeriesBreaker: int64(Open),
+	} {
+		s := got[name]
+		if s == nil {
+			t.Fatalf("series %s not recorded; have %d series", name, len(got))
+		}
+		if total := s.Total(); s.Node() != 1 || total.Count != 1 || total.Last != want {
+			t.Errorf("series %s: node %d, total %+v; want node 1, one sample of %d", name, s.Node(), total, want)
+		}
+	}
+	if st := tr.Registry(0).SpanStat("node 1 closed -> open"); st.Count != 1 {
+		t.Errorf("breaker instant recorded %d times, want 1", st.Count)
 	}
 }
