@@ -85,13 +85,12 @@ func TestRejectedSubmitZeroAlloc(t *testing.T) {
 }
 
 // TestServedRequestAllocs pins one request end to end — Bind, Submit, the
-// dmab round trip, Drain — on a 1-VE machine at the five objects the API
-// hands out or keeps per request: the bound-argument closure, the ticket,
-// the message encoder, the future, the backend handle, and nothing else.
-// (A batchable request shares its frame's handle; a latency-critical one,
-// as here, has its own.)
+// dmab round trip, Drain — on a 1-VE machine at the three objects the API
+// hands out per request: the bound-argument closure, the ticket and the
+// future. The wire is encoded in the pooled call that carries it, and the
+// ring handle and its result buffer recycle once the result is handed out.
 func TestServedRequestAllocs(t *testing.T) {
-	const want = 5
+	const want = 3
 	onGateway(t, 1, Config{}, func(p *machine.Proc, g *Gateway[int64]) {
 		var tk *Ticket[int64]
 		var err error
@@ -107,8 +106,8 @@ func TestServedRequestAllocs(t *testing.T) {
 		if v, verr := tk.Value(); v != 42 || verr != nil {
 			t.Fatalf("result = %d, %v; want 42", v, verr)
 		}
-		if n > want {
-			t.Errorf("a served request allocates %.1f objects, want at most %d", n, want)
+		if n != want {
+			t.Errorf("a served request allocates %.1f objects, want %d", n, want)
 		}
 	})
 }

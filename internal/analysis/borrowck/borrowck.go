@@ -517,7 +517,7 @@ func (ng *engine) assign(st state, as *ast.AssignStmt) {
 		m := ng.eval(st, as.Rhs[0])
 		for _, l := range as.Lhs {
 			lm := m
-			if lm != 0 && !trackable(ng.fi.pkg.TypesInfo.TypeOf(l)) {
+			if t := ng.fi.pkg.TypesInfo.TypeOf(l); lm != 0 && (!trackable(t) || isError(t)) {
 				lm = 0 // an ok/err result cannot carry the buffer
 			}
 			ng.store(st, l, lm)
@@ -961,6 +961,12 @@ func trackable(t types.Type) bool {
 		return false
 	}
 	return false
+}
+
+// isError reports whether t is the error interface: a multi-value call's
+// error result is the failure, never an alias of the buffer it returns.
+func isError(t types.Type) bool {
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 func isPkgLevel(v *types.Var) bool {

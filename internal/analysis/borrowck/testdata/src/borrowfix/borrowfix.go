@@ -266,3 +266,49 @@ func okReturnScratch() []byte {
 }
 
 func consume([]byte) {}
+
+// --- borrowed multi-value results: a proxy forwarding polled responses ---
+
+// poller hands out responses borrowed until its next call, as
+// core.Backend's Wait and Poll do.
+type poller interface {
+	// Poll returns the response once it is there.
+	//
+	//ham:borrowed return
+	Poll(h int) (resp []byte, done bool, err error)
+}
+
+// forwarded is a request the proxy completes for a later reader.
+type forwarded struct {
+	resp []byte
+	err  error
+}
+
+type proxy struct{ inner poller }
+
+// reply completes rq with resp, which rq keeps.
+func (px *proxy) reply(rq *forwarded, resp []byte, err error) {
+	rq.resp, rq.err = resp, err
+}
+
+// forwardBorrowed keeps the polled response past the next Poll.
+func (px *proxy) forwardBorrowed(rq *forwarded, h int) {
+	resp, done, err := px.inner.Poll(h)
+	if done {
+		px.reply(rq, resp, err) // want `borrowed result of \(borrowfix\.poller\)\.Poll stored into struct field rq\.resp at .* \(chain: \(\*borrowfix\.proxy\)\.forwardBorrowed → \(\*borrowfix\.proxy\)\.reply\)`
+	}
+}
+
+// forwardCopy hands the request its own copy.
+func (px *proxy) forwardCopy(rq *forwarded, h int) {
+	resp, done, err := px.inner.Poll(h)
+	if done {
+		px.reply(rq, bytes.Clone(resp), err)
+	}
+}
+
+// pollErr passes the error on: an error result never aliases the response.
+func (px *proxy) pollErr(h int) error {
+	_, _, err := px.inner.Poll(h)
+	return err
+}

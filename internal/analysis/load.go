@@ -38,12 +38,18 @@ type listedPackage struct {
 }
 
 // Load type-checks the packages matching patterns (run from dir, which must
-// lie inside the module) and returns them ready for analysis. Dependencies
-// — including the standard library — are resolved from compiler export data
-// produced by `go list -deps -export`, so loading needs no network access
-// and no sources outside the module and GOROOT. Only non-test GoFiles are
-// analyzed: the invariants guard production simulation code, and tests
-// routinely (and legitimately) range over maps or measure wall time.
+// lie inside the module) and returns them ready for analysis, sorted by
+// import path. Dependencies outside the patterns — including the standard
+// library — are resolved from compiler export data produced by `go list
+// -deps -export`, so loading needs no network access and no sources outside
+// the module and GOROOT. A matched package imports the other matched
+// packages as type-checked here, in go list's dependency order: the module
+// is one type universe, so an interface declared in one package and its
+// implementations in another are identical types to the CHA table
+// (callgraph.ImplTable), and an annotation on the interface method reaches
+// them. Only non-test GoFiles are analyzed: the invariants guard production
+// simulation code, and tests routinely (and legitimately) range over maps
+// or measure wall time.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -63,15 +69,20 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			roots = append(roots, m)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ImportPath < roots[j].ImportPath })
-
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	fromExport := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		e, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(e)
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return fromExport.Import(path)
 	})
 
 	var pkgs []*Package
@@ -91,6 +102,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		checked[m.ImportPath] = pkg
 		pkgs = append(pkgs, &Package{
 			Path:      m.ImportPath,
 			Dir:       m.Dir,
@@ -100,8 +112,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			TypesInfo: info,
 		})
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // goList runs `go list -deps -export -json` and decodes the JSON stream.
 func goList(dir string, patterns []string) ([]listedPackage, error) {

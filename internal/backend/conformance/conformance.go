@@ -105,6 +105,41 @@ type Reporter interface {
 	Errorf(format string, args ...any)
 }
 
+// LiveAllocator is a node heap a leak check counts (mem.Heap, core.Heap).
+type LiveAllocator interface {
+	LiveAllocs() int
+}
+
+// Quiescence records what a connected application holds at rest and returns
+// the check that, once it is idle again, it holds no more: every call the
+// host runtime took is back on its free list, every slot-ring handle Call
+// issued has been released — bar hedge losers the runtime still holds to
+// reap (core.Runtime.Strays) — and every heap has as many live allocations
+// as now. handles counts the backend's open slot-ring handles
+// (ring.Host.OpenHandles); nil where the backend has none. Take it right
+// after connect, in the host's execution context, and run the check there.
+func Quiescence(rt *core.Runtime, handles func() int, heaps ...LiveAllocator) func(Reporter) {
+	live := make([]int, len(heaps))
+	for i, h := range heaps {
+		live[i] = h.LiveAllocs()
+	}
+	return func(t Reporter) {
+		if n := rt.OpenCalls(); n != 0 {
+			t.Errorf("quiescence: %d calls taken and not back on the free list", n)
+		}
+		if handles != nil {
+			if n, held := handles(), rt.Strays(); n > held {
+				t.Errorf("quiescence: %d slot-ring handles unreleased, %d hedge losers held", n, held)
+			}
+		}
+		for i, h := range heaps {
+			if n := h.LiveAllocs(); n != live[i] {
+				t.Errorf("quiescence: heap %d holds %d live allocations, %d at connect", i, n, live[i])
+			}
+		}
+	}
+}
+
 // Exercise runs the full backend contract from the host runtime rt against
 // target node. It must be called in the host's execution context (directly
 // for wall-clock backends, inside RunMain for simulated ones).

@@ -8,6 +8,8 @@ import (
 
 	"hamoffload/internal/backend/conformance"
 	"hamoffload/internal/backend/locb"
+	"hamoffload/internal/backend/mpib"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/backend/tcpb"
 	"hamoffload/internal/core"
 	"hamoffload/internal/faults"
@@ -22,6 +24,8 @@ import (
 // live application over one or more of the five backends; this is the one
 // place that knows how each of them is brought up, broken and torn down —
 // and so the one place a harness (tie-break seeds, invariant checks) wraps.
+// One such check runs after every exercise that arms no faults: the
+// application is back at rest (conformance.Quiescence).
 
 // setup holds the few knobs the exercises vary.
 type setup struct {
@@ -51,6 +55,29 @@ type world struct {
 	// hooks returns one target's injector, its fail-stop and — where the
 	// backend can — its recovery.
 	hooks func(core.NodeID) conformance.FaultHooks
+	// handles counts the backend's open slot-ring handles (nil: it has
+	// none); heaps are the nodes' memories.
+	handles func() int
+	heaps   []conformance.LiveAllocator
+}
+
+// run hands the freshly connected w to fn and, when the setup arms no
+// faults, checks that fn left the application at rest.
+func run(t *testing.T, s setup, w world, fn func(*testing.T, world)) {
+	check := conformance.Quiescence(w.rt, w.handles, w.heaps...)
+	fn(t, w)
+	if s.plans == nil {
+		check(t)
+	}
+}
+
+// heapsOf are the wall-clock backends' node memories, each a core.Heap.
+func heapsOf(mems ...core.LocalMemory) []conformance.LiveAllocator {
+	out := make([]conformance.LiveAllocator, len(mems))
+	for i, m := range mems {
+		out[i] = m.(*core.Heap)
+	}
+	return out
 }
 
 // backends brings up the application of each backend, by subtest name.
@@ -134,7 +161,7 @@ func loopback(t *testing.T, s setup, fn func(*testing.T, world)) {
 		host.SetTracer(tr.Node(0, "locb", clock))
 	}
 	served := serving(target)
-	fn(t, world{rt: host, targets: []core.NodeID{1}, tracer: tr,
+	run(t, s, world{rt: host, targets: []core.NodeID{1}, tracer: tr, heaps: heapsOf(hb.Memory(), tb.Memory()),
 		hooks: func(core.NodeID) conformance.FaultHooks {
 			return conformance.FaultHooks{
 				Inj: inj,
@@ -156,7 +183,7 @@ func loopback(t *testing.T, s setup, fn func(*testing.T, world)) {
 					return nil
 				},
 			}
-		}})
+		}}, fn)
 	if err := host.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +202,7 @@ func tcp(t *testing.T, s setup, fn func(*testing.T, world)) {
 		addrs   []string
 		targets []core.NodeID
 		served  []<-chan error
+		mems    []core.LocalMemory
 	)
 	for i := 1; i <= n; i++ {
 		tgt, err := tcpb.Listen("127.0.0.1:0", i, n+1, 1<<22)
@@ -187,6 +215,7 @@ func tcp(t *testing.T, s setup, fn func(*testing.T, world)) {
 			targetRT.SetTracer(tr.Node(i, "tcpb", clock))
 		}
 		addrs, targets, served = append(addrs, tgt.Addr()), append(targets, core.NodeID(i)), append(served, serving(targetRT))
+		mems = append(mems, tgt.Memory())
 	}
 	hb, err := tcpb.Dial(addrs, 1<<20)
 	if err != nil {
@@ -203,13 +232,13 @@ func tcp(t *testing.T, s setup, fn func(*testing.T, world)) {
 	// tcpb cannot redial: a dropped node stays dead, its serve loop dies with
 	// the connection and the terminate exchange cannot succeed.
 	dropped := false
-	fn(t, world{rt: host, targets: targets, oneWay: true, tracer: tr,
+	run(t, s, world{rt: host, targets: targets, oneWay: true, tracer: tr, heaps: heapsOf(append(mems, hb.Memory())...),
 		hooks: func(node core.NodeID) conformance.FaultHooks {
 			return conformance.FaultHooks{Inj: inj, Kill: func() error {
 				dropped = true
 				return hb.DropConn(node)
 			}}
-		}})
+		}}, fn)
 	if err := host.Finalize(); err != nil && !dropped {
 		t.Fatal(err)
 	}
@@ -252,16 +281,28 @@ func simulated(t *testing.T, name string,
 					Kill:    func() error { m.Cards[node-1].Kill(); return nil },
 					Recover: func() error { return rt.RecoverNode(node) },
 				}
-			}}
+			},
+			handles: rt.Backend().(*ring.Host).OpenHandles,
+			heaps:   machineHeaps(m),
+		}
 		for i := range m.Cards {
 			w.targets = append(w.targets, core.NodeID(i+1))
 		}
-		fn(t, w)
+		run(t, s, w, fn)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// machineHeaps are a simulated machine's host memory and its VEs'.
+func machineHeaps(m *machine.Machine) []conformance.LiveAllocator {
+	heaps := []conformance.LiveAllocator{m.Host}
+	for _, c := range m.Cards {
+		heaps = append(heaps, c.Mem)
+	}
+	return heaps
 }
 
 // cluster is two machines of one VE each on the InfiniBand fabric: node 1 is
@@ -278,7 +319,9 @@ func cluster(t *testing.T, s setup, fn func(*testing.T, world)) {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		fn(t, world{rt: rt, targets: []core.NodeID{1, 2}, oneWay: true, tracer: tr,
+		heaps := append(machineHeaps(cl.Nodes[0]), machineHeaps(cl.Nodes[1])...)
+		run(t, s, world{rt: rt, targets: []core.NodeID{1, 2}, oneWay: true, tracer: tr,
+			handles: rt.Backend().(*mpib.Host).OpenHandles, heaps: heaps,
 			hooks: func(node core.NodeID) conformance.FaultHooks {
 				m := cl.Nodes[node-1]
 				h := conformance.FaultHooks{
@@ -289,7 +332,7 @@ func cluster(t *testing.T, s setup, fn func(*testing.T, world)) {
 					h.Recover = func() error { return rt.RecoverNode(1) }
 				}
 				return h
-			}})
+			}}, fn)
 		return nil
 	})
 	if err != nil {

@@ -167,9 +167,13 @@ func (t *hostSide) Close() error {
 	return err
 }
 
-// Abandon implements ring.HostTransport: a failed target leaves behind
-// exactly what Close removes.
-func (t *hostSide) Abandon() { _ = t.Close() }
+// Abandon implements ring.HostTransport: a failed target leaves behind what
+// Close removes, and the staging buffer its init kernel allocated in HBM
+// (ring.VE.Init), which died with the process.
+func (t *hostSide) Abandon() {
+	_ = t.Close()
+	_ = t.Card.Mem.Free(mem.Addr(t.Init))
+}
 
 // veSide is the active side of Fig. 8, built by ham_dmab_init — the §IV-A
 // memory setup of Fig. 7. It polls receive flags in VH memory via LHM,
@@ -187,7 +191,8 @@ type veSide struct {
 
 // hamDMABInit performs the VE side of Fig. 7: attach the VH shm segment by
 // key, register it and a local staging buffer in the DMAATB, making both
-// addressable for user DMA and LHM/SHM.
+// addressable for user DMA and LHM/SHM. It returns the staging buffer's
+// address.
 func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	if len(args) != 7 {
 		return 0, fmt.Errorf("dmab: ham_dmab_init wants 7 args, got %d", len(args))
@@ -222,7 +227,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 		// cost the paper notes — while the host finds results locally.
 		IdlePollCost: card.Timing.LHMPerWord,
 	})
-	return 0, nil
+	return uint64(stage), nil
 }
 
 // LoadFlag implements ring.TargetTransport with an LHM load from VH memory.

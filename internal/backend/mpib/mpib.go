@@ -15,6 +15,7 @@
 package mpib
 
 import (
+	"bytes"
 	"fmt"
 
 	"hamoffload/internal/backend/dmab"
@@ -84,6 +85,11 @@ type Host struct {
 type proxy struct {
 	machine int
 	queue   *simtime.Queue[*request]
+	fabric  *ib.Fabric
+	// p and inner are the rank's process and its machine's own DMA-protocol
+	// connection, set once the rank has connected.
+	p       *simtime.Proc
+	inner   *dmab.Host
 	stopped bool
 }
 
@@ -138,6 +144,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 		px := &proxy{
 			machine: m,
 			queue:   simtime.NewQueue[*request](eng, fmt.Sprintf("mpib-proxy%d", m)),
+			fabric:  fabric,
 		}
 		h.proxies[m] = px
 		ready := simtime.NewEvent(eng)
@@ -153,8 +160,9 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 				ready.Fire()
 				return
 			}
+			px.p, px.inner = pp, inner
 			ready.Fire()
-			px.serve(pp, h.fabric, inner)
+			px.serve()
 		})
 		ready.Wait(p)
 		if connErr != nil {
@@ -221,10 +229,19 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	if m == 0 {
 		return h.local.Call(local, msg)
 	}
+	return h.callRemote(m, local, msg)
+}
+
+// callRemote is Call for a target on machine m. The proxy rank reads the
+// request after the simulated IB transfer, long after Call returned; msg may
+// alias the initiator's scratch buffers, so the forwarded request carries
+// its own copy. The request, that copy and its completion event are the
+// remote protocol's per-offload state: the zero-alloc request path is the
+// slot ring's, which the local targets take.
+//
+//hot:cold
+func (h *Host) callRemote(m int, local core.NodeID, msg []byte) (core.Handle, error) {
 	h.seqs++
-	// The proxy rank reads the request after the simulated IB transfer, long
-	// after Call returned; msg may alias the initiator's scratch buffers, so
-	// the forwarded request carries its own copy.
 	rq := &request{
 		kind:   reqCall,
 		target: local,
@@ -252,14 +269,20 @@ func (h *Host) forward(m int, rq *request, bytes int64) error {
 
 // Wait implements core.Backend.
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
-	switch v := hh.(type) {
-	case *request:
-		defer h.nt.Begin(trace.PhaseWait, "mpib-wait", v.mid)()
-		v.done.Wait(h.p)
-		return v.resp, v.err
-	default:
-		return h.local.Wait(hh)
+	if v, ok := hh.(*request); ok {
+		return h.waitRemote(v)
 	}
+	return h.local.Wait(hh)
+}
+
+// waitRemote is Wait for a forwarded offload: it parks on the request's
+// completion event, the remote protocol's per-offload state (callRemote).
+//
+//hot:cold
+func (h *Host) waitRemote(rq *request) ([]byte, error) {
+	defer h.nt.Begin(trace.PhaseWait, "mpib-wait", rq.mid)()
+	rq.done.Wait(h.p)
+	return rq.resp, rq.err
 }
 
 // Poll implements core.Backend.
@@ -327,6 +350,16 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return nil
 }
 
+// OpenHandles returns how many slot-ring handles are open across the
+// cluster: the local connection's and every proxy's.
+func (h *Host) OpenHandles() int {
+	n := h.local.OpenHandles()
+	for _, px := range h.proxies[1:] {
+		n += px.inner.OpenHandles()
+	}
+	return n
+}
+
 // Memory implements core.Backend.
 func (h *Host) Memory() core.LocalMemory { return h.mem }
 
@@ -379,27 +412,29 @@ func (h *Host) Close() error {
 
 var _ core.Backend = (*Host)(nil)
 
+// reply completes rq with resp, which rq keeps, once the reply has crossed
+// the fabric back to machine 0.
+func (px *proxy) reply(rq *request, resp []byte, err error) {
+	rq.resp = resp
+	rq.err = err
+	if serr := px.fabric.Send(px.p, px.machine, 0, int64(len(resp))+headerBytes); serr != nil && rq.err == nil {
+		rq.err = serr
+	}
+	rq.done.Fire()
+}
+
 // serve is the proxy rank's event loop: it forwards calls asynchronously
 // into its local DMA-protocol connection so kernels on different VEs of the
 // same remote machine overlap, and replies over IB as results complete.
-func (px *proxy) serve(p *simtime.Proc, fabric *ib.Fabric, inner *dmab.Host) {
+func (px *proxy) serve() {
 	type pending struct {
 		rq *request
 		h  core.Handle
 	}
+	p, inner := px.p, px.inner
 	var outstanding []pending
 	const baseIdle = 300 * simtime.Nanosecond
 	idle := baseIdle
-
-	reply := func(rq *request, resp []byte, err error) {
-		rq.resp = resp
-		rq.err = err
-		// Ship the reply back over IB before completing the handle.
-		if serr := fabric.Send(p, px.machine, 0, int64(len(resp))+headerBytes); serr != nil && rq.err == nil {
-			rq.err = serr
-		}
-		rq.done.Fire()
-	}
 
 	for {
 		progressed := false
@@ -409,23 +444,23 @@ func (px *proxy) serve(p *simtime.Proc, fabric *ib.Fabric, inner *dmab.Host) {
 			case reqCall:
 				hh, err := inner.Call(rq.target, rq.msg)
 				if err != nil {
-					reply(rq, nil, err)
+					px.reply(rq, nil, err)
 				} else {
 					outstanding = append(outstanding, pending{rq: rq, h: hh})
 				}
 			case reqPut:
-				reply(rq, nil, inner.Put(rq.target, rq.msg, rq.addr))
+				px.reply(rq, nil, inner.Put(rq.target, rq.msg, rq.addr))
 			case reqGet:
 				buf := make([]byte, rq.getLen)
 				err := inner.Get(rq.target, rq.addr, buf)
 				if err != nil {
 					buf = nil
 				}
-				reply(rq, buf, err)
+				px.reply(rq, buf, err)
 			case reqShutdown:
 				err := inner.Close()
 				px.stopped = true
-				reply(rq, nil, err)
+				px.reply(rq, nil, err)
 				return
 			}
 		}
@@ -433,9 +468,11 @@ func (px *proxy) serve(p *simtime.Proc, fabric *ib.Fabric, inner *dmab.Host) {
 		for i := 0; i < len(outstanding); {
 			resp, done, err := inner.Poll(outstanding[i].h)
 			if err != nil {
-				reply(outstanding[i].rq, nil, err)
+				px.reply(outstanding[i].rq, nil, err)
 			} else if done {
-				reply(outstanding[i].rq, resp, nil)
+				// The response is borrowed until the next call into inner, and
+				// the request keeps it for the initiator's Wait.
+				px.reply(outstanding[i].rq, bytes.Clone(resp), nil)
 			} else {
 				i++
 				continue

@@ -137,19 +137,25 @@ type HostConfig struct {
 // handle tracks one in-flight offload. It pins the conn it was issued on:
 // after RecoverNode builds a fresh conn, stale handles must keep failing
 // against the dead one instead of polling slots they never owned.
+//
+// Handles recycle through the Host's free list: Wait or Poll releases one
+// when it hands the result to the caller, who borrows those bytes until
+// its next call into the Host (core.Backend.Wait). Draining a slot for
+// reuse (Call) completes a handle without releasing it — its owner has not
+// asked yet — so the result waits in the handle, not in a per-slot buffer.
 type handle struct {
 	target core.NodeID
-	c      *conn
+	c      *conn // nil while released
 	slot   int
 	seq    uint32
 	resp   []byte
 	done   bool
+	next   *handle // free-list link while released
 	// small backs resp for a result that fits: a scalar result, or a batch
-	// frame of a few of them, then costs no allocation of its own. The bytes
-	// cannot live in a per-slot buffer instead: they belong to the handle,
-	// which Wait and Poll may hand out any time later, and draining a slot
-	// for reuse (Call) completes a handle before its owner has asked.
+	// frame of a few of them. big is the buffer a larger result grew, kept
+	// for the next result that outgrows small.
 	small [48]byte
+	big   []byte
 }
 
 // conn is the host-side state for one target.
@@ -182,6 +188,11 @@ type Host struct {
 	dial   Dial
 	conns  []*conn
 	polled resultPoll // wait's poll loop; one wait runs at a time
+	// free heads the released handles, one per offload that was ever in
+	// flight at once; open counts the handles Call issued that Wait or Poll
+	// has not yet released.
+	free *handle
+	open int
 	// Span names, built once: the hot path must not concatenate strings.
 	spanCall, spanFlagWrite, spanWait, spanPollFault string
 }
@@ -267,7 +278,7 @@ func (h *Host) errTimeout(hd *handle) error {
 
 //hot:cold
 func (h *Host) errForeignHandle(hh core.Handle) error {
-	return fmt.Errorf("%s: foreign handle %T", h.cfg.Name, hh)
+	return fmt.Errorf("%s: foreign or spent handle %T", h.cfg.Name, hh)
 }
 
 // stepErr classifies a failed transport step: a crashed VE process marks the
@@ -325,9 +336,45 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	// must land in the same slot.
 	c.seq[slot]++
 	c.next = (c.next + 1) % h.cfg.NumBuffers
-	hd := &handle{target: target, c: c, slot: slot, seq: seq} //lint:allow hotalloc the handle is what Call returns
+	hd := h.takeHandle()
+	hd.target, hd.c, hd.slot, hd.seq, hd.resp, hd.done = target, c, slot, seq, nil, false
 	c.inUse[slot] = hd
 	h.cfg.Tracer.Since(trace.PhaseCall, h.spanCall, mid, callStart)
+	return hd, nil
+}
+
+// takeHandle returns a handle for the next offload, recycling a released
+// one when available.
+func (h *Host) takeHandle() *handle {
+	h.open++
+	hd := h.free
+	if hd == nil {
+		return &handle{} //lint:allow hotalloc pool miss: one handle per concurrently in-flight offload, then recycled
+	}
+	h.free, hd.next = hd.next, nil
+	return hd
+}
+
+// release parks a handle whose result the caller now holds. The bytes stay
+// where they are until a later Call reuses the handle and its next result
+// overwrites them.
+func (h *Host) release(hd *handle) {
+	hd.c = nil
+	hd.next, h.free = h.free, hd
+	h.open--
+}
+
+// OpenHandles returns how many handles Call issued that Wait or Poll has
+// not yet handed back: offloads in flight, and any whose owner never asked
+// for the result (a timed-out wait, a hedge loser, a node that failed).
+func (h *Host) OpenHandles() int { return h.open }
+
+// handleOf resolves a handle this Host issued and has not yet released.
+func (h *Host) handleOf(hh core.Handle) (*handle, error) {
+	hd, ok := hh.(*handle)
+	if !ok || hd.c == nil {
+		return nil, h.errForeignHandle(hh)
+	}
 	return hd, nil
 }
 
@@ -347,7 +394,10 @@ func (h *Host) pollSlot(hd *handle) (bool, error) {
 	if n <= len(hd.small) {
 		resp = hd.small[:n]
 	} else {
-		resp = make([]byte, n) //lint:allow hotalloc the result belongs to the handle Call returned and outlives the poll
+		if n > cap(hd.big) {
+			hd.big = make([]byte, n) //lint:allow hotalloc pool miss: a recycled handle's result buffer grows to the largest result it carries
+		}
+		resp = hd.big[:n]
 	}
 	inline := min(n, h.cfg.ResultInline)
 	if err := c.t.ReadResult(hd.slot, resp[:inline], resp[inline:]); err != nil {
@@ -433,24 +483,32 @@ func (h *Host) wait(hd *handle) ([]byte, error) {
 	return hd.resp, nil
 }
 
-// Wait implements core.Backend.
+// Wait implements core.Backend: the result is handed out, the handle
+// released.
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, h.errForeignHandle(hh)
+	hd, err := h.handleOf(hh)
+	if err != nil {
+		return nil, err
 	}
-	return h.wait(hd)
+	resp, err := h.wait(hd)
+	if err != nil {
+		return nil, err
+	}
+	h.release(hd)
+	return resp, nil
 }
 
-// Poll implements core.Backend.
+// Poll implements core.Backend: a result is handed out, and its handle
+// released, as by Wait.
 //
 //hot:path
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
-	hd, ok := hh.(*handle)
-	if !ok {
-		return nil, false, h.errForeignHandle(hh)
+	hd, err := h.handleOf(hh)
+	if err != nil {
+		return nil, false, err
 	}
 	if hd.done {
+		h.release(hd)
 		return hd.resp, true, nil
 	}
 	c := hd.c
@@ -466,6 +524,7 @@ func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	if err != nil || !done {
 		return nil, false, err
 	}
+	h.release(hd)
 	return hd.resp, true, nil
 }
 

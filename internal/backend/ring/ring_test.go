@@ -583,8 +583,16 @@ func TestHostSurface(t *testing.T) {
 		if p.Now().Sub(start) < simtime.Duration(polls)*testGap {
 			t.Errorf("%d polls advanced the clock by only %v", polls, p.Now().Sub(start))
 		}
-		if resp, done, _ := h.Poll(hd); !done || string(resp) != "polled" {
-			t.Error("settled handle not re-readable through Poll")
+		// The handle Poll settled is spent: refused, then the next Call's.
+		if _, _, err := h.Poll(hd); err == nil {
+			t.Error("a spent handle was polled again")
+		}
+		if next := mustCall(t, h, "reused"); next != hd || h.OpenHandles() != 1 {
+			t.Errorf("next Call got a fresh handle (reused %v), %d open", next == hd, h.OpenHandles())
+		}
+		mustWait(t, h, hd, "reused")
+		if h.OpenHandles() != 0 {
+			t.Errorf("%d handles open after every result was handed out", h.OpenHandles())
 		}
 
 		if err := h.Put(1, []byte("bulk"), 0x1000); err != nil {

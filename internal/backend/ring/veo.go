@@ -76,6 +76,10 @@ type VE struct {
 	P    *simtime.Proc
 	Proc *veo.Proc
 	Card *veos.Card
+	// Init is the init kernel's result: for dmab, the HBM address of the
+	// staging buffer it allocated, which the host releases when it abandons
+	// a failed process.
+	Init uint64
 }
 
 // Launch runs the connect sequence both protocols share (Fig. 4, §IV-A):
@@ -108,7 +112,7 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 	if err != nil {
 		return VE{}, err
 	}
-	if _, err := ctx.CallAsync(p, init, args...).CallWaitResult(p); err != nil {
+	if ve.Init, err = ctx.CallAsync(p, init, args...).CallWaitResult(p); err != nil {
 		return VE{}, fmt.Errorf("%s: %w", initSym, err)
 	}
 	// The architecture label is a property of the compiled target binary; it

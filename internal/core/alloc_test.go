@@ -152,9 +152,22 @@ func parkedCalls(rt *Runtime) []*call {
 var fnAllocAdd = NewFunc2[int64]("test.allocadd",
 	func(_ *Ctx, a, b int64) (int64, error) { return a + b, nil })
 
+var fnAllocNone = NewFunc0[int64]("test.allocnone",
+	func(*Ctx) (int64, error) { return 7, nil })
+
 // TestBindAllocs pins Bind at its one allocation, the closure holding the
-// bound arguments: the result decoder is built once, at registration.
+// bound arguments — none without arguments, where every functor shares one
+// payload writer: the result decoder is built once, at registration.
 func TestBindAllocs(t *testing.T) {
+	var f0 Functor[int64]
+	if n := testing.AllocsPerRun(100, func() { f0 = fnAllocNone.Bind() }); n != 0 {
+		t.Errorf("Func0.Bind allocates %.1f objects, want 0", n)
+	}
+	empty := ham.NewEncoder()
+	f0.payload(empty)
+	if empty.Len() != 0 {
+		t.Errorf("a no-argument payload encodes %d bytes", empty.Len())
+	}
 	var fn Functor[int64]
 	if n := testing.AllocsPerRun(100, func() { fn = fnAllocAdd.Bind(40, 2) }); n != 1 {
 		t.Errorf("Func2.Bind allocates %.1f objects, want 1", n)

@@ -119,6 +119,9 @@ func (rt *Runtime) Batching() BatchPolicy { return rt.batch }
 type Batcher struct {
 	rt     *Runtime
 	queues []*batchQueue // first-use order, so FlushAll is deterministic
+	// enc is where BatchAdd encodes each message: add copies the wire into
+	// the frame arena before the next one is encoded.
+	enc ham.Encoder
 }
 
 // NewBatcher creates a batcher over rt's backend and policy.
@@ -218,7 +221,7 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 		return Async(rt, node, fn)
 	}
 	f := &Future[R]{rt: rt, decode: fn.decode, onDone: rt.beginOffload(node, fn.name)} //lint:allow hotalloc one future per offload is the API contract
-	wire, pd, fid, err := rt.encode(node, fn.name, fn.payload)
+	wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.payload)
 	if err != nil {
 		f.fail(err)
 		return f

@@ -1,5 +1,7 @@
 package core
 
+import "hamoffload/internal/ham"
+
 // settler is the type-erased face of *Future[T] a call settles results
 // through.
 type settler interface {
@@ -7,16 +9,24 @@ type settler interface {
 	fail(err error)
 }
 
-// rawSink is the settler callSync resolves into: the runtime's own control
-// messages need the response payload, not a typed future.
+// rawSink is the settler a synchronous offload resolves into: Sync and the
+// runtime's own control messages need the response payload, not a future.
+// settle opens the response in place, so dec reads the payload where the
+// backend delivered it — borrowed until the runtime next calls the backend
+// (Backend.Wait) — and the caller decodes it as soon as resolve returns.
 type rawSink struct {
-	resp []byte
+	dec  ham.Decoder
 	err  error
 	done bool
+	busy bool // a synchronous offload is resolving into this sink
 }
 
-func (s *rawSink) settle(resp []byte) { s.resp, s.done = resp, true }
-func (s *rawSink) fail(err error)     { s.err, s.done = err, true }
+func (s *rawSink) settle(resp []byte) {
+	_, s.err = ham.DecodeResponseInto(&s.dec, resp)
+	s.done = true
+}
+
+func (s *rawSink) fail(err error) { s.err, s.done = err, true }
 
 // call is the in-flight state of one wire message, and the one thing that
 // waits, polls, retries and settles. A plain offload is a call with one
@@ -31,7 +41,8 @@ func (s *rawSink) fail(err error)     { s.err, s.done = err, true }
 // their own done flag and never touch the call again, so its arrays are
 // free to back the next message. The list grows to the number of messages
 // ever in flight at once — the gateway keeps up to Window frames open per
-// VE — and no further.
+// VE — and no further. A bare message is encoded into the call's own
+// encoder, which holds the wire for as long as the call is in flight.
 type call struct {
 	rt    *Runtime
 	h     Handle
@@ -41,13 +52,16 @@ type call struct {
 	sinks []settler
 	pds   []*pending // frame only: per-entry envelope state, nil entries with FT off
 	subs  [][]byte   // frame only: deliver's split scratch, reused across retries and pool cycles
-	done  bool       // every sink settled; the call is parked
-	next  *call      // free-list link while parked
+	resp  []byte     // frame only: deliver's copy of the response the entries alias
+	enc   ham.Encoder
+	done  bool  // every sink settled; the call is parked
+	next  *call // free-list link while parked
 }
 
 // takeCall returns a call for the next wire message, recycling a completed
 // one when available.
 func (rt *Runtime) takeCall() *call {
+	rt.openCalls++
 	c := rt.freeCall
 	if c == nil {
 		return &call{rt: rt} //lint:allow hotalloc pool miss: one call object per concurrently in-flight message, then recycled
@@ -69,6 +83,7 @@ func (c *call) recycle() {
 	c.pds, c.sinks = c.pds[:0], c.sinks[:0]
 	c.done = true
 	c.next, c.rt.freeCall = c.rt.freeCall, c
+	c.rt.openCalls--
 }
 
 // post hands the wire message to the backend, retrying a transient failure
@@ -181,6 +196,10 @@ func (c *call) deliver(resp []byte) error {
 		c.recycle()
 		return nil
 	}
+	// Settle hooks run between the entries and may call the backend, which
+	// ends the response's borrow: the entries alias the call's own copy.
+	c.resp = append(c.resp[:0], resp...)
+	resp = c.resp
 	subs, isBatch, err := openBatchInto(c.subs[:0], resp)
 	if !isBatch {
 		if c.pd != nil {

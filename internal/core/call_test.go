@@ -210,6 +210,9 @@ func runLifecycle(t *testing.T, frame bool, n int, ft bool, script []step, useGe
 	if len(parked) != peak {
 		t.Fatalf("free list holds %d calls after %d messages in flight", len(parked), peak)
 	}
+	if n := rt.OpenCalls(); n != 0 {
+		t.Errorf("OpenCalls() = %d with every future settled", n)
+	}
 	for _, c := range parked {
 		if !c.done || c.h != nil || c.pd != nil || c.q != nil || c.frame {
 			t.Errorf("parked call keeps state: %+v", c)

@@ -69,9 +69,19 @@ type Backend interface {
 	//
 	//ham:borrowed msg
 	Call(target NodeID, msg []byte) (Handle, error)
-	// Wait blocks until the response for h arrives and returns it.
+	// Wait blocks until the response for h arrives and returns it. The
+	// response is borrowed: it is valid until the caller's next call into
+	// this backend, which may reuse its memory for another message (the
+	// slot ring recycles a handle and its result buffer once the result is
+	// handed out), so a caller that keeps it copies it. A handle whose
+	// response Wait or Poll has returned is spent.
+	//
+	//ham:borrowed return
 	Wait(h Handle) ([]byte, error)
-	// Poll checks for the response without blocking.
+	// Poll checks for the response without blocking. A response it returns
+	// is borrowed, and its handle spent, as with Wait.
+	//
+	//ham:borrowed return
 	Poll(h Handle) (resp []byte, done bool, err error)
 
 	// Put writes data into target memory at dstAddr (Table II's put). data
@@ -193,13 +203,15 @@ type Runtime struct {
 	// response frame is built in (stolen for the duration of a dispatch so
 	// nested frames fall back to fresh buffers); subsScratch backs batch
 	// frame splitting the same way; freeCall heads the free list of completed
-	// calls, one per wire message that was ever in flight at once; raw is
-	// the sink callSync resolves into.
+	// calls, one per wire message that was ever in flight at once, and
+	// openCalls counts the calls taken and not yet back on it; raw is the
+	// sink Sync and callSync resolve into.
 	ctx          Ctx
 	respDec      ham.Decoder
 	batchScratch []byte
 	subsScratch  [][]byte
 	freeCall     *call
+	openCalls    int
 	raw          rawSink
 }
 
@@ -259,6 +271,16 @@ func (rt *Runtime) Offloads() int64 { return rt.offloads }
 
 // Executed returns how many messages this runtime has executed.
 func (rt *Runtime) Executed() int64 { return rt.executed }
+
+// OpenCalls returns how many wire messages the runtime holds open: posted
+// and not yet settled, or a batch frame still filling. Zero at rest — every
+// call is back on the free list — unless a future was never harvested.
+func (rt *Runtime) OpenCalls() int { return rt.openCalls }
+
+// Strays returns how many abandoned hedge-loser handles the runtime holds
+// until their late responses drain; the backend has not handed those
+// results out.
+func (rt *Runtime) Strays() int { return len(rt.strays) }
 
 // Dispatch implements Server: it executes one incoming active message
 // against this runtime. With tracing attached it wraps the handler in a
@@ -372,13 +394,14 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 	}
 }
 
-// encode builds the wire message of one offload: it validates the target,
-// encodes the request and — as the policies ask — seals it in the
+// encode builds the wire message of one offload in enc: it validates the
+// target, encodes the request and — as the policies ask — seals it in the
 // fault-tolerance envelope (the returned pending carries the retransmission
-// state) and the causal-flow frame (fid is its trace ID).
+// state) and the causal-flow frame (fid is its trace ID). The wire may be
+// enc's buffer, valid until enc is next written.
 //
 //hot:path
-func (rt *Runtime) encode(node NodeID, name string, payload func(*ham.Encoder)) (wire []byte, pd *pending, fid uint64, err error) {
+func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, payload func(*ham.Encoder)) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
 		return nil, nil, 0, errOffloadSelf(node)
 	}
@@ -389,7 +412,7 @@ func (rt *Runtime) encode(node NodeID, name string, payload func(*ham.Encoder)) 
 	if rt.tr != nil {
 		endEnc = rt.tr.Begin(trace.PhaseEncode, "encode "+name, rt.offloads+1)
 	}
-	msg, err := rt.bin.EncodeRequest(name, payload)
+	msg, err := rt.bin.EncodeRequestTo(enc, name, payload)
 	if endEnc != nil {
 		endEnc()
 	}
@@ -405,20 +428,20 @@ func (rt *Runtime) encode(node NodeID, name string, payload func(*ham.Encoder)) 
 	return wire, pd, fid, nil
 }
 
-// callAsync posts the named message as a call of one and returns it; sink
-// receives the response payload or the failure, at once when the message
-// cannot be built or posted.
+// callAsync posts the named message as a call of one, encoded into the
+// call's own encoder, and returns it; sink receives the response payload or
+// the failure, at once when the message cannot be built or posted.
 //
 //hot:path
 func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder), sink settler) *call {
-	wire, pd, _, err := rt.encode(node, name, payload)
-	if err != nil {
-		sink.fail(err)
-		return nil
-	}
 	c := rt.takeCall()
-	c.pd = pd
 	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	wire, pd, _, err := rt.encode(&c.enc, node, name, payload)
+	if err != nil {
+		c.failAll(err)
+		return c
+	}
+	c.pd = pd
 	if err := c.post(node, wire); err != nil {
 		c.failAll(err)
 	}
@@ -438,20 +461,36 @@ func errNoNode(node NodeID, n int) error {
 	return fmt.Errorf("core: no node %d in this application (%d nodes)", node, n)
 }
 
-// callSync posts the message and waits for its response payload, settling
-// into the runtime's own raw sink rather than a typed future.
-func (rt *Runtime) callSync(node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
-	defer rt.beginOffload(node, name)()
-	c := rt.callAsync(node, name, payload, &rt.raw)
-	if !rt.raw.done {
+// resolveSync posts the named message and waits for it, settling into s,
+// which it marks busy: the returned decoder reads the response payload in
+// place, so decode it before the next offload, then clear s.busy.
+//
+//hot:path
+func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
+	s.busy, s.done, s.err = true, false, nil
+	c := rt.callAsync(node, name, payload, s)
+	if !s.done {
 		c.resolve()
 	}
-	resp, err := rt.raw.resp, rt.raw.err
-	rt.raw = rawSink{}
-	if err != nil {
-		return nil, err
+	if s.err != nil {
+		return nil, s.err
 	}
-	return ham.DecodeResponse(resp)
+	return &s.dec, nil
+}
+
+// callSync posts the message and waits for its response payload, settling
+// into the runtime's own raw sink rather than a typed future — or, while a
+// synchronous offload is resolving into that one, into a sink of its own.
+// Decode the payload before the next offload.
+func (rt *Runtime) callSync(node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
+	defer rt.beginOffload(node, name)()
+	s := &rt.raw
+	if s.busy {
+		s = &rawSink{}
+	}
+	dec, err := rt.resolveSync(s, node, name, payload)
+	s.busy = false
+	return dec, err
 }
 
 // Finalize sends terminate messages to all other nodes and closes the

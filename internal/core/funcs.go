@@ -137,9 +137,27 @@ func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
 	return f
 }
 
-// Sync performs a synchronous offload of fn to node (Table II's sync).
+// Sync performs a synchronous offload of fn to node (Table II's sync). It
+// keeps no future: the call settles into the runtime's own sink and the
+// result is decoded from the response in place, and the offload span closes
+// once it is. A Sync issued while another synchronous offload is resolving
+// takes the Async path instead.
+//
+//hot:path
 func Sync[R any](rt *Runtime, node NodeID, fn Functor[R]) (R, error) {
-	return Async(rt, node, fn).Get()
+	s := &rt.raw
+	if s.busy {
+		return Async(rt, node, fn).Get()
+	}
+	end := rt.beginOffload(node, fn.name)
+	var v R
+	dec, err := rt.resolveSync(s, node, fn.name, fn.payload)
+	if err == nil {
+		v, err = fn.decode(dec)
+	}
+	s.busy = false
+	end()
+	return v, err
 }
 
 func resultDecoder[R any](rc valCodec[R]) func(*ham.Decoder) (R, error) {
@@ -174,12 +192,17 @@ func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 	return Func0[R]{name: fnName(name), decode: resultDecoder(rc)}
 }
 
-// Bind produces the offloadable functor.
+// Bind produces the offloadable functor. It allocates nothing: every
+// no-argument functor shares one payload writer. (A literal here would
+// capture the generic dictionary and cost a closure per Bind.)
 //
 //hot:path
 func (f Func0[R]) Bind() Functor[R] {
-	return Functor[R]{name: f.name, payload: func(*ham.Encoder) {}, decode: f.decode}
+	return Functor[R]{name: f.name, payload: noPayload, decode: f.decode}
 }
+
+// noPayload writes a no-argument function's empty payload.
+func noPayload(*ham.Encoder) {}
 
 // Func1 is a registered offloadable function with one argument.
 type Func1[R, A1 any] struct {

@@ -20,8 +20,9 @@ import (
 // exchangeable between the heterogeneous binaries.
 type Encoder struct {
 	buf []byte
-	// inline backs buf while the payload fits, so a small message costs the
-	// one allocation of its encoder and nothing for append growth.
+	// inline backs buf while the payload fits, so a small message needs no
+	// buffer of its own: nothing for append growth, and nothing at all in
+	// an encoder that lives in a longer-lived value.
 	inline [encInline]byte
 }
 
@@ -29,15 +30,14 @@ type Encoder struct {
 // plus 52 payload bytes, which covers every scalar-argument offload.
 const encInline = 56
 
-// NewEncoder returns an empty encoder.
-//
-// EncodeRequest deliberately takes a fresh encoder per request rather than a
-// pooled one: the wire it produces is handed to Backend.Call, which may park
-// the proc before copying, so a shared scratch could be clobbered by another
-// host proc mid-call.
+// NewEncoder returns an empty encoder, for bytes the caller keeps:
+// EncodeRequest's result, a failure response built outside a handler, a
+// re-entrant dispatch. A runtime encodes each request into the encoder of
+// the pooled call that carries it (EncodeRequestTo) instead, because that
+// call owns the wire until the message settles.
 func NewEncoder() *Encoder {
-	e := &Encoder{} //lint:allow hotalloc fresh buffer per request: Call may park before copying the wire
-	e.buf = e.inline[:0]
+	e := &Encoder{}
+	e.Reset()
 	return e
 }
 
@@ -47,8 +47,14 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the current payload size.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset clears the encoder for reuse.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Reset clears the encoder for reuse. A zero Encoder is ready once Reset:
+// it writes into its inline buffer until a payload outgrows it.
+func (e *Encoder) Reset() {
+	if e.buf == nil {
+		e.buf = e.inline[:0]
+	}
+	e.buf = e.buf[:0]
+}
 
 // PutU8 appends one byte.
 func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) } //lint:allow hotalloc amortized growth of the encoder buffer, reused via Reset
@@ -220,34 +226,40 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
+// count reads the length prefix of a slice of size-byte elements. A count
+// the rest of the message cannot hold is the sticky underrun, raised before
+// anything is allocated: the count is the peer's word, and four bytes of it
+// must not buy gigabytes.
+func (d *Decoder) count(size int) int {
+	n := int(d.U32())
+	if d.err == nil && n > d.Remaining()/size {
+		d.err = underrunError(n*size, d.off, len(d.buf))
+	}
+	return n
+}
+
 // F64s reads a length-prefixed []float64.
 func (d *Decoder) F64s() []float64 {
-	n := int(d.U32())
+	n := d.count(8)
 	if d.err != nil {
 		return nil
 	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.F64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.F64()
 	}
 	return out
 }
 
 // I64s reads a length-prefixed []int64.
 func (d *Decoder) I64s() []int64 {
-	n := int(d.U32())
+	n := d.count(8)
 	if d.err != nil {
 		return nil
 	}
-	out := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.I64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = d.I64()
 	}
 	return out
 }

@@ -59,6 +59,11 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(enc.Bytes())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
+	// Hostile slice counts behind the 42 bytes the scalar, string and byte
+	// reads take: 2^28-1 F64s, then (after an empty F64s) 2^32-1 I64s.
+	prefix := make([]byte, 42)
+	f.Add(append(prefix[:42:42], 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append(prefix[:42:42], 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)

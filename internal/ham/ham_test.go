@@ -3,6 +3,7 @@ package ham
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,36 @@ func TestDecoderStickyError(t *testing.T) {
 	}
 	if d.F64s() != nil || d.I64s() != nil {
 		t.Error("post-error slice reads should return nil")
+	}
+}
+
+// TestHostileCountAllocatesNothing: a slice count is the peer's word, so a
+// few bytes claiming billions of elements must fail as an underrun before
+// the decoder allocates for them. What the read allocates is bounded by the
+// message, not by the count.
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	reads := map[string]func(*Decoder) bool{
+		"F64s": func(d *Decoder) bool { return d.F64s() == nil },
+		"I64s": func(d *Decoder) bool { return d.I64s() == nil },
+	}
+	for name, read := range reads {
+		for _, msg := range [][]byte{
+			{0xff, 0xff, 0xff, 0x0f},             // 2^28-1 elements: 2 GiB
+			{0xff, 0xff, 0xff, 0xff},             // 2^32-1 elements: 32 GiB
+			{0x02, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7}, // two elements, seven bytes
+		} {
+			var before, after runtime.MemStats
+			d := NewDecoder(msg)
+			runtime.ReadMemStats(&before)
+			isNil := read(d)
+			runtime.ReadMemStats(&after)
+			if !isNil || d.Err() == nil || !strings.Contains(d.Err().Error(), "underrun") {
+				t.Errorf("%s of % x: nil=%v, err=%v; want nil and an underrun", name, msg, isNil, d.Err())
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1024+8*len(msg)); got > limit {
+				t.Errorf("%s of a %d-byte message allocated %d bytes, want at most %d", name, len(msg), got, limit)
+			}
+		}
 	}
 }
 

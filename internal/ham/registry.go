@@ -288,14 +288,20 @@ const (
 	statusFail = 1
 )
 
-// EncodeRequest builds the wire form of a message: the globally valid key
-// followed by the payload writer's output.
+// EncodeRequest builds the wire form of a message in a fresh encoder: the
+// globally valid key followed by the payload writer's output.
 func (b *Binary) EncodeRequest(name string, writePayload func(*Encoder)) ([]byte, error) {
+	return b.EncodeRequestTo(NewEncoder(), name, writePayload)
+}
+
+// EncodeRequestTo is EncodeRequest into enc, which it resets first. The
+// wire it returns is enc's buffer: valid until enc is next written.
+func (b *Binary) EncodeRequestTo(enc *Encoder, name string, writePayload func(*Encoder)) ([]byte, error) {
 	k, err := b.KeyOf(name)
 	if err != nil {
 		return nil, err
 	}
-	enc := NewEncoder()
+	enc.Reset()
 	enc.PutU32(uint32(k))
 	if writePayload != nil {
 		writePayload(enc)
