@@ -235,6 +235,27 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 	return t.kctx.Instr().LoadWord(t.kctx.P, t.lay.recvFlag(slot))
 }
 
+// QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
+// fault rule can reach it or a tracer records it (dma.Instr.Quiet).
+//
+//hot:path
+func (t *veSide) QuietFlag(slot int) (simtime.Duration, bool) {
+	in := t.kctx.Instr()
+	return in.LoadCost(), in.Quiet(t.lay.recvFlag(slot))
+}
+
+// PeekFlag implements ring.TargetTransport.
+//
+//hot:path
+func (t *veSide) PeekFlag(slot int) (uint64, error) {
+	return t.kctx.Instr().PeekWord(t.lay.recvFlag(slot))
+}
+
+// CountFlag implements ring.TargetTransport.
+//
+//hot:path
+func (t *veSide) CountFlag() { t.kctx.Instr().CountLoad() }
+
 // Fetch implements ring.TargetTransport: user DMA into the local staging
 // buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).
 func (t *veSide) Fetch(slot int, msg []byte) error {

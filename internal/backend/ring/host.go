@@ -426,7 +426,10 @@ func (h *Host) probe(hd *handle) (done, absorbed bool, err error) {
 // simtime.Proc.Poll takes: every PollGap, has anything happened that wait
 // must look at — the target gone, the poll failing, the result flag of this
 // offload up? wait then looks for itself, in its own order.
-type resultPoll struct{ hd *handle }
+type resultPoll struct {
+	simtime.Free // Tick
+	hd           *handle
+}
 
 // Hit implements simtime.Poller. Unlike conn.alive it latches nothing.
 //

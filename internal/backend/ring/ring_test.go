@@ -31,7 +31,9 @@ var errBroken = errors.New("fake: broken for good")
 // makes every one ("push") fail. The exception is a poll that is free —
 // PollResult without pollCost, LoadFlag without loadCost — which honours the
 // transports' purity contract: a bare load, unlogged and unnumbered, that
-// fails only by a standing fault (always).
+// fails only by a standing fault (always). A LoadFlag that costs is quiet
+// only when quiet says so: the engine then issues it (PeekFlag), and it is
+// numbered but neither logged nor failed by number.
 type fake struct {
 	recvFlag, sendFlag   []uint64
 	recvBuf              [][]byte
@@ -42,6 +44,7 @@ type fake struct {
 	pollCost simtime.Duration // time one PollResult takes
 	vp       *simtime.Proc    // target process, for loadCost
 	loadCost simtime.Duration // time one LoadFlag takes (the target's IdlePollCost)
+	quiet    bool             // a LoadFlag that costs is the engine's to issue
 	count    map[string]int
 	fail     map[string]error
 	always   map[string]error
@@ -136,6 +139,18 @@ func (f *fake) LoadFlag(slot int) (uint64, error) {
 		return 0, err
 	}
 	return f.recvFlag[slot], nil
+}
+
+func (f *fake) QuietFlag(int) (simtime.Duration, bool) {
+	return f.loadCost, f.loadCost == 0 || f.quiet
+}
+
+func (f *fake) PeekFlag(slot int) (uint64, error) { return f.recvFlag[slot], f.always["load"] }
+
+func (f *fake) CountFlag() {
+	if f.loadCost > 0 {
+		f.count["load"]++
+	}
 }
 
 func (f *fake) Fetch(slot int, msg []byte) error {
@@ -887,4 +902,56 @@ func TestIdleTargetWakesOnTheLoopsGrid(t *testing.T) {
 				w.serveErr, w.serveEnd, doneAt, idleGrid(idleSince, doneAt))
 		}
 	})
+}
+
+// A flag load that costs is the engine's to issue while it is quiet: the
+// target sees every message, and the end of serving, on the tick it saw them
+// when it issued every load itself, after as many loads and in as many
+// events — and switches for none of the loads that miss.
+func TestQuietLoadsAreTheEngines(t *testing.T) {
+	type outcome struct {
+		dispatched []simtime.Time
+		end        simtime.Time
+		loads      int
+		events     uint64
+		maxq       int
+		polls      uint64
+	}
+	serve := func(quiet bool) outcome {
+		var o outcome
+		w := &world{t: t, srv: &server{handle: func(vp *simtime.Proc, msg []byte) []byte {
+			o.dispatched = append(o.dispatched, vp.Now())
+			return msg
+		}}, arm: func(f *fake) { f.loadCost, f.quiet = 50*simtime.Nanosecond, quiet }}
+		w.run(Options{}, localPoll(), func(p *simtime.Proc, h *Host) {
+			for i, silence := range []simtime.Duration{
+				0, 100 * simtime.Microsecond, 0, 777 * simtime.Microsecond, 3 * simtime.Millisecond, 0,
+			} {
+				p.Sleep(silence + simtime.Duration(i)) // off the grid
+				mustWait(t, h, mustCall(t, h, "m"), "m")
+			}
+			p.Sleep(2 * simtime.Millisecond)
+			w.srv.done = true
+			p.Sleep(testPoll * 1024)
+			o.loads = w.links[0].count["load"]
+		})
+		o.end, o.events, o.maxq, o.polls = w.serveEnd, w.eng.Events(), w.eng.MaxQueueLen(), w.eng.PollTicks()
+		return o
+	}
+	loop, engine := serve(false), serve(true)
+	if !slices.Equal(engine.dispatched, loop.dispatched) || engine.end != loop.end {
+		t.Errorf("dispatched at %v, Serve returned at %v; issuing every load itself, at %v and %v",
+			engine.dispatched, engine.end, loop.dispatched, loop.end)
+	}
+	if engine.loads != loop.loads || engine.events != loop.events || engine.maxq != loop.maxq {
+		t.Errorf("loads, Events, MaxQueueLen = %d, %d, %d; issuing every load itself %d, %d, %d",
+			engine.loads, engine.events, engine.maxq, loop.loads, loop.events, loop.maxq)
+	}
+	// The engine issues every load but the first of each idle stretch (one
+	// per message, and the last), and answers the end of every load that
+	// missed.
+	hits := len(loop.dispatched)
+	if got, want := engine.polls-loop.polls, uint64((loop.loads-hits-1)+(loop.loads-hits)); got != want {
+		t.Errorf("the engine answered %d more wakes, want %d: %d loads of which %d hit", got, want, loop.loads, hits)
+	}
 }

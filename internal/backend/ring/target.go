@@ -15,12 +15,25 @@ import (
 // the protocol orders the writes: the result payload is pushed before its
 // flag is published.
 type TargetTransport interface {
-	// LoadFlag reads the slot's receive flag word once. When the target's
-	// TargetConfig.IdlePollCost == 0 this is a free load: it takes no
-	// simulated time, passes no fault site and changes nothing, so it may be
-	// called any number of times — the engine calls it for the idle target
-	// (flagPoll).
+	// LoadFlag reads the slot's receive flag word once, as the protocol
+	// loads it: taking its time, passing its fault sites, recording its
+	// span. Serve issues it on the ticks of its idle poll that QuietFlag
+	// does not leave to the engine.
 	LoadFlag(slot int) (uint64, error)
+	// QuietFlag reports whether LoadFlag(slot), issued now, would do
+	// nothing but take cost and read the flag word at its end: no fault
+	// rule can match it, no span records it. The engine then issues it in
+	// Serve's stead (flagPoll) — PeekFlag at its end, CountFlag for the
+	// load. It is a pure read, asked any number of times. cost is zero for
+	// a flag in local memory, which is always quiet: a transport whose cost
+	// is zero once has it zero for good, and Serve then asks no more.
+	QuietFlag(slot int) (cost simtime.Duration, quiet bool)
+	// PeekFlag is a quiet LoadFlag's read alone: the slot's flag word,
+	// taking no time and changing nothing.
+	PeekFlag(slot int) (uint64, error)
+	// CountFlag accounts for one quiet LoadFlag the engine issued, as
+	// LoadFlag accounts for its own (dma.Instr.Loads).
+	CountFlag()
 	// Fetch brings the slot's len(msg)-byte message into msg, charging the
 	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
 	Fetch(slot int, msg []byte) error
@@ -40,9 +53,10 @@ type TargetConfig struct {
 	Self, Nodes int
 	Transport   TargetTransport
 	// IdlePollCost is what one missed poll adds to the idle-time account on
-	// top of the poll gap: the LHM word load of the DMA protocol, nothing
-	// for a local-memory poll, which is free under LoadFlag's purity
-	// contract.
+	// top of the poll gap (simtime.Backoff.PollCost), and so when the idle
+	// back-off starts: the nominal LHM word load of the DMA protocol,
+	// nothing for a local-memory flag. It shapes the schedule only; what a
+	// poll takes is QuietFlag's cost.
 	IdlePollCost simtime.Duration
 }
 
@@ -97,31 +111,58 @@ func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive f
 	return t
 }
 
-// flagPoll is Serve's idle loop over a free poll (IdlePollCost == 0), in the
-// form simtime.Proc.Poll takes: every back-off gap, has anything happened
-// that Serve must look at — the server done, the VE process gone, the load
-// failing, the next message's flag up? Serve then looks for itself.
+// flagPoll is Serve's idle loop in the form simtime.Proc.Poll takes: every
+// back-off gap, does Serve have to look for itself — the server done, the VE
+// process gone, a flag load that is not quiet — and if not, has the load the
+// engine issued found the next message's flag up, or failed?
 type flagPoll struct {
-	simtime.Backoff // Gap
+	simtime.Backoff // the gap schedule; Gap below also counts the load
 	t               *Target
 	s               core.Server
 	slot            int
+	// What the last Hit read: the word Serve goes on with after a hit.
+	word uint64
+	err  error
+	// The flag is in local memory: its load is free and always quiet, so a
+	// tick asks the transport nothing and a miss counts no load.
+	free bool
+}
+
+// Tick implements simtime.Poller.
+//
+//hot:path
+func (q *flagPoll) Tick() (simtime.Duration, bool) {
+	t := q.t
+	if q.s.Done() || !t.alive() {
+		return 0, true
+	}
+	if q.free {
+		return 0, false
+	}
+	cost, quiet := t.Transport.QuietFlag(q.slot)
+	return cost, !quiet
 }
 
 // Hit implements simtime.Poller.
 //
 //hot:path
 func (q *flagPoll) Hit() bool {
-	t := q.t
-	if q.s.Done() || !t.alive() {
+	q.word, q.err = q.t.Transport.PeekFlag(q.slot)
+	if q.err != nil {
 		return true
 	}
-	word, err := t.Transport.LoadFlag(q.slot)
-	if err != nil {
-		return true
-	}
-	_, ok := slots.Decode(word, t.seq[q.slot])
+	_, ok := slots.Decode(q.word, q.t.seq[q.slot])
 	return ok
+}
+
+// Gap implements simtime.Poller: the load the engine issued missed.
+//
+//hot:path
+func (q *flagPoll) Gap() simtime.Duration {
+	if !q.free {
+		q.t.Transport.CountFlag()
+	}
+	return q.Backoff.Gap()
 }
 
 // Self implements core.Backend.
@@ -157,6 +198,8 @@ func (t *Target) Serve(s core.Server) error {
 	idle := &t.idle
 	idle.Reset()
 	idle.s = s
+	cost, _ := t.Transport.QuietFlag(0)
+	idle.free = cost == 0
 
 	for !s.Done() {
 		if !t.alive() {
@@ -164,8 +207,22 @@ func (t *Target) Serve(s core.Server) error {
 			// instead of spinning on a dead machine.
 			return t.errAborted()
 		}
+		idle.slot = next
+		hit := t.p.Poll(idle, 0)
+		// A traced load is never quiet, so the poll a span covers starts
+		// now: it is free, or Serve issues it.
 		pollStart := t.nt.Now()
-		word, err := t.Transport.LoadFlag(next)
+		word, err := idle.word, idle.err
+		if hit {
+			// The flag was up, or its read failed, at the end of a load the
+			// engine issued (or of a free one).
+			t.Transport.CountFlag()
+		} else if s.Done() || !t.alive() {
+			continue
+		} else {
+			// A load that is not quiet: Serve issues it.
+			word, err = t.Transport.LoadFlag(next)
+		}
 		if err != nil {
 			if core.IsTransient(err) {
 				// An injected glitch on the flag load reads as a miss: back
@@ -178,12 +235,7 @@ func (t *Target) Serve(s core.Server) error {
 		}
 		n, ok := slots.Decode(word, seq[next])
 		if !ok {
-			if t.IdlePollCost == 0 {
-				idle.slot = next
-				t.p.Poll(idle, 0)
-			} else {
-				t.p.Sleep(idle.Gap())
-			}
+			t.p.Sleep(idle.Backoff.Gap())
 			continue
 		}
 		idle.Reset()

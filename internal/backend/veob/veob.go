@@ -199,6 +199,22 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 	return t.card.Mem.ReadUint64(mem.Addr(t.lay.recvFlag(slot)))
 }
 
+// QuietFlag implements ring.TargetTransport: a local load is free and passes
+// no fault site.
+//
+//hot:path
+func (t *veSide) QuietFlag(int) (simtime.Duration, bool) { return 0, true }
+
+// PeekFlag implements ring.TargetTransport: the load itself.
+//
+//hot:path
+func (t *veSide) PeekFlag(slot int) (uint64, error) { return t.LoadFlag(slot) }
+
+// CountFlag implements ring.TargetTransport: local loads are not counted.
+//
+//hot:path
+func (t *veSide) CountFlag() {}
+
 // Fetch implements ring.TargetTransport: a local copy out of the receive
 // buffer.
 func (t *veSide) Fetch(slot int, msg []byte) error {

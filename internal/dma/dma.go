@@ -365,10 +365,49 @@ func (in *Instr) LoadWord(p *simtime.Proc, vehva mem.Addr) (uint64, error) {
 	}
 	slowDown(p, &in.timing, faults.SiteLHM, in.path, in.timing.LHMPerWord)
 	defer in.timing.Tracer.Span(p, "pcie", "lhm-load")()
-	p.Sleep(in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2)
+	p.Sleep(in.LoadCost())
 	in.loads++
 	return m.ReadUint64(addr)
 }
+
+// LoadCost is what one LoadWord takes when nothing is injected: the LHM
+// round trip, plus the UPI both ways on a path that crosses sockets.
+//
+//hot:path
+func (in *Instr) LoadCost() simtime.Duration {
+	return in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2
+}
+
+// Quiet reports whether LoadWord(vehva), issued now, would do nothing but
+// take LoadCost, count the load and read the word at its end: the address
+// translates, no fault rule can match the LHM site on this VE (a link-down
+// rule matches every site, the LHM site included) and no tracer records the
+// load. A poll may then leave the load to the engine (simtime.Poller) — read
+// it with PeekWord at its end, and count it with CountLoad.
+//
+//hot:path
+func (in *Instr) Quiet(vehva mem.Addr) bool {
+	if _, _, err := in.atb.Translate(vehva, 8); err != nil {
+		return false
+	}
+	return in.timing.Tracer == nil && !in.timing.Faults.Armed(faults.SiteLHM, in.path.Link.VE())
+}
+
+// PeekWord is LoadWord's read alone: no time, no fault site, no count.
+//
+//hot:path
+func (in *Instr) PeekWord(vehva mem.Addr) (uint64, error) {
+	m, addr, err := in.atb.Translate(vehva, 8)
+	if err != nil {
+		return 0, err
+	}
+	return m.ReadUint64(addr)
+}
+
+// CountLoad counts one quiet LoadWord that the engine issued.
+//
+//hot:path
+func (in *Instr) CountLoad() { in.loads++ }
 
 // StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
 //
@@ -446,10 +485,16 @@ func (in *Instr) LoadBytes(p *simtime.Proc, vehva mem.Addr, out []byte) error {
 	p.Sleep(simtime.Duration(words)*in.timing.LHMPerWord +
 		simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2)
 	in.loads += words
-	buf := make([]byte, padded)
-	if err := m.ReadAt(buf, addr); err != nil {
+	// The last word's padding is read into a scratch word rather than through
+	// a padded copy of the whole range: same bytes in out, no buffer.
+	if err := m.ReadAt(out, addr); err != nil {
 		return err
 	}
-	copy(out, buf)
+	if pad := padded - int64(len(out)); pad > 0 {
+		var scratch [8]byte
+		if err := m.ReadAt(scratch[:pad], addr+mem.Addr(len(out))); err != nil {
+			return err
+		}
+	}
 	return nil
 }

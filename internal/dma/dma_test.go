@@ -3,10 +3,12 @@ package dma
 import (
 	"testing"
 
+	"hamoffload/internal/faults"
 	"hamoffload/internal/hostmem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
+	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
 	"hamoffload/internal/vemem"
 )
@@ -339,6 +341,86 @@ func TestSHMBytesPipelineAndLHMDoesNot(t *testing.T) {
 	}
 	if loadT <= storeT {
 		t.Error("LHM should be much slower than SHM")
+	}
+}
+
+// LoadBytes reads straight into out, the last word's padding into a scratch
+// word: an odd-length load allocates nothing.
+func TestLoadBytesAllocatesNothing(t *testing.T) {
+	r := newRig(t, 2*units.MiB)
+	seg, _ := r.host.ShmCreate(4096)
+	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
+	in := NewInstr(r.tm, r.ve.ATB(), r.path)
+	data := []byte("thirteen byte")
+	out := make([]byte, len(data))
+	r.runIn(t, func(p *simtime.Proc) {
+		if err := in.StoreBytes(p, vehva, data); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if err := in.LoadBytes(p, vehva, out); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("LoadBytes of %d bytes allocated %v times", len(out), n)
+		}
+	})
+	if string(out) != string(data) || in.Loads() != 11*2 {
+		t.Errorf("LoadBytes read %q in %d loads, want %q in 22", out, in.Loads(), data)
+	}
+}
+
+// A LoadWord is quiet — the engine may issue it as a poll's load — while no
+// fault rule can reach its site on this VE and no tracer records it; a quiet
+// load is LoadCost, PeekWord's word and one CountLoad.
+func TestQuietLoad(t *testing.T) {
+	r := newRig(t, 2*units.MiB)
+	seg, _ := r.host.ShmCreate(4096)
+	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
+	in := NewInstr(r.tm, r.ve.ATB(), r.path)
+	var took simtime.Duration
+	r.runIn(t, func(p *simtime.Proc) {
+		if err := in.StoreWord(p, vehva, 42); err != nil {
+			t.Fatal(err)
+		}
+		start := p.Now()
+		if _, err := in.LoadWord(p, vehva); err != nil {
+			t.Fatal(err)
+		}
+		took = p.Now().Sub(start)
+	})
+	if took != in.LoadCost() {
+		t.Errorf("LoadWord took %v, LoadCost = %v", took, in.LoadCost())
+	}
+	if v, err := in.PeekWord(vehva); v != 42 || err != nil || in.Loads() != 1 {
+		t.Errorf("PeekWord = %d, %v after %d loads; want 42 after the one LoadWord", v, err, in.Loads())
+	}
+	if in.CountLoad(); in.Loads() != 2 {
+		t.Errorf("Loads = %d after CountLoad, want 2", in.Loads())
+	}
+	if !in.Quiet(vehva) || in.Quiet(0xdead0000) {
+		t.Error("a registered word's load is quiet with nothing armed, an unregistered one's never")
+	}
+	for name, arm := range map[string]func(tm *topology.Timing){
+		"tracer": func(tm *topology.Timing) { tm.Tracer = trace.NewTracer() },
+		"LHM rule on this VE": func(tm *topology.Timing) {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Jitter, Site: faults.SiteLHM, Node: 0}}})
+		},
+		"link rule on any VE": func(tm *topology.Timing) {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.LinkDown, Node: faults.AnyNode}}})
+		},
+		"rule on another site": nil,
+	} {
+		tm := r.tm
+		quiet := arm == nil
+		if quiet {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0}}})
+		} else {
+			arm(&tm)
+		}
+		if got := NewInstr(tm, r.ve.ATB(), r.path).Quiet(vehva); got != quiet {
+			t.Errorf("%s: Quiet = %v, want %v", name, got, quiet)
+		}
 	}
 }
 

@@ -356,6 +356,24 @@ func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (*Rul
 	return nil, op, false
 }
 
+// Armed reports whether a rule of any kind can match an operation at site
+// and node: whether a hook there may fire, count or lock at all. A caller
+// that leaves an operation nobody can inject into to the engine (a costed
+// poll, simtime.Poller) asks it; the tables never change after New.
+//
+//hot:path
+func (in *Injector) Armed(site Site, node int) bool {
+	if in == nil {
+		return false
+	}
+	for k := range in.tables {
+		if in.tables[k][site].armed(node) {
+			return true
+		}
+	}
+	return false
+}
+
 // TransferError decides whether the transfer at site/node fails. The hook
 // point must consult it before moving any data: a failed transfer delivers
 // nothing.

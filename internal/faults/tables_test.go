@@ -279,6 +279,38 @@ func TestLinkErrorMatchesOnlySiteAnyRules(t *testing.T) {
 	}
 }
 
+// TestArmedIsAnyKindAtSiteAndNode pins the read-only query a caller asks
+// before leaving an operation to the engine: a rule of any kind for that
+// node at that site — named, or through SiteAny or AnyNode — arms it, a rule
+// for another site or node does not, and a nil injector arms nothing.
+func TestArmedIsAnyKindAtSiteAndNode(t *testing.T) {
+	var none *Injector
+	if none.Armed(SiteLHM, 0) {
+		t.Fatal("nil injector armed")
+	}
+	in := New(&Plan{Rules: []Rule{
+		{Kind: Jitter, Site: SiteLHM, Node: 2},
+		{Kind: LinkDown, Node: 5},
+		{Kind: BitFlip, Site: SitePCIe, Node: AnyNode},
+		{Kind: SlowDown, Site: SiteUserDMA, Node: 7},
+	}})
+	for _, tc := range []struct {
+		site  Site
+		node  int
+		armed bool
+	}{
+		{SiteLHM, 2, true}, {SiteLHM, 3, false}, {SiteLHM, 5, true}, {SiteVEOS, 5, true},
+		{SitePCIe, 9, true}, {SiteUserDMA, 7, true}, {SiteLHM, 7, false}, {SiteLHM, 99, false},
+	} {
+		if got := in.Armed(tc.site, tc.node); got != tc.armed {
+			t.Errorf("Armed(%v, %d) = %v, want %v", tc.site, tc.node, got, tc.armed)
+		}
+	}
+	if in.Injected() != 0 {
+		t.Error("Armed fired a rule")
+	}
+}
+
 // TestHooksAllocateNothingWhenNoRuleCanMatch pins the cost of an armed plan
 // at a hook it cannot touch: no lock, no count, no allocation.
 func TestHooksAllocateNothingWhenNoRuleCanMatch(t *testing.T) {

@@ -32,10 +32,15 @@ const (
 type waiter struct {
 	p     *Proc
 	woken bool
-	// A waiter parked in Proc.Poll: the wake is a poll tick, which step
-	// answers itself while poll.Hit says miss and the tick is before until.
-	poll  Poller
-	until Time
+	// A waiter parked in Proc.Poll: the wake is a tick of its loop or, when
+	// issued, the end of a poll that takes cost; step answers it itself while
+	// the process only passes through (Engine.answers). hit is what Poll
+	// returns once one is delivered.
+	poll   Poller
+	until  Time
+	cost   Duration
+	issued bool
+	hit    bool
 }
 
 type event struct {
@@ -113,8 +118,8 @@ type Engine struct {
 	events uint64
 	polls  uint64 // events that were poll ticks step answered itself
 	maxq   int    // event-queue high-water mark, for the engine profiler
-	// The process whose Poller.Hit is being evaluated, for park's guard.
-	hitting *Proc
+	// The process whose Poller is being asked Tick or Hit, for park's guard.
+	asking *Proc
 
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.
@@ -246,14 +251,14 @@ func (e *Engine) Run() error {
 // switch. This cannot reorder delivery: it is the same event Run would
 // deliver next, to the same process, and nothing else runs in between.
 //
-// A poll tick that misses is answered here: the event of a process parked in
-// Proc.Poll, before its until, whose Hit says miss, wakes nobody. Popped,
-// counted and the clock advanced like any other, it goes back on the heap one
-// Gap later (repoll) — the operations the polling process would have
-// performed had it been woken to look for itself, in the same order, with
-// nothing able to run in between. It is engine work whoever's stack step is
-// on, so a process parking beside a poller no longer yields for the poller's
-// misses.
+// A poll wake the process only passes through is answered here: the event of
+// a process parked in Proc.Poll — a tick before its until on which the poll
+// is issued, a poll that misses — wakes nobody. Popped, counted and the clock
+// advanced like any other, it goes back on the heap the poll's cost or a Gap
+// later (repoll) — the operations the polling process would have performed
+// had it been woken to look for itself, in the same order, with nothing able
+// to run in between. It is engine work whoever's stack step is on, so a
+// process parking beside a poller no longer yields for the poller's misses.
 //
 // Whatever step(p) cannot settle without switching — another process's wake,
 // Stop, the deadline, the event budget, an empty heap — it leaves untouched
@@ -283,8 +288,8 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 		}
 		late := e.Deadline != 0 && head.at > e.Deadline
 		spent := e.events >= maxEvents
-		miss := w.poll != nil && !late && !spent && (w.until == 0 || head.at < w.until) && !e.hit(w.p, w.poll)
-		if self != nil && !miss && (w.p != self || late || spent) {
+		answer := w.poll != nil && !late && !spent && e.answers(w, head.at)
+		if self != nil && !answer && (w.p != self || late || spent) {
 			return nil, nil
 		}
 		ev := e.eq.pop()
@@ -296,7 +301,7 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			return nil, limitError(maxEvents)
 		}
 		e.now = ev.at
-		if miss {
+		if answer {
 			e.repoll(w, maxEvents)
 			continue
 		}
@@ -311,8 +316,8 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 // exits; one that never started never runs its body. It must be called after
 // Run returns, never concurrently with it.
 func (e *Engine) Shutdown() {
-	e.stop = true   // a park during the unwinding must not advance the simulation
-	e.hitting = nil // a Hit that panicked left it set; the unwinding may park
+	e.stop = true  // a park during the unwinding must not advance the simulation
+	e.asking = nil // a question that panicked left it set; the unwinding may park
 	for e.first != nil {
 		// A deferred call that parks yields back here with the process
 		// still first in line; the next round kills that park too.

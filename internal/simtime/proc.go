@@ -54,8 +54,8 @@ func (p *Proc) Now() Time { return p.eng.now }
 //
 //hot:path
 func (p *Proc) park(label string) int {
-	if h := p.eng.hitting; h != nil {
-		panic(parkedInHit(h))
+	if h := p.eng.asking; h != nil {
+		panic(parkedInPoller(h))
 	}
 	if next, _ := p.eng.step(p); next == nil {
 		p.blockedOn = label

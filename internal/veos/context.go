@@ -42,6 +42,12 @@ type Command struct {
 // simtime.Proc.Poll takes: every VEOResultPollInterval, has it finished?
 type waitPoll Command
 
+// Tick implements simtime.Poller: looking at done is free, and all the wait
+// does.
+//
+//hot:path
+func (*waitPoll) Tick() (simtime.Duration, bool) { return 0, false }
+
 // Hit implements simtime.Poller.
 //
 //hot:path
@@ -55,6 +61,7 @@ func (w *waitPoll) Gap() simtime.Duration { return w.pollGap }
 // cmdPoll is workerLoop's idle loop in the same form: every back-off gap, is
 // there a command to run or a reason to stop?
 type cmdPoll struct {
+	simtime.Free    // Tick
 	simtime.Backoff // Gap
 	ctx             *Context
 }

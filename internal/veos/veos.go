@@ -291,6 +291,16 @@ func (vp *Process) FreeMem(p *simtime.Proc, addr uint64) error {
 // Syscalls returns how many reverse-offloaded system calls the process made.
 func (vp *Process) Syscalls() int64 { return vp.syscalls }
 
+// Loads returns how many words the process's contexts have loaded from host
+// memory with LHM (dma.Instr.Loads).
+func (vp *Process) Loads() int64 {
+	var n int64
+	for _, ctx := range vp.ctxs {
+		n += ctx.instr.Loads()
+	}
+	return n
+}
+
 // memAddr converts the raw 64-bit addresses used at the VEO API surface into
 // typed simulation addresses.
 func memAddr(a uint64) mem.Addr { return mem.Addr(a) }
