@@ -85,12 +85,13 @@ func TestRejectedSubmitZeroAlloc(t *testing.T) {
 }
 
 // TestServedRequestAllocs pins one request end to end — Bind, Submit, the
-// dmab round trip, Drain — on a 1-VE machine at the three objects the API
-// hands out per request: the bound-argument closure, the ticket and the
-// future. The wire is encoded in the pooled call that carries it, and the
-// ring handle and its result buffer recycle once the result is handed out.
+// dmab round trip, Drain — on a 1-VE machine at the one object the API hands
+// out per request: the ticket. Bind encodes the arguments into the functor
+// the ticket holds, the future is issued in place inside the ticket, the
+// wire is encoded in the pooled call that carries it, and the ring handle
+// and its result buffer recycle once the result is handed out.
 func TestServedRequestAllocs(t *testing.T) {
-	const want = 3
+	const want = 1
 	onGateway(t, 1, Config{}, func(p *machine.Proc, g *Gateway[int64]) {
 		var tk *Ticket[int64]
 		var err error

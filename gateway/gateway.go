@@ -188,33 +188,41 @@ func (c Config) withDefaults() Config {
 }
 
 // Ticket is one admitted request's handle. The gateway settles it during
-// Poll or Drain; afterwards Done reports true and Err/Latency are valid.
+// Poll or Drain; afterwards Done reports true and Err/Latency are valid. The
+// request's future lives in the ticket: the gateway issues into it, so an
+// admitted request is this one object.
 type Ticket[R any] struct {
 	Tenant int
 	Class  Class
 
 	g      *Gateway[R]
 	fn     core.Functor[R]
-	fut    *core.Future[R]
 	vi     int // index into the gateway's node list
 	arrive simtime.Time
-	done   bool
-	val    R
-	err    error
 	lat    simtime.Duration
+	fut    core.Future[R]
 }
 
 // Done reports whether the request has settled.
-func (tk *Ticket[R]) Done() bool { return tk.done }
+func (tk *Ticket[R]) Done() bool { return tk.fut.Done() }
 
 // Value returns the request's result; valid once Done.
-func (tk *Ticket[R]) Value() (R, error) { return tk.val, tk.err }
+func (tk *Ticket[R]) Value() (R, error) {
+	if !tk.fut.Done() {
+		var zero R
+		return zero, nil
+	}
+	return tk.fut.Get() // settled: returns at once
+}
 
 // Err returns the settled request's error (nil on success).
-func (tk *Ticket[R]) Err() error { return tk.err }
+func (tk *Ticket[R]) Err() error {
+	_, err := tk.Value()
+	return err
+}
 
 // Latency returns the admission-to-settle latency; ok once Done.
-func (tk *Ticket[R]) Latency() (simtime.Duration, bool) { return tk.lat, tk.done }
+func (tk *Ticket[R]) Latency() (simtime.Duration, bool) { return tk.lat, tk.fut.Done() }
 
 // ticketHook is a Ticket seen as its future's settle hook: the future holds
 // the ticket pointer itself, so tracking a request allocates no closure.
@@ -491,13 +499,11 @@ func errBadRequest(tenant int, class Class) error {
 //hot:path
 func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	now := g.rt.SimNow()
-	tk.done = true
-	tk.val, tk.err = tk.fut.Get() // already settled: returns immediately
 	tk.lat = now.Sub(tk.arrive)
 	g.inflight[tk.vi]--
 	cs := &g.classes[tk.Class]
 	cs.completed++
-	if tk.err != nil {
+	if tk.Err() != nil {
 		cs.failed++
 	}
 	cs.slo.Observe(now, tk.lat)
@@ -586,7 +592,7 @@ func (g *Gateway[R]) issue(vi int) bool {
 	if q.lc.len() > 0 {
 		tk := q.lc.pop()
 		g.noteIssued(tk, vi)
-		tk.fut = core.Async(g.rt, node, tk.fn)
+		core.Issue(g.rt, nil, node, &tk.fn, &tk.fut)
 		g.track(tk)
 		return true
 	}
@@ -604,7 +610,7 @@ func (g *Gateway[R]) issue(vi int) bool {
 	for i := 0; i < run; i++ {
 		tk := q.bulk.pop()
 		g.noteIssued(tk, vi)
-		tk.fut = core.BatchAdd(g.batcher, node, tk.fn)
+		core.Issue(g.rt, g.batcher, node, &tk.fn, &tk.fut)
 		g.track(tk)
 	}
 	g.batcher.Flush(node)
@@ -641,7 +647,7 @@ func (g *Gateway[R]) Poll() int {
 		q := &g.infl[vi]
 		for q.len() > 0 {
 			tk := q.at(0)
-			if !tk.done && !tk.fut.Test() {
+			if !tk.fut.Test() {
 				break
 			}
 			q.pop()

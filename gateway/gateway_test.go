@@ -25,7 +25,7 @@ var gwWork = offload.NewFunc1[offload.Unit]("gateway.test_work",
 // withGateway runs fn on a fresh simulated machine with a DMA-connected
 // runtime and a gateway over its VE nodes; tr, when non-nil, is the
 // machine's tracer.
-func withGateway(t *testing.T, tr *trace.Tracer, ves int, cfg gateway.Config, fn func(p *machine.Proc, gw *gateway.Gateway[offload.Unit])) {
+func withGateway[R any](t *testing.T, tr *trace.Tracer, ves int, cfg gateway.Config, fn func(p *machine.Proc, gw *gateway.Gateway[R])) {
 	t.Helper()
 	timing := topology.DefaultTiming()
 	timing.Tracer = tr
@@ -43,7 +43,7 @@ func withGateway(t *testing.T, tr *trace.Tracer, ves int, cfg gateway.Config, fn
 		for i := range nodes {
 			nodes[i] = offload.NodeID(i + 1)
 		}
-		gw, gerr := gateway.New[offload.Unit](rt, nodes, cfg)
+		gw, gerr := gateway.New[R](rt, nodes, cfg)
 		if gerr != nil {
 			return gerr
 		}
@@ -175,6 +175,53 @@ func TestWorkStealing(t *testing.T) {
 		for i, tk := range tks {
 			if !tk.Done() || tk.Err() != nil {
 				t.Fatalf("ticket %d not cleanly settled: done=%v err=%v", i, tk.Done(), tk.Err())
+			}
+		}
+	})
+}
+
+// gwChecksum weighs every byte of its argument by position, so any change
+// to the bytes changes the result.
+var gwChecksum = offload.NewFunc1[int64]("gateway.test_checksum",
+	func(c *offload.Ctx, b []byte) (int64, error) {
+		c.ChargeVector(100_000, 12_500, 8)
+		return checksum(b), nil
+	})
+
+func checksum(b []byte) int64 {
+	var s int64
+	for i, c := range b {
+		s += int64(i+1) * int64(c)
+	}
+	return s
+}
+
+// TestSubmitCopiesArguments: a request carries the arguments it was
+// submitted with — Bind copies them, as f2f's functor does — not the
+// caller's memory. A batchable request queued behind a full window is
+// encoded only when the window frees, during Drain; the caller reusing its
+// buffer right after Submit must not change what the kernel sees.
+func TestSubmitCopiesArguments(t *testing.T) {
+	cfg := gateway.Config{Window: 1, MaxBatch: 4}
+	withGateway(t, nil, 1, cfg, func(p *machine.Proc, gw *gateway.Gateway[int64]) {
+		buf := []byte("the submitted bytes")
+		want := checksum(buf)
+		var tks []*gateway.Ticket[int64]
+		for i := 0; i < 2; i++ {
+			tk, err := gw.Submit(0, gateway.Batch, gwChecksum.Bind(buf))
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			tks = append(tks, tk)
+		}
+		if gw.InFlight() != 1 || gw.Queued() != 1 {
+			t.Fatalf("%d in flight, %d queued; want the second request waiting for the window", gw.InFlight(), gw.Queued())
+		}
+		copy(buf, "OVERWRITTEN BY THE CALLER")
+		gw.Drain()
+		for i, tk := range tks {
+			if v, err := tk.Value(); !tk.Done() || err != nil || v != want {
+				t.Errorf("request %d: kernel checksum %d (done %v, %v), want %d: the bytes changed after Submit", i, v, tk.Done(), err, want)
 			}
 		}
 	})

@@ -37,8 +37,7 @@ func TestHandlesInFlightZeroAlloc(t *testing.T) {
 		}
 		defer func() { _ = rt.Finalize() }()
 		h := rt.Backend().(*ring.Host)
-		var enc ham.Encoder
-		msg, err := rt.Binary().EncodeRequestTo(&enc, allocEcho, func(e *ham.Encoder) { e.PutI64(7) })
+		msg, err := rt.Binary().EncodeRequest(allocEcho, func(e *ham.Encoder) { e.PutI64(7) })
 		if err != nil {
 			return err
 		}

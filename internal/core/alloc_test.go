@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"hamoffload/internal/ham"
@@ -62,10 +64,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	bk.target = rt
 
 	fn := fnAllocInc.Bind(41)
-	msg, err := rt.bin.EncodeRequest(fn.name, fn.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := requestWire(t, rt, fn)
 	var resp []byte
 	allocs := testing.AllocsPerRun(200, func() {
 		resp = rt.Dispatch(msg)
@@ -102,10 +101,7 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 
 	b := NewBatcher(host)
 	fn := fnAllocInc.Bind(41)
-	wire, err := host.bin.EncodeRequest(fn.name, fn.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := requestWire(t, host, fn)
 	fu1 := &Future[int64]{rt: host, decode: fn.decode}
 	fu2 := &Future[int64]{rt: host, decode: fn.decode}
 
@@ -133,6 +129,16 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	}
 }
 
+// requestWire encodes fn's request message on rt, as an offload of it does.
+func requestWire[R any](t *testing.T, rt *Runtime, fn Functor[R]) []byte {
+	t.Helper()
+	msg, err := rt.bin.EncodeRequestTo(ham.NewEncoder(), fn.name, fn.args.bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
 // requeue rewinds a settled future and queues it on b for node 1 the way
 // BatchAdd does once the wire message is built.
 func requeue(b *Batcher, wire []byte, f *Future[int64]) {
@@ -155,29 +161,64 @@ var fnAllocAdd = NewFunc2[int64]("test.allocadd",
 var fnAllocNone = NewFunc0[int64]("test.allocnone",
 	func(*Ctx) (int64, error) { return 7, nil })
 
-// TestBindAllocs pins Bind at its one allocation, the closure holding the
-// bound arguments — none without arguments, where every functor shares one
-// payload writer: the result decoder is built once, at registration.
+// TestBindAllocs pins Bind at zero allocations: the arguments are encoded
+// into the functor's inline storage (the result decoder is built once, at
+// registration), and only arguments past that capacity take one buffer.
 func TestBindAllocs(t *testing.T) {
 	var f0 Functor[int64]
 	if n := testing.AllocsPerRun(100, func() { f0 = fnAllocNone.Bind() }); n != 0 {
 		t.Errorf("Func0.Bind allocates %.1f objects, want 0", n)
 	}
-	empty := ham.NewEncoder()
-	f0.payload(empty)
-	if empty.Len() != 0 {
-		t.Errorf("a no-argument payload encodes %d bytes", empty.Len())
+	if n := len(f0.args.bytes()); n != 0 {
+		t.Errorf("a no-argument functor carries %d bytes of arguments", n)
 	}
 	var fn Functor[int64]
-	if n := testing.AllocsPerRun(100, func() { fn = fnAllocAdd.Bind(40, 2) }); n != 1 {
-		t.Errorf("Func2.Bind allocates %.1f objects, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { fn = fnAllocAdd.Bind(40, 2) }); n != 0 {
+		t.Errorf("Func2.Bind allocates %.1f objects, want 0", n)
 	}
-	enc := ham.NewEncoder()
-	fn.payload(enc)
-	dec := ham.NewDecoder(enc.Bytes())
-	if a, b := dec.I64(), dec.I64(); a != 40 || b != 2 || dec.Err() != nil {
-		t.Fatalf("bound arguments encode as %d, %d (%v); want 40, 2", a, b, dec.Err())
+	dec := ham.NewDecoder(fn.args.bytes())
+	if a, b := dec.I64(), dec.I64(); a != 40 || b != 2 || dec.Err() != nil || dec.Remaining() != 0 {
+		t.Fatalf("bound arguments encode as %d, %d (%v, %d left); want 40, 2", a, b, dec.Err(), dec.Remaining())
 	}
+	big := make([]byte, argInline)
+	var fb Functor[int64]
+	if n := testing.AllocsPerRun(100, func() { fb = fnAllocBytes.Bind(big) }); n != 1 {
+		t.Errorf("Bind of %d argument bytes allocates %.1f objects, want 1", 4+len(big), n)
+	}
+	if got := len(fb.args.bytes()); got != 4+len(big) || fb.args.spill == nil {
+		t.Errorf("a spilled functor carries %d bytes (spilled %v), want %d", got, fb.args.spill != nil, 4+len(big))
+	}
+}
+
+var fnAllocBytes = NewFunc1[int64]("test.allocbytes",
+	func(_ *Ctx, b []byte) (int64, error) { return int64(len(b)), nil })
+
+// TestBindConcurrent binds from several goroutines at once, as the
+// wall-clock backends' callers may: each encoder comes from the pool to one
+// Bind alone, so every functor carries its own arguments. Run it with -race.
+func TestBindConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				a, b := int64(g), int64(i)
+				fn := fnAllocAdd.Bind(a, b)
+				big := fnAllocBytes.Bind(bytes.Repeat([]byte{byte(g)}, argInline+i%8))
+				dec := ham.NewDecoder(fn.args.bytes())
+				if x, y := dec.I64(), dec.I64(); x != a || y != b {
+					t.Errorf("goroutine %d, bind %d: arguments %d, %d", g, i, x, y)
+					return
+				}
+				if got := ham.NewDecoder(big.args.bytes()).Bytes(); !bytes.Equal(got, bytes.Repeat([]byte{byte(g)}, argInline+i%8)) {
+					t.Errorf("goroutine %d, bind %d: spilled arguments %x", g, i, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBatchFramesInFlightZeroAlloc keeps several frames open at once, the
@@ -196,10 +237,7 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 
 	b := NewBatcher(host)
 	fn := fnAllocInc.Bind(41)
-	wire, err := host.bin.EncodeRequest(fn.name, fn.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := requestWire(t, host, fn)
 	var futs [frames]*Future[int64]
 	for i := range futs {
 		futs[i] = &Future[int64]{rt: host, decode: fn.decode}

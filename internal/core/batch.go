@@ -216,17 +216,8 @@ func (b *Batcher) deadlineDue(q *batchQueue) bool {
 //
 //hot:path
 func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
-	rt := b.rt
-	if !rt.batch.Enabled() {
-		return Async(rt, node, fn)
-	}
-	f := &Future[R]{rt: rt, decode: fn.decode, onDone: rt.beginOffload(node, fn.name)} //lint:allow hotalloc one future per offload is the API contract
-	wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.payload)
-	if err != nil {
-		f.fail(err)
-		return f
-	}
-	f.c = b.add(node, wire, pd, fid, f)
+	f := new(Future[R]) //lint:allow hotalloc one future per offload is the API contract
+	Issue(b.rt, b, node, &fn, f)
 	return f
 }
 

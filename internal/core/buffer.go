@@ -42,17 +42,30 @@ func (b BufferPtr[T]) Offset(n int64) (BufferPtr[T], error) {
 
 // EncodeHAM implements Marshaler, making buffer pointers offloadable as
 // function arguments.
-func (b *BufferPtr[T]) EncodeHAM(e *ham.Encoder) {
+func (b *BufferPtr[T]) EncodeHAM(e *ham.Encoder) { encodeBufferPtr(e, *b) }
+
+// DecodeHAM implements Marshaler.
+func (b *BufferPtr[T]) DecodeHAM(d *ham.Decoder) { *b = decodeBufferPtr[T](d) }
+
+// hamCodec is the codec an offloaded function uses for a BufferPtr argument
+// (codecProvider): the Marshaler wire format, with the pointer passed by
+// value, so neither side boxes it.
+func (BufferPtr[T]) hamCodec() any {
+	return valCodec[BufferPtr[T]]{enc: encodeBufferPtr[T], dec: decodeBufferPtr[T]}
+}
+
+func encodeBufferPtr[T Elem](e *ham.Encoder, b BufferPtr[T]) {
 	e.PutI64(int64(b.Node))
 	e.PutU64(b.Addr)
 	e.PutI64(b.Count)
 }
 
-// DecodeHAM implements Marshaler.
-func (b *BufferPtr[T]) DecodeHAM(d *ham.Decoder) {
+func decodeBufferPtr[T Elem](d *ham.Decoder) BufferPtr[T] {
+	var b BufferPtr[T]
 	b.Node = NodeID(d.I64())
 	b.Addr = d.U64()
 	b.Count = d.I64()
+	return b
 }
 
 // sizeOf returns the size of one element of T, in Go and in target memory.
@@ -65,9 +78,10 @@ func Allocate[T Elem](rt *Runtime, node NodeID, count int64) (BufferPtr[T], erro
 	if count <= 0 {
 		return BufferPtr[T]{}, fmt.Errorf("core: allocate of %d elements", count)
 	}
-	dec, err := rt.callSync(node, msgAlloc, func(e *ham.Encoder) {
-		e.PutI64(count * sizeOf[T]())
-	})
+	e := argEncoder()
+	e.PutI64(count * sizeOf[T]())
+	args := bound(e)
+	dec, err := rt.callSync(node, msgAlloc, args.bytes())
 	if err != nil {
 		return BufferPtr[T]{}, err
 	}
@@ -83,9 +97,10 @@ func Free[T Elem](rt *Runtime, b BufferPtr[T]) error {
 	if b.IsNil() {
 		return nil
 	}
-	_, err := rt.callSync(b.Node, msgFree, func(e *ham.Encoder) {
-		e.PutU64(b.Addr)
-	})
+	e := argEncoder()
+	e.PutU64(b.Addr)
+	args := bound(e)
+	_, err := rt.callSync(b.Node, msgFree, args.bytes())
 	return err
 }
 

@@ -395,13 +395,14 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 }
 
 // encode builds the wire message of one offload in enc: it validates the
-// target, encodes the request and — as the policies ask — seals it in the
-// fault-tolerance envelope (the returned pending carries the retransmission
-// state) and the causal-flow frame (fid is its trace ID). The wire may be
-// enc's buffer, valid until enc is next written.
+// target, encodes the request (the key, then args, the arguments a functor
+// or a control message already holds encoded) and — as the policies ask —
+// seals it in the fault-tolerance envelope (the returned pending carries the
+// retransmission state) and the causal-flow frame (fid is its trace ID). The
+// wire may be enc's buffer, valid until enc is next written.
 //
 //hot:path
-func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, payload func(*ham.Encoder)) (wire []byte, pd *pending, fid uint64, err error) {
+func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, args []byte) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
 		return nil, nil, 0, errOffloadSelf(node)
 	}
@@ -412,7 +413,7 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, payload fu
 	if rt.tr != nil {
 		endEnc = rt.tr.Begin(trace.PhaseEncode, "encode "+name, rt.offloads+1)
 	}
-	msg, err := rt.bin.EncodeRequestTo(enc, name, payload)
+	msg, err := rt.bin.EncodeRequestTo(enc, name, args)
 	if endEnc != nil {
 		endEnc()
 	}
@@ -433,10 +434,10 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, payload fu
 // the failure, at once when the message cannot be built or posted.
 //
 //hot:path
-func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder), sink settler) *call {
+func (rt *Runtime) callAsync(node NodeID, name string, args []byte, sink settler) *call {
 	c := rt.takeCall()
 	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
-	wire, pd, _, err := rt.encode(&c.enc, node, name, payload)
+	wire, pd, _, err := rt.encode(&c.enc, node, name, args)
 	if err != nil {
 		c.failAll(err)
 		return c
@@ -466,9 +467,9 @@ func errNoNode(node NodeID, n int) error {
 // place, so decode it before the next offload, then clear s.busy.
 //
 //hot:path
-func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
+func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, args []byte) (*ham.Decoder, error) {
 	s.busy, s.done, s.err = true, false, nil
-	c := rt.callAsync(node, name, payload, s)
+	c := rt.callAsync(node, name, args, s)
 	if !s.done {
 		c.resolve()
 	}
@@ -482,13 +483,13 @@ func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, payload fun
 // into the runtime's own raw sink rather than a typed future — or, while a
 // synchronous offload is resolving into that one, into a sink of its own.
 // Decode the payload before the next offload.
-func (rt *Runtime) callSync(node NodeID, name string, payload func(*ham.Encoder)) (*ham.Decoder, error) {
+func (rt *Runtime) callSync(node NodeID, name string, args []byte) (*ham.Decoder, error) {
 	defer rt.beginOffload(node, name)()
 	s := &rt.raw
 	if s.busy {
 		s = &rawSink{}
 	}
-	dec, err := rt.resolveSync(s, node, name, payload)
+	dec, err := rt.resolveSync(s, node, name, args)
 	s.busy = false
 	return dec, err
 }

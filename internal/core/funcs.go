@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"hamoffload/internal/ham"
 )
@@ -10,11 +11,11 @@ import (
 // C++, every (function, argument-types) combination instantiates a message
 // type with generated serialisation and a handler; here, NewFuncN performs
 // the same instantiation through generics and registers the handler under
-// the function's name. Binding arguments yields a Functor that an offload
-// transfers and the target executes.
+// the function's name. Binding arguments yields a Functor that holds a copy
+// of them, encoded, which an offload transfers and the target executes.
 
-// Marshaler lets composite argument types (like BufferPtr) define their own
-// wire format. Implement it with pointer receivers.
+// Marshaler lets composite argument types define their own wire format.
+// Implement it with pointer receivers.
 type Marshaler interface {
 	EncodeHAM(*ham.Encoder)
 	DecodeHAM(*ham.Decoder)
@@ -26,11 +27,22 @@ type valCodec[T any] struct {
 	dec func(*ham.Decoder) T
 }
 
-// codecFor resolves the codec for T: Marshaler implementations first, then
-// the built-in scalar/slice types. Unsupported types panic at registration
-// time — the moment the C++ original would fail to compile.
+// codecProvider is implemented by core's own composite argument type,
+// BufferPtr: it hands codecFor a codec that passes the value itself, where
+// the Marshaler branch must box a pointer to it on both sides.
+type codecProvider interface {
+	hamCodec() any
+}
+
+// codecFor resolves the codec for T: core's own composite types first, then
+// Marshaler implementations, then the built-in scalar/slice types.
+// Unsupported types panic at registration time — the moment the C++
+// original would fail to compile.
 func codecFor[T any]() valCodec[T] {
 	var zero T
+	if p, ok := any(zero).(codecProvider); ok {
+		return p.hamCodec().(valCodec[T])
+	}
 	if _, ok := any(&zero).(Marshaler); ok {
 		return valCodec[T]{
 			enc: func(e *ham.Encoder, v T) { any(&v).(Marshaler).EncodeHAM(e) },
@@ -116,24 +128,104 @@ func codecFor[T any]() valCodec[T] {
 type Unit struct{}
 
 // Functor is a function with bound arguments, ready to offload — the result
-// of the C++ f2f() call.
+// of the C++ f2f() call. Like f2f's functor it holds copies of the
+// arguments, encoded when they are bound: the caller may reuse what it bound
+// as soon as Bind returns, and one functor may be offloaded any number of
+// times, to any number of nodes.
 type Functor[R any] struct {
-	name    string
-	payload func(*ham.Encoder)
-	decode  func(*ham.Decoder) (R, error)
+	name   string
+	decode func(*ham.Decoder) (R, error)
+	args   boundArgs
 }
 
 // Name returns the registered function name the functor offloads.
 func (f Functor[R]) Name() string { return f.name }
 
+// argInline is how many bytes of encoded arguments a Functor holds in
+// itself: four scalar arguments, or the widest request of bench/perf's
+// sync-dma workload (an int64, a float64 and 40 bytes behind their length
+// word), so binding them allocates nothing.
+const argInline = 60
+
+// boundArgs is a Functor's copy of its encoded arguments: in the inline
+// array when they fit, otherwise in one buffer of their own.
+type boundArgs struct {
+	n      uint32
+	inline [argInline]byte
+	spill  []byte
+}
+
+// bytes returns the encoded arguments, the payload of the wire message.
+func (a *boundArgs) bytes() []byte {
+	if a.spill != nil {
+		return a.spill
+	}
+	return a.inline[:a.n]
+}
+
+// argEncoders holds the encoders arguments are encoded with before they are
+// copied into their Functor. The codecs are called through func values, so
+// an encoder they write to lives on the heap; the pool reuses them.
+var argEncoders = sync.Pool{New: func() any { return ham.NewEncoder() }}
+
+// argKeep bounds the buffer an encoder may keep in the pool — the slot
+// protocols' default message size. One that grew past it for a large Bind
+// is let go.
+const argKeep = 4096
+
+// argEncoder returns an empty encoder for one Bind's arguments. Hand it to
+// bound when they are written.
+func argEncoder() *ham.Encoder {
+	e := argEncoders.Get().(*ham.Encoder)
+	e.Reset()
+	return e
+}
+
+// bound copies the arguments e holds into a Functor's own storage and
+// returns e to the pool.
+func bound(e *ham.Encoder) boundArgs {
+	var a boundArgs
+	b := e.Bytes()
+	if len(b) <= argInline {
+		a.n = uint32(copy(a.inline[:], b))
+	} else {
+		a.spill = append([]byte(nil), b...) //lint:allow hotalloc arguments past the inline capacity are the one buffer the Functor owns
+	}
+	if cap(b) <= argKeep {
+		argEncoders.Put(e)
+	}
+	return a
+}
+
+// Issue offloads fn to node into f, a zero Future the caller owns and keeps
+// at one address until it settles: into b's open frame when b is non-nil
+// and the runtime batches, as a wire message of its own otherwise. It is
+// the one issue path: Async and BatchAdd issue into a new Future, the
+// gateway into the future its ticket embeds, the scheduler into a slab. The
+// offload lifecycle span opens here and closes when f settles.
+//
+//hot:path
+func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
+	f.rt, f.decode, f.onDone = rt, fn.decode, rt.beginOffload(node, fn.name)
+	if b == nil || !rt.batch.Enabled() {
+		f.c = rt.callAsync(node, fn.name, fn.args.bytes(), f)
+		return
+	}
+	wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.args.bytes())
+	if err != nil {
+		f.fail(err)
+		return
+	}
+	f.c = b.add(node, wire, pd, fid, f)
+}
+
 // Async performs an asynchronous offload of fn to node, returning a future
-// (Table II's async). The offload lifecycle span opens here and closes when
-// the future settles.
+// (Table II's async).
 //
 //hot:path
 func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
-	f := &Future[R]{rt: rt, decode: fn.decode, onDone: rt.beginOffload(node, fn.name)} //lint:allow hotalloc one future per offload is the API contract
-	f.c = rt.callAsync(node, fn.name, fn.payload, f)
+	f := new(Future[R]) //lint:allow hotalloc one future per offload is the API contract
+	Issue(rt, nil, node, &fn, f)
 	return f
 }
 
@@ -151,7 +243,7 @@ func Sync[R any](rt *Runtime, node NodeID, fn Functor[R]) (R, error) {
 	}
 	end := rt.beginOffload(node, fn.name)
 	var v R
-	dec, err := rt.resolveSync(s, node, fn.name, fn.payload)
+	dec, err := rt.resolveSync(s, node, fn.name, fn.args.bytes())
 	if err == nil {
 		v, err = fn.decode(dec)
 	}
@@ -192,17 +284,13 @@ func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 	return Func0[R]{name: fnName(name), decode: resultDecoder(rc)}
 }
 
-// Bind produces the offloadable functor. It allocates nothing: every
-// no-argument functor shares one payload writer. (A literal here would
-// capture the generic dictionary and cost a closure per Bind.)
+// Bind produces the offloadable functor. It allocates nothing: there are
+// no arguments to copy, and the result decoder is built at registration.
 //
 //hot:path
 func (f Func0[R]) Bind() Functor[R] {
-	return Functor[R]{name: f.name, payload: noPayload, decode: f.decode}
+	return Functor[R]{name: f.name, decode: f.decode}
 }
-
-// noPayload writes a no-argument function's empty payload.
-func noPayload(*ham.Encoder) {}
 
 // Func1 is a registered offloadable function with one argument.
 type Func1[R, A1 any] struct {
@@ -229,18 +317,14 @@ func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A
 	return Func1[R, A1]{name: fnName(name), decode: resultDecoder(rc), a1: a1}
 }
 
-// Bind binds the argument, producing the offloadable functor. The closure
-// captures the argument and its encoder only, not the whole Func1: it is the
-// one allocation of a Bind, so its size is per-request cost.
+// Bind binds the argument, producing the offloadable functor: v1 is
+// encoded now, into the functor's own storage.
 //
 //hot:path
 func (f Func1[R, A1]) Bind(v1 A1) Functor[R] {
-	e1 := f.a1.enc
-	return Functor[R]{
-		name:    f.name,
-		payload: func(e *ham.Encoder) { e1(e, v1) }, //lint:allow hotalloc the bound-argument closure is what Bind returns
-		decode:  f.decode,
-	}
+	e := argEncoder()
+	f.a1.enc(e, v1)
+	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
 }
 
 // Func2 is a registered offloadable function with two arguments.
@@ -270,19 +354,15 @@ func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Fu
 	return Func2[R, A1, A2]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2}
 }
 
-// Bind binds the arguments, producing the offloadable functor.
+// Bind binds the arguments, producing the offloadable functor: they are
+// encoded now, into the functor's own storage.
 //
 //hot:path
 func (f Func2[R, A1, A2]) Bind(v1 A1, v2 A2) Functor[R] {
-	e1, e2 := f.a1.enc, f.a2.enc
-	return Functor[R]{
-		name: f.name,
-		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
-			e1(e, v1)
-			e2(e, v2)
-		},
-		decode: f.decode,
-	}
+	e := argEncoder()
+	f.a1.enc(e, v1)
+	f.a2.enc(e, v2)
+	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
 }
 
 // Func3 is a registered offloadable function with three arguments.
@@ -314,20 +394,16 @@ func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, er
 	return Func3[R, A1, A2, A3]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3}
 }
 
-// Bind binds the arguments, producing the offloadable functor.
+// Bind binds the arguments, producing the offloadable functor: they are
+// encoded now, into the functor's own storage.
 //
 //hot:path
 func (f Func3[R, A1, A2, A3]) Bind(v1 A1, v2 A2, v3 A3) Functor[R] {
-	e1, e2, e3 := f.a1.enc, f.a2.enc, f.a3.enc
-	return Functor[R]{
-		name: f.name,
-		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
-			e1(e, v1)
-			e2(e, v2)
-			e3(e, v3)
-		},
-		decode: f.decode,
-	}
+	e := argEncoder()
+	f.a1.enc(e, v1)
+	f.a2.enc(e, v2)
+	f.a3.enc(e, v3)
+	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
 }
 
 // Func4 is a registered offloadable function with four arguments.
@@ -361,21 +437,17 @@ func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4
 	return Func4[R, A1, A2, A3, A4]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3, a4: a4}
 }
 
-// Bind binds the arguments, producing the offloadable functor.
+// Bind binds the arguments, producing the offloadable functor: they are
+// encoded now, into the functor's own storage.
 //
 //hot:path
 func (f Func4[R, A1, A2, A3, A4]) Bind(v1 A1, v2 A2, v3 A3, v4 A4) Functor[R] {
-	e1, e2, e3, e4 := f.a1.enc, f.a2.enc, f.a3.enc, f.a4.enc
-	return Functor[R]{
-		name: f.name,
-		payload: func(e *ham.Encoder) { //lint:allow hotalloc the bound-argument closure is what Bind returns
-			e1(e, v1)
-			e2(e, v2)
-			e3(e, v3)
-			e4(e, v4)
-		},
-		decode: f.decode,
-	}
+	e := argEncoder()
+	f.a1.enc(e, v1)
+	f.a2.enc(e, v2)
+	f.a3.enc(e, v3)
+	f.a4.enc(e, v4)
+	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
 }
 
 // AsyncAll offloads one functor to each listed node and returns the futures

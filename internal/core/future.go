@@ -31,6 +31,9 @@ func (f *Future[T]) Test() bool {
 	return f.done
 }
 
+// Done reports whether the future has settled, without polling (Test polls).
+func (f *Future[T]) Done() bool { return f.done }
+
 // Get blocks until the offload completed and returns its result.
 func (f *Future[T]) Get() (T, error) {
 	if !f.done {

@@ -316,11 +316,7 @@ func TestDispatchZeroAllocResilienceArmed(t *testing.T) {
 	rt.SetHedging(HedgePolicy{Delay: simtime.Microsecond, Targets: []NodeID{1}, Seed: 7})
 	rt.SetRetryBudget(RetryBudget{Tokens: 4, Refill: simtime.Microsecond})
 
-	fn := fnAllocInc.Bind(41)
-	msg, err := rt.bin.EncodeRequest(fn.name, fn.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := requestWire(t, rt, fnAllocInc.Bind(41))
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.Dispatch(msg)
 	})

@@ -93,6 +93,10 @@ func (e *Encoder) PutString(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// PutRaw appends b as it is, with no length prefix: bytes another encoder
+// produced.
+func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) } //lint:allow hotalloc amortized growth of the encoder buffer, reused via Reset
+
 // PutBytes appends a length-prefixed byte slice.
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutU32(uint32(len(b)))

@@ -291,21 +291,32 @@ const (
 // EncodeRequest builds the wire form of a message in a fresh encoder: the
 // globally valid key followed by the payload writer's output.
 func (b *Binary) EncodeRequest(name string, writePayload func(*Encoder)) ([]byte, error) {
-	return b.EncodeRequestTo(NewEncoder(), name, writePayload)
+	k, err := b.KeyOf(name)
+	if err != nil {
+		return nil, err
+	}
+	enc := NewEncoder()
+	enc.PutU32(uint32(k))
+	if writePayload != nil {
+		writePayload(enc)
+	}
+	return enc.Bytes(), nil
 }
 
-// EncodeRequestTo is EncodeRequest into enc, which it resets first. The
-// wire it returns is enc's buffer: valid until enc is next written.
-func (b *Binary) EncodeRequestTo(enc *Encoder, name string, writePayload func(*Encoder)) ([]byte, error) {
+// EncodeRequestTo builds the wire form of a message whose payload is already
+// encoded — args, the bytes a bound functor carries — into enc, which it
+// resets first: the key, then args as they are. The wire it returns is enc's
+// buffer: valid until enc is next written.
+//
+//ham:borrowed args
+func (b *Binary) EncodeRequestTo(enc *Encoder, name string, args []byte) ([]byte, error) {
 	k, err := b.KeyOf(name)
 	if err != nil {
 		return nil, err
 	}
 	enc.Reset()
 	enc.PutU32(uint32(k))
-	if writePayload != nil {
-		writePayload(enc)
-	}
+	enc.PutRaw(args)
 	return enc.Bytes(), nil
 }
 

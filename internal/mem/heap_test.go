@@ -102,3 +102,60 @@ func TestHeapFreeUnmapsFirst(t *testing.T) {
 		t.Errorf("Alloc after the failed Free = %#x, %v; %#x is still taken", next, err, addr)
 	}
 }
+
+// TestAllocBytesZeroAlloc pins a transfer's mapping of the caller's buffer —
+// AllocBytes, then Free, of sizes from one chunk to many — at zero
+// allocations once the heap is warm: Free keeps the extent and its chunk
+// table, and the next Map reuses them. What it keeps holds nothing: every
+// spare table entry, past len too, is nil, so neither the caller's bytes nor
+// a chunk outlive the Free.
+func TestAllocBytesZeroAlloc(t *testing.T) {
+	h, err := NewHeap("transfer", 0x1000, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := [][]byte{make([]byte, 4<<10), make([]byte, 16<<20), make([]byte, 64<<10), make([]byte, 1<<20)}
+	var bad error
+	cycle := func() {
+		for _, b := range bufs {
+			addr, err := h.AllocBytes(b)
+			if err == nil {
+				err = h.Free(addr)
+			}
+			if err != nil {
+				bad = err
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("a warm AllocBytes+Free cycle of %d sizes allocates %.1f objects, want 0", len(bufs), n)
+	}
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if h.LiveAllocs() != 0 || h.MappedBytes() != 0 || len(h.spare) == 0 {
+		t.Fatalf("%d live, %d mapped, %d spare extents", h.LiveAllocs(), h.MappedBytes(), len(h.spare))
+	}
+	for _, e := range h.spare {
+		for i, c := range e.chunks[:cap(e.chunks)] {
+			if c != nil {
+				t.Fatalf("a spare extent's chunk %d still references %d bytes", i, len(c))
+			}
+		}
+	}
+
+	// A recycled extent is an ordinary one: zero-filled, chunk-lazy, and
+	// viewed into one array only once viewed.
+	addr, err := h.Alloc(3 * ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 3*ChunkSize)
+	if err := h.ReadAt(got, addr); err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatalf("a recycled extent reads %v, not zeros", err)
+	}
+	if h.ResidentBytes() != 0 {
+		t.Errorf("a fresh allocation on a recycled extent is %d bytes resident", h.ResidentBytes())
+	}
+}

@@ -24,7 +24,20 @@ const ChunkSize = 256 << 10
 type Memory struct {
 	name    string
 	extents []*extent // sorted by addr, non-overlapping
+	// spare holds unmapped extents for Map to reuse, each holding no
+	// reference to memory any more: a transfer that maps the caller's
+	// buffer for one call (Heap.AllocBytes, then Free) allocates nothing
+	// once its extent and chunk table have been built.
+	spare []*extent
 }
+
+// Recycling bounds: at most maxSpare unmapped extents are kept, and none
+// whose chunk table outgrew maxSpareChunks (a 64 MiB extent) — a
+// reservation of gigabytes keeps no table of its size alive.
+const (
+	maxSpare       = 8
+	maxSpareChunks = 256
+)
 
 type extent struct {
 	addr   Addr
@@ -121,11 +134,30 @@ func (m *Memory) Map(addr Addr, size int64) error {
 		return fmt.Errorf("mem %s: Map [%#x,+%d) overlaps extent at %#x",
 			m.name, addr, size, m.extents[i].addr)
 	}
-	nChunks := (size + ChunkSize - 1) / ChunkSize
+	e := m.takeExtent((size + ChunkSize - 1) / ChunkSize)
+	e.addr, e.size = addr, size
 	m.extents = append(m.extents, nil)
 	copy(m.extents[i+1:], m.extents[i:])
-	m.extents[i] = &extent{addr: addr, size: size, chunks: make([][]byte, nChunks)}
+	m.extents[i] = e
 	return nil
+}
+
+// takeExtent returns an unmapped extent with a chunk table of nChunks nil
+// entries: the newest spare one, its table grown if it is too short, or a
+// new one.
+func (m *Memory) takeExtent(nChunks int64) *extent {
+	n := len(m.spare)
+	if n == 0 {
+		return &extent{chunks: make([][]byte, nChunks)}
+	}
+	e := m.spare[n-1]
+	m.spare[n-1] = nil
+	m.spare = m.spare[:n-1]
+	if int64(cap(e.chunks)) < nChunks {
+		e.chunks = make([][]byte, nChunks)
+	}
+	e.chunks = e.chunks[:nChunks]
+	return e
 }
 
 // MapBytes maps data itself at addr, uncopied: the chunk table is ChunkSize
@@ -141,13 +173,20 @@ func (m *Memory) MapBytes(addr Addr, data []byte) error {
 }
 
 // Unmap removes the extent starting exactly at addr and lets go of its
-// backing store — the chunks, or the caller's bytes MapBytes put there.
+// backing store — the chunks, or the caller's bytes MapBytes put there. The
+// emptied extent is kept for a later Map.
 func (m *Memory) Unmap(addr Addr) error {
 	i := m.find(addr)
 	if i >= len(m.extents) || m.extents[i].addr != addr {
 		return fmt.Errorf("mem %s: Unmap: no extent starts at %#x", m.name, addr)
 	}
+	e := m.extents[i]
 	m.extents = slices.Delete(m.extents, i, i+1) // zeroes the vacated slot
+	clear(e.chunks)
+	e.flat = false
+	if len(m.spare) < maxSpare && cap(e.chunks) <= maxSpareChunks {
+		m.spare = append(m.spare, e)
+	}
 	return nil
 }
 

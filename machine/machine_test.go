@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -469,6 +470,10 @@ func TestResultSizeBoundaries(t *testing.T) {
 	}
 }
 
+// mtEchoBytes round-trips a byte slice.
+var mtEchoBytes = offload.NewFunc1[[]byte]("machine.echobytes",
+	func(c *offload.Ctx, b []byte) ([]byte, error) { return b, nil })
+
 // TestFanOutHelpers drives AsyncAll/GetAll across all eight VEs.
 func TestFanOutHelpers(t *testing.T) {
 	m, err := machine.New(machine.Config{VEs: 8})
@@ -493,6 +498,24 @@ func TestFanOutHelpers(t *testing.T) {
 		for i, s := range out {
 			if s != "fan" {
 				t.Errorf("node %d returned %q", i+1, s)
+			}
+		}
+		// One functor, bound once, reaches every node with the bytes it was
+		// bound with: Bind copied them, inline or — past the functor's own
+		// capacity — into one buffer of its own, so the caller may reuse its
+		// slice at once.
+		for _, n := range []int{8, 100} {
+			arg := bytes.Repeat([]byte{0xA5}, n)
+			fn := mtEchoBytes.Bind(arg)
+			clear(arg)
+			got, err := offload.GetAll(offload.AsyncAll(rt, nodes, fn))
+			if err != nil {
+				return err
+			}
+			for i, b := range got {
+				if !bytes.Equal(b, bytes.Repeat([]byte{0xA5}, n)) {
+					t.Errorf("%d bytes: node %d received %x", n, i+1, b)
+				}
 			}
 		}
 		return nil

@@ -15,10 +15,10 @@ var (
 )
 
 // TestSyncAllocs pins a warm synchronous offload over the DMA protocol at
-// what the API hands out: nothing for a kernel without arguments, the
-// bound-argument closure for one with them. Sync keeps no future, the wire
-// is encoded in the pooled call and the ring handle recycles. (Results and
-// arguments stay below 256, which the generic codecs box for free.)
+// what the API hands out, which is nothing: Bind encodes the arguments into
+// the functor itself, Sync keeps no future, the wire is encoded in the
+// pooled call and the ring handle recycles. (Results and arguments stay
+// below 256, which the generic codecs box for free.)
 func TestSyncAllocs(t *testing.T) {
 	m, err := machine.New(machine.Config{VEs: 1})
 	if err != nil {
@@ -37,7 +37,7 @@ func TestSyncAllocs(t *testing.T) {
 			sync func() (int64, error)
 		}{
 			{"Func0", 0, func() (int64, error) { return offload.Sync(rt, 1, allocNone.Bind()) }},
-			{"Func2", 1, func() (int64, error) { return offload.Sync(rt, 1, allocAdd.Bind(40, 2)) }},
+			{"Func2", 0, func() (int64, error) { return offload.Sync(rt, 1, allocAdd.Bind(40, 2)) }},
 		} {
 			v, err = tc.sync() // warm the call pool, the ring handle and the codecs
 			n := testing.AllocsPerRun(100, func() { v, err = tc.sync() })
@@ -49,6 +49,89 @@ func TestSyncAllocs(t *testing.T) {
 			}
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+var allocScale = offload.NewFunc3[float64]("offload.alloc.scale",
+	func(c *offload.Ctx, buf offload.BufferPtr[float64], n int64, f float64) (float64, error) {
+		v, err := offload.ReadLocal(c, buf, 0, n)
+		if err != nil {
+			return 0, err
+		}
+		sum := 0.0
+		for i := range v {
+			v[i] *= f
+			sum += v[i]
+		}
+		return sum, nil
+	})
+
+// TestTransferAllocs pins a warm data round over the VEO protocol — Put, a
+// kernel over the buffer, Get — at zero allocations per step: the VH heap
+// maps the caller's slice on a recycled extent, and a BufferPtr argument
+// travels by value on both sides, neither boxed as a Marshaler nor kept in
+// a closure.
+func TestTransferAllocs(t *testing.T) {
+	m, err := machine.New(machine.Config{VEs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.RunMain(func(p *machine.Proc) error {
+		rt, err := machine.ConnectVEO(p, m, machine.ProtocolOptions{})
+		if err != nil {
+			return err
+		}
+		defer func() { _ = rt.Finalize() }()
+		const n = 64 << 10 // 512 KiB: the mapping spans two chunks
+		buf, err := offload.Allocate[float64](rt, 1, n)
+		if err != nil {
+			return err
+		}
+		src, dst := make([]float64, n), make([]float64, n)
+		for i := range src {
+			src[i] = float64(i % 7)
+		}
+		var sum float64
+		scale := 1.0 // what the kernel runs have multiplied the buffer by
+		for _, tc := range []struct {
+			name string
+			step func() error
+		}{
+			{"Put", func() error { return offload.Put(rt, src, buf) }},
+			{"Sync", func() (err error) {
+				sum, err = offload.Sync(rt, 1, allocScale.Bind(buf, n, 2))
+				scale *= 2
+				return err
+			}},
+			{"Get", func() error { return offload.Get(rt, buf, dst) }},
+		} {
+			err = tc.step() // warm the extent, the call pool and the codecs
+			allocs := testing.AllocsPerRun(20, func() {
+				if serr := tc.step(); serr != nil {
+					err = serr
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if allocs != 0 {
+				t.Errorf("a warm VEO %s allocates %.1f objects, want 0", tc.name, allocs)
+			}
+		}
+		want := 0.0
+		for i := range src {
+			want += src[i] * scale
+			if dst[i] != src[i]*scale {
+				t.Fatalf("dst[%d] = %v, want %v", i, dst[i], src[i]*scale)
+			}
+		}
+		if sum != want {
+			t.Errorf("the last kernel summed %v, want %v", sum, want)
+		}
+		return offload.Free(rt, buf)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -231,38 +231,52 @@ func (s *Scheduler) place(task int) int {
 // MapFutures shards n functor invocations — gen(task) for task 0..n-1 —
 // across the scheduler's nodes and returns the futures in task order,
 // without waiting for any of them. Tasks bound for the same node ride the
-// runtime's batch frames when batching is armed.
+// runtime's batch frames when batching is armed. The futures and their
+// settle records live in one slab each, so a call allocates the same
+// handful of objects whatever n is.
 func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) []*core.Future[R] {
 	b := core.NewBatcher(s.rt)
-	obs, observing := s.pol.(settleObserver)
+	obs, _ := s.pol.(settleObserver)
+	slab := make([]core.Future[R], n)
+	hooks := make([]taskHook[R], n)
 	futs := make([]*core.Future[R], n)
-	for task := 0; task < n; task++ {
+	for task := range n {
 		i := s.place(task)
 		node := s.nodes[i]
-		f := core.BatchAdd(b, node, gen(task))
+		f, h := &slab[task], &hooks[task]
+		fn := gen(task)
+		core.Issue(s.rt, b, node, &fn, f)
 		s.rt.NotePlacement(s.pol.Name(), node)
 		s.inflight[i]++
 		s.issued++
-		if observing {
-			// Feed the settlement back to the policy: Get inside OnSettle
-			// returns the already-cached outcome, so this never blocks.
-			start := s.rt.SimNow()
-			f.OnSettle(func() {
-				s.inflight[i]--
-				s.done++
-				_, err := f.Get()
-				obs.observe(node, s.rt.SimNow().Sub(start), err != nil)
-			})
-		} else {
-			f.OnSettle(func() {
-				s.inflight[i]--
-				s.done++
-			})
-		}
+		*h = taskHook[R]{s: s, obs: obs, fut: f, i: i, node: node, start: s.rt.SimNow()}
+		f.OnSettleHook(h)
 		futs[task] = f
 	}
 	b.FlushAll()
 	return futs
+}
+
+// taskHook is one task's settle record: it returns the task's in-flight
+// slot and, when the policy observes settlements, feeds the outcome back.
+type taskHook[R any] struct {
+	s     *Scheduler
+	obs   settleObserver // nil when the policy does not observe
+	fut   *core.Future[R]
+	i     int // index into the scheduler's node list
+	node  core.NodeID
+	start simtime.Time
+}
+
+// FutureSettled implements core.SettleHook. Get returns the already-settled
+// outcome, so it never blocks.
+func (h *taskHook[R]) FutureSettled() {
+	h.s.inflight[h.i]--
+	h.s.done++
+	if h.obs != nil {
+		_, err := h.fut.Get()
+		h.obs.observe(h.node, h.s.rt.SimNow().Sub(h.start), err != nil)
+	}
 }
 
 // Map shards n functor invocations across the scheduler's nodes, waits for

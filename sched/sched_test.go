@@ -6,6 +6,7 @@ import (
 
 	"hamoffload/internal/backend/locb"
 	"hamoffload/internal/core"
+	"hamoffload/machine"
 	"hamoffload/sched"
 )
 
@@ -102,5 +103,59 @@ func TestNewValidation(t *testing.T) {
 	}
 	if n := s.Nodes(); len(n) != 1 || n[0] != 1 {
 		t.Errorf("Targets = %v, want [1]", n)
+	}
+}
+
+var schedAdd = core.NewFunc2[int64]("sched.test_add",
+	func(_ *core.Ctx, a, b int64) (int64, error) { return a + b, nil })
+
+// TestMapFuturesAllocs: MapFutures keeps a call's futures and their settle
+// records in one slab each, so a wave costs the same handful of objects
+// whatever its size — 512 tasks over two VEs in batch frames of 8 allocate
+// what 64 do. Only the batcher's per-node queues and frame arenas, built per
+// call, are not slabs.
+func TestMapFuturesAllocs(t *testing.T) {
+	m, err := machine.New(machine.Config{VEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.RunMain(func(p *machine.Proc) error {
+		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{Batch: core.BatchPolicy{MaxMessages: 8}})
+		if err != nil {
+			return err
+		}
+		defer func() { _ = rt.Finalize() }()
+		s, err := sched.New(rt, sched.Targets(rt), sched.LeastInFlight())
+		if err != nil {
+			return err
+		}
+		// The functors are bound up front: the pin is MapFutures', not Bind's.
+		fns := make([]core.Functor[int64], 512)
+		for task := range fns {
+			fns[task] = schedAdd.Bind(int64(task), 1)
+		}
+		var bad int
+		wave := func(n int) func() {
+			return func() {
+				futs := sched.MapFutures(s, n, func(task int) core.Functor[int64] { return fns[task] })
+				for task, f := range futs {
+					if v, err := f.Get(); err != nil || v != int64(task)+1 {
+						bad++
+					}
+				}
+			}
+		}
+		wave(512)() // warm the call pool and the ring handles
+		small, large := testing.AllocsPerRun(10, wave(64)), testing.AllocsPerRun(10, wave(512))
+		if large != small || large > 40 {
+			t.Errorf("MapFutures allocates %.0f objects for 64 tasks and %.0f for 512; want the same, at most 40", small, large)
+		}
+		if bad != 0 || s.Completed() != s.Issued() {
+			t.Errorf("%d wrong results; %d of %d tasks settled", bad, s.Completed(), s.Issued())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
