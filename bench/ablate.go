@@ -22,111 +22,115 @@ type AblationRow struct {
 	Unit   string
 }
 
-// AblateHugePages compares VEO-write bandwidth at a large size with 2 MiB
-// huge pages vs 4 KiB pages (§III-D: bulk bandwidth needs huge pages).
-func AblateHugePages(size int64) ([]AblationRow, error) {
-	if size <= 0 {
-		size = (64 * units.MiB).Int64()
-	}
-	var rows []AblationRow
-	for _, huge := range []bool{true, false} {
-		huge := huge
-		label := "2MiB huge pages"
-		if !huge {
-			label = "4KiB pages"
-		}
-		// The page-size effect shows against the naive translator; the 4dma
-		// manager was invented to hide exactly this cost.
-		for _, naive := range []bool{false, true} {
-			mgr := "4dma"
-			if naive {
-				mgr = "naive"
-			}
-			cfg := Fig10Config{
-				MinSize: size, MaxSize: size,
-				HugePages:       &huge,
-				NaiveDMAManager: naive,
-				Reps:            3,
-			}
-			series, err := Fig10(cfg)
-			if err != nil {
-				return nil, err
-			}
-			pt, _ := series[0].At(size) // VEO write, VH=>VE
-			rows = append(rows, AblationRow{
-				Config: fmt.Sprintf("%s, %s DMA manager", label, mgr),
-				Value:  pt.GiBps,
-				Unit:   "GiB/s (VEO write, " + sizeLabel(size) + ")",
-			})
+// variant is one row of an ablation: its label and the World it measures.
+type variant struct {
+	label string
+	w     machine.World
+}
+
+// ablate measures every variant's World, in order, into one row each: row
+// arrives labelled with the variant and unit, and measure sets its Value.
+func ablate(unit string, vs []variant, measure func(w machine.World, row *AblationRow) error) ([]AblationRow, error) {
+	rows := make([]AblationRow, len(vs))
+	for i, v := range vs {
+		rows[i] = AblationRow{Config: v.label, Unit: unit}
+		if err := measure(v.w, &rows[i]); err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", v.label, err)
 		}
 	}
 	return rows, nil
+}
+
+// emptyMean measures a World by its mean empty-offload cost in µs, at cfg's
+// warm-ups and repetitions.
+func emptyMean(cfg Fig9Config) func(machine.World, *AblationRow) error {
+	cfg.fill()
+	return func(w machine.World, row *AblationRow) error {
+		r, err := emptyOffloads(w, cfg.Warmup, cfg.Reps)
+		row.Value = meanUS(r.samples)
+		return err
+	}
+}
+
+// AblateHugePages compares VEO-write bandwidth at a large size with 2 MiB
+// huge pages vs 4 KiB pages (§III-D: bulk bandwidth needs huge pages).
+func AblateHugePages(w machine.World, size int64) ([]AblationRow, error) {
+	if size <= 0 {
+		size = (64 * units.MiB).Int64()
+	}
+	var vs []variant
+	for _, page := range []struct {
+		label string
+		size  units.Bytes
+	}{{"2MiB huge pages", 2 * units.MiB}, {"4KiB pages", 4 * units.KiB}} {
+		// The page-size effect shows against the naive translator; the 4dma
+		// manager was invented to hide exactly this cost.
+		for _, mgr := range []string{"4dma", "naive"} {
+			v := w.Tuned(func(t *topology.Timing) { t.HostPageSize = page.size })
+			v.NaiveDMAManager = mgr == "naive"
+			vs = append(vs, variant{fmt.Sprintf("%s, %s DMA manager", page.label, mgr), v})
+		}
+	}
+	return ablate("GiB/s (VEO write, "+sizeLabel(size)+")", vs, func(w machine.World, row *AblationRow) error {
+		series, err := Fig10(w, Fig10Config{MinSize: size, MaxSize: size, Reps: 3})
+		if err != nil {
+			return err
+		}
+		pt, _ := series[0].At(size) // VEO write, VH=>VE
+		row.Value = pt.GiBps
+		return nil
+	})
 }
 
 // AblatePollInterval sweeps the VE runtime's receive-flag poll interval in
 // the DMA protocol and reports the empty-offload cost — the latency/VE-core
 // waste trade-off of DESIGN.md §5.2.
-func AblatePollInterval(intervalsNS []int64) ([]AblationRow, error) {
+func AblatePollInterval(w machine.World, intervalsNS []int64) ([]AblationRow, error) {
 	if len(intervalsNS) == 0 {
 		intervalsNS = []int64{50, 150, 500, 2000, 8000}
 	}
-	var rows []AblationRow
-	for _, ns := range intervalsNS {
-		timing := topology.DefaultTiming()
-		timing.HAMVEPollInterval = simtime.Duration(ns) * simtime.Nanosecond
-		us, err := runEmptyLoop(machine.Config{VEs: 1, Timing: &timing}, machine.ProtocolOptions{})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Config: fmt.Sprintf("poll every %dns", ns),
-			Value:  us,
-			Unit:   "us/offload (DMA protocol)",
-		})
+	w.DMA = true
+	vs := make([]variant, len(intervalsNS))
+	for i, ns := range intervalsNS {
+		vs[i] = variant{fmt.Sprintf("poll every %dns", ns), w.Tuned(func(t *topology.Timing) {
+			t.HAMVEPollInterval = simtime.Duration(ns) * simtime.Nanosecond
+		})}
 	}
-	return rows, nil
+	return ablate("us/offload (DMA protocol)", vs, emptyMean(Fig9Config{}))
 }
 
 // AblateResultPath compares returning small results via SHM word stores
 // (the paper's choice, §V-B) against a user-DMA write.
-func AblateResultPath() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, viaDMA := range []bool{false, true} {
-		label := "SHM word stores"
-		if viaDMA {
-			label = "user-DMA write"
-		}
-		us, err := runEmptyLoop(machine.Config{VEs: 1}, machine.ProtocolOptions{ResultViaDMA: viaDMA})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Config: "result via " + label,
-			Value:  us,
-			Unit:   "us/offload (DMA protocol)",
-		})
-	}
-	return rows, nil
+func AblateResultPath(w machine.World) ([]AblationRow, error) {
+	w.DMA = true
+	viaDMA := w
+	viaDMA.Options.ResultViaDMA = true
+	return ablate("us/offload (DMA protocol)",
+		[]variant{{"result via SHM word stores", w}, {"result via user-DMA write", viaDMA}},
+		emptyMean(Fig9Config{}))
 }
 
 // AblateBufferCount varies the number of message slots and measures the
 // completion time of a pipeline of asynchronous offloads — more slots allow
 // deeper overlap before the host must drain a slot.
-func AblateBufferCount(counts []int, pipelineDepth int) ([]AblationRow, error) {
+func AblateBufferCount(w machine.World, counts []int, pipelineDepth int) ([]AblationRow, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8, 16}
 	}
 	if pipelineDepth <= 0 {
 		pipelineDepth = 32
 	}
+	w.DMA = true
+	vs := make([]variant, len(counts))
+	for i, n := range counts {
+		vs[i] = variant{fmt.Sprintf("%d buffers", n), w}
+		vs[i].w.Options.NumBuffers = n
+	}
 	// An empty kernel keeps the measurement latency-dominated: the benefit
 	// of extra slots is protocol-level overlap, which long-running kernels
 	// would mask behind serial VE execution time.
-	var rows []AblationRow
-	for _, n := range counts {
-		var us float64
-		opts := machine.ProtocolOptions{NumBuffers: n}
-		err := withRuntime(machine.Config{VEs: 1}, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
+	return ablate(fmt.Sprintf("us/offload (pipeline of %d)", pipelineDepth), vs, func(w machine.World, row *AblationRow) error {
+		_, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err
 			}
@@ -140,26 +144,11 @@ func AblateBufferCount(counts []int, pipelineDepth int) ([]AblationRow, error) {
 					return err
 				}
 			}
-			us = p.Now().Sub(start).Microseconds() / float64(pipelineDepth)
+			row.Value = p.Now().Sub(start).Microseconds() / float64(pipelineDepth)
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Config: fmt.Sprintf("%d buffers", n),
-			Value:  us,
-			Unit:   fmt.Sprintf("us/offload (pipeline of %d)", pipelineDepth),
-		})
-	}
-	return rows, nil
-}
-
-// runEmptyLoop is the DMA-protocol empty-offload cost under one machine and
-// protocol configuration, at Fig. 9's default warm-ups and repetitions.
-func runEmptyLoop(mcfg machine.Config, opts machine.ProtocolOptions) (float64, error) {
-	samples, err := emptySamples(mcfg, true, opts, 10, 100)
-	return meanUS(samples), err
+		return err
+	})
 }
 
 // GranularityRow is one point of the offload-granularity sweep.
@@ -178,7 +167,7 @@ type GranularityRow struct {
 // time under both protocols. Short kernels see the full ~70× protocol gap;
 // millisecond kernels amortise it away — the companion SC'14 study's 2.6×
 // application speedup sits in the middle of this curve.
-func AblateGranularity(kernelsUS []float64) ([]GranularityRow, error) {
+func AblateGranularity(w machine.World, kernelsUS []float64) ([]GranularityRow, error) {
 	if len(kernelsUS) == 0 {
 		kernelsUS = []float64{0, 10, 100, 1000, 10000}
 	}
@@ -193,15 +182,13 @@ func AblateGranularity(kernelsUS []float64) ([]GranularityRow, error) {
 			return offload.Unit{}, nil
 		})
 
-	measure := func(dma bool, flops int64) (float64, error) {
-		var us float64
-		err := withRuntime(machine.Config{VEs: 1}, dma, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
-			op := func() error {
+	measure := func(dma bool, flops int64) (us float64, err error) {
+		w.DMA = dma
+		_, err = w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
+			us, err = timedLoop(p, 5, 20, func() error {
 				_, err := offload.Sync(rt, 1, kernel.Bind(flops))
 				return err
-			}
-			v, err := timedLoop(p, 5, 20, op)
-			us = v
+			})
 			return err
 		})
 		return us, err

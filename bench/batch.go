@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"hamoffload/internal/simtime"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
@@ -14,7 +15,6 @@ import (
 
 // BatchConfig parameterises the batch-amortisation experiment.
 type BatchConfig struct {
-	Socket int   // CPU socket the VH process is pinned to
 	Reps   int   // timed batches per size (default 50)
 	Warmup int   // warm-up batches per size (default 5)
 	Sizes  []int // batch sizes to sweep (default 1,2,4,8,16,32)
@@ -38,95 +38,78 @@ type BatchPoint struct {
 	BatchUS   float64 // whole-batch round trip, µs of simulated time
 	PerMsgUS  float64 // BatchUS / BatchSize — the amortised per-message cost
 	Speedup   float64 // single-message DMA cost / PerMsgUS
+	// Samples is the amortised per-message cost of each timed batch, in µs.
+	Samples []float64
 }
 
 // BatchResult is the full sweep plus its single-message baseline.
 type BatchResult struct {
 	Socket   int
-	SingleUS float64 // Fig. 9 HAM-DMA single sync offload
+	SingleUS float64            // Fig. 9 HAM-DMA single sync offload
+	Single   []simtime.Duration // the baseline's samples, one per offload
 	Points   []BatchPoint
 }
 
 // Batch runs the batch-amortisation sweep over the DMA protocol on fresh
-// machines and returns the per-size amortised costs.
-func Batch(cfg BatchConfig) (BatchResult, error) {
+// machines of w and returns the per-size amortised costs.
+func Batch(w machine.World, cfg BatchConfig) (BatchResult, error) {
 	cfg.fill()
-	res := BatchResult{Socket: cfg.Socket}
+	w.DMA = true
+	res := BatchResult{Socket: w.Socket}
 
-	single, err := MeasureHAMEmpty(Fig9Config{Socket: cfg.Socket, Reps: cfg.Reps, Warmup: cfg.Warmup}, true)
+	single, err := emptyOffloads(w, cfg.Warmup, cfg.Reps)
 	if err != nil {
 		return res, fmt.Errorf("bench: single-message baseline: %w", err)
 	}
-	res.SingleUS = single
+	res.Single, res.SingleUS = single.samples, meanUS(single.samples)
 
 	for _, k := range cfg.Sizes {
-		us, err := MeasureBatchEmpty(cfg, k)
+		pt := BatchPoint{BatchSize: k}
+		w.Options.Batch = offload.BatchPolicy{MaxMessages: k}
+		_, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
+			fns := make([]offload.Functor[offload.Unit], k)
+			for i := range fns {
+				fns[i] = benchEmpty.Bind()
+			}
+			for i := 0; i < cfg.Warmup+cfg.Reps; i++ {
+				start := p.Now()
+				if _, err := offload.GetAll(offload.AsyncBatch(rt, 1, fns)); err != nil {
+					return err
+				}
+				if i >= cfg.Warmup {
+					pt.Samples = append(pt.Samples, p.Now().Sub(start).Microseconds()/float64(k))
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return res, fmt.Errorf("bench: batch of %d: %w", k, err)
 		}
-		res.Points = append(res.Points, BatchPoint{
-			BatchSize: k,
-			BatchUS:   us * float64(k),
-			PerMsgUS:  us,
-			Speedup:   single / us,
-		})
+		var sum float64
+		for _, s := range pt.Samples {
+			sum += s
+		}
+		pt.PerMsgUS = sum / float64(len(pt.Samples))
+		pt.BatchUS, pt.Speedup = pt.PerMsgUS*float64(k), res.SingleUS/pt.PerMsgUS
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
 
-// MeasureBatchEmpty times batches of k empty offloads shipped as one batch
-// frame over the DMA protocol and returns the amortised per-message cost in
-// microseconds of simulated time.
-func MeasureBatchEmpty(cfg BatchConfig, k int) (float64, error) {
-	cfg.fill()
-	if k < 1 {
-		return 0, fmt.Errorf("bench: batch size must be >= 1, got %d", k)
+// BatchReport reduces the sweep's samples to a regression report: the
+// "single-dma" baseline plus one "batch-<k>-per-msg" entry per size.
+func BatchReport(w machine.World, cfg BatchConfig) (Report, error) {
+	res, err := Batch(w, cfg)
+	r := Report{Experiment: "batch", Entries: []ReportEntry{
+		{Name: "single-dma", Stats: NewStats(microseconds(res.Single))},
+	}}
+	for _, pt := range res.Points {
+		r.Entries = append(r.Entries, ReportEntry{
+			Name:  fmt.Sprintf("batch-%d-per-msg", pt.BatchSize),
+			Stats: NewStats(pt.Samples),
+		})
 	}
-	samples, err := MeasureBatchEmptySamples(cfg, k)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	return sum / float64(len(samples)), nil
-}
-
-// MeasureBatchEmptySamples is MeasureBatchEmpty returning one amortised
-// per-message sample per timed batch instead of the mean.
-func MeasureBatchEmptySamples(cfg BatchConfig, k int) ([]float64, error) {
-	cfg.fill()
-	var samples []float64
-	mcfg := machine.Config{VEs: 1, Socket: cfg.Socket}
-	opts := machine.ProtocolOptions{Batch: offload.BatchPolicy{MaxMessages: k}}
-	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
-		fns := make([]offload.Functor[offload.Unit], k)
-		for i := range fns {
-			fns[i] = benchEmpty.Bind()
-		}
-		batch := func() error {
-			_, err := offload.GetAll(offload.AsyncBatch(rt, 1, fns))
-			return err
-		}
-		for i := 0; i < cfg.Warmup; i++ {
-			if err := batch(); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < cfg.Reps; i++ {
-			start := p.Now()
-			if err := batch(); err != nil {
-				return err
-			}
-			samples = append(samples, p.Now().Sub(start).Microseconds()/float64(k))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
+	return r, err
 }
 
 // RenderBatch prints the sweep as a fixed-width table.

@@ -12,43 +12,28 @@
 // cmd/benchreg and `make samples` are loops over it. The same entry points
 // back the testing.B benchmarks in the repository root, so the printed
 // artefacts and the benchmark metrics always agree.
+//
+// Every experiment runs on a machine.World derived from the one its caller
+// hands in (hambench's comes from -socket and -trace): an experiment sets
+// only the axes it studies, and an ablation is a list of Worlds.
 package bench
 
 import (
 	"fmt"
 
+	"hamoffload/internal/topology"
+	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
 
-// withRuntime runs fn as the VH program of a fresh machine, connected to its
-// VEs over the DMA protocol (dma) or the VEO protocol; the runtime is
-// finalized when fn returns.
-func withRuntime(mcfg machine.Config, dma bool, opts machine.ProtocolOptions,
-	fn func(p *machine.Proc, rt *offload.Runtime) error) error {
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return err
+// traced is w recording into tr; a nil tr leaves w as it is.
+func traced(w machine.World, tr *trace.Tracer) machine.World {
+	if tr == nil {
+		return w
 	}
-	return runOn(m, dma, opts, fn)
-}
-
-// runOn is withRuntime on a machine the caller built (and reads afterwards).
-func runOn(m *machine.Machine, dma bool, opts machine.ProtocolOptions,
-	fn func(p *machine.Proc, rt *offload.Runtime) error) error {
-	return m.RunMain(func(p *machine.Proc) error {
-		connect := machine.ConnectVEO
-		if dma {
-			connect = machine.ConnectDMA
-		}
-		rt, err := connect(p, m, opts)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-		return fn(p, rt)
-	})
+	return w.Tuned(func(t *topology.Timing) { t.Tracer = tr })
 }
 
 // Point is one measurement of a size sweep.

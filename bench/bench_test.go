@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"hamoffload/internal/units"
+	"hamoffload/machine"
 )
 
 // TestFig9ShapeMatchesPaper verifies the headline comparison: who wins, and
 // by roughly what factor (§V-A).
 func TestFig9ShapeMatchesPaper(t *testing.T) {
-	r, err := Fig9(Fig9Config{Reps: 60})
+	r, err := Fig9(machine.World{}, Fig9Config{Reps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 
 // TestFig9SecondSocket reproduces the §V-A UPI note: up to ~1 µs extra.
 func TestFig9SecondSocket(t *testing.T) {
-	local, err := Fig9(Fig9Config{Reps: 60, Socket: 0})
+	local, err := Fig9(machine.World{}, Fig9Config{Reps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := Fig9(Fig9Config{Reps: 60, Socket: 1})
+	remote, err := Fig9(machine.World{Config: machine.Config{Socket: 1}}, Fig9Config{Reps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFig9SecondSocket(t *testing.T) {
 // exercised by the root-level benchmarks and cmd/hambench).
 func fig10Small(t *testing.T) []Series {
 	t.Helper()
-	series, err := Fig10(Fig10Config{
+	series, err := Fig10(machine.World{}, Fig10Config{
 		MaxSize:     (16 * units.MiB).Int64(),
 		InstMaxSize: (256 * units.KiB).Int64(),
 		Reps:        2,
@@ -140,7 +141,7 @@ func TestTableIVPeaks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size sweep")
 	}
-	series, err := Fig10(Fig10Config{Reps: 2})
+	series, err := Fig10(machine.World{}, Fig10Config{Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestAblations(t *testing.T) {
 		t.Skip("multi-machine sweeps")
 	}
 	t.Run("hugepages", func(t *testing.T) {
-		rows, err := AblateHugePages((16 * units.MiB).Int64())
+		rows, err := AblateHugePages(machine.World{}, (16 * units.MiB).Int64())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestAblations(t *testing.T) {
 		}
 	})
 	t.Run("poll-interval", func(t *testing.T) {
-		rows, err := AblatePollInterval([]int64{50, 2000})
+		rows, err := AblatePollInterval(machine.World{}, []int64{50, 2000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestAblations(t *testing.T) {
 		}
 	})
 	t.Run("result-path", func(t *testing.T) {
-		rows, err := AblateResultPath()
+		rows, err := AblateResultPath(machine.World{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestAblations(t *testing.T) {
 		}
 	})
 	t.Run("buffer-count", func(t *testing.T) {
-		rows, err := AblateBufferCount([]int{1, 8}, 16)
+		rows, err := AblateBufferCount(machine.World{}, []int{1, 8}, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func TestGranularitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-machine sweep")
 	}
-	rows, err := AblateGranularity([]float64{0, 100, 5000})
+	rows, err := AblateGranularity(machine.World{}, []float64{0, 100, 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,19 +323,25 @@ func TestTraceOffloadsProducesChromeJSON(t *testing.T) {
 	}
 }
 
-// TestHistogramMeasurement checks the latency-distribution variant agrees
-// with the scalar measurement.
+// TestHistogramMeasurement checks the latency distributions agree with the
+// bars they are drawn from.
 func TestHistogramMeasurement(t *testing.T) {
-	h, err := MeasureHAMEmptyHist(Fig9Config{Reps: 50}, true)
+	r, err := Fig9(machine.World{}, Fig9Config{Reps: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count() != 50 {
-		t.Errorf("Count = %d", h.Count())
+	hists := r.Hists()
+	for i, bar := range []float64{r.HAMVEOUS, r.HAMDMAUS} {
+		h := hists[i]
+		if h.Count() != 50 {
+			t.Errorf("histogram %d: Count = %d", i, h.Count())
+		}
+		if mean := h.Sum().Microseconds() / float64(h.Count()); mean != bar {
+			t.Errorf("histogram %d: mean = %.6f us, the bar says %.6f", i, mean, bar)
+		}
 	}
-	mean := h.Mean().Microseconds()
-	if mean < 5 || mean > 8 {
-		t.Errorf("mean = %.2f us, want ≈6", mean)
+	if mean := hists[1].Mean().Microseconds(); mean < 5 || mean > 8 {
+		t.Errorf("DMA mean = %.2f us, want ≈6", mean)
 	}
 }
 
@@ -342,7 +349,7 @@ func TestHistogramMeasurement(t *testing.T) {
 // execution wins; a few percent of scalar work flips the balance to
 // offloading — the motivation for low-overhead offloading on this platform.
 func TestNativeVsOffloadCrossover(t *testing.T) {
-	rows, err := NativeVsOffload(NativeVsOffloadConfig{
+	rows, err := NativeVsOffload(machine.World{}, NativeVsOffloadConfig{
 		Fractions: []float64{0, 0.05, 0.5},
 	})
 	if err != nil {
@@ -374,7 +381,7 @@ func TestRemoteClusterExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster build")
 	}
-	r, err := Remote(60)
+	r, err := Remote(machine.World{}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +410,7 @@ func TestPutGetTracksVEOCurve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large transfers")
 	}
-	pts, err := PutGet(nil, 2)
+	pts, err := PutGet(machine.World{}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,5 +431,35 @@ func TestPutGetTracksVEOCurve(t *testing.T) {
 	RenderPutGet(&buf, pts)
 	if !strings.Contains(buf.String(), "put GiB/s") {
 		t.Error("render malformed")
+	}
+}
+
+// TestSocketReachesEveryRow checks two rows that once built their own
+// machine: on the base World of -socket 1 every configuration pays the UPI
+// hop of §V-A, so each costs more than at socket 0.
+func TestSocketReachesEveryRow(t *testing.T) {
+	socket1 := machine.World{Config: machine.Config{Socket: 1}}
+	for _, row := range []struct {
+		name string
+		run  func(machine.World) ([]AblationRow, error)
+	}{
+		{"ablate-result-path", AblateResultPath},
+		{"faults", func(w machine.World) ([]AblationRow, error) { return FaultOverhead(w, 20) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			near, err := row.run(machine.World{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, err := row.run(socket1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range near {
+				if far[i].Value <= near[i].Value {
+					t.Errorf("%s: %.3f %s at socket 1, %.3f at socket 0", near[i].Config, far[i].Value, far[i].Unit, near[i].Value)
+				}
+			}
+		})
 	}
 }

@@ -25,27 +25,28 @@ type BreakdownResult struct {
 	Rows       []trace.PhaseSlice // innermost-span attribution, tiles the window
 	Spans      []trace.Span       // recorded spans overlapping the window
 	Start, End simtime.Time       // the analysed offload window
+	Tracer     *trace.Tracer      // w's tracer, or the fresh one the run used
 }
 
 // Breakdown runs the configured warm-ups plus one analysed empty sync
-// offload over the chosen protocol with tracing attached, then attributes
-// every picosecond of the final offload's window to the innermost recorded
-// span covering it. The returned rows tile the window exactly, so their
-// totals sum to the end-to-end latency by construction.
-func Breakdown(cfg Fig9Config, dmaProtocol bool) (BreakdownResult, error) {
+// offload on a machine of w (over w's protocol) with tracing attached, then
+// attributes every picosecond of the final offload's window to the innermost
+// recorded span covering it. The returned rows tile the window exactly, so
+// their totals sum to the end-to-end latency by construction.
+func Breakdown(w machine.World, cfg Fig9Config) (BreakdownResult, error) {
 	cfg.fill()
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.NewTracer()
-	}
-	res := BreakdownResult{Protocol: "VEO"}
-	if dmaProtocol {
+	res := BreakdownResult{Protocol: "VEO", Tracer: trace.NewTracer()}
+	if w.DMA {
 		res.Protocol = "DMA"
 	}
-	if _, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, 1); err != nil {
+	if w.Timing != nil && w.Timing.Tracer != nil {
+		res.Tracer = w.Timing.Tracer
+	}
+	if _, err := emptyOffloads(traced(w, res.Tracer), cfg.Warmup, 1); err != nil {
 		return res, err
 	}
 
-	spans := cfg.Tracer.Spans()
+	spans := res.Tracer.Spans()
 	win, ok := lastOffloadSpan(spans)
 	if !ok {
 		return res, fmt.Errorf("bench: no offload span recorded")

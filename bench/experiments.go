@@ -7,6 +7,7 @@ import (
 
 	"hamoffload/internal/trace"
 	"hamoffload/internal/units"
+	"hamoffload/machine"
 )
 
 // This file is the one table of experiments. cmd/hambench runs its rows
@@ -31,7 +32,8 @@ type Experiment struct {
 }
 
 // Env is what a Run sees of the command line: hambench's flags, plus the
-// Fig. 10 sweep that fig10, table4 and crossover share.
+// Fig. 10 sweep that fig10, table4 and crossover share. Every row derives its
+// World from env.world().
 type Env struct {
 	Out           io.Writer
 	Socket        int           // VH socket to offload from
@@ -46,6 +48,12 @@ type Env struct {
 	series []Series
 }
 
+// world is the base World of every row: the default machine, its VH process
+// pinned to -socket.
+func (env *Env) world() machine.World {
+	return machine.World{Config: machine.Config{Socket: env.Socket}}
+}
+
 // sweep runs the Fig. 10 bandwidth sweep once per Env.
 func (env *Env) sweep() ([]Series, error) {
 	if env.series != nil {
@@ -53,7 +61,7 @@ func (env *Env) sweep() ([]Series, error) {
 	}
 	fmt.Fprintln(os.Stderr, "bench: running bandwidth sweep (up to", sizeLabel(env.MaxSize), ")...")
 	var err error
-	env.series, err = Fig10(Fig10Config{Socket: env.Socket, MaxSize: env.MaxSize, Reps: env.Reps})
+	env.series, err = Fig10(env.world(), Fig10Config{MaxSize: env.MaxSize, Reps: env.Reps})
 	return env.series, err
 }
 
@@ -71,35 +79,36 @@ var Experiments = []Experiment{
 	{Name: "crossover", Doc: "§V-B crossover points", Run: show((*Env).sweep, RenderCrossover)},
 	{Name: "ablate-hugepages", Doc: "A2 + A3: host page size x DMA manager (naive vs 4dma bulk translation)",
 		Run: ablation("A2 — host page size x DMA manager (VEO write bandwidth)",
-			func(*Env) ([]AblationRow, error) { return AblateHugePages((64 * units.MiB).Int64()) })},
+			func(env *Env) ([]AblationRow, error) { return AblateHugePages(env.world(), (64 * units.MiB).Int64()) })},
 	{Name: "ablate-poll", Doc: "VE poll-interval sweep",
 		Run: ablation("Ablation — VE receive-flag poll interval (DMA protocol)",
-			func(*Env) ([]AblationRow, error) { return AblatePollInterval(nil) })},
+			func(env *Env) ([]AblationRow, error) { return AblatePollInterval(env.world(), nil) })},
 	{Name: "ablate-buffers", Doc: "message-slot count sweep",
 		Run: ablation("Ablation — message-buffer count (async pipeline)",
-			func(*Env) ([]AblationRow, error) { return AblateBufferCount(nil, 32) })},
+			func(env *Env) ([]AblationRow, error) { return AblateBufferCount(env.world(), nil, 32) })},
 	{Name: "ablate-granularity", Doc: "protocol gap vs kernel duration",
-		Run: show(func(*Env) ([]GranularityRow, error) { return AblateGranularity(nil) }, RenderGranularity)},
+		Run: show(func(env *Env) ([]GranularityRow, error) { return AblateGranularity(env.world(), nil) }, RenderGranularity)},
 	{Name: "remote", Doc: "§VI outlook: offloading over InfiniBand",
-		Run: show(func(env *Env) (RemoteResult, error) { return Remote(env.Reps) }, RenderRemote)},
+		Run: show(func(env *Env) (RemoteResult, error) { return Remote(env.world(), env.Reps) }, RenderRemote)},
 	{Name: "putget", Doc: "public-API data path vs Fig. 10 curves",
-		Run: show(func(env *Env) ([]PutGetPoint, error) { return PutGet(nil, env.Reps) }, RenderPutGet)},
+		Run: show(func(env *Env) ([]PutGetPoint, error) { return PutGet(env.world(), nil, env.Reps) }, RenderPutGet)},
 	{Name: "native-vs-offload", Doc: "§I: native VE execution vs offloading",
-		Run: show(func(*Env) ([]NativeVsOffloadRow, error) { return NativeVsOffload(NativeVsOffloadConfig{}) },
-			RenderNativeVsOffload)},
+		Run: show(func(env *Env) ([]NativeVsOffloadRow, error) {
+			return NativeVsOffload(env.world(), NativeVsOffloadConfig{})
+		}, RenderNativeVsOffload)},
 	{Name: "faults", Doc: "fault-tolerance overhead on the Fig. 9 path",
 		Run: ablation("Fault tolerance — empty-offload cost (Fig. 9 path)",
-			func(env *Env) ([]AblationRow, error) { return FaultOverhead(env.Reps) })},
+			func(env *Env) ([]AblationRow, error) { return FaultOverhead(env.world(), env.Reps) })},
 	{Name: "batch", Doc: "batched-message amortisation vs Fig. 9 baseline",
 		Run: show(func(env *Env) (BatchResult, error) {
-			return Batch(BatchConfig{Socket: env.Socket, Reps: env.Reps})
+			return Batch(env.world(), BatchConfig{Reps: env.Reps})
 		}, RenderBatch),
 		Measure: measure(BatchReport),
 		Gates: []Gate{{Doc: "a 16-message batch amortises the per-message cost to at most half the single-message DMA cost (docs/BATCHING.md)",
 			Num: "batch-16-per-msg", Den: "single-dma", Stat: "mean", Max: 0.5}}},
 	{Name: "resilience", Doc: "gray-failure tail latency: hedging + circuit breakers",
-		Run: show(func(env *Env) (ResilienceResult, error) {
-			return Resilience(ResilienceConfig{Offloads: env.Reps})
+		Run: show(func(env *Env) ([]ResilienceMode, error) {
+			return Resilience(env.world(), ResilienceConfig{Offloads: env.Reps})
 		}, RenderResilience),
 		Measure: measure(ResilienceReport),
 		Gates: []Gate{{Doc: "with one of two VEs degraded 10x, hedging plus health-aware scheduling recovers at least 2x of the baseline's p99.9 (docs/FAULTS.md)",
@@ -107,14 +116,14 @@ var Experiments = []Experiment{
 	{Name: "telemetry", Doc: "continuous telemetry: sparklines, SLO table, causal flows (-flows, -folded)", Run: runTelemetry},
 	{Name: "serving", Doc: "million-offload serving gateway: QoS, quotas, stealing",
 		Run: show(func(env *Env) (ServingResult, error) {
-			return Serving(ServingConfig{Offloads: env.Reps, Tracer: env.Tracer})
+			return Serving(traced(env.world(), env.Tracer), ServingConfig{Offloads: env.Reps})
 		}, RenderServing),
 		Measure: measure(ServingReport),
 		Gates: []Gate{{Doc: "on the saturated fleet, latency-critical traffic keeps a p99 at or below half the best-effort p99 (docs/SERVING.md)",
 			Num: "latency-critical", Den: "best-effort", Stat: "p99", Max: 0.5}}},
 	{Name: "ablate-result-path", Doc: "SHM vs DMA result return",
 		Run: ablation("Ablation — result return path (DMA protocol)",
-			func(*Env) ([]AblationRow, error) { return AblateResultPath() })},
+			func(env *Env) ([]AblationRow, error) { return AblateResultPath(env.world()) })},
 	{Name: "engine", Doc: "the DES engine's simulated footprint on the telemetry workload (baseline only)",
 		Measure: measure(EngineProfileReport)},
 }
@@ -146,50 +155,41 @@ func ablation(title string, compute func(*Env) ([]AblationRow, error)) func(*Env
 	return show(compute, func(w io.Writer, rows []AblationRow) { RenderAblation(w, title, rows) })
 }
 
-// measure adapts a typed report function, run at its default configuration,
-// to Experiment.Measure.
-func measure[C, R any](report func(C) (R, error)) func() (any, error) {
+// measure adapts a typed report function, run at its default configuration
+// on the default World, to Experiment.Measure.
+func measure[C, R any](report func(machine.World, C) (R, error)) func() (any, error) {
 	return func() (any, error) {
 		var defaults C
-		return report(defaults)
+		return report(machine.World{}, defaults)
 	}
 }
 
 func runFig9(env *Env) error {
-	cfg := Fig9Config{Socket: env.Socket, Reps: env.Reps, Tracer: env.Tracer}
-	r, err := Fig9(cfg)
+	r, err := Fig9(traced(env.world(), env.Tracer), Fig9Config{Reps: env.Reps})
 	if err != nil {
 		return err
 	}
 	RenderFig9(env.Out, r)
-	if !env.Hist {
-		return nil
-	}
-	cfg.Tracer = nil // the histogram runs repeat the bars; keep them out of the trace
-	for _, dma := range []bool{false, true} {
-		h, err := MeasureHAMEmptyHist(cfg, dma)
-		if err != nil {
-			return err
+	if env.Hist {
+		for _, h := range r.Hists() {
+			fmt.Fprintln(env.Out)
+			h.Render(env.Out)
 		}
-		fmt.Fprintln(env.Out)
-		h.Render(env.Out)
 	}
 	return nil
 }
 
 func runBreakdown(env *Env) error {
-	cfg := Fig9Config{Socket: env.Socket, Reps: env.Reps, Tracer: env.Tracer}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.NewTracer()
-	}
-	res, err := Breakdown(cfg, true)
+	w := traced(env.world(), env.Tracer)
+	w.DMA = true
+	res, err := Breakdown(w, Fig9Config{})
 	if err != nil {
 		return err
 	}
 	RenderBreakdown(env.Out, res)
 	fmt.Fprintln(env.Out)
 	fmt.Fprintln(env.Out, "Per-node metrics registries")
-	for _, reg := range cfg.Tracer.Registries() {
+	for _, reg := range res.Tracer.Registries() {
 		reg.Render(env.Out)
 	}
 	return nil
@@ -209,7 +209,7 @@ func runFig10(env *Env) error {
 }
 
 func runTelemetry(env *Env) error {
-	res, err := Telemetry(TelemetryConfig{})
+	res, err := Telemetry(env.world(), TelemetryConfig{})
 	if err != nil {
 		return err
 	}

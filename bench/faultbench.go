@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"hamoffload/internal/faults"
@@ -20,15 +21,6 @@ import (
 //   - faulty: retries enabled against injected DMA errors and payload bit
 //     flips; the delta over armed is the price of the retries themselves.
 
-// faultRetryPolicy is the retry policy the overhead rows run under.
-func faultRetryPolicy() offload.FaultTolerance {
-	return offload.FaultTolerance{
-		MaxRetries:  6,
-		BackoffBase: machine.Microsecond,
-		BackoffMax:  20 * machine.Microsecond,
-	}
-}
-
 // faultBenchPlan schedules steady fault pressure for the faulty rows: an
 // op-scheduled transfer error roughly every 12th transport operation (well
 // past the connect sequence) and seeded payload bit flips.
@@ -40,30 +32,10 @@ func faultBenchPlan(site faults.Site) *faults.Plan {
 	}}
 }
 
-// measureFaulted times reps empty sync offloads over one protocol with the
-// given retry policy and fault plan, returning the mean cost in simulated
-// microseconds plus the run's retry and injection counters.
-func measureFaulted(cfg Fig9Config, dmaProtocol bool, retry offload.FaultTolerance,
-	plan *faults.Plan) (us float64, retries int64, injected uint64, err error) {
-	cfg.fill()
-	mcfg := cfg.machineConfig()
-	mcfg.Faults = plan
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	opts := machine.ProtocolOptions{
-		Retry:          retry,
-		OffloadTimeout: 50 * machine.Millisecond,
-	}
-	samples, err := emptyOffloads(m, dmaProtocol, opts, cfg.Warmup, cfg.Reps,
-		func(rt *offload.Runtime) { retries = rt.Retries() })
-	return meanUS(samples), retries, m.Timing.Faults.Injected(), err
-}
-
-// FaultOverhead runs the three configurations over both protocols.
-func FaultOverhead(reps int) ([]AblationRow, error) {
-	var rows []AblationRow
+// FaultOverhead runs the three configurations over both protocols on w: six
+// Worlds that differ only in protocol, retry policy and fault plan.
+func FaultOverhead(w machine.World, reps int) ([]AblationRow, error) {
+	var vs []variant
 	for _, proto := range []struct {
 		name string
 		dma  bool
@@ -72,29 +44,30 @@ func FaultOverhead(reps int) ([]AblationRow, error) {
 		{"VEO protocol", false, faults.SitePrivDMA},
 		{"DMA protocol", true, faults.SiteUserDMA},
 	} {
-		cfg := Fig9Config{Reps: reps}
-		plain, _, _, err := measureFaulted(cfg, proto.dma, offload.FaultTolerance{}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s plain: %w", proto.name, err)
-		}
-		armed, _, _, err := measureFaulted(cfg, proto.dma, faultRetryPolicy(), nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s armed: %w", proto.name, err)
-		}
-		faulty, retries, injected, err := measureFaulted(cfg, proto.dma, faultRetryPolicy(),
-			faultBenchPlan(proto.site))
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s faulty: %w", proto.name, err)
-		}
-		if injected == 0 {
-			return nil, fmt.Errorf("bench: %s faulty row injected no faults", proto.name)
-		}
-		rows = append(rows,
-			AblationRow{Config: proto.name + ", plain", Value: plain, Unit: "us/offload"},
-			AblationRow{Config: proto.name + ", FT armed (no faults)", Value: armed, Unit: "us/offload"},
-			AblationRow{Config: fmt.Sprintf("%s, faulty (%d faults, %d retries)",
-				proto.name, injected, retries), Value: faulty, Unit: "us/offload"},
-		)
+		plain := w
+		plain.DMA = proto.dma
+		plain.Options = machine.ProtocolOptions{OffloadTimeout: 50 * machine.Millisecond}
+		armed := plain
+		armed.Options.Retry = offload.FaultTolerance{
+			MaxRetries: 6, BackoffBase: machine.Microsecond, BackoffMax: 20 * machine.Microsecond}
+		faulty := armed
+		faulty.Faults = faultBenchPlan(proto.site)
+		vs = append(vs, variant{proto.name + ", plain", plain},
+			variant{proto.name + ", FT armed (no faults)", armed}, variant{proto.name + ", faulty", faulty})
 	}
-	return rows, nil
+	cfg := Fig9Config{Reps: reps}
+	cfg.fill()
+	return ablate("us/offload", vs, func(w machine.World, row *AblationRow) error {
+		r, err := emptyOffloads(w, cfg.Warmup, cfg.Reps)
+		row.Value = meanUS(r.samples)
+		if err != nil || w.Faults == nil {
+			return err
+		}
+		injected := r.m.Timing.Faults.Injected()
+		if injected == 0 {
+			return errors.New("the faulty row injected no faults")
+		}
+		row.Config += fmt.Sprintf(" (%d faults, %d retries)", injected, r.retries)
+		return nil
+	})
 }

@@ -22,7 +22,6 @@ const (
 // Fig10Config parameterises the bandwidth sweep. The paper swept each size
 // 10³ times after warm-ups; the deterministic simulation needs fewer.
 type Fig10Config struct {
-	Socket  int
 	MinSize int64 // default 8 B
 	MaxSize int64 // default 256 MiB
 	// InstMaxSize caps the SHM/LHM series (default 4 MiB — the paper
@@ -30,9 +29,6 @@ type Fig10Config struct {
 	InstMaxSize int64
 	Reps        int // default 3
 	Warmup      int // default 1
-	// Machine knobs for the ablations.
-	HugePages       *bool
-	NaiveDMAManager bool
 }
 
 func (c *Fig10Config) fill() {
@@ -56,18 +52,14 @@ func (c *Fig10Config) fill() {
 	}
 }
 
-// Fig10 runs the full bandwidth sweep: three transfer methods, both
-// directions. It returns six series (SHM/LHM capped at InstMaxSize).
-func Fig10(cfg Fig10Config) ([]Series, error) {
+// Fig10 runs the full bandwidth sweep on a machine of w, its memories sized
+// to the sweep: three transfer methods, both directions, on VE 0 and with no
+// HAM-Offload runtime. It returns six series (SHM/LHM capped at InstMaxSize).
+func Fig10(w machine.World, cfg Fig10Config) ([]Series, error) {
 	cfg.fill()
-	m, err := machine.New(machine.Config{
-		VEs:             1,
-		Socket:          cfg.Socket,
-		HugePages:       cfg.HugePages,
-		NaiveDMAManager: cfg.NaiveDMAManager,
-		HostMemoryBytes: cfg.MaxSize*4 + (64 * units.MiB).Int64(),
-		VEMemoryBytes:   cfg.MaxSize*2 + (64 * units.MiB).Int64(),
-	})
+	w.HostMemoryBytes = cfg.MaxSize*4 + (64 * units.MiB).Int64()
+	w.VEMemoryBytes = cfg.MaxSize*2 + (64 * units.MiB).Int64()
+	m, err := machine.New(w.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -113,44 +105,32 @@ func Fig10(cfg Fig10Config) ([]Series, error) {
 		instr := dma.NewInstr(card.Timing, card.Mem.ATB(), card.Path)
 		instBuf := make([]byte, cfg.InstMaxSize)
 
-		for size := cfg.MinSize; size <= cfg.MaxSize; size *= 2 {
-			sz := size
-			ops := []struct {
-				idx int
-				op  func() error
-			}{
+		for sz := cfg.MinSize; sz <= cfg.MaxSize; sz *= 2 {
+			buf := instBuf[:min(sz, cfg.InstMaxSize)]
+			ops := []func() error{ // one per series, in order
 				// VEO write: VH → VE via privileged DMA.
-				{0, func() error { return card.DMAWrite(p, uint64(veBuf), uint64(hostBuf), sz) }},
+				func() error { return card.DMAWrite(p, uint64(veBuf), uint64(hostBuf), sz) },
 				// VEO read: VE → VH.
-				{1, func() error { return card.DMARead(p, uint64(hostBuf), uint64(veBuf), sz) }},
+				func() error { return card.DMARead(p, uint64(hostBuf), uint64(veBuf), sz) },
 				// User DMA read: VH shm → VE local (the ve_dma_post_wait API).
-				{2, func() error { return udma.Post(p, dma.API, pcie.Down, veVEHVA, shmVEHVA, sz) }},
+				func() error { return udma.Post(p, dma.API, pcie.Down, veVEHVA, shmVEHVA, sz) },
 				// User DMA write: VE local → VH shm.
-				{3, func() error { return udma.Post(p, dma.API, pcie.Up, shmVEHVA, veVEHVA, sz) }},
+				func() error { return udma.Post(p, dma.API, pcie.Up, shmVEHVA, veVEHVA, sz) },
+				// LHM: load host memory words into the VE.
+				func() error { return instr.LoadBytes(p, shmVEHVA, buf) },
+				// SHM: store VE words into host memory.
+				func() error { return instr.StoreBytes(p, shmVEHVA, buf) },
 			}
-			if sz <= cfg.InstMaxSize {
-				buf := instBuf[:sz]
-				ops = append(ops,
-					// LHM: load host memory words into the VE.
-					struct {
-						idx int
-						op  func() error
-					}{4, func() error { return instr.LoadBytes(p, shmVEHVA, buf) }},
-					// SHM: store VE words into host memory.
-					struct {
-						idx int
-						op  func() error
-					}{5, func() error { return instr.StoreBytes(p, shmVEHVA, buf) }},
-				)
+			if sz > cfg.InstMaxSize {
+				ops = ops[:4] // SHM/LHM stop at InstMaxSize
 			}
-			for _, o := range ops {
-				us, err := timedLoop(p, cfg.Warmup, cfg.Reps, o.op)
+			for i, op := range ops {
+				us, err := timedLoop(p, cfg.Warmup, cfg.Reps, op)
 				if err != nil {
 					return fmt.Errorf("bench: %s %s at %s: %w",
-						series[o.idx].Method, series[o.idx].Direction, sizeLabel(sz), err)
+						series[i].Method, series[i].Direction, sizeLabel(sz), err)
 				}
-				series[o.idx].Points = append(series[o.idx].Points,
-					Point{Size: sz, GiBps: gibps(sz, us), US: us})
+				series[i].Points = append(series[i].Points, Point{Size: sz, GiBps: gibps(sz, us), US: us})
 			}
 		}
 		return nil

@@ -4,36 +4,18 @@ import (
 	"fmt"
 
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
 	"hamoffload/internal/veos"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
 
-// Fig9Config parameterises the offload-cost experiment. The paper timed 10⁶
+// Fig9Config parameterises the offload-cost measurement. The paper timed 10⁶
 // repetitions after 10 warm-ups; the simulation is deterministic, so far
 // fewer repetitions give the same averages.
 type Fig9Config struct {
-	Socket int // CPU socket the VH process is pinned to (§V-A studies 1)
 	Reps   int // timed repetitions (default 100)
 	Warmup int // warm-up repetitions (default 10, as in the paper)
-	// Tracer, when non-nil, records the full offload lifecycle of every
-	// repetition (warm-ups included) as spans; nil keeps tracing off and the
-	// measured times bit-identical to the untraced run.
-	Tracer *trace.Tracer
-}
-
-// machineConfig assembles the machine parameters, attaching the span tracer
-// to the timing model when one is requested.
-func (c Fig9Config) machineConfig() machine.Config {
-	mcfg := machine.Config{VEs: 1, Socket: c.Socket}
-	if c.Tracer != nil {
-		timing := topology.DefaultTiming()
-		timing.Tracer = c.Tracer
-		mcfg.Timing = &timing
-	}
-	return mcfg
 }
 
 func (c *Fig9Config) fill() {
@@ -57,6 +39,10 @@ type Fig9Result struct {
 	HAMVEOOverNative float64 // paper: 5.4×
 	NativeOverDMA    float64 // paper: 13.1×
 	HAMVEOOverDMA    float64 // paper: 70.8×
+
+	// HAMVEO and HAMDMA are the samples the two HAM-Offload bars average,
+	// one per timed offload.
+	HAMVEO, HAMDMA []simtime.Duration
 }
 
 const veoBenchLibrary = "libbench-veo.so"
@@ -68,41 +54,68 @@ func init() {
 }
 
 // Fig9 measures the empty-offload cost of all three systems on fresh
-// machines and returns the figure's data.
-func Fig9(cfg Fig9Config) (Fig9Result, error) {
+// machines of w and returns the figure's data. A tracer on w's timing records
+// every repetition, warm-ups included; spans never move the simulated clock,
+// so the bars are those of the untraced run.
+func Fig9(w machine.World, cfg Fig9Config) (Fig9Result, error) {
 	cfg.fill()
-	res := Fig9Result{Socket: cfg.Socket}
+	res := Fig9Result{Socket: w.Socket}
 
-	native, err := MeasureVEONative(cfg)
+	native, err := veoNative(w, cfg)
 	if err != nil {
 		return res, fmt.Errorf("bench: native VEO: %w", err)
 	}
-	res.VEONativeUS = native
-
-	hamVEO, err := MeasureHAMEmpty(cfg, false)
+	w.DMA = false
+	veo, err := emptyOffloads(w, cfg.Warmup, cfg.Reps)
 	if err != nil {
 		return res, fmt.Errorf("bench: HAM-Offload VEO: %w", err)
 	}
-	res.HAMVEOUS = hamVEO
-
-	hamDMA, err := MeasureHAMEmpty(cfg, true)
+	w.DMA = true
+	dma, err := emptyOffloads(w, cfg.Warmup, cfg.Reps)
 	if err != nil {
 		return res, fmt.Errorf("bench: HAM-Offload DMA: %w", err)
 	}
-	res.HAMDMAUS = hamDMA
 
-	res.HAMVEOOverNative = hamVEO / native
-	res.NativeOverDMA = native / hamDMA
-	res.HAMVEOOverDMA = hamVEO / hamDMA
+	res.VEONativeUS, res.HAMVEO, res.HAMDMA = native, veo.samples, dma.samples
+	res.HAMVEOUS, res.HAMDMAUS = meanUS(veo.samples), meanUS(dma.samples)
+	res.HAMVEOOverNative = res.HAMVEOUS / native
+	res.NativeOverDMA = native / res.HAMDMAUS
+	res.HAMVEOOverDMA = res.HAMVEOUS / res.HAMDMAUS
 	return res, nil
 }
 
-// MeasureVEONative times the paper's reference point: the low-level VEO
-// function offload by symbol name, with basic argument types only. It
-// returns the average cost in microseconds of simulated time.
-func MeasureVEONative(cfg Fig9Config) (float64, error) {
-	cfg.fill()
-	m, err := machine.New(cfg.machineConfig())
+// Hists are the per-offload latency distributions of the two HAM-Offload
+// bars (VEO, then DMA): they expose protocol jitter such as poll-phase
+// alignment and slot-drain stalls that the plain average hides.
+func (r Fig9Result) Hists() []*trace.Histogram {
+	out := []*trace.Histogram{
+		trace.NewHistogram("HAM-Offload empty offload (VEO protocol)"),
+		trace.NewHistogram("HAM-Offload empty offload (DMA protocol)"),
+	}
+	for i, samples := range [][]simtime.Duration{r.HAMVEO, r.HAMDMA} {
+		for _, s := range samples {
+			out[i].Observe(s)
+		}
+	}
+	return out
+}
+
+// Fig9Report reduces the two HAM-Offload bars' samples to a regression
+// report.
+func Fig9Report(w machine.World, cfg Fig9Config) (Report, error) {
+	res, err := Fig9(w, cfg)
+	return Report{Experiment: "fig9", Entries: []ReportEntry{
+		{Name: "ham-veo-empty", Stats: NewStats(microseconds(res.HAMVEO))},
+		{Name: "ham-dma-empty", Stats: NewStats(microseconds(res.HAMDMA))},
+	}}, err
+}
+
+// veoNative times the paper's reference point on a machine of w: the
+// low-level VEO function offload by symbol name, with basic argument types
+// only. It needs no HAM-Offload runtime. It returns the average cost in
+// microseconds of simulated time.
+func veoNative(w machine.World, cfg Fig9Config) (float64, error) {
+	m, err := machine.New(w.Config)
 	if err != nil {
 		return 0, err
 	}
@@ -121,62 +134,44 @@ func MeasureVEONative(cfg Fig9Config) (float64, error) {
 			return err
 		}
 		ctx := vp.OpenContext(p)
-		call := func() error {
-			cmd := ctx.Submit(p, k, nil)
-			_, err := ctx.Wait(p, cmd)
+		us, err = timedLoop(p, cfg.Warmup, cfg.Reps, func() error {
+			_, err := ctx.Wait(p, ctx.Submit(p, k, nil))
 			return err
-		}
-		for i := 0; i < cfg.Warmup; i++ {
-			if err := call(); err != nil {
-				return err
-			}
-		}
-		start := p.Now()
-		for i := 0; i < cfg.Reps; i++ {
-			if err := call(); err != nil {
-				return err
-			}
-		}
-		us = p.Now().Sub(start).Microseconds() / float64(cfg.Reps)
-		return nil
+		})
+		return err
 	})
 	return us, err
 }
 
-// emptyOffloads is the paper's §V-A measurement loop, written once: connect
-// to m over one protocol, warm up, then time reps empty sync offloads to
-// node 1, one sample per offload. The simulated clock only moves inside an
-// offload, so the samples sum to the span of the whole timed loop exactly.
-// after, when non-nil, reads the runtime's counters before it is finalized.
-func emptyOffloads(m *machine.Machine, dma bool, opts machine.ProtocolOptions,
-	warmup, reps int, after func(*offload.Runtime)) ([]simtime.Duration, error) {
-	samples := make([]simtime.Duration, 0, reps)
-	err := runOn(m, dma, opts, func(p *machine.Proc, rt *offload.Runtime) error {
+// emptyRun is one emptyOffloads loop: a latency sample per timed offload,
+// the runtime's retry count, and the machine as Finalize left it.
+type emptyRun struct {
+	samples []simtime.Duration
+	retries int64
+	m       *machine.Machine
+}
+
+// emptyOffloads is the paper's §V-A measurement loop, written once: on a
+// fresh machine of w, warm up, then time reps empty sync offloads to node 1,
+// one sample per offload. The simulated clock only moves inside an offload,
+// so the samples sum to the span of the whole timed loop exactly.
+func emptyOffloads(w machine.World, warmup, reps int) (emptyRun, error) {
+	r := emptyRun{samples: make([]simtime.Duration, 0, reps)}
+	var err error
+	r.m, err = w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 		for i := 0; i < warmup+reps; i++ {
 			start := p.Now()
 			if _, err := offload.Sync(rt, 1, benchEmpty.Bind()); err != nil {
 				return err
 			}
 			if i >= warmup {
-				samples = append(samples, p.Now().Sub(start))
+				r.samples = append(r.samples, p.Now().Sub(start))
 			}
 		}
-		if after != nil {
-			after(rt)
-		}
+		r.retries = rt.Retries() // before Finalize's own messages
 		return nil
 	})
-	return samples, err
-}
-
-// emptySamples is emptyOffloads on a fresh machine.
-func emptySamples(mcfg machine.Config, dma bool, opts machine.ProtocolOptions,
-	warmup, reps int) ([]simtime.Duration, error) {
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	return emptyOffloads(m, dma, opts, warmup, reps, nil)
+	return r, err
 }
 
 // meanUS averages integer-picosecond samples in microseconds: the sum is
@@ -189,42 +184,13 @@ func meanUS(samples []simtime.Duration) float64 {
 	return sum.Microseconds() / float64(len(samples))
 }
 
-// MeasureHAMEmpty times an empty HAM-Offload sync offload over either
-// protocol, in microseconds of simulated time.
-func MeasureHAMEmpty(cfg Fig9Config, dmaProtocol bool) (float64, error) {
-	cfg.fill()
-	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
-	return meanUS(samples), err
-}
-
-// MeasureHAMEmptySamples is MeasureHAMEmpty returning one latency sample per
-// timed offload instead of the mean — the input of the regression baselines.
-func MeasureHAMEmptySamples(cfg Fig9Config, dmaProtocol bool) ([]float64, error) {
-	cfg.fill()
-	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
+// microseconds converts samples for NewStats.
+func microseconds(samples []simtime.Duration) []float64 {
 	us := make([]float64, len(samples))
 	for i, s := range samples {
 		us[i] = s.Microseconds()
 	}
-	return us, err
-}
-
-// MeasureHAMEmptyHist is MeasureHAMEmpty with a per-offload latency
-// distribution: it exposes protocol jitter such as poll-phase alignment and
-// slot-drain stalls that the plain average hides. The simulation is
-// deterministic, so the histogram is reproducible.
-func MeasureHAMEmptyHist(cfg Fig9Config, dmaProtocol bool) (*trace.Histogram, error) {
-	cfg.fill()
-	name := "HAM-Offload empty offload (VEO protocol)"
-	if dmaProtocol {
-		name = "HAM-Offload empty offload (DMA protocol)"
-	}
-	hist := trace.NewHistogram(name)
-	samples, err := emptySamples(cfg.machineConfig(), dmaProtocol, machine.ProtocolOptions{}, cfg.Warmup, cfg.Reps)
-	for _, s := range samples {
-		hist.Observe(s)
-	}
-	return hist, err
+	return us
 }
 
 // timedLoop is a helper for size sweeps: warm-ups then timed reps of op.

@@ -60,9 +60,11 @@ var nvoVector = offload.NewFunc1[offload.Unit]("bench.nvo_vector",
 		return offload.Unit{}, nil
 	})
 
-// NativeVsOffload runs the sweep and returns one row per scalar fraction.
-func NativeVsOffload(cfg NativeVsOffloadConfig) ([]NativeVsOffloadRow, error) {
+// NativeVsOffload runs the sweep, offloading over the DMA protocol to
+// machines of w, and returns one row per scalar fraction.
+func NativeVsOffload(w machine.World, cfg NativeVsOffloadConfig) ([]NativeVsOffloadRow, error) {
 	cfg.fill()
+	w.DMA = true
 	ve := vecore.DefaultModel()
 	host := vecore.DefaultHostModel()
 
@@ -85,7 +87,7 @@ func NativeVsOffload(cfg NativeVsOffloadConfig) ([]NativeVsOffloadRow, error) {
 		// model), vector phases offloaded over the DMA protocol on a real
 		// simulated machine, so the protocol cost is the measured one.
 		var offloadUS float64
-		err := withRuntime(machine.Config{VEs: 1}, true, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
+		_, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 			// Warm the protocol path.
 			if _, err := offload.Sync(rt, 1, nvoVector.Bind(0)); err != nil {
 				return err

@@ -79,51 +79,6 @@ func (r Report) Entry(name string) (ReportEntry, bool) {
 	return ReportEntry{}, false
 }
 
-// Fig9Report measures the two HAM-Offload bars of Fig. 9 with per-offload
-// samples and returns them as a regression report.
-func Fig9Report(cfg Fig9Config) (Report, error) {
-	cfg.fill()
-	r := Report{Experiment: "fig9"}
-	for _, sys := range []struct {
-		name string
-		dma  bool
-	}{
-		{"ham-veo-empty", false},
-		{"ham-dma-empty", true},
-	} {
-		samples, err := MeasureHAMEmptySamples(cfg, sys.dma)
-		if err != nil {
-			return r, fmt.Errorf("bench: %s: %w", sys.name, err)
-		}
-		r.Entries = append(r.Entries, ReportEntry{Name: sys.name, Stats: NewStats(samples)})
-	}
-	return r, nil
-}
-
-// BatchReport measures the batch sweep with per-batch samples (amortised to
-// per-message cost) and returns it as a regression report. The entry names
-// are "batch-<k>-per-msg" plus the "single-dma" baseline.
-func BatchReport(cfg BatchConfig) (Report, error) {
-	cfg.fill()
-	r := Report{Experiment: "batch"}
-	single, err := MeasureHAMEmptySamples(Fig9Config{Socket: cfg.Socket, Reps: cfg.Reps, Warmup: cfg.Warmup}, true)
-	if err != nil {
-		return r, fmt.Errorf("bench: single-dma: %w", err)
-	}
-	r.Entries = append(r.Entries, ReportEntry{Name: "single-dma", Stats: NewStats(single)})
-	for _, k := range cfg.Sizes {
-		samples, err := MeasureBatchEmptySamples(cfg, k)
-		if err != nil {
-			return r, fmt.Errorf("bench: batch-%d: %w", k, err)
-		}
-		r.Entries = append(r.Entries, ReportEntry{
-			Name:  fmt.Sprintf("batch-%d-per-msg", k),
-			Stats: NewStats(samples),
-		})
-	}
-	return r, nil
-}
-
 // Gate is a design target as data: Num's Stat may be at most Max times
 // Den's Stat, both entries of the experiment's fresh Report.
 type Gate struct {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hamoffload/machine"
 )
 
 // TestBatchAmortisation is the design target of docs/BATCHING.md as a
@@ -12,7 +14,7 @@ import (
 // cost must be at most half the single-message DMA-protocol cost (the
 // committed baseline says it is ~8%).
 func TestBatchAmortisation(t *testing.T) {
-	r, err := Batch(BatchConfig{Reps: 10, Warmup: 3, Sizes: []int{1, 16}})
+	r, err := Batch(machine.World{}, BatchConfig{Reps: 10, Warmup: 3, Sizes: []int{1, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

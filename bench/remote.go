@@ -18,18 +18,19 @@ type RemoteResult struct {
 	PutRemoteGiB float64 // 64 MiB put to a remote VE (staged over IB)
 }
 
-// Remote measures offloading across the simulated InfiniBand cluster.
-func Remote(reps int) (RemoteResult, error) {
+// Remote measures offloading across the simulated InfiniBand cluster: two
+// machines of w's Config (a World is one machine), connected with w's options.
+func Remote(w machine.World, reps int) (RemoteResult, error) {
 	if reps <= 0 {
 		reps = 100
 	}
 	var res RemoteResult
-	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
+	cl, err := machine.NewCluster(2, w.Config)
 	if err != nil {
 		return res, err
 	}
 	err = cl.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectCluster(p, cl, machine.ProtocolOptions{})
+		rt, err := machine.ConnectCluster(p, cl, w.Options)
 		if err != nil {
 			return err
 		}
@@ -96,9 +97,9 @@ type PutGetPoint struct {
 }
 
 // PutGet measures Table II's put/get through the public offload API over the
-// DMA protocol (whose bulk path is the VEO API, as in the paper), relating
-// the application-visible data-path to the raw Fig. 10 curves.
-func PutGet(sizes []int64, reps int) ([]PutGetPoint, error) {
+// DMA protocol (whose bulk path is the VEO API, as in the paper) on a machine
+// of w, relating the application-visible data-path to the raw Fig. 10 curves.
+func PutGet(w machine.World, sizes []int64, reps int) ([]PutGetPoint, error) {
 	if len(sizes) == 0 {
 		sizes = []int64{
 			(64 * units.KiB).Int64(), units.MiB.Int64(),
@@ -109,13 +110,11 @@ func PutGet(sizes []int64, reps int) ([]PutGetPoint, error) {
 		reps = 3
 	}
 	maxSize := sizes[len(sizes)-1]
-	mcfg := machine.Config{
-		VEs:             1,
-		HostMemoryBytes: maxSize*4 + (64 * units.MiB).Int64(),
-		VEMemoryBytes:   maxSize*2 + (64 * units.MiB).Int64(),
-	}
+	w.DMA = true
+	w.HostMemoryBytes = maxSize*4 + (64 * units.MiB).Int64()
+	w.VEMemoryBytes = maxSize*2 + (64 * units.MiB).Int64()
 	var out []PutGetPoint
-	err := withRuntime(mcfg, true, machine.ProtocolOptions{}, func(p *machine.Proc, rt *offload.Runtime) error {
+	_, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 		buf, err := offload.Allocate[float64](rt, 1, maxSize/8)
 		if err != nil {
 			return err

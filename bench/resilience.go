@@ -35,15 +35,19 @@ import (
 
 // ResilienceConfig parameterises the gray-failure tail-latency experiment.
 type ResilienceConfig struct {
-	Offloads int     // timed sync offloads per mode (default 400)
-	Warmup   int     // untimed warm-up offloads per mode (default 20)
-	VecN     int64   // result vector length per offload (default 2048)
-	Factor   float64 // sick VE degradation factor (default 10)
-	Seed     uint64  // seeds hedge-delay and backoff jitter (default 42)
-	// HedgeDelay is how long an offload may stay in flight before the hedge
-	// fires; set between the healthy and sick latencies (default 40 us).
-	HedgeDelay machine.Duration
+	Offloads int    // timed sync offloads per mode (default 400)
+	Warmup   int    // untimed warm-up offloads per mode (default 20)
+	VecN     int64  // result vector length per offload (default 2048)
+	Seed     uint64 // seeds hedge-delay and backoff jitter (default 42)
 }
+
+const (
+	// resilienceFactor is the sick VE's degradation factor.
+	resilienceFactor = 10.0
+	// resilienceHedgeDelay is how long an offload may stay in flight before
+	// the hedge fires: between the healthy and the sick latencies.
+	resilienceHedgeDelay = 40 * machine.Microsecond
+)
 
 func (c *ResilienceConfig) fill() {
 	if c.Offloads <= 0 {
@@ -55,14 +59,8 @@ func (c *ResilienceConfig) fill() {
 	if c.VecN <= 0 {
 		c.VecN = 2048
 	}
-	if c.Factor <= 1 {
-		c.Factor = 10
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.HedgeDelay <= 0 {
-		c.HedgeDelay = 40 * machine.Microsecond
 	}
 }
 
@@ -89,29 +87,18 @@ type ResilienceMode struct {
 	Stats       Stats // per-offload latency, us of simulated time
 }
 
-// ResilienceResult is the full four-mode comparison.
-type ResilienceResult struct {
-	Factor     float64
-	HedgeDelay machine.Duration
-	Modes      []ResilienceMode
-}
-
-// resiliencePlan degrades VE 0 (application node 1) by factor for the whole
-// run: the canonical sick-but-alive card.
-func resiliencePlan(factor float64) *faults.Plan {
-	return &faults.Plan{Rules: []faults.Rule{
-		{Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: factor,
-			Until: simtime.Time(1 << 62)},
-	}}
-}
-
-// measureResilienceMode runs one configuration on a fresh two-VE machine
-// and returns its per-offload latency samples and counters.
-func measureResilienceMode(cfg ResilienceConfig, mode *ResilienceMode) ([]float64, error) {
-	cfg.fill()
+// measureResilienceMode runs one configuration on a fresh machine of w —
+// two VEs, VE 0 (application node 1) degraded for the whole run: the
+// canonical sick-but-alive card — and fills in its latency and counters.
+func measureResilienceMode(w machine.World, cfg ResilienceConfig, mode *ResilienceMode) error {
 	nodes := []offload.NodeID{1, 2}
 	var trk *health.Tracker
-	opts := machine.ProtocolOptions{
+	w.VEs, w.DMA = 2, true
+	w.Faults = &faults.Plan{Rules: []faults.Rule{
+		{Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: resilienceFactor,
+			Until: simtime.Time(1 << 62)},
+	}}
+	w.Options = machine.ProtocolOptions{
 		BufSize: 1 << 16,
 		Retry: offload.FaultTolerance{
 			MaxRetries:  3,
@@ -121,17 +108,16 @@ func measureResilienceMode(cfg ResilienceConfig, mode *ResilienceMode) ([]float6
 		},
 	}
 	if mode.Hedging {
-		opts.Hedge = offload.HedgePolicy{
-			Delay:   cfg.HedgeDelay,
+		w.Options.Hedge = offload.HedgePolicy{
+			Delay:   resilienceHedgeDelay,
 			Targets: nodes,
 			Healthy: func(n offload.NodeID) bool { return trk == nil || trk.Allows(n) },
 			Seed:    cfg.Seed,
 		}
-		opts.RetryBudget = offload.RetryBudget{Tokens: 64, Refill: 50 * machine.Microsecond}
+		w.Options.RetryBudget = offload.RetryBudget{Tokens: 64, Refill: 50 * machine.Microsecond}
 	}
 	var samples []float64
-	mcfg := machine.Config{VEs: 2, Faults: resiliencePlan(cfg.Factor)}
-	err := withRuntime(mcfg, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
+	_, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 		pol := sched.RoundRobin()
 		if mode.Breaker {
 			trk = health.New(health.Config{
@@ -166,58 +152,53 @@ func measureResilienceMode(cfg ResilienceConfig, mode *ResilienceMode) ([]float6
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
+	mode.Stats = NewStats(samples)
+	return err
 }
 
-// Resilience runs the four-mode gray-failure comparison.
-func Resilience(cfg ResilienceConfig) (ResilienceResult, error) {
+// Resilience runs the four-mode gray-failure comparison on machines of w.
+func Resilience(w machine.World, cfg ResilienceConfig) ([]ResilienceMode, error) {
 	cfg.fill()
-	res := ResilienceResult{Factor: cfg.Factor, HedgeDelay: cfg.HedgeDelay}
-	for _, mode := range []ResilienceMode{
+	modes := []ResilienceMode{
 		{Name: "baseline"},
 		{Name: "hedged", Hedging: true},
 		{Name: "breaker", Breaker: true},
 		{Name: "hedged-breaker", Hedging: true, Breaker: true},
-	} {
-		samples, err := measureResilienceMode(cfg, &mode)
-		if err != nil {
-			return res, fmt.Errorf("bench: resilience %s: %w", mode.Name, err)
-		}
-		mode.Stats = NewStats(samples)
-		res.Modes = append(res.Modes, mode)
 	}
-	return res, nil
+	for i := range modes {
+		if err := measureResilienceMode(w, cfg, &modes[i]); err != nil {
+			return nil, fmt.Errorf("bench: resilience %s: %w", modes[i].Name, err)
+		}
+	}
+	return modes, nil
 }
 
 // ResilienceReport runs the comparison and shapes it as a regression
 // report: one entry per mode, named after the mode.
-func ResilienceReport(cfg ResilienceConfig) (Report, error) {
-	res, err := Resilience(cfg)
+func ResilienceReport(w machine.World, cfg ResilienceConfig) (Report, error) {
+	modes, err := Resilience(w, cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	r := Report{Experiment: "resilience"}
-	for _, mode := range res.Modes {
+	for _, mode := range modes {
 		r.Entries = append(r.Entries, ReportEntry{Name: mode.Name, Stats: mode.Stats})
 	}
 	return r, nil
 }
 
 // RenderResilience prints the comparison as a fixed-width table.
-func RenderResilience(w io.Writer, r ResilienceResult) {
+func RenderResilience(w io.Writer, modes []ResilienceMode) {
 	fmt.Fprintf(w, "Gray-failure tail latency — DMA protocol, VE 1 of 2 degraded %gx, hedge delay %v\n",
-		r.Factor, r.HedgeDelay)
+		resilienceFactor, resilienceHedgeDelay)
 	fmt.Fprintf(w, "%-16s  %8s  %8s  %8s  %8s  %7s  %6s  %8s  %6s\n",
 		"mode", "p50 us", "p99 us", "p99.9 us", "mean us", "hedges", "wins", "retries", "trans")
-	for _, m := range r.Modes {
+	for _, m := range modes {
 		fmt.Fprintf(w, "%-16s  %8.2f  %8.2f  %8.2f  %8.2f  %7d  %6d  %8d  %6d\n",
 			m.Name, m.Stats.P50US, m.Stats.P99US, m.Stats.P999US, m.Stats.MeanUS,
 			m.Hedges, m.HedgeWins, m.Retries, m.Transitions)
 	}
-	base, hb := r.Modes[0].Stats, r.Modes[len(r.Modes)-1].Stats
+	base, hb := modes[0].Stats, modes[len(modes)-1].Stats
 	if hb.P999US > 0 {
 		fmt.Fprintf(w, "p99.9 recovered: %.2fx (baseline %.2f us -> hedged-breaker %.2f us)\n",
 			base.P999US/hb.P999US, base.P999US, hb.P999US)

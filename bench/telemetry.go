@@ -6,7 +6,6 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
 	"hamoffload/machine"
 	"hamoffload/offload"
@@ -20,17 +19,13 @@ import (
 // flows. Everything the experiment prints through RenderTelemetry is
 // simulated time, so two runs produce byte-identical output.
 
-// TelemetryConfig parameterises the telemetry experiment.
+// TelemetryConfig parameterises the telemetry experiment's workload.
 type TelemetryConfig struct {
-	VEs   int // offload targets (default 4)
 	Tasks int // tasks per wave (default 24)
 	Waves int // waves separated by idle gaps (default 3)
 }
 
 func (c *TelemetryConfig) fill() {
-	if c.VEs <= 0 {
-		c.VEs = 4
-	}
 	if c.Tasks <= 0 {
 		c.Tasks = 24
 	}
@@ -72,28 +67,24 @@ func telemetryPlan() *faults.Plan {
 	}}
 }
 
-// Telemetry runs the workload with every instrument armed (flows included)
-// and returns the tracer plus the engine footprint of the run.
-func Telemetry(cfg TelemetryConfig) (TelemetryResult, error) {
+// Telemetry runs the workload over the DMA protocol on a machine of w (4 VEs
+// unless w says otherwise) with every instrument armed (flows included) and
+// returns the tracer plus the engine footprint of the run.
+func Telemetry(w machine.World, cfg TelemetryConfig) (TelemetryResult, error) {
 	cfg.fill()
-	res := TelemetryResult{VEs: cfg.VEs, Tasks: cfg.Tasks, Waves: cfg.Waves}
+	if w.VEs == 0 {
+		w.VEs = 4
+	}
+	res := TelemetryResult{VEs: w.VEs, Tasks: cfg.Tasks, Waves: cfg.Waves}
 	res.Tracer = trace.New(trace.Config{
 		Interval:  5 * simtime.Microsecond,
 		SLOTarget: 60 * simtime.Microsecond,
 		SLOWindow: 250 * simtime.Microsecond,
 		Flows:     true,
 	})
-	timing := topology.DefaultTiming()
-	timing.Tracer = res.Tracer
-	m, err := machine.New(machine.Config{
-		VEs:    cfg.VEs,
-		Timing: &timing,
-		Faults: telemetryPlan(),
-	})
-	if err != nil {
-		return res, err
-	}
-	opts := machine.ProtocolOptions{
+	w = traced(w, res.Tracer)
+	w.DMA, w.Faults = true, telemetryPlan()
+	w.Options = machine.ProtocolOptions{
 		Batch: offload.BatchPolicy{MaxMessages: 4},
 		Retry: offload.FaultTolerance{
 			MaxRetries:  3,
@@ -101,8 +92,8 @@ func Telemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 			BackoffMax:  16 * machine.Microsecond,
 		},
 	}
-	err = runOn(m, true, opts, func(p *machine.Proc, rt *offload.Runtime) error {
-		nodes := make([]offload.NodeID, cfg.VEs)
+	m, err := w.Run(func(p *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
+		nodes := make([]offload.NodeID, w.VEs)
 		for i := range nodes {
 			nodes[i] = offload.NodeID(i + 1)
 		}
@@ -126,8 +117,11 @@ func Telemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 		res.Retries = rt.Retries()
 		return nil
 	})
+	if err != nil {
+		return res, err
+	}
 	res.Events, res.FinalTime, res.MaxQueueLen = m.Eng.Events(), m.Eng.Now(), m.Eng.MaxQueueLen()
-	return res, err
+	return res, nil
 }
 
 // RenderTelemetry prints the experiment's deterministic artefacts: the
@@ -140,4 +134,32 @@ func RenderTelemetry(w io.Writer, r TelemetryResult) {
 	fmt.Fprintf(w, "runtime retries observed: %d\n", r.Retries)
 	fmt.Fprintf(w, "engine (deterministic): %d events to t=%v, max queue depth %d\n",
 		r.Events, r.FinalTime, r.MaxQueueLen)
+}
+
+// EngineReport is the DES engine's own footprint on the telemetry workload:
+// how many events the run schedules, when it ends and how deep the event
+// queue gets. Every field is simulated, so BENCH_engine.json is compared
+// exactly; how fast the engine turns events over on the wall clock is
+// bench/perf's to bound (BENCHMARK.json), not this file's.
+type EngineReport struct {
+	Experiment    string  `json:"experiment"` // always "engine"
+	Offloads      int     `json:"offloads"`
+	VEs           int     `json:"ves"`
+	Events        uint64  `json:"events"`
+	SimTimeUS     float64 `json:"sim_time_us"`
+	MaxQueueDepth int     `json:"max_queue_depth"`
+}
+
+// EngineProfileReport runs the telemetry workload on w and reduces its
+// engine footprint to a regression report.
+func EngineProfileReport(w machine.World, cfg TelemetryConfig) (EngineReport, error) {
+	res, err := Telemetry(w, cfg)
+	return EngineReport{
+		Experiment:    "engine",
+		Offloads:      res.Waves * res.Tasks,
+		VEs:           res.VEs,
+		Events:        res.Events,
+		SimTimeUS:     res.FinalTime.Microseconds(),
+		MaxQueueDepth: res.MaxQueueLen,
+	}, err
 }

@@ -3,19 +3,24 @@ package bench
 import (
 	"bytes"
 	"testing"
+
+	"hamoffload/machine"
 )
+
+// telemetrySmall is the telemetry workload on two VEs, two waves of eight.
+var telemetrySmall = machine.World{Config: machine.Config{VEs: 2}}
 
 // Determinism guard for the armed telemetry experiment: two identical runs
 // must produce byte-identical renders, Chrome flow exports and folded
 // flamegraph stacks, and identical deterministic engine-profile fields —
 // the property CI's telemetry smoke job enforces on the full binary.
 func TestTelemetryArmedDeterministic(t *testing.T) {
-	cfg := TelemetryConfig{VEs: 2, Tasks: 8, Waves: 2}
+	cfg := TelemetryConfig{Tasks: 8, Waves: 2}
 	type dump struct {
 		render, chrome, folded []byte
 	}
 	run := func() (TelemetryResult, dump) {
-		res, err := Telemetry(cfg)
+		res, err := Telemetry(telemetrySmall, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,12 +62,12 @@ func TestTelemetryArmedDeterministic(t *testing.T) {
 // The engine report is simulated-clock data only, so separate runs must
 // agree on every field.
 func TestEngineReportDeterministicFields(t *testing.T) {
-	cfg := TelemetryConfig{VEs: 2, Tasks: 8, Waves: 2}
-	r1, err := EngineProfileReport(cfg)
+	cfg := TelemetryConfig{Tasks: 8, Waves: 2}
+	r1, err := EngineProfileReport(telemetrySmall, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := EngineProfileReport(cfg)
+	r2, err := EngineProfileReport(telemetrySmall, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
 	"hamoffload/machine"
 )
@@ -25,10 +24,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // slivers on the VE worker's row.
 func traceOffloads(reps int, w io.Writer) error {
 	rec := trace.NewTracer()
-	timing := topology.DefaultTiming()
-	timing.Tracer = rec
+	world := traced(machine.World{}, rec)
 	for _, dma := range []bool{false, true} {
-		if _, err := emptySamples(machine.Config{VEs: 1, Timing: &timing}, dma, machine.ProtocolOptions{}, 0, reps); err != nil {
+		world.DMA = dma
+		if _, err := emptyOffloads(world, 0, reps); err != nil {
 			return err
 		}
 	}
@@ -41,19 +40,20 @@ func traceOffloads(reps int, w io.Writer) error {
 // spans and never adds simulated time.
 func TestNilTracerKeepsFig9BitIdentical(t *testing.T) {
 	cfg := Fig9Config{Reps: 60}
-	plain, err := MeasureHAMEmpty(cfg, true)
+	untraced, err := Fig9(machine.World{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Tracer = trace.NewTracer()
-	traced, err := MeasureHAMEmpty(cfg, true)
+	tr := trace.NewTracer()
+	withSpans, err := Fig9(traced(machine.World{}, tr), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != traced {
-		t.Errorf("tracing changed the simulation: untraced %.6f µs, traced %.6f µs", plain, traced)
+	plain := untraced.HAMDMAUS
+	if plain != withSpans.HAMDMAUS {
+		t.Errorf("tracing changed the simulation: untraced %.6f µs, traced %.6f µs", plain, withSpans.HAMDMAUS)
 	}
-	if cfg.Tracer.Len() == 0 {
+	if tr.Len() == 0 {
 		t.Error("traced run recorded no spans")
 	}
 	// Guard against timing drift relative to the recorded EXPERIMENTS.md
@@ -68,7 +68,7 @@ func TestNilTracerKeepsFig9BitIdentical(t *testing.T) {
 // window by construction) and the PCIe/framework split must resemble the
 // paper's 1.2 µs + ~5 µs of 6.1 µs.
 func TestBreakdownTilesEndToEnd(t *testing.T) {
-	res, err := Breakdown(Fig9Config{}, true)
+	res, err := Breakdown(machine.World{DMA: true}, Fig9Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestBreakdownTilesEndToEnd(t *testing.T) {
 // encode + call + wait spans must sum to the end-to-end offload latency
 // within 1% (the host path has no uninstrumented gaps).
 func TestHostSpansSumToOffload(t *testing.T) {
-	cfg := Fig9Config{Reps: 30, Tracer: trace.NewTracer()}
-	if _, err := MeasureHAMEmpty(cfg, true); err != nil {
+	tr := trace.NewTracer()
+	if _, err := emptyOffloads(traced(machine.World{DMA: true}, tr), 10, 30); err != nil {
 		t.Fatal(err)
 	}
-	spans := cfg.Tracer.Spans()
+	spans := tr.Spans()
 	win, ok := lastOffloadSpan(spans)
 	if !ok {
 		t.Fatal("no offload span recorded")

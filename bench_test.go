@@ -14,57 +14,48 @@ import (
 
 	"hamoffload/bench"
 	"hamoffload/internal/units"
+	"hamoffload/machine"
 )
 
 // --- Fig. 9: function offload cost, VH to local VE -------------------------
 
-func reportFig9(b *testing.B, measure func(bench.Fig9Config) (float64, error)) {
+// reportFig9 runs Fig. 9 on w and reports one of its bars.
+func reportFig9(b *testing.B, w machine.World, bar func(bench.Fig9Result) float64) {
 	b.Helper()
 	reps := b.N
 	if reps > 2000 {
 		reps = 2000 // averages are converged long before this
 	}
-	us, err := measure(bench.Fig9Config{Reps: reps})
+	r, err := bench.Fig9(w, bench.Fig9Config{Reps: reps})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(us, "sim-us/op")
+	b.ReportMetric(bar(r), "sim-us/op")
 }
 
 // BenchmarkFig9VEONative is the paper's baseline: a native veo_call_async
 // offload of an empty kernel (paper: ≈80 µs, derived).
 func BenchmarkFig9VEONative(b *testing.B) {
-	reportFig9(b, bench.MeasureVEONative)
+	reportFig9(b, machine.World{}, func(r bench.Fig9Result) float64 { return r.VEONativeUS })
 }
 
 // BenchmarkFig9HAMOverVEO is HAM-Offload with the §III-D VEO protocol
 // (paper: 5.4× the native call ≈ 430 µs).
 func BenchmarkFig9HAMOverVEO(b *testing.B) {
-	reportFig9(b, func(c bench.Fig9Config) (float64, error) {
-		return bench.MeasureHAMEmpty(c, false)
-	})
+	reportFig9(b, machine.World{}, func(r bench.Fig9Result) float64 { return r.HAMVEOUS })
 }
 
 // BenchmarkFig9HAMOverDMA is HAM-Offload with the §IV-B DMA protocol
 // (paper: 6.1 µs, 13.1× faster than native VEO).
 func BenchmarkFig9HAMOverDMA(b *testing.B) {
-	reportFig9(b, func(c bench.Fig9Config) (float64, error) {
-		return bench.MeasureHAMEmpty(c, true)
-	})
+	reportFig9(b, machine.World{}, func(r bench.Fig9Result) float64 { return r.HAMDMAUS })
 }
 
 // BenchmarkFig9SecondSocket offloads over UPI from socket 1 (§V-A: adds up
 // to ~1 µs to the DMA measurement).
 func BenchmarkFig9SecondSocket(b *testing.B) {
-	reps := b.N
-	if reps > 2000 {
-		reps = 2000
-	}
-	us, err := bench.MeasureHAMEmpty(bench.Fig9Config{Reps: reps, Socket: 1}, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(us, "sim-us/op")
+	socket1 := machine.World{Config: machine.Config{Socket: 1}}
+	reportFig9(b, socket1, func(r bench.Fig9Result) float64 { return r.HAMDMAUS })
 }
 
 // --- Fig. 10 / Table IV: transfer bandwidth sweeps --------------------------
@@ -80,7 +71,7 @@ var (
 func sweep(b *testing.B) []bench.Series {
 	b.Helper()
 	sweepOnce.Do(func() {
-		sweepData, sweepErr = bench.Fig10(bench.Fig10Config{Reps: 2})
+		sweepData, sweepErr = bench.Fig10(machine.World{}, bench.Fig10Config{Reps: 2})
 	})
 	if sweepErr != nil {
 		b.Fatal(sweepErr)
@@ -176,7 +167,7 @@ func BenchmarkTableIV(b *testing.B) {
 // BenchmarkAblationResultPath compares SHM vs user-DMA result return in the
 // DMA protocol (§V-B's small-message finding).
 func BenchmarkAblationResultPath(b *testing.B) {
-	rows, err := bench.AblateResultPath()
+	rows, err := bench.AblateResultPath(machine.World{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +183,7 @@ func BenchmarkAblationResultPath(b *testing.B) {
 func BenchmarkAblationBufferCount(b *testing.B) {
 	for _, n := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("buffers=%d", n), func(b *testing.B) {
-			rows, err := bench.AblateBufferCount([]int{n}, 32)
+			rows, err := bench.AblateBufferCount(machine.World{}, []int{n}, 32)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,7 +202,7 @@ func BenchmarkRemoteOffload(b *testing.B) {
 	if reps > 500 {
 		reps = 500
 	}
-	r, err := bench.Remote(reps)
+	r, err := bench.Remote(machine.World{}, reps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +213,7 @@ func BenchmarkRemoteOffload(b *testing.B) {
 // BenchmarkPutGet reports the public-API data path at 64 MiB (rides the VEO
 // read/write curves of Fig. 10).
 func BenchmarkPutGet(b *testing.B) {
-	pts, err := bench.PutGet([]int64{(64 * units.MiB).Int64()}, 2)
+	pts, err := bench.PutGet(machine.World{}, []int64{(64 * units.MiB).Int64()}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +227,7 @@ func BenchmarkPutGet(b *testing.B) {
 // BenchmarkGranularity reports the protocol speedup at the paper-companion's
 // application-relevant kernel grain (~100 µs).
 func BenchmarkGranularity(b *testing.B) {
-	rows, err := bench.AblateGranularity([]float64{100})
+	rows, err := bench.AblateGranularity(machine.World{}, []float64{100})
 	if err != nil {
 		b.Fatal(err)
 	}

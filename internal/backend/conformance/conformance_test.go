@@ -85,10 +85,10 @@ var backends = map[string]func(*testing.T, setup, func(*testing.T, world)){
 	"loopback": loopback,
 	"tcp":      tcp,
 	"veo": func(t *testing.T, s setup, fn func(*testing.T, world)) {
-		simulated(t, "veo", machine.ConnectVEO, s, fn)
+		simulated(t, "veo", false, s, fn)
 	},
 	"dma": func(t *testing.T, s setup, fn func(*testing.T, world)) {
-		simulated(t, "dma", machine.ConnectDMA, s, fn)
+		simulated(t, "dma", true, s, fn)
 	},
 	"cluster": cluster,
 }
@@ -260,20 +260,13 @@ func simTiming(s setup) (*trace.Tracer, *topology.Timing) {
 	return tr, &timing
 }
 
-func simulated(t *testing.T, name string,
-	connect func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error),
-	s setup, fn func(*testing.T, world)) {
+// simulated is one SX-Aurora protocol (dma, else VEO) on a simulated machine
+// of s.ves VEs.
+func simulated(t *testing.T, name string, dma bool, s setup, fn func(*testing.T, world)) {
 	tr, timing := simTiming(s)
-	m, err := machine.New(machine.Config{VEs: max(s.ves, 1), Faults: s.plans[name], Timing: timing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, err := connect(p, m, s.opts)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+	sim := machine.World{Config: machine.Config{VEs: max(s.ves, 1), Faults: s.plans[name], Timing: timing},
+		DMA: dma, Options: s.opts}
+	_, err := sim.Run(func(_ *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 		w := world{rt: rt, oneWay: true, tracer: tr,
 			hooks: func(node core.NodeID) conformance.FaultHooks {
 				return conformance.FaultHooks{

@@ -68,33 +68,18 @@ type chaosOutcome struct {
 func chaosRun(t *testing.T, protocol string, plan *faults.Plan) chaosOutcome {
 	t.Helper()
 	tr := trace.NewTracer()
-	timing := topology.DefaultTiming()
-	timing.Tracer = tr
-	m, err := machine.New(machine.Config{VEs: 1, Timing: &timing, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out chaosOutcome
-	err = m.RunMain(func(p *machine.Proc) error {
-		opts := machine.ProtocolOptions{
+	w := machine.World{Config: machine.Config{VEs: 1, Faults: plan}, DMA: protocol == "dma",
+		Options: machine.ProtocolOptions{
 			OffloadTimeout: 20 * machine.Millisecond,
 			Retry: offload.FaultTolerance{
 				MaxRetries:  6,
 				BackoffBase: machine.Microsecond,
 				BackoffMax:  20 * machine.Microsecond,
 			},
-		}
-		var rt *offload.Runtime
-		var err error
-		if protocol == "veo" {
-			rt, err = machine.ConnectVEO(p, m, opts)
-		} else {
-			rt, err = machine.ConnectDMA(p, m, opts)
-		}
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+		}}
+	var out chaosOutcome
+	w = w.Tuned(func(t *topology.Timing) { t.Tracer = tr })
+	m, err := w.Run(func(_ *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
 		for i := 0; i < 40; i++ {
 			n := int64(8 + (i%7)*31)
 			v, err := offload.Sync(rt, 1, chaosVec.Bind(n))
@@ -220,17 +205,10 @@ type grayOutcome struct {
 func grayRun(t *testing.T, seed uint64) grayOutcome {
 	t.Helper()
 	tr := trace.NewTracer()
-	timing := topology.DefaultTiming()
-	timing.Tracer = tr
-	m, err := machine.New(machine.Config{VEs: 3, Timing: &timing, Faults: grayPlan(seed)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out grayOutcome
-	err = m.RunMain(func(p *machine.Proc) error {
-		nodes := []offload.NodeID{1, 2, 3}
-		var trk *health.Tracker
-		opts := machine.ProtocolOptions{
+	nodes := []offload.NodeID{1, 2, 3}
+	var trk *health.Tracker
+	w := machine.World{Config: machine.Config{VEs: 3, Faults: grayPlan(seed)}, DMA: true,
+		Options: machine.ProtocolOptions{
 			BufSize: 1 << 16,
 			Retry: offload.FaultTolerance{
 				MaxRetries:  4,
@@ -245,12 +223,10 @@ func grayRun(t *testing.T, seed uint64) grayOutcome {
 				Seed:    seed,
 			},
 			RetryBudget: offload.RetryBudget{Tokens: 64, Refill: 50 * machine.Microsecond},
-		}
-		rt, err := machine.ConnectDMA(p, m, opts)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+		}}
+	var out grayOutcome
+	w = w.Tuned(func(t *topology.Timing) { t.Tracer = tr })
+	m, err := w.Run(func(p *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 		trk = health.New(health.Config{
 			OutlierFactor:  3,
 			OutlierStrikes: 4,

@@ -53,10 +53,6 @@ type Config struct {
 	// Socket pins the VH process (0 or 1, default 0). Offloading from
 	// socket 1 to VE 0 crosses the UPI link (§V-A).
 	Socket int
-	// HugePages uses 2 MiB host pages for DMA translation when true
-	// (the default, as the paper requires for peak bandwidth); false uses
-	// 4 KiB pages.
-	HugePages *bool
 	// NaiveDMAManager disables the VEOS 1.3.2-4dma bulk translation,
 	// reverting to per-page translation (the A3 ablation).
 	NaiveDMAManager bool
@@ -66,6 +62,8 @@ type Config struct {
 	// VEMemoryBytes sizes each VE's HBM (default the Type 10B's 48 GiB).
 	VEMemoryBytes int64
 	// Timing overrides the calibrated cost model; nil uses DefaultTiming.
+	// Its HostPageSize is the DMA translation page: 2 MiB huge pages by
+	// default, as the paper requires for peak bandwidth.
 	Timing *topology.Timing
 	// Faults installs a deterministic fault-injection plan on the machine's
 	// substrate (DMA engines, PCIe links, VEOS). Nil — the default — means
@@ -106,9 +104,6 @@ func newWithEngine(eng *simtime.Engine, prefix string, cfg Config) (*Machine, er
 	timing := topology.DefaultTiming()
 	if cfg.Timing != nil {
 		timing = *cfg.Timing
-	}
-	if cfg.HugePages != nil && !*cfg.HugePages {
-		timing.HostPageSize = 4 * units.KiB
 	}
 	if cfg.Faults != nil {
 		timing.Faults = faults.New(cfg.Faults)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"hamoffload/internal/topology"
+	"hamoffload/internal/units"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
@@ -340,8 +342,9 @@ func TestDeterministicReplay(t *testing.T) {
 
 // TestConfigKnobs exercises the machine-level ablation switches.
 func TestConfigKnobs(t *testing.T) {
-	huge := false
-	m, err := machine.New(machine.Config{HugePages: &huge, NaiveDMAManager: true})
+	w := machine.World{Config: machine.Config{NaiveDMAManager: true}}
+	w = w.Tuned(func(t *topology.Timing) { t.HostPageSize = 4 * units.KiB })
+	m, err := machine.New(w.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
