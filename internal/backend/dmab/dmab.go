@@ -93,6 +93,10 @@ func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
 				return nil, fmt.Errorf("dmab: creating shm segment: %w", err)
 			}
 			t.seg, t.lay = seg, layout{Options: o, base: seg.Addr}
+			t.results = make([]mem.Word, o.NumBuffers)
+			for i := range t.results {
+				t.results[i] = card.Host.WordAt(t.lay.sendFlag(i))
+			}
 			var viaDMA uint64
 			if opts.ResultViaDMA {
 				viaDMA = 1
@@ -118,8 +122,9 @@ func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
 // memory access into the shared segment.
 type hostSide struct {
 	ring.VE
-	seg *hostmem.ShmSegment
-	lay layout
+	seg     *hostmem.ShmSegment
+	lay     layout
+	results []mem.Word // the send flags, resolved for PollResult
 }
 
 // WriteMessage implements ring.HostTransport with a local store.
@@ -139,7 +144,7 @@ func (t *hostSide) PublishFlag(slot int, word uint64) error {
 // PollResult implements ring.HostTransport: the VE pushed the flag into VH
 // memory, so the poll is a local load.
 func (t *hostSide) PollResult(slot int) (uint64, error) {
-	return t.Card.Host.ReadUint64(t.lay.sendFlag(slot))
+	return t.results[slot].Load()
 }
 
 // ReadResult implements ring.HostTransport.
@@ -184,6 +189,7 @@ type veSide struct {
 	card         *veos.Card
 	lay          layout // based at the DMAATB mapping of the VH shm segment
 	resultViaDMA bool
+	flags        []dma.Word // the receive flags, resolved for the LHM loads
 
 	stage      mem.Addr // local HBM staging buffer (VEMVA)
 	stageVEHVA mem.Addr // DMAATB mapping of the staging buffer
@@ -217,12 +223,17 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 		return 0, err
 	}
 	ctx.P.Sleep(card.Timing.DMAATBRegister)
+	t := &veSide{
+		kctx: ctx, card: card, lay: layout{Options: o, base: shmVEHVA},
+		resultViaDMA: args[6] != 0, stage: stage, stageVEHVA: stageVEHVA,
+		flags: make([]dma.Word, o.NumBuffers),
+	}
+	for i := range t.flags {
+		t.flags[i] = ctx.Instr().Word(t.lay.recvFlag(i))
+	}
 	ring.Register(ctx, ring.TargetConfig{
 		Name: "dmab", Options: o, Self: int(args[4]), Nodes: int(args[5]),
-		Transport: &veSide{
-			kctx: ctx, card: card, lay: layout{Options: o, base: shmVEHVA},
-			resultViaDMA: args[6] != 0, stage: stage, stageVEHVA: stageVEHVA,
-		},
+		Transport: t,
 		// The VE pays an LHM word load per poll before it can execute — the
 		// cost the paper notes — while the host finds results locally.
 		IdlePollCost: card.Timing.LHMPerWord,
@@ -232,7 +243,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 
 // LoadFlag implements ring.TargetTransport with an LHM load from VH memory.
 func (t *veSide) LoadFlag(slot int) (uint64, error) {
-	return t.kctx.Instr().LoadWord(t.kctx.P, t.lay.recvFlag(slot))
+	return t.kctx.Instr().LoadWord(t.kctx.P, &t.flags[slot])
 }
 
 // QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
@@ -241,14 +252,14 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 //hot:path
 func (t *veSide) QuietFlag(slot int) (simtime.Duration, bool) {
 	in := t.kctx.Instr()
-	return in.LoadCost(), in.Quiet(t.lay.recvFlag(slot))
+	return in.LoadCost(), in.Quiet(&t.flags[slot])
 }
 
 // PeekFlag implements ring.TargetTransport.
 //
 //hot:path
 func (t *veSide) PeekFlag(slot int) (uint64, error) {
-	return t.kctx.Instr().PeekWord(t.lay.recvFlag(slot))
+	return t.kctx.Instr().PeekWord(&t.flags[slot])
 }
 
 // CountFlag implements ring.TargetTransport.

@@ -175,9 +175,10 @@ func (t *hostSide) Abandon() {
 // veSide is the VE half of Fig. 5: flags, messages and results all sit in
 // local HBM, where the host's privileged DMA put them or will fetch them.
 type veSide struct {
-	p    *simtime.Proc
-	card *veos.Card
-	lay  layout
+	p     *simtime.Proc
+	card  *veos.Card
+	lay   layout
+	flags []mem.Word // the receive flags, resolved for LoadFlag
 }
 
 // hamCommInit receives the addresses of the host-managed communication data
@@ -187,16 +188,20 @@ func hamCommInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 		return 0, fmt.Errorf("veob: ham_comm_init wants 6 args, got %d", len(args))
 	}
 	o := ring.Options{NumBuffers: int(args[1]), BufSize: int(args[2]), ResultInline: int(args[3])}
+	t := &veSide{p: ctx.P, card: ctx.Context.Process().Card(), lay: layout{Options: o, base: args[0]},
+		flags: make([]mem.Word, o.NumBuffers)}
+	for i := range t.flags {
+		t.flags[i] = t.card.Mem.WordAt(mem.Addr(t.lay.recvFlag(i)))
+	}
 	ring.Register(ctx, ring.TargetConfig{
-		Name: "veob", Options: o, Self: int(args[4]), Nodes: int(args[5]),
-		Transport: &veSide{p: ctx.P, card: ctx.Context.Process().Card(), lay: layout{Options: o, base: args[0]}},
+		Name: "veob", Options: o, Self: int(args[4]), Nodes: int(args[5]), Transport: t,
 	})
 	return 0, nil
 }
 
 // LoadFlag implements ring.TargetTransport with a local memory load.
 func (t *veSide) LoadFlag(slot int) (uint64, error) {
-	return t.card.Mem.ReadUint64(mem.Addr(t.lay.recvFlag(slot)))
+	return t.flags[slot].Load()
 }
 
 // QuietFlag implements ring.TargetTransport: a local load is free and passes

@@ -340,25 +340,69 @@ type Instr struct {
 	path   pcie.Path
 	loads  int64
 	stores int64
+	// unseen: no fault rule can match the LHM site on this VE (a link-down
+	// rule matches every site, the LHM site included) and no tracer records
+	// a load. Both are fixed for the unit's life (faults.Injector.Armed).
+	unseen bool
 }
 
 // NewInstr creates the instruction unit for one VE core.
 func NewInstr(t topology.Timing, atb *vemem.DMAATB, path pcie.Path) *Instr {
-	return &Instr{timing: t, atb: atb, path: path}
+	return &Instr{timing: t, atb: atb, path: path,
+		unseen: t.Tracer == nil && !t.Faults.Armed(faults.SiteLHM, path.Link.VE())}
+}
+
+// Word is a VEHVA word that an Instr loads again and again (a flag poll),
+// resolved: whether it translates, and the host or VE memory word it
+// translates to, as of one DMAATB generation (vemem.DMAATB.Generation).
+// LoadWord, Quiet and PeekWord resolve it again when the generation moved.
+type Word struct {
+	vehva mem.Addr
+	gen   uint64
+	ok    bool // the word translates
+	word  mem.Word
+}
+
+// Word resolves the word at vehva.
+func (in *Instr) Word(vehva mem.Addr) Word {
+	w := Word{vehva: vehva, gen: in.atb.Generation()}
+	if m, addr, err := in.atb.Translate(vehva, 8); err == nil {
+		w.ok, w.word = true, m.WordAt(addr)
+	}
+	return w
+}
+
+// resolve brings w to the DMAATB's generation and reports whether it
+// translates.
+//
+//hot:path
+func (in *Instr) resolve(w *Word) bool {
+	if w.gen != in.atb.Generation() {
+		*w = in.Word(w.vehva)
+	}
+	return w.ok
+}
+
+// untranslated is the DMA exception of a word that does not translate.
+//
+//hot:cold
+func (in *Instr) untranslated(vehva mem.Addr) error {
+	_, _, err := in.atb.Translate(vehva, 8)
+	return err
 }
 
 // Loads and Stores return the number of words moved, for stats.
 func (in *Instr) Loads() int64  { return in.loads }
 func (in *Instr) Stores() int64 { return in.stores }
 
-// LoadWord performs one LHM: an 8-byte load from the VEHVA. LHM is a full
-// round trip over PCIe and does not pipeline.
+// LoadWord performs one LHM: an 8-byte load from w's VEHVA, translated at
+// issue and read at the end. LHM is a full round trip over PCIe and does not
+// pipeline.
 //
 //hot:path
-func (in *Instr) LoadWord(p *simtime.Proc, vehva mem.Addr) (uint64, error) {
-	m, addr, err := in.atb.Translate(vehva, 8)
-	if err != nil {
-		return 0, err
+func (in *Instr) LoadWord(p *simtime.Proc, w *Word) (uint64, error) {
+	if !in.resolve(w) {
+		return 0, in.untranslated(w.vehva)
 	}
 	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return 0, err
@@ -367,7 +411,7 @@ func (in *Instr) LoadWord(p *simtime.Proc, vehva mem.Addr) (uint64, error) {
 	defer in.timing.Tracer.Span(p, "pcie", "lhm-load")()
 	p.Sleep(in.LoadCost())
 	in.loads++
-	return m.ReadUint64(addr)
+	return w.word.Load()
 }
 
 // LoadCost is what one LoadWord takes when nothing is injected: the LHM
@@ -378,30 +422,24 @@ func (in *Instr) LoadCost() simtime.Duration {
 	return in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2
 }
 
-// Quiet reports whether LoadWord(vehva), issued now, would do nothing but
-// take LoadCost, count the load and read the word at its end: the address
-// translates, no fault rule can match the LHM site on this VE (a link-down
-// rule matches every site, the LHM site included) and no tracer records the
-// load. A poll may then leave the load to the engine (simtime.Poller) — read
-// it with PeekWord at its end, and count it with CountLoad.
+// Quiet reports whether LoadWord(w), issued now, would do nothing but take
+// LoadCost, count the load and read the word at its end: the address
+// translates, no fault rule can match the LHM site on this VE and no tracer
+// records the load. A poll may then leave the load to the engine
+// (simtime.Poller) — read it with PeekWord at its end, and count it with
+// CountLoad.
 //
 //hot:path
-func (in *Instr) Quiet(vehva mem.Addr) bool {
-	if _, _, err := in.atb.Translate(vehva, 8); err != nil {
-		return false
-	}
-	return in.timing.Tracer == nil && !in.timing.Faults.Armed(faults.SiteLHM, in.path.Link.VE())
-}
+func (in *Instr) Quiet(w *Word) bool { return in.resolve(w) && in.unseen }
 
 // PeekWord is LoadWord's read alone: no time, no fault site, no count.
 //
 //hot:path
-func (in *Instr) PeekWord(vehva mem.Addr) (uint64, error) {
-	m, addr, err := in.atb.Translate(vehva, 8)
-	if err != nil {
-		return 0, err
+func (in *Instr) PeekWord(w *Word) (uint64, error) {
+	if !in.resolve(w) {
+		return 0, in.untranslated(w.vehva)
 	}
-	return m.ReadUint64(addr)
+	return w.word.Load()
 }
 
 // CountLoad counts one quiet LoadWord that the engine issued.

@@ -5,6 +5,7 @@ import (
 
 	"hamoffload/internal/faults"
 	"hamoffload/internal/hostmem"
+	"hamoffload/internal/mem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
@@ -287,7 +288,8 @@ func TestSHMStoreAndLHMLoad(t *testing.T) {
 		if err := in.StoreWord(p, vehva, 0xdeadbeef); err != nil {
 			t.Fatalf("StoreWord: %v", err)
 		}
-		v, err := in.LoadWord(p, vehva)
+		w := in.Word(vehva)
+		v, err := in.LoadWord(p, &w)
 		if err != nil {
 			t.Fatalf("LoadWord: %v", err)
 		}
@@ -378,13 +380,14 @@ func TestQuietLoad(t *testing.T) {
 	seg, _ := r.host.ShmCreate(4096)
 	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	in := NewInstr(r.tm, r.ve.ATB(), r.path)
+	w := in.Word(vehva)
 	var took simtime.Duration
 	r.runIn(t, func(p *simtime.Proc) {
 		if err := in.StoreWord(p, vehva, 42); err != nil {
 			t.Fatal(err)
 		}
 		start := p.Now()
-		if _, err := in.LoadWord(p, vehva); err != nil {
+		if _, err := in.LoadWord(p, &w); err != nil {
 			t.Fatal(err)
 		}
 		took = p.Now().Sub(start)
@@ -392,13 +395,13 @@ func TestQuietLoad(t *testing.T) {
 	if took != in.LoadCost() {
 		t.Errorf("LoadWord took %v, LoadCost = %v", took, in.LoadCost())
 	}
-	if v, err := in.PeekWord(vehva); v != 42 || err != nil || in.Loads() != 1 {
+	if v, err := in.PeekWord(&w); v != 42 || err != nil || in.Loads() != 1 {
 		t.Errorf("PeekWord = %d, %v after %d loads; want 42 after the one LoadWord", v, err, in.Loads())
 	}
 	if in.CountLoad(); in.Loads() != 2 {
 		t.Errorf("Loads = %d after CountLoad, want 2", in.Loads())
 	}
-	if !in.Quiet(vehva) || in.Quiet(0xdead0000) {
+	if unregistered := in.Word(0xdead0000); !in.Quiet(&w) || in.Quiet(&unregistered) {
 		t.Error("a registered word's load is quiet with nothing armed, an unregistered one's never")
 	}
 	for name, arm := range map[string]func(tm *topology.Timing){
@@ -418,10 +421,49 @@ func TestQuietLoad(t *testing.T) {
 		} else {
 			arm(&tm)
 		}
-		if got := NewInstr(tm, r.ve.ATB(), r.path).Quiet(vehva); got != quiet {
-			t.Errorf("%s: Quiet = %v, want %v", name, got, quiet)
+		in := NewInstr(tm, r.ve.ATB(), r.path)
+		if w := in.Word(vehva); in.Quiet(&w) != quiet {
+			t.Errorf("%s: Quiet = %v, want %v", name, !quiet, quiet)
 		}
 	}
+}
+
+// A Word follows the DMAATB: a Register that maps its VEHVA makes its load
+// quiet and readable, an Unregister makes it neither — the DMA exception
+// LoadWord would raise.
+func TestWordFollowsTheDMAATB(t *testing.T) {
+	r := newRig(t, 2*units.MiB)
+	atb := r.ve.ATB()
+	first, _ := r.host.ShmCreate(4096)
+	second, _ := r.host.ShmCreate(4096)
+	in := NewInstr(r.tm, atb, r.path)
+	vehva, _ := atb.Register(r.host.Memory, first.Addr, first.Size)
+	next := vehva + mem.Addr(units.AlignUp(units.Bytes(first.Size), 64*units.KiB)) // where the next registration goes
+	w := in.Word(next)
+	if _, err := in.PeekWord(&w); in.Quiet(&w) || err == nil {
+		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v", in.Quiet(&w), err)
+	}
+	if err := r.host.WriteUint64(second.Addr, 42); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := atb.Register(r.host.Memory, second.Addr, second.Size); got != next {
+		t.Fatalf("registered at %#x, want %#x", got, next)
+	}
+	if v, err := in.PeekWord(&w); !in.Quiet(&w) || v != 42 || err != nil {
+		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", in.Quiet(&w), v, err)
+	}
+	if err := atb.Unregister(next); err != nil {
+		t.Fatal(err)
+	}
+	_, _, want := atb.Translate(next, 8)
+	if _, err := in.PeekWord(&w); in.Quiet(&w) || err == nil || err.Error() != want.Error() {
+		t.Errorf("after Unregister: quiet %v, PeekWord error %v; want not quiet, %v", in.Quiet(&w), err, want)
+	}
+	r.runIn(t, func(p *simtime.Proc) {
+		if _, err := in.LoadWord(p, &w); err == nil || err.Error() != want.Error() || in.Loads() != 0 {
+			t.Errorf("LoadWord after Unregister: %v after %d loads, want %v and none", err, in.Loads(), want)
+		}
+	})
 }
 
 func TestSHMPeakBandwidths(t *testing.T) {

@@ -29,6 +29,8 @@ type Memory struct {
 	// buffer for one call (Heap.AllocBytes, then Free) allocates nothing
 	// once its extent and chunk table have been built.
 	spare []*extent
+	// gen moves on every Unmap: a Word resolved before it resolves again.
+	gen uint64
 }
 
 // Recycling bounds: at most maxSpare unmapped extents are kept, and none
@@ -184,6 +186,7 @@ func (m *Memory) Unmap(addr Addr) error {
 	m.extents = slices.Delete(m.extents, i, i+1) // zeroes the vacated slot
 	clear(e.chunks)
 	e.flat = false
+	m.gen++
 	if len(m.spare) < maxSpare && cap(e.chunks) <= maxSpareChunks {
 		m.spare = append(m.spare, e)
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -374,6 +375,82 @@ func TestDiscard(t *testing.T) {
 	if old[0] != 9 || !bytes.Equal(data, kept) {
 		t.Errorf("Discard wrote to storage it let go of")
 	}
+}
+
+// TestWord: a resolved Word loads what ReadUint64 of its address reads —
+// the value or the very fault — through every change of the memory under
+// it: a store, a flatten by View, Discard, Unmap, MapBytes at the same
+// address, a Map under a word that was unmapped when resolved. A word across
+// a chunk boundary or an extent's end is ReadUint64 on every Load, and a
+// resolved one loads without allocating.
+func TestWord(t *testing.T) {
+	const base = Addr(0x10_0000)
+	m := NewMemory("test")
+	if err := m.Map(base, 2*ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Map(base+2*ChunkSize, 64); err != nil { // adjacent
+		t.Fatal(err)
+	}
+	addrs := []Addr{
+		base, base + 8, base + ChunkSize, base + 2*ChunkSize + 56, // resolved
+		base + ChunkSize - 4, base + 2*ChunkSize - 4, base + 2*ChunkSize + 60, 0x50, // ReadUint64
+	}
+	words := make([]Word, len(addrs))
+	for i, a := range addrs {
+		if words[i] = m.WordAt(a); (words[i].e != nil) != (i < 4) {
+			t.Errorf("the word at %#x resolved to an extent: %v, want %v", a, words[i].e != nil, i < 4)
+		}
+	}
+	same := func(after string) {
+		t.Helper()
+		for i, a := range addrs {
+			want, wantErr := m.ReadUint64(a)
+			if got, err := words[i].Load(); got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("after %s: the word at %#x loads %#x, %v; ReadUint64 %#x, %v", after, a, got, err, want, wantErr)
+			}
+		}
+	}
+	fill := func(seed uint64) {
+		t.Helper()
+		if err := m.WriteAt(genStream(seed, 2*ChunkSize+64), base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("resolving")
+	fill(1)
+	same("a store")
+	if n := testing.AllocsPerRun(100, func() { _, _ = words[0].Load() }); n != 0 {
+		t.Errorf("a resolved Load allocates %v times", n)
+	}
+	if _, err := m.View(base+8, 16); err != nil {
+		t.Fatal(err)
+	}
+	same("a View flattened the extent")
+	fill(2)
+	same("a store to the flattened extent")
+	m.Discard()
+	same("Discard")
+	fill(3)
+	same("a store after Discard")
+	if err := m.Unmap(base); err != nil {
+		t.Fatal(err)
+	}
+	same("Unmap")
+	data := genStream(4, 2*ChunkSize)
+	if err := m.MapBytes(base, data); err != nil {
+		t.Fatal(err)
+	}
+	same("MapBytes at the same address")
+	data[ChunkSize] ^= 0xFF
+	same("a store to the mapped bytes")
+	if err := m.Map(0x40, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteUint64(0x50, 7); err != nil {
+		t.Fatal(err)
+	}
+	same("a Map under a word unmapped when resolved")
 }
 
 // genStream returns n bytes of a fixed pseudo-random stream.

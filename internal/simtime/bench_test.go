@@ -2,6 +2,8 @@ package simtime
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -125,3 +127,73 @@ func BenchmarkPollMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQuietPollers is the shape of an eight-VE connect: eight pollers
+// whose polls cost (an LHM load) and never hit, beside one bystander process
+// that wakes every 10 µs and touches nothing they read. b.N is the number of
+// events; ns/tick is the wall time per poll wake the engine answered. The
+// pollers' questions are either a closure call each ("cheap") or cost what a
+// flag poll's cost when each one searched for its word ("searched", below).
+func BenchmarkQuietPollers(b *testing.B) {
+	for _, questions := range []struct {
+		name   string
+		poller func(gap Duration) Poller
+	}{
+		{"cheap", func(gap Duration) Poller {
+			return &costed{Poller: &cond{hit: never, gap: gap}, cost: 700 * Nanosecond, take: never}
+		}},
+		{"searched", func(gap Duration) Poller { return newSearched(gap) }},
+	} {
+		b.Run(questions.name, func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < 8; i++ {
+				pl := questions.poller(Duration(150+10*i) * Nanosecond)
+				e.Spawn(fmt.Sprintf("ve%d", i), func(p *Proc) { p.Poll(pl, 0) })
+			}
+			e.Spawn("bystander", func(p *Proc) {
+				for {
+					p.Sleep(10 * Microsecond)
+				}
+			})
+			e.MaxEvents = uint64(b.N) + 9 // the spawn wakes
+			b.ReportAllocs()
+			b.ResetTimer()
+			err := e.Run()
+			b.StopTimer()
+			e.Shutdown()
+			if !errors.Is(err, ErrEventLimit) {
+				b.Fatalf("Run = %v, want the event limit", err)
+			}
+			if ticks := e.PollTicks(); ticks > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
+			}
+		})
+	}
+}
+
+// searched is a quiet costed poller whose questions look their word up: Tick
+// translates its address by a binary search over a table of registrations,
+// as DMAATB.Translate does, and Hit translates it again and finds the extent
+// that holds it, as mem.Memory.ReadUint64 does.
+type searched struct {
+	regs, extents []uint64 // sorted ends
+	addr          uint64
+	gap           Duration
+}
+
+func newSearched(gap Duration) *searched {
+	q := &searched{addr: 5<<20 + 64, gap: gap}
+	for i := uint64(1); i <= 8; i++ {
+		q.regs = append(q.regs, i<<20)
+		q.extents = append(q.extents, i<<20, i<<20+1<<19)
+	}
+	return q
+}
+
+func (q *searched) find(ends []uint64) int {
+	return sort.Search(len(ends), func(i int) bool { return ends[i] > q.addr })
+}
+
+func (q *searched) Tick() (Duration, bool) { return 700 * Nanosecond, q.find(q.regs) == len(q.regs) }
+func (q *searched) Hit() bool              { return q.find(q.regs) == len(q.regs) || q.find(q.extents) == 0 }
+func (q *searched) Gap() Duration          { return q.gap }

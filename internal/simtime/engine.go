@@ -41,6 +41,11 @@ type waiter struct {
 	cost   Duration
 	issued bool
 	hit    bool
+	// The memo of poll's answers: Tick's (cost, take) and Hit's found, each
+	// with the run it was asked in (Engine.runs); 0 is none. Until a process
+	// runs again, an answer stands (Engine.tick, Engine.hit).
+	ticked, hitAsked uint64
+	take, found      bool
 }
 
 type event struct {
@@ -117,7 +122,12 @@ type Engine struct {
 	failed error // the first process panic; ends Run
 	events uint64
 	polls  uint64 // events that were poll ticks step answered itself
-	maxq   int    // event-queue high-water mark, for the engine profiler
+	asks   uint64 // Tick and Hit questions put to a Poller
+	maxq   int    // event-queue high-water mark (MaxQueueLen)
+	// runs numbers the runs of processes: it moves on Run entry and each time
+	// step hands a process control, so a Poller's answer asked in the current
+	// run still stands.
+	runs uint64
 	// The process whose Poller is being asked Tick or Hit, for park's guard.
 	asking *Proc
 
@@ -227,6 +237,7 @@ func (e *Engine) Stop() { e.stop = true }
 // Run executes the simulation until all processes finish, a process calls
 // Stop, the event budget or deadline is exceeded, or a deadlock is detected.
 func (e *Engine) Run() error {
+	e.runs++ // the caller may have changed what a parked poll reads
 	for {
 		p, err := e.step(nil)
 		if p == nil {
@@ -240,7 +251,8 @@ func (e *Engine) Run() error {
 // stale wakes and then takes the earliest wake event: pops it, counts it and
 // advances the clock. What happens to the event is one of three things.
 //
-// A wake is delivered: step stores the reason in the process and returns the
+// A wake is delivered: step stores the reason in the process, starts a new
+// run (Engine.runs: what a parked poll reads may change now) and returns the
 // process, which the caller must let run. Run calls step(nil) and, when step
 // returns no process, returns err: nil after Stop or once every process has
 // finished, otherwise the panic, deadlock, deadline or event-budget error.
@@ -307,6 +319,7 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 		}
 		w.woken = true
 		w.p.reason = ev.rsn
+		e.runs++
 		return w.p, nil
 	}
 }

@@ -10,9 +10,11 @@ import "fmt"
 // (cost zero) asks both at the tick.
 //
 // Tick and Hit are pure reads of simulated state: state only a running
-// process changes, never the clock, nor anything Gap changes. The engine
-// asks them any number of times, on whatever stack it happens to be running,
-// so they must not park and must change nothing a process can observe.
+// process changes, never the clock, nor anything Gap changes. That is what
+// lets the engine ask each of them once per run of a process and keep the
+// answer until the next one (Engine.tick, Engine.hit). It asks them on
+// whatever stack it happens to be running, so they must not park and must
+// change nothing a process can observe.
 type Poller interface {
 	// Tick is asked at every tick. take reports that the process must take
 	// the tick itself: the poll it would issue could do more than take cost
@@ -68,25 +70,52 @@ func (Free) Tick() (Duration, bool) { return 0, false }
 //hot:path
 func (p *Proc) Poll(q Poller, until Time) bool {
 	e := p.eng
+	w := p.singleWaiter()
+	// The memo starts empty: q, or what it polls, may not be last call's.
+	w.poll, w.until, w.ticked, w.hitAsked = q, until, 0, 0
 	e.asking = p
-	cost, take := q.Tick()
-	hit := !take && cost <= 0 && q.Hit()
+	e.tick(w)
+	hit := !w.take && w.cost <= 0 && e.hit(w)
 	e.asking = nil
-	if take || hit {
+	if w.take || hit {
+		w.poll = nil
 		return hit
 	}
-	next := e.now.Add(cost)
-	if cost <= 0 {
+	next := e.now.Add(w.cost)
+	if w.cost <= 0 {
 		next = e.now.Add(pollGap(q))
 	}
-	w := p.singleWaiter()
-	w.poll, w.until, w.cost, w.issued = q, until, cost, cost > 0
+	w.issued = w.cost > 0
 	e.schedule(next, w, reasonTimer)
 	p.park("poll")
 	// The scratch waiter goes back to plain parks without the Poller. (A
 	// process killed in the park keeps it, in an engine that steps no more.)
 	w.poll = nil
 	return w.hit
+}
+
+// tick puts Tick to w's Poller, unless it was asked in this run already, and
+// leaves the answer in w.cost and w.take.
+//
+//hot:path
+func (e *Engine) tick(w *waiter) {
+	if w.ticked != e.runs {
+		e.asks++
+		w.cost, w.take = w.poll.Tick()
+		w.ticked = e.runs
+	}
+}
+
+// hit puts Hit to w's Poller, unless it was asked in this run already.
+//
+//hot:path
+func (e *Engine) hit(w *waiter) bool {
+	if w.hitAsked != e.runs {
+		e.asks++
+		w.found = w.poll.Hit()
+		w.hitAsked = e.runs
+	}
+	return w.found
 }
 
 // pollGap is q's next gap as Sleep would take it.
@@ -113,16 +142,14 @@ func (e *Engine) answers(w *waiter, at Time) bool {
 	if !w.issued && w.until != 0 && at >= w.until {
 		return false
 	}
-	q := w.poll
 	e.asking = w.p
 	if !w.issued { // a tick
-		cost, take := q.Tick()
-		if w.cost = cost; take || cost > 0 {
+		if e.tick(w); w.take || w.cost > 0 {
 			e.asking = nil
-			return !take
+			return !w.take
 		}
 	}
-	w.hit = q.Hit()
+	w.hit = e.hit(w)
 	e.asking = nil
 	return !w.hit
 }
@@ -132,19 +159,23 @@ func (e *Engine) answers(w *waiter, at Time) bool {
 // passes through: Sleep for the cost of the poll it issues at a tick, ask Gap
 // and Sleep after a miss. The next wake is queued as Sleep would queue it.
 // But while it would come strictly before every queued event no process can
-// run before it, so each question asked since the pop still has the answer it
-// had: the wake is counted, numbered and the clock moved as if delivered, and
-// the heap never sees it (skips). A question not yet asked since the pop is
-// asked first. The first wake at or after the head, one the process must see
+// run before it, so every answer stands: the wake is counted, numbered and
+// the clock moved as if delivered, and the heap never sees it (skips). A
+// question not asked in this run yet is asked first; one the memo holds from
+// this run passed a wake of w through already — an answer on which the engine
+// delivers one is followed by that delivery, which ends the run — so it passes
+// this one too. The first wake at or after the head, one the process must see
 // (the until tick, a tick it takes, a hit) and one a cut-off would refuse are
 // queued for real, behind everything queued, as they would have been.
 //
 //hot:path
 func (e *Engine) repoll(w *waiter, maxEvents uint64) {
 	q, cost, issued := w.poll, w.cost, w.issued
-	// What the popped wake asked: Tick at a tick, Hit at the end of a poll. A
-	// free poll's wakes are all ticks, and a free tick asked Hit too.
-	ticked, hitAsked := !issued, issued
+	// Whether the memo holds Tick's answer and Hit's from this run, kept in
+	// registers for the skipping: no process runs in here. A free tick that
+	// asked Tick asked Hit too.
+	run := e.runs
+	ticked, hitAsked := w.ticked == run, w.hitAsked == run
 	for next := e.now; ; {
 		e.polls++
 		if issued = !issued && cost > 0; issued {
@@ -162,9 +193,7 @@ func (e *Engine) repoll(w *waiter, maxEvents uint64) {
 				e.schedule(next, w, reasonTimer)
 				return
 			}
-			cost = w.cost
-			ticked = ticked || !issued
-			hitAsked = hitAsked || issued || cost <= 0
+			cost, ticked, hitAsked = w.cost, w.ticked == run, w.hitAsked == run
 		}
 		e.seq++
 		e.events++
@@ -188,10 +217,16 @@ func (e *Engine) skips(w *waiter, next Time, tick bool, maxEvents uint64) bool {
 // that never reached the heap included. Each is also counted in Events.
 func (e *Engine) PollTicks() uint64 { return e.polls }
 
+// PollAsks returns how many questions — Tick or Hit — the engine put to a
+// Poller, in Proc.Poll and for the wakes it answered. An answer stands until
+// a process runs, so this counts runs more than ticks.
+func (e *Engine) PollAsks() uint64 { return e.asks }
+
 // Backoff is the gap schedule of a poller that may sit idle for long: Base
 // between polls, doubled after every miss once the poller has been idle for
-// After, up to Max; the next hit puts it back to Base. So a quiet poller does
-// not flood the event queue, while back-to-back work always sees Base.
+// After, up to Max and never past it; the next hit puts it back to Base. So a
+// quiet poller does not flood the event queue, while back-to-back work always
+// sees Base.
 type Backoff struct {
 	Base, After, Max Duration
 	// PollCost is what one missed poll adds to the idle time on top of its
@@ -208,7 +243,7 @@ func (b *Backoff) Gap() Duration {
 	g := b.Current()
 	b.idle += g + b.PollCost
 	if b.idle >= b.After && g < b.Max {
-		b.gap = 2 * g
+		b.gap = min(2*g, b.Max)
 	}
 	return g
 }

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -77,15 +78,27 @@ func (c *costed) Tick() (Duration, bool) { return c.cost, c.take() }
 
 func never() bool { return false }
 
-// countGaps counts the Gap calls of a Poller: the loop asks Gap exactly once
-// per poll that missed, and so must the engine, since Gap may carry state.
-type countGaps struct {
+// counted counts what is asked of a Poller. The loop asks Gap exactly once
+// per poll that missed, and so must the engine, since Gap may carry state;
+// Tick and Hit the engine asks no more often than the loop does — once per
+// run of a process, where the loop asks at every instant.
+type counted struct {
 	Poller
-	n *uint64
+	gaps, asks *uint64
 }
 
-func (c *countGaps) Gap() Duration {
-	*c.n++
+func (c *counted) Tick() (Duration, bool) {
+	*c.asks++
+	return c.Poller.Tick()
+}
+
+func (c *counted) Hit() bool {
+	*c.asks++
+	return c.Poller.Hit()
+}
+
+func (c *counted) Gap() Duration {
+	*c.gaps++
 	return c.Poller.Gap()
 }
 
@@ -119,21 +132,63 @@ type pollWorld struct {
 	// engine (countedLoop), of free and of costed polls.
 	answered, answeredCosted uint64
 	gaps                     uint64 // Gap calls, of every poller
+	asks                     uint64 // Tick and Hit calls, of every poller
+	pollAsks                 uint64 // Engine.PollAsks
 	byUntil, byTake          int    // polls that until, or a tick the process took, ended
+	resumed                  bool   // Run was called again after a cut-off
+}
+
+// A worldShape adds to a generated world one way a process can run between a
+// parked poller's questions, for the engine's memo of their answers
+// (Engine.tick, Engine.hit) to go stale.
+type worldShape uint8
+
+const (
+	// bystander runs between the pollers' ticks and touches nothing they
+	// read: each of its runs moves the run epoch and no answer changes (a VE
+	// whose armed loop runs a process on every poll, beside quiet ones).
+	bystander worldShape = 1 << iota
+	// flipBetweenTicks toggles a flag, or a take, between the pollers' ticks,
+	// often taking its own wake in place.
+	flipBetweenTicks
+	// pollerWakesInPlace makes the flag pollers share one flag and poll again
+	// at once after a hit they consumed: a poller's own process changes what
+	// the others read, and a Poll that returned on entry is followed by one
+	// in the same run.
+	pollerWakesInPlace
+	// resumedRun changes the flags and takes from outside the engine after a
+	// cut-off ended Run, raises the cut-off and calls Run again.
+	resumedRun
+	allShapes = 1<<iota - 1
+)
+
+var worldShapes = []struct {
+	name  string
+	shape worldShape
+}{
+	{"bystander", bystander},
+	{"flip between ticks", flipBetweenTicks},
+	{"poller wakes in place", pollerWakesInPlace},
+	{"resumed run", resumedRun},
 }
 
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
 // queue and an event, with fixed and back-off gaps, free polls or polls that
 // cost and whose ticks are the process's while a flag says so, and optional
 // until; sleepers; flippers of those flags;
-// an event firer with timed-out waiters (stale wakes); a queue producer; and a
-// MaxEvents, Deadline or Stop cut-off — and runs it with Proc.Poll or, as the
-// oracle, with the loop. All times are small integers, so ticks, load ends,
-// flips and wakes collide at the same timestamp all the time.
-func runPollWorld(seed uint64, byLoop bool) *pollWorld {
+// an event firer with timed-out waiters (stale wakes); a queue producer; a
+// MaxEvents, Deadline or Stop cut-off; and the shapes the seed draws, plus
+// those in force — and runs it with Proc.Poll or, as the oracle, with the
+// loop. All times are small integers, so ticks, load ends, flips and wakes
+// collide at the same timestamp all the time.
+func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	w := &pollWorld{}
 	e := NewEngine()
 	r := rng(seed)
+	// The shapes draw from a stream of their own, so that a seed's world
+	// without them is the world it always was; each is in one world of four.
+	sr := rng(seed ^ 0x5ca1ab1e)
+	shapes := force | worldShape(sr.n(allShapes+1)&sr.n(allShapes+1))
 	var flags [3]bool
 	var takes [2]bool
 	q := NewQueue[int](e, "q")
@@ -143,7 +198,7 @@ func runPollWorld(seed uint64, byLoop bool) *pollWorld {
 		if _, ok := pl.(*costed); ok {
 			n = &w.answeredCosted
 		}
-		pl = &countGaps{Poller: pl, n: &w.gaps}
+		pl = &counted{Poller: pl, gaps: &w.gaps, asks: &w.asks}
 		if !byLoop {
 			return p.Poll(pl, until)
 		}
@@ -160,6 +215,9 @@ func runPollWorld(seed uint64, byLoop bool) *pollWorld {
 		case 1:
 			hit, consume = ev.Fired, func() {}
 		default:
+			if shapes&pollerWakesInPlace != 0 {
+				f = 0
+			}
 			hit, consume = func() bool { return flags[f] }, func() { flags[f] = false }
 		}
 		var pl Poller = &cond{hit: hit, gap: Duration(1 + pr.n(5))}
@@ -194,6 +252,9 @@ func runPollWorld(seed uint64, byLoop bool) *pollWorld {
 				if got {
 					consume()
 					reset()
+					if shapes&pollerWakesInPlace != 0 {
+						continue // and poll again, in the same run
+					}
 				}
 				// A plain park on the waiter the poll just used.
 				p.Sleep(Duration(pr.n(5)))
@@ -248,10 +309,36 @@ func runPollWorld(seed uint64, byLoop bool) *pollWorld {
 			w.log.rec(p, won(ok))
 		})
 	}
+	if shapes&bystander != 0 {
+		pr := sr.fork()
+		e.Spawn("bystander", func(p *Proc) {
+			for k, n := 0, 20+pr.n(60); k < n; k++ {
+				p.Sleep(Duration(1 + pr.n(3)))
+			}
+		})
+	}
+	if shapes&flipBetweenTicks != 0 {
+		pr := sr.fork()
+		e.Spawn("toggler", func(p *Proc) {
+			for k, n := 0, 10+pr.n(30); k < n; k++ {
+				p.Sleep(Duration(1 + pr.n(3)))
+				if f := pr.n(4); f < len(flags) {
+					flags[f] = !flags[f]
+				} else {
+					takes[0] = !takes[0]
+				}
+				w.log.rec(p, "flip")
+			}
+		})
+	}
 	// A poller nobody answers polls for ever; the deadline ends the run of an
 	// engine that lost count.
 	e.MaxEvents, e.Deadline = 1500, 5000
-	switch pr := r.fork(); r.n(4) {
+	pr, cut := r.fork(), r.n(4)
+	if shapes&resumedRun != 0 {
+		cut %= 2 // a cut-off that Run can be called again after
+	}
+	switch cut {
 	case 0:
 		e.MaxEvents = uint64(3 + pr.n(150))
 	case 1:
@@ -264,18 +351,34 @@ func runPollWorld(seed uint64, byLoop bool) *pollWorld {
 		})
 	}
 
-	if err := e.Run(); err != nil {
-		w.err = err.Error()
+	err := e.Run()
+	if shapes&resumedRun != 0 && err != nil && !errors.Is(err, ErrDeadlock) {
+		w.err, w.resumed = err.Error()+"; then ", true
+		for i := range flags {
+			flags[i] = !flags[i]
+		}
+		takes[0], takes[1] = !takes[0], !takes[1]
+		e.MaxEvents, e.Deadline = e.Events()+uint64(3+sr.n(150)), e.Now().Add(Duration(3+sr.n(80)))
+		err = e.Run()
+	}
+	switch {
+	case errors.Is(err, ErrDeadlock):
+		// A resumed run can lose a process with the wake the cut-off took:
+		// the report names what it parked in, a poll or the loop's sleep.
+		w.err += ErrDeadlock.Error()
+	case err != nil:
+		w.err += err.Error()
 	}
 	w.events, w.maxq, w.qlen, w.now, w.pollTicks = e.Events(), e.MaxQueueLen(), e.QueueLen(), e.Now(), e.PollTicks()
+	w.pollAsks = e.PollAsks()
 	e.Shutdown()
 	return w
 }
 
 // checkPollWorld runs one world both ways and reports every difference.
-func checkPollWorld(t *testing.T, seed uint64) (byEngine, byLoop *pollWorld) {
+func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLoop *pollWorld) {
 	t.Helper()
-	byEngine, byLoop = runPollWorld(seed, false), runPollWorld(seed, true)
+	byEngine, byLoop = runPollWorld(seed, force, false), runPollWorld(seed, force, true)
 	if !reflect.DeepEqual(byEngine.log, byLoop.log) {
 		for i := 0; i < len(byEngine.log) || i < len(byLoop.log); i++ {
 			var got, want string
@@ -303,19 +406,41 @@ func checkPollWorld(t *testing.T, seed uint64) (byEngine, byLoop *pollWorld) {
 	if byEngine.gaps != byLoop.gaps {
 		t.Fatalf("seed %d: Gap was called %d times with Poll, %d with the loop", seed, byEngine.gaps, byLoop.gaps)
 	}
+	if byEngine.asks > byLoop.asks || byEngine.pollAsks != byEngine.asks {
+		t.Fatalf("seed %d: Tick and Hit were asked %d times with Poll (PollAsks %d), %d with the loop",
+			seed, byEngine.asks, byEngine.pollAsks, byLoop.asks)
+	}
 	return byEngine, byLoop
 }
 
 // Proc.Poll against the loop it is defined as, over generated worlds: the
 // same deliveries (process, time, reason) in the same order, the same Events,
 // MaxQueueLen, QueueLen, Now and Run error, Gap called as often (per poll
-// and in all), and PollTicks counting exactly the instants the loop's process
-// only passed through.
+// and in all), Tick and Hit asked no more often, and PollTicks counting
+// exactly the instants the loop's process only passed through. Each named
+// world forces one shape on every seed, where a memo of the answers that
+// outlived its run would show.
 func TestPollEquivalence(t *testing.T) {
+	for _, ws := range worldShapes {
+		t.Run(ws.name, func(t *testing.T) {
+			var saved uint64
+			resumed := 0
+			for seed := uint64(0); seed < 300; seed++ {
+				w, loop := checkPollWorld(t, seed, ws.shape)
+				saved += loop.asks - w.asks
+				if w.resumed {
+					resumed++
+				}
+			}
+			if saved < 5_000 || (ws.shape == resumedRun && resumed < 200) {
+				t.Errorf("300 worlds saved %d questions and resumed %d runs: the generator has gone soft", saved, resumed)
+			}
+		})
+	}
 	var ticks, costed uint64
 	var byUntil, byTake, deadlines, limits, clean int
 	for seed := uint64(0); seed < 1000; seed++ {
-		w, loop := checkPollWorld(t, seed)
+		w, loop := checkPollWorld(t, seed, 0)
 		ticks += w.pollTicks
 		costed += loop.answeredCosted
 		byUntil += w.byUntil
@@ -339,11 +464,11 @@ func TestPollEquivalence(t *testing.T) {
 
 func FuzzPollEquivalence(f *testing.F) {
 	// The last four are worlds of polls that cost, where a tick the process
-	// takes ends a poll more than once.
+	// takes ends a poll more than once. The seed draws the world's shapes.
 	for _, seed := range []uint64{0, 1, 7, 31, 1 << 40, 1007, 1021, 1195, 1234} {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64) { checkPollWorld(t, seed) })
+	f.Fuzz(func(t *testing.T, seed uint64) { checkPollWorld(t, seed, 0) })
 }
 
 // PollTicks counts exactly the ticks that missed, skipped ones included, and
@@ -487,6 +612,28 @@ func TestBackoffSchedule(t *testing.T) {
 		}
 		if peak != base*factor || interval != base {
 			t.Fatalf("cost %v: the reference peaked at %v and ended at %v, want %v and %v", cost, peak, interval, base*factor, base)
+		}
+	}
+}
+
+// The gap doubles up to Max and no further, whether or not Max is Base times
+// a power of two.
+func TestBackoffStopsAtMax(t *testing.T) {
+	for _, c := range []struct {
+		base, max Duration
+		want      []Duration
+	}{
+		{300, 1000, []Duration{300, 600, 1000, 1000}},
+		{300, 1200, []Duration{300, 600, 1200, 1200}},
+		{300, 301, []Duration{300, 301, 301}},
+		{300, 300, []Duration{300, 300}},
+		{300, 200, []Duration{300, 300}}, // Max below Base: Base stays
+	} {
+		b := Backoff{Base: c.base, Max: c.max}
+		for i, want := range c.want {
+			if got := b.Gap(); got != want {
+				t.Errorf("Base %v, Max %v: gap %d = %v, want %v", c.base, c.max, i, got, want)
+			}
 		}
 	}
 }

@@ -46,6 +46,7 @@ type DMAATB struct {
 	name    string
 	next    mem.Addr
 	entries []atbEntry // sorted by vehva
+	gen     uint64     // moves on every Register and Unregister
 }
 
 type atbEntry struct {
@@ -62,6 +63,10 @@ func newDMAATB(name string) *DMAATB {
 // Entries returns the number of live registrations.
 func (d *DMAATB) Entries() int { return len(d.entries) }
 
+// Generation numbers the registrations: it moves on every Register and
+// Unregister, so a translation made in one generation holds until it moves.
+func (d *DMAATB) Generation() uint64 { return d.gen }
+
 // Register maps [base, base+size) of target into the VEHVA window and
 // returns the assigned VEHVA. Registrations are page (64 KiB) aligned in the
 // window, mirroring the hardware's translation granularity.
@@ -76,6 +81,7 @@ func (d *DMAATB) Register(target *mem.Memory, base mem.Addr, size int64) (mem.Ad
 	vehva := d.next
 	d.next += mem.Addr(units.AlignUp(units.Bytes(size), 64*units.KiB).Int64())
 	d.entries = append(d.entries, atbEntry{vehva: vehva, size: size, target: target, base: base})
+	d.gen++
 	return vehva, nil
 }
 
@@ -84,6 +90,7 @@ func (d *DMAATB) Unregister(vehva mem.Addr) error {
 	for i, e := range d.entries {
 		if e.vehva == vehva {
 			d.entries = append(d.entries[:i], d.entries[i+1:]...)
+			d.gen++
 			return nil
 		}
 	}

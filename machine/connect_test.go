@@ -22,16 +22,22 @@ func TestEightVEConnectDMA(t *testing.T) {
 		injected uint64
 		loads    [8]int64
 		literal  uint64 // events of loops that issue their own loads
+		// Tick and Hit questions the engine asked (PollAsks). A quiet poll is
+		// asked once per run of a process, and a connect runs processes a few
+		// hundred times. VE 0's literal loop runs one on every poll, so in the
+		// slow row the other VEs' polls are asked again after each one: an
+		// armed VE defeats the memo.
+		asks uint64
 	}{
 		{"default", nil, 669_448, 7_322_220_000_000, 0,
-			[8]int64{83260, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 0},
+			[8]int64{83260, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 0, 527},
 		// VE 0 runs 4x slow throughout: each of its loads fires the rule, so
 		// one left to the engine would show as a smaller Injected. Its loop
 		// takes three events a poll — the slow-down, the load, the gap.
 		{"VE 0 slow", &faults.Plan{Rules: []faults.Rule{{
 			Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4, Until: 1 << 62,
 		}}}, 746_176, 7_322_328_000_000, 81_066,
-			[8]int64{81064, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 3 * 81064},
+			[8]int64{81064, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 3 * 81064, 576_468},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(Config{VEs: 8, Faults: tc.plan})
@@ -54,6 +60,9 @@ func TestEightVEConnectDMA(t *testing.T) {
 					if got := c.Process().Loads(); got != tc.loads[i] {
 						t.Errorf("VE %d loaded %d flag words, want %d", i, got, tc.loads[i])
 					}
+				}
+				if got := e.PollAsks(); got != tc.asks {
+					t.Errorf("PollAsks = %d, want %d", got, tc.asks)
 				}
 				// The engine answered nearly every other event.
 				if others := e.Events() - tc.literal; e.PollTicks() < others*99/100 {
