@@ -262,10 +262,10 @@ func (t *veSide) PeekFlag(slot int) (uint64, error) {
 	return t.kctx.Instr().PeekWord(&t.flags[slot])
 }
 
-// CountFlag implements ring.TargetTransport.
+// CountFlags implements ring.TargetTransport.
 //
 //hot:path
-func (t *veSide) CountFlag() { t.kctx.Instr().CountLoad() }
+func (t *veSide) CountFlags(n int64) { t.kctx.Instr().CountLoads(n) }
 
 // Fetch implements ring.TargetTransport: user DMA into the local staging
 // buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).

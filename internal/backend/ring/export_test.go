@@ -1,7 +1,7 @@
 package ring
 
 // Registered reports how many VE processes currently hold target state.
-func Registered() int { return len(targets) }
+func Registered() int { return int(targets.Load()) }
 
 // ParkedHandles counts the released handles on h's free list.
 func ParkedHandles(h *Host) int {

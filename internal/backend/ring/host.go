@@ -14,6 +14,7 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hamoffload/internal/backend/slots"
 	"hamoffload/internal/core"
@@ -451,6 +452,13 @@ func (q *resultPoll) Hit() bool {
 //
 //hot:path
 func (q *resultPoll) Gap() simtime.Duration { return q.hd.c.f.PollGap }
+
+// Misses implements simtime.Poller: the gap is PollGap for good.
+//
+//hot:path
+func (q *resultPoll) Misses(int64) (simtime.Duration, int64) {
+	return q.hd.c.f.PollGap, math.MaxInt64
+}
 
 //hot:path
 func (h *Host) wait(hd *handle) ([]byte, error) {

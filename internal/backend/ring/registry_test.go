@@ -1,6 +1,8 @@
 package ring_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"hamoffload/internal/backend/ring"
@@ -106,6 +108,49 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 	}
 	if n := ring.Registered(); n != 0 {
 		t.Fatalf("cluster: %d target states outlive their machines", n)
+	}
+}
+
+// Machines share no target state: a dmab and a veob machine connect, offload
+// and close at once, each from a goroutine of its own (under -race, a shared
+// registry of VE targets shows here), and leave nothing registered.
+func TestParallelMachinesConnect(t *testing.T) {
+	connects := map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
+		"dma": machine.ConnectDMA, "veo": machine.ConnectVEO,
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(connects))
+	for name, connect := range connects {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := machine.New(machine.Config{VEs: 2})
+			if err == nil {
+				err = m.RunMain(func(p *machine.Proc) error {
+					rt, err := connect(p, m, machine.ProtocolOptions{})
+					if err != nil {
+						return err
+					}
+					for node := offload.NodeID(1); node <= 2; node++ {
+						if v, err := offload.Sync(rt, node, regEcho.Bind(int64(10*node))); err != nil || v != int64(10*node) {
+							return fmt.Errorf("offload to node %d = %d, %v", node, v, err)
+						}
+					}
+					return rt.Finalize()
+				})
+			}
+			if err != nil {
+				errs <- fmt.Errorf("%s: %w", name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := ring.Registered(); n != 0 {
+		t.Errorf("%d target states outlive their machines", n)
 	}
 }
 

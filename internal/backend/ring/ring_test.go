@@ -147,9 +147,9 @@ func (f *fake) QuietFlag(int) (simtime.Duration, bool) {
 
 func (f *fake) PeekFlag(slot int) (uint64, error) { return f.recvFlag[slot], f.always["load"] }
 
-func (f *fake) CountFlag() {
+func (f *fake) CountFlags(n int64) {
 	if f.loadCost > 0 {
-		f.count["load"]++
+		f.count["load"] += int(n)
 	}
 }
 

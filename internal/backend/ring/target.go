@@ -23,7 +23,7 @@ type TargetTransport interface {
 	// QuietFlag reports whether LoadFlag(slot), issued now, would do
 	// nothing but take cost and read the flag word at its end: no fault
 	// rule can match it, no span records it. The engine then issues it in
-	// Serve's stead (flagPoll) — PeekFlag at its end, CountFlag for the
+	// Serve's stead (flagPoll) — PeekFlag at its end, CountFlags for the
 	// load. It is a pure read, asked any number of times. cost is zero for
 	// a flag in local memory, which is always quiet: a transport whose cost
 	// is zero once has it zero for good, and Serve then asks no more.
@@ -31,9 +31,9 @@ type TargetTransport interface {
 	// PeekFlag is a quiet LoadFlag's read alone: the slot's flag word,
 	// taking no time and changing nothing.
 	PeekFlag(slot int) (uint64, error)
-	// CountFlag accounts for one quiet LoadFlag the engine issued, as
+	// CountFlags accounts for n quiet LoadFlags the engine issued, as
 	// LoadFlag accounts for its own (dma.Instr.Loads).
-	CountFlag()
+	CountFlags(n int64)
 	// Fetch brings the slot's len(msg)-byte message into msg, charging the
 	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
 	Fetch(slot int, msg []byte) error
@@ -160,9 +160,19 @@ func (q *flagPoll) Hit() bool {
 //hot:path
 func (q *flagPoll) Gap() simtime.Duration {
 	if !q.free {
-		q.t.Transport.CountFlag()
+		q.t.Transport.CountFlags(1)
 	}
 	return q.Backoff.Gap()
+}
+
+// Misses implements simtime.Poller: n loads the engine issued missed.
+//
+//hot:path
+func (q *flagPoll) Misses(n int64) (simtime.Duration, int64) {
+	if !q.free && n > 0 {
+		q.t.Transport.CountFlags(n)
+	}
+	return q.Backoff.Misses(n)
 }
 
 // Self implements core.Backend.
@@ -216,7 +226,7 @@ func (t *Target) Serve(s core.Server) error {
 		if hit {
 			// The flag was up, or its read failed, at the end of a load the
 			// engine issued (or of a free one).
-			t.Transport.CountFlag()
+			t.Transport.CountFlags(1)
 		} else if s.Done() || !t.alive() {
 			continue
 		} else {

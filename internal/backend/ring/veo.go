@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
@@ -14,11 +15,24 @@ import (
 // and bulk data exchange (§III-C, §IV-A — "application start, initialisation
 // and bulk data exchange still go through the VEO API").
 
-// targets holds the target backend of every running VE process. An entry
-// lives exactly as long as its process: Register adds it from the init
-// kernel; VE.Destroy, the only place a ring process dies, removes it. The
-// simulation is single-threaded per engine, so a plain map suffices.
-var targets = map[*veos.Process]*Target{}
+// The target backend of a running VE process is kept with the process
+// (veos.Process.SetRuntime): Register puts it there from the init kernel, and
+// VE.Destroy, the only place a ring process dies, takes it away. So machines
+// share no target state, whichever goroutines run them, and targets counts
+// the ones registered and not yet destroyed.
+var targets atomic.Int64
+
+// hasTarget reports whether vp holds a registered target backend.
+func hasTarget(vp *veos.Process) bool {
+	_, ok := targetOf(vp)
+	return ok
+}
+
+// targetOf returns the target backend registered for vp.
+func targetOf(vp *veos.Process) (*Target, bool) {
+	t, ok := vp.Runtime().(*Target)
+	return t, ok
+}
 
 // Register builds the target backend of the process ctx runs in, for its
 // ham_main to serve. The transport is built over the init kernel's own
@@ -31,7 +45,10 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
 	t.cpu = ctx
-	targets[vp] = t
+	if !hasTarget(vp) {
+		targets.Add(1)
+	}
+	vp.SetRuntime(t)
 }
 
 // HamMain is the ham_main kernel of both protocols — the renamed main() of
@@ -39,7 +56,7 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 // over the transport the init kernel registered.
 func HamMain(ctx *veos.Ctx, _ []uint64) (uint64, error) {
 	vp := ctx.Context.Process()
-	t, ok := targets[vp]
+	t, ok := targetOf(vp)
 	if !ok {
 		return 1, fmt.Errorf("ring: ham_main before an init kernel on VE %d", vp.Card().ID)
 	}
@@ -117,7 +134,7 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 	}
 	// The architecture label is a property of the compiled target binary; it
 	// cannot travel as a kernel argument, so it is recorded on the side.
-	if t, ok := targets[proc.Process()]; ok {
+	if t, ok := targetOf(proc.Process()); ok {
 		t.desc.Arch = arch
 	}
 	hamMain, err := lh.GetSym(p, "ham_main")
@@ -134,7 +151,10 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 // it reaps whatever is left so the card can boot a fresh process; the error
 // then only says a crash had already taken the process.
 func (v VE) Destroy() error {
-	delete(targets, v.Proc.Process())
+	if vp := v.Proc.Process(); hasTarget(vp) {
+		vp.SetRuntime(nil)
+		targets.Add(-1)
+	}
 	return v.Proc.Destroy(v.P)
 }
 

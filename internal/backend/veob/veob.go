@@ -215,10 +215,10 @@ func (t *veSide) QuietFlag(int) (simtime.Duration, bool) { return 0, true }
 //hot:path
 func (t *veSide) PeekFlag(slot int) (uint64, error) { return t.LoadFlag(slot) }
 
-// CountFlag implements ring.TargetTransport: local loads are not counted.
+// CountFlags implements ring.TargetTransport: local loads are not counted.
 //
 //hot:path
-func (t *veSide) CountFlag() {}
+func (t *veSide) CountFlags(int64) {}
 
 // Fetch implements ring.TargetTransport: a local copy out of the receive
 // buffer.

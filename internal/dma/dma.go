@@ -427,7 +427,7 @@ func (in *Instr) LoadCost() simtime.Duration {
 // translates, no fault rule can match the LHM site on this VE and no tracer
 // records the load. A poll may then leave the load to the engine
 // (simtime.Poller) — read it with PeekWord at its end, and count it with
-// CountLoad.
+// CountLoads.
 //
 //hot:path
 func (in *Instr) Quiet(w *Word) bool { return in.resolve(w) && in.unseen }
@@ -442,10 +442,10 @@ func (in *Instr) PeekWord(w *Word) (uint64, error) {
 	return w.word.Load()
 }
 
-// CountLoad counts one quiet LoadWord that the engine issued.
+// CountLoads counts n quiet LoadWords that the engine issued.
 //
 //hot:path
-func (in *Instr) CountLoad() { in.loads++ }
+func (in *Instr) CountLoads(n int64) { in.loads += n }
 
 // StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
 //

@@ -336,7 +336,7 @@ func TestLoadBytesAllocatesNothing(t *testing.T) {
 
 // A LoadWord is quiet — the engine may issue it as a poll's load — while no
 // fault rule can reach its site on this VE and no tracer records it; a quiet
-// load is LoadCost, PeekWord's word and one CountLoad.
+// load is LoadCost, PeekWord's word and one CountLoads.
 func TestQuietLoad(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(4096)
@@ -360,8 +360,8 @@ func TestQuietLoad(t *testing.T) {
 	if v, err := in.PeekWord(&w); v != 42 || err != nil || in.Loads() != 1 {
 		t.Errorf("PeekWord = %d, %v after %d loads; want 42 after the one LoadWord", v, err, in.Loads())
 	}
-	if in.CountLoad(); in.Loads() != 2 {
-		t.Errorf("Loads = %d after CountLoad, want 2", in.Loads())
+	if in.CountLoads(1); in.Loads() != 2 {
+		t.Errorf("Loads = %d after CountLoads(1), want 2", in.Loads())
 	}
 	if unregistered := in.Word(0xdead0000); !in.Quiet(&w) || in.Quiet(&unregistered) {
 		t.Error("a registered word's load is quiet with nothing armed, an unregistered one's never")

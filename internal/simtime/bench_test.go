@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 )
@@ -134,6 +135,9 @@ func BenchmarkPollMiss(b *testing.B) {
 // events; ns/tick is the wall time per poll wake the engine answered. The
 // pollers' questions are either a closure call each ("cheap") or cost what a
 // flag poll's cost when each one searched for its word ("searched", below).
+// "steady" is the connect's idle VEs: each poller's Backoff has reached its
+// Max, a few poll intervals of its own, so between two of the bystander's
+// wakes the engine answers every poller's wakes in one step (Engine.ahead).
 func BenchmarkQuietPollers(b *testing.B) {
 	for _, questions := range []struct {
 		name   string
@@ -143,6 +147,13 @@ func BenchmarkQuietPollers(b *testing.B) {
 			return &costed{Poller: &cond{hit: never, gap: gap}, cost: 700 * Nanosecond, take: never}
 		}},
 		{"searched", func(gap Duration) Poller { return newSearched(gap) }},
+		{"steady", func(gap Duration) Poller {
+			c := &backoffCond{hit: never, Backoff: Backoff{Base: gap, Max: 8 * gap}}
+			for c.Current() < c.Max {
+				c.Gap()
+			}
+			return &costed{Poller: c, cost: 700 * Nanosecond, take: never}
+		}},
 	} {
 		b.Run(questions.name, func(b *testing.B) {
 			e := NewEngine()
@@ -197,3 +208,6 @@ func (q *searched) find(ends []uint64) int {
 func (q *searched) Tick() (Duration, bool) { return 700 * Nanosecond, q.find(q.regs) == len(q.regs) }
 func (q *searched) Hit() bool              { return q.find(q.regs) == len(q.regs) || q.find(q.extents) == 0 }
 func (q *searched) Gap() Duration          { return q.gap }
+func (q *searched) Misses(int64) (Duration, int64) {
+	return q.gap, math.MaxInt64
+}

@@ -532,7 +532,7 @@ func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
 // ones (veo's one process per async transfer) holds on to none of them.
 func TestFinishedProcsLeaveLiveSet(t *testing.T) {
 	e := NewEngine()
-	const spawns = 100_000
+	const spawns = finishedSpawns
 	e.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
 	e.Spawn("spawner", func(p *Proc) {
 		for i := 0; i < spawns; i++ {

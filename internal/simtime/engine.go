@@ -108,6 +108,27 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
+// heapify restores the heap order after entries were changed in place.
+func (q eventQueue) heapify() {
+	n := len(q)
+	for i := n/2 - 1; i >= 0; i-- {
+		for j := i; ; {
+			c := 2*j + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q.less(r, c) {
+				c = r
+			}
+			if !q.less(c, j) {
+				break
+			}
+			q[j], q[c] = q[c], q[j]
+			j = c
+		}
+	}
+}
+
 // Engine is a deterministic discrete-event scheduler. Every process is a
 // coroutine (iter.Pull) that Run resumes in-thread and that hands control
 // back from Proc.park, so exactly one of them runs at a time and no switch
@@ -130,6 +151,10 @@ type Engine struct {
 	runs uint64
 	// The process whose Poller is being asked Tick or Hit, for park's guard.
 	asking *Proc
+	// ahead's scratch: the parked polls it answers at once; and how many
+	// wakes it answered.
+	lanes      [maxLanes]lane
+	aheadWakes uint64
 
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.

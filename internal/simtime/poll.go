@@ -1,6 +1,9 @@
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Poller is the condition, the cadence and the cost of a poll loop that
 // Proc.Poll runs as one park. A tick of the loop asks up to two questions, at
@@ -27,8 +30,17 @@ type Poller interface {
 	Hit() bool
 	// Gap returns the time from a poll that missed to the next tick. It is
 	// called exactly once per missed poll, so it may advance back-off state
-	// (and count the poll).
+	// (and count the poll). It reads nothing a process changes, and changes
+	// nothing that another Poller's Gap, or any Tick or Hit, reads.
 	Gap() Duration
+	// Misses accounts for n missed polls at once, as n calls of Gap would,
+	// and returns the gap the next miss gets and how many more misses in a
+	// row get that same gap (math.MaxInt64: all of them). n is never more
+	// than the previous call's count, so each of the n would have returned
+	// the same gap; Misses(0) only asks. The engine uses it to answer a
+	// quiet poller's misses up to the next event that can run a process in
+	// one step (Engine.ahead).
+	Misses(n int64) (gap Duration, steady int64)
 }
 
 // Free completes the Poller of a free poll that only waits for Hit: its ticks
@@ -166,7 +178,10 @@ func (e *Engine) answers(w *waiter, at Time) bool {
 // delivers one is followed by that delivery, which ends the run — so it passes
 // this one too. The first wake at or after the head, one the process must see
 // (the until tick, a tick it takes, a hit) and one a cut-off would refuse are
-// queued for real, behind everything queued, as they would have been.
+// queued for real, behind everything queued, as they would have been — unless
+// the head is another parked poll's wake the engine answers too: then ahead
+// answers every such poll's wakes up to the next event that can run a
+// process.
 //
 //hot:path
 func (e *Engine) repoll(w *waiter, maxEvents uint64) {
@@ -185,7 +200,9 @@ func (e *Engine) repoll(w *waiter, maxEvents uint64) {
 		}
 		w.issued = issued
 		if !e.skips(w, next, !issued, maxEvents) {
-			e.schedule(next, w, reasonTimer)
+			if !e.ahead(w, next, maxEvents) {
+				e.schedule(next, w, reasonTimer)
+			}
 			return
 		}
 		if (issued && !hitAsked) || (!issued && !ticked) {
@@ -210,6 +227,265 @@ func (e *Engine) skips(w *waiter, next Time, tick bool, maxEvents uint64) bool {
 	return (len(e.eq) == 0 || next < e.eq[0].at) &&
 		!(tick && w.until != 0 && next >= w.until) &&
 		(e.Deadline == 0 || next <= e.Deadline) && e.events < maxEvents
+}
+
+// maxLanes bounds how many parked polls ahead answers at once; beside more,
+// their wakes go one at a time.
+const maxLanes = 16
+
+// passes reports whether w's memo holds, from this run, the answers its next
+// wake needs, and whether they pass it on: a tick the process does not take
+// (and, for a free poll, a miss at it), the miss at the end of a poll that
+// costs. Then it holds the other question's passing answer from this run too:
+// a memo from this run came from a wake answered in this run, and the wakes
+// of a poll alternate between the two questions. The until tick is plan's to
+// find.
+func (w *waiter) passes(run uint64) bool {
+	if w.issued {
+		return w.hitAsked == run && !w.found
+	}
+	return w.ticked == run && !w.take && (w.cost > 0 || (w.hitAsked == run && !w.found))
+}
+
+// A lane is one parked poll as Engine.ahead sees it: its next wake, wake 0,
+// and the pattern its wakes follow while every answer stands and the gap is
+// constant. Wake m of a free poll (cost 0) is the tick at at + m·gap; a poll
+// that costs alternates between ticks and the ends of the polls they issue,
+// the even wakes of wake 0's kind.
+type lane struct {
+	w         *waiter
+	heap      int // wake 0's index in the event heap; -1: w's, not queued yet
+	at        Time
+	seq       uint64
+	end       bool // wake 0 ends a poll that costs
+	cost, gap Duration
+	// stop is the first wake ahead must not answer (math.MaxInt64: none), n
+	// how many it answers.
+	stop, n int64
+}
+
+// plan fills in l's pattern from w's memo and Poller, and its stop: the first
+// wake that delivers (a hit, a tick the process takes, the until tick), that
+// asks a question this run has not answered, or whose miss gets another gap.
+//
+//hot:path
+func (l *lane) plan(w *waiter, run uint64) {
+	l.w, l.end, l.cost, l.stop = w, w.issued, w.cost, math.MaxInt64
+	if !w.passes(run) {
+		l.stop = 0
+		return
+	}
+	g, steady := w.poll.Misses(0)
+	if l.gap = g; g <= 0 {
+		l.stop = 0
+		return
+	}
+	p := l.period()
+	if steady < math.MaxInt64/4 { // the miss after steady ones gets another gap
+		switch {
+		case l.cost == 0:
+			l.stop = min(l.stop, steady)
+		case l.end:
+			l.stop = min(l.stop, 2*steady)
+		default:
+			l.stop = min(l.stop, 2*steady+1)
+		}
+	}
+	if u := w.until; u != 0 {
+		switch {
+		case l.cost == 0:
+			l.stop = min(l.stop, ceilDiv(u.Sub(l.at), g))
+		case l.end:
+			l.stop = min(l.stop, 2*ceilDiv(u.Sub(l.at.Add(g)), p)+1)
+		default:
+			l.stop = min(l.stop, 2*ceilDiv(u.Sub(l.at), p))
+		}
+	}
+}
+
+// period is the time from a wake to the next of its kind, and first the time
+// from an even wake to the odd one after it.
+func (l *lane) period() Duration { return l.cost + l.gap }
+
+func (l *lane) first() Duration {
+	if l.end {
+		return l.gap
+	}
+	return l.cost
+}
+
+// time returns the time of wake m.
+func (l *lane) time(m int64) Time {
+	if l.cost == 0 {
+		return l.at.Add(Duration(m) * l.gap)
+	}
+	t := l.at.Add(Duration(m/2) * l.period())
+	if m%2 == 1 {
+		t = t.Add(l.first())
+	}
+	return t
+}
+
+// before returns how many of l's wakes come strictly before t.
+func (l *lane) before(t Time) int64 {
+	if l.cost == 0 {
+		return ceilDiv(t.Sub(l.at), l.gap)
+	}
+	return ceilDiv(t.Sub(l.at), l.period()) + ceilDiv(t.Sub(l.at.Add(l.first())), l.period())
+}
+
+// ends reports whether wake m ends a poll that costs, and misses how many of
+// the first n wakes are polls that missed: every wake of a free poll, the
+// ends of one that costs.
+func (l *lane) ends(m int64) bool { return l.cost > 0 && l.end == (m%2 == 0) }
+
+func (l *lane) misses(n int64) int64 {
+	switch {
+	case l.cost == 0:
+		return n
+	case l.end:
+		return (n + 1) / 2
+	}
+	return n / 2
+}
+
+// after reports whether l's last answered wake comes after o's in (at, seq)
+// order, the order in which their successors are pushed. Times decide; at
+// one time seq does, and a wake's seq is its predecessor's place in that
+// order. So the comparison walks back through the ties until one side reaches
+// its queued wake 0 (its own seq, below every one handed out since) or the
+// times part. Two ties in a row repeat for good, as each lane steps back by
+// its gap and its cost in turn, so the walk then jumps to the first of the two
+// to reach wake 0.
+func (l *lane) after(o *lane) bool {
+	m, k := l.n-1, o.n-1
+	if a, b := l.time(m), o.time(k); a != b {
+		return a > b
+	}
+	for ties := 0; ; ties++ {
+		if k == 0 || m == 0 {
+			if k == 0 && m == 0 {
+				return o.seq < l.seq
+			}
+			return k == 0
+		}
+		if a, b := o.time(k-1), l.time(m-1); a != b {
+			return a < b
+		}
+		k, m = k-1, m-1
+		if ties == 1 {
+			d := min(k, m)
+			k, m = k-d, m-d
+		}
+	}
+}
+
+// ceilDiv is ⌈d/p⌉ for p > 0, and 0 for d ≤ 0.
+func ceilDiv(d, p Duration) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return int64((d-1)/p) + 1
+}
+
+// ahead answers, in one step, the wakes of every parked poll up to the
+// horizon: the first of the earliest queued wake that is not a poll's, any
+// poll's first wake that delivers or that asks what this run has not answered
+// (lane.plan), and Deadline. w's next wake, at next, is one of them: repoll
+// calls ahead where it would queue it behind the head of the heap, and ahead
+// only goes on when that head is a poll whose wake the engine answers too.
+//
+// Until the horizon no process can run, so every answer stands and each lane
+// follows its pattern: its wakes are counted arithmetically, its misses
+// accounted in one Poller.Misses. Events, PollTicks, seq and the clock move
+// by the total, as one wake at a time would have moved them. The lanes' first
+// wakes at or past the horizon get the last seqs handed out, in the order of
+// their predecessors (lane.after): above every seq still queued and below
+// every one to come, as one at a time would have numbered them. Only wakes
+// strictly before the horizon are answered: one at the horizon's very time,
+// which may come before or after the wake that ends it, is left to step like
+// any other. ahead leaves w to schedule, and changes nothing, where the event
+// budget would run out before the horizon, beside more than maxLanes parked
+// polls, and where there is nothing to answer.
+//
+//hot:path
+func (e *Engine) ahead(w *waiter, next Time, maxEvents uint64) bool {
+	run := e.runs
+	if len(e.eq) == 0 || e.eq[0].w.poll == nil || e.eq[0].w.woken || !e.eq[0].w.passes(run) {
+		return false
+	}
+	base := e.seq + 1 // w's seq, as schedule would number it
+	lanes := &e.lanes
+	lanes[0] = lane{heap: -1, at: next, seq: base}
+	lanes[0].plan(w, run)
+	horizon := Time(math.MaxInt64)
+	if e.Deadline != 0 {
+		horizon = e.Deadline + 1
+	}
+	n := 1
+	for i := range e.eq {
+		ev := &e.eq[i]
+		switch {
+		case ev.w.woken: // stale: popped without a trace
+		case ev.w.poll == nil:
+			horizon = min(horizon, ev.at)
+		case n == maxLanes:
+			return false
+		default:
+			lanes[n] = lane{heap: i, at: ev.at, seq: ev.seq}
+			lanes[n].plan(ev.w, run)
+			n++
+		}
+	}
+	for i := range n {
+		if l := &lanes[i]; l.stop != math.MaxInt64 {
+			horizon = min(horizon, l.time(l.stop))
+		}
+	}
+	if horizon == math.MaxInt64 {
+		return false
+	}
+	var total int64
+	for i := range n {
+		l := &lanes[i]
+		l.n = l.before(horizon)
+		total += l.n
+	}
+	if total == 0 || uint64(total) > maxEvents-e.events {
+		return false
+	}
+	// The lanes that moved, in the order of their last answered wakes.
+	var order [maxLanes]*lane
+	k := 0
+	for i := range n {
+		l := &lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		j := k
+		for ; j > 0 && order[j-1].after(l); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = l
+		k++
+	}
+	e.seq = base + uint64(total)
+	for j, l := range order[:k] {
+		e.now = max(e.now, l.time(l.n-1))
+		l.seq = e.seq - uint64(k-1-j)
+		l.w.poll.Misses(l.misses(l.n))
+		l.w.issued = l.ends(l.n)
+		if l.heap >= 0 {
+			e.eq[l.heap].at, e.eq[l.heap].seq = l.time(l.n), l.seq
+		}
+	}
+	e.eq.heapify()
+	e.eq.push(event{at: lanes[0].time(lanes[0].n), seq: lanes[0].seq, w: w, rsn: reasonTimer})
+	e.maxq = max(e.maxq, len(e.eq))
+	e.events += uint64(total)
+	e.polls += uint64(total)
+	e.aheadWakes += uint64(total)
+	return true
 }
 
 // PollTicks returns how many wakes of Proc.Poll the engine answered itself —
@@ -246,6 +522,29 @@ func (b *Backoff) Gap() Duration {
 		b.gap = min(2*g, b.Max)
 	}
 	return g
+}
+
+// Misses implements Poller: the gap stays constant until the miss that
+// doubles it, and for good once it has reached Max.
+//
+//hot:path
+func (b *Backoff) Misses(n int64) (Duration, int64) {
+	g := b.Current()
+	if n > 0 {
+		b.idle += Duration(n) * (g + b.PollCost)
+		if b.idle >= b.After && g < b.Max {
+			b.gap = min(2*g, b.Max)
+			g = b.gap
+		}
+	}
+	step := g + b.PollCost
+	switch {
+	case g >= b.Max:
+		return g, math.MaxInt64
+	case b.idle >= b.After || step <= 0:
+		return g, 1
+	}
+	return g, int64((b.After - b.idle + step - 1) / step)
 }
 
 // Current returns the gap the next miss will get, without counting one.

@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,8 @@ type cond struct {
 func (c *cond) Hit() bool     { return c.hit() }
 func (c *cond) Gap() Duration { return c.gap }
 
+func (c *cond) Misses(int64) (Duration, int64) { return c.gap, math.MaxInt64 }
+
 // backoffCond is a free Poller over a condition, polled on a Backoff
 // schedule.
 type backoffCond struct {
@@ -102,6 +105,11 @@ func (c *counted) Gap() Duration {
 	return c.Poller.Gap()
 }
 
+func (c *counted) Misses(n int64) (Duration, int64) {
+	*c.gaps += uint64(n)
+	return c.Poller.Misses(n)
+}
+
 // rng is splitmix64: the worlds below must not depend on math/rand's stream.
 type rng uint64
 
@@ -136,12 +144,14 @@ type pollWorld struct {
 	pollAsks                 uint64 // Engine.PollAsks
 	byUntil, byTake          int    // polls that until, or a tick the process took, ended
 	resumed                  bool   // Run was called again after a cut-off
+	shapes                   worldShape
+	ahead                    uint64 // wakes Engine.ahead answered
 }
 
 // A worldShape adds to a generated world one way a process can run between a
 // parked poller's questions, for the engine's memo of their answers
 // (Engine.tick, Engine.hit) to go stale.
-type worldShape uint8
+type worldShape uint16
 
 const (
 	// bystander runs between the pollers' ticks and touches nothing they
@@ -159,6 +169,25 @@ const (
 	// resumedRun changes the flags and takes from outside the engine after a
 	// cut-off ended Run, raises the cut-off and calls Run again.
 	resumedRun
+	// The shapes below are where Engine.ahead answers several parked polls at
+	// once: long stretches in which no process runs.
+	//
+	// steadyPollers adds three to five pollers whose polls cost, each on a
+	// Backoff that has reached its Max, at phases and periods of their own.
+	steadyPollers
+	// tiedPollers adds two to four pollers that start at one instant on the
+	// same pattern (or on its mirror image: cost and gap swapped, or a free
+	// poll every period), so that their wakes tie over and over.
+	tiedPollers
+	// hitInHorizon adds quiet pollers and a setter that raises their flags and
+	// takes at odd times: one of them hits, or its tick is taken, where the
+	// others' wakes would otherwise have been answered on.
+	hitInHorizon
+	// untilTicks adds quiet pollers whose every poll ends at its until tick.
+	untilTicks
+	// cutoffInHorizon adds quiet pollers that never hit and moves MaxEvents or
+	// Deadline to fall among their wakes.
+	cutoffInHorizon
 	allShapes = 1<<iota - 1
 )
 
@@ -170,6 +199,11 @@ var worldShapes = []struct {
 	{"flip between ticks", flipBetweenTicks},
 	{"poller wakes in place", pollerWakesInPlace},
 	{"resumed run", resumedRun},
+	{"steady pollers", steadyPollers},
+	{"tied pollers", tiedPollers},
+	{"hit in a horizon", hitInHorizon},
+	{"until ticks", untilTicks},
+	{"cut-off in a horizon", cutoffInHorizon},
 }
 
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
@@ -189,6 +223,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	// without them is the world it always was; each is in one world of four.
 	sr := rng(seed ^ 0x5ca1ab1e)
 	shapes := force | worldShape(sr.n(allShapes+1)&sr.n(allShapes+1))
+	w.shapes = shapes
 	var flags [3]bool
 	var takes [2]bool
 	q := NewQueue[int](e, "q")
@@ -331,6 +366,96 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			}
 		})
 	}
+	// quiet spawns a process that waits delay and then polls pl rounds times,
+	// each until the time until draws (0: none).
+	quiet := func(name string, pl Poller, delay Duration, rounds int, until func(p *Proc) Time) {
+		e.Spawn(name, func(p *Proc) {
+			p.Sleep(delay)
+			for k := 0; k < rounds; k++ {
+				gaps := w.gaps
+				got := poll(p, pl, until(p))
+				w.log.rec(p, fmt.Sprintf("poll hit=%v gaps=%d", got, w.gaps-gaps))
+			}
+		})
+	}
+	noUntil := func(*Proc) Time { return 0 }
+	// constGap is a poll of flag f every gap, costing cost (0: free); its ticks
+	// are the process's while take says so.
+	constGap := func(f int, gap, cost Duration, take func() bool) Poller {
+		pl := Poller(&cond{hit: func() bool { return f < len(flags) && flags[f] }, gap: gap})
+		if cost > 0 {
+			pl = &costed{Poller: pl, cost: cost, take: take}
+		}
+		return pl
+	}
+	if shapes&steadyPollers != 0 {
+		pr := sr.fork()
+		for i, n := 0, 3+pr.n(3); i < n; i++ {
+			base, f := Duration(1+pr.n(3)), pr.n(len(flags))
+			b := &backoffCond{hit: func() bool { return flags[f] }, Backoff: Backoff{
+				Base: base, After: Duration(pr.n(4)), Max: base << (1 + pr.n(3)), PollCost: Duration(pr.n(2)),
+			}}
+			for b.Current() < b.Max {
+				b.Gap()
+			}
+			pl := &costed{Poller: b, cost: Duration(1 + pr.n(4)), take: never}
+			quiet(fmt.Sprintf("steady%d", i), pl, Duration(pr.n(8)), 1+pr.n(3), noUntil)
+		}
+	}
+	if shapes&tiedPollers != 0 {
+		pr := sr.fork()
+		c, g, f := Duration(1+pr.n(3)), Duration(1+pr.n(3)), pr.n(len(flags)+1)
+		patterns := []func() Poller{
+			func() Poller { return constGap(f, g, c, never) },
+			func() Poller { return constGap(f, c, g, never) },
+			func() Poller { return constGap(f, c+g, 0, never) },
+		}
+		for i, n := 0, 2+pr.n(3); i < n; i++ {
+			k := 0
+			if i >= 2 {
+				k = pr.n(len(patterns))
+			}
+			quiet(fmt.Sprintf("tied%d", i), patterns[k](), 0, 1+pr.n(3), noUntil)
+		}
+	}
+	if shapes&hitInHorizon != 0 {
+		pr := sr.fork()
+		for i, n := 0, 2+pr.n(3); i < n; i++ {
+			t := &takes[pr.n(2)]
+			pl := constGap(pr.n(len(flags)), Duration(1+pr.n(4)), Duration(pr.n(4)), func() bool { return *t })
+			quiet(fmt.Sprintf("hitter%d", i), pl, Duration(pr.n(5)), 1+pr.n(4), noUntil)
+		}
+		sp := pr.fork()
+		e.Spawn("setter", func(p *Proc) {
+			for k, n := 0, 2+sp.n(5); k < n; k++ {
+				p.Sleep(Duration(5 + sp.n(60)))
+				if f := sp.n(len(flags) + 1); f < len(flags) {
+					flags[f] = true
+				} else {
+					takes[sp.n(2)] = sp.n(2) == 0
+				}
+				w.log.rec(p, "set")
+			}
+		})
+	}
+	if shapes&untilTicks != 0 {
+		pr := sr.fork()
+		for i, n := 0, 2+pr.n(3); i < n; i++ {
+			pl := constGap(len(flags), Duration(1+pr.n(4)), Duration(pr.n(4)), never)
+			ur := pr.fork()
+			quiet(fmt.Sprintf("until%d", i), pl, Duration(pr.n(5)), 1+pr.n(4), func(p *Proc) Time {
+				return p.Now().Add(Duration(1 + ur.n(60)))
+			})
+		}
+	}
+	if shapes&cutoffInHorizon != 0 {
+		pr := sr.fork()
+		for i, n := 0, 2+pr.n(3); i < n; i++ {
+			pl := constGap(len(flags), Duration(1+pr.n(4)), Duration(pr.n(4)), never)
+			quiet(fmt.Sprintf("endless%d", i), pl, Duration(pr.n(5)), 1, noUntil)
+		}
+	}
+
 	// A poller nobody answers polls for ever; the deadline ends the run of an
 	// engine that lost count.
 	e.MaxEvents, e.Deadline = 1500, 5000
@@ -349,6 +474,13 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			w.log.rec(p, "stop")
 			e.Stop()
 		})
+	}
+	if shapes&cutoffInHorizon != 0 {
+		if sr.n(2) == 0 {
+			e.MaxEvents = uint64(20 + sr.n(400))
+		} else {
+			e.Deadline = Time(20 + sr.n(300))
+		}
 	}
 
 	err := e.Run()
@@ -370,7 +502,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		w.err += err.Error()
 	}
 	w.events, w.maxq, w.qlen, w.now, w.pollTicks = e.Events(), e.MaxQueueLen(), e.QueueLen(), e.Now(), e.PollTicks()
-	w.pollAsks = e.PollAsks()
+	w.pollAsks, w.ahead = e.PollAsks(), e.aheadWakes
 	e.Shutdown()
 	return w
 }
@@ -416,33 +548,40 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 // Proc.Poll against the loop it is defined as, over generated worlds: the
 // same deliveries (process, time, reason) in the same order, the same Events,
 // MaxQueueLen, QueueLen, Now and Run error, Gap called as often (per poll
-// and in all), Tick and Hit asked no more often, and PollTicks counting
-// exactly the instants the loop's process only passed through. Each named
-// world forces one shape on every seed, where a memo of the answers that
-// outlived its run would show.
+// and in all, misses accounted at once by Misses included), Tick and Hit
+// asked no more often, and PollTicks counting exactly the instants the loop's
+// process only passed through. Each named world forces one shape on every
+// seed: where a memo of the answers that outlived its run would show, and
+// where Engine.ahead answers several parked polls at once.
 func TestPollEquivalence(t *testing.T) {
+	// atLeast scales a floor set for the full number of seeds.
+	atLeast := func(floor, seeds, full int) uint64 { return uint64(floor * seeds / full) }
 	for _, ws := range worldShapes {
 		t.Run(ws.name, func(t *testing.T) {
-			var saved uint64
+			var saved, ahead uint64
 			resumed := 0
-			for seed := uint64(0); seed < 300; seed++ {
+			for seed := uint64(0); seed < namedSeeds; seed++ {
 				w, loop := checkPollWorld(t, seed, ws.shape)
 				saved += loop.asks - w.asks
+				ahead += w.ahead
 				if w.resumed {
 					resumed++
 				}
 			}
-			if saved < 5_000 || (ws.shape == resumedRun && resumed < 200) {
-				t.Errorf("300 worlds saved %d questions and resumed %d runs: the generator has gone soft", saved, resumed)
+			if saved < atLeast(5_000, namedSeeds, 300) || (ws.shape == resumedRun && uint64(resumed) < atLeast(200, namedSeeds, 300)) ||
+				(ws.shape >= steadyPollers && ahead < atLeast(1_000, namedSeeds, 300)) {
+				t.Errorf("%d worlds saved %d questions, resumed %d runs and answered %d wakes ahead: the generator has gone soft",
+					namedSeeds, saved, resumed, ahead)
 			}
 		})
 	}
-	var ticks, costed uint64
+	var ticks, costed, ahead uint64
 	var byUntil, byTake, deadlines, limits, clean int
-	for seed := uint64(0); seed < 1000; seed++ {
+	for seed := uint64(0); seed < sweepSeeds; seed++ {
 		w, loop := checkPollWorld(t, seed, 0)
 		ticks += w.pollTicks
 		costed += loop.answeredCosted
+		ahead += w.ahead
 		byUntil += w.byUntil
 		byTake += w.byTake
 		switch {
@@ -454,17 +593,21 @@ func TestPollEquivalence(t *testing.T) {
 			clean++
 		}
 	}
-	t.Logf("ticks=%d costed=%d byUntil=%d byTake=%d deadlines=%d limits=%d clean=%d", ticks, costed, byUntil, byTake, deadlines, limits, clean)
+	t.Logf("ticks=%d costed=%d ahead=%d byUntil=%d byTake=%d deadlines=%d limits=%d clean=%d", ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
 	// The generator must keep reaching what the comparison is about.
-	if ticks < 50_000 || costed < 20_000 || byUntil < 300 || byTake < 300 || deadlines < 100 || limits < 100 || clean < 100 {
-		t.Errorf("1000 worlds had %d engine-answered wakes (%d of polls that cost), %d polls ended by until, %d by a tick the process took, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
-			ticks, costed, byUntil, byTake, deadlines, limits, clean)
+	floor := func(n int) uint64 { return atLeast(n, sweepSeeds, 1000) }
+	if ticks < floor(50_000) || costed < floor(20_000) || ahead < floor(20_000) || uint64(byUntil) < floor(300) || uint64(byTake) < floor(300) ||
+		uint64(deadlines) < floor(100) || uint64(limits) < floor(100) || uint64(clean) < floor(100) {
+		t.Errorf("%d worlds had %d engine-answered wakes (%d of polls that cost, %d ahead), %d polls ended by until, %d by a tick the process took, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
+			sweepSeeds, ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
 	}
 }
 
 func FuzzPollEquivalence(f *testing.F) {
 	// The last four are worlds of polls that cost, where a tick the process
-	// takes ends a poll more than once. The seed draws the world's shapes.
+	// takes ends a poll more than once. The seed draws the world's shapes,
+	// the horizon worlds among them: steady pollers, tied pollers, a hit in
+	// a horizon, until ticks, a cut-off in a horizon.
 	for _, seed := range []uint64{0, 1, 7, 31, 1 << 40, 1007, 1021, 1195, 1234} {
 		f.Add(seed)
 	}

@@ -2,6 +2,7 @@ package veos
 
 import (
 	"fmt"
+	"math"
 
 	"hamoffload/internal/dma"
 	"hamoffload/internal/simtime"
@@ -57,6 +58,11 @@ func (w *waitPoll) Hit() bool { return w.done.Fired() }
 //
 //hot:path
 func (w *waitPoll) Gap() simtime.Duration { return w.pollGap }
+
+// Misses implements simtime.Poller: the gap is constant.
+//
+//hot:path
+func (w *waitPoll) Misses(int64) (simtime.Duration, int64) { return w.pollGap, math.MaxInt64 }
 
 // cmdPoll is workerLoop's idle loop in the same form: every back-off gap, is
 // there a command to run or a reason to stop?

@@ -216,12 +216,21 @@ type Process struct {
 	libs  map[string]Library
 	ctxs  []*Context
 	model vecore.Model
+	rt    any // the VE-side runtime's state (SetRuntime)
 
 	syscalls int64
 }
 
 // Card returns the card the process runs on.
 func (vp *Process) Card() *Card { return vp.card }
+
+// SetRuntime keeps v with the process: the state of the runtime its program
+// runs (ring's target backend). It lives as long as the process does, and no
+// longer than the caller keeps it: nothing else refers to it.
+func (vp *Process) SetRuntime(v any) { vp.rt = v }
+
+// Runtime returns what SetRuntime last kept with the process, or nil.
+func (vp *Process) Runtime() any { return vp.rt }
 
 // Model returns the process's VE execution cost model.
 func (vp *Process) Model() vecore.Model { return vp.model }
