@@ -22,12 +22,6 @@ import (
 // the ones registered and not yet destroyed.
 var targets atomic.Int64
 
-// hasTarget reports whether vp holds a registered target backend.
-func hasTarget(vp *veos.Process) bool {
-	_, ok := targetOf(vp)
-	return ok
-}
-
 // targetOf returns the target backend registered for vp.
 func targetOf(vp *veos.Process) (*Target, bool) {
 	t, ok := vp.Runtime().(*Target)
@@ -45,7 +39,7 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
 	t.cpu = ctx
-	if !hasTarget(vp) {
+	if vp.Runtime() == nil {
 		targets.Add(1)
 	}
 	vp.SetRuntime(t)
@@ -151,7 +145,7 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 // it reaps whatever is left so the card can boot a fresh process; the error
 // then only says a crash had already taken the process.
 func (v VE) Destroy() error {
-	if vp := v.Proc.Process(); hasTarget(vp) {
+	if vp := v.Proc.Process(); vp.Runtime() != nil {
 		vp.SetRuntime(nil)
 		targets.Add(-1)
 	}

@@ -91,7 +91,7 @@ func (q *eventQueue) pop() event {
 	h[n] = event{} // release the waiter reference
 	h = h[:n]
 	*q = h
-	for i := 0; ; {
+	for i := 0; ; { // down(0), kept inline on the engine's hottest path
 		c := 2*i + 1
 		if c >= n {
 			break
@@ -108,24 +108,28 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
+// down sifts entry i down to its place.
+func (q eventQueue) down(i int) {
+	for n := len(q); ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+}
+
 // heapify restores the heap order after entries were changed in place.
 func (q eventQueue) heapify() {
-	n := len(q)
-	for i := n/2 - 1; i >= 0; i-- {
-		for j := i; ; {
-			c := 2*j + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && q.less(r, c) {
-				c = r
-			}
-			if !q.less(c, j) {
-				break
-			}
-			q[j], q[c] = q[c], q[j]
-			j = c
-		}
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
 }
 

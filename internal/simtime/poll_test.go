@@ -144,7 +144,6 @@ type pollWorld struct {
 	pollAsks                 uint64 // Engine.PollAsks
 	byUntil, byTake          int    // polls that until, or a tick the process took, ended
 	resumed                  bool   // Run was called again after a cut-off
-	shapes                   worldShape
 	ahead                    uint64 // wakes Engine.ahead answered
 }
 
@@ -223,7 +222,6 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	// without them is the world it always was; each is in one world of four.
 	sr := rng(seed ^ 0x5ca1ab1e)
 	shapes := force | worldShape(sr.n(allShapes+1)&sr.n(allShapes+1))
-	w.shapes = shapes
 	var flags [3]bool
 	var takes [2]bool
 	q := NewQueue[int](e, "q")
