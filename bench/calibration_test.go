@@ -121,8 +121,6 @@ func TestCalibration(t *testing.T) {
 		{"lhm-per-word-x3", func(t *topology.Timing) { t.LHMPerWord *= 3 }, "peak LHM VH=>VE", "§V-B Table IV"},
 		{"upi-latency-x0", func(t *topology.Timing) { t.UPILatency = 0 }, "socket-1 penalty, HAM-DMA", "§V-A"},
 	} {
-		// Sequential: ring's registry of VE targets is one map per process,
-		// so two machines must not run at once.
 		t.Run(m.name, func(t *testing.T) {
 			readings, err := measureAnchors(machine.World{}.Tuned(m.tune), Fig9Config{Reps: 20},
 				Fig10Config{MaxSize: (64 * units.MiB).Int64(), Reps: 1})

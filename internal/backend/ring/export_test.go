@@ -1,7 +1,12 @@
 package ring
 
-// Registered reports how many VE processes currently hold target state.
-func Registered() int { return int(targets.Load()) }
+import "hamoffload/internal/veos"
+
+// Registered reports whether vp holds target state.
+func Registered(vp *veos.Process) bool {
+	_, ok := targetOf(vp)
+	return ok
+}
 
 // ParkedHandles counts the released handles on h's free list.
 func ParkedHandles(h *Host) int {

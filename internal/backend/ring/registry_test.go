@@ -9,6 +9,7 @@ import (
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
+	"hamoffload/internal/veos"
 	"hamoffload/machine"
 	"hamoffload/offload"
 )
@@ -20,15 +21,37 @@ var regEcho = offload.NewFunc1[int64]("ring.registry_echo",
 		return v, nil
 	})
 
+// veProcs returns the VE processes running on the machines' cards.
+func veProcs(ms ...*machine.Machine) []*veos.Process {
+	var procs []*veos.Process
+	for _, m := range ms {
+		for _, c := range m.Cards {
+			if vp := c.Process(); vp != nil {
+				procs = append(procs, vp)
+			}
+		}
+	}
+	return procs
+}
+
+// registered counts the processes that hold target state.
+func registered(procs []*veos.Process) int {
+	n := 0
+	for _, vp := range procs {
+		if ring.Registered(vp) {
+			n++
+		}
+	}
+	return n
+}
+
 // Target state must not outlive its VE process: every machine a process ever
 // builds would otherwise stay reachable — cards, simulated memories and all —
-// through the registry. Build and close several, over both protocols and the
-// cluster backend (whose remote dmab instances close behind a proxy), crash
-// and recover a VE on the way, and find the registry empty.
+// through it. Build and close several, over both protocols and the cluster
+// backend (whose remote dmab instances close behind a proxy), crash and
+// recover a VE on the way, and find that no process the machines ran holds
+// target state.
 func TestRegistryEmptyAfterClose(t *testing.T) {
-	if n := ring.Registered(); n != 0 {
-		t.Fatalf("%d target states registered before any machine was built", n)
-	}
 	connects := map[string]func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error){
 		"veo": func(p *machine.Proc, m *machine.Machine) (*offload.Runtime, error) {
 			return machine.ConnectVEO(p, m, machine.ProtocolOptions{})
@@ -43,13 +66,15 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var ran []*veos.Process
 			err = m.RunMain(func(p *machine.Proc) error {
 				rt, err := connect(p, m)
 				if err != nil {
 					return err
 				}
-				if n := ring.Registered(); n != 2 {
-					t.Errorf("%s: %d target states for 2 running VE processes", name, n)
+				ran = veProcs(m)
+				if n := registered(ran); n != 2 || len(ran) != 2 {
+					t.Errorf("%s: %d target states for %d running VE processes, want 2", name, n, len(ran))
 				}
 				if _, err := offload.Sync(rt, 2, regEcho.Bind(7)); err != nil {
 					return err
@@ -68,13 +93,20 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 				}
 				// A crashed process takes its state with it when RecoverNode
 				// reaps it; the replacement registers afresh.
+				crashed := m.Cards[0].Process()
 				m.Cards[0].Kill()
 				if err := rt.RecoverNode(1); err != nil {
 					return err
 				}
-				if n := ring.Registered(); n != 2 {
-					t.Errorf("%s: %d target states after recovery, want 2", name, n)
+				if ring.Registered(crashed) {
+					t.Errorf("%s: the crashed process keeps its target state after recovery", name)
 				}
+				now := veProcs(m)
+				if len(now) != 2 || now[0] == crashed || registered(now) != 2 {
+					return fmt.Errorf("after recovery: %d target states for %d VE processes, want 2 with a fresh one on VE 0",
+						registered(now), len(now))
+				}
+				ran = append(ran, now[0])
 				if v, err := offload.Sync(rt, 1, regEcho.Bind(9)); err != nil || v != 9 {
 					t.Errorf("%s: offload after recovery = %d, %v", name, v, err)
 				}
@@ -83,8 +115,8 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			if n := ring.Registered(); n != 0 {
-				t.Fatalf("%s round %d: %d target states outlive their machine", name, round, n)
+			if n := registered(ran); n != 0 {
+				t.Fatalf("%s round %d: %d target states outlive their processes", name, round, n)
 			}
 		}
 	}
@@ -93,27 +125,29 @@ func TestRegistryEmptyAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ran []*veos.Process
 	err = c.RunMain(func(p *machine.Proc) error {
 		rt, err := machine.ConnectCluster(p, c, machine.ProtocolOptions{})
 		if err != nil {
 			return err
 		}
-		if n := ring.Registered(); n != 2 {
-			t.Errorf("cluster: %d target states for 2 running VE processes", n)
+		ran = veProcs(c.Nodes...)
+		if n := registered(ran); n != 2 || len(ran) != 2 {
+			t.Errorf("cluster: %d target states for %d running VE processes, want 2", n, len(ran))
 		}
 		return rt.Finalize()
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	if n := ring.Registered(); n != 0 {
-		t.Fatalf("cluster: %d target states outlive their machines", n)
+	if n := registered(ran); n != 0 {
+		t.Fatalf("cluster: %d target states outlive their processes", n)
 	}
 }
 
 // Machines share no target state: a dmab and a veob machine connect, offload
 // and close at once, each from a goroutine of its own (under -race, a shared
-// registry of VE targets shows here), and leave nothing registered.
+// registry of VE targets shows here), and no process either ran keeps any.
 func TestParallelMachinesConnect(t *testing.T) {
 	connects := map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
 		"dma": machine.ConnectDMA, "veo": machine.ConnectVEO,
@@ -124,6 +158,7 @@ func TestParallelMachinesConnect(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ran []*veos.Process
 			m, err := machine.New(machine.Config{VEs: 2})
 			if err == nil {
 				err = m.RunMain(func(p *machine.Proc) error {
@@ -131,6 +166,7 @@ func TestParallelMachinesConnect(t *testing.T) {
 					if err != nil {
 						return err
 					}
+					ran = veProcs(m)
 					for node := offload.NodeID(1); node <= 2; node++ {
 						if v, err := offload.Sync(rt, node, regEcho.Bind(int64(10*node))); err != nil || v != int64(10*node) {
 							return fmt.Errorf("offload to node %d = %d, %v", node, v, err)
@@ -138,6 +174,9 @@ func TestParallelMachinesConnect(t *testing.T) {
 					}
 					return rt.Finalize()
 				})
+			}
+			if n := registered(ran); err == nil && (len(ran) != 2 || n != 0) {
+				err = fmt.Errorf("%d target states outlive %d VE processes", n, len(ran))
 			}
 			if err != nil {
 				errs <- fmt.Errorf("%s: %w", name, err)
@@ -148,9 +187,6 @@ func TestParallelMachinesConnect(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if n := ring.Registered(); n != 0 {
-		t.Errorf("%d target states outlive their machines", n)
 	}
 }
 

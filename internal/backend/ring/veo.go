@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
@@ -18,9 +17,7 @@ import (
 // The target backend of a running VE process is kept with the process
 // (veos.Process.SetRuntime): Register puts it there from the init kernel, and
 // VE.Destroy, the only place a ring process dies, takes it away. So machines
-// share no target state, whichever goroutines run them, and targets counts
-// the ones registered and not yet destroyed.
-var targets atomic.Int64
+// share no target state, whichever goroutines run them.
 
 // targetOf returns the target backend registered for vp.
 func targetOf(vp *veos.Process) (*Target, bool) {
@@ -39,9 +36,6 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
 	t.cpu = ctx
-	if vp.Runtime() == nil {
-		targets.Add(1)
-	}
 	vp.SetRuntime(t)
 }
 
@@ -145,10 +139,7 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 // it reaps whatever is left so the card can boot a fresh process; the error
 // then only says a crash had already taken the process.
 func (v VE) Destroy() error {
-	if vp := v.Proc.Process(); vp.Runtime() != nil {
-		vp.SetRuntime(nil)
-		targets.Add(-1)
-	}
+	v.Proc.Process().SetRuntime(nil)
 	return v.Proc.Destroy(v.P)
 }
 

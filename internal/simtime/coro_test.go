@@ -498,6 +498,7 @@ func TestPanicInProcessIsRunsError(t *testing.T) {
 // the goroutine that called Run: Run does not return, its caller's deferred
 // calls run, and the engine can still be shut down from there.
 func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
 	var procUnwound, runReturned, bystanderUnwound bool
 	e.Spawn("bystander", func(p *Proc) {
@@ -517,6 +518,14 @@ func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
 		runReturned = true
 	}()
 	<-done
+	// The caller's goroutine still has to exit after close(done); wait for it,
+	// so that no goroutine of this test is left for the next one to count.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("NumGoroutine = %d after Run's caller exited, want the pre-engine %d", after, before)
+	}
 	if !procUnwound || !bystanderUnwound {
 		t.Errorf("deferred calls: quitter %v, bystander (via the caller's deferred Shutdown) %v, want both", procUnwound, bystanderUnwound)
 	}

@@ -230,7 +230,9 @@ func (e *Engine) skips(w *waiter, next Time, tick bool, maxEvents uint64) bool {
 }
 
 // maxLanes bounds how many parked polls ahead answers at once; beside more,
-// their wakes go one at a time.
+// their wakes go one at a time, and ahead returns before asking any Poller.
+// The most bench/perf's workloads park at once is 9: eight VE serve loops and
+// the host's wait.
 const maxLanes = 16
 
 // passes reports whether w's memo holds, from this run, the answers its next
@@ -264,21 +266,23 @@ type lane struct {
 	stop, n int64
 }
 
-// plan fills in l's pattern from w's memo and Poller, and its stop: the first
-// wake that delivers (a hit, a tick the process takes, the until tick), that
-// asks a question this run has not answered, or whose miss gets another gap.
+// plan fills in l's pattern from its waiter's memo and Poller, and its stop:
+// the first wake that delivers (a hit, a tick the process takes, the until
+// tick), that asks a question this run has not answered, or whose miss gets
+// another gap. It reports whether there is such a wake.
 //
 //hot:path
-func (l *lane) plan(w *waiter, run uint64) {
-	l.w, l.end, l.cost, l.stop = w, w.issued, w.cost, math.MaxInt64
+func (l *lane) plan(run uint64) bool {
+	w := l.w
+	l.end, l.cost, l.stop = w.issued, w.cost, math.MaxInt64
 	if !w.passes(run) {
 		l.stop = 0
-		return
+		return true
 	}
 	g, steady := w.poll.Misses(0)
 	if l.gap = g; g <= 0 {
 		l.stop = 0
-		return
+		return true
 	}
 	p := l.period()
 	if steady < math.MaxInt64/4 { // the miss after steady ones gets another gap
@@ -301,6 +305,7 @@ func (l *lane) plan(w *waiter, run uint64) {
 			l.stop = min(l.stop, 2*ceilDiv(u.Sub(l.at), p))
 		}
 	}
+	return l.stop != math.MaxInt64
 }
 
 // period is the time from a wake to the next of its kind, and first the time
@@ -416,8 +421,7 @@ func (e *Engine) ahead(w *waiter, next Time, maxEvents uint64) bool {
 	}
 	base := e.seq + 1 // w's seq, as schedule would number it
 	lanes := &e.lanes
-	lanes[0] = lane{heap: -1, at: next, seq: base}
-	lanes[0].plan(w, run)
+	lanes[0] = lane{w: w, heap: -1, at: next, seq: base}
 	horizon := Time(math.MaxInt64)
 	if e.Deadline != 0 {
 		horizon = e.Deadline + 1
@@ -432,13 +436,12 @@ func (e *Engine) ahead(w *waiter, next Time, maxEvents uint64) bool {
 		case n == maxLanes:
 			return false
 		default:
-			lanes[n] = lane{heap: i, at: ev.at, seq: ev.seq}
-			lanes[n].plan(ev.w, run)
+			lanes[n] = lane{w: ev.w, heap: i, at: ev.at, seq: ev.seq}
 			n++
 		}
 	}
 	for i := range n {
-		if l := &lanes[i]; l.stop != math.MaxInt64 {
+		if l := &lanes[i]; l.plan(run) {
 			horizon = min(horizon, l.time(l.stop))
 		}
 	}

@@ -552,13 +552,11 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 // seed: where a memo of the answers that outlived its run would show, and
 // where Engine.ahead answers several parked polls at once.
 func TestPollEquivalence(t *testing.T) {
-	// atLeast scales a floor set for the full number of seeds.
-	atLeast := func(floor, seeds, full int) uint64 { return uint64(floor * seeds / full) }
 	for _, ws := range worldShapes {
 		t.Run(ws.name, func(t *testing.T) {
 			var saved, ahead uint64
 			resumed := 0
-			for seed := uint64(0); seed < namedSeeds; seed++ {
+			for seed := uint64(0); seed < 300; seed++ {
 				w, loop := checkPollWorld(t, seed, ws.shape)
 				saved += loop.asks - w.asks
 				ahead += w.ahead
@@ -566,16 +564,14 @@ func TestPollEquivalence(t *testing.T) {
 					resumed++
 				}
 			}
-			if saved < atLeast(5_000, namedSeeds, 300) || (ws.shape == resumedRun && uint64(resumed) < atLeast(200, namedSeeds, 300)) ||
-				(ws.shape >= steadyPollers && ahead < atLeast(1_000, namedSeeds, 300)) {
-				t.Errorf("%d worlds saved %d questions, resumed %d runs and answered %d wakes ahead: the generator has gone soft",
-					namedSeeds, saved, resumed, ahead)
+			if saved < 5_000 || (ws.shape == resumedRun && resumed < 200) || (ws.shape >= steadyPollers && ahead < 1_000) {
+				t.Errorf("300 worlds saved %d questions, resumed %d runs and answered %d wakes ahead: the generator has gone soft", saved, resumed, ahead)
 			}
 		})
 	}
 	var ticks, costed, ahead uint64
 	var byUntil, byTake, deadlines, limits, clean int
-	for seed := uint64(0); seed < sweepSeeds; seed++ {
+	for seed := uint64(0); seed < 1000; seed++ {
 		w, loop := checkPollWorld(t, seed, 0)
 		ticks += w.pollTicks
 		costed += loop.answeredCosted
@@ -593,11 +589,9 @@ func TestPollEquivalence(t *testing.T) {
 	}
 	t.Logf("ticks=%d costed=%d ahead=%d byUntil=%d byTake=%d deadlines=%d limits=%d clean=%d", ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
 	// The generator must keep reaching what the comparison is about.
-	floor := func(n int) uint64 { return atLeast(n, sweepSeeds, 1000) }
-	if ticks < floor(50_000) || costed < floor(20_000) || ahead < floor(20_000) || uint64(byUntil) < floor(300) || uint64(byTake) < floor(300) ||
-		uint64(deadlines) < floor(100) || uint64(limits) < floor(100) || uint64(clean) < floor(100) {
-		t.Errorf("%d worlds had %d engine-answered wakes (%d of polls that cost, %d ahead), %d polls ended by until, %d by a tick the process took, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
-			sweepSeeds, ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
+	if ticks < 50_000 || costed < 20_000 || ahead < 20_000 || byUntil < 300 || byTake < 300 || deadlines < 100 || limits < 100 || clean < 100 {
+		t.Errorf("1000 worlds had %d engine-answered wakes (%d of polls that cost, %d ahead), %d polls ended by until, %d by a tick the process took, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
+			ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
 	}
 }
 

@@ -2,11 +2,6 @@
 
 package simtime
 
-// How many short-lived processes TestFinishedProcsLeaveLiveSet spawns, how
-// many seeds TestPollEquivalence forces each named world on, and how many
-// worlds its sweep draws.
-const (
-	finishedSpawns = 100_000
-	namedSeeds     = 300
-	sweepSeeds     = 1000
-)
+// finishedSpawns is how many short-lived processes
+// TestFinishedProcsLeaveLiveSet spawns.
+const finishedSpawns = 100_000

@@ -2,12 +2,9 @@
 
 package simtime
 
-// Under the race detector every coroutine a test starts keeps ~11 KB for the
-// rest of the test binary, and `go test -race -count=10` runs ten times what
-// one run starts: at the full scale that is more memory than a small machine
-// has. A tenth of the processes and of the worlds still reaches every path.
-const (
-	finishedSpawns = 2_000
-	namedSeeds     = 30
-	sweepSeeds     = 100
-)
+// Under the race detector a finished coroutine keeps its race-detector state
+// (~5 KB) for the rest of the test binary: iter.Pull's coroutine exits
+// without ending its goroutine there. 100 000 spawns, ten times over with
+// -count=10, are more memory than a small machine has; 2 000 still fill and
+// drain the live list.
+const finishedSpawns = 2_000
