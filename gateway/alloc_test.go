@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"hamoffload/internal/core"
 	"hamoffload/machine"
@@ -113,6 +114,19 @@ func TestServedRequestAllocs(t *testing.T) {
 	})
 }
 
+// TestTicketAllocSize pins the ticket — the one object a served request
+// allocates — at 224 B, a Go size class of its own: the next class up is
+// 240 B, so a field added later is a step in serve-peak's bytes per
+// request, not a rounding nobody sees. The future it embeds is 72 B.
+func TestTicketAllocSize(t *testing.T) {
+	if got := unsafe.Sizeof(Ticket[int64]{}); got != 224 {
+		t.Errorf("Ticket[int64] is %d B, want 224", got)
+	}
+	if got := unsafe.Sizeof(core.Future[int64]{}); got != 72 {
+		t.Errorf("core.Future[int64] is %d B, want 72", got)
+	}
+}
+
 // TestStealLeavesNoTicketBehind: after a steal, the victim's backing arrays
 // hold a ticket only where the victim still queues it. A pointer left past
 // len (or before head) would keep a settled ticket and its future alive
@@ -139,7 +153,7 @@ func TestStealLeavesNoTicketBehind(t *testing.T) {
 						case !live && tk != nil:
 							t.Fatalf("%s: VE %d: storage slot %d (head %d, len %d, cap %d) still holds a ticket",
 								when, vi, i, q.head, len(q.items), len(storage))
-						case live && tk.vi != vi:
+						case live && int(tk.vi) != vi:
 							t.Fatalf("%s: VE %d queues a ticket homed on VE %d", when, vi, tk.vi)
 						case live && queued[tk]:
 							t.Fatalf("%s: a ticket is queued twice", when)

@@ -194,10 +194,10 @@ func (c Config) withDefaults() Config {
 type Ticket[R any] struct {
 	Tenant int
 	Class  Class
+	vi     int32 // index into the gateway's node list; beside Class, in its padding
 
 	g      *Gateway[R]
 	fn     core.Functor[R]
-	vi     int // index into the gateway's node list
 	arrive simtime.Time
 	lat    simtime.Duration
 	fut    core.Future[R]
@@ -466,7 +466,7 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 		g.backlog[i] = g.queues[i].len() + g.inflight[i]
 	}
 	vi := g.cfg.Placement.Pick(int(g.submitted), g.nodes, g.backlog)
-	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, fn: fn, vi: vi, arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
+	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, fn: fn, vi: int32(vi), arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
 	g.queues[vi].push(tk)
 	g.queued++
 	g.queuedByClass[class]++
@@ -556,7 +556,7 @@ func (g *Gateway[R]) steal(vi int) bool {
 // straight from one backing array to the other.
 func (g *Gateway[R]) moveTail(from *fifo[R], k, vi int) {
 	for _, tk := range from.tail(k) {
-		tk.vi = vi
+		tk.vi = int32(vi)
 		g.queues[vi].push(tk)
 	}
 	from.dropTail(k)

@@ -129,6 +129,47 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	}
 }
 
+// countHook counts its settlements.
+type countHook struct{ n int }
+
+func (h *countHook) FutureSettled() { h.n++ }
+
+// TestChainedOnSettleZeroAlloc: a second settle hook on a future that
+// already has one — the scheduler's taskHook, then the caller's OnSettle —
+// chains through a node of the runtime's free list, so once warm the
+// registration, the settle and both hooks allocate nothing.
+func TestChainedOnSettleZeroAlloc(t *testing.T) {
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-chain-t")
+	tbk.target = target
+	host := NewRuntime(&allocBackend{target: target}, "alloc-arch-chain-h")
+
+	fn := fnAllocInc.Bind(41)
+	f := new(Future[int64])
+	first, calls := &countHook{}, 0
+	then := func() { calls++ }
+	var gotV int64
+	var gotErr error
+	cycle := func() {
+		*f = Future[int64]{}
+		Issue(host, nil, 1, &fn, f)
+		f.OnSettleHook(first)
+		f.OnSettle(then)
+		gotV, gotErr = f.Get()
+	}
+	cycle() // takes the chain node the runs below recycle
+	allocs := testing.AllocsPerRun(100, cycle)
+	if gotErr != nil || gotV != 42 {
+		t.Fatalf("result = %d, %v; want 42, nil", gotV, gotErr)
+	}
+	if first.n != 102 || calls != 102 {
+		t.Fatalf("hooks ran %d and %d times over 102 settles", first.n, calls)
+	}
+	if allocs != 0 {
+		t.Errorf("a chained OnSettle allocates %.1f objects per future, want 0", allocs)
+	}
+}
+
 // requestWire encodes fn's request message on rt, as an offload of it does.
 func requestWire[R any](t *testing.T, rt *Runtime, fn Functor[R]) []byte {
 	t.Helper()

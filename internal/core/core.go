@@ -204,14 +204,17 @@ type Runtime struct {
 	// nested frames fall back to fresh buffers); subsScratch backs batch
 	// frame splitting the same way; freeCall heads the free list of completed
 	// calls, one per wire message that was ever in flight at once, and
-	// openCalls counts the calls taken and not yet back on it; raw is the
-	// sink Sync and callSync resolve into.
+	// openCalls counts the calls taken and not yet back on it; freeHook
+	// heads the free list of settle-hook chain nodes, one per future that
+	// ever held two hooks at once; raw is the sink Sync and callSync resolve
+	// into.
 	ctx          Ctx
 	respDec      ham.Decoder
 	batchScratch []byte
 	subsScratch  [][]byte
 	freeCall     *call
 	openCalls    int
+	freeHook     *hookChain
 	raw          rawSink
 }
 

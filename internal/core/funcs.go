@@ -201,12 +201,16 @@ func bound(e *ham.Encoder) boundArgs {
 // at one address until it settles: into b's open frame when b is non-nil
 // and the runtime batches, as a wire message of its own otherwise. It is
 // the one issue path: Async and BatchAdd issue into a new Future, the
-// gateway into the future its ticket embeds, the scheduler into a slab. The
-// offload lifecycle span opens here and closes when f settles.
+// gateway into the future its ticket embeds, the scheduler into a slab.
+// With a tracer attached the offload lifecycle span opens here, and its
+// closer is f's first settle hook.
 //
 //hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
-	f.rt, f.decode, f.onDone = rt, fn.decode, rt.beginOffload(node, fn.name)
+	f.rt, f.decode = rt, fn.decode
+	if rt.tr != nil {
+		f.hook = hookFunc(rt.beginOffload(node, fn.name))
+	}
 	if b == nil || !rt.batch.Enabled() {
 		f.c = rt.callAsync(node, fn.name, fn.args.bytes(), f)
 		return

@@ -10,11 +10,11 @@ type Future[T any] struct {
 	c      *call // the wire message carrying this offload; shared by a frame's futures
 	decode func(*ham.Decoder) (T, error)
 
-	// onDone, when set, fires exactly once as the future settles or fails;
-	// the runtime uses it to close the offload lifecycle span. hook runs
-	// right after it: the settle hooks callers registered, in order.
-	onDone func()
-	hook   SettleHook
+	// hook fires exactly once as the future settles or fails: the one hook
+	// registered, or a chain of them (hookChain), run in registration
+	// order. With a tracer attached, Issue registers the closer of the
+	// offload lifecycle span first.
+	hook SettleHook
 
 	done bool
 	val  T
@@ -55,13 +55,37 @@ type hookFunc func()
 
 func (fn hookFunc) FutureSettled() { fn() }
 
-// hookPair chains a later hook behind an earlier one. Only a future with
-// more than one hook pays for it.
-type hookPair struct{ first, then SettleHook }
+// hookChain chains a later hook behind an earlier one (itself a chain when
+// the future has more than two). Chain nodes cycle through the runtime's
+// free list (Runtime.freeHook): a node is cleared and put back only after
+// both of its hooks ran, so a hook that registers another one, on any
+// future, never gets the node it is running from.
+type hookChain struct {
+	rt          *Runtime
+	first, then SettleHook
+	next        *hookChain // the free list's link
+}
 
-func (p *hookPair) FutureSettled() {
-	p.first.FutureSettled()
-	p.then.FutureSettled()
+// FutureSettled runs both hooks, then recycles the node.
+func (c *hookChain) FutureSettled() {
+	c.first.FutureSettled()
+	c.then.FutureSettled()
+	rt := c.rt
+	*c = hookChain{rt: rt, next: rt.freeHook}
+	rt.freeHook = c
+}
+
+// chainHook returns a chain node running first, then then, from the free
+// list when it holds one.
+func (rt *Runtime) chainHook(first, then SettleHook) *hookChain {
+	c := rt.freeHook
+	if c == nil {
+		c = &hookChain{rt: rt} //lint:allow hotalloc miss of the Runtime.freeHook pool, which recycles chain nodes once their hooks ran
+	} else {
+		rt.freeHook, c.next = c.next, nil
+	}
+	c.first, c.then = first, then
+	return c
 }
 
 // OnSettle registers fn to run once when the future completes, after any
@@ -70,7 +94,8 @@ func (p *hookPair) FutureSettled() {
 func (f *Future[T]) OnSettle(fn func()) { f.OnSettleHook(hookFunc(fn)) }
 
 // OnSettleHook is OnSettle for a SettleHook. Hooks run in registration
-// order.
+// order. A second hook on an issued future chains through a node of the
+// runtime's free list, so a warm registration allocates nothing.
 func (f *Future[T]) OnSettleHook(h SettleHook) {
 	switch {
 	case f.done:
@@ -78,7 +103,7 @@ func (f *Future[T]) OnSettleHook(h SettleHook) {
 	case f.hook == nil:
 		f.hook = h
 	default:
-		f.hook = &hookPair{first: f.hook, then: h} //lint:allow hotalloc a further hook is registration state the future keeps until it settles
+		f.hook = f.rt.chainHook(f.hook, h)
 	}
 }
 
@@ -119,10 +144,6 @@ func (f *Future[T]) settle(resp []byte) {
 }
 
 func (f *Future[T]) fireDone() {
-	if f.onDone != nil {
-		f.onDone()
-		f.onDone = nil
-	}
 	if h := f.hook; h != nil {
 		f.hook = nil
 		h.FutureSettled()

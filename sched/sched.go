@@ -163,6 +163,11 @@ type Scheduler struct {
 	inflight []int
 	issued   int64
 	done     int64
+	// batchers is the free list of MapFutures' batchers: a call takes one
+	// and puts it back once FlushAll has shipped its frames, so the queues,
+	// frame arenas and encoder are built once per scheduler. A call a frame
+	// flush parks keeps its batcher, and a concurrent call takes another.
+	batchers []*core.Batcher
 }
 
 // New builds a scheduler over nodes of rt's application. Every node must
@@ -232,10 +237,10 @@ func (s *Scheduler) place(task int) int {
 // across the scheduler's nodes and returns the futures in task order,
 // without waiting for any of them. Tasks bound for the same node ride the
 // runtime's batch frames when batching is armed. The futures and their
-// settle records live in one slab each, so a call allocates the same
-// handful of objects whatever n is.
+// settle records live in one slab each, and the batcher is the
+// scheduler's, so a call allocates its three slabs whatever n is.
 func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) []*core.Future[R] {
-	b := core.NewBatcher(s.rt)
+	b := s.takeBatcher()
 	obs, _ := s.pol.(settleObserver)
 	slab := make([]core.Future[R], n)
 	hooks := make([]taskHook[R], n)
@@ -254,7 +259,22 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 		futs[task] = f
 	}
 	b.FlushAll()
+	// Not deferred: a call that panics leaves entries queued in b, and no
+	// later call may ship them.
+	s.batchers = append(s.batchers, b)
 	return futs
+}
+
+// takeBatcher returns a batcher from the free list, or a new one when every
+// batcher is out with a call in progress.
+func (s *Scheduler) takeBatcher() *core.Batcher {
+	if k := len(s.batchers) - 1; k >= 0 {
+		b := s.batchers[k]
+		s.batchers[k] = nil
+		s.batchers = s.batchers[:k]
+		return b
+	}
+	return core.NewBatcher(s.rt)
 }
 
 // taskHook is one task's settle record: it returns the task's in-flight

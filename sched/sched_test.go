@@ -109,12 +109,14 @@ func TestNewValidation(t *testing.T) {
 var schedAdd = core.NewFunc2[int64]("sched.test_add",
 	func(_ *core.Ctx, a, b int64) (int64, error) { return a + b, nil })
 
-// TestMapFuturesAllocs: MapFutures keeps a call's futures and their settle
-// records in one slab each, so a wave costs the same handful of objects
-// whatever its size — 512 tasks over two VEs in batch frames of 8 allocate
-// what 64 do. Only the batcher's per-node queues and frame arenas, built per
-// call, are not slabs.
+// TestMapFuturesAllocs: MapFutures keeps a call's futures, their settle
+// records and the pointers it returns in one slab each, and takes its
+// batcher from the scheduler, so a warm wave costs exactly those three
+// objects whatever its size — 64 or 512 tasks over two VEs in batch frames
+// of 8 — and a further settle hook on every future chains through the
+// runtime's free list for nothing.
 func TestMapFuturesAllocs(t *testing.T) {
+	const slabs = 3
 	m, err := machine.New(machine.Config{VEs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +137,15 @@ func TestMapFuturesAllocs(t *testing.T) {
 			fns[task] = schedAdd.Bind(int64(task), 1)
 		}
 		var bad int
-		wave := func(n int) func() {
+		hook := &settleCount{}
+		wave := func(n int, hooked bool) func() {
 			return func() {
 				futs := sched.MapFutures(s, n, func(task int) core.Functor[int64] { return fns[task] })
+				for _, f := range futs {
+					if hooked {
+						f.OnSettleHook(hook)
+					}
+				}
 				for task, f := range futs {
 					if v, err := f.Get(); err != nil || v != int64(task)+1 {
 						bad++
@@ -145,13 +153,19 @@ func TestMapFuturesAllocs(t *testing.T) {
 				}
 			}
 		}
-		wave(512)() // warm the call pool and the ring handles
-		small, large := testing.AllocsPerRun(10, wave(64)), testing.AllocsPerRun(10, wave(512))
-		if large != small || large > 40 {
-			t.Errorf("MapFutures allocates %.0f objects for 64 tasks and %.0f for 512; want the same, at most 40", small, large)
+		wave(512, true)() // warm the call pool, the ring handles, the batcher and the chain nodes
+		for _, hooked := range []bool{false, true} {
+			for _, n := range []int{64, 512} {
+				if got := testing.AllocsPerRun(10, wave(n, hooked)); got != slabs {
+					t.Errorf("MapFutures of %d tasks (further hook %v) allocates %.0f objects, want %d", n, hooked, got, slabs)
+				}
+			}
 		}
 		if bad != 0 || s.Completed() != s.Issued() {
 			t.Errorf("%d wrong results; %d of %d tasks settled", bad, s.Completed(), s.Issued())
+		}
+		if want := int64(512 + 11*(64+512)); hook.n != want {
+			t.Errorf("further hooks ran %d times, want %d", hook.n, want)
 		}
 		return nil
 	})
@@ -159,3 +173,8 @@ func TestMapFuturesAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// settleCount is a settle hook that counts its settlements.
+type settleCount struct{ n int64 }
+
+func (h *settleCount) FutureSettled() { h.n++ }
