@@ -247,12 +247,13 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 }
 
 // QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
-// fault rule can reach it or a tracer records it (dma.Instr.Quiet).
+// fault rule can fire on it or a tracer records it (dma.Instr.Quiet).
 //
 //hot:path
-func (t *veSide) QuietFlag(slot int) (simtime.Duration, bool) {
+func (t *veSide) QuietFlag(slot int, at simtime.Time) (simtime.Duration, bool, simtime.Time) {
 	in := t.kctx.Instr()
-	return in.LoadCost(), in.Quiet(&t.flags[slot])
+	quiet, lapse := in.Quiet(&t.flags[slot], at)
+	return in.LoadCost(), quiet, lapse
 }
 
 // PeekFlag implements ring.TargetTransport.

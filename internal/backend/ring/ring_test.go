@@ -141,8 +141,8 @@ func (f *fake) LoadFlag(slot int) (uint64, error) {
 	return f.recvFlag[slot], nil
 }
 
-func (f *fake) QuietFlag(int) (simtime.Duration, bool) {
-	return f.loadCost, f.loadCost == 0 || f.quiet
+func (f *fake) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Time) {
+	return f.loadCost, f.loadCost == 0 || f.quiet, 0
 }
 
 func (f *fake) PeekFlag(slot int) (uint64, error) { return f.recvFlag[slot], f.always["load"] }

@@ -20,14 +20,17 @@ type TargetTransport interface {
 	// span. Serve issues it on the ticks of its idle poll that QuietFlag
 	// does not leave to the engine.
 	LoadFlag(slot int) (uint64, error)
-	// QuietFlag reports whether LoadFlag(slot), issued now, would do
+	// QuietFlag reports whether LoadFlag(slot), issued at at, would do
 	// nothing but take cost and read the flag word at its end: no fault
-	// rule can match it, no span records it. The engine then issues it in
+	// rule can fire on it, no span records it. The engine then issues it in
 	// Serve's stead (flagPoll) — PeekFlag at its end, CountFlags for the
-	// load. It is a pure read, asked any number of times. cost is zero for
-	// a flag in local memory, which is always quiet: a transport whose cost
-	// is zero once has it zero for good, and Serve then asks no more.
-	QuietFlag(slot int) (cost simtime.Duration, quiet bool)
+	// load. It is a pure read, asked any number of times, and its answer
+	// holds for later loads until something a process does changes it or,
+	// if lapse is not zero, until lapse (a fault window about to open). cost
+	// is zero for a flag in local memory, which is always quiet: a transport
+	// whose cost is zero once has it zero for good, and Serve then asks no
+	// more.
+	QuietFlag(slot int, at simtime.Time) (cost simtime.Duration, quiet bool, lapse simtime.Time)
 	// PeekFlag is a quiet LoadFlag's read alone: the slot's flag word,
 	// taking no time and changing nothing.
 	PeekFlag(slot int) (uint64, error)
@@ -131,16 +134,16 @@ type flagPoll struct {
 // Tick implements simtime.Poller.
 //
 //hot:path
-func (q *flagPoll) Tick() (simtime.Duration, bool) {
+func (q *flagPoll) Tick(at simtime.Time) (simtime.Duration, bool, simtime.Time) {
 	t := q.t
 	if q.s.Done() || !t.alive() {
-		return 0, true
+		return 0, true, 0
 	}
 	if q.free {
-		return 0, false
+		return 0, false, 0
 	}
-	cost, quiet := t.Transport.QuietFlag(q.slot)
-	return cost, !quiet
+	cost, quiet, lapse := t.Transport.QuietFlag(q.slot, at)
+	return cost, !quiet, lapse
 }
 
 // Hit implements simtime.Poller.
@@ -208,7 +211,7 @@ func (t *Target) Serve(s core.Server) error {
 	idle := &t.idle
 	idle.Reset()
 	idle.s = s
-	cost, _ := t.Transport.QuietFlag(0)
+	cost, _, _ := t.Transport.QuietFlag(0, t.p.Now())
 	idle.free = cost == 0
 
 	for !s.Done() {

@@ -208,7 +208,9 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 // no fault site.
 //
 //hot:path
-func (t *veSide) QuietFlag(int) (simtime.Duration, bool) { return 0, true }
+func (t *veSide) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Time) {
+	return 0, true, 0
+}
 
 // PeekFlag implements ring.TargetTransport: the load itself.
 //

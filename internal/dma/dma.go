@@ -340,16 +340,11 @@ type Instr struct {
 	path   pcie.Path
 	loads  int64
 	stores int64
-	// unseen: no fault rule can match the LHM site on this VE (a link-down
-	// rule matches every site, the LHM site included) and no tracer records
-	// a load. Both are fixed for the unit's life (faults.Injector.Armed).
-	unseen bool
 }
 
 // NewInstr creates the instruction unit for one VE core.
 func NewInstr(t topology.Timing, atb *vemem.DMAATB, path pcie.Path) *Instr {
-	return &Instr{timing: t, atb: atb, path: path,
-		unseen: t.Tracer == nil && !t.Faults.Armed(faults.SiteLHM, path.Link.VE())}
+	return &Instr{timing: t, atb: atb, path: path}
 }
 
 // Word is a VEHVA word that an Instr loads again and again (a flag poll),
@@ -422,15 +417,33 @@ func (in *Instr) LoadCost() simtime.Duration {
 	return in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2
 }
 
-// Quiet reports whether LoadWord(w), issued now, would do nothing but take
+// Quiet reports whether LoadWord(w), issued at at, would do nothing but take
 // LoadCost, count the load and read the word at its end: the address
-// translates, no fault rule can match the LHM site on this VE and no tracer
-// records the load. A poll may then leave the load to the engine
+// translates, no tracer records the load, and no fault rule can fire on it
+// (faults.Injector.QuietLoad). A poll may then leave the load to the engine
 // (simtime.Poller) — read it with PeekWord at its end, and count it with
-// CountLoads.
+// CountLoads. If lapse is not zero, a load issued at or after it may not be
+// quiet: the answer lapses one LoadCost before a rule's window opens, since
+// the engine counts a quiet load at its end and a rule inside the window
+// reads the count.
 //
 //hot:path
-func (in *Instr) Quiet(w *Word) bool { return in.resolve(w) && in.unseen }
+func (in *Instr) Quiet(w *Word, at simtime.Time) (quiet bool, lapse simtime.Time) {
+	if !in.resolve(w) || in.timing.Tracer != nil {
+		return false, 0
+	}
+	f := in.timing.Faults
+	if f == nil {
+		return true, 0
+	}
+	if quiet, lapse = f.QuietLoad(at, in.path.Link.VE()); !quiet || lapse == 0 {
+		return quiet, 0
+	}
+	if lapse = lapse.Add(-in.LoadCost()); at >= lapse {
+		return false, 0
+	}
+	return true, lapse
+}
 
 // PeekWord is LoadWord's read alone: no time, no fault site, no count.
 //
@@ -442,10 +455,16 @@ func (in *Instr) PeekWord(w *Word) (uint64, error) {
 	return w.word.Load()
 }
 
-// CountLoads counts n quiet LoadWords that the engine issued.
+// CountLoads counts n quiet LoadWords that the engine issued, and the ops
+// they passed at their fault sites (faults.Injector.CountLoads).
 //
 //hot:path
-func (in *Instr) CountLoads(n int64) { in.loads += n }
+func (in *Instr) CountLoads(n int64) {
+	in.loads += n
+	if f := in.timing.Faults; f != nil {
+		f.CountLoads(in.path.Link.VE(), n)
+	}
+}
 
 // StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
 //

@@ -335,8 +335,9 @@ func TestLoadBytesAllocatesNothing(t *testing.T) {
 }
 
 // A LoadWord is quiet — the engine may issue it as a poll's load — while no
-// fault rule can reach its site on this VE and no tracer records it; a quiet
-// load is LoadCost, PeekWord's word and one CountLoads.
+// fault rule can fire on it and no tracer records it; a quiet load is
+// LoadCost, PeekWord's word and one CountLoads. A rule's window keeps it
+// quiet until one LoadCost before the window opens, and from its end on.
 func TestQuietLoad(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(4096)
@@ -363,31 +364,58 @@ func TestQuietLoad(t *testing.T) {
 	if in.CountLoads(1); in.Loads() != 2 {
 		t.Errorf("Loads = %d after CountLoads(1), want 2", in.Loads())
 	}
-	if unregistered := in.Word(0xdead0000); !in.Quiet(&w) || in.Quiet(&unregistered) {
-		t.Error("a registered word's load is quiet with nothing armed, an unregistered one's never")
+	unregistered := in.Word(0xdead0000)
+	if q, lapse := in.Quiet(&w, 0); !q || lapse != 0 || quiet(in, &unregistered, 0) {
+		t.Error("a registered word's load is quiet for good with nothing armed, an unregistered one's never")
 	}
-	for name, arm := range map[string]func(tm *topology.Timing){
-		"tracer": func(tm *topology.Timing) { tm.Tracer = trace.NewTracer() },
-		"LHM rule on this VE": func(tm *topology.Timing) {
+	const from, until = simtime.Time(10 * simtime.Microsecond), simtime.Time(20 * simtime.Microsecond)
+	window := func(k faults.Kind, s faults.Site) func(tm *topology.Timing) {
+		return func(tm *topology.Timing) {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: k, Site: s, Node: 0, From: from, Until: until}}})
+		}
+	}
+	edge := from.Add(-in.LoadCost())
+	for _, tc := range []struct {
+		name  string
+		arm   func(tm *topology.Timing)
+		at    simtime.Time
+		quiet bool
+		lapse simtime.Time
+	}{
+		{"tracer", func(tm *topology.Timing) { tm.Tracer = trace.NewTracer() }, 0, false, 0},
+		{"LHM rule on this VE", func(tm *topology.Timing) {
 			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Jitter, Site: faults.SiteLHM, Node: 0}}})
-		},
-		"link rule on any VE": func(tm *topology.Timing) {
+		}, 0, false, 0},
+		{"link rule on any VE", func(tm *topology.Timing) {
 			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.LinkDown, Node: faults.AnyNode}}})
-		},
-		"rule on another site": nil,
+		}, 0, false, 0},
+		{"rule on another site", func(tm *topology.Timing) {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0}}})
+		}, 0, true, 0},
+		{"rule that no load passes", func(tm *topology.Timing) {
+			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Crash, Node: 0}}})
+		}, 0, true, 0},
+		{"window ahead", window(faults.SlowDown, faults.SiteAny), 0, true, edge},
+		{"window ahead, last quiet load", window(faults.DMAError, faults.SiteLHM), edge - 1, true, edge},
+		{"window ahead, load ends in it", window(faults.DMAError, faults.SiteLHM), edge, false, 0},
+		{"inside the window", window(faults.LinkDown, faults.SiteAny), from, false, 0},
+		{"window over", window(faults.Jitter, faults.SiteLHM), until, true, 0},
+		{"window on the link of another site", window(faults.LinkDown, faults.SitePCIe), from, true, 0},
 	} {
 		tm := r.tm
-		quiet := arm == nil
-		if quiet {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0}}})
-		} else {
-			arm(&tm)
-		}
+		tc.arm(&tm)
 		in := NewInstr(tm, r.ve.ATB(), r.path)
-		if w := in.Word(vehva); in.Quiet(&w) != quiet {
-			t.Errorf("%s: Quiet = %v, want %v", name, !quiet, quiet)
+		w := in.Word(vehva)
+		if q, lapse := in.Quiet(&w, tc.at); q != tc.quiet || lapse != tc.lapse {
+			t.Errorf("%s: Quiet at %v = %v, %v; want %v, %v", tc.name, tc.at, q, lapse, tc.quiet, tc.lapse)
 		}
 	}
+}
+
+// quiet is Quiet's first answer at at.
+func quiet(in *Instr, w *Word, at simtime.Time) bool {
+	q, _ := in.Quiet(w, at)
+	return q
 }
 
 // A Word follows the DMAATB: a Register that maps its VEHVA makes its load
@@ -402,8 +430,8 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	vehva, _ := atb.Register(r.host.Memory, first.Addr, first.Size)
 	next := vehva + mem.Addr(units.AlignUp(units.Bytes(first.Size), 64*units.KiB)) // where the next registration goes
 	w := in.Word(next)
-	if _, err := in.PeekWord(&w); in.Quiet(&w) || err == nil {
-		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v", in.Quiet(&w), err)
+	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil {
+		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v", quiet(in, &w, 0), err)
 	}
 	if err := r.host.WriteUint64(second.Addr, 42); err != nil {
 		t.Fatal(err)
@@ -411,15 +439,15 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	if got, _ := atb.Register(r.host.Memory, second.Addr, second.Size); got != next {
 		t.Fatalf("registered at %#x, want %#x", got, next)
 	}
-	if v, err := in.PeekWord(&w); !in.Quiet(&w) || v != 42 || err != nil {
-		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", in.Quiet(&w), v, err)
+	if v, err := in.PeekWord(&w); !quiet(in, &w, 0) || v != 42 || err != nil {
+		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", quiet(in, &w, 0), v, err)
 	}
 	if err := atb.Unregister(next); err != nil {
 		t.Fatal(err)
 	}
 	_, _, want := atb.Translate(next, 8)
-	if _, err := in.PeekWord(&w); in.Quiet(&w) || err == nil || err.Error() != want.Error() {
-		t.Errorf("after Unregister: quiet %v, PeekWord error %v; want not quiet, %v", in.Quiet(&w), err, want)
+	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil || err.Error() != want.Error() {
+		t.Errorf("after Unregister: quiet %v, PeekWord error %v; want not quiet, %v", quiet(in, &w, 0), err, want)
 	}
 	r.runIn(t, func(p *simtime.Proc) {
 		if _, err := in.LoadWord(p, &w); err == nil || err.Error() != want.Error() || in.Loads() != 0 {

@@ -356,22 +356,72 @@ func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (*Rul
 	return nil, op, false
 }
 
-// Armed reports whether a rule of any kind can match an operation at site
-// and node: whether a hook there may fire, count or lock at all. A caller
-// that leaves an operation nobody can inject into to the engine (a costed
-// poll, simtime.Poller) asks it; the tables never change after New.
+// loadCounters are the (kind, site) op counters an LHM load advances, each
+// where a rule can match its node: dma.Instr.LoadWord passes the link check
+// (LinkError), the transfer check (TransferError) and the fail-slow hook
+// (SlowDelay) at the LHM site, in that order, and nothing else.
+var loadCounters = [...]struct {
+	kind Kind
+	site Site
+}{{LinkDown, SiteAny}, {DMAError, SiteLHM}, {SlowDown, SiteLHM}, {Jitter, SiteLHM}}
+
+// QuietLoad reports whether an LHM load on node, issued at now, is quiet: no
+// rule can fire on it, so it would only count the ops it passes (CountLoads).
+// If it is, lapse is when that may change, the next From of a rule's window
+// (0: never). Only a time-window rule (Until > 0, with or without Rate) is
+// ever quiet, outside [From, Until); an empty window (From >= Until) is quiet
+// for good. An op-scheduled rule, or a Rate rule without a window, keeps the
+// load armed for good: its op counter decides whether it fires. The tables
+// never change after New, so QuietLoad takes no lock and may be asked on any
+// process's stack.
 //
 //hot:path
-func (in *Injector) Armed(site Site, node int) bool {
+func (in *Injector) QuietLoad(now simtime.Time, node int) (quiet bool, lapse simtime.Time) {
 	if in == nil {
-		return false
+		return true, 0
 	}
-	for k := range in.tables {
-		if in.tables[k][site].armed(node) {
-			return true
+	for _, c := range loadCounters {
+		st := &in.tables[c.kind][c.site]
+		if !st.armed(node) {
+			continue
+		}
+		for _, i := range st.rules {
+			r := &in.rules[i]
+			switch {
+			case r.Node != AnyNode && r.Node != node:
+			case r.Until <= 0:
+				return false, 0
+			case r.From >= r.Until || now >= r.Until:
+			case now >= r.From:
+				return false, 0
+			case lapse == 0 || r.From < lapse:
+				lapse = r.From
+			}
 		}
 	}
-	return false
+	return true, lapse
+}
+
+// CountLoads accounts for n quiet LHM loads on node (QuietLoad) that the
+// engine issued: it advances every counter a literal load would, by n, so a
+// rule that reads one inside its window — Error.Op, a Rate or Jitter draw —
+// reads what the loads one by one would have left there.
+//
+//hot:path
+func (in *Injector) CountLoads(node int, n int64) {
+	if in == nil {
+		return
+	}
+	for _, c := range loadCounters {
+		if st := &in.tables[c.kind][c.site]; st.armed(node) {
+			in.mu.Lock()
+			if node >= len(st.ops) {
+				st.grow(node)
+			}
+			st.ops[node] += uint64(n)
+			in.mu.Unlock()
+		}
+	}
 }
 
 // TransferError decides whether the transfer at site/node fails. The hook

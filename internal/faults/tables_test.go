@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -228,7 +229,7 @@ func TestCompiledTablesMatchMapKeyedReference(t *testing.T) {
 			now += simtime.Time(g.intn(4))
 			site := Site(1 + g.intn(numSites-1))
 			node := g.intn(maxNode)
-			switch g.intn(7) {
+			switch g.intn(9) {
 			case 0:
 				sameErr(c, "TransferError", in.TransferError(now, site, node), ref.transferError(now, site, node))
 			case 1:
@@ -255,6 +256,31 @@ func TestCompiledTablesMatchMapKeyedReference(t *testing.T) {
 				if got, want := in.ConnReset(node), ref.connReset(node); got != want {
 					t.Fatalf("plan %d call %d ConnReset: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
 				}
+			case 7, 8:
+				// An LHM load, left to the engine where QuietLoad says so:
+				// one CountLoads, against the reference's literal load, which
+				// must fire nothing — then, or at any time before the lapse.
+				quiet, lapse := in.QuietLoad(now, node)
+				at := now
+				if quiet && lapse > now && g.chance(50) {
+					at = now + simtime.Time(g.intn(int(lapse-now)))
+				} else if quiet && lapse == 0 {
+					at = now + simtime.Time(g.intn(2000))
+				}
+				if !quiet {
+					gotSlow, gotErr := in.lhmLoad(now, node)
+					wantSlow, wantErr := ref.lhmLoad(now, node)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSlow != wantSlow {
+						t.Fatalf("plan %d call %d LHM load: got %v, %v, reference %v, %v\nplan: %+v", seed, c, gotErr, gotSlow, wantErr, wantSlow, *plan)
+					}
+					break
+				}
+				injected := ref.injected
+				if slow, err := ref.lhmLoad(at, node); err != nil || slow != 0 || ref.injected != injected {
+					t.Fatalf("plan %d call %d: QuietLoad(%v, %d) = quiet until %v, but a load at %v gets %v, %v\nplan: %+v",
+						seed, c, now, node, lapse, at, err, slow, *plan)
+				}
+				in.CountLoads(node, 1)
 			}
 			if got := in.Injected(); got != ref.injected {
 				t.Fatalf("plan %d call %d: Injected() = %d, reference %d\nplan: %+v", seed, c, got, ref.injected, *plan)
@@ -279,36 +305,104 @@ func TestLinkErrorMatchesOnlySiteAnyRules(t *testing.T) {
 	}
 }
 
-// TestArmedIsAnyKindAtSiteAndNode pins the read-only query a caller asks
-// before leaving an operation to the engine: a rule of any kind for that
-// node at that site — named, or through SiteAny or AnyNode — arms it, a rule
-// for another site or node does not, and a nil injector arms nothing.
-func TestArmedIsAnyKindAtSiteAndNode(t *testing.T) {
-	var none *Injector
-	if none.Armed(SiteLHM, 0) {
-		t.Fatal("nil injector armed")
+// TestQuietLoadFollowsWindows pins the read-only query a poll asks before it
+// leaves an LHM load to the engine, against the rule list: only a rule whose
+// time window (with or without Rate) does not hold now leaves the load quiet,
+// until the next From; an op-scheduled rule or a Rate rule without a window
+// never does; a rule reaches the load through SiteAny and AnyNode too, a
+// LinkDown rule only through SiteAny; a rule of a kind the load does not pass
+// (BitFlip, Stall, Crash, ConnReset), or for another site or node, never
+// arms it; an empty window is quiet for good.
+func TestQuietLoadFollowsWindows(t *testing.T) {
+	const from, until = simtime.Time(100), simtime.Time(200)
+	win := func(k Kind, s Site, node int) Rule {
+		return Rule{Kind: k, Site: s, Node: node, From: from, Until: until}
 	}
-	in := New(&Plan{Rules: []Rule{
-		{Kind: Jitter, Site: SiteLHM, Node: 2},
-		{Kind: LinkDown, Node: 5},
-		{Kind: BitFlip, Site: SitePCIe, Node: AnyNode},
-		{Kind: SlowDown, Site: SiteUserDMA, Node: 7},
-	}})
 	for _, tc := range []struct {
-		site  Site
-		node  int
-		armed bool
+		name  string
+		rules []Rule
+		now   simtime.Time
+		quiet bool
+		lapse simtime.Time
 	}{
-		{SiteLHM, 2, true}, {SiteLHM, 3, false}, {SiteLHM, 5, true}, {SiteVEOS, 5, true},
-		{SitePCIe, 9, true}, {SiteUserDMA, 7, true}, {SiteLHM, 7, false}, {SiteLHM, 99, false},
+		{"no plan", nil, 0, true, 0},
+		{"window ahead", []Rule{win(SlowDown, SiteLHM, 0)}, 0, true, from},
+		{"window open", []Rule{win(SlowDown, SiteLHM, 0)}, from, false, 0},
+		{"window's last instant", []Rule{win(Jitter, SiteLHM, 0)}, until - 1, false, 0},
+		{"window over", []Rule{win(DMAError, SiteLHM, 0)}, until, true, 0},
+		{"window and Rate ahead", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, 0, true, from},
+		{"window and Rate open", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, from, false, 0},
+		{"Rate without a window", []Rule{{Kind: Jitter, Site: SiteLHM, Rate: 0.5, JitterMax: 9}}, until, false, 0},
+		{"op-scheduled", []Rule{{Kind: DMAError, Site: SiteLHM, AfterOp: 1 << 40}}, 0, false, 0},
+		{"op-scheduled on another node", []Rule{{Kind: DMAError, Site: SiteLHM, Node: 1}}, 0, true, 0},
+		{"op-scheduled at another site", []Rule{{Kind: DMAError, Site: SiteUserDMA, Node: AnyNode}}, 0, true, 0},
+		{"AnyNode window ahead", []Rule{win(SlowDown, SiteAny, AnyNode)}, 50, true, from},
+		{"AnyNode window open", []Rule{win(SlowDown, SiteAny, AnyNode)}, 150, false, 0},
+		{"LinkDown at SiteAny, open", []Rule{win(LinkDown, SiteAny, 0)}, from, false, 0},
+		{"LinkDown at SiteAny, op-scheduled", []Rule{{Kind: LinkDown, Node: AnyNode}}, 0, false, 0},
+		{"LinkDown at SiteLHM never fires", []Rule{{Kind: LinkDown, Site: SiteLHM}}, 0, true, 0},
+		{"kinds a load does not pass", []Rule{{Kind: BitFlip}, {Kind: Stall}, {Kind: Crash}, {Kind: ConnReset}}, 0, true, 0},
+		{"empty window", []Rule{{Kind: SlowDown, Site: SiteLHM, From: until, Until: from}}, 0, true, 0},
+		{"empty window and Rate", []Rule{{Kind: DMAError, Rate: 1, From: from, Until: from}}, from, true, 0},
+		{"lapse is the next From", []Rule{
+			win(SlowDown, SiteLHM, 0),
+			{Kind: Jitter, Site: SiteLHM, From: 400, Until: 500},
+			{Kind: DMAError, Site: SiteLHM, From: 300, Until: 350, Rate: 0.1},
+			{Kind: LinkDown, Node: 0, From: 20, Until: 40},
+		}, 250, true, 300},
+		{"one window open among others", []Rule{
+			{Kind: Jitter, Site: SiteLHM, From: 400, Until: 500},
+			{Kind: LinkDown, Node: 0, From: 20, Until: 40},
+		}, 30, false, 0},
+		{"an armed rule after a window", []Rule{win(SlowDown, SiteLHM, 0), {Kind: Jitter, Site: SiteLHM}}, 0, false, 0},
 	} {
-		if got := in.Armed(tc.site, tc.node); got != tc.armed {
-			t.Errorf("Armed(%v, %d) = %v, want %v", tc.site, tc.node, got, tc.armed)
+		var in *Injector
+		if tc.rules != nil {
+			in = New(&Plan{Rules: tc.rules})
+		}
+		if quiet, lapse := in.QuietLoad(tc.now, 0); quiet != tc.quiet || lapse != tc.lapse {
+			t.Errorf("%s: QuietLoad(%v, 0) = %v, %v; want %v, %v", tc.name, tc.now, quiet, lapse, tc.quiet, tc.lapse)
+		}
+		if in.Injected() != 0 {
+			t.Errorf("%s: QuietLoad fired a rule", tc.name)
 		}
 	}
-	if in.Injected() != 0 {
-		t.Error("Armed fired a rule")
+}
+
+// lhmLoad is what dma.Instr.LoadWord asks at its fault sites, in its order:
+// the link, the transfer, then the fail-slow hook; a failed check ends it.
+func lhmLoad(now simtime.Time, node int, link, transfer func(simtime.Time, int) error,
+	slow func(simtime.Time, int) simtime.Duration) (simtime.Duration, error) {
+	if err := link(now, node); err != nil {
+		return 0, err
 	}
+	if err := transfer(now, node); err != nil {
+		return 0, err
+	}
+	return slow(now, node), nil
+}
+
+func (in *Injector) lhmLoad(now simtime.Time, node int) (simtime.Duration, error) {
+	return lhmLoad(now, node, in.LinkError,
+		func(now simtime.Time, node int) error { return in.TransferError(now, SiteLHM, node) },
+		func(now simtime.Time, node int) simtime.Duration { return in.SlowDelay(now, SiteLHM, node, 700) })
+}
+
+func (in *refInjector) lhmLoad(now simtime.Time, node int) (simtime.Duration, error) {
+	return lhmLoad(now, node,
+		func(now simtime.Time, node int) error {
+			if e := in.linkError(now, node); e != nil {
+				return e
+			}
+			return nil
+		},
+		func(now simtime.Time, node int) error {
+			if e := in.transferError(now, SiteLHM, node); e != nil {
+				return e
+			}
+			return nil
+		},
+		func(now simtime.Time, node int) simtime.Duration { return in.slowDelay(now, SiteLHM, node, 700) })
 }
 
 // TestHooksAllocateNothingWhenNoRuleCanMatch pins the cost of an armed plan
@@ -331,6 +425,10 @@ func TestHooksAllocateNothingWhenNoRuleCanMatch(t *testing.T) {
 			}
 			sink += int64(in.SlowDelay(1, SiteUserDMA, at.node, simtime.Microsecond))
 			sink += in.Corrupt(1, SiteUserDMA, at.node, 64)
+			if quiet, lapse := in.QuietLoad(2, at.node); quiet {
+				in.CountLoads(at.node, 5)
+				sink += int64(lapse)
+			}
 		}
 	})
 	if allocs != 0 {
@@ -369,6 +467,9 @@ func TestHooksFromManyGoroutines(t *testing.T) {
 				in.StallDelay(0, node)
 				_ = in.LinkError(0, node)
 				in.CrashNow(0, node)
+				if quiet, _ := in.QuietLoad(simtime.Time(i), node); quiet {
+					in.CountLoads(node, 3)
+				}
 				in.Injected()
 			}
 		}(w)

@@ -205,9 +205,11 @@ func (q *searched) find(ends []uint64) int {
 	return sort.Search(len(ends), func(i int) bool { return ends[i] > q.addr })
 }
 
-func (q *searched) Tick() (Duration, bool) { return 700 * Nanosecond, q.find(q.regs) == len(q.regs) }
-func (q *searched) Hit() bool              { return q.find(q.regs) == len(q.regs) || q.find(q.extents) == 0 }
-func (q *searched) Gap() Duration          { return q.gap }
+func (q *searched) Tick(Time) (Duration, bool, Time) {
+	return 700 * Nanosecond, q.find(q.regs) == len(q.regs), 0
+}
+func (q *searched) Hit() bool     { return q.find(q.regs) == len(q.regs) || q.find(q.extents) == 0 }
+func (q *searched) Gap() Duration { return q.gap }
 func (q *searched) Misses(int64) (Duration, int64) {
 	return q.gap, math.MaxInt64
 }

@@ -41,10 +41,12 @@ type waiter struct {
 	cost   Duration
 	issued bool
 	hit    bool
-	// The memo of poll's answers: Tick's (cost, take) and Hit's found, each
-	// with the run it was asked in (Engine.runs); 0 is none. Until a process
-	// runs again, an answer stands (Engine.tick, Engine.hit).
+	// The memo of poll's answers: Tick's (cost, take, lapse) and Hit's found,
+	// each with the run it was asked in (Engine.runs); 0 is none. Until a
+	// process runs again, an answer stands (Engine.tick, Engine.hit) — Tick's
+	// only for ticks before its lapse, if that is not zero.
 	ticked, hitAsked uint64
+	lapse            Time
 	take, found      bool
 }
 

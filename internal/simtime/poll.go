@@ -13,18 +13,22 @@ import (
 // (cost zero) asks both at the tick.
 //
 // Tick and Hit are pure reads of simulated state: state only a running
-// process changes, never the clock, nor anything Gap changes. That is what
-// lets the engine ask each of them once per run of a process and keep the
-// answer until the next one (Engine.tick, Engine.hit). It asks them on
-// whatever stack it happens to be running, so they must not park and must
-// change nothing a process can observe.
+// process changes, never anything Gap changes, and for Tick the time of the
+// tick, which it is told and whose effect it declares. That is what lets the
+// engine ask each of them once per run of a process and keep the answer until
+// the next one, or until Tick's answer lapses (Engine.tick, Engine.hit). It
+// asks them on whatever stack it happens to be running, so they must not park
+// and must change nothing a process can observe.
 type Poller interface {
-	// Tick is asked at every tick. take reports that the process must take
-	// the tick itself: the poll it would issue could do more than take cost
-	// and read (pass a fault site, record a span), or it has something else
-	// to look at. Otherwise cost is the simulated time the poll takes, zero
-	// for a poll that is free.
-	Tick() (cost Duration, take bool)
+	// Tick is asked at every tick, at its time at. take reports that the
+	// process must take the tick itself: the poll it would issue could do
+	// more than take cost and read (pass a fault site, record a span), or it
+	// has something else to look at. Otherwise cost is the simulated time the
+	// poll takes, zero for a poll that is free. The answer is every later
+	// tick's too until a process runs, or, if lapse is not zero, until the
+	// first tick at or after lapse: an answer that the clock alone changes
+	// (a fault window that opens) says when.
+	Tick(at Time) (cost Duration, take bool, lapse Time)
 	// Hit reports whether the poll succeeds: at the tick for a free poll, at
 	// the end of its cost otherwise.
 	Hit() bool
@@ -50,12 +54,12 @@ type Free struct{}
 // Tick implements Poller.
 //
 //hot:path
-func (Free) Tick() (Duration, bool) { return 0, false }
+func (Free) Tick(Time) (Duration, bool, Time) { return 0, false, 0 }
 
 // Poll is
 //
 //	for {
-//		cost, take := q.Tick()
+//		cost, take, _ := q.Tick(p.Now())
 //		if take {
 //			return false
 //		}
@@ -86,7 +90,7 @@ func (p *Proc) Poll(q Poller, until Time) bool {
 	// The memo starts empty: q, or what it polls, may not be last call's.
 	w.poll, w.until, w.ticked, w.hitAsked = q, until, 0, 0
 	e.asking = p
-	e.tick(w)
+	e.tick(w, e.now)
 	hit := !w.take && w.cost <= 0 && e.hit(w)
 	e.asking = nil
 	if w.take || hit {
@@ -106,16 +110,30 @@ func (p *Proc) Poll(q Poller, until Time) bool {
 	return w.hit
 }
 
-// tick puts Tick to w's Poller, unless it was asked in this run already, and
-// leaves the answer in w.cost and w.take.
+// tick puts Tick to w's Poller for the tick at, unless it was asked in this
+// run already and its answer has not lapsed, and leaves the answer in w.cost,
+// w.take and w.lapse.
 //
 //hot:path
-func (e *Engine) tick(w *waiter) {
-	if w.ticked != e.runs {
+func (e *Engine) tick(w *waiter, at Time) {
+	if at >= w.tickStands(e.runs) {
 		e.asks++
-		w.cost, w.take = w.poll.Tick()
+		w.cost, w.take, w.lapse = w.poll.Tick(at)
 		w.ticked = e.runs
 	}
+}
+
+// tickStands returns the time from which w's memo no longer holds Tick's
+// answer for run: its lapse, or, for an answer that does not lapse, the end of
+// time; 0 for none asked in run.
+func (w *waiter) tickStands(run uint64) Time {
+	switch {
+	case w.ticked != run:
+		return 0
+	case w.lapse == 0:
+		return math.MaxInt64
+	}
+	return w.lapse
 }
 
 // hit puts Hit to w's Poller, unless it was asked in this run already.
@@ -156,7 +174,7 @@ func (e *Engine) answers(w *waiter, at Time) bool {
 	}
 	e.asking = w.p
 	if !w.issued { // a tick
-		if e.tick(w); w.take || w.cost > 0 {
+		if e.tick(w, at); w.take || w.cost > 0 {
 			e.asking = nil
 			return !w.take
 		}
@@ -171,26 +189,26 @@ func (e *Engine) answers(w *waiter, at Time) bool {
 // passes through: Sleep for the cost of the poll it issues at a tick, ask Gap
 // and Sleep after a miss. The next wake is queued as Sleep would queue it.
 // But while it would come strictly before every queued event no process can
-// run before it, so every answer stands: the wake is counted, numbered and
-// the clock moved as if delivered, and the heap never sees it (skips). A
-// question not asked in this run yet is asked first; one the memo holds from
-// this run passed a wake of w through already — an answer on which the engine
-// delivers one is followed by that delivery, which ends the run — so it passes
-// this one too. The first wake at or after the head, one the process must see
-// (the until tick, a tick it takes, a hit) and one a cut-off would refuse are
-// queued for real, behind everything queued, as they would have been — unless
-// the head is another parked poll's wake the engine answers too: then ahead
-// answers every such poll's wakes up to the next event that can run a
-// process.
+// run before it, so every answer stands, Tick's until it lapses: the wake is
+// counted, numbered and the clock moved as if delivered, and the heap never
+// sees it (skips). A question not asked in this run yet, or a Tick answer
+// that has lapsed, is asked first; one the memo holds from this run passed a
+// wake of w through already — an answer on which the engine delivers one is
+// followed by that delivery, which ends the run — so it passes this one too.
+// The first wake at or after the head, one the process must see (the until
+// tick, a tick it takes, a hit) and one a cut-off would refuse are queued for
+// real, behind everything queued, as they would have been — unless the head
+// is another parked poll's wake the engine answers too: then ahead answers
+// every such poll's wakes up to the next event that can run a process.
 //
 //hot:path
 func (e *Engine) repoll(w *waiter, maxEvents uint64) {
 	q, cost, issued := w.poll, w.cost, w.issued
-	// Whether the memo holds Tick's answer and Hit's from this run, kept in
-	// registers for the skipping: no process runs in here. A free tick that
-	// asked Tick asked Hit too.
+	// Until when the memo holds Tick's answer from this run, and whether it
+	// holds Hit's, kept in registers for the skipping: no process runs in
+	// here. A free tick that asked Tick asked Hit too.
 	run := e.runs
-	ticked, hitAsked := w.ticked == run, w.hitAsked == run
+	ticked, hitAsked := w.tickStands(run), w.hitAsked == run
 	for next := e.now; ; {
 		e.polls++
 		if issued = !issued && cost > 0; issued {
@@ -205,12 +223,12 @@ func (e *Engine) repoll(w *waiter, maxEvents uint64) {
 			}
 			return
 		}
-		if (issued && !hitAsked) || (!issued && !ticked) {
+		if (issued && !hitAsked) || (!issued && next >= ticked) {
 			if !e.answers(w, next) {
 				e.schedule(next, w, reasonTimer)
 				return
 			}
-			cost, ticked, hitAsked = w.cost, w.ticked == run, w.hitAsked == run
+			cost, ticked, hitAsked = w.cost, w.tickStands(run), w.hitAsked == run
 		}
 		e.seq++
 		e.events++
@@ -236,17 +254,18 @@ func (e *Engine) skips(w *waiter, next Time, tick bool, maxEvents uint64) bool {
 const maxLanes = 16
 
 // passes reports whether w's memo holds, from this run, the answers its next
-// wake needs, and whether they pass it on: a tick the process does not take
-// (and, for a free poll, a miss at it), the miss at the end of a poll that
-// costs. Then it holds the other question's passing answer from this run too:
-// a memo from this run came from a wake answered in this run, and the wakes
-// of a poll alternate between the two questions. The until tick is plan's to
-// find.
-func (w *waiter) passes(run uint64) bool {
+// wake, at at, needs, and whether they pass it on: a tick the process does not
+// take, with Tick's answer not lapsed (and, for a free poll, a miss at it),
+// the miss at the end of a poll that costs. Then it holds the other
+// question's passing answer from this run too: a memo from this run came from
+// a wake answered in this run, and the wakes of a poll alternate between the
+// two questions. The until tick and the tick where Tick's answer lapses are
+// plan's to find.
+func (w *waiter) passes(run uint64, at Time) bool {
 	if w.issued {
 		return w.hitAsked == run && !w.found
 	}
-	return w.ticked == run && !w.take && (w.cost > 0 || (w.hitAsked == run && !w.found))
+	return at < w.tickStands(run) && !w.take && (w.cost > 0 || (w.hitAsked == run && !w.found))
 }
 
 // A lane is one parked poll as Engine.ahead sees it: its next wake, wake 0,
@@ -268,14 +287,15 @@ type lane struct {
 
 // plan fills in l's pattern from its waiter's memo and Poller, and its stop:
 // the first wake that delivers (a hit, a tick the process takes, the until
-// tick), that asks a question this run has not answered, or whose miss gets
-// another gap. It reports whether there is such a wake.
+// tick), that asks a question this run has not answered or whose answer has
+// lapsed, or whose miss gets another gap. It reports whether there is such a
+// wake.
 //
 //hot:path
 func (l *lane) plan(run uint64) bool {
 	w := l.w
 	l.end, l.cost, l.stop = w.issued, w.cost, math.MaxInt64
-	if !w.passes(run) {
+	if !w.passes(run, l.at) {
 		l.stop = 0
 		return true
 	}
@@ -284,7 +304,6 @@ func (l *lane) plan(run uint64) bool {
 		l.stop = 0
 		return true
 	}
-	p := l.period()
 	if steady < math.MaxInt64/4 { // the miss after steady ones gets another gap
 		switch {
 		case l.cost == 0:
@@ -295,17 +314,23 @@ func (l *lane) plan(run uint64) bool {
 			l.stop = min(l.stop, 2*steady+1)
 		}
 	}
-	if u := w.until; u != 0 {
-		switch {
-		case l.cost == 0:
-			l.stop = min(l.stop, ceilDiv(u.Sub(l.at), g))
-		case l.end:
-			l.stop = min(l.stop, 2*ceilDiv(u.Sub(l.at.Add(g)), p)+1)
-		default:
-			l.stop = min(l.stop, 2*ceilDiv(u.Sub(l.at), p))
+	for _, u := range [...]Time{w.until, w.lapse} {
+		if u != 0 {
+			l.stop = min(l.stop, l.tickFrom(u))
 		}
 	}
 	return l.stop != math.MaxInt64
+}
+
+// tickFrom returns the index of l's first tick at or after u.
+func (l *lane) tickFrom(u Time) int64 {
+	switch {
+	case l.cost == 0:
+		return ceilDiv(u.Sub(l.at), l.gap)
+	case l.end:
+		return 2*ceilDiv(u.Sub(l.at.Add(l.gap)), l.period()) + 1
+	}
+	return 2 * ceilDiv(u.Sub(l.at), l.period())
 }
 
 // period is the time from a wake to the next of its kind, and first the time
@@ -395,13 +420,14 @@ func ceilDiv(d, p Duration) int64 {
 
 // ahead answers, in one step, the wakes of every parked poll up to the
 // horizon: the first of the earliest queued wake that is not a poll's, any
-// poll's first wake that delivers or that asks what this run has not answered
-// (lane.plan), and Deadline. w's next wake, at next, is one of them: repoll
-// calls ahead where it would queue it behind the head of the heap, and ahead
-// only goes on when that head is a poll whose wake the engine answers too.
+// poll's first wake that delivers or that asks what this run has not answered,
+// or whose Tick answer has lapsed by then (lane.plan), and Deadline. w's next
+// wake, at next, is one of them: repoll calls ahead where it would queue it
+// behind the head of the heap, and ahead only goes on when that head is a poll
+// whose wake the engine answers too.
 //
-// Until the horizon no process can run, so every answer stands and each lane
-// follows its pattern: its wakes are counted arithmetically, its misses
+// Until the horizon no process can run and no Tick answer lapses, so every
+// answer stands and each lane follows its pattern: its wakes are counted arithmetically, its misses
 // accounted in one Poller.Misses. Events, PollTicks, seq and the clock move
 // by the total, as one wake at a time would have moved them. The lanes' first
 // wakes at or past the horizon get the last seqs handed out, in the order of
@@ -416,7 +442,7 @@ func ceilDiv(d, p Duration) int64 {
 //hot:path
 func (e *Engine) ahead(w *waiter, next Time, maxEvents uint64) bool {
 	run := e.runs
-	if len(e.eq) == 0 || e.eq[0].w.poll == nil || e.eq[0].w.woken || !e.eq[0].w.passes(run) {
+	if len(e.eq) == 0 || e.eq[0].w.poll == nil || e.eq[0].w.woken || !e.eq[0].w.passes(run, e.eq[0].at) {
 		return false
 	}
 	base := e.seq + 1 // w's seq, as schedule would number it

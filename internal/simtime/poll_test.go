@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func loopPoll(p *Proc, q Poller, until Time) bool { return countedLoop(p, q, unt
 // itself).
 func countedLoop(p *Proc, q Poller, until Time, answered *uint64) bool {
 	for first := true; ; first = false {
-		cost, take := q.Tick()
+		cost, take, _ := q.Tick(p.Now())
 		if take {
 			return false
 		}
@@ -70,14 +71,26 @@ type backoffCond struct {
 func (c *backoffCond) Hit() bool { return c.hit() }
 
 // costed makes a Poller's poll take cost, and its ticks the process's own
-// while take says so.
+// while take says so — or, with flips, while take and the number of flips at
+// or before the tick disagree: the clock alone flips the answer, and the
+// next flip is when it lapses.
 type costed struct {
 	Poller
-	cost Duration
-	take func() bool
+	cost  Duration
+	take  func() bool
+	flips []Time // ascending
 }
 
-func (c *costed) Tick() (Duration, bool) { return c.cost, c.take() }
+func (c *costed) Tick(at Time) (Duration, bool, Time) {
+	take := c.take()
+	for _, f := range c.flips {
+		if f > at {
+			return c.cost, take, f
+		}
+		take = !take
+	}
+	return c.cost, take, 0
+}
 
 func never() bool { return false }
 
@@ -90,9 +103,9 @@ type counted struct {
 	gaps, asks *uint64
 }
 
-func (c *counted) Tick() (Duration, bool) {
+func (c *counted) Tick(at Time) (Duration, bool, Time) {
 	*c.asks++
-	return c.Poller.Tick()
+	return c.Poller.Tick(at)
 }
 
 func (c *counted) Hit() bool {
@@ -187,6 +200,11 @@ const (
 	// cutoffInHorizon adds quiet pollers that never hit and moves MaxEvents or
 	// Deadline to fall among their wakes.
 	cutoffInHorizon
+	// lapsingTakes adds pollers whose polls cost and whose Tick takes or
+	// leaves the tick by the clock alone, flipping at drawn instants with no
+	// process running, and declares when its answer lapses (a fault window
+	// that opens and closes).
+	lapsingTakes
 	allShapes = 1<<iota - 1
 )
 
@@ -203,6 +221,7 @@ var worldShapes = []struct {
 	{"hit in a horizon", hitInHorizon},
 	{"until ticks", untilTicks},
 	{"cut-off in a horizon", cutoffInHorizon},
+	{"lapsing takes", lapsingTakes},
 }
 
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
@@ -453,6 +472,19 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			quiet(fmt.Sprintf("endless%d", i), pl, Duration(pr.n(5)), 1, noUntil)
 		}
 	}
+	if shapes&lapsingTakes != 0 {
+		pr := sr.fork()
+		for i, n := 0, 2+pr.n(4); i < n; i++ {
+			flips := make([]Time, 1+pr.n(8))
+			for k := range flips {
+				flips[k] = Time(1 + pr.n(300))
+			}
+			slices.Sort(flips)
+			pl := &costed{Poller: &cond{hit: func() bool { return flags[0] }, gap: Duration(1 + pr.n(4))},
+				cost: Duration(1 + pr.n(4)), take: never, flips: flips}
+			quiet(fmt.Sprintf("lapsing%d", i), pl, Duration(pr.n(5)), 1+pr.n(6), noUntil)
+		}
+	}
 
 	// A poller nobody answers polls for ever; the deadline ends the run of an
 	// engine that lost count.
@@ -549,8 +581,9 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 // and in all, misses accounted at once by Misses included), Tick and Hit
 // asked no more often, and PollTicks counting exactly the instants the loop's
 // process only passed through. Each named world forces one shape on every
-// seed: where a memo of the answers that outlived its run would show, and
-// where Engine.ahead answers several parked polls at once.
+// seed: where a memo of the answers that outlived its run would show, where
+// Engine.ahead answers several parked polls at once, and where a Tick answer
+// kept past its lapse would show.
 func TestPollEquivalence(t *testing.T) {
 	for _, ws := range worldShapes {
 		t.Run(ws.name, func(t *testing.T) {

@@ -47,7 +47,7 @@ type waitPoll Command
 // does.
 //
 //hot:path
-func (*waitPoll) Tick() (simtime.Duration, bool) { return 0, false }
+func (*waitPoll) Tick(simtime.Time) (simtime.Duration, bool, simtime.Time) { return 0, false, 0 }
 
 // Hit implements simtime.Poller.
 //

@@ -39,6 +39,18 @@ func TestEightVEConnectDMA(t *testing.T) {
 			Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4, Until: 1 << 62,
 		}}}, 746_176, 7_322_328_000_000, 81_066,
 			[8]int64{81064, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 3 * 81064, 502_856, 576_468},
+		// VE 0's gray failure begins after the connect: until it does, VE 0
+		// polls like a healthy one, and every pin is the default row's.
+		{"VE 0 slow after connect", slowAfterConnect, 669_448, 7_322_220_000_000, 0,
+			[8]int64{83260, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 0, 669_321, 527},
+		// A window inside the connect: VE 0's loop is literal in it (three
+		// events a poll) and the engine's outside it. Events, clock,
+		// Injected and loads are what the literal loop gives throughout.
+		{"VE 0 slow mid-connect", &faults.Plan{Rules: []faults.Rule{{
+			Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4,
+			From: 3 * simtime.Time(simtime.Second), Until: 3_500 * simtime.Time(simtime.Millisecond),
+		}}}, 675_389, 7_322_220_000_000, 6_281,
+			[8]int64{83090, 71450, 59640, 47830, 35743, 24024, 12305, 0}, 3 * 6_281, 656_418, 32_628},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(Config{VEs: 8, Faults: tc.plan})
@@ -80,15 +92,27 @@ func TestEightVEConnectDMA(t *testing.T) {
 	}
 }
 
-// BenchmarkEightVEConnect is TestEightVEConnectDMA's default row on the wall
-// clock: ms/connect is the wall time of one eight-VE dmab connect (7.3 s
-// simulated, machine.New not included), and the engine's counts of one
-// connect ride along.
+// slowAfterConnect slows VE 0 4x in a window that opens 1.7 s after the
+// eight-VE connect ends.
+var slowAfterConnect = &faults.Plan{Rules: []faults.Rule{{
+	Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4,
+	From: 9 * simtime.Time(simtime.Second), Until: 9_100 * simtime.Time(simtime.Millisecond),
+}}}
+
+// BenchmarkEightVEConnect is TestEightVEConnectDMA's default row and its
+// "VE 0 slow after connect" row on the wall clock: ms/connect is the wall
+// time of one eight-VE dmab connect (7.3 s simulated, machine.New not
+// included), and the engine's counts of one connect ride along.
 func BenchmarkEightVEConnect(b *testing.B) {
+	b.Run("default", func(b *testing.B) { benchmarkEightVEConnect(b, nil) })
+	b.Run("slow after connect", func(b *testing.B) { benchmarkEightVEConnect(b, slowAfterConnect) })
+}
+
+func benchmarkEightVEConnect(b *testing.B, plan *faults.Plan) {
 	var e *simtime.Engine
 	for range b.N {
 		b.StopTimer()
-		m, err := New(Config{VEs: 8})
+		m, err := New(Config{VEs: 8, Faults: plan})
 		if err != nil {
 			b.Fatal(err)
 		}
