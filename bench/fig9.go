@@ -129,7 +129,7 @@ func veoNative(w machine.World, cfg Fig9Config) (float64, error) {
 		if err := vp.LoadLibrary(p, veoBenchLibrary); err != nil {
 			return err
 		}
-		k, err := vp.FindSymbol(p, "empty")
+		k, err := vp.FindSymbol(p, veoBenchLibrary, "empty")
 		if err != nil {
 			return err
 		}

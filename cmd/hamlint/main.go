@@ -1,6 +1,6 @@
 // Command hamlint runs the repository's invariant analyzers (walltime,
-// spanend, detmap, goroutine, unitcast, flagorder, acqrel, afterfree,
-// hotalloc, borrowck, allowcheck) over the given packages. It is the lint
+// spanend, determinism, unitcast, flagorder, acqrel, afterfree, hotalloc,
+// borrowck, allowcheck) over the given packages. It is the lint
 // half of `make check`:
 //
 //	go run ./cmd/hamlint ./...
@@ -49,7 +49,7 @@ func main() {
 			return
 		}
 		for _, a := range hamlint.List() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
 		}
 		return
 	}

@@ -17,7 +17,6 @@ package acqrel
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"hamoffload/internal/analysis"
@@ -43,100 +42,38 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// site is one Acquire call, identified by position.
-type site struct {
-	pos  token.Pos
-	recv string // types.ExprString of the receiver
-}
-
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	g := cfg.New(body)
-
-	// Receivers released inside any defer are covered on every exit path;
-	// acquires on those receivers carry no per-path obligation.
-	deferred := map[string]bool{}
-	for _, d := range g.Defers {
-		ast.Inspect(d, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if recv, kind := pairCall(pass.TypesInfo, call); kind == "Release" {
-					deferred[recv] = true
-				}
-			}
-			return true
-		})
-	}
-
-	// Collect the per-block event sequences.
-	type event struct {
-		acquire *site  // non-nil for Acquire
-		release string // receiver, for Release
-	}
-	events := map[*cfg.Block][]event{}
-	sites := map[token.Pos]*site{}
+	steps := map[*cfg.Block][]cfg.Step[string]{}
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				continue // handled via the deferred set
+			// A Release anywhere in a deferred call discharges every exit
+			// after the defer; only the body's own Acquires open.
+			_, deferred := n.(*ast.DeferStmt)
+			walk := cfg.Shallow
+			if deferred {
+				walk = ast.Inspect
 			}
-			cfg.Shallow(n, func(m ast.Node) bool {
+			walk(n, func(m ast.Node) bool {
 				call, ok := m.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				recv, kind := pairCall(pass.TypesInfo, call)
-				switch kind {
-				case "Acquire":
-					if !deferred[recv] {
-						s := &site{pos: call.Pos(), recv: recv}
-						sites[s.pos] = s
-						events[b] = append(events[b], event{acquire: s})
-					}
-				case "Release":
-					events[b] = append(events[b], event{release: recv})
+				switch recv, kind := pairCall(pass.TypesInfo, call); {
+				case kind == "Acquire" && !deferred:
+					steps[b] = append(steps[b], cfg.Step[string]{Open: call.Pos(), Owner: recv})
+				case kind == "Release":
+					steps[b] = append(steps[b], cfg.Step[string]{Owner: recv})
 				}
 				return true
 			})
 		}
 	}
-	if len(sites) == 0 {
-		return
-	}
-
-	// Solve: which acquires may still be held.
-	res := cfg.MaySet(g, func(b *cfg.Block, held map[token.Pos]bool) {
-		for _, e := range events[b] {
-			if e.acquire != nil {
-				held[e.acquire.pos] = true
-				continue
-			}
-			for pos := range held {
-				if sites[pos].recv == e.release {
-					delete(held, pos)
-				}
-			}
-		}
-	})
-
-	leaked := make([]token.Pos, 0, len(res.In[g.Exit]))
-	for pos := range res.In[g.Exit] {
-		leaked = append(leaked, pos)
-	}
-	// Deterministic report order.
-	for _, pos := range sortedPos(leaked) {
-		s := sites[pos]
-		pass.Reportf(pos,
+	for _, l := range cfg.Leaks(g, steps) {
+		pass.Reportf(l.Pos,
 			"%s.Acquire is not matched by a %s.Release on every path to return; "+
-				"a leaked unit deadlocks later acquirers", s.recv, s.recv)
+				"a leaked unit deadlocks later acquirers", l.Owner, l.Owner)
 	}
-}
-
-func sortedPos(ps []token.Pos) []token.Pos {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-	return ps
 }
 
 // pairCall classifies call as an Acquire or Release on a simtime

@@ -68,6 +68,16 @@ func leakOnEarlyReturn(sem *simtime.Semaphore, p *simtime.Proc) error {
 	return nil
 }
 
+// A deferred Release covers only the returns after the defer.
+func leakBeforeDefer(sem *simtime.Semaphore, p *simtime.Proc) error {
+	sem.Acquire(p, 1) // want `sem\.Acquire is not matched by a sem\.Release on every path`
+	if err := work(); err != nil {
+		return err
+	}
+	defer sem.Release(1)
+	return nil
+}
+
 // No release anywhere.
 func leakAlways(r *simtime.Resource, p *simtime.Proc) {
 	r.Acquire(p) // want `r\.Acquire is not matched by a r\.Release on every path`

@@ -8,10 +8,10 @@
 // The analyzers under internal/analysis/... enforce the simulator's
 // foundational invariants statically: the DES clock is the only clock in
 // simulation code (walltime), every opened trace span is closed on every
-// path (spanend), deterministic-output paths never depend on map order or
-// math/rand (detmap), all concurrency in DES packages flows through the
-// engine (goroutine), and byte/picosecond quantities never cross a type
-// boundary as bare numbers (unitcast). See docs/LINTING.md.
+// path (spanend), deterministic packages never depend on map order or
+// math/rand and route all concurrency through the engine (determinism), and
+// byte/picosecond quantities never cross a type boundary as bare numbers
+// (unitcast). See docs/LINTING.md.
 package analysis
 
 import (

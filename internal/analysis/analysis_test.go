@@ -37,7 +37,7 @@ func TestAllowIndex(t *testing.T) {
 
 func f() {
 	g() //lint:allow walltime trailing on the same line
-	//lint:allow goroutine a multi-line justification that
+	//lint:allow determinism a multi-line justification that
 	// continues on a second comment line
 	g()
 	g()
@@ -59,10 +59,10 @@ func g() {}
 		analyzer string
 		want     bool
 	}{
-		{4, "walltime", true},   // trailing comment suppresses its own line
-		{4, "goroutine", false}, // but only the named analyzer
-		{7, "goroutine", true},  // line after the multi-line group
-		{8, "goroutine", false}, // one line only
+		{4, "walltime", true},     // trailing comment suppresses its own line
+		{4, "determinism", false}, // but only the named analyzer
+		{7, "determinism", true},  // line after the multi-line group
+		{8, "determinism", false}, // one line only
 	}
 	for _, c := range cases {
 		d := Diagnostic{Analyzer: c.analyzer}

@@ -1,6 +1,10 @@
 package cfg
 
-import "maps"
+import (
+	"go/token"
+	"maps"
+	"slices"
+)
 
 // This file holds the graph algorithms the analyzers share: a generic
 // forward worklist solver, its "may" instance over sets, dominator
@@ -112,6 +116,64 @@ func MaySet[K comparable](g *Graph, step func(b *Block, set map[K]bool)) Result[
 		},
 		Equal: maps.Equal[set, set],
 	})
+}
+
+// A Step is one event of the open/discharge analysis acqrel and spanend
+// share. A step with a valid Open position opens an obligation there, owned
+// by Owner (a semaphore's receiver, a closer's variable); a step with Open
+// == token.NoPos discharges every obligation Owner holds. A deferred
+// discharge is an ordinary step at its defer statement: once the defer has
+// run, every exit discharges.
+type Step[O comparable] struct {
+	Open  token.Pos
+	Owner O
+}
+
+// A Leak is an obligation that may reach g.Exit still open, and the first
+// exit block (by edge order) it leaves through: one ending in the return
+// statement, or the body's fall-through end.
+type Leak[O comparable] struct {
+	Pos   token.Pos
+	Owner O
+	From  *Block
+}
+
+// Leaks runs steps, each block's events in order, through MaySet and
+// reports what may still be open at g.Exit, sorted by position.
+func Leaks[O comparable](g *Graph, steps map[*Block][]Step[O]) []Leak[O] {
+	owner := map[token.Pos]O{}
+	for _, ss := range steps {
+		for _, s := range ss {
+			if s.Open.IsValid() {
+				owner[s.Open] = s.Owner
+			}
+		}
+	}
+	res := MaySet(g, func(b *Block, open map[token.Pos]bool) {
+		for _, s := range steps[b] {
+			if s.Open.IsValid() {
+				open[s.Open] = true
+				continue
+			}
+			for pos := range open {
+				if owner[pos] == s.Owner {
+					delete(open, pos)
+				}
+			}
+		}
+	})
+	var leaks []Leak[O]
+	seen := map[token.Pos]bool{}
+	for _, from := range g.Exit.Preds {
+		for pos := range res.Out[from] {
+			if !seen[pos] {
+				seen[pos] = true
+				leaks = append(leaks, Leak[O]{Pos: pos, Owner: owner[pos], From: from})
+			}
+		}
+	}
+	slices.SortFunc(leaks, func(a, b Leak[O]) int { return int(a.Pos - b.Pos) })
+	return leaks
 }
 
 // postorder returns the blocks reachable from Entry in DFS postorder.

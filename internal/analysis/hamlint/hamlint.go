@@ -15,9 +15,8 @@ import (
 	"hamoffload/internal/analysis/afterfree"
 	"hamoffload/internal/analysis/allowcheck"
 	"hamoffload/internal/analysis/borrowck"
-	"hamoffload/internal/analysis/detmap"
+	"hamoffload/internal/analysis/determinism"
 	"hamoffload/internal/analysis/flagorder"
-	"hamoffload/internal/analysis/goroutine"
 	"hamoffload/internal/analysis/hotalloc"
 	"hamoffload/internal/analysis/spanend"
 	"hamoffload/internal/analysis/unitcast"
@@ -33,8 +32,7 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		walltime.Analyzer,
 		spanend.Analyzer,
-		detmap.Analyzer,
-		goroutine.Analyzer,
+		determinism.Analyzer,
 		unitcast.Analyzer,
 		flagorder.Analyzer,
 		acqrel.Analyzer,
@@ -214,7 +212,7 @@ func Main(dir string, patterns []string, out io.Writer, opts Options) int {
 	if opts.Stats {
 		fmt.Fprintf(out, "hamlint stats (%d package(s)):\n", len(pkgs))
 		for _, s := range stats {
-			fmt.Fprintf(out, "  %-10s %12s  %d finding(s)\n", s.Name, s.Time, s.Findings)
+			fmt.Fprintf(out, "  %-11s %12s  %d finding(s)\n", s.Name, s.Time, s.Findings)
 		}
 	}
 	if len(all) > 0 {

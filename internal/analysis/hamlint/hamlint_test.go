@@ -15,9 +15,8 @@ import (
 // and this list together.
 func TestSuiteRegistration(t *testing.T) {
 	want := []string{
-		"walltime", "spanend", "detmap", "goroutine", "unitcast",
-		"flagorder", "acqrel", "afterfree", "hotalloc", "borrowck",
-		"allowcheck",
+		"walltime", "spanend", "determinism", "unitcast", "flagorder",
+		"acqrel", "afterfree", "hotalloc", "borrowck", "allowcheck",
 	}
 	var got []string
 	moduleRunners := 0

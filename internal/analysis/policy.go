@@ -13,10 +13,12 @@ import "strings"
 // real time and real goroutines by design. The examples are demo programs,
 // free to do either.
 
-// desPackages are the simulation packages: the DES engine itself and every
-// component whose time is simulated picoseconds. walltime and goroutine
-// apply here.
-var desPackages = []string{
+// deterministic is the determinism regime: every package whose behaviour
+// and output must be a pure function of its inputs. walltime and
+// determinism apply here, and only here, minus the WallClock packages.
+var deterministic = []string{
+	// The DES engine and every component whose time is simulated
+	// picoseconds.
 	"hamoffload/internal/simtime",
 	"hamoffload/internal/backend", // minus the wall-clock backends, below
 	"hamoffload/internal/dma",
@@ -30,53 +32,40 @@ var desPackages = []string{
 	"hamoffload/internal/mem",
 	"hamoffload/internal/ib",
 	"hamoffload/internal/topology",
-	"hamoffload/bench",
+	// The offload runtime core multiplexes backends and must not fork OS
+	// concurrency of its own; the HAM codec builds the sorted key tables.
+	"hamoffload/internal/core",
+	"hamoffload/internal/ham",
 	// Placement must stay a pure function of DES-visible state. The prefix
 	// also covers sched/health: breaker cooldowns and latency EWMAs live on
-	// the caller-supplied simulated clock, so the health tracker is as
-	// wall-clock-free as the policies it feeds.
+	// the caller-supplied simulated clock. Batch frames and placement feed
+	// deterministic traces.
 	"hamoffload/sched",
 	// trace stamps spans, series, SLO windows and flows with whatever Clock
-	// its caller hands it and reads no clock of its own.
+	// its caller hands it and reads no clock of its own; its exports are
+	// diffed byte for byte.
 	"hamoffload/internal/trace",
-	// The serving gateway admits, quotas and steals on the simulated clock:
-	// token buckets refill arithmetically from simtime, SLO windows are
-	// trace.SLO trackers, and placement is a pure function of queue state.
+	// The serving gateway admits, quotas and steals on the simulated clock,
+	// and its Report feeds the byte-compared serving experiment output.
 	"hamoffload/gateway",
-}
-
-// wallClockPackages are allowed to use real time and raw goroutines: they
-// bridge to the outside world on purpose. The loopback backend (locb) is
-// deliberately NOT here: it runs inside simulations next to simulated
-// backends, so it must stay clock-free even though it uses real channels.
-var wallClockPackages = []string{
-	"hamoffload/internal/backend/tcpb",
-	"hamoffload/internal/backend/mpib",
-}
-
-// goroutineExtra extends the raw-goroutine ban to the offload runtime core
-// (which multiplexes backends and must not fork OS concurrency of its own)
-// and the scheduler built on top of it.
-var goroutineExtra = []string{
-	"hamoffload/internal/core",
-	"hamoffload/sched",
-}
-
-// deterministicOutputPackages produce artifacts that must be bit-identical
-// across runs of the same simulation: trace exports (Chrome spans and flows,
-// folded stacks), metric registries, sparklines and SLO tables, the HAM key
-// tables, and the experiment drivers. detmap applies here.
-var deterministicOutputPackages = []string{
-	"hamoffload/internal/trace",
-	"hamoffload/internal/ham",
-	"hamoffload/internal/faults",
+	// The experiment drivers and the artifacts they print.
+	"hamoffload/bench",
 	"hamoffload/cmd/veinfo",
 	"hamoffload/cmd/hambench",
 	"hamoffload/cmd/benchreg",
-	"hamoffload/bench",
-	"hamoffload/sched", // batch frames and placement feed deterministic traces
-	// the gateway's Report feeds the byte-compared serving experiment output
-	"hamoffload/gateway",
+}
+
+// WallClock lists the packages allowed to use real time and raw
+// goroutines: the wall-clock backends, which bridge to the outside world on
+// purpose. They are cut out of the deterministic scope, and the
+// interprocedural walltime pass stops its call-graph traversal at them — a
+// deterministic package reaching time.Now through them is sanctioned. The
+// loopback backend (locb) is deliberately NOT here: it runs inside
+// simulations next to simulated backends, so it must stay clock-free even
+// though it uses real channels.
+var WallClock = []string{
+	"hamoffload/internal/backend/tcpb",
+	"hamoffload/internal/backend/mpib",
 }
 
 // unitcastExempt own the unit types and may convert freely.
@@ -172,15 +161,6 @@ var ArmedGuardTypes = []string{
 	"hamoffload/internal/trace.NodeTracer",
 }
 
-// WallClockSanctioned lists the packages allowed to touch the wall clock:
-// the wall-clock backends. The interprocedural walltime pass stops its
-// call-graph traversal at these packages — a DES package reaching time.Now
-// through them is sanctioned.
-var WallClockSanctioned = []string{
-	"hamoffload/internal/backend/tcpb",
-	"hamoffload/internal/backend/mpib",
-}
-
 // InAny reports whether path equals one of the roots or lies beneath one.
 // Exported for module-wide analyzers that reuse the policy tables.
 func InAny(path string, roots []string) bool { return inAny(path, roots) }
@@ -189,17 +169,10 @@ func InAny(path string, roots []string) bool { return inAny(path, roots) }
 // the predicate hamlint passes to Run.
 func Applies(analyzer, pkgPath string) bool {
 	switch analyzer {
-	case "walltime":
-		return inAny(pkgPath, desPackages) && !inAny(pkgPath, wallClockPackages)
-	case "goroutine":
-		if inAny(pkgPath, goroutineExtra) {
-			return true
-		}
-		return inAny(pkgPath, desPackages) && !inAny(pkgPath, wallClockPackages)
+	case "walltime", "determinism":
+		return inAny(pkgPath, deterministic) && !inAny(pkgPath, WallClock)
 	case "spanend":
 		return true
-	case "detmap":
-		return inAny(pkgPath, deterministicOutputPackages)
 	case "unitcast":
 		return !inAny(pkgPath, unitcastExempt)
 	case "flagorder":
@@ -233,15 +206,18 @@ var PolicyExempt = []string{
 	"hamoffload/internal/analysis", // the analyzers and their fixtures
 }
 
+// scopingTables are the package tables above, the ones CoveredByPolicy
+// consults.
+var scopingTables = [][]string{
+	deterministic, WallClock, unitcastExempt, flagOrderPackages,
+	acqrelExempt, afterfreeExempt, hotPathScoped, borrowckScoped,
+}
+
 // CoveredByPolicy reports whether pkgPath is matched by at least one scoping
 // table above. The policy-coverage meta-test asserts every non-test package
 // is either covered or explicitly in PolicyExempt.
 func CoveredByPolicy(pkgPath string) bool {
-	for _, table := range [][]string{
-		desPackages, wallClockPackages, goroutineExtra,
-		deterministicOutputPackages, unitcastExempt, flagOrderPackages,
-		acqrelExempt, afterfreeExempt, hotPathScoped, borrowckScoped,
-	} {
+	for _, table := range scopingTables {
 		if inAny(pkgPath, table) {
 			return true
 		}

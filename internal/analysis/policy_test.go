@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,16 +31,23 @@ func TestPolicyScoping(t *testing.T) {
 		{"walltime", "hamoffload/internal/trace", true},
 		{"walltime", "hamoffload/examples/tcpcluster", false},
 
-		// goroutine: DES set plus the runtime core.
-		{"goroutine", "hamoffload/internal/simtime", true},
-		{"goroutine", "hamoffload/internal/core", true},
-		{"goroutine", "hamoffload/sched/health", true},
-		{"goroutine", "hamoffload/gateway", true},
-		{"goroutine", "hamoffload/internal/backend/tcpb", false},
-		{"goroutine", "hamoffload/internal/backend/mpib", false},
-
-		{"goroutine", "hamoffload/internal/backend/ring", true},
-		{"goroutine", "hamoffload/internal/trace", true},
+		// determinism: the same scope as walltime, the runtime core, the HAM
+		// codec and the experiment drivers with it.
+		{"determinism", "hamoffload/internal/simtime", true},
+		{"determinism", "hamoffload/internal/core", true},
+		{"determinism", "hamoffload/internal/ham", true},
+		{"determinism", "hamoffload/internal/backend/ring", true},
+		{"determinism", "hamoffload/internal/trace", true},
+		{"determinism", "hamoffload/internal/faults", true},
+		{"determinism", "hamoffload/internal/veos", true},
+		{"determinism", "hamoffload/cmd/veinfo", true},
+		{"determinism", "hamoffload/cmd/benchreg", true},
+		{"determinism", "hamoffload/sched/health", true},
+		// the gateway report is byte-compared across runs in the serving tests
+		{"determinism", "hamoffload/gateway", true},
+		{"determinism", "hamoffload/machine", false},
+		{"determinism", "hamoffload/internal/backend/tcpb", false},
+		{"determinism", "hamoffload/internal/backend/mpib", false},
 
 		// flagorder: the slot-ring protocol, its two transports, the flag codec.
 		{"flagorder", "hamoffload/internal/backend/ring", true},
@@ -58,17 +66,6 @@ func TestPolicyScoping(t *testing.T) {
 		{"spanend", "hamoffload/internal/backend/tcpb", true},
 		{"spanend", "hamoffload/examples/quickstart", true},
 
-		// detmap: deterministic-output paths only.
-		{"detmap", "hamoffload/internal/trace", true},
-		{"detmap", "hamoffload/internal/ham", true},
-		{"detmap", "hamoffload/internal/faults", true},
-		{"detmap", "hamoffload/cmd/veinfo", true},
-		{"detmap", "hamoffload/sched/health", true},
-		// the gateway report is byte-compared across runs in the serving tests
-		{"detmap", "hamoffload/gateway", true},
-		{"detmap", "hamoffload/machine", false},
-		{"detmap", "hamoffload/internal/backend/tcpb", false},
-
 		// unitcast: everywhere except the unit-owning packages.
 		{"unitcast", "hamoffload/internal/units", false},
 		{"unitcast", "hamoffload/internal/simtime", false},
@@ -80,6 +77,23 @@ func TestPolicyScoping(t *testing.T) {
 			t.Errorf("Applies(%q, %q) = %v, want %v", c.analyzer, c.path, got, c.want)
 		}
 	}
+	// One determinism regime: walltime and determinism share one scope.
+	for _, pkg := range modulePackages(t) {
+		if w, d := Applies("walltime", pkg), Applies("determinism", pkg); w != d {
+			t.Errorf("%s: walltime applies = %v, determinism applies = %v; the two share one scope", pkg, w, d)
+		}
+	}
+}
+
+// modulePackages lists every package of the module. The tests run inside
+// internal/analysis, so they ask by module path rather than by ./....
+func modulePackages(t *testing.T) []string {
+	t.Helper()
+	out, err := exec.Command("go", "list", "hamoffload/...").Output()
+	if err != nil {
+		t.Fatalf("go list hamoffload/...: %v", err)
+	}
+	return strings.Split(strings.TrimSpace(string(out)), "\n")
 }
 
 // TestPolicyCoversModule is the coverage meta-test: every non-test package
@@ -87,11 +101,7 @@ func TestPolicyScoping(t *testing.T) {
 // PolicyExempt with a reason. A new package that is neither fails here, so
 // nothing lands with an unconsidered lint posture.
 func TestPolicyCoversModule(t *testing.T) {
-	out, err := exec.Command("go", "list", "hamoffload/...").Output()
-	if err != nil {
-		t.Fatalf("go list hamoffload/...: %v", err)
-	}
-	for _, pkg := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+	for _, pkg := range modulePackages(t) {
 		if !CoveredByPolicy(pkg) && !InAny(pkg, PolicyExempt) {
 			t.Errorf("package %s is matched by no scoping table and is not in PolicyExempt; classify it in internal/analysis/policy.go", pkg)
 		}
@@ -109,29 +119,12 @@ func TestPolicyCoversModule(t *testing.T) {
 // every path the policy names must still resolve to at least one package in
 // the module, or the protection silently evaporates on a rename.
 func TestPolicyRootsExist(t *testing.T) {
-	// The test runs inside internal/analysis, so ask by module path rather
-	// than by ./... to cover the whole module.
-	out, err := exec.Command("go", "list", "hamoffload/...").Output()
-	if err != nil {
-		t.Fatalf("go list hamoffload/...: %v", err)
-	}
-	existing := strings.Split(strings.TrimSpace(string(out)), "\n")
-	var roots []string
-	roots = append(roots, desPackages...)
-	roots = append(roots, wallClockPackages...)
-	roots = append(roots, goroutineExtra...)
-	roots = append(roots, deterministicOutputPackages...)
-	roots = append(roots, unitcastExempt...)
-	for _, root := range roots {
-		found := false
-		for _, pkg := range existing {
-			if pkg == root || strings.HasPrefix(pkg, root+"/") {
-				found = true
-				break
+	existing := modulePackages(t)
+	for _, table := range append(scopingTables, PolicyExempt) {
+		for _, root := range table {
+			if !slices.ContainsFunc(existing, func(pkg string) bool { return InAny(pkg, []string{root}) }) {
+				t.Errorf("policy names %q, but no such package exists; update internal/analysis/policy.go", root)
 			}
-		}
-		if !found {
-			t.Errorf("policy names %q, but no such package exists; update internal/analysis/policy.go", root)
 		}
 	}
 }

@@ -9,14 +9,12 @@
 // lostcancel check, retargeted at span closers.
 //
 // The analyzer recognises closer-producing calls structurally: a method
-// named Span or Begin whose result is a bare func(). For a closer bound to
-// a variable it then demands, for every return statement after the binding,
-// that the closer was deferred or called at an earlier source position.
-// That position-based approximation (rather than a full CFG) catches the
-// real bug class — err-check returns between Begin and the closing call —
-// while accepting both idioms that fix it: defer, or closing before the
-// error check. Closers that escape (returned, stored, passed on) transfer
-// ownership and are accepted.
+// named Span or Begin whose result is a bare func(). A closer bound to a
+// variable is an obligation, opened at the binding and discharged by a call
+// of the variable, by its escape (returned, stored, passed on, captured by
+// a function literal: ownership transfers) or by a defer that mentions it.
+// A forward dataflow pass over the function's CFG (cfg.Leaks, as acqrel's)
+// reports every binding that may reach the function's exit undischarged.
 package spanend
 
 import (
@@ -25,6 +23,7 @@ import (
 	"go/types"
 
 	"hamoffload/internal/analysis"
+	"hamoffload/internal/analysis/cfg"
 )
 
 // Analyzer flags span closers that are dropped or skipped on a return path.
@@ -36,226 +35,156 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		parents := parentMap(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Span" && sel.Sel.Name != "Begin") {
-				return true
-			}
-			if !returnsCloser(pass, call) {
-				return true
-			}
-			checkCloser(pass, parents, call, sel.Sel.Name)
-			return true
-		})
+	for _, file := range pass.Files {
+		for _, fb := range cfg.FuncBodies(file) {
+			checkFunc(pass, fb.Body)
+		}
 	}
 	return nil
 }
 
-// returnsCloser reports whether call's single result is a bare func().
-func returnsCloser(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sig, ok := pass.TypesInfo.TypeOf(call).(*types.Signature)
-	return ok && sig.Recv() == nil && sig.Params().Len() == 0 && sig.Results().Len() == 0
+// A binding is one closer bound to a variable.
+type binding struct {
+	obj          types.Object
+	name, opener string // the variable's name; Span or Begin
 }
 
-// checkCloser classifies how the closer produced at call is consumed.
-func checkCloser(pass *analysis.Pass, parents map[ast.Node]ast.Node, call *ast.CallExpr, name string) {
-	switch p := parents[call].(type) {
-	case *ast.CallExpr:
-		// x.Begin(...)() — immediately invoked; any surrounding context
-		// (defer, statement, argument) consumes a closed span.
-		return
-	case *ast.DeferStmt:
-		if p.Call == call {
-			pass.Reportf(call.Pos(),
-				"defer %s(...) defers the opener, not the closer; write `defer %s(...)()`",
-				name, name)
-		}
-	case *ast.ExprStmt:
-		pass.Reportf(call.Pos(),
-			"closer returned by %s is discarded; the span never closes", name)
-	case *ast.AssignStmt:
-		checkAssigned(pass, parents, p, call, name)
-	default:
-		// Return value, composite literal, argument, var decl initializer:
-		// the closer escapes and ownership transfers to the consumer.
-	}
-}
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+	g := cfg.New(body)
 
-// checkAssigned handles `end := x.Begin(...)`: the bound closer must be
-// used, and used before every subsequent return.
-func checkAssigned(pass *analysis.Pass, parents map[ast.Node]ast.Node, as *ast.AssignStmt, call *ast.CallExpr, name string) {
-	id := lhsFor(as, call)
-	if id == nil {
-		return // assigned to a field or index expression: escapes
-	}
-	if id.Name == "_" {
-		pass.Reportf(call.Pos(),
-			"closer returned by %s is assigned to _; the span never closes", name)
-		return
-	}
-	obj := pass.TypesInfo.Defs[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	body := enclosingFuncBody(parents, as)
-	if body == nil {
-		return
-	}
-
-	var deferred, called []token.Pos
-	escapes := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		use, ok := n.(*ast.Ident)
-		if !ok || use.Pos() <= as.End() || pass.TypesInfo.Uses[use] != obj {
-			return true
-		}
-		switch p := parents[use].(type) {
-		case *ast.CallExpr:
-			if p.Fun == use {
-				if d, ok := parents[p].(*ast.DeferStmt); ok && d.Call == p {
-					deferred = append(deferred, use.Pos())
-				} else {
-					called = append(called, use.Pos())
+	// Opens: the closer calls written in this body (function literals are
+	// bodies of their own), classified by the node that consumes them.
+	// Anything but the shapes below — an immediate call, a return, an
+	// argument, a composite literal — consumes or hands on the closer.
+	opens := map[ast.Node][]token.Pos{}
+	bound := map[token.Pos]binding{}
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			cfg.Shallow(n, func(m ast.Node) bool {
+				switch m := m.(type) {
+				case *ast.ExprStmt:
+					if name := opener(pass, m.X); name != "" {
+						pass.Reportf(m.X.Pos(), "closer returned by %s is discarded; the span never closes", name)
+					}
+				case *ast.DeferStmt:
+					if name := opener(pass, m.Call); name != "" {
+						pass.Reportf(m.Call.Pos(),
+							"defer %s(...) defers the opener, not the closer; write `defer %s(...)()`", name, name)
+					}
+				case *ast.AssignStmt:
+					for i, rhs := range m.Rhs {
+						name := opener(pass, rhs)
+						if name == "" || i >= len(m.Lhs) {
+							continue
+						}
+						id, ok := m.Lhs[i].(*ast.Ident)
+						if !ok {
+							continue // a field or index destination: the closer escapes
+						}
+						if id.Name == "_" {
+							pass.Reportf(rhs.Pos(), "closer returned by %s is assigned to _; the span never closes", name)
+							continue
+						}
+						obj := pass.TypesInfo.ObjectOf(id)
+						if obj == nil {
+							continue
+						}
+						opens[n] = append(opens[n], rhs.Pos())
+						bound[rhs.Pos()] = binding{obj: obj, name: id.Name, opener: name}
+					}
 				}
 				return true
+			})
+		}
+	}
+	if len(bound) == 0 {
+		return
+	}
+	tracked := map[types.Object]bool{}
+	for _, bd := range bound {
+		tracked[bd.obj] = true
+	}
+
+	// Steps, in block order: a node's uses discharge before its bindings
+	// open, since the right-hand side evaluates first.
+	steps := map[*cfg.Block][]cfg.Step[types.Object]{}
+	used := map[types.Object]bool{}
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			uses(pass, n, tracked, func(obj types.Object) {
+				used[obj] = true
+				steps[b] = append(steps[b], cfg.Step[types.Object]{Owner: obj})
+			})
+			for _, pos := range opens[n] {
+				steps[b] = append(steps[b], cfg.Step[types.Object]{Open: pos, Owner: bound[pos].obj})
 			}
-			escapes = true // passed as an argument
+		}
+	}
+
+	for _, l := range cfg.Leaks(g, steps) {
+		bd := bound[l.Pos]
+		if !used[l.Owner] {
+			pass.Reportf(l.Pos, "closer %s returned by %s is never called; the span never closes", bd.name, bd.opener)
+			continue
+		}
+		end := body.Rbrace // falling off the end
+		if last := len(l.From.Nodes) - 1; last >= 0 {
+			if ret, ok := l.From.Nodes[last].(*ast.ReturnStmt); ok {
+				end = ret.Pos()
+			}
+		}
+		pass.Reportf(l.Pos,
+			"closer %s returned by %s is not closed on the return path at line %d; "+
+				"defer it or call it before returning",
+			bd.name, bd.opener, pass.Fset.Position(end).Line)
+	}
+}
+
+// opener returns Span or Begin when e is a call of that name whose single
+// result is a bare func(), and "" otherwise.
+func opener(pass *analysis.Pass, e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Span" && sel.Sel.Name != "Begin") {
+		return ""
+	}
+	sig, ok := pass.TypesInfo.TypeOf(call).(*types.Signature)
+	if !ok || sig.Recv() != nil || sig.Params().Len() != 0 || sig.Results().Len() != 0 {
+		return ""
+	}
+	return sel.Sel.Name
+}
+
+// uses calls use for every reference to a tracked closer in n, function
+// literals included: calling the closer, handing it on and capturing it all
+// discharge it. Binding the variable is no use of it, and neither is
+// `_ = end`, which only silences the compiler.
+func uses(pass *analysis.Pass, n ast.Node, tracked map[types.Object]bool, use func(types.Object)) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
 		case *ast.AssignStmt:
-			// Re-assignment of the variable is not a use; `_ = end` only
-			// silences the compiler and closes nothing. Assignment to a
-			// real destination hands the closer on.
-			if !onLHS(p, use) && !allBlankLHS(p) {
-				escapes = true
+			blank := true
+			for _, lhs := range m.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					uses(pass, lhs, tracked, use) // *p = ..., x.f = ...
+				}
+				blank = blank && ok && id.Name == "_"
 			}
-		default:
-			escapes = true // returned, stored, compared, ...
-		}
-		return true
-	})
-
-	if escapes {
-		return
-	}
-	if len(deferred) == 0 && len(called) == 0 {
-		pass.Reportf(call.Pos(),
-			"closer %s returned by %s is never called; the span never closes", id.Name, name)
-		return
-	}
-	for _, ret := range returnsAfter(body, as.End()) {
-		if !closedBefore(ret.Pos(), deferred, called) {
-			pass.Reportf(call.Pos(),
-				"closer %s returned by %s is not closed on the return path at line %d; "+
-					"defer it or call it before returning",
-				id.Name, name, pass.Fset.Position(ret.Pos()).Line)
-			return // one report per closer is enough
-		}
-	}
-}
-
-// closedBefore reports whether some defer or call of the closer precedes
-// pos in the source.
-func closedBefore(pos token.Pos, deferred, called []token.Pos) bool {
-	for _, p := range deferred {
-		if p < pos {
-			return true
-		}
-	}
-	for _, p := range called {
-		if p < pos {
-			return true
-		}
-	}
-	return false
-}
-
-// returnsAfter collects the return statements of body (not of nested
-// function literals) positioned after from.
-func returnsAfter(body *ast.BlockStmt, from token.Pos) []*ast.ReturnStmt {
-	var out []*ast.ReturnStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // its returns exit the literal, not this function
-		case *ast.ReturnStmt:
-			if n.Pos() > from {
-				out = append(out, n)
+			for _, rhs := range m.Rhs {
+				if _, ok := rhs.(*ast.Ident); !blank || !ok {
+					uses(pass, rhs, tracked, use)
+				}
 			}
-		}
-		return true
-	})
-	return out
-}
-
-// onLHS reports whether id is one of the assignment's destinations.
-func onLHS(as *ast.AssignStmt, id *ast.Ident) bool {
-	for _, lhs := range as.Lhs {
-		if lhs == id {
-			return true
-		}
-	}
-	return false
-}
-
-// allBlankLHS reports whether every destination of the assignment is _.
-func allBlankLHS(as *ast.AssignStmt) bool {
-	for _, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
 			return false
+		case *ast.Ident:
+			if obj := pass.TypesInfo.Uses[m]; obj != nil && tracked[obj] {
+				use(obj)
+			}
 		}
-	}
-	return true
-}
-
-// lhsFor returns the identifier the call's result is bound to, or nil when
-// the destination is not a plain identifier.
-func lhsFor(as *ast.AssignStmt, call *ast.CallExpr) *ast.Ident {
-	for i, rhs := range as.Rhs {
-		if rhs == call && i < len(as.Lhs) {
-			id, _ := as.Lhs[i].(*ast.Ident)
-			return id
-		}
-	}
-	return nil
-}
-
-// enclosingFuncBody walks up the parent chain to the body of the function
-// containing n.
-func enclosingFuncBody(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
-	for n != nil {
-		switch f := n.(type) {
-		case *ast.FuncDecl:
-			return f.Body
-		case *ast.FuncLit:
-			return f.Body
-		}
-		n = parents[n]
-	}
-	return nil
-}
-
-// parentMap records each node's parent within one file.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
 		return true
 	})
-	return parents
 }

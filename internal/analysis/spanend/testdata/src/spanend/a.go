@@ -95,6 +95,15 @@ func earlyReturn(t T, err error) error {
 	return nil
 }
 
+func closedOnOtherBranch(t T, ok bool, err error) error {
+	end := t.Begin("x") // want `closer end returned by Begin is not closed on the return path at line \d+`
+	if ok {
+		end()
+		return nil
+	}
+	return err
+}
+
 func multiAssign(t T, err error) error {
 	n, end := 1, t.Begin("x") // want `closer end returned by Begin is not closed on the return path at line \d+`
 	if n > 0 && err != nil {

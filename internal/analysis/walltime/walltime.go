@@ -86,7 +86,7 @@ func runModule(pass *analysis.ModulePass) error {
 			n.Func.Pkg().Path() == "time" && forbidden[n.Func.Name()]
 	}
 	sanctioned := func(path string) bool {
-		return analysis.InAny(path, analysis.WallClockSanctioned)
+		return analysis.InAny(path, analysis.WallClock)
 	}
 	// Traversal may pass only through neutral, source-loaded functions:
 	// scoped packages report their own calls, sanctioned packages absorb

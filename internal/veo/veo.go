@@ -75,7 +75,7 @@ func (l LibHandle) GetSym(p *simtime.Proc, name string) (Sym, error) {
 	if l.h == nil {
 		return Sym{}, fmt.Errorf("veo: GetSym on nil library handle")
 	}
-	k, err := l.h.vp.FindSymbol(p, name)
+	k, err := l.h.vp.FindSymbol(p, l.lib, name)
 	if err != nil {
 		return Sym{}, err
 	}

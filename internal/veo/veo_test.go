@@ -137,6 +137,50 @@ func TestMemoryAPIRoundTrip(t *testing.T) {
 	})
 }
 
+// TestGetSymResolvesInItsLibrary: two loaded libraries export the same
+// symbol, and each handle's GetSym resolves it in its own library, as
+// veo_get_sym(proc, libhdl, sym) does — on every lookup, whatever the
+// order the process keeps its libraries in.
+func TestGetSymResolvesInItsLibrary(t *testing.T) {
+	names := []string{"libsame_a.so", "libsame_b.so"}
+	for i, name := range names {
+		id := uint64(i)
+		veos.RegisterLibrary(name, veos.Library{
+			"f": func(*veos.Ctx, []uint64) (uint64, error) { return id, nil },
+		})
+	}
+	r := newRig(t)
+	r.run(t, func(p *simtime.Proc) {
+		h, err := ProcCreate(p, r.card)
+		if err != nil {
+			t.Fatalf("ProcCreate: %v", err)
+		}
+		var libs []LibHandle
+		for _, name := range names {
+			lib, err := h.LoadLibrary(p, name)
+			if err != nil {
+				t.Fatalf("LoadLibrary(%s): %v", name, err)
+			}
+			libs = append(libs, lib)
+		}
+		for want, lib := range libs {
+			wrong := 0
+			for range 200 {
+				sym, err := lib.GetSym(p, "f")
+				if err != nil {
+					t.Fatalf("GetSym(f) in %s: %v", names[want], err)
+				}
+				if got, _ := sym.k(nil, nil); got != uint64(want) {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("GetSym(f) on the %s handle resolved in the other library %d times of 200", names[want], wrong)
+			}
+		}
+	})
+}
+
 func TestGetSymOnNilHandle(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *simtime.Proc) {

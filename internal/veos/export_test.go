@@ -24,7 +24,7 @@ func EmptyCallUS(t *testing.T) float64 {
 		if err := vp.LoadLibrary(p, "libempty.so"); err != nil {
 			t.Fatal(err)
 		}
-		k, _ := vp.FindSymbol(p, "empty")
+		k, _ := vp.FindSymbol(p, "libempty.so", "empty")
 		ctx := vp.OpenContext(p)
 		// Warm up so the worker's idle backoff is reset.
 		for i := 0; i < 10; i++ {

@@ -10,6 +10,7 @@ package veos
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"hamoffload/internal/dma"
 	"hamoffload/internal/faults"
@@ -245,11 +246,7 @@ var globalLibs = map[string]Library{}
 // compiled artifacts. Re-registering a name overwrites it (like replacing a
 // .so on disk).
 func RegisterLibrary(name string, lib Library) {
-	cp := make(Library, len(lib))
-	for k, v := range lib {
-		cp[k] = v
-	}
-	globalLibs[name] = cp
+	globalLibs[name] = maps.Clone(lib)
 }
 
 // LoadLibrary loads a registered library into the process, charging the
@@ -265,16 +262,15 @@ func (vp *Process) LoadLibrary(p *simtime.Proc, name string) error {
 	return nil
 }
 
-// FindSymbol resolves a kernel by symbol name across loaded libraries,
-// charging the lookup cost.
-func (vp *Process) FindSymbol(p *simtime.Proc, sym string) (Kernel, error) {
+// FindSymbol resolves a kernel by symbol name in the loaded library lib,
+// as veo_get_sym(proc, libhdl, sym) does, charging the lookup cost.
+func (vp *Process) FindSymbol(p *simtime.Proc, lib, sym string) (Kernel, error) {
 	p.Sleep(vp.card.Timing.GetSym)
-	for _, lib := range vp.libs {
-		if k, ok := lib[sym]; ok {
-			return k, nil
-		}
+	k, ok := vp.libs[lib][sym]
+	if !ok {
+		return nil, fmt.Errorf("veos: symbol %q not found in loaded library %q", sym, lib)
 	}
-	return nil, fmt.Errorf("veos: symbol %q not found in loaded libraries", sym)
+	return k, nil
 }
 
 // AllocMem allocates n bytes of HBM on behalf of the VH (veo_alloc_mem):

@@ -110,11 +110,14 @@ func TestLibraryLoadAndSymbolLookup(t *testing.T) {
 		if err := vp.LoadLibrary(p, "libtest.so"); err != nil {
 			t.Fatalf("LoadLibrary: %v", err)
 		}
-		if _, err := vp.FindSymbol(p, "add"); err != nil {
+		if _, err := vp.FindSymbol(p, "libtest.so", "add"); err != nil {
 			t.Errorf("FindSymbol(add): %v", err)
 		}
-		if _, err := vp.FindSymbol(p, "nope"); err == nil {
+		if _, err := vp.FindSymbol(p, "libtest.so", "nope"); err == nil {
 			t.Error("FindSymbol of missing symbol should fail")
+		}
+		if _, err := vp.FindSymbol(p, "libmissing.so", "add"); err == nil {
+			t.Error("FindSymbol in a library that is not loaded should fail")
 		}
 	})
 }
@@ -132,7 +135,7 @@ func TestCallRoundTripExecutesKernel(t *testing.T) {
 		if err := vp.LoadLibrary(p, "libadd.so"); err != nil {
 			t.Fatal(err)
 		}
-		k, err := vp.FindSymbol(p, "add")
+		k, err := vp.FindSymbol(p, "libadd.so", "add")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +170,7 @@ func TestContextsRunConcurrently(t *testing.T) {
 		if err := vp.LoadLibrary(p, "libslow.so"); err != nil {
 			t.Fatal(err)
 		}
-		k, _ := vp.FindSymbol(p, "slow")
+		k, _ := vp.FindSymbol(p, "libslow.so", "slow")
 		c1 := vp.OpenContext(p)
 		c2 := vp.OpenContext(p)
 		start := p.Now()
@@ -250,7 +253,7 @@ func TestKernelCtxFacilities(t *testing.T) {
 		if err := vp.LoadLibrary(p, "libctx.so"); err != nil {
 			t.Fatal(err)
 		}
-		k, _ := vp.FindSymbol(p, "probe")
+		k, _ := vp.FindSymbol(p, "libctx.so", "probe")
 		ctx := vp.OpenContext(p)
 		v, err := ctx.Wait(p, ctx.Submit(p, k, nil))
 		if err != nil || v != 0 {
