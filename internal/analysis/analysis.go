@@ -47,6 +47,10 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
+
+	// unscoped marks a module-wide finding whose rule holds in every
+	// package (ModulePass.ReportfUnscoped): the scoping predicate keeps it.
+	unscoped bool
 }
 
 func (d Diagnostic) String() string {
@@ -315,12 +319,20 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// ReportfUnscoped records a module-wide finding at pos that the scoping
+// predicate does not drop: for a rule bound to a call rather than to a
+// package, such as borrowck's on every registered offload kernel.
+func (p *ModulePass) ReportfUnscoped(pos token.Pos, format string, args ...any) {
+	p.Reportf(pos, format, args...)
+	p.diags[len(p.diags)-1].unscoped = true
+}
+
 // RunModule applies the module-wide (RunModule) phase of the given analyzers
 // to the full package set and returns the surviving findings in source
 // order. //lint:allow suppressions from any loaded file are honoured, and a
 // finding whose position lies in a loaded package that the applies predicate
 // excludes for the analyzer is dropped — the same scoping rule the
-// per-package phase enforces.
+// per-package phase enforces — unless it was reported unscoped.
 func RunModule(pkgs []*Package, analyzers []*Analyzer, applies func(analyzer, pkgPath string) bool) ([]Diagnostic, error) {
 	return RunModuleTracked(pkgs, analyzers, applies, nil)
 }
@@ -371,7 +383,7 @@ func RunModuleTracked(pkgs []*Package, analyzers []*Analyzer, applies func(analy
 			if idx.allows(d) {
 				continue
 			}
-			if owner, ok := fileOwner[d.Pos.Filename]; ok && applies != nil && !applies(a.Name, owner) {
+			if owner, ok := fileOwner[d.Pos.Filename]; ok && applies != nil && !d.unscoped && !applies(a.Name, owner) {
 				continue
 			}
 			out = append(out, d)

@@ -24,6 +24,14 @@
 // passing a borrowed buffer to stash gets the diagnostic at its own call
 // site, with the full hop chain to the deep store.
 //
+// An offload kernel — the impl passed to core.NewFunc1..4 or
+// offload.NewFunc1..4, a function literal or a named function — borrows its
+// []byte parameters with no annotation: its handler decodes them as views
+// of the message, valid until the kernel returns. The kernel may return one
+// (the handler encodes the result before the message is released) or bind
+// it to another offload; any other escape reports, in whichever package the
+// kernel is registered, not only inside the borrowck scope.
+//
 // Closures carry the taint of what they capture: storing, sending or
 // returning a literal that captures a borrowed buffer reports, as does
 // launching one on a goroutine; a literal merely passed as a call argument
@@ -38,6 +46,7 @@ package borrowck
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -49,7 +58,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "borrowck",
-	Doc:       "borrowed byte buffers (//ham:borrowed) must not escape their validity window: no stores to fields/globals/maps/channels, no closure captures or goroutine hand-offs, no element appends, no unannotated returns; copy/bytes.Clone kill the fact, //ham:owned transfers ownership",
+	Doc:       "borrowed byte buffers (//ham:borrowed) must not escape their validity window: no stores to fields/globals/maps/channels, no closure captures or goroutine hand-offs, no element appends, no unannotated returns; copy/bytes.Clone kill the fact, //ham:owned transfers ownership; an offload kernel (impl of NewFunc1..4) borrows its []byte parameters wherever it is registered",
 	RunModule: runModule,
 }
 
@@ -66,10 +75,11 @@ type annotation struct {
 	borrowed map[int]bool
 	owned    map[int]bool
 	ret      bool // result is borrowed (valid-until-next-call scratch or alias of a borrowed param)
+	kernel   bool // an offload kernel: its []byte params are borrowed, and it may return them
 }
 
 func (a *annotation) empty() bool {
-	return a == nil || (len(a.borrowed) == 0 && len(a.owned) == 0 && !a.ret)
+	return a == nil || (len(a.borrowed) == 0 && len(a.owned) == 0 && !a.ret && !a.kernel)
 }
 
 func mergeAnn(dst, src *annotation) *annotation {
@@ -86,6 +96,7 @@ func mergeAnn(dst, src *annotation) *annotation {
 		dst.owned[i] = true
 	}
 	dst.ret = dst.ret || src.ret
+	dst.kernel = dst.kernel || src.kernel
 	return dst
 }
 
@@ -104,11 +115,25 @@ type summary struct {
 }
 
 type funcInfo struct {
-	name       string // types.Func.FullName of the declared function
+	name       string // types.Func.FullName of the declared function; a kernel literal's label
 	pkg        *analysis.Package
-	decl       *ast.FuncDecl
+	body       *ast.BlockStmt
 	paramNames []string
 	paramTypes []types.Type
+}
+
+// kernelRegistrars are the functions whose last parameter, impl, is an
+// offload kernel: the handler they register hands impl each []byte
+// argument as a view of the message (core.argCodecFor).
+var kernelRegistrars = map[string]bool{
+	"hamoffload/internal/core.NewFunc1": true,
+	"hamoffload/internal/core.NewFunc2": true,
+	"hamoffload/internal/core.NewFunc3": true,
+	"hamoffload/internal/core.NewFunc4": true,
+	"hamoffload/offload.NewFunc1":       true,
+	"hamoffload/offload.NewFunc2":       true,
+	"hamoffload/offload.NewFunc3":       true,
+	"hamoffload/offload.NewFunc4":       true,
 }
 
 type checker struct {
@@ -133,6 +158,7 @@ func runModule(pass *analysis.ModulePass) error {
 		reported: map[string]bool{},
 	}
 	c.collect()
+	c.collectKernels()
 	for _, name := range c.order {
 		c.analyze(name)
 	}
@@ -175,11 +201,71 @@ func (c *checker) collectFunc(pkg *analysis.Package, d *ast.FuncDecl) {
 	}
 	name := obj.FullName()
 	names, ptypes := fieldListParams(pkg, d.Type.Params)
-	c.info[name] = &funcInfo{name: name, pkg: pkg, decl: d, paramNames: names, paramTypes: ptypes}
+	c.info[name] = &funcInfo{name: name, pkg: pkg, body: d.Body, paramNames: names, paramTypes: ptypes}
 	c.order = append(c.order, name)
 	if ann := c.parseAnn(pkg, d.Doc, names); !ann.empty() {
 		c.anns[name] = mergeAnn(c.anns[name], ann)
 	}
+}
+
+// collectKernels finds every registration of an offload kernel and marks
+// the kernel: a named function by annotation, a function literal as a
+// function of its own, which nothing else walks.
+func (c *checker) collectKernels() {
+	for _, pkg := range c.pass.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 || !kernelRegistrars[calleeName(pkg.TypesInfo, call.Fun)] {
+					return true
+				}
+				ann := &annotation{kernel: true}
+				switch impl := ast.Unparen(call.Args[len(call.Args)-1]).(type) {
+				case *ast.FuncLit:
+					label := "kernel literal"
+					if tv := pkg.TypesInfo.Types[call.Args[0]]; tv.Value != nil && tv.Value.Kind() == constant.String {
+						label = "kernel " + constant.StringVal(tv.Value)
+					}
+					if c.info[label] != nil {
+						label += " at " + c.pass.Fset.Position(impl.Pos()).String()
+					}
+					names, ptypes := fieldListParams(pkg, impl.Type.Params)
+					c.info[label] = &funcInfo{name: label, pkg: pkg, body: impl.Body, paramNames: names, paramTypes: ptypes}
+					c.order = append(c.order, label)
+					c.anns[label] = ann
+				default:
+					if name := calleeName(pkg.TypesInfo, impl); c.info[name] != nil {
+						c.anns[name] = mergeAnn(c.anns[name], ann)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// calleeName is the full name of the function e denotes — an identifier
+// or a qualified one, instantiated or not — or "" when it is none.
+func calleeName(info *types.Info, e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	var id *ast.Ident
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return ""
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin().FullName()
+	}
+	return ""
 }
 
 // collectInterface registers annotations written on interface method doc
@@ -318,15 +404,18 @@ func (c *checker) analyze(name string) *summary {
 		if ng.ann != nil && ng.ann.owned[i] {
 			continue // owned inside: the function may retain it
 		}
-		borrowed := ng.ann != nil && ng.ann.borrowed[i]
-		bit := ng.addOrigin(origin{param: i, borrowed: borrowed, desc: fmt.Sprintf("buffer %q", pname)})
+		o := origin{param: i, borrowed: ng.ann != nil && ng.ann.borrowed[i], desc: fmt.Sprintf("buffer %q", pname)}
+		if ng.ann != nil && ng.ann.kernel {
+			o.borrowed, o.kernel, o.desc = true, true, fmt.Sprintf("kernel argument %q", pname)
+		}
+		bit := ng.addOrigin(o)
 		if bit != 0 {
 			entry[pname] = bit
 		}
 	}
-	ng.prepRanges(fi.decl.Body)
+	ng.prepRanges(fi.body)
 
-	g := cfg.New(fi.decl.Body)
+	g := cfg.New(fi.body)
 	res := cfg.Forward(g, cfg.Problem[state]{
 		Entry:    entry,
 		Transfer: ng.transfer,
@@ -394,6 +483,7 @@ func equalState(a, b state) bool {
 type origin struct {
 	param    int // parameter index, or -1 for a borrowed call result
 	borrowed bool
+	kernel   bool // a kernel's argument: reported wherever the kernel lives
 	desc     string
 }
 
@@ -614,8 +704,8 @@ func (ng *engine) ret(st state, rs *ast.ReturnStmt) {
 				ng.sum.returned[o.param] = true
 				continue
 			}
-			if ng.ann != nil && ng.ann.ret {
-				continue // declared: this function returns borrowed memory
+			if ng.ann != nil && (ng.ann.ret || ng.ann.kernel) {
+				continue // declared, or a kernel's result, encoded before the message is released
 			}
 			ng.reportOrigin(o, "returned from a function not annotated \"//ham:borrowed ... return\"", e.Pos(), "", nil)
 		}
@@ -911,6 +1001,10 @@ func (ng *engine) reportOrigin(o origin, what string, pos token.Pos, site string
 		msg += " at " + site
 	}
 	msg += " (chain: " + strings.Join(full, " → ") + ")"
+	if o.kernel {
+		ng.c.pass.ReportfUnscoped(pos, "%s", msg)
+		return
+	}
 	ng.c.pass.Reportf(pos, "%s", msg)
 }
 

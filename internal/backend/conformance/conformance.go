@@ -6,6 +6,7 @@
 package conformance
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -74,6 +75,26 @@ var (
 	cfLen = core.NewFunc1[int64]("conformance.len",
 		func(c *core.Ctx, s string) (int64, error) { return int64(len(s)), nil })
 
+	// The []byte-argument kernels read their argument in the message it
+	// arrived in (core.NewFunc1): cfChecksum and cfEchoBytes as it is,
+	// cfParkRead only after its vector work has parked the target, and
+	// cfGrow appends to it before reading it back.
+	cfChecksum = core.NewFunc1[int64]("conformance.checksum",
+		func(c *core.Ctx, b []byte) (int64, error) { return checksum(b), nil })
+	cfEchoBytes = core.NewFunc1[[]byte]("conformance.echobytes",
+		func(c *core.Ctx, b []byte) ([]byte, error) { return b, nil })
+	cfParkRead = core.NewFunc1[int64]("conformance.parkread",
+		func(c *core.Ctx, b []byte) (int64, error) {
+			c.ChargeVector(1<<20, 1<<20, 1)
+			return checksum(b), nil
+		})
+	cfGrow = core.NewFunc1[int64]("conformance.grow",
+		func(c *core.Ctx, b []byte) (int64, error) {
+			n := len(b)
+			b = append(b, growPad...)
+			return checksum(b[:n]), nil
+		})
+
 	// cfSurface inspects the target's side of the Backend surface from the
 	// inside and returns its clock reading. simulated is what the host's
 	// clock says of itself; oneWay means the target cannot initiate.
@@ -99,6 +120,29 @@ var (
 			return int64(clk.Now()), nil
 		})
 )
+
+// growPad is what cfGrow appends: longer than a batch entry's length word,
+// so an append into the next entry of a frame reaches its key.
+var growPad = bytes.Repeat([]byte{0xFF}, 16)
+
+// checksum weighs every byte by its position, so a shifted, truncated or
+// overwritten payload changes it.
+func checksum(b []byte) int64 {
+	s := int64(len(b))
+	for _, c := range b {
+		s = s*31 + int64(c)
+	}
+	return s
+}
+
+// payload returns n bytes of a pattern particular to n and salt.
+func payload(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(n*7 + salt*13 + i + 1)
+	}
+	return b
+}
 
 // Reporter receives failures; *testing.T satisfies it.
 type Reporter interface {
@@ -260,7 +304,10 @@ func Exercise(t Reporter, rt *core.Runtime, target core.NodeID) {
 // answer wrong. Dispatch returns a response that is only valid until the next
 // Dispatch, so the exercise consumes each response before dispatching again
 // and verifies that scribbling over a stale response cannot corrupt later
-// ones. It must run in the host's execution context.
+// ones. Last, kernels read their []byte arguments in the target's copy of
+// the message: intact after Call returns, after the kernel parks, and next
+// to an append inside a batch frame. It must run in the host's execution
+// context.
 func ExerciseAliasing(t Reporter, rt *core.Runtime, target core.NodeID) {
 	be := rt.Backend()
 	bin := rt.Binary()
@@ -354,6 +401,115 @@ func ExerciseAliasing(t Reporter, rt *core.Runtime, target core.NodeID) {
 	r2 := rt.Dispatch(m2)
 	if v, err := decodeEcho(r2); err != nil || v != 8 {
 		t.Errorf("aliasing: dispatch after clobbered response = %d, %v (want 8): response scratch not re-armed between dispatches", v, err)
+	}
+
+	exerciseKernelBytes(t, rt, target)
+}
+
+// exerciseKernelBytes drives the kernel side of the aliasing contract: a
+// []byte argument is a view of the message on the target, valid until the
+// kernel returns. The host clobbers each request the moment Call returns,
+// so only the target's copy of the message can answer right.
+func exerciseKernelBytes(t Reporter, rt *core.Runtime, target core.NodeID) {
+	be, bin := rt.Backend(), rt.Binary()
+	call := func(fn string, pay []byte) core.Handle {
+		msg, err := bin.EncodeRequest(fn, func(e *ham.Encoder) { e.PutBytes(pay) })
+		if err != nil {
+			t.Errorf("aliasing: encode %s: %v", fn, err)
+			return nil
+		}
+		h, err := be.Call(target, msg)
+		if err != nil {
+			t.Errorf("aliasing: Call %s: %v", fn, err)
+			return nil
+		}
+		for i := range msg {
+			msg[i] = 0xAB
+		}
+		return h
+	}
+	wait := func(h core.Handle) *ham.Decoder {
+		resp, err := be.Wait(h)
+		if err != nil {
+			t.Errorf("aliasing: Wait: %v", err)
+			return nil
+		}
+		d, err := ham.DecodeResponse(resp)
+		if err != nil {
+			t.Errorf("aliasing: response: %v", err)
+			return nil
+		}
+		return d
+	}
+
+	// --- pipelined checksum and echo, payloads around the functor's inline size --
+	sizes := []int{0, 1, 59, 60, 61}
+	type pending struct {
+		pay       []byte
+		sum, echo core.Handle
+	}
+	calls := make([]pending, len(sizes))
+	for i, n := range sizes {
+		p := &calls[i]
+		p.pay = payload(n, i)
+		if p.sum = call("fn:conformance.checksum", p.pay); p.sum == nil {
+			return
+		}
+		if p.echo = call("fn:conformance.echobytes", p.pay); p.echo == nil {
+			return
+		}
+	}
+	for _, p := range calls {
+		if d := wait(p.sum); d != nil {
+			if v := d.I64(); d.Err() != nil || v != checksum(p.pay) {
+				t.Errorf("aliasing: checksum of a %d-byte argument = %d, %v (want %d)", len(p.pay), v, d.Err(), checksum(p.pay))
+			}
+		}
+		if d := wait(p.echo); d != nil {
+			if v := d.Bytes(); d.Err() != nil || !bytes.Equal(v, p.pay) {
+				t.Errorf("aliasing: echo of a %d-byte argument = % x, %v (want % x)", len(p.pay), v, d.Err(), p.pay)
+			}
+		}
+	}
+
+	// --- a kernel parked in vector work still reads its argument intact -------
+	parked, after := payload(48, 1), payload(48, 2)
+	hp := call("fn:conformance.parkread", parked)
+	ha := call("fn:conformance.checksum", after)
+	if hp == nil || ha == nil {
+		return
+	}
+	if d := wait(hp); d != nil {
+		if v := d.I64(); d.Err() != nil || v != checksum(parked) {
+			t.Errorf("aliasing: argument read after parking = %d, %v (want %d)", v, d.Err(), checksum(parked))
+		}
+	}
+	if d := wait(ha); d != nil {
+		if v := d.I64(); d.Err() != nil || v != checksum(after) {
+			t.Errorf("aliasing: checksum behind a parked kernel = %d, %v (want %d)", v, d.Err(), checksum(after))
+		}
+	}
+
+	// --- an append to the argument stays out of the next entry of a frame -----
+	saved := rt.Batching()
+	defer rt.SetBatching(saved)
+	rt.SetBatching(core.BatchPolicy{MaxMessages: 8})
+	pays := make([][]byte, 8)
+	fns := make([]core.Functor[int64], len(pays))
+	for i := range pays {
+		pays[i] = payload(8+i, 3)
+		fns[i] = cfGrow.Bind(pays[i])
+	}
+	for i, f := range core.AsyncBatch(rt, target, fns) {
+		if v, err := f.Get(); err != nil || v != checksum(pays[i]) {
+			t.Errorf("aliasing: batch entry %d after its predecessor appended to its argument = %d, %v (want %d)", i, v, err, checksum(pays[i]))
+		}
+	}
+	if v, err := core.Sync(rt, target, cfChecksum.Bind(pays[0])); err != nil || v != checksum(pays[0]) {
+		t.Errorf("aliasing: Sync checksum = %d, %v (want %d)", v, err, checksum(pays[0]))
+	}
+	if v, err := core.Sync(rt, target, cfEchoBytes.Bind(pays[1])); err != nil || !bytes.Equal(v, pays[1]) {
+		t.Errorf("aliasing: Sync echo = % x, %v (want % x)", v, err, pays[1])
 	}
 }
 

@@ -124,6 +124,19 @@ func codecFor[T any]() valCodec[T] {
 	}
 }
 
+// argCodecFor resolves the codec a kernel's argument is decoded with:
+// codecFor's, except that a []byte argument is a view of the message it
+// arrived in (ham.Decoder.BytesView) rather than a copy. The view is the
+// kernel's until it returns, the window in which Server.Dispatch holds the
+// message; a result, and a Marshaler's fields, outlive it and stay copies.
+func argCodecFor[T any]() valCodec[T] {
+	c := codecFor[T]()
+	if _, ok := any(*new(T)).([]byte); ok {
+		c.dec = func(d *ham.Decoder) T { return any(d.BytesView()).(T) }
+	}
+	return c
+}
+
 // Unit is the result type of offloaded functions that return nothing.
 type Unit struct{}
 
@@ -131,7 +144,8 @@ type Unit struct{}
 // of the C++ f2f() call. Like f2f's functor it holds copies of the
 // arguments, encoded when they are bound: the caller may reuse what it bound
 // as soon as Bind returns, and one functor may be offloaded any number of
-// times, to any number of nodes.
+// times, to any number of nodes. On the target the kernel reads a []byte
+// argument in the message itself (see NewFunc1).
 type Functor[R any] struct {
 	name   string
 	decode func(*ham.Decoder) (R, error)
@@ -304,8 +318,15 @@ type Func1[R, A1 any] struct {
 }
 
 // NewFunc1 registers impl as an offloadable one-argument function.
+//
+// A []byte argument is borrowed: impl receives a view of the message it
+// arrived in, capacity-clipped, and valid until impl returns. impl may read
+// it, write it, append to it, return it as its result or bind it to another
+// offload; to keep it past its return, impl copies it (bytes.Clone). Every
+// other argument type is decoded into a copy impl owns. borrowck checks the
+// contract statically (docs/LINTING.md).
 func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A1] {
-	rc, a1 := codecFor[R](), codecFor[A1]()
+	rc, a1 := codecFor[R](), argCodecFor[A1]()
 	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		if err := dec.Err(); err != nil {
@@ -339,9 +360,11 @@ type Func2[R, A1, A2 any] struct {
 	a2     valCodec[A2]
 }
 
-// NewFunc2 registers impl as an offloadable two-argument function.
+// NewFunc2 registers impl as an offloadable two-argument function. A []byte
+// argument is a view of the message, valid until impl returns; every other
+// argument is a copy impl owns (see NewFunc1).
 func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Func2[R, A1, A2] {
-	rc, a1, a2 := codecFor[R](), codecFor[A1](), codecFor[A2]()
+	rc, a1, a2 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2]()
 	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)
@@ -378,9 +401,11 @@ type Func3[R, A1, A2, A3 any] struct {
 	a3     valCodec[A3]
 }
 
-// NewFunc3 registers impl as an offloadable three-argument function.
+// NewFunc3 registers impl as an offloadable three-argument function. A []byte
+// argument is a view of the message, valid until impl returns; every other
+// argument is a copy impl owns (see NewFunc1).
 func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, error)) Func3[R, A1, A2, A3] {
-	rc, a1, a2, a3 := codecFor[R](), codecFor[A1](), codecFor[A2](), codecFor[A3]()
+	rc, a1, a2, a3 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2](), argCodecFor[A3]()
 	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)
@@ -420,9 +445,11 @@ type Func4[R, A1, A2, A3, A4 any] struct {
 	a4     valCodec[A4]
 }
 
-// NewFunc4 registers impl as an offloadable four-argument function.
+// NewFunc4 registers impl as an offloadable four-argument function. A []byte
+// argument is a view of the message, valid until impl returns; every other
+// argument is a copy impl owns (see NewFunc1).
 func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4) (R, error)) Func4[R, A1, A2, A3, A4] {
-	rc, a1, a2, a3, a4 := codecFor[R](), codecFor[A1](), codecFor[A2](), codecFor[A3](), codecFor[A4]()
+	rc, a1, a2, a3, a4 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2](), argCodecFor[A3](), argCodecFor[A4]()
 	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)

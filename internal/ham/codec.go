@@ -218,7 +218,8 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// Bytes reads a length-prefixed byte slice (copied).
+// Bytes reads a length-prefixed byte slice (copied): for values that
+// outlive the payload, such as a result on the host or a Marshaler's field.
 func (d *Decoder) Bytes() []byte {
 	n := int(d.U32())
 	b := d.take(n)
@@ -228,6 +229,18 @@ func (d *Decoder) Bytes() []byte {
 	out := make([]byte, n)
 	copy(out, b)
 	return out
+}
+
+// BytesView reads a length-prefixed byte slice in place: the bytes are the
+// payload's own, valid as long as it is, and the capacity is clipped to
+// them, so an append to the view reallocates instead of writing over the
+// rest of the payload.
+//
+//ham:borrowed return
+func (d *Decoder) BytesView() []byte {
+	n := int(d.U32())
+	b := d.take(n)
+	return b[:len(b):len(b)]
 }
 
 // count reads the length prefix of a slice of size-byte elements. A count

@@ -70,6 +70,45 @@ func TestDecoderStickyError(t *testing.T) {
 	}
 }
 
+// TestBytesView: a view read hands out the payload's own bytes, clipped so
+// an append cannot reach the next field; a truncated one is the sticky
+// underrun; and Bytes, beside it, still copies.
+func TestBytesView(t *testing.T) {
+	e := NewEncoder()
+	e.PutBytes([]byte("view"))
+	e.PutU32(0xC0FFEE)
+	msg := e.Bytes()
+
+	d := NewDecoder(msg)
+	v := d.BytesView()
+	if string(v) != "view" || d.Err() != nil {
+		t.Fatalf("BytesView = %q, %v; want \"view\"", v, d.Err())
+	}
+	if &v[0] != &msg[4] {
+		t.Error("BytesView copied: the view must alias the payload")
+	}
+	if cap(v) != len(v) {
+		t.Errorf("BytesView capacity %d for %d bytes: an append would write over the next field", cap(v), len(v))
+	}
+	_ = append(v, 0xFF, 0xFF, 0xFF, 0xFF)
+	if w := d.U32(); w != 0xC0FFEE {
+		t.Errorf("field after the view = %#x after an append to it, want 0xc0ffee", w)
+	}
+
+	trunc := NewDecoder(msg[:6]) // the length word claims 4 bytes, 2 are left
+	if v := trunc.BytesView(); v != nil || trunc.Err() == nil {
+		t.Fatalf("truncated BytesView = %q, %v; want nil and an underrun", v, trunc.Err())
+	}
+	if trunc.U8() != 0 || trunc.BytesView() != nil || trunc.Err() == nil {
+		t.Error("reads after an underrun in BytesView must stay zero and keep the error")
+	}
+
+	b := NewDecoder(msg).Bytes()
+	if string(b) != "view" || &b[0] == &msg[4] {
+		t.Errorf("Bytes = %q aliasing the payload: it must stay a copy", b)
+	}
+}
+
 // TestHostileCountAllocatesNothing: a slice count is the peer's word, so a
 // few bytes claiming billions of elements must fail as an underrun before
 // the decoder allocates for them. What the read allocates is bounded by the

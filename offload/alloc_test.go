@@ -12,17 +12,32 @@ var (
 		func(*offload.Ctx) (int64, error) { return 42, nil })
 	allocAdd = offload.NewFunc2[int64]("offload.alloc.add",
 		func(_ *offload.Ctx, a, b int64) (int64, error) { return a + b, nil })
+	// allocPayload is bench/perf sync-dma's widest kernel: an int64, a
+	// float64 and a byte payload.
+	allocPayload = offload.NewFunc3[int64]("offload.alloc.payload",
+		func(_ *offload.Ctx, a int64, b float64, pay []byte) (int64, error) {
+			s := a + int64(b)
+			for _, c := range pay {
+				s += int64(c)
+			}
+			return s, nil
+		})
 )
 
 // TestSyncAllocs pins a warm synchronous offload over the DMA protocol at
 // what the API hands out, which is nothing: Bind encodes the arguments into
 // the functor itself, Sync keeps no future, the wire is encoded in the
-// pooled call and the ring handle recycles. (Results and arguments stay
-// below 256, which the generic codecs box for free.)
+// pooled call, the ring handle recycles, and the kernel reads a []byte
+// argument in the message. The generic codecs' conversions through `any`
+// stay off the heap whatever the value, so the arguments are large.
 func TestSyncAllocs(t *testing.T) {
 	m, err := machine.New(machine.Config{VEs: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	pay := make([]byte, 40) // sync-dma's widest request
+	for i := range pay {
+		pay[i] = byte(i)
 	}
 	err = m.RunMain(func(p *machine.Proc) error {
 		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
@@ -32,20 +47,22 @@ func TestSyncAllocs(t *testing.T) {
 		defer func() { _ = rt.Finalize() }()
 		var v int64
 		for _, tc := range []struct {
-			name string
-			want float64
-			sync func() (int64, error)
+			name   string
+			result int64
+			sync   func() (int64, error)
 		}{
-			{"Func0", 0, func() (int64, error) { return offload.Sync(rt, 1, allocNone.Bind()) }},
-			{"Func2", 0, func() (int64, error) { return offload.Sync(rt, 1, allocAdd.Bind(40, 2)) }},
+			{"Func0", 42, func() (int64, error) { return offload.Sync(rt, 1, allocNone.Bind()) }},
+			{"Func2", 42, func() (int64, error) { return offload.Sync(rt, 1, allocAdd.Bind(40, 2)) }},
+			{"Func2 of large values", 1<<40 + 123456, func() (int64, error) { return offload.Sync(rt, 1, allocAdd.Bind(1<<40, 123456)) }},
+			{"Func3 with 40 payload bytes", 1<<40 + 7 + 780, func() (int64, error) { return offload.Sync(rt, 1, allocPayload.Bind(1<<40, 7.5, pay)) }},
 		} {
 			v, err = tc.sync() // warm the call pool, the ring handle and the codecs
 			n := testing.AllocsPerRun(100, func() { v, err = tc.sync() })
-			if err != nil || v != 42 {
-				t.Fatalf("%s: Sync = %d, %v; want 42", tc.name, v, err)
+			if err != nil || v != tc.result {
+				t.Fatalf("%s: Sync = %d, %v; want %d", tc.name, v, err, tc.result)
 			}
-			if n != tc.want {
-				t.Errorf("a warm %s Sync allocates %.1f objects, want %.0f", tc.name, n, tc.want)
+			if n != 0 {
+				t.Errorf("a warm %s Sync allocates %.1f objects, want 0", tc.name, n)
 			}
 		}
 		return nil

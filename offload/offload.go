@@ -124,7 +124,9 @@ type (
 	BufferPtr[T Elem] = core.BufferPtr[T]
 	// Future is the lazy synchronisation object of async offloads.
 	Future[T any] = core.Future[T]
-	// Functor is a function with bound arguments, ready to offload.
+	// Functor is a function with bound arguments, ready to offload. It
+	// holds copies of them: the caller may reuse what it bound once Bind
+	// returns.
 	Functor[R any] = core.Functor[R]
 	// Elem constrains buffer elements to fixed-size scalars.
 	Elem = core.Elem
@@ -147,22 +149,32 @@ func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 	return core.NewFunc0(name, impl)
 }
 
-// NewFunc1 registers an offloadable one-argument function.
+// NewFunc1 registers an offloadable one-argument function. A []byte
+// argument is borrowed: impl reads it in the message it arrived in, and it
+// is valid until impl returns, so impl copies it (bytes.Clone) to keep it
+// longer; returning it as the result, or binding it to another offload, is
+// fine. Every other argument type is a copy impl owns.
 func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A1] {
 	return core.NewFunc1(name, impl)
 }
 
-// NewFunc2 registers an offloadable two-argument function.
+// NewFunc2 registers an offloadable two-argument function. A []byte
+// argument is valid until impl returns; every other argument is a copy impl
+// owns (see NewFunc1).
 func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Func2[R, A1, A2] {
 	return core.NewFunc2(name, impl)
 }
 
-// NewFunc3 registers an offloadable three-argument function.
+// NewFunc3 registers an offloadable three-argument function. A []byte
+// argument is valid until impl returns; every other argument is a copy impl
+// owns (see NewFunc1).
 func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, error)) Func3[R, A1, A2, A3] {
 	return core.NewFunc3(name, impl)
 }
 
-// NewFunc4 registers an offloadable four-argument function.
+// NewFunc4 registers an offloadable four-argument function. A []byte
+// argument is valid until impl returns; every other argument is a copy impl
+// owns (see NewFunc1).
 func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4) (R, error)) Func4[R, A1, A2, A3, A4] {
 	return core.NewFunc4(name, impl)
 }
