@@ -107,3 +107,28 @@ func BenchmarkMapBytesCopy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFirstTouchView measures a VE buffer's first round: a fresh 16 MiB
+// extent, one whole-range WriteAt (a Put's DMA), then one View (the kernel's
+// ReadLocal). The store backs the extent with one array that the View hands
+// out in place, so a round allocates the extent once, not chunk by chunk and
+// then again when the View flattens it.
+func BenchmarkFirstTouchView(b *testing.B) {
+	const size = 16 << 20
+	data := make([]byte, size)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMemory("bench")
+		if err := m.Map(0, size); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.WriteAt(data, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.View(0, size); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,9 @@
 // in the simulation copy real bytes between these memories, so offloaded
 // kernels compute real results. Extents are lazily chunk-backed: mapping a
 // 40 GiB buffer is cheap, and only chunks that are actually written consume
-// real memory, which is what makes a simulated 48 GiB HBM affordable.
+// real memory, which is what makes a simulated 48 GiB HBM affordable. A bulk
+// store — one that covers at least half of an extent — or a View backs the
+// whole extent with one array instead, which a kernel then reads in place.
 package mem
 
 import (
@@ -15,7 +17,8 @@ import (
 type Addr uint64
 
 // ChunkSize is the granularity of lazy backing storage: an extent is backed
-// chunk by chunk, on first write, until a View makes it one array.
+// chunk by chunk, on first write, until a bulk store or a View makes it one
+// array.
 const ChunkSize = 256 << 10
 
 // Memory is a sparse, byte-addressable address space made of mapped extents.
@@ -45,32 +48,35 @@ type extent struct {
 	addr   Addr
 	size   int64
 	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or windows onto one array
-	flat   bool     // chunks are windows onto one array of size bytes: MapBytes, or the first View
+	flat   bool     // chunks are windows onto one array of size bytes: MapBytes, a bulk store or the first View
 }
 
 func (e *extent) end() Addr { return e.addr + Addr(e.size) }
 
-// chunk returns the backing chunk containing extent offset off, allocating
-// it when allocate is true. The returned slice covers the whole chunk
-// (clipped to the extent size); callers index it with off%ChunkSize.
-func (e *extent) chunk(off int64, allocate bool) []byte {
+// back backs the untouched chunk holding extent offset off for a store of
+// rest bytes from there on (rest may run past the extent), and returns it.
+// A store whose bytes from off on cover at least half of the extent — or any
+// store into an extent of one chunk — backs the whole extent with one array,
+// carrying in what touched chunks held: the array holds at most twice what
+// the chunks the store reaches would, and a View of the extent then needs
+// nothing more. Any other store backs the one chunk, so rings, shm segments
+// and a huge reservation, which only see small stores, stay lazy.
+//
+//hot:cold
+func (e *extent) back(off, rest int64) []byte {
 	i := off / ChunkSize
-	if e.chunks[i] == nil && allocate {
-		e.touch(i)
+	if len(e.chunks) == 1 || 2*min(rest, e.size-off) >= e.size {
+		e.flatten(make([]byte, e.size))
+	} else {
+		e.chunks[i] = make([]byte, min(ChunkSize, e.size-i*ChunkSize))
 	}
 	return e.chunks[i]
 }
 
-// touch backs chunk i with real memory: once per chunk, on its first write.
-//
-//hot:cold
-func (e *extent) touch(i int64) {
-	e.chunks[i] = make([]byte, min(ChunkSize, e.size-i*ChunkSize))
-}
-
-// flatten makes data, the extent's size long, its backing store: what the
-// chunks held is copied in and the chunk table becomes ChunkSize windows onto
-// data. No window's capacity is clipped, so any range of the extent can be
+// flatten makes data, the extent's size long, its backing store — for
+// MapBytes, for back on a bulk store, for the first View: what the chunks
+// held is copied in and the chunk table becomes ChunkSize windows onto data.
+// No window's capacity is clipped, so any range of the extent can be
 // resliced out of the window it starts in.
 func (e *extent) flatten(data []byte) {
 	for i, c := range e.chunks {
@@ -96,7 +102,9 @@ func (m *Memory) MappedBytes() int64 {
 	return n
 }
 
-// ResidentBytes returns the real memory consumed by touched chunks.
+// ResidentBytes returns the real memory backing the extents: touched chunks,
+// and the whole of every extent a bulk store, a View or MapBytes made one
+// array.
 func (m *Memory) ResidentBytes() int64 {
 	var n int64
 	for _, e := range m.extents {
@@ -231,7 +239,7 @@ func (m *Memory) ReadAt(p []byte, addr Addr) error {
 			return m.faultError(pos, addr, int64(len(p)))
 		}
 		dst := p[pos-addr:][:n]
-		if c := e.chunk(off, false); c != nil {
+		if c := e.chunks[off/ChunkSize]; c != nil {
 			copy(dst, c[off%ChunkSize:])
 		} else {
 			clear(dst)
@@ -252,19 +260,34 @@ func (m *Memory) store(p []byte, addr Addr, n int64) error {
 		return err
 	}
 	for pos := addr; pos < end; {
-		e, off, pn := m.piece(pos, end)
-		if e == nil {
+		dst := m.storeSpan(pos, end)
+		if dst == nil {
 			return m.faultError(pos, addr, n)
 		}
-		dst := e.chunk(off, true)[off%ChunkSize:][:pn]
 		if p != nil {
 			copy(dst, p[pos-addr:])
 		} else {
 			clear(dst)
 		}
-		pos += Addr(pn)
+		pos += Addr(len(dst))
 	}
 	return nil
+}
+
+// storeSpan returns the memory a store of [pos, end) writes first: from pos
+// up to the next chunk boundary, the extent's end or end, backed on the way
+// if it was untouched (back sees the whole rest of the store). It is nil when
+// pos is unmapped.
+func (m *Memory) storeSpan(pos, end Addr) []byte {
+	e, off, n := m.piece(pos, end)
+	if e == nil {
+		return nil
+	}
+	c := e.chunks[off/ChunkSize]
+	if c == nil {
+		c = e.back(off, int64(end-pos))
+	}
+	return c[off%ChunkSize:][:n]
 }
 
 // rangeEnd returns addr+n, failing when the range wraps the address space.
@@ -318,10 +341,11 @@ func (m *Memory) wrapError(addr Addr, n int64) error {
 
 // View returns the memory of [addr, addr+n) itself, which must lie in one
 // extent (a heap allocation is one): stores through the slice and every
-// other access to the range see each other until Unmap. The first view of an
-// extent backs all of it with one array that never moves (MapBytes extents
-// have theirs already), so views taken before and after each other stay
-// attached and a viewed extent is fully resident; others stay chunk-lazy.
+// other access to the range see each other until Unmap. An extent a bulk
+// store or MapBytes made one array is viewed without allocating; the first
+// view of any other backs all of it with one array. That array never moves,
+// so views taken before and after each other stay attached and a viewed
+// extent is fully resident.
 func (m *Memory) View(addr Addr, n int64) ([]byte, error) {
 	if n < 0 {
 		return nil, m.wrapError(addr, n)
@@ -348,9 +372,10 @@ func (m *Memory) View(addr Addr, n int64) ([]byte, error) {
 // Either range faulting fails the copy before a byte moves.
 //
 // Non-overlapping ranges — every simulated DMA, which copies between two
-// memories — move chunk piece by chunk piece straight from the source's
-// backing store, with no bounce buffer whatever the size. Only an
-// overlapping copy within one memory stages its source first.
+// memories — move piece by piece straight from the source's backing store
+// into the destination's, with no bounce buffer whatever the size, and back
+// untouched destination chunks as a WriteAt of the whole range would. Only
+// an overlapping copy within one memory stages its source first.
 func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 	if n == 0 {
 		return nil
@@ -367,18 +392,19 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 	if dst == src && dstAddr < srcAddr+Addr(n) && srcAddr < dstAddr+Addr(n) {
 		return copyOverlapping(dst, dstAddr, srcAddr, n)
 	}
-	end := srcAddr + Addr(n)
-	for pos := srcAddr; pos < end; {
-		e, off, pn := src.piece(pos, end)
-		to := dstAddr + (pos - srcAddr)
-		var piece []byte // nil: an untouched source chunk, which reads as zeros
-		if c := e.chunk(off, false); c != nil {
-			piece = c[off%ChunkSize:][:pn]
+	end := dstAddr + Addr(n)
+	for pos := dstAddr; pos < end; {
+		// The destination first: backing it may flatten the extent the
+		// source lies in, and the source's chunk is read after that.
+		d := dst.storeSpan(pos, end)
+		from := srcAddr + (pos - dstAddr)
+		e, off, sn := src.piece(from, from+Addr(len(d)))
+		if c := e.chunks[off/ChunkSize]; c != nil {
+			copy(d[:sn], c[off%ChunkSize:])
+		} else {
+			clear(d[:sn]) // an untouched source chunk reads as zeros
 		}
-		if err := dst.store(piece, to, pn); err != nil {
-			return err
-		}
-		pos += Addr(pn)
+		pos += Addr(sn)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -314,6 +315,133 @@ func TestViewIsTheMemory(t *testing.T) {
 	}
 }
 
+// TestBulkStoreBacksExtentOnce: a store that reaches an untouched chunk backs
+// the whole extent with one array when its bytes from there on cover at least
+// half of the extent, or the extent is one chunk; otherwise it backs that
+// chunk alone. Through WriteAt and through Copy alike, each extent is judged
+// on its own share of the range, what chunks touched earlier held is carried
+// into the array, and the first View of an extent made one array allocates
+// nothing (of one left chunk-lazy, exactly its array).
+func TestBulkStoreBacksExtentOnce(t *testing.T) {
+	const C = ChunkSize
+	type span struct{ at, n int64 }
+	cases := []struct {
+		name     string
+		extents  []span // mapped at their addresses
+		earlier  []int64
+		store    span
+		resident int64
+		flat     []bool // per extent, after the store
+	}{
+		{"exactly half", []span{{0, 4 * C}}, []int64{3*C + 100}, span{0, 2 * C}, 4 * C, []bool{true}},
+		{"one byte short of half", []span{{0, 4 * C}}, []int64{3*C + 100}, span{0, 2*C - 1}, 3 * C, []bool{false}},
+		{"from mid-extent to its end", []span{{0, 3*C + 1000}}, []int64{100}, span{C + 500, 2*C + 500}, 3*C + 1000, []bool{true}},
+		{"into the next extent, the second's half", []span{{0, 4 * C}, {4 * C, 4 * C}}, []int64{100, 7*C + 100},
+			span{3 * C, 3 * C}, 2*C + 4*C, []bool{false, true}},
+		{"into the next extent, the first's three quarters", []span{{0, 4 * C}, {4 * C, 4 * C}}, []int64{100, 7*C + 100},
+			span{C, 4 * C}, 4*C + 2*C, []bool{true, false}},
+		{"8 bytes into a one-chunk extent", []span{{0, 1000}, {C, 2 * C}}, []int64{C + 100}, span{64, 8}, 1000 + C, []bool{true, false}},
+	}
+	const srcAt = Addr(0x7f00_0000_0000)
+	for _, via := range []string{"WriteAt", "Copy"} {
+		for _, c := range cases {
+			name := via + ", " + c.name
+			m := NewMemory("test")
+			var space int64
+			for _, e := range c.extents {
+				if err := m.Map(Addr(e.at), e.n); err != nil {
+					t.Fatal(err)
+				}
+				space = max(space, e.at+e.n)
+			}
+			ref := make([]byte, space)
+			for i, at := range c.earlier {
+				b := genStream(uint64(i+1), 16)
+				copy(ref[at:], b)
+				if err := m.WriteAt(b, Addr(at)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := genStream(9, int(c.store.n))
+			copy(ref[c.store.at:], data)
+			var err error
+			if via == "WriteAt" {
+				err = m.WriteAt(data, Addr(c.store.at))
+			} else {
+				src := NewMemory("src")
+				if err := src.MapBytes(srcAt, data); err != nil {
+					t.Fatal(err)
+				}
+				err = Copy(m, Addr(c.store.at), src, srcAt, c.store.n)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkBacked(t, name, m, ref, c.resident, c.flat)
+		}
+	}
+
+	// A Copy within one extent whose destination flattens it: the source's
+	// chunks become windows onto the new array while the copy reads them.
+	m := NewMemory("test")
+	if err := m.Map(0, 4*C); err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]byte, 4*C)
+	for i, at := range []int64{0, C} { // two stores of one chunk each stay lazy
+		b := genStream(uint64(i+1), C)
+		copy(ref[at:], b)
+		if err := m.WriteAt(b, Addr(at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Copy(m, 2*C, m, 0, 2*C); err != nil {
+		t.Fatal(err)
+	}
+	copy(ref[2*C:], ref[:2*C])
+	checkBacked(t, "Copy within the extent", m, ref, 4*C, []bool{true})
+}
+
+// checkBacked holds m's extents to ref, which spans them from address 0:
+// resident bytes, the bytes ReadAt and a first View read, and what that
+// first View allocates — nothing where flat says the extent is one array.
+func checkBacked(t *testing.T, name string, m *Memory, ref []byte, resident int64, flat []bool) {
+	t.Helper()
+	if got := m.ResidentBytes(); got != resident {
+		t.Errorf("%s: %d bytes resident, want %d", name, got, resident)
+	}
+	for i, e := range m.extents {
+		want := ref[e.addr:e.end()]
+		got := make([]byte, e.size)
+		if err := m.ReadAt(got, e.addr); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: extent %d reads back: %v, bytes equal %v", name, i, err, bytes.Equal(got, want))
+		}
+		var v []byte
+		wantAllocs := uint64(1) // chunk-lazy: the first view makes the array
+		if flat[i] {
+			wantAllocs = 0
+		}
+		if n := firstCallAllocs(func() { v, _ = m.View(e.addr, e.size) }); n != wantAllocs {
+			t.Errorf("%s: the first View of extent %d allocates %d times, want %d", name, i, n, wantAllocs)
+		}
+		if !bytes.Equal(v, want) {
+			t.Errorf("%s: the first View of extent %d differs from what was stored", name, i)
+		}
+	}
+}
+
+// firstCallAllocs counts the heap objects one call of f allocates. Unlike
+// testing.AllocsPerRun it makes no warm-up call, which would do the
+// flattening a first View does.
+func firstCallAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestViewOfMapBytes: an extent mapped over a caller's bytes is a view
 // already — View hands back the caller's slice and allocates nothing.
 func TestViewOfMapBytes(t *testing.T) {
@@ -617,20 +745,38 @@ func TestCopyStreamingLarge(t *testing.T) {
 // the destination, the same chunks made resident, the same faults — over
 // layouts with several extents, untouched source chunks and ranges that
 // start and end off chunk boundaries, between two memories and within one
-// (overlapping or not).
+// (overlapping or not). In the second layout ranges run between two extents
+// of four chunks, where only a decision on the whole rest of the range, not
+// one per source piece, makes what WriteAt makes resident.
 func TestCopyMatchesBounceReference(t *testing.T) {
-	const space = 5 * ChunkSize
+	for _, l := range []struct {
+		name    string
+		extents [][2]int64
+		touched []int64 // 300-byte stores, so some chunks stay unbacked
+		space   int64
+		rounds  int
+	}{
+		// Two adjacent extents, a gap, a third: [0,2C) [2C,3C) gap [3.5C,5C).
+		{"small extents", [][2]int64{{0, 2 * ChunkSize}, {2 * ChunkSize, ChunkSize}, {3*ChunkSize + ChunkSize/2, ChunkSize + ChunkSize/2}},
+			[]int64{100, ChunkSize - 50, 2*ChunkSize + 7, 4 * ChunkSize}, 5 * ChunkSize, 400},
+		// Two adjacent extents of four chunks: [0,4C) [4C,8C).
+		{"four-chunk extents", [][2]int64{{0, 4 * ChunkSize}, {4 * ChunkSize, 4 * ChunkSize}},
+			[]int64{2*ChunkSize + 100, 5*ChunkSize + 7}, 8 * ChunkSize, 150},
+	} {
+		copyMatchesBounce(t, l.name, l.extents, l.touched, l.space, l.rounds)
+	}
+}
+
+func copyMatchesBounce(t *testing.T, layout string, extents [][2]int64, touched []int64, space int64, rounds int) {
 	build := func(seed uint64) *Memory {
 		m := NewMemory("m")
-		// Two adjacent extents, a gap, a third: [0,2C) [2C,3C) gap [3.5C,5C).
-		for _, e := range [][2]int64{{0, 2 * ChunkSize}, {2 * ChunkSize, ChunkSize}, {3*ChunkSize + ChunkSize/2, ChunkSize + ChunkSize/2}} {
+		for _, e := range extents {
 			if err := m.Map(Addr(e[0]), e[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Touch some ranges only, so some chunks stay unbacked.
 		x := seed
-		for _, at := range []int64{100, ChunkSize - 50, 2*ChunkSize + 7, 4 * ChunkSize} {
+		for _, at := range touched {
 			b := make([]byte, 300)
 			for i := range b {
 				x = x*6364136223846793005 + 1442695040888963407
@@ -665,14 +811,14 @@ func TestCopyMatchesBounceReference(t *testing.T) {
 		x = x*6364136223846793005 + 1442695040888963407
 		return int64(x>>33) % n
 	}
-	for round := 0; round < 400; round++ {
+	for round := 0; round < rounds; round++ {
 		same := round%3 == 0
 		srcA, srcB := build(1), build(1)
 		dstA, dstB := srcA, srcB
 		if !same {
 			dstA, dstB = build(2), build(2)
 		}
-		n := draw(3 * ChunkSize)
+		n := draw(3 * space / 5)
 		if round%4 == 0 {
 			n = draw(600) // message-sized
 		}
@@ -680,20 +826,20 @@ func TestCopyMatchesBounceReference(t *testing.T) {
 		errA := Copy(dstA, dstAddr, srcA, srcAddr, n)
 		errB := bounce(dstB, dstAddr, srcB, srcAddr, n)
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("round %d: Copy(%#x <- %#x, %d) = %v, reference %v", round, dstAddr, srcAddr, n, errA, errB)
+			t.Fatalf("%s, round %d: Copy(%#x <- %#x, %d) = %v, reference %v", layout, round, dstAddr, srcAddr, n, errA, errB)
 		}
 		if errA != nil {
 			if errA.Error() != errB.Error() {
-				t.Fatalf("round %d: Copy fails with %q, reference with %q", round, errA, errB)
+				t.Fatalf("%s, round %d: Copy fails with %q, reference with %q", layout, round, errA, errB)
 			}
 			continue
 		}
 		if !bytes.Equal(dump(dstA), dump(dstB)) {
-			t.Fatalf("round %d: Copy(%#x <- %#x, %d, same memory %v) left different bytes than the reference",
-				round, dstAddr, srcAddr, n, same)
+			t.Fatalf("%s, round %d: Copy(%#x <- %#x, %d, same memory %v) left different bytes than the reference",
+				layout, round, dstAddr, srcAddr, n, same)
 		}
 		if a, b := dstA.ResidentBytes(), dstB.ResidentBytes(); a != b {
-			t.Fatalf("round %d: Copy made %d bytes resident, reference %d", round, a, b)
+			t.Fatalf("%s, round %d: Copy made %d bytes resident, reference %d", layout, round, a, b)
 		}
 	}
 }

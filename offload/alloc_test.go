@@ -1,6 +1,7 @@
 package offload_test
 
 import (
+	"runtime"
 	"testing"
 
 	"hamoffload/machine"
@@ -86,11 +87,13 @@ var allocScale = offload.NewFunc3[float64]("offload.alloc.scale",
 		return sum, nil
 	})
 
-// TestTransferAllocs pins a warm data round over the VEO protocol — Put, a
-// kernel over the buffer, Get — at zero allocations per step: the VH heap
-// maps the caller's slice on a recycled extent, and a BufferPtr argument
-// travels by value on both sides, neither boxed as a Marshaler nor kept in
-// a closure.
+// TestTransferAllocs pins a data round over the VEO protocol — Put, a kernel
+// over the buffer, Get. Cold, the first Put into a fresh buffer and the first
+// kernel to ReadLocal it allocate the buffer's bytes once: the Put's store
+// backs the whole buffer with one array, which the kernel reads in place.
+// Warm, each step allocates nothing: the VH heap maps the caller's slice on a
+// recycled extent, and a BufferPtr argument travels by value on both sides,
+// neither boxed as a Marshaler nor kept in a closure.
 func TestTransferAllocs(t *testing.T) {
 	m, err := machine.New(machine.Config{VEs: 1})
 	if err != nil {
@@ -111,8 +114,23 @@ func TestTransferAllocs(t *testing.T) {
 		for i := range src {
 			src[i] = float64(i % 7)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := offload.Put(rt, src, buf); err != nil {
+			return err
+		}
+		if _, err := offload.Sync(rt, 1, allocScale.Bind(buf, n, 2)); err != nil {
+			return err
+		}
+		runtime.ReadMemStats(&after)
+		grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*n*5/4)
+		if grew >= limit {
+			t.Errorf("the first Put into a fresh %d-byte buffer and the first kernel over it allocate %d bytes, want under %d", 8*n, grew, limit)
+		}
+		t.Logf("cold Put and Sync of a %d-byte buffer: %d bytes allocated", 8*n, grew)
+
 		var sum float64
-		scale := 1.0 // what the kernel runs have multiplied the buffer by
+		scale := 1.0 // what the kernel runs below have multiplied the buffer by; their first Put writes src again
 		for _, tc := range []struct {
 			name string
 			step func() error
