@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -115,55 +116,63 @@ func TestServedRequestAllocs(t *testing.T) {
 }
 
 // TestTicketAllocSize pins the ticket — the one object a served request
-// allocates — at 224 B, a Go size class of its own: the next class up is
-// 240 B, so a field added later is a step in serve-peak's bytes per
-// request, not a rounding nobody sees. The future it embeds is 72 B.
+// allocates — at 112 B, exactly a Go size class: the next class down is
+// 96 B, so the ticket holds only what outlives the issue (the functor waits
+// in the run queue, not here), and a field added later is a step in
+// serve-peak's bytes per request, not a rounding nobody sees. The
+// per-request phase stamps planned for the ticket have room up to the
+// 224 B it used to be. The future it embeds is 72 B.
 func TestTicketAllocSize(t *testing.T) {
-	if got := unsafe.Sizeof(Ticket[int64]{}); got != 224 {
-		t.Errorf("Ticket[int64] is %d B, want 224", got)
+	if got := unsafe.Sizeof(Ticket[int64]{}); got != 112 {
+		t.Errorf("Ticket[int64] is %d B, want 112", got)
 	}
 	if got := unsafe.Sizeof(core.Future[int64]{}); got != 72 {
 		t.Errorf("core.Future[int64] is %d B, want 72", got)
 	}
 }
 
-// TestStealLeavesNoTicketBehind: after a steal, the victim's backing arrays
-// hold a ticket only where the victim still queues it. A pointer left past
-// len (or before head) would keep a settled ticket and its future alive
+// checkQueueStorage walks every run queue's whole backing array, not just
+// its live window: a live slot holds a ticket homed on that VE, queued once,
+// with its functor, and every other slot is the zero entry. A ticket or a
+// functor left past len (or before head) would keep a settled ticket, its
+// future, the functor's decode func and any spilled argument buffer alive
 // until a later push happened to overwrite it.
+func checkQueueStorage(t *testing.T, g *Gateway[int64], when string) {
+	t.Helper()
+	queued := map[*Ticket[int64]]bool{}
+	for vi := range g.queues {
+		for _, q := range []*fifo[entry[int64]]{&g.queues[vi].lc, &g.queues[vi].bulk} {
+			storage := q.items[:cap(q.items)]
+			for i, e := range storage {
+				live := i >= q.head && i < len(q.items)
+				switch {
+				case !live && !reflect.ValueOf(e).IsZero():
+					t.Fatalf("%s: VE %d: storage slot %d (head %d, len %d, cap %d) is not the zero entry: ticket %v, functor %q",
+						when, vi, i, q.head, len(q.items), len(storage), e.tk != nil, e.fn.Name())
+				case !live: // vacated, and zero
+				case e.tk == nil || e.fn.Name() == "":
+					t.Fatalf("%s: VE %d: live queue slot %d lacks its ticket or functor", when, vi, i)
+				case int(e.tk.vi) != vi:
+					t.Fatalf("%s: VE %d queues a ticket homed on VE %d", when, vi, e.tk.vi)
+				case queued[e.tk]:
+					t.Fatalf("%s: a ticket is queued twice", when)
+				default:
+					queued[e.tk] = true
+				}
+			}
+		}
+	}
+}
+
+// TestStealLeavesNoTicketBehind: after a steal, and after a pop that
+// compacts a queue, the backing arrays hold an entry only where a request is
+// still queued (checkQueueStorage).
 func TestStealLeavesNoTicketBehind(t *testing.T) {
 	cfg := Config{
 		Window: 1, MaxBatch: 1,
 		Placement: sched.Affinity(func(int) core.NodeID { return 1 }),
 	}
 	onGateway(t, 2, cfg, func(p *machine.Proc, g *Gateway[int64]) {
-		// check walks every queue's whole backing array, not just its live
-		// window.
-		check := func(when string) {
-			t.Helper()
-			queued := map[*Ticket[int64]]bool{}
-			for vi := range g.queues {
-				for _, q := range []*fifo[int64]{&g.queues[vi].lc, &g.queues[vi].bulk} {
-					storage := q.items[:cap(q.items)]
-					for i, tk := range storage {
-						live := i >= q.head && i < len(q.items)
-						switch {
-						case live && tk == nil:
-							t.Fatalf("%s: VE %d: live queue slot %d is empty", when, vi, i)
-						case !live && tk != nil:
-							t.Fatalf("%s: VE %d: storage slot %d (head %d, len %d, cap %d) still holds a ticket",
-								when, vi, i, q.head, len(q.items), len(storage))
-						case live && int(tk.vi) != vi:
-							t.Fatalf("%s: VE %d queues a ticket homed on VE %d", when, vi, tk.vi)
-						case live && queued[tk]:
-							t.Fatalf("%s: a ticket is queued twice", when)
-						case live:
-							queued[tk] = true
-						}
-					}
-				}
-			}
-		}
 		var tks []*Ticket[int64]
 		for i := 0; i < 24; i++ {
 			class := LatencyCritical
@@ -175,7 +184,7 @@ func TestStealLeavesNoTicketBehind(t *testing.T) {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 			tks = append(tks, tk)
-			check("after a submit")
+			checkQueueStorage(t, g, "after a submit")
 		}
 		if g.Steals() == 0 {
 			t.Fatal("the idle VE did not steal from the pinned queue")
@@ -183,12 +192,48 @@ func TestStealLeavesNoTicketBehind(t *testing.T) {
 		for g.Queued() > 0 {
 			p.Sleep(machine.Microsecond)
 			g.Poll()
-			check("after a poll")
+			checkQueueStorage(t, g, "after a poll")
 		}
 		g.Drain()
 		if g.Steals() < 3 {
 			t.Fatalf("only %d steals; the scenario should steal repeatedly", g.Steals())
 		}
+		for i, tk := range tks {
+			if v, err := tk.Value(); !tk.Done() || err != nil || v != int64(i) {
+				t.Fatalf("ticket %d: done=%v value=%d err=%v", i, tk.Done(), v, err)
+			}
+		}
+	})
+
+	// One VE, one request in flight: a backlog of more than 64 bulk
+	// requests drains one pop at a time, and the pop that takes the head
+	// past 32 and past half the length compacts the queue in place.
+	const backlog = 80
+	onGateway(t, 1, Config{Window: 1, MaxBatch: 1}, func(p *machine.Proc, g *Gateway[int64]) {
+		var tks []*Ticket[int64]
+		for i := 0; i < backlog; i++ {
+			tk, err := g.Submit(0, Batch, allocWork.Bind(int64(i), 0))
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			tks = append(tks, tk)
+		}
+		checkQueueStorage(t, g, "after the backlog")
+		compactions := 0
+		for g.Queued() > 0 {
+			head := g.queues[0].bulk.head
+			p.Sleep(machine.Microsecond)
+			g.Poll()
+			if g.queues[0].bulk.head < head {
+				compactions++
+			}
+			checkQueueStorage(t, g, "after a poll")
+		}
+		if compactions == 0 {
+			t.Fatal("the backlog drained without a compacting pop")
+		}
+		g.Drain()
+		checkQueueStorage(t, g, "after the drain")
 		for i, tk := range tks {
 			if v, err := tk.Value(); !tk.Done() || err != nil || v != int64(i) {
 				t.Fatalf("ticket %d: done=%v value=%d err=%v", i, tk.Done(), v, err)

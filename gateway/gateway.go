@@ -190,14 +190,15 @@ func (c Config) withDefaults() Config {
 // Ticket is one admitted request's handle. The gateway settles it during
 // Poll or Drain; afterwards Done reports true and Err/Latency are valid. The
 // request's future lives in the ticket: the gateway issues into it, so an
-// admitted request is this one object.
+// admitted request is this one object. It holds only what outlives the
+// issue: the functor waits beside it in its run-queue entry and is gone
+// once core.Issue has encoded it into the wire.
 type Ticket[R any] struct {
 	Tenant int
 	Class  Class
 	vi     int32 // index into the gateway's node list; beside Class, in its padding
 
 	g      *Gateway[R]
-	fn     core.Functor[R]
 	arrive simtime.Time
 	lat    simtime.Duration
 	fut    core.Future[R]
@@ -235,77 +236,86 @@ func (h *ticketHook[R]) FutureSettled() {
 }
 
 // fifo is a slice-backed FIFO with a moving head, compacted when the dead
-// prefix outgrows the live tail.
-type fifo[R any] struct {
-	items []*Ticket[R]
+// prefix outgrows the live tail. Every slot outside [head, len) holds the
+// zero T, so the backing array references nothing the FIFO no longer owns.
+type fifo[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *fifo[R]) len() int { return len(q.items) - q.head }
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
-func (q *fifo[R]) push(tk *Ticket[R]) {
+func (q *fifo[T]) push(v T) {
 	n := len(q.items)
 	if n == cap(q.items) {
 		q.grow()
 	}
 	q.items = q.items[:n+1]
-	q.items[n] = tk
+	q.items[n] = v
 }
 
 // grow doubles the backing array. pop compacts in place, so a queue stops
 // growing once it has held its peak backlog.
 //
 //hot:cold
-func (q *fifo[R]) grow() {
-	q.items = append(make([]*Ticket[R], 0, max(16, 2*cap(q.items))), q.items...)
+func (q *fifo[T]) grow() {
+	q.items = append(make([]T, 0, max(16, 2*cap(q.items))), q.items...)
 }
 
-func (q *fifo[R]) at(i int) *Ticket[R] { return q.items[q.head+i] }
+func (q *fifo[T]) at(i int) T { return q.items[q.head+i] }
 
-func (q *fifo[R]) pop() *Ticket[R] {
-	tk := q.items[q.head]
-	q.items[q.head] = nil
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
 	q.head++
 	if q.head > len(q.items)/2 && q.head > 32 {
 		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = nil
-		}
+		clear(q.items[n:])
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	return tk
+	return v
 }
 
 // dropTail removes the back k items, which the caller has handed to a
 // thief, and clears the vacated tail: the victim's backing array must keep
-// no pointer to a ticket it no longer owns, or settled tickets and their
-// futures stay reachable until a later push happens to overwrite them.
-func (q *fifo[R]) dropTail(k int) {
+// no ticket or functor it no longer owns, or settled tickets, their futures
+// and the functors' argument buffers stay reachable until a later push
+// happens to overwrite them.
+func (q *fifo[T]) dropTail(k int) {
 	n := len(q.items)
 	clear(q.items[n-k:])
 	q.items = q.items[:n-k]
 }
 
 // tail returns the back k items in order; valid until the next push or pop.
-func (q *fifo[R]) tail(k int) []*Ticket[R] { return q.items[len(q.items)-k:] }
+func (q *fifo[T]) tail(k int) []T { return q.items[len(q.items)-k:] }
+
+// entry is one admitted request waiting on a run queue: its ticket and the
+// functor to issue. The functor lives here, not in the ticket, so it is
+// dropped with the queue slot when the request issues.
+type entry[R any] struct {
+	tk *Ticket[R]
+	fn core.Functor[R]
+}
 
 // veQueue is one VE's run queue. Latency-critical requests wait in their
 // own FIFO and always dispatch ahead of the bulk (batchable) FIFO, so a
 // burst of batch traffic cannot head-of-line-block an interactive request
 // that is still on the host.
 type veQueue[R any] struct {
-	lc   fifo[R]
-	bulk fifo[R]
+	lc   fifo[entry[R]]
+	bulk fifo[entry[R]]
 }
 
 func (q *veQueue[R]) len() int { return q.lc.len() + q.bulk.len() }
 
-func (q *veQueue[R]) push(tk *Ticket[R]) {
-	if tk.Class == LatencyCritical {
-		q.lc.push(tk)
+func (q *veQueue[R]) push(e entry[R]) {
+	if e.tk.Class == LatencyCritical {
+		q.lc.push(e)
 	} else {
-		q.bulk.push(tk)
+		q.bulk.push(e)
 	}
 }
 
@@ -345,7 +355,7 @@ type Gateway[R any] struct {
 	// DMA target executes messages in arrival order, so testing only the
 	// head of each FIFO is enough to discover settlements — one simulated
 	// flag probe per VE per poll instead of one per in-flight request.
-	infl    []fifo[R]
+	infl    []fifo[*Ticket[R]]
 	batcher *core.Batcher
 
 	queued        int
@@ -378,7 +388,7 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 		cfg:      cfg,
 		nodes:    append([]core.NodeID(nil), nodes...),
 		queues:   make([]veQueue[R], len(nodes)),
-		infl:     make([]fifo[R], len(nodes)),
+		infl:     make([]fifo[*Ticket[R]], len(nodes)),
 		inflight: make([]int, len(nodes)),
 		issued:   make([]int64, len(nodes)),
 		stolen:   make([]int64, len(nodes)),
@@ -466,8 +476,8 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 		g.backlog[i] = g.queues[i].len() + g.inflight[i]
 	}
 	vi := g.cfg.Placement.Pick(int(g.submitted), g.nodes, g.backlog)
-	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, fn: fn, vi: int32(vi), arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
-	g.queues[vi].push(tk)
+	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
+	g.queues[vi].push(entry[R]{tk, fn})
 	g.queued++
 	g.queuedByClass[class]++
 	g.classes[class].admitted++
@@ -551,13 +561,13 @@ func (g *Gateway[R]) steal(vi int) bool {
 	return true
 }
 
-// moveTail re-homes the back k tickets of a victim's FIFO, in order, on
-// VE vi's queue. Thief and victim are different VEs, so the tickets go
-// straight from one backing array to the other.
-func (g *Gateway[R]) moveTail(from *fifo[R], k, vi int) {
-	for _, tk := range from.tail(k) {
-		tk.vi = int32(vi)
-		g.queues[vi].push(tk)
+// moveTail re-homes the back k requests of a victim's FIFO, in order, on
+// VE vi's queue. Thief and victim are different VEs, so the entries, ticket
+// and functor, go straight from one backing array to the other.
+func (g *Gateway[R]) moveTail(from *fifo[entry[R]], k, vi int) {
+	for _, e := range from.tail(k) {
+		e.tk.vi = int32(vi)
+		g.queues[vi].push(e)
 	}
 	from.dropTail(k)
 }
@@ -590,10 +600,10 @@ func (g *Gateway[R]) issue(vi int) bool {
 	q := &g.queues[vi]
 	node := g.nodes[vi]
 	if q.lc.len() > 0 {
-		tk := q.lc.pop()
-		g.noteIssued(tk, vi)
-		core.Issue(g.rt, nil, node, &tk.fn, &tk.fut)
-		g.track(tk)
+		e := q.lc.pop()
+		g.noteIssued(e.tk, vi)
+		core.Issue(g.rt, nil, node, &e.fn, &e.tk.fut)
+		g.track(e.tk)
 		return true
 	}
 	run := min(g.cfg.Window-g.inflight[vi], g.cfg.MaxBatch, q.bulk.len())
@@ -608,10 +618,10 @@ func (g *Gateway[R]) issue(vi int) bool {
 		return false
 	}
 	for i := 0; i < run; i++ {
-		tk := q.bulk.pop()
-		g.noteIssued(tk, vi)
-		core.Issue(g.rt, g.batcher, node, &tk.fn, &tk.fut)
-		g.track(tk)
+		e := q.bulk.pop()
+		g.noteIssued(e.tk, vi)
+		core.Issue(g.rt, g.batcher, node, &e.fn, &e.tk.fut)
+		g.track(e.tk)
 	}
 	g.batcher.Flush(node)
 	return true

@@ -42,9 +42,9 @@ type Report struct {
 	VEs       []VEReport
 }
 
-// Report snapshots the gateway's accounting. Latency percentiles are exact
-// over every completed request (histogram-quantised inside the SLO report;
-// use KeepSamples for exact ranks).
+// Report snapshots the gateway's accounting. Each class's SLO report covers
+// every completed request, but its latency quantiles are histogram-quantised;
+// exact ranks need Config.KeepSamples, which fills ClassReport.Samples.
 func (g *Gateway[R]) Report() Report {
 	r := Report{Submitted: g.submitted, Steals: g.steals}
 	for c := range g.classes {

@@ -144,7 +144,7 @@ type countHook struct{ n int }
 func (h *countHook) FutureSettled() { h.n++ }
 
 // TestChainedOnSettleZeroAlloc: a second settle hook on a future that
-// already has one — the scheduler's taskHook, then the caller's OnSettle —
+// already has one — the scheduler's slab task, then the caller's OnSettle —
 // chains through a node of the runtime's free list, so once warm the
 // registration, the settle and both hooks allocate nothing.
 func TestChainedOnSettleZeroAlloc(t *testing.T) {

@@ -160,6 +160,7 @@ type Scheduler struct {
 	rt       *core.Runtime
 	nodes    []core.NodeID
 	pol      Policy
+	obs      settleObserver // pol as an observer; nil when it does not observe
 	inflight []int
 	issued   int64
 	done     int64
@@ -187,10 +188,12 @@ func New(rt *core.Runtime, nodes []core.NodeID, pol Policy) (*Scheduler, error) 
 			return nil, fmt.Errorf("sched: no node %d in this application (%d nodes)", n, rt.NumNodes())
 		}
 	}
+	obs, _ := pol.(settleObserver)
 	return &Scheduler{
 		rt:       rt,
 		nodes:    append([]core.NodeID(nil), nodes...),
 		pol:      pol,
+		obs:      obs,
 		inflight: make([]int, len(nodes)),
 	}, nil
 }
@@ -236,27 +239,26 @@ func (s *Scheduler) place(task int) int {
 // MapFutures shards n functor invocations — gen(task) for task 0..n-1 —
 // across the scheduler's nodes and returns the futures in task order,
 // without waiting for any of them. Tasks bound for the same node ride the
-// runtime's batch frames when batching is armed. The futures and their
-// settle records live in one slab each, and the batcher is the
-// scheduler's, so a call allocates its three slabs whatever n is.
+// runtime's batch frames when batching is armed. Each task's future and
+// settle record are one entry of a slab, and the batcher is the
+// scheduler's, so a call allocates the slab and the returned slice whatever
+// n is.
 func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) []*core.Future[R] {
 	b := s.takeBatcher()
-	obs, _ := s.pol.(settleObserver)
-	slab := make([]core.Future[R], n)
-	hooks := make([]taskHook[R], n)
+	tasks := make([]task[R], n)
 	futs := make([]*core.Future[R], n)
-	for task := range n {
-		i := s.place(task)
+	for k := range n {
+		i := s.place(k)
 		node := s.nodes[i]
-		f, h := &slab[task], &hooks[task]
-		fn := gen(task)
-		core.Issue(s.rt, b, node, &fn, f)
+		t := &tasks[k]
+		fn := gen(k)
+		core.Issue(s.rt, b, node, &fn, &t.fut)
 		s.rt.NotePlacement(s.pol.Name(), node)
 		s.inflight[i]++
 		s.issued++
-		*h = taskHook[R]{s: s, obs: obs, fut: f, i: i, node: node, start: s.rt.SimNow()}
-		f.OnSettleHook(h)
-		futs[task] = f
+		t.s, t.i, t.start = s, i, s.rt.SimNow()
+		t.fut.OnSettleHook(t)
+		futs[k] = &t.fut
 	}
 	b.FlushAll()
 	// Not deferred: a call that panics leaves entries queued in b, and no
@@ -277,25 +279,25 @@ func (s *Scheduler) takeBatcher() *core.Batcher {
 	return core.NewBatcher(s.rt)
 }
 
-// taskHook is one task's settle record: it returns the task's in-flight
+// task is one MapFutures task's slab record: its future and what settling
+// it needs. It is the future's settle hook: it returns the task's in-flight
 // slot and, when the policy observes settlements, feeds the outcome back.
-type taskHook[R any] struct {
+type task[R any] struct {
+	fut   core.Future[R]
 	s     *Scheduler
-	obs   settleObserver // nil when the policy does not observe
-	fut   *core.Future[R]
 	i     int // index into the scheduler's node list
-	node  core.NodeID
 	start simtime.Time
 }
 
 // FutureSettled implements core.SettleHook. Get returns the already-settled
 // outcome, so it never blocks.
-func (h *taskHook[R]) FutureSettled() {
-	h.s.inflight[h.i]--
-	h.s.done++
-	if h.obs != nil {
-		_, err := h.fut.Get()
-		h.obs.observe(h.node, h.s.rt.SimNow().Sub(h.start), err != nil)
+func (t *task[R]) FutureSettled() {
+	s := t.s
+	s.inflight[t.i]--
+	s.done++
+	if s.obs != nil {
+		_, err := t.fut.Get()
+		s.obs.observe(s.nodes[t.i], s.rt.SimNow().Sub(t.start), err != nil)
 	}
 }
 

@@ -109,14 +109,14 @@ func TestNewValidation(t *testing.T) {
 var schedAdd = core.NewFunc2[int64]("sched.test_add",
 	func(_ *core.Ctx, a, b int64) (int64, error) { return a + b, nil })
 
-// TestMapFuturesAllocs: MapFutures keeps a call's futures, their settle
-// records and the pointers it returns in one slab each, and takes its
-// batcher from the scheduler, so a warm wave costs exactly those three
-// objects whatever its size — 64 or 512 tasks over two VEs in batch frames
-// of 8 — and a further settle hook on every future chains through the
-// runtime's free list for nothing.
+// TestMapFuturesAllocs: MapFutures keeps a call's tasks — each one's future
+// and settle record — in one slab and the pointers it returns in another,
+// and takes its batcher from the scheduler, so a warm wave costs exactly
+// those two objects whatever its size — 64 or 512 tasks over two VEs in
+// batch frames of 8 — and a further settle hook on every future chains
+// through the runtime's free list for nothing.
 func TestMapFuturesAllocs(t *testing.T) {
-	const slabs = 3
+	const slabs = 2
 	m, err := machine.New(machine.Config{VEs: 2})
 	if err != nil {
 		t.Fatal(err)
