@@ -30,6 +30,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
@@ -189,10 +190,14 @@ func (c Config) withDefaults() Config {
 
 // Ticket is one admitted request's handle. The gateway settles it during
 // Poll or Drain; afterwards Done reports true and Err/Latency are valid. The
-// request's future lives in the ticket: the gateway issues into it, so an
-// admitted request is this one object. It holds only what outlives the
-// issue: the functor waits beside it in its run-queue entry and is gone
-// once core.Issue has encoded it into the wire.
+// request's future lives in the ticket: the gateway issues into it. It holds
+// only what outlives the issue: the functor waits beside it in its run-queue
+// entry and is gone once core.Issue has encoded it into the wire.
+//
+// Tickets are carved from slabs of up to slabBytes (32 KiB), one slot per
+// admitted request and never reused, so a ticket stays the caller's for as
+// long as they hold it. A held ticket keeps its whole slab alive; a slab is
+// freed once none of its tickets is reachable.
 type Ticket[R any] struct {
 	Tenant int
 	Class  Class
@@ -330,6 +335,21 @@ type classStats struct {
 	samples       []float64 // µs, only with KeepSamples
 }
 
+// slabBytes is the size of a ticket slab: the largest Go size class for
+// small objects, so a slab is one malloc with no slack. A slab holds
+// pointers and is over 512 B, so the allocator puts an 8-B header in front
+// of it, inside the size class.
+const (
+	slabBytes  = 32 << 10
+	slabHeader = 8
+)
+
+// slabLen is how many tickets fill one slab (at least one, for a result
+// type so large that a single ticket overflows the class).
+func slabLen[R any]() int {
+	return max(1, int((slabBytes-slabHeader)/reflect.TypeFor[Ticket[R]]().Size()))
+}
+
 // tenantStats is one tenant's accounting.
 type tenantStats struct {
 	admitted int64
@@ -368,6 +388,10 @@ type Gateway[R any] struct {
 
 	steals    int64
 	submitted int64
+
+	// slab is the unused rest of the current ticket slab; Submit takes the
+	// next ticket from its front.
+	slab []Ticket[R]
 
 	// The rejection errors, built once: a refusal is a third of the traffic
 	// at the peaks and must cost no formatting.
@@ -476,7 +500,12 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 		g.backlog[i] = g.queues[i].len() + g.inflight[i]
 	}
 	vi := g.cfg.Placement.Pick(int(g.submitted), g.nodes, g.backlog)
-	tk := &Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), arrive: now} //lint:allow hotalloc the ticket is the handle Submit returns
+	if len(g.slab) == 0 {
+		g.refill()
+	}
+	tk := &g.slab[0]
+	g.slab = g.slab[1:]
+	*tk = Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), arrive: now}
 	g.queues[vi].push(entry[R]{tk, fn})
 	g.queued++
 	g.queuedByClass[class]++
@@ -491,6 +520,12 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	}
 	g.pump()
 	return tk, nil
+}
+
+// refill starts a new ticket slab. The old one is dropped, not reused: its
+// tickets are their callers' and live on in it for as long as they are held.
+func (g *Gateway[R]) refill() {
+	g.slab = make([]Ticket[R], slabLen[R]()) //lint:allow hotalloc one slab per slabLen admitted requests: the tickets Submit returns
 }
 
 // errBadRequest renders the rejection of a request no table has a row for.

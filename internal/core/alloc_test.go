@@ -111,8 +111,8 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	b := NewBatcher(host)
 	fn := fnAllocInc.Bind(41)
 	wire := requestWire(t, host, fn)
-	fu1 := &Future[int64]{rt: host, decode: fn.decode}
-	fu2 := &Future[int64]{rt: host, decode: fn.decode}
+	fu1 := &Future[int64]{decode: fn.decode}
+	fu2 := &Future[int64]{decode: fn.decode}
 
 	var gotV int64
 	var gotErr error
@@ -290,7 +290,7 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 	wire := requestWire(t, host, fn)
 	var futs [frames]*Future[int64]
 	for i := range futs {
-		futs[i] = &Future[int64]{rt: host, decode: fn.decode}
+		futs[i] = &Future[int64]{decode: fn.decode}
 	}
 	cycle := func() {
 		for _, f := range futs {

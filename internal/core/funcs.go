@@ -221,7 +221,7 @@ func bound(e *ham.Encoder) boundArgs {
 //
 //hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
-	f.rt, f.decode = rt, fn.decode
+	f.decode = fn.decode
 	if rt.tr != nil {
 		f.hook = hookFunc(rt.beginOffload(node, fn.name))
 	}

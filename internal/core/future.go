@@ -6,8 +6,10 @@ import "hamoffload/internal/ham"
 // offloads (Table II's future<T>): Test polls without blocking, Get blocks
 // until the result message arrived and decodes it.
 type Future[T any] struct {
-	rt     *Runtime
-	c      *call // the wire message carrying this offload; shared by a frame's futures
+	// c is the wire message carrying this offload, shared by a frame's
+	// futures. Issue sets it, and only an unsettled future reads it, so its
+	// runtime, c.rt, is the future's: a pooled call never changes runtime.
+	c      *call
 	decode func(*ham.Decoder) (T, error)
 
 	// hook fires exactly once as the future settles or fails: the one hook
@@ -103,7 +105,7 @@ func (f *Future[T]) OnSettleHook(h SettleHook) {
 	case f.hook == nil:
 		f.hook = h
 	default:
-		f.hook = f.rt.chainHook(f.hook, h)
+		f.hook = f.c.rt.chainHook(f.hook, h)
 	}
 }
 
@@ -133,7 +135,8 @@ func (f *Future[T]) settle(resp []byte) {
 	// Settling is strictly sequential per runtime, so the runtime's scratch
 	// decoder serves every future; decoded slices and strings are copied out
 	// by the Decoder accessors, so nothing aliases the scratch afterwards.
-	dec, err := ham.DecodeResponseInto(&f.rt.respDec, resp)
+	// Only a call's deliver settles a future, so f.c is set.
+	dec, err := ham.DecodeResponseInto(&f.c.rt.respDec, resp)
 	if err != nil {
 		f.err = err
 		f.fireDone()

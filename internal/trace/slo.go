@@ -32,12 +32,17 @@ func (t *Tracer) SLOReport() SLOReport {
 // the window list outgrows maxWin, adjacent windows pair-merge on even grid
 // boundaries and the window length doubles — the same lossless downsampling
 // scheme as Series, applied to histograms.
+//
+// Windows recycle: coarsen puts the windows it merges away on a free list
+// and Observe opens new windows from it, so once the list has been full an
+// observation allocates nothing.
 type SLO struct {
 	target     simtime.Duration
 	budget     float64
 	window     simtime.Duration
 	maxWin     int
 	wins       []*sloWindow
+	free       []*sloWindow
 	total      *Histogram
 	violations int64
 }
@@ -46,8 +51,8 @@ type SLO struct {
 // [idx*window, (idx+1)*window).
 type sloWindow struct {
 	idx        int64
-	hist       *Histogram
 	violations int64
+	hist       Histogram
 }
 
 func newSLO(target simtime.Duration, budget float64, window simtime.Duration, maxWin int) *SLO {
@@ -83,7 +88,7 @@ func (s *SLO) Observe(now simtime.Time, d simtime.Duration) {
 		idx = s.wins[n-1].idx
 	}
 	if n := len(s.wins); n == 0 || s.wins[n-1].idx != idx {
-		s.wins = append(s.wins, &sloWindow{idx: idx, hist: NewHistogram("slo.window")})
+		s.wins = append(s.wins, s.open(idx))
 		// Sparse windows may survive one halving with distinct indices, so
 		// coarsen until the list fits again.
 		for len(s.wins) > s.maxWin {
@@ -95,21 +100,39 @@ func (s *SLO) Observe(now simtime.Time, d simtime.Duration) {
 	w.violations += viol
 }
 
+// open returns an empty window idx, from the free list when it holds one.
+func (s *SLO) open(idx int64) *sloWindow {
+	var w *sloWindow
+	if n := len(s.free); n > 0 {
+		w, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		w = &sloWindow{hist: Histogram{name: "slo.window"}}
+	}
+	w.idx, w.violations = idx, 0
+	w.hist.reset()
+	return w
+}
+
 // coarsen doubles the window length and re-buckets the existing windows on
 // the coarser grid, merging histograms of windows that now share an index.
 // Like Series.downsample, alignment is to the absolute grid, so the final
-// layout depends only on the observations.
+// layout depends only on the observations. It merges in place: the merged
+// list is a prefix of the old one, and every window merged away goes on the
+// free list.
 func (s *SLO) coarsen() {
-	var merged []*sloWindow
+	merged := s.wins[:0]
 	for _, w := range s.wins {
 		idx := w.idx / 2
 		if n := len(merged); n > 0 && merged[n-1].idx == idx {
-			merged[n-1].hist.Merge(w.hist)
+			merged[n-1].hist.Merge(&w.hist)
 			merged[n-1].violations += w.violations
+			s.free = append(s.free, w)
 			continue
 		}
-		merged = append(merged, &sloWindow{idx: idx, hist: w.hist, violations: w.violations})
+		w.idx = idx
+		merged = append(merged, w)
 	}
+	clear(s.wins[len(merged):])
 	s.wins = merged
 	s.window *= 2
 }

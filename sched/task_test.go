@@ -14,13 +14,14 @@ import (
 // This file sits inside the package because both questions are about the
 // MapFutures slab record, which the API does not show.
 
-// TestTaskRecordSize pins a MapFutures task's slab record at 96 B, a Go size
-// class: the 72-B future first, then the scheduler, the node index and the
-// issue stamp. The node and the settle observer are the scheduler's, read
-// through s, not copied into every task.
+// TestTaskRecordSize pins a MapFutures task's slab record at 88 B: the 64-B
+// future first, then the scheduler, the node index and the issue stamp. The
+// records sit back to back in one slab, so every byte here is a byte per
+// task. The node and the settle observer are the scheduler's, read through
+// s, not copied into every task.
 func TestTaskRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(task[int64]{}); got != 96 {
-		t.Errorf("task[int64] is %d B, want 96", got)
+	if got := unsafe.Sizeof(task[int64]{}); got != 88 {
+		t.Errorf("task[int64] is %d B, want 88", got)
 	}
 	if got := unsafe.Offsetof(task[int64]{}.fut); got != 0 {
 		t.Errorf("task[int64].fut is at offset %d, want 0", got)
