@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 	"weak"
@@ -28,6 +29,12 @@ var allocWork = core.NewFunc2[int64]("gateway.alloc_work",
 // runtime and a gateway over its VE nodes.
 func onGateway(t *testing.T, ves int, cfg Config, fn func(p *machine.Proc, g *Gateway[int64])) {
 	t.Helper()
+	onMachineGateway(t, ves, cfg, func(p *machine.Proc, _ *machine.Machine, g *Gateway[int64]) { fn(p, g) })
+}
+
+// onMachineGateway is onGateway for a test that also needs the machine.
+func onMachineGateway(t *testing.T, ves int, cfg Config, fn func(p *machine.Proc, m *machine.Machine, g *Gateway[int64])) {
+	t.Helper()
 	m, err := machine.New(machine.Config{VEs: ves})
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)
@@ -46,7 +53,7 @@ func onGateway(t *testing.T, ves int, cfg Config, fn func(p *machine.Proc, g *Ga
 		if gerr != nil {
 			return gerr
 		}
-		fn(p, g)
+		fn(p, m, g)
 		return nil
 	})
 	if err != nil {
@@ -119,34 +126,36 @@ func TestServedRequestAllocs(t *testing.T) {
 	})
 }
 
-// TestTicketAllocSize pins the ticket at 104 B — tenant, class, VE index,
-// gateway, arrival, latency and the 64-B future — and the slab it is carved
-// from: 315 tickets and the 8-B malloc header fill the 32 KiB size class
-// exactly. A field added to the ticket costs its exact bytes per request
-// (the slab stays one size class and holds fewer tickets), not a rounding
-// to the next class.
+// TestTicketAllocSize pins the ticket at 80 B — tenant, class, VE index,
+// gateway, the one time word (arrival, then latency) and the 48-B future —
+// and the slab it is carved from: 409 tickets and the 8-B malloc header
+// take 32 728 B of the 32 KiB size class, 40 B short of filling it. A field
+// added to the ticket costs its exact bytes per request (the slab stays one
+// size class and holds fewer tickets), not a rounding to the next class.
 func TestTicketAllocSize(t *testing.T) {
 	size := unsafe.Sizeof(Ticket[int64]{})
-	if size != 104 {
-		t.Errorf("Ticket[int64] is %d B, want 104", size)
+	if size != 80 {
+		t.Errorf("Ticket[int64] is %d B, want 80", size)
 	}
-	if got := unsafe.Sizeof(core.Future[int64]{}); got != 64 {
-		t.Errorf("core.Future[int64] is %d B, want 64", got)
+	if got := unsafe.Sizeof(core.Future[int64]{}); got != 48 {
+		t.Errorf("core.Future[int64] is %d B, want 48", got)
 	}
-	if n := slabLen[int64](); n != 315 || uintptr(n)*size+slabHeader != slabBytes {
-		t.Errorf("a slab holds %d tickets, %d B with its header; want 315 in exactly %d B",
-			n, uintptr(n)*size+slabHeader, slabBytes)
+	if n := slabLen[int64](); n != 409 || uintptr(n)*size+slabHeader != 32728 {
+		t.Errorf("a slab holds %d tickets, %d B with its header; want 409 in 32728 B",
+			n, uintptr(n)*size+slabHeader)
 	}
 }
 
 // TestSlabRefillAllocs pins the one allocation tickets cost: a slab refill
 // is one malloc of exactly slabBytes, and N served requests that start on
 // a slab boundary cost ceil(N / slabLen) mallocs, whatever the mix of
-// classes. The gateway is warmed first until its SLO window lists have
-// coarsened, so windows come from the free list.
+// classes. The gateway is warmed first: every pooled call and ring handle
+// carries a full frame (warmFrames), and the SLO window lists coarsen, so
+// windows come from the free list.
 func TestSlabRefillAllocs(t *testing.T) {
 	onGateway(t, 1, Config{}, func(p *machine.Proc, g *Gateway[int64]) {
 		n := slabLen[int64]()
+		warmFrames(t, g)
 		serve := func(k int) {
 			for i := 0; i < k; i++ {
 				class := LatencyCritical
@@ -165,6 +174,18 @@ func TestSlabRefillAllocs(t *testing.T) {
 			}
 		}
 		serve(3*n + 1) // once more with every list warm
+
+		// MemStats counts the runtime's own mallocs too. Bind takes its
+		// argument encoder from a sync.Pool, which a collection empties and
+		// which keeps an encoder per P; restarting the world after
+		// ReadMemStats may start an OS thread for an idle P; and the
+		// background scavenger, when it has work, arms a timer on the P it
+		// runs on. Each allocates. So count on one P with the collector off,
+		// after one last collection that returns the freed memory to the OS
+		// at once: with the collector off the scavenger gets no more work.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		debug.FreeOSMemory()
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -189,6 +210,32 @@ func TestSlabRefillAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// warmFrames has every pooled call and ring handle of g's runtime carry a
+// full batch frame. The mixed traffic of a count leaves calls that only
+// ever carried one latency-critical request deep in the runtime's call
+// pool; the first frame such a call carries grows its sink and entry
+// arrays (Batcher.add), its split scratch (openBatchInto) and its response
+// copy (deliver), and the ring handle that carries it grows its result
+// buffer. Opening twice as many full frames at once as the window ever
+// keeps messages in flight takes every pooled call and handle.
+func warmFrames(t *testing.T, g *Gateway[int64]) {
+	t.Helper()
+	b := core.NewBatcher(g.rt)
+	node := g.nodes[0]
+	var futs []*core.Future[int64]
+	for range 2 * g.cfg.Window {
+		for range g.cfg.MaxBatch {
+			futs = append(futs, core.BatchAdd(b, node, allocWork.Bind(1, 1)))
+		}
+		b.Flush(node)
+	}
+	for _, f := range futs {
+		if v, err := f.Get(); v != 2 || err != nil {
+			t.Fatalf("warm-up frame entry = %d, %v; want 2", v, err)
+		}
+	}
 }
 
 // TestSlabTicketsStayTheCallers: a ticket slot is never reused. Three slabs'

@@ -203,10 +203,12 @@ type Ticket[R any] struct {
 	Class  Class
 	vi     int32 // index into the gateway's node list; beside Class, in its padding
 
-	g      *Gateway[R]
-	arrive simtime.Time
-	lat    simtime.Duration
-	fut    core.Future[R]
+	g *Gateway[R]
+	// stamp is the arrival time (a simtime.Time) until the ticket settles
+	// and the latency (a simtime.Duration) from then on: the two are never
+	// needed at once, so they share a word.
+	stamp int64
+	fut   core.Future[R]
 }
 
 // Done reports whether the request has settled.
@@ -227,8 +229,14 @@ func (tk *Ticket[R]) Err() error {
 	return err
 }
 
-// Latency returns the admission-to-settle latency; ok once Done.
-func (tk *Ticket[R]) Latency() (simtime.Duration, bool) { return tk.lat, tk.fut.Done() }
+// Latency returns the admission-to-settle latency; ok once Done, and
+// (0, false) before.
+func (tk *Ticket[R]) Latency() (simtime.Duration, bool) {
+	if !tk.fut.Done() {
+		return 0, false
+	}
+	return simtime.Duration(tk.stamp), true
+}
 
 // ticketHook is a Ticket seen as its future's settle hook: the future holds
 // the ticket pointer itself, so tracking a request allocates no closure.
@@ -335,10 +343,11 @@ type classStats struct {
 	samples       []float64 // µs, only with KeepSamples
 }
 
-// slabBytes is the size of a ticket slab: the largest Go size class for
-// small objects, so a slab is one malloc with no slack. A slab holds
-// pointers and is over 512 B, so the allocator puts an 8-B header in front
-// of it, inside the size class.
+// slabBytes is the size class of a ticket slab: the largest Go size class
+// for small objects, so a slab is one malloc. A slab holds pointers and is
+// over 512 B, so the allocator puts an 8-B header in front of it, inside
+// the size class; what is left after the last whole ticket (40 B for the
+// 80-B Ticket[int64]: 409 tickets and the header take 32 728 B) is slack.
 const (
 	slabBytes  = 32 << 10
 	slabHeader = 8
@@ -505,7 +514,7 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	}
 	tk := &g.slab[0]
 	g.slab = g.slab[1:]
-	*tk = Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), arrive: now}
+	*tk = Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), stamp: int64(now)}
 	g.queues[vi].push(entry[R]{tk, fn})
 	g.queued++
 	g.queuedByClass[class]++
@@ -544,16 +553,17 @@ func errBadRequest(tenant int, class Class) error {
 //hot:path
 func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	now := g.rt.SimNow()
-	tk.lat = now.Sub(tk.arrive)
+	lat := now.Sub(simtime.Time(tk.stamp))
+	tk.stamp = int64(lat)
 	g.inflight[tk.vi]--
 	cs := &g.classes[tk.Class]
 	cs.completed++
 	if tk.Err() != nil {
 		cs.failed++
 	}
-	cs.slo.Observe(now, tk.lat)
+	cs.slo.Observe(now, lat)
 	if g.cfg.KeepSamples {
-		cs.samples = append(cs.samples, tk.lat.Microseconds()) //lint:allow hotalloc KeepSamples asks the gateway to retain one latency per request
+		cs.samples = append(cs.samples, lat.Microseconds()) //lint:allow hotalloc KeepSamples asks the gateway to retain one latency per request
 	}
 }
 

@@ -111,14 +111,13 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	b := NewBatcher(host)
 	fn := fnAllocInc.Bind(41)
 	wire := requestWire(t, host, fn)
-	fu1 := &Future[int64]{decode: fn.decode}
-	fu2 := &Future[int64]{decode: fn.decode}
+	fu1, fu2 := new(Future[int64]), new(Future[int64])
 
 	var gotV int64
 	var gotErr error
 	cycle := func() {
-		requeue(b, wire, fu1)
-		requeue(b, wire, fu2)
+		requeue(b, wire, fn, fu1)
+		requeue(b, wire, fn, fu2)
 		b.Flush(1)
 		gotV, gotErr = fu1.Get()
 		fu2.Get()
@@ -180,7 +179,7 @@ func TestChainedOnSettleZeroAlloc(t *testing.T) {
 }
 
 // requestWire encodes fn's request message on rt, as an offload of it does.
-func requestWire[R any](t *testing.T, rt *Runtime, fn Functor[R]) []byte {
+func requestWire[R any](t testing.TB, rt *Runtime, fn Functor[R]) []byte {
 	t.Helper()
 	msg, err := rt.bin.EncodeRequestTo(ham.NewEncoder(), fn.name, fn.args.bytes())
 	if err != nil {
@@ -190,10 +189,13 @@ func requestWire[R any](t *testing.T, rt *Runtime, fn Functor[R]) []byte {
 }
 
 // requeue rewinds a settled future and queues it on b for node 1 the way
-// BatchAdd does once the wire message is built.
-func requeue(b *Batcher, wire []byte, f *Future[int64]) {
-	f.done, f.val, f.err = false, 0, nil
-	f.c = b.add(1, wire, nil, 0, f)
+// Issue does once the wire message is built: fn's decoder rides in the
+// sink entry, and f takes the call unless the add already settled it.
+func requeue(b *Batcher, wire []byte, fn Functor[int64], f *Future[int64]) {
+	*f = Future[int64]{}
+	if c := b.add(1, wire, nil, 0, sink{f, fn.decode}); !f.Done() {
+		f.c = c
+	}
 }
 
 // parkedCalls walks rt's free list.
@@ -290,11 +292,11 @@ func TestBatchFramesInFlightZeroAlloc(t *testing.T) {
 	wire := requestWire(t, host, fn)
 	var futs [frames]*Future[int64]
 	for i := range futs {
-		futs[i] = &Future[int64]{decode: fn.decode}
+		futs[i] = new(Future[int64])
 	}
 	cycle := func() {
 		for _, f := range futs {
-			requeue(b, wire, f)
+			requeue(b, wire, fn, f)
 			b.Flush(1) // one frame per future, all left in flight
 		}
 		for _, f := range futs {

@@ -222,9 +222,10 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 }
 
 // add appends one sealed wire message to node's open frame — opening one
-// on a pooled call if the queue is empty — and returns the call sink now
-// rides. The policy may ship the frame before or after the append.
-func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, sink settler) *call {
+// on a pooled call if the queue is empty — and returns the call s now
+// rides. The policy may ship the frame before or after the append; a flush
+// that fails settles s before add returns.
+func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink) *call {
 	rt, q := b.rt, b.queue(node)
 	// Length accounting against the frame cap: ship the current frame first
 	// if this message would overflow it. A message too large for any frame
@@ -243,8 +244,8 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, sink se
 		q.firstAdd = rt.clock.Now()
 	}
 	q.putEntry(wire)
-	c.pds = append(c.pds, pd)       //lint:allow hotalloc amortized: backing array cycles through the call pool
-	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.pds = append(c.pds, pd)    //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.sinks = append(c.sinks, s) //lint:allow hotalloc amortized: backing array cycles through the call pool
 	q.fids = append(q.fids, fid)
 	if rt.tr != nil {
 		rt.tr.Tracer().Gauge(int(node), trace.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))

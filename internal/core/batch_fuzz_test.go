@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"hamoffload/internal/ham"
 )
 
 // FuzzBatchFrame fuzzes the batch frame decoder (openBatch /
@@ -18,6 +20,11 @@ import (
 //   - a well-formed frame: entries that alias the input and re-seal to the
 //     byte-identical frame (the codec admits exactly one encoding, so a
 //     clean parse proves the frame came from sealBatch).
+//
+// The same bytes also answer a frame call on the initiator whose entries
+// expect results of types drawn from the bytes (settleDrawn): every entry
+// settles through its own sink's decoder, or all of them fail, and nothing
+// panics.
 //
 // Run with `go test -fuzz FuzzBatchFrame ./internal/core` to explore; the
 // committed corpus below seeds it from valid encoder output plus the
@@ -45,7 +52,18 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, batMagic))
 	f.Add(make([]byte, 64))
 
+	// A target's response frame to one request of each result type.
+	host := NewRuntime(&allocBackend{}, "fuzz-arch-batch-h")
+	target := NewRuntime(&allocBackend{}, "fuzz-arch-batch-t")
+	reqs := [][]byte{
+		requestWire(f, host, fnMixInt.Bind(3)), requestWire(f, host, fnMixFloat.Bind(3)),
+		requestWire(f, host, fnMixString.Bind(3)), requestWire(f, host, fnMixBytes.Bind(3)),
+		requestWire(f, host, fnMixPoint.Bind(3)), requestWire(f, host, fnMixUnit.Bind(3)),
+	}
+	f.Add(append([]byte(nil), target.Dispatch(sealBatch(reqs))...))
+
 	f.Fuzz(func(t *testing.T, msg []byte) {
+		settleDrawn(t, host, msg)
 		entries, isBatch, err := openBatch(msg)
 		if !isBatch {
 			// Plain message: it must pass through untouched, with no entries
@@ -91,4 +109,69 @@ func FuzzBatchFrame(f *testing.F) {
 			t.Fatal("openBatchInto clobbered the caller's scratch prefix")
 		}
 	})
+}
+
+// settleDrawn answers a frame call on rt with msg. The call's entries — as
+// many as msg frames, or a few when it frames none — expect results of
+// types drawn from msg's bytes. Every entry must settle, and the call must
+// be back on the free list.
+func settleDrawn(t *testing.T, rt *Runtime, msg []byte) {
+	entries, isBatch, err := openBatch(msg)
+	n := len(entries)
+	if !isBatch || err != nil {
+		n = 1 + len(msg)%4
+	}
+	c := rt.takeCall()
+	c.frame = true
+	done := make([]func() bool, n)
+	for i := range done {
+		k := byte(i)
+		if len(msg) > 0 {
+			k = msg[len(msg)-1-i%len(msg)]
+		}
+		done[i] = drawSink(c, k)
+	}
+	if err := c.deliver(msg); err != nil {
+		c.failAll(err)
+	}
+	for i, d := range done {
+		if !d() {
+			t.Fatalf("entry %d of %d is not settled", i, n)
+		}
+	}
+	if open := rt.OpenCalls(); open != 0 {
+		t.Fatalf("OpenCalls() = %d after the frame settled", open)
+	}
+}
+
+// drawSink adds an entry expecting a result of kind k — int64, float64,
+// string, []byte, a Marshaler or Unit — to the frame call c, the way Issue
+// adds one, and returns whether its future is done (then running Get).
+func drawSink(c *call, k byte) func() bool {
+	switch k % 6 {
+	case 0:
+		return sinkOf(c, fnMixInt.decode)
+	case 1:
+		return sinkOf(c, fnMixFloat.decode)
+	case 2:
+		return sinkOf(c, fnMixString.decode)
+	case 3:
+		return sinkOf(c, fnMixBytes.decode)
+	case 4:
+		return sinkOf(c, fnMixPoint.decode)
+	}
+	return sinkOf(c, fnMixUnit.decode)
+}
+
+func sinkOf[R any](c *call, dec func(*ham.Decoder) (R, error)) func() bool {
+	f := &Future[R]{c: c}
+	c.sinks = append(c.sinks, sink{f, dec})
+	c.pds = append(c.pds, nil)
+	return func() bool {
+		if !f.Done() {
+			return false
+		}
+		f.Get()
+		return true
+	}
 }

@@ -3,10 +3,20 @@ package core
 import "hamoffload/internal/ham"
 
 // settler is the type-erased face of *Future[T] a call settles results
-// through.
+// through. settle decodes resp with dec, the decoder of the sink entry the
+// settler rides in.
 type settler interface {
-	settle(resp []byte)
+	settle(resp []byte, dec any)
 	fail(err error)
+}
+
+// sink is one entry of a call: the settler and its result decoder, a
+// func(*ham.Decoder) (T, error) for a *Future[T] (nil for a rawSink). The
+// decoder depends only on the result type, so the call, not each future,
+// carries it, for as long as the future is unsettled.
+type sink struct {
+	s   settler
+	dec any
 }
 
 // rawSink is the settler a synchronous offload resolves into: Sync and the
@@ -21,7 +31,7 @@ type rawSink struct {
 	busy bool // a synchronous offload is resolving into this sink
 }
 
-func (s *rawSink) settle(resp []byte) {
+func (s *rawSink) settle(resp []byte, _ any) {
 	_, s.err = ham.DecodeResponseInto(&s.dec, resp)
 	s.done = true
 }
@@ -37,8 +47,8 @@ func (s *rawSink) fail(err error) { s.err, s.done = err, true }
 // most once.
 //
 // Completed calls recycle through the runtime's free list (takeCall): once
-// deliver or failAll has settled every sink, the futures short-circuit on
-// their own done flag and never touch the call again, so its arrays are
+// deliver or failAll has settled every sink, the futures point at
+// settledCall and never touch the call again, so its arrays are
 // free to back the next message. The list grows to the number of messages
 // ever in flight at once — the gateway keeps up to Window frames open per
 // VE — and no further. A bare message is encoded into the call's own
@@ -49,7 +59,7 @@ type call struct {
 	pd    *pending    // the wire message's retransmission state, nil with FT off
 	frame bool        // the response is a batch frame, one entry per sink
 	q     *batchQueue // set while the frame is still filling: resolve and poll force it out
-	sinks []settler
+	sinks []sink
 	pds   []*pending // frame only: per-entry envelope state, nil entries with FT off
 	subs  [][]byte   // frame only: deliver's split scratch, reused across retries and pool cycles
 	resp  []byte     // frame only: deliver's copy of the response the entries alias
@@ -72,9 +82,9 @@ func (rt *Runtime) takeCall() *call {
 }
 
 // recycle parks the completed call for reuse, dropping what it still
-// references: the settled futures, their retransmission state and the
-// response bytes the scratch slices alias. Callers must have settled every
-// sink first.
+// references: the settled futures and their decoders, their retransmission
+// state and the response bytes the scratch slices alias. Callers must have
+// settled every sink first.
 func (c *call) recycle() {
 	c.h, c.pd, c.q, c.frame = nil, nil, nil, false
 	clear(c.pds)
@@ -192,7 +202,7 @@ func (c *call) deliver(resp []byte) error {
 		if err != nil {
 			return err
 		}
-		c.sinks[0].settle(p)
+		c.sinks[0].s.settle(p, c.sinks[0].dec)
 		c.recycle()
 		return nil
 	}
@@ -209,7 +219,7 @@ func (c *call) deliver(resp []byte) error {
 		// typically its failure response to a frame it could not parse —
 		// through every future.
 		for _, s := range c.sinks {
-			s.settle(resp)
+			s.s.settle(resp, s.dec)
 		}
 		c.recycle()
 		return nil
@@ -234,7 +244,7 @@ func (c *call) deliver(resp []byte) error {
 		subs[i] = p
 	}
 	for i, s := range c.sinks {
-		s.settle(subs[i])
+		s.s.settle(subs[i], s.dec)
 	}
 	c.recycle()
 	return nil
@@ -243,7 +253,7 @@ func (c *call) deliver(resp []byte) error {
 // failAll fails every sink with err.
 func (c *call) failAll(err error) {
 	for _, s := range c.sinks {
-		s.fail(err)
+		s.s.fail(err)
 	}
 	c.recycle()
 }

@@ -218,8 +218,8 @@ func runLifecycle(t *testing.T, frame bool, n int, ft bool, script []step, useGe
 			t.Errorf("parked call keeps state: %+v", c)
 		}
 		for _, s := range c.sinks[:cap(c.sinks)] {
-			if s != nil {
-				t.Errorf("parked call keeps a sink")
+			if s.s != nil || s.dec != nil {
+				t.Errorf("parked call keeps a sink or its decoder")
 			}
 		}
 		for _, pd := range c.pds[:cap(c.pds)] {

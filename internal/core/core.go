@@ -433,13 +433,13 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, args []byt
 }
 
 // callAsync posts the named message as a call of one, encoded into the
-// call's own encoder, and returns it; sink receives the response payload or
+// call's own encoder, and returns it; s receives the response payload or
 // the failure, at once when the message cannot be built or posted.
 //
 //hot:path
-func (rt *Runtime) callAsync(node NodeID, name string, args []byte, sink settler) *call {
+func (rt *Runtime) callAsync(node NodeID, name string, args []byte, s sink) *call {
 	c := rt.takeCall()
-	c.sinks = append(c.sinks, sink) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.sinks = append(c.sinks, s) //lint:allow hotalloc amortized: backing array cycles through the call pool
 	wire, pd, _, err := rt.encode(&c.enc, node, name, args)
 	if err != nil {
 		c.failAll(err)
@@ -472,7 +472,7 @@ func errNoNode(node NodeID, n int) error {
 //hot:path
 func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, args []byte) (*ham.Decoder, error) {
 	s.busy, s.done, s.err = true, false, nil
-	c := rt.callAsync(node, name, args, s)
+	c := rt.callAsync(node, name, args, sink{s: s})
 	if !s.done {
 		c.resolve()
 	}

@@ -217,24 +217,32 @@ func bound(e *ham.Encoder) boundArgs {
 // the one issue path: Async and BatchAdd issue into a new Future, the
 // gateway into the future its ticket embeds, the scheduler into a slab.
 // With a tracer attached the offload lifecycle span opens here, and its
-// closer is f's first settle hook.
+// closer is f's first settle hook. The result decoder rides beside f in the
+// call's sink entry.
+//
+// An offload that cannot be encoded or posted — or whose frame fails to
+// flush — fails f before Issue returns; f then keeps the settled sentinel
+// rather than the call, which is already back on the free list.
 //
 //hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
-	f.decode = fn.decode
 	if rt.tr != nil {
 		f.hook = hookFunc(rt.beginOffload(node, fn.name))
 	}
+	var c *call
 	if b == nil || !rt.batch.Enabled() {
-		f.c = rt.callAsync(node, fn.name, fn.args.bytes(), f)
-		return
+		c = rt.callAsync(node, fn.name, fn.args.bytes(), sink{f, fn.decode})
+	} else {
+		wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.args.bytes())
+		if err != nil {
+			f.fail(err)
+			return
+		}
+		c = b.add(node, wire, pd, fid, sink{f, fn.decode})
 	}
-	wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.args.bytes())
-	if err != nil {
-		f.fail(err)
-		return
+	if !f.Done() {
+		f.c = c
 	}
-	f.c = b.add(node, wire, pd, fid, f)
 }
 
 // Async performs an asynchronous offload of fn to node, returning a future

@@ -7,10 +7,12 @@ import "hamoffload/internal/ham"
 // until the result message arrived and decodes it.
 type Future[T any] struct {
 	// c is the wire message carrying this offload, shared by a frame's
-	// futures. Issue sets it, and only an unsettled future reads it, so its
-	// runtime, c.rt, is the future's: a pooled call never changes runtime.
-	c      *call
-	decode func(*ham.Decoder) (T, error)
+	// futures, until the future settles; then it is &settledCall, which is
+	// what "done" means. Issue sets it, and only an unsettled future reads
+	// it, so its runtime, c.rt, is the future's: a pooled call never
+	// changes runtime. The result decoder rides beside the future in the
+	// call's sink entry, not in the future.
+	c *call
 
 	// hook fires exactly once as the future settles or fails: the one hook
 	// registered, or a chain of them (hookChain), run in registration
@@ -18,28 +20,32 @@ type Future[T any] struct {
 	// offload lifecycle span first.
 	hook SettleHook
 
-	done bool
-	val  T
-	err  error
+	val T
+	err error
 }
+
+// settledCall is the call every settled future points at: a future is done
+// exactly when its c is &settledCall. It is never posted, polled or
+// resolved.
+var settledCall call
 
 // Test reports whether the result is available, without blocking. Under a
 // fault-tolerance policy a transient failure observed here re-posts the
 // request and keeps the future in flight.
 func (f *Future[T]) Test() bool {
-	if !f.done {
-		f.c.poll()
+	if c := f.c; c != &settledCall {
+		c.poll()
 	}
-	return f.done
+	return f.Done()
 }
 
 // Done reports whether the future has settled, without polling (Test polls).
-func (f *Future[T]) Done() bool { return f.done }
+func (f *Future[T]) Done() bool { return f.c == &settledCall }
 
 // Get blocks until the offload completed and returns its result.
 func (f *Future[T]) Get() (T, error) {
-	if !f.done {
-		f.c.resolve()
+	if c := f.c; c != &settledCall {
+		c.resolve()
 	}
 	return f.val, f.err
 }
@@ -100,7 +106,7 @@ func (f *Future[T]) OnSettle(fn func()) { f.OnSettleHook(hookFunc(fn)) }
 // runtime's free list, so a warm registration allocates nothing.
 func (f *Future[T]) OnSettleHook(h SettleHook) {
 	switch {
-	case f.done:
+	case f.Done():
 		h.FutureSettled()
 	case f.hook == nil:
 		f.hook = h
@@ -119,30 +125,34 @@ func (f *Future[T]) MustGet() T {
 }
 
 func (f *Future[T]) fail(err error) {
-	if f.done {
+	if f.Done() {
 		return
 	}
-	f.done = true
+	f.c = &settledCall
 	f.err = err
 	f.fireDone()
 }
 
-func (f *Future[T]) settle(resp []byte) {
-	if f.done {
+// settle decodes resp with decode, the func(*ham.Decoder) (T, error) Issue
+// put beside f in the call's sink entry.
+func (f *Future[T]) settle(resp []byte, decode any) {
+	if f.Done() {
 		return
 	}
-	f.done = true
 	// Settling is strictly sequential per runtime, so the runtime's scratch
 	// decoder serves every future; decoded slices and strings are copied out
 	// by the Decoder accessors, so nothing aliases the scratch afterwards.
-	// Only a call's deliver settles a future, so f.c is set.
-	dec, err := ham.DecodeResponseInto(&f.c.rt.respDec, resp)
+	// Only a call's deliver settles a future, so f.c is its call until the
+	// sentinel replaces it.
+	rt := f.c.rt
+	f.c = &settledCall
+	dec, err := ham.DecodeResponseInto(&rt.respDec, resp)
 	if err != nil {
 		f.err = err
 		f.fireDone()
 		return
 	}
-	f.val, f.err = f.decode(dec)
+	f.val, f.err = decode.(func(*ham.Decoder) (T, error))(dec)
 	f.fireDone()
 }
 
@@ -156,5 +166,5 @@ func (f *Future[T]) fireDone() {
 // completedFuture wraps an already-finished operation, for the data-transfer
 // variants whose backends complete eagerly.
 func completedFuture[T any](val T, err error) *Future[T] {
-	return &Future[T]{done: true, val: val, err: err}
+	return &Future[T]{c: &settledCall, val: val, err: err}
 }

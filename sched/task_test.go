@@ -14,14 +14,14 @@ import (
 // This file sits inside the package because both questions are about the
 // MapFutures slab record, which the API does not show.
 
-// TestTaskRecordSize pins a MapFutures task's slab record at 88 B: the 64-B
+// TestTaskRecordSize pins a MapFutures task's slab record at 72 B: the 48-B
 // future first, then the scheduler, the node index and the issue stamp. The
 // records sit back to back in one slab, so every byte here is a byte per
 // task. The node and the settle observer are the scheduler's, read through
 // s, not copied into every task.
 func TestTaskRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(task[int64]{}); got != 88 {
-		t.Errorf("task[int64] is %d B, want 88", got)
+	if got := unsafe.Sizeof(task[int64]{}); got != 72 {
+		t.Errorf("task[int64] is %d B, want 72", got)
 	}
 	if got := unsafe.Offsetof(task[int64]{}.fut); got != 0 {
 		t.Errorf("task[int64].fut is at offset %d, want 0", got)
@@ -175,5 +175,80 @@ func TestMapFuturesFeedsObserver(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sizedWork returns the length of its argument.
+var sizedWork = core.NewFunc1[int64]("sched.sized_work",
+	func(_ *core.Ctx, b []byte) (int64, error) { return int64(len(b)), nil })
+
+// TestMapFuturesSyncFailureStaysSettled: tasks whose offload fails while
+// MapFutures issues it — a message over the maximum message length, or a
+// post to a crashed VE — are settled when MapFutures returns, one wire
+// message per task or in batch frames. Each such future is done with its
+// error, Test does not put it back in flight, a hook registered afterwards
+// runs exactly once, and every in-flight slot comes back.
+func TestMapFuturesSyncFailureStaysSettled(t *testing.T) {
+	const n = 16
+	big := sizedWork.Bind(make([]byte, 8<<10))
+	small := sizedWork.Bind([]byte{1, 2, 3})
+	for _, batch := range []core.BatchPolicy{{}, {MaxMessages: 4}} {
+		m, err := machine.New(machine.Config{VEs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.RunMain(func(p *machine.Proc) error {
+			rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{Batch: batch})
+			if err != nil {
+				return err
+			}
+			defer func() { _ = rt.Finalize() }()
+			s, err := New(rt, Targets(rt), RoundRobin())
+			if err != nil {
+				return err
+			}
+			m.Cards[1].Kill() // odd tasks go to node 2
+			futs := MapFutures(s, n, func(task int) core.Functor[int64] {
+				if task%4 == 0 {
+					return big
+				}
+				return small
+			})
+			for k, f := range futs {
+				if k%4 == 2 {
+					continue // the one kind of task that succeeds
+				}
+				if !f.Done() || !f.Test() {
+					t.Fatalf("batch %+v: failed task %d not settled when MapFutures returned", batch, k)
+				}
+				_, err := f.Get()
+				if err == nil || (k%2 == 1 && !errors.Is(err, core.ErrNodeFailed)) {
+					t.Errorf("batch %+v: task %d Get() error %v", batch, k, err)
+				}
+				runs := 0
+				f.OnSettle(func() { runs++ })
+				f.Test()
+				if runs != 1 {
+					t.Errorf("batch %+v: a hook registered on failed task %d ran %d times, want 1", batch, k, runs)
+				}
+			}
+			for k, f := range futs {
+				if v, err := f.Get(); k%4 == 2 && (v != 3 || err != nil) {
+					t.Errorf("batch %+v: task %d = %d, %v; want 3", batch, k, v, err)
+				}
+			}
+			for i, v := range s.InFlight() {
+				if v != 0 {
+					t.Errorf("batch %+v: node %d still has %d tasks in flight", batch, i+1, v)
+				}
+			}
+			if s.Completed() != n {
+				t.Errorf("batch %+v: %d of %d tasks completed", batch, s.Completed(), n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
