@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines fmt vet lint cover cover-check shuffle
+.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines allows fmt vet lint cover cover-check shuffle
 
 all: check
 
@@ -75,6 +75,11 @@ examples:
 # tracks.
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/perf/*' | xargs cat | wc -l
+
+# Lines of .go files that carry //lint:allow: the count ROADMAP's gate "adds
+# no net new //lint:allow" compares.
+allows:
+	@grep -r --include='*.go' '//lint:allow' . | wc -l
 
 fmt:
 	gofmt -w .

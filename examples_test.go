@@ -1,9 +1,13 @@
 package hamoffload_test
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -29,5 +33,31 @@ func TestExamples(t *testing.T) {
 			}
 			t.Logf("\n%s", out)
 		})
+	}
+}
+
+// TestExamplesUsePublicAPI checks that every example imports from this module
+// only the packages an application may use: offload, machine and gateway.
+// tcpcluster also imports internal/backend/tcpb, because no public TCP entry
+// point exists yet.
+func TestExamplesUsePublicAPI(t *testing.T) {
+	public := map[string]bool{"hamoffload/offload": true, "hamoffload/machine": true, "hamoffload/gateway": true}
+	files, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no examples/*/main.go: %v", err)
+	}
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if !strings.HasPrefix(path, "hamoffload/") || public[path] ||
+				file == filepath.Join("examples", "tcpcluster", "main.go") && path == "hamoffload/internal/backend/tcpb" {
+				continue
+			}
+			t.Errorf("%s imports %s, which is not public API", file, path)
+		}
 	}
 }

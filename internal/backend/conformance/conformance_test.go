@@ -3,6 +3,8 @@ package conformance_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,6 +343,54 @@ func TestTCPConformance(t *testing.T)      { tcp(t, setup{}, perTarget(conforman
 func TestClusterConformance(t *testing.T)  { cluster(t, setup{}, perTarget(conformance.Exercise)) }
 func TestSimulatedProtocolConformance(t *testing.T) {
 	bothProtocols(t, setup{ves: 2}, perTarget(conformance.Exercise))
+}
+
+// recorder is a Reporter that keeps what it is told.
+type recorder []string
+
+func (r *recorder) Errorf(format string, args ...any) { *r = append(*r, fmt.Sprintf(format, args...)) }
+
+var leakNop = core.NewFunc0[int64]("conformance_test.leak_nop",
+	func(*core.Ctx) (int64, error) { return 7, nil })
+
+// The leak check catches a leak: an Async future left unharvested holds its
+// call open, and an Allocate without Free leaves a VE heap one allocation
+// over its count at connect. Each is reported (the future's slot-ring handle
+// may be too); once both are cleaned up the check is quiet again, and so is
+// run's own.
+func TestQuiescenceCatchesLeaks(t *testing.T) {
+	bothProtocols(t, setup{}, func(t *testing.T, w world) {
+		check := conformance.Quiescence(w.rt, w.handles, w.heaps...)
+		ve := w.heaps[1] // the target's memory; heaps[0] is the host's
+		atConnect := ve.LiveAllocs()
+		fut := core.Async(w.rt, w.targets[0], leakNop.Bind())
+		buf, err := core.Allocate[float64](w.rt, w.targets[0], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := w.rt.OpenCalls(); n != 1 {
+			t.Errorf("OpenCalls() = %d with one future unharvested, want 1", n)
+		}
+		var got recorder
+		check(&got)
+		for _, want := range []string{"1 calls taken and not back on the free list",
+			fmt.Sprintf("heap 1 holds %d live allocations, %d at connect", atConnect+1, atConnect)} {
+			if !slices.ContainsFunc(got, func(msg string) bool { return strings.Contains(msg, want) }) {
+				t.Errorf("leak check reported %q, want a report containing %q", got, want)
+			}
+		}
+
+		if v, err := fut.Get(); err != nil || v != 7 {
+			t.Errorf("leaked future = %d, %v", v, err)
+		}
+		if err := core.Free(w.rt, buf); err != nil {
+			t.Error(err)
+		}
+		got = nil
+		if check(&got); len(got) != 0 {
+			t.Errorf("leak check after cleanup reported %q", got)
+		}
+	})
 }
 
 // The zero-copy aliasing contracts. On the simulated protocols Call parks the

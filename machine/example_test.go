@@ -62,7 +62,8 @@ func Example() {
 
 // Example_cluster offloads to a remote machine's Vector Engine over the
 // simulated InfiniBand fabric — the paper's §VI outlook — with the same
-// functor used locally.
+// functor used locally. Both offloads are issued with Async before either
+// future is harvested, so the two machines can work at once.
 func Example_cluster() {
 	cl, err := machine.NewCluster(2, machine.Config{VEs: 1})
 	if err != nil {
@@ -74,8 +75,9 @@ func Example_cluster() {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		local, remote := offload.NodeID(1), offload.NodeID(2)
-		for _, node := range []offload.NodeID{local, remote} {
+		nodes := []offload.NodeID{1, 2} // the local VE, the remote one
+		futs := make([]*offload.Future[float64], len(nodes))
+		for i, node := range nodes {
 			buf, err := offload.Allocate[float64](rt, node, 3)
 			if err != nil {
 				return err
@@ -83,11 +85,14 @@ func Example_cluster() {
 			if err := offload.Put(rt, []float64{1, 1, 1}, buf); err != nil {
 				return err
 			}
-			sum, err := offload.Sync(rt, node, exScale.Bind(buf, 2.0))
+			futs[i] = offload.Async(rt, node, exScale.Bind(buf, 2.0))
+		}
+		for i, f := range futs {
+			sum, err := f.Get()
 			if err != nil {
 				return err
 			}
-			fmt.Printf("node %d: %v\n", node, sum)
+			fmt.Printf("node %d: %v\n", nodes[i], sum)
 		}
 		return nil
 	})
