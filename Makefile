@@ -77,9 +77,13 @@ lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/perf/*' | xargs cat | wc -l
 
 # Lines of .go files that carry //lint:allow: the count ROADMAP's gate "adds
-# no net new //lint:allow" compares.
+# no net new //lint:allow" compares. It fails above ALLOWS_MAX, which a change
+# lowers when it removes an allow and never raises.
+ALLOWS_MAX := 76
+
 allows:
-	@grep -r --include='*.go' '//lint:allow' . | wc -l
+	@n=$$(grep -r --include='*.go' '//lint:allow' . | wc -l); echo $$n; \
+	if [ $$n -gt $(ALLOWS_MAX) ]; then echo "allows: $$n lines carry //lint:allow, more than ALLOWS_MAX = $(ALLOWS_MAX)" >&2; exit 1; fi
 
 fmt:
 	gofmt -w .

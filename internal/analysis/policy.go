@@ -103,10 +103,11 @@ var afterfreeExempt = []string{
 // engine hot path: the serving gateway, the runtime core, the DES engine,
 // the wire codec, the flag protocol, the simulated transfer backends and
 // what every simulated transfer passes through (DMA engines, PCIe links,
-// the sparse memories, the fault hooks). hotalloc reports only inside these
-// packages — a hot root may call out into neutral packages (trace) but
-// findings there are dropped, because those calls are either pruned behind
-// armed guards or sanctioned observability cost.
+// the sparse memories, the fault hooks) and the free list they recycle
+// through. hotalloc reports only inside these packages — a hot root may
+// call out into neutral packages (trace) but findings there are dropped,
+// because those calls are either pruned behind armed guards or sanctioned
+// observability cost.
 var hotPathScoped = []string{
 	"hamoffload/gateway",
 	"hamoffload/internal/core",
@@ -120,6 +121,7 @@ var hotPathScoped = []string{
 	"hamoffload/internal/pcie",
 	"hamoffload/internal/mem",
 	"hamoffload/internal/faults",
+	"hamoffload/internal/pool",
 }
 
 // borrowckScoped are the packages living under the zero-copy buffer

@@ -156,7 +156,7 @@ type LiveAllocator interface {
 
 // Quiescence records what a connected application holds at rest and returns
 // the check that, once it is idle again, it holds no more: every call the
-// host runtime took is back on its free list, every slot-ring handle Call
+// host runtime took is back in its pool, every slot-ring handle Call
 // issued has been released — bar hedge losers the runtime still holds to
 // reap (core.Runtime.Strays) — and every heap has as many live allocations
 // as now. handles counts the backend's open slot-ring handles

@@ -8,10 +8,10 @@ func Registered(vp *veos.Process) bool {
 	return ok
 }
 
-// ParkedHandles counts the released handles on h's free list.
+// ParkedHandles counts h's released handles.
 func ParkedHandles(h *Host) int {
 	n := 0
-	for hd := h.free; hd != nil; hd = hd.next {
+	for range h.handles.Parked() {
 		n++
 	}
 	return n

@@ -18,6 +18,7 @@ import (
 
 	"hamoffload/internal/backend/slots"
 	"hamoffload/internal/core"
+	"hamoffload/internal/pool"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
 	"hamoffload/internal/vecore"
@@ -139,7 +140,7 @@ type HostConfig struct {
 // after RecoverNode builds a fresh conn, stale handles must keep failing
 // against the dead one instead of polling slots they never owned.
 //
-// Handles recycle through the Host's free list: Wait or Poll releases one
+// Handles recycle through the Host's pool: Wait or Poll releases one
 // when it hands the result to the caller, who borrows those bytes until
 // its next call into the Host (core.Backend.Wait). Draining a slot for
 // reuse (Call) completes a handle without releasing it — its owner has not
@@ -151,7 +152,7 @@ type handle struct {
 	seq    uint32
 	resp   []byte
 	done   bool
-	next   *handle // free-list link while released
+	pool.Link[handle]
 	// small backs resp for a result that fits: a scalar result, or a batch
 	// frame of a few of them. big is the buffer a larger result grew, kept
 	// for the next result that outgrows small.
@@ -184,16 +185,12 @@ func (c *conn) alive() bool {
 type Host struct {
 	core.HostOnly // no reverse offloading in either protocol
 
-	p      *simtime.Proc
-	cfg    HostConfig // options defaulted
-	dial   Dial
-	conns  []*conn
-	polled resultPoll // wait's poll loop; one wait runs at a time
-	// free heads the released handles, one per offload that was ever in
-	// flight at once; open counts the handles Call issued that Wait or Poll
-	// has not yet released.
-	free *handle
-	open int
+	p       *simtime.Proc
+	cfg     HostConfig // options defaulted
+	dial    Dial
+	conns   []*conn
+	polled  resultPoll                 // wait's poll loop; one wait runs at a time
+	handles pool.Free[handle, *handle] // one per offload ever in flight at once
 	// Span names, built once: the hot path must not concatenate strings.
 	spanCall, spanFlagWrite, spanWait, spanPollFault string
 }
@@ -337,23 +334,11 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	// must land in the same slot.
 	c.seq[slot]++
 	c.next = (c.next + 1) % h.cfg.NumBuffers
-	hd := h.takeHandle()
+	hd := h.handles.Take()
 	hd.target, hd.c, hd.slot, hd.seq, hd.resp, hd.done = target, c, slot, seq, nil, false
 	c.inUse[slot] = hd
 	h.cfg.Tracer.Since(trace.PhaseCall, h.spanCall, mid, callStart)
 	return hd, nil
-}
-
-// takeHandle returns a handle for the next offload, recycling a released
-// one when available.
-func (h *Host) takeHandle() *handle {
-	h.open++
-	hd := h.free
-	if hd == nil {
-		return &handle{} //lint:allow hotalloc pool miss: one handle per concurrently in-flight offload, then recycled
-	}
-	h.free, hd.next = hd.next, nil
-	return hd
 }
 
 // release parks a handle whose result the caller now holds. The bytes stay
@@ -361,14 +346,13 @@ func (h *Host) takeHandle() *handle {
 // overwrites them.
 func (h *Host) release(hd *handle) {
 	hd.c = nil
-	hd.next, h.free = h.free, hd
-	h.open--
+	h.handles.Put(hd)
 }
 
 // OpenHandles returns how many handles Call issued that Wait or Poll has
 // not yet handed back: offloads in flight, and any whose owner never asked
 // for the result (a timed-out wait, a hedge loser, a node that failed).
-func (h *Host) OpenHandles() int { return h.open }
+func (h *Host) OpenHandles() int { return h.handles.Live() }
 
 // handleOf resolves a handle this Host issued and has not yet released.
 func (h *Host) handleOf(hh core.Handle) (*handle, error) {

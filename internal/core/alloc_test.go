@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,6 +138,32 @@ func TestBatchFlushZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAsyncBatchAllocs: AsyncBatch takes one of the runtime's pooled
+// batchers and releases it, so a warm call allocates its futures and the
+// slice it returns, nothing more.
+func TestAsyncBatchAllocs(t *testing.T) {
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-asyncbatch-t")
+	tbk.target = target
+	host := NewRuntime(&allocBackend{target: target}, "alloc-arch-asyncbatch-h")
+	host.SetBatching(BatchPolicy{MaxMessages: 8})
+	fns := []Functor[int64]{fnAllocInc.Bind(1), fnAllocInc.Bind(2), fnAllocInc.Bind(3)}
+	cycle := func() {
+		for i, f := range AsyncBatch(host, 1, fns) {
+			if v, err := f.Get(); v != int64(i+2) || err != nil {
+				t.Fatalf("future %d = %d, %v; want %d", i, v, err, i+2)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != float64(len(fns)+1) {
+		t.Errorf("a warm AsyncBatch of %d allocates %.1f objects, want %d: its futures and their slice", len(fns), n, len(fns)+1)
+	}
+	if live, parked := host.batchers.Live(), len(slices.Collect(host.batchers.Parked())); live != 0 || parked != 1 {
+		t.Errorf("%d batchers taken and %d parked after the calls returned, want 0 and 1", live, parked)
+	}
+}
+
 // countHook counts its settlements.
 type countHook struct{ n int }
 
@@ -198,14 +225,8 @@ func requeue(b *Batcher, wire []byte, fn Functor[int64], f *Future[int64]) {
 	}
 }
 
-// parkedCalls walks rt's free list.
-func parkedCalls(rt *Runtime) []*call {
-	var out []*call
-	for c := rt.freeCall; c != nil; c = c.next {
-		out = append(out, c)
-	}
-	return out
-}
+// parkedCalls lists rt's parked calls.
+func parkedCalls(rt *Runtime) []*call { return slices.Collect(rt.calls.Parked()) }
 
 var fnAllocAdd = NewFunc2[int64]("test.allocadd",
 	func(_ *Ctx, a, b int64) (int64, error) { return a + b, nil })

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/pool"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
 )
@@ -122,10 +123,25 @@ type Batcher struct {
 	// enc is where BatchAdd encodes each message: add copies the wire into
 	// the frame arena before the next one is encoded.
 	enc ham.Encoder
+	batcherLink
 }
+
+// batcherLink embeds the pool link without an exported field.
+type batcherLink = pool.Link[Batcher]
 
 // NewBatcher creates a batcher over rt's backend and policy.
 func NewBatcher(rt *Runtime) *Batcher { return &Batcher{rt: rt} }
+
+// TakeBatcher returns one of rt's pooled batchers. Release it once FlushAll
+// has shipped its frames: one with entries queued must not be reused.
+func TakeBatcher(rt *Runtime) *Batcher {
+	b := rt.batchers.Take()
+	b.rt = rt
+	return b
+}
+
+// Release puts a batcher from TakeBatcher back in its runtime's pool.
+func (b *Batcher) Release() { b.rt.batchers.Put(b) }
 
 // batchQueue accumulates one node's pending frame. The frame is built as it
 // queues: each added message is copied into the frame arena behind its
@@ -260,12 +276,13 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink)
 // returns the futures in submission order — the bulk analogue of Async.
 // With batching disabled each functor goes out individually.
 func AsyncBatch[R any](rt *Runtime, node NodeID, fns []Functor[R]) []*Future[R] {
-	b := NewBatcher(rt)
+	b := TakeBatcher(rt)
 	futs := make([]*Future[R], len(fns))
 	for i, fn := range fns {
 		futs[i] = BatchAdd(b, node, fn)
 	}
 	b.FlushAll()
+	b.Release()
 	return futs
 }
 

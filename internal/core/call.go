@@ -1,6 +1,9 @@
 package core
 
-import "hamoffload/internal/ham"
+import (
+	"hamoffload/internal/ham"
+	"hamoffload/internal/pool"
+)
 
 // settler is the type-erased face of *Future[T] a call settles results
 // through. settle decodes resp with dec, the decoder of the sink entry the
@@ -46,12 +49,10 @@ func (s *rawSink) fail(err error) { s.err, s.done = err, true }
 // retransmitted entries from its dedup window, so handlers still run at
 // most once.
 //
-// Completed calls recycle through the runtime's free list (takeCall): once
+// Completed calls recycle through the runtime's pool (Runtime.calls): once
 // deliver or failAll has settled every sink, the futures point at
-// settledCall and never touch the call again, so its arrays are
-// free to back the next message. The list grows to the number of messages
-// ever in flight at once — the gateway keeps up to Window frames open per
-// VE — and no further. A bare message is encoded into the call's own
+// settledCall and never touch the call again, so its arrays are free to
+// back the next message. A bare message is encoded into the call's own
 // encoder, which holds the wire for as long as the call is in flight.
 type call struct {
 	rt    *Runtime
@@ -64,20 +65,14 @@ type call struct {
 	subs  [][]byte   // frame only: deliver's split scratch, reused across retries and pool cycles
 	resp  []byte     // frame only: deliver's copy of the response the entries alias
 	enc   ham.Encoder
-	done  bool  // every sink settled; the call is parked
-	next  *call // free-list link while parked
+	done  bool // every sink settled; the call is parked
+	pool.Link[call]
 }
 
-// takeCall returns a call for the next wire message, recycling a completed
-// one when available.
+// takeCall returns a call for the next wire message.
 func (rt *Runtime) takeCall() *call {
-	rt.openCalls++
-	c := rt.freeCall
-	if c == nil {
-		return &call{rt: rt} //lint:allow hotalloc pool miss: one call object per concurrently in-flight message, then recycled
-	}
-	rt.freeCall, c.next = c.next, nil
-	c.done = false
+	c := rt.calls.Take()
+	c.rt, c.done = rt, false
 	return c
 }
 
@@ -92,8 +87,7 @@ func (c *call) recycle() {
 	clear(c.subs[:cap(c.subs)]) // a retry may have split a longer response before
 	c.pds, c.sinks = c.pds[:0], c.sinks[:0]
 	c.done = true
-	c.next, c.rt.freeCall = c.rt.freeCall, c
-	c.rt.openCalls--
+	c.rt.calls.Put(c)
 }
 
 // post hands the wire message to the backend, retrying a transient failure

@@ -115,7 +115,7 @@ func runLifecycle(t *testing.T, frame bool, n int, ft bool, script []step, useGe
 	var b *Batcher
 	if frame {
 		rt.SetBatching(BatchPolicy{MaxMessages: 8})
-		b = NewBatcher(rt)
+		b = TakeBatcher(rt)
 	}
 	// Futures 0..n-1 ride the scripted message to node 1, n..2n-1 the
 	// healthy one to node 2; future i carries value i+1.
@@ -210,8 +210,11 @@ func runLifecycle(t *testing.T, frame bool, n int, ft bool, script []step, useGe
 	if len(parked) != peak {
 		t.Fatalf("free list holds %d calls after %d messages in flight", len(parked), peak)
 	}
-	if n := rt.OpenCalls(); n != 0 {
-		t.Errorf("OpenCalls() = %d with every future settled", n)
+	if b != nil {
+		b.Release()
+	}
+	if c, h, bs := rt.OpenCalls(), rt.hooks.Live(), rt.batchers.Live(); c != 0 || h != 0 || bs != 0 {
+		t.Errorf("%d calls, %d hook chains and %d batchers still taken with every future settled", c, h, bs)
 	}
 	for _, c := range parked {
 		if !c.done || c.h != nil || c.pd != nil || c.q != nil || c.frame {

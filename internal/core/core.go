@@ -11,6 +11,7 @@ import (
 
 	"hamoffload/internal/ham"
 	"hamoffload/internal/mem"
+	"hamoffload/internal/pool"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
 )
@@ -202,19 +203,15 @@ type Runtime struct {
 	// without a per-response decoder; batchScratch is the arena a batch
 	// response frame is built in (stolen for the duration of a dispatch so
 	// nested frames fall back to fresh buffers); subsScratch backs batch
-	// frame splitting the same way; freeCall heads the free list of completed
-	// calls, one per wire message that was ever in flight at once, and
-	// openCalls counts the calls taken and not yet back on it; freeHook
-	// heads the free list of settle-hook chain nodes, one per future that
-	// ever held two hooks at once; raw is the sink Sync and callSync resolve
-	// into.
+	// frame splitting the same way; calls, hooks (settle-hook chain nodes)
+	// and batchers are pools; raw is the sink Sync and callSync resolve into.
 	ctx          Ctx
 	respDec      ham.Decoder
 	batchScratch []byte
 	subsScratch  [][]byte
-	freeCall     *call
-	openCalls    int
-	freeHook     *hookChain
+	calls        pool.Free[call, *call]
+	hooks        pool.Free[hookChain, *hookChain]
+	batchers     pool.Free[Batcher, *Batcher]
 	raw          rawSink
 }
 
@@ -277,8 +274,8 @@ func (rt *Runtime) Executed() int64 { return rt.executed }
 
 // OpenCalls returns how many wire messages the runtime holds open: posted
 // and not yet settled, or a batch frame still filling. Zero at rest — every
-// call is back on the free list — unless a future was never harvested.
-func (rt *Runtime) OpenCalls() int { return rt.openCalls }
+// call is back in its pool — unless a future was never harvested.
+func (rt *Runtime) OpenCalls() int { return rt.calls.Live() }
 
 // Strays returns how many abandoned hedge-loser handles the runtime holds
 // until their late responses drain; the backend has not handed those

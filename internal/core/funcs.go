@@ -222,7 +222,7 @@ func bound(e *ham.Encoder) boundArgs {
 //
 // An offload that cannot be encoded or posted — or whose frame fails to
 // flush — fails f before Issue returns; f then keeps the settled sentinel
-// rather than the call, which is already back on the free list.
+// rather than the call, which is already back in its pool.
 //
 //hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {

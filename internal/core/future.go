@@ -1,6 +1,9 @@
 package core
 
-import "hamoffload/internal/ham"
+import (
+	"hamoffload/internal/ham"
+	"hamoffload/internal/pool"
+)
 
 // Future is the lazy synchronisation object returned by asynchronous
 // offloads (Table II's future<T>): Test polls without blocking, Get blocks
@@ -65,35 +68,21 @@ func (fn hookFunc) FutureSettled() { fn() }
 
 // hookChain chains a later hook behind an earlier one (itself a chain when
 // the future has more than two). Chain nodes cycle through the runtime's
-// free list (Runtime.freeHook): a node is cleared and put back only after
-// both of its hooks ran, so a hook that registers another one, on any
-// future, never gets the node it is running from.
+// pool (Runtime.hooks): a node is cleared and put back only after both of
+// its hooks ran, so a hook that registers another one, on any future, never
+// gets the node it is running from.
 type hookChain struct {
 	rt          *Runtime
 	first, then SettleHook
-	next        *hookChain // the free list's link
+	pool.Link[hookChain]
 }
 
 // FutureSettled runs both hooks, then recycles the node.
 func (c *hookChain) FutureSettled() {
 	c.first.FutureSettled()
 	c.then.FutureSettled()
-	rt := c.rt
-	*c = hookChain{rt: rt, next: rt.freeHook}
-	rt.freeHook = c
-}
-
-// chainHook returns a chain node running first, then then, from the free
-// list when it holds one.
-func (rt *Runtime) chainHook(first, then SettleHook) *hookChain {
-	c := rt.freeHook
-	if c == nil {
-		c = &hookChain{rt: rt} //lint:allow hotalloc miss of the Runtime.freeHook pool, which recycles chain nodes once their hooks ran
-	} else {
-		rt.freeHook, c.next = c.next, nil
-	}
-	c.first, c.then = first, then
-	return c
+	c.first, c.then = nil, nil
+	c.rt.hooks.Put(c)
 }
 
 // OnSettle registers fn to run once when the future completes, after any
@@ -103,7 +92,7 @@ func (f *Future[T]) OnSettle(fn func()) { f.OnSettleHook(hookFunc(fn)) }
 
 // OnSettleHook is OnSettle for a SettleHook. Hooks run in registration
 // order. A second hook on an issued future chains through a node of the
-// runtime's free list, so a warm registration allocates nothing.
+// runtime's pool, so a warm registration allocates nothing.
 func (f *Future[T]) OnSettleHook(h SettleHook) {
 	switch {
 	case f.Done():
@@ -111,7 +100,10 @@ func (f *Future[T]) OnSettleHook(h SettleHook) {
 	case f.hook == nil:
 		f.hook = h
 	default:
-		f.hook = f.c.rt.chainHook(f.hook, h)
+		rt := f.c.rt
+		c := rt.hooks.Take()
+		c.rt, c.first, c.then = rt, f.hook, h
+		f.hook = c
 	}
 }
 

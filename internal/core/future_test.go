@@ -48,13 +48,13 @@ func TestSettleHooksRunOnceInOrder(t *testing.T) {
 	}
 }
 
-// freeHooks walks rt's free list of chain nodes and returns their number.
+// freeHooks returns the number of rt's parked chain nodes.
 // Each must be cleared: a node that kept its hooks would keep what they
 // point to (a ticket, a MapFutures slab) alive until it is reused.
 func freeHooks(t *testing.T, rt *Runtime) int {
 	t.Helper()
 	n := 0
-	for c := rt.freeHook; c != nil; c = c.next {
+	for c := range rt.hooks.Parked() {
 		if c.first != nil || c.then != nil || c.rt != rt {
 			t.Fatalf("free chain node %d holds hooks (%v, %v) or another runtime", n, c.first, c.then)
 		}

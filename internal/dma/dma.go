@@ -149,9 +149,6 @@ func NewPrivileged(eng *simtime.Engine, name string, t topology.Timing, mode Tra
 	}
 }
 
-// Mode returns the translation mode.
-func (d *Privileged) Mode() TranslateMode { return d.mode }
-
 // translateTime returns how long address translation delays the transfer of
 // n bytes starting at hostAddr whose pure wire time is wire.
 func (d *Privileged) translateTime(hostAddr mem.Addr, n int64, wire simtime.Duration) simtime.Duration {

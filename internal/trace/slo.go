@@ -33,16 +33,15 @@ func (t *Tracer) SLOReport() SLOReport {
 // boundaries and the window length doubles — the same lossless downsampling
 // scheme as Series, applied to histograms.
 //
-// Windows recycle: coarsen puts the windows it merges away on a free list
-// and Observe opens new windows from it, so once the list has been full an
-// observation allocates nothing.
+// Windows are held by value in one list of maxWin+1, made on the first
+// observation; coarsen merges them in place, so later observations
+// allocate nothing.
 type SLO struct {
 	target     simtime.Duration
 	budget     float64
 	window     simtime.Duration
 	maxWin     int
-	wins       []*sloWindow
-	free       []*sloWindow
+	wins       []sloWindow
 	total      *Histogram
 	violations int64
 }
@@ -88,51 +87,39 @@ func (s *SLO) Observe(now simtime.Time, d simtime.Duration) {
 		idx = s.wins[n-1].idx
 	}
 	if n := len(s.wins); n == 0 || s.wins[n-1].idx != idx {
-		s.wins = append(s.wins, s.open(idx))
+		if s.wins == nil {
+			s.wins = make([]sloWindow, 0, s.maxWin+1)
+		}
+		s.wins = append(s.wins, sloWindow{idx: idx, hist: *NewHistogram("slo.window")})
 		// Sparse windows may survive one halving with distinct indices, so
 		// coarsen until the list fits again.
 		for len(s.wins) > s.maxWin {
 			s.coarsen()
 		}
 	}
-	w := s.wins[len(s.wins)-1]
+	w := &s.wins[len(s.wins)-1]
 	w.hist.ObserveIn(bucket, d)
 	w.violations += viol
-}
-
-// open returns an empty window idx, from the free list when it holds one.
-func (s *SLO) open(idx int64) *sloWindow {
-	var w *sloWindow
-	if n := len(s.free); n > 0 {
-		w, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		w = &sloWindow{hist: Histogram{name: "slo.window"}}
-	}
-	w.idx, w.violations = idx, 0
-	w.hist.reset()
-	return w
 }
 
 // coarsen doubles the window length and re-buckets the existing windows on
 // the coarser grid, merging histograms of windows that now share an index.
 // Like Series.downsample, alignment is to the absolute grid, so the final
 // layout depends only on the observations. It merges in place: the merged
-// list is a prefix of the old one, and every window merged away goes on the
-// free list.
+// list is a prefix of the old one.
 func (s *SLO) coarsen() {
 	merged := s.wins[:0]
-	for _, w := range s.wins {
+	for i := range s.wins {
+		w := &s.wins[i]
 		idx := w.idx / 2
 		if n := len(merged); n > 0 && merged[n-1].idx == idx {
 			merged[n-1].hist.Merge(&w.hist)
 			merged[n-1].violations += w.violations
-			s.free = append(s.free, w)
 			continue
 		}
 		w.idx = idx
-		merged = append(merged, w)
+		merged = append(merged, *w)
 	}
-	clear(s.wins[len(merged):])
 	s.wins = merged
 	s.window *= 2
 }
@@ -186,7 +173,8 @@ func (s *SLO) Report() SLOReport {
 		r.ViolationRate = float64(r.Violations) / float64(r.N)
 		r.BurnRate = r.ViolationRate / s.budget
 	}
-	for _, w := range s.wins {
+	for i := range s.wins {
+		w := &s.wins[i]
 		ws := SLOWindowStat{
 			Start:      simtime.Time(w.idx * int64(s.window)),
 			N:          w.hist.Count(),

@@ -9,9 +9,9 @@ import (
 	"hamoffload/internal/simtime"
 )
 
-// oracleSLO is the SLO window bookkeeping before windows recycled: every
+// oracleSLO is the SLO window bookkeeping before windows were reused: every
 // new window is a fresh window and histogram, and coarsen rebuilds the
-// list. It is the reference the recycling SLO must report identically to.
+// list. It is the reference the in-place SLO must report identically to.
 type oracleSLO struct {
 	target     simtime.Duration
 	budget     float64
@@ -79,7 +79,7 @@ func (s *oracleSLO) report() SLOReport {
 		total: s.total, violations: s.violations,
 	}
 	for _, w := range s.wins {
-		r.wins = append(r.wins, &sloWindow{idx: w.idx, violations: w.violations, hist: *w.hist})
+		r.wins = append(r.wins, sloWindow{idx: w.idx, violations: w.violations, hist: *w.hist})
 	}
 	return r.Report()
 }
@@ -113,8 +113,8 @@ var sloStreams = []sloStream{
 	}},
 }
 
-// TestSLORecycledWindowsMatchOracle: recycling windows through the free
-// list and merging in place change nothing a report shows. Seeded streams
+// TestSLORecycledWindowsMatchOracle: holding the windows by value in one
+// list and merging them in place change nothing a report shows. Seeded streams
 // (dense, out-of-order, sparse) each open more than 4 × maxWin windows —
 // steps scale with the window length as it grows — and the report is
 // compared with the oracle's at every 97th observation and at the end. The
@@ -167,9 +167,9 @@ func compareSLO(t *testing.T, i int, s *SLO, o *oracleSLO) {
 	}
 }
 
-// TestSLOObserveZeroAlloc: once the window list has been full and has
-// coarsened, new windows come from the free list, so Observe allocates
-// nothing — also across the further coarsenings the runs below cause.
+// TestSLOObserveZeroAlloc: once the window list has been made, new windows
+// are written into it, so Observe allocates nothing — also across the
+// further coarsenings the runs below cause.
 func TestSLOObserveZeroAlloc(t *testing.T) {
 	s := NewSLO(50*simtime.Microsecond, 0.01, 100*simtime.Microsecond)
 	var now simtime.Time
@@ -190,8 +190,8 @@ func TestSLOObserveZeroAlloc(t *testing.T) {
 	if s.window < 4*coarsened {
 		t.Fatalf("the measured runs coarsened the windows only to %v (from %v); they must coarsen again", s.window, coarsened)
 	}
-	if len(s.wins)+len(s.free) > maxWindows+1 {
-		t.Errorf("%d windows in the list and %d free: more than the %d a full list plus one needs",
-			len(s.wins), len(s.free), maxWindows+1)
+	if cap(s.wins) > maxWindows+1 {
+		t.Errorf("the window list holds %d windows: more than the %d a full list plus one needs",
+			cap(s.wins), maxWindows+1)
 	}
 }

@@ -46,9 +46,6 @@ func NewHistogram(name string) *Histogram {
 	return &Histogram{name: name, min: math.MaxInt64}
 }
 
-// reset empties h back to NewHistogram's state, keeping its name.
-func (h *Histogram) reset() { *h = Histogram{name: h.name, min: math.MaxInt64} }
-
 // bucketOf maps a duration to a bucket index: 2 buckets per octave starting
 // at 1 ns. It is exactly consistent with bucketLow — for every d >= 1 ns,
 // bucketLow(bucketOf(d)) <= d, and d < bucketLow(bucketOf(d)+1) unless the

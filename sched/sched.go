@@ -164,11 +164,6 @@ type Scheduler struct {
 	inflight []int
 	issued   int64
 	done     int64
-	// batchers is the free list of MapFutures' batchers: a call takes one
-	// and puts it back once FlushAll has shipped its frames, so the queues,
-	// frame arenas and encoder are built once per scheduler. A call a frame
-	// flush parks keeps its batcher, and a concurrent call takes another.
-	batchers []*core.Batcher
 }
 
 // New builds a scheduler over nodes of rt's application. Every node must
@@ -240,11 +235,11 @@ func (s *Scheduler) place(task int) int {
 // across the scheduler's nodes and returns the futures in task order,
 // without waiting for any of them. Tasks bound for the same node ride the
 // runtime's batch frames when batching is armed. Each task's future and
-// settle record are one entry of a slab, and the batcher is the
-// scheduler's, so a call allocates the slab and the returned slice whatever
-// n is.
+// settle record are one entry of a slab, and the batcher is the runtime's
+// (core.TakeBatcher), so a call allocates the slab and the returned slice
+// whatever n is.
 func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) []*core.Future[R] {
-	b := s.takeBatcher()
+	b := core.TakeBatcher(s.rt)
 	tasks := make([]task[R], n)
 	futs := make([]*core.Future[R], n)
 	for k := range n {
@@ -263,20 +258,8 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 	b.FlushAll()
 	// Not deferred: a call that panics leaves entries queued in b, and no
 	// later call may ship them.
-	s.batchers = append(s.batchers, b)
+	b.Release()
 	return futs
-}
-
-// takeBatcher returns a batcher from the free list, or a new one when every
-// batcher is out with a call in progress.
-func (s *Scheduler) takeBatcher() *core.Batcher {
-	if k := len(s.batchers) - 1; k >= 0 {
-		b := s.batchers[k]
-		s.batchers[k] = nil
-		s.batchers = s.batchers[:k]
-		return b
-	}
-	return core.NewBatcher(s.rt)
 }
 
 // task is one MapFutures task's slab record: its future and what settling
