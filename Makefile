@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines allows fmt vet lint cover cover-check shuffle
+.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines doclines allows fmt vet lint cover cover-check shuffle
 
 all: check
 
@@ -75,6 +75,13 @@ examples:
 # tracks.
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/perf/*' | xargs cat | wc -l
+
+# Lines and bytes of the user-facing documents — README, DESIGN, EXPERIMENTS
+# and docs/*.md — the doc size ROADMAP item 5's ledger tracks beside `lines`.
+DOCS := README.md DESIGN.md EXPERIMENTS.md $(wildcard docs/*.md)
+
+doclines:
+	@echo "$$(cat $(DOCS) | wc -l) lines, $$(cat $(DOCS) | wc -c) bytes"
 
 # Lines of .go files that carry //lint:allow: the count ROADMAP's gate "adds
 # no net new //lint:allow" compares. It fails above ALLOWS_MAX, which a change

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"hamoffload/bench"
 )
 
 var (
@@ -20,12 +22,19 @@ var (
 	docPatternFlag = regexp.MustCompile(`-(?:run|bench|fuzz|skip)[= ]`)
 	// testFunc declares a test, benchmark or fuzz target.
 	testFunc = regexp.MustCompile(`^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// docExperiment is a cited hambench experiment; a trailing { or * makes
+	// it a prefix (ablate-{poll,buffers}, ablate-*).
+	docExperiment = regexp.MustCompile(`hambench -exp ([A-Za-z0-9_-]+)([{*]?)`)
+	// docSample is a cited sample output.
+	docSample = regexp.MustCompile(`sample-output/([A-Za-z0-9_-]+)\.txt`)
 )
 
 // TestDocReferences checks that the user-facing documents cite only names
-// that exist: every examples/NAME is a directory, and every TestX,
-// BenchmarkX and FuzzX is a func in some _test.go file. CHANGES.md and
-// ROADMAP.md record history, so they may name what is gone.
+// that exist: every examples/NAME is a directory, every TestX, BenchmarkX
+// and FuzzX is a func in some _test.go file, every `hambench -exp NAME` is a
+// row of bench.Experiments (or all), and every sample-output/NAME.txt is a
+// file. CHANGES.md and ROADMAP.md record history, so they may name what is
+// gone.
 func TestDocReferences(t *testing.T) {
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -54,6 +63,16 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s:%d: cites %s, which is not an example directory", doc, n, m[0])
 				}
 			}
+			for _, m := range docExperiment.FindAllStringSubmatch(line, -1) {
+				if !experiment(m[1], m[2] != "") {
+					t.Errorf("%s:%d: cites %s, which names no row of bench.Experiments", doc, n, m[0])
+				}
+			}
+			for _, m := range docSample.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(filepath.Join("docs", "sample-output", m[1]+".txt")); err != nil {
+					t.Errorf("%s:%d: cites %s, which is not a sample output", doc, n, m[0])
+				}
+			}
 			for _, loc := range docTestName.FindAllStringIndex(line, -1) {
 				name := line[loc[0]:loc[1]]
 				prefix := strings.HasSuffix(name, "*") || docPatternFlag.MatchString(line[:loc[0]])
@@ -62,6 +81,46 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s:%d: cites %s, which no _test.go file declares", doc, n, line[loc[0]:loc[1]])
 				}
 			}
+		}
+	}
+}
+
+// experiment reports whether name is all or a row of bench.Experiments, or,
+// as a prefix, begins a row's name.
+func experiment(name string, prefix bool) bool {
+	if name == "all" {
+		return true
+	}
+	for _, e := range bench.Experiments {
+		if e.Name == name || prefix && strings.HasPrefix(e.Name, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReadmeHeadline checks that README's headline block quotes the sample
+// outputs: every line is a line of docs/sample-output/fig9.txt, cut before
+// its bar (" |"), or a line of calibration.txt, so a change to the model
+// that moves a headline number also fails here until the block is redone.
+func TestReadmeHeadline(t *testing.T) {
+	sample := map[string]bool{}
+	for _, l := range fileLines(t, "docs/sample-output/fig9.txt") {
+		l, _, _ = strings.Cut(l, " |")
+		sample[l] = true
+	}
+	for _, l := range fileLines(t, "docs/sample-output/calibration.txt") {
+		sample[l] = true
+	}
+	readme := strings.Join(fileLines(t, "README.md"), "\n")
+	_, block, ok := strings.Cut(readme, "## Headline results (simulated, deterministic)\n\n```\n")
+	block, _, closed := strings.Cut(block, "\n```")
+	if !ok || !closed || block == "" {
+		t.Fatal("README.md has no fenced block under its headline results")
+	}
+	for _, l := range strings.Split(block, "\n") {
+		if l != "" && !sample[l] {
+			t.Errorf("README.md headline line %q is no line of fig9.txt or calibration.txt", l)
 		}
 	}
 }

@@ -2,10 +2,11 @@
 // the workload class of the paper's related work (Hahnfeld et al.'s CG on
 // accelerator nodes, and the FETI solvers of Malý et al.). The solver state
 // (x, r, p, Ap) lives in VE memory for the whole solve; every iteration
-// issues five fine-grained offloads (one matrix-free Laplacian apply, two
-// dot products, two AXPYs) and only scalars cross PCIe. At this granularity
-// the messaging protocol dominates: the program reports the solve time under
-// both protocols and verifies the solution against a host-side solve.
+// issues six fine-grained offloads (a matrix-free Laplacian apply, two dot
+// products, two AXPYs, an XPAY) and only scalars cross PCIe. At this
+// granularity the messaging protocol dominates: the program reports the
+// solve time under both protocols and verifies the solution against a
+// host-side solve.
 //
 // Run with: go run ./examples/cg
 package main

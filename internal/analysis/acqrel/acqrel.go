@@ -1,8 +1,8 @@
-// Package acqrel verifies that every simtime semaphore/resource Acquire is
+// Package acqrel verifies that every simtime semaphore Acquire is
 // matched by a Release on every control-flow path to return.
 //
-// The DES engine models contended hardware (DMA engines, VEO worker pools)
-// with simtime.Semaphore and simtime.Resource; a path that returns while
+// The DES engine models contended hardware (DMA engines, PCIe links, VEO
+// worker pools) with simtime.Semaphore; a path that returns while
 // still holding a unit starves every later process queued on it — the
 // simulation deadlocks silently instead of finishing, the exact
 // deadlock-shaped bug class spanend catches for trace spans. The analyzer
@@ -26,7 +26,7 @@ import (
 // Analyzer flags Acquires that may leak past a return.
 var Analyzer = &analysis.Analyzer{
 	Name: "acqrel",
-	Doc: "every simtime.Semaphore/Resource Acquire must be matched by a Release on " +
+	Doc: "every simtime.Semaphore Acquire must be matched by a Release on " +
 		"all paths to return; a leaked unit deadlocks every later process queued on it",
 	Run: run,
 }
@@ -77,7 +77,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // pairCall classifies call as an Acquire or Release on a simtime
-// Semaphore/Resource and returns the receiver's source expression. kind is
+// Semaphore and returns the receiver's source expression. kind is
 // "" for unrelated calls.
 func pairCall(info *types.Info, call *ast.CallExpr) (recv, kind string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

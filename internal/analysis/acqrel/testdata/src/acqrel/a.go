@@ -1,5 +1,5 @@
 // Fixture for the acqrel analyzer, exercising the real simtime
-// Semaphore/Resource pairs.
+// Semaphore pairs.
 package acqrel
 
 import "hamoffload/internal/simtime"
@@ -33,10 +33,12 @@ func releasedOnEveryBranch(sem *simtime.Semaphore, p *simtime.Proc) error {
 	return nil
 }
 
-func resourceBalanced(r *simtime.Resource, p *simtime.Proc) {
-	r.Acquire(p)
+// A one-unit semaphore made in place, as the PCIe and DMA models make theirs.
+func oneUnitBalanced(eng *simtime.Engine, p *simtime.Proc) {
+	r := simtime.NewSemaphore(eng, "link", 1)
+	r.Acquire(p, 1)
 	_ = work()
-	r.Release(p)
+	r.Release(1)
 }
 
 // A path ending in panic is teardown, not a leak.
@@ -79,8 +81,8 @@ func leakBeforeDefer(sem *simtime.Semaphore, p *simtime.Proc) error {
 }
 
 // No release anywhere.
-func leakAlways(r *simtime.Resource, p *simtime.Proc) {
-	r.Acquire(p) // want `r\.Acquire is not matched by a r\.Release on every path`
+func leakAlways(r *simtime.Semaphore, p *simtime.Proc) {
+	r.Acquire(p, 1) // want `r\.Acquire is not matched by a r\.Release on every path`
 	_ = work()
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hamoffload/internal/backend/slots"
 	"hamoffload/internal/core"
@@ -17,6 +18,18 @@ import (
 
 // The protocol is tested here without a simulated machine: fake is both
 // halves of one ring over plain slices, on a bare DES engine.
+
+// TestHandleSize pins a ring handle at 144 B, its 48-B inline result buffer
+// included. Handles come from the Host's free list, which grows to the peak
+// in flight and no further.
+func TestHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(handle{}); got != 144 {
+		t.Errorf("handle is %d B, want 144", got)
+	}
+	if got := len(handle{}.small); got != 48 {
+		t.Errorf("handle.small holds %d B, want 48", got)
+	}
+}
 
 // glitch is a transient transfer error, as fault injection would produce.
 type glitch struct{}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hamoffload/internal/ham"
 )
@@ -19,6 +20,25 @@ import (
 // The generic codecs convert through `any` (any(v).(int64)), which the
 // compiler keeps off the heap for values of any size: the pins use large
 // ones on purpose.
+
+// TestRecordSizes pins the three records the runtime's free lists hand out.
+// Each list grows to the peak taken at once and no further, so a field added
+// here costs its bytes once per record in flight, not per request; the pin
+// makes that cost a deliberate change.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"call", unsafe.Sizeof(call{}), 240},
+		{"hookChain", unsafe.Sizeof(hookChain{}), 48},
+		{"Batcher", unsafe.Sizeof(Batcher{}), 120},
+	} {
+		if r.got != r.want {
+			t.Errorf("%s is %d B, want %d", r.name, r.got, r.want)
+		}
+	}
+}
 
 var fnAllocInc = NewFunc1[int64]("test.allocinc",
 	func(_ *Ctx, v int64) (int64, error) { return v + 1, nil })

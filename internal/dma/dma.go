@@ -126,7 +126,7 @@ type Privileged struct {
 	mode     TranslateMode
 	pageSize int64
 	path     pcie.Path
-	engine   *simtime.Resource
+	engine   *simtime.Semaphore
 	hostMem  *mem.Memory
 	veMem    *mem.Memory
 }
@@ -143,7 +143,7 @@ func NewPrivileged(eng *simtime.Engine, name string, t topology.Timing, mode Tra
 		mode:     mode,
 		pageSize: hostPageSize,
 		path:     path,
-		engine:   simtime.NewResource(eng, name+"-privdma"),
+		engine:   simtime.NewSemaphore(eng, name+"-privdma", 1),
 		hostMem:  hostMem,
 		veMem:    veMem,
 	}
@@ -202,7 +202,7 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 	wire := simtime.BytesOver(n, rate)
 	slowDown(p, &d.timing, faults.SitePrivDMA, d.path, wire+d.timing.PrivDMAKick)
 
-	d.engine.Acquire(p)
+	d.engine.Acquire(p, 1)
 	p.Sleep(d.translateTime(hostAddr, n, wire))
 	p.Sleep(d.timing.PrivDMAKick)
 	if dir == pcie.Up {
@@ -221,7 +221,7 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 	}
 	p.Sleep(d.path.OneWayLatency())
 	endWire()
-	d.engine.Release(p)
+	d.engine.Release(1)
 
 	if dir == pcie.Down {
 		if err := mem.Copy(d.veMem, veAddr, d.hostMem, hostAddr, n); err != nil {
@@ -244,7 +244,7 @@ type UserDMA struct {
 	timing topology.Timing
 	atb    *vemem.DMAATB
 	path   pcie.Path
-	engine *simtime.Resource
+	engine *simtime.Semaphore
 }
 
 // NewUserDMA creates the user DMA engine of one VE core.
@@ -253,7 +253,7 @@ func NewUserDMA(eng *simtime.Engine, name string, t topology.Timing, atb *vemem.
 		timing: t,
 		atb:    atb,
 		path:   path,
-		engine: simtime.NewResource(eng, name+"-userdma"),
+		engine: simtime.NewSemaphore(eng, name+"-userdma", 1),
 	}
 }
 
@@ -297,7 +297,7 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	slowDown(p, &u.timing, faults.SiteUserDMA, u.path, simtime.BytesOver(n, rate)+u.timing.UserDMAHWLatency)
 
 	defer u.timing.Tracer.Span(p, "dma", spanUserDMA[dir])()
-	u.engine.Acquire(p)
+	u.engine.Acquire(p, 1)
 	if level == API {
 		p.Sleep(u.timing.UserDMAAPISetup)
 	}
@@ -320,7 +320,7 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	}
 	p.Sleep(u.path.OneWayLatency())
 	endWire()
-	u.engine.Release(p)
+	u.engine.Release(1)
 
 	if err := mem.Copy(dstMem, dstAddr, srcMem, srcAddr, n); err != nil {
 		return err

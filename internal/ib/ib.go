@@ -51,7 +51,7 @@ func (p Params) Validate() error {
 type Fabric struct {
 	params Params
 	n      int
-	chans  []*simtime.Resource // [src*n+dst]
+	chans  []*simtime.Semaphore // [src*n+dst]
 	moved  []int64
 }
 
@@ -64,11 +64,11 @@ func NewFabric(eng *simtime.Engine, n int, p Params) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{params: p, n: n,
-		chans: make([]*simtime.Resource, n*n),
+		chans: make([]*simtime.Semaphore, n*n),
 		moved: make([]int64, n*n)}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			f.chans[s*n+d] = simtime.NewResource(eng, fmt.Sprintf("ib-%d-%d", s, d))
+			f.chans[s*n+d] = simtime.NewSemaphore(eng, fmt.Sprintf("ib-%d-%d", s, d), 1)
 		}
 	}
 	return f, nil
@@ -92,7 +92,7 @@ func (f *Fabric) Send(p *simtime.Proc, src, dst int, n int64) error {
 	ch := f.chans[src*f.n+dst]
 	p.Sleep(f.params.PerMessage)
 	wire := simtime.BytesOver(n, f.params.Bandwidth)
-	ch.Use(p, wire)
+	ch.Use(p, 1, wire)
 	p.Sleep(f.params.Latency + f.params.PerMessage)
 	f.moved[src*f.n+dst] += n
 	return nil

@@ -36,7 +36,7 @@ func (d Direction) String() string {
 type Link struct {
 	ve      int
 	timing  topology.Timing
-	channel [2]*simtime.Resource
+	channel [2]*simtime.Semaphore
 	moved   [2]int64 // payload bytes per direction, for stats
 }
 
@@ -45,9 +45,9 @@ func NewLink(eng *simtime.Engine, ve int, t topology.Timing) *Link {
 	return &Link{
 		ve:     ve,
 		timing: t,
-		channel: [2]*simtime.Resource{
-			simtime.NewResource(eng, fmt.Sprintf("pcie-ve%d-down", ve)),
-			simtime.NewResource(eng, fmt.Sprintf("pcie-ve%d-up", ve)),
+		channel: [2]*simtime.Semaphore{
+			simtime.NewSemaphore(eng, fmt.Sprintf("pcie-ve%d-down", ve), 1),
+			simtime.NewSemaphore(eng, fmt.Sprintf("pcie-ve%d-up", ve), 1),
 		},
 	}
 }
@@ -84,7 +84,7 @@ func (l *Link) Occupy(p *simtime.Proc, dir Direction, n int64) {
 			wire += d
 		}
 	}
-	l.channel[dir].Use(p, wire)
+	l.channel[dir].Use(p, 1, wire)
 	l.moved[dir] += n
 }
 
@@ -104,11 +104,6 @@ func (l *Link) Err(p *simtime.Proc) error {
 
 // Moved returns the payload bytes transferred in the given direction.
 func (l *Link) Moved(dir Direction) int64 { return l.moved[dir] }
-
-// BusyTime returns cumulative occupancy of the given direction.
-func (l *Link) BusyTime(dir Direction) simtime.Duration {
-	return l.channel[dir].BusyTime()
-}
 
 // Path is a route between a VH process pinned to a socket and one VE,
 // accumulating the UPI hop when the route crosses sockets.

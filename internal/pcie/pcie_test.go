@@ -141,9 +141,6 @@ func TestSameDirectionSerializes(t *testing.T) {
 	if l.Moved(Down) != 2*n || l.Moved(Up) != 0 {
 		t.Errorf("Moved = %d/%d", l.Moved(Down), l.Moved(Up))
 	}
-	if l.BusyTime(Down) != 2*wire {
-		t.Errorf("BusyTime = %v, want %v", l.BusyTime(Down), 2*wire)
-	}
 }
 
 func TestPathTransferAdvancesTime(t *testing.T) {

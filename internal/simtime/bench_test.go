@@ -52,16 +52,17 @@ func BenchmarkPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkResourceContention measures FIFO resource hand-off under load.
-func BenchmarkResourceContention(b *testing.B) {
+// BenchmarkLinkContention measures FIFO hand-off of a one-unit semaphore
+// under load.
+func BenchmarkLinkContention(b *testing.B) {
 	e := NewEngine()
-	r := NewResource(e, "link")
+	r := NewSemaphore(e, "link", 1)
 	const workers = 8
 	per := b.N/workers + 1
 	for w := 0; w < workers; w++ {
 		e.Spawn("w", func(p *Proc) {
 			for i := 0; i < per; i++ {
-				r.Use(p, 10)
+				r.Use(p, 1, 10)
 			}
 		})
 	}

@@ -35,7 +35,7 @@ func won(event bool) string {
 func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	q := NewQueue[int](e, "q")
 	ev1, ev2 := NewEvent(e), NewEvent(e)
-	link := NewResource(e, "link")
+	link := NewSemaphore(e, "link", 1)
 	cores := NewSemaphore(e, "cores", 3)
 
 	// A poller ticking beside everyone else's longer sleeps: most of its
@@ -105,11 +105,11 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	})
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("link%d", i), func(p *Proc) {
-			link.Acquire(p)
+			link.Acquire(p, 1)
 			log.rec(p, "acquired")
 			p.Sleep(4)
 			log.rec(p, "timer")
-			link.Release(p)
+			link.Release(1)
 		})
 	}
 	for i := 0; i < 3; i++ {
@@ -391,7 +391,6 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int](e, "q")
 	never := NewEvent(e)
-	link := NewResource(e, "link")
 	cores := NewSemaphore(e, "cores", 1)
 	var unwound []string
 	parkIn := func(name string, block func(p *Proc)) {
@@ -403,7 +402,6 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	}
 	e.Spawn("holder", func(p *Proc) {
 		defer func() { unwound = append(unwound, "holder") }()
-		link.Acquire(p)
 		cores.Acquire(p, 1)
 		never.Wait(p)
 	})
@@ -414,7 +412,6 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	parkIn("pop-timeout", func(p *Proc) { q.PopTimeout(p, Second) })
 	parkIn("wait", func(p *Proc) { never.Wait(p) })
 	parkIn("wait-timeout", func(p *Proc) { never.WaitTimeout(p, Second) })
-	parkIn("resource", func(p *Proc) { link.Acquire(p) })
 	parkIn("semaphore", func(p *Proc) { cores.Acquire(p, 1) })
 	parkIn("defer-parks", func(p *Proc) {
 		defer p.Sleep(1) // a park while being killed is killed too
@@ -433,7 +430,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	}
 	events, now := e.Events(), e.Now()
 	e.Shutdown()
-	want := []string{"holder", "sleep", "poll", "pop", "pop-timeout", "wait", "wait-timeout", "resource", "semaphore", "defer-parks"}
+	want := []string{"holder", "sleep", "poll", "pop", "pop-timeout", "wait", "wait-timeout", "semaphore", "defer-parks"}
 	if !reflect.DeepEqual(unwound, want) {
 		t.Errorf("unwound = %q, want %q (spawn order)", unwound, want)
 	}

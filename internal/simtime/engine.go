@@ -22,7 +22,7 @@ var ErrDeadline = errors.New("simtime: simulated-time deadline exceeded")
 // wake reasons delivered to a parked process.
 const (
 	reasonTimer = iota // Sleep expiry or wait timeout
-	reasonEvent        // an Event fired / a Queue item arrived / a Resource was granted
+	reasonEvent        // an Event fired / a Queue item arrived / a Semaphore was granted
 	reasonKill         // engine shutdown; park panics with errKilled
 )
 

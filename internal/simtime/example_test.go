@@ -38,15 +38,16 @@ func Example() {
 	// item 3 done at 70us
 }
 
-// Example_resource shows FIFO serialisation on a shared hardware unit: three
-// requesters of a DMA engine that serves one 20 µs transfer at a time.
+// Example_resource shows FIFO serialisation on a shared hardware unit, a
+// one-unit semaphore: three requesters of a DMA engine that serves one 20 µs
+// transfer at a time.
 func Example_resource() {
 	eng := simtime.NewEngine()
-	engine := simtime.NewResource(eng, "dma-engine")
+	engine := simtime.NewSemaphore(eng, "dma-engine", 1)
 	for i := 0; i < 3; i++ {
 		i := i
 		eng.Spawn("requester", func(p *simtime.Proc) {
-			engine.Use(p, 20*simtime.Microsecond)
+			engine.Use(p, 1, 20*simtime.Microsecond)
 			fmt.Printf("transfer %d finished at %v\n", i, p.Now())
 		})
 	}

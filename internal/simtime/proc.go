@@ -19,7 +19,7 @@ type Proc struct {
 	prev, next *Proc                   // the engine's list of unfinished processes
 
 	// scratch is the reusable waiter for single-reference parks (the first
-	// wake after Spawn, Sleep, Poll, Queue.Pop, Event.Wait, Resource.Acquire,
+	// wake after Spawn, Sleep, Poll, Queue.Pop, Event.Wait,
 	// Semaphore.Acquire): exactly one pending wake references it, and
 	// that wake is consumed before the process resumes, so the next park can
 	// reuse it. Parks with two outstanding references — PopTimeout and

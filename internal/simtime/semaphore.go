@@ -1,10 +1,12 @@
 package simtime
 
-// Semaphore is a FIFO-served counting resource, used to model pooled
-// hardware units such as the eight cores of a Vector Engine: acquirers take
-// a number of units and block until that many are free, strictly in arrival
-// order (no overtaking, so simulations stay deterministic and small
-// requests cannot starve large ones).
+// Semaphore is a FIFO-served counting resource, used to model hardware
+// units: one unit for a unit that serves one request at a time, such as a
+// PCIe link direction or a DMA engine, more for pooled units such as the
+// eight cores of a Vector Engine. Acquirers take a number of units and block
+// until that many are free, strictly in arrival order (no overtaking, so
+// simulations stay deterministic and small requests cannot starve large
+// ones).
 type Semaphore struct {
 	eng   *Engine
 	name  string
