@@ -25,6 +25,8 @@ var (
 	// docExperiment is a cited hambench experiment; a trailing { or * makes
 	// it a prefix (ablate-{poll,buffers}, ablate-*).
 	docExperiment = regexp.MustCompile(`hambench -exp ([A-Za-z0-9_-]+)([{*]?)`)
+	// readmeExampleRow is a row of README's Examples table.
+	readmeExampleRow = regexp.MustCompile("^\\| `examples/([A-Za-z0-9_]+)` \\|")
 	// docSample is a cited sample output.
 	docSample = regexp.MustCompile(`sample-output/([A-Za-z0-9_-]+)\.txt`)
 )
@@ -82,6 +84,41 @@ func TestDocReferences(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadmeExamples checks that README's Examples table has one row per
+// examples/ directory and no other rows.
+func TestReadmeExamples(t *testing.T) {
+	readme := strings.Join(fileLines(t, "README.md"), "\n")
+	_, table, ok := strings.Cut(readme, "## Examples\n\n| Example | What it demonstrates |\n|---|---|\n")
+	if !ok {
+		t.Fatal("README.md has no Examples table")
+	}
+	rows := map[string]int{}
+	for _, row := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		m := readmeExampleRow.FindStringSubmatch(row)
+		if m == nil {
+			t.Errorf("README.md Examples row %q names no examples/ directory", row)
+			continue
+		}
+		rows[m[1]]++
+	}
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && rows[d.Name()] != 1 {
+			t.Errorf("README.md Examples table lists examples/%s %d times, want once", d.Name(), rows[d.Name()])
+		}
+		delete(rows, d.Name())
+	}
+	for name := range rows {
+		t.Errorf("README.md Examples table lists examples/%s, which is not an example directory", name)
 	}
 }
 

@@ -78,20 +78,11 @@ func makeTasks() []task {
 // runPool executes the tasks over the given worker nodes (host included when
 // useHost), returning the makespan and the checksum total.
 func runPool(ves int, useHost bool) (machine.Duration, float64, error) {
-	m, err := machine.New(machine.Config{VEs: max(ves, 1)})
-	if err != nil {
-		return 0, 0, err
-	}
 	tasks := makeTasks()
 	var makespan machine.Duration
 	var total float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{VEs: max(ves, 1)})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
-
+	world := machine.World{Config: machine.Config{VEs: max(ves, 1)}, DMA: true}
+	_, err := world.Run(func(_ *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 		start := m.Now()
 		next := 0
 		inflight := make([]*offload.Future[float64], ves)
@@ -167,11 +158,4 @@ func main() {
 	fmt.Println("checksums identical across configurations — every task ran exactly once")
 	fmt.Println("note: with 8 VEs the single host thread is better spent dispatching than")
 	fmt.Println("computing — host tasks block the dispatch loop, a real scheduling trade-off")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

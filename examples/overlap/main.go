@@ -64,22 +64,14 @@ func wantTotal() float64 {
 }
 
 func run(overlapped bool) (machine.Duration, float64, error) {
-	m, err := machine.New(machine.Config{VEs: 1})
-	if err != nil {
-		return 0, 0, err
-	}
 	var span machine.Duration
 	var total float64
-	err = m.RunMain(func(p *machine.Proc) error {
-		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = rt.Finalize() }()
+	_, err := machine.World{DMA: true}.Run(func(_ *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 		target := offload.NodeID(1)
 
 		bufs := make([]offload.BufferPtr[float64], 2)
 		for i := range bufs {
+			var err error
 			if bufs[i], err = offload.Allocate[float64](rt, target, chunkElems); err != nil {
 				return err
 			}

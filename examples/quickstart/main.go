@@ -54,24 +54,8 @@ func main() {
 		want += a[i] * b[i]
 	}
 
-	for _, proto := range []string{"VEO protocol (Fig. 5)", "DMA protocol (Fig. 8)"} {
-		m, err := machine.New(machine.Config{VEs: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = m.RunMain(func(p *machine.Proc) error {
-			var rt *offload.Runtime
-			var cerr error
-			if proto[0] == 'V' {
-				rt, cerr = machine.ConnectVEO(p, m, machine.ProtocolOptions{})
-			} else {
-				rt, cerr = machine.ConnectDMA(p, m, machine.ProtocolOptions{})
-			}
-			if cerr != nil {
-				return cerr
-			}
-			defer func() { _ = rt.Finalize() }()
-
+	for i, proto := range []string{"VEO protocol (Fig. 5)", "DMA protocol (Fig. 8)"} {
+		_, err := machine.World{DMA: i == 1}.Run(func(_ *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 			target := offload.NodeID(1)
 
 			// Target memory.

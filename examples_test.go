@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// TestExamples builds every program under examples/ once and runs each. An
-// example checks its own result against a host reference and exits non-zero
-// on a mismatch, so a clean exit is the assertion; -v shows what it printed.
-// `make examples` is this test.
+// TestExamples builds every program under examples/ once and runs each, in
+// parallel: every example is its own process. An example checks its own
+// result against a host reference and exits non-zero on a mismatch, so a
+// clean exit is the assertion; -v shows what it printed. `make examples` is
+// this test.
 func TestExamples(t *testing.T) {
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
@@ -27,6 +28,7 @@ func TestExamples(t *testing.T) {
 	}
 	for _, d := range dirs {
 		t.Run(d.Name(), func(t *testing.T) {
+			t.Parallel()
 			out, err := exec.Command(filepath.Join(bin, d.Name())).CombinedOutput()
 			if err != nil {
 				t.Fatalf("examples/%s: %v\n%s", d.Name(), err, out)

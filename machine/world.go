@@ -19,8 +19,8 @@ type World struct {
 // Run builds w's machine, connects to its VEs and runs fn as the VH program,
 // finalizing the runtime when fn returns, whether or not it failed. fn sees
 // the machine (to kill a card, read a counter); so does the caller, after
-// the run. The error is the build's, the connect's, fn's or the engine's, as
-// it came.
+// the run. The error is the build's, the connect's, fn's, else Finalize's,
+// or the engine's, as it came.
 func (w World) Run(fn func(p *Proc, m *Machine, rt *core.Runtime) error) (*Machine, error) {
 	m, err := New(w.Config)
 	if err != nil {
@@ -30,12 +30,16 @@ func (w World) Run(fn func(p *Proc, m *Machine, rt *core.Runtime) error) (*Machi
 	if w.DMA {
 		connect = ConnectDMA
 	}
-	return m, m.RunMain(func(p *Proc) error {
+	return m, m.RunMain(func(p *Proc) (err error) {
 		rt, err := connect(p, m, w.Options)
 		if err != nil {
 			return err
 		}
-		defer func() { _ = rt.Finalize() }()
+		defer func() {
+			if ferr := rt.Finalize(); err == nil {
+				err = ferr
+			}
+		}()
 		return fn(p, m, rt)
 	})
 }

@@ -32,8 +32,8 @@ func handWritten(w machine.World, body func(*offload.Runtime) error) (*machine.M
 
 // TestWorldRun pins World.Run to the preamble it replaces: the same events
 // and final clock on both protocols at one and eight VEs, connect and
-// program errors returned as they came, and a finalize after a failed
-// program.
+// program errors returned as they came, a finalize after a failed program,
+// and Finalize's own error when the program succeeded.
 func TestWorldRun(t *testing.T) {
 	offloadOnce := func(rt *offload.Runtime) error {
 		_, err := offload.Sync(rt, 1, mtEmpty.Bind())
@@ -100,6 +100,19 @@ func TestWorldRun(t *testing.T) {
 		if m.Now() <= failedAt || m.Now() != want.Now() || m.Eng.Events() != want.Eng.Events() {
 			t.Errorf("Now = %v after a program that failed at %v; the finalizing preamble ends at %v",
 				m.Now(), failedAt, want.Now())
+		}
+	})
+
+	t.Run("finalize-error", func(t *testing.T) {
+		// A program that finalizes the runtime itself leaves Run's own
+		// Finalize a runtime whose VEs are gone; that failure is Run's error.
+		for _, dma := range []bool{false, true} {
+			_, err := machine.World{DMA: dma}.Run(func(_ *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
+				return rt.Finalize()
+			})
+			if err == nil {
+				t.Errorf("DMA %v: Run = nil after a second Finalize, want its error", dma)
+			}
 		}
 	})
 
