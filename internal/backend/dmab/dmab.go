@@ -147,6 +147,15 @@ func (t *hostSide) PollResult(slot int) (uint64, error) {
 	return t.results[slot].Load()
 }
 
+// Watch implements ring.HostTransport: the VE's SHM stores land the result
+// flags in VH memory, and the card's crash ends Alive.
+func (t *hostSide) Watch(w *simtime.Watch) {
+	for i := range t.results {
+		t.results[i].Watch(w)
+	}
+	t.Card.Notifies(w)
+}
+
 // ReadResult implements ring.HostTransport.
 func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
 	if err := t.Card.Host.ReadAt(inline, t.lay.sendInline(slot)); err != nil {
@@ -267,6 +276,14 @@ func (t *veSide) PeekFlag(slot int) (uint64, error) {
 //
 //hot:path
 func (t *veSide) CountFlags(n int64) { t.kctx.Instr().CountLoads(n) }
+
+// WatchFlags implements ring.TargetTransport: the host's stores land the
+// receive flags in VH memory.
+func (t *veSide) WatchFlags(w *simtime.Watch) {
+	for i := range t.flags {
+		t.kctx.Instr().Watch(&t.flags[i], w)
+	}
+}
 
 // Fetch implements ring.TargetTransport: user DMA into the local staging
 // buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).

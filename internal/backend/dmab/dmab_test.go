@@ -1,6 +1,7 @@
 package dmab_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -247,11 +248,9 @@ func TestConnectValidation(t *testing.T) {
 	}
 }
 
-// Back-to-back small sync offloads — the sync-dma shape — spend two thirds of
-// their events on host polls of the local result flag that miss (ROADMAP
-// counted 25.3 of 37.3 per offload): each is a tick the engine answers for
-// the waiting host. The VE's own polls go through LHM, take time, and stay
-// the VE's.
+// Back-to-back small sync offloads — the sync-dma shape: the host's result
+// poll and the VE's LHM flag poll park on their watches and wake on the flag
+// stores, so a poll that misses is no event, and an offload takes 11.
 func TestHostPollMissesAreTheEngines(t *testing.T) {
 	r := newRig(t)
 	r.run(t, dmab.Options{}, func(p *simtime.Proc, rt *core.Runtime) {
@@ -264,12 +263,48 @@ func TestHostPollMissesAreTheEngines(t *testing.T) {
 			}
 		}
 		sync(10)
-		ticks, events := r.eng.PollTicks(), r.eng.Events()
+		events := r.eng.Events()
 		sync(ops)
-		perOp := float64(r.eng.PollTicks()-ticks) / ops
-		t.Logf("%.2f of %.2f events per offload are poll ticks the engine took", perOp, float64(r.eng.Events()-events)/ops)
-		if perOp < 23 || perOp > 27 {
-			t.Errorf("the engine took %.2f missed polls per offload, want the ~25.3 the host loop used to wake for", perOp)
+		if perOp := float64(r.eng.Events()-events) / ops; perOp != 11 {
+			t.Errorf("%.2f events per offload, want 11", perOp)
 		}
 	})
+}
+
+var dbSlow = core.NewFunc1[int64]("dmab.slow",
+	func(c *core.Ctx, ops int64) (int64, error) { c.ChargeScalar(ops); return ops, nil })
+
+// The host's wait is parked on its watch while the VE runs a long kernel: the
+// card's crash wakes it at its next result poll, which sees the dead target,
+// and the offload fails then, not when the kernel would have ended.
+func TestCrashEndsAParkedWait(t *testing.T) {
+	r := newRig(t)
+	var crashed, failed simtime.Time
+	var err error
+	r.eng.Spawn("vh-main", func(p *simtime.Proc) {
+		defer r.eng.Stop()
+		b, cerr := dmab.Connect(p, []*veos.Card{r.card}, dmab.Options{})
+		if cerr != nil {
+			t.Errorf("Connect: %v", cerr)
+			return
+		}
+		rt := core.NewRuntime(b, "x86_64-test")
+		p.Spawn("crash", func(c *simtime.Proc) {
+			c.Sleep(50*simtime.Microsecond + 1) // off the host's poll grid
+			crashed = c.Now()
+			r.card.Kill()
+		})
+		_, err = core.Sync(rt, 1, dbSlow.Bind(1e9)) // a kernel of about a second
+		failed = p.Now()
+	})
+	if rerr := r.eng.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	r.eng.Shutdown()
+	if !errors.Is(err, core.ErrNodeFailed) {
+		t.Fatalf("Sync = %v, want ErrNodeFailed", err)
+	}
+	if gap := r.tm.HAMHostPollInterval; failed < crashed || failed > crashed.Add(gap) {
+		t.Errorf("the crash at %v failed the offload at %v, want by the next poll, %v later at most", crashed, failed, gap)
+	}
 }

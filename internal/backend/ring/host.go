@@ -14,7 +14,6 @@ package ring
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"hamoffload/internal/backend/slots"
 	"hamoffload/internal/core"
@@ -82,8 +81,12 @@ type HostTransport interface {
 	// PollResult reads the slot's result flag word once. When the transport's
 	// HostFacts.PollGap > 0 this is a free load: it takes no simulated time,
 	// passes no fault site and changes nothing, so it may be called any
-	// number of times — the engine calls it for the waiting host (resultPoll).
+	// number of times — a notify asks it for the waiting host (resultPoll).
 	PollResult(slot int) (uint64, error)
+	// Watch makes what a free PollResult and Alive read notify w: the store
+	// that lands a result flag, the target's crash. A transport whose polls
+	// are not free (PollGap 0) has nothing to watch.
+	Watch(w *simtime.Watch)
 	// ReadResult copies the result PollResult just announced: the part inline
 	// with the flag, then whatever went to the overflow buffer.
 	ReadResult(slot int, inline, overflow []byte) error
@@ -223,6 +226,7 @@ func (h *Host) connect(i int) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.Watch(&h.polled.Watch)
 	return &conn{t: t, f: f, seq: make([]uint32, h.cfg.NumBuffers), inUse: make([]*handle, h.cfg.NumBuffers)}, nil
 }
 
@@ -410,10 +414,12 @@ func (h *Host) probe(hd *handle) (done, absorbed bool, err error) {
 // resultPoll is wait's loop over a free poll (PollGap > 0), in the form
 // simtime.Proc.Poll takes: every PollGap, has anything happened that wait
 // must look at — the target gone, the poll failing, the result flag of this
-// offload up? wait then looks for itself, in its own order.
+// offload up? wait then looks for itself, in its own order. Every conn's
+// transport notifies its Watch (HostTransport.Watch).
 type resultPoll struct {
-	simtime.Free // Tick
-	hd           *handle
+	simtime.Free  // Tick, Missed
+	simtime.Watch // a PollGap grid
+	hd            *handle
 }
 
 // Hit implements simtime.Poller. Unlike conn.alive it latches nothing.
@@ -430,18 +436,6 @@ func (q *resultPoll) Hit() bool {
 	}
 	_, ok := slots.Decode(word, q.hd.seq)
 	return ok
-}
-
-// Gap implements simtime.Poller.
-//
-//hot:path
-func (q *resultPoll) Gap() simtime.Duration { return q.hd.c.f.PollGap }
-
-// Misses implements simtime.Poller: the gap is PollGap for good.
-//
-//hot:path
-func (q *resultPoll) Misses(int64) (simtime.Duration, int64) {
-	return q.hd.c.f.PollGap, math.MaxInt64
 }
 
 //hot:path
@@ -465,7 +459,8 @@ func (h *Host) wait(hd *handle) ([]byte, error) {
 		}
 		if !done && !absorbed && c.f.PollGap > 0 {
 			h.polled.hd = hd
-			h.p.Poll(&h.polled, deadline)
+			h.polled.Backoff = simtime.Backoff{Base: c.f.PollGap, Max: c.f.PollGap}
+			h.p.Poll(&h.polled, &h.polled.Watch, deadline)
 		}
 		if deadline != 0 && !hd.done && h.p.Now() >= deadline {
 			// The slot stays leased to the lost offload — the leak is

@@ -45,8 +45,10 @@ var errBroken = errors.New("fake: broken for good")
 // PollResult without pollCost, LoadFlag without loadCost — which honours the
 // transports' purity contract: a bare load, unlogged and unnumbered, that
 // fails only by a standing fault (always). A LoadFlag that costs is quiet
-// only when quiet says so: the engine then issues it (PeekFlag), and it is
-// numbered but neither logged nor failed by number.
+// only when quiet says so: the serve loop's poll then parks and reads it at
+// the load's end (PeekFlag), and it is numbered but neither logged nor failed
+// by number. Flag stores, and tests that change what a poll reads, notify
+// the watches the host and the target gave it (notify).
 type fake struct {
 	recvFlag, sendFlag   []uint64
 	recvBuf              [][]byte
@@ -57,7 +59,8 @@ type fake struct {
 	pollCost simtime.Duration // time one PollResult takes
 	vp       *simtime.Proc    // target process, for loadCost
 	loadCost simtime.Duration // time one LoadFlag takes (the target's IdlePollCost)
-	quiet    bool             // a LoadFlag that costs is the engine's to issue
+	quiet    bool             // a LoadFlag that costs may be passed over by a parked poll
+	watches  []*simtime.Watch // Watch, WatchFlags
 	count    map[string]int
 	fail     map[string]error
 	always   map[string]error
@@ -100,8 +103,19 @@ func (f *fake) PublishFlag(slot int, word uint64) error {
 		return err
 	}
 	f.recvFlag[slot] = word
+	f.notify()
 	return nil
 }
+
+// notify tells the polls parked on the fake that what they read changed.
+func (f *fake) notify() {
+	for _, w := range f.watches {
+		w.Notify()
+	}
+}
+
+func (f *fake) Watch(w *simtime.Watch)      { f.watches = append(f.watches, w) }
+func (f *fake) WatchFlags(w *simtime.Watch) { f.watches = append(f.watches, w) }
 
 func (f *fake) PollResult(slot int) (uint64, error) {
 	if f.pollCost == 0 {
@@ -187,6 +201,7 @@ func (f *fake) PublishResultFlag(slot int, word uint64) error {
 		return err
 	}
 	f.sendFlag[slot] = word
+	f.notify()
 	return nil
 }
 
@@ -666,6 +681,7 @@ func TestHostSurface(t *testing.T) {
 		// Silence from a dead target fails the wait through the liveness probe.
 		hd = mustCall(t, h, "orphan")
 		w.links[1].dead = true
+		w.links[1].notify()
 		if _, err := h.Wait(hd); !errors.Is(err, core.ErrNodeFailed) {
 			t.Errorf("Wait on a silent dead target = %v", err)
 		}
@@ -808,8 +824,8 @@ func TestAbsorbedPollsHonourTimeout(t *testing.T) {
 // start of the wait; the poll gap is 200 ns, so ticks fall on its multiples.
 func TestWaitEndsOnTheLoopsTick(t *testing.T) {
 	const ns = simtime.Nanosecond
-	publish := func(f *fake) { f.sendInline[0], f.sendFlag[0] = []byte("r"), slots.Encode(0, 1) }
-	crash := func(f *fake) { f.dead = true }
+	publish := func(f *fake) { f.sendInline[0], f.sendFlag[0] = []byte("r"), slots.Encode(0, 1); f.notify() }
+	crash := func(f *fake) { f.dead = true; f.notify() }
 	for _, tc := range []struct {
 		name    string
 		timeout simtime.Duration
@@ -817,20 +833,20 @@ func TestWaitEndsOnTheLoopsTick(t *testing.T) {
 		do      func(f *fake)
 		want    simtime.Duration // when Wait returns
 		err     error
-		ticks   uint64 // polls that missed
+		events  uint64 // during the wait: its one wake, the ve process's two, the final sleep
 	}{
-		{"deadline on a tick", 1000 * ns, 0, nil, 1000 * ns, core.ErrOffloadTimeout, 4},
-		{"deadline between ticks", 1100 * ns, 0, nil, 1200 * ns, core.ErrOffloadTimeout, 5},
-		{"flag between ticks", 0, 700 * ns, publish, 800*ns + testGap, nil, 3},
-		{"flag on a tick", 0, 800 * ns, publish, 800*ns + testGap, nil, 3},
-		{"flag the tick before the deadline", 1000 * ns, 750 * ns, publish, 800*ns + testGap, nil, 3},
+		{"deadline on a tick", 1000 * ns, 0, nil, 1000 * ns, core.ErrOffloadTimeout, 1},
+		{"deadline between ticks", 1100 * ns, 0, nil, 1200 * ns, core.ErrOffloadTimeout, 1},
+		{"flag between ticks", 0, 700 * ns, publish, 800*ns + testGap, nil, 4},
+		{"flag on a tick", 0, 800 * ns, publish, 800*ns + testGap, nil, 4},
+		{"flag the tick before the deadline", 1000 * ns, 750 * ns, publish, 800*ns + testGap, nil, 4},
 		// The loop looks at the clock before it looks at the flag.
-		{"flag and deadline on one tick", 1000 * ns, 950 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 4},
-		{"flag and deadline at one instant", 1000 * ns, 1000 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 4},
+		{"flag and deadline on one tick", 1000 * ns, 950 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 3},
+		{"flag and deadline at one instant", 1000 * ns, 1000 * ns, publish, 1000 * ns, core.ErrOffloadTimeout, 3},
 		// Local polls cannot fail: a dead target is silence until the liveness
 		// probe of the next tick.
-		{"crash between ticks", 0, 500 * ns, crash, 600 * ns, core.ErrNodeFailed, 2},
-		{"crash on a tick", 0, 600 * ns, crash, 600 * ns, core.ErrNodeFailed, 2},
+		{"crash between ticks", 0, 500 * ns, crash, 600 * ns, core.ErrNodeFailed, 3},
+		{"crash on a tick", 0, 600 * ns, crash, 600 * ns, core.ErrNodeFailed, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := &world{t: t}
@@ -842,7 +858,7 @@ func TestWaitEndsOnTheLoopsTick(t *testing.T) {
 						tc.do(w.links[0])
 					})
 				}
-				start, ticks := p.Now(), w.eng.PollTicks()
+				start, events := p.Now(), w.eng.Events()
 				resp, err := h.Wait(hd)
 				if !errors.Is(err, tc.err) || (err == nil && string(resp) != "r") {
 					t.Fatalf("Wait = %q, %v; want error %v", resp, err, tc.err)
@@ -850,8 +866,8 @@ func TestWaitEndsOnTheLoopsTick(t *testing.T) {
 				if got := p.Now().Sub(start); got != tc.want {
 					t.Errorf("Wait returned after %v, want %v", got, tc.want)
 				}
-				if got := w.eng.PollTicks() - ticks; got != tc.ticks {
-					t.Errorf("the engine took %d missed polls, want %d", got, tc.ticks)
+				if got := w.eng.Events() - events; got != tc.events {
+					t.Errorf("the wait took %d events, want %d", got, tc.events)
 				}
 				if errors.Is(err, core.ErrOffloadTimeout) && tc.do != nil {
 					mustWait(t, h, hd, "r") // the result the timeout passed over is still there
@@ -901,13 +917,13 @@ func TestIdleTargetWakesOnTheLoopsGrid(t *testing.T) {
 			}
 			idleSince = dispatched[i] // fetch, dispatch and respond are instantaneous here
 		}
-		ticks := w.eng.PollTicks()
-		// Each silence past 500 us spends 3 333 polls at the base gap first.
-		if max := uint64(15 * simtime.Millisecond / testPoll / 4); ticks == 0 || ticks > max {
-			t.Errorf("the engine took %d missed polls, host and target, want some but under %d: no back-off", ticks, max)
+		// The loop's 15 ms of idle polls are no events: a few per message.
+		if events := w.eng.Events(); events != 52 {
+			t.Errorf("%d events, want 52", events)
 		}
 		p.Sleep(2*simtime.Millisecond + 1)
 		w.srv.done = true
+		w.links[0].notify()
 		doneAt := p.Now()
 		p.Sleep(testPoll * 512)
 		if w.serveErr != nil || w.serveEnd != idleGrid(idleSince, doneAt) {
@@ -917,18 +933,16 @@ func TestIdleTargetWakesOnTheLoopsGrid(t *testing.T) {
 	})
 }
 
-// A flag load that costs is the engine's to issue while it is quiet: the
-// target sees every message, and the end of serving, on the tick it saw them
-// when it issued every load itself, after as many loads and in as many
-// events — and switches for none of the loads that miss.
+// A flag load that costs is passed over by the parked poll while it is
+// quiet: the target sees every message, and the end of serving, on the tick
+// it saw them when it issued every load itself, after as many loads — and in
+// a handful of events, where each load and gap of the loop was one.
 func TestQuietLoadsAreTheEngines(t *testing.T) {
 	type outcome struct {
 		dispatched []simtime.Time
 		end        simtime.Time
 		loads      int
 		events     uint64
-		maxq       int
-		polls      uint64
 	}
 	serve := func(quiet bool) outcome {
 		var o outcome
@@ -945,10 +959,11 @@ func TestQuietLoadsAreTheEngines(t *testing.T) {
 			}
 			p.Sleep(2 * simtime.Millisecond)
 			w.srv.done = true
+			w.links[0].notify()
 			p.Sleep(testPoll * 1024)
 			o.loads = w.links[0].count["load"]
 		})
-		o.end, o.events, o.maxq, o.polls = w.serveEnd, w.eng.Events(), w.eng.MaxQueueLen(), w.eng.PollTicks()
+		o.end, o.events = w.serveEnd, w.eng.Events()
 		return o
 	}
 	loop, engine := serve(false), serve(true)
@@ -956,15 +971,10 @@ func TestQuietLoadsAreTheEngines(t *testing.T) {
 		t.Errorf("dispatched at %v, Serve returned at %v; issuing every load itself, at %v and %v",
 			engine.dispatched, engine.end, loop.dispatched, loop.end)
 	}
-	if engine.loads != loop.loads || engine.events != loop.events || engine.maxq != loop.maxq {
-		t.Errorf("loads, Events, MaxQueueLen = %d, %d, %d; issuing every load itself %d, %d, %d",
-			engine.loads, engine.events, engine.maxq, loop.loads, loop.events, loop.maxq)
+	if engine.loads != loop.loads {
+		t.Errorf("%d loads; issuing every load itself %d", engine.loads, loop.loads)
 	}
-	// The engine issues every load but the first of each idle stretch (one
-	// per message, and the last), and answers the end of every load that
-	// missed.
-	hits := len(loop.dispatched)
-	if got, want := engine.polls-loop.polls, uint64((loop.loads-hits-1)+(loop.loads-hits)); got != want {
-		t.Errorf("the engine answered %d more wakes, want %d: %d loads of which %d hit", got, want, loop.loads, hits)
+	if engine.events != 35 || loop.events != 16_208 {
+		t.Errorf("Events = %d quiet, %d issuing every load itself; want 35 and 16 208", engine.events, loop.events)
 	}
 }

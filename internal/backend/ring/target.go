@@ -18,25 +18,26 @@ type TargetTransport interface {
 	// LoadFlag reads the slot's receive flag word once, as the protocol
 	// loads it: taking its time, passing its fault sites, recording its
 	// span. Serve issues it on the ticks of its idle poll that QuietFlag
-	// does not leave to the engine.
+	// does not leave to the parked poll.
 	LoadFlag(slot int) (uint64, error)
 	// QuietFlag reports whether LoadFlag(slot), issued at at, would do
 	// nothing but take cost and read the flag word at its end: no fault
-	// rule can fire on it, no span records it. The engine then issues it in
-	// Serve's stead (flagPoll) — PeekFlag at its end, CountFlags for the
-	// load. It is a pure read, asked any number of times, and its answer
-	// holds for later loads until something a process does changes it or,
-	// if lapse is not zero, until lapse (a fault window about to open). cost
-	// is zero for a flag in local memory, which is always quiet: a transport
-	// whose cost is zero once has it zero for good, and Serve then asks no
-	// more.
+	// rule can fire on it, no span records it. Serve's poll then parks
+	// (flagPoll) — PeekFlag at the end of a load, CountFlags for the loads
+	// it passed over. It is a pure read, asked any number of times, and its
+	// answer holds for later loads until the watch is notified or, if lapse
+	// is not zero, until lapse (a fault window about to open). cost is zero
+	// for a flag in local memory, which is always quiet: a transport whose
+	// cost is zero once has it zero for good, and Serve then asks no more.
 	QuietFlag(slot int, at simtime.Time) (cost simtime.Duration, quiet bool, lapse simtime.Time)
 	// PeekFlag is a quiet LoadFlag's read alone: the slot's flag word,
 	// taking no time and changing nothing.
 	PeekFlag(slot int) (uint64, error)
-	// CountFlags accounts for n quiet LoadFlags the engine issued, as
-	// LoadFlag accounts for its own (dma.Instr.Loads).
+	// CountFlags accounts for n quiet LoadFlags a parked poll passed over,
+	// as LoadFlag accounts for its own (dma.Instr.Loads).
 	CountFlags(n int64)
+	// WatchFlags makes the store that lands any receive flag word notify w.
+	WatchFlags(w *simtime.Watch)
 	// Fetch brings the slot's len(msg)-byte message into msg, charging the
 	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
 	Fetch(slot int, msg []byte) error
@@ -72,7 +73,7 @@ type Target struct {
 
 	p     *simtime.Proc
 	poll  simtime.Duration // gap between receive-flag polls (HAMVEPollInterval)
-	idle  flagPoll         // the gap's idle back-off, and Serve's poll loop where polls are free
+	idle  flagPoll         // Serve's idle poll loop: its back-off, and where it parks
 	alive func() bool      // false once the VE process has crashed
 	nt    *trace.NodeTracer
 	desc  core.NodeDescriptor
@@ -108,21 +109,25 @@ func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive f
 		spanResult:       cfg.Name + "-result",
 		spanRespondRetry: cfg.Name + "-respond-retry",
 	}
-	t.idle = flagPoll{t: t, Backoff: simtime.Backoff{
+	t.idle = flagPoll{t: t, Watch: simtime.Watch{Backoff: simtime.Backoff{
 		Base: poll, After: idleBackoffAfter, Max: poll * idleBackoffMax, PollCost: cfg.IdlePollCost,
-	}}
+	}}}
+	if cfg.Transport != nil {
+		cfg.Transport.WatchFlags(&t.idle.Watch)
+	}
 	return t
 }
 
 // flagPoll is Serve's idle loop in the form simtime.Proc.Poll takes: every
 // back-off gap, does Serve have to look for itself — the server done, the VE
-// process gone, a flag load that is not quiet — and if not, has the load the
-// engine issued found the next message's flag up, or failed?
+// process gone, a flag load that is not quiet — and if not, has the load
+// found the next message's flag up, or failed? The receive flag stores and
+// the card's crash notify its Watch.
 type flagPoll struct {
-	simtime.Backoff // the gap schedule; Gap below also counts the load
-	t               *Target
-	s               core.Server
-	slot            int
+	simtime.Watch // the gap schedule, and where Serve parks
+	t             *Target
+	s             core.Server
+	slot          int
 	// What the last Hit read: the word Serve goes on with after a hit.
 	word uint64
 	err  error
@@ -158,24 +163,13 @@ func (q *flagPoll) Hit() bool {
 	return ok
 }
 
-// Gap implements simtime.Poller: the load the engine issued missed.
+// Missed implements simtime.Poller: n quiet loads missed.
 //
 //hot:path
-func (q *flagPoll) Gap() simtime.Duration {
+func (q *flagPoll) Missed(n int64) {
 	if !q.free {
-		q.t.Transport.CountFlags(1)
-	}
-	return q.Backoff.Gap()
-}
-
-// Misses implements simtime.Poller: n loads the engine issued missed.
-//
-//hot:path
-func (q *flagPoll) Misses(n int64) (simtime.Duration, int64) {
-	if !q.free && n > 0 {
 		q.t.Transport.CountFlags(n)
 	}
-	return q.Backoff.Misses(n)
 }
 
 // Self implements core.Backend.
@@ -221,14 +215,14 @@ func (t *Target) Serve(s core.Server) error {
 			return t.errAborted()
 		}
 		idle.slot = next
-		hit := t.p.Poll(idle, 0)
+		hit := t.p.Poll(idle, &idle.Watch, 0)
 		// A traced load is never quiet, so the poll a span covers starts
 		// now: it is free, or Serve issues it.
 		pollStart := t.nt.Now()
 		word, err := idle.word, idle.err
 		if hit {
-			// The flag was up, or its read failed, at the end of a load the
-			// engine issued (or of a free one).
+			// The flag was up, or its read failed, at the end of a quiet
+			// load (or of a free one).
 			t.Transport.CountFlags(1)
 		} else if s.Done() || !t.alive() {
 			continue
@@ -248,7 +242,7 @@ func (t *Target) Serve(s core.Server) error {
 		}
 		n, ok := slots.Decode(word, seq[next])
 		if !ok {
-			t.p.Sleep(idle.Backoff.Gap())
+			t.p.Sleep(idle.Gap())
 			continue
 		}
 		idle.Reset()

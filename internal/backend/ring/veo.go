@@ -36,6 +36,7 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
 	t.cpu = ctx
+	card.Notifies(&t.idle.Watch)
 	vp.SetRuntime(t)
 }
 

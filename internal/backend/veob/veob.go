@@ -155,6 +155,10 @@ func (t *hostSide) ReadResult(slot int, inline, overflow []byte) error {
 // fails by itself on a crashed card.
 func (t *hostSide) Alive() bool { return true }
 
+// Watch implements ring.HostTransport: every poll is a veo_read_mem that
+// takes its time (PollGap 0), so no poll parks to watch anything.
+func (t *hostSide) Watch(*simtime.Watch) {}
+
 // Close implements ring.HostTransport: release the bounce buffer and destroy
 // the VE process.
 func (t *hostSide) Close() error {
@@ -221,6 +225,14 @@ func (t *veSide) PeekFlag(slot int) (uint64, error) { return t.LoadFlag(slot) }
 //
 //hot:path
 func (t *veSide) CountFlags(int64) {}
+
+// WatchFlags implements ring.TargetTransport: the host's privileged DMA lands
+// the receive flags in HBM.
+func (t *veSide) WatchFlags(w *simtime.Watch) {
+	for i := range t.flags {
+		t.flags[i].Watch(w)
+	}
+}
 
 // Fetch implements ring.TargetTransport: a local copy out of the receive
 // buffer.

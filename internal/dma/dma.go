@@ -337,6 +337,7 @@ type Instr struct {
 	path   pcie.Path
 	loads  int64
 	stores int64
+	watch  *simtime.Watch // where the poll of its watched words parks (Watch)
 }
 
 // NewInstr creates the instruction unit for one VE core.
@@ -383,8 +384,14 @@ func (in *Instr) untranslated(vehva mem.Addr) error {
 	return err
 }
 
-// Loads and Stores return the number of words moved, for stats.
-func (in *Instr) Loads() int64  { return in.loads }
+// Loads and Stores return the number of words moved, for stats. The quiet
+// loads a parked poll of a watched word passed over are counted first.
+func (in *Instr) Loads() int64 {
+	if in.watch != nil {
+		in.watch.Settle()
+	}
+	return in.loads
+}
 func (in *Instr) Stores() int64 { return in.stores }
 
 // LoadWord performs one LHM: an 8-byte load from w's VEHVA, translated at
@@ -417,12 +424,12 @@ func (in *Instr) LoadCost() simtime.Duration {
 // Quiet reports whether LoadWord(w), issued at at, would do nothing but take
 // LoadCost, count the load and read the word at its end: the address
 // translates, no tracer records the load, and no fault rule can fire on it
-// (faults.Injector.QuietLoad). A poll may then leave the load to the engine
-// (simtime.Poller) — read it with PeekWord at its end, and count it with
-// CountLoads. If lapse is not zero, a load issued at or after it may not be
-// quiet: the answer lapses one LoadCost before a rule's window opens, since
-// the engine counts a quiet load at its end and a rule inside the window
-// reads the count.
+// (faults.Injector.QuietLoad). A poll of the word may then park
+// (simtime.Poller) — read it with PeekWord at a load's end, and count the
+// loads it passed over with CountLoads. If lapse is not zero, a load issued
+// at or after it may not be quiet: the answer lapses one LoadCost before a
+// rule's window opens, so the poll wakes, and counts the quiet loads it
+// passed over, before a rule inside the window reads the count.
 //
 //hot:path
 func (in *Instr) Quiet(w *Word, at simtime.Time) (quiet bool, lapse simtime.Time) {
@@ -452,8 +459,19 @@ func (in *Instr) PeekWord(w *Word) (uint64, error) {
 	return w.word.Load()
 }
 
-// CountLoads counts n quiet LoadWords that the engine issued, and the ops
-// they passed at their fault sites (faults.Injector.CountLoads).
+// Watch makes every store that lands on w's word notify wt (mem.Memory.Watch),
+// for a poll of it that parks on wt, and settles that poll before Loads is
+// read. A word that does not translate is watched by nobody: its LoadWord
+// faults, so its poll is never quiet.
+func (in *Instr) Watch(w *Word, wt *simtime.Watch) {
+	in.watch = wt
+	if in.resolve(w) {
+		w.word.Watch(wt)
+	}
+}
+
+// CountLoads counts n quiet LoadWords that a parked poll passed over, and
+// the ops they passed at their fault sites (faults.Injector.CountLoads).
 //
 //hot:path
 func (in *Instr) CountLoads(n int64) {

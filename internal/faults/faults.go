@@ -402,8 +402,8 @@ func (in *Injector) QuietLoad(now simtime.Time, node int) (quiet bool, lapse sim
 	return true, lapse
 }
 
-// CountLoads accounts for n quiet LHM loads on node (QuietLoad) that the
-// engine issued: it advances every counter a literal load would, by n, so a
+// CountLoads accounts for n quiet LHM loads on node (QuietLoad) that a parked
+// poll passed over: it advances every counter a literal load would, by n, so a
 // rule that reads one inside its window — Error.Op, a Rate or Jitter draw —
 // reads what the loads one by one would have left there.
 //

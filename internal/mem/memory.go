@@ -9,8 +9,11 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+
+	"hamoffload/internal/simtime"
 )
 
 // Addr is an address within one Memory.
@@ -34,7 +37,17 @@ type Memory struct {
 	spare []*extent
 	// gen moves on every Unmap: a Word resolved before it resolves again.
 	gen uint64
+	// watches are the words that polls watch (Watch), sorted by address.
+	watches []watched
 }
+
+// watched is one word a poll watches: a store that lands on it notifies w.
+type watched struct {
+	addr Addr
+	w    *simtime.Watch
+}
+
+func byAddr(wd watched, a Addr) int { return cmp.Compare(wd.addr, a) }
 
 // Recycling bounds: at most maxSpare unmapped extents are kept, and none
 // whose chunk table outgrew maxSpareChunks (a 64 MiB extent) — a
@@ -49,6 +62,8 @@ type extent struct {
 	size   int64
 	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or windows onto one array
 	flat   bool     // chunks are windows onto one array of size bytes: MapBytes, a bulk store or the first View
+	// watched: a poll watches a word of the extent (Memory.watches).
+	watched bool
 }
 
 func (e *extent) end() Addr { return e.addr + Addr(e.size) }
@@ -192,6 +207,10 @@ func (m *Memory) Unmap(addr Addr) error {
 	}
 	e := m.extents[i]
 	m.extents = slices.Delete(m.extents, i, i+1) // zeroes the vacated slot
+	lo, _ := slices.BinarySearchFunc(m.watches, e.addr, byAddr)
+	hi, _ := slices.BinarySearchFunc(m.watches, e.end(), byAddr)
+	m.watches = slices.Delete(m.watches, lo, hi)
+	e.watched = false
 	clear(e.chunks)
 	e.flat = false
 	m.gen++
@@ -205,7 +224,8 @@ func (m *Memory) Unmap(addr Addr) error {
 func (m *Memory) Mapped(addr Addr, size int64) bool { return m.checkMapped(addr, size) == nil }
 
 // Discard lets go of every extent's backing store — chunks, arrays and the
-// views onto them: the ranges stay mapped and read as zero again.
+// views onto them: the ranges stay mapped and read as zero again. It
+// notifies no Watch: a word that reads zero holds no message.
 func (m *Memory) Discard() {
 	for _, e := range m.extents {
 		clear(e.chunks)
@@ -259,8 +279,9 @@ func (m *Memory) store(p []byte, addr Addr, n int64) error {
 	if err != nil {
 		return err
 	}
+	watched := false
 	for pos := addr; pos < end; {
-		dst := m.storeSpan(pos, end)
+		dst, e := m.storeSpan(pos, end)
 		if dst == nil {
 			return m.faultError(pos, addr, n)
 		}
@@ -269,25 +290,66 @@ func (m *Memory) store(p []byte, addr Addr, n int64) error {
 		} else {
 			clear(dst)
 		}
+		watched = watched || e.watched
 		pos += Addr(len(dst))
+	}
+	if watched {
+		m.notify(addr, end)
 	}
 	return nil
 }
 
+// Watch makes every store that lands on the word at addr — WriteAt, a typed
+// store, the Copy into it — notify w, until the extent that maps it is
+// unmapped: how a poll parked on w learns that the flag word it polls has
+// changed. A word that is not mapped is watched by nobody.
+func (m *Memory) Watch(addr Addr, w *simtime.Watch) {
+	if e, _, _ := m.piece(addr, addr); e != nil {
+		e.watched = true
+		i, _ := slices.BinarySearchFunc(m.watches, addr, byAddr)
+		m.watches = slices.Insert(m.watches, i, watched{addr, w})
+	}
+}
+
+// watchFrom returns the index of the first watched word that ends past addr.
+//
+//hot:path
+func (m *Memory) watchFrom(addr Addr) int {
+	j, k := 0, len(m.watches)
+	for j < k {
+		h := int(uint(j+k) >> 1)
+		if m.watches[h].addr+8 > addr {
+			k = h
+		} else {
+			j = h + 1
+		}
+	}
+	return j
+}
+
+// notify notifies the watches of the words a store of [addr, end) touched.
+//
+//hot:path
+func (m *Memory) notify(addr, end Addr) {
+	for j := m.watchFrom(addr); j < len(m.watches) && m.watches[j].addr < end; j++ {
+		m.watches[j].w.Notify()
+	}
+}
+
 // storeSpan returns the memory a store of [pos, end) writes first: from pos
 // up to the next chunk boundary, the extent's end or end, backed on the way
-// if it was untouched (back sees the whole rest of the store). It is nil when
-// pos is unmapped.
-func (m *Memory) storeSpan(pos, end Addr) []byte {
+// if it was untouched (back sees the whole rest of the store), and the extent
+// it lies in. It is nil when pos is unmapped.
+func (m *Memory) storeSpan(pos, end Addr) ([]byte, *extent) {
 	e, off, n := m.piece(pos, end)
 	if e == nil {
-		return nil
+		return nil, nil
 	}
 	c := e.chunks[off/ChunkSize]
 	if c == nil {
 		c = e.back(off, int64(end-pos))
 	}
-	return c[off%ChunkSize:][:n]
+	return c[off%ChunkSize:][:n], e
 }
 
 // rangeEnd returns addr+n, failing when the range wraps the address space.
@@ -393,10 +455,12 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 		return copyOverlapping(dst, dstAddr, srcAddr, n)
 	}
 	end := dstAddr + Addr(n)
+	watched := false
 	for pos := dstAddr; pos < end; {
 		// The destination first: backing it may flatten the extent the
 		// source lies in, and the source's chunk is read after that.
-		d := dst.storeSpan(pos, end)
+		d, de := dst.storeSpan(pos, end)
+		watched = watched || de.watched
 		from := srcAddr + (pos - dstAddr)
 		e, off, sn := src.piece(from, from+Addr(len(d)))
 		if c := e.chunks[off/ChunkSize]; c != nil {
@@ -405,6 +469,9 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 			clear(d[:sn]) // an untouched source chunk reads as zeros
 		}
 		pos += Addr(sn)
+	}
+	if watched {
+		dst.notify(dstAddr, end)
 	}
 	return nil
 }

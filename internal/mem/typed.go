@@ -1,6 +1,10 @@
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"hamoffload/internal/simtime"
+)
 
 // Typed accessors used by simulated kernels to operate on buffers in
 // simulated memories. All values are little-endian, matching both the x86
@@ -64,3 +68,6 @@ func (w *Word) Load() (uint64, error) {
 	}
 	return binary.LittleEndian.Uint64(c[w.off:]), nil
 }
+
+// Watch makes every store that lands on the word notify wt (Memory.Watch).
+func (w *Word) Watch(wt *simtime.Watch) { w.m.Watch(w.addr, wt) }

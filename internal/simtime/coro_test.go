@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,10 +125,12 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 			cores.Release(got)
 		})
 	}
+	fired := gapWatch(4)
+	ev2.Notifies(fired)
 	e.Spawn("watch", func(p *Proc) {
-		poll(p, &cond{hit: ev2.Fired, gap: 4}, 0) // ev2 fires at 30, between the ticks at 28 and 32
+		poll(p, &cond{hit: ev2.Fired}, fired, 0) // ev2 fires at 30, between the ticks at 28 and 32
 		log.rec(p, "poll")
-		poll(p, &cond{hit: never, gap: 5}, p.Now().Add(12)) // ticks at 37 and 42, until at 44
+		poll(p, &cond{hit: never}, gapWatch(5), p.Now().Add(12)) // ticks at 37 and 42, until at 44
 		log.rec(p, "poll")
 	})
 }
@@ -187,21 +190,22 @@ var goldenWakes = []string{
 	"47 watch poll",
 }
 
-const (
-	goldenEvents   = 68 // 56 without the poller: its spawn wake and 11 ticks
-	goldenMaxQueue = 13
-)
-
 func TestGoldenDeliveryOrder(t *testing.T) {
 	for _, poll := range []struct {
-		name string
-		fn   pollFn
-	}{{"Poll", enginePoll}, {"loop", loopPoll}} {
-		t.Run(poll.name, func(t *testing.T) { testGoldenDeliveryOrder(t, poll.fn) })
+		name         string
+		fn           pollFn
+		events, maxq int
+	}{
+		// 56 without the poller; the loop adds its spawn wake and 11 ticks,
+		// the parked poll its spawn wake and its two wakes.
+		{"Poll", enginePoll, 59, 13},
+		{"loop", loopPoll, 68, 13},
+	} {
+		t.Run(poll.name, func(t *testing.T) { testGoldenDeliveryOrder(t, poll.fn, uint64(poll.events), poll.maxq) })
 	}
 }
 
-func testGoldenDeliveryOrder(t *testing.T, poll pollFn) {
+func testGoldenDeliveryOrder(t *testing.T, poll pollFn, events uint64, maxq int) {
 	e := NewEngine()
 	var log wakeLog
 	goldenScenario(e, &log, poll)
@@ -223,20 +227,20 @@ func testGoldenDeliveryOrder(t *testing.T, poll pollFn) {
 			t.Fatalf("wake %d = %q, want %q (of %d, want %d)", i, got, want, len(log), len(goldenWakes))
 		}
 	}
-	if e.Events() != goldenEvents || e.MaxQueueLen() != goldenMaxQueue {
-		t.Fatalf("Events, MaxQueueLen = %d, %d, want %d, %d", e.Events(), e.MaxQueueLen(), goldenEvents, goldenMaxQueue)
+	if e.Events() != events || e.MaxQueueLen() != maxq {
+		t.Fatalf("Events, MaxQueueLen = %d, %d, want %d, %d", e.Events(), e.MaxQueueLen(), events, maxq)
 	}
 }
 
 // pollBesideSleeper is the ring.Host.wait shape: a 200 ns poller, 24 of whose
 // 25 ticks are the engine's next event, beside a 5 us sleeper whose every
 // wake falls on the instant of a tick and was scheduled before it. With
-// viaPoll the poller is one Proc.Poll that never hits, so its ticks are the
-// engine's and it logs none.
+// viaPoll the poller is one Proc.Poll that never hits, parked for good: no
+// event and no log line of its own.
 func pollBesideSleeper(e *Engine, log *wakeLog, viaPoll bool) {
 	e.Spawn("poll", func(p *Proc) {
 		if viaPoll {
-			p.Poll(&cond{hit: never, gap: 200 * Nanosecond}, 0)
+			p.Poll(&cond{hit: never}, gapWatch(200*Nanosecond), 0)
 		}
 		for {
 			p.Sleep(200 * Nanosecond)
@@ -257,8 +261,9 @@ func pollBesideSleeper(e *Engine, log *wakeLog, viaPoll bool) {
 
 // The limits cut a run short at the same event, with the same error and the
 // same Events(), whether the event that trips them would have been taken in
-// place by the poller, answered by the engine for a Proc.Poll, or delivered
-// by Run. Expected values are the PR 13 engine's.
+// place by the poller or delivered by Run. A Proc.Poll that never hits is
+// parked for good beside the sleeper: the sleeper alone runs into the limit,
+// its wakes those of the loop's run.
 func TestSelfWakeHonoursLimits(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -268,14 +273,20 @@ func TestSelfWakeHonoursLimits(t *testing.T) {
 		now        Time
 		lastWake   string
 		totalWakes int
+		// Events and Now beside a parked Proc.Poll.
+		pollEvents uint64
+		pollNow    Time
 	}{
 		// The deadline falls between two poller ticks: the tick at 10.2 us
 		// must be refused although it is the poller's own next event.
-		{"deadline", func(e *Engine) { e.Deadline = Time(10100 * Nanosecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52},
+		{"deadline", func(e *Engine) { e.Deadline = Time(10100 * Nanosecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52,
+			4, Time(10 * Microsecond)},
 		// Both wakes at the deadline itself are still delivered.
-		{"deadline-on-tick", func(e *Engine) { e.Deadline = Time(10 * Microsecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52},
+		{"deadline-on-tick", func(e *Engine) { e.Deadline = Time(10 * Microsecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52,
+			4, Time(10 * Microsecond)},
 		// The budget runs out on one of the poller's own ticks.
-		{"budget", func(e *Engine) { e.MaxEvents = 20 }, ErrEventLimit, 21, Time(3600 * Nanosecond), "3600000 poll timer", 18},
+		{"budget", func(e *Engine) { e.MaxEvents = 20 }, ErrEventLimit, 21, Time(3600 * Nanosecond), "3600000 poll timer", 18,
+			21, Time(90 * Microsecond)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var loopLog wakeLog
@@ -290,19 +301,24 @@ func TestSelfWakeHonoursLimits(t *testing.T) {
 					if !errors.Is(err, tc.err) {
 						t.Fatalf("err = %v, want %v", err, tc.err)
 					}
-					if e.Events() != tc.events || e.Now() != tc.now {
-						t.Errorf("Events, Now = %d, %d, want %d, %d", e.Events(), int64(e.Now()), tc.events, int64(tc.now))
+					events, now := tc.events, tc.now
+					if viaPoll {
+						events, now = tc.pollEvents, tc.pollNow
+					}
+					if e.Events() != events || e.Now() != now {
+						t.Errorf("Events, Now = %d, %d, want %d, %d", e.Events(), int64(e.Now()), events, int64(now))
 					}
 					if viaPoll {
-						// What is left of the loop's log without the poller's lines.
+						// The loop's log without the poller's lines, as far as
+						// the loop's run went.
 						var want wakeLog
 						for _, l := range loopLog {
 							if !strings.Contains(l, " poll ") {
 								want = append(want, l)
 							}
 						}
-						if !reflect.DeepEqual(log, want) {
-							t.Errorf("wakes = %q, want the sleeper's %q", []string(log), []string(want))
+						if len(log) < len(want) || !slices.Equal(log[:len(want)], want) {
+							t.Errorf("wakes = %q, want the sleeper's %q first", []string(log), []string(want))
 						}
 						return
 					}
@@ -407,7 +423,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	})
 	parkIn("sleep", func(p *Proc) { p.Sleep(Second) })
 	var polling *Proc
-	parkIn("poll", func(p *Proc) { polling = p; p.Poll(&cond{hit: never.Fired, gap: Second}, 0) })
+	parkIn("poll", func(p *Proc) { polling = p; p.Poll(&cond{hit: never.Fired}, gapWatch(Second), 0) })
 	parkIn("pop", func(p *Proc) { q.Pop(p) })
 	parkIn("pop-timeout", func(p *Proc) { q.PopTimeout(p, Second) })
 	parkIn("wait", func(p *Proc) { never.Wait(p) })

@@ -24,6 +24,8 @@ const (
 	reasonTimer = iota // Sleep expiry or wait timeout
 	reasonEvent        // an Event fired / a Queue item arrived / a Semaphore was granted
 	reasonKill         // engine shutdown; park panics with errKilled
+	reasonWatch        // a parked poll's wake (Proc.Poll)
+	reasonPlace        // not a wake: the instant a parked poll's wake takes its seq at is over (order.go)
 )
 
 // waiter represents one parked process. Wake events reference waiters rather
@@ -32,37 +34,31 @@ const (
 type waiter struct {
 	p     *Proc
 	woken bool
-	// A waiter parked in Proc.Poll: the wake is a tick of its loop or, when
-	// issued, the end of a poll that takes cost; step answers it itself while
-	// the process only passes through (Engine.answers). hit is what Poll
-	// returns once one is delivered.
-	poll   Poller
-	until  Time
-	cost   Duration
-	issued bool
-	hit    bool
-	// The memo of poll's answers: Tick's (cost, take, lapse) and Hit's found,
-	// each with the run it was asked in (Engine.runs); 0 is none. Until a
-	// process runs again, an answer stands (Engine.tick, Engine.hit) — Tick's
-	// only for ticks before its lapse, if that is not zero.
-	ticked, hitAsked uint64
-	lapse            Time
-	take, found      bool
+	// A waiter parked in Proc.Poll: its poll and Watch, its grid, and its
+	// one queued wake: at due (noWake: none), on grid point dueK.
+	poll  Poller
+	watch *Watch
+	grid
+	due  Time
+	dueK int64
 }
 
+// An event is one queued wake. Events are ordered by time, then by seq, the
+// order in which they were queued: FIFO among simultaneous events. A parked
+// poll's wake takes the seq of the loop's wake it stands for (order.go).
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker: FIFO among simultaneous events
+	seq uint64
 	w   *waiter
 	rsn int
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq). It is a concrete
-// heap rather than a container/heap adapter: the adapter's `any` interface
-// boxes every pushed event onto the Go heap, which dominated the simulator's
-// allocation profile. Pop order is unaffected by the change — (at, seq) is a
-// strict total order (seq is unique), so any correct heap pops the same
-// sequence.
+// eventQueue is a binary min-heap ordered by (at, seq). It is a concrete heap
+// rather than a container/heap adapter: the adapter's `any` interface boxes
+// every pushed event onto the Go heap, which dominated the simulator's
+// allocation profile. (at, seq) is a strict total order but for two parked
+// polls' wakes that took one seq, which step orders itself (firstOfTie), so
+// any correct heap pops the same sequence.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -74,13 +70,17 @@ func (q eventQueue) less(i, j int) bool {
 
 func (q *eventQueue) push(ev event) {
 	*q = append(*q, ev) //lint:allow hotalloc amortized growth of the engine's event heap
-	h := *q
-	for i := len(h) - 1; i > 0; {
+	q.up(len(*q) - 1)
+}
+
+// up sifts entry i up to its place.
+func (q eventQueue) up(i int) {
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !q.less(i, parent) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
 }
@@ -110,31 +110,6 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
-// down sifts entry i down to its place.
-func (q eventQueue) down(i int) {
-	for n := len(q); ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q.less(r, c) {
-			c = r
-		}
-		if !q.less(c, i) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-}
-
-// heapify restores the heap order after entries were changed in place.
-func (q eventQueue) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-}
-
 // Engine is a deterministic discrete-event scheduler. Every process is a
 // coroutine (iter.Pull) that Run resumes in-thread and that hands control
 // back from Proc.park, so exactly one of them runs at a time and no switch
@@ -148,19 +123,9 @@ type Engine struct {
 	stop   bool
 	failed error // the first process panic; ends Run
 	events uint64
-	polls  uint64 // events that were poll ticks step answered itself
-	asks   uint64 // Tick and Hit questions put to a Poller
-	maxq   int    // event-queue high-water mark (MaxQueueLen)
-	// runs numbers the runs of processes: it moves on Run entry and each time
-	// step hands a process control, so a Poller's answer asked in the current
-	// run still stands.
-	runs uint64
+	maxq   int // event-queue high-water mark (MaxQueueLen)
 	// The process whose Poller is being asked Tick or Hit, for park's guard.
 	asking *Proc
-	// ahead's scratch: the parked polls it answers at once; and how many
-	// wakes it answered.
-	lanes      [maxLanes]lane
-	aheadWakes uint64
 
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.
@@ -174,11 +139,22 @@ type Engine struct {
 	// short-lived procs forever holds on to none of them. Deadlock
 	// diagnostics and Shutdown walk the list.
 	first, last *Proc
+
+	// The last wakes delivered, how many there were, the grid points of
+	// those that were parked polls', and the earliest first grid point of a
+	// parked poll: no run from it on leaves the history (order.go).
+	hist   []delivered
+	nhist  uint64
+	points []point
+	need   Time
 }
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	// A parked poll is no event, so a run's heap stays short; room for one
+	// keeps its growth out of the run.
+	return &Engine{eq: make(eventQueue, 0, 64), need: noWake,
+		hist: make([]delivered, histLen), points: make([]point, histLen)}
 }
 
 // Now returns the current simulated time.
@@ -254,7 +230,7 @@ func (e *Engine) schedule(at Time, w *waiter, rsn int) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
+	e.seq += 2
 	e.eq.push(event{at: at, seq: e.seq, w: w, rsn: rsn})
 	if len(e.eq) > e.maxq {
 		e.maxq = len(e.eq)
@@ -268,7 +244,6 @@ func (e *Engine) Stop() { e.stop = true }
 // Run executes the simulation until all processes finish, a process calls
 // Stop, the event budget or deadline is exceeded, or a deadlock is detected.
 func (e *Engine) Run() error {
-	e.runs++ // the caller may have changed what a parked poll reads
 	for {
 		p, err := e.step(nil)
 		if p == nil {
@@ -279,33 +254,20 @@ func (e *Engine) Run() error {
 }
 
 // step is the one place that decides what the engine does next. It discards
-// stale wakes and then takes the earliest wake event: pops it, counts it and
-// advances the clock. What happens to the event is one of three things.
+// stale wakes and then takes the earliest wake event: pops it, counts it,
+// advances the clock and stores the reason in the process, which the caller
+// must let run. Run calls step(nil) and, when step returns no process,
+// returns err: nil after Stop or once every process has finished, otherwise
+// the panic, deadlock, deadline or event-budget error.
 //
-// A wake is delivered: step stores the reason in the process, starts a new
-// run (Engine.runs: what a parked poll reads may change now) and returns the
-// process, which the caller must let run. Run calls step(nil) and, when step
-// returns no process, returns err: nil after Stop or once every process has
-// finished, otherwise the panic, deadlock, deadline or event-budget error.
-//
-// A wake for the caller is taken in place: a parking process calls step(p) to
-// ask whether the next event is its own (a poller ticking beside longer
-// sleeps); if so the process just keeps running at the new time, with no
-// switch. This cannot reorder delivery: it is the same event Run would
-// deliver next, to the same process, and nothing else runs in between.
-//
-// A poll wake the process only passes through is answered here: the event of
-// a process parked in Proc.Poll — a tick before its until on which the poll
-// is issued, a poll that misses — wakes nobody. Popped, counted and the clock
-// advanced like any other, it goes back on the heap the poll's cost or a Gap
-// later (repoll) — the operations the polling process would have performed
-// had it been woken to look for itself, in the same order, with nothing able
-// to run in between. It is engine work whoever's stack step is on, so a
-// process parking beside a poller no longer yields for the poller's misses.
-//
-// Whatever step(p) cannot settle without switching — another process's wake,
-// Stop, the deadline, the event budget, an empty heap — it leaves untouched
-// and returns nil, so p yields and Run's step(nil) reaches the verdict.
+// A parking process calls step(p) to ask whether the next event is its own
+// (a poller ticking beside longer sleeps); if so the process takes it in place
+// and just keeps running at the new time, with no switch. This cannot reorder
+// delivery: it is the same event Run would deliver next, to the same process,
+// and nothing else runs in between. Whatever step(p) cannot settle without
+// switching — another process's wake, Stop, the deadline, the event budget,
+// an empty heap — it leaves untouched and returns nil, so p yields and Run's
+// step(nil) reaches the verdict.
 //
 //hot:path
 func (e *Engine) step(self *Proc) (*Proc, error) {
@@ -317,9 +279,12 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			if self != nil {
 				return nil, nil
 			}
-			return nil, e.deadlockError()
+			return nil, e.idleError()
 		}
 		head := &e.eq[0]
+		if head.rsn == reasonWatch && head.seq&1 == 1 {
+			e.firstOfTie()
+		}
 		w := head.w
 		if w.woken {
 			e.eq.pop() // stale wake (e.g. timeout lost to an Event fire)
@@ -330,27 +295,30 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			maxEvents = 1 << 40
 		}
 		late := e.Deadline != 0 && head.at > e.Deadline
+		if head.rsn == reasonPlace && !late {
+			// The instant of the point before w's wake is over: the wake
+			// takes its seq and its place.
+			e.eq.pop()
+			e.eq.push(event{at: w.due, seq: e.seqOf(&w.grid, w.dueK), w: w, rsn: reasonWatch})
+			continue
+		}
 		spent := e.events >= maxEvents
-		answer := w.poll != nil && !late && !spent && e.answers(w, head.at)
-		if self != nil && !answer && (w.p != self || late || spent) {
+		if self != nil && (w.p != self || late || spent) {
 			return nil, nil
 		}
 		ev := e.eq.pop()
 		if late {
+			e.cut()
 			return nil, deadlineError(ev.at)
 		}
 		e.events++
 		if spent {
 			return nil, limitError(maxEvents)
 		}
+		e.deliver(&ev)
 		e.now = ev.at
-		if answer {
-			e.repoll(w, maxEvents)
-			continue
-		}
 		w.woken = true
 		w.p.reason = ev.rsn
-		e.runs++
 		return w.p, nil
 	}
 }
@@ -385,10 +353,21 @@ func limitError(maxEvents uint64) error {
 	return fmt.Errorf("%w (%d events)", ErrEventLimit, maxEvents)
 }
 
-// deadlockError runs when no process is running, so every live one is parked.
+// idleError runs when no process is running and no wake is queued, so every
+// live one is parked. A poll parked on a Watch would have ticked on for ever
+// in its loop, into the Deadline if there is one (cut); any other park is a
+// deadlock.
 //
 //hot:cold
-func (e *Engine) deadlockError() error {
+func (e *Engine) idleError() error {
+	if e.Deadline != 0 {
+		for p := e.first; p != nil; p = p.next {
+			if p.blockedOn == "poll" {
+				e.cut()
+				return deadlineError(e.Deadline)
+			}
+		}
+	}
 	var stuck []string
 	for p := e.first; p != nil; p = p.next {
 		stuck = append(stuck, p.name+" ("+p.blockedOn+")")

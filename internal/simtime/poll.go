@@ -5,56 +5,60 @@ import (
 	"math"
 )
 
-// Poller is the condition, the cadence and the cost of a poll loop that
-// Proc.Poll runs as one park. A tick of the loop asks up to two questions, at
-// up to two instants: at the tick, Tick — does the process take this tick
-// itself, and if not, how long does the poll it issues take? — and, that
-// cost later, Hit — did the poll find what the process waits for? A free poll
-// (cost zero) asks both at the tick.
+// Poller is the condition and the cost of a poll loop, which Proc.Poll runs
+// parked on a Watch. A tick of the loop asks up to two questions: Tick, before
+// the poll is issued — does the process take this tick itself, and if not, how
+// long does the poll take? — and Hit, at the poll's end: did it find what the
+// process waits for? A free poll (cost zero) asks both at the tick.
 //
-// Tick and Hit are pure reads of simulated state: state only a running
-// process changes, never anything Gap changes, and for Tick the time of the
-// tick, which it is told and whose effect it declares. That is what lets the
-// engine ask each of them once per run of a process and keep the answer until
-// the next one, or until Tick's answer lapses (Engine.tick, Engine.hit). It
-// asks them on whatever stack it happens to be running, so they must not park
-// and must change nothing a process can observe.
+// Tick and Hit are pure reads of simulated state. The engine asks them on the
+// process's own stack and, when the Watch is notified, on the notifier's, so
+// they must not park and must change nothing a process can observe.
 type Poller interface {
-	// Tick is asked at every tick, at its time at. take reports that the
-	// process must take the tick itself: the poll it would issue could do
-	// more than take cost and read (pass a fault site, record a span), or it
-	// has something else to look at. Otherwise cost is the simulated time the
-	// poll takes, zero for a poll that is free. The answer is every later
-	// tick's too until a process runs, or, if lapse is not zero, until the
-	// first tick at or after lapse: an answer that the clock alone changes
-	// (a fault window that opens) says when.
+	// Tick is asked for the tick at at, when the process reaches it or parks
+	// in front of it, and when a notify may have changed its answer. take
+	// reports that the process must take the tick itself: the poll could do
+	// more than take cost and read (pass a live fault site, record a span),
+	// or the process has something else to look at. Otherwise cost is the
+	// simulated time the poll takes, zero for a poll that is free. The answer
+	// stands for the later ticks of a park until the Watch is notified or, if
+	// lapse is not zero, until the first tick at or after lapse: an answer
+	// that the clock alone changes (a fault window that opens) says when.
 	Tick(at Time) (cost Duration, take bool, lapse Time)
 	// Hit reports whether the poll succeeds: at the tick for a free poll, at
 	// the end of its cost otherwise.
 	Hit() bool
-	// Gap returns the time from a poll that missed to the next tick. It is
-	// called exactly once per missed poll, so it may advance back-off state
-	// (and count the poll). It reads nothing a process changes, and changes
-	// nothing that another Poller's Gap, or any Tick or Hit, reads.
-	Gap() Duration
-	// Misses accounts for n missed polls at once, as n calls of Gap would,
-	// and returns the gap the next miss gets and how many more misses in a
-	// row get that same gap (math.MaxInt64: all of them). n is never more
-	// than the previous call's count, so each of the n would have returned
-	// the same gap; Misses(0) only asks. The engine uses it to answer a
-	// quiet poller's misses up to the next event that can run a process in
-	// one step (Engine.ahead).
-	Misses(n int64) (gap Duration, steady int64)
+	// Missed accounts for n polls that missed, besides their gaps (the
+	// Watch's Backoff): a count of the loads they issued, say.
+	Missed(n int64)
 }
 
-// Free completes the Poller of a free poll that only waits for Hit: its ticks
-// cost nothing and are all the engine's.
+// Free completes the Poller of a free poll that only waits for Hit.
 type Free struct{}
 
 // Tick implements Poller.
 //
 //hot:path
 func (Free) Tick(Time) (Duration, bool, Time) { return 0, false, 0 }
+
+// Missed implements Poller: a free poll leaves no trace.
+//
+//hot:path
+func (Free) Missed(int64) {}
+
+// A Watch is where Proc.Poll parks a poll loop: the gap schedule of its ticks,
+// and the poll parked on it now. What changes what the poll's Tick or Hit
+// reads calls Notify — the store that lands a flag word (mem.Memory.Watch), a
+// Queue push, an Event's Fire, a card's crash — so a quiet poll costs no
+// event: the poll is woken once, on its own grid, where the loop would first
+// have seen the change. One poll at a time parks on a Watch.
+type Watch struct {
+	Backoff
+	w *waiter // the poll parked here, if any
+}
+
+// noWake is the time of a wake that is not queued.
+const noWake = Time(math.MaxInt64)
 
 // Poll is
 //
@@ -69,345 +73,362 @@ func (Free) Tick(Time) (Duration, bool, Time) { return 0, false, 0 }
 //		if q.Hit() {
 //			return true
 //		}
-//		p.Sleep(q.Gap())
+//		p.Sleep(wt.Gap())
+//		q.Missed(1)
 //		if until != 0 && p.Now() >= until {
 //			return false
 //		}
 //	}
 //
-// except that p is not switched to for the wakes it would only pass through:
-// a tick on which the poll is issued, and the end of a poll that missed. Each
-// is a wake event like Sleep's, in the same place in (at, seq) order, and
-// Engine.step answers it on the spot — from Run or from whichever process is
-// parking. Every wake time, Events, MaxQueueLen and the MaxEvents / Deadline
-// cut-offs are those of the loop (DESIGN.md §8, "a poll loop is one park").
-// Poll reports whether it returned on a hit.
+// except that p parks on wt wherever the loop would only pass through: the
+// end of a poll that misses and the ticks that follow it. One wake is queued
+// for the first tick at or after until, and for the first tick at or after
+// the lapse of Tick's answer; a Notify that makes Hit true queues one for the
+// first poll end at or after it, and one that makes the next tick taken, for
+// that tick, if either comes before what is queued. The misses passed over
+// are accounted at the wake, in one Backoff step and one Missed. Every wake
+// comes at the time the loop's would, in the place among same-instant events
+// that the loop's would have had (order.go). Poll reports whether it
+// returned on a hit.
 //
 //hot:path
-func (p *Proc) Poll(q Poller, until Time) bool {
+func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
 	e := p.eng
+	atTick := true // the process is at a tick, else at the end of a poll it issued
+	for entry := true; ; entry = false {
+		if atTick {
+			if !entry && until != 0 && e.now >= until {
+				return false
+			}
+			cost, take, lapse := e.tick(p, q, e.now)
+			if take {
+				return false
+			}
+			if cost > 0 {
+				atTick = p.parkPoll(q, wt, e.now.Add(cost), true, cost, lapse, until)
+				continue
+			}
+		}
+		if e.hit(p, q) {
+			return true
+		}
+		gap := max(wt.Gap(), 0)
+		q.Missed(1)
+		atTick = p.parkPoll(q, wt, e.now.Add(gap), false, 0, 0, until)
+	}
+}
+
+// parkPoll parks p on wt until the loop's next grid point that matters: next
+// is a tick, or with issued the end of the poll issued at the tick now, which
+// costs cost and whose Tick answer lapses at lapse. It accounts for the
+// misses passed over and reports whether the wake is a tick (else the end of
+// a poll that costs).
+//
+//hot:path
+func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Duration, lapse, until Time) bool {
+	e := p.eng
+	if !issued {
+		// The tick's answer, asked before it comes: a tick the process takes
+		// is its next wake, as the loop's sleep.
+		c, take, l := e.tick(p, q, next)
+		if take {
+			p.Sleep(next.Sub(e.now))
+			return true
+		}
+		cost, lapse = c, l
+	}
+	if wt.w != nil {
+		panic(twoPolls(p))
+	}
 	w := p.singleWaiter()
-	// The memo starts empty: q, or what it polls, may not be last call's.
-	w.poll, w.until, w.ticked, w.hitAsked = q, until, 0, 0
-	e.asking = p
-	e.tick(w, e.now)
-	hit := !w.take && w.cost <= 0 && e.hit(w)
-	e.asking = nil
-	if w.take || hit {
-		w.poll = nil
-		return hit
+	e.seq += 2 // the loop's sleep, or the wake at the end of its poll
+	w.poll, w.watch, w.due, w.dueK = q, wt, noWake, 0
+	w.grid = grid{next: next, issued: issued, cost: cost, seq0: e.seq, gaps: wt.Backoff}
+	e.need = min(e.need, next)
+	if issued {
+		w.k0 = 1 // the tick now is behind
 	}
-	next := e.now.Add(w.cost)
-	if w.cost <= 0 {
-		next = e.now.Add(pollGap(q))
+	for _, at := range [...]Time{until, lapse} {
+		if at != 0 {
+			if k, t, prev, ok := w.find(at, w.k0, tickPoint); ok {
+				w.queue(k, t, prev)
+			}
+		}
 	}
-	w.issued = w.cost > 0
-	e.schedule(next, w, reasonTimer)
+	if issued && e.hit(p, q) {
+		w.queue(w.k0, next, e.now)
+	}
+	wt.w = w
 	p.park("poll")
-	// The scratch waiter goes back to plain parks without the Poller. (A
-	// process killed in the park keeps it, in an engine that steps no more.)
-	w.poll = nil
-	return w.hit
+	// A process killed in the park leaves its poll on wt, in an engine
+	// that steps no more.
+	wt.w, w.poll, w.watch = nil, nil, nil
+	if n := w.misses(w.dueK); n > 0 {
+		wt.skip(n)
+		q.Missed(n)
+	}
+	return !w.isEnd(w.dueK)
 }
 
-// tick puts Tick to w's Poller for the tick at, unless it was asked in this
-// run already and its answer has not lapsed, and leaves the answer in w.cost,
-// w.take and w.lapse.
+// Notify tells the poll parked on wt, if any, that what its Tick or Hit reads
+// may have changed. If Hit now holds, the poll is woken at the first end of a
+// poll at or after now — a poll that ends at the store's picosecond sees the
+// store, unless the loop's wake for it came before the storing process's;
+// otherwise, if its Tick takes the first such tick, at that tick. A wake
+// already queued before either stands.
 //
 //hot:path
-func (e *Engine) tick(w *waiter, at Time) {
-	if at >= w.tickStands(e.runs) {
-		e.asks++
-		w.cost, w.take, w.lapse = w.poll.Tick(at)
-		w.ticked = e.runs
+func (wt *Watch) Notify() {
+	w := wt.w
+	if w == nil || w.woken {
+		return
+	}
+	e := w.p.eng
+	e.asking = w.p
+	k, at, prev, ok := w.pending(tickPoint)
+	if w.poll.Hit() {
+		if w.cost > 0 {
+			if ke, ae, pe, oke := w.pending(endPoint); oke && ae < w.due {
+				w.queue(ke, ae, pe)
+			}
+		} else if ok && at < w.due {
+			w.queue(k, at, prev) // a free poll looks at its tick
+		}
+	}
+	if ok && at < w.due {
+		if _, take, _ := w.poll.Tick(at); take {
+			w.queue(k, at, prev)
+		}
+	}
+	e.asking = nil
+}
+
+// Settle accounts, as the wake of the poll parked on wt would, for the polls
+// of the park that ended and missed by now, and the park goes on from the
+// tick after them: a reader of what Missed counts (a load count) then reads
+// what the loop would have left there.
+func (wt *Watch) Settle() {
+	if w := wt.w; w != nil && !w.woken {
+		if k, _, _, ok := w.pending(endPoint); ok {
+			w.settle(k)
+		}
 	}
 }
 
-// tickStands returns the time from which w's memo no longer holds Tick's
-// answer for run: its lapse, or, for an answer that does not lapse, the end of
-// time; 0 for none asked in run.
-func (w *waiter) tickStands(run uint64) Time {
-	switch {
-	case w.ticked != run:
-		return 0
-	case w.lapse == 0:
-		return math.MaxInt64
+// restart returns how many polls of w's park end before grid point k and
+// before its queued wake, and the tick after them.
+func (w *waiter) restart(k int64) (n, tick int64) {
+	if w.due != noWake {
+		k = min(k, w.dueK)
 	}
-	return w.lapse
+	n = w.misses(k)
+	if w.cost > 0 {
+		return n, 2 * n
+	}
+	return n, n
 }
 
-// hit puts Hit to w's Poller, unless it was asked in this run already.
+// settle accounts for the polls of w's park that end before grid point k and
+// before its queued wake, and the park goes on from the tick after them.
+func (w *waiter) settle(k int64) {
+	n, tick := w.restart(k)
+	if n == 0 {
+		return
+	}
+	seq, at := w.p.eng.seqOf(&w.grid, tick), w.at(tick)
+	w.watch.skip(n)
+	w.gaps.skip(n)
+	w.poll.Missed(n)
+	w.next, w.issued, w.k0, w.seq0 = at, false, 0, seq
+	w.dueK -= tick
+}
+
+// cut is where the Deadline ends a run: the loop would have run every grid
+// point of the parked polls at or before it, so the clock moves to the last
+// of them and each park accounts for its misses there.
+//
+//hot:cold
+func (e *Engine) cut() {
+	for p := e.first; p != nil; p = p.next {
+		w := &p.scratch
+		if w.watch == nil || w.woken {
+			continue
+		}
+		ke, _, _, oke := w.find(e.Deadline+1, w.k0, endPoint)
+		kt, _, _, okt := w.find(e.Deadline+1, w.k0, tickPoint)
+		if !oke || !okt {
+			continue // a poll that never passes the Deadline, or only at the end of time
+		}
+		if k := min(ke, kt); k > w.k0 {
+			e.now = max(e.now, w.at(k-1))
+		}
+		w.settle(ke)
+	}
+}
+
+// The kinds of grid points find looks for.
+const (
+	tickPoint = iota
+	endPoint
+)
+
+// pending is find from now on, past a grid point at now that the loop would
+// have run before the last wake delivered.
+func (w *waiter) pending(kind int) (int64, Time, Time, bool) {
+	e := w.p.eng
+	k, at, prev, ok := w.find(e.now, w.k0, kind)
+	if ok && at == e.now && e.nhist > 0 && e.ranBefore(&w.grid, k) {
+		k, at, prev, ok = w.find(e.now, k+1, kind)
+	}
+	return k, at, prev, ok
+}
+
+// queue makes w's one queued wake the one at grid point k, at at, whose
+// point before is at prev. A wake already queued is moved.
+func (w *waiter) queue(k int64, at, prev Time) {
+	e := w.p.eng
+	ev := w.wake(k, at, prev)
+	queued := w.due != noWake
+	w.due, w.dueK = at, k // before the heap compares the wake with others
+	if !queued {
+		e.eq.push(ev)
+		e.maxq = max(e.maxq, len(e.eq))
+		return
+	}
+	for i := range e.eq {
+		if e.eq[i].w == w {
+			// The wake moves earlier: before the queued one, and no later
+			// than the grid point a reasonPlace event stands at.
+			e.eq[i] = ev
+			e.eq.up(i)
+			return
+		}
+	}
+}
+
+// A grid is the wakes a parked loop would have passed through: point k0 is
+// the first after the park — its tick (next), or with issued the end of the
+// poll issued at the park (next) — and took seq0 there. For a free poll
+// point k is the tick of poll k; for one that costs, point 2j is poll j's
+// tick and 2j+1 its end. Each miss adds a gap from gaps, and the cost of the
+// next poll.
+type grid struct {
+	next   Time
+	issued bool
+	cost   Duration
+	k0     int64
+	seq0   uint64
+	gaps   Backoff // as at point k0
+}
+
+// misses returns how many polls end before grid point k.
+func (g *grid) misses(k int64) int64 {
+	if g.cost > 0 {
+		return k / 2
+	}
+	return k
+}
+
+// isEnd reports whether grid point k ends a poll that costs.
+func (g *grid) isEnd(k int64) bool { return g.cost > 0 && k%2 == 1 }
+
+// at returns the time of grid point k.
+func (g *grid) at(k int64) Time {
+	kind := tickPoint
+	if g.isEnd(k) {
+		kind = endPoint
+	}
+	_, at, _, _ := g.find(math.MinInt64, k, kind)
+	return at
+}
+
+// find returns the first grid point from k on of the kind asked for — a
+// tick, or a poll's end (for a free poll, its tick) — that is at or after x,
+// its time, and the time of the point before it. ok is false when there is
+// none before the end of time.
 //
 //hot:path
-func (e *Engine) hit(w *waiter) bool {
-	if w.hitAsked != e.runs {
-		e.asks++
-		w.found = w.poll.Hit()
-		w.hitAsked = e.runs
+func (g *grid) find(x Time, k int64, kind int) (int64, Time, Time, bool) {
+	c := g.cost
+	if c == 0 {
+		return g.walk(x, k)
 	}
-	return w.found
+	if kind == endPoint {
+		j, at, _, ok := g.walk(x, k/2)
+		return 2*j + 1, at, at - Time(c), ok
+	}
+	j, at, prev, ok := g.walk(x.Add(c), (k+1)/2) // a tick is at or after x where its poll's end is at or after x+c
+	return 2 * j, at - Time(c), prev, ok
 }
 
-// pollGap is q's next gap as Sleep would take it.
-func pollGap(q Poller) Duration {
-	return max(q.Gap(), 0)
+// walk returns the first poll from j on whose end is at or after x, the
+// time of that end, and that of the end before it. Poll 0 is the one of
+// point k0; each miss adds its Backoff gap and the cost of the next poll.
+//
+//hot:path
+func (g *grid) walk(x Time, from int64) (int64, Time, Time, bool) {
+	c := g.cost
+	end := g.next
+	if !g.issued {
+		end = end.Add(c)
+	}
+	b := g.gaps
+	var j int64
+	prev := Time(math.MinInt64) // poll 0 has none
+	for {
+		gap, steady := b.run()
+		step := int64(gap + c)
+		m := max(from-j, 0)
+		switch {
+		case step > 0 && x > end:
+			m = max(m, ceilDiv(x.Sub(end), Duration(step)))
+		case step <= 0 && x > end:
+			return 0, 0, 0, false
+		}
+		n := min(m, steady)
+		if step > 0 && n > (math.MaxInt64-int64(end))/step {
+			return 0, 0, 0, false
+		}
+		if n > 0 {
+			prev = end + Time((n-1)*step)
+		}
+		if m <= steady {
+			return j + m, end + Time(n*step), prev, true
+		}
+		j += n
+		end += Time(n * step)
+		b.skip(n)
+	}
+}
+
+// tick asks q's Tick on p's own stack.
+//
+//hot:path
+func (e *Engine) tick(p *Proc, q Poller, at Time) (Duration, bool, Time) {
+	e.asking = p
+	cost, take, lapse := q.Tick(at)
+	e.asking = nil
+	return cost, take, lapse
+}
+
+// hit asks q's Hit on p's own stack.
+//
+//hot:path
+func (e *Engine) hit(p *Proc, q Poller) bool {
+	e.asking = p
+	h := q.Hit()
+	e.asking = nil
+	return h
+}
+
+//hot:cold
+func twoPolls(p *Proc) string {
+	return fmt.Sprintf("simtime: process %q polls on a Watch another poll is parked on", p.name)
 }
 
 //hot:cold
 func parkedInPoller(p *Proc) string {
 	return fmt.Sprintf("simtime: the Poller of process %q parked inside Tick or Hit", p.name)
-}
-
-// answers reports whether step answers the wake at of w's poll itself — a
-// tick on which the poll is issued, the end of a poll that missed — rather
-// than delivering it: the until tick, a tick the process takes, a hit. It
-// records in w what the loop learnt there: the poll's cost, and the hit Poll
-// returns once a wake is delivered. While it asks, the engine is marked, so
-// that a question which parks — it would run w's process's code on another
-// process's stack — panics in park.
-//
-//hot:path
-func (e *Engine) answers(w *waiter, at Time) bool {
-	w.hit = false
-	if !w.issued && w.until != 0 && at >= w.until {
-		return false
-	}
-	e.asking = w.p
-	if !w.issued { // a tick
-		if e.tick(w, at); w.take || w.cost > 0 {
-			e.asking = nil
-			return !w.take
-		}
-	}
-	w.hit = e.hit(w)
-	e.asking = nil
-	return !w.hit
-}
-
-// repoll is what the polling process would do at the wake of w that step has
-// just popped, counted and set the clock to, and that answers says it only
-// passes through: Sleep for the cost of the poll it issues at a tick, ask Gap
-// and Sleep after a miss. The next wake is queued as Sleep would queue it.
-// But while it would come strictly before every queued event no process can
-// run before it, so every answer stands, Tick's until it lapses: the wake is
-// counted, numbered and the clock moved as if delivered, and the heap never
-// sees it (skips). A question not asked in this run yet, or a Tick answer
-// that has lapsed, is asked first; one the memo holds from this run passed a
-// wake of w through already — an answer on which the engine delivers one is
-// followed by that delivery, which ends the run — so it passes this one too.
-// The first wake at or after the head, one the process must see (the until
-// tick, a tick it takes, a hit) and one a cut-off would refuse are queued for
-// real, behind everything queued, as they would have been — unless the head
-// is another parked poll's wake the engine answers too: then ahead answers
-// every such poll's wakes up to the next event that can run a process.
-//
-//hot:path
-func (e *Engine) repoll(w *waiter, maxEvents uint64) {
-	q, cost, issued := w.poll, w.cost, w.issued
-	// Until when the memo holds Tick's answer from this run, and whether it
-	// holds Hit's, kept in registers for the skipping: no process runs in
-	// here. A free tick that asked Tick asked Hit too.
-	run := e.runs
-	ticked, hitAsked := w.tickStands(run), w.hitAsked == run
-	for next := e.now; ; {
-		e.polls++
-		if issued = !issued && cost > 0; issued {
-			next = next.Add(cost) // the poll the tick issued ends
-		} else {
-			next = next.Add(pollGap(q)) // the next tick
-		}
-		w.issued = issued
-		if !e.skips(w, next, !issued, maxEvents) {
-			if !e.ahead(w, next, maxEvents) {
-				e.schedule(next, w, reasonTimer)
-			}
-			return
-		}
-		if (issued && !hitAsked) || (!issued && next >= ticked) {
-			if !e.answers(w, next) {
-				e.schedule(next, w, reasonTimer)
-				return
-			}
-			cost, ticked, hitAsked = w.cost, w.tickStands(run), w.hitAsked == run
-		}
-		e.seq++
-		e.events++
-		e.now = next
-	}
-}
-
-// skips reports whether repoll may count the wake of w at next without the
-// heap: it comes strictly before every queued event, it is not the until
-// tick, and neither Deadline nor MaxEvents refuses it. No queued event was
-// popped on the way, so the push that ends the skipping sees the heap at the
-// length every skipped push would have seen: MaxQueueLen agrees.
-func (e *Engine) skips(w *waiter, next Time, tick bool, maxEvents uint64) bool {
-	return (len(e.eq) == 0 || next < e.eq[0].at) &&
-		!(tick && w.until != 0 && next >= w.until) &&
-		(e.Deadline == 0 || next <= e.Deadline) && e.events < maxEvents
-}
-
-// maxLanes bounds how many parked polls ahead answers at once; beside more,
-// their wakes go one at a time, and ahead returns before asking any Poller.
-// The most bench/perf's workloads park at once is 9: eight VE serve loops and
-// the host's wait.
-const maxLanes = 16
-
-// passes reports whether w's memo holds, from this run, the answers its next
-// wake, at at, needs, and whether they pass it on: a tick the process does not
-// take, with Tick's answer not lapsed (and, for a free poll, a miss at it),
-// the miss at the end of a poll that costs. Then it holds the other
-// question's passing answer from this run too: a memo from this run came from
-// a wake answered in this run, and the wakes of a poll alternate between the
-// two questions. The until tick and the tick where Tick's answer lapses are
-// plan's to find.
-func (w *waiter) passes(run uint64, at Time) bool {
-	if w.issued {
-		return w.hitAsked == run && !w.found
-	}
-	return at < w.tickStands(run) && !w.take && (w.cost > 0 || (w.hitAsked == run && !w.found))
-}
-
-// A lane is one parked poll as Engine.ahead sees it: its next wake, wake 0,
-// and the pattern its wakes follow while every answer stands and the gap is
-// constant. Wake m of a free poll (cost 0) is the tick at at + m·gap; a poll
-// that costs alternates between ticks and the ends of the polls they issue,
-// the even wakes of wake 0's kind.
-type lane struct {
-	w         *waiter
-	heap      int // wake 0's index in the event heap; -1: w's, not queued yet
-	at        Time
-	seq       uint64
-	end       bool // wake 0 ends a poll that costs
-	cost, gap Duration
-	// stop is the first wake ahead must not answer (math.MaxInt64: none), n
-	// how many it answers.
-	stop, n int64
-}
-
-// plan fills in l's pattern from its waiter's memo and Poller, and its stop:
-// the first wake that delivers (a hit, a tick the process takes, the until
-// tick), that asks a question this run has not answered or whose answer has
-// lapsed, or whose miss gets another gap. It reports whether there is such a
-// wake.
-//
-//hot:path
-func (l *lane) plan(run uint64) bool {
-	w := l.w
-	l.end, l.cost, l.stop = w.issued, w.cost, math.MaxInt64
-	if !w.passes(run, l.at) {
-		l.stop = 0
-		return true
-	}
-	g, steady := w.poll.Misses(0)
-	if l.gap = g; g <= 0 {
-		l.stop = 0
-		return true
-	}
-	if steady < math.MaxInt64/4 { // the miss after steady ones gets another gap
-		switch {
-		case l.cost == 0:
-			l.stop = min(l.stop, steady)
-		case l.end:
-			l.stop = min(l.stop, 2*steady)
-		default:
-			l.stop = min(l.stop, 2*steady+1)
-		}
-	}
-	for _, u := range [...]Time{w.until, w.lapse} {
-		if u != 0 {
-			l.stop = min(l.stop, l.tickFrom(u))
-		}
-	}
-	return l.stop != math.MaxInt64
-}
-
-// tickFrom returns the index of l's first tick at or after u.
-func (l *lane) tickFrom(u Time) int64 {
-	switch {
-	case l.cost == 0:
-		return ceilDiv(u.Sub(l.at), l.gap)
-	case l.end:
-		return 2*ceilDiv(u.Sub(l.at.Add(l.gap)), l.period()) + 1
-	}
-	return 2 * ceilDiv(u.Sub(l.at), l.period())
-}
-
-// period is the time from a wake to the next of its kind, and first the time
-// from an even wake to the odd one after it.
-func (l *lane) period() Duration { return l.cost + l.gap }
-
-func (l *lane) first() Duration {
-	if l.end {
-		return l.gap
-	}
-	return l.cost
-}
-
-// time returns the time of wake m.
-func (l *lane) time(m int64) Time {
-	if l.cost == 0 {
-		return l.at.Add(Duration(m) * l.gap)
-	}
-	t := l.at.Add(Duration(m/2) * l.period())
-	if m%2 == 1 {
-		t = t.Add(l.first())
-	}
-	return t
-}
-
-// before returns how many of l's wakes come strictly before t.
-func (l *lane) before(t Time) int64 {
-	if l.cost == 0 {
-		return ceilDiv(t.Sub(l.at), l.gap)
-	}
-	return ceilDiv(t.Sub(l.at), l.period()) + ceilDiv(t.Sub(l.at.Add(l.first())), l.period())
-}
-
-// ends reports whether wake m ends a poll that costs, and misses how many of
-// the first n wakes are polls that missed: every wake of a free poll, the
-// ends of one that costs.
-func (l *lane) ends(m int64) bool { return l.cost > 0 && l.end == (m%2 == 0) }
-
-func (l *lane) misses(n int64) int64 {
-	switch {
-	case l.cost == 0:
-		return n
-	case l.end:
-		return (n + 1) / 2
-	}
-	return n / 2
-}
-
-// after reports whether l's last answered wake comes after o's in (at, seq)
-// order, the order in which their successors are pushed. Times decide; at
-// one time seq does, and a wake's seq is its predecessor's place in that
-// order. So the comparison walks back through the ties until one side reaches
-// its queued wake 0 (its own seq, below every one handed out since) or the
-// times part. Two ties in a row repeat for good, as each lane steps back by
-// its gap and its cost in turn, so the walk then jumps to the first of the two
-// to reach wake 0.
-func (l *lane) after(o *lane) bool {
-	m, k := l.n-1, o.n-1
-	if a, b := l.time(m), o.time(k); a != b {
-		return a > b
-	}
-	for ties := 0; ; ties++ {
-		if k == 0 || m == 0 {
-			if k == 0 && m == 0 {
-				return o.seq < l.seq
-			}
-			return k == 0
-		}
-		if a, b := o.time(k-1), l.time(m-1); a != b {
-			return a < b
-		}
-		k, m = k-1, m-1
-		if ties == 1 {
-			d := min(k, m)
-			k, m = k-d, m-d
-		}
-	}
 }
 
 // ceilDiv is ⌈d/p⌉ for p > 0, and 0 for d ≤ 0.
@@ -418,120 +439,10 @@ func ceilDiv(d, p Duration) int64 {
 	return int64((d-1)/p) + 1
 }
 
-// ahead answers, in one step, the wakes of every parked poll up to the
-// horizon: the first of the earliest queued wake that is not a poll's, any
-// poll's first wake that delivers or that asks what this run has not answered,
-// or whose Tick answer has lapsed by then (lane.plan), and Deadline. w's next
-// wake, at next, is one of them: repoll calls ahead where it would queue it
-// behind the head of the heap, and ahead only goes on when that head is a poll
-// whose wake the engine answers too.
-//
-// Until the horizon no process can run and no Tick answer lapses, so every
-// answer stands and each lane follows its pattern: its wakes are counted arithmetically, its misses
-// accounted in one Poller.Misses. Events, PollTicks, seq and the clock move
-// by the total, as one wake at a time would have moved them. The lanes' first
-// wakes at or past the horizon get the last seqs handed out, in the order of
-// their predecessors (lane.after): above every seq still queued and below
-// every one to come, as one at a time would have numbered them. Only wakes
-// strictly before the horizon are answered: one at the horizon's very time,
-// which may come before or after the wake that ends it, is left to step like
-// any other. ahead leaves w to schedule, and changes nothing, where the event
-// budget would run out before the horizon, beside more than maxLanes parked
-// polls, and where there is nothing to answer.
-//
-//hot:path
-func (e *Engine) ahead(w *waiter, next Time, maxEvents uint64) bool {
-	run := e.runs
-	if len(e.eq) == 0 || e.eq[0].w.poll == nil || e.eq[0].w.woken || !e.eq[0].w.passes(run, e.eq[0].at) {
-		return false
-	}
-	base := e.seq + 1 // w's seq, as schedule would number it
-	lanes := &e.lanes
-	lanes[0] = lane{w: w, heap: -1, at: next, seq: base}
-	horizon := Time(math.MaxInt64)
-	if e.Deadline != 0 {
-		horizon = e.Deadline + 1
-	}
-	n := 1
-	for i := range e.eq {
-		ev := &e.eq[i]
-		switch {
-		case ev.w.woken: // stale: popped without a trace
-		case ev.w.poll == nil:
-			horizon = min(horizon, ev.at)
-		case n == maxLanes:
-			return false
-		default:
-			lanes[n] = lane{w: ev.w, heap: i, at: ev.at, seq: ev.seq}
-			n++
-		}
-	}
-	for i := range n {
-		if l := &lanes[i]; l.plan(run) {
-			horizon = min(horizon, l.time(l.stop))
-		}
-	}
-	if horizon == math.MaxInt64 {
-		return false
-	}
-	var total int64
-	for i := range n {
-		l := &lanes[i]
-		l.n = l.before(horizon)
-		total += l.n
-	}
-	if total == 0 || uint64(total) > maxEvents-e.events {
-		return false
-	}
-	// The lanes that moved, in the order of their last answered wakes.
-	var order [maxLanes]*lane
-	k := 0
-	for i := range n {
-		l := &lanes[i]
-		if l.n == 0 {
-			continue
-		}
-		j := k
-		for ; j > 0 && order[j-1].after(l); j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = l
-		k++
-	}
-	e.seq = base + uint64(total)
-	for j, l := range order[:k] {
-		e.now = max(e.now, l.time(l.n-1))
-		l.seq = e.seq - uint64(k-1-j)
-		l.w.poll.Misses(l.misses(l.n))
-		l.w.issued = l.ends(l.n)
-		if l.heap >= 0 {
-			e.eq[l.heap].at, e.eq[l.heap].seq = l.time(l.n), l.seq
-		}
-	}
-	e.eq.heapify()
-	e.eq.push(event{at: lanes[0].time(lanes[0].n), seq: lanes[0].seq, w: w, rsn: reasonTimer})
-	e.maxq = max(e.maxq, len(e.eq))
-	e.events += uint64(total)
-	e.polls += uint64(total)
-	e.aheadWakes += uint64(total)
-	return true
-}
-
-// PollTicks returns how many wakes of Proc.Poll the engine answered itself —
-// ticks on which it issued a poll that costs, polls that missed — the ones
-// that never reached the heap included. Each is also counted in Events.
-func (e *Engine) PollTicks() uint64 { return e.polls }
-
-// PollAsks returns how many questions — Tick or Hit — the engine put to a
-// Poller, in Proc.Poll and for the wakes it answered. An answer stands until
-// a process runs, so this counts runs more than ticks.
-func (e *Engine) PollAsks() uint64 { return e.asks }
-
 // Backoff is the gap schedule of a poller that may sit idle for long: Base
 // between polls, doubled after every miss once the poller has been idle for
 // After, up to Max and never past it; the next hit puts it back to Base. So a
-// quiet poller does not flood the event queue, while back-to-back work always
-// sees Base.
+// quiet poller's grid thins out, while back-to-back work always sees Base.
 type Backoff struct {
 	Base, After, Max Duration
 	// PollCost is what one missed poll adds to the idle time on top of its
@@ -541,31 +452,20 @@ type Backoff struct {
 	gap, idle Duration
 }
 
-// Gap implements Poller: the gap after one more miss.
+// Gap returns the gap after one more miss, and counts it.
 //
 //hot:path
 func (b *Backoff) Gap() Duration {
 	g := b.Current()
-	b.idle += g + b.PollCost
-	if b.idle >= b.After && g < b.Max {
-		b.gap = min(2*g, b.Max)
-	}
+	b.skip(1)
 	return g
 }
 
-// Misses implements Poller: the gap stays constant until the miss that
-// doubles it, and for good once it has reached Max.
-//
-//hot:path
-func (b *Backoff) Misses(n int64) (Duration, int64) {
+// run returns the gap the next miss gets and how many misses in a row get
+// that same gap (math.MaxInt64: all of them): the gap stays constant until
+// the miss that doubles it, and for good once it has reached Max.
+func (b *Backoff) run() (Duration, int64) {
 	g := b.Current()
-	if n > 0 {
-		b.idle += Duration(n) * (g + b.PollCost)
-		if b.idle >= b.After && g < b.Max {
-			b.gap = min(2*g, b.Max)
-			g = b.gap
-		}
-	}
 	step := g + b.PollCost
 	switch {
 	case g >= b.Max:
@@ -574,6 +474,21 @@ func (b *Backoff) Misses(n int64) (Duration, int64) {
 		return g, 1
 	}
 	return g, int64((b.After - b.idle + step - 1) / step)
+}
+
+// skip counts n misses at once, as n calls of Gap would.
+//
+//hot:path
+func (b *Backoff) skip(n int64) {
+	for n > 0 {
+		g, steady := b.run()
+		k := min(n, steady)
+		b.idle += Duration(k) * (g + b.PollCost)
+		if b.idle >= b.After && g < b.Max {
+			b.gap = min(2*g, b.Max)
+		}
+		n -= k
+	}
 }
 
 // Current returns the gap the next miss will get, without counting one.

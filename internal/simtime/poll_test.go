@@ -10,65 +10,44 @@ import (
 	"testing"
 )
 
-// pollFn is how a test process polls: through the engine or, as the oracle,
+// pollFn is how a test process polls: parked on the Watch or, as the oracle,
 // tick by tick.
-type pollFn func(p *Proc, q Poller, until Time) bool
+type pollFn func(p *Proc, q Poller, wt *Watch, until Time) bool
 
-func enginePoll(p *Proc, q Poller, until Time) bool { return p.Poll(q, until) }
+func enginePoll(p *Proc, q Poller, wt *Watch, until Time) bool { return p.Poll(q, wt, until) }
 
 // loopPoll is the loop Proc.Poll is defined as, written out.
-func loopPoll(p *Proc, q Poller, until Time) bool { return countedLoop(p, q, until, new(uint64)) }
-
-// countedLoop is loopPoll, counting in answered the wakes Proc.Poll leaves
-// to the engine: every tick but the first on which a poll that costs is
-// issued, and every poll that misses but a free first one (Poll asks that one
-// itself).
-func countedLoop(p *Proc, q Poller, until Time, answered *uint64) bool {
-	for first := true; ; first = false {
+func loopPoll(p *Proc, q Poller, wt *Watch, until Time) bool {
+	for {
 		cost, take, _ := q.Tick(p.Now())
 		if take {
 			return false
 		}
 		if cost > 0 {
-			if !first {
-				*answered++
-			}
 			p.Sleep(cost)
 		}
 		if q.Hit() {
 			return true
 		}
-		if cost > 0 || !first {
-			*answered++
-		}
-		p.Sleep(q.Gap())
+		gap := wt.Gap()
+		q.Missed(1)
+		p.Sleep(gap)
 		if until != 0 && p.Now() >= until {
 			return false
 		}
 	}
 }
 
-// cond is a free Poller over a condition, polled every gap.
+// gapWatch is a Watch whose gap is g for good.
+func gapWatch(g Duration) *Watch { return &Watch{Backoff: Backoff{Base: g, Max: g}} }
+
+// cond is a free Poller over a condition.
 type cond struct {
 	Free
 	hit func() bool
-	gap Duration
 }
 
-func (c *cond) Hit() bool     { return c.hit() }
-func (c *cond) Gap() Duration { return c.gap }
-
-func (c *cond) Misses(int64) (Duration, int64) { return c.gap, math.MaxInt64 }
-
-// backoffCond is a free Poller over a condition, polled on a Backoff
-// schedule.
-type backoffCond struct {
-	Free
-	Backoff
-	hit func() bool
-}
-
-func (c *backoffCond) Hit() bool { return c.hit() }
+func (c *cond) Hit() bool { return c.hit() }
 
 // costed makes a Poller's poll take cost, and its ticks the process's own
 // while take says so — or, with flips, while take and the number of flips at
@@ -94,33 +73,19 @@ func (c *costed) Tick(at Time) (Duration, bool, Time) {
 
 func never() bool { return false }
 
-// counted counts what is asked of a Poller. The loop asks Gap exactly once
-// per poll that missed, and so must the engine, since Gap may carry state;
-// Tick and Hit the engine asks no more often than the loop does — once per
-// run of a process, where the loop asks at every instant.
+// counted counts the misses accounted for a Poller: the loop one at a time,
+// Proc.Poll also many at once. They stand for what a miss leaves behind (a
+// load count), so the counts must agree: own for one Poll, all for a world.
 type counted struct {
 	Poller
-	gaps, asks *uint64
+	own uint64
+	all *uint64
 }
 
-func (c *counted) Tick(at Time) (Duration, bool, Time) {
-	*c.asks++
-	return c.Poller.Tick(at)
-}
-
-func (c *counted) Hit() bool {
-	*c.asks++
-	return c.Poller.Hit()
-}
-
-func (c *counted) Gap() Duration {
-	*c.gaps++
-	return c.Poller.Gap()
-}
-
-func (c *counted) Misses(n int64) (Duration, int64) {
-	*c.gaps += uint64(n)
-	return c.Poller.Misses(n)
+func (c *counted) Missed(n int64) {
+	c.own += uint64(n)
+	*c.all += uint64(n)
+	c.Poller.Missed(n)
 }
 
 // rng is splitmix64: the worlds below must not depend on math/rand's stream.
@@ -140,74 +105,85 @@ func (r *rng) n(k int) int { return int(r.next() % uint64(k)) }
 // depend on how the processes interleave.
 func (r *rng) fork() *rng { f := rng(r.next()); return &f }
 
-// pollWorld is the outcome of one generated world.
+// pollWorld is the outcome of one generated world: what its processes can
+// observe.
 type pollWorld struct {
-	log       wakeLog
-	events    uint64
-	maxq      int
-	qlen      int
-	now       Time
-	err       string
-	pollTicks uint64 // Engine.PollTicks
-	// The instants the loop passed through that Proc.Poll leaves to the
-	// engine (countedLoop), of free and of costed polls.
-	answered, answeredCosted uint64
-	gaps                     uint64 // Gap calls, of every poller
-	asks                     uint64 // Tick and Hit calls, of every poller
-	pollAsks                 uint64 // Engine.PollAsks
-	byUntil, byTake          int    // polls that until, or a tick the process took, ended
-	resumed                  bool   // Run was called again after a cut-off
-	ahead                    uint64 // wakes Engine.ahead answered
+	log    wakeLog
+	now    Time
+	err    string
+	misses uint64 // every Missed n, of every poller
+	// What the worlds reach, for the generator's health: polls that until, or
+	// a tick the process took, ended; and whether Run was called again.
+	byUntil, byTake int
+	resumed         bool
+	// Notifies more than histLen runs after the grid point before (longGap).
+	farNotifies int
 }
 
-// A worldShape adds to a generated world one way a process can run between a
-// parked poller's questions, for the engine's memo of their answers
-// (Engine.tick, Engine.hit) to go stale.
+// A worldShape adds to a generated world one source of the wakes of a parked
+// poll, or one way of crowding them.
 type worldShape uint16
 
 const (
 	// bystander runs between the pollers' ticks and touches nothing they
-	// read: each of its runs moves the run epoch and no answer changes (a VE
-	// whose armed loop runs a process on every poll, beside quiet ones).
+	// read.
 	bystander worldShape = 1 << iota
 	// flipBetweenTicks toggles a flag, or a take, between the pollers' ticks,
-	// often taking its own wake in place.
+	// often at one of their instants: a store, notified.
 	flipBetweenTicks
 	// pollerWakesInPlace makes the flag pollers share one flag and poll again
 	// at once after a hit they consumed: a poller's own process changes what
 	// the others read, and a Poll that returned on entry is followed by one
 	// in the same run.
 	pollerWakesInPlace
-	// resumedRun changes the flags and takes from outside the engine after a
-	// cut-off ended Run, raises the cut-off and calls Run again.
+	// resumedRun stops the run, changes the flags and takes from outside the
+	// engine, notifying, and calls Run again.
 	resumedRun
-	// The shapes below are where Engine.ahead answers several parked polls at
-	// once: long stretches in which no process runs.
-	//
 	// steadyPollers adds three to five pollers whose polls cost, each on a
 	// Backoff that has reached its Max, at phases and periods of their own.
 	steadyPollers
 	// tiedPollers adds two to four pollers that start at one instant on the
 	// same pattern (or on its mirror image: cost and gap swapped, or a free
-	// poll every period), so that their wakes tie over and over.
+	// poll every period), so that their grid points tie over and over.
 	tiedPollers
 	// hitInHorizon adds quiet pollers and a setter that raises their flags and
-	// takes at odd times: one of them hits, or its tick is taken, where the
-	// others' wakes would otherwise have been answered on.
+	// takes at odd times: the flag-store world, where one poller hits, or
+	// its tick is taken, while the others stay parked.
 	hitInHorizon
-	// untilTicks adds quiet pollers whose every poll ends at its until tick.
+	// untilTicks adds quiet pollers whose every poll ends at its until tick:
+	// the until wake.
 	untilTicks
-	// cutoffInHorizon adds quiet pollers that never hit and moves MaxEvents or
-	// Deadline to fall among their wakes.
+	// cutoffInHorizon adds quiet pollers that never hit and moves the
+	// Deadline to fall among their grid points.
 	cutoffInHorizon
 	// lapsingTakes adds pollers whose polls cost and whose Tick takes or
 	// leaves the tick by the clock alone, flipping at drawn instants with no
-	// process running, and declares when its answer lapses (a fault window
-	// that opens and closes).
+	// process running, and declares when its answer lapses: the fault-window
+	// lapse wake.
 	lapsingTakes
+	// crashes adds pollers whose polls cost and whose ticks are taken once
+	// their card has crashed, and a crasher that notifies only their watch,
+	// as veos.Card.Kill does: the crash wake.
+	crashes
+	// pushOrFire adds a poller of a queue the Push of which notifies it, and
+	// one of an Event whose Fire does, with nobody else notifying them.
+	pushOrFire
+	// shortHistory starts the engine's delivery history at one entry, so
+	// that it fills, the parked polls settle and it grows all through the
+	// run.
+	shortHistory
 	allShapes = 1<<iota - 1
+	// longGap adds a poller whose gap spans more runs than the delivery
+	// history first holds, a shadow that runs at each of its ticks, before or
+	// after it, a process that runs every picosecond, and a setter: the
+	// notified wake ties with the shadow's, often more than histLen runs after
+	// the grid point it stands for. Only its named world has it.
+	longGap = allShapes + 1
 )
 
+// worldShapes names a world for each shape. The wake sources a parked poll
+// has are each one's own: flag store (hit in a horizon), crash, queue push
+// or Event.Fire, fault-window lapse (lapsing takes) and until (until ticks).
 var worldShapes = []struct {
 	name  string
 	shape worldShape
@@ -222,17 +198,22 @@ var worldShapes = []struct {
 	{"until ticks", untilTicks},
 	{"cut-off in a horizon", cutoffInHorizon},
 	{"lapsing takes", lapsingTakes},
+	{"crash", crashes},
+	{"queue push or Event.Fire", pushOrFire},
+	{"short history", shortHistory},
+	{"long gap", longGap},
 }
 
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
 // queue and an event, with fixed and back-off gaps, free polls or polls that
 // cost and whose ticks are the process's while a flag says so, and optional
-// until; sleepers; flippers of those flags;
-// an event firer with timed-out waiters (stale wakes); a queue producer; a
-// MaxEvents, Deadline or Stop cut-off; and the shapes the seed draws, plus
-// those in force — and runs it with Proc.Poll or, as the oracle, with the
-// loop. All times are small integers, so ticks, load ends, flips and wakes
-// collide at the same timestamp all the time.
+// until; sleepers; flippers of those flags; an event firer with timed-out
+// waiters (stale wakes); a queue producer; a Deadline or Stop cut-off; and
+// the shapes the seed draws, plus those in force — and runs it with Proc.Poll
+// or, as the oracle, with the loop. Every change to what a poller reads
+// notifies every watch, as a store to a watched word does, except where a
+// shape wires a source to one watch. All times are small integers, so ticks,
+// load ends, flips and wakes collide at the same timestamp all the time.
 func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	w := &pollWorld{}
 	e := NewEngine()
@@ -241,20 +222,32 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	// without them is the world it always was; each is in one world of four.
 	sr := rng(seed ^ 0x5ca1ab1e)
 	shapes := force | worldShape(sr.n(allShapes+1)&sr.n(allShapes+1))
+	if shapes&shortHistory != 0 {
+		e.hist, e.points = make([]delivered, 1), make([]point, 1)
+	}
 	var flags [3]bool
 	var takes [2]bool
+	var watches, quietWatches []*Watch // notified by every change, and by their own source only
+	changed := func() {
+		for _, wt := range watches {
+			wt.Notify()
+		}
+	}
 	q := NewQueue[int](e, "q")
 	ev := NewEvent(e)
-	poll := func(p *Proc, pl Poller, until Time) bool {
-		n := &w.answered
-		if _, ok := pl.(*costed); ok {
-			n = &w.answeredCosted
+	// watch makes a Watch over the schedule b that every change notifies.
+	watch := func(b Backoff) *Watch {
+		wt := &Watch{Backoff: b}
+		watches = append(watches, wt)
+		return wt
+	}
+	// poll polls pl on wt and reports the misses of this Poll alone.
+	poll := func(p *Proc, pl Poller, wt *Watch, until Time) (bool, uint64) {
+		c := &counted{Poller: pl, all: &w.misses}
+		if byLoop {
+			return loopPoll(p, c, wt, until), c.own
 		}
-		pl = &counted{Poller: pl, gaps: &w.gaps, asks: &w.asks}
-		if !byLoop {
-			return p.Poll(pl, until)
-		}
-		return countedLoop(p, pl, until, n)
+		return p.Poll(c, wt, until), c.own
 	}
 
 	for i, n := 0, 1+r.n(4); i < n; i++ {
@@ -270,15 +263,16 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			if shapes&pollerWakesInPlace != 0 {
 				f = 0
 			}
-			hit, consume = func() bool { return flags[f] }, func() { flags[f] = false }
+			hit, consume = func() bool { return flags[f] }, func() { flags[f] = false; changed() }
 		}
-		var pl Poller = &cond{hit: hit, gap: Duration(1 + pr.n(5))}
-		reset := func() {}
+		var pl Poller = &cond{hit: hit}
+		gap := Duration(1 + pr.n(5))
+		b := Backoff{Base: gap, Max: gap}
 		if pr.n(3) == 0 {
 			base := Duration(1 + pr.n(3))
-			b := &backoffCond{hit: hit, Backoff: Backoff{Base: base, After: Duration(3 + pr.n(20)), Max: base << pr.n(4)}}
-			pl, reset = b, b.Reset
+			b = Backoff{Base: base, After: Duration(3 + pr.n(20)), Max: base << pr.n(4)}
 		}
+		wt := watch(b)
 		take := never
 		if pr.n(2) == 0 {
 			t := &takes[pr.n(2)]
@@ -291,8 +285,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				if pr.n(2) == 0 {
 					until = p.Now().Add(Duration(1 + pr.n(30)))
 				}
-				gaps := w.gaps
-				got := poll(p, pl, until)
+				got, misses := poll(p, pl, wt, until)
 				switch {
 				case got:
 				case take():
@@ -300,10 +293,10 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				default:
 					w.byUntil++
 				}
-				w.log.rec(p, fmt.Sprintf("poll hit=%v gaps=%d", got, w.gaps-gaps))
+				w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
 				if got {
 					consume()
-					reset()
+					wt.Reset()
 					if shapes&pollerWakesInPlace != 0 {
 						continue // and poll again, in the same run
 					}
@@ -333,6 +326,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				} else {
 					takes[f-len(flags)] = pr.n(4) == 0
 				}
+				changed()
 				w.log.rec(p, "flip")
 			}
 		})
@@ -341,6 +335,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		e.Spawn("firer", func(p *Proc) {
 			p.Sleep(Duration(pr.n(40)))
 			ev.Fire()
+			changed()
 			w.log.rec(p, "fire")
 		})
 		e.Spawn("waiter", func(p *Proc) {
@@ -353,6 +348,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			for k, n := 0, 1+pr.n(5); k < n; k++ {
 				p.Sleep(Duration(pr.n(10)))
 				q.Push(k)
+				changed()
 				w.log.rec(p, "push")
 			}
 		})
@@ -379,27 +375,27 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				} else {
 					takes[0] = !takes[0]
 				}
+				changed()
 				w.log.rec(p, "flip")
 			}
 		})
 	}
-	// quiet spawns a process that waits delay and then polls pl rounds times,
-	// each until the time until draws (0: none).
-	quiet := func(name string, pl Poller, delay Duration, rounds int, until func(p *Proc) Time) {
+	// quiet spawns a process that waits delay and then polls pl on wt rounds
+	// times, each until the time until draws (0: none).
+	quiet := func(name string, pl Poller, wt *Watch, delay Duration, rounds int, until func(p *Proc) Time) {
 		e.Spawn(name, func(p *Proc) {
 			p.Sleep(delay)
 			for k := 0; k < rounds; k++ {
-				gaps := w.gaps
-				got := poll(p, pl, until(p))
-				w.log.rec(p, fmt.Sprintf("poll hit=%v gaps=%d", got, w.gaps-gaps))
+				got, misses := poll(p, pl, wt, until(p))
+				w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
 			}
 		})
 	}
 	noUntil := func(*Proc) Time { return 0 }
-	// constGap is a poll of flag f every gap, costing cost (0: free); its ticks
-	// are the process's while take says so.
-	constGap := func(f int, gap, cost Duration, take func() bool) Poller {
-		pl := Poller(&cond{hit: func() bool { return f < len(flags) && flags[f] }, gap: gap})
+	// flagPoll is a poll of flag f (none past the flags), costing cost (0:
+	// free); its ticks are the process's while take says so.
+	flagPoll := func(f int, cost Duration, take func() bool) Poller {
+		pl := Poller(&cond{hit: func() bool { return f < len(flags) && flags[f] }})
 		if cost > 0 {
 			pl = &costed{Poller: pl, cost: cost, take: take}
 		}
@@ -409,38 +405,37 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		pr := sr.fork()
 		for i, n := 0, 3+pr.n(3); i < n; i++ {
 			base, f := Duration(1+pr.n(3)), pr.n(len(flags))
-			b := &backoffCond{hit: func() bool { return flags[f] }, Backoff: Backoff{
-				Base: base, After: Duration(pr.n(4)), Max: base << (1 + pr.n(3)), PollCost: Duration(pr.n(2)),
-			}}
-			for b.Current() < b.Max {
-				b.Gap()
+			wt := watch(Backoff{Base: base, After: Duration(pr.n(4)), Max: base << (1 + pr.n(3)), PollCost: Duration(pr.n(2))})
+			for wt.Current() < wt.Max {
+				wt.Gap()
 			}
-			pl := &costed{Poller: b, cost: Duration(1 + pr.n(4)), take: never}
-			quiet(fmt.Sprintf("steady%d", i), pl, Duration(pr.n(8)), 1+pr.n(3), noUntil)
+			quiet(fmt.Sprintf("steady%d", i), flagPoll(f, Duration(1+pr.n(4)), never), wt, Duration(pr.n(8)), 1+pr.n(3), noUntil)
 		}
 	}
 	if shapes&tiedPollers != 0 {
 		pr := sr.fork()
 		c, g, f := Duration(1+pr.n(3)), Duration(1+pr.n(3)), pr.n(len(flags)+1)
-		patterns := []func() Poller{
-			func() Poller { return constGap(f, g, c, never) },
-			func() Poller { return constGap(f, c, g, never) },
-			func() Poller { return constGap(f, c+g, 0, never) },
+		patterns := []func() (Poller, *Watch){
+			func() (Poller, *Watch) { return flagPoll(f, c, never), watch(Backoff{Base: g, Max: g}) },
+			func() (Poller, *Watch) { return flagPoll(f, g, never), watch(Backoff{Base: c, Max: c}) },
+			func() (Poller, *Watch) { return flagPoll(f, 0, never), watch(Backoff{Base: c + g, Max: c + g}) },
 		}
 		for i, n := 0, 2+pr.n(3); i < n; i++ {
 			k := 0
 			if i >= 2 {
 				k = pr.n(len(patterns))
 			}
-			quiet(fmt.Sprintf("tied%d", i), patterns[k](), 0, 1+pr.n(3), noUntil)
+			pl, wt := patterns[k]()
+			quiet(fmt.Sprintf("tied%d", i), pl, wt, 0, 1+pr.n(3), noUntil)
 		}
 	}
 	if shapes&hitInHorizon != 0 {
 		pr := sr.fork()
 		for i, n := 0, 2+pr.n(3); i < n; i++ {
 			t := &takes[pr.n(2)]
-			pl := constGap(pr.n(len(flags)), Duration(1+pr.n(4)), Duration(pr.n(4)), func() bool { return *t })
-			quiet(fmt.Sprintf("hitter%d", i), pl, Duration(pr.n(5)), 1+pr.n(4), noUntil)
+			g := Duration(1 + pr.n(4))
+			pl := flagPoll(pr.n(len(flags)), Duration(pr.n(4)), func() bool { return *t })
+			quiet(fmt.Sprintf("hitter%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1+pr.n(4), noUntil)
 		}
 		sp := pr.fork()
 		e.Spawn("setter", func(p *Proc) {
@@ -451,6 +446,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				} else {
 					takes[sp.n(2)] = sp.n(2) == 0
 				}
+				changed()
 				w.log.rec(p, "set")
 			}
 		})
@@ -458,9 +454,10 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	if shapes&untilTicks != 0 {
 		pr := sr.fork()
 		for i, n := 0, 2+pr.n(3); i < n; i++ {
-			pl := constGap(len(flags), Duration(1+pr.n(4)), Duration(pr.n(4)), never)
+			g := Duration(1 + pr.n(4))
+			pl := flagPoll(len(flags), Duration(pr.n(4)), never)
 			ur := pr.fork()
-			quiet(fmt.Sprintf("until%d", i), pl, Duration(pr.n(5)), 1+pr.n(4), func(p *Proc) Time {
+			quiet(fmt.Sprintf("until%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1+pr.n(4), func(p *Proc) Time {
 				return p.Now().Add(Duration(1 + ur.n(60)))
 			})
 		}
@@ -468,8 +465,9 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	if shapes&cutoffInHorizon != 0 {
 		pr := sr.fork()
 		for i, n := 0, 2+pr.n(3); i < n; i++ {
-			pl := constGap(len(flags), Duration(1+pr.n(4)), Duration(pr.n(4)), never)
-			quiet(fmt.Sprintf("endless%d", i), pl, Duration(pr.n(5)), 1, noUntil)
+			g := Duration(1 + pr.n(4))
+			pl := flagPoll(len(flags), Duration(pr.n(4)), never)
+			quiet(fmt.Sprintf("endless%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1, noUntil)
 		}
 	}
 	if shapes&lapsingTakes != 0 {
@@ -480,25 +478,105 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				flips[k] = Time(1 + pr.n(300))
 			}
 			slices.Sort(flips)
-			pl := &costed{Poller: &cond{hit: func() bool { return flags[0] }, gap: Duration(1 + pr.n(4))},
+			g := Duration(1 + pr.n(4))
+			pl := &costed{Poller: &cond{hit: func() bool { return flags[0] }},
 				cost: Duration(1 + pr.n(4)), take: never, flips: flips}
-			quiet(fmt.Sprintf("lapsing%d", i), pl, Duration(pr.n(5)), 1+pr.n(6), noUntil)
+			quiet(fmt.Sprintf("lapsing%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1+pr.n(6), noUntil)
+		}
+	}
+	if shapes&crashes != 0 {
+		pr := sr.fork()
+		for i, n := 0, 1+pr.n(3); i < n; i++ {
+			crashed := false
+			base := Duration(1 + pr.n(3))
+			wt := &Watch{Backoff: Backoff{Base: base, After: Duration(pr.n(30)), Max: base << pr.n(3)}}
+			quietWatches = append(quietWatches, wt)
+			pl := &costed{Poller: &cond{hit: never}, cost: Duration(pr.n(4)), take: func() bool { return crashed }}
+			quiet(fmt.Sprintf("card%d", i), pl, wt, Duration(pr.n(5)), 1, noUntil)
+			cr := pr.fork()
+			e.Spawn(fmt.Sprintf("crasher%d", i), func(p *Proc) {
+				p.Sleep(Duration(cr.n(120)))
+				crashed = true
+				wt.Notify()
+				w.log.rec(p, "crash")
+			})
+		}
+	}
+	if shapes&pushOrFire != 0 {
+		pr := sr.fork()
+		jobs, done := NewQueue[int](e, "jobs"), NewEvent(e)
+		for i, source := range []struct {
+			hit    func() bool
+			notify func(*Watch)
+		}{{func() bool { return jobs.Len() > 0 }, jobs.Notifies}, {done.Fired, done.Notifies}} {
+			g := Duration(1 + pr.n(4))
+			wt := &Watch{Backoff: Backoff{Base: g, After: Duration(pr.n(20)), Max: g << pr.n(3)}}
+			quietWatches = append(quietWatches, wt)
+			source.notify(wt)
+			var pl Poller = &cond{hit: source.hit}
+			if pr.n(2) == 0 {
+				pl = &costed{Poller: pl, cost: Duration(1 + pr.n(3)), take: never}
+			}
+			quiet(fmt.Sprintf("source%d", i), pl, wt, Duration(pr.n(5)), 1, noUntil)
+		}
+		sp := pr.fork()
+		e.Spawn("pusher", func(p *Proc) {
+			p.Sleep(Duration(sp.n(80)))
+			jobs.Push(1)
+			w.log.rec(p, "push")
+			p.Sleep(Duration(sp.n(80)))
+			done.Fire()
+			w.log.rec(p, "fire")
+		})
+	}
+
+	if shapes&longGap != 0 {
+		pr := sr.fork()
+		g := Duration(2*histLen + pr.n(histLen))
+		set := false
+		wt := &Watch{Backoff: Backoff{Base: g, Max: g}}
+		quietWatches = append(quietWatches, wt)
+		shadow := func(p *Proc) {
+			for k := 0; k < 4; k++ {
+				p.Sleep(g)
+				w.log.rec(p, "shadow")
+			}
+		}
+		first := pr.n(2) == 0
+		if first {
+			e.Spawn("shadow", shadow)
+		}
+		quiet("long", &cond{hit: func() bool { return set }}, wt, 0, 1, noUntil)
+		if !first {
+			e.Spawn("shadow", shadow)
+		}
+		e.Spawn("busy", func(p *Proc) {
+			for k := Duration(0); k < 4*g; k++ {
+				p.Sleep(1)
+			}
+		})
+		at := Duration(1 + pr.n(int(3*g)))
+		e.Spawn("setter", func(p *Proc) {
+			p.Sleep(at)
+			set = true
+			wt.Notify()
+			w.log.rec(p, "set")
+		})
+		if at%g > histLen {
+			w.farNotifies++
 		}
 	}
 
-	// A poller nobody answers polls for ever; the deadline ends the run of an
-	// engine that lost count.
-	e.MaxEvents, e.Deadline = 1500, 5000
-	pr, cut := r.fork(), r.n(4)
+	// A poller nobody answers polls for ever; the deadline ends the run.
+	e.Deadline = 5000
+	pr, cut := r.fork(), r.n(3)
 	if shapes&resumedRun != 0 {
-		cut %= 2 // a cut-off that Run can be called again after
+		cut = 1
 	}
 	switch cut {
 	case 0:
-		e.MaxEvents = uint64(3 + pr.n(150))
-	case 1:
 		e.Deadline = Time(3 + pr.n(80))
-	case 2:
+	case 1:
 		e.Spawn("stopper", func(p *Proc) {
 			p.Sleep(Duration(pr.n(60)))
 			w.log.rec(p, "stop")
@@ -506,33 +584,36 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		})
 	}
 	if shapes&cutoffInHorizon != 0 {
-		if sr.n(2) == 0 {
-			e.MaxEvents = uint64(20 + sr.n(400))
-		} else {
-			e.Deadline = Time(20 + sr.n(300))
-		}
+		e.Deadline = Time(20 + sr.n(300))
 	}
 
 	err := e.Run()
-	if shapes&resumedRun != 0 && err != nil && !errors.Is(err, ErrDeadlock) {
-		w.err, w.resumed = err.Error()+"; then ", true
+	if shapes&resumedRun != 0 && err == nil && e.stop {
+		w.err, w.resumed = "stopped; then ", true
 		for i := range flags {
 			flags[i] = !flags[i]
 		}
 		takes[0], takes[1] = !takes[0], !takes[1]
-		e.MaxEvents, e.Deadline = e.Events()+uint64(3+sr.n(150)), e.Now().Add(Duration(3+sr.n(80)))
+		changed()
+		e.stop = false
+		e.Deadline = Time(60 + sr.n(200))
 		err = e.Run()
 	}
 	switch {
 	case errors.Is(err, ErrDeadlock):
-		// A resumed run can lose a process with the wake the cut-off took:
-		// the report names what it parked in, a poll or the loop's sleep.
 		w.err += ErrDeadlock.Error()
+	case errors.Is(err, ErrDeadline):
+		// Where the loop's quiet ticks ran into the deadline, parked polls
+		// report it on an idle engine: the kind is what both can tell.
+		w.err += ErrDeadline.Error()
 	case err != nil:
 		w.err += err.Error()
 	}
-	w.events, w.maxq, w.qlen, w.now, w.pollTicks = e.Events(), e.MaxQueueLen(), e.QueueLen(), e.Now(), e.PollTicks()
-	w.pollAsks, w.ahead = e.PollAsks(), e.aheadWakes
+	// What a process reading the clock and the counters after Run sees.
+	for _, wt := range append(watches, quietWatches...) {
+		wt.Settle()
+	}
+	w.now = e.Now()
 	e.Shutdown()
 	return w
 }
@@ -555,132 +636,117 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 			}
 		}
 	}
-	if byEngine.events != byLoop.events || byEngine.maxq != byLoop.maxq || byEngine.qlen != byLoop.qlen ||
-		byEngine.now != byLoop.now || byEngine.err != byLoop.err {
-		t.Fatalf("seed %d: Events, MaxQueueLen, QueueLen, Now, Run error\n  with Poll     %d, %d, %d, %d, %q\n  with the loop %d, %d, %d, %d, %q", seed,
-			byEngine.events, byEngine.maxq, byEngine.qlen, int64(byEngine.now), byEngine.err,
-			byLoop.events, byLoop.maxq, byLoop.qlen, int64(byLoop.now), byLoop.err)
+	if byEngine.now != byLoop.now || byEngine.err != byLoop.err {
+		t.Fatalf("seed %d: Now, Run error\n  with Poll     %d, %q\n  with the loop %d, %q", seed,
+			int64(byEngine.now), byEngine.err, int64(byLoop.now), byLoop.err)
 	}
-	if answered := byLoop.answered + byLoop.answeredCosted; byLoop.pollTicks != 0 || byEngine.pollTicks != answered {
-		t.Fatalf("seed %d: the loop passed through %d instants Poll leaves to the engine (and PollTicks = %d); with Poll PollTicks = %d",
-			seed, answered, byLoop.pollTicks, byEngine.pollTicks)
-	}
-	if byEngine.gaps != byLoop.gaps {
-		t.Fatalf("seed %d: Gap was called %d times with Poll, %d with the loop", seed, byEngine.gaps, byLoop.gaps)
-	}
-	if byEngine.asks > byLoop.asks || byEngine.pollAsks != byEngine.asks {
-		t.Fatalf("seed %d: Tick and Hit were asked %d times with Poll (PollAsks %d), %d with the loop",
-			seed, byEngine.asks, byEngine.pollAsks, byLoop.asks)
+	if byEngine.misses != byLoop.misses {
+		t.Fatalf("seed %d: %d misses accounted with Poll, %d with the loop", seed, byEngine.misses, byLoop.misses)
 	}
 	return byEngine, byLoop
 }
 
 // Proc.Poll against the loop it is defined as, over generated worlds: the
-// same deliveries (process, time, reason) in the same order, the same Events,
-// MaxQueueLen, QueueLen, Now and Run error, Gap called as often (per poll
-// and in all, misses accounted at once by Misses included), Tick and Hit
-// asked no more often, and PollTicks counting exactly the instants the loop's
-// process only passed through. Each named world forces one shape on every
-// seed: where a memo of the answers that outlived its run would show, where
-// Engine.ahead answers several parked polls at once, and where a Tick answer
-// kept past its lapse would show.
+// same deliveries (process, time, reason, and the misses of each poll) in the
+// same order, the same Run error kind, the same Now and every miss accounted
+// once. Events, MaxQueueLen and QueueLen are not compared: a parked poll's
+// misses are no events. Each named world forces one shape on every seed.
 func TestPollEquivalence(t *testing.T) {
 	for _, ws := range worldShapes {
 		t.Run(ws.name, func(t *testing.T) {
-			var saved, ahead uint64
-			resumed := 0
+			resumed, far := 0, 0
+			var misses uint64
 			for seed := uint64(0); seed < 300; seed++ {
-				w, loop := checkPollWorld(t, seed, ws.shape)
-				saved += loop.asks - w.asks
-				ahead += w.ahead
+				w, _ := checkPollWorld(t, seed, ws.shape)
+				misses += w.misses
+				far += w.farNotifies
 				if w.resumed {
 					resumed++
 				}
 			}
-			if saved < 5_000 || (ws.shape == resumedRun && resumed < 200) || (ws.shape >= steadyPollers && ahead < 1_000) {
-				t.Errorf("300 worlds saved %d questions, resumed %d runs and answered %d wakes ahead: the generator has gone soft", saved, resumed, ahead)
+			if misses < 5_000 || (ws.shape == resumedRun && resumed < 200) || (ws.shape == longGap && far < 100) {
+				t.Errorf("300 worlds accounted %d misses, resumed %d runs and notified %d polls far past their grid point: the generator has gone soft",
+					misses, resumed, far)
 			}
 		})
 	}
-	var ticks, costed, ahead uint64
-	var byUntil, byTake, deadlines, limits, clean int
+	var misses uint64
+	var byUntil, byTake, deadlines, clean int
 	for seed := uint64(0); seed < 1000; seed++ {
-		w, loop := checkPollWorld(t, seed, 0)
-		ticks += w.pollTicks
-		costed += loop.answeredCosted
-		ahead += w.ahead
+		w, _ := checkPollWorld(t, seed, 0)
+		misses += w.misses
 		byUntil += w.byUntil
 		byTake += w.byTake
 		switch {
 		case strings.Contains(w.err, "deadline"):
 			deadlines++
-		case strings.Contains(w.err, "event limit"):
-			limits++
 		case w.err == "":
 			clean++
 		}
 	}
-	t.Logf("ticks=%d costed=%d ahead=%d byUntil=%d byTake=%d deadlines=%d limits=%d clean=%d", ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
+	t.Logf("misses=%d byUntil=%d byTake=%d deadlines=%d clean=%d", misses, byUntil, byTake, deadlines, clean)
 	// The generator must keep reaching what the comparison is about.
-	if ticks < 50_000 || costed < 20_000 || ahead < 20_000 || byUntil < 300 || byTake < 300 || deadlines < 100 || limits < 100 || clean < 100 {
-		t.Errorf("1000 worlds had %d engine-answered wakes (%d of polls that cost, %d ahead), %d polls ended by until, %d by a tick the process took, %d deadline, %d event-limit and %d clean runs: the generator has gone soft",
-			ticks, costed, ahead, byUntil, byTake, deadlines, limits, clean)
+	if misses < 50_000 || byUntil < 300 || byTake < 300 || deadlines < 100 || clean < 100 {
+		t.Errorf("1000 worlds accounted %d misses, %d polls ended by until, %d by a tick the process took, %d deadline and %d clean runs: the generator has gone soft",
+			misses, byUntil, byTake, deadlines, clean)
 	}
 }
 
 func FuzzPollEquivalence(f *testing.F) {
-	// The last four are worlds of polls that cost, where a tick the process
-	// takes ends a poll more than once. The seed draws the world's shapes,
-	// the horizon worlds among them: steady pollers, tied pollers, a hit in
-	// a horizon, until ticks, a cut-off in a horizon.
+	// The seed draws the world's shapes.
 	for _, seed := range []uint64{0, 1, 7, 31, 1 << 40, 1007, 1021, 1195, 1234} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) { checkPollWorld(t, seed, 0) })
 }
 
-// PollTicks counts exactly the ticks that missed, skipped ones included, and
-// each of them is an event.
-func TestPollTicksCountsMisses(t *testing.T) {
+// A quiet poll is no event: Poll parks once, and the misses it passed over
+// are accounted at the wake, one Missed for all of them.
+func TestPollCountsSkippedMisses(t *testing.T) {
 	e := NewEngine()
 	flag := false
+	wt := gapWatch(3)
+	var misses, calls uint64
+	pl := &counted{Poller: &cond{hit: func() bool { return flag }}, all: &misses}
 	e.Spawn("poll", func(p *Proc) {
-		p.Poll(&cond{hit: func() bool { return flag }, gap: 3}, 0)
-		if p.Now() != 102 {
-			t.Errorf("poll returned at %v, want 102ps", p.Now())
+		p.Poll(pl, wt, 0)
+		if p.Now() != 102 || misses != 34 {
+			t.Errorf("poll returned at %v after %d misses, want 102ps and 34", p.Now(), misses)
 		}
-		p.Poll(&cond{hit: never, gap: 5}, p.Now().Add(12)) // ticks at 107, 112, 117
-		if p.Now() != 117 {
-			t.Errorf("poll with until returned at %v, want 117ps", p.Now())
+		p.Poll(&counted{Poller: &cond{hit: never}, all: &calls}, gapWatch(5), p.Now().Add(12)) // ticks at 107, 112, 117
+		if p.Now() != 117 || calls != 3 {
+			t.Errorf("poll with until returned at %v after %d misses, want 117ps and 3", p.Now(), calls)
 		}
 	})
 	e.Spawn("set", func(p *Proc) {
 		p.Sleep(100)
 		flag = true
+		wt.Notify()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Ticks 3..99 miss (33), 102 hits; 107 and 112 miss, 117 is until.
-	// Events: 2 spawns, set's wake, 34 + 3 ticks.
-	if e.PollTicks() != 35 || e.Events() != 40 {
-		t.Errorf("PollTicks, Events = %d, %d, want 35, 40", e.PollTicks(), e.Events())
+	// 2 spawns, set's wake, the hit at 102 and the until at 117.
+	if e.Events() != 5 {
+		t.Errorf("Events = %d, want 5", e.Events())
 	}
 }
 
-// A Hit that parks is refused by name, whether the engine evaluates it on the
-// poller's own stack, on another process's, or on Run's.
+// A Hit that parks is refused by name, whether it is asked on the poller's
+// own stack, on a notifying process's, or outside any process, on the
+// goroutine that drives the engine.
 func TestHitMustNotPark(t *testing.T) {
 	const want = `simtime: the Poller of process "bad" parked inside Tick or Hit`
-	parksAfter := func(e *Engine, calls int) (bad *Proc, pl Poller) {
-		pl = &cond{gap: 2, hit: func() bool {
+	parksAfter := func(e *Engine, calls int) (bad *Proc, wt *Watch) {
+		wt = gapWatch(2)
+		pl := &cond{hit: func() bool {
 			if calls--; calls < 0 {
 				bad.Sleep(1)
 			}
 			return false
 		}}
-		bad = e.Spawn("bad", func(p *Proc) { p.Poll(pl, 0) })
-		return bad, pl
+		bad = e.Spawn("bad", func(p *Proc) { p.Poll(pl, wt, 0) })
+		return bad, wt
 	}
 	t.Run("own stack", func(t *testing.T) {
 		e := NewEngine()
@@ -693,10 +759,10 @@ func TestHitMustNotPark(t *testing.T) {
 	})
 	t.Run("another process's stack", func(t *testing.T) {
 		e := NewEngine()
-		parksAfter(e, 1)
+		_, wt := parksAfter(e, 1)
 		e.Spawn("bystander", func(p *Proc) {
 			p.Sleep(1)
-			p.Sleep(10) // parks with bad's tick next in line
+			wt.Notify() // asks bad's Hit
 		})
 		err := e.Run()
 		e.Shutdown()
@@ -706,16 +772,19 @@ func TestHitMustNotPark(t *testing.T) {
 	})
 	t.Run("Run's stack", func(t *testing.T) {
 		e := NewEngine()
-		parksAfter(e, 1)
-		e.Spawn("bystander", func(*Proc) {}) // its spawn wake makes bad yield to Run
+		_, wt := parksAfter(e, 1)
+		e.Deadline = 10
+		if err := e.Run(); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("Run = %v, want the deadline a parked poll runs into", err)
+		}
 		defer func() {
 			if r := recover(); r != want {
-				t.Fatalf("Run panicked with %v, want %q", r, want)
+				t.Fatalf("Notify panicked with %v, want %q", r, want)
 			}
 			e.Shutdown()
 		}()
-		_ = e.Run()
-		t.Fatal("Run returned")
+		wt.Notify()
+		t.Fatal("Notify returned")
 	})
 }
 
@@ -723,11 +792,11 @@ func TestHitMustNotPark(t *testing.T) {
 func TestTickMustNotPark(t *testing.T) {
 	e := NewEngine()
 	var bad *Proc
-	pl := &costed{Poller: &cond{hit: never, gap: 2}, cost: 1, take: func() bool {
+	pl := &costed{Poller: &cond{hit: never}, cost: 1, take: func() bool {
 		bad.Sleep(1)
 		return false
 	}}
-	bad = e.Spawn("bad", func(p *Proc) { p.Poll(pl, 0) })
+	bad = e.Spawn("bad", func(p *Proc) { p.Poll(pl, gapWatch(2), 0) })
 	err := e.Run()
 	e.Shutdown()
 	const want = `simtime: process "bad" panicked: simtime: the Poller of process "bad" parked inside Tick or Hit`
@@ -736,22 +805,61 @@ func TestTickMustNotPark(t *testing.T) {
 	}
 }
 
-// The waiter a poll parked on carries no Poller into the process's next park:
-// a plain Sleep after a Poll whose condition has gone false again is a Sleep.
+// The waiter a poll parked on carries no Poller into the process's next park,
+// and the Watch lets it go: a plain Sleep after a Poll is a Sleep, and a
+// notify of the Watch then wakes nobody.
 func TestScratchWaiterForgetsPoller(t *testing.T) {
 	e := NewEngine()
 	flag := true
+	wt := gapWatch(2)
 	e.Spawn("p", func(p *Proc) {
-		pl := &cond{hit: func() bool { return flag }, gap: 2}
+		pl := &cond{hit: func() bool { return flag }}
 		flag = false
-		p.Spawn("set", func(c *Proc) { c.Sleep(5); flag = true })
-		p.Poll(pl, 0) // hits on the tick at 6
-		flag = false
-		ticks := e.PollTicks()
-		p.Sleep(10)
-		if p.Now() != 16 || e.PollTicks() != ticks {
-			t.Errorf("Sleep(10) after a Poll ended at %v with %d more poll ticks, want 16ps and none", p.Now(), e.PollTicks()-ticks)
+		p.Spawn("set", func(c *Proc) { c.Sleep(5); flag = true; wt.Notify() })
+		p.Poll(pl, wt, 0) // hits on the tick at 6
+		if p.Now() != 6 || p.scratch.poll != nil || wt.w != nil {
+			t.Errorf("Poll returned at %v, holding poller %v on watch %v; want 6ps and neither", p.Now(), p.scratch.poll, wt.w)
 		}
+		p.Spawn("notify", func(c *Proc) { c.Sleep(3); wt.Notify() })
+		p.Sleep(10)
+		if p.Now() != 16 {
+			t.Errorf("Sleep(10) after a Poll ended at %v, want 16ps", p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Time.Add saturates, so a timeout of the largest Duration never comes: a
+// WaitTimeout for it waits for the Fire, and a poll until it waits for its
+// hit.
+func TestMaxTimeoutNeverExpires(t *testing.T) {
+	if got := Time(1).Add(Duration(math.MaxInt64)); got != math.MaxInt64 {
+		t.Errorf("1ps + MaxInt64 = %d, want MaxInt64", int64(got))
+	}
+	if got := Time(-1).Add(Duration(math.MinInt64)); got != math.MinInt64 {
+		t.Errorf("-1ps + MinInt64 = %d, want MinInt64", int64(got))
+	}
+	e := NewEngine()
+	ev := NewEvent(e)
+	flag := false
+	wt := gapWatch(4)
+	e.Spawn("wait", func(p *Proc) {
+		p.Sleep(1)
+		if !ev.WaitTimeout(p, Duration(math.MaxInt64)) || p.Now() != 10 {
+			t.Errorf("WaitTimeout(MaxInt64) from 1ps returned at %v without the Fire at 10ps", p.Now())
+		}
+		if !p.Poll(&cond{hit: func() bool { return flag }}, wt, p.Now().Add(Duration(math.MaxInt64))) || p.Now() != 22 {
+			t.Errorf("Poll until the end of time returned at %v without the hit at 22ps", p.Now())
+		}
+	})
+	e.Spawn("fire", func(p *Proc) {
+		p.Sleep(10)
+		ev.Fire()
+		p.Sleep(11)
+		flag = true
+		wt.Notify()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -780,6 +888,27 @@ func TestBackoffSchedule(t *testing.T) {
 		}
 		if peak != base*factor || interval != base {
 			t.Fatalf("cost %v: the reference peaked at %v and ended at %v, want %v and %v", cost, peak, interval, base*factor, base)
+		}
+	}
+}
+
+// skip(n) leaves a Backoff where n calls of Gap would, across the runs of
+// constant gaps and the doublings between them.
+func TestBackoffSkip(t *testing.T) {
+	for _, b := range []Backoff{
+		{Base: 3, After: 40, Max: 3 << 5, PollCost: 2},
+		{Base: 5, After: 0, Max: 5 << 3},
+		{Base: 7, After: 1000, Max: 7},
+	} {
+		for n := int64(0); n < 60; n++ {
+			byGap, bySkip := b, b
+			for range n {
+				byGap.Gap()
+			}
+			bySkip.skip(n)
+			if byGap != bySkip {
+				t.Fatalf("%+v: skip(%d) = %+v, %d Gaps = %+v", b, n, bySkip, n, byGap)
+			}
 		}
 	}
 }

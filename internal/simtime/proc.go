@@ -95,6 +95,7 @@ type Event struct {
 	eng     *Engine
 	fired   bool
 	waiters []*waiter
+	watch   *Watch // notified on Fire (Notifies)
 }
 
 // NewEvent returns an unfired event bound to the engine.
@@ -103,13 +104,20 @@ func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 // Fired reports whether Fire has been called.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Fire releases all waiters at the current simulated time. Firing an already
-// fired event is a no-op.
+// Notifies makes Fire notify w, for a poll that waits for the event on its
+// own grid.
+func (ev *Event) Notifies(w *Watch) { ev.watch = w }
+
+// Fire releases all waiters at the current simulated time, and notifies the
+// Watch set by Notifies. Firing an already fired event is a no-op.
 func (ev *Event) Fire() {
 	if ev.fired {
 		return
 	}
 	ev.fired = true
+	if ev.watch != nil {
+		ev.watch.Notify()
+	}
 	for _, w := range ev.waiters {
 		if !w.woken {
 			ev.eng.schedule(ev.eng.now, w, reasonEvent)

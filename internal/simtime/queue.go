@@ -47,6 +47,7 @@ type Queue[T any] struct {
 	name    string
 	items   fifo[T]
 	waiters fifo[*waiter]
+	watch   *Watch // notified on Push (Notifies)
 
 	// Park labels are precomputed here so that the blocking paths do not
 	// rebuild "queue <name>" by string concatenation on every empty-queue
@@ -71,7 +72,14 @@ func (q *Queue[T]) Len() int { return q.items.len() }
 func (q *Queue[T]) Push(v T) {
 	q.items.push(v)
 	q.wakeOne()
+	if q.watch != nil {
+		q.watch.Notify()
+	}
 }
+
+// Notifies makes Push notify w, for a poll that waits for items on its own
+// grid.
+func (q *Queue[T]) Notifies(w *Watch) { q.watch = w }
 
 func (q *Queue[T]) wakeOne() {
 	for q.waiters.len() > 0 {

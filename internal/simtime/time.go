@@ -14,7 +14,10 @@
 // resolution and accumulate large errors over a bandwidth sweep.
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is an absolute simulation timestamp in picoseconds since the start of
 // the simulation.
@@ -32,8 +35,18 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Add returns the time d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the time d after t, saturating at the bounds of Time: a
+// timeout of math.MaxInt64 is the end of time, not a time in the past.
+func (t Time) Add(d Duration) Time {
+	s := t + Time(d)
+	switch {
+	case d > 0 && s < t:
+		return math.MaxInt64
+	case d < 0 && s > t:
+		return math.MinInt64
+	}
+	return s
+}
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }

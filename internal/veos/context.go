@@ -2,7 +2,6 @@ package veos
 
 import (
 	"fmt"
-	"math"
 
 	"hamoffload/internal/dma"
 	"hamoffload/internal/simtime"
@@ -33,10 +32,12 @@ type Command struct {
 	Kernel Kernel
 	Args   []uint64
 
-	done    *simtime.Event
-	pollGap simtime.Duration // between Wait's looks at done
-	result  uint64
-	err     error
+	done   *simtime.Event
+	result uint64
+	err    error
+	// wait is where Wait parks on the VH side: a VEOResultPollInterval grid,
+	// notified by done's Fire.
+	wait simtime.Watch
 }
 
 // waitPoll is a Command as Context.Wait polls it, in the form
@@ -54,22 +55,18 @@ func (*waitPoll) Tick(simtime.Time) (simtime.Duration, bool, simtime.Time) { ret
 //hot:path
 func (w *waitPoll) Hit() bool { return w.done.Fired() }
 
-// Gap implements simtime.Poller.
+// Missed implements simtime.Poller.
 //
 //hot:path
-func (w *waitPoll) Gap() simtime.Duration { return w.pollGap }
-
-// Misses implements simtime.Poller: the gap is constant.
-//
-//hot:path
-func (w *waitPoll) Misses(int64) (simtime.Duration, int64) { return w.pollGap, math.MaxInt64 }
+func (*waitPoll) Missed(int64) {}
 
 // cmdPoll is workerLoop's idle loop in the same form: every back-off gap, is
-// there a command to run or a reason to stop?
+// there a command to run or a reason to stop? The command queue's Push and
+// the card's crash and stop notify its Watch.
 type cmdPoll struct {
-	simtime.Free    // Tick
-	simtime.Backoff // Gap
-	ctx             *Context
+	simtime.Free  // Tick, Missed
+	simtime.Watch // the back-off grid
+	ctx           *Context
 }
 
 // Hit implements simtime.Poller.
@@ -102,9 +99,11 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 	// backs off exponentially — but only after a sustained idle period, so the
 	// hot path of back-to-back offload benchmarks always sees the base
 	// interval.
-	ctx.idle = cmdPoll{ctx: ctx, Backoff: simtime.Backoff{
+	ctx.idle = cmdPoll{ctx: ctx, Watch: simtime.Watch{Backoff: simtime.Backoff{
 		Base: t.VEOCmdPollInterval, After: 500 * simtime.Microsecond, Max: 128 * t.VEOCmdPollInterval,
-	}}
+	}}}
+	ctx.cmdQ.Notifies(&ctx.idle.Watch)
+	vp.card.Notifies(&ctx.idle.Watch)
 	vp.ctxs = append(vp.ctxs, ctx)
 	vp.card.Eng.Spawn(fmt.Sprintf("ve%d-worker%d", vp.card.ID, ctx.id), ctx.workerLoop)
 	return ctx
@@ -123,7 +122,7 @@ func (ctx *Context) workerLoop(p *simtime.Proc) {
 	for !ctx.stop && !ctx.proc.card.crashed {
 		cmd, ok := ctx.cmdQ.TryPop()
 		if !ok {
-			p.Poll(&ctx.idle, 0)
+			p.Poll(&ctx.idle, &ctx.idle.Watch, 0)
 			continue
 		}
 		ctx.idle.Reset()
@@ -153,12 +152,9 @@ func (ctx *Context) Submit(p *simtime.Proc, k Kernel, args []uint64) *Command {
 	defer t.Tracer.Span(p, "veo", "veo_call_async")()
 	p.Sleep(t.VEOLibOverhead + t.VEOCallSubmit + t.IPCUserVEOS + t.DriverHop +
 		card.Path.OneWayLatency())
-	cmd := &Command{
-		Kernel:  k,
-		Args:    args,
-		done:    simtime.NewEvent(card.Eng),
-		pollGap: t.VEOResultPollInterval,
-	}
+	cmd := &Command{Kernel: k, Args: args, done: simtime.NewEvent(card.Eng)}
+	cmd.wait.Backoff = simtime.Backoff{Base: t.VEOResultPollInterval, Max: t.VEOResultPollInterval}
+	cmd.done.Notifies(&cmd.wait)
 	ctx.cmdQ.Push(cmd)
 	return cmd
 }
@@ -167,7 +163,7 @@ func (ctx *Context) Submit(p *simtime.Proc, k Kernel, args []uint64) *Command {
 // result poll interval, then pays the result return path.
 func (ctx *Context) Wait(p *simtime.Proc, cmd *Command) (uint64, error) {
 	t := ctx.proc.card.Timing
-	p.Poll((*waitPoll)(cmd), 0)
+	p.Poll((*waitPoll)(cmd), &cmd.wait, 0)
 	p.Sleep(t.IPCUserVEOS + t.VEOLibOverhead)
 	return cmd.result, cmd.err
 }

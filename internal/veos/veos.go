@@ -56,6 +56,20 @@ type Card struct {
 	proc    *Process
 	crashed bool
 	vhcalls map[string]VHHandler
+	// watches are notified when the process crashes or stops: the polls of
+	// its contexts, its serve loop and its host (Notifies).
+	watches []*simtime.Watch
+}
+
+// Notifies makes the crash and the stop of the card's process notify w, for
+// a poll that reads them; a fresh process starts with none.
+func (c *Card) Notifies(w *simtime.Watch) { c.watches = append(c.watches, w) }
+
+// notify notifies the card's watches.
+func (c *Card) notify() {
+	for _, w := range c.watches {
+		w.Notify()
+	}
 }
 
 // VHHandler is a VH-side function callable from VE code via VHcall.
@@ -106,20 +120,20 @@ func (c *Card) Kill() {
 		return
 	}
 	c.crashed = true
-	if c.proc == nil {
-		return
-	}
-	for _, ctx := range c.proc.ctxs {
-		ctx.stop = true
-		for {
-			cmd, ok := ctx.cmdQ.TryPop()
-			if !ok {
-				break
+	if c.proc != nil {
+		for _, ctx := range c.proc.ctxs {
+			ctx.stop = true
+			for {
+				cmd, ok := ctx.cmdQ.TryPop()
+				if !ok {
+					break
+				}
+				cmd.err = fmt.Errorf("ve %d: %w", c.ID, ErrCrashed)
+				cmd.done.Fire()
 			}
-			cmd.err = fmt.Errorf("ve %d: %w", c.ID, ErrCrashed)
-			cmd.done.Fire()
 		}
 	}
+	c.notify()
 }
 
 // enterVEOS runs the shared fault hooks of every VEOS daemon entry point:
@@ -156,6 +170,8 @@ func (c *Card) CreateProcess(p *simtime.Proc) (*Process, error) {
 		return nil, fmt.Errorf("veos: VE %d already runs a process", c.ID)
 	}
 	c.crashed = false // booting a fresh process recovers a crashed card
+	clear(c.watches)
+	c.watches = c.watches[:0]
 	p.Sleep(c.Timing.ProcCreate)
 	vp := &Process{
 		card:  c,
@@ -177,6 +193,7 @@ func (c *Card) DestroyProcess(p *simtime.Proc) error {
 	}
 	c.proc = nil
 	c.Mem.Discard()
+	c.notify()
 	return nil
 }
 

@@ -189,6 +189,42 @@ func TestContextsRunConcurrently(t *testing.T) {
 	})
 }
 
+// Two VH processes wait on two commands of one context at once: each parks
+// on its own command.
+func TestTwoWaitersOnOneContext(t *testing.T) {
+	RegisterLibrary("libnap.so", Library{
+		"nap": func(ctx *Ctx, args []uint64) (uint64, error) {
+			ctx.P.Sleep(simtime.Duration(args[0]) * simtime.Microsecond)
+			return args[0], nil
+		},
+	})
+	r := newRig(t)
+	r.run(t, func(p *simtime.Proc) {
+		vp, _ := r.card.CreateProcess(p)
+		if err := vp.LoadLibrary(p, "libnap.so"); err != nil {
+			t.Fatal(err)
+		}
+		k, _ := vp.FindSymbol(p, "libnap.so", "nap")
+		ctx := vp.OpenContext(p)
+		done := simtime.NewEvent(r.eng)
+		for _, us := range []uint64{30, 10} {
+			p.Spawn("waiter", func(p *simtime.Proc) {
+				if v, err := ctx.Wait(p, ctx.Submit(p, k, []uint64{us})); err != nil || v != us {
+					t.Errorf("Wait = %d, %v; want %d", v, err, us)
+				}
+				if us == 10 {
+					done.Fire()
+				}
+			})
+		}
+		done.Wait(p)
+		p.Sleep(100 * simtime.Microsecond)
+		if ctx.Executed() != 2 {
+			t.Errorf("Executed = %d, want 2", ctx.Executed())
+		}
+	})
+}
+
 func TestDMAWriteReadThroughVEOS(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *simtime.Proc) {
@@ -283,5 +319,47 @@ func TestIdleWorkerBacksOff(t *testing.T) {
 	})
 	if ev := r.eng.Events(); ev > 5000 {
 		t.Errorf("idle simulation processed %d events, backoff not working", ev)
+	}
+}
+
+// An idle worker is parked on its command poll's watch: the card's crash or
+// the process's destroy wakes it on the loop's own grid, at the first poll at
+// or after it, and the worker ends there. Nothing else is left to run, so Run
+// ends at that poll, not in a deadlock.
+func TestIdleWorkerSeesCrashAndStopOnItsGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(p *simtime.Proc, c *Card)
+	}{
+		{"crash", func(_ *simtime.Proc, c *Card) { c.Kill() }},
+		{"destroy", func(p *simtime.Proc, c *Card) {
+			if err := c.DestroyProcess(p); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			var idleFrom, ended simtime.Time
+			r.eng.Spawn("vh-main", func(p *simtime.Proc) {
+				vp, _ := r.card.CreateProcess(p)
+				vp.OpenContext(p)
+				idleFrom = p.Now() // the worker's first poll, at its spawn
+				p.Sleep(3*simtime.Millisecond + 1)
+				ended = p.Now()
+				tc.end(p, r.card)
+			})
+			if err := r.eng.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			b := simtime.Backoff{Base: r.tm.VEOCmdPollInterval, After: 500 * simtime.Microsecond, Max: 128 * r.tm.VEOCmdPollInterval}
+			poll := idleFrom
+			for poll < ended {
+				poll = poll.Add(b.Gap())
+			}
+			if r.eng.Now() != poll {
+				t.Errorf("the worker ended at %v; the %s came at %v, the loop's next poll was at %v", r.eng.Now(), tc.name, ended, poll)
+			}
+		})
 	}
 }

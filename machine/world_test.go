@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"hamoffload/internal/topology"
@@ -113,6 +114,17 @@ func TestWorldRun(t *testing.T) {
 			if err == nil {
 				t.Errorf("DMA %v: Run = nil after a second Finalize, want its error", dma)
 			}
+		}
+	})
+
+	t.Run("timeout-of-max-duration", func(t *testing.T) {
+		// The largest OffloadTimeout is the end of time, not a deadline in
+		// the past: offloads and Finalize's terminate go through.
+		w := machine.World{DMA: true, Options: machine.ProtocolOptions{OffloadTimeout: machine.Duration(math.MaxInt64)}}
+		if _, err := w.Run(func(_ *machine.Proc, _ *machine.Machine, rt *offload.Runtime) error {
+			return offloadOnce(rt)
+		}); err != nil {
+			t.Fatalf("Run = %v", err)
 		}
 	})
 
