@@ -232,6 +232,56 @@ func testGoldenDeliveryOrder(t *testing.T, poll pollFn, events uint64, maxq int)
 	}
 }
 
+// A poll loop's tick wake runs after every plain wake of its instant, and
+// two processes' in spawn order, wherever each was queued: a store by a
+// process whose wake was queued after the poller's tick is seen at that tick,
+// and of two pollers ticking at one instant the one spawned first runs first
+// although its tick was queued last.
+func TestTickWakeRunsLastInItsInstant(t *testing.T) {
+	for _, poll := range []struct {
+		name string
+		fn   pollFn
+	}{{"Poll", enginePoll}, {"loop", loopPoll}} {
+		t.Run(poll.name, func(t *testing.T) {
+			e := NewEngine()
+			var log wakeLog
+			stored, set := false, false
+			poller := func(name string, hit *bool, wt *Watch) {
+				e.Spawn(name, func(p *Proc) {
+					poll.fn(p, &cond{hit: func() bool { return *hit }}, wt, 0)
+					log.rec(p, "poll")
+				})
+			}
+			wa := gapWatch(10)
+			poller("a", &stored, wa) // ticks at 0, 10: queued at 0
+			e.Spawn("storer", func(p *Proc) {
+				p.Sleep(5)
+				p.Sleep(5) // at 10, queued at 5
+				stored = true
+				wa.Notify()
+				log.rec(p, "store")
+			})
+			wb, wc := gapWatch(4), gapWatch(6)
+			poller("b", &set, wb) // tick at 12 queued at 8
+			poller("c", &set, wc) // tick at 12 queued at 6
+			e.Spawn("setter", func(p *Proc) {
+				p.Sleep(11)
+				set = true
+				wb.Notify()
+				wc.Notify()
+				log.rec(p, "set")
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			want := []string{"10 storer store", "10 a poll", "11 setter set", "12 b poll", "12 c poll"}
+			if !slices.Equal(log, want) {
+				t.Errorf("wakes = %q, want %q", []string(log), want)
+			}
+		})
+	}
+}
+
 // pollBesideSleeper is the ring.Host.wait shape: a 200 ns poller, 24 of whose
 // 25 ticks are the engine's next event, beside a 5 us sleeper whose every
 // wake falls on the instant of a tick and was scheduled before it. With
@@ -403,7 +453,7 @@ func TestSelfWakeNeverOvertakes(t *testing.T) {
 // calls, never runs the body of one that had not started, and leaves no
 // coroutine behind.
 func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine()
 	q := NewQueue[int](e, "q")
 	never := NewEvent(e)
@@ -459,6 +509,24 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("NumGoroutine = %d after Shutdown, want the pre-engine %d", after, before)
 	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has stopped
+// falling, waiting a second at most: the goroutine of the test before may
+// still be on its way out, and is no part of this one's baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline, still := time.Now().Add(time.Second), 0; still < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m < n {
+			still = 0
+		} else {
+			still++
+		}
+		n = m
+	}
+	return n
 }
 
 // A park in a deferred call of a process being killed is killed too: it must

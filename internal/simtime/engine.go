@@ -25,7 +25,6 @@ const (
 	reasonEvent        // an Event fired / a Queue item arrived / a Semaphore was granted
 	reasonKill         // engine shutdown; park panics with errKilled
 	reasonWatch        // a parked poll's wake (Proc.Poll)
-	reasonPlace        // not a wake: the instant a parked poll's wake takes its seq at is over (order.go)
 )
 
 // waiter represents one parked process. Wake events reference waiters rather
@@ -43,9 +42,12 @@ type waiter struct {
 	dueK int64
 }
 
-// An event is one queued wake. Events are ordered by time, then by seq, the
-// order in which they were queued: FIFO among simultaneous events. A parked
-// poll's wake takes the seq of the loop's wake it stands for (order.go).
+// An event is one queued wake. Events are ordered by time, then by seq. A
+// plain wake's seq comes from a counter: simultaneous ones run in the order
+// they were queued. A poll loop's wake at a tick or a poll's end — the loop's
+// tick sleep, or a parked poll's wake standing for it — takes its process's
+// key (Proc.key), which is above every counter seq: it runs after every
+// plain wake of its instant, and two processes' in spawn order.
 type event struct {
 	at  Time
 	seq uint64
@@ -56,9 +58,8 @@ type event struct {
 // eventQueue is a binary min-heap ordered by (at, seq). It is a concrete heap
 // rather than a container/heap adapter: the adapter's `any` interface boxes
 // every pushed event onto the Go heap, which dominated the simulator's
-// allocation profile. (at, seq) is a strict total order but for two parked
-// polls' wakes that took one seq, which step orders itself (firstOfTie), so
-// any correct heap pops the same sequence.
+// allocation profile. (at, seq) is a strict total order — a process has at
+// most one keyed wake queued — so any correct heap pops the same sequence.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -120,6 +121,8 @@ type Engine struct {
 	now    Time
 	eq     eventQueue
 	seq    uint64
+	cur    uint64 // the largest seq delivered at now: a wake of now below it has run
+	procs  uint64 // processes spawned, for Proc.key
 	stop   bool
 	failed error // the first process panic; ends Run
 	events uint64
@@ -139,22 +142,13 @@ type Engine struct {
 	// short-lived procs forever holds on to none of them. Deadlock
 	// diagnostics and Shutdown walk the list.
 	first, last *Proc
-
-	// The last wakes delivered, how many there were, the grid points of
-	// those that were parked polls', and the earliest first grid point of a
-	// parked poll: no run from it on leaves the history (order.go).
-	hist   []delivered
-	nhist  uint64
-	points []point
-	need   Time
 }
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
 	// A parked poll is no event, so a run's heap stays short; room for one
 	// keeps its growth out of the run.
-	return &Engine{eq: make(eventQueue, 0, 64), need: noWake,
-		hist: make([]delivered, histLen), points: make([]point, histLen)}
+	return &Engine{eq: make(eventQueue, 0, 64)}
 }
 
 // Now returns the current simulated time.
@@ -171,7 +165,8 @@ func (e *Engine) QueueLen() int { return len(e.eq) }
 func (e *Engine) MaxQueueLen() int { return e.maxq }
 
 // Spawn registers fn as a new process named name. The process starts running
-// at the current simulated time, after already-pending events at that time.
+// at the current simulated time, after the plain wakes already pending at
+// that time and before its poll loops' tick wakes.
 // Spawn may be called before Run or from within a running process.
 //
 // A panic in fn ends Run with an error naming the process. runtime.Goexit
@@ -179,7 +174,8 @@ func (e *Engine) MaxQueueLen() int { return e.maxq }
 // goroutine that called Run the same way: its deferred calls run and Run
 // does not return.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, blockedOn: "spawn", prev: e.last}
+	p := &Proc{eng: e, name: name, blockedOn: "spawn", prev: e.last, key: 1<<63 | e.procs}
+	e.procs++
 	if e.last == nil {
 		e.first = p
 	} else {
@@ -223,18 +219,21 @@ func (p *Proc) finish() {
 // answers once the sequence has ended.
 func resumeFinished() (struct{}, bool) { return struct{}{}, false }
 
-// schedule enqueues a wake for w at time at.
+// schedule enqueues a plain wake for w at time at.
 //
 //hot:path
 func (e *Engine) schedule(at Time, w *waiter, rsn int) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq += 2
-	e.eq.push(event{at: at, seq: e.seq, w: w, rsn: rsn})
-	if len(e.eq) > e.maxq {
-		e.maxq = len(e.eq)
-	}
+	e.seq++
+	e.push(event{at: at, seq: e.seq, w: w, rsn: rsn})
+}
+
+// push enqueues ev, at now if it is due earlier.
+//
+//hot:path
+func (e *Engine) push(ev event) {
+	ev.at = max(ev.at, e.now)
+	e.eq.push(ev)
+	e.maxq = max(e.maxq, len(e.eq))
 }
 
 // Stop requests that Run return after the calling process next parks or
@@ -282,9 +281,6 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			return nil, e.idleError()
 		}
 		head := &e.eq[0]
-		if head.rsn == reasonWatch && head.seq&1 == 1 {
-			e.firstOfTie()
-		}
 		w := head.w
 		if w.woken {
 			e.eq.pop() // stale wake (e.g. timeout lost to an Event fire)
@@ -295,13 +291,6 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 			maxEvents = 1 << 40
 		}
 		late := e.Deadline != 0 && head.at > e.Deadline
-		if head.rsn == reasonPlace && !late {
-			// The instant of the point before w's wake is over: the wake
-			// takes its seq and its place.
-			e.eq.pop()
-			e.eq.push(event{at: w.due, seq: e.seqOf(&w.grid, w.dueK), w: w, rsn: reasonWatch})
-			continue
-		}
 		spent := e.events >= maxEvents
 		if self != nil && (w.p != self || late || spent) {
 			return nil, nil
@@ -315,7 +304,9 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 		if spent {
 			return nil, limitError(maxEvents)
 		}
-		e.deliver(&ev)
+		if ev.at != e.now || ev.seq > e.cur {
+			e.cur = ev.seq
+		}
 		e.now = ev.at
 		w.woken = true
 		w.p.reason = ev.rsn

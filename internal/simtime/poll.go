@@ -68,12 +68,12 @@ const noWake = Time(math.MaxInt64)
 //			return false
 //		}
 //		if cost > 0 {
-//			p.Sleep(cost)
+//			p.Sleep(cost) // a tick sleep
 //		}
 //		if q.Hit() {
 //			return true
 //		}
-//		p.Sleep(wt.Gap())
+//		p.Sleep(wt.Gap()) // a tick sleep
 //		q.Missed(1)
 //		if until != 0 && p.Now() >= until {
 //			return false
@@ -86,10 +86,12 @@ const noWake = Time(math.MaxInt64)
 // the lapse of Tick's answer; a Notify that makes Hit true queues one for the
 // first poll end at or after it, and one that makes the next tick taken, for
 // that tick, if either comes before what is queued. The misses passed over
-// are accounted at the wake, in one Backoff step and one Missed. Every wake
-// comes at the time the loop's would, in the place among same-instant events
-// that the loop's would have had (order.go). Poll reports whether it
-// returned on a hit.
+// are accounted at the wake, in one Backoff step and one Missed. Poll
+// reports whether it returned on a hit.
+//
+// The loop's two sleeps are tick sleeps: their wakes run after every other
+// wake of their instant, and two processes' tick wakes in spawn order. A
+// parked poll's wake stands for one and takes its place.
 //
 //hot:path
 func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
@@ -132,7 +134,7 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 		// is its next wake, as the loop's sleep.
 		c, take, l := e.tick(p, q, next)
 		if take {
-			p.Sleep(next.Sub(e.now))
+			p.tickSleep(next.Sub(e.now))
 			return true
 		}
 		cost, lapse = c, l
@@ -141,22 +143,20 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 		panic(twoPolls(p))
 	}
 	w := p.singleWaiter()
-	e.seq += 2 // the loop's sleep, or the wake at the end of its poll
 	w.poll, w.watch, w.due, w.dueK = q, wt, noWake, 0
-	w.grid = grid{next: next, issued: issued, cost: cost, seq0: e.seq, gaps: wt.Backoff}
-	e.need = min(e.need, next)
+	w.grid = grid{next: next, issued: issued, cost: cost, gaps: wt.Backoff}
 	if issued {
 		w.k0 = 1 // the tick now is behind
 	}
 	for _, at := range [...]Time{until, lapse} {
 		if at != 0 {
-			if k, t, prev, ok := w.find(at, w.k0, tickPoint); ok {
-				w.queue(k, t, prev)
+			if k, t, ok := w.find(at, w.k0, tickPoint); ok {
+				w.queue(k, t)
 			}
 		}
 	}
 	if issued && e.hit(p, q) {
-		w.queue(w.k0, next, e.now)
+		w.queue(w.k0, next)
 	}
 	wt.w = w
 	p.park("poll")
@@ -172,10 +172,9 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 
 // Notify tells the poll parked on wt, if any, that what its Tick or Hit reads
 // may have changed. If Hit now holds, the poll is woken at the first end of a
-// poll at or after now — a poll that ends at the store's picosecond sees the
-// store, unless the loop's wake for it came before the storing process's;
-// otherwise, if its Tick takes the first such tick, at that tick. A wake
-// already queued before either stands.
+// poll at or after now that the loop has not run yet; otherwise, if its Tick
+// takes the first such tick, at that tick. A wake already queued before
+// either stands.
 //
 //hot:path
 func (wt *Watch) Notify() {
@@ -185,19 +184,19 @@ func (wt *Watch) Notify() {
 	}
 	e := w.p.eng
 	e.asking = w.p
-	k, at, prev, ok := w.pending(tickPoint)
+	k, at, ok := w.pending(tickPoint)
 	if w.poll.Hit() {
 		if w.cost > 0 {
-			if ke, ae, pe, oke := w.pending(endPoint); oke && ae < w.due {
-				w.queue(ke, ae, pe)
+			if ke, ae, oke := w.pending(endPoint); oke && ae < w.due {
+				w.queue(ke, ae)
 			}
 		} else if ok && at < w.due {
-			w.queue(k, at, prev) // a free poll looks at its tick
+			w.queue(k, at) // a free poll looks at its tick
 		}
 	}
 	if ok && at < w.due {
 		if _, take, _ := w.poll.Tick(at); take {
-			w.queue(k, at, prev)
+			w.queue(k, at)
 		}
 	}
 	e.asking = nil
@@ -209,37 +208,31 @@ func (wt *Watch) Notify() {
 // what the loop would have left there.
 func (wt *Watch) Settle() {
 	if w := wt.w; w != nil && !w.woken {
-		if k, _, _, ok := w.pending(endPoint); ok {
+		if k, _, ok := w.pending(endPoint); ok {
 			w.settle(k)
 		}
 	}
 }
 
-// restart returns how many polls of w's park end before grid point k and
-// before its queued wake, and the tick after them.
-func (w *waiter) restart(k int64) (n, tick int64) {
-	if w.due != noWake {
-		k = min(k, w.dueK)
-	}
-	n = w.misses(k)
-	if w.cost > 0 {
-		return n, 2 * n
-	}
-	return n, n
-}
-
 // settle accounts for the polls of w's park that end before grid point k and
 // before its queued wake, and the park goes on from the tick after them.
 func (w *waiter) settle(k int64) {
-	n, tick := w.restart(k)
+	if w.due != noWake {
+		k = min(k, w.dueK)
+	}
+	n := w.misses(k)
 	if n == 0 {
 		return
 	}
-	seq, at := w.p.eng.seqOf(&w.grid, tick), w.at(tick)
+	tick := n
+	if w.cost > 0 {
+		tick = 2 * n
+	}
+	at := w.at(tick)
 	w.watch.skip(n)
 	w.gaps.skip(n)
 	w.poll.Missed(n)
-	w.next, w.issued, w.k0, w.seq0 = at, false, 0, seq
+	w.next, w.issued, w.k0 = at, false, 0
 	w.dueK -= tick
 }
 
@@ -254,8 +247,8 @@ func (e *Engine) cut() {
 		if w.watch == nil || w.woken {
 			continue
 		}
-		ke, _, _, oke := w.find(e.Deadline+1, w.k0, endPoint)
-		kt, _, _, okt := w.find(e.Deadline+1, w.k0, tickPoint)
+		ke, _, oke := w.find(e.Deadline+1, w.k0, endPoint)
+		kt, _, okt := w.find(e.Deadline+1, w.k0, tickPoint)
 		if !oke || !okt {
 			continue // a poll that never passes the Deadline, or only at the end of time
 		}
@@ -272,34 +265,31 @@ const (
 	endPoint
 )
 
-// pending is find from now on, past a grid point at now that the loop would
-// have run before the last wake delivered.
-func (w *waiter) pending(kind int) (int64, Time, Time, bool) {
+// pending is find from now on, past a grid point at now that the loop has
+// run already: its wake, with w's process's key, sorts before one delivered
+// at now.
+func (w *waiter) pending(kind int) (int64, Time, bool) {
 	e := w.p.eng
-	k, at, prev, ok := w.find(e.now, w.k0, kind)
-	if ok && at == e.now && e.nhist > 0 && e.ranBefore(&w.grid, k) {
-		k, at, prev, ok = w.find(e.now, k+1, kind)
+	k, at, ok := w.find(e.now, w.k0, kind)
+	if ok && at == e.now && w.p.key < e.cur {
+		k, at, ok = w.find(e.now, k+1, kind)
 	}
-	return k, at, prev, ok
+	return k, at, ok
 }
 
-// queue makes w's one queued wake the one at grid point k, at at, whose
-// point before is at prev. A wake already queued is moved.
-func (w *waiter) queue(k int64, at, prev Time) {
+// queue makes w's one queued wake the one at grid point k, at at, with its
+// process's key. A wake already queued is moved, earlier.
+func (w *waiter) queue(k int64, at Time) {
 	e := w.p.eng
-	ev := w.wake(k, at, prev)
 	queued := w.due != noWake
-	w.due, w.dueK = at, k // before the heap compares the wake with others
+	w.due, w.dueK = at, k
 	if !queued {
-		e.eq.push(ev)
-		e.maxq = max(e.maxq, len(e.eq))
+		e.push(event{at: at, seq: w.p.key, w: w, rsn: reasonWatch})
 		return
 	}
 	for i := range e.eq {
 		if e.eq[i].w == w {
-			// The wake moves earlier: before the queued one, and no later
-			// than the grid point a reasonPlace event stands at.
-			e.eq[i] = ev
+			e.eq[i].at = at
 			e.eq.up(i)
 			return
 		}
@@ -308,16 +298,14 @@ func (w *waiter) queue(k int64, at, prev Time) {
 
 // A grid is the wakes a parked loop would have passed through: point k0 is
 // the first after the park — its tick (next), or with issued the end of the
-// poll issued at the park (next) — and took seq0 there. For a free poll
-// point k is the tick of poll k; for one that costs, point 2j is poll j's
-// tick and 2j+1 its end. Each miss adds a gap from gaps, and the cost of the
-// next poll.
+// poll issued at the park (next). For a free poll point k is the tick of poll
+// k; for one that costs, point 2j is poll j's tick and 2j+1 its end. Each
+// miss adds a gap from gaps, and the cost of the next poll.
 type grid struct {
 	next   Time
 	issued bool
 	cost   Duration
 	k0     int64
-	seq0   uint64
 	gaps   Backoff // as at point k0
 }
 
@@ -338,35 +326,34 @@ func (g *grid) at(k int64) Time {
 	if g.isEnd(k) {
 		kind = endPoint
 	}
-	_, at, _, _ := g.find(math.MinInt64, k, kind)
+	_, at, _ := g.find(math.MinInt64, k, kind)
 	return at
 }
 
 // find returns the first grid point from k on of the kind asked for — a
 // tick, or a poll's end (for a free poll, its tick) — that is at or after x,
-// its time, and the time of the point before it. ok is false when there is
-// none before the end of time.
+// and its time. ok is false when there is none before the end of time.
 //
 //hot:path
-func (g *grid) find(x Time, k int64, kind int) (int64, Time, Time, bool) {
+func (g *grid) find(x Time, k int64, kind int) (int64, Time, bool) {
 	c := g.cost
 	if c == 0 {
 		return g.walk(x, k)
 	}
 	if kind == endPoint {
-		j, at, _, ok := g.walk(x, k/2)
-		return 2*j + 1, at, at - Time(c), ok
+		j, at, ok := g.walk(x, k/2)
+		return 2*j + 1, at, ok
 	}
-	j, at, prev, ok := g.walk(x.Add(c), (k+1)/2) // a tick is at or after x where its poll's end is at or after x+c
-	return 2 * j, at - Time(c), prev, ok
+	j, at, ok := g.walk(x.Add(c), (k+1)/2) // a tick is at or after x where its poll's end is at or after x+c
+	return 2 * j, at - Time(c), ok
 }
 
-// walk returns the first poll from j on whose end is at or after x, the
-// time of that end, and that of the end before it. Poll 0 is the one of
-// point k0; each miss adds its Backoff gap and the cost of the next poll.
+// walk returns the first poll from j on whose end is at or after x, and the
+// time of that end. Poll 0 is the one of point k0; each miss adds its
+// Backoff gap and the cost of the next poll.
 //
 //hot:path
-func (g *grid) walk(x Time, from int64) (int64, Time, Time, bool) {
+func (g *grid) walk(x Time, from int64) (int64, Time, bool) {
 	c := g.cost
 	end := g.next
 	if !g.issued {
@@ -374,7 +361,6 @@ func (g *grid) walk(x Time, from int64) (int64, Time, Time, bool) {
 	}
 	b := g.gaps
 	var j int64
-	prev := Time(math.MinInt64) // poll 0 has none
 	for {
 		gap, steady := b.run()
 		step := int64(gap + c)
@@ -383,17 +369,14 @@ func (g *grid) walk(x Time, from int64) (int64, Time, Time, bool) {
 		case step > 0 && x > end:
 			m = max(m, ceilDiv(x.Sub(end), Duration(step)))
 		case step <= 0 && x > end:
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		n := min(m, steady)
 		if step > 0 && n > (math.MaxInt64-int64(end))/step {
-			return 0, 0, 0, false
-		}
-		if n > 0 {
-			prev = end + Time((n-1)*step)
+			return 0, 0, false
 		}
 		if m <= steady {
-			return j + m, end + Time(n*step), prev, true
+			return j + m, end + Time(n*step), true
 		}
 		j += n
 		end += Time(n * step)

@@ -24,14 +24,14 @@ func loopPoll(p *Proc, q Poller, wt *Watch, until Time) bool {
 			return false
 		}
 		if cost > 0 {
-			p.Sleep(cost)
+			p.tickSleep(cost)
 		}
 		if q.Hit() {
 			return true
 		}
 		gap := wt.Gap()
 		q.Missed(1)
-		p.Sleep(gap)
+		p.tickSleep(gap)
 		if until != 0 && p.Now() >= until {
 			return false
 		}
@@ -116,9 +116,17 @@ type pollWorld struct {
 	// a tick the process took, ended; and whether Run was called again.
 	byUntil, byTake int
 	resumed         bool
-	// Notifies more than histLen runs after the grid point before (longGap).
+	// Notifies more than farRuns runs after the grid point before (longGap).
 	farNotifies int
+	// Readers of a poller's store with a grid point at its instant, spawned
+	// before the storer (they see it a period later) and after it (they see
+	// it there) (pollerStores).
+	tiedBefore, tiedAfter int
 }
+
+// farRuns is how many runs of another process the long gap world's notify
+// comes after the grid point before, at least, in a third of its worlds.
+const farRuns = 256
 
 // A worldShape adds to a generated world one source of the wakes of a parked
 // poll, or one way of crowding them.
@@ -168,16 +176,18 @@ const (
 	// pushOrFire adds a poller of a queue the Push of which notifies it, and
 	// one of an Event whose Fire does, with nobody else notifying them.
 	pushOrFire
-	// shortHistory starts the engine's delivery history at one entry, so
-	// that it fills, the parked polls settle and it grows all through the
-	// run.
-	shortHistory
+	// pollerStores adds a poller that, at its hit, stores a flag every watch
+	// reads — at once, or after a Yield at that instant — and readers of that
+	// flag spawned before it and after it, on grids that fall on its
+	// instant: a reader whose tick ties with the store sees it there only if
+	// its tick runs after the storer's, that is, if it was spawned after it.
+	pollerStores
 	allShapes = 1<<iota - 1
-	// longGap adds a poller whose gap spans more runs than the delivery
-	// history first holds, a shadow that runs at each of its ticks, before or
-	// after it, a process that runs every picosecond, and a setter: the
-	// notified wake ties with the shadow's, often more than histLen runs after
-	// the grid point it stands for. Only its named world has it.
+	// longGap adds a poller whose gap spans hundreds of runs, a shadow that
+	// runs at each of its ticks, spawned before or after it, a process that
+	// runs every picosecond, and a setter: the notified wake ties with the
+	// shadow's, often more than farRuns runs after the grid point it stands
+	// for. Only its named world has it.
 	longGap = allShapes + 1
 )
 
@@ -200,7 +210,7 @@ var worldShapes = []struct {
 	{"lapsing takes", lapsingTakes},
 	{"crash", crashes},
 	{"queue push or Event.Fire", pushOrFire},
-	{"short history", shortHistory},
+	{"poller stores", pollerStores},
 	{"long gap", longGap},
 }
 
@@ -222,9 +232,6 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	// without them is the world it always was; each is in one world of four.
 	sr := rng(seed ^ 0x5ca1ab1e)
 	shapes := force | worldShape(sr.n(allShapes+1)&sr.n(allShapes+1))
-	if shapes&shortHistory != 0 {
-		e.hist, e.points = make([]delivered, 1), make([]point, 1)
-	}
 	var flags [3]bool
 	var takes [2]bool
 	var watches, quietWatches []*Watch // notified by every change, and by their own source only
@@ -532,7 +539,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 
 	if shapes&longGap != 0 {
 		pr := sr.fork()
-		g := Duration(2*histLen + pr.n(histLen))
+		g := Duration(2*farRuns + pr.n(farRuns))
 		set := false
 		wt := &Watch{Backoff: Backoff{Base: g, Max: g}}
 		quietWatches = append(quietWatches, wt)
@@ -562,9 +569,76 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			wt.Notify()
 			w.log.rec(p, "set")
 		})
-		if at%g > histLen {
+		if at%g > farRuns {
 			w.farNotifies++
 		}
+	}
+
+	if shapes&pollerStores != 0 {
+		pr := sr.fork()
+		var start, relay bool
+		storedAt := Time(-1)
+		type reader struct {
+			before bool
+			period Duration
+			hitAt  Time
+		}
+		var readers []*reader
+		spawnReaders := func(before bool) {
+			for i, n := 0, 1+pr.n(3); i < n; i++ {
+				c, g := Duration(pr.n(3)), Duration(1+pr.n(3))
+				rd := &reader{before: before, period: c + g, hitAt: -1}
+				readers = append(readers, rd)
+				pl := Poller(&cond{hit: func() bool { return relay }})
+				if c > 0 {
+					pl = &costed{Poller: pl, cost: c, take: never}
+				}
+				wt := watch(Backoff{Base: g, Max: g})
+				e.Spawn(fmt.Sprintf("reader%v%d", before, i), func(p *Proc) {
+					got, misses := poll(p, pl, wt, 0)
+					if got {
+						rd.hitAt = p.Now()
+					}
+					w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
+				})
+			}
+		}
+		spawnReaders(true)
+		g, yield := Duration(1+pr.n(3)), pr.n(2) == 0
+		var pl Poller = &cond{hit: func() bool { return start }}
+		if c := Duration(pr.n(3)); c > 0 {
+			pl = &costed{Poller: pl, cost: c, take: never}
+		}
+		wt := watch(Backoff{Base: g, Max: g})
+		e.Spawn("storer", func(p *Proc) {
+			got, misses := poll(p, pl, wt, 0)
+			w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
+			if yield {
+				p.Yield()
+			}
+			relay, storedAt = true, p.Now()
+			changed()
+			w.log.rec(p, "store")
+		})
+		spawnReaders(false)
+		at := Duration(1 + pr.n(40))
+		e.Spawn("starter", func(p *Proc) {
+			p.Sleep(at)
+			start = true
+			changed()
+			w.log.rec(p, "start")
+		})
+		defer func() {
+			for _, rd := range readers {
+				switch {
+				case storedAt < 0:
+				case rd.before && rd.hitAt == storedAt.Add(rd.period):
+					w.tiedBefore++
+				case !rd.before && rd.hitAt == storedAt:
+					w.tiedAfter++
+				}
+			}
+		}()
 	}
 
 	// A poller nobody answers polls for ever; the deadline ends the run.
@@ -654,19 +728,22 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 func TestPollEquivalence(t *testing.T) {
 	for _, ws := range worldShapes {
 		t.Run(ws.name, func(t *testing.T) {
-			resumed, far := 0, 0
+			resumed, far, before, after := 0, 0, 0, 0
 			var misses uint64
 			for seed := uint64(0); seed < 300; seed++ {
 				w, _ := checkPollWorld(t, seed, ws.shape)
 				misses += w.misses
 				far += w.farNotifies
+				before += w.tiedBefore
+				after += w.tiedAfter
 				if w.resumed {
 					resumed++
 				}
 			}
-			if misses < 5_000 || (ws.shape == resumedRun && resumed < 200) || (ws.shape == longGap && far < 100) {
-				t.Errorf("300 worlds accounted %d misses, resumed %d runs and notified %d polls far past their grid point: the generator has gone soft",
-					misses, resumed, far)
+			if misses < 5_000 || (ws.shape == resumedRun && resumed < 200) || (ws.shape == longGap && far < 100) ||
+				(ws.shape == pollerStores && (before < 100 || after < 100)) {
+				t.Errorf("300 worlds accounted %d misses, resumed %d runs, notified %d polls far past their grid point and tied %d, %d readers with a store: the generator has gone soft",
+					misses, resumed, far, before, after)
 			}
 		})
 	}

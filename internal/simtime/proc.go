@@ -17,6 +17,7 @@ type Proc struct {
 	reason     int                     // why the process was last woken
 	blockedOn  string                  // human-readable label for deadlock diagnostics
 	prev, next *Proc                   // the engine's list of unfinished processes
+	key        uint64                  // 1<<63 | spawn index: the seq of its poll loop's tick wakes
 
 	// scratch is the reusable waiter for single-reference parks (the first
 	// wake after Spawn, Sleep, Poll, Queue.Pop, Event.Wait,
@@ -68,7 +69,8 @@ func (p *Proc) park(label string) int {
 }
 
 // Sleep suspends the process for d of simulated time. Non-positive durations
-// still yield to the scheduler (other events at the current time run first).
+// still yield to the scheduler (other plain wakes pending at the current time
+// run first).
 //
 //hot:path
 func (p *Proc) Sleep(d Duration) {
@@ -79,8 +81,18 @@ func (p *Proc) Sleep(d Duration) {
 	p.park("sleep")
 }
 
-// Yield reschedules the process at the current time behind already-pending
-// events, giving other runnable processes a chance to run.
+// tickSleep is a poll loop's Sleep to its next tick or to the end of the poll
+// it issued: the wake takes p's key, so it runs after every plain wake of its
+// instant, and after the tick wakes of processes spawned before p.
+//
+//hot:path
+func (p *Proc) tickSleep(d Duration) {
+	p.eng.push(event{at: p.eng.now.Add(d), seq: p.key, w: p.singleWaiter(), rsn: reasonTimer})
+	p.park("sleep")
+}
+
+// Yield reschedules the process at the current time behind the plain wakes
+// already pending, giving other runnable processes a chance to run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Spawn starts a child process; sugar for p.Engine().Spawn.
