@@ -126,22 +126,19 @@ func TestServedRequestAllocs(t *testing.T) {
 	})
 }
 
-// TestTicketAllocSize pins the ticket at 80 B — tenant, class, VE index,
-// gateway, the one time word (arrival, then latency) and the 48-B future —
-// and the slab it is carved from: 409 tickets and the 8-B malloc header
-// take 32 728 B of the 32 KiB size class, 40 B short of filling it. A field
+// TestTicketAllocSize pins the ticket at 64 B — tenant, class, VE index,
+// gateway, the one time word (arrival, then latency) and the 32-B future —
+// and the slab it is carved from: 511 tickets and the 8-B malloc header
+// take 32 712 B of the 32 KiB size class, 56 B short of filling it. A field
 // added to the ticket costs its exact bytes per request (the slab stays one
 // size class and holds fewer tickets), not a rounding to the next class.
 func TestTicketAllocSize(t *testing.T) {
 	size := unsafe.Sizeof(Ticket[int64]{})
-	if size != 80 {
-		t.Errorf("Ticket[int64] is %d B, want 80", size)
+	if size != 64 {
+		t.Errorf("Ticket[int64] is %d B, want 64", size)
 	}
-	if got := unsafe.Sizeof(core.Future[int64]{}); got != 48 {
-		t.Errorf("core.Future[int64] is %d B, want 48", got)
-	}
-	if n := slabLen[int64](); n != 409 || uintptr(n)*size+slabHeader != 32728 {
-		t.Errorf("a slab holds %d tickets, %d B with its header; want 409 in 32728 B",
+	if n := slabLen[int64](); n != 511 || uintptr(n)*size+slabHeader != 32712 {
+		t.Errorf("a slab holds %d tickets, %d B with its header; want 511 in 32712 B",
 			n, uintptr(n)*size+slabHeader)
 	}
 }
@@ -150,8 +147,9 @@ func TestTicketAllocSize(t *testing.T) {
 // is one malloc of exactly slabBytes, and N served requests that start on
 // a slab boundary cost ceil(N / slabLen) mallocs, whatever the mix of
 // classes. The gateway is warmed first: every pooled call and ring handle
-// carries a full frame (warmFrames), and the SLO window lists coarsen, so
-// windows come from the free list.
+// carries a full frame (warmFrames), the SLO window lists coarsen, so
+// windows come from the free list, and the run queues grow past the longest
+// burst counted.
 func TestSlabRefillAllocs(t *testing.T) {
 	onGateway(t, 1, Config{}, func(p *machine.Proc, g *Gateway[int64]) {
 		n := slabLen[int64]()
@@ -173,7 +171,13 @@ func TestSlabRefillAllocs(t *testing.T) {
 				serve(3*n + 1)
 			}
 		}
-		serve(3*n + 1) // once more with every list warm
+		// Once more with every list warm, in a burst a slab longer than the
+		// longest count below. A run queue's FIFO doubles when a burst
+		// outgrows it, and a drain may leave up to 32 dead slots at its head
+		// (pop compacts past that), so the 1 023 latency-critical requests
+		// of a 3n+2 count, behind those, outgrow the 1 024 slots a 3n+1
+		// warm-up grows.
+		serve(4*n + 1)
 
 		// MemStats counts the runtime's own mallocs too. Bind takes its
 		// argument encoder from a sync.Pool, which a collection empties and

@@ -346,8 +346,8 @@ type classStats struct {
 // slabBytes is the size class of a ticket slab: the largest Go size class
 // for small objects, so a slab is one malloc. A slab holds pointers and is
 // over 512 B, so the allocator puts an 8-B header in front of it, inside
-// the size class; what is left after the last whole ticket (40 B for the
-// 80-B Ticket[int64]: 409 tickets and the header take 32 728 B) is slack.
+// the size class; what is left after the last whole ticket (56 B for the
+// 64-B Ticket[int64]: 511 tickets and the header take 32 712 B) is slack.
 const (
 	slabBytes  = 32 << 10
 	slabHeader = 8

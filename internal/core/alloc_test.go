@@ -21,10 +21,12 @@ import (
 // compiler keeps off the heap for values of any size: the pins use large
 // ones on purpose.
 
-// TestRecordSizes pins the three records the runtime's free lists hand out.
-// Each list grows to the peak taken at once and no further, so a field added
-// here costs its bytes once per record in flight, not per request; the pin
-// makes that cost a deliberate change.
+// TestRecordSizes pins the three records the runtime's free lists hand out,
+// and the future. Each list grows to the peak taken at once and no further,
+// so a field added to a record costs its bytes once per record in flight,
+// not per request; the pin makes that cost a deliberate change. A future is
+// per request: it is embedded in a gateway ticket or a MapFutures task, so
+// its bytes are every request's.
 func TestRecordSizes(t *testing.T) {
 	for _, r := range []struct {
 		name      string
@@ -33,6 +35,7 @@ func TestRecordSizes(t *testing.T) {
 		{"call", unsafe.Sizeof(call{}), 240},
 		{"hookChain", unsafe.Sizeof(hookChain{}), 48},
 		{"Batcher", unsafe.Sizeof(Batcher{}), 120},
+		{"Future[int64]", unsafe.Sizeof(Future[int64]{}), 32},
 	} {
 		if r.got != r.want {
 			t.Errorf("%s is %d B, want %d", r.name, r.got, r.want)

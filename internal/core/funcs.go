@@ -227,7 +227,7 @@ func bound(e *ham.Encoder) boundArgs {
 //hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
 	if rt.tr != nil {
-		f.hook = hookFunc(rt.beginOffload(node, fn.name))
+		f.x = hookFunc(rt.beginOffload(node, fn.name))
 	}
 	var c *call
 	if b == nil || !rt.batch.Enabled() {

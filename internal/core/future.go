@@ -17,14 +17,15 @@ type Future[T any] struct {
 	// call's sink entry, not in the future.
 	c *call
 
-	// hook fires exactly once as the future settles or fails: the one hook
-	// registered, or a chain of them (hookChain), run in registration
-	// order. With a tracer attached, Issue registers the closer of the
-	// offload lifecycle span first.
-	hook SettleHook
+	// x is the settle hook until the future settles and its error after:
+	// the two are never needed at once, so they share one slot, and c says
+	// which one it holds. The hook fires exactly once as the future settles
+	// or fails: the one hook registered, or a chain of them (hookChain), run
+	// in registration order. With a tracer attached, Issue registers the
+	// closer of the offload lifecycle span first.
+	x any
 
 	val T
-	err error
 }
 
 // settledCall is the call every settled future points at: a future is done
@@ -50,7 +51,8 @@ func (f *Future[T]) Get() (T, error) {
 	if c := f.c; c != &settledCall {
 		c.resolve()
 	}
-	return f.val, f.err
+	err, _ := f.x.(error)
+	return f.val, err
 }
 
 // SettleHook is notified once when a future completes, after any result
@@ -87,23 +89,24 @@ func (c *hookChain) FutureSettled() {
 
 // OnSettle registers fn to run once when the future completes, after any
 // result decoding; a future that already completed runs it immediately.
-// The cluster scheduler uses it for in-flight accounting.
 func (f *Future[T]) OnSettle(fn func()) { f.OnSettleHook(hookFunc(fn)) }
 
 // OnSettleHook is OnSettle for a SettleHook. Hooks run in registration
 // order. A second hook on an issued future chains through a node of the
-// runtime's pool, so a warm registration allocates nothing.
+// runtime's pool, so a warm registration allocates nothing. The cluster
+// scheduler registers each MapFutures task record this way for its
+// in-flight accounting, and the gateway each ticket.
 func (f *Future[T]) OnSettleHook(h SettleHook) {
 	switch {
 	case f.Done():
 		h.FutureSettled()
-	case f.hook == nil:
-		f.hook = h
+	case f.x == nil:
+		f.x = h
 	default:
 		rt := f.c.rt
 		c := rt.hooks.Take()
-		c.rt, c.first, c.then = rt, f.hook, h
-		f.hook = c
+		c.rt, c.first, c.then = rt, f.x.(SettleHook), h
+		f.x = c
 	}
 }
 
@@ -121,8 +124,7 @@ func (f *Future[T]) fail(err error) {
 		return
 	}
 	f.c = &settledCall
-	f.err = err
-	f.fireDone()
+	f.fireDone(err)
 }
 
 // settle decodes resp with decode, the func(*ham.Decoder) (T, error) Issue
@@ -139,18 +141,18 @@ func (f *Future[T]) settle(resp []byte, decode any) {
 	rt := f.c.rt
 	f.c = &settledCall
 	dec, err := ham.DecodeResponseInto(&rt.respDec, resp)
-	if err != nil {
-		f.err = err
-		f.fireDone()
-		return
+	if err == nil {
+		f.val, err = decode.(func(*ham.Decoder) (T, error))(dec)
 	}
-	f.val, f.err = decode.(func(*ham.Decoder) (T, error))(dec)
-	f.fireDone()
+	f.fireDone(err)
 }
 
-func (f *Future[T]) fireDone() {
-	if h := f.hook; h != nil {
-		f.hook = nil
+// fireDone turns x from the hook into err, then runs the hook, which may
+// read the outcome. f.c is already &settledCall.
+func (f *Future[T]) fireDone(err error) {
+	h, _ := f.x.(SettleHook)
+	f.x = err
+	if h != nil {
 		h.FutureSettled()
 	}
 }
@@ -158,5 +160,5 @@ func (f *Future[T]) fireDone() {
 // completedFuture wraps an already-finished operation, for the data-transfer
 // variants whose backends complete eagerly.
 func completedFuture[T any](val T, err error) *Future[T] {
-	return &Future[T]{c: &settledCall, val: val, err: err}
+	return &Future[T]{c: &settledCall, x: err, val: val}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -46,6 +47,65 @@ func TestSettleHooksRunOnceInOrder(t *testing.T) {
 	if n := freeHooks(t, rt); n != 4 {
 		t.Errorf("%d chain nodes on the free list, want 4: one per hook after the closer", n)
 	}
+}
+
+// errHook is a settle hook that is also an error: a future that still held
+// it in its shared slot once settled would hand it out of Get as the error.
+type errHook struct {
+	name string
+	log  *[]string
+}
+
+func (h *errHook) FutureSettled() { *h.log = append(*h.log, h.name) }
+func (h *errHook) Error() string  { return "settle hook " + h.name }
+
+// TestFutureSlotHookThenError: a future keeps its settle hook and its error
+// in one slot, the hook until it settles and the error after. A success
+// leaves a nil error, a failure its own error, and either runs its hooks
+// exactly once, in order, before Get returns; a hook registered on a settled
+// future runs at once and leaves the outcome alone. A completed future
+// starts out holding its error.
+func TestFutureSlotHookThenError(t *testing.T) {
+	lost := fmt.Errorf("lost response: %w", ErrNodeFailed)
+	rt := NewRuntime(newScriptBackend(step{}, step{waitErr: lost}), "slot-arch-host")
+	var log []string
+	hook := func(name string) *errHook { return &errHook{name, &log} }
+	check := func(what string, f *Future[int64], wantV int64, wantErr error, wantLog ...string) {
+		t.Helper()
+		v, err := f.Get()
+		if v != wantV || !errors.Is(err, wantErr) {
+			t.Errorf("%s: Get = %d, %v; want %d, %v", what, v, err, wantV, wantErr)
+		}
+		if !slices.Equal(log, wantLog) {
+			t.Errorf("%s: hooks ran %q, want %q", what, log, wantLog)
+		}
+		log = log[:0]
+	}
+
+	ok := Async(rt, 1, fnLifeEcho.Bind(5))
+	ok.OnSettleHook(hook("ok"))
+	check("success", ok, 5, nil, "ok")
+
+	failed := Async(rt, 1, fnLifeEcho.Bind(6))
+	for _, name := range []string{"first", "second", "third"} {
+		failed.OnSettleHook(hook(name))
+	}
+	check("failure", failed, 0, lost, "first", "second", "third")
+	if n := freeHooks(t, rt); n != 2 {
+		t.Errorf("%d chain nodes on the free list, want 2 for a 3-hook chain", n)
+	}
+
+	ok.OnSettleHook(hook("late ok"))
+	check("late hook on a success", ok, 5, nil, "late ok")
+	failed.OnSettleHook(hook("late failure"))
+	check("late hook on a failure", failed, 0, lost, "late failure")
+
+	done := completedFuture(int64(7), nil)
+	done.OnSettleHook(hook("completed"))
+	check("completed", done, 7, nil, "completed")
+	broken := completedFuture(int64(8), lost)
+	broken.OnSettleHook(hook("completed failure"))
+	check("completed failure", broken, 8, lost, "completed failure")
 }
 
 // freeHooks returns the number of rt's parked chain nodes.

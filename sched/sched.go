@@ -162,8 +162,17 @@ type Scheduler struct {
 	pol      Policy
 	obs      settleObserver // pol as an observer; nil when it does not observe
 	inflight []int
+	slots    []slot // parallel to nodes; each task points at its node's
 	issued   int64
 	done     int64
+}
+
+// slot is what a task needs of its node: the scheduler and the node's
+// index in it. A task keeps one pointer to its node's slot rather than
+// both words.
+type slot struct {
+	s *Scheduler
+	i int // index into the scheduler's node list
 }
 
 // New builds a scheduler over nodes of rt's application. Every node must
@@ -184,13 +193,18 @@ func New(rt *core.Runtime, nodes []core.NodeID, pol Policy) (*Scheduler, error) 
 		}
 	}
 	obs, _ := pol.(settleObserver)
-	return &Scheduler{
+	s := &Scheduler{
 		rt:       rt,
 		nodes:    append([]core.NodeID(nil), nodes...),
 		pol:      pol,
 		obs:      obs,
 		inflight: make([]int, len(nodes)),
-	}, nil
+		slots:    make([]slot, len(nodes)),
+	}
+	for i := range s.slots {
+		s.slots[i] = slot{s, i}
+	}
+	return s, nil
 }
 
 // Targets returns every node of rt's application except the caller itself —
@@ -251,7 +265,7 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 		s.rt.NotePlacement(s.pol.Name(), node)
 		s.inflight[i]++
 		s.issued++
-		t.s, t.i, t.start = s, i, s.rt.SimNow()
+		t.at, t.start = &s.slots[i], s.rt.SimNow()
 		t.fut.OnSettleHook(t)
 		futs[k] = &t.fut
 	}
@@ -263,24 +277,23 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 }
 
 // task is one MapFutures task's slab record: its future and what settling
-// it needs. It is the future's settle hook: it returns the task's in-flight
-// slot and, when the policy observes settlements, feeds the outcome back.
+// it needs. It is the future's settle hook: it gives back its node's
+// in-flight count and, when the policy observes settlements, feeds the outcome back.
 type task[R any] struct {
 	fut   core.Future[R]
-	s     *Scheduler
-	i     int // index into the scheduler's node list
+	at    *slot // the node the task was placed on
 	start simtime.Time
 }
 
 // FutureSettled implements core.SettleHook. Get returns the already-settled
 // outcome, so it never blocks.
 func (t *task[R]) FutureSettled() {
-	s := t.s
-	s.inflight[t.i]--
+	s, i := t.at.s, t.at.i
+	s.inflight[i]--
 	s.done++
 	if s.obs != nil {
 		_, err := t.fut.Get()
-		s.obs.observe(s.nodes[t.i], s.rt.SimNow().Sub(t.start), err != nil)
+		s.obs.observe(s.nodes[i], s.rt.SimNow().Sub(t.start), err != nil)
 	}
 }
 

@@ -14,14 +14,15 @@ import (
 // This file sits inside the package because both questions are about the
 // MapFutures slab record, which the API does not show.
 
-// TestTaskRecordSize pins a MapFutures task's slab record at 72 B: the 48-B
-// future first, then the scheduler, the node index and the issue stamp. The
-// records sit back to back in one slab, so every byte here is a byte per
-// task. The node and the settle observer are the scheduler's, read through
-// s, not copied into every task.
+// TestTaskRecordSize pins a MapFutures task's slab record at 48 B: the 32-B
+// future first, then its node's slot (the scheduler and the node index,
+// built once per node) and the issue stamp. The records sit back to back in
+// one slab, so every byte here is a byte per task: a 512-task wave's slab is
+// 24 KiB, a small object. The node and the settle observer are the
+// scheduler's, read through the slot, not copied into every task.
 func TestTaskRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(task[int64]{}); got != 72 {
-		t.Errorf("task[int64] is %d B, want 72", got)
+	if got := unsafe.Sizeof(task[int64]{}); got != 48 {
+		t.Errorf("task[int64] is %d B, want 48", got)
 	}
 	if got := unsafe.Offsetof(task[int64]{}.fut); got != 0 {
 		t.Errorf("task[int64].fut is at offset %d, want 0", got)
