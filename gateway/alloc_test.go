@@ -172,11 +172,8 @@ func TestSlabRefillAllocs(t *testing.T) {
 			}
 		}
 		// Once more with every list warm, in a burst a slab longer than the
-		// longest count below. A run queue's FIFO doubles when a burst
-		// outgrows it, and a drain may leave up to 32 dead slots at its head
-		// (pop compacts past that), so the 1 023 latency-critical requests
-		// of a 3n+2 count, behind those, outgrow the 1 024 slots a 3n+1
-		// warm-up grows.
+		// longest count below: a run queue's FIFO doubles when a burst
+		// outgrows it, and no count below may be the first to reach a size.
 		serve(4*n + 1)
 
 		// MemStats counts the runtime's own mallocs too. Bind takes its
@@ -373,6 +370,31 @@ func checkQueueStorage(t *testing.T, g *Gateway[int64], when string) {
 					t.Fatalf("%s: a ticket is queued twice", when)
 				default:
 					queued[e.tk] = true
+				}
+			}
+		}
+	}
+}
+
+// TestDrainedFifoKeepsItsPeak: a FIFO drained to empty starts over at the
+// front of its backing array, so the next burst of the size it has already
+// held fits without growing it.
+func TestDrainedFifoKeepsItsPeak(t *testing.T) {
+	for _, peak := range []int{16, 33, 64, 1024} {
+		var q fifo[int]
+		size := 0
+		for round := range 3 {
+			for i := range peak {
+				q.push(i)
+			}
+			if round == 0 {
+				size = cap(q.items)
+			} else if c := cap(q.items); c != size {
+				t.Fatalf("peak %d, round %d: the burst grew the drained FIFO from %d to %d slots", peak, round, size, c)
+			}
+			for i := range peak {
+				if v := q.pop(); v != i {
+					t.Fatalf("peak %d: pop %d = %d", peak, i, v)
 				}
 			}
 		}

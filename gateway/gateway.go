@@ -248,9 +248,10 @@ func (h *ticketHook[R]) FutureSettled() {
 	tk.g.settle(tk)
 }
 
-// fifo is a slice-backed FIFO with a moving head, compacted when the dead
-// prefix outgrows the live tail. Every slot outside [head, len) holds the
-// zero T, so the backing array references nothing the FIFO no longer owns.
+// fifo is a slice-backed FIFO with a moving head, rewound when it empties
+// and compacted when the dead prefix outgrows the live tail. Every slot
+// outside [head, len) holds the zero T, so the backing array references
+// nothing the FIFO no longer owns.
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -267,8 +268,8 @@ func (q *fifo[T]) push(v T) {
 	q.items[n] = v
 }
 
-// grow doubles the backing array. pop compacts in place, so a queue stops
-// growing once it has held its peak backlog.
+// grow doubles the backing array. pop rewinds and compacts in place, so a
+// queue stops growing once it has held its peak backlog.
 //
 //hot:cold
 func (q *fifo[T]) grow() {
@@ -282,7 +283,11 @@ func (q *fifo[T]) pop() T {
 	var zero T
 	q.items[q.head] = zero
 	q.head++
-	if q.head > len(q.items)/2 && q.head > 32 {
+	switch {
+	case q.head == len(q.items):
+		q.items = q.items[:0]
+		q.head = 0
+	case q.head > len(q.items)/2 && q.head > 32:
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items = q.items[:n]

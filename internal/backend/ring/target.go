@@ -79,6 +79,7 @@ type Target struct {
 	desc  core.NodeDescriptor
 	heap  core.LocalMemory
 	cpu   core.Clock // the kernel context ham_main runs on
+	win   *veos.Ctx  // the same, whose charge window wraps Dispatch; nil off a VE
 	seq   []uint32   // next receive sequence per slot
 	// recv holds the message being served. One buffer serves every message:
 	// Dispatch only borrows it for the call (core.Server), and the loop
@@ -272,7 +273,15 @@ func (t *Target) Serve(s core.Server) error {
 			return err
 		}
 
+		// The message's kernel charges are one sleep, taken before the
+		// result goes out (veos.Ctx.OpenWindow).
+		if t.win != nil {
+			t.win.OpenWindow()
+		}
 		resp := s.Dispatch(msg)
+		if t.win != nil {
+			t.win.CloseWindow()
+		}
 		endResult := t.nt.Begin(trace.PhaseResult, t.spanResult, mid)
 		err = t.respond(next, seq[next], resp)
 		// The handler already ran exactly once; only the result push is

@@ -32,10 +32,10 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	vp := ctx.Context.Process()
 	card := vp.Card()
 	t := newTarget(cfg, ctx.P, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
-	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx.P)
+	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx)
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
-	t.cpu = ctx
+	t.cpu, t.win = ctx, ctx
 	card.Notifies(&t.idle.Watch)
 	vp.SetRuntime(t)
 }

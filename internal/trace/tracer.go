@@ -232,7 +232,7 @@ func (t *Tracer) Node(node int, backend string, clock Clock) *NodeTracer {
 		return nil
 	}
 	tid := ""
-	if p, ok := clock.(*simtime.Proc); ok && p != nil {
+	if p, ok := clock.(interface{ Name() string }); ok {
 		tid = p.Name()
 	}
 	return &NodeTracer{t: t, node: node, backend: backend, clock: clock, tid: tid}

@@ -24,6 +24,11 @@ type Context struct {
 	udma  *dma.UserDMA
 	instr *dma.Instr
 
+	// The charge window (Ctx.OpenWindow): while it is open on a card with
+	// one live context, kernel charges add to debt instead of sleeping.
+	window, charged bool
+	debt            simtime.Duration
+
 	executed int64
 }
 
@@ -105,6 +110,7 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 	ctx.cmdQ.Notifies(&ctx.idle.Watch)
 	vp.card.Notifies(&ctx.idle.Watch)
 	vp.ctxs = append(vp.ctxs, ctx)
+	vp.card.live++
 	vp.card.Eng.Spawn(fmt.Sprintf("ve%d-worker%d", vp.card.ID, ctx.id), ctx.workerLoop)
 	return ctx
 }
@@ -134,6 +140,7 @@ func (ctx *Context) workerLoop(p *simtime.Proc) {
 		ctx.executed++
 		cmd.done.Fire()
 	}
+	ctx.proc.card.live--
 }
 
 // Submit enqueues a kernel invocation from the VH side (veo_call_async).
@@ -196,30 +203,72 @@ func (c *Ctx) Model() vecore.Model { return c.Context.proc.model }
 // cores). The cores are held for the region's duration, so concurrent
 // kernels on one VE contend for them like real threads would.
 func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
-	pool := c.Context.proc.card.Cores
-	got := pool.Acquire(c.P, cores)
-	c.P.Sleep(c.Model().VectorTime(flops, bytes, got))
-	pool.Release(got)
+	n := min(max(cores, 1), c.Context.proc.card.Cores.Total())
+	c.charge(n, c.Model().VectorTime(flops, bytes, n))
 }
 
 // ChargeScalar advances simulated time by ops scalar instructions on one
 // core.
-func (c *Ctx) ChargeScalar(ops int64) {
-	pool := c.Context.proc.card.Cores
-	got := pool.Acquire(c.P, 1)
-	c.P.Sleep(c.Model().ScalarTime(ops))
+func (c *Ctx) ChargeScalar(ops int64) { c.charge(1, c.Model().ScalarTime(ops)) }
+
+// charge holds n of the card's cores for d. Inside a charge window on a card
+// with one live context no other process can want the cores, so d joins the
+// window's debt instead.
+func (c *Ctx) charge(n int, d simtime.Duration) {
+	x := c.Context
+	if x.window && x.proc.card.live == 1 {
+		x.debt += d
+		x.charged = true
+		return
+	}
+	c.pay()
+	pool := x.proc.card.Cores
+	got := pool.Acquire(c.P, n)
+	c.P.Sleep(d)
 	pool.Release(got)
 }
 
+// OpenWindow opens the charge window: until CloseWindow, the kernel charges
+// of a card with one live context are a debt that Now includes, paid with
+// one sleep. A served message's kernels run inside one (ring.Target.Serve),
+// touching nothing another process sees at a simulated instant.
+func (c *Ctx) OpenWindow() { c.Context.window = true }
+
+// CloseWindow closes the charge window and pays its debt: one sleep, taken
+// even for a zero debt if anything was charged.
+func (c *Ctx) CloseWindow() {
+	c.Context.window = false
+	c.pay()
+}
+
+// pay sleeps for the debt of the charges deferred so far, if there were any.
+func (c *Ctx) pay() {
+	x := c.Context
+	if x.charged {
+		d := x.debt
+		x.debt, x.charged = 0, false
+		c.P.Sleep(d)
+	}
+}
+
 // Now, Sleep and Simulated complete core.Clock: a kernel context is the
-// clock of the VE-side runtime it serves.
-func (c *Ctx) Now() simtime.Time        { return c.P.Now() }
-func (c *Ctx) Sleep(d simtime.Duration) { c.P.Sleep(d) }
-func (c *Ctx) Simulated() bool          { return true }
+// clock of the VE-side runtime it serves. Now includes the open window's
+// debt; Sleep pays it first.
+func (c *Ctx) Now() simtime.Time { return c.P.Now().Add(c.Context.debt) }
+func (c *Ctx) Sleep(d simtime.Duration) {
+	c.pay()
+	c.P.Sleep(d)
+}
+func (c *Ctx) Simulated() bool { return true }
+
+// Name returns the name of the process the kernel runs on, the thread its
+// trace spans carry.
+func (c *Ctx) Name() string { return c.P.Name() }
 
 // Syscall performs a reverse-offloaded system call serviced by the VH
 // pseudo-process, with body being the VH-side service time.
 func (c *Ctx) Syscall(body simtime.Duration) {
+	c.pay()
 	c.P.Sleep(c.Context.proc.card.Timing.SyscallRoundTrip + body)
 	c.Context.proc.syscalls++
 }
@@ -233,6 +282,7 @@ func (c *Ctx) VHCall(name string, args ...uint64) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("veos: VHcall %q not registered on VE %d", name, card.ID)
 	}
+	c.pay()
 	c.P.Sleep(card.Timing.SyscallRoundTrip)
 	c.Context.proc.syscalls++
 	return h(c.P, args)

@@ -54,6 +54,7 @@ type Card struct {
 	Cores *simtime.Semaphore
 
 	proc    *Process
+	live    int // execution contexts whose worker has not returned, of any process
 	crashed bool
 	vhcalls map[string]VHHandler
 	// watches are notified when the process crashes or stops: the polls of
