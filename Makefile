@@ -71,13 +71,13 @@ repro:
 examples:
 	$(GO) test -count=1 -run TestExamples -v .
 
-# Non-test Go lines outside bench/perf: the number ROADMAP item 5's ledger
-# tracks.
+# Non-test Go lines outside bench/perf: the size ROADMAP aim 2 ("the least
+# code") and its universal gate track.
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/perf/*' | xargs cat | wc -l
 
 # Lines and bytes of the user-facing documents — README, DESIGN, EXPERIMENTS
-# and docs/*.md — the doc size ROADMAP item 5's ledger tracks beside `lines`.
+# and docs/*.md — the doc size ROADMAP aim 2 tracks beside `lines`.
 DOCS := README.md DESIGN.md EXPERIMENTS.md $(wildcard docs/*.md)
 
 doclines:

@@ -12,27 +12,18 @@ import (
 )
 
 // wakeLog records one line per wake, "<now ps> <proc> <reason>", written by
-// the woken process itself. The reason is what the primitive reports: a
-// Sleep is always the timer, a Pop/Wait/Acquire always the event, and the
-// timeout variants say which of the two won.
+// the woken process itself. The reason is what woke it: a Sleep is always the
+// timer, a Pop/Wait/Acquire always the event.
 type wakeLog []string
 
 func (l *wakeLog) rec(p *Proc, reason string) {
 	*l = append(*l, fmt.Sprintf("%d %s %s", int64(p.Now()), p.Name(), reason))
 }
 
-func won(event bool) string {
-	if event {
-		return "event"
-	}
-	return "timer"
-}
-
 // goldenScenario mixes every blocking primitive, contended and not, with
-// same-timestamp ties, a timer that wins and one that loses for each timeout
-// variant, stale wakes left behind by the losers, a spawn from inside a
-// process, and a poller — polling through poll — whose ticks fall on other
-// processes' instants, ended once by its condition and once by until.
+// same-timestamp ties, a spawn from inside a process, and a poller — polling
+// through poll — whose ticks fall on other processes' instants, ended once by
+// its condition and once by until.
 func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	q := NewQueue[int](e, "q")
 	ev1, ev2 := NewEvent(e), NewEvent(e)
@@ -65,23 +56,25 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	e.Spawn("consumer", func(p *Proc) {
 		v := q.Pop(p)
 		log.rec(p, fmt.Sprintf("event pop=%d", v))
-		v = q.Pop(p) // already queued at the same instant: no park
-		v, ok := q.PopTimeout(p, 20)
-		log.rec(p, fmt.Sprintf("%s pop=%d", won(ok), v))
-		v, ok = q.PopTimeout(p, 4) // timer wins at t=9; item 4 comes at 15
-		log.rec(p, fmt.Sprintf("%s pop=%d", won(ok), v))
-		v, ok = q.PopTimeout(p, 100) // event wins at 15, timer stays behind stale
-		log.rec(p, fmt.Sprintf("%s pop=%d", won(ok), v))
+		q.Pop(p)     // 2 comes after the producer's Yield, with 3
+		v = q.Pop(p) // 3, already queued: no park
+		log.rec(p, fmt.Sprintf("event pop=%d", v))
+		p.Sleep(4) // t=9; item 4 comes at 15
+		log.rec(p, "timer")
+		v = q.Pop(p)
+		log.rec(p, fmt.Sprintf("event pop=%d", v))
 		p.Sleep(1)
 		log.rec(p, "timer")
 		v = q.Pop(p) // t=30
 		log.rec(p, fmt.Sprintf("event pop=%d", v))
 	})
 	e.Spawn("waiter", func(p *Proc) {
-		log.rec(p, won(ev1.WaitTimeout(p, 7))) // timer wins at 7; ev1 fires at 12
-		log.rec(p, won(ev1.WaitTimeout(p, 100)))
+		p.Sleep(7) // ev1 fires at 12
+		log.rec(p, "timer")
+		ev1.Wait(p)
+		log.rec(p, "event")
 		ev1.Wait(p) // fired: no park
-		p.Sleep(2)  // the stale t=107 timer must not cut this short
+		p.Sleep(2)
 		log.rec(p, "timer")
 		ev2.Wait(p)
 		log.rec(p, "event")
@@ -89,7 +82,8 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	e.Spawn("waiter2", func(p *Proc) {
 		ev1.Wait(p)
 		log.rec(p, "event")
-		log.rec(p, won(ev2.WaitTimeout(p, 18))) // ev2 fires at t=30 too, but the timer was scheduled first
+		p.Sleep(18) // ev2 fires at t=30 too, but this wake was queued first
+		log.rec(p, "timer")
 	})
 	e.Spawn("firer", func(p *Proc) {
 		p.Sleep(12) // same instant as tick's 4th tick
@@ -138,6 +132,9 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 // goldenWakes is goldenScenario's log as the goroutine-and-channels engine of
 // PR 13 (c00e21a) produced it, with its Events() and MaxQueueLen(); the
 // poller's lines and events are the tick-by-tick loop's on PR 21's engine.
+// The scenario's waits with a timeout are now the Sleep or the Pop/Wait that
+// won them, at the same place in their instant: one line, the consumer's
+// timeout at 9, says "timer" where it said "timer pop=0".
 var goldenWakes = []string{
 	"0 link0 acquired",
 	"1 core0 timer",
@@ -159,7 +156,7 @@ var goldenWakes = []string{
 	"7 waiter timer",
 	"8 link1 timer",
 	"8 link2 acquired",
-	"9 consumer timer pop=0",
+	"9 consumer timer",
 	"9 tick timer",
 	"9 core2 timer",
 	"12 firer timer",
@@ -309,11 +306,11 @@ func pollBesideSleeper(e *Engine, log *wakeLog, viaPoll bool) {
 	})
 }
 
-// The limits cut a run short at the same event, with the same error and the
-// same Events(), whether the event that trips them would have been taken in
-// place by the poller or delivered by Run. A Proc.Poll that never hits is
-// parked for good beside the sleeper: the sleeper alone runs into the limit,
-// its wakes those of the loop's run.
+// The event budget cuts a run short at the same event, with the same error
+// and the same Events(), whether the event that trips it would have been
+// taken in place by the poller or delivered by Run. A Proc.Poll that never
+// hits is parked for good beside the sleeper: the sleeper alone runs into the
+// budget, its wakes those of the loop's run.
 func TestSelfWakeHonoursLimits(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -327,13 +324,6 @@ func TestSelfWakeHonoursLimits(t *testing.T) {
 		pollEvents uint64
 		pollNow    Time
 	}{
-		// The deadline falls between two poller ticks: the tick at 10.2 us
-		// must be refused although it is the poller's own next event.
-		{"deadline", func(e *Engine) { e.Deadline = Time(10100 * Nanosecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52,
-			4, Time(10 * Microsecond)},
-		// Both wakes at the deadline itself are still delivered.
-		{"deadline-on-tick", func(e *Engine) { e.Deadline = Time(10 * Microsecond) }, ErrDeadline, 54, Time(10 * Microsecond), "10000000 poll timer", 52,
-			4, Time(10 * Microsecond)},
 		// The budget runs out on one of the poller's own ticks.
 		{"budget", func(e *Engine) { e.MaxEvents = 20 }, ErrEventLimit, 21, Time(3600 * Nanosecond), "3600000 poll timer", 18,
 			21, Time(90 * Microsecond)},
@@ -408,15 +398,14 @@ func TestSelfWakeHonoursStop(t *testing.T) {
 
 // A parking process never takes its own wake ahead of another process's
 // earlier event, nor ahead of one at the same instant that was scheduled
-// first; stale wakes in front of it are discarded, not delivered.
+// first.
 func TestSelfWakeNeverOvertakes(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)
 	var log wakeLog
 	e.Spawn("a", func(p *Proc) {
-		// The timer at t=50 goes stale at t=10 and then sits in front of
-		// a's own t=60 wake.
-		log.rec(p, won(ev.WaitTimeout(p, 50)))
+		ev.Wait(p)
+		log.rec(p, "event")
 		p.Sleep(50)
 		log.rec(p, "timer")
 		p.Sleep(10) // t=70: b's wake at 70 was scheduled earlier
@@ -443,7 +432,7 @@ func TestSelfWakeNeverOvertakes(t *testing.T) {
 	if !reflect.DeepEqual([]string(log), want) {
 		t.Fatalf("wakes = %q, want %q", []string(log), want)
 	}
-	// 2 spawn wakes + 7 logged ones; the stale timer is not an event.
+	// 2 spawn wakes + 7 logged ones.
 	if e.Events() != 9 {
 		t.Fatalf("Events = %d, want 9", e.Events())
 	}
@@ -475,9 +464,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	var polling *Proc
 	parkIn("poll", func(p *Proc) { polling = p; p.Poll(&cond{hit: never.Fired}, gapWatch(Second), 0) })
 	parkIn("pop", func(p *Proc) { q.Pop(p) })
-	parkIn("pop-timeout", func(p *Proc) { q.PopTimeout(p, Second) })
 	parkIn("wait", func(p *Proc) { never.Wait(p) })
-	parkIn("wait-timeout", func(p *Proc) { never.WaitTimeout(p, Second) })
 	parkIn("semaphore", func(p *Proc) { cores.Acquire(p, 1) })
 	parkIn("defer-parks", func(p *Proc) {
 		defer p.Sleep(1) // a park while being killed is killed too
@@ -496,7 +483,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	}
 	events, now := e.Events(), e.Now()
 	e.Shutdown()
-	want := []string{"holder", "sleep", "poll", "pop", "pop-timeout", "wait", "wait-timeout", "semaphore", "defer-parks"}
+	want := []string{"holder", "sleep", "poll", "pop", "wait", "semaphore", "defer-parks"}
 	if !reflect.DeepEqual(unwound, want) {
 		t.Errorf("unwound = %q, want %q (spawn order)", unwound, want)
 	}

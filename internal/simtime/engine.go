@@ -15,51 +15,23 @@ var ErrDeadlock = errors.New("simtime: deadlock: no pending events but processes
 // exhausted, which usually indicates a runaway polling loop.
 var ErrEventLimit = errors.New("simtime: event limit exceeded")
 
-// ErrDeadline is returned by Run when simulated time passes the configured
-// deadline.
-var ErrDeadline = errors.New("simtime: simulated-time deadline exceeded")
-
-// wake reasons delivered to a parked process.
-const (
-	reasonTimer = iota // Sleep expiry or wait timeout
-	reasonEvent        // an Event fired / a Queue item arrived / a Semaphore was granted
-	reasonKill         // engine shutdown; park panics with errKilled
-	reasonWatch        // a parked poll's wake (Proc.Poll)
-)
-
-// waiter represents one parked process. Wake events reference waiters rather
-// than processes so that a stale wake (e.g. a timeout racing an Event fire)
-// is skipped instead of waking an unrelated, later wait of the same process.
-type waiter struct {
-	p     *Proc
-	woken bool
-	// A waiter parked in Proc.Poll: its poll and Watch, its grid, and its
-	// one queued wake: at due (noWake: none), on grid point dueK.
-	poll  Poller
-	watch *Watch
-	grid
-	due  Time
-	dueK int64
-}
-
-// An event is one queued wake. Events are ordered by time, then by seq. A
-// plain wake's seq comes from a counter: simultaneous ones run in the order
-// they were queued. A poll loop's wake at a tick or a poll's end — the loop's
-// tick sleep, or a parked poll's wake standing for it — takes its process's
-// key (Proc.key), which is above every counter seq: it runs after every
-// plain wake of its instant, and two processes' in spawn order.
+// An event is one queued wake of a process. Events are ordered by time, then
+// by seq. A plain wake's seq comes from a counter: simultaneous ones run in
+// the order they were queued. A poll loop's wake at a tick or a poll's end —
+// the loop's tick sleep, or a parked poll's wake standing for it — takes its
+// process's key (Proc.key), which is above every counter seq: it runs after
+// every plain wake of its instant, and two processes' in spawn order.
 type event struct {
 	at  Time
 	seq uint64
-	w   *waiter
-	rsn int
+	p   *Proc
 }
 
 // eventQueue is a binary min-heap ordered by (at, seq). It is a concrete heap
 // rather than a container/heap adapter: the adapter's `any` interface boxes
 // every pushed event onto the Go heap, which dominated the simulator's
 // allocation profile. (at, seq) is a strict total order — a process has at
-// most one keyed wake queued — so any correct heap pops the same sequence.
+// most one wake queued — so any correct heap pops the same sequence.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -91,7 +63,7 @@ func (q *eventQueue) pop() event {
 	n := len(h) - 1
 	ev := h[0]
 	h[0] = h[n]
-	h[n] = event{} // release the waiter reference
+	h[n] = event{} // release the process reference
 	h = h[:n]
 	*q = h
 	for i := 0; ; { // down(0), kept inline on the engine's hottest path
@@ -133,9 +105,6 @@ type Engine struct {
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.
 	MaxEvents uint64
-	// Deadline bounds simulated time; zero means no deadline. An event
-	// scheduled past the deadline aborts Run with ErrDeadline.
-	Deadline Time
 
 	// The unfinished procs in spawn order, linked through Proc.prev/next so
 	// that a finishing proc unlinks itself in O(1) and a run that spawns
@@ -185,11 +154,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer p.finish()
-		if p.reason != reasonKill { // else: shut down before its first wake
+		if !p.killed { // else: shut down before its first wake
 			fn(p)
 		}
 	})
-	e.schedule(e.now, p.singleWaiter(), reasonEvent)
+	e.schedule(e.now, p)
 	return p
 }
 
@@ -219,12 +188,12 @@ func (p *Proc) finish() {
 // answers once the sequence has ended.
 func resumeFinished() (struct{}, bool) { return struct{}{}, false }
 
-// schedule enqueues a plain wake for w at time at.
+// schedule enqueues a plain wake for p at time at.
 //
 //hot:path
-func (e *Engine) schedule(at Time, w *waiter, rsn int) {
+func (e *Engine) schedule(at Time, p *Proc) {
 	e.seq++
-	e.push(event{at: at, seq: e.seq, w: w, rsn: rsn})
+	e.push(event{at: at, seq: e.seq, p: p})
 }
 
 // push enqueues ev, at now if it is due earlier.
@@ -241,7 +210,7 @@ func (e *Engine) push(ev event) {
 func (e *Engine) Stop() { e.stop = true }
 
 // Run executes the simulation until all processes finish, a process calls
-// Stop, the event budget or deadline is exceeded, or a deadlock is detected.
+// Stop, the event budget is exceeded, or a deadlock is detected.
 func (e *Engine) Run() error {
 	for {
 		p, err := e.step(nil)
@@ -252,70 +221,54 @@ func (e *Engine) Run() error {
 	}
 }
 
-// step is the one place that decides what the engine does next. It discards
-// stale wakes and then takes the earliest wake event: pops it, counts it,
-// advances the clock and stores the reason in the process, which the caller
-// must let run. Run calls step(nil) and, when step returns no process,
-// returns err: nil after Stop or once every process has finished, otherwise
-// the panic, deadlock, deadline or event-budget error.
+// step is the one place that decides what the engine does next. It takes the
+// earliest wake event: pops it, counts it and advances the clock, and returns
+// its process, which the caller must let run. Run calls step(nil) and, when
+// step returns no process, returns err: nil after Stop or once every process
+// has finished, otherwise the panic, deadlock or event-budget error.
 //
 // A parking process calls step(p) to ask whether the next event is its own
 // (a poller ticking beside longer sleeps); if so the process takes it in place
 // and just keeps running at the new time, with no switch. This cannot reorder
 // delivery: it is the same event Run would deliver next, to the same process,
 // and nothing else runs in between. Whatever step(p) cannot settle without
-// switching — another process's wake, Stop, the deadline, the event budget,
-// an empty heap — it leaves untouched and returns nil, so p yields and Run's
-// step(nil) reaches the verdict.
+// switching — another process's wake, Stop, the event budget, an empty heap —
+// it leaves untouched and returns nil, so p yields and Run's step(nil)
+// reaches the verdict.
 //
 //hot:path
 func (e *Engine) step(self *Proc) (*Proc, error) {
-	for {
-		if e.failed != nil || e.stop || e.first == nil {
-			return nil, e.failed
-		}
-		if len(e.eq) == 0 {
-			if self != nil {
-				return nil, nil
-			}
-			return nil, e.idleError()
-		}
-		head := &e.eq[0]
-		w := head.w
-		if w.woken {
-			e.eq.pop() // stale wake (e.g. timeout lost to an Event fire)
-			continue
-		}
-		maxEvents := e.MaxEvents
-		if maxEvents == 0 {
-			maxEvents = 1 << 40
-		}
-		late := e.Deadline != 0 && head.at > e.Deadline
-		spent := e.events >= maxEvents
-		if self != nil && (w.p != self || late || spent) {
+	if e.failed != nil || e.stop || e.first == nil {
+		return nil, e.failed
+	}
+	if len(e.eq) == 0 {
+		if self != nil {
 			return nil, nil
 		}
-		ev := e.eq.pop()
-		if late {
-			e.cut()
-			return nil, deadlineError(ev.at)
-		}
-		e.events++
-		if spent {
-			return nil, limitError(maxEvents)
-		}
-		if ev.at != e.now || ev.seq > e.cur {
-			e.cur = ev.seq
-		}
-		e.now = ev.at
-		w.woken = true
-		w.p.reason = ev.rsn
-		return w.p, nil
+		return nil, e.idleError()
 	}
+	maxEvents := e.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = 1 << 40
+	}
+	spent := e.events >= maxEvents
+	if self != nil && (e.eq[0].p != self || spent) {
+		return nil, nil
+	}
+	ev := e.eq.pop()
+	e.events++
+	if spent {
+		return nil, limitError(maxEvents)
+	}
+	if ev.at != e.now || ev.seq > e.cur {
+		e.cur = ev.seq
+	}
+	e.now = ev.at
+	return ev.p, nil
 }
 
 // Shutdown kills all unfinished processes in spawn order: each is resumed
-// with reasonKill, unwinds through its deferred calls, and its coroutine
+// killed, unwinds through its deferred calls, and its coroutine
 // exits; one that never started never runs its body. It must be called after
 // Run returns, never concurrently with it.
 func (e *Engine) Shutdown() {
@@ -325,16 +278,9 @@ func (e *Engine) Shutdown() {
 		// A deferred call that parks yields back here with the process
 		// still first in line; the next round kills that park too.
 		p := e.first
-		p.reason = reasonKill
+		p.killed = true
 		p.resume()
 	}
-}
-
-// deadlineError terminates the run; it allocates once.
-//
-//hot:cold
-func deadlineError(at Time) error {
-	return fmt.Errorf("%w (at %v)", ErrDeadline, at)
 }
 
 // limitError terminates the run; it allocates once.
@@ -345,20 +291,10 @@ func limitError(maxEvents uint64) error {
 }
 
 // idleError runs when no process is running and no wake is queued, so every
-// live one is parked. A poll parked on a Watch would have ticked on for ever
-// in its loop, into the Deadline if there is one (cut); any other park is a
-// deadlock.
+// live one is parked for good: a deadlock.
 //
 //hot:cold
 func (e *Engine) idleError() error {
-	if e.Deadline != 0 {
-		for p := e.first; p != nil; p = p.next {
-			if p.blockedOn == "poll" {
-				e.cut()
-				return deadlineError(e.Deadline)
-			}
-		}
-	}
 	var stuck []string
 	for p := e.first; p != nil; p = p.next {
 		stuck = append(stuck, p.name+" ("+p.blockedOn+")")

@@ -54,7 +54,18 @@ func (Free) Missed(int64) {}
 // have seen the change. One poll at a time parks on a Watch.
 type Watch struct {
 	Backoff
-	w *waiter // the poll parked here, if any
+	w *pollPark // the poll parked here, if any
+}
+
+// pollPark is a process parked in Proc.Poll: its poll and Watch, its grid,
+// and its one queued wake: at due (noWake: none), on grid point dueK.
+type pollPark struct {
+	p     *Proc
+	poll  Poller
+	watch *Watch
+	grid
+	due  Time
+	dueK int64
 }
 
 // noWake is the time of a wake that is not queued.
@@ -142,9 +153,9 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 	if wt.w != nil {
 		panic(twoPolls(p))
 	}
-	w := p.singleWaiter()
-	w.poll, w.watch, w.due, w.dueK = q, wt, noWake, 0
-	w.grid = grid{next: next, issued: issued, cost: cost, gaps: wt.Backoff}
+	w := &p.polling
+	*w = pollPark{p: p, poll: q, watch: wt, due: noWake,
+		grid: grid{next: next, issued: issued, cost: cost, gaps: wt.Backoff}}
 	if issued {
 		w.k0 = 1 // the tick now is behind
 	}
@@ -179,7 +190,7 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 //hot:path
 func (wt *Watch) Notify() {
 	w := wt.w
-	if w == nil || w.woken {
+	if w == nil {
 		return
 	}
 	e := w.p.eng
@@ -207,7 +218,7 @@ func (wt *Watch) Notify() {
 // tick after them: a reader of what Missed counts (a load count) then reads
 // what the loop would have left there.
 func (wt *Watch) Settle() {
-	if w := wt.w; w != nil && !w.woken {
+	if w := wt.w; w != nil {
 		if k, _, ok := w.pending(endPoint); ok {
 			w.settle(k)
 		}
@@ -216,7 +227,7 @@ func (wt *Watch) Settle() {
 
 // settle accounts for the polls of w's park that end before grid point k and
 // before its queued wake, and the park goes on from the tick after them.
-func (w *waiter) settle(k int64) {
+func (w *pollPark) settle(k int64) {
 	if w.due != noWake {
 		k = min(k, w.dueK)
 	}
@@ -236,29 +247,6 @@ func (w *waiter) settle(k int64) {
 	w.dueK -= tick
 }
 
-// cut is where the Deadline ends a run: the loop would have run every grid
-// point of the parked polls at or before it, so the clock moves to the last
-// of them and each park accounts for its misses there.
-//
-//hot:cold
-func (e *Engine) cut() {
-	for p := e.first; p != nil; p = p.next {
-		w := &p.scratch
-		if w.watch == nil || w.woken {
-			continue
-		}
-		ke, _, oke := w.find(e.Deadline+1, w.k0, endPoint)
-		kt, _, okt := w.find(e.Deadline+1, w.k0, tickPoint)
-		if !oke || !okt {
-			continue // a poll that never passes the Deadline, or only at the end of time
-		}
-		if k := min(ke, kt); k > w.k0 {
-			e.now = max(e.now, w.at(k-1))
-		}
-		w.settle(ke)
-	}
-}
-
 // The kinds of grid points find looks for.
 const (
 	tickPoint = iota
@@ -268,7 +256,7 @@ const (
 // pending is find from now on, past a grid point at now that the loop has
 // run already: its wake, with w's process's key, sorts before one delivered
 // at now.
-func (w *waiter) pending(kind int) (int64, Time, bool) {
+func (w *pollPark) pending(kind int) (int64, Time, bool) {
 	e := w.p.eng
 	k, at, ok := w.find(e.now, w.k0, kind)
 	if ok && at == e.now && w.p.key < e.cur {
@@ -279,16 +267,16 @@ func (w *waiter) pending(kind int) (int64, Time, bool) {
 
 // queue makes w's one queued wake the one at grid point k, at at, with its
 // process's key. A wake already queued is moved, earlier.
-func (w *waiter) queue(k int64, at Time) {
+func (w *pollPark) queue(k int64, at Time) {
 	e := w.p.eng
 	queued := w.due != noWake
 	w.due, w.dueK = at, k
 	if !queued {
-		e.push(event{at: at, seq: w.p.key, w: w, rsn: reasonWatch})
+		e.push(event{at: at, seq: w.p.key, p: w.p})
 		return
 	}
 	for i := range e.eq {
-		if e.eq[i].w == w {
+		if e.eq[i].p == w.p {
 			e.eq[i].at = at
 			e.eq.up(i)
 			return

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -113,8 +112,10 @@ type pollWorld struct {
 	err    string
 	misses uint64 // every Missed n, of every poller
 	// What the worlds reach, for the generator's health: polls that until, or
-	// a tick the process took, ended; and whether Run was called again.
+	// a tick the process took, ended; whether the stopper cut the run short,
+	// other processes still live; and whether Run was called again.
 	byUntil, byTake int
+	cutShort        bool
 	resumed         bool
 	// Notifies more than farRuns runs after the grid point before (longGap).
 	farNotifies int
@@ -161,9 +162,6 @@ const (
 	// untilTicks adds quiet pollers whose every poll ends at its until tick:
 	// the until wake.
 	untilTicks
-	// cutoffInHorizon adds quiet pollers that never hit and moves the
-	// Deadline to fall among their grid points.
-	cutoffInHorizon
 	// lapsingTakes adds pollers whose polls cost and whose Tick takes or
 	// leaves the tick by the clock alone, flipping at drawn instants with no
 	// process running, and declares when its answer lapses: the fault-window
@@ -206,7 +204,6 @@ var worldShapes = []struct {
 	{"tied pollers", tiedPollers},
 	{"hit in a horizon", hitInHorizon},
 	{"until ticks", untilTicks},
-	{"cut-off in a horizon", cutoffInHorizon},
 	{"lapsing takes", lapsingTakes},
 	{"crash", crashes},
 	{"queue push or Event.Fire", pushOrFire},
@@ -217,13 +214,13 @@ var worldShapes = []struct {
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
 // queue and an event, with fixed and back-off gaps, free polls or polls that
 // cost and whose ticks are the process's while a flag says so, and optional
-// until; sleepers; flippers of those flags; an event firer with timed-out
-// waiters (stale wakes); a queue producer; a Deadline or Stop cut-off; and
-// the shapes the seed draws, plus those in force — and runs it with Proc.Poll
-// or, as the oracle, with the loop. Every change to what a poller reads
-// notifies every watch, as a store to a watched word does, except where a
-// shape wires a source to one watch. All times are small integers, so ticks,
-// load ends, flips and wakes collide at the same timestamp all the time.
+// until; sleepers; flippers of those flags; an event firer; a queue producer;
+// a stopper that ends the run; and the shapes the seed draws, plus those in
+// force — and runs it with Proc.Poll or, as the oracle, with the loop. Every
+// change to what a poller reads notifies every watch, as a store to a watched
+// word does, except where a shape wires a source to one watch. All times are
+// small integers, so ticks, load ends, flips and wakes collide at the same
+// timestamp all the time.
 func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	w := &pollWorld{}
 	e := NewEngine()
@@ -345,10 +342,6 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			changed()
 			w.log.rec(p, "fire")
 		})
-		e.Spawn("waiter", func(p *Proc) {
-			w.log.rec(p, won(ev.WaitTimeout(p, Duration(pr.n(30)))))
-			w.log.rec(p, won(ev.WaitTimeout(p, Duration(pr.n(30)))))
-		})
 	}
 	if pr := r.fork(); r.n(2) == 0 {
 		e.Spawn("producer", func(p *Proc) {
@@ -358,10 +351,6 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 				changed()
 				w.log.rec(p, "push")
 			}
-		})
-		e.Spawn("consumer", func(p *Proc) {
-			_, ok := q.PopTimeout(p, Duration(pr.n(25)))
-			w.log.rec(p, won(ok))
 		})
 	}
 	if shapes&bystander != 0 {
@@ -467,14 +456,6 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			quiet(fmt.Sprintf("until%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1+pr.n(4), func(p *Proc) Time {
 				return p.Now().Add(Duration(1 + ur.n(60)))
 			})
-		}
-	}
-	if shapes&cutoffInHorizon != 0 {
-		pr := sr.fork()
-		for i, n := 0, 2+pr.n(3); i < n; i++ {
-			g := Duration(1 + pr.n(4))
-			pl := flagPoll(len(flags), Duration(pr.n(4)), never)
-			quiet(fmt.Sprintf("endless%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1, noUntil)
 		}
 	}
 	if shapes&lapsingTakes != 0 {
@@ -641,24 +622,28 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		}()
 	}
 
-	// A poller nobody answers polls for ever; the deadline ends the run.
-	e.Deadline = 5000
+	// A poller nobody answers polls for ever: a stopper ends the run at at,
+	// or at once if at is past, behind the plain wakes already queued there
+	// and before the tick wakes.
+	stopper := func(at Time) {
+		e.Spawn("stopper", func(p *Proc) {
+			p.Sleep(at.Sub(p.Now()))
+			w.cutShort = e.first != p || e.last != p
+			w.log.rec(p, "stop")
+			e.Stop()
+		})
+	}
 	pr, cut := r.fork(), r.n(3)
 	if shapes&resumedRun != 0 {
 		cut = 1
 	}
 	switch cut {
 	case 0:
-		e.Deadline = Time(3 + pr.n(80))
+		stopper(Time(3 + pr.n(80)))
 	case 1:
-		e.Spawn("stopper", func(p *Proc) {
-			p.Sleep(Duration(pr.n(60)))
-			w.log.rec(p, "stop")
-			e.Stop()
-		})
-	}
-	if shapes&cutoffInHorizon != 0 {
-		e.Deadline = Time(20 + sr.n(300))
+		stopper(Time(pr.n(60)))
+	default:
+		stopper(5000)
 	}
 
 	err := e.Run()
@@ -670,17 +655,10 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		takes[0], takes[1] = !takes[0], !takes[1]
 		changed()
 		e.stop = false
-		e.Deadline = Time(60 + sr.n(200))
+		stopper(Time(60 + sr.n(200)))
 		err = e.Run()
 	}
-	switch {
-	case errors.Is(err, ErrDeadlock):
-		w.err += ErrDeadlock.Error()
-	case errors.Is(err, ErrDeadline):
-		// Where the loop's quiet ticks ran into the deadline, parked polls
-		// report it on an idle engine: the kind is what both can tell.
-		w.err += ErrDeadline.Error()
-	case err != nil:
+	if err != nil {
 		w.err += err.Error()
 	}
 	// What a process reading the clock and the counters after Run sees.
@@ -722,7 +700,7 @@ func checkPollWorld(t *testing.T, seed uint64, force worldShape) (byEngine, byLo
 
 // Proc.Poll against the loop it is defined as, over generated worlds: the
 // same deliveries (process, time, reason, and the misses of each poll) in the
-// same order, the same Run error kind, the same Now and every miss accounted
+// same order, the same Run error, the same Now and every miss accounted
 // once. Events, MaxQueueLen and QueueLen are not compared: a parked poll's
 // misses are no events. Each named world forces one shape on every seed.
 func TestPollEquivalence(t *testing.T) {
@@ -748,24 +726,23 @@ func TestPollEquivalence(t *testing.T) {
 		})
 	}
 	var misses uint64
-	var byUntil, byTake, deadlines, clean int
+	var byUntil, byTake, cutShort, clean int
 	for seed := uint64(0); seed < 1000; seed++ {
 		w, _ := checkPollWorld(t, seed, 0)
 		misses += w.misses
 		byUntil += w.byUntil
 		byTake += w.byTake
-		switch {
-		case strings.Contains(w.err, "deadline"):
-			deadlines++
-		case w.err == "":
+		if w.cutShort {
+			cutShort++
+		} else {
 			clean++
 		}
 	}
-	t.Logf("misses=%d byUntil=%d byTake=%d deadlines=%d clean=%d", misses, byUntil, byTake, deadlines, clean)
+	t.Logf("misses=%d byUntil=%d byTake=%d cutShort=%d clean=%d", misses, byUntil, byTake, cutShort, clean)
 	// The generator must keep reaching what the comparison is about.
-	if misses < 50_000 || byUntil < 300 || byTake < 300 || deadlines < 100 || clean < 100 {
-		t.Errorf("1000 worlds accounted %d misses, %d polls ended by until, %d by a tick the process took, %d deadline and %d clean runs: the generator has gone soft",
-			misses, byUntil, byTake, deadlines, clean)
+	if misses < 50_000 || byUntil < 300 || byTake < 300 || cutShort < 100 || clean < 100 {
+		t.Errorf("1000 worlds accounted %d misses, %d polls ended by until, %d by a tick the process took, %d runs cut short and %d clean: the generator has gone soft",
+			misses, byUntil, byTake, cutShort, clean)
 	}
 }
 
@@ -850,9 +827,8 @@ func TestHitMustNotPark(t *testing.T) {
 	t.Run("Run's stack", func(t *testing.T) {
 		e := NewEngine()
 		_, wt := parksAfter(e, 1)
-		e.Deadline = 10
-		if err := e.Run(); !errors.Is(err, ErrDeadline) {
-			t.Fatalf("Run = %v, want the deadline a parked poll runs into", err)
+		if err := e.Run(); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("Run = %v, want the deadlock of a poll parked with no wake", err)
 		}
 		defer func() {
 			if r := recover(); r != want {
@@ -882,7 +858,7 @@ func TestTickMustNotPark(t *testing.T) {
 	}
 }
 
-// The waiter a poll parked on carries no Poller into the process's next park,
+// The park record a poll used carries no Poller into the process's next park,
 // and the Watch lets it go: a plain Sleep after a Poll is a Sleep, and a
 // notify of the Watch then wakes nobody.
 func TestScratchWaiterForgetsPoller(t *testing.T) {
@@ -894,8 +870,8 @@ func TestScratchWaiterForgetsPoller(t *testing.T) {
 		flag = false
 		p.Spawn("set", func(c *Proc) { c.Sleep(5); flag = true; wt.Notify() })
 		p.Poll(pl, wt, 0) // hits on the tick at 6
-		if p.Now() != 6 || p.scratch.poll != nil || wt.w != nil {
-			t.Errorf("Poll returned at %v, holding poller %v on watch %v; want 6ps and neither", p.Now(), p.scratch.poll, wt.w)
+		if p.Now() != 6 || p.polling.poll != nil || wt.w != nil {
+			t.Errorf("Poll returned at %v, holding poller %v on watch %v; want 6ps and neither", p.Now(), p.polling.poll, wt.w)
 		}
 		p.Spawn("notify", func(c *Proc) { c.Sleep(3); wt.Notify() })
 		p.Sleep(10)
@@ -909,8 +885,8 @@ func TestScratchWaiterForgetsPoller(t *testing.T) {
 }
 
 // Time.Add saturates, so a timeout of the largest Duration never comes: a
-// WaitTimeout for it waits for the Fire, and a poll until it waits for its
-// hit.
+// Sleep for it wakes at the end of time, after everything else, and a poll
+// until it waits for its hit.
 func TestMaxTimeoutNeverExpires(t *testing.T) {
 	if got := Time(1).Add(Duration(math.MaxInt64)); got != math.MaxInt64 {
 		t.Errorf("1ps + MaxInt64 = %d, want MaxInt64", int64(got))
@@ -919,27 +895,30 @@ func TestMaxTimeoutNeverExpires(t *testing.T) {
 		t.Errorf("-1ps + MinInt64 = %d, want MinInt64", int64(got))
 	}
 	e := NewEngine()
-	ev := NewEvent(e)
 	flag := false
 	wt := gapWatch(4)
-	e.Spawn("wait", func(p *Proc) {
+	var log wakeLog
+	e.Spawn("sleep", func(p *Proc) {
 		p.Sleep(1)
-		if !ev.WaitTimeout(p, Duration(math.MaxInt64)) || p.Now() != 10 {
-			t.Errorf("WaitTimeout(MaxInt64) from 1ps returned at %v without the Fire at 10ps", p.Now())
-		}
-		if !p.Poll(&cond{hit: func() bool { return flag }}, wt, p.Now().Add(Duration(math.MaxInt64))) || p.Now() != 22 {
-			t.Errorf("Poll until the end of time returned at %v without the hit at 22ps", p.Now())
-		}
+		p.Sleep(Duration(math.MaxInt64))
+		log.rec(p, "timer")
 	})
-	e.Spawn("fire", func(p *Proc) {
+	e.Spawn("poll", func(p *Proc) {
 		p.Sleep(10)
-		ev.Fire()
-		p.Sleep(11)
+		log.rec(p, "timer")
+		log.rec(p, fmt.Sprintf("poll hit=%v", p.Poll(&cond{hit: func() bool { return flag }}, wt, p.Now().Add(Duration(math.MaxInt64)))))
+	})
+	e.Spawn("set", func(p *Proc) {
+		p.Sleep(21)
 		flag = true
 		wt.Notify()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	want := []string{"10 poll timer", "22 poll poll hit=true", fmt.Sprintf("%d sleep timer", int64(math.MaxInt64))}
+	if !slices.Equal(log, want) {
+		t.Errorf("wakes = %q, want %q", []string(log), want)
 	}
 }
 

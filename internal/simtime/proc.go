@@ -14,29 +14,11 @@ type Proc struct {
 	name       string
 	resume     func() (struct{}, bool) // engine side of the coroutine: run until the next park
 	yield      func(struct{}) bool     // process side: hand control back to the engine
-	reason     int                     // why the process was last woken
+	killed     bool                    // woken by Shutdown: park panics with errKilled
 	blockedOn  string                  // human-readable label for deadlock diagnostics
 	prev, next *Proc                   // the engine's list of unfinished processes
 	key        uint64                  // 1<<63 | spawn index: the seq of its poll loop's tick wakes
-
-	// scratch is the reusable waiter for single-reference parks (the first
-	// wake after Spawn, Sleep, Poll, Queue.Pop, Event.Wait,
-	// Semaphore.Acquire): exactly one pending wake references it, and
-	// that wake is consumed before the process resumes, so the next park can
-	// reuse it. Parks with two outstanding references — PopTimeout and
-	// WaitTimeout, where a timer and a wake list both hold the waiter and
-	// the loser stays behind as a stale entry — must allocate a fresh waiter
-	// instead.
-	scratch waiter
-}
-
-// singleWaiter re-arms the process's scratch waiter for a park whose wake
-// will be referenced from exactly one place. See the scratch field comment
-// for why double-referenced parks may not use it.
-func (p *Proc) singleWaiter() *waiter {
-	p.scratch.p = p
-	p.scratch.woken = false
-	return &p.scratch
+	polling    pollPark                // the park of the Poll the process is in, if any
 }
 
 // Name returns the name the process was spawned with.
@@ -48,24 +30,23 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park blocks until a wake event for this process is delivered and returns
-// the wake reason. When that event is the very next one the engine would
-// deliver, the process takes it in place and never stops running; otherwise
-// it switches back to Run.
+// park blocks until the one wake queued for this process is delivered. When
+// that wake is the very next event the engine would deliver, the process
+// takes it in place and never stops running; otherwise it switches back to
+// Run.
 //
 //hot:path
-func (p *Proc) park(label string) int {
+func (p *Proc) park(label string) {
 	if h := p.eng.asking; h != nil {
 		panic(parkedInPoller(h))
 	}
 	if next, _ := p.eng.step(p); next == nil {
 		p.blockedOn = label
 		p.yield(struct{}{})
-		if p.reason == reasonKill {
+		if p.killed {
 			panic(errKilled)
 		}
 	}
-	return p.reason
 }
 
 // Sleep suspends the process for d of simulated time. Non-positive durations
@@ -77,7 +58,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p.eng.now.Add(d), p.singleWaiter(), reasonTimer)
+	p.eng.schedule(p.eng.now.Add(d), p)
 	p.park("sleep")
 }
 
@@ -87,7 +68,7 @@ func (p *Proc) Sleep(d Duration) {
 //
 //hot:path
 func (p *Proc) tickSleep(d Duration) {
-	p.eng.push(event{at: p.eng.now.Add(d), seq: p.key, w: p.singleWaiter(), rsn: reasonTimer})
+	p.eng.push(event{at: p.eng.now.Add(d), seq: p.key, p: p})
 	p.park("sleep")
 }
 
@@ -106,7 +87,7 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 type Event struct {
 	eng     *Engine
 	fired   bool
-	waiters []*waiter
+	waiters []*Proc
 	watch   *Watch // notified on Fire (Notifies)
 }
 
@@ -130,33 +111,17 @@ func (ev *Event) Fire() {
 	if ev.watch != nil {
 		ev.watch.Notify()
 	}
-	for _, w := range ev.waiters {
-		if !w.woken {
-			ev.eng.schedule(ev.eng.now, w, reasonEvent)
-		}
+	for _, p := range ev.waiters {
+		ev.eng.schedule(ev.eng.now, p)
 	}
 	ev.waiters = nil
 }
 
 // Wait blocks p until the event fires. Returns immediately if already fired.
-// The only wake source for this park is Fire, which consumes the waiter list,
-// so the process's scratch waiter is safe here.
 func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p.singleWaiter())
+	ev.waiters = append(ev.waiters, p)
 	p.park("event")
-}
-
-// WaitTimeout blocks p until the event fires or d elapses. It reports whether
-// the event fired (true) as opposed to the timeout expiring (false).
-func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
-	if ev.fired {
-		return true
-	}
-	w := &waiter{p: p}
-	ev.waiters = append(ev.waiters, w)
-	ev.eng.schedule(p.eng.now.Add(d), w, reasonTimer)
-	return p.park("event-timeout") == reasonEvent
 }

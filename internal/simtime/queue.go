@@ -46,20 +46,18 @@ type Queue[T any] struct {
 	eng     *Engine
 	name    string
 	items   fifo[T]
-	waiters fifo[*waiter]
+	waiters fifo[*Proc]
 	watch   *Watch // notified on Push (Notifies)
 
-	// Park labels are precomputed here so that the blocking paths do not
-	// rebuild "queue <name>" by string concatenation on every empty-queue
-	// park.
-	popLabel     string
-	timeoutLabel string
+	// The park label is precomputed here so that Pop does not rebuild
+	// "queue <name>" by string concatenation on every empty-queue park.
+	popLabel string
 }
 
 // NewQueue returns an empty queue bound to the engine. The name appears in
 // deadlock diagnostics.
 func NewQueue[T any](e *Engine, name string) *Queue[T] {
-	return &Queue[T]{eng: e, name: name, popLabel: "queue " + name, timeoutLabel: "queue-timeout " + name}
+	return &Queue[T]{eng: e, name: name, popLabel: "queue " + name}
 }
 
 // Len returns the number of queued items.
@@ -82,23 +80,18 @@ func (q *Queue[T]) Push(v T) {
 func (q *Queue[T]) Notifies(w *Watch) { q.watch = w }
 
 func (q *Queue[T]) wakeOne() {
-	for q.waiters.len() > 0 {
-		if w := q.waiters.take(); !w.woken {
-			q.eng.schedule(q.eng.now, w, reasonEvent)
-			return
-		}
+	if q.waiters.len() > 0 {
+		q.eng.schedule(q.eng.now, q.waiters.take())
 	}
 }
 
 // Pop removes and returns the oldest item, blocking p while the queue is
-// empty. The waiter is only ever referenced from one place at a time — the
-// wait list until wakeOne transfers it to the engine's event heap, which
-// consumes it at resume — so the process's scratch waiter is safe here.
+// empty.
 //
 //hot:path
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
-		q.waiters.push(p.singleWaiter())
+		q.waiters.push(p)
 		p.park(q.popLabel)
 	}
 	v := q.items.take()
@@ -118,27 +111,4 @@ func (q *Queue[T]) TryPop() (T, bool) {
 		return zero, false
 	}
 	return q.items.take(), true
-}
-
-// PopTimeout is like Pop but gives up after d, returning ok=false.
-func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
-	deadline := p.Now().Add(d)
-	for q.Len() == 0 {
-		remain := deadline.Sub(p.Now())
-		if remain <= 0 {
-			var zero T
-			return zero, false
-		}
-		// Double-referenced park (wait list and timer): must not use the
-		// scratch waiter — the losing reference stays behind as a stale
-		// entry and would see the scratch waiter's next incarnation.
-		w := &waiter{p: p}
-		q.waiters.push(w)
-		q.eng.schedule(deadline, w, reasonTimer)
-		if p.park(q.timeoutLabel) == reasonTimer && q.Len() == 0 {
-			var zero T
-			return zero, false
-		}
-	}
-	return q.Pop(p), true
 }

@@ -89,33 +89,6 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	e.Spawn("consumer", func(p *Proc) {
-		if _, ok := q.PopTimeout(p, 10); ok {
-			t.Error("want timeout")
-		}
-		if p.Now() != 10 {
-			t.Errorf("timed out at %v, want 10", p.Now())
-		}
-		v, ok := q.PopTimeout(p, 100)
-		if !ok || v != 9 {
-			t.Errorf("PopTimeout = %d,%v want 9,true", v, ok)
-		}
-		if p.Now() != 40 {
-			t.Errorf("received at %v, want 40", p.Now())
-		}
-	})
-	e.Spawn("producer", func(p *Proc) {
-		p.Sleep(40)
-		q.Push(9)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 // Storage stays bounded by the backlog, not by the items ever pushed, through
 // Pop and through TryPop alike (veos's worker loop and mpib's proxy consume
 // their queues only through TryPop), both when every take drains the queue

@@ -17,7 +17,7 @@ type Semaphore struct {
 }
 
 type semWaiter struct {
-	w *waiter
+	p *Proc
 	n int
 }
 
@@ -37,9 +37,6 @@ func (s *Semaphore) Free() int { return s.free }
 
 // Acquire blocks p until n units are available and takes them. Requests for
 // more than the total are clamped (they would otherwise never complete).
-// The waiter is referenced from one place at a time — the wait list until
-// grant transfers it to the engine's event heap — so the process's scratch
-// waiter is safe here.
 func (s *Semaphore) Acquire(p *Proc, n int) int {
 	if n < 1 {
 		n = 1
@@ -52,7 +49,7 @@ func (s *Semaphore) Acquire(p *Proc, n int) int {
 		s.free -= n
 		return n
 	}
-	s.queue.push(semWaiter{w: p.singleWaiter(), n: n})
+	s.queue.push(semWaiter{p: p, n: n})
 	p.park(s.label)
 	// grant() already deducted our units before waking us.
 	return n
@@ -74,15 +71,11 @@ func (s *Semaphore) Release(n int) {
 func (s *Semaphore) grant() {
 	for s.queue.len() > 0 {
 		head := s.queue.peek()
-		if head.w.woken {
-			s.queue.take()
-			continue
-		}
 		if s.free < head.n {
 			return
 		}
 		s.free -= head.n
-		s.eng.schedule(s.eng.now, s.queue.take().w, reasonEvent)
+		s.eng.schedule(s.eng.now, s.queue.take().p)
 	}
 }
 

@@ -136,12 +136,6 @@ type Timing struct {
 	// protocol.
 	HAMVEPollInterval simtime.Duration
 
-	// --- Reverse offload (VH syscall service) -------------------------------
-
-	// SyscallRoundTrip is the cost of a VE system call serviced by its VH
-	// pseudo-process (excluding the syscall body itself).
-	SyscallRoundTrip simtime.Duration
-
 	// --- Process / library management ---------------------------------------
 
 	// ProcCreate is the cost of veo_proc_create: spawning the VE process,
@@ -227,8 +221,6 @@ func DefaultTiming() Timing {
 		HAMVEOverhead:       700 * simtime.Nanosecond,
 		HAMHostPollInterval: 200 * simtime.Nanosecond,
 		HAMVEPollInterval:   150 * simtime.Nanosecond,
-
-		SyscallRoundTrip: 40 * simtime.Microsecond,
 
 		ProcCreate:        900 * simtime.Millisecond,
 		LoadLibraryBase:   15 * simtime.Millisecond,

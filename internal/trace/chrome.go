@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -29,13 +31,18 @@ func chromePid(node int) int { return node + 2 }
 // node becomes one process row and each simulated process (VH proc, VE
 // core, DMA engine) one named thread track under it; simulated picosecond
 // timestamps are emitted as microseconds. The output is deterministic for a
-// deterministic simulation: events appear in recording order and metadata
-// rows are interleaved at first sight of each process/track.
+// deterministic simulation: events appear ordered by start, process and
+// track name — ties in recording order — so when a process records a span
+// does not move the bytes, and metadata rows are interleaved at first sight
+// of each process/track.
 func (t *Tracer) ExportChrome(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("trace: exporting from a nil tracer")
 	}
 	spans := t.Spans()
+	slices.SortStableFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Node, b.Node), cmp.Compare(trackName(a.Tid), trackName(b.Tid)))
+	})
 	pids := map[int]bool{}
 	type trackKey struct {
 		pid  int
@@ -66,9 +73,7 @@ func (t *Tracer) ExportChrome(w io.Writer) error {
 		return pid
 	}
 	tidOf := func(pid int, name string) int {
-		if name == "" {
-			name = "main"
-		}
+		name = trackName(name)
 		key := trackKey{pid, name}
 		id, ok := tids[key]
 		if !ok {
@@ -114,4 +119,12 @@ func (t *Tracer) ExportChrome(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
+}
+
+// trackName is the name of a span's thread track: its Tid, "main" if none.
+func trackName(tid string) string {
+	if tid == "" {
+		return "main"
+	}
+	return tid
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"hamoffload/internal/simtime"
@@ -109,7 +111,9 @@ func chains(events []FlowEvent) (ids []uint64, byID map[uint64][]int) {
 // event is a thin slice on its node's track, and events sharing a trace ID
 // are connected with flow arrows (ph s/t/f), so chrome://tracing or Perfetto
 // draws each offload's issue → place → flush → execute → settle chain across
-// nodes. Output is deterministic: recording order, stable field order.
+// nodes. Output is deterministic: events ordered by time and node — ties in
+// recording order —, stable field order. A chain's s/t/f roles follow its
+// recording order, which is causal order.
 func (t *Tracer) ExportChromeFlows(w io.Writer) error {
 	if !t.FlowsEnabled() {
 		_, err := io.WriteString(w, "[]\n")
@@ -117,6 +121,13 @@ func (t *Tracer) ExportChromeFlows(w io.Writer) error {
 	}
 	events := t.FlowEvents()
 	_, byID := chains(events)
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(events[a].T, events[b].T), cmp.Compare(events[a].Node, events[b].Node))
+	})
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
@@ -132,7 +143,8 @@ func (t *Tracer) ExportChromeFlows(w io.Writer) error {
 	}
 	// Node tracks use ExportChrome's pids, so the two exports line up.
 	seenPid := map[int]bool{}
-	for i, e := range events {
+	for _, i := range order {
+		e := events[i]
 		pid := chromePid(e.Node)
 		if !seenPid[pid] {
 			seenPid[pid] = true

@@ -222,44 +222,3 @@ func TestAsyncCallsOverlapWithHostWork(t *testing.T) {
 		}
 	})
 }
-
-func TestVHCallFromKernel(t *testing.T) {
-	// The reverse direction: VE code calls a VH function synchronously.
-	r := newRig(t)
-	called := false
-	r.card.RegisterVHCall("host_service", func(p *simtime.Proc, args []uint64) (uint64, error) {
-		called = true
-		return args[0] + 1, nil
-	})
-	veos.RegisterLibrary("libvhcall.so", veos.Library{
-		"caller": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			return ctx.VHCall("host_service", 10)
-		},
-		"badcaller": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			return ctx.VHCall("missing")
-		},
-	})
-	r.run(t, func(p *simtime.Proc) {
-		h, _ := ProcCreate(p, r.card)
-		lib, err := h.LoadLibrary(p, "libvhcall.so")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sym, _ := lib.GetSym(p, "caller")
-		ctx := h.OpenContext(p)
-		v, err := ctx.CallAsync(p, sym).CallWaitResult(p)
-		if err != nil {
-			t.Fatalf("VHcall kernel: %v", err)
-		}
-		if v != 11 {
-			t.Errorf("VHcall result = %d, want 11", v)
-		}
-		bad, _ := lib.GetSym(p, "badcaller")
-		if _, err := ctx.CallAsync(p, bad).CallWaitResult(p); err == nil {
-			t.Error("unregistered VHcall should error")
-		}
-	})
-	if !called {
-		t.Error("VH handler never ran")
-	}
-}

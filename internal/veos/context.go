@@ -177,8 +177,8 @@ func (ctx *Context) Wait(p *simtime.Proc, cmd *Command) (uint64, error) {
 
 // Ctx is the environment passed to a running kernel: the simulated process
 // it runs on and the VE facilities it may use. It is the simulation analog
-// of "code compiled for the VE": user DMA, LHM/SHM, local memory, the
-// roofline cost model, and reverse-offloaded syscalls.
+// of "code compiled for the VE": user DMA, LHM/SHM, local memory and the
+// roofline cost model.
 type Ctx struct {
 	P       *simtime.Proc
 	Context *Context
@@ -264,26 +264,3 @@ func (c *Ctx) Simulated() bool { return true }
 // Name returns the name of the process the kernel runs on, the thread its
 // trace spans carry.
 func (c *Ctx) Name() string { return c.P.Name() }
-
-// Syscall performs a reverse-offloaded system call serviced by the VH
-// pseudo-process, with body being the VH-side service time.
-func (c *Ctx) Syscall(body simtime.Duration) {
-	c.pay()
-	c.P.Sleep(c.Context.proc.card.Timing.SyscallRoundTrip + body)
-	c.Context.proc.syscalls++
-}
-
-// VHCall synchronously invokes a registered VH-side handler from VE code —
-// the platform's VHcall mechanism. The cost is a syscall-style round trip;
-// the handler runs in the VH pseudo-process's context.
-func (c *Ctx) VHCall(name string, args ...uint64) (uint64, error) {
-	card := c.Context.proc.card
-	h, ok := card.vhcalls[name]
-	if !ok {
-		return 0, fmt.Errorf("veos: VHcall %q not registered on VE %d", name, card.ID)
-	}
-	c.pay()
-	c.P.Sleep(card.Timing.SyscallRoundTrip)
-	c.Context.proc.syscalls++
-	return h(c.P, args)
-}

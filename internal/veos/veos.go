@@ -56,7 +56,6 @@ type Card struct {
 	proc    *Process
 	live    int // execution contexts whose worker has not returned, of any process
 	crashed bool
-	vhcalls map[string]VHHandler
 	// watches are notified when the process crashes or stops: the polls of
 	// its contexts, its serve loop and its host (Notifies).
 	watches []*simtime.Watch
@@ -71,19 +70,6 @@ func (c *Card) notify() {
 	for _, w := range c.watches {
 		w.Notify()
 	}
-}
-
-// VHHandler is a VH-side function callable from VE code via VHcall.
-type VHHandler func(p *simtime.Proc, args []uint64) (uint64, error)
-
-// RegisterVHCall publishes a VH-side handler under name, making it callable
-// from VE kernels through Ctx.VHCall (the platform's reverse-offload
-// mechanism with syscall semantics, §I-B).
-func (c *Card) RegisterVHCall(name string, h VHHandler) {
-	if c.vhcalls == nil {
-		c.vhcalls = make(map[string]VHHandler)
-	}
-	c.vhcalls[name] = h
 }
 
 // NewCard assembles a VE card. The privileged DMA engine translates with
@@ -236,8 +222,6 @@ type Process struct {
 	ctxs  []*Context
 	model vecore.Model
 	rt    any // the VE-side runtime's state (SetRuntime)
-
-	syscalls int64
 }
 
 // Card returns the card the process runs on.
@@ -310,9 +294,6 @@ func (vp *Process) FreeMem(p *simtime.Proc, addr uint64) error {
 	p.Sleep(vp.card.Timing.AllocMem)
 	return vp.card.Mem.Free(memAddr(addr))
 }
-
-// Syscalls returns how many reverse-offloaded system calls the process made.
-func (vp *Process) Syscalls() int64 { return vp.syscalls }
 
 // Loads returns how many words the process's contexts have loaded from host
 // memory with LHM (dma.Instr.Loads).
