@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines doclines allows fmt vet lint cover cover-check shuffle
+.PHONY: all check test race bench bench-check samples samples-check gobench repro examples lines doclines allows fmt vet lint cover cover-check shuffle mutants
 
 all: check
 
@@ -86,7 +86,7 @@ doclines:
 # Lines of .go files that carry //lint:allow: the count ROADMAP's gate "adds
 # no net new //lint:allow" compares. It fails above ALLOWS_MAX, which a change
 # lowers when it removes an allow and never raises.
-ALLOWS_MAX := 76
+ALLOWS_MAX := 45
 
 allows:
 	@n=$$(grep -r --include='*.go' '//lint:allow' . | wc -l); echo $$n; \
@@ -105,6 +105,12 @@ lint:
 
 cover:
 	$(GO) test -cover ./...
+
+# The mutant table (internal/mutants/mutants.txt): each row's edit, applied
+# through -overlay, must fail its test pattern or make its analyzer report.
+# Prints killed or SURVIVED per row; fails on any survivor.
+mutants:
+	$(GO) run ./internal/mutants
 
 # Coverage-regression harness: fail if the guarded packages (gateway, sched,
 # internal/core) fall below the floors recorded in COVER_baseline.txt.

@@ -218,8 +218,10 @@ func TestGranularitySweep(t *testing.T) {
 // end: both protocols leave their signature spans.
 func TestTraceOffloadsProducesChromeJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := traceOffloads(2, &buf); err != nil {
-		t.Fatal(err)
+	for _, dma := range []bool{false, true} {
+		if err := traceOffloads(2, dma, &buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := buf.String()
 	for _, want := range []string{"veo_write_mem", "user-dma", "dmab-poll-hit", "veob-poll-hit", "execute fn:bench.empty", `"ph":"X"`} {

@@ -16,20 +16,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// traceOffloads runs reps empty offloads over each protocol with one span
-// recorder attached and writes the Chrome trace-event JSON to w. In Perfetto
-// the export shows the structural difference between the two protocols at a
-// glance: the VEO protocol's offload is dominated by two veo_write_mem spans
-// and a long veo_read_mem poll, the DMA protocol shows only thin user-DMA
-// slivers on the VE worker's row.
-func traceOffloads(reps int, w io.Writer) error {
+// traceOffloads runs reps empty offloads over one protocol (DMA, or else
+// VEO) with a span recorder of its own attached and writes the Chrome
+// trace-event JSON to w: each machine numbers its nodes from 0, so two runs
+// in one recorder would share pids and their process labels. In Perfetto
+// the two exports show the structural difference between the protocols at
+// a glance: the VEO protocol's offload is dominated by two veo_write_mem
+// spans and a long veo_read_mem poll, the DMA protocol shows only thin
+// user-DMA slivers on the VE worker's row.
+func traceOffloads(reps int, dma bool, w io.Writer) error {
 	rec := trace.NewTracer()
-	world := traced(machine.World{}, rec)
-	for _, dma := range []bool{false, true} {
-		world.DMA = dma
-		if _, err := emptyOffloads(world, 0, reps); err != nil {
-			return err
-		}
+	world := traced(machine.World{DMA: dma}, rec)
+	if _, err := emptyOffloads(world, 0, reps); err != nil {
+		return err
 	}
 	return rec.ExportChrome(w)
 }
@@ -118,34 +117,37 @@ func TestHostSpansSumToOffload(t *testing.T) {
 	}
 }
 
-// TestChromeExportGolden pins the Chrome trace-event export byte-for-byte:
-// the simulation is deterministic, so the exported JSON must be stable.
-// Regenerate with `go test ./bench -run Golden -update` after intentional
-// format or timing changes.
+// TestChromeExportGolden pins the Chrome trace-event export of each
+// protocol byte-for-byte: the simulation is deterministic, so the exported
+// JSON must be stable. Regenerate with `go test ./bench -run Golden -update`
+// after intentional format or timing changes.
 func TestChromeExportGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := traceOffloads(2, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not a JSON array: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("export is empty")
-	}
-	golden := filepath.Join("testdata", "chrome_trace.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+	for _, dma := range []bool{false, true} {
+		name := map[bool]string{false: "veo", true: "dma"}[dma]
+		var buf bytes.Buffer
+		if err := traceOffloads(2, dma, &buf); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("export drifted from golden file (%d vs %d bytes); run with -update if intentional",
-			buf.Len(), len(want))
+		var events []map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+			t.Fatalf("%s: export is not a JSON array: %v", name, err)
+		}
+		if len(events) == 0 {
+			t.Fatalf("%s: export is empty", name)
+		}
+		golden := filepath.Join("testdata", "chrome_trace_"+name+".golden.json")
+		if *update {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: export drifted from golden file (%d vs %d bytes); run with -update if intentional",
+				name, buf.Len(), len(want))
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command hamlint runs the repository's invariant analyzers (walltime,
-// spanend, determinism, unitcast, flagorder, acqrel, afterfree, hotalloc,
-// borrowck, allowcheck) over the given packages. It is the lint
+// spanend, determinism, unitcast, flagorder, acqrel, afterfree, borrowck,
+// allowcheck) over the given packages. It is the lint
 // half of `make check`:
 //
 //	go run ./cmd/hamlint ./...

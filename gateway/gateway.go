@@ -270,8 +270,6 @@ func (q *fifo[T]) push(v T) {
 
 // grow doubles the backing array. pop rewinds and compacts in place, so a
 // queue stops growing once it has held its peak backlog.
-//
-//hot:cold
 func (q *fifo[T]) grow() {
 	q.items = append(make([]T, 0, max(16, 2*cap(q.items))), q.items...)
 }
@@ -479,8 +477,6 @@ func (g *Gateway[R]) takeToken(ti int, now simtime.Time) bool {
 // places it on a VE queue and pumps the dispatch windows. The returned
 // ticket settles during a later Poll or Drain. A rejection returns a nil
 // ticket and ErrTenant, ErrQuota or ErrOverloaded.
-//
-//hot:path
 func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticket[R], error) {
 	if tenant < 0 || class >= NumClasses ||
 		(len(g.cfg.Tenants) > 0 && tenant >= len(g.cfg.Tenants)) ||
@@ -539,12 +535,10 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 // refill starts a new ticket slab. The old one is dropped, not reused: its
 // tickets are their callers' and live on in it for as long as they are held.
 func (g *Gateway[R]) refill() {
-	g.slab = make([]Ticket[R], slabLen[R]()) //lint:allow hotalloc one slab per slabLen admitted requests: the tickets Submit returns
+	g.slab = make([]Ticket[R], slabLen[R]()) // one slab per slabLen admitted requests: the tickets Submit returns
 }
 
 // errBadRequest renders the rejection of a request no table has a row for.
-//
-//hot:cold
 func errBadRequest(tenant int, class Class) error {
 	if class >= NumClasses {
 		return fmt.Errorf("gateway: invalid class %d", class)
@@ -554,8 +548,6 @@ func errBadRequest(tenant int, class Class) error {
 
 // settle records one ticket's completion. It runs from the future's settle
 // hook, i.e. during Poll's Test sweep or a Drain Get.
-//
-//hot:path
 func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	now := g.rt.SimNow()
 	lat := now.Sub(simtime.Time(tk.stamp))
@@ -568,7 +560,7 @@ func (g *Gateway[R]) settle(tk *Ticket[R]) {
 	}
 	cs.slo.Observe(now, lat)
 	if g.cfg.KeepSamples {
-		cs.samples = append(cs.samples, lat.Microseconds()) //lint:allow hotalloc KeepSamples asks the gateway to retain one latency per request
+		cs.samples = append(cs.samples, lat.Microseconds())
 	}
 }
 
@@ -644,8 +636,6 @@ func (g *Gateway[R]) pump() {
 // latency-critical message, or one batch frame of bulk requests. It returns
 // false when it declines to ship (nothing runnable, or a partial frame held
 // back to fill).
-//
-//hot:path
 func (g *Gateway[R]) issue(vi int) bool {
 	q := &g.queues[vi]
 	node := g.nodes[vi]
@@ -686,8 +676,6 @@ func (g *Gateway[R]) noteIssued(tk *Ticket[R], vi int) {
 }
 
 // track registers the settle hook and adds tk to its VE's in-flight FIFO.
-//
-//hot:path
 func (g *Gateway[R]) track(tk *Ticket[R]) {
 	tk.fut.OnSettleHook((*ticketHook[R])(tk))
 	g.infl[tk.vi].push(tk)
@@ -699,8 +687,6 @@ func (g *Gateway[R]) track(tk *Ticket[R]) {
 // how many requests settled. Callers drive it from their event loop
 // between arrivals. A backend that settles out of order only delays
 // discovery to the next Drain — nothing is lost.
-//
-//hot:path
 func (g *Gateway[R]) Poll() int {
 	settled := 0
 	for vi := range g.infl {

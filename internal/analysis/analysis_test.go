@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -71,5 +74,48 @@ func g() {}
 		if got := idx.allows(d); got != c.want {
 			t.Errorf("line %d %s: allows = %v, want %v", c.line, c.analyzer, got, c.want)
 		}
+	}
+}
+
+// TestLoadReadsOverlay: go list compiles a file's -overlay replacement, so
+// Load must parse the replacement too, or an analyzer checks one text while
+// the build type-checked another. The overlay adds a declaration to units;
+// an analyzer that reports it finds it.
+func TestLoadReadsOverlay(t *testing.T) {
+	dir := t.TempDir()
+	orig, err := filepath.Abs("../units/units.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := filepath.Join(dir, "units.go")
+	if err := os.WriteFile(repl, append(src, "\nvar Overlaid = 1\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ov, _ := json.Marshal(map[string]any{"Replace": map[string]string{orig: repl}})
+	ovFile := filepath.Join(dir, "overlay.json")
+	if err := os.WriteFile(ovFile, ov, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("GOFLAGS", "-overlay="+ovFile)
+	pkgs, err := Load(".", "hamoffload/internal/units")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	find := &Analyzer{Name: "overlaid", Run: func(p *Pass) error {
+		if obj := p.Pkg.Scope().Lookup("Overlaid"); obj != nil {
+			p.Reportf(obj.Pos(), "overlaid declaration")
+		}
+		return nil
+	}}
+	diags, err := Run(pkgs[0], []*Analyzer{find}, func(string, string) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "units.go" {
+		t.Fatalf("findings under the overlay = %v, want one in units.go", diags)
 	}
 }

@@ -259,7 +259,7 @@ func (g *Graph) PathTo(from *Node, sink func(*Node) bool, through func(*Node) bo
 // An ImplTable answers "which named types implement this interface?"
 // queries over the loaded packages, caching per (interface, method name).
 // It backs the CHA resolution here and is exported for other
-// interprocedural analyzers (hotalloc) that resolve interface calls with
+// interprocedural analyzers (borrowck) that resolve interface calls with
 // the same class-hierarchy assumption.
 type ImplTable = implTable
 

@@ -17,7 +17,6 @@ import (
 	"hamoffload/internal/analysis/borrowck"
 	"hamoffload/internal/analysis/determinism"
 	"hamoffload/internal/analysis/flagorder"
-	"hamoffload/internal/analysis/hotalloc"
 	"hamoffload/internal/analysis/spanend"
 	"hamoffload/internal/analysis/unitcast"
 	"hamoffload/internal/analysis/walltime"
@@ -37,7 +36,6 @@ func Suite() []*analysis.Analyzer {
 		flagorder.Analyzer,
 		acqrel.Analyzer,
 		afterfree.Analyzer,
-		hotalloc.Analyzer,
 		borrowck.Analyzer,
 		allowcheck.Analyzer,
 	}

@@ -16,7 +16,7 @@ import (
 func TestSuiteRegistration(t *testing.T) {
 	want := []string{
 		"walltime", "spanend", "determinism", "unitcast", "flagorder",
-		"acqrel", "afterfree", "hotalloc", "borrowck", "allowcheck",
+		"acqrel", "afterfree", "borrowck", "allowcheck",
 	}
 	var got []string
 	moduleRunners := 0
@@ -114,7 +114,7 @@ func TestList(t *testing.T) {
 		t.Fatalf("List() must marshal: %v", err)
 	}
 	if !strings.Contains(string(data), `"module_wide":true`) {
-		t.Error("no module-wide analyzer in List() output; walltime and hotalloc should be")
+		t.Error("no module-wide analyzer in List() output; walltime and borrowck should be")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one type-checked, to-be-analyzed package.
@@ -49,12 +50,17 @@ type listedPackage struct {
 // (callgraph.ImplTable), and an annotation on the interface method reaches
 // them. Only non-test GoFiles are analyzed: the invariants guard production
 // simulation code, and tests routinely (and legitimately) range over maps
-// or measure wall time.
+// or measure wall time. A -overlay in GOFLAGS, which go list honours, is
+// honoured here too: a replaced file is parsed from its replacement.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	metas, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	replace, err := overlay(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +98,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		var files []*ast.File
 		for _, name := range m.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			path := filepath.Join(m.Dir, name)
+			var src any // nil: read the file itself
+			if r, ok := replace[path]; ok {
+				b, err := os.ReadFile(r)
+				if err != nil {
+					return nil, err
+				}
+				src = b
+			}
+			f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return nil, fmt.Errorf("parsing %s: %w", m.ImportPath, err)
 			}
@@ -120,6 +135,40 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// overlay returns the file replacements of the -overlay flag in GOFLAGS, by
+// absolute path; relative paths are taken from dir, where go list runs.
+func overlay(dir string) (map[string]string, error) {
+	for _, f := range strings.Fields(os.Getenv("GOFLAGS")) {
+		name, file, _ := strings.Cut(strings.TrimLeft(f, "-"), "=")
+		if name != "overlay" {
+			continue
+		}
+		data, err := os.ReadFile(abs(dir, file))
+		if err != nil {
+			return nil, err
+		}
+		var ov struct{ Replace map[string]string }
+		if err := json.Unmarshal(data, &ov); err != nil {
+			return nil, fmt.Errorf("overlay %s: %w", file, err)
+		}
+		replace := map[string]string{}
+		for from, to := range ov.Replace {
+			replace[abs(dir, from)] = abs(dir, to)
+		}
+		return replace, nil
+	}
+	return nil, nil
+}
+
+// abs resolves path against dir.
+func abs(dir, path string) string {
+	if !filepath.IsAbs(path) {
+		path = filepath.Join(dir, path)
+	}
+	p, _ := filepath.Abs(path)
+	return p
+}
 
 // goList runs `go list -deps -export -json` and decodes the JSON stream.
 func goList(dir string, patterns []string) ([]listedPackage, error) {

@@ -32,6 +32,8 @@ var deterministic = []string{
 	"hamoffload/internal/mem",
 	"hamoffload/internal/ib",
 	"hamoffload/internal/topology",
+	// The free list every recycled record of the request path goes through.
+	"hamoffload/internal/pool",
 	// The offload runtime core multiplexes backends and must not fork OS
 	// concurrency of its own; the HAM codec builds the sorted key tables.
 	"hamoffload/internal/core",
@@ -99,31 +101,6 @@ var afterfreeExempt = []string{
 	"hamoffload/internal/mem",
 }
 
-// hotPathScoped are the packages whose code can appear on an offload or
-// engine hot path: the serving gateway, the runtime core, the DES engine,
-// the wire codec, the flag protocol, the simulated transfer backends and
-// what every simulated transfer passes through (DMA engines, PCIe links,
-// the sparse memories, the fault hooks) and the free list they recycle
-// through. hotalloc reports only inside these packages — a hot root may
-// call out into neutral packages (trace) but findings there are dropped,
-// because those calls are either pruned behind armed guards or sanctioned
-// observability cost.
-var hotPathScoped = []string{
-	"hamoffload/gateway",
-	"hamoffload/internal/core",
-	"hamoffload/internal/simtime",
-	"hamoffload/internal/ham",
-	"hamoffload/internal/backend/slots",
-	"hamoffload/internal/backend/ring",
-	"hamoffload/internal/backend/dmab",
-	"hamoffload/internal/backend/veob",
-	"hamoffload/internal/dma",
-	"hamoffload/internal/pcie",
-	"hamoffload/internal/mem",
-	"hamoffload/internal/faults",
-	"hamoffload/internal/pool",
-}
-
 // borrowckScoped are the packages living under the zero-copy buffer
 // ownership contracts that //ham:borrowed annotations seed: the runtime
 // core, the ham codec, every communication backend (the backend prefix
@@ -137,30 +114,6 @@ var borrowckScoped = []string{
 	"hamoffload/internal/backend",
 	"hamoffload/internal/dma",
 	"hamoffload/internal/veo",
-}
-
-// HotPathRoots declares the hot-path entry points centrally, by the exact
-// full function name (types.Func.FullName). Functions may equivalently
-// carry a //hot:path marker in their doc comment; the policy list exists so
-// the core entry points are visible in one place. hotalloc walks everything
-// reachable from a root, pruning branches behind armed-observability and
-// error guards, and reports heap allocations with the full call chain.
-var HotPathRoots = []string{
-	"(*hamoffload/internal/core.Runtime).Dispatch",
-	"(*hamoffload/internal/simtime.Engine).Run",
-	"hamoffload/internal/backend/slots.Encode",
-	"hamoffload/internal/backend/slots.Decode",
-}
-
-// ArmedGuardTypes are the observability handle types whose nil checks mark
-// the armed/disarmed fork of a hot path: `if tr == nil { ... }` bodies are
-// the disarmed fast path (walked; a trailing return prunes the armed
-// remainder), `if tr != nil { ... }` bodies are armed-only (skipped), and
-// calls on an armed receiver are not traversed. Listed by the full name of
-// the pointee type; the guard expressions are pointers to these.
-var ArmedGuardTypes = []string{
-	"hamoffload/internal/trace.Tracer",
-	"hamoffload/internal/trace.NodeTracer",
 }
 
 // InAny reports whether path equals one of the roots or lies beneath one.
@@ -183,8 +136,6 @@ func Applies(analyzer, pkgPath string) bool {
 		return !inAny(pkgPath, acqrelExempt)
 	case "afterfree":
 		return !inAny(pkgPath, afterfreeExempt)
-	case "hotalloc":
-		return inAny(pkgPath, hotPathScoped)
 	case "borrowck":
 		return inAny(pkgPath, borrowckScoped)
 	case "allowcheck":
@@ -204,6 +155,7 @@ var PolicyExempt = []string{
 	"hamoffload/machine",           // cluster assembly; bridges simulated and host worlds
 	"hamoffload/cmd/hamlint",       // the lint driver itself
 	"hamoffload/cmd/coverreg",      // coverage harness; shells out to go test on the wall clock
+	"hamoffload/internal/mutants",  // mutant-table runner; shells out to go test on the wall clock
 	"hamoffload/examples",          // demo programs, free to use either clock
 	"hamoffload/internal/analysis", // the analyzers and their fixtures
 }
@@ -212,7 +164,7 @@ var PolicyExempt = []string{
 // consults.
 var scopingTables = [][]string{
 	deterministic, WallClock, unitcastExempt, flagOrderPackages,
-	acqrelExempt, afterfreeExempt, hotPathScoped, borrowckScoped,
+	acqrelExempt, afterfreeExempt, borrowckScoped,
 }
 
 // CoveredByPolicy reports whether pkgPath is matched by at least one scoping

@@ -56,9 +56,7 @@ func TestPolicyScoping(t *testing.T) {
 		{"flagorder", "hamoffload/internal/backend/slots", true},
 		{"flagorder", "hamoffload/internal/backend/mpib", false},
 
-		// hotalloc and borrowck follow the protocol into ring.
-		{"hotalloc", "hamoffload/internal/backend/ring", true},
-		{"hotalloc", "hamoffload/internal/backend/conformance", false},
+		// borrowck follows the protocol into ring.
 		{"borrowck", "hamoffload/internal/backend/ring", true},
 
 		// spanend: structural, everywhere.

@@ -257,8 +257,6 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 
 // QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
 // fault rule can fire on it or a tracer records it (dma.Instr.Quiet).
-//
-//hot:path
 func (t *veSide) QuietFlag(slot int, at simtime.Time) (simtime.Duration, bool, simtime.Time) {
 	in := t.kctx.Instr()
 	quiet, lapse := in.Quiet(&t.flags[slot], at)
@@ -266,15 +264,11 @@ func (t *veSide) QuietFlag(slot int, at simtime.Time) (simtime.Duration, bool, s
 }
 
 // PeekFlag implements ring.TargetTransport.
-//
-//hot:path
 func (t *veSide) PeekFlag(slot int) (uint64, error) {
 	return t.kctx.Instr().PeekWord(&t.flags[slot])
 }
 
 // CountFlags implements ring.TargetTransport.
-//
-//hot:path
 func (t *veSide) CountFlags(n int64) { t.kctx.Instr().CountLoads(n) }
 
 // WatchFlags implements ring.TargetTransport: the host's stores land the

@@ -238,8 +238,6 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 // its own copy. The request, that copy and its completion event are the
 // remote protocol's per-offload state: the zero-alloc request path is the
 // slot ring's, which the local targets take.
-//
-//hot:cold
 func (h *Host) callRemote(m int, local core.NodeID, msg []byte) (core.Handle, error) {
 	h.seqs++
 	rq := &request{
@@ -277,8 +275,6 @@ func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 
 // waitRemote is Wait for a forwarded offload: it parks on the request's
 // completion event, the remote protocol's per-offload state (callRemote).
-//
-//hot:cold
 func (h *Host) waitRemote(rq *request) ([]byte, error) {
 	defer h.nt.Begin(trace.PhaseWait, "mpib-wait", rq.mid)()
 	rq.done.Wait(h.p)

@@ -258,27 +258,22 @@ func (h *Host) conn(target core.NodeID) (*conn, error) {
 
 // The failures below end an offload; rendering them is off the hot path.
 
-//hot:cold
 func (h *Host) errNoTarget(target core.NodeID) error {
 	return fmt.Errorf("%s: no target node %d", h.cfg.Name, target)
 }
 
-//hot:cold
 func (h *Host) nodeFailed(target core.NodeID) error {
 	return fmt.Errorf("%s: node %d: %w", h.cfg.Name, target, core.ErrNodeFailed)
 }
 
-//hot:cold
 func (h *Host) errTooLong(n int) error {
 	return fmt.Errorf("%s: message of %d bytes exceeds buffer size %d", h.cfg.Name, n, h.cfg.BufSize)
 }
 
-//hot:cold
 func (h *Host) errTimeout(hd *handle) error {
 	return fmt.Errorf("%s: node %d slot %d: %w", h.cfg.Name, hd.target, hd.slot, core.ErrOffloadTimeout)
 }
 
-//hot:cold
 func (h *Host) errForeignHandle(hh core.Handle) error {
 	return fmt.Errorf("%s: foreign or spent handle %T", h.cfg.Name, hh)
 }
@@ -297,8 +292,6 @@ func (h *Host) stepErr(c *conn, target core.NodeID, err error) error {
 
 // Call implements core.Backend: the message into the next slot's receive
 // buffer, then its flag — the host half of Fig. 5 and Fig. 8.
-//
-//hot:path
 func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	c, err := h.conn(target)
 	if err != nil {
@@ -384,7 +377,7 @@ func (h *Host) pollSlot(hd *handle) (bool, error) {
 		resp = hd.small[:n]
 	} else {
 		if n > cap(hd.big) {
-			hd.big = make([]byte, n) //lint:allow hotalloc pool miss: a recycled handle's result buffer grows to the largest result it carries
+			hd.big = make([]byte, n) // pool miss: a recycled handle's result buffer grows to the largest result it carries
 		}
 		resp = hd.big[:n]
 	}
@@ -423,8 +416,6 @@ type resultPoll struct {
 }
 
 // Hit implements simtime.Poller. Unlike conn.alive it latches nothing.
-//
-//hot:path
 func (q *resultPoll) Hit() bool {
 	c := q.hd.c
 	if c.dead || !c.t.Alive() {
@@ -438,7 +429,6 @@ func (q *resultPoll) Hit() bool {
 	return ok
 }
 
-//hot:path
 func (h *Host) wait(hd *handle) ([]byte, error) {
 	c := hd.c
 	defer h.cfg.Tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
@@ -490,8 +480,6 @@ func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 
 // Poll implements core.Backend: a result is handed out, and its handle
 // released, as by Wait.
-//
-//hot:path
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	hd, err := h.handleOf(hh)
 	if err != nil {

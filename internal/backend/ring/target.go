@@ -138,8 +138,6 @@ type flagPoll struct {
 }
 
 // Tick implements simtime.Poller.
-//
-//hot:path
 func (q *flagPoll) Tick(at simtime.Time) (simtime.Duration, bool, simtime.Time) {
 	t := q.t
 	if q.s.Done() || !t.alive() {
@@ -153,8 +151,6 @@ func (q *flagPoll) Tick(at simtime.Time) (simtime.Duration, bool, simtime.Time) 
 }
 
 // Hit implements simtime.Poller.
-//
-//hot:path
 func (q *flagPoll) Hit() bool {
 	q.word, q.err = q.t.Transport.PeekFlag(q.slot)
 	if q.err != nil {
@@ -165,8 +161,6 @@ func (q *flagPoll) Hit() bool {
 }
 
 // Missed implements simtime.Poller: n quiet loads missed.
-//
-//hot:path
 func (q *flagPoll) Missed(n int64) {
 	if !q.free {
 		q.t.Transport.CountFlags(n)
@@ -197,8 +191,6 @@ const respondRetries = 64
 // of Fig. 8's VE side. The runtime polls the next receive slot's flag; when
 // the host has published a message it is fetched, executed through HAM, and
 // the result message is published in the paired send slot.
-//
-//hot:path
 func (t *Target) Serve(s core.Server) error {
 	seq := t.seq
 	next := 0
@@ -319,17 +311,14 @@ func (t *Target) respond(slot int, seq uint32, resp []byte) error {
 
 // The serve loop's failures, rendered off the hot path.
 
-//hot:cold
 func (t *Target) errAborted() error {
 	return fmt.Errorf("%s: serve aborted: %w", t.Name, veos.ErrCrashed)
 }
 
-//hot:cold
 func (t *Target) errTooLong(slot, n int) error {
 	return fmt.Errorf("%s: slot %d announces a message of %d bytes, buffer size is %d", t.Name, slot, n, t.BufSize)
 }
 
-//hot:cold
 func (t *Target) resultTooLong(n int) []byte {
 	return ham.EncodeFailure(fmt.Sprintf("%s: result of %d bytes exceeds the send buffer", t.Name, n))
 }

@@ -210,20 +210,14 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 
 // QuietFlag implements ring.TargetTransport: a local load is free and passes
 // no fault site.
-//
-//hot:path
 func (t *veSide) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Time) {
 	return 0, true, 0
 }
 
 // PeekFlag implements ring.TargetTransport: the load itself.
-//
-//hot:path
 func (t *veSide) PeekFlag(slot int) (uint64, error) { return t.LoadFlag(slot) }
 
 // CountFlags implements ring.TargetTransport: local loads are not counted.
-//
-//hot:path
 func (t *veSide) CountFlags(int64) {}
 
 // WatchFlags implements ring.TargetTransport: the host's privileged DMA lands

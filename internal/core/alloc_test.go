@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"hamoffload/internal/ham"
 )
 
-// Allocation guards for the zero-alloc hot paths that docs/LINTING.md's
-// hotalloc analyzer protects statically: the analyzer proves no *new*
-// allocation sites sneak onto the paths, these tests prove the existing
-// machinery (scratch codecs, frame arenas, the call pool) really
-// reaches zero allocations per event at run time. The two must agree — a
-// regression in either fails the build.
+// Allocation pins for the request path (docs/LINTING.md, "Allocation
+// pins"): each pins a warm path at its exact allocation count, so the
+// machinery (scratch codecs, frame arenas, the call pool) is seen to reach
+// it at run time, and one allocation more on the path fails the build.
+// internal/mutants/mutants.txt holds a mutant per pinned path that must fail
+// its pin.
 //
 // The generic codecs convert through `any` (any(v).(int64)), which the
 // compiler keeps off the heap for values of any size: the pins use large
@@ -257,32 +258,125 @@ var fnAllocAdd = NewFunc2[int64]("test.allocadd",
 var fnAllocNone = NewFunc0[int64]("test.allocnone",
 	func(*Ctx) (int64, error) { return 7, nil })
 
-// TestBindAllocs pins Bind at zero allocations: the arguments are encoded
-// into the functor's inline storage (the result decoder is built once, at
-// registration), and only arguments past that capacity take one buffer.
+var fnAllocMix3 = NewFunc3[int64]("test.allocmix3",
+	func(_ *Ctx, a int64, b float64, c []byte) (int64, error) { return a + int64(b) + int64(len(c)), nil })
+
+var fnAllocMix4 = NewFunc4[int64]("test.allocmix4",
+	func(_ *Ctx, a, b int64, c float64, d []byte) (int64, error) {
+		return a + b + int64(c) + int64(len(d)), nil
+	})
+
+// TestBindAllocs pins Bind at zero allocations for every arity: the
+// arguments are encoded into the functor's inline storage (the result
+// decoder is built once, at registration), and only arguments past that
+// capacity take one buffer.
 func TestBindAllocs(t *testing.T) {
-	var f0 Functor[int64]
-	if n := testing.AllocsPerRun(100, func() { f0 = fnAllocNone.Bind() }); n != 0 {
-		t.Errorf("Func0.Bind allocates %.1f objects, want 0", n)
+	pay := []byte("twelve bytes")
+	big := make([]byte, argInline)
+	for _, tc := range []struct {
+		name   string
+		bind   func() Functor[int64]
+		args   int // encoded argument bytes
+		allocs float64
+	}{
+		{"Func0", func() Functor[int64] { return fnAllocNone.Bind() }, 0, 0},
+		{"Func1", func() Functor[int64] { return fnAllocInc.Bind(40) }, 8, 0},
+		{"Func2", func() Functor[int64] { return fnAllocAdd.Bind(40, 2) }, 16, 0},
+		{"Func3", func() Functor[int64] { return fnAllocMix3.Bind(40, 2.5, pay) }, 16 + 4 + len(pay), 0},
+		{"Func4", func() Functor[int64] { return fnAllocMix4.Bind(40, 2, 2.5, pay) }, 24 + 4 + len(pay), 0},
+		{"Func1 spilled", func() Functor[int64] { return fnAllocBytes.Bind(big) }, 4 + len(big), 1},
+	} {
+		var fn Functor[int64]
+		if n := testing.AllocsPerRun(100, func() { fn = tc.bind() }); n != tc.allocs {
+			t.Errorf("%s.Bind allocates %.1f objects, want %.0f", tc.name, n, tc.allocs)
+		}
+		if got := len(fn.args.bytes()); got != tc.args || (fn.args.spill != nil) != (tc.allocs == 1) {
+			t.Errorf("%s: the functor carries %d argument bytes (spilled %v), want %d", tc.name, got, fn.args.spill != nil, tc.args)
+		}
 	}
-	if n := len(f0.args.bytes()); n != 0 {
-		t.Errorf("a no-argument functor carries %d bytes of arguments", n)
-	}
-	var fn Functor[int64]
-	if n := testing.AllocsPerRun(100, func() { fn = fnAllocAdd.Bind(40, 2) }); n != 0 {
-		t.Errorf("Func2.Bind allocates %.1f objects, want 0", n)
-	}
+	fn := fnAllocAdd.Bind(40, 2)
 	dec := ham.NewDecoder(fn.args.bytes())
 	if a, b := dec.I64(), dec.I64(); a != 40 || b != 2 || dec.Err() != nil || dec.Remaining() != 0 {
 		t.Fatalf("bound arguments encode as %d, %d (%v, %d left); want 40, 2", a, b, dec.Err(), dec.Remaining())
 	}
-	big := make([]byte, argInline)
-	var fb Functor[int64]
-	if n := testing.AllocsPerRun(100, func() { fb = fnAllocBytes.Bind(big) }); n != 1 {
-		t.Errorf("Bind of %d argument bytes allocates %.1f objects, want 1", 4+len(big), n)
+}
+
+// TestAsyncAllocs pins a bare Async at its future, the one object the call
+// returns: the message, the call and its settle all come from scratch.
+func TestAsyncAllocs(t *testing.T) {
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-async-t")
+	tbk.target = target
+	host := NewRuntime(&allocBackend{target: target}, "alloc-arch-async-h")
+	fn := fnAllocInc.Bind(41)
+	var v int64
+	var err error
+	cycle := func() { v, err = Async(host, 1, fn).Get() }
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 1 {
+		t.Errorf("a warm Async allocates %.1f objects, want 1: its future", n)
 	}
-	if got := len(fb.args.bytes()); got != 4+len(big) || fb.args.spill == nil {
-		t.Errorf("a spilled functor carries %d bytes (spilled %v), want %d", got, fb.args.spill != nil, 4+len(big))
+	if v != 42 || err != nil {
+		t.Fatalf("Async result = %d, %v; want 42, nil", v, err)
+	}
+}
+
+// lossyBackend is allocBackend whose every other response is lost to a
+// transient failure, so the call re-posts. A timeout would not do: it is
+// permanent (IsTransient).
+type lossyBackend struct {
+	allocBackend
+	calls int
+}
+
+func (b *lossyBackend) Call(target NodeID, msg []byte) (Handle, error) {
+	b.calls++
+	b.resp = b.target.Dispatch(msg)
+	return b.calls%2 == 1, nil
+}
+
+func (b *lossyBackend) Wait(h Handle) ([]byte, error) {
+	if h.(bool) {
+		return nil, errLost
+	}
+	return b.resp, nil
+}
+
+func (b *lossyBackend) Poll(h Handle) ([]byte, bool, error) {
+	resp, err := b.Wait(h)
+	return resp, err == nil, err
+}
+
+var errLost = fmt.Errorf("lost response: %w", ErrPayloadCorrupt)
+
+// TestRetryAllocs pins a warm Sync whose first response is lost and whose
+// re-post (call.retry, then Runtime.resubmit) succeeds under fault
+// tolerance. It allocates what FT keeps per offload — the pending record,
+// its sealed request and the target's sealed response, which the target's
+// dedup window keeps — and the label of the retry's trace instant, which is
+// formatted although no tracer is armed.
+func TestRetryAllocs(t *testing.T) {
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-retry-t")
+	tbk.target = target
+	hbk := &lossyBackend{allocBackend: allocBackend{target: target}}
+	host := NewRuntime(hbk, "alloc-arch-retry-h")
+	host.SetFaultTolerance(FaultTolerance{MaxRetries: 1})
+	fn := fnAllocInc.Bind(41)
+	var v int64
+	var err error
+	cycle := func() { v, err = Sync(host, 1, fn) }
+	cycle()
+	before := host.Retries()
+	n := testing.AllocsPerRun(100, cycle)
+	if v != 42 || err != nil {
+		t.Fatalf("Sync result = %d, %v; want 42, nil", v, err)
+	}
+	if got := host.Retries() - before; got != 101 {
+		t.Fatalf("%d retries over 101 calls, want one each", got)
+	}
+	if n != 4 {
+		t.Errorf("a warm Sync that re-posts once allocates %.1f objects, want 4", n)
 	}
 }
 

@@ -52,26 +52,26 @@ func openBatchInto(dst [][]byte, msg []byte) (msgs [][]byte, isBatch bool, err e
 	count := int(binary.LittleEndian.Uint32(msg[4:8]))
 	rest := msg[batHeader:]
 	if count <= 0 || count > len(rest) {
-		return dst, true, fmt.Errorf("%w: batch frame count %d for %d payload bytes", //lint:allow hotalloc corrupt-frame path: runs at most once per rejected frame
+		return dst, true, fmt.Errorf("%w: batch frame count %d for %d payload bytes",
 			ErrPayloadCorrupt, count, len(rest))
 	}
 	msgs = dst
 	for i := 0; i < count; i++ {
 		if len(rest) < batPerMsg {
-			return msgs, true, fmt.Errorf("%w: batch entry %d truncated", ErrPayloadCorrupt, i) //lint:allow hotalloc corrupt-frame path: runs at most once per rejected frame
+			return msgs, true, fmt.Errorf("%w: batch entry %d truncated", ErrPayloadCorrupt, i)
 		}
 		l := int(binary.LittleEndian.Uint32(rest[:batPerMsg]))
 		rest = rest[batPerMsg:]
 		if l < 0 || l > len(rest) {
-			return msgs, true, fmt.Errorf("%w: batch entry %d claims %d of %d bytes", //lint:allow hotalloc corrupt-frame path: runs at most once per rejected frame
+			return msgs, true, fmt.Errorf("%w: batch entry %d claims %d of %d bytes",
 				ErrPayloadCorrupt, i, l, len(rest))
 		}
 		//lint:allow borrowck the entries alias the inbound frame by design; Dispatch consumes them before the serve loop reuses it
-		msgs = append(msgs, rest[:l]) //lint:allow hotalloc amortized growth of the caller's entry scratch
+		msgs = append(msgs, rest[:l])
 		rest = rest[l:]
 	}
 	if len(rest) != 0 {
-		return msgs, true, fmt.Errorf("%w: %d trailing bytes after batch", ErrPayloadCorrupt, len(rest)) //lint:allow hotalloc corrupt-frame path: runs at most once per rejected frame
+		return msgs, true, fmt.Errorf("%w: %d trailing bytes after batch", ErrPayloadCorrupt, len(rest))
 	}
 	return msgs, true, nil
 }
@@ -163,7 +163,7 @@ type batchQueue struct {
 func (q *batchQueue) putEntry(wire []byte) {
 	var l [batPerMsg]byte
 	binary.LittleEndian.PutUint32(l[:], uint32(len(wire)))
-	q.frame = append(q.frame, l[:]...) //lint:allow hotalloc amortized growth of the frame arena (covers both appends)
+	q.frame = append(q.frame, l[:]...)
 	q.frame = append(q.frame, wire...)
 }
 
@@ -174,7 +174,7 @@ func (b *Batcher) queue(node NodeID) *batchQueue {
 			return q
 		}
 	}
-	q := &batchQueue{rt: b.rt, node: node, frame: make([]byte, batHeader)} //lint:allow hotalloc one queue per target node, created on first use and reused forever
+	q := &batchQueue{rt: b.rt, node: node, frame: make([]byte, batHeader)}
 	b.queues = append(b.queues, q)
 	return q
 }
@@ -229,10 +229,8 @@ func (b *Batcher) deadlineDue(q *batchQueue) bool {
 // the frame's futures blocks in Get. With batching disabled it is exactly
 // Async. (A package-level function because Go methods cannot introduce the
 // result type parameter.)
-//
-//hot:path
 func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
-	f := new(Future[R]) //lint:allow hotalloc one future per offload is the API contract
+	f := new(Future[R])
 	Issue(b.rt, b, node, &fn, f)
 	return f
 }
@@ -260,8 +258,8 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink)
 		q.firstAdd = rt.clock.Now()
 	}
 	q.putEntry(wire)
-	c.pds = append(c.pds, pd)    //lint:allow hotalloc amortized: backing array cycles through the call pool
-	c.sinks = append(c.sinks, s) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.pds = append(c.pds, pd)
+	c.sinks = append(c.sinks, s)
 	q.fids = append(q.fids, fid)
 	if rt.tr != nil {
 		rt.tr.Tracer().Gauge(int(node), trace.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
@@ -287,8 +285,6 @@ func AsyncBatch[R any](rt *Runtime, node NodeID, fns []Functor[R]) []*Future[R] 
 }
 
 // flush stamps the header onto q's frame arena and posts the open frame.
-//
-//hot:path
 func (q *batchQueue) flush() {
 	c := q.c
 	if c == nil {
@@ -318,9 +314,9 @@ func (q *batchQueue) flush() {
 		// entry's seq (and first trace ID) for bookkeeping and labels. The
 		// arena is reset below, so retransmission needs its own stable copy
 		// of the frame.
-		c.pd = &pending{ //lint:allow hotalloc retransmission state must outlive the flush
+		c.pd = &pending{
 			node: q.node,
-			msg:  append([]byte(nil), frame...), //lint:allow hotalloc retransmission needs a stable copy of the scratch-backed frame
+			msg:  append([]byte(nil), frame...),
 			seq:  c.pds[0].seq,
 			fid:  q.fids[0],
 		}
@@ -340,7 +336,6 @@ func (q *batchQueue) flush() {
 // batch frame.
 var errBatchUnframed = fmt.Errorf("%w: batch response not framed", ErrPayloadCorrupt)
 
-//hot:cold
 func errBatchCount(got, want int) error {
 	return fmt.Errorf("%w: batch response carries %d entries, want %d", ErrPayloadCorrupt, got, want)
 }
@@ -371,12 +366,12 @@ func (rt *Runtime) dispatchBatch(subs [][]byte, berr error) []byte {
 	var hdr [batHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], batMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(subs)))
-	frame = append(frame, hdr[:]...) //lint:allow hotalloc amortized growth of the response-frame arena
+	frame = append(frame, hdr[:]...)
 	for _, m := range subs {
 		resp := rt.Dispatch(m)
 		var l [batPerMsg]byte
 		binary.LittleEndian.PutUint32(l[:], uint32(len(resp)))
-		frame = append(frame, l[:]...) //lint:allow hotalloc amortized growth of the response-frame arena (covers both appends)
+		frame = append(frame, l[:]...)
 		frame = append(frame, resp...)
 	}
 	if end != nil {

@@ -116,8 +116,6 @@ func (c *call) flush() {
 // response validation) are re-posted until the budget runs out. Enveloped
 // offloads on a hedging-armed runtime wait through the race instead; batch
 // frames and node-pinned control messages never hedge.
-//
-//hot:path
 func (c *call) resolve() {
 	c.flush()
 	rt := c.rt
@@ -143,8 +141,6 @@ func (c *call) resolve() {
 // poll is the non-blocking variant of resolve, for Future.Test: a transient
 // failure observed here re-posts the message and leaves it in flight. It
 // never hedges.
-//
-//hot:path
 func (c *call) poll() {
 	c.flush()
 	if c.done {
@@ -165,8 +161,6 @@ func (c *call) poll() {
 // retry re-posts the message after err, or fails every sink when err is
 // permanent or the budget is spent. resubmit counts its own terminal
 // timeout.
-//
-//hot:path
 func (c *call) retry(err error) {
 	rt := c.rt
 	if !rt.canRetry(c.pd, err) {
@@ -188,8 +182,6 @@ func (c *call) retry(err error) {
 // envelope did not validate, or — for a frame — the response was not
 // batch-framed under FT, the entry count is off, or an entry failed
 // envelope validation.
-//
-//hot:path
 func (c *call) deliver(resp []byte) error {
 	if !c.frame {
 		p, err := c.rt.openResponse(c.pd, resp)

@@ -198,7 +198,7 @@ type Runtime struct {
 	lastFlow uint64
 	inflight map[NodeID]int64
 
-	// Hot-path scratch (see docs/LINTING.md, hotalloc). ctx is the one
+	// Hot-path scratch (see DESIGN.md §8). ctx is the one
 	// execution context handed to every handler; respDec settles futures
 	// without a per-response decoder; batchScratch is the arena a batch
 	// response frame is built in (stolen for the duration of a dispatch so
@@ -400,8 +400,6 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 // seals it in the fault-tolerance envelope (the returned pending carries the
 // retransmission state) and the causal-flow frame (fid is its trace ID). The
 // wire may be enc's buffer, valid until enc is next written.
-//
-//hot:path
 func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, args []byte) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
 		return nil, nil, 0, errOffloadSelf(node)
@@ -432,11 +430,9 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, args []byt
 // callAsync posts the named message as a call of one, encoded into the
 // call's own encoder, and returns it; s receives the response payload or
 // the failure, at once when the message cannot be built or posted.
-//
-//hot:path
 func (rt *Runtime) callAsync(node NodeID, name string, args []byte, s sink) *call {
 	c := rt.takeCall()
-	c.sinks = append(c.sinks, s) //lint:allow hotalloc amortized: backing array cycles through the call pool
+	c.sinks = append(c.sinks, s)
 	wire, pd, _, err := rt.encode(&c.enc, node, name, args)
 	if err != nil {
 		c.failAll(err)
@@ -451,13 +447,10 @@ func (rt *Runtime) callAsync(node NodeID, name string, args []byte, s sink) *cal
 
 // errOffloadSelf and errNoNode render the target-validation failures; split
 // out of encode so the successful offload path carries no formatting.
-//
-//hot:cold
 func errOffloadSelf(node NodeID) error {
 	return fmt.Errorf("core: offload to self (node %d) is not supported", node)
 }
 
-//hot:cold
 func errNoNode(node NodeID, n int) error {
 	return fmt.Errorf("core: no node %d in this application (%d nodes)", node, n)
 }
@@ -465,8 +458,6 @@ func errNoNode(node NodeID, n int) error {
 // resolveSync posts the named message and waits for it, settling into s,
 // which it marks busy: the returned decoder reads the response payload in
 // place, so decode it before the next offload, then clear s.busy.
-//
-//hot:path
 func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, args []byte) (*ham.Decoder, error) {
 	s.busy, s.done, s.err = true, false, nil
 	c := rt.callAsync(node, name, args, sink{s: s})

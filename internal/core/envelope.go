@@ -35,7 +35,7 @@ const (
 
 // sealMessage frames payload in an envelope of the given kind.
 func sealMessage(kind byte, seq uint64, payload []byte) []byte {
-	out := make([]byte, envHeader+len(payload)) //lint:allow hotalloc envelopes are retained by the dedup window and FT retransmission
+	out := make([]byte, envHeader+len(payload))
 	binary.LittleEndian.PutUint32(out[0:4], envMagic)
 	binary.LittleEndian.PutUint64(out[8:16], seq)
 	out[16] = kind
@@ -53,7 +53,7 @@ func openMessage(msg []byte) (kind byte, seq uint64, payload []byte, enveloped b
 		return 0, 0, nil, false, nil
 	}
 	if crc32.ChecksumIEEE(msg[8:]) != binary.LittleEndian.Uint32(msg[4:8]) {
-		return 0, 0, nil, true, fmt.Errorf("%w: envelope checksum mismatch", ErrPayloadCorrupt) //lint:allow hotalloc corrupt-envelope path: runs at most once per damaged frame
+		return 0, 0, nil, true, fmt.Errorf("%w: envelope checksum mismatch", ErrPayloadCorrupt)
 	}
 	return msg[16], binary.LittleEndian.Uint64(msg[8:16]), msg[envHeader:], true, nil
 }
@@ -69,8 +69,6 @@ type respCache struct {
 }
 
 // newRespCache runs once per runtime, on the first enveloped request.
-//
-//hot:cold
 func newRespCache() *respCache {
 	return &respCache{resp: make(map[uint64][]byte), limit: 64}
 }
@@ -89,5 +87,5 @@ func (c *respCache) put(seq uint64, sealed []byte) {
 		c.order = c.order[1:]
 	}
 	c.resp[seq] = sealed
-	c.order = append(c.order, seq) //lint:allow hotalloc FT-only dedup window, bounded at 64 entries
+	c.order = append(c.order, seq)
 }

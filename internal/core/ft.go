@@ -91,7 +91,7 @@ func (rt *Runtime) seal(node NodeID, msg []byte) ([]byte, *pending) {
 	if !rt.ft.enabled() {
 		return msg, nil
 	}
-	pd := &pending{node: node, seq: rt.nextSeq(), sentAt: rt.clock.Now()} //lint:allow hotalloc retransmission state must outlive the offload
+	pd := &pending{node: node, seq: rt.nextSeq(), sentAt: rt.clock.Now()}
 	pd.msg = sealMessage(envRequest, pd.seq, msg)
 	return pd.msg, pd
 }
@@ -116,8 +116,6 @@ func (rt *Runtime) noteTimeout(err error) {
 // resubmit backs off and re-posts pd, consuming one retry. It keeps
 // consuming budget while the re-post itself fails transiently. Only faulted
 // offloads come through here, so its label formatting is off the hot path.
-//
-//hot:cold
 func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 	for {
 		pd.attempt++
@@ -178,8 +176,6 @@ func (rt *Runtime) openResponse(pd *pending, resp []byte) ([]byte, error) {
 
 // errBadEnvelope names what was wrong with a response that did not carry the
 // envelope its request went out in.
-//
-//hot:cold
 func errBadEnvelope(enveloped bool, kind uint8, seq, want uint64) error {
 	switch {
 	case !enveloped:

@@ -203,7 +203,7 @@ func bound(e *ham.Encoder) boundArgs {
 	if len(b) <= argInline {
 		a.n = uint32(copy(a.inline[:], b))
 	} else {
-		a.spill = append([]byte(nil), b...) //lint:allow hotalloc arguments past the inline capacity are the one buffer the Functor owns
+		a.spill = append([]byte(nil), b...)
 	}
 	if cap(b) <= argKeep {
 		argEncoders.Put(e)
@@ -223,8 +223,6 @@ func bound(e *ham.Encoder) boundArgs {
 // An offload that cannot be encoded or posted — or whose frame fails to
 // flush — fails f before Issue returns; f then keeps the settled sentinel
 // rather than the call, which is already back in its pool.
-//
-//hot:path
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
 	if rt.tr != nil {
 		f.x = hookFunc(rt.beginOffload(node, fn.name))
@@ -247,10 +245,8 @@ func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Futur
 
 // Async performs an asynchronous offload of fn to node, returning a future
 // (Table II's async).
-//
-//hot:path
 func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
-	f := new(Future[R]) //lint:allow hotalloc one future per offload is the API contract
+	f := new(Future[R])
 	Issue(rt, nil, node, &fn, f)
 	return f
 }
@@ -260,8 +256,6 @@ func Async[R any](rt *Runtime, node NodeID, fn Functor[R]) *Future[R] {
 // result is decoded from the response in place, and the offload span closes
 // once it is. A Sync issued while another synchronous offload is resolving
 // takes the Async path instead.
-//
-//hot:path
 func Sync[R any](rt *Runtime, node NodeID, fn Functor[R]) (R, error) {
 	s := &rt.raw
 	if s.busy {
@@ -312,8 +306,6 @@ func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 
 // Bind produces the offloadable functor. It allocates nothing: there are
 // no arguments to copy, and the result decoder is built at registration.
-//
-//hot:path
 func (f Func0[R]) Bind() Functor[R] {
 	return Functor[R]{name: f.name, decode: f.decode}
 }
@@ -352,8 +344,6 @@ func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A
 
 // Bind binds the argument, producing the offloadable functor: v1 is
 // encoded now, into the functor's own storage.
-//
-//hot:path
 func (f Func1[R, A1]) Bind(v1 A1) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)
@@ -391,8 +381,6 @@ func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Fu
 
 // Bind binds the arguments, producing the offloadable functor: they are
 // encoded now, into the functor's own storage.
-//
-//hot:path
 func (f Func2[R, A1, A2]) Bind(v1 A1, v2 A2) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)
@@ -433,8 +421,6 @@ func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, er
 
 // Bind binds the arguments, producing the offloadable functor: they are
 // encoded now, into the functor's own storage.
-//
-//hot:path
 func (f Func3[R, A1, A2, A3]) Bind(v1 A1, v2 A2, v3 A3) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)
@@ -478,8 +464,6 @@ func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4
 
 // Bind binds the arguments, producing the offloadable functor: they are
 // encoded now, into the functor's own storage.
-//
-//hot:path
 func (f Func4[R, A1, A2, A3, A4]) Bind(v1 A1, v2 A2, v3 A3, v4 A4) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)

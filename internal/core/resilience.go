@@ -118,8 +118,6 @@ func (rt *Runtime) spendToken(node NodeID) bool {
 
 // spendTokenSlow is the armed-budget path: lazily build the buckets, refill
 // node's on the simulated clock, spend one token or deny.
-//
-//hot:cold
 func (rt *Runtime) spendTokenSlow(node NodeID) bool {
 	now := rt.clock.Now()
 	if rt.buckets == nil {
@@ -178,8 +176,6 @@ func (rt *Runtime) hedgeTarget(primary NodeID) NodeID {
 // denied the hedge or the post itself failed (the primary remains the only
 // copy in flight; the race does not retry a failed hedge — the retry
 // machinery belongs to the primary).
-//
-//hot:cold
 func (rt *Runtime) issueHedge(pd *pending) Handle {
 	node := rt.hedgeTarget(pd.node)
 	if !rt.spendToken(node) {
@@ -205,8 +201,6 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 // up as responses arrive. Strays that are still in flight stay queued; the
 // backends additionally self-drain (Call waits out a slot's previous
 // occupant), so a straggler can delay a later offload but never wedge one.
-//
-//hot:cold
 func (rt *Runtime) reapStrays() {
 	kept := rt.strays[:0]
 	for _, s := range rt.strays {
@@ -222,8 +216,6 @@ func (rt *Runtime) reapStrays() {
 // loser is left to the stray reaper. A copy that fails transiently drops
 // out of the race; when both copies have failed the last error goes back
 // to resolve, whose retry re-posts a new primary that may hedge again.
-//
-//hot:cold
 func (c *call) race() error {
 	rt, pd := c.rt, c.pd
 	delay := rt.hedgeDelay(pd)

@@ -306,7 +306,7 @@ func TestHedgeDelayJitterDeterministic(t *testing.T) {
 
 // TestDispatchZeroAllocResilienceArmed pins the un-armed hot path with the
 // resilience knobs *configured*: hedging and budgets live entirely in the
-// initiator's blocking resolve (//hot:cold), so a target's Dispatch — and
+// initiator's blocking resolve, so a target's Dispatch — and
 // an initiator that never trips them — must stay at zero allocations per
 // message exactly like the bare runtime.
 func TestDispatchZeroAllocResilienceArmed(t *testing.T) {

@@ -34,8 +34,6 @@ const (
 // sealFlow frames inner with its offload's trace ID. Only armed causal
 // flows reach it (flowSeal passes bare wire through when no flow is open),
 // and armed flows opt in to the instrumentation cost.
-//
-//hot:cold
 func sealFlow(id uint64, inner []byte) []byte {
 	out := make([]byte, flowHeader+len(inner))
 	binary.LittleEndian.PutUint32(out[0:4], flowMagic)

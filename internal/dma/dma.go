@@ -94,7 +94,6 @@ func corrupt(p *simtime.Proc, t *topology.Timing, site faults.Site, path pcie.Pa
 	}
 }
 
-//hot:cold
 func errNegativeSize(engine string, n int64) error {
 	return fmt.Errorf("dma: %s transfer of negative size %d", engine, n)
 }
@@ -272,8 +271,6 @@ const (
 // Post moves n bytes from srcVEHVA to dstVEHVA in direction dir and blocks
 // until completion. Both ranges must be DMAATB-registered. Large transfers
 // split into pipelined descriptors of at most UserDMAMaxDescriptor bytes.
-//
-//hot:path
 func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHVA, srcVEHVA mem.Addr, n int64) error {
 	if n < 0 {
 		return errNegativeSize("user DMA", n)
@@ -367,8 +364,6 @@ func (in *Instr) Word(vehva mem.Addr) Word {
 
 // resolve brings w to the DMAATB's generation and reports whether it
 // translates.
-//
-//hot:path
 func (in *Instr) resolve(w *Word) bool {
 	if w.gen != in.atb.Generation() {
 		*w = in.Word(w.vehva)
@@ -377,8 +372,6 @@ func (in *Instr) resolve(w *Word) bool {
 }
 
 // untranslated is the DMA exception of a word that does not translate.
-//
-//hot:cold
 func (in *Instr) untranslated(vehva mem.Addr) error {
 	_, _, err := in.atb.Translate(vehva, 8)
 	return err
@@ -397,8 +390,6 @@ func (in *Instr) Stores() int64 { return in.stores }
 // LoadWord performs one LHM: an 8-byte load from w's VEHVA, translated at
 // issue and read at the end. LHM is a full round trip over PCIe and does not
 // pipeline.
-//
-//hot:path
 func (in *Instr) LoadWord(p *simtime.Proc, w *Word) (uint64, error) {
 	if !in.resolve(w) {
 		return 0, in.untranslated(w.vehva)
@@ -415,8 +406,6 @@ func (in *Instr) LoadWord(p *simtime.Proc, w *Word) (uint64, error) {
 
 // LoadCost is what one LoadWord takes when nothing is injected: the LHM
 // round trip, plus the UPI both ways on a path that crosses sockets.
-//
-//hot:path
 func (in *Instr) LoadCost() simtime.Duration {
 	return in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2
 }
@@ -430,8 +419,6 @@ func (in *Instr) LoadCost() simtime.Duration {
 // at or after it may not be quiet: the answer lapses one LoadCost before a
 // rule's window opens, so the poll wakes, and counts the quiet loads it
 // passed over, before a rule inside the window reads the count.
-//
-//hot:path
 func (in *Instr) Quiet(w *Word, at simtime.Time) (quiet bool, lapse simtime.Time) {
 	if !in.resolve(w) || in.timing.Tracer != nil {
 		return false, 0
@@ -450,8 +437,6 @@ func (in *Instr) Quiet(w *Word, at simtime.Time) (quiet bool, lapse simtime.Time
 }
 
 // PeekWord is LoadWord's read alone: no time, no fault site, no count.
-//
-//hot:path
 func (in *Instr) PeekWord(w *Word) (uint64, error) {
 	if !in.resolve(w) {
 		return 0, in.untranslated(w.vehva)
@@ -472,8 +457,6 @@ func (in *Instr) Watch(w *Word, wt *simtime.Watch) {
 
 // CountLoads counts n quiet LoadWords that a parked poll passed over, and
 // the ops they passed at their fault sites (faults.Injector.CountLoads).
-//
-//hot:path
 func (in *Instr) CountLoads(n int64) {
 	in.loads += n
 	if f := in.timing.Faults; f != nil {
@@ -482,8 +465,6 @@ func (in *Instr) CountLoads(n int64) {
 }
 
 // StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
-//
-//hot:path
 func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 	m, addr, err := in.atb.Translate(vehva, 8)
 	if err != nil {
@@ -502,8 +483,6 @@ func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 // StoreBytes stores data word-by-word via SHM. The first store pays the
 // setup cost; subsequent posted stores pipeline at SHMPerWord. Data is
 // padded to a whole word as the instruction writes 8 bytes at a time.
-//
-//hot:path
 func (in *Instr) StoreBytes(p *simtime.Proc, vehva mem.Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil

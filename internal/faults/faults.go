@@ -224,8 +224,6 @@ type siteTable struct {
 
 // grow extends the counters to node, the first time an op is counted for a
 // node id past the table.
-//
-//hot:cold
 func (st *siteTable) grow(node int) {
 	st.ops = append(st.ops, make([]uint64, node+1-len(st.ops))...)
 }
@@ -374,8 +372,6 @@ var loadCounters = [...]struct {
 // load armed for good: its op counter decides whether it fires. The tables
 // never change after New, so QuietLoad takes no lock and may be asked on any
 // process's stack.
-//
-//hot:path
 func (in *Injector) QuietLoad(now simtime.Time, node int) (quiet bool, lapse simtime.Time) {
 	if in == nil {
 		return true, 0
@@ -406,8 +402,6 @@ func (in *Injector) QuietLoad(now simtime.Time, node int) (quiet bool, lapse sim
 // poll passed over: it advances every counter a literal load would, by n, so a
 // rule that reads one inside its window — Error.Op, a Rate or Jitter draw —
 // reads what the loads one by one would have left there.
-//
-//hot:path
 func (in *Injector) CountLoads(node int, n int64) {
 	if in == nil {
 		return
@@ -427,8 +421,6 @@ func (in *Injector) CountLoads(node int, n int64) {
 // TransferError decides whether the transfer at site/node fails. The hook
 // point must consult it before moving any data: a failed transfer delivers
 // nothing.
-//
-//hot:path
 func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
 	if in == nil || !in.tables[DMAError][site].armed(node) {
 		return nil
@@ -436,7 +428,7 @@ func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, op, ok := in.fire(DMAError, site, node, now); ok {
-		return &Error{Kind: DMAError, Site: site, Node: node, Op: op} //lint:allow hotalloc an injected fault is the error value the caller keeps
+		return &Error{Kind: DMAError, Site: site, Node: node, Op: op}
 	}
 	return nil
 }
@@ -444,8 +436,6 @@ func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
 // Corrupt decides whether an n-byte transfer gets one payload byte flipped,
 // returning the byte offset to corrupt, or -1. Transfers of 8 bytes or
 // fewer are never corrupted (see BitFlip).
-//
-//hot:path
 func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int64 {
 	if in == nil || n <= 8 || !in.tables[BitFlip][site].armed(node) {
 		return -1
@@ -460,8 +450,6 @@ func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int6
 
 // StallDelay decides whether a VEOS operation at node stalls, returning the
 // extra simulated delay to serve (0 = none).
-//
-//hot:path
 func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
 	if in == nil || !in.tables[Stall][SiteVEOS].armed(node) {
 		return 0
@@ -487,8 +475,6 @@ func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
 // Jitter rules add noise drawn uniformly in [0, JitterMax) from the plan's
 // splitmix64 stream. Unlike TransferError the operation still succeeds:
 // this is the gray-failure hook, a node that is sick but alive.
-//
-//hot:path
 func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtime.Duration) simtime.Duration {
 	if in == nil {
 		return 0
@@ -518,8 +504,6 @@ func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtim
 // CrashNow decides whether the VE process on node crashes at this
 // operation. The caller (the VEOS layer) records the crash; the injector
 // only schedules it.
-//
-//hot:path
 func (in *Injector) CrashNow(now simtime.Time, node int) bool {
 	if in == nil || !in.tables[Crash][SiteVEOS].armed(node) {
 		return false
@@ -532,8 +516,6 @@ func (in *Injector) CrashNow(now simtime.Time, node int) bool {
 
 // LinkError decides whether a transfer crossing node's PCIe link fails
 // because the link is down.
-//
-//hot:path
 func (in *Injector) LinkError(now simtime.Time, node int) error {
 	if in == nil || !in.tables[LinkDown][SiteAny].armed(node) {
 		return nil
@@ -541,15 +523,13 @@ func (in *Injector) LinkError(now simtime.Time, node int) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, op, ok := in.fire(LinkDown, SiteAny, node, now); ok {
-		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op} //lint:allow hotalloc an injected fault is the error value the caller keeps
+		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op}
 	}
 	return nil
 }
 
 // ConnReset decides whether a wall-clock backend connection to node drops
 // at this operation.
-//
-//hot:path
 func (in *Injector) ConnReset(node int) bool {
 	if in == nil || !in.tables[ConnReset][SiteConn].armed(node) {
 		return false

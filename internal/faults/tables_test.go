@@ -440,6 +440,39 @@ func TestHooksAllocateNothingWhenNoRuleCanMatch(t *testing.T) {
 	_ = sink
 }
 
+// TestHooksAllocateNothingWhenRulesCanMatch pins the hooks a served request
+// passes under rules that match it: serve-peak's SlowDown window on VE 0, a
+// Stall window, a Crash that is armed but never fires and a ConnReset that
+// fires every other op. Each one locks, counts and returns a value; none
+// allocates.
+func TestHooksAllocateNothingWhenRulesCanMatch(t *testing.T) {
+	end := simtime.Time(simtime.Second)
+	in := New(&Plan{Rules: []Rule{
+		{Kind: SlowDown, Site: SiteAny, Node: 0, Factor: 4, Until: end},
+		{Kind: Stall, Node: 0, Until: end},
+		{Kind: Crash, Node: 0, AfterOp: 1 << 62},
+		{Kind: ConnReset, Node: 0, Count: 1 << 30, Every: 2},
+	}})
+	var slow, stall simtime.Duration
+	var crashes, resets int
+	allocs := testing.AllocsPerRun(1000, func() {
+		stall += in.StallDelay(1, 0)
+		slow += in.SlowDelay(1, SiteVEOS, 0, simtime.Microsecond)
+		if in.CrashNow(1, 0) {
+			crashes++
+		}
+		if in.ConnReset(0) {
+			resets++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hooks under matching rules allocate %.1f objects per run, want 0", allocs)
+	}
+	if runs := simtime.Duration(1001); slow != 3*simtime.Microsecond*runs || stall != end.Sub(1)*runs || crashes != 0 || resets != 501 {
+		t.Fatalf("over 1001 runs: slow-down %v, stall %v, %d crashes, %d resets; want 3 µs and %v each, none and 501", slow, stall, crashes, resets, end.Sub(1))
+	}
+}
+
 // TestHooksFromManyGoroutines hammers one injector from several goroutines,
 // as tcpb and locb do: the pre-check reads the compiled tables without the
 // lock while other goroutines count and grow under it. Run with -race. The

@@ -57,7 +57,7 @@ func (e *Encoder) Reset() {
 }
 
 // PutU8 appends one byte.
-func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) } //lint:allow hotalloc amortized growth of the encoder buffer, reused via Reset
+func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) }
 
 // PutU32 appends a 32-bit word.
 func (e *Encoder) PutU32(v uint32) {
@@ -95,7 +95,7 @@ func (e *Encoder) PutString(s string) {
 
 // PutRaw appends b as it is, with no length prefix: bytes another encoder
 // produced.
-func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) } //lint:allow hotalloc amortized growth of the encoder buffer, reused via Reset
+func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 
 // PutBytes appends a length-prefixed byte slice.
 func (e *Encoder) PutBytes(b []byte) {
@@ -163,8 +163,6 @@ func (d *Decoder) take(n int) []byte {
 // underrunError renders the sticky decode failure. It is split out of take
 // so the hot decode path only pays for the formatting when a message is
 // actually truncated.
-//
-//hot:cold
 func underrunError(need, off, total int) error {
 	return fmt.Errorf("ham: decode underrun: need %d bytes at offset %d of %d", need, off, total)
 }

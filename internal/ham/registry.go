@@ -193,17 +193,14 @@ func (b *Binary) KeyOfAddr(addr uint64) (Key, error) {
 // Translation-failure errors only fire on unknown handlers — programming
 // errors, not traffic — so their formatting stays off the hot path.
 
-//hot:cold
 func unknownTypeError(name, arch string) error {
 	return fmt.Errorf("ham: message type %q not in binary %s", name, arch)
 }
 
-//hot:cold
 func keyRangeError(k Key, arch string) error {
 	return fmt.Errorf("ham: key %d out of range in binary %s", k, arch)
 }
 
-//hot:cold
 func unknownAddrError(addr uint64, arch string) error {
 	return fmt.Errorf("ham: address %#x is not a message handler in binary %s", addr, arch)
 }
@@ -234,7 +231,6 @@ func (b *Binary) endDispatch() { b.busy = false }
 // dispatchFresh is the re-entrant fallback: a handler that dispatches a
 // nested message while the scratch pair is in use gets fresh codecs.
 //
-//hot:cold
 //ham:borrowed msg return
 func (b *Binary) dispatchFresh(env any, msg []byte) []byte {
 	return b.dispatch(env, NewDecoder(msg), NewEncoder())
@@ -362,8 +358,6 @@ func DecodeResponseInto(d *Decoder, resp []byte) (*Decoder, error) {
 
 // remoteFailure renders the error string a failure response carries; only
 // failed offloads pay for the formatting.
-//
-//hot:cold
 func remoteFailure(d *Decoder) error {
 	msg := d.String()
 	if err := d.Err(); err != nil {
@@ -372,7 +366,6 @@ func remoteFailure(d *Decoder) error {
 	return fmt.Errorf("ham: remote execution failed: %s", msg)
 }
 
-//hot:cold
 func unknownStatusError(st uint8) error {
 	return fmt.Errorf("ham: unknown response status %d", st)
 }

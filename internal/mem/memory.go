@@ -76,8 +76,6 @@ func (e *extent) end() Addr { return e.addr + Addr(e.size) }
 // the chunks the store reaches would, and a View of the extent then needs
 // nothing more. Any other store backs the one chunk, so rings, shm segments
 // and a huge reservation, which only see small stores, stay lazy.
-//
-//hot:cold
 func (e *extent) back(off, rest int64) []byte {
 	i := off / ChunkSize
 	if len(e.chunks) == 1 || 2*min(rest, e.size-off) >= e.size {
@@ -312,8 +310,6 @@ func (m *Memory) Watch(addr Addr, w *simtime.Watch) {
 }
 
 // watchFrom returns the index of the first watched word that ends past addr.
-//
-//hot:path
 func (m *Memory) watchFrom(addr Addr) int {
 	j, k := 0, len(m.watches)
 	for j < k {
@@ -328,8 +324,6 @@ func (m *Memory) watchFrom(addr Addr) int {
 }
 
 // notify notifies the watches of the words a store of [addr, end) touched.
-//
-//hot:path
 func (m *Memory) notify(addr, end Addr) {
 	for j := m.watchFrom(addr); j < len(m.watches) && m.watches[j].addr < end; j++ {
 		m.watches[j].w.Notify()
@@ -391,12 +385,10 @@ func (m *Memory) checkMapped(addr Addr, n int64) error {
 // An access outside the mapped extents is the simulated segmentation fault:
 // a bug in the caller, not traffic, so rendering it stays off the hot path.
 
-//hot:cold
 func (m *Memory) faultError(pos, addr Addr, n int64) error {
 	return fmt.Errorf("mem %s: fault at %#x (range [%#x,+%d))", m.name, pos, addr, n)
 }
 
-//hot:cold
 func (m *Memory) wrapError(addr Addr, n int64) error {
 	return fmt.Errorf("mem %s: access [%#x,+%d) wraps the address space", m.name, addr, n)
 }
@@ -480,8 +472,6 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 // buffer so a 256 MiB move does not allocate 256 MiB of real transient
 // memory, front to back or — when the destination lies ahead of the source,
 // where that order would clobber unread bytes — back to front.
-//
-//hot:cold
 func copyOverlapping(m *Memory, dstAddr, srcAddr Addr, n int64) error {
 	const stride = 4 * ChunkSize
 	backwards := dstAddr > srcAddr
@@ -503,7 +493,6 @@ func copyOverlapping(m *Memory, dstAddr, srcAddr Addr, n int64) error {
 	return nil
 }
 
-//hot:cold
 func negativeCopyError(n int64) error {
 	return fmt.Errorf("mem: Copy negative length %d", n)
 }

@@ -53,8 +53,6 @@ func (m *Memory) WordAt(addr Addr) Word {
 }
 
 // Load reads the word: what ReadUint64 of its address returns.
-//
-//hot:path
 func (w *Word) Load() (uint64, error) {
 	if w.gen != w.m.gen {
 		*w = w.m.WordAt(w.addr)

@@ -24,7 +24,7 @@ func (f *Free[T, P]) Take() P {
 	f.live++
 	r := f.head
 	if r == nil {
-		return new(T) //lint:allow hotalloc pool miss: one record per record ever taken at once, then recycled
+		return new(T) // pool miss: one record per record ever taken at once, then recycled
 	}
 	l := r.link()
 	f.head, l.next = l.next, nil

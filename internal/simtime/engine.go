@@ -42,7 +42,7 @@ func (q eventQueue) less(i, j int) bool {
 }
 
 func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev) //lint:allow hotalloc amortized growth of the engine's event heap
+	*q = append(*q, ev)
 	q.up(len(*q) - 1)
 }
 
@@ -189,16 +189,12 @@ func (p *Proc) finish() {
 func resumeFinished() (struct{}, bool) { return struct{}{}, false }
 
 // schedule enqueues a plain wake for p at time at.
-//
-//hot:path
 func (e *Engine) schedule(at Time, p *Proc) {
 	e.seq++
 	e.push(event{at: at, seq: e.seq, p: p})
 }
 
 // push enqueues ev, at now if it is due earlier.
-//
-//hot:path
 func (e *Engine) push(ev event) {
 	ev.at = max(ev.at, e.now)
 	e.eq.push(ev)
@@ -235,8 +231,6 @@ func (e *Engine) Run() error {
 // switching — another process's wake, Stop, the event budget, an empty heap —
 // it leaves untouched and returns nil, so p yields and Run's step(nil)
 // reaches the verdict.
-//
-//hot:path
 func (e *Engine) step(self *Proc) (*Proc, error) {
 	if e.failed != nil || e.stop || e.first == nil {
 		return nil, e.failed
@@ -284,16 +278,12 @@ func (e *Engine) Shutdown() {
 }
 
 // limitError terminates the run; it allocates once.
-//
-//hot:cold
 func limitError(maxEvents uint64) error {
 	return fmt.Errorf("%w (%d events)", ErrEventLimit, maxEvents)
 }
 
 // idleError runs when no process is running and no wake is queued, so every
 // live one is parked for good: a deadlock.
-//
-//hot:cold
 func (e *Engine) idleError() error {
 	var stuck []string
 	for p := e.first; p != nil; p = p.next {

@@ -37,13 +37,9 @@ type Poller interface {
 type Free struct{}
 
 // Tick implements Poller.
-//
-//hot:path
 func (Free) Tick(Time) (Duration, bool, Time) { return 0, false, 0 }
 
 // Missed implements Poller: a free poll leaves no trace.
-//
-//hot:path
 func (Free) Missed(int64) {}
 
 // A Watch is where Proc.Poll parks a poll loop: the gap schedule of its ticks,
@@ -103,8 +99,6 @@ const noWake = Time(math.MaxInt64)
 // The loop's two sleeps are tick sleeps: their wakes run after every other
 // wake of their instant, and two processes' tick wakes in spawn order. A
 // parked poll's wake stands for one and takes its place.
-//
-//hot:path
 func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
 	e := p.eng
 	atTick := true // the process is at a tick, else at the end of a poll it issued
@@ -136,8 +130,6 @@ func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
 // costs cost and whose Tick answer lapses at lapse. It accounts for the
 // misses passed over and reports whether the wake is a tick (else the end of
 // a poll that costs).
-//
-//hot:path
 func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Duration, lapse, until Time) bool {
 	e := p.eng
 	if !issued {
@@ -186,8 +178,6 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 // poll at or after now that the loop has not run yet; otherwise, if its Tick
 // takes the first such tick, at that tick. A wake already queued before
 // either stands.
-//
-//hot:path
 func (wt *Watch) Notify() {
 	w := wt.w
 	if w == nil {
@@ -321,8 +311,6 @@ func (g *grid) at(k int64) Time {
 // find returns the first grid point from k on of the kind asked for — a
 // tick, or a poll's end (for a free poll, its tick) — that is at or after x,
 // and its time. ok is false when there is none before the end of time.
-//
-//hot:path
 func (g *grid) find(x Time, k int64, kind int) (int64, Time, bool) {
 	c := g.cost
 	if c == 0 {
@@ -339,8 +327,6 @@ func (g *grid) find(x Time, k int64, kind int) (int64, Time, bool) {
 // walk returns the first poll from j on whose end is at or after x, and the
 // time of that end. Poll 0 is the one of point k0; each miss adds its
 // Backoff gap and the cost of the next poll.
-//
-//hot:path
 func (g *grid) walk(x Time, from int64) (int64, Time, bool) {
 	c := g.cost
 	end := g.next
@@ -373,8 +359,6 @@ func (g *grid) walk(x Time, from int64) (int64, Time, bool) {
 }
 
 // tick asks q's Tick on p's own stack.
-//
-//hot:path
 func (e *Engine) tick(p *Proc, q Poller, at Time) (Duration, bool, Time) {
 	e.asking = p
 	cost, take, lapse := q.Tick(at)
@@ -383,8 +367,6 @@ func (e *Engine) tick(p *Proc, q Poller, at Time) (Duration, bool, Time) {
 }
 
 // hit asks q's Hit on p's own stack.
-//
-//hot:path
 func (e *Engine) hit(p *Proc, q Poller) bool {
 	e.asking = p
 	h := q.Hit()
@@ -392,12 +374,10 @@ func (e *Engine) hit(p *Proc, q Poller) bool {
 	return h
 }
 
-//hot:cold
 func twoPolls(p *Proc) string {
 	return fmt.Sprintf("simtime: process %q polls on a Watch another poll is parked on", p.name)
 }
 
-//hot:cold
 func parkedInPoller(p *Proc) string {
 	return fmt.Sprintf("simtime: the Poller of process %q parked inside Tick or Hit", p.name)
 }
@@ -424,8 +404,6 @@ type Backoff struct {
 }
 
 // Gap returns the gap after one more miss, and counts it.
-//
-//hot:path
 func (b *Backoff) Gap() Duration {
 	g := b.Current()
 	b.skip(1)
@@ -448,8 +426,6 @@ func (b *Backoff) run() (Duration, int64) {
 }
 
 // skip counts n misses at once, as n calls of Gap would.
-//
-//hot:path
 func (b *Backoff) skip(n int64) {
 	for n > 0 {
 		g, steady := b.run()

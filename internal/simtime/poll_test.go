@@ -990,3 +990,43 @@ func TestBackoffStopsAtMax(t *testing.T) {
 		}
 	}
 }
+
+// takeAfterMiss misses its first tick, and takes the next two: one Poll asks
+// Tick at entry, again after the miss (which the loop then sleeps to as its
+// own, a tick sleep) and at that tick.
+type takeAfterMiss struct {
+	Free
+	ticks int
+}
+
+func (q *takeAfterMiss) Tick(Time) (Duration, bool, Time) {
+	q.ticks++
+	return 0, q.ticks%3 != 1, 0
+}
+
+func (q *takeAfterMiss) Hit() bool { return false }
+
+// TestPollTakenTickZeroAlloc: a poll that misses and then takes its next
+// tick — a dmab flag poll whose loads stop being quiet — sleeps to that tick
+// and allocates nothing.
+func TestPollTakenTickZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	q, wt := &takeAfterMiss{}, gapWatch(10)
+	var allocs float64
+	e.Spawn("poller", func(p *Proc) {
+		poll := func() {
+			q.ticks = 0
+			if p.Poll(q, wt, 0) || q.ticks != 3 {
+				t.Errorf("Poll took %d ticks, want 3 and no hit", q.ticks)
+			}
+		}
+		poll()
+		allocs = testing.AllocsPerRun(1000, poll)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a poll that takes its tick allocates %.2f times per call, want 0", allocs)
+	}
+}

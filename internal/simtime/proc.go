@@ -34,8 +34,6 @@ func (p *Proc) Now() Time { return p.eng.now }
 // that wake is the very next event the engine would deliver, the process
 // takes it in place and never stops running; otherwise it switches back to
 // Run.
-//
-//hot:path
 func (p *Proc) park(label string) {
 	if h := p.eng.asking; h != nil {
 		panic(parkedInPoller(h))
@@ -52,8 +50,6 @@ func (p *Proc) park(label string) {
 // Sleep suspends the process for d of simulated time. Non-positive durations
 // still yield to the scheduler (other plain wakes pending at the current time
 // run first).
-//
-//hot:path
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -65,8 +61,6 @@ func (p *Proc) Sleep(d Duration) {
 // tickSleep is a poll loop's Sleep to its next tick or to the end of the poll
 // it issued: the wake takes p's key, so it runs after every plain wake of its
 // instant, and after the tick wakes of processes spawned before p.
-//
-//hot:path
 func (p *Proc) tickSleep(d Duration) {
 	p.eng.push(event{at: p.eng.now.Add(d), seq: p.key, p: p})
 	p.park("sleep")

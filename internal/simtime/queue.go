@@ -14,7 +14,7 @@ type fifo[T any] struct {
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 
 func (f *fifo[T]) push(v T) {
-	f.buf = append(f.buf, v) //lint:allow hotalloc amortized growth up to the largest backlog
+	f.buf = append(f.buf, v)
 }
 
 // peek returns the oldest value of a non-empty list in place.
@@ -65,8 +65,6 @@ func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Push appends v and wakes one waiting consumer, if any. It may be called
 // from any running process (or before Run starts).
-//
-//hot:path
 func (q *Queue[T]) Push(v T) {
 	q.items.push(v)
 	q.wakeOne()
@@ -87,8 +85,6 @@ func (q *Queue[T]) wakeOne() {
 
 // Pop removes and returns the oldest item, blocking p while the queue is
 // empty.
-//
-//hot:path
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
 		q.waiters.push(p)

@@ -249,3 +249,19 @@ func TestResourceContendedUseZeroAlloc(t *testing.T) {
 		t.Fatalf("contended one-unit Semaphore.Use allocates %.2f times per call, want 0", allocs)
 	}
 }
+
+// TestQueueContendedPushPopZeroAlloc: a warm queue's Push and Pop allocate
+// nothing, with rivals pushing and popping the same queue, so that Pop's
+// wake chain runs.
+func TestQueueContendedPushPopZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue[int](e, "cmds")
+	use := func(p *Proc) {
+		q.Push(1)
+		p.Sleep(10)
+		q.Pop(p)
+	}
+	if allocs := contendedAllocs(t, e, use); allocs != 0 {
+		t.Fatalf("contended Queue.Push and Pop allocate %.2f times per call, want 0", allocs)
+	}
+}

@@ -222,3 +222,39 @@ func TestAsyncCallsOverlapWithHostWork(t *testing.T) {
 		}
 	})
 }
+
+// TestCallAllocs pins a warm VEO call — CallAsync then CallWaitResult —
+// at the four objects it makes: the argument slice the command keeps, the
+// VEOS command, its completion event and the kernel's Ctx. The submission
+// queue, the worker's wake on it and the result poll allocate nothing.
+func TestCallAllocs(t *testing.T) {
+	veos.RegisterLibrary("libveoalloc.so", veos.Library{
+		"add": func(ctx *veos.Ctx, args []uint64) (uint64, error) { return args[0] + args[1], nil },
+	})
+	r := newRig(t)
+	r.run(t, func(p *simtime.Proc) {
+		h, err := ProcCreate(p, r.card)
+		if err != nil {
+			t.Fatalf("ProcCreate: %v", err)
+		}
+		lib, err := h.LoadLibrary(p, "libveoalloc.so")
+		if err != nil {
+			t.Fatalf("LoadLibrary: %v", err)
+		}
+		sym, err := lib.GetSym(p, "add")
+		if err != nil {
+			t.Fatalf("GetSym: %v", err)
+		}
+		ctx := h.OpenContext(p)
+		var v uint64
+		call := func() { v, err = ctx.CallAsync(p, sym, 40, 2).CallWaitResult(p) }
+		call()
+		n := testing.AllocsPerRun(50, call)
+		if v != 42 || err != nil {
+			t.Fatalf("call = %d, %v; want 42, nil", v, err)
+		}
+		if n != 4 {
+			t.Errorf("a warm VEO call allocates %.1f objects, want 4", n)
+		}
+	})
+}

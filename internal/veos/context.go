@@ -51,18 +51,12 @@ type waitPoll Command
 
 // Tick implements simtime.Poller: looking at done is free, and all the wait
 // does.
-//
-//hot:path
 func (*waitPoll) Tick(simtime.Time) (simtime.Duration, bool, simtime.Time) { return 0, false, 0 }
 
 // Hit implements simtime.Poller.
-//
-//hot:path
 func (w *waitPoll) Hit() bool { return w.done.Fired() }
 
 // Missed implements simtime.Poller.
-//
-//hot:path
 func (*waitPoll) Missed(int64) {}
 
 // cmdPoll is workerLoop's idle loop in the same form: every back-off gap, is
@@ -75,8 +69,6 @@ type cmdPoll struct {
 }
 
 // Hit implements simtime.Poller.
-//
-//hot:path
 func (q *cmdPoll) Hit() bool {
 	ctx := q.ctx
 	return ctx.stop || ctx.proc.card.crashed || ctx.cmdQ.Len() > 0
