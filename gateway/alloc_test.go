@@ -126,19 +126,20 @@ func TestServedRequestAllocs(t *testing.T) {
 	})
 }
 
-// TestTicketAllocSize pins the ticket at 64 B — tenant, class, VE index,
-// gateway, the one time word (arrival, then latency) and the 32-B future —
-// and the slab it is carved from: 511 tickets and the 8-B malloc header
-// take 32 712 B of the 32 KiB size class, 56 B short of filling it. A field
-// added to the ticket costs its exact bytes per request (the slab stays one
-// size class and holds fewer tickets), not a rounding to the next class.
+// TestTicketAllocSize pins the ticket at 48 B — tenant, class and the
+// accounted flag in one word, the one time word (arrival, then latency) and
+// the 32-B future — and the slab it is carved from: 682 tickets and the 8-B
+// malloc header take 32 744 B of the 32 KiB size class, 24 B short of
+// filling it. A field added to the ticket costs its exact bytes per request
+// (the slab stays one size class and holds fewer tickets), not a rounding
+// to the next class.
 func TestTicketAllocSize(t *testing.T) {
 	size := unsafe.Sizeof(Ticket[int64]{})
-	if size != 64 {
-		t.Errorf("Ticket[int64] is %d B, want 64", size)
+	if size != 48 {
+		t.Errorf("Ticket[int64] is %d B, want 48", size)
 	}
-	if n := slabLen[int64](); n != 511 || uintptr(n)*size+slabHeader != 32712 {
-		t.Errorf("a slab holds %d tickets, %d B with its header; want 511 in 32712 B",
+	if n := slabLen[int64](); n != 682 || uintptr(n)*size+slabHeader != 32744 {
+		t.Errorf("a slab holds %d tickets, %d B with its header; want 682 in 32744 B",
 			n, uintptr(n)*size+slabHeader)
 	}
 }
@@ -344,16 +345,24 @@ func TestSlabFreedWithItsTickets(t *testing.T) {
 }
 
 // checkQueueStorage walks every run queue's whole backing array, not just
-// its live window: a live slot holds a ticket homed on that VE, queued once,
-// with its functor, and every other slot is the zero entry. A ticket or a
-// functor left past len (or before head) would keep a settled ticket, its
-// future, the functor's decode func and any spilled argument buffer alive
-// until a later push happened to overwrite it.
+// its live window: a live slot holds an unsettled ticket of the FIFO's
+// class, queued once and on no VE's in-flight FIFO, with its functor, and
+// every other slot is the zero entry. A ticket or a functor left past len
+// (or before head) would keep a settled ticket, its future, the functor's
+// decode func and any spilled argument buffer alive until a later push
+// happened to overwrite it.
 func checkQueueStorage(t *testing.T, g *Gateway[int64], when string) {
 	t.Helper()
 	queued := map[*Ticket[int64]]bool{}
+	inflOn := map[*Ticket[int64]]int{} // 1 + the VE whose in-flight FIFO holds the ticket
+	for vi := range g.infl {
+		for i := range g.infl[vi].len() {
+			inflOn[g.infl[vi].at(i)] = 1 + vi
+		}
+	}
 	for vi := range g.queues {
 		for _, q := range []*fifo[entry[int64]]{&g.queues[vi].lc, &g.queues[vi].bulk} {
+			lc := q == &g.queues[vi].lc
 			storage := q.items[:cap(q.items)]
 			for i, e := range storage {
 				live := i >= q.head && i < len(q.items)
@@ -364,8 +373,12 @@ func checkQueueStorage(t *testing.T, g *Gateway[int64], when string) {
 				case !live: // vacated, and zero
 				case e.tk == nil || e.fn.Name() == "":
 					t.Fatalf("%s: VE %d: live queue slot %d lacks its ticket or functor", when, vi, i)
-				case int(e.tk.vi) != vi:
-					t.Fatalf("%s: VE %d queues a ticket homed on VE %d", when, vi, e.tk.vi)
+				case (e.tk.Class == LatencyCritical) != lc:
+					t.Fatalf("%s: VE %d queues a %s ticket in the wrong FIFO", when, vi, e.tk.Class)
+				case e.tk.Done() || e.tk.fut.Done():
+					t.Fatalf("%s: VE %d queues a settled ticket", when, vi)
+				case inflOn[e.tk] != 0:
+					t.Fatalf("%s: VE %d queues a ticket in flight on VE %d", when, vi, inflOn[e.tk]-1)
 				case queued[e.tk]:
 					t.Fatalf("%s: a ticket is queued twice", when)
 				default:

@@ -189,21 +189,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Ticket is one admitted request's handle. The gateway settles it during
-// Poll or Drain; afterwards Done reports true and Err/Latency are valid. The
-// request's future lives in the ticket: the gateway issues into it. It holds
-// only what outlives the issue: the functor waits beside it in its run-queue
-// entry and is gone once core.Issue has encoded it into the wire.
+// Poll or Drain, or in Submit when its offload fails as it is issued;
+// afterwards Done reports true and Err/Latency are valid. The request's
+// future lives in the ticket: the gateway issues into it. It holds only what
+// outlives the issue: the functor waits beside it in its run-queue entry and
+// is gone once core.Issue has encoded it into the wire, and the VE it runs
+// on is the run queue or in-flight FIFO that holds it.
 //
 // Tickets are carved from slabs of up to slabBytes (32 KiB), one slot per
 // admitted request and never reused, so a ticket stays the caller's for as
 // long as they hold it. A held ticket keeps its whole slab alive; a slab is
 // freed once none of its tickets is reachable.
 type Ticket[R any] struct {
-	Tenant int
+	Tenant int32
 	Class  Class
-	vi     int32 // index into the gateway's node list; beside Class, in its padding
+	// accounted is set once the gateway has counted the settled request
+	// (settle); its future may have settled a moment before.
+	accounted bool
 
-	g *Gateway[R]
 	// stamp is the arrival time (a simtime.Time) until the ticket settles
 	// and the latency (a simtime.Duration) from then on: the two are never
 	// needed at once, so they share a word.
@@ -212,11 +215,11 @@ type Ticket[R any] struct {
 }
 
 // Done reports whether the request has settled.
-func (tk *Ticket[R]) Done() bool { return tk.fut.Done() }
+func (tk *Ticket[R]) Done() bool { return tk.accounted }
 
 // Value returns the request's result; valid once Done.
 func (tk *Ticket[R]) Value() (R, error) {
-	if !tk.fut.Done() {
+	if !tk.accounted {
 		var zero R
 		return zero, nil
 	}
@@ -232,20 +235,10 @@ func (tk *Ticket[R]) Err() error {
 // Latency returns the admission-to-settle latency; ok once Done, and
 // (0, false) before.
 func (tk *Ticket[R]) Latency() (simtime.Duration, bool) {
-	if !tk.fut.Done() {
+	if !tk.accounted {
 		return 0, false
 	}
 	return simtime.Duration(tk.stamp), true
-}
-
-// ticketHook is a Ticket seen as its future's settle hook: the future holds
-// the ticket pointer itself, so tracking a request allocates no closure.
-type ticketHook[R any] Ticket[R]
-
-// FutureSettled implements core.SettleHook.
-func (h *ticketHook[R]) FutureSettled() {
-	tk := (*Ticket[R])(h)
-	tk.g.settle(tk)
 }
 
 // fifo is a slice-backed FIFO with a moving head, rewound when it empties
@@ -349,8 +342,8 @@ type classStats struct {
 // slabBytes is the size class of a ticket slab: the largest Go size class
 // for small objects, so a slab is one malloc. A slab holds pointers and is
 // over 512 B, so the allocator puts an 8-B header in front of it, inside
-// the size class; what is left after the last whole ticket (56 B for the
-// 64-B Ticket[int64]: 511 tickets and the header take 32 712 B) is slack.
+// the size class; what is left after the last whole ticket (24 B for the
+// 48-B Ticket[int64]: 682 tickets and the header take 32 744 B) is slack.
 const (
 	slabBytes  = 32 << 10
 	slabHeader = 8
@@ -383,10 +376,12 @@ type Gateway[R any] struct {
 	maxQueue []int
 	backlog  []int // placement scratch: queued + inflight per VE
 
-	// infl holds each VE's issued, unsettled tickets in issue order. The
+	// infl holds each VE's issued, unretired tickets in issue order. The
 	// DMA target executes messages in arrival order, so testing only the
 	// head of each FIFO is enough to discover settlements — one simulated
-	// flag probe per VE per poll instead of one per in-flight request.
+	// flag probe per VE per poll instead of one per in-flight request. A
+	// ticket whose offload failed as it was issued is settled and accounted
+	// at once, and waits here until it reaches the head.
 	infl    []fifo[*Ticket[R]]
 	batcher *core.Batcher
 
@@ -515,7 +510,7 @@ func (g *Gateway[R]) Submit(tenant int, class Class, fn core.Functor[R]) (*Ticke
 	}
 	tk := &g.slab[0]
 	g.slab = g.slab[1:]
-	*tk = Ticket[R]{Tenant: tenant, Class: class, g: g, vi: int32(vi), stamp: int64(now)}
+	*tk = Ticket[R]{Tenant: int32(tenant), Class: class, stamp: int64(now)}
 	g.queues[vi].push(entry[R]{tk, fn})
 	g.queued++
 	g.queuedByClass[class]++
@@ -546,13 +541,15 @@ func errBadRequest(tenant int, class Class) error {
 	return fmt.Errorf("%w: %d", ErrTenant, tenant)
 }
 
-// settle records one ticket's completion. It runs from the future's settle
-// hook, i.e. during Poll's Test sweep or a Drain Get.
-func (g *Gateway[R]) settle(tk *Ticket[R]) {
+// settle accounts one settled ticket of VE vi at the instant its future
+// settled: harvest runs it right after the probe or wait that settled the
+// future, settleFailed right after the core.Issue or Flush that failed it.
+func (g *Gateway[R]) settle(tk *Ticket[R], vi int) {
 	now := g.rt.SimNow()
 	lat := now.Sub(simtime.Time(tk.stamp))
 	tk.stamp = int64(lat)
-	g.inflight[tk.vi]--
+	tk.accounted = true
+	g.inflight[vi]--
 	cs := &g.classes[tk.Class]
 	cs.completed++
 	if tk.Err() != nil {
@@ -608,7 +605,6 @@ func (g *Gateway[R]) steal(vi int) bool {
 // and functor, go straight from one backing array to the other.
 func (g *Gateway[R]) moveTail(from *fifo[entry[R]], k, vi int) {
 	for _, e := range from.tail(k) {
-		e.tk.vi = int32(vi)
 		g.queues[vi].push(e)
 	}
 	from.dropTail(k)
@@ -643,7 +639,7 @@ func (g *Gateway[R]) issue(vi int) bool {
 		e := q.lc.pop()
 		g.noteIssued(e.tk, vi)
 		core.Issue(g.rt, nil, node, &e.fn, &e.tk.fut)
-		g.track(e.tk)
+		g.track(e.tk, vi, 1)
 		return true
 	}
 	run := min(g.cfg.Window-g.inflight[vi], g.cfg.MaxBatch, q.bulk.len())
@@ -661,9 +657,10 @@ func (g *Gateway[R]) issue(vi int) bool {
 		e := q.bulk.pop()
 		g.noteIssued(e.tk, vi)
 		core.Issue(g.rt, g.batcher, node, &e.fn, &e.tk.fut)
-		g.track(e.tk)
+		g.track(e.tk, vi, i+1)
 	}
 	g.batcher.Flush(node)
+	g.settleFailed(vi, run) // a frame whose post failed as it shipped
 	return true
 }
 
@@ -675,48 +672,84 @@ func (g *Gateway[R]) noteIssued(tk *Ticket[R], vi int) {
 	g.issued[vi]++
 }
 
-// track registers the settle hook and adds tk to its VE's in-flight FIFO.
-func (g *Gateway[R]) track(tk *Ticket[R]) {
-	tk.fut.OnSettleHook((*ticketHook[R])(tk))
-	g.infl[tk.vi].push(tk)
+// track adds tk, the n-th ticket of the dispatch unit being issued, to VE
+// vi's in-flight FIFO, and accounts those of the unit's n tickets that have
+// already settled (settleFailed).
+func (g *Gateway[R]) track(tk *Ticket[R], vi, n int) {
+	g.infl[vi].push(tk)
+	g.settleFailed(vi, n)
+}
+
+// settleFailed accounts, in issue order, the settled and not yet accounted
+// tickets among the newest n of VE vi's in-flight FIFO. Only a failed post
+// settles a future this early: core.Issue fails the one it issues when its
+// message cannot be encoded or posted, and the batcher fails a whole frame
+// when the frame's post fails — inside a later Issue that fills the frame,
+// or in issue's Flush. Each is accounted there, before pump looks at the
+// window again.
+func (g *Gateway[R]) settleFailed(vi, n int) {
+	q := &g.infl[vi]
+	for i := q.len() - n; i < q.len(); i++ {
+		if tk := q.at(i); tk.fut.Done() && !tk.accounted {
+			g.settle(tk, vi)
+		}
+	}
+}
+
+// harvest retires VE vi's settled requests from the head of its in-flight
+// FIFO, in issue order, accounting each that was not yet (settle), and
+// returns how many it retired. With probe it polls the head (Future.Test),
+// one flag probe for the whole run of heads a settled frame or message
+// frees; without, it only takes heads whose futures have already settled.
+func (g *Gateway[R]) harvest(vi int, probe bool) int {
+	q := &g.infl[vi]
+	n := 0
+	for ; q.len() > 0; n++ {
+		tk := q.at(0)
+		done := tk.fut.Done()
+		if probe {
+			done = tk.fut.Test() // polls only a future not yet settled
+		}
+		if !done {
+			break
+		}
+		if !tk.accounted {
+			g.settle(tk, vi)
+		}
+		q.pop()
+	}
+	return n
 }
 
 // Poll harvests settled requests without blocking and refills the dispatch
 // windows. It probes only the oldest in-flight request of each VE (the DMA
-// target settles in issue order, so the head gates the rest) and returns
-// how many requests settled. Callers drive it from their event loop
-// between arrivals. A backend that settles out of order only delays
-// discovery to the next Drain — nothing is lost.
+// target settles in issue order, so the head gates the rest), accounts each
+// request it retires at the instant its probe found it settled, and returns
+// how many requests settled. Callers drive it from their event loop between
+// arrivals. A backend that settles out of order only delays discovery to
+// the next Drain — nothing is lost.
 func (g *Gateway[R]) Poll() int {
 	settled := 0
 	for vi := range g.infl {
-		q := &g.infl[vi]
-		for q.len() > 0 {
-			tk := q.at(0)
-			if !tk.fut.Test() {
-				break
-			}
-			q.pop()
-			settled++
-		}
+		settled += g.harvest(vi, true)
 	}
 	g.pump()
 	return settled
 }
 
 // Drain blocks until every admitted request has settled, pumping queues as
-// windows free up. Time advances on the simulated clock while it waits.
+// windows free up. Time advances on the simulated clock while it waits on
+// the oldest in-flight request of the first busy VE; the requests that wait
+// settles are accounted at its instant, the rest by the Poll sweeps between
+// waits.
 func (g *Gateway[R]) Drain() {
 	for {
 		g.Poll()
-		var head *Ticket[R]
-		for vi := range g.infl {
-			if g.infl[vi].len() > 0 {
-				head = g.infl[vi].at(0)
-				break
-			}
+		vi := 0
+		for vi < len(g.infl) && g.infl[vi].len() == 0 {
+			vi++
 		}
-		if head == nil {
+		if vi == len(g.infl) {
 			if g.queued != 0 {
 				// Queues non-empty with nothing in flight cannot happen: pump
 				// always issues when a window is free. Guard anyway.
@@ -724,10 +757,10 @@ func (g *Gateway[R]) Drain() {
 			}
 			return
 		}
-		// Block on a VE's oldest in-flight request; its settlement advances
-		// the clock and usually settles neighbours, which the next Poll
-		// sweep harvests.
-		head.fut.Get()
+		// Later heads are left to the next Poll sweep, which probes them in
+		// VE order: probing them here would add a probe and its poll gap.
+		g.infl[vi].at(0).fut.Get()
+		g.harvest(vi, false)
 	}
 }
 

@@ -21,7 +21,7 @@ var sizedWork = core.NewFunc1[int64]("gateway.sized_work",
 // settles and its latency from then on. Before the settle the ticket reports
 // no latency and the zero value, and a steal moves it to another VE with its
 // arrival; after the settle the latency is the settle time less the
-// arrival, to the nanosecond.
+// arrival, to the nanosecond, on whichever VE it ran.
 func TestTicketTimeWord(t *testing.T) {
 	cfg := Config{
 		Window: 1, MaxBatch: 1,
@@ -32,6 +32,7 @@ func TestTicketTimeWord(t *testing.T) {
 		tks := make([]*Ticket[int64], n)
 		arrive := make([]simtime.Time, n)
 		settled := make([]simtime.Time, n)
+		ranOn := make([]int, n)
 		for i := range tks {
 			p.Sleep(simtime.Duration(i+1) * machine.Microsecond)
 			arrive[i] = g.rt.SimNow()
@@ -40,7 +41,7 @@ func TestTicketTimeWord(t *testing.T) {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 			tks[i] = tk
-			tk.fut.OnSettle(func() { settled[i] = g.rt.SimNow() })
+			tk.fut.OnSettle(func() { settled[i], ranOn[i] = g.rt.SimNow(), veOf(g, tk) })
 			for j, tk := range tks[:i+1] {
 				if tk.Done() {
 					t.Fatalf("ticket %d settled before anything polled", j)
@@ -51,8 +52,11 @@ func TestTicketTimeWord(t *testing.T) {
 				if v, err := tk.Value(); v != 0 || err != nil {
 					t.Fatalf("unsettled ticket %d: Value() = %d, %v; want the zero value", j, v, err)
 				}
+				if veOf(g, tk) < 0 {
+					t.Fatalf("unsettled ticket %d sits in no run queue or in-flight FIFO", j)
+				}
 				if tk.stamp != int64(arrive[j]) {
-					t.Fatalf("unsettled ticket %d on VE %d: time word %d, arrived at %d", j, tk.vi, tk.stamp, arrive[j])
+					t.Fatalf("unsettled ticket %d on VE %d: time word %d, arrived at %d", j, veOf(g, tk), tk.stamp, arrive[j])
 				}
 			}
 		}
@@ -62,13 +66,13 @@ func TestTicketTimeWord(t *testing.T) {
 		g.Drain()
 		stolen := 0
 		for i, tk := range tks {
-			if tk.vi != 0 {
+			if ranOn[i] != 0 {
 				stolen++
 			}
 			lat, ok := tk.Latency()
 			if want := settled[i].Sub(arrive[i]); !ok || lat != want || lat <= 0 {
 				t.Errorf("ticket %d (VE %d): Latency() = %v, %v; want settle %v - arrival %v = %v",
-					i, tk.vi, lat, ok, settled[i], arrive[i], want)
+					i, ranOn[i], lat, ok, settled[i], arrive[i], want)
 			}
 			if v, err := tk.Value(); v != int64(i) || err != nil {
 				t.Errorf("ticket %d: Value() = %d, %v", i, v, err)
@@ -78,6 +82,25 @@ func TestTicketTimeWord(t *testing.T) {
 			t.Error("no ticket settled on the VE that stole")
 		}
 	})
+}
+
+// veOf returns the VE whose run queue or in-flight FIFO holds tk, or -1.
+func veOf[R any](g *Gateway[R], tk *Ticket[R]) int {
+	for vi := range g.nodes {
+		for _, q := range []*fifo[entry[R]]{&g.queues[vi].lc, &g.queues[vi].bulk} {
+			for i := range q.len() {
+				if q.at(i).tk == tk {
+					return vi
+				}
+			}
+		}
+		for i := range g.infl[vi].len() {
+			if g.infl[vi].at(i) == tk {
+				return vi
+			}
+		}
+	}
+	return -1
 }
 
 // TestSubmitFailureStaysSettled: a request whose offload fails while Submit

@@ -120,7 +120,9 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 	for {
 		pd.attempt++
 		rt.retries++
-		rt.tr.Instant(trace.PhaseRetry, fmt.Sprintf("retry %d seq %d", pd.attempt, pd.seq), rt.offloads)
+		if rt.tr != nil {
+			rt.tr.Instant(trace.PhaseRetry, fmt.Sprintf("retry %d seq %d", pd.attempt, pd.seq), rt.offloads)
+		}
 		rt.tr.Count("offload.retries", 1)
 		if tr := rt.tr.Tracer(); tr != nil {
 			now := rt.clock.Now()

@@ -117,6 +117,7 @@ func (ctx *Context) Process() *Process { return ctx.proc }
 // command poll interval (ctx.idle) while it is empty.
 func (ctx *Context) workerLoop(p *simtime.Proc) {
 	t := ctx.proc.card.Timing
+	kctx := &Ctx{P: p, Context: ctx} // the same for every command this worker runs
 	for !ctx.stop && !ctx.proc.card.crashed {
 		cmd, ok := ctx.cmdQ.TryPop()
 		if !ok {
@@ -126,7 +127,6 @@ func (ctx *Context) workerLoop(p *simtime.Proc) {
 		ctx.idle.Reset()
 		end := t.Tracer.Span(p, "veo", "ve-kernel")
 		p.Sleep(t.VEOCallDispatchVE)
-		kctx := &Ctx{P: p, Context: ctx}
 		cmd.result, cmd.err = cmd.Kernel(kctx, cmd.Args)
 		end()
 		ctx.executed++
