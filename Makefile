@@ -86,7 +86,7 @@ doclines:
 # Lines of .go files that carry //lint:allow: the count ROADMAP's gate "adds
 # no net new //lint:allow" compares. It fails above ALLOWS_MAX, which a change
 # lowers when it removes an allow and never raises.
-ALLOWS_MAX := 45
+ALLOWS_MAX := 43
 
 allows:
 	@n=$$(grep -r --include='*.go' '//lint:allow' . | wc -l); echo $$n; \

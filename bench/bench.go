@@ -83,15 +83,6 @@ func (s Series) At(size int64) (Point, bool) {
 	return Point{}, false
 }
 
-// PowerOfTwoSizes returns the sweep sizes from lo to hi inclusive.
-func PowerOfTwoSizes(lo, hi int64) []int64 {
-	var out []int64
-	for s := lo; s <= hi; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
 // sizeLabel formats a byte size like the paper's axes.
 func sizeLabel(n int64) string { return units.Bytes(n).String() }
 

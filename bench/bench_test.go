@@ -2,9 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"hamoffload/internal/simtime"
 	"hamoffload/internal/units"
 	"hamoffload/machine"
 )
@@ -175,19 +177,6 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestPowerOfTwoSizes(t *testing.T) {
-	s := PowerOfTwoSizes(8, 64)
-	want := []int64{8, 16, 32, 64}
-	if len(s) != len(want) {
-		t.Fatalf("sizes = %v", s)
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("sizes = %v", s)
-		}
-	}
-}
-
 // TestGranularitySweep ties the microbenchmark to application impact: the
 // protocol gap collapses as kernels grow (§V-A's granularity discussion).
 func TestGranularitySweep(t *testing.T) {
@@ -244,8 +233,18 @@ func TestHistogramMeasurement(t *testing.T) {
 		if h.Count() != 50 {
 			t.Errorf("histogram %d: Count = %d", i, h.Count())
 		}
-		if mean := h.Sum().Microseconds() / float64(h.Count()); mean != bar {
-			t.Errorf("histogram %d: mean = %.6f us, the bar says %.6f", i, mean, bar)
+		// The bar is the samples' exact average; Mean is the same sum
+		// divided in whole picoseconds.
+		samples := [][]simtime.Duration{r.HAMVEO, r.HAMDMA}[i]
+		var sum simtime.Duration
+		for _, s := range samples {
+			sum += s
+		}
+		if bar != sum.Microseconds()/50 || h.Mean() != sum/50 {
+			t.Errorf("histogram %d: mean = %d ps, bar %.6f us; the samples sum to %d ps", i, h.Mean(), bar, sum)
+		}
+		if h.Min() != slices.Min(samples) || h.Max() != slices.Max(samples) {
+			t.Errorf("histogram %d: [%d, %d] ps, the samples span [%d, %d] ps", i, h.Min(), h.Max(), slices.Min(samples), slices.Max(samples))
 		}
 	}
 	if mean := hists[1].Mean().Microseconds(); mean < 5 || mean > 8 {

@@ -21,7 +21,7 @@ import (
 )
 
 // Analyzer reports stale //lint:allow directives. Module-wide only, and a
-// no-op without a tracking driver (plain analysis.RunModule), since only
+// no-op without a tracker (analysis.RunModuleTracked with nil), since only
 // the driver sees the whole invocation.
 var Analyzer = &analysis.Analyzer{
 	Name: "allowcheck",

@@ -112,7 +112,7 @@ func TestFullRun(t *testing.T) {
 // nothing rather than guessing.
 func TestUntrackedRunIsSilent(t *testing.T) {
 	pkg := load(t)
-	diags, err := analysis.RunModule([]*analysis.Package{pkg}, []*analysis.Analyzer{allowcheck.Analyzer}, nil)
+	diags, err := analysis.RunModuleTracked([]*analysis.Package{pkg}, []*analysis.Analyzer{allowcheck.Analyzer}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

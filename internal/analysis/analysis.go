@@ -216,17 +216,13 @@ func (t *AllowTracker) Stale() []*AllowEntry {
 	return out
 }
 
-// Run applies the analyzers that the applies predicate selects for the
-// package and returns the surviving findings in source order. A nil applies
-// runs every analyzer. //lint:allow suppressions are honoured here so every
-// entry point (hamlint, tests) treats them identically.
-func Run(pkg *Package, analyzers []*Analyzer, applies func(analyzer, pkgPath string) bool) ([]Diagnostic, error) {
-	return RunTracked(pkg, analyzers, applies, nil)
-}
-
-// RunTracked is Run with //lint:allow usage recorded in tracker (which may
-// be nil). hamlint uses it so the allowcheck pass can see which directives
-// suppressed nothing across the whole invocation.
+// RunTracked applies the analyzers that the applies predicate selects for
+// the package and returns the surviving findings in source order. A nil
+// applies runs every analyzer. //lint:allow suppressions are honoured here so
+// every entry point (hamlint, tests) treats them identically, and their use
+// is recorded in tracker (which may be nil): hamlint passes one so the
+// allowcheck pass can see which directives suppressed nothing across the
+// whole invocation.
 func RunTracked(pkg *Package, analyzers []*Analyzer, applies func(analyzer, pkgPath string) bool, tracker *AllowTracker) ([]Diagnostic, error) {
 	var idx allowIndex
 	if tracker != nil {
@@ -295,7 +291,7 @@ type ModulePass struct {
 	Applies func(analyzer, pkgPath string) bool
 	// Allows is the invocation-wide //lint:allow tracker, when the driver
 	// runs with one (RunModuleTracked). The allowcheck pass reads it; it is
-	// nil under plain RunModule.
+	// nil when the driver passes none.
 	Allows *AllowTracker
 
 	diags []Diagnostic
@@ -327,18 +323,13 @@ func (p *ModulePass) ReportfUnscoped(pos token.Pos, format string, args ...any) 
 	p.diags[len(p.diags)-1].unscoped = true
 }
 
-// RunModule applies the module-wide (RunModule) phase of the given analyzers
-// to the full package set and returns the surviving findings in source
-// order. //lint:allow suppressions from any loaded file are honoured, and a
-// finding whose position lies in a loaded package that the applies predicate
-// excludes for the analyzer is dropped — the same scoping rule the
-// per-package phase enforces — unless it was reported unscoped.
-func RunModule(pkgs []*Package, analyzers []*Analyzer, applies func(analyzer, pkgPath string) bool) ([]Diagnostic, error) {
-	return RunModuleTracked(pkgs, analyzers, applies, nil)
-}
-
-// RunModuleTracked is RunModule with //lint:allow usage recorded in tracker
-// (which may be nil) and the tracker exposed to the passes via
+// RunModuleTracked applies the module-wide (RunModule) phase of the given
+// analyzers to the full package set and returns the surviving findings in
+// source order. //lint:allow suppressions from any loaded file are honoured,
+// and a finding whose position lies in a loaded package that the applies
+// predicate excludes for the analyzer is dropped — the same scoping rule the
+// per-package phase enforces — unless it was reported unscoped. Their use is
+// recorded in tracker (which may be nil), which the passes see via
 // ModulePass.Allows. Analyzers whose module phase consumes the tracker
 // (allowcheck) must come after the ones whose findings it counts, so run
 // them last in the suite.

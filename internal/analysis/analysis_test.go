@@ -111,7 +111,7 @@ func TestLoadReadsOverlay(t *testing.T) {
 		}
 		return nil
 	}}
-	diags, err := Run(pkgs[0], []*Analyzer{find}, func(string, string) bool { return true })
+	diags, err := RunTracked(pkgs[0], []*Analyzer{find}, func(string, string) bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

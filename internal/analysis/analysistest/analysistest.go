@@ -41,7 +41,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
 	p := load(t, dir, pkg)
-	diags, err := analysis.Run(p, []*analysis.Analyzer{a}, nil)
+	diags, err := analysis.RunTracked(p, []*analysis.Analyzer{a}, nil, nil)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkg, err)
 	}
@@ -64,7 +64,7 @@ func RunModule(t *testing.T, a *analysis.Analyzer, applies func(analyzer, pkgPat
 		local[pkgPath] = p.Types
 		pkgs = append(pkgs, p)
 	}
-	diags, err := analysis.RunModule(pkgs, []*analysis.Analyzer{a}, applies)
+	diags, err := analysis.RunModuleTracked(pkgs, []*analysis.Analyzer{a}, applies, nil)
 	if err != nil {
 		t.Fatalf("module pass of %s: %v", a.Name, err)
 	}

@@ -23,7 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 
 	"hamoffload/internal/analysis"
 )
@@ -191,26 +191,6 @@ func (g *Graph) Node(fn *types.Func) *Node {
 	return g.nodes[fn.FullName()]
 }
 
-// Lookup returns the node with the given full name, or nil.
-func (g *Graph) Lookup(fullName string) *Node {
-	return g.nodes[fullName]
-}
-
-// Funcs returns every node sorted by name, for deterministic iteration.
-func (g *Graph) Funcs() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Reaches reports whether to is reachable from from along call edges.
-func (g *Graph) Reaches(from, to *Node) bool {
-	return g.PathTo(from, func(n *Node) bool { return n == to }, nil) != nil
-}
-
 // PathTo runs a breadth-first search from from and returns the edges of a
 // shortest path to the first node satisfying sink, or nil if none is
 // reachable. If through is non-nil, only nodes satisfying it are expanded
@@ -286,7 +266,8 @@ type implKey struct {
 	method string
 }
 
-// implementers collects every non-interface named type declared in pkgs.
+// implementers collects every non-interface named type declared in pkgs, a
+// generic one through each of its instances.
 func implementers(pkgs []*analysis.Package) *implTable {
 	t := &implTable{cache: map[implKey][]*types.Func{}}
 	for _, pkg := range pkgs {
@@ -305,6 +286,16 @@ func implementers(pkgs []*analysis.Package) *implTable {
 			}
 			t.named = append(t.named, named)
 		}
+		ids := make([]*ast.Ident, 0, len(pkg.TypesInfo.Instances))
+		for id := range pkg.TypesInfo.Instances {
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, func(a, b *ast.Ident) int { return int(a.Pos() - b.Pos()) }) // deterministic order
+		for _, id := range ids {
+			if named, ok := pkg.TypesInfo.Instances[id].Type.(*types.Named); ok && !types.IsInterface(named) {
+				t.named = append(t.named, named)
+			}
+		}
 	}
 	return t
 }
@@ -322,8 +313,8 @@ func (t *implTable) methods(iface *types.Interface, m *types.Func) []*types.Func
 			continue
 		}
 		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, m.Pkg(), m.Name())
-		if fn, ok := obj.(*types.Func); ok {
-			out = append(out, fn)
+		if fn, ok := obj.(*types.Func); ok && !slices.Contains(out, fn.Origin()) {
+			out = append(out, fn.Origin()) // one method for all instances of a generic type
 		}
 	}
 	t.cache[key] = out

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
 	"testing"
 
 	"hamoffload/internal/analysis"
@@ -38,8 +37,14 @@ func (A) Do()  { leafA() }
 type B struct{}
 func (*B) Do() { leafB() }
 
+type G[T any] struct{ v T }
+func (G[T]) Do() { leafG() }
+
+var _ Doer = G[int]{}
+
 func leafA() {}
 func leafB() {}
+func leafG() {}
 func unrelated() {}
 
 func static() { leafA() }
@@ -60,31 +65,32 @@ func node(t *testing.T, g *callgraph.Graph, name string) *callgraph.Node {
 	t.Helper()
 	n := g.Lookup(name)
 	if n == nil {
-		var have []string
-		for _, f := range g.Funcs() {
-			have = append(have, f.Name)
-		}
-		t.Fatalf("no node %q; have %s", name, strings.Join(have, ", "))
+		t.Fatalf("no node %q", name)
 	}
 	return n
 }
 
+// reaches reports whether to is reachable from from along call edges.
+func reaches(g *callgraph.Graph, from, to *callgraph.Node) bool {
+	return g.PathTo(from, func(n *callgraph.Node) bool { return n == to }, nil) != nil
+}
+
 func TestStaticEdges(t *testing.T) {
 	g := build(t)
-	if !g.Reaches(node(t, g, "cg.static"), node(t, g, "cg.leafA")) {
+	if !reaches(g, node(t, g, "cg.static"), node(t, g, "cg.leafA")) {
 		t.Error("static() calls leafA() — edge missing")
 	}
-	if g.Reaches(node(t, g, "cg.static"), node(t, g, "cg.leafB")) {
+	if reaches(g, node(t, g, "cg.static"), node(t, g, "cg.leafB")) {
 		t.Error("static() must not reach leafB()")
 	}
 }
 
 func TestTransitiveReachability(t *testing.T) {
 	g := build(t)
-	if !g.Reaches(node(t, g, "cg.chain"), node(t, g, "cg.leafA")) {
+	if !reaches(g, node(t, g, "cg.chain"), node(t, g, "cg.leafA")) {
 		t.Error("chain() → static() → leafA() — transitive reachability broken")
 	}
-	if g.Reaches(node(t, g, "cg.chain"), node(t, g, "cg.unrelated")) {
+	if reaches(g, node(t, g, "cg.chain"), node(t, g, "cg.unrelated")) {
 		t.Error("chain() must not reach unrelated()")
 	}
 }
@@ -92,21 +98,22 @@ func TestTransitiveReachability(t *testing.T) {
 func TestInterfaceCHA(t *testing.T) {
 	g := build(t)
 	dyn := node(t, g, "cg.dynamic")
-	// The interface call must fan out to both implementations, value and
-	// pointer receiver alike, and on through to their leaves.
-	for _, leaf := range []string{"cg.leafA", "cg.leafB"} {
-		if !g.Reaches(dyn, node(t, g, leaf)) {
+	// The interface call must fan out to every implementation, value and
+	// pointer receiver alike, a generic type's through its instance, and on
+	// through to their leaves.
+	for _, leaf := range []string{"cg.leafA", "cg.leafB", "cg.leafG"} {
+		if !reaches(g, dyn, node(t, g, leaf)) {
 			t.Errorf("dynamic() must reach %s via CHA", leaf)
 		}
 	}
-	if g.Reaches(dyn, node(t, g, "cg.unrelated")) {
+	if reaches(g, dyn, node(t, g, "cg.unrelated")) {
 		t.Error("dynamic() must not reach unrelated()")
 	}
 }
 
 func TestInitializerLits(t *testing.T) {
 	g := build(t)
-	if !g.Reaches(node(t, g, "cg.init"), node(t, g, "cg.leafB")) {
+	if !reaches(g, node(t, g, "cg.init"), node(t, g, "cg.leafB")) {
 		t.Error("package-level var hook literal must be attributed to cg.init")
 	}
 }
@@ -134,15 +141,5 @@ func TestDefinedFlag(t *testing.T) {
 	g := build(t)
 	if !node(t, g, "cg.leafA").Defined {
 		t.Error("leafA is defined in the loaded package")
-	}
-}
-
-func TestFuncsSorted(t *testing.T) {
-	g := build(t)
-	funcs := g.Funcs()
-	for i := 1; i < len(funcs); i++ {
-		if funcs[i-1].Name >= funcs[i].Name {
-			t.Fatalf("Funcs() not strictly sorted: %q before %q", funcs[i-1].Name, funcs[i].Name)
-		}
 	}
 }

@@ -207,6 +207,7 @@ func NewInfo() *types.Info {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 }

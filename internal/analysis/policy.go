@@ -160,25 +160,6 @@ var PolicyExempt = []string{
 	"hamoffload/internal/analysis", // the analyzers and their fixtures
 }
 
-// scopingTables are the package tables above, the ones CoveredByPolicy
-// consults.
-var scopingTables = [][]string{
-	deterministic, WallClock, unitcastExempt, flagOrderPackages,
-	acqrelExempt, afterfreeExempt, borrowckScoped,
-}
-
-// CoveredByPolicy reports whether pkgPath is matched by at least one scoping
-// table above. The policy-coverage meta-test asserts every non-test package
-// is either covered or explicitly in PolicyExempt.
-func CoveredByPolicy(pkgPath string) bool {
-	for _, table := range scopingTables {
-		if inAny(pkgPath, table) {
-			return true
-		}
-	}
-	return false
-}
-
 // inAny reports whether path equals one of the roots or lies beneath one.
 func inAny(path string, roots []string) bool {
 	for _, r := range roots {

@@ -143,7 +143,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 		}
 		px := &proxy{
 			machine: m,
-			queue:   simtime.NewQueue[*request](eng, fmt.Sprintf("mpib-proxy%d", m)),
+			queue:   new(simtime.Queue[*request]),
 			fabric:  fabric,
 		}
 		h.proxies[m] = px

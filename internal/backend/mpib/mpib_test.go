@@ -94,8 +94,12 @@ func TestRouting(t *testing.T) {
 				t.Error(err)
 			}
 		}()
-		// Node 1 local, node 2 remote — both execute.
-		for node := 1; node <= 2; node++ {
+		// Node 1 local, node 2 remote — both execute, twice: the second
+		// round is timed, past each node's first-call costs.
+		var took [3]simtime.Duration
+		for i := 2; i < 6; i++ {
+			node := i%2 + 1
+			start := p.Now()
 			v, err := core.Sync(rt, core.NodeID(node), mpEcho.Bind(int64(node)))
 			if err != nil {
 				t.Errorf("node %d: %v", node, err)
@@ -104,15 +108,19 @@ func TestRouting(t *testing.T) {
 			if v != int64(node*3) {
 				t.Errorf("node %d = %d", node, v)
 			}
+			took[node] = p.Now().Sub(start)
+		}
+		// The remote call crossed IB both ways: it takes at least two
+		// sends' fixed cost (latency and a per-message cost at each end)
+		// more than the local one.
+		ibp := ib.DefaultParams()
+		if hop := ibp.Latency + 2*ibp.PerMessage; took[2]-took[1] < 2*hop {
+			t.Errorf("remote call %v, local %v: want two IB hops (%v each) more", took[2], took[1], hop)
 		}
 		// Out-of-range nodes rejected.
 		if _, err := core.Sync(rt, 9, mpEcho.Bind(1)); err == nil ||
 			!strings.Contains(err.Error(), "no node") {
 			t.Errorf("bad node error = %v", err)
-		}
-		// IB must have carried traffic in both directions.
-		if fab.Moved(0, 1) == 0 || fab.Moved(1, 0) == 0 {
-			t.Errorf("IB traffic = %d/%d", fab.Moved(0, 1), fab.Moved(1, 0))
 		}
 	})
 	if err := eng.Run(); err != nil {

@@ -419,8 +419,7 @@ func quiet(in *Instr, w *Word, at simtime.Time) bool {
 }
 
 // A Word follows the DMAATB: a Register that maps its VEHVA makes its load
-// quiet and readable, an Unregister makes it neither — the DMA exception
-// LoadWord would raise.
+// quiet and readable.
 func TestWordFollowsTheDMAATB(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	atb := r.ve.ATB()
@@ -430,9 +429,15 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	vehva, _ := atb.Register(r.host.Memory, first.Addr, first.Size)
 	next := vehva + mem.Addr(units.AlignUp(units.Bytes(first.Size), 64*units.KiB)) // where the next registration goes
 	w := in.Word(next)
-	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil {
-		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v", quiet(in, &w, 0), err)
+	_, _, want := atb.Translate(next, 8)
+	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil || err.Error() != want.Error() {
+		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v; want not quiet, %v", quiet(in, &w, 0), err, want)
 	}
+	r.runIn(t, func(p *simtime.Proc) {
+		if _, err := in.LoadWord(p, &w); err == nil || err.Error() != want.Error() || in.Loads() != 0 {
+			t.Errorf("LoadWord of an unregistered word: %v after %d loads, want %v and none", err, in.Loads(), want)
+		}
+	})
 	if err := r.host.WriteUint64(second.Addr, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -442,18 +447,6 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	if v, err := in.PeekWord(&w); !quiet(in, &w, 0) || v != 42 || err != nil {
 		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", quiet(in, &w, 0), v, err)
 	}
-	if err := atb.Unregister(next); err != nil {
-		t.Fatal(err)
-	}
-	_, _, want := atb.Translate(next, 8)
-	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil || err.Error() != want.Error() {
-		t.Errorf("after Unregister: quiet %v, PeekWord error %v; want not quiet, %v", quiet(in, &w, 0), err, want)
-	}
-	r.runIn(t, func(p *simtime.Proc) {
-		if _, err := in.LoadWord(p, &w); err == nil || err.Error() != want.Error() || in.Loads() != 0 {
-			t.Errorf("LoadWord after Unregister: %v after %d loads, want %v and none", err, in.Loads(), want)
-		}
-	})
 }
 
 func TestPrivilegedEngineSerializesRequests(t *testing.T) {

@@ -540,17 +540,6 @@ func (in *Injector) ConnReset(node int) bool {
 	return ok
 }
 
-// Seed returns the plan seed the injector's deterministic stream is keyed
-// by (0 for a nil injector). Consumers that need their own seed-derived
-// randomness — the runtime's retry backoff and hedge-delay jitter — key it
-// off the same plan seed so one number reproduces the whole chaos run.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Mix is the exported splitmix64 finalizer behind every seed-derived
 // decision in this package. Other packages that need deterministic
 // pseudo-randomness (core's backoff and hedge-delay jitter) must draw from

@@ -81,7 +81,7 @@ func BenchmarkKeyTranslation(b *testing.B) {
 			func(env any, dec *Decoder, enc *Encoder) error { return nil })
 	}
 	bin := NewBinary("xlate-arch")
-	addr, err := bin.AddrOf(Key(bin.Count() / 2))
+	addr, err := bin.AddrOf(Key(len(bin.names) / 2))
 	if err != nil {
 		b.Fatal(err)
 	}

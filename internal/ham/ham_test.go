@@ -225,7 +225,7 @@ func TestBinariesAgreeOnKeys(t *testing.T) {
 			t.Errorf("addresses coincide for %s", n)
 		}
 	}
-	if host.Count() != ve.Count() {
+	if len(host.names) != len(ve.names) {
 		t.Fatal("binaries have different message counts")
 	}
 }
@@ -233,7 +233,7 @@ func TestBinariesAgreeOnKeys(t *testing.T) {
 func TestAddressKeyTranslationRoundTrip(t *testing.T) {
 	registerN("test.xlate", 8)
 	b := NewBinary("arch-a")
-	for k := Key(0); int(k) < b.Count(); k++ {
+	for k := Key(0); int(k) < len(b.names); k++ {
 		addr, err := b.AddrOf(k)
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +378,7 @@ func TestKeyAssignmentProperty(t *testing.T) {
 			}
 			used[ka] = true
 		}
-		return a.Count() == b.Count()
+		return len(a.names) == len(b.names)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -396,17 +396,17 @@ func TestRegisterHandlerValidation(t *testing.T) {
 
 func TestRegisteredCountAndNameOf(t *testing.T) {
 	one := freshName("count.one")
-	before := RegisteredCount()
+	before := len(NewBinary("count-arch").names)
 	RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
-	if RegisteredCount() != before+1 {
-		t.Errorf("RegisteredCount did not advance")
+	if n := len(NewBinary("count-arch").names); n != before+1 {
+		t.Errorf("registering a new name: %d message types, want %d", n, before+1)
 	}
 	// Re-registration replaces, not duplicates.
 	RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
-	if RegisteredCount() != before+1 {
+	b := NewBinary("count-arch")
+	if len(b.names) != before+1 {
 		t.Errorf("re-registration changed the count")
 	}
-	b := NewBinary("count-arch")
 	k, err := b.KeyOf(one)
 	if err != nil {
 		t.Fatal(err)

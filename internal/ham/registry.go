@@ -41,13 +41,6 @@ func RegisterHandler(name string, h Handler) {
 	program.handlers[name] = h
 }
 
-// RegisteredCount returns the number of registered message types.
-func RegisteredCount() int {
-	program.Lock()
-	defer program.Unlock()
-	return len(program.handlers)
-}
-
 // Binary is one process's instantiation of the program's message handlers —
 // the moral equivalent of one compiled binary. Local handler addresses
 // differ between binaries (here: synthesised deterministically from the
@@ -126,9 +119,6 @@ func fakeAddress(arch, name string) uint64 {
 	return h | 1 // never zero
 }
 
-// Arch returns the architecture label of the binary.
-func (b *Binary) Arch() string { return b.arch }
-
 // Fingerprint digests the sorted message-type table. Two binaries agree on
 // every handler key if and only if their fingerprints match, so runtimes can
 // cheaply verify at startup that host and target were "built" from the same
@@ -150,9 +140,6 @@ func (b *Binary) Fingerprint() uint64 {
 	}
 	return h
 }
-
-// Count returns the number of message types in the binary.
-func (b *Binary) Count() int { return len(b.names) }
 
 // KeyOf returns the globally valid key for a message type name.
 func (b *Binary) KeyOf(name string) (Key, error) {

@@ -86,9 +86,3 @@ func (h *Host) ShmRemove(key int) error {
 	delete(h.shm, key)
 	return nil
 }
-
-// Pages returns how many host pages the range [addr, addr+n) touches, the
-// unit of privileged-DMA translation work.
-func (h *Host) Pages(addr mem.Addr, n int64) int64 {
-	return mem.PageCount(addr, n, h.PageSize.Int64())
-}

@@ -3,6 +3,7 @@ package hostmem
 import (
 	"testing"
 
+	"hamoffload/internal/mem"
 	"hamoffload/internal/units"
 )
 
@@ -104,11 +105,11 @@ func TestPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Pages(addr, 3*page); got < 3 || got > 4 {
-		t.Errorf("Pages(3 pages) = %d", got)
+	if got := mem.PageCount(addr, 3*page, page); got < 3 || got > 4 {
+		t.Errorf("PageCount(3 pages) = %d", got)
 	}
-	if got := h.Pages(addr, 1); got != 1 {
-		t.Errorf("Pages(1 byte) = %d, want 1", got)
+	if got := mem.PageCount(addr, 1, page); got != 1 {
+		t.Errorf("PageCount(1 byte) = %d, want 1", got)
 	}
 	// 4 KiB pages see 512× more translation work than 2 MiB pages — the
 	// mechanism behind the huge-page ablation.
@@ -120,7 +121,7 @@ func TestPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h4k.Pages(a4k, 2*units.MiB.Int64()); got < 512 {
+	if got := mem.PageCount(a4k, 2*units.MiB.Int64(), h4k.PageSize.Int64()); got < 512 {
 		t.Errorf("4KiB pages for 2MiB = %d, want >= 512", got)
 	}
 }
@@ -158,14 +159,14 @@ func TestAllocBytes(t *testing.T) {
 	if err := h.WriteAt([]byte("USER"), addr); err != nil || string(data[:4]) != "USER" {
 		t.Fatalf("a store to host memory did not reach the caller's bytes: %q, %v", data[:9], err)
 	}
-	if h.LiveAllocs() != 1 || h.MappedBytes() != int64(len(data)) {
-		t.Errorf("%d live allocations, %d mapped bytes", h.LiveAllocs(), h.MappedBytes())
+	if h.LiveAllocs() != 1 || !h.Mapped(addr, int64(len(data))) {
+		t.Errorf("%d live allocations, mapped %v", h.LiveAllocs(), h.Mapped(addr, int64(len(data))))
 	}
 	if err := h.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if h.LiveAllocs() != 0 || h.MappedBytes() != 0 || h.ReadAt(got, addr) == nil {
-		t.Errorf("after Free: %d live allocations, %d mapped bytes", h.LiveAllocs(), h.MappedBytes())
+	if h.LiveAllocs() != 0 || h.Mapped(addr, 1) || h.ReadAt(got, addr) == nil {
+		t.Errorf("after Free: %d live allocations, mapped %v", h.LiveAllocs(), h.Mapped(addr, 1))
 	}
 	if _, err := h.AllocBytes(nil); err == nil || h.LiveAllocs() != 0 {
 		t.Errorf("AllocBytes of nothing: %v, %d live allocations", err, h.LiveAllocs())

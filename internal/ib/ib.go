@@ -52,7 +52,6 @@ type Fabric struct {
 	params Params
 	n      int
 	chans  []*simtime.Semaphore // [src*n+dst]
-	moved  []int64
 }
 
 // NewFabric creates the network for n hosts.
@@ -64,8 +63,7 @@ func NewFabric(eng *simtime.Engine, n int, p Params) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{params: p, n: n,
-		chans: make([]*simtime.Semaphore, n*n),
-		moved: make([]int64, n*n)}
+		chans: make([]*simtime.Semaphore, n*n)}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			f.chans[s*n+d] = simtime.NewSemaphore(eng, fmt.Sprintf("ib-%d-%d", s, d), 1)
@@ -94,14 +92,5 @@ func (f *Fabric) Send(p *simtime.Proc, src, dst int, n int64) error {
 	wire := simtime.BytesOver(n, f.params.Bandwidth)
 	ch.Use(p, 1, wire)
 	p.Sleep(f.params.Latency + f.params.PerMessage)
-	f.moved[src*f.n+dst] += n
 	return nil
-}
-
-// Moved returns the payload bytes sent from src to dst.
-func (f *Fabric) Moved(src, dst int) int64 {
-	if src < 0 || dst < 0 || src >= f.n || dst >= f.n {
-		return 0
-	}
-	return f.moved[src*f.n+dst]
 }

@@ -106,9 +106,6 @@ func (a *Allocator) FreeBytes() int64 {
 	return n
 }
 
-// ArenaSize returns the total managed size.
-func (a *Allocator) ArenaSize() int64 { return a.size }
-
 // CheckInvariants verifies the free list is sorted, within the arena,
 // coalesced, and that free+live sizes account for the whole arena. It is
 // used by tests and property checks.

@@ -114,8 +114,8 @@ func TestSizeOfAndCounters(t *testing.T) {
 	if a.FreeBytes() != 1024-32 {
 		t.Errorf("FreeBytes = %d", a.FreeBytes())
 	}
-	if a.ArenaSize() != 1024 {
-		t.Errorf("ArenaSize = %d", a.ArenaSize())
+	if a.size != 1024 {
+		t.Errorf("arena size = %d", a.size)
 	}
 }
 

@@ -67,6 +67,3 @@ func (h *Heap) Free(addr Addr) error {
 
 // LiveAllocs returns the number of live allocations: the one leak check.
 func (h *Heap) LiveAllocs() int { return h.alloc.LiveCount() }
-
-// FreeBytes returns the remaining capacity (which may be fragmented).
-func (h *Heap) FreeBytes() int64 { return h.alloc.FreeBytes() }

@@ -30,8 +30,8 @@ func TestHeapRoundTrip(t *testing.T) {
 	if err := h.ReadAt(got, addr+8); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
-	if h.LiveAllocs() != 1 || h.MappedBytes() != 1<<16 || h.FreeBytes() != 1<<20-1<<16 {
-		t.Errorf("%d live, %d mapped, %d free", h.LiveAllocs(), h.MappedBytes(), h.FreeBytes())
+	if h.LiveAllocs() != 1 || h.MappedBytes() != 1<<16 || h.alloc.FreeBytes() != 1<<20-1<<16 {
+		t.Errorf("%d live, %d mapped, %d free", h.LiveAllocs(), h.MappedBytes(), h.alloc.FreeBytes())
 	}
 	if err := h.Free(addr); err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func TestHeapRoundTrip(t *testing.T) {
 	if err := h.Free(addr); err == nil {
 		t.Error("double Free should fail")
 	}
-	if h.LiveAllocs() != 0 || h.MappedBytes() != 0 || h.FreeBytes() != 1<<20 {
-		t.Errorf("after Free: %d live, %d mapped, %d free", h.LiveAllocs(), h.MappedBytes(), h.FreeBytes())
+	if h.LiveAllocs() != 0 || h.MappedBytes() != 0 || h.alloc.FreeBytes() != 1<<20 {
+		t.Errorf("after Free: %d live, %d mapped, %d free", h.LiveAllocs(), h.MappedBytes(), h.alloc.FreeBytes())
 	}
 	if _, err := h.Alloc(2 << 20); err == nil || h.LiveAllocs() != 0 {
 		t.Errorf("over-capacity Alloc: %v, %d live", err, h.LiveAllocs())
@@ -91,12 +91,12 @@ func TestHeapFreeUnmapsFirst(t *testing.T) {
 	if err := h.Unmap(addr); err != nil { // knock the heap out of step
 		t.Fatal(err)
 	}
-	free := h.FreeBytes()
+	free := h.alloc.FreeBytes()
 	if err := h.Free(addr); err == nil {
 		t.Fatal("Free of an unmapped allocation succeeded")
 	}
-	if h.LiveAllocs() != 1 || h.FreeBytes() != free {
-		t.Errorf("failed Free released the range: %d live, %d free (was %d)", h.LiveAllocs(), h.FreeBytes(), free)
+	if h.LiveAllocs() != 1 || h.alloc.FreeBytes() != free {
+		t.Errorf("failed Free released the range: %d live, %d free (was %d)", h.LiveAllocs(), h.alloc.FreeBytes(), free)
 	}
 	if next, err := h.Alloc(4096); err != nil || next == addr {
 		t.Errorf("Alloc after the failed Free = %#x, %v; %#x is still taken", next, err, addr)

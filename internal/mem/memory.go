@@ -105,16 +105,6 @@ func NewMemory(name string) *Memory { return &Memory{name: name} }
 // Name returns the memory's name.
 func (m *Memory) Name() string { return m.name }
 
-// MappedBytes returns the total size of all mapped extents (address space,
-// not resident memory).
-func (m *Memory) MappedBytes() int64 {
-	var n int64
-	for _, e := range m.extents {
-		n += e.size
-	}
-	return n
-}
-
 // ResidentBytes returns the real memory backing the extents: touched chunks,
 // and the whole of every extent a bulk store, a View or MapBytes made one
 // array.

@@ -123,10 +123,12 @@ func (r row) run(root, tmp string) (bool, error) {
 	var cmd *exec.Cmd
 	if r.static != "" {
 		cmd = exec.Command(filepath.Join(tmp, "hamlint"), "./...")
-		cmd.Env = append(os.Environ(), "GOFLAGS=-overlay="+overlay)
 	} else {
-		cmd = exec.Command("go", "test", "-overlay="+overlay, "-count=1", "-timeout=2m", "-run", r.tests, r.pkg)
+		cmd = exec.Command("go", "test", "-count=1", "-timeout=2m", "-run", r.tests, r.pkg)
 	}
+	// The overlay goes by GOFLAGS, so that a go command the guard runs
+	// itself (analysis.Load's go list) sees the mutant too.
+	cmd.Env = append(os.Environ(), "GOFLAGS=-overlay="+overlay)
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError

@@ -37,7 +37,6 @@ type Link struct {
 	ve      int
 	timing  topology.Timing
 	channel [2]*simtime.Semaphore
-	moved   [2]int64 // payload bytes per direction, for stats
 }
 
 // NewLink creates the link for VE ve using the given timing model.
@@ -85,7 +84,6 @@ func (l *Link) Occupy(p *simtime.Proc, dir Direction, n int64) {
 		}
 	}
 	l.channel[dir].Use(p, 1, wire)
-	l.moved[dir] += n
 }
 
 // Latency returns the one-way propagation latency of the link.
@@ -102,9 +100,6 @@ func (l *Link) Err(p *simtime.Proc) error {
 	return l.timing.Faults.LinkError(p.Now(), l.ve)
 }
 
-// Moved returns the payload bytes transferred in the given direction.
-func (l *Link) Moved(dir Direction) int64 { return l.moved[dir] }
-
 // Path is a route between a VH process pinned to a socket and one VE,
 // accumulating the UPI hop when the route crosses sockets.
 type Path struct {
@@ -116,13 +111,6 @@ type Path struct {
 // OneWayLatency is the propagation latency along the path in one direction.
 func (pa Path) OneWayLatency() simtime.Duration {
 	return pa.Link.Latency() + simtime.Duration(pa.UPIHops)*pa.upi
-}
-
-// Transfer moves n payload bytes along the path in the given direction:
-// serialization occupancy followed by propagation.
-func (pa Path) Transfer(p *simtime.Proc, dir Direction, n int64) {
-	pa.Link.Occupy(p, dir, n)
-	p.Sleep(pa.OneWayLatency())
 }
 
 // Err reports the path's injected link-down state (see Link.Err).

@@ -138,31 +138,6 @@ func TestSameDirectionSerializes(t *testing.T) {
 	if done[0] != simtime.Time(wire) || done[1] != simtime.Time(2*wire) {
 		t.Errorf("done = %v, want %v and %v", done, wire, 2*wire)
 	}
-	if l.Moved(Down) != 2*n || l.Moved(Up) != 0 {
-		t.Errorf("Moved = %d/%d", l.Moved(Down), l.Moved(Up))
-	}
-}
-
-func TestPathTransferAdvancesTime(t *testing.T) {
-	eng := simtime.NewEngine()
-	f := defaultFabric(t, eng)
-	pa, err := f.PathFrom(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var took simtime.Duration
-	eng.Spawn("x", func(p *simtime.Proc) {
-		start := p.Now()
-		pa.Transfer(p, Down, 4096)
-		took = p.Now().Sub(start)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := pa.Link.WireTime(4096) + pa.OneWayLatency()
-	if took != want {
-		t.Errorf("Transfer took %v, want %v", took, want)
-	}
 }
 
 func TestFabricErrors(t *testing.T) {

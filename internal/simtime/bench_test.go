@@ -22,22 +22,22 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkPingPong measures two processes handing control back and forth
-// through a queue — the message-loop pattern of every backend.
+// through a pair of queues, each consumed by a poll — the message-loop
+// pattern of every backend.
 func BenchmarkPingPong(b *testing.B) {
 	e := NewEngine()
-	req := NewQueue[int](e, "req")
-	resp := NewQueue[int](e, "resp")
+	req, resp := newQueuePoll(new(Queue[int]), 1), newQueuePoll(new(Queue[int]), 1)
 	n := b.N
 	e.Spawn("server", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			v := req.Pop(p)
-			resp.Push(v + 1)
+			v := req.pop(p, enginePoll)
+			resp.q.Push(v + 1)
 		}
 	})
 	e.Spawn("client", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			req.Push(i)
-			if got := resp.Pop(p); got != i+1 {
+			req.q.Push(i)
+			if got := resp.pop(p, enginePoll); got != i+1 {
 				b.Errorf("got %d", got)
 				return
 			}

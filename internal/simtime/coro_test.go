@@ -13,7 +13,7 @@ import (
 
 // wakeLog records one line per wake, "<now ps> <proc> <reason>", written by
 // the woken process itself. The reason is what woke it: a Sleep is always the
-// timer, a Pop/Wait/Acquire always the event.
+// timer, a Wait/Acquire always the event, a Poll the poll.
 type wakeLog []string
 
 func (l *wakeLog) rec(p *Proc, reason string) {
@@ -25,7 +25,8 @@ func (l *wakeLog) rec(p *Proc, reason string) {
 // through poll — whose ticks fall on other processes' instants, ended once by
 // its condition and once by until.
 func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
-	q := NewQueue[int](e, "q")
+	q := new(Queue[int])
+	qp := newQueuePoll(q, 1) // ticks on every instant the producer pushes at
 	ev1, ev2 := NewEvent(e), NewEvent(e)
 	link := NewSemaphore(e, "link", 1)
 	cores := NewSemaphore(e, "cores", 3)
@@ -54,19 +55,19 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 		q.Push(5)
 	})
 	e.Spawn("consumer", func(p *Proc) {
-		v := q.Pop(p)
-		log.rec(p, fmt.Sprintf("event pop=%d", v))
-		q.Pop(p)     // 2 comes after the producer's Yield, with 3
-		v = q.Pop(p) // 3, already queued: no park
-		log.rec(p, fmt.Sprintf("event pop=%d", v))
+		v := qp.pop(p, poll) // the poll wakes after the producer's Yield
+		log.rec(p, fmt.Sprintf("poll pop=%d", v))
+		qp.pop(p, poll)     // 2, already queued: no park
+		v = qp.pop(p, poll) // 3, likewise
+		log.rec(p, fmt.Sprintf("poll pop=%d", v))
 		p.Sleep(4) // t=9; item 4 comes at 15
 		log.rec(p, "timer")
-		v = q.Pop(p)
-		log.rec(p, fmt.Sprintf("event pop=%d", v))
+		v = qp.pop(p, poll)
+		log.rec(p, fmt.Sprintf("poll pop=%d", v))
 		p.Sleep(1)
 		log.rec(p, "timer")
-		v = q.Pop(p) // t=30
-		log.rec(p, fmt.Sprintf("event pop=%d", v))
+		v = qp.pop(p, poll) // t=30
+		log.rec(p, fmt.Sprintf("poll pop=%d", v))
 	})
 	e.Spawn("waiter", func(p *Proc) {
 		p.Sleep(7) // ev1 fires at 12
@@ -134,7 +135,11 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 // poller's lines and events are the tick-by-tick loop's on PR 21's engine.
 // The scenario's waits with a timeout are now the Sleep or the Pop/Wait that
 // won them, at the same place in their instant: one line, the consumer's
-// timeout at 9, says "timer" where it said "timer pop=0".
+// timeout at 9, says "timer" where it said "timer pop=0". The consumer's Pop
+// is now a poll of the queue (TryPop, then Proc.Poll on a Watch that Push
+// notifies): its lines say "poll" where they said "event", and its first wake
+// at 5, a poll's wake, runs after every plain wake of its instant, so after
+// the producer's Yield, where the Pop's ran before it.
 var goldenWakes = []string{
 	"0 link0 acquired",
 	"1 core0 timer",
@@ -147,9 +152,9 @@ var goldenWakes = []string{
 	"4 link1 acquired",
 	"5 producer timer",
 	"5 core1 timer",
-	"5 consumer event pop=1",
 	"5 producer timer",
-	"5 consumer event pop=3",
+	"5 consumer poll pop=1",
+	"5 consumer poll pop=3",
 	"6 core0 timer",
 	"6 tick timer",
 	"6 core2 acquired 3",
@@ -169,7 +174,7 @@ var goldenWakes = []string{
 	"14 waiter timer",
 	"15 producer timer",
 	"15 tick timer",
-	"15 consumer event pop=4",
+	"15 consumer poll pop=4",
 	"16 consumer timer",
 	"18 tick timer",
 	"21 tick timer",
@@ -180,7 +185,7 @@ var goldenWakes = []string{
 	"30 producer timer",
 	"30 tick timer",
 	"30 waiter event",
-	"30 consumer event pop=5",
+	"30 consumer poll pop=5",
 	"32 watch poll",
 	"33 tick timer",
 	"36 tick timer",
@@ -193,10 +198,12 @@ func TestGoldenDeliveryOrder(t *testing.T) {
 		fn           pollFn
 		events, maxq int
 	}{
-		// 56 without the poller; the loop adds its spawn wake and 11 ticks,
-		// the parked poll its spawn wake and its two wakes.
-		{"Poll", enginePoll, 59, 13},
-		{"loop", loopPoll, 68, 13},
+		// 55 without the watch process, 3 of them the consumer's parked
+		// poll; the watch's loop adds its spawn wake and 11 ticks, its parked
+		// poll its spawn wake and its two wakes. The consumer's loop ticks
+		// every picosecond while the queue is empty: 25 wakes for the 3.
+		{"Poll", enginePoll, 58, 13},
+		{"loop", loopPoll, 89, 13},
 	} {
 		t.Run(poll.name, func(t *testing.T) { testGoldenDeliveryOrder(t, poll.fn, uint64(poll.events), poll.maxq) })
 	}
@@ -391,8 +398,8 @@ func TestSelfWakeHonoursStop(t *testing.T) {
 	}
 	e.Shutdown()
 	// Spawn wake + 7 ticks; the 8th tick stays undelivered on the heap.
-	if ticks != 7 || e.Events() != 8 || e.Now() != 70 || e.QueueLen() != 1 {
-		t.Fatalf("ticks, Events, Now, QueueLen = %d, %d, %v, %d, want 7, 8, 70ps, 1", ticks, e.Events(), e.Now(), e.QueueLen())
+	if ticks != 7 || e.Events() != 8 || e.Now() != 70 || len(e.eq) != 1 {
+		t.Fatalf("ticks, Events, Now, QueueLen = %d, %d, %v, %d, want 7, 8, 70ps, 1", ticks, e.Events(), e.Now(), len(e.eq))
 	}
 }
 
@@ -444,7 +451,6 @@ func TestSelfWakeNeverOvertakes(t *testing.T) {
 func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	before := settledGoroutines()
 	e := NewEngine()
-	q := NewQueue[int](e, "q")
 	never := NewEvent(e)
 	cores := NewSemaphore(e, "cores", 1)
 	var unwound []string
@@ -463,7 +469,6 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	parkIn("sleep", func(p *Proc) { p.Sleep(Second) })
 	var polling *Proc
 	parkIn("poll", func(p *Proc) { polling = p; p.Poll(&cond{hit: never.Fired}, gapWatch(Second), 0) })
-	parkIn("pop", func(p *Proc) { q.Pop(p) })
 	parkIn("wait", func(p *Proc) { never.Wait(p) })
 	parkIn("semaphore", func(p *Proc) { cores.Acquire(p, 1) })
 	parkIn("defer-parks", func(p *Proc) {
@@ -483,7 +488,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	}
 	events, now := e.Events(), e.Now()
 	e.Shutdown()
-	want := []string{"holder", "sleep", "poll", "pop", "wait", "semaphore", "defer-parks"}
+	want := []string{"holder", "sleep", "poll", "wait", "semaphore", "defer-parks"}
 	if !reflect.DeepEqual(unwound, want) {
 		t.Errorf("unwound = %q, want %q (spawn order)", unwound, want)
 	}
@@ -679,13 +684,12 @@ func TestFinishedProcLetsGoOfItsBody(t *testing.T) {
 func TestDeadlockReportAfterProcsFinish(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)
-	q := NewQueue[int](e, "inbox")
 	e.Spawn("zed", func(p *Proc) { ev.Wait(p) })
 	e.Spawn("gone", func(p *Proc) { p.Sleep(1) })
-	e.Spawn("amy", func(p *Proc) { p.Sleep(5); q.Pop(p) })
+	e.Spawn("amy", func(p *Proc) { p.Sleep(5); p.Poll(&cond{hit: never}, gapWatch(1), 0) })
 	err := e.Run()
 	e.Shutdown()
-	const want = "simtime: deadlock: no pending events but processes are parked: at t=5ps: [amy (queue inbox) zed (event)]"
+	const want = "simtime: deadlock: no pending events but processes are parked: at t=5ps: [amy (poll) zed (event)]"
 	if !errors.Is(err, ErrDeadlock) || err.Error() != want {
 		t.Fatalf("err = %v\nwant  %s", err, want)
 	}

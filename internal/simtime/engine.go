@@ -126,9 +126,6 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of wake events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
-// QueueLen returns the number of pending wake events right now.
-func (e *Engine) QueueLen() int { return len(e.eq) }
-
 // MaxQueueLen returns the event-queue high-water mark: the largest number
 // of wake events that were ever pending at once.
 func (e *Engine) MaxQueueLen() int { return e.maxq }

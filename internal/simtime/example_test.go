@@ -7,12 +7,25 @@ import (
 	"hamoffload/internal/simtime"
 )
 
+// waiting is the free poll of a consumer waiting for queued items.
+type waiting struct {
+	simtime.Free
+	q *simtime.Queue[int]
+}
+
+func (w waiting) Hit() bool { return w.q.Len() > 0 }
+
 // Example models a tiny producer/consumer system: a producer emits an item
 // every 10 µs, a consumer needs 15 µs per item, and a FIFO queue decouples
-// them. The virtual clock makes the backlog arithmetic exact.
+// them. The consumer takes items with TryPop and, while the queue is empty,
+// polls it every microsecond: parked on a Watch that Push notifies, the poll
+// costs no event until an item comes. The virtual clock makes the backlog
+// arithmetic exact.
 func Example() {
 	eng := simtime.NewEngine()
-	q := simtime.NewQueue[int](eng, "items")
+	q := new(simtime.Queue[int])
+	w := &simtime.Watch{Backoff: simtime.Backoff{Base: simtime.Microsecond, Max: simtime.Microsecond}}
+	q.Notifies(w)
 
 	eng.Spawn("producer", func(p *simtime.Proc) {
 		for i := 0; i < 4; i++ {
@@ -22,7 +35,11 @@ func Example() {
 	})
 	eng.Spawn("consumer", func(p *simtime.Proc) {
 		for i := 0; i < 4; i++ {
-			item := q.Pop(p)
+			item, ok := q.TryPop()
+			for !ok {
+				p.Poll(waiting{q: q}, w, 0)
+				item, ok = q.TryPop()
+			}
 			p.Sleep(15 * simtime.Microsecond)
 			fmt.Printf("item %d done at %v\n", item, p.Now())
 		}

@@ -237,7 +237,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			wt.Notify()
 		}
 	}
-	q := NewQueue[int](e, "q")
+	q := new(Queue[int])
 	ev := NewEvent(e)
 	// watch makes a Watch over the schedule b that every change notifies.
 	watch := func(b Backoff) *Watch {
@@ -492,7 +492,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 	}
 	if shapes&pushOrFire != 0 {
 		pr := sr.fork()
-		jobs, done := NewQueue[int](e, "jobs"), NewEvent(e)
+		jobs, done := new(Queue[int]), NewEvent(e)
 		for i, source := range []struct {
 			hit    func() bool
 			notify func(*Watch)

@@ -2,9 +2,39 @@ package simtime
 
 import "testing"
 
+// queuePoll consumes a queue the way veos's worker and mpib's proxy do:
+// TryPop, and while the queue is empty a Proc.Poll on a Watch that Push
+// notifies, whose free poll hits once an item is queued.
+type queuePoll[T any] struct {
+	Free
+	Watch
+	q *Queue[T]
+}
+
+// newQueuePoll makes q notify a fresh poll that ticks every gap.
+func newQueuePoll[T any](q *Queue[T], gap Duration) *queuePoll[T] {
+	qp := &queuePoll[T]{Watch: Watch{Backoff: Backoff{Base: gap, Max: gap}}, q: q}
+	q.Notifies(&qp.Watch)
+	return qp
+}
+
+// Hit implements Poller.
+func (qp *queuePoll[T]) Hit() bool { return qp.q.Len() > 0 }
+
+// pop returns the oldest item, polling through poll while the queue is empty.
+func (qp *queuePoll[T]) pop(p *Proc, poll pollFn) T {
+	for {
+		if v, ok := qp.q.TryPop(); ok {
+			return v
+		}
+		poll(p, qp, &qp.Watch, 0)
+	}
+}
+
 func TestQueueFIFO(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "q")
+	q := new(Queue[int])
+	qp := newQueuePoll(q, 1)
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -14,7 +44,7 @@ func TestQueueFIFO(t *testing.T) {
 	})
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, q.Pop(p))
+			got = append(got, qp.pop(p, enginePoll))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -27,11 +57,14 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// A consumer's poll of an empty queue parks until the push, and wakes at the
+// push's instant on its grid, for no event in between.
 func TestQueuePopBlocksUntilPush(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[string](e, "q")
+	q := new(Queue[string])
+	qp := newQueuePoll(q, 5)
 	e.Spawn("consumer", func(p *Proc) {
-		v := q.Pop(p)
+		v := qp.pop(p, enginePoll)
 		if v != "hello" {
 			t.Errorf("got %q", v)
 		}
@@ -46,34 +79,15 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-}
-
-func TestQueueMultipleConsumers(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q")
-	sum := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn("consumer", func(p *Proc) {
-			sum += q.Pop(p)
-		})
-	}
-	e.Spawn("producer", func(p *Proc) {
-		p.Sleep(1)
-		q.Push(1)
-		q.Push(2)
-		q.Push(3)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if sum != 6 {
-		t.Fatalf("sum = %d, want 6", sum)
+	// Two spawn wakes, the producer's sleep and the consumer's one poll wake.
+	if e.Events() != 4 {
+		t.Errorf("Events = %d, want 4", e.Events())
 	}
 }
 
 func TestQueueTryPop(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "q")
+	q := new(Queue[int])
 	e.Spawn("main", func(p *Proc) {
 		if _, ok := q.TryPop(); ok {
 			t.Error("TryPop on empty queue returned ok")
@@ -90,9 +104,9 @@ func TestQueueTryPop(t *testing.T) {
 }
 
 // Storage stays bounded by the backlog, not by the items ever pushed, through
-// Pop and through TryPop alike (veos's worker loop and mpib's proxy consume
-// their queues only through TryPop), both when every take drains the queue
-// and when a standing backlog keeps it from ever draining.
+// a poll's pop and through a bare TryPop alike (veos's worker loop and mpib's
+// proxy consume their queues through TryPop), both when every take drains
+// the queue and when a standing backlog keeps it from ever draining.
 func TestQueueCompaction(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -106,7 +120,8 @@ func TestQueueCompaction(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
-			q := NewQueue[int](e, "q")
+			q := new(Queue[int])
+			qp := newQueuePoll(q, 1)
 			e.Spawn("main", func(p *Proc) {
 				for i := 0; i < tc.backlog; i++ {
 					q.Push(i)
@@ -117,7 +132,7 @@ func TestQueueCompaction(t *testing.T) {
 					if tc.tryPop {
 						v, _ = q.TryPop()
 					} else {
-						v = q.Pop(p)
+						v = qp.pop(p, enginePoll)
 					}
 					if v != i {
 						t.Fatalf("take %d = %d", i, v)

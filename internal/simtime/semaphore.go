@@ -32,9 +32,6 @@ func NewSemaphore(e *Engine, name string, units int) *Semaphore {
 // Total returns the unit count.
 func (s *Semaphore) Total() int { return s.total }
 
-// Free returns the currently available units.
-func (s *Semaphore) Free() int { return s.free }
-
 // Acquire blocks p until n units are available and takes them. Requests for
 // more than the total are clamped (they would otherwise never complete).
 func (s *Semaphore) Acquire(p *Proc, n int) int {

@@ -5,17 +5,17 @@ import "testing"
 func TestSemaphoreBasic(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "cores", 8)
-	if s.Total() != 8 || s.Free() != 8 {
-		t.Fatalf("fresh semaphore = %d/%d", s.Free(), s.Total())
+	if s.Total() != 8 || s.free != 8 {
+		t.Fatalf("fresh semaphore = %d/%d", s.free, s.Total())
 	}
 	e.Spawn("user", func(p *Proc) {
 		got := s.Acquire(p, 3)
-		if got != 3 || s.Free() != 5 {
-			t.Errorf("after acquire: got %d, free %d", got, s.Free())
+		if got != 3 || s.free != 5 {
+			t.Errorf("after acquire: got %d, free %d", got, s.free)
 		}
 		s.Release(3)
-		if s.Free() != 8 {
-			t.Errorf("after release: free %d", s.Free())
+		if s.free != 8 {
+			t.Errorf("after release: free %d", s.free)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -151,8 +151,8 @@ func TestResourceSerializesUsers(t *testing.T) {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
 	}
-	if s.Free() != 1 {
-		t.Fatalf("Free = %d after all users finished, want 1", s.Free())
+	if s.free != 1 {
+		t.Fatalf("Free = %d after all users finished, want 1", s.free)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestSemaphoreOneUnitIdleBetweenUses(t *testing.T) {
 	s := NewSemaphore(e, "link", 1)
 	e.Spawn("user", func(p *Proc) {
 		s.Use(p, 1, 5)
-		if s.Free() != 1 {
+		if s.free != 1 {
 			t.Error("semaphore held after release")
 		}
 		p.Sleep(100)
@@ -208,14 +208,14 @@ func TestReleaseIdlePanics(t *testing.T) {
 }
 
 // contendedAllocs reports the allocations per call of use while three other
-// processes run the same call in a loop, so that every one of them parks on
-// the wait list.
-func contendedAllocs(t *testing.T, e *Engine, use func(p *Proc)) float64 {
+// processes call rival in a loop: use itself, so that every one of them
+// parks on the wait list, or another load on the engine.
+func contendedAllocs(t *testing.T, e *Engine, rival, use func(p *Proc)) float64 {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		e.Spawn("rival", func(p *Proc) {
 			for {
-				use(p)
+				rival(p)
 			}
 		})
 	}
@@ -237,7 +237,8 @@ func contendedAllocs(t *testing.T, e *Engine, use func(p *Proc)) float64 {
 func TestSemaphoreContendedUseZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "cores", 2)
-	if allocs := contendedAllocs(t, e, func(p *Proc) { s.Use(p, 2, 10) }); allocs != 0 {
+	use := func(p *Proc) { s.Use(p, 2, 10) }
+	if allocs := contendedAllocs(t, e, use, use); allocs != 0 {
 		t.Fatalf("contended Semaphore.Use allocates %.2f times per call, want 0", allocs)
 	}
 }
@@ -245,23 +246,31 @@ func TestSemaphoreContendedUseZeroAlloc(t *testing.T) {
 func TestResourceContendedUseZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, "link", 1)
-	if allocs := contendedAllocs(t, e, func(p *Proc) { s.Use(p, 1, 10) }); allocs != 0 {
+	use := func(p *Proc) { s.Use(p, 1, 10) }
+	if allocs := contendedAllocs(t, e, use, use); allocs != 0 {
 		t.Fatalf("contended one-unit Semaphore.Use allocates %.2f times per call, want 0", allocs)
 	}
 }
 
-// TestQueueContendedPushPopZeroAlloc: a warm queue's Push and Pop allocate
-// nothing, with rivals pushing and popping the same queue, so that Pop's
-// wake chain runs.
+// TestQueueContendedPushPopZeroAlloc: a warm queue's Push and a pop through
+// TryPop and Proc.Poll allocate nothing, with rivals on the engine: a round
+// trip through two queues, each consumed by a poll that parks until the
+// other side's Push notifies it.
 func TestQueueContendedPushPopZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "cmds")
+	req, resp := newQueuePoll(new(Queue[int]), 3), newQueuePoll(new(Queue[int]), 3)
+	e.Spawn("server", func(p *Proc) {
+		for {
+			v := req.pop(p, enginePoll)
+			p.Sleep(10)
+			resp.q.Push(v)
+		}
+	})
 	use := func(p *Proc) {
-		q.Push(1)
-		p.Sleep(10)
-		q.Pop(p)
+		req.q.Push(1)
+		resp.pop(p, enginePoll)
 	}
-	if allocs := contendedAllocs(t, e, use); allocs != 0 {
-		t.Fatalf("contended Queue.Push and Pop allocate %.2f times per call, want 0", allocs)
+	if allocs := contendedAllocs(t, e, func(p *Proc) { p.Sleep(7) }, use); allocs != 0 {
+		t.Fatalf("Queue.Push and a poll's pop allocate %.2f times per round trip, want 0", allocs)
 	}
 }

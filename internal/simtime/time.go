@@ -3,7 +3,7 @@
 //
 // A simulation consists of an Engine and a set of processes (Proc). Exactly
 // one process runs at any moment; processes hand control back to the engine
-// whenever they block (Sleep, Event.Wait, Queue.Pop, Semaphore.Acquire). The
+// whenever they block (Sleep, Event.Wait, Proc.Poll, Semaphore.Acquire). The
 // engine advances a virtual clock from event to event, so simulated time is
 // completely decoupled from wall-clock time and every run of the same program
 // is bit-for-bit reproducible.

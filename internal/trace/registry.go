@@ -193,19 +193,6 @@ func (r *Registry) SpanStats() []SpanStat {
 	return out
 }
 
-// SpanStat returns the stats for one span name (zero-valued when unseen).
-func (r *Registry) SpanStat(name string) SpanStat {
-	if r == nil {
-		return SpanStat{Name: name}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.spans[name]; ok {
-		return *st
-	}
-	return SpanStat{Name: name}
-}
-
 // Render writes a human-readable dump: counters, span stats, histograms.
 // Series have their own renderer, Tracer.RenderSeries.
 func (r *Registry) Render(w io.Writer) {

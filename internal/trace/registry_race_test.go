@@ -50,7 +50,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	if got := r.Hist("latency").Count(); got != total {
 		t.Errorf("histogram count = %d, want %d", got, total)
 	}
-	st := r.SpanStat("work")
+	st := spanStat(r, "work")
 	if st.Count != total {
 		t.Errorf("span count = %d, want %d", st.Count, total)
 	}

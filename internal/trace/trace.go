@@ -133,9 +133,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() simtime.Duration { return h.sum }
-
 // Min returns the smallest observation (0 when empty).
 func (h *Histogram) Min() simtime.Duration {
 	if h.count == 0 {

@@ -30,8 +30,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 4*simtime.Microsecond {
 		t.Errorf("Mean = %v", h.Mean())
 	}
-	if h.Sum() != 20*simtime.Microsecond {
-		t.Errorf("Sum = %v", h.Sum())
+	if h.sum != 20*simtime.Microsecond {
+		t.Errorf("sum = %v", h.sum)
 	}
 }
 

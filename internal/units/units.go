@@ -27,16 +27,6 @@ const (
 	TB       = 1000 * GB
 )
 
-// Int returns b as an int. It panics if the value does not fit, which cannot
-// happen for the sizes used in this repository on 64-bit platforms.
-func (b Bytes) Int() int {
-	n := int(b)
-	if Bytes(n) != b {
-		panic(fmt.Sprintf("units: %d bytes does not fit in int", int64(b)))
-	}
-	return n
-}
-
 // Int64 returns b as an int64.
 func (b Bytes) Int64() int64 { return int64(b) }
 

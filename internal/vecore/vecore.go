@@ -8,8 +8,6 @@
 package vecore
 
 import (
-	"fmt"
-
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
 )
@@ -35,20 +33,6 @@ func DefaultModel() Model {
 		ScalarIPC:        1.0,
 		LaunchOverhead:   200 * simtime.Nanosecond,
 	}
-}
-
-// Validate rejects non-physical models.
-func (m Model) Validate() error {
-	if m.VectorEfficiency <= 0 || m.VectorEfficiency > 1 {
-		return fmt.Errorf("vecore: VectorEfficiency %v out of (0,1]", m.VectorEfficiency)
-	}
-	if m.ScalarIPC <= 0 {
-		return fmt.Errorf("vecore: ScalarIPC %v must be positive", m.ScalarIPC)
-	}
-	if m.Spec.PeakGFLOPS <= 0 || m.Spec.MemoryBandwidth <= 0 || m.Spec.Cores <= 0 {
-		return fmt.Errorf("vecore: incomplete VE spec")
-	}
-	return nil
 }
 
 // VectorTime returns the roofline execution time of a vectorised kernel

@@ -8,27 +8,15 @@ import (
 	"hamoffload/internal/units"
 )
 
+// The default model is physical: an efficiency in (0, 1], a positive scalar
+// IPC and a complete VE spec.
 func TestDefaultModelValid(t *testing.T) {
-	if err := DefaultModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBadModels(t *testing.T) {
 	m := DefaultModel()
-	m.VectorEfficiency = 0
-	if err := m.Validate(); err == nil {
-		t.Error("accepted zero efficiency")
+	if m.VectorEfficiency <= 0 || m.VectorEfficiency > 1 || m.ScalarIPC <= 0 {
+		t.Errorf("efficiency %v, IPC %v", m.VectorEfficiency, m.ScalarIPC)
 	}
-	m = DefaultModel()
-	m.VectorEfficiency = 1.5
-	if err := m.Validate(); err == nil {
-		t.Error("accepted efficiency > 1")
-	}
-	m = DefaultModel()
-	m.ScalarIPC = -1
-	if err := m.Validate(); err == nil {
-		t.Error("accepted negative IPC")
+	if m.Spec.PeakGFLOPS <= 0 || m.Spec.MemoryBandwidth <= 0 || m.Spec.Cores <= 0 {
+		t.Errorf("incomplete VE spec %+v", m.Spec)
 	}
 }
 

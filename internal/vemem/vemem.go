@@ -46,7 +46,7 @@ type DMAATB struct {
 	name    string
 	next    mem.Addr
 	entries []atbEntry // sorted by vehva
-	gen     uint64     // moves on every Register and Unregister
+	gen     uint64     // moves on every Register
 }
 
 type atbEntry struct {
@@ -60,11 +60,8 @@ func newDMAATB(name string) *DMAATB {
 	return &DMAATB{name: name + "-dmaatb", next: vehvaBase}
 }
 
-// Entries returns the number of live registrations.
-func (d *DMAATB) Entries() int { return len(d.entries) }
-
-// Generation numbers the registrations: it moves on every Register and
-// Unregister, so a translation made in one generation holds until it moves.
+// Generation numbers the registrations: it moves on every Register, so a
+// translation made in one generation holds until it moves.
 func (d *DMAATB) Generation() uint64 { return d.gen }
 
 // Register maps [base, base+size) of target into the VEHVA window and
@@ -83,18 +80,6 @@ func (d *DMAATB) Register(target *mem.Memory, base mem.Addr, size int64) (mem.Ad
 	d.entries = append(d.entries, atbEntry{vehva: vehva, size: size, target: target, base: base})
 	d.gen++
 	return vehva, nil
-}
-
-// Unregister removes the registration with the given VEHVA base.
-func (d *DMAATB) Unregister(vehva mem.Addr) error {
-	for i, e := range d.entries {
-		if e.vehva == vehva {
-			d.entries = append(d.entries[:i], d.entries[i+1:]...)
-			d.gen++
-			return nil
-		}
-	}
-	return fmt.Errorf("%s: unregister of unknown VEHVA %#x", d.name, vehva)
 }
 
 // Translate resolves [vehva, vehva+n) to its backing memory and address.

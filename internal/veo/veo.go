@@ -35,13 +35,6 @@ func (h *Proc) Destroy(p *simtime.Proc) error {
 	return h.card.DestroyProcess(p)
 }
 
-// Card returns the card the process runs on (simulation-side accessor).
-func (h *Proc) Card() *veos.Card { return h.card }
-
-// Alive reports whether the VE process is still usable: created, not
-// crashed. Backends use it for cheap node-health checks between DMA polls.
-func (h *Proc) Alive() bool { return h.card.Process() == h.vp && !h.card.Crashed() }
-
 // Process returns the underlying VEOS process (simulation-side accessor).
 func (h *Proc) Process() *veos.Process { return h.vp }
 
@@ -111,24 +104,9 @@ func (r *Request) CallWaitResult(p *simtime.Proc) (uint64, error) {
 	return r.ctx.ctx.Wait(p, r.cmd)
 }
 
-// PeekResult reports whether the request has completed without blocking
-// (veo_call_peek_result).
-func (r *Request) PeekResult() (uint64, bool) {
-	if !r.cmd.Done() {
-		return 0, false
-	}
-	v, _ := r.cmd.Result()
-	return v, true
-}
-
 // AllocMem allocates n bytes of VE HBM (veo_alloc_mem).
 func (h *Proc) AllocMem(p *simtime.Proc, n int64) (uint64, error) {
 	return h.vp.AllocMem(p, n)
-}
-
-// FreeMem frees VE memory (veo_free_mem).
-func (h *Proc) FreeMem(p *simtime.Proc, addr uint64) error {
-	return h.vp.FreeMem(p, addr)
 }
 
 // WriteMem copies len(src) bytes from the VH buffer at hostAddr into VE

@@ -83,18 +83,12 @@ func TestVEOWorkflowMirrorsCAPI(t *testing.T) {
 		}
 		ctx := h.OpenContext(p)
 		req := ctx.CallAsync(p, sym, 6, 7)
-		if _, done := req.PeekResult(); done {
-			t.Error("PeekResult done immediately after submit")
-		}
 		v, err := req.CallWaitResult(p)
 		if err != nil {
 			t.Fatalf("CallWaitResult: %v", err)
 		}
 		if v != 42 {
 			t.Errorf("result = %d, want 42", v)
-		}
-		if v2, done := req.PeekResult(); !done || v2 != 42 {
-			t.Errorf("PeekResult after wait = %d,%v", v2, done)
 		}
 		if err := h.Destroy(p); err != nil {
 			t.Fatalf("Destroy: %v", err)
@@ -130,9 +124,6 @@ func TestMemoryAPIRoundTrip(t *testing.T) {
 		}
 		if string(got) != "veo api" {
 			t.Errorf("round trip = %q", got)
-		}
-		if err := h.FreeMem(p, veBuf); err != nil {
-			t.Errorf("FreeMem: %v", err)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"hamoffload/internal/dma"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/vecore"
-	"hamoffload/internal/vemem"
 )
 
 // Context is one VE-side execution thread (the analog of veo_thr_ctxt): a
@@ -28,8 +27,6 @@ type Context struct {
 	// one live context, kernel charges add to debt instead of sleeping.
 	window, charged bool
 	debt            simtime.Duration
-
-	executed int64
 }
 
 // Command is one queued kernel invocation with its completion state.
@@ -74,12 +71,6 @@ func (q *cmdPoll) Hit() bool {
 	return ctx.stop || ctx.proc.card.crashed || ctx.cmdQ.Len() > 0
 }
 
-// Done reports whether the command has finished.
-func (c *Command) Done() bool { return c.done.Fired() }
-
-// Result returns the kernel's return word and error; valid once Done.
-func (c *Command) Result() (uint64, error) { return c.result, c.err }
-
 // OpenContext spawns a new execution context on the VE process. The calling
 // VH process pays an IPC round trip for the thread creation.
 func (vp *Process) OpenContext(p *simtime.Proc) *Context {
@@ -88,7 +79,7 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 	ctx := &Context{
 		id:    len(vp.ctxs),
 		proc:  vp,
-		cmdQ:  simtime.NewQueue[*Command](vp.card.Eng, fmt.Sprintf("ve%d-ctx%d", vp.card.ID, len(vp.ctxs))),
+		cmdQ:  new(simtime.Queue[*Command]),
 		udma:  dma.NewUserDMA(vp.card.Eng, fmt.Sprintf("ve%d-ctx%d", vp.card.ID, len(vp.ctxs)), t, vp.card.Mem.ATB(), vp.card.Path),
 		instr: dma.NewInstr(t, vp.card.Mem.ATB(), vp.card.Path),
 	}
@@ -106,9 +97,6 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 	vp.card.Eng.Spawn(fmt.Sprintf("ve%d-worker%d", vp.card.ID, ctx.id), ctx.workerLoop)
 	return ctx
 }
-
-// Executed returns how many commands this context has completed.
-func (ctx *Context) Executed() int64 { return ctx.executed }
 
 // Process returns the VE process the context belongs to.
 func (ctx *Context) Process() *Process { return ctx.proc }
@@ -129,7 +117,6 @@ func (ctx *Context) workerLoop(p *simtime.Proc) {
 		p.Sleep(t.VEOCallDispatchVE)
 		cmd.result, cmd.err = cmd.Kernel(kctx, cmd.Args)
 		end()
-		ctx.executed++
 		cmd.done.Fire()
 	}
 	ctx.proc.card.live--
@@ -175,9 +162,6 @@ type Ctx struct {
 	P       *simtime.Proc
 	Context *Context
 }
-
-// VE returns the local VE memory system.
-func (c *Ctx) VE() *vemem.VE { return c.Context.proc.card.Mem }
 
 // UserDMA returns this context's user DMA engine.
 func (c *Ctx) UserDMA() *dma.UserDMA { return c.udma() }

@@ -235,9 +235,6 @@ func (vp *Process) SetRuntime(v any) { vp.rt = v }
 // Runtime returns what SetRuntime last kept with the process, or nil.
 func (vp *Process) Runtime() any { return vp.rt }
 
-// Model returns the process's VE execution cost model.
-func (vp *Process) Model() vecore.Model { return vp.model }
-
 // globalLibs is the registry of "compiled" VE libraries. Registering a
 // library is the simulation analog of building a .so with NCC; loading it
 // into a process charges the dlopen cost.
@@ -284,15 +281,6 @@ func (vp *Process) AllocMem(p *simtime.Proc, n int64) (uint64, error) {
 	p.Sleep(vp.card.Timing.AllocMem)
 	addr, err := vp.card.Mem.Alloc(n)
 	return uint64(addr), err
-}
-
-// FreeMem frees a veo_alloc_mem allocation.
-func (vp *Process) FreeMem(p *simtime.Proc, addr uint64) error {
-	if err := vp.card.enterVEOS(p); err != nil {
-		return err
-	}
-	p.Sleep(vp.card.Timing.AllocMem)
-	return vp.card.Mem.Free(memAddr(addr))
 }
 
 // Loads returns how many words the process's contexts have loaded from host

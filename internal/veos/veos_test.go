@@ -148,9 +148,6 @@ func TestCallRoundTripExecutesKernel(t *testing.T) {
 		if v != 42 {
 			t.Errorf("kernel result = %d, want 42", v)
 		}
-		if ctx.Executed() != 1 {
-			t.Errorf("Executed = %d", ctx.Executed())
-		}
 	})
 }
 
@@ -192,9 +189,11 @@ func TestContextsRunConcurrently(t *testing.T) {
 // Two VH processes wait on two commands of one context at once: each parks
 // on its own command.
 func TestTwoWaitersOnOneContext(t *testing.T) {
+	ran := 0
 	RegisterLibrary("libnap.so", Library{
 		"nap": func(ctx *Ctx, args []uint64) (uint64, error) {
 			ctx.P.Sleep(simtime.Duration(args[0]) * simtime.Microsecond)
+			ran++
 			return args[0], nil
 		},
 	})
@@ -219,8 +218,8 @@ func TestTwoWaitersOnOneContext(t *testing.T) {
 		}
 		done.Wait(p)
 		p.Sleep(100 * simtime.Microsecond)
-		if ctx.Executed() != 2 {
-			t.Errorf("Executed = %d, want 2", ctx.Executed())
+		if ran != 2 {
+			t.Errorf("%d kernels ran, want 2", ran)
 		}
 	})
 }
@@ -255,9 +254,6 @@ func TestDMAWriteReadThroughVEOS(t *testing.T) {
 		if string(got) != "through veos" {
 			t.Errorf("round trip = %q", got)
 		}
-		if err := vp.FreeMem(p, vAddr); err != nil {
-			t.Errorf("FreeMem: %v", err)
-		}
 	})
 }
 
@@ -271,7 +267,7 @@ func TestKernelCtxFacilities(t *testing.T) {
 			s = ctx.P.Now()
 			ctx.ChargeScalar(1e6)
 			scalarTime = ctx.P.Now().Sub(s)
-			if ctx.VE() == nil || ctx.UserDMA() == nil || ctx.Instr() == nil {
+			if ctx.UserDMA() == nil || ctx.Instr() == nil {
 				return 1, nil
 			}
 			return 0, nil
