@@ -56,6 +56,13 @@ const (
 	NumClasses = 3
 )
 
+// classWeights split Config.MaxQueued between the classes: class c may hold
+// at most MaxQueued*classWeights[c]/10 queued requests. The shares are
+// strict partitions — unused best-effort capacity is not lent to batch
+// traffic — so a class's admission headroom never depends on another
+// class's load.
+var classWeights = [NumClasses]int{6, 3, 1}
+
 func (c Class) String() string {
 	switch c {
 	case LatencyCritical:
@@ -104,14 +111,9 @@ type TenantConfig struct {
 // Config parameterises a Gateway. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Weights splits MaxQueued between the QoS classes: class c may hold at
-	// most MaxQueued*Weights[c]/sum queued requests. The shares are strict
-	// partitions — unused best-effort capacity is not lent to batch traffic —
-	// so a class's admission headroom never depends on another class's load.
-	// Default 6:3:1.
-	Weights [NumClasses]int
 	// MaxQueued caps the total queued (admitted, not yet issued) requests
-	// across all VE queues (default 4096).
+	// across all VE queues (default 4096). It is split 6:3:1 between the QoS
+	// classes (classWeights).
 	MaxQueued int
 	// Window is the per-VE in-flight window: how many offloads may be
 	// outstanding on one VE at a time (default 8).
@@ -126,8 +128,6 @@ type Config struct {
 	// SLOTargets are the per-class latency objectives the SLO trackers
 	// account against (defaults 60 µs, 300 µs, 1 ms).
 	SLOTargets [NumClasses]simtime.Duration
-	// SLOBudget is the violation budget per class (default 1%).
-	SLOBudget float64
 	// SLOWindow is the SLO accounting window length (default 500 µs).
 	SLOWindow simtime.Duration
 	// Placement picks the VE queue for an admitted request; it sees the
@@ -141,14 +141,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Weights == ([NumClasses]int{}) {
-		c.Weights = [NumClasses]int{6, 3, 1}
-	}
-	for i, w := range c.Weights {
-		if w <= 0 {
-			c.Weights[i] = 1
-		}
-	}
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 4096
 	}
@@ -169,9 +161,6 @@ func (c Config) withDefaults() Config {
 		if d <= 0 {
 			c.SLOTargets[i] = 60 * simtime.Microsecond
 		}
-	}
-	if c.SLOBudget <= 0 {
-		c.SLOBudget = 0.01
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = 500 * simtime.Microsecond
@@ -373,6 +362,10 @@ type Gateway[R any] struct {
 	inflight []int
 	issued   []int64
 	stolen   []int64 // requests stolen INTO this VE
+	// down marks a VE whose latest settled request failed with
+	// core.ErrNodeFailed. Its posts fail at once, so its window and queue
+	// stay empty; pump does not let it steal the live VEs' backlog.
+	down     []bool
 	maxQueue []int
 	backlog  []int // placement scratch: queued + inflight per VE
 
@@ -423,24 +416,21 @@ func New[R any](rt *core.Runtime, nodes []core.NodeID, cfg Config) (*Gateway[R],
 		inflight: make([]int, len(nodes)),
 		issued:   make([]int64, len(nodes)),
 		stolen:   make([]int64, len(nodes)),
+		down:     make([]bool, len(nodes)),
 		maxQueue: make([]int, len(nodes)),
 		backlog:  make([]int, len(nodes)),
 		batcher:  core.NewBatcher(rt),
 		buckets:  make([]core.TokenBucket, len(cfg.Tenants)),
 		tenants:  make([]tenantStats, max(1, len(cfg.Tenants))),
 	}
-	sum := 0
-	for _, w := range cfg.Weights {
-		sum += w
-	}
-	for c := range g.classCap {
-		g.classCap[c] = max(1, cfg.MaxQueued*cfg.Weights[c]/sum)
+	for c, w := range classWeights {
+		g.classCap[c] = max(1, cfg.MaxQueued*w/10)
 	}
 	for i := range g.buckets {
 		g.buckets[i] = core.NewTokenBucket(cfg.Tenants[i].Burst, rt.SimNow())
 	}
 	for c := range g.classes {
-		g.classes[c].slo = trace.NewSLO(cfg.SLOTargets[c], cfg.SLOBudget, cfg.SLOWindow)
+		g.classes[c].slo = trace.NewSLO(cfg.SLOTargets[c], cfg.SLOWindow)
 		g.errOverloaded[c] = fmt.Errorf("%w: class %s", ErrOverloaded, Class(c))
 	}
 	g.errQuota = make([]error, len(g.tenants))
@@ -552,9 +542,11 @@ func (g *Gateway[R]) settle(tk *Ticket[R], vi int) {
 	g.inflight[vi]--
 	cs := &g.classes[tk.Class]
 	cs.completed++
-	if tk.Err() != nil {
+	err := tk.Err()
+	if err != nil {
 		cs.failed++
 	}
+	g.down[vi] = errors.Is(err, core.ErrNodeFailed)
 	cs.slo.Observe(now, lat)
 	if g.cfg.KeepSamples {
 		cs.samples = append(cs.samples, lat.Microseconds())
@@ -611,13 +603,13 @@ func (g *Gateway[R]) moveTail(from *fifo[entry[R]], k, vi int) {
 }
 
 // pump fills every VE's dispatch window from its queue, stealing into fully
-// idle VEs first. Latency-critical requests issue one per message; batchable
-// runs coalesce into batch frames (see issue).
+// idle VEs that are not down first. Latency-critical requests issue one per
+// message; batchable runs coalesce into batch frames (see issue).
 func (g *Gateway[R]) pump() {
 	for vi := range g.nodes {
 		for g.inflight[vi] < g.cfg.Window {
 			if g.queues[vi].len() == 0 {
-				if g.inflight[vi] > 0 || !g.steal(vi) {
+				if g.inflight[vi] > 0 || g.down[vi] || !g.steal(vi) {
 					break
 				}
 			}

@@ -516,10 +516,11 @@ func exerciseKernelBytes(t Reporter, rt *core.Runtime, target core.NodeID) {
 // ExerciseBatch runs the message-batching side of the contract: with a
 // BatchPolicy armed, queued offloads coalesce into batch frames yet behave
 // exactly like individual offloads — results arrive in submission order, a
-// failing handler poisons only its own future, frames split under count and
-// byte caps, unflushed futures self-flush in Get, and plain Async offloads
-// interleave freely. The target needs no configuration: batch frames are
-// recognised by magic on any runtime. It must run in the host's execution
+// failing handler poisons only its own future, frames split under the count
+// cap (ExerciseSurface checks the split at MaxMessageLen), unflushed futures
+// self-flush in Get, and plain Async offloads interleave freely. The target
+// needs no configuration: batch frames are recognised by magic on any
+// runtime. It must run in the host's execution
 // context; the runtime's batching policy is restored on return.
 func ExerciseBatch(t Reporter, rt *core.Runtime, target core.NodeID) {
 	saved := rt.Batching()
@@ -573,18 +574,6 @@ func ExerciseBatch(t Reporter, rt *core.Runtime, target core.NodeID) {
 	lone := core.BatchAdd(b, target, cfEcho.Bind(77))
 	if v, err := lone.Get(); err != nil || v != 77 {
 		t.Errorf("batch: self-flushing future = %d, %v", v, err)
-	}
-
-	// --- byte-capped splitting ---------------------------------------------------
-	rt.SetBatching(core.BatchPolicy{MaxMessages: 1 << 20, MaxBytes: 256})
-	caps := make([]core.Functor[int64], 12)
-	for i := range caps {
-		caps[i] = cfEcho.Bind(int64(1000 + i))
-	}
-	for i, f := range core.AsyncBatch(rt, target, caps) {
-		if v, err := f.Get(); err != nil || v != int64(1000+i) {
-			t.Errorf("batch: byte-capped future %d = %d, %v", i, v, err)
-		}
 	}
 
 	// --- plain offloads interleave with batched ones -----------------------------

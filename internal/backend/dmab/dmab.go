@@ -87,7 +87,7 @@ func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
 	cfg := ring.HostConfig{Name: "dmab", Options: opts.Options, NodeBase: opts.NodeBase, TotalNodes: opts.TotalNodes}
 	return ring.ConnectCards(p, cfg, cards, func(p *simtime.Proc, card *veos.Card, o ring.Options, self, total int) (ring.HostTransport, ring.HostFacts, error) {
 		t := &hostSide{}
-		ve, err := ring.Launch(p, card, LibraryName, "ham_dmab_init", o.TargetArch, func(*veo.Proc) ([]uint64, error) {
+		ve, err := ring.Launch(p, card, LibraryName, "ham_dmab_init", func(*veo.Proc) ([]uint64, error) {
 			seg, err := card.Host.ShmCreate(layout{Options: o}.totalSize())
 			if err != nil {
 				return nil, fmt.Errorf("dmab: creating shm segment: %w", err)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/backend/dmab"
+	"hamoffload/internal/backend/ring"
 	"hamoffload/internal/core"
 	"hamoffload/internal/ib"
 	"hamoffload/internal/simtime"
@@ -54,14 +55,6 @@ type request struct {
 // wire sizes: a small header accompanies every forwarded operation.
 const headerBytes = 64
 
-// Options configures the cluster backend. The InfiniBand model itself is a
-// property of the fabric passed to Connect.
-type Options struct {
-	// Local holds the protocol options for each machine's DMA-protocol
-	// connection.
-	Local dmab.Options
-}
-
 // Host is the initiator backend on machine 0's VH.
 type Host struct {
 	core.HostOnly
@@ -95,9 +88,11 @@ type proxy struct {
 
 // Connect builds the cluster application: machine 0 hosts the initiator,
 // every machine's cards become targets. cards[i] lists machine i's VE cards;
-// the shared engine must drive all machines and the IB fabric.
+// the shared engine must drive all machines and the IB fabric. opts are the
+// protocol options of each machine's DMA-protocol connection; the
+// InfiniBand model is a property of the fabric.
 func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
-	cards [][]*veos.Card, opts Options) (*Host, error) {
+	cards [][]*veos.Card, opts dmab.Options) (*Host, error) {
 	if len(cards) < 1 || len(cards[0]) == 0 {
 		return nil, fmt.Errorf("mpib: machine 0 needs at least one VE")
 	}
@@ -117,7 +112,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 	}
 
 	// Machine 0: direct local connection with global node ids 1..k.
-	localOpts := opts.Local
+	localOpts := opts
 	localOpts.NodeBase = 0
 	localOpts.TotalNodes = total
 	local, err := dmab.Connect(p, cards[0], localOpts)
@@ -129,7 +124,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 	for i, card := range cards[0] {
 		h.descs = append(h.descs, core.NodeDescriptor{
 			Name:   fmt.Sprintf("m0-ve%d", card.ID),
-			Arch:   localArch(opts),
+			Arch:   ring.TargetArch,
 			Device: fmt.Sprintf("NEC VE Type 10B (machine 0, VE %d)", i),
 		})
 	}
@@ -150,7 +145,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 		ready := simtime.NewEvent(eng)
 		var connErr error
 		mcards := cards[m]
-		remoteOpts := opts.Local
+		remoteOpts := opts
 		remoteOpts.NodeBase = len(h.descs) - 1 // nodes assigned so far, minus the host
 		remoteOpts.TotalNodes = total
 		eng.Spawn(fmt.Sprintf("mpib-proxy%d", m), func(pp *simtime.Proc) {
@@ -172,19 +167,12 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 		for i, card := range mcards {
 			h.descs = append(h.descs, core.NodeDescriptor{
 				Name:   fmt.Sprintf("m%d-ve%d", m, card.ID),
-				Arch:   localArch(opts),
+				Arch:   ring.TargetArch,
 				Device: fmt.Sprintf("NEC VE Type 10B (machine %d, VE %d)", m, i),
 			})
 		}
 	}
 	return h, nil
-}
-
-func localArch(opts Options) string {
-	if opts.Local.TargetArch != "" {
-		return opts.Local.TargetArch
-	}
-	return "aurora-ve"
 }
 
 // route returns the machine hosting a global node id. Node ids are global

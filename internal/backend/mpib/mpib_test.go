@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hamoffload/internal/backend/dmab"
 	"hamoffload/internal/backend/mpib"
 	"hamoffload/internal/core"
 	"hamoffload/internal/dma"
@@ -56,14 +57,14 @@ func TestConnectValidation(t *testing.T) {
 	}
 	cards := buildMachines(t, eng, 3) // more machines than fabric hosts
 	eng.Spawn("main", func(p *simtime.Proc) {
-		if _, err := mpib.Connect(p, eng, fab, nil, mpib.Options{}); err == nil {
+		if _, err := mpib.Connect(p, eng, fab, nil, dmab.Options{}); err == nil {
 			t.Error("empty cluster accepted")
 		}
-		if _, err := mpib.Connect(p, eng, fab, cards, mpib.Options{}); err == nil {
+		if _, err := mpib.Connect(p, eng, fab, cards, dmab.Options{}); err == nil {
 			t.Error("cluster larger than fabric accepted")
 		}
 		if _, err := mpib.Connect(p, eng, fab,
-			[][]*veos.Card{cards[0], nil}, mpib.Options{}); err == nil {
+			[][]*veos.Card{cards[0], nil}, dmab.Options{}); err == nil {
 			t.Error("machine without VEs accepted")
 		}
 		eng.Stop()
@@ -83,7 +84,7 @@ func TestRouting(t *testing.T) {
 	cards := buildMachines(t, eng, 2)
 	eng.Spawn("main", func(p *simtime.Proc) {
 		defer eng.Stop()
-		h, err := mpib.Connect(p, eng, fab, cards, mpib.Options{})
+		h, err := mpib.Connect(p, eng, fab, cards, dmab.Options{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -147,7 +148,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	cards := buildMachines(t, eng, 2)
 	eng.Spawn("main", func(p *simtime.Proc) {
 		defer eng.Stop()
-		h, err := mpib.Connect(p, eng, fab, cards, mpib.Options{})
+		h, err := mpib.Connect(p, eng, fab, cards, dmab.Options{})
 		if err != nil {
 			t.Error(err)
 			return

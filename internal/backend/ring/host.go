@@ -37,9 +37,6 @@ type Options struct {
 	// (DMA). Larger results overflow into a second transfer (default 248,
 	// making flag+inline one 256-byte slot).
 	ResultInline int
-	// TargetArch labels the VE binary for HAM's translation tables
-	// (default "aurora-ve").
-	TargetArch string
 	// OffloadTimeout bounds how long one offload may stay in flight before
 	// Wait gives up with core.ErrOffloadTimeout, measured on the simulated
 	// clock from the start of the wait. Zero waits forever.
@@ -58,10 +55,10 @@ func (o *Options) fill() {
 	}
 	// SHM stores and flag adjacency work at word granularity.
 	o.ResultInline = (o.ResultInline + 7) &^ 7
-	if o.TargetArch == "" {
-		o.TargetArch = "aurora-ve"
-	}
 }
+
+// TargetArch labels the VE binary for HAM's translation tables.
+const TargetArch = "aurora-ve"
 
 // mid builds the protocol-level message correlator for a slot/sequence
 // pair; backend spans carry it so host and VE sides of one message line up.
@@ -135,8 +132,9 @@ type HostConfig struct {
 	// NodeBase+1 .. NodeBase+n. TotalNodes overrides the application's node
 	// count (default n+1).
 	NodeBase, TotalNodes int
-	Memory               core.LocalMemory
-	Tracer               *trace.NodeTracer // nil when tracing is off
+	// memory and tracer come from the first card's machine (ConnectCards).
+	memory core.LocalMemory
+	tracer *trace.NodeTracer // nil when tracing is off
 }
 
 // handle tracks one in-flight offload. It pins the conn it was issued on:
@@ -245,7 +243,7 @@ func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if err != nil {
 		return core.NodeDescriptor{Name: "invalid"}
 	}
-	return core.NodeDescriptor{Name: c.f.Node, Arch: h.cfg.TargetArch, Device: "NEC VE Type 10B"}
+	return core.NodeDescriptor{Name: c.f.Node, Arch: TargetArch, Device: "NEC VE Type 10B"}
 }
 
 func (h *Host) conn(target core.NodeID) (*conn, error) {
@@ -303,7 +301,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	if len(msg) > h.MaxMessageLen() {
 		return nil, h.errTooLong(len(msg))
 	}
-	callStart := h.cfg.Tracer.Now()
+	callStart := h.cfg.tracer.Now()
 	h.p.Sleep(c.f.Overhead)
 	slot := c.next
 	// The host manages the buffers: a slot is free again once the result of
@@ -318,7 +316,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	if err := c.t.WriteMessage(slot, msg); err != nil {
 		return nil, h.stepErr(c, target, err)
 	}
-	endFlag := h.cfg.Tracer.Begin(trace.PhaseFlagWrite, h.spanFlagWrite, mid)
+	endFlag := h.cfg.tracer.Begin(trace.PhaseFlagWrite, h.spanFlagWrite, mid)
 	err = c.t.PublishFlag(slot, slots.Encode(seq, len(msg)))
 	endFlag()
 	if err != nil {
@@ -334,7 +332,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	hd := h.handles.Take()
 	hd.target, hd.c, hd.slot, hd.seq, hd.resp, hd.done = target, c, slot, seq, nil, false
 	c.inUse[slot] = hd
-	h.cfg.Tracer.Since(trace.PhaseCall, h.spanCall, mid, callStart)
+	h.cfg.tracer.Since(trace.PhaseCall, h.spanCall, mid, callStart)
 	return hd, nil
 }
 
@@ -398,7 +396,7 @@ func (h *Host) pollSlot(hd *handle) (bool, error) {
 func (h *Host) probe(hd *handle) (done, absorbed bool, err error) {
 	done, err = h.pollSlot(hd)
 	if err != nil && hd.c.f.AbsorbPollFaults && core.IsTransient(err) {
-		h.cfg.Tracer.Instant(trace.PhaseFault, h.spanPollFault, h.cfg.mid(hd.slot, hd.seq))
+		h.cfg.tracer.Instant(trace.PhaseFault, h.spanPollFault, h.cfg.mid(hd.slot, hd.seq))
 		return false, true, nil
 	}
 	return done, false, h.stepErr(hd.c, hd.target, err)
@@ -431,7 +429,7 @@ func (q *resultPoll) Hit() bool {
 
 func (h *Host) wait(hd *handle) ([]byte, error) {
 	c := hd.c
-	defer h.cfg.Tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
+	defer h.cfg.tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
 	var deadline simtime.Time // zero: none
 	if d := h.cfg.OffloadTimeout; d > 0 {
 		deadline = h.p.Now().Add(d)
@@ -537,7 +535,7 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 }
 
 // Memory implements core.Backend.
-func (h *Host) Memory() core.LocalMemory { return h.cfg.Memory }
+func (h *Host) Memory() core.LocalMemory { return h.cfg.memory }
 
 // Clock implements core.Backend: the host process's simulated clock, kernel
 // work charged by the host roofline model.

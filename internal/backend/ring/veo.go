@@ -33,7 +33,7 @@ func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	card := vp.Card()
 	t := newTarget(cfg, ctx.P, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
 	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx)
-	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Device: "NEC VE Type 10B"}
+	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Arch: TargetArch, Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
 	t.cpu, t.win = ctx, ctx
 	card.Notifies(&t.idle.Watch)
@@ -67,8 +67,8 @@ func ConnectCards(p *simtime.Proc, cfg HostConfig, cards []*veos.Card, dial Card
 	if len(cards) == 0 {
 		return nil, fmt.Errorf("%s: no target cards", cfg.Name)
 	}
-	cfg.Memory = cards[0].Host.Heap
-	cfg.Tracer = cards[0].Timing.Tracer.Node(0, cfg.Name, p)
+	cfg.memory = cards[0].Host.Heap
+	cfg.tracer = cards[0].Timing.Tracer.Node(0, cfg.Name, p)
 	return Connect(p, cfg, len(cards), func(o Options, i, self, total int) (HostTransport, HostFacts, error) {
 		t, f, err := dial(p, cards[i], o, self, total)
 		f.Node, f.Overhead = fmt.Sprintf("ve%d", cards[i].ID), cards[i].Timing.HAMHostOverhead
@@ -93,7 +93,7 @@ type VE struct {
 // communication area (its result becomes the init kernel's arguments), open
 // a context, run the init kernel to completion, and start ham_main
 // asynchronously. A failed launch leaves no VE process behind.
-func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place func(*veo.Proc) ([]uint64, error)) (VE, error) {
+func Launch(p *simtime.Proc, card *veos.Card, lib, initSym string, place func(*veo.Proc) ([]uint64, error)) (VE, error) {
 	proc, err := veo.ProcCreate(p, card)
 	if err != nil {
 		return VE{}, err
@@ -120,11 +120,6 @@ func Launch(p *simtime.Proc, card *veos.Card, lib, initSym, arch string, place f
 	}
 	if ve.Init, err = ctx.CallAsync(p, init, args...).CallWaitResult(p); err != nil {
 		return VE{}, fmt.Errorf("%s: %w", initSym, err)
-	}
-	// The architecture label is a property of the compiled target binary; it
-	// cannot travel as a kernel argument, so it is recorded on the side.
-	if t, ok := targetOf(proc.Process()); ok {
-		t.desc.Arch = arch
 	}
 	hamMain, err := lh.GetSym(p, "ham_main")
 	if err != nil {

@@ -86,7 +86,7 @@ func dial(p *simtime.Proc, card *veos.Card, o ring.Options, self, total int) (ri
 	// Allocate the communication area in VE memory (the host manages it),
 	// then communicate its address through the C-API kernel (Fig. 4's
 	// "HAM-Offload C-API").
-	ve, err := ring.Launch(p, card, LibraryName, "ham_comm_init", o.TargetArch, func(proc *veo.Proc) ([]uint64, error) {
+	ve, err := ring.Launch(p, card, LibraryName, "ham_comm_init", func(proc *veo.Proc) ([]uint64, error) {
 		base, err := proc.AllocMem(p, t.lay.totalSize())
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"hamoffload/internal/ham"
 	"hamoffload/internal/pool"
-	"hamoffload/internal/simtime"
 	"hamoffload/internal/trace"
 )
 
@@ -80,32 +79,17 @@ func openBatchInto(dst [][]byte, msg []byte) (msgs [][]byte, isBatch bool, err e
 // disables batching entirely: BatchAdd degrades to a plain Async and the
 // wire bytes stay bit-identical to the unbatched protocol.
 //
-// With any field set, messages queue per node and a frame ships when the
-// queue reaches MaxMessages entries (default 16), when its wire size would
-// exceed MaxBytes (default: the backend's message-size limit), or — on
-// backends with a simulated clock — when an Add or Flush observes that the
-// oldest queued message has waited MaxDelay (0 = no deadline). The runtime
-// has no timer of its own, so the deadline is checked lazily at those
-// points; an idle queue still requires an explicit Flush/FlushAll or a
-// blocking Future.Get, which always forces its own frame out.
+// With MaxMessages set, messages queue per node and a frame ships when the
+// queue reaches MaxMessages entries or when its wire size would exceed the
+// backend's message-size limit. The runtime has no timer of its own: a
+// queue below both still requires an explicit Flush/FlushAll or a blocking
+// Future.Get, which always forces its own frame out.
 type BatchPolicy struct {
 	MaxMessages int
-	MaxBytes    int
-	MaxDelay    simtime.Duration
 }
 
 // Enabled reports whether the policy arms batching at all.
-func (p BatchPolicy) Enabled() bool {
-	return p.MaxMessages > 0 || p.MaxBytes > 0 || p.MaxDelay > 0
-}
-
-// messages returns the effective count threshold.
-func (p BatchPolicy) messages() int {
-	if p.MaxMessages > 0 {
-		return p.MaxMessages
-	}
-	return 16
-}
+func (p BatchPolicy) Enabled() bool { return p.MaxMessages > 0 }
 
 // SetBatching installs the batching policy on the initiating runtime.
 // Call it before issuing offloads, alongside SetFaultTolerance.
@@ -151,12 +135,11 @@ func (b *Batcher) Release() { b.rt.batchers.Put(b) }
 // message on: the queued futures already point at it, so a flush posts it
 // and rebinds nothing.
 type batchQueue struct {
-	rt       *Runtime
-	node     NodeID
-	frame    []byte       // the wire frame under construction: header + entries
-	c        *call        // the open frame's sinks and per-entry FT state; nil while empty
-	fids     []uint64     // per-message causal trace IDs, 0 without flows
-	firstAdd simtime.Time // clock at first queued message (deadline basis)
+	rt    *Runtime
+	node  NodeID
+	frame []byte   // the wire frame under construction: header + entries
+	c     *call    // the open frame's sinks and per-entry FT state; nil while empty
+	fids  []uint64 // per-message causal trace IDs, 0 without flows
 }
 
 // putEntry copies one wire message into the frame arena.
@@ -177,16 +160,6 @@ func (b *Batcher) queue(node NodeID) *batchQueue {
 	q := &batchQueue{rt: b.rt, node: node, frame: make([]byte, batHeader)}
 	b.queues = append(b.queues, q)
 	return q
-}
-
-// frameCap returns the largest frame the policy and backend permit, so
-// batch-aware length accounting never exceeds what a flag word can publish.
-func (b *Batcher) frameCap() int {
-	limit := b.rt.backend.MaxMessageLen()
-	if mb := b.rt.batch.MaxBytes; mb > 0 && mb < limit {
-		limit = mb
-	}
-	return limit
 }
 
 // Pending returns how many messages are queued for node, for tests and
@@ -217,13 +190,6 @@ func (b *Batcher) FlushAll() {
 	}
 }
 
-// deadlineDue reports whether q's oldest message has outwaited MaxDelay
-// (never, on a wall-clock node: no time passes there).
-func (b *Batcher) deadlineDue(q *batchQueue) bool {
-	d := b.rt.batch.MaxDelay
-	return d > 0 && q.c != nil && b.rt.clock.Now().Sub(q.firstAdd) >= d
-}
-
 // BatchAdd queues fn for node on b and returns its future. The frame ships
 // when the policy says so, on an explicit Flush/FlushAll, or when one of
 // the frame's futures blocks in Get. With batching disabled it is exactly
@@ -241,21 +207,19 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 // that fails settles s before add returns.
 func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink) *call {
 	rt, q := b.rt, b.queue(node)
-	// Length accounting against the frame cap: ship the current frame first
-	// if this message would overflow it. A message too large for any frame
-	// still goes out (as a batch of one) and draws the backend's own
-	// size error, like an unbatched oversized Call would.
-	if q.c != nil && len(q.frame)+batPerMsg+len(wire) > b.frameCap() {
-		q.flush()
-	}
-	if b.deadlineDue(q) {
+	// Length accounting against the backend's message-size limit, so a
+	// frame never exceeds what a flag word can publish: ship the current
+	// frame first if this message would overflow it. A message too large
+	// for any frame still goes out (as a batch of one) and draws the
+	// backend's own size error, like an unbatched oversized Call would.
+	limit := rt.backend.MaxMessageLen()
+	if q.c != nil && len(q.frame)+batPerMsg+len(wire) > limit {
 		q.flush()
 	}
 	c := q.c
 	if c == nil {
 		c = rt.takeCall()
 		c.frame, c.q, q.c = true, q, c
-		q.firstAdd = rt.clock.Now()
 	}
 	q.putEntry(wire)
 	c.pds = append(c.pds, pd)
@@ -264,7 +228,7 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink)
 	if rt.tr != nil {
 		rt.tr.Tracer().Gauge(int(node), trace.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
 	}
-	if len(c.sinks) >= rt.batch.messages() || len(q.frame) >= b.frameCap() {
+	if len(c.sinks) >= rt.batch.MaxMessages || len(q.frame) >= limit {
 		q.flush()
 	}
 	return c

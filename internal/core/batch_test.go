@@ -6,7 +6,6 @@ import (
 
 	"hamoffload/internal/backend/locb"
 	"hamoffload/internal/core"
-	"hamoffload/internal/simtime"
 )
 
 // Behavioural tests of message batching over the loopback backend: flush
@@ -57,22 +56,43 @@ func TestBatchCountFlush(t *testing.T) {
 	}
 }
 
+// tinyFrames reports a one-byte message-size limit over the loopback
+// backend, whose own Call takes far more.
+type tinyFrames struct{ *locb.Node }
+
+func (tinyFrames) MaxMessageLen() int { return 1 }
+
 func TestBatchByteCapFlush(t *testing.T) {
-	host, done := app(t)
-	defer done()
-	// A cap of one byte cannot hold any message: every add must ship its
+	hb, tb, err := locb.NewPair(1 << 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := core.NewRuntime(tb, "batch-cap-target")
+	host := core.NewRuntime(tinyFrames{hb}, "batch-cap-host")
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		if err := target.Serve(); err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	// A one-byte limit cannot hold any message: every add must ship its
 	// message immediately as a frame of one rather than stall or error.
-	host.SetBatching(core.BatchPolicy{MaxMessages: 1 << 20, MaxBytes: 1})
+	host.SetBatching(core.BatchPolicy{MaxMessages: 1 << 20})
 	b := core.NewBatcher(host)
 	for i := 0; i < 3; i++ {
 		f := core.BatchAdd(b, 1, fnEcho.Bind("tiny"))
 		if n := b.Pending(1); n != 0 {
-			t.Fatalf("add %d left %d queued under a 1-byte cap", i, n)
+			t.Fatalf("add %d left %d queued under a 1-byte limit", i, n)
 		}
 		if s, err := f.Get(); err != nil || s != "tiny/tiny" {
 			t.Fatalf("byte-capped future %d = %q, %v", i, s, err)
 		}
 	}
+	if err := host.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	<-serveDone
 }
 
 func TestBatchGetForcesFlush(t *testing.T) {
@@ -162,69 +182,4 @@ func TestBatchValidation(t *testing.T) {
 	if n := b.Pending(0) + b.Pending(99); n != 0 {
 		t.Errorf("invalid targets left %d messages queued", n)
 	}
-}
-
-// manualClock is a hand-advanced simulated clock; Sleep and Charge* stay
-// the embedded WallClock's no-ops.
-type manualClock struct {
-	core.Clock
-	now simtime.Time
-}
-
-func (c *manualClock) Now() simtime.Time { return c.now }
-func (c *manualClock) Simulated() bool   { return true }
-
-// simBackend puts the loopback backend on a manualClock, so the MaxDelay
-// flush path is testable without a full machine.
-type simBackend struct {
-	*locb.Node
-	clk *manualClock
-}
-
-func (s *simBackend) Clock() core.Clock { return s.clk }
-
-func TestBatchDeadlineFlush(t *testing.T) {
-	hb, tb, err := locb.NewPair(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := &simBackend{Node: hb, clk: &manualClock{Clock: core.WallClock}}
-	target := core.NewRuntime(tb, "batch-deadline-target")
-	host := core.NewRuntime(sb, "batch-deadline-host")
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		if err := target.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	host.SetBatching(core.BatchPolicy{MaxMessages: 100, MaxDelay: 5 * simtime.Microsecond})
-
-	b := core.NewBatcher(host)
-	f1 := core.BatchAdd(b, 1, fnEcho.Bind("old"))
-	if n := b.Pending(1); n != 1 {
-		t.Fatalf("Pending = %d", n)
-	}
-	// Within the deadline the queue keeps accumulating...
-	sb.clk.now = sb.clk.now.Add(2 * simtime.Microsecond)
-	f2 := core.BatchAdd(b, 1, fnEcho.Bind("old"))
-	if n := b.Pending(1); n != 2 {
-		t.Fatalf("Pending before deadline = %d", n)
-	}
-	// ...but once the oldest message has waited past MaxDelay, the next add
-	// flushes the overdue frame before queuing itself.
-	sb.clk.now = sb.clk.now.Add(4 * simtime.Microsecond)
-	f3 := core.BatchAdd(b, 1, fnEcho.Bind("new"))
-	if n := b.Pending(1); n != 1 {
-		t.Fatalf("Pending after deadline flush = %d (want just the new message)", n)
-	}
-	for i, f := range []*core.Future[string]{f1, f2, f3} {
-		if _, err := f.Get(); err != nil {
-			t.Fatalf("future %d: %v", i, err)
-		}
-	}
-	if err := host.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	<-serveDone
 }

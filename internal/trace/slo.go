@@ -38,7 +38,6 @@ func (t *Tracer) SLOReport() SLOReport {
 // allocate nothing.
 type SLO struct {
 	target     simtime.Duration
-	budget     float64
 	window     simtime.Duration
 	maxWin     int
 	wins       []sloWindow
@@ -54,9 +53,12 @@ type sloWindow struct {
 	hist       Histogram
 }
 
-func newSLO(target simtime.Duration, budget float64, window simtime.Duration, maxWin int) *SLO {
+// sloBudget is the allowed violation fraction of every SLO: 1%.
+const sloBudget = 0.01
+
+func newSLO(target, window simtime.Duration, maxWin int) *SLO {
 	return &SLO{
-		target: target, budget: budget, window: window, maxWin: maxWin,
+		target: target, window: window, maxWin: maxWin,
 		total: NewHistogram("offload.latency"),
 	}
 }
@@ -64,10 +66,10 @@ func newSLO(target simtime.Duration, budget float64, window simtime.Duration, ma
 // NewSLO builds a standalone SLO tracker outside any Tracer, for callers
 // that account several objectives side by side — the serving gateway keeps
 // one per QoS class. Zero or negative parameters select the Tracer's
-// defaults (50 µs target, 1% budget, 100 µs windows).
-func NewSLO(target simtime.Duration, budget float64, window simtime.Duration) *SLO {
-	cfg := Config{SLOTarget: target, SLOBudget: budget, SLOWindow: window}.fill()
-	return newSLO(cfg.SLOTarget, cfg.SLOBudget, cfg.SLOWindow, maxWindows)
+// defaults (50 µs target, 100 µs windows).
+func NewSLO(target, window simtime.Duration) *SLO {
+	cfg := Config{SLOTarget: target, SLOWindow: window}.fill()
+	return newSLO(cfg.SLOTarget, cfg.SLOWindow, maxWindows)
 }
 
 // Observe records one completed request's latency at simulated time now.
@@ -159,7 +161,7 @@ type SLOReport struct {
 // Report snapshots the SLO accounting.
 func (s *SLO) Report() SLOReport {
 	r := SLOReport{
-		Target: s.target, Budget: s.budget, Window: s.window,
+		Target: s.target, Budget: sloBudget, Window: s.window,
 		N:    s.total.Count(),
 		P50:  s.total.Quantile(0.5),
 		P99:  s.total.Quantile(0.99),
@@ -171,7 +173,7 @@ func (s *SLO) Report() SLOReport {
 	}
 	if r.N > 0 {
 		r.ViolationRate = float64(r.Violations) / float64(r.N)
-		r.BurnRate = r.ViolationRate / s.budget
+		r.BurnRate = r.ViolationRate / sloBudget
 	}
 	for i := range s.wins {
 		w := &s.wins[i]
@@ -186,7 +188,7 @@ func (s *SLO) Report() SLOReport {
 		}
 		if ws.N > 0 {
 			ws.ViolationRate = float64(ws.Violations) / float64(ws.N)
-			ws.BurnRate = ws.ViolationRate / s.budget
+			ws.BurnRate = ws.ViolationRate / sloBudget
 		}
 		r.Windows = append(r.Windows, ws)
 	}

@@ -14,7 +14,6 @@ import (
 // list. It is the reference the in-place SLO must report identically to.
 type oracleSLO struct {
 	target     simtime.Duration
-	budget     float64
 	window     simtime.Duration
 	maxWin     int
 	wins       []*oracleWindow
@@ -75,7 +74,7 @@ func (s *oracleSLO) coarsen() {
 // bookkeepings share.
 func (s *oracleSLO) report() SLOReport {
 	r := &SLO{
-		target: s.target, budget: s.budget, window: s.window, maxWin: s.maxWin,
+		target: s.target, window: s.window, maxWin: s.maxWin,
 		total: s.total, violations: s.violations,
 	}
 	for _, w := range s.wins {
@@ -123,7 +122,6 @@ var sloStreams = []sloStream{
 func TestSLORecycledWindowsMatchOracle(t *testing.T) {
 	const (
 		target = 50 * simtime.Microsecond
-		budget = 0.01
 		win    = 10 * simtime.Microsecond
 	)
 	for _, maxWin := range []int{2, 6, maxWindows} {
@@ -131,8 +129,8 @@ func TestSLORecycledWindowsMatchOracle(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("max%d/%s/seed%d", maxWin, st.name, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
-					s := newSLO(target, budget, win, maxWin)
-					o := &oracleSLO{target: target, budget: budget, window: win, maxWin: maxWin,
+					s := newSLO(target, win, maxWin)
+					o := &oracleSLO{target: target, window: win, maxWin: maxWin,
 						total: NewHistogram("offload.latency")}
 					var now simtime.Time
 					for i := 0; o.opened <= 4*maxWin; i++ {
@@ -171,7 +169,7 @@ func compareSLO(t *testing.T, i int, s *SLO, o *oracleSLO) {
 // are written into it, so Observe allocates nothing — also across the
 // further coarsenings the runs below cause.
 func TestSLOObserveZeroAlloc(t *testing.T) {
-	s := NewSLO(50*simtime.Microsecond, 0.01, 100*simtime.Microsecond)
+	s := NewSLO(50*simtime.Microsecond, 100*simtime.Microsecond)
 	var now simtime.Time
 	var d simtime.Duration
 	step := func() {

@@ -9,7 +9,7 @@ import (
 func TestSLOWindowsAndViolations(t *testing.T) {
 	target := 50 * simtime.Microsecond
 	win := 100 * simtime.Microsecond
-	s := newSLO(target, 0.01, win, 64)
+	s := newSLO(target, win, 64)
 
 	// Window 0: 9 fast + 1 slow. Window 1: 10 fast.
 	for i := 0; i < 9; i++ {
@@ -53,7 +53,7 @@ func TestSLOWindowsAndViolations(t *testing.T) {
 // grid and doubles the window, preserving counts and violations exactly.
 func TestSLOCoarsening(t *testing.T) {
 	win := 10 * simtime.Microsecond
-	s := newSLO(5*simtime.Microsecond, 0.01, win, 4)
+	s := newSLO(5*simtime.Microsecond, win, 4)
 	// 8 consecutive windows, one observation each; every other one violates.
 	for i := 0; i < 8; i++ {
 		d := simtime.Microsecond
@@ -86,7 +86,7 @@ func TestSLOCoarsening(t *testing.T) {
 // must keep coarsening until the list fits.
 func TestSLOCoarsenSparse(t *testing.T) {
 	win := 10 * simtime.Microsecond
-	s := newSLO(5*simtime.Microsecond, 0.01, win, 2)
+	s := newSLO(5*simtime.Microsecond, win, 2)
 	// Windows 0, 4, 8, 12: one halving leaves indices 0, 2, 4, 6 — still 4.
 	for i := 0; i < 4; i++ {
 		s.Observe(simtime.Time(int64(4*i)*int64(win)), simtime.Microsecond)

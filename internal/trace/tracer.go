@@ -37,8 +37,6 @@ const (
 	PhaseResult Phase = "result"
 	// PhaseWait covers the initiator blocking on offload completion.
 	PhaseWait Phase = "wait"
-	// PhaseTransfer covers bulk data movement (Put/Get).
-	PhaseTransfer Phase = "transfer"
 	// PhaseFault marks an injected fault firing (instant event).
 	PhaseFault Phase = "fault"
 	// PhaseRetry marks a transient failure being retried (instant event).
@@ -103,8 +101,6 @@ type Config struct {
 	Interval simtime.Duration
 	// SLOTarget is the offload-latency objective (default 50 µs).
 	SLOTarget simtime.Duration
-	// SLOBudget is the allowed violation fraction (default 0.01 = 1%).
-	SLOBudget float64
 	// SLOWindow is the initial SLO accounting window (default 100 µs);
 	// windows double like series bins when too many accumulate.
 	SLOWindow simtime.Duration
@@ -120,9 +116,6 @@ func (c Config) fill() Config {
 	}
 	if c.SLOTarget <= 0 {
 		c.SLOTarget = 50 * simtime.Microsecond
-	}
-	if c.SLOBudget <= 0 {
-		c.SLOBudget = 0.01
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = 100 * simtime.Microsecond
@@ -160,7 +153,7 @@ func New(cfg Config) *Tracer {
 		cfg:   cfg,
 		limit: 1 << 20,
 		regs:  map[int]*Registry{},
-		slo:   newSLO(cfg.SLOTarget, cfg.SLOBudget, cfg.SLOWindow, maxWindows),
+		slo:   newSLO(cfg.SLOTarget, cfg.SLOWindow, maxWindows),
 	}
 }
 

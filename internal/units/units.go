@@ -24,7 +24,6 @@ const (
 	KB Bytes = 1000 * B
 	MB       = 1000 * KB
 	GB       = 1000 * MB
-	TB       = 1000 * GB
 )
 
 // Int64 returns b as an int64.

@@ -63,8 +63,8 @@ func (c *Cluster) Now() Duration { return Duration(c.Eng.Now()) }
 
 // VENodes returns the application node ids of every VE in the cluster —
 // machine-major, 1..N, matching ConnectCluster's numbering — the natural
-// node set for a cluster-wide sched.Scheduler. veLimit mirrors
-// ProtocolOptions.VEs: it caps the VEs counted per machine (<= 0 = all).
+// node set for a cluster-wide sched.Scheduler. veLimit caps the VEs counted
+// per machine (<= 0 = all).
 func (c *Cluster) VENodes(veLimit int) []core.NodeID {
 	var nodes []core.NodeID
 	next := core.NodeID(1)
@@ -88,9 +88,9 @@ func (c *Cluster) VENodes(veLimit int) []core.NodeID {
 func ConnectCluster(p *Proc, c *Cluster, opts ProtocolOptions) (*core.Runtime, error) {
 	cards := make([][]*veos.Card, len(c.Nodes))
 	for i, m := range c.Nodes {
-		cards[i] = opts.cards(m)
+		cards[i] = m.Cards
 	}
-	b, err := mpib.Connect(p, c.Eng, c.IB, cards, mpib.Options{Local: opts.dmaOptions()})
+	b, err := mpib.Connect(p, c.Eng, c.IB, cards, opts.dmaOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -173,14 +173,10 @@ type ProtocolOptions struct {
 	NumBuffers int
 	// BufSize is the capacity of one message buffer (default 4 KiB).
 	BufSize int
-	// ResultInline is the inline result capacity per slot (default 248).
-	ResultInline int
 	// ResultViaDMA makes the DMA protocol return results through a user-DMA
 	// write instead of SHM word stores (an ablation; default false = SHM,
 	// which the paper found faster for small messages).
 	ResultViaDMA bool
-	// VEs limits the connection to the machine's first n cards (default all).
-	VEs int
 	// OffloadTimeout bounds the simulated wait for any single offload
 	// attempt; past it, the future fails with core.ErrOffloadTimeout. The
 	// default 0 waits forever (the pre-fault-tolerance behaviour).
@@ -207,19 +203,11 @@ type ProtocolOptions struct {
 	RetryBudget core.RetryBudget
 }
 
-func (o ProtocolOptions) cards(m *Machine) []*veos.Card {
-	if o.VEs <= 0 || o.VEs > len(m.Cards) {
-		return m.Cards
-	}
-	return m.Cards[:o.VEs]
-}
-
 // ringOptions returns the slot-ring options both SX-Aurora protocols share.
 func (o ProtocolOptions) ringOptions() ring.Options {
 	return ring.Options{
 		NumBuffers:     o.NumBuffers,
 		BufSize:        o.BufSize,
-		ResultInline:   o.ResultInline,
 		OffloadTimeout: o.OffloadTimeout,
 	}
 }
@@ -245,7 +233,7 @@ func (o ProtocolOptions) runtime(b core.Backend, arch, name string, t *topology.
 // communication buffers in VE memory, all transfers through privileged DMA.
 // It returns the host runtime; targets are nodes 1..VEs.
 func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error) {
-	b, err := veob.Connect(p, opts.cards(m), opts.ringOptions())
+	b, err := veob.Connect(p, m.Cards, opts.ringOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +244,7 @@ func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error
 // communication buffers in a VH shared-memory segment, VE-initiated LHM
 // polls, user-DMA message fetches and SHM result stores.
 func ConnectDMA(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error) {
-	b, err := dmab.Connect(p, opts.cards(m), opts.dmaOptions())
+	b, err := dmab.Connect(p, m.Cards, opts.dmaOptions())
 	if err != nil {
 		return nil, err
 	}

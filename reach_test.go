@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hamoffload/internal/analysis"
@@ -50,6 +51,23 @@ var reachAllow = map[string]string{
 	"internal/mem.Memory.ResidentBytes":           "the resident-memory observer of core's and veos's memory pins, in other packages than mem",
 }
 
+// modulePackages loads the module's non-test code once for both tests here.
+var modulePackages = func() func(t *testing.T) []*analysis.Package {
+	var (
+		once sync.Once
+		pkgs []*analysis.Package
+		err  error
+	)
+	return func(t *testing.T) []*analysis.Package {
+		t.Helper()
+		once.Do(func() { pkgs, err = analysis.Load(".", "./...") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs
+	}
+}()
+
 // TestReachability fails on every function outside the test-support packages
 // that no root reaches. The roots are every main, init and package-level
 // variable initializer, every function of the test-support packages, and the
@@ -65,10 +83,7 @@ func TestReachability(t *testing.T) {
 	if len(reachAllow) > 25 {
 		t.Errorf("reachAllow has %d entries, more than 25", len(reachAllow))
 	}
-	pkgs, err := analysis.Load(".", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 	r := &reach{
 		impls: callgraph.NewImplTable(pkgs),
 		refs:  map[*types.Func][]*types.Func{},

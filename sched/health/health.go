@@ -8,7 +8,7 @@
 //	CLOSED ────────────────────────────────────────▶ OPEN
 //	  ▲                                               │
 //	  │ probe succeeds                     OpenFor    │
-//	  │ (ProbeSuccesses times)             elapses    │
+//	  │                                    elapses    │
 //	  │                                               ▼
 //	  └───────────────────────────────────────── HALF-OPEN
 //	                   probe fails ▶ back to OPEN
@@ -62,9 +62,6 @@ func (s State) String() string {
 // Config parameterises a Tracker. The zero value of every field selects a
 // sensible default, so New(Config{}, ...) is usable directly.
 type Config struct {
-	// EWMAAlpha is the weight of the newest latency sample in the per-node
-	// EWMA (default 0.25).
-	EWMAAlpha float64
 	// OutlierFactor ejects a node whose latency EWMA exceeds this multiple
 	// of the healthiest node's EWMA (default 4). Outlier detection needs at
 	// least two nodes with samples; a single-node tracker only ejects on
@@ -80,15 +77,12 @@ type Config struct {
 	// OpenFor is the cooldown an open breaker holds before admitting a
 	// probe (default 200 µs of simulated time).
 	OpenFor simtime.Duration
-	// ProbeSuccesses is how many consecutive successful probes re-close a
-	// half-open breaker (default 1).
-	ProbeSuccesses int
 }
 
+// ewmaAlpha is the weight of the newest latency sample in the per-node EWMA.
+const ewmaAlpha = 0.25
+
 func (c Config) withDefaults() Config {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.25
-	}
 	if c.OutlierFactor <= 1 {
 		c.OutlierFactor = 4
 	}
@@ -100,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 200 * simtime.Microsecond
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
 	}
 	return c
 }
@@ -117,7 +108,6 @@ type node struct {
 	state    State
 	openedAt simtime.Time
 	probing  bool // HalfOpen: the single probe slot is taken
-	probeOK  int  // HalfOpen: consecutive probe successes so far
 	observed int64
 	failed   int64
 }
@@ -240,10 +230,8 @@ func (t *Tracker) transition(n *node, s State) {
 	case Open:
 		n.openedAt = now
 		n.probing = false
-		n.probeOK = 0
 	case HalfOpen:
 		n.probing = false
-		n.probeOK = 0
 		// Latency history from before the ejection would judge even a fast
 		// probe an outlier forever; the probe re-learns from scratch. A probe
 		// that is still slow sets a fresh outlier EWMA and re-opens.
@@ -269,11 +257,10 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 		n.failRun++
 	} else {
 		n.failRun = 0
-		a := t.cfg.EWMAAlpha
 		if !n.sampled {
 			n.ewma, n.sampled = float64(lat), true
 		} else {
-			n.ewma = a*float64(lat) + (1-a)*n.ewma
+			n.ewma = ewmaAlpha*float64(lat) + (1-ewmaAlpha)*n.ewma
 		}
 		if t.tr != nil {
 			t.tr.Tracer().Gauge(int(n.id), trace.SeriesHealth, t.clock(), int64(n.ewma))
@@ -304,10 +291,7 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 			t.transition(n, Open)
 			return
 		}
-		n.probeOK++
-		if n.probeOK >= t.cfg.ProbeSuccesses {
-			t.transition(n, Closed)
-		}
+		t.transition(n, Closed)
 	case Open:
 		// Late settlements of offloads issued before ejection; counted in
 		// the stats above but they do not move the breaker.

@@ -21,9 +21,8 @@ func newT(cfg Config, clk *testClock, ids ...core.NodeID) *Tracker {
 
 func TestDefaultsApplied(t *testing.T) {
 	trk := newT(Config{}, &testClock{}, 1)
-	if trk.cfg.EWMAAlpha != 0.25 || trk.cfg.OutlierFactor != 4 ||
-		trk.cfg.OutlierStrikes != 8 || trk.cfg.FailureStrikes != 3 ||
-		trk.cfg.OpenFor != 200*simtime.Microsecond || trk.cfg.ProbeSuccesses != 1 {
+	if trk.cfg.OutlierFactor != 4 || trk.cfg.OutlierStrikes != 8 ||
+		trk.cfg.FailureStrikes != 3 || trk.cfg.OpenFor != 200*simtime.Microsecond {
 		t.Fatalf("defaults not applied: %+v", trk.cfg)
 	}
 }
@@ -169,27 +168,6 @@ func TestFailedProbeReopens(t *testing.T) {
 	}
 }
 
-func TestProbeSuccessesThreshold(t *testing.T) {
-	clk := &testClock{}
-	cfg := Config{FailureStrikes: 1, OpenFor: simtime.Microsecond, ProbeSuccesses: 2}
-	trk := newT(cfg, clk, 1, 2)
-	trk.Observe(1, 0, true)
-	clk.tick(cfg.OpenFor)
-	trk.CommitAdmit(1)
-	trk.Observe(1, simtime.Microsecond, false)
-	if trk.StateOf(1) != HalfOpen {
-		t.Fatal("one probe success of two must keep the breaker half-open")
-	}
-	if !trk.Allows(1) {
-		t.Fatal("settled probe must free the probe slot")
-	}
-	trk.CommitAdmit(1)
-	trk.Observe(1, simtime.Microsecond, false)
-	if trk.StateOf(1) != Closed {
-		t.Fatal("second probe success must re-close the breaker")
-	}
-}
-
 func TestStragglerSettlementsIgnored(t *testing.T) {
 	clk := &testClock{}
 	trk := newT(Config{FailureStrikes: 1, OpenFor: simtime.Second}, clk, 1, 2)
@@ -215,6 +193,42 @@ func TestStateString(t *testing.T) {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
 		}
+	}
+}
+
+// TestUntrackedNodes: an id outside the tracked set — negative, past the
+// index or in a gap of it — reads as a closed breaker with no samples and
+// no stats, and observing or admitting it changes nothing. A nil clock pins
+// time to 0, so an opened breaker's cooldown never elapses.
+func TestUntrackedNodes(t *testing.T) {
+	trk := New(Config{}, nodes(1, 3), nil)
+	if got := trk.Nodes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("Nodes = %v, want [1 3]", got)
+	}
+	for _, id := range nodes(-1, 2, 99) {
+		trk.Observe(id, 0, true)
+		trk.CommitAdmit(id)
+		if trk.StateOf(id) != Closed || !trk.Allows(id) {
+			t.Errorf("untracked node %d: state %v, allowed %v", id, trk.StateOf(id), trk.Allows(id))
+		}
+		if _, ok := trk.EWMA(id); ok {
+			t.Errorf("untracked node %d has an EWMA", id)
+		}
+		if obs, failed := trk.Stats(id); obs != 0 || failed != 0 {
+			t.Errorf("untracked node %d: stats (%d, %d)", id, obs, failed)
+		}
+	}
+	if n := trk.Transitions(); n != 0 {
+		t.Fatalf("untracked observations made %d transitions", n)
+	}
+	for i := 0; i < 3; i++ {
+		trk.Observe(1, 0, true)
+	}
+	if trk.StateOf(1) != Open || trk.Allows(1) {
+		t.Fatalf("under a nil clock: state %v, allowed %v, want an open breaker that stays shut", trk.StateOf(1), trk.Allows(1))
+	}
+	if s := State(7).String(); s != "State(7)" {
+		t.Fatalf("State(7).String() = %q", s)
 	}
 }
 

@@ -37,8 +37,10 @@ type refNode struct {
 	state    health.State
 	openedAt simtime.Time
 	probing  bool
-	probeOK  int
 }
+
+// refAlpha is the documented weight of the newest latency sample.
+const refAlpha = 0.25
 
 // refTracker is the reference state machine over all nodes.
 type refTracker struct {
@@ -81,8 +83,7 @@ func (r *refTracker) observe(t *testing.T, id core.NodeID, lat simtime.Duration,
 		if !n.sampled {
 			n.ewma, n.sampled = float64(lat), true
 		} else {
-			a := r.cfg.EWMAAlpha
-			n.ewma = a*float64(lat) + (1-a)*n.ewma
+			n.ewma = refAlpha*float64(lat) + (1-refAlpha)*n.ewma
 		}
 	}
 	outlier := false
@@ -102,7 +103,6 @@ func (r *refTracker) observe(t *testing.T, id core.NodeID, lat simtime.Duration,
 			n.state = health.Open
 			n.openedAt = *r.now
 			n.probing = false
-			n.probeOK = 0
 		}
 	case health.HalfOpen:
 		if !n.probing {
@@ -112,17 +112,13 @@ func (r *refTracker) observe(t *testing.T, id core.NodeID, lat simtime.Duration,
 		if failed || outlier {
 			n.state = health.Open
 			n.openedAt = *r.now
-			n.probeOK = 0
 			return
 		}
-		n.probeOK++
-		if n.probeOK >= r.cfg.ProbeSuccesses {
-			// PROPERTY: the only path back to Closed from an ejection runs
-			// through an admitted probe that succeeded.
-			n.state = health.Closed
-			n.failRun, n.slowRun, n.probing = 0, 0, false
-			r.closedViaProbe = true
-		}
+		// PROPERTY: the only path back to Closed from an ejection runs
+		// through an admitted probe that succeeded.
+		n.state = health.Closed
+		n.failRun, n.slowRun, n.probing = 0, 0, false
+		r.closedViaProbe = true
 	case health.Open:
 		// Late settlements never move an open breaker.
 	}
@@ -147,7 +143,6 @@ func (r *refTracker) commitAdmit(t *testing.T, id core.NodeID) {
 		if r.now.Sub(n.openedAt) >= r.cfg.OpenFor {
 			n.state = health.HalfOpen
 			n.probing = true
-			n.probeOK = 0
 			// PROPERTY: latency history resets on entry to HalfOpen.
 			n.ewma, n.sampled = 0, false
 		}
@@ -162,12 +157,10 @@ func (r *refTracker) commitAdmit(t *testing.T, id core.NodeID) {
 func runModelSchedule(t *testing.T, seed uint64, steps int) (transitions int64, closedViaProbe bool) {
 	ids := []core.NodeID{1, 2, 3}
 	cfg := health.Config{
-		EWMAAlpha:      0.25,
 		OutlierFactor:  4,
 		OutlierStrikes: 4,
 		FailureStrikes: 3,
 		OpenFor:        50 * simtime.Microsecond,
-		ProbeSuccesses: 2, // >1 exercises the multi-probe re-close path
 	}
 	var now simtime.Time
 	trk := health.New(cfg, ids, func() simtime.Time { return now })
