@@ -101,7 +101,7 @@ func Fig10(w machine.World, cfg Fig10Config) ([]Series, error) {
 		}
 		p.Sleep(2 * card.Timing.DMAATBRegister)
 
-		udma := dma.NewUserDMA(m.Eng, "bench", card.Timing, card.Mem.ATB(), card.Path)
+		udma := dma.NewUserDMA(card.Timing, card.Mem.ATB(), card.Path)
 		instr := dma.NewInstr(card.Timing, card.Mem.ATB(), card.Path)
 		instBuf := make([]byte, cfg.InstMaxSize)
 

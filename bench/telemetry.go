@@ -41,8 +41,9 @@ type TelemetryResult struct {
 	Retries           int64
 
 	// The DES engine's footprint on the run, all simulated: wake events
-	// processed, the clock at completion, the event-queue high-water mark.
+	// processed, yields, the clock at completion, the queue high-water mark.
 	Events      uint64
+	Yields      uint64
 	FinalTime   simtime.Time
 	MaxQueueLen int
 }
@@ -120,7 +121,7 @@ func Telemetry(w machine.World, cfg TelemetryConfig) (TelemetryResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Events, res.FinalTime, res.MaxQueueLen = m.Eng.Events(), m.Eng.Now(), m.Eng.MaxQueueLen()
+	res.Events, res.Yields, res.FinalTime, res.MaxQueueLen = m.Eng.Events(), m.Eng.Yields(), m.Eng.Now(), m.Eng.MaxQueueLen()
 	return res, nil
 }
 
@@ -132,13 +133,13 @@ func RenderTelemetry(w io.Writer, r TelemetryResult) {
 		r.VEs, r.Waves, r.Tasks)
 	r.Tracer.Render(w)
 	fmt.Fprintf(w, "runtime retries observed: %d\n", r.Retries)
-	fmt.Fprintf(w, "engine (deterministic): %d events to t=%v, max queue depth %d\n",
-		r.Events, r.FinalTime, r.MaxQueueLen)
+	fmt.Fprintf(w, "engine (deterministic): %d events, %d yields to t=%v, max queue depth %d\n",
+		r.Events, r.Yields, r.FinalTime, r.MaxQueueLen)
 }
 
 // EngineReport is the DES engine's own footprint on the telemetry workload:
-// how many events the run schedules, when it ends and how deep the event
-// queue gets. Every field is simulated, so BENCH_engine.json is compared
+// how many events the run schedules and how many switch processes, when it
+// ends and how deep the event queue gets. Every field is simulated, so BENCH_engine.json is compared
 // exactly; how fast the engine turns events over on the wall clock is
 // bench/perf's to bound (BENCHMARK.json), not this file's.
 type EngineReport struct {
@@ -146,6 +147,7 @@ type EngineReport struct {
 	Offloads      int     `json:"offloads"`
 	VEs           int     `json:"ves"`
 	Events        uint64  `json:"events"`
+	Yields        uint64  `json:"yields"`
 	SimTimeUS     float64 `json:"sim_time_us"`
 	MaxQueueDepth int     `json:"max_queue_depth"`
 }
@@ -159,6 +161,7 @@ func EngineProfileReport(w machine.World, cfg TelemetryConfig) (EngineReport, er
 		Offloads:      res.Waves * res.Tasks,
 		VEs:           res.VEs,
 		Events:        res.Events,
+		Yields:        res.Yields,
 		SimTimeUS:     res.FinalTime.Microseconds(),
 		MaxQueueDepth: res.MaxQueueLen,
 	}, err

@@ -47,9 +47,9 @@ func TestTelemetryArmedDeterministic(t *testing.T) {
 	if !bytes.Equal(d1.folded, d2.folded) {
 		t.Error("folded flamegraph export differs between identical runs")
 	}
-	if res1.Events != res2.Events || res1.FinalTime != res2.FinalTime || res1.MaxQueueLen != res2.MaxQueueLen {
-		t.Errorf("deterministic engine fields differ: %d/%v/%d vs %d/%v/%d",
-			res1.Events, res1.FinalTime, res1.MaxQueueLen, res2.Events, res2.FinalTime, res2.MaxQueueLen)
+	if res1.Events != res2.Events || res1.Yields != res2.Yields || res1.FinalTime != res2.FinalTime || res1.MaxQueueLen != res2.MaxQueueLen {
+		t.Errorf("deterministic engine fields differ: %d/%d/%v/%d vs %d/%d/%v/%d",
+			res1.Events, res1.Yields, res1.FinalTime, res1.MaxQueueLen, res2.Events, res2.Yields, res2.FinalTime, res2.MaxQueueLen)
 	}
 	if res1.Retries != res2.Retries {
 		t.Errorf("retry counts differ: %d vs %d", res1.Retries, res2.Retries)
@@ -73,5 +73,19 @@ func TestEngineReportDeterministicFields(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Errorf("engine report differs between identical runs: %+v vs %+v", r1, r2)
+	}
+}
+
+// The committed BENCH_engine.json, events and yields included, is what the
+// engine row measures now: a change that adds a coroutine switch to the
+// telemetry workload — a charge that sleeps at once, a park that no longer
+// takes its own next event in place — moves it, as an extra event does.
+func TestEngineBaselineHolds(t *testing.T) {
+	row, ok := Lookup("engine")
+	if !ok {
+		t.Fatal("no engine row")
+	}
+	if _, err := row.Regress("..", true, 0); err != nil {
+		t.Error(err)
 	}
 }

@@ -127,17 +127,18 @@ type hostSide struct {
 	results []mem.Word // the send flags, resolved for PollResult
 }
 
-// WriteMessage implements ring.HostTransport with a local store.
+// WriteMessage implements ring.HostTransport with a local store, its copy owed.
 func (t *hostSide) WriteMessage(slot int, msg []byte) error {
 	if err := t.Card.Host.WriteAt(msg, t.lay.recvBuf(slot)); err != nil {
 		return err
 	}
-	t.P.Sleep(simtime.BytesOver(int64(len(msg)), t.Card.Timing.HostMemCopyRate))
+	t.P.Charge(simtime.BytesOver(int64(len(msg)), t.Card.Timing.HostMemCopyRate))
 	return nil
 }
 
-// PublishFlag implements ring.HostTransport with a local word store.
+// PublishFlag implements ring.HostTransport with a local word store, paid first.
 func (t *hostSide) PublishFlag(slot int, word uint64) error {
+	t.P.Pay()
 	return t.Card.Host.WriteUint64(t.lay.recvFlag(slot), word)
 }
 
@@ -222,7 +223,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx.P.Sleep(card.Timing.DMAATBRegister)
+	ctx.Proc.Sleep(card.Timing.DMAATBRegister)
 	stage, err := card.Mem.Alloc(int64(o.BufSize))
 	if err != nil {
 		return 0, err
@@ -231,7 +232,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx.P.Sleep(card.Timing.DMAATBRegister)
+	ctx.Proc.Sleep(card.Timing.DMAATBRegister)
 	t := &veSide{
 		kctx: ctx, card: card, lay: layout{Options: o, base: shmVEHVA},
 		resultViaDMA: args[6] != 0, stage: stage, stageVEHVA: stageVEHVA,
@@ -252,7 +253,7 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 
 // LoadFlag implements ring.TargetTransport with an LHM load from VH memory.
 func (t *veSide) LoadFlag(slot int) (uint64, error) {
-	return t.kctx.Instr().LoadWord(t.kctx.P, &t.flags[slot])
+	return t.kctx.Instr().LoadWord(t.kctx.Proc, &t.flags[slot])
 }
 
 // QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
@@ -282,14 +283,14 @@ func (t *veSide) WatchFlags(w *simtime.Watch) {
 // Fetch implements ring.TargetTransport: user DMA into the local staging
 // buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).
 func (t *veSide) Fetch(slot int, msg []byte) error {
-	if err := t.kctx.UserDMA().Post(t.kctx.P, dma.Raw, pcie.Down,
+	if err := t.kctx.UserDMA().Post(t.kctx.Proc, dma.Raw, pcie.Down,
 		t.stageVEHVA, t.lay.recvBuf(slot), int64(len(msg))); err != nil {
 		return err
 	}
 	if err := t.card.Mem.ReadAt(msg, t.stage); err != nil {
 		return err
 	}
-	t.kctx.P.Sleep(t.card.Timing.HAMVEOverhead)
+	t.kctx.Proc.Charge(t.card.Timing.HAMVEOverhead)
 	return nil
 }
 
@@ -303,7 +304,7 @@ func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
 			if err := t.dmaOut(t.lay.sendInline(slot), inline); err != nil {
 				return err
 			}
-		} else if err := t.kctx.Instr().StoreBytes(t.kctx.P, t.lay.sendInline(slot), inline); err != nil {
+		} else if err := t.kctx.Instr().StoreBytes(t.kctx.Proc, t.lay.sendInline(slot), inline); err != nil {
 			return err
 		}
 	}
@@ -318,10 +319,10 @@ func (t *veSide) dmaOut(dst mem.Addr, data []byte) error {
 	if err := t.card.Mem.WriteAt(data, t.stage); err != nil {
 		return err
 	}
-	return t.kctx.UserDMA().Post(t.kctx.P, dma.Raw, pcie.Up, dst, t.stageVEHVA, int64(len(data)))
+	return t.kctx.UserDMA().Post(t.kctx.Proc, dma.Raw, pcie.Up, dst, t.stageVEHVA, int64(len(data)))
 }
 
 // PublishResultFlag implements ring.TargetTransport with an SHM word store.
 func (t *veSide) PublishResultFlag(slot int, word uint64) error {
-	return t.kctx.Instr().StoreWord(t.kctx.P, t.lay.sendFlag(slot), word)
+	return t.kctx.Instr().StoreWord(t.kctx.Proc, t.lay.sendFlag(slot), word)
 }

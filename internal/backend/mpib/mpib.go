@@ -249,7 +249,7 @@ func (h *Host) forward(m int, rq *request, bytes int64) error {
 	if err := h.fabric.Send(h.p, 0, m, bytes); err != nil {
 		return err
 	}
-	h.proxies[m].queue.Push(rq)
+	h.proxies[m].queue.Push(h.p, rq)
 	return nil
 }
 

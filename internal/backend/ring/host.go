@@ -71,9 +71,10 @@ func (o *Options) mid(slot int, seq uint32) int64 {
 // and only then publishes its flag (the flagorder analyzer checks the call
 // sites; a method whose name contains Flag publishes).
 type HostTransport interface {
-	// WriteMessage places msg in the slot's receive buffer.
+	// WriteMessage places msg in the slot's receive buffer, which the host
+	// owns until the flag: its cost may be owed (simtime.Proc.Charge).
 	WriteMessage(slot int, msg []byte) error
-	// PublishFlag makes the slot's message visible to the target.
+	// PublishFlag pays the host's debt and makes the slot's message visible.
 	PublishFlag(slot int, word uint64) error
 	// PollResult reads the slot's result flag word once. When the transport's
 	// HostFacts.PollGap > 0 this is a free load: it takes no simulated time,
@@ -302,7 +303,7 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 		return nil, h.errTooLong(len(msg))
 	}
 	callStart := h.cfg.tracer.Now()
-	h.p.Sleep(c.f.Overhead)
+	h.p.Charge(c.f.Overhead) // PublishFlag pays it
 	slot := c.next
 	// The host manages the buffers: a slot is free again once the result of
 	// its previous use has been consumed.
@@ -428,6 +429,7 @@ func (q *resultPoll) Hit() bool {
 }
 
 func (h *Host) wait(hd *handle) ([]byte, error) {
+	h.p.Pay() // a Call draining its slot owes its overhead
 	c := hd.c
 	defer h.cfg.tracer.Begin(trace.PhaseWait, h.spanWait, h.cfg.mid(hd.slot, hd.seq))()
 	var deadline simtime.Time // zero: none

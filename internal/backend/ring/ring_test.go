@@ -102,6 +102,9 @@ func (f *fake) PublishFlag(slot int, word uint64) error {
 	if err := f.step("flag", slot); err != nil {
 		return err
 	}
+	if f.p != nil {
+		f.p.Pay() // the target reads the flag: the host's debt is paid first
+	}
 	f.recvFlag[slot] = word
 	f.notify()
 	return nil

@@ -39,14 +39,15 @@ type TargetTransport interface {
 	// WatchFlags makes the store that lands any receive flag word notify w.
 	WatchFlags(w *simtime.Watch)
 	// Fetch brings the slot's len(msg)-byte message into msg, charging the
-	// transfer and the fixed VE-side framework overhead (HAMVEOverhead).
+	// transfer and the fixed VE-side framework overhead (HAMVEOverhead),
+	// owed: the VE owns the slot until its result flag (simtime.Proc.Charge).
 	Fetch(slot int, msg []byte) error
 	// PushResult places a result in the slot's send buffers: inline next to
-	// the flag, the rest in the overflow buffer.
+	// the flag, the rest in the overflow buffer, its cost owed like Fetch's.
 	//
 	//ham:borrowed inline overflow
 	PushResult(slot int, inline, overflow []byte) error
-	// PublishResultFlag makes the slot's result visible to the host.
+	// PublishResultFlag pays the VE's debt and makes the result visible.
 	PublishResultFlag(slot int, word uint64) error
 }
 
@@ -79,7 +80,6 @@ type Target struct {
 	desc  core.NodeDescriptor
 	heap  core.LocalMemory
 	cpu   core.Clock // the kernel context ham_main runs on
-	win   *veos.Ctx  // the same, whose charge window wraps Dispatch; nil off a VE
 	seq   []uint32   // next receive sequence per slot
 	// recv holds the message being served. One buffer serves every message:
 	// Dispatch only borrows it for the call (core.Server), and the loop
@@ -265,15 +265,8 @@ func (t *Target) Serve(s core.Server) error {
 			return err
 		}
 
-		// The message's kernel charges are one sleep, taken before the
-		// result goes out (veos.Ctx.OpenWindow).
-		if t.win != nil {
-			t.win.OpenWindow()
-		}
+		// What serving the message costs is owed until its result flag.
 		resp := s.Dispatch(msg)
-		if t.win != nil {
-			t.win.CloseWindow()
-		}
 		endResult := t.nt.Begin(trace.PhaseResult, t.spanResult, mid)
 		err = t.respond(next, seq[next], resp)
 		// The handler already ran exactly once; only the result push is

@@ -31,11 +31,11 @@ func targetOf(vp *veos.Process) (*Target, bool) {
 func Register(ctx *veos.Ctx, cfg TargetConfig) {
 	vp := ctx.Context.Process()
 	card := vp.Card()
-	t := newTarget(cfg, ctx.P, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
+	t := newTarget(cfg, ctx.Proc, card.Timing.HAMVEPollInterval, func() bool { return !card.Crashed() })
 	t.nt = card.Timing.Tracer.Node(cfg.Self, cfg.Name, ctx)
 	t.desc = core.NodeDescriptor{Name: fmt.Sprintf("ve%d", card.ID), Arch: TargetArch, Device: "NEC VE Type 10B"}
 	t.heap = card.Mem.Heap
-	t.cpu, t.win = ctx, ctx
+	t.cpu = ctx
 	card.Notifies(&t.idle.Watch)
 	vp.SetRuntime(t)
 }

@@ -192,7 +192,7 @@ func hamCommInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 		return 0, fmt.Errorf("veob: ham_comm_init wants 6 args, got %d", len(args))
 	}
 	o := ring.Options{NumBuffers: int(args[1]), BufSize: int(args[2]), ResultInline: int(args[3])}
-	t := &veSide{p: ctx.P, card: ctx.Context.Process().Card(), lay: layout{Options: o, base: args[0]},
+	t := &veSide{p: ctx.Proc, card: ctx.Context.Process().Card(), lay: layout{Options: o, base: args[0]},
 		flags: make([]mem.Word, o.NumBuffers)}
 	for i := range t.flags {
 		t.flags[i] = t.card.Mem.WordAt(mem.Addr(t.lay.recvFlag(i)))
@@ -234,7 +234,7 @@ func (t *veSide) Fetch(slot int, msg []byte) error {
 	if err := t.card.Mem.ReadAt(msg, mem.Addr(t.lay.recvBuf(slot))); err != nil {
 		return err
 	}
-	t.p.Sleep(simtime.BytesOver(int64(len(msg)), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
+	t.p.Charge(simtime.BytesOver(int64(len(msg)), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
 	return nil
 }
 
@@ -248,11 +248,12 @@ func (t *veSide) PushResult(slot int, inline, overflow []byte) error {
 			return err
 		}
 	}
-	t.p.Sleep(simtime.BytesOver(int64(len(inline)+len(overflow)), t.card.Timing.VEMemCopyRate))
+	t.p.Charge(simtime.BytesOver(int64(len(inline)+len(overflow)), t.card.Timing.VEMemCopyRate))
 	return nil
 }
 
-// PublishResultFlag implements ring.TargetTransport with a local store.
+// PublishResultFlag implements ring.TargetTransport with a local store, paid first.
 func (t *veSide) PublishResultFlag(slot int, word uint64) error {
+	t.p.Pay()
 	return t.card.Mem.WriteUint64(mem.Addr(t.lay.sendSlot(slot)), word)
 }

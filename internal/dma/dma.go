@@ -202,12 +202,12 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 	slowDown(p, &d.timing, faults.SitePrivDMA, d.path, wire+d.timing.PrivDMAKick)
 
 	d.engine.Acquire(p, 1)
-	p.Sleep(d.translateTime(hostAddr, n, wire))
-	p.Sleep(d.timing.PrivDMAKick)
+	p.Charge(d.translateTime(hostAddr, n, wire))
+	p.Charge(d.timing.PrivDMAKick)
 	if dir == pcie.Up {
 		// The read path issues a remote descriptor fetch and synchronises
 		// with the VE memory controller before data flows back.
-		p.Sleep(d.timing.PrivDMAReadExtra)
+		p.Charge(d.timing.PrivDMAReadExtra)
 	}
 	endWire := d.timing.Tracer.Span(p, "pcie", spanWire[dir])
 	if n > 0 {
@@ -215,10 +215,10 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 		// The engine's sustained rate is below the link's TLP-limited rate;
 		// the residual time is engine-internal pacing.
 		if extra := wire - d.path.Link.WireTime(n); extra > 0 {
-			p.Sleep(extra)
+			p.Charge(extra)
 		}
 	}
-	p.Sleep(d.path.OneWayLatency())
+	p.Charge(d.path.OneWayLatency())
 	endWire()
 	d.engine.Release(1)
 
@@ -238,22 +238,18 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 
 // UserDMA is one VE core's user DMA engine. Addresses are VEHVA and must be
 // registered in the DMAATB; translation is free at transfer time because the
-// DMAATB is a hardware TLB (no OS interaction, paper §IV-A).
+// DMAATB is a hardware TLB (no OS interaction, paper §IV-A). One thread
+// posts on it (veos makes one per context), so it keeps no queue: all but
+// the shared PCIe link is the poster's own time (simtime.Proc.Charge).
 type UserDMA struct {
 	timing topology.Timing
 	atb    *vemem.DMAATB
 	path   pcie.Path
-	engine *simtime.Semaphore
 }
 
 // NewUserDMA creates the user DMA engine of one VE core.
-func NewUserDMA(eng *simtime.Engine, name string, t topology.Timing, atb *vemem.DMAATB, path pcie.Path) *UserDMA {
-	return &UserDMA{
-		timing: t,
-		atb:    atb,
-		path:   path,
-		engine: simtime.NewSemaphore(eng, name+"-userdma", 1),
-	}
+func NewUserDMA(t topology.Timing, atb *vemem.DMAATB, path pcie.Path) *UserDMA {
+	return &UserDMA{timing: t, atb: atb, path: path}
 }
 
 // Level selects how a user-DMA transfer is issued.
@@ -271,6 +267,7 @@ const (
 // Post moves n bytes from srcVEHVA to dstVEHVA in direction dir and blocks
 // until completion. Both ranges must be DMAATB-registered. Large transfers
 // split into pipelined descriptors of at most UserDMAMaxDescriptor bytes.
+// The bytes move with the last latency owed: the caller owns both ranges.
 func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHVA, srcVEHVA mem.Addr, n int64) error {
 	if n < 0 {
 		return errNegativeSize("user DMA", n)
@@ -294,11 +291,10 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 	slowDown(p, &u.timing, faults.SiteUserDMA, u.path, simtime.BytesOver(n, rate)+u.timing.UserDMAHWLatency)
 
 	defer u.timing.Tracer.Span(p, "dma", spanUserDMA[dir])()
-	u.engine.Acquire(p, 1)
 	if level == API {
-		p.Sleep(u.timing.UserDMAAPISetup)
+		p.Charge(u.timing.UserDMAAPISetup)
 	}
-	p.Sleep(u.timing.UserDMAHWLatency)
+	p.Charge(u.timing.UserDMAHWLatency)
 	endWire := u.timing.Tracer.Span(p, "pcie", spanWire[dir])
 	if n > 0 {
 		// Descriptors pipeline: total time is rate-limited; per-descriptor
@@ -311,13 +307,12 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 			}
 			u.path.Link.Occupy(p, dir, chunk)
 			if extra := simtime.BytesOver(chunk, rate) - u.path.Link.WireTime(chunk); extra > 0 {
-				p.Sleep(extra)
+				p.Charge(extra)
 			}
 		}
 	}
-	p.Sleep(u.path.OneWayLatency())
+	p.Charge(u.path.OneWayLatency())
 	endWire()
-	u.engine.Release(1)
 
 	if err := mem.Copy(dstMem, dstAddr, srcMem, srcAddr, n); err != nil {
 		return err
@@ -464,7 +459,8 @@ func (in *Instr) CountLoads(n int64) {
 	}
 }
 
-// StoreWord performs one SHM: an 8-byte posted store to the VEHVA.
+// StoreWord performs one SHM: an 8-byte posted store to the VEHVA, a flag
+// another process reads, so its cost and the debt are slept before it.
 func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 	m, addr, err := in.atb.Translate(vehva, 8)
 	if err != nil {
@@ -482,7 +478,8 @@ func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 
 // StoreBytes stores data word-by-word via SHM. The first store pays the
 // setup cost; subsequent posted stores pipeline at SHMPerWord. Data is
-// padded to a whole word as the instruction writes 8 bytes at a time.
+// padded to a whole word as the instruction writes 8 bytes at a time. The
+// cost is owed (simtime.Proc.Charge): the caller owns the range till a flag.
 func (in *Instr) StoreBytes(p *simtime.Proc, vehva mem.Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -499,7 +496,7 @@ func (in *Instr) StoreBytes(p *simtime.Proc, vehva mem.Addr, data []byte) error 
 	cost := in.timing.SHMFirstWord + simtime.Duration(words-1)*in.timing.SHMPerWord
 	slowDown(p, &in.timing, faults.SiteLHM, in.path, cost)
 	defer in.timing.Tracer.Span(p, "pcie", "shm-store")()
-	p.Sleep(cost + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency)
+	p.Charge(cost + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency)
 	in.stores += words
 	// The last word's padding is stored as zeros behind the data rather than
 	// through a padded copy of it: same bytes in memory, no buffer.

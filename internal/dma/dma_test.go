@@ -191,7 +191,7 @@ func TestUserDMAMovesBytesAndRespectsATB(t *testing.T) {
 	if err := r.ve.WriteAt([]byte("result!"), vAddr); err != nil {
 		t.Fatal(err)
 	}
-	u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
+	u := NewUserDMA(r.tm, r.ve.ATB(), r.path)
 	r.runIn(t, func(p *simtime.Proc) {
 		// VE→VH: write local buffer into host shm.
 		if err := u.Post(p, API, pcie.Up, hostVEHVA, veVEHVA, 7); err != nil {
@@ -208,7 +208,7 @@ func TestUserDMAMovesBytesAndRespectsATB(t *testing.T) {
 
 	// Unregistered addresses must raise a DMA exception.
 	r2 := newRig(t, 2*units.MiB)
-	u2 := NewUserDMA(r2.eng, "x", r2.tm, r2.ve.ATB(), r2.path)
+	u2 := NewUserDMA(r2.tm, r2.ve.ATB(), r2.path)
 	r2.runIn(t, func(p *simtime.Proc) {
 		if err := u2.Post(p, API, pcie.Up, 0xdead000, 0xbeef000, 8); err == nil {
 			t.Error("Post with unregistered VEHVA should fail")
@@ -222,7 +222,7 @@ func TestUserDMARawFasterThanAPI(t *testing.T) {
 	vAddr, _ := r.ve.Alloc(4096)
 	hostVEHVA, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	veVEHVA, _ := r.ve.ATB().Register(r.ve.Memory, vAddr, 4096)
-	u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
+	u := NewUserDMA(r.tm, r.ve.ATB(), r.path)
 	var api, raw simtime.Duration
 	r.runIn(t, func(p *simtime.Proc) {
 		s := p.Now()
@@ -484,7 +484,7 @@ func TestNegativeSizesRejected(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	d := NewPrivileged(r.eng, "ve0", r.tm, TranslateBulk4DMA,
 		r.host.PageSize.Int64(), r.path, r.host.Memory, r.ve.Memory)
-	u := NewUserDMA(r.eng, "c0", r.tm, r.ve.ATB(), r.path)
+	u := NewUserDMA(r.tm, r.ve.ATB(), r.path)
 	r.runIn(t, func(p *simtime.Proc) {
 		if err := d.Write(p, 0, 0, -1); err == nil {
 			t.Error("negative privileged write accepted")

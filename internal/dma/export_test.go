@@ -27,7 +27,7 @@ func UserDMAPeakGiBps(t *testing.T, dir pcie.Direction) float64 {
 	}
 	hostVEHVA, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, size)
 	veVEHVA, _ := r.ve.ATB().Register(r.ve.Memory, vAddr, size)
-	u := NewUserDMA(r.eng, "ve0c0", r.tm, r.ve.ATB(), r.path)
+	u := NewUserDMA(r.tm, r.ve.ATB(), r.path)
 	took := r.runIn(t, func(p *simtime.Proc) {
 		dst, src := hostVEHVA, veVEHVA
 		if dir == pcie.Down {

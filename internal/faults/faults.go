@@ -514,6 +514,11 @@ func (in *Injector) CrashNow(now simtime.Time, node int) bool {
 	return ok
 }
 
+// LinkArmed reports whether a LinkDown rule can match node's LinkError ops.
+func (in *Injector) LinkArmed(node int) bool {
+	return in != nil && in.tables[LinkDown][SiteAny].armed(node)
+}
+
 // LinkError decides whether a transfer crossing node's PCIe link fails
 // because the link is down.
 func (in *Injector) LinkError(now simtime.Time, node int) error {

@@ -91,12 +91,12 @@ func TestQuietLoadsCountAsLiteralOnes(t *testing.T) {
 		rules  []faults.Rule
 		events uint64 // of the quiet run
 	}{
-		{"DMAError window", []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteLHM, Node: 0, From: from, Until: until}}, 2640},
-		{"DMAError window and Rate", []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteLHM, Node: faults.AnyNode, Rate: 0.2, From: from, Until: until}}, 1952},
+		{"DMAError window", []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteLHM, Node: 0, From: from, Until: until}}, 2391},
+		{"DMAError window and Rate", []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteLHM, Node: faults.AnyNode, Rate: 0.2, From: from, Until: until}}, 1696},
 		{"Jitter and LinkDown windows", []faults.Rule{
 			{Kind: faults.Jitter, Site: faults.SiteLHM, Node: 1, Rate: 0.5, JitterMax: 2 * simtime.Microsecond, From: from, Until: until},
 			{Kind: faults.LinkDown, Node: 0, Rate: 0.1, From: until, Until: until.Add(100 * simtime.Microsecond)},
-		}, 1401},
+		}, 1213},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := &faults.Plan{Seed: 7, Rules: tc.rules}

@@ -76,6 +76,7 @@ func (l *Link) Occupy(p *simtime.Proc, dir Direction, n int64) {
 	if n <= 0 {
 		return
 	}
+	p.Pay() // the channel and its fault site are shared by every user of the link
 	wire := l.WireTime(n)
 	if l.timing.Faults != nil {
 		if d := l.timing.Faults.SlowDelay(p.Now(), faults.SitePCIe, l.ve, wire); d > 0 {
@@ -97,6 +98,9 @@ func (l *Link) VE() int { return l.ve }
 // cost — without an injector. The DMA engines check it before moving bytes,
 // so a down link fails transfers instead of delivering them.
 func (l *Link) Err(p *simtime.Proc) error {
+	if l.timing.Faults.LinkArmed(l.ve) {
+		p.Pay() // the VH's and the VE's transfers share the link's op counter
+	}
 	return l.timing.Faults.LinkError(p.Now(), l.ve)
 }
 

@@ -31,12 +31,12 @@ func BenchmarkPingPong(b *testing.B) {
 	e.Spawn("server", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			v := req.pop(p, enginePoll)
-			resp.q.Push(v + 1)
+			resp.q.Push(p, v+1)
 		}
 	})
 	e.Spawn("client", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			req.q.Push(i)
+			req.q.Push(p, i)
 			if got := resp.pop(p, enginePoll); got != i+1 {
 				b.Errorf("got %d", got)
 				return

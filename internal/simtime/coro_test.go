@@ -42,17 +42,17 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 	e.Spawn("producer", func(p *Proc) {
 		p.Sleep(5)
 		log.rec(p, "timer")
-		q.Push(1)
+		q.Push(p, 1)
 		p.Yield()
 		log.rec(p, "timer")
-		q.Push(2)
-		q.Push(3)
+		q.Push(p, 2)
+		q.Push(p, 3)
 		p.Sleep(10) // t=15
 		log.rec(p, "timer")
-		q.Push(4)
+		q.Push(p, 4)
 		p.Sleep(15) // t=30, same instant as tick's 10th tick and ev2
 		log.rec(p, "timer")
-		q.Push(5)
+		q.Push(p, 5)
 	})
 	e.Spawn("consumer", func(p *Proc) {
 		v := qp.pop(p, poll) // the poll wakes after the producer's Yield

@@ -98,9 +98,12 @@ type Engine struct {
 	stop   bool
 	failed error // the first process panic; ends Run
 	events uint64
-	maxq   int // event-queue high-water mark (MaxQueueLen)
+	maxq   int    // event-queue high-water mark (MaxQueueLen)
+	yields uint64 // parks that switched (Yields)
 	// The process whose Poller is being asked Tick or Hit, for park's guard.
-	asking *Proc
+	asking  *Proc
+	running *Proc // the process Run resumed, while it runs (pay)
+	eager   bool  // Proc.Charge sleeps at once: the oracle tests compare with
 
 	// MaxEvents bounds the total number of processed wake events; zero means
 	// the default of 1<<40. Exceeding it aborts Run with ErrEventLimit.
@@ -126,6 +129,9 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of wake events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
+// Yields returns the number of parks that switched back to Run.
+func (e *Engine) Yields() uint64 { return e.yields }
+
 // MaxQueueLen returns the event-queue high-water mark: the largest number
 // of wake events that were ever pending at once.
 func (e *Engine) MaxQueueLen() int { return e.maxq }
@@ -133,13 +139,14 @@ func (e *Engine) MaxQueueLen() int { return e.maxq }
 // Spawn registers fn as a new process named name. The process starts running
 // at the current simulated time, after the plain wakes already pending at
 // that time and before its poll loops' tick wakes.
-// Spawn may be called before Run or from within a running process.
+// Spawn may be called before Run or by a running process, which pays first.
 //
 // A panic in fn ends Run with an error naming the process. runtime.Goexit
 // in fn (t.Fatal, t.Skip) runs fn's deferred calls and then terminates the
 // goroutine that called Run the same way: its deferred calls run and Run
 // does not return.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	e.pay()
 	p := &Proc{eng: e, name: name, blockedOn: "spawn", prev: e.last, key: 1<<63 | e.procs}
 	e.procs++
 	if e.last == nil {
@@ -153,6 +160,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		defer p.finish()
 		if !p.killed { // else: shut down before its first wake
 			fn(p)
+			p.Pay()
 		}
 	})
 	e.schedule(e.now, p)
@@ -202,6 +210,13 @@ func (e *Engine) push(ev event) {
 // finishes. Remaining processes stay parked and are reclaimed by Shutdown.
 func (e *Engine) Stop() { e.stop = true }
 
+// pay makes the running process, if any, pay its debt.
+func (e *Engine) pay() {
+	if p := e.running; p != nil {
+		p.Pay()
+	}
+}
+
 // Run executes the simulation until all processes finish, a process calls
 // Stop, the event budget is exceeded, or a deadlock is detected.
 func (e *Engine) Run() error {
@@ -210,7 +225,9 @@ func (e *Engine) Run() error {
 		if p == nil {
 			return err
 		}
+		e.running = p
 		p.resume()
+		e.running = nil
 	}
 }
 

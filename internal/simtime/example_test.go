@@ -30,7 +30,7 @@ func Example() {
 	eng.Spawn("producer", func(p *simtime.Proc) {
 		for i := 0; i < 4; i++ {
 			p.Sleep(10 * simtime.Microsecond)
-			q.Push(i)
+			q.Push(p, i)
 		}
 	})
 	eng.Spawn("consumer", func(p *simtime.Proc) {

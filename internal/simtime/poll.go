@@ -67,7 +67,7 @@ type pollPark struct {
 // noWake is the time of a wake that is not queued.
 const noWake = Time(math.MaxInt64)
 
-// Poll is
+// Poll pays p's debt, then is
 //
 //	for {
 //		cost, take, _ := q.Tick(p.Now())
@@ -100,6 +100,7 @@ const noWake = Time(math.MaxInt64)
 // wake of their instant, and two processes' tick wakes in spawn order. A
 // parked poll's wake stands for one and takes its place.
 func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
+	p.Pay()
 	e := p.eng
 	atTick := true // the process is at a tick, else at the end of a poll it issued
 	for entry := true; ; entry = false {
@@ -177,7 +178,8 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 // may have changed. If Hit now holds, the poll is woken at the first end of a
 // poll at or after now that the loop has not run yet; otherwise, if its Tick
 // takes the first such tick, at that tick. A wake already queued before
-// either stands.
+// either stands. The notifier has paid its debt: a Fire or Push pays it, a
+// store's caller pays it (Proc.Charge).
 func (wt *Watch) Notify() {
 	w := wt.w
 	if w == nil {

@@ -347,7 +347,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		e.Spawn("producer", func(p *Proc) {
 			for k, n := 0, 1+pr.n(5); k < n; k++ {
 				p.Sleep(Duration(pr.n(10)))
-				q.Push(k)
+				q.Push(p, k)
 				changed()
 				w.log.rec(p, "push")
 			}
@@ -510,7 +510,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 		sp := pr.fork()
 		e.Spawn("pusher", func(p *Proc) {
 			p.Sleep(Duration(sp.n(80)))
-			jobs.Push(1)
+			jobs.Push(p, 1)
 			w.log.rec(p, "push")
 			p.Sleep(Duration(sp.n(80)))
 			done.Fire()

@@ -19,6 +19,8 @@ type Proc struct {
 	prev, next *Proc                   // the engine's list of unfinished processes
 	key        uint64                  // 1<<63 | spawn index: the seq of its poll loop's tick wakes
 	polling    pollPark                // the park of the Poll the process is in, if any
+	debt       Duration                // charged and not yet slept (Charge)
+	owes       bool                    // charged since the last sleep, if only zero
 }
 
 // Name returns the name the process was spawned with.
@@ -27,8 +29,25 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.eng.now }
+// Now returns the engine's clock plus the debt the process owes (Charge).
+func (p *Proc) Now() Time { return p.eng.now.Add(p.debt) }
+
+// Charge adds d to the debt, time that passes for p alone: Now includes it,
+// and p pays it with one sleep at its next interaction — a park, Sleep, Spawn,
+// Fire, Push, a Semaphore, or Pay before touching shared memory.
+func (p *Proc) Charge(d Duration) {
+	p.debt, p.owes = p.debt+max(d, 0), true
+	if p.eng.eager {
+		p.Pay()
+	}
+}
+
+// Pay sleeps off the process's debt if it charged anything, even zero.
+func (p *Proc) Pay() {
+	if p.owes {
+		p.Sleep(0)
+	}
+}
 
 // park blocks until the one wake queued for this process is delivered. When
 // that wake is the very next event the engine would deliver, the process
@@ -39,6 +58,7 @@ func (p *Proc) park(label string) {
 		panic(parkedInPoller(h))
 	}
 	if next, _ := p.eng.step(p); next == nil {
+		p.eng.yields++
 		p.blockedOn = label
 		p.yield(struct{}{})
 		if p.killed {
@@ -47,14 +67,15 @@ func (p *Proc) park(label string) {
 	}
 }
 
-// Sleep suspends the process for d of simulated time. Non-positive durations
-// still yield to the scheduler (other plain wakes pending at the current time
-// run first).
+// Sleep suspends the process for its debt plus d of simulated time.
+// Non-positive durations still yield to the scheduler (other plain wakes
+// pending at the current time run first).
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p.eng.now.Add(d), p)
+	p.eng.schedule(p.eng.now.Add(p.debt+d), p)
+	p.debt, p.owes = 0, false
 	p.park("sleep")
 }
 
@@ -96,8 +117,9 @@ func (ev *Event) Fired() bool { return ev.fired }
 func (ev *Event) Notifies(w *Watch) { ev.watch = w }
 
 // Fire releases all waiters at the current simulated time, and notifies the
-// Watch set by Notifies. Firing an already fired event is a no-op.
+// Watch set by Notifies, once the running process has paid. Refiring is a no-op.
 func (ev *Event) Fire() {
+	ev.eng.pay()
 	if ev.fired {
 		return
 	}
@@ -111,8 +133,9 @@ func (ev *Event) Fire() {
 	ev.waiters = nil
 }
 
-// Wait blocks p until the event fires. Returns immediately if already fired.
+// Wait pays p's debt and blocks p until the event fires, if it has not.
 func (ev *Event) Wait(p *Proc) {
+	p.Pay()
 	if ev.fired {
 		return
 	}

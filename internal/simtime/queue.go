@@ -51,9 +51,10 @@ type Queue[T any] struct {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-// Push appends v and notifies the consumer's Watch, if any. It may be called
-// from any running process (or before Run starts).
-func (q *Queue[T]) Push(v T) {
+// Push appends v and notifies the consumer's Watch, if any, once p, the
+// pushing process, has paid its debt.
+func (q *Queue[T]) Push(p *Proc, v T) {
+	p.Pay()
 	q.items.push(v)
 	if q.watch != nil {
 		q.watch.Notify()

@@ -38,7 +38,7 @@ func TestQueueFIFO(t *testing.T) {
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.Push(i)
+			q.Push(p, i)
 			p.Sleep(10)
 		}
 	})
@@ -74,7 +74,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 	})
 	e.Spawn("producer", func(p *Proc) {
 		p.Sleep(25)
-		q.Push("hello")
+		q.Push(p, "hello")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -92,7 +92,7 @@ func TestQueueTryPop(t *testing.T) {
 		if _, ok := q.TryPop(); ok {
 			t.Error("TryPop on empty queue returned ok")
 		}
-		q.Push(7)
+		q.Push(p, 7)
 		v, ok := q.TryPop()
 		if !ok || v != 7 {
 			t.Errorf("TryPop = %d,%v want 7,true", v, ok)
@@ -124,10 +124,10 @@ func TestQueueCompaction(t *testing.T) {
 			qp := newQueuePoll(q, 1)
 			e.Spawn("main", func(p *Proc) {
 				for i := 0; i < tc.backlog; i++ {
-					q.Push(i)
+					q.Push(p, i)
 				}
 				for i := 0; i < 100_000; i++ {
-					q.Push(tc.backlog + i)
+					q.Push(p, tc.backlog+i)
 					v := -1
 					if tc.tryPop {
 						v, _ = q.TryPop()

@@ -8,3 +8,7 @@ package simtime
 // -count=10, are more memory than a small machine has; 2 000 still fill and
 // drain the live list.
 const finishedSpawns = 2_000
+
+// DebtWorlds is how many generated worlds TestDebtEquivalence runs both ways:
+// each spawns a machine's worth of processes, twice.
+const DebtWorlds = 20

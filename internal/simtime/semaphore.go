@@ -32,9 +32,10 @@ func NewSemaphore(e *Engine, name string, units int) *Semaphore {
 // Total returns the unit count.
 func (s *Semaphore) Total() int { return s.total }
 
-// Acquire blocks p until n units are available and takes them. Requests for
-// more than the total are clamped (they would otherwise never complete).
+// Acquire pays p's debt and blocks p until n units are free, then takes them.
+// Requests for more than the total are clamped (they would never complete).
 func (s *Semaphore) Acquire(p *Proc, n int) int {
+	p.Pay()
 	if n < 1 {
 		n = 1
 	}
@@ -52,8 +53,9 @@ func (s *Semaphore) Acquire(p *Proc, n int) int {
 	return n
 }
 
-// Release returns n units and grants queued requests in order.
+// Release returns n units, once paid, and grants queued requests in order.
 func (s *Semaphore) Release(n int) {
+	s.eng.pay()
 	if n < 1 {
 		return
 	}

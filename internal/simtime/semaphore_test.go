@@ -263,11 +263,11 @@ func TestQueueContendedPushPopZeroAlloc(t *testing.T) {
 		for {
 			v := req.pop(p, enginePoll)
 			p.Sleep(10)
-			resp.q.Push(v)
+			resp.q.Push(p, v)
 		}
 	})
 	use := func(p *Proc) {
-		req.q.Push(1)
+		req.q.Push(p, 1)
 		resp.pop(p, enginePoll)
 	}
 	if allocs := contendedAllocs(t, e, func(p *Proc) { p.Sleep(7) }, use); allocs != 0 {

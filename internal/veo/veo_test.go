@@ -188,7 +188,7 @@ func TestAsyncCallsOverlapWithHostWork(t *testing.T) {
 	kernelTime := 5 * simtime.Millisecond
 	veos.RegisterLibrary("libasync.so", veos.Library{
 		"slow": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			ctx.P.Sleep(kernelTime)
+			ctx.Proc.Sleep(kernelTime)
 			return 1, nil
 		},
 	})

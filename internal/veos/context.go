@@ -22,11 +22,6 @@ type Context struct {
 
 	udma  *dma.UserDMA
 	instr *dma.Instr
-
-	// The charge window (Ctx.OpenWindow): while it is open on a card with
-	// one live context, kernel charges add to debt instead of sleeping.
-	window, charged bool
-	debt            simtime.Duration
 }
 
 // Command is one queued kernel invocation with its completion state.
@@ -80,7 +75,7 @@ func (vp *Process) OpenContext(p *simtime.Proc) *Context {
 		id:    len(vp.ctxs),
 		proc:  vp,
 		cmdQ:  new(simtime.Queue[*Command]),
-		udma:  dma.NewUserDMA(vp.card.Eng, fmt.Sprintf("ve%d-ctx%d", vp.card.ID, len(vp.ctxs)), t, vp.card.Mem.ATB(), vp.card.Path),
+		udma:  dma.NewUserDMA(t, vp.card.Mem.ATB(), vp.card.Path),
 		instr: dma.NewInstr(t, vp.card.Mem.ATB(), vp.card.Path),
 	}
 	// So a quiet VE does not flood the event queue, the command poll interval
@@ -105,7 +100,7 @@ func (ctx *Context) Process() *Process { return ctx.proc }
 // command poll interval (ctx.idle) while it is empty.
 func (ctx *Context) workerLoop(p *simtime.Proc) {
 	t := ctx.proc.card.Timing
-	kctx := &Ctx{P: p, Context: ctx} // the same for every command this worker runs
+	kctx := &Ctx{Proc: p, Context: ctx} // the same for every command this worker runs
 	for !ctx.stop && !ctx.proc.card.crashed {
 		cmd, ok := ctx.cmdQ.TryPop()
 		if !ok {
@@ -114,7 +109,7 @@ func (ctx *Context) workerLoop(p *simtime.Proc) {
 		}
 		ctx.idle.Reset()
 		end := t.Tracer.Span(p, "veo", "ve-kernel")
-		p.Sleep(t.VEOCallDispatchVE)
+		p.Charge(t.VEOCallDispatchVE)
 		cmd.result, cmd.err = cmd.Kernel(kctx, cmd.Args)
 		end()
 		cmd.done.Fire()
@@ -141,7 +136,7 @@ func (ctx *Context) Submit(p *simtime.Proc, k Kernel, args []uint64) *Command {
 	cmd := &Command{Kernel: k, Args: args, done: simtime.NewEvent(card.Eng)}
 	cmd.wait.Backoff = simtime.Backoff{Base: t.VEOResultPollInterval, Max: t.VEOResultPollInterval}
 	cmd.done.Notifies(&cmd.wait)
-	ctx.cmdQ.Push(cmd)
+	ctx.cmdQ.Push(p, cmd)
 	return cmd
 }
 
@@ -157,16 +152,14 @@ func (ctx *Context) Wait(p *simtime.Proc, cmd *Command) (uint64, error) {
 // Ctx is the environment passed to a running kernel: the simulated process
 // it runs on and the VE facilities it may use. It is the simulation analog
 // of "code compiled for the VE": user DMA, LHM/SHM, local memory and the
-// roofline cost model.
+// roofline cost model, and the core.Clock of the VE-side runtime it serves.
 type Ctx struct {
-	P       *simtime.Proc
+	*simtime.Proc
 	Context *Context
 }
 
 // UserDMA returns this context's user DMA engine.
-func (c *Ctx) UserDMA() *dma.UserDMA { return c.udma() }
-
-func (c *Ctx) udma() *dma.UserDMA { return c.Context.udma }
+func (c *Ctx) UserDMA() *dma.UserDMA { return c.Context.udma }
 
 // Instr returns this context's LHM/SHM instruction unit.
 func (c *Ctx) Instr() *dma.Instr { return c.Context.instr }
@@ -187,56 +180,16 @@ func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
 // core.
 func (c *Ctx) ChargeScalar(ops int64) { c.charge(1, c.Model().ScalarTime(ops)) }
 
-// charge holds n of the card's cores for d. Inside a charge window on a card
-// with one live context no other process can want the cores, so d joins the
-// window's debt instead.
+// charge holds n of the card's cores for d. While the card has one live
+// context no other process can want the cores, so d is private time: a
+// debt of the worker's (simtime.Proc.Charge).
 func (c *Ctx) charge(n int, d simtime.Duration) {
-	x := c.Context
-	if x.window && x.proc.card.live == 1 {
-		x.debt += d
-		x.charged = true
-		return
-	}
-	c.pay()
-	pool := x.proc.card.Cores
-	got := pool.Acquire(c.P, n)
-	c.P.Sleep(d)
-	pool.Release(got)
-}
-
-// OpenWindow opens the charge window: until CloseWindow, the kernel charges
-// of a card with one live context are a debt that Now includes, paid with
-// one sleep. A served message's kernels run inside one (ring.Target.Serve),
-// touching nothing another process sees at a simulated instant.
-func (c *Ctx) OpenWindow() { c.Context.window = true }
-
-// CloseWindow closes the charge window and pays its debt: one sleep, taken
-// even for a zero debt if anything was charged.
-func (c *Ctx) CloseWindow() {
-	c.Context.window = false
-	c.pay()
-}
-
-// pay sleeps for the debt of the charges deferred so far, if there were any.
-func (c *Ctx) pay() {
-	x := c.Context
-	if x.charged {
-		d := x.debt
-		x.debt, x.charged = 0, false
-		c.P.Sleep(d)
+	if c.Context.proc.card.live == 1 {
+		c.Charge(d)
+	} else {
+		c.Context.proc.card.Cores.Use(c.Proc, n, d)
 	}
 }
 
-// Now, Sleep and Simulated complete core.Clock: a kernel context is the
-// clock of the VE-side runtime it serves. Now includes the open window's
-// debt; Sleep pays it first.
-func (c *Ctx) Now() simtime.Time { return c.P.Now().Add(c.Context.debt) }
-func (c *Ctx) Sleep(d simtime.Duration) {
-	c.pay()
-	c.P.Sleep(d)
-}
+// Simulated completes core.Clock.
 func (c *Ctx) Simulated() bool { return true }
-
-// Name returns the name of the process the kernel runs on, the thread its
-// trace spans carry.
-func (c *Ctx) Name() string { return c.P.Name() }

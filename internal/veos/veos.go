@@ -54,7 +54,7 @@ type Card struct {
 	Cores *simtime.Semaphore
 
 	proc    *Process
-	live    int // execution contexts whose worker has not returned, of any process
+	live    int // execution contexts whose worker has not returned, of any process (Ctx.charge)
 	crashed bool
 	// watches are notified when the process crashes or stops: the polls of
 	// its contexts, its serve loop and its host (Notifies).
@@ -126,8 +126,9 @@ func (c *Card) Kill() {
 // enterVEOS runs the shared fault hooks of every VEOS daemon entry point:
 // a scheduled stall window delays the caller, a fail-slow rule stretches
 // the daemon's IPC service time, a scheduled crash kills the card, and a
-// dead card refuses service.
+// dead card refuses service, once the caller has paid its debt.
 func (c *Card) enterVEOS(p *simtime.Proc) error {
+	p.Pay()
 	if inj := c.Timing.Faults; inj != nil {
 		if d := inj.StallDelay(p.Now(), c.ID); d > 0 {
 			c.Timing.Tracer.Instant(p, "fault", "veos-stall")

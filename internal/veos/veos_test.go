@@ -157,7 +157,7 @@ func TestContextsRunConcurrently(t *testing.T) {
 	kernelTime := 10 * simtime.Millisecond
 	RegisterLibrary("libslow.so", Library{
 		"slow": func(ctx *Ctx, args []uint64) (uint64, error) {
-			ctx.P.Sleep(kernelTime)
+			ctx.Proc.Sleep(kernelTime)
 			return 0, nil
 		},
 	})
@@ -192,7 +192,7 @@ func TestTwoWaitersOnOneContext(t *testing.T) {
 	ran := 0
 	RegisterLibrary("libnap.so", Library{
 		"nap": func(ctx *Ctx, args []uint64) (uint64, error) {
-			ctx.P.Sleep(simtime.Duration(args[0]) * simtime.Microsecond)
+			ctx.Proc.Sleep(simtime.Duration(args[0]) * simtime.Microsecond)
 			ran++
 			return args[0], nil
 		},
@@ -261,12 +261,12 @@ func TestKernelCtxFacilities(t *testing.T) {
 	var vectorTime, scalarTime simtime.Duration
 	RegisterLibrary("libctx.so", Library{
 		"probe": func(ctx *Ctx, args []uint64) (uint64, error) {
-			s := ctx.P.Now()
+			s := ctx.Proc.Now()
 			ctx.ChargeVector(1e9, 0, 8)
-			vectorTime = ctx.P.Now().Sub(s)
-			s = ctx.P.Now()
+			vectorTime = ctx.Proc.Now().Sub(s)
+			s = ctx.Proc.Now()
 			ctx.ChargeScalar(1e6)
-			scalarTime = ctx.P.Now().Sub(s)
+			scalarTime = ctx.Proc.Now().Sub(s)
 			if ctx.UserDMA() == nil || ctx.Instr() == nil {
 				return 1, nil
 			}

@@ -63,19 +63,12 @@ func (c *Cluster) Now() Duration { return Duration(c.Eng.Now()) }
 
 // VENodes returns the application node ids of every VE in the cluster —
 // machine-major, 1..N, matching ConnectCluster's numbering — the natural
-// node set for a cluster-wide sched.Scheduler. veLimit caps the VEs counted
-// per machine (<= 0 = all).
-func (c *Cluster) VENodes(veLimit int) []core.NodeID {
+// node set for a cluster-wide sched.Scheduler.
+func (c *Cluster) VENodes() []core.NodeID {
 	var nodes []core.NodeID
-	next := core.NodeID(1)
 	for _, m := range c.Nodes {
-		n := len(m.Cards)
-		if veLimit > 0 && veLimit < n {
-			n = veLimit
-		}
-		for i := 0; i < n; i++ {
-			nodes = append(nodes, next)
-			next++
+		for range m.Cards {
+			nodes = append(nodes, core.NodeID(len(nodes)+1))
 		}
 	}
 	return nodes

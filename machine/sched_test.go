@@ -3,6 +3,7 @@ package machine_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hamoffload/internal/topology"
@@ -59,7 +60,7 @@ func schedRun(t *testing.T, pol sched.Policy) schedOutcome {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		nodes := cl.VENodes(0)
+		nodes := cl.VENodes()
 		if want := []offload.NodeID{1, 2, 3, 4}; len(nodes) != len(want) {
 			return fmt.Errorf("VENodes = %v, want %v", nodes, want)
 		}
@@ -194,18 +195,14 @@ func TestSchedulerSingleMachine(t *testing.T) {
 	}
 }
 
-// TestVENodesLimit pins the veLimit parameter against the cluster layout.
-func TestVENodesLimit(t *testing.T) {
+// TestVENodesNumbersEveryVE pins VENodes against the cluster layout: every
+// VE of every machine, machine-major, as ConnectCluster numbers them.
+func TestVENodesNumbersEveryVE(t *testing.T) {
 	cl, err := machine.NewCluster(2, machine.Config{VEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := cl.VENodes(0)
-	if len(all) != 4 || all[0] != 1 || all[3] != 4 {
-		t.Errorf("VENodes(0) = %v, want [1 2 3 4]", all)
-	}
-	one := cl.VENodes(1)
-	if len(one) != 2 || one[0] != 1 || one[1] != 2 {
-		t.Errorf("VENodes(1) = %v, want [1 2]", one)
+	if all := cl.VENodes(); !slices.Equal(all, []offload.NodeID{1, 2, 3, 4}) {
+		t.Errorf("VENodes() = %v, want [1 2 3 4]", all)
 	}
 }

@@ -12,10 +12,11 @@ import (
 	"hamoffload/offload"
 )
 
-// A served message's kernel charges are one sleep (veos.Ctx.OpenWindow): the
-// VE worker pays a batch frame's compute with one park, and every simulated
-// instant stays what it was when each charge slept on its own. The instants
-// pinned below were measured on the code before the window existed.
+// A served message's kernel charges are private time (simtime.Proc.Charge):
+// they join the debt the VE worker owes for the message and pay with the one
+// sleep before its result flag, and every simulated instant stays what it
+// was when each charge slept on its own. The instants pinned below were
+// measured on the code before any charge was deferred.
 
 const winFlops, winBytes = 1 << 16, 1 << 14 // one frame entry's vector region, on all 8 cores
 
@@ -97,16 +98,17 @@ func sendFrame(p *machine.Proc, m *machine.Machine, rt *offload.Runtime, fn offl
 }
 
 // TestFrameChargesAreOneSleep: a frame of 8 charging kernels settles when it
-// did with a sleep per charge, and costs one event more than a frame of 8
-// empty kernels — the window's closing sleep — not 8.
+// did with a sleep per charge, and costs no event more than a frame of 8
+// empty kernels: its charges join the debt the frame owes anyway (8 more
+// with a sleep per charge).
 func TestFrameChargesAreOneSleep(t *testing.T) {
 	charged := runFrame(t, nil, winCharge, nil)
 	empty := runFrame(t, nil, winEmpty, nil)
 	if want := simtime.Time(915_293_210_555); charged.settled != want {
 		t.Errorf("the frame settled at %d ps, want %d", charged.settled, want)
 	}
-	if d := charged.events - empty.events; d != 1 {
-		t.Errorf("the charged frame took %d events more than the empty one, want 1 (its window's one sleep)", d)
+	if d := charged.events - empty.events; d != 0 {
+		t.Errorf("the charged frame took %d events more than the empty one, want 0 (its charges are owed)", d)
 	}
 	for i, v := range charged.results {
 		if v != int64(i) {
@@ -116,8 +118,8 @@ func TestFrameChargesAreOneSleep(t *testing.T) {
 }
 
 // TestWindowSeesItsCharges: a kernel's clock reads include the charges the
-// window holds back, and the execute span of each entry of a traced frame
-// is where the charges put it, on the VE worker's track.
+// worker owes, and the execute span of each entry of a traced frame is where
+// the charges put it, on the VE worker's track.
 func TestWindowSeesItsCharges(t *testing.T) {
 	for i, d := range runFrame(t, nil, winClock, nil).results {
 		if simtime.Duration(d) != winCost {
@@ -149,7 +151,8 @@ func TestWindowSeesItsCharges(t *testing.T) {
 
 // TestSecondContextDefersNothing: with a second live context on the card, a
 // VEO kernel there contends for the cores with the frame's kernels, so no
-// charge is held back: both finish when they did with a sleep per charge.
+// charge is owed: each takes the cores and sleeps, and both finish when they
+// did with a sleep per charge.
 func TestSecondContextDefersNothing(t *testing.T) {
 	var veoStart, veoEnd, veoDone simtime.Time
 	long := func(c *veos.Ctx, _ []uint64) (uint64, error) {
@@ -187,7 +190,7 @@ func TestSecondContextDefersNothing(t *testing.T) {
 
 // TestRecoveredCardDefersAgain: a killed process's context stops counting
 // once its worker returns, so after RecoverNode the fresh process's frame
-// again takes one sleep for its charges.
+// owes its charges again: no event more than an empty frame.
 func TestRecoveredCardDefersAgain(t *testing.T) {
 	recovered := func(p *machine.Proc, m *machine.Machine, rt *offload.Runtime) error {
 		m.Cards[0].Kill()
@@ -198,7 +201,7 @@ func TestRecoveredCardDefersAgain(t *testing.T) {
 	if want := simtime.Time(1_830_570_410_555); charged.settled != want {
 		t.Errorf("after recovery the frame settled at %d ps, want %d", charged.settled, want)
 	}
-	if d := charged.events - empty.events; d != 1 {
-		t.Errorf("after recovery the charged frame took %d events more than the empty one, want 1", d)
+	if d := charged.events - empty.events; d != 0 {
+		t.Errorf("after recovery the charged frame took %d events more than the empty one, want 0", d)
 	}
 }
