@@ -94,5 +94,8 @@ func main() {
 		}
 		_ = f.Close()
 		fmt.Fprintln(os.Stderr, "hambench: wrote", *tracePath)
+		if n := env.Tracer.Dropped(); n > 0 {
+			fmt.Printf("trace: %s lacks the %d spans recorded past the tracer's cap\n", *tracePath, n)
+		}
 	}
 }

@@ -93,8 +93,10 @@ func Connect(p *simtime.Proc, cards []*veos.Card, opts Options) (*Host, error) {
 				return nil, fmt.Errorf("dmab: creating shm segment: %w", err)
 			}
 			t.seg, t.lay = seg, layout{Options: o, base: seg.Addr}
+			t.flags = make([]mem.Word, o.NumBuffers)
 			t.results = make([]mem.Word, o.NumBuffers)
 			for i := range t.results {
+				t.flags[i] = card.Host.WordAt(t.lay.recvFlag(i))
 				t.results[i] = card.Host.WordAt(t.lay.sendFlag(i))
 			}
 			var viaDMA uint64
@@ -124,6 +126,7 @@ type hostSide struct {
 	ring.VE
 	seg     *hostmem.ShmSegment
 	lay     layout
+	flags   []mem.Word // the receive flags, resolved for PublishFlag
 	results []mem.Word // the send flags, resolved for PollResult
 }
 
@@ -139,7 +142,7 @@ func (t *hostSide) WriteMessage(slot int, msg []byte) error {
 // PublishFlag implements ring.HostTransport with a local word store, paid first.
 func (t *hostSide) PublishFlag(slot int, word uint64) error {
 	t.P.Pay()
-	return t.Card.Host.WriteUint64(t.lay.recvFlag(slot), word)
+	return t.flags[slot].Store(word)
 }
 
 // PollResult implements ring.HostTransport: the VE pushed the flag into VH
@@ -200,6 +203,7 @@ type veSide struct {
 	lay          layout // based at the DMAATB mapping of the VH shm segment
 	resultViaDMA bool
 	flags        []dma.Word // the receive flags, resolved for the LHM loads
+	results      []dma.Word // the send flags, resolved for the SHM stores
 
 	stage      mem.Addr // local HBM staging buffer (VEMVA)
 	stageVEHVA mem.Addr // DMAATB mapping of the staging buffer
@@ -236,10 +240,11 @@ func hamDMABInit(ctx *veos.Ctx, args []uint64) (uint64, error) {
 	t := &veSide{
 		kctx: ctx, card: card, lay: layout{Options: o, base: shmVEHVA},
 		resultViaDMA: args[6] != 0, stage: stage, stageVEHVA: stageVEHVA,
-		flags: make([]dma.Word, o.NumBuffers),
+		flags: make([]dma.Word, o.NumBuffers), results: make([]dma.Word, o.NumBuffers),
 	}
 	for i := range t.flags {
 		t.flags[i] = ctx.Instr().Word(t.lay.recvFlag(i))
+		t.results[i] = ctx.Instr().Word(t.lay.sendFlag(i))
 	}
 	ring.Register(ctx, ring.TargetConfig{
 		Name: "dmab", Options: o, Self: int(args[4]), Nodes: int(args[5]),
@@ -281,17 +286,19 @@ func (t *veSide) WatchFlags(w *simtime.Watch) {
 }
 
 // Fetch implements ring.TargetTransport: user DMA into the local staging
-// buffer (pre-built descriptor hot path, not the ve_dma_post_wait API).
-func (t *veSide) Fetch(slot int, msg []byte) error {
+// buffer (pre-built descriptor hot path, not the ve_dma_post_wait API),
+// where the message is read.
+func (t *veSide) Fetch(slot, n int) ([]byte, error) {
 	if err := t.kctx.UserDMA().Post(t.kctx.Proc, dma.Raw, pcie.Down,
-		t.stageVEHVA, t.lay.recvBuf(slot), int64(len(msg))); err != nil {
-		return err
+		t.stageVEHVA, t.lay.recvBuf(slot), int64(n)); err != nil {
+		return nil, err
 	}
-	if err := t.card.Mem.ReadAt(msg, t.stage); err != nil {
-		return err
+	msg, err := t.card.Mem.View(t.stage, int64(n))
+	if err != nil {
+		return nil, err
 	}
 	t.kctx.Proc.Charge(t.card.Timing.HAMVEOverhead)
-	return nil
+	return msg, nil
 }
 
 // PushResult implements ring.TargetTransport: inline payload via SHM word
@@ -324,5 +331,5 @@ func (t *veSide) dmaOut(dst mem.Addr, data []byte) error {
 
 // PublishResultFlag implements ring.TargetTransport with an SHM word store.
 func (t *veSide) PublishResultFlag(slot int, word uint64) error {
-	return t.kctx.Instr().StoreWord(t.kctx.Proc, t.lay.sendFlag(slot), word)
+	return t.kctx.Instr().StoreWord(t.kctx.Proc, &t.results[slot], word)
 }

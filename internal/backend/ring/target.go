@@ -38,10 +38,15 @@ type TargetTransport interface {
 	CountFlags(n int64)
 	// WatchFlags makes the store that lands any receive flag word notify w.
 	WatchFlags(w *simtime.Watch)
-	// Fetch brings the slot's len(msg)-byte message into msg, charging the
+	// Fetch brings the slot's n-byte message to the VE, charging the
 	// transfer and the fixed VE-side framework overhead (HAMVEOverhead),
 	// owed: the VE owns the slot until its result flag (simtime.Proc.Charge).
-	Fetch(slot int, msg []byte) error
+	// The message is returned where it landed, a view of the transport's
+	// memory (mem.Memory.View) — dmab's staging buffer, veob's receive
+	// buffer — borrowed until the slot's result is pushed.
+	//
+	//ham:borrowed return
+	Fetch(slot, n int) ([]byte, error)
 	// PushResult places a result in the slot's send buffers: inline next to
 	// the flag, the rest in the overflow buffer, its cost owed like Fetch's.
 	//
@@ -81,10 +86,6 @@ type Target struct {
 	heap  core.LocalMemory
 	cpu   core.Clock // the kernel context ham_main runs on
 	seq   []uint32   // next receive sequence per slot
-	// recv holds the message being served. One buffer serves every message:
-	// Dispatch only borrows it for the call (core.Server), and the loop
-	// fetches the next message after the previous response is out.
-	recv []byte
 	// Span names, built once: the serve loop must not concatenate strings.
 	spanPollFault, spanPollHit, spanFetch, spanFetchFault, spanResult, spanRespondRetry string
 }
@@ -102,7 +103,6 @@ func newTarget(cfg TargetConfig, p *simtime.Proc, poll simtime.Duration, alive f
 	t := &Target{
 		TargetConfig: cfg, p: p, poll: poll, alive: alive,
 		seq:              make([]uint32, cfg.NumBuffers),
-		recv:             make([]byte, cfg.BufSize),
 		spanPollFault:    cfg.Name + "-poll-fault",
 		spanPollHit:      cfg.Name + "-poll-hit",
 		spanFetch:        cfg.Name + "-fetch",
@@ -242,16 +242,17 @@ func (t *Target) Serve(s core.Server) error {
 		mid := t.mid(next, seq[next])
 		t.nt.Since(trace.PhasePoll, t.spanPollHit, mid, pollStart)
 
-		if n > len(t.recv) {
+		if n > t.BufSize {
 			// The host refuses to send what no buffer holds (Host.Call), so
 			// this flag word was not written by the protocol.
 			return t.errTooLong(next, n)
 		}
 		// The fetch span also covers the fixed VE-side framework overhead
-		// (key translation, functor decode — HAMVEOverhead).
+		// (key translation, functor decode — HAMVEOverhead). Dispatch only
+		// borrows the message for the call (core.Server), and the slot stays
+		// the VE's until its result is out.
 		endFetch := t.nt.Begin(trace.PhaseFetch, t.spanFetch, mid)
-		msg := t.recv[:n]
-		err = t.Transport.Fetch(next, msg)
+		msg, err := t.Transport.Fetch(next, n)
 		endFetch()
 		if err != nil {
 			if core.IsTransient(err) {

@@ -228,14 +228,15 @@ func (t *veSide) WatchFlags(w *simtime.Watch) {
 	}
 }
 
-// Fetch implements ring.TargetTransport: a local copy out of the receive
-// buffer.
-func (t *veSide) Fetch(slot int, msg []byte) error {
-	if err := t.card.Mem.ReadAt(msg, mem.Addr(t.lay.recvBuf(slot))); err != nil {
-		return err
+// Fetch implements ring.TargetTransport: the message is read in the receive
+// buffer, charged as the local copy out of it that the VE makes.
+func (t *veSide) Fetch(slot, n int) ([]byte, error) {
+	msg, err := t.card.Mem.View(mem.Addr(t.lay.recvBuf(slot)), int64(n))
+	if err != nil {
+		return nil, err
 	}
-	t.p.Charge(simtime.BytesOver(int64(len(msg)), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
-	return nil
+	t.p.Charge(simtime.BytesOver(int64(n), t.card.Timing.VEMemCopyRate) + t.card.Timing.HAMVEOverhead)
+	return msg, nil
 }
 
 // PushResult implements ring.TargetTransport with local copies.

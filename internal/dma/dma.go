@@ -211,10 +211,9 @@ func (d *Privileged) transfer(p *simtime.Proc, dir pcie.Direction, veAddr, hostA
 	}
 	endWire := d.timing.Tracer.Span(p, "pcie", spanWire[dir])
 	if n > 0 {
-		d.path.Link.Occupy(p, dir, n) // engine rate below link rate: charge engine rate
 		// The engine's sustained rate is below the link's TLP-limited rate;
 		// the residual time is engine-internal pacing.
-		if extra := wire - d.path.Link.WireTime(n); extra > 0 {
+		if extra := wire - d.path.Link.Occupy(p, dir, n); extra > 0 {
 			p.Charge(extra)
 		}
 	}
@@ -305,8 +304,7 @@ func (u *UserDMA) Post(p *simtime.Proc, level Level, dir pcie.Direction, dstVEHV
 			if chunk > maxDesc {
 				chunk = maxDesc
 			}
-			u.path.Link.Occupy(p, dir, chunk)
-			if extra := simtime.BytesOver(chunk, rate) - u.path.Link.WireTime(chunk); extra > 0 {
+			if extra := simtime.BytesOver(chunk, rate) - u.path.Link.Occupy(p, dir, chunk); extra > 0 {
 				p.Charge(extra)
 			}
 		}
@@ -337,10 +335,11 @@ func NewInstr(t topology.Timing, atb *vemem.DMAATB, path pcie.Path) *Instr {
 	return &Instr{timing: t, atb: atb, path: path}
 }
 
-// Word is a VEHVA word that an Instr loads again and again (a flag poll),
-// resolved: whether it translates, and the host or VE memory word it
+// Word is a VEHVA word that an Instr loads or stores again and again (a
+// flag), resolved: whether it translates, and the host or VE memory word it
 // translates to, as of one DMAATB generation (vemem.DMAATB.Generation).
-// LoadWord, Quiet and PeekWord resolve it again when the generation moved.
+// LoadWord, StoreWord, Quiet and PeekWord resolve it again when the
+// generation moved.
 type Word struct {
 	vehva mem.Addr
 	gen   uint64
@@ -459,12 +458,11 @@ func (in *Instr) CountLoads(n int64) {
 	}
 }
 
-// StoreWord performs one SHM: an 8-byte posted store to the VEHVA, a flag
+// StoreWord performs one SHM: an 8-byte posted store to w's VEHVA, a flag
 // another process reads, so its cost and the debt are slept before it.
-func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
-	m, addr, err := in.atb.Translate(vehva, 8)
-	if err != nil {
-		return err
+func (in *Instr) StoreWord(p *simtime.Proc, w *Word, v uint64) error {
+	if !in.resolve(w) {
+		return in.untranslated(w.vehva)
 	}
 	if err := checkTransfer(p, &in.timing, faults.SiteLHM, in.path); err != nil {
 		return err
@@ -473,7 +471,7 @@ func (in *Instr) StoreWord(p *simtime.Proc, vehva mem.Addr, v uint64) error {
 	defer in.timing.Tracer.Span(p, "pcie", "shm-store")()
 	p.Sleep(in.timing.SHMFirstWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency)
 	in.stores++
-	return m.WriteUint64(addr, v)
+	return w.word.Store(v)
 }
 
 // StoreBytes stores data word-by-word via SHM. The first store pays the

@@ -247,10 +247,10 @@ func TestSHMStoreAndLHMLoad(t *testing.T) {
 	vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 	in := NewInstr(r.tm, r.ve.ATB(), r.path)
 	r.runIn(t, func(p *simtime.Proc) {
-		if err := in.StoreWord(p, vehva, 0xdeadbeef); err != nil {
+		w := in.Word(vehva)
+		if err := in.StoreWord(p, &w, 0xdeadbeef); err != nil {
 			t.Fatalf("StoreWord: %v", err)
 		}
-		w := in.Word(vehva)
 		v, err := in.LoadWord(p, &w)
 		if err != nil {
 			t.Fatalf("LoadWord: %v", err)
@@ -346,7 +346,7 @@ func TestQuietLoad(t *testing.T) {
 	w := in.Word(vehva)
 	var took simtime.Duration
 	r.runIn(t, func(p *simtime.Proc) {
-		if err := in.StoreWord(p, vehva, 42); err != nil {
+		if err := in.StoreWord(p, &w, 42); err != nil {
 			t.Fatal(err)
 		}
 		start := p.Now()

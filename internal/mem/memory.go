@@ -9,11 +9,8 @@
 package mem
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-
-	"hamoffload/internal/simtime"
 )
 
 // Addr is an address within one Memory.
@@ -35,19 +32,13 @@ type Memory struct {
 	// buffer for one call (Heap.AllocBytes, then Free) allocates nothing
 	// once its extent and chunk table have been built.
 	spare []*extent
-	// gen moves on every Unmap: a Word resolved before it resolves again.
+	// gen moves on every Unmap and every Watch: a Word resolved before it
+	// resolves again.
 	gen uint64
-	// watches are the words that polls watch (Watch), sorted by address.
-	watches []watched
+	// watches holds the watch list of every extent with a watched word;
+	// extent.watches indexes it. An entry with nil words is free.
+	watches []watchList
 }
-
-// watched is one word a poll watches: a store that lands on it notifies w.
-type watched struct {
-	addr Addr
-	w    *simtime.Watch
-}
-
-func byAddr(wd watched, a Addr) int { return cmp.Compare(wd.addr, a) }
 
 // Recycling bounds: at most maxSpare unmapped extents are kept, and none
 // whose chunk table outgrew maxSpareChunks (a 64 MiB extent) — a
@@ -62,8 +53,9 @@ type extent struct {
 	size   int64
 	chunks [][]byte // ceil(size/ChunkSize) entries: nil until first write, or windows onto one array
 	flat   bool     // chunks are windows onto one array of size bytes: MapBytes, a bulk store or the first View
-	// watched: a poll watches a word of the extent (Memory.watches).
-	watched bool
+	// watches is 1 + the index in Memory.watches of the extent's watch list,
+	// 0 if it has none: an index, not the list, keeps an extent 48 bytes.
+	watches int32
 }
 
 func (e *extent) end() Addr { return e.addr + Addr(e.size) }
@@ -195,14 +187,18 @@ func (m *Memory) Unmap(addr Addr) error {
 	}
 	e := m.extents[i]
 	m.extents = slices.Delete(m.extents, i, i+1) // zeroes the vacated slot
-	lo, _ := slices.BinarySearchFunc(m.watches, e.addr, byAddr)
-	hi, _ := slices.BinarySearchFunc(m.watches, e.end(), byAddr)
-	m.watches = slices.Delete(m.watches, lo, hi)
-	e.watched = false
 	clear(e.chunks)
 	e.flat = false
 	m.gen++
-	if len(m.spare) < maxSpare && cap(e.chunks) <= maxSpareChunks {
+	keep := len(m.spare) < maxSpare && cap(e.chunks) <= maxSpareChunks
+	if i := e.watches - 1; i >= 0 {
+		if keep {
+			m.watches[i].empty() // a kept extent keeps its emptied list
+		} else {
+			m.watches[i], e.watches = watchList{}, 0 // a dropped one frees it
+		}
+	}
+	if keep {
 		m.spare = append(m.spare, e)
 	}
 	return nil
@@ -267,7 +263,7 @@ func (m *Memory) store(p []byte, addr Addr, n int64) error {
 	if err != nil {
 		return err
 	}
-	watched := false
+	var first *extent
 	for pos := addr; pos < end; {
 		dst, e := m.storeSpan(pos, end)
 		if dst == nil {
@@ -278,46 +274,13 @@ func (m *Memory) store(p []byte, addr Addr, n int64) error {
 		} else {
 			clear(dst)
 		}
-		watched = watched || e.watched
+		if first == nil {
+			first = e
+		}
 		pos += Addr(len(dst))
 	}
-	if watched {
-		m.notify(addr, end)
-	}
+	m.notifyStore(first, addr, end)
 	return nil
-}
-
-// Watch makes every store that lands on the word at addr — WriteAt, a typed
-// store, the Copy into it — notify w, until the extent that maps it is
-// unmapped: how a poll parked on w learns that the flag word it polls has
-// changed. A word that is not mapped is watched by nobody.
-func (m *Memory) Watch(addr Addr, w *simtime.Watch) {
-	if e, _, _ := m.piece(addr, addr); e != nil {
-		e.watched = true
-		i, _ := slices.BinarySearchFunc(m.watches, addr, byAddr)
-		m.watches = slices.Insert(m.watches, i, watched{addr, w})
-	}
-}
-
-// watchFrom returns the index of the first watched word that ends past addr.
-func (m *Memory) watchFrom(addr Addr) int {
-	j, k := 0, len(m.watches)
-	for j < k {
-		h := int(uint(j+k) >> 1)
-		if m.watches[h].addr+8 > addr {
-			k = h
-		} else {
-			j = h + 1
-		}
-	}
-	return j
-}
-
-// notify notifies the watches of the words a store of [addr, end) touched.
-func (m *Memory) notify(addr, end Addr) {
-	for j := m.watchFrom(addr); j < len(m.watches) && m.watches[j].addr < end; j++ {
-		m.watches[j].w.Notify()
-	}
 }
 
 // storeSpan returns the memory a store of [pos, end) writes first: from pos
@@ -437,12 +400,14 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 		return copyOverlapping(dst, dstAddr, srcAddr, n)
 	}
 	end := dstAddr + Addr(n)
-	watched := false
+	var first *extent
 	for pos := dstAddr; pos < end; {
 		// The destination first: backing it may flatten the extent the
 		// source lies in, and the source's chunk is read after that.
 		d, de := dst.storeSpan(pos, end)
-		watched = watched || de.watched
+		if first == nil {
+			first = de
+		}
 		from := srcAddr + (pos - dstAddr)
 		e, off, sn := src.piece(from, from+Addr(len(d)))
 		if c := e.chunks[off/ChunkSize]; c != nil {
@@ -452,9 +417,7 @@ func Copy(dst *Memory, dstAddr Addr, src *Memory, srcAddr Addr, n int64) error {
 		}
 		pos += Addr(sn)
 	}
-	if watched {
-		dst.notify(dstAddr, end)
-	}
+	dst.notifyStore(first, dstAddr, end)
 	return nil
 }
 

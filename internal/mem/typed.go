@@ -28,19 +28,23 @@ func (m *Memory) ReadUint64(addr Addr) (uint64, error) {
 }
 
 // Word is the 64-bit word at one address, resolved once for a loop that loads
-// it again and again (a flag poll): the extent that maps it, the chunk slot
-// and the offset in that chunk. Load reads the slot as it is then — zero
-// after a Discard, the array after a flatten — with no search. Unmap moves
-// the memory's generation and a Word of an older one resolves again before it
-// reads, so a load after Unmap faults exactly as ReadUint64 does. A word not
-// mapped when resolved, or one that straddles a chunk, loads by ReadUint64.
+// or stores it again and again (a flag): the extent that maps it, the chunk
+// slot, the offset in that chunk and the watched words a store of it
+// touches. Load reads the slot as it is then — zero after a Discard, the
+// array after a flatten — and Store writes it and notifies those watches,
+// with no search. Unmap and Watch move the memory's generation and a Word of
+// an older one resolves again first, so a load or store after Unmap faults
+// exactly as ReadUint64 or WriteUint64 does, and a store notifies a watch
+// added since. A word not mapped when resolved, or one that straddles a
+// chunk, goes through ReadUint64 and WriteUint64.
 type Word struct {
-	m    *Memory
-	addr Addr
-	gen  uint64  // m.gen when resolved
-	e    *extent // nil: Load is ReadUint64
-	i    int64   // the chunk slot of e
-	off  int64   // the word's offset in the chunk
+	m       *Memory
+	addr    Addr
+	gen     uint64    // m.gen when resolved
+	e       *extent   // nil: Load is ReadUint64, Store WriteUint64
+	i       int64     // the chunk slot of e
+	off     int64     // the word's offset in the chunk
+	watches []watched // the run of e's watched words a store of the word touches
 }
 
 // WordAt resolves the word at addr.
@@ -48,6 +52,7 @@ func (m *Memory) WordAt(addr Addr) Word {
 	w := Word{m: m, addr: addr, gen: m.gen}
 	if e, off, n := m.piece(addr, addr+8); e != nil && n == 8 {
 		w.e, w.i, w.off = e, off/ChunkSize, off%ChunkSize
+		w.watches = m.touched(e, addr, addr+8)
 	}
 	return w
 }
@@ -65,6 +70,24 @@ func (w *Word) Load() (uint64, error) {
 		return 0, nil // untouched: reads as zero
 	}
 	return binary.LittleEndian.Uint64(c[w.off:]), nil
+}
+
+// Store writes v to the word: the bytes and the notifies of WriteUint64 of
+// its address.
+func (w *Word) Store(v uint64) error {
+	if w.gen != w.m.gen {
+		*w = w.m.WordAt(w.addr)
+	}
+	if w.e == nil {
+		return w.m.WriteUint64(w.addr, v)
+	}
+	c := w.e.chunks[w.i]
+	if c == nil {
+		c = w.e.back(w.i*ChunkSize+w.off, 8)
+	}
+	binary.LittleEndian.PutUint64(c[w.off:], v)
+	notify(w.watches)
+	return nil
 }
 
 // Watch makes every store that lands on the word notify wt (Memory.Watch).

@@ -67,24 +67,27 @@ func (l *Link) WireTime(n int64) simtime.Duration {
 // Occupy serializes n bytes in the given direction, blocking while earlier
 // transfers in the same direction drain. It does not include propagation
 // latency; callers add Latency separately so that pipelined engines can
-// overlap occupancy with their own bookkeeping.
+// overlap occupancy with their own bookkeeping. It returns WireTime(n), for
+// an engine that paces the rest of a transfer itself.
 //
 // A fail-slow rule at SitePCIe stretches the occupancy itself — the model
 // of a link renegotiated to a lower generation speed — so a degraded link
 // slows every transfer that crosses it, in both directions.
-func (l *Link) Occupy(p *simtime.Proc, dir Direction, n int64) {
+func (l *Link) Occupy(p *simtime.Proc, dir Direction, n int64) simtime.Duration {
 	if n <= 0 {
-		return
+		return 0
 	}
 	p.Pay() // the channel and its fault site are shared by every user of the link
 	wire := l.WireTime(n)
+	occupy := wire
 	if l.timing.Faults != nil {
 		if d := l.timing.Faults.SlowDelay(p.Now(), faults.SitePCIe, l.ve, wire); d > 0 {
 			l.timing.Tracer.Instant(p, "fault", "slow-down pcie")
-			wire += d
+			occupy += d
 		}
 	}
-	l.channel[dir].Use(p, 1, wire)
+	l.channel[dir].Use(p, 1, occupy)
+	return wire
 }
 
 // Latency returns the one-way propagation latency of the link.

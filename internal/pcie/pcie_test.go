@@ -128,7 +128,9 @@ func TestSameDirectionSerializes(t *testing.T) {
 	var done []simtime.Time
 	for i := 0; i < 2; i++ {
 		eng.Spawn("w", func(p *simtime.Proc) {
-			l.Occupy(p, Down, n)
+			if got := l.Occupy(p, Down, n); got != wire {
+				t.Errorf("Occupy returned %v, want WireTime %v", got, wire)
+			}
 			done = append(done, p.Now())
 		})
 	}

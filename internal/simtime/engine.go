@@ -84,11 +84,11 @@ func (q *eventQueue) pop() event {
 }
 
 // Engine is a deterministic discrete-event scheduler. Every process is a
-// coroutine (iter.Pull) that Run resumes in-thread and that hands control
-// back from Proc.park, so exactly one of them runs at a time and no switch
-// goes through the Go scheduler. It is not safe for concurrent use: all
-// interaction happens either from the goroutine calling Run or from the
-// single currently-running Proc.
+// coroutine (iter.Pull) resumed in-thread, by Run or by a parking process
+// that hands the next event to its owner itself (Proc.park), so exactly one
+// of them runs at a time and no switch goes through the Go scheduler. It is
+// not safe for concurrent use: all interaction happens either from the
+// goroutine calling Run or from the single currently-running Proc.
 type Engine struct {
 	now    Time
 	eq     eventQueue
@@ -100,9 +100,12 @@ type Engine struct {
 	events uint64
 	maxq   int    // event-queue high-water mark (MaxQueueLen)
 	yields uint64 // parks that switched (Yields)
+	// Coroutine resumes, by Run and by parking processes: each is two
+	// switches, into the process and back out when it parks or finishes.
+	resumes uint64
 	// The process whose Poller is being asked Tick or Hit, for park's guard.
 	asking  *Proc
-	running *Proc // the process Run resumed, while it runs (pay)
+	running *Proc // the process that runs now (pay)
 	eager   bool  // Proc.Charge sleeps at once: the oracle tests compare with
 
 	// MaxEvents bounds the total number of processed wake events; zero means
@@ -129,7 +132,8 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of wake events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
-// Yields returns the number of parks that switched back to Run.
+// Yields returns the number of parks that did not take their own wake in
+// place: each switched, to the next event's process or back to its resumer.
 func (e *Engine) Yields() uint64 { return e.yields }
 
 // MaxQueueLen returns the event-queue high-water mark: the largest number
@@ -225,10 +229,18 @@ func (e *Engine) Run() error {
 		if p == nil {
 			return err
 		}
-		e.running = p
-		p.resume()
-		e.running = nil
+		e.resume(p)
 	}
+}
+
+// resume runs p, which is not active, until it parks or finishes; the
+// running process is p meanwhile and its resumer again afterwards.
+func (e *Engine) resume(p *Proc) {
+	prev := e.running
+	e.running, p.active = p, true
+	e.resumes++
+	p.resume()
+	e.running, p.active = prev, false
 }
 
 // step is the one place that decides what the engine does next. It takes the
@@ -237,14 +249,18 @@ func (e *Engine) Run() error {
 // step returns no process, returns err: nil after Stop or once every process
 // has finished, otherwise the panic, deadlock or event-budget error.
 //
-// A parking process calls step(p) to ask whether the next event is its own
-// (a poller ticking beside longer sleeps); if so the process takes it in place
-// and just keeps running at the new time, with no switch. This cannot reorder
-// delivery: it is the same event Run would deliver next, to the same process,
-// and nothing else runs in between. Whatever step(p) cannot settle without
-// switching — another process's wake, Stop, the event budget, an empty heap —
-// it leaves untouched and returns nil, so p yields and Run's step(nil)
-// reaches the verdict.
+// A parking process calls step(p) to hand the next event over itself. If the
+// event is its own (a poller ticking beside longer sleeps) the process takes
+// it in place and keeps running at the new time, with no switch; if it is a
+// process's that is not active — not on the resume stack of Run and the
+// processes it resumed, each parked inside step's caller — the parking
+// process resumes that one directly, one switch where a yield to Run and
+// Run's resume are two. Neither can reorder delivery: it is the same event
+// Run would deliver next, to the same process, and nothing else runs in
+// between. Whatever step(p) cannot settle that way — an active process's
+// wake, Stop, the event budget, an empty heap — it leaves untouched and
+// returns nil, so p yields to its resumer, which asks again, down to Run's
+// step(nil), which reaches the verdict.
 func (e *Engine) step(self *Proc) (*Proc, error) {
 	if e.failed != nil || e.stop || e.first == nil {
 		return nil, e.failed
@@ -260,7 +276,7 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 		maxEvents = 1 << 40
 	}
 	spent := e.events >= maxEvents
-	if self != nil && (e.eq[0].p != self || spent) {
+	if self != nil && (spent || e.eq[0].p.active && e.eq[0].p != self) {
 		return nil, nil
 	}
 	ev := e.eq.pop()
@@ -280,8 +296,9 @@ func (e *Engine) step(self *Proc) (*Proc, error) {
 // exits; one that never started never runs its body. It must be called after
 // Run returns, never concurrently with it.
 func (e *Engine) Shutdown() {
-	e.stop = true  // a park during the unwinding must not advance the simulation
-	e.asking = nil // a question that panicked left it set; the unwinding may park
+	e.stop = true   // a park during the unwinding must not advance the simulation
+	e.asking = nil  // a question that panicked left it set; the unwinding may park
+	e.running = nil // a Goexit out of a process left it set
 	for e.first != nil {
 		// A deferred call that parks yields back here with the process
 		// still first in line; the next round kills that park too.

@@ -146,9 +146,11 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 	if wt.w != nil {
 		panic(twoPolls(p))
 	}
+	// Field by field: a composite literal of the whole park is built on the
+	// stack and copied in.
 	w := &p.polling
-	*w = pollPark{p: p, poll: q, watch: wt, due: noWake,
-		grid: grid{next: next, issued: issued, cost: cost, gaps: wt.Backoff}}
+	w.p, w.poll, w.watch, w.due, w.dueK = p, q, wt, noWake, 0
+	w.next, w.issued, w.cost, w.k0, w.gaps = next, issued, cost, 0, wt.Backoff
 	if issued {
 		w.k0 = 1 // the tick now is behind
 	}

@@ -13,8 +13,9 @@ type Proc struct {
 	eng        *Engine
 	name       string
 	resume     func() (struct{}, bool) // engine side of the coroutine: run until the next park
-	yield      func(struct{}) bool     // process side: hand control back to the engine
+	yield      func(struct{}) bool     // process side: hand control back to its resumer
 	killed     bool                    // woken by Shutdown: park panics with errKilled
+	active     bool                    // on the resume stack: running, or resuming another (Engine.resume)
 	blockedOn  string                  // human-readable label for deadlock diagnostics
 	prev, next *Proc                   // the engine's list of unfinished processes
 	key        uint64                  // 1<<63 | spawn index: the seq of its poll loop's tick wakes
@@ -51,19 +52,29 @@ func (p *Proc) Pay() {
 
 // park blocks until the one wake queued for this process is delivered. When
 // that wake is the very next event the engine would deliver, the process
-// takes it in place and never stops running; otherwise it switches back to
-// Run.
+// takes it in place and never stops running. While the next event is a
+// process's that is not active, p resumes that process itself and asks again
+// once it parks. Otherwise p yields to whoever resumed it.
 func (p *Proc) park(label string) {
-	if h := p.eng.asking; h != nil {
+	e := p.eng
+	if h := e.asking; h != nil {
 		panic(parkedInPoller(h))
 	}
-	if next, _ := p.eng.step(p); next == nil {
-		p.eng.yields++
-		p.blockedOn = label
-		p.yield(struct{}{})
-		if p.killed {
-			panic(errKilled)
+	next, _ := e.step(p)
+	if next == p {
+		return
+	}
+	e.yields++
+	p.blockedOn = label
+	for next != nil {
+		e.resume(next)
+		if next, _ = e.step(p); next == p {
+			return
 		}
+	}
+	p.yield(struct{}{})
+	if p.killed {
+		panic(errKilled)
 	}
 }
 

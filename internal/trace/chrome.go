@@ -34,7 +34,8 @@ func chromePid(node int) int { return node + 2 }
 // deterministic simulation: events appear ordered by start, process and
 // track name — ties in recording order — so when a process records a span
 // does not move the bytes, and metadata rows are interleaved at first sight
-// of each process/track.
+// of each process/track. When spans were recorded past the tracer's cap, a
+// first metadata row, "trace_dropped_spans", says how many the array lacks.
 func (t *Tracer) ExportChrome(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("trace: exporting from a nil tracer")
@@ -50,6 +51,12 @@ func (t *Tracer) ExportChrome(w io.Writer) error {
 	}
 	tids := map[trackKey]int{}
 	var events []chromeEvent
+	if n := t.Dropped(); n > 0 {
+		events = append(events, chromeEvent{
+			Name: "trace_dropped_spans", Ph: "M", Pid: chromePid(NodeInfra),
+			Args: map[string]any{"dropped": n, "limit": t.limit},
+		})
+	}
 	pidOf := func(s Span) int {
 		pid := chromePid(s.Node)
 		if !pids[pid] {

@@ -164,6 +164,47 @@ func TestTracerSpansAndChromeExport(t *testing.T) {
 	}
 }
 
+// Spans past the cap are not kept but counted, and the Chrome export says
+// how many it lacks; a run under the cap exports no such row.
+func TestDroppedSpansAreCounted(t *testing.T) {
+	const limit, k = 5, 3
+	eng := simtime.NewEngine()
+	r := NewTracer()
+	r.limit = limit
+	eng.Spawn("worker", func(p *simtime.Proc) {
+		for i := 0; i < limit+k; i++ {
+			r.Instant(p, "fault", "mark")
+			if i == limit-1 {
+				var buf bytes.Buffer
+				if err := r.ExportChrome(&buf); err != nil {
+					t.Error(err)
+				}
+				if strings.Contains(buf.String(), "trace_dropped_spans") || r.Dropped() != 0 {
+					t.Errorf("at the cap: Dropped = %d, export %s", r.Dropped(), buf.String())
+				}
+			}
+			p.Sleep(simtime.Nanosecond)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != limit || r.Dropped() != k {
+		t.Fatalf("Len, Dropped = %d, %d, want %d, %d", r.Len(), r.Dropped(), limit, k)
+	}
+	var buf bytes.Buffer
+	if err := r.ExportChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"trace_dropped_spans","ph":"M","ts":0,"pid":1,"tid":0,"args":{"dropped":3,"limit":5}}`
+	if !strings.HasPrefix(buf.String(), "["+want+",") {
+		t.Errorf("chrome export does not open with %s:\n%s", want, buf.String())
+	}
+	if n := strings.Count(buf.String(), `"ph":"i"`); n != limit {
+		t.Errorf("chrome export holds %d instants, want %d", n, limit)
+	}
+}
+
 func TestNilTracerIsSafe(t *testing.T) {
 	var r *Tracer
 	eng := simtime.NewEngine()

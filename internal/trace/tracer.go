@@ -138,7 +138,8 @@ type Tracer struct {
 	cfg      Config
 	mu       sync.Mutex
 	spans    []Span
-	limit    int
+	limit    int   // spans kept; the ones recorded past it are only counted
+	dropped  int64 // spans recorded past limit (Dropped)
 	regs     map[int]*Registry
 	slo      *SLO
 	flows    []FlowEvent // recorded only when cfg.Flows
@@ -146,7 +147,8 @@ type Tracer struct {
 }
 
 // New returns an empty tracer with cfg's (defaulted) parameters and the
-// default 1M-span cap.
+// default 1M-span cap: spans recorded past it still feed the registries and
+// are counted (Dropped), but not kept for the export.
 func New(cfg Config) *Tracer {
 	cfg = cfg.fill()
 	return &Tracer{
@@ -200,6 +202,8 @@ func (t *Tracer) record(s Span) {
 	t.mu.Lock()
 	if len(t.spans) < t.limit {
 		t.spans = append(t.spans, s)
+	} else {
+		t.dropped++
 	}
 	r := t.registryLocked(s.Node, s.Backend)
 	t.mu.Unlock()
@@ -265,6 +269,17 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
+}
+
+// Dropped returns the number of spans recorded past the span cap, which
+// Spans and the Chrome export leave out.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 // Spans returns a copy of the recorded spans in recording order.
