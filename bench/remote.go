@@ -35,6 +35,10 @@ func Remote(w machine.World, reps int) (RemoteResult, error) {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
+		// The first VE of machine 0, local to the host program, and the
+		// first of machine 1, behind the IB proxy.
+		ves := cl.VENodes()
+		local, remote := ves[0], ves[len(cl.Nodes[0].Cards)]
 
 		measure := func(node offload.NodeID) (float64, error) {
 			op := func() error {
@@ -43,10 +47,10 @@ func Remote(w machine.World, reps int) (RemoteResult, error) {
 			}
 			return timedLoop(p, 10, reps, op)
 		}
-		if res.LocalUS, err = measure(1); err != nil {
+		if res.LocalUS, err = measure(local); err != nil {
 			return err
 		}
-		if res.RemoteUS, err = measure(2); err != nil {
+		if res.RemoteUS, err = measure(remote); err != nil {
 			return err
 		}
 
@@ -69,10 +73,10 @@ func Remote(w machine.World, reps int) (RemoteResult, error) {
 			}
 			return gibps(size, us), nil
 		}
-		if res.PutLocalGiB, err = putBW(1); err != nil {
+		if res.PutLocalGiB, err = putBW(local); err != nil {
 			return err
 		}
-		if res.PutRemoteGiB, err = putBW(2); err != nil {
+		if res.PutRemoteGiB, err = putBW(remote); err != nil {
 			return err
 		}
 		return nil

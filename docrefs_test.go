@@ -1,10 +1,13 @@
 package hamoffload_test
 
 import (
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,15 +32,28 @@ var (
 	readmeExampleRow = regexp.MustCompile("^\\| `examples/([A-Za-z0-9_]+)` \\|")
 	// docSample is a cited sample output.
 	docSample = regexp.MustCompile(`sample-output/([A-Za-z0-9_-]+)\.txt`)
+	// docCode is an inline code span.
+	docCode = regexp.MustCompile("`[^`]+`")
+	// docAPIName is an exported name of a public package, then perhaps a
+	// field or method of it.
+	docAPIName = regexp.MustCompile(`\b(offload|sched|gateway|health|machine)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 )
 
 // TestDocReferences checks that the user-facing documents cite only names
 // that exist: every examples/NAME is a directory, every TestX, BenchmarkX
 // and FuzzX is a func in some _test.go file, every `hambench -exp NAME` is a
-// row of bench.Experiments (or all), and every sample-output/NAME.txt is a
-// file. CHANGES.md and ROADMAP.md record history, so they may name what is
-// gone.
+// row of bench.Experiments (or all), every sample-output/NAME.txt is a
+// file, and every `offload.X`, `sched.X`, `gateway.X`, `health.X` and
+// `machine.X` in a code span that is not a test is declared, as is the
+// field or method of X a further .Y names. CHANGES.md and ROADMAP.md record
+// history, so they may name what is gone.
 func TestDocReferences(t *testing.T) {
+	api := map[string]*types.Package{} // the public packages, by their names
+	for _, pkg := range modulePackages(t) {
+		if rel := strings.TrimPrefix(pkg.Path, reachModule+"/"); slices.Contains(reachPublic, rel) {
+			api[path.Base(rel)] = pkg.Types
+		}
+	}
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
@@ -73,6 +89,13 @@ func TestDocReferences(t *testing.T) {
 			for _, m := range docSample.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(filepath.Join("docs", "sample-output", m[1]+".txt")); err != nil {
 					t.Errorf("%s:%d: cites %s, which is not a sample output", doc, n, m[0])
+				}
+			}
+			for _, code := range docCode.FindAllString(line, -1) {
+				for _, m := range docAPIName.FindAllStringSubmatch(code, -1) {
+					if !docTestName.MatchString(m[2]) && !apiDeclared(api[m[1]], m[2], m[3]) {
+						t.Errorf("%s:%d: cites %s, which is not declared", doc, n, m[0])
+					}
 				}
 			}
 			for _, loc := range docTestName.FindAllStringIndex(line, -1) {
@@ -160,6 +183,21 @@ func TestReadmeHeadline(t *testing.T) {
 			t.Errorf("README.md headline line %q is no line of fig9.txt or calibration.txt", l)
 		}
 	}
+}
+
+// apiDeclared reports whether pkg declares name and, when sel is not empty,
+// whether the type name declares has a field or method sel. A sel of
+// anything but a type is not checked.
+func apiDeclared(pkg *types.Package, name, sel string) bool {
+	obj := pkg.Scope().Lookup(name)
+	if obj == nil {
+		return false
+	}
+	if tn, ok := obj.(*types.TypeName); ok && sel != "" {
+		found, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, sel)
+		return found != nil
+	}
+	return true
 }
 
 // declared reports whether funcs holds name, or a name it prefixes.

@@ -12,7 +12,6 @@ import (
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
 	"hamoffload/machine"
-	"hamoffload/sched"
 )
 
 // This file pins what the request path allocates and what a steal leaves
@@ -420,7 +419,7 @@ func TestDrainedFifoKeepsItsPeak(t *testing.T) {
 func TestStealLeavesNoTicketBehind(t *testing.T) {
 	cfg := Config{
 		Window: 1, MaxBatch: 1,
-		Placement: sched.Affinity(func(int) core.NodeID { return 1 }),
+		Placement: Affinity(func(int) core.NodeID { return 1 }),
 	}
 	onGateway(t, 2, cfg, func(p *machine.Proc, g *Gateway[int64]) {
 		var tks []*Ticket[int64]

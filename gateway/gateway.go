@@ -755,18 +755,3 @@ func (g *Gateway[R]) Drain() {
 		g.harvest(vi, false)
 	}
 }
-
-// InFlight returns the total number of issued, unsettled requests.
-func (g *Gateway[R]) InFlight() int {
-	n := 0
-	for vi := range g.infl {
-		n += g.infl[vi].len()
-	}
-	return n
-}
-
-// Queued returns the total number of admitted, not yet issued requests.
-func (g *Gateway[R]) Queued() int { return g.queued }
-
-// Steals returns how many steal operations have run.
-func (g *Gateway[R]) Steals() int64 { return g.steals }

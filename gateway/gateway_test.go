@@ -11,7 +11,6 @@ import (
 	"hamoffload/internal/trace"
 	"hamoffload/machine"
 	"hamoffload/offload"
-	"hamoffload/sched"
 )
 
 // gwWork is the test kernel: a small roofline-charged vector loop so
@@ -150,7 +149,7 @@ func TestWorkStealing(t *testing.T) {
 	cfg := gateway.Config{
 		Window:    2,
 		MaxBatch:  1,
-		Placement: sched.Affinity(func(task int) offload.NodeID { return 1 }),
+		Placement: gateway.Affinity(func(task int) offload.NodeID { return 1 }),
 	}
 	withGateway(t, nil, 2, cfg, func(p *machine.Proc, gw *gateway.Gateway[offload.Unit]) {
 		tks := make([]*gateway.Ticket[offload.Unit], 0, 16)

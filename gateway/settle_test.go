@@ -8,7 +8,6 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/machine"
-	"hamoffload/sched"
 )
 
 // TestSettlementOrder pins when and in which order the gateway accounts its
@@ -71,7 +70,7 @@ ve 3: issued 284 stolen in 284 max queue 58`
 func settlementRun(t *testing.T, atKill func(g *Gateway[int64]), done func(g *Gateway[int64], tks []*Ticket[int64])) {
 	cfg := Config{
 		Window: 4, MaxBatch: 3, KeepSamples: true,
-		Placement: sched.Affinity(func(i int) core.NodeID {
+		Placement: Affinity(func(i int) core.NodeID {
 			if i%7 == 0 {
 				return 2
 			}

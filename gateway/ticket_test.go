@@ -7,7 +7,6 @@ import (
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
 	"hamoffload/machine"
-	"hamoffload/sched"
 )
 
 // This file tests the ticket's own state: its one time word, and a request
@@ -25,7 +24,7 @@ var sizedWork = core.NewFunc1[int64]("gateway.sized_work",
 func TestTicketTimeWord(t *testing.T) {
 	cfg := Config{
 		Window: 1, MaxBatch: 1,
-		Placement: sched.Affinity(func(int) core.NodeID { return 1 }),
+		Placement: Affinity(func(int) core.NodeID { return 1 }),
 	}
 	onGateway(t, 2, cfg, func(p *machine.Proc, g *Gateway[int64]) {
 		const n = 12
@@ -114,7 +113,7 @@ func TestSubmitFailureStaysSettled(t *testing.T) {
 	for _, class := range []Class{LatencyCritical, Batch} {
 		for _, crash := range []bool{false, true} {
 			pin := core.NodeID(1)
-			cfg := Config{Placement: sched.Affinity(func(int) core.NodeID { return pin })}
+			cfg := Config{Placement: Affinity(func(int) core.NodeID { return pin })}
 			onMachineGateway(t, 2, cfg, func(p *machine.Proc, m *machine.Machine, g *Gateway[int64]) {
 				fn, want := big, error(nil)
 				if crash {

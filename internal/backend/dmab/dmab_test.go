@@ -275,7 +275,7 @@ func TestHostPollMissesAreTheEngines(t *testing.T) {
 }
 
 var dbSlow = core.NewFunc1[int64]("dmab.slow",
-	func(c *core.Ctx, ops int64) (int64, error) { c.ChargeScalar(ops); return ops, nil })
+	func(c *core.Ctx, ops int64) (int64, error) { c.ChargeVector(ops, 0, 1); return ops, nil })
 
 // The host's wait is parked on its watch while the VE runs a long kernel: the
 // card's crash wakes it at its next result poll, which sees the dead target,
@@ -292,12 +292,12 @@ func TestCrashEndsAParkedWait(t *testing.T) {
 			return
 		}
 		rt := core.NewRuntime(b, "x86_64-test")
-		p.Spawn("crash", func(c *simtime.Proc) {
+		p.Engine().Spawn("crash", func(c *simtime.Proc) {
 			c.Sleep(50*simtime.Microsecond + 1) // off the host's poll grid
 			crashed = c.Now()
 			r.card.Kill()
 		})
-		_, err = core.Sync(rt, 1, dbSlow.Bind(1e9)) // a kernel of about a second
+		_, err = core.Sync(rt, 1, dbSlow.Bind(1e9)) // a kernel of milliseconds
 		failed = p.Now()
 	})
 	if rerr := r.eng.Run(); rerr != nil {

@@ -16,7 +16,6 @@ import (
 
 var regEcho = offload.NewFunc1[int64]("ring.registry_echo",
 	func(c *offload.Ctx, v int64) (int64, error) {
-		c.ChargeScalar(100)
 		c.ChargeVector(v, 8*v, 8)
 		return v, nil
 	})

@@ -652,9 +652,8 @@ func TestHostSurface(t *testing.T) {
 		}
 		clk, before := h.Clock(), p.Now()
 		clk.Sleep(simtime.Microsecond)
-		clk.ChargeScalar(2600)
 		clk.ChargeVector(1, 0, 1)
-		if !clk.Simulated() || clk.Now() != p.Now() || p.Now().Sub(before) < 2*simtime.Microsecond {
+		if !clk.Simulated() || clk.Now() != p.Now() || p.Now().Sub(before) <= simtime.Microsecond {
 			t.Errorf("Sleep+Charge advanced the clock by %v (clock reads %v)", p.Now().Sub(before), clk.Now())
 		}
 
@@ -857,7 +856,7 @@ func TestWaitEndsOnTheLoopsTick(t *testing.T) {
 			w.run(Options{OffloadTimeout: tc.timeout}, localPoll(), func(p *simtime.Proc, h *Host) {
 				hd := mustCall(t, h, "m")
 				if tc.do != nil {
-					p.Spawn("ve", func(vp *simtime.Proc) {
+					p.Engine().Spawn("ve", func(vp *simtime.Proc) {
 						vp.Sleep(tc.at)
 						tc.do(w.links[0])
 					})

@@ -28,9 +28,6 @@ type BufferPtr[T Elem] struct {
 // IsNil reports whether the pointer is null.
 func (b BufferPtr[T]) IsNil() bool { return b.Addr == 0 }
 
-// ByteSize returns the buffer size in bytes.
-func (b BufferPtr[T]) ByteSize() int64 { return b.Count * sizeOf[T]() }
-
 // Offset returns a pointer advanced by n elements; bounds-checked against
 // the allocation's element count, without wrapping for a forged one.
 func (b BufferPtr[T]) Offset(n int64) (BufferPtr[T], error) {
@@ -143,21 +140,6 @@ func Get[T Elem](rt *Runtime, src BufferPtr[T], dst []T) error {
 		return nil
 	}
 	return rt.backend.Get(src.Node, src.Addr, elemBytes(dst))
-}
-
-// PutAsync is the asynchronous variant of Put (Table II's future<void>
-// put). All current backends complete the transfer before returning —
-// matching the eager completion of the original's TCP and SCIF backends —
-// so the returned future is immediately ready; it exists for API
-// compatibility and forward evolution.
-func PutAsync[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) *Future[Unit] {
-	return completedFuture(Unit{}, Put(rt, src, dst))
-}
-
-// GetAsync is the asynchronous variant of Get (Table II's future<void> get);
-// see PutAsync for the completion semantics.
-func GetAsync[T Elem](rt *Runtime, src BufferPtr[T], dst []T) *Future[Unit] {
-	return completedFuture(Unit{}, Get(rt, src, dst))
 }
 
 // Copy performs a direct copy between buffers on two offload targets,

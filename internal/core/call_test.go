@@ -193,8 +193,8 @@ func runLifecycle(t *testing.T, frame bool, n int, ft bool, script []step, useGe
 	if got := countSpans(tr, trace.PhaseOffload, ""); got != len(futs) {
 		t.Errorf("%d offload spans closed for %d futures", got, len(futs))
 	}
-	if rt.Retries() != want.retries || rt.Timeouts() != want.timeouts {
-		t.Errorf("Retries() = %d, Timeouts() = %d; want %d, %d", rt.Retries(), rt.Timeouts(), want.retries, want.timeouts)
+	if rt.Retries() != want.retries {
+		t.Errorf("Retries() = %d, want %d", rt.Retries(), want.retries)
 	}
 	if got := countSpans(tr, trace.PhaseTimeout, ""); int64(got) != want.timeouts {
 		t.Errorf("%d timeout trace instants, want %d", got, want.timeouts)

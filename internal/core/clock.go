@@ -18,11 +18,10 @@ type Clock interface {
 	// Sleep advances the clock by d — retry backoff, poll pacing. On an
 	// unsimulated clock it returns at once, so retries go out immediately.
 	Sleep(d simtime.Duration)
-	// ChargeVector and ChargeScalar advance the clock by the cost of kernel
-	// work on this node's device (nothing on an unsimulated clock, where the
-	// Go computation itself takes the time).
+	// ChargeVector advances the clock by the cost of kernel work on this
+	// node's device (nothing on an unsimulated clock, where the Go
+	// computation itself takes the time).
 	ChargeVector(flops, bytes int64, cores int)
-	ChargeScalar(ops int64)
 	// Simulated reports whether Now measures anything. Only a decision that
 	// cannot wait for a delay it has no way to observe asks (hedging issues
 	// the hedge before the first poll); everything else falls out of Now
@@ -39,7 +38,6 @@ type wallClock struct{}
 func (wallClock) Now() simtime.Time              { return 0 }
 func (wallClock) Sleep(simtime.Duration)         {}
 func (wallClock) ChargeVector(int64, int64, int) {}
-func (wallClock) ChargeScalar(int64)             {}
 func (wallClock) Simulated() bool                { return false }
 
 // TokenBucket is an integer token bucket refilled arithmetically on a

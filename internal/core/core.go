@@ -168,11 +168,10 @@ type Runtime struct {
 	// Fault tolerance (see ft.go). ft zero = off; seq numbers envelopes on
 	// the initiator; dedup is the target-side at-most-once window, created
 	// lazily on the first enveloped request.
-	ft       FaultTolerance
-	seq      uint64
-	dedup    *respCache
-	retries  int64
-	timeouts int64
+	ft      FaultTolerance
+	seq     uint64
+	dedup   *respCache
+	retries int64
 
 	// Message batching (see batch.go). The zero policy is off: every
 	// offload travels as its own wire message, bit-identical to before.
@@ -262,12 +261,6 @@ func (rt *Runtime) SetTracer(nt *trace.NodeTracer) { rt.tr = nt }
 
 // Tracer returns the attached trace handle (nil when tracing is off).
 func (rt *Runtime) Tracer() *trace.NodeTracer { return rt.tr }
-
-// Metrics returns this node's metrics registry, or nil when tracing is off.
-func (rt *Runtime) Metrics() *trace.Registry { return rt.tr.Registry() }
-
-// Offloads returns how many offloads this runtime has initiated.
-func (rt *Runtime) Offloads() int64 { return rt.offloads }
 
 // Executed returns how many messages this runtime has executed.
 func (rt *Runtime) Executed() int64 { return rt.executed }

@@ -371,9 +371,6 @@ func TestNodeIntrospection(t *testing.T) {
 	if d.Name != "loc1" || d.Device != "target" {
 		t.Errorf("descriptor = %+v", d)
 	}
-	if host.Offloads() == 0 {
-		t.Error("offload counter not advancing")
-	}
 }
 
 func TestHeapLeakAccounting(t *testing.T) {
@@ -480,35 +477,6 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAsyncPutGetVariants(t *testing.T) {
-	host, done := app(t)
-	defer done()
-	buf, err := core.Allocate[float64](host, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fput := core.PutAsync(host, []float64{1, 2, 3}, buf)
-	if !fput.Test() {
-		t.Error("PutAsync future should be immediately ready")
-	}
-	if _, err := fput.Get(); err != nil {
-		t.Fatalf("PutAsync: %v", err)
-	}
-	out := make([]float64, 3)
-	fget := core.GetAsync(host, buf, out)
-	if _, err := fget.Get(); err != nil {
-		t.Fatalf("GetAsync: %v", err)
-	}
-	if out[0] != 1 || out[2] != 3 {
-		t.Fatalf("GetAsync data = %v", out)
-	}
-	// Errors surface through the future.
-	bad := core.PutAsync(host, make([]float64, 99), buf)
-	if _, err := bad.Get(); err == nil {
-		t.Error("oversized PutAsync should fail")
 	}
 }
 

@@ -31,11 +31,6 @@ func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
 	c.rt.clock.ChargeVector(flops, bytes, cores)
 }
 
-// ChargeScalar accounts scalar-pipeline time (no-op on wall-clock nodes).
-func (c *Ctx) ChargeScalar(ops int64) {
-	c.rt.clock.ChargeScalar(ops)
-}
-
 // localView returns the memory of elements [off, off+count) of a buffer on
 // the executing node. b is decoded off the wire and may be forged or corrupt,
 // so no step of the bounds check may wrap.

@@ -46,9 +46,6 @@ func (rt *Runtime) FaultTolerancePolicy() FaultTolerance { return rt.ft }
 // performed.
 func (rt *Runtime) Retries() int64 { return rt.retries }
 
-// Timeouts returns how many offloads ended in ErrOffloadTimeout.
-func (rt *Runtime) Timeouts() int64 { return rt.timeouts }
-
 // RecoverNode asks the backend to re-establish a failed node, the
 // machine-level recovery hook: after it succeeds, new offloads to the node
 // are accepted again. Futures that failed with ErrNodeFailed stay failed. A
@@ -107,7 +104,6 @@ func (rt *Runtime) canRetry(pd *pending, err error) bool {
 // noteTimeout counts a timed-out offload on its way to the caller.
 func (rt *Runtime) noteTimeout(err error) {
 	if errors.Is(err, ErrOffloadTimeout) {
-		rt.timeouts++
 		rt.tr.Instant(trace.PhaseTimeout, "offload timeout", rt.offloads)
 		rt.tr.Count("offload.timeouts", 1)
 	}

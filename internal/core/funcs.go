@@ -473,17 +473,6 @@ func (f Func4[R, A1, A2, A3, A4]) Bind(v1 A1, v2 A2, v3 A3, v4 A4) Functor[R] {
 	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
 }
 
-// AsyncAll offloads one functor to each listed node and returns the futures
-// in node order — the fan-out idiom of multi-VE applications (Table II's
-// async, vectorised over targets).
-func AsyncAll[R any](rt *Runtime, nodes []NodeID, fn Functor[R]) []*Future[R] {
-	futs := make([]*Future[R], len(nodes))
-	for i, n := range nodes {
-		futs[i] = Async(rt, n, fn)
-	}
-	return futs
-}
-
 // GetAll collects every future, returning the results in order and the
 // first error encountered (after draining all futures, so no offload is
 // left dangling).

@@ -156,9 +156,3 @@ func (f *Future[T]) fireDone(err error) {
 		h.FutureSettled()
 	}
 }
-
-// completedFuture wraps an already-finished operation, for the data-transfer
-// variants whose backends complete eagerly.
-func completedFuture[T any](val T, err error) *Future[T] {
-	return &Future[T]{c: &settledCall, x: err, val: val}
-}

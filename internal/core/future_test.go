@@ -63,8 +63,7 @@ func (h *errHook) Error() string  { return "settle hook " + h.name }
 // in one slot, the hook until it settles and the error after. A success
 // leaves a nil error, a failure its own error, and either runs its hooks
 // exactly once, in order, before Get returns; a hook registered on a settled
-// future runs at once and leaves the outcome alone. A completed future
-// starts out holding its error.
+// future runs at once and leaves the outcome alone.
 func TestFutureSlotHookThenError(t *testing.T) {
 	lost := fmt.Errorf("lost response: %w", ErrNodeFailed)
 	rt := NewRuntime(newScriptBackend(step{}, step{waitErr: lost}), "slot-arch-host")
@@ -99,13 +98,6 @@ func TestFutureSlotHookThenError(t *testing.T) {
 	check("late hook on a success", ok, 5, nil, "late ok")
 	failed.OnSettleHook(hook("late failure"))
 	check("late hook on a failure", failed, 0, lost, "late failure")
-
-	done := completedFuture(int64(7), nil)
-	done.OnSettleHook(hook("completed"))
-	check("completed", done, 7, nil, "completed")
-	broken := completedFuture(int64(8), lost)
-	broken.OnSettleHook(hook("completed failure"))
-	check("completed failure", broken, 8, lost, "completed failure")
 }
 
 // freeHooks returns the number of rt's parked chain nodes.

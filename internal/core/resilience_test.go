@@ -98,7 +98,6 @@ func (b *resBackend) Get(NodeID, uint64, []byte) error { return nil }
 func (b *resBackend) Serve(Server) error               { return nil }
 func (b *resBackend) Memory() LocalMemory              { return nil }
 func (b *resBackend) ChargeVector(int64, int64, int)   {}
-func (b *resBackend) ChargeScalar(int64)               {}
 func (b *resBackend) Close() error                     { return nil }
 
 func resRuntime(b *resBackend) *Runtime {

@@ -135,8 +135,8 @@ func TestRepostTimeoutCountedOnce(t *testing.T) {
 					t.Errorf("%s: Get = %v, want ErrOffloadTimeout", name, err)
 				}
 			}
-			if rt.Timeouts() != 1 || rt.Retries() != 1 {
-				t.Errorf("%s: Timeouts() = %d, Retries() = %d; want 1, 1", name, rt.Timeouts(), rt.Retries())
+			if rt.Retries() != 1 {
+				t.Errorf("%s: Retries() = %d, want 1", name, rt.Retries())
 			}
 			if n := countSpans(tr, trace.PhaseTimeout, "offload timeout"); n != 1 {
 				t.Errorf("%s: %d offload-timeout trace instants, want 1", name, n)

@@ -44,9 +44,6 @@ func NewEncoder() *Encoder {
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the current payload size.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Reset clears the encoder for reuse. A zero Encoder is ready once Reset:
 // it writes into its inline buffer until a payload outgrows it.
 func (e *Encoder) Reset() {

@@ -142,12 +142,12 @@ func TestHostileCountAllocatesNothing(t *testing.T) {
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder()
 	e.PutU64(1)
-	if e.Len() != 8 {
-		t.Fatalf("Len = %d", e.Len())
+	if len(e.Bytes()) != 8 {
+		t.Fatalf("Len = %d", len(e.Bytes()))
 	}
 	e.Reset()
-	if e.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", e.Len())
+	if len(e.Bytes()) != 0 {
+		t.Fatalf("Len after Reset = %d", len(e.Bytes()))
 	}
 }
 

@@ -43,7 +43,7 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 		p.Sleep(5)
 		log.rec(p, "timer")
 		q.Push(p, 1)
-		p.Yield()
+		p.Sleep(0)
 		log.rec(p, "timer")
 		q.Push(p, 2)
 		q.Push(p, 3)
@@ -90,13 +90,13 @@ func goldenScenario(e *Engine, log *wakeLog, poll pollFn) {
 		p.Sleep(12) // same instant as tick's 4th tick
 		log.rec(p, "timer")
 		ev1.Fire()
-		p.Spawn("kid", func(c *Proc) {
+		p.Engine().Spawn("kid", func(c *Proc) {
 			log.rec(c, "event")
 			c.Sleep(18) // t=30
 			log.rec(c, "timer")
 			ev2.Fire()
 		})
-		p.Yield()
+		p.Sleep(0)
 		log.rec(p, "timer")
 	})
 	for i := 0; i < 3; i++ {
@@ -477,7 +477,7 @@ func TestShutdownUnwindsEveryPrimitive(t *testing.T) {
 	})
 	e.Spawn("stopper", func(p *Proc) {
 		p.Sleep(1)
-		p.Spawn("unstarted", func(*Proc) { t.Error("unstarted: body ran") })
+		p.Engine().Spawn("unstarted", func(*Proc) { t.Error("unstarted: body ran") })
 		e.Stop()
 	})
 	if err := e.Run(); err != nil {
@@ -618,7 +618,7 @@ func TestFinishedProcsLeaveLiveSet(t *testing.T) {
 	e.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
 	e.Spawn("spawner", func(p *Proc) {
 		for i := 0; i < spawns; i++ {
-			p.Spawn("short", func(c *Proc) { c.Sleep(1) })
+			p.Engine().Spawn("short", func(c *Proc) { c.Sleep(1) })
 			p.Sleep(2)
 		}
 		listed := 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hamoffload/gateway"
+	"hamoffload/internal/core"
 	"hamoffload/internal/faults"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
@@ -37,7 +38,7 @@ var debtWork = offload.NewFunc2[[]float64]("simtime.debt_work",
 		}
 		c.ChargeVector(work*work<<16, work*512, int(1+work%8))
 		if work%3 == 0 {
-			c.ChargeScalar(work * 100)
+			c.ChargeVector(work*100, 0, 1)
 		}
 		out := make([]float64, n)
 		for i := range out {
@@ -285,9 +286,9 @@ func (w debtWorld) workload(p *machine.Proc, m *machine.Machine, rt *offload.Run
 			gap()
 		}
 	case "async", "batch":
-		var b *offload.Batcher
+		var b *core.Batcher
 		if w.submit == "batch" {
-			b = offload.NewBatcher(rt)
+			b = core.NewBatcher(rt)
 		}
 		for i := 0; i < w.ops; {
 			var futs []*offload.Future[[]float64]
@@ -295,7 +296,7 @@ func (w debtWorld) workload(p *machine.Proc, m *machine.Machine, rt *offload.Run
 				kill(i)
 				node, fn := arg()
 				if b != nil {
-					futs = append(futs, offload.BatchAdd(b, node, fn))
+					futs = append(futs, core.BatchAdd(b, node, fn))
 				} else {
 					futs = append(futs, offload.Async(rt, node, fn))
 				}

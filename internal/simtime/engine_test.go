@@ -33,7 +33,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 func TestZeroSleepDoesNotAdvanceClock(t *testing.T) {
 	run(t, func(p *Proc) {
 		p.Sleep(0)
-		p.Yield()
+		p.Sleep(0)
 		if p.Now() != 0 {
 			t.Errorf("clock = %v, want 0", p.Now())
 		}
@@ -102,7 +102,7 @@ func TestSpawnFromProcess(t *testing.T) {
 	var childTime Time
 	run(t, func(p *Proc) {
 		p.Sleep(7)
-		p.Spawn("child", func(c *Proc) {
+		p.Engine().Spawn("child", func(c *Proc) {
 			childRan = true
 			childTime = c.Now()
 		})

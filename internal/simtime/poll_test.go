@@ -595,7 +595,7 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			got, misses := poll(p, pl, wt, 0)
 			w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
 			if yield {
-				p.Yield()
+				p.Sleep(0)
 			}
 			relay, storedAt = true, p.Now()
 			changed()
@@ -868,12 +868,12 @@ func TestScratchWaiterForgetsPoller(t *testing.T) {
 	e.Spawn("p", func(p *Proc) {
 		pl := &cond{hit: func() bool { return flag }}
 		flag = false
-		p.Spawn("set", func(c *Proc) { c.Sleep(5); flag = true; wt.Notify() })
+		p.Engine().Spawn("set", func(c *Proc) { c.Sleep(5); flag = true; wt.Notify() })
 		p.Poll(pl, wt, 0) // hits on the tick at 6
 		if p.Now() != 6 || p.polling.poll != nil || wt.w != nil {
 			t.Errorf("Poll returned at %v, holding poller %v on watch %v; want 6ps and neither", p.Now(), p.polling.poll, wt.w)
 		}
-		p.Spawn("notify", func(c *Proc) { c.Sleep(3); wt.Notify() })
+		p.Engine().Spawn("notify", func(c *Proc) { c.Sleep(3); wt.Notify() })
 		p.Sleep(10)
 		if p.Now() != 16 {
 			t.Errorf("Sleep(10) after a Poll ended at %v, want 16ps", p.Now())

@@ -98,15 +98,6 @@ func (p *Proc) tickSleep(d Duration) {
 	p.park("sleep")
 }
 
-// Yield reschedules the process at the current time behind the plain wakes
-// already pending, giving other runnable processes a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Spawn starts a child process; sugar for p.Engine().Spawn.
-func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
-	return p.eng.Spawn(name, fn)
-}
-
 // Event is a one-shot broadcast synchronization point: processes Wait until
 // some process calls Fire, after which all current and future waiters pass
 // immediately. The zero value is not usable; create Events with NewEvent.

@@ -51,9 +51,6 @@ func (t Time) Add(d Duration) Time {
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Nanoseconds returns d rounded down to nanoseconds.
-func (d Duration) Nanoseconds() int64 { return int64(d / Nanosecond) }
-
 // Microseconds returns d as a floating-point microsecond count.
 func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
 

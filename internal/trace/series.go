@@ -15,8 +15,6 @@ const (
 	SeriesRetries   = "offload.retries"  // counter: retransmissions per target node
 	SeriesBytes     = "wire.bytes"       // counter: wire bytes shipped per target node
 	SeriesHedges    = "offload.hedges"   // counter: hedged re-issues per hedge-target node
-	SeriesHealth    = "health.ewma"      // gauge: latency EWMA per target node (picoseconds)
-	SeriesBreaker   = "health.breaker"   // gauge: breaker state per target node (0 closed, 1 open, 2 half-open)
 
 	// Serving-gateway series (see the gateway package): queue depths and
 	// steals are recorded per target VE; admission counters are gateway-wide

@@ -50,9 +50,6 @@ const (
 	// PhaseHedge marks a hedged request being issued: the speculative second
 	// copy of a slow offload, sent to a healthy node (instant event).
 	PhaseHedge Phase = "hedge"
-	// PhaseBreaker marks a circuit-breaker state transition on a target node
-	// (closed → open → half-open → closed; instant event).
-	PhaseBreaker Phase = "breaker"
 	// PhaseAdmit marks a serving-gateway admission decision that rejected a
 	// request (tenant quota exhausted or class queue share full; instant
 	// event). Admitted requests are not marked — at millions of offloads the

@@ -116,12 +116,6 @@ func (h HostModel) VectorTime(flops, bytes int64, cores int) simtime.Duration {
 	return ft
 }
 
-// ScalarTime is the host-side time of ops scalar instructions on one core at
-// the socket's nominal clock, one instruction per cycle.
-func (h HostModel) ScalarTime(ops int64) simtime.Duration {
-	return simtime.Duration(float64(ops) / (h.Spec.ClockGHz * 1e9) * float64(simtime.Second))
-}
-
 // HostClock is the clock of a simulated Vector Host process: the process's
 // own simulated time, with kernel work charged by the default host roofline
 // model. It implements core.Clock for the initiator side of every backend
@@ -136,9 +130,6 @@ var hostModel = DefaultHostModel()
 func (c HostClock) ChargeVector(flops, bytes int64, cores int) {
 	c.Sleep(hostModel.VectorTime(flops, bytes, cores))
 }
-
-// ChargeScalar advances the process by ops scalar instructions.
-func (c HostClock) ChargeScalar(ops int64) { c.Sleep(hostModel.ScalarTime(ops)) }
 
 // Simulated is true: the process runs on the DES clock.
 func (HostClock) Simulated() bool { return true }

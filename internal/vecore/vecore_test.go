@@ -113,24 +113,6 @@ func TestHostVectorTimePositive(t *testing.T) {
 	}
 }
 
-// The host scalar time replaces a literal the backends used to paste; it must
-// stay bit-identical to it, or every simulated baseline with host-side
-// scalar work shifts.
-func TestHostScalarTimeMatchesLiteral(t *testing.T) {
-	h := DefaultHostModel()
-	f := func(ops int64) bool {
-		return h.ScalarTime(ops) == simtime.Duration(float64(ops)/2.6e9*float64(simtime.Second))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ops := range []int64{0, 1, 13, 2600, 1e6, 1e9 + 7, 1 << 40} {
-		if !f(ops) {
-			t.Errorf("ScalarTime(%d) = %v differs from the literal", ops, h.ScalarTime(ops))
-		}
-	}
-}
-
 // Property: kernel time is monotone in flops and bytes, and never below the
 // launch overhead.
 func TestVectorTimeMonotoneProperty(t *testing.T) {

@@ -176,10 +176,6 @@ func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
 	c.charge(n, c.Model().VectorTime(flops, bytes, n))
 }
 
-// ChargeScalar advances simulated time by ops scalar instructions on one
-// core.
-func (c *Ctx) ChargeScalar(ops int64) { c.charge(1, c.Model().ScalarTime(ops)) }
-
 // charge holds n of the card's cores for d. While the card has one live
 // context no other process can want the cores, so d is private time: a
 // debt of the worker's (simtime.Proc.Charge).

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -83,6 +84,9 @@ func chaosRun(t *testing.T, protocol string, plan *faults.Plan) chaosOutcome {
 		for i := 0; i < 40; i++ {
 			n := int64(8 + (i%7)*31)
 			v, err := offload.Sync(rt, 1, chaosVec.Bind(n))
+			if errors.Is(err, offload.ErrOffloadTimeout) {
+				out.timeouts++
+			}
 			if err != nil {
 				out.observations = append(out.observations, fmt.Sprintf("%d: ERR %v", i, err))
 				continue
@@ -94,7 +98,6 @@ func chaosRun(t *testing.T, protocol string, plan *faults.Plan) chaosOutcome {
 			out.observations = append(out.observations, fmt.Sprintf("%d: len %d sum %v", i, len(v), sum))
 		}
 		out.retries = rt.Retries()
-		out.timeouts = rt.Timeouts()
 		return nil
 	})
 	if err != nil {
@@ -233,7 +236,6 @@ func grayRun(t *testing.T, seed uint64) grayOutcome {
 			FailureStrikes: 3,
 			OpenFor:        400 * machine.Microsecond,
 		}, nodes, rt.SimNow)
-		trk.SetTracer(m.Timing.Tracer.Node(0, "health", p))
 		pol := sched.HealthAware(sched.RoundRobin(), trk)
 		inflight := make([]int, len(nodes))
 		for i := 0; i < 120; i++ {

@@ -58,12 +58,9 @@ func (c *Cluster) RunMain(fn func(p *Proc) error) error {
 	return runErr
 }
 
-// Now returns the cluster's simulated clock.
-func (c *Cluster) Now() Duration { return Duration(c.Eng.Now()) }
-
 // VENodes returns the application node ids of every VE in the cluster —
-// machine-major, 1..N, matching ConnectCluster's numbering — the natural
-// node set for a cluster-wide sched.Scheduler.
+// machine-major, 1..N, matching ConnectCluster's numbering: machine m's
+// first VE is VENodes()[m*len(c.Nodes[0].Cards)].
 func (c *Cluster) VENodes() []core.NodeID {
 	var nodes []core.NodeID
 	for _, m := range c.Nodes {

@@ -147,14 +147,14 @@ func TestClusterRemoteCostsMoreThanLocal(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			start := c.Now()
+			start := c.Eng.Now()
 			const reps = 50
 			for i := 0; i < reps; i++ {
 				if _, err := offload.Sync(rt, node, clSquare.Bind(1)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			return (c.Now() - start).Microseconds() / reps
+			return (c.Eng.Now() - start).Microseconds() / reps
 		}
 		local := measure(1)
 		remote := measure(2)

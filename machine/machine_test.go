@@ -490,7 +490,7 @@ func TestFanOutHelpers(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = offload.NodeID(i + 1)
 		}
-		futs := offload.AsyncAll(rt, nodes, mtEchoStr.Bind("fan"))
+		futs := asyncAll(rt, nodes, mtEchoStr.Bind("fan"))
 		out, err := offload.GetAll(futs)
 		if err != nil {
 			return err
@@ -508,7 +508,7 @@ func TestFanOutHelpers(t *testing.T) {
 			arg := bytes.Repeat([]byte{0xA5}, n)
 			fn := mtEchoBytes.Bind(arg)
 			clear(arg)
-			got, err := offload.GetAll(offload.AsyncAll(rt, nodes, fn))
+			got, err := offload.GetAll(asyncAll(rt, nodes, fn))
 			if err != nil {
 				return err
 			}
@@ -523,4 +523,13 @@ func TestFanOutHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// asyncAll offloads fn to each node and returns the futures in node order.
+func asyncAll[R any](rt *offload.Runtime, nodes []offload.NodeID, fn offload.Functor[R]) []*offload.Future[R] {
+	futs := make([]*offload.Future[R], len(nodes))
+	for i, n := range nodes {
+		futs[i] = offload.Async(rt, n, fn)
+	}
+	return futs
 }

@@ -3,6 +3,7 @@ package machine_test
 import (
 	"testing"
 
+	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
@@ -41,10 +42,10 @@ func telemetryRun(t *testing.T, tr *trace.Tracer) simtime.Time {
 				return err
 			}
 		}
-		b := offload.NewBatcher(rt)
+		b := core.NewBatcher(rt)
 		var futs []*offload.Future[offload.Unit]
 		for i := 0; i < 4; i++ {
-			futs = append(futs, offload.BatchAdd(b, 1, mtEmpty.Bind()))
+			futs = append(futs, core.BatchAdd(b, 1, mtEmpty.Bind()))
 		}
 		b.FlushAll()
 		if _, err := offload.GetAll(futs); err != nil {

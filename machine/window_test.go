@@ -3,6 +3,7 @@ package machine_test
 import (
 	"testing"
 
+	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
 	"hamoffload/internal/topology"
 	"hamoffload/internal/trace"
@@ -86,11 +87,11 @@ func winMachine(t *testing.T, tr *trace.Tracer) *machine.Machine {
 }
 
 func sendFrame(p *machine.Proc, m *machine.Machine, rt *offload.Runtime, fn offload.Func1[int64, int64]) (frameRun, error) {
-	b := offload.NewBatcher(rt)
+	b := core.NewBatcher(rt)
 	var futs []*offload.Future[int64]
 	start := m.Eng.Events()
 	for i := range int64(8) {
-		futs = append(futs, offload.BatchAdd(b, 1, fn.Bind(i)))
+		futs = append(futs, core.BatchAdd(b, 1, fn.Bind(i)))
 	}
 	b.FlushAll()
 	res, err := offload.GetAll(futs)

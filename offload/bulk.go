@@ -12,25 +12,12 @@ type (
 	// BatchPolicy drives when queued offloads flush as one batch frame;
 	// the zero value disables batching. See core.BatchPolicy.
 	BatchPolicy = core.BatchPolicy
-	// Batcher queues offloads per target node and ships them as batch
-	// frames. See core.Batcher.
-	Batcher = core.Batcher
 	// Scheduler shards offloads across a node set under a Policy.
 	Scheduler = sched.Scheduler
 	// Policy decides task placement; see sched.RoundRobin,
-	// sched.LeastInFlight and sched.Affinity.
+	// sched.LeastInFlight and sched.HealthAware.
 	Policy = sched.Policy
 )
-
-// NewBatcher creates a batcher over rt's backend and batching policy.
-func NewBatcher(rt *Runtime) *Batcher { return core.NewBatcher(rt) }
-
-// BatchAdd queues fn for node on b and returns its future; the frame ships
-// according to rt's BatchPolicy, on Flush/FlushAll, or when a queued
-// future blocks in Get.
-func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
-	return core.BatchAdd(b, node, fn)
-}
 
 // AsyncBatch offloads fns to node as batch frames under rt's policy,
 // returning the futures in submission order — one flag publish and one
@@ -44,23 +31,8 @@ func NewScheduler(rt *Runtime, nodes []NodeID, pol Policy) (*Scheduler, error) {
 	return sched.New(rt, nodes, pol)
 }
 
-// SchedTargets returns every node of rt's application except the caller —
-// the natural node set for a scheduler over all VEs.
-func SchedTargets(rt *Runtime) []NodeID { return sched.Targets(rt) }
-
 // MapFutures shards n functor invocations across s's nodes and returns
 // the futures in task order without waiting.
 func MapFutures[R any](s *Scheduler, n int, gen func(task int) Functor[R]) []*Future[R] {
 	return sched.MapFutures(s, n, gen)
-}
-
-// Map shards n functor invocations across s's nodes and gathers the
-// results in task order.
-func Map[R any](s *Scheduler, n int, gen func(task int) Functor[R]) ([]R, error) {
-	return sched.Map(s, n, gen)
-}
-
-// ForEach is Map with the results discarded.
-func ForEach[R any](s *Scheduler, n int, gen func(task int) Functor[R]) error {
-	return sched.ForEach(s, n, gen)
 }

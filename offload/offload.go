@@ -113,11 +113,6 @@ var (
 	ErrUnsupported = core.ErrUnsupported
 )
 
-// IsTransient reports whether err is worth retrying (corrupt payloads and
-// backend errors that declare Transient() true; node failures and timeouts
-// are permanent).
-func IsTransient(err error) bool { return core.IsTransient(err) }
-
 // Generic type surface, re-exported (generic aliases).
 type (
 	// BufferPtr points to target memory of element type T (buffer_ptr<T>).
@@ -203,17 +198,6 @@ func Put[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) error { return core.Put
 // Get reads len(dst) elements from target memory at src.
 func Get[T Elem](rt *Runtime, src BufferPtr[T], dst []T) error { return core.Get(rt, src, dst) }
 
-// PutAsync is the asynchronous put of Table II; current backends complete
-// eagerly, so the returned future is immediately ready.
-func PutAsync[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) *Future[Unit] {
-	return core.PutAsync(rt, src, dst)
-}
-
-// GetAsync is the asynchronous get of Table II; see PutAsync.
-func GetAsync[T Elem](rt *Runtime, src BufferPtr[T], dst []T) *Future[Unit] {
-	return core.GetAsync(rt, src, dst)
-}
-
 // Copy performs a host-orchestrated copy between two target buffers.
 func Copy[T Elem](rt *Runtime, src, dst BufferPtr[T], count int64) error {
 	return core.Copy(rt, src, dst, count)
@@ -229,12 +213,6 @@ func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 // function; a no-op when vals is what ReadLocal returned for that offset.
 func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
 	return core.WriteLocal(c, b, off, vals)
-}
-
-// AsyncAll offloads one functor to each listed node, returning futures in
-// node order.
-func AsyncAll[R any](rt *Runtime, nodes []NodeID, fn Functor[R]) []*Future[R] {
-	return core.AsyncAll(rt, nodes, fn)
 }
 
 // GetAll drains the futures, returning results in order and the first error.

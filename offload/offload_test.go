@@ -29,15 +29,15 @@ func TestPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := offload.PutAsync(rt, []int32{1, 2, 3}, buf); !f.Test() {
-		t.Error("PutAsync future should be ready")
+	if err := offload.Put(rt, []int32{1, 2, 3}, buf); err != nil {
+		t.Fatal(err)
 	}
 	out := make([]int32, 3)
-	if _, err := offload.GetAsync(rt, buf, out).Get(); err != nil {
+	if err := offload.Get(rt, buf, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[1] != 2 {
-		t.Errorf("GetAsync data = %v", out)
+		t.Errorf("Get data = %v", out)
 	}
 	off, err := buf.Offset(2)
 	if err != nil || off.Count != 6 {

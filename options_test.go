@@ -22,7 +22,7 @@ var optionSkip = []string{"bench", "internal/analysis"}
 // why: at most 3. An entry that a program sets, or that names no field,
 // fails the test.
 var optionAllow = map[string]string{
-	"gateway.Config.Placement": "the gateway tests pin requests to one VE with sched.Affinity; every program takes LeastInFlight",
+	"gateway.Config.Placement": "the gateway tests pin requests to chosen VEs with a test-only affinity policy; every program takes LeastInFlight",
 }
 
 // TestOptionCallers fails on every exported field of an option type that no

@@ -18,11 +18,12 @@ import (
 const reachModule = "hamoffload"
 
 // reachPublic are the packages whose exported functions and methods, and the
-// exported methods of every type they alias, are the module's API.
+// exported methods of every type they alias, are the module's API. Each of
+// them must be reached from a program.
 var reachPublic = []string{"offload", "gateway", "sched", "sched/health", "machine"}
 
 // reachSupport are the test-support packages: only tests import them, and
-// every function in them is a root.
+// every function in them is a program.
 var reachSupport = []string{"internal/backend/conformance", "internal/analysis/analysistest"}
 
 // reachAllow names the functions no root reaches that stay, each with why:
@@ -51,7 +52,13 @@ var reachAllow = map[string]string{
 	"internal/mem.Memory.ResidentBytes":           "the resident-memory observer of core's and veos's memory pins, in other packages than mem",
 }
 
-// modulePackages loads the module's non-test code once for both tests here.
+// apiAllow names the API functions no program reaches that stay, each with
+// why: at most 10. An entry that a program reaches, or that is not API, fails
+// the test.
+var apiAllow = map[string]string{}
+
+// modulePackages loads the module's non-test code once for the tests that
+// judge the module as a whole.
 var modulePackages = func() func(t *testing.T) []*analysis.Package {
 	var (
 		once sync.Once
@@ -69,19 +76,24 @@ var modulePackages = func() func(t *testing.T) []*analysis.Package {
 }()
 
 // TestReachability fails on every function outside the test-support packages
-// that no root reaches. The roots are every main, init and package-level
-// variable initializer, every function of the test-support packages, and the
-// exported functions and methods of the public packages and of the types
-// they alias. An edge is any reference to a function, a call or a function
-// or method value; one inside a function literal belongs to the function
-// around it. A call through an interface reaches every method that
-// implements it (callgraph.ImplTable), and so does an interface of a
-// package outside the module, which that package may call; a call on a type
-// parameter reaches the method of every type argument. docs/LINTING.md,
-// "Reachable code", gives the rule.
+// that no root reaches, and on every API function that no program reaches.
+// The programs are every main, init and package-level variable initializer,
+// and every function of the test-support packages. The roots are the
+// programs and the API: the exported functions and methods of the public
+// packages and of the types they alias. An edge is any reference to a
+// function, a call or a function or method value; one inside a function
+// literal belongs to the function around it. A call through an interface
+// reaches every method that implements it (callgraph.ImplTable); a method
+// that implements an interface of a package outside the module counts as a
+// program, since that package may call it; a call on a type parameter
+// reaches the method of every type argument. docs/LINTING.md, "Reachable
+// code", gives the rule.
 func TestReachability(t *testing.T) {
 	if len(reachAllow) > 25 {
 		t.Errorf("reachAllow has %d entries, more than 25", len(reachAllow))
+	}
+	if len(apiAllow) > 10 {
+		t.Errorf("apiAllow has %d entries, more than 10", len(apiAllow))
 	}
 	pkgs := modulePackages(t)
 	r := &reach{
@@ -97,8 +109,8 @@ func TestReachability(t *testing.T) {
 		}
 	}
 	var (
-		roots []*types.Func
-		decls = map[*types.Func]token.Position{}
+		programs, api []*types.Func
+		decls         = map[*types.Func]token.Position{}
 	)
 	for _, pkg := range pkgs {
 		rel := strings.TrimPrefix(pkg.Path, reachModule+"/")
@@ -111,21 +123,47 @@ func TestReachability(t *testing.T) {
 					r.refs[fn] = r.collect(pkg, d)
 					decls[fn] = pkg.Fset.Position(d.Pos())
 					if support || d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
-						roots = append(roots, fn)
+						programs = append(programs, fn)
 					}
 				case *ast.GenDecl:
 					if d.Tok == token.VAR {
-						roots = append(roots, r.collect(pkg, d)...)
+						programs = append(programs, r.collect(pkg, d)...)
 					}
 				}
 			}
 		}
 		if public {
-			roots = append(roots, r.api(pkg.Types)...)
+			api = append(api, r.api(pkg.Types)...)
 		}
 	}
-	roots = append(roots, r.foreign(pkgs)...)
-	for _, fn := range roots {
+	programs = append(programs, r.foreign(pkgs)...)
+	for _, fn := range programs {
+		r.visit(fn)
+	}
+	// An API function is checked against the programs alone; the API then
+	// joins the roots.
+	apiNames := map[string]bool{}
+	for _, fn := range api {
+		fn = fn.Origin()
+		name := funcName(fn)
+		if apiNames[name] {
+			continue // a type both declared and aliased in the API
+		}
+		apiNames[name] = true
+		_, allowed := apiAllow[name]
+		switch {
+		case allowed && r.seen[fn]:
+			t.Errorf("%s: %s is reached from a program; drop its apiAllow entry", decls[fn], name)
+		case !allowed && !r.seen[fn]:
+			t.Errorf("%s: %s is API that no main, init, initializer or test-support package reaches; give it a program, delete it, or allow it with a reason", decls[fn], name)
+		}
+	}
+	for name := range apiAllow {
+		if !apiNames[name] {
+			t.Errorf("apiAllow names %s, which is not API", name)
+		}
+	}
+	for _, fn := range api {
 		r.visit(fn)
 	}
 	// An allowed function is checked against the roots alone; what it

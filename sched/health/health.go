@@ -1,7 +1,8 @@
 // Package health scores the target nodes of a HAM-Offload application and
 // ejects the sick ones — the gray-failure complement to core's fail-stop
-// retry machinery. A Tracker keeps a latency EWMA and an error rate per
-// node, fed from offload settlements, and runs a per-node circuit breaker:
+// retry machinery. A Tracker keeps a latency EWMA and a run of consecutive
+// failures per node, fed from offload settlements, and runs a per-node
+// circuit breaker:
 //
 //	         strikes (consecutive failures, or EWMA
 //	         an outlier against the healthiest node)
@@ -30,7 +31,6 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/trace"
 )
 
 // State is one node's circuit-breaker state.
@@ -108,8 +108,6 @@ type node struct {
 	state    State
 	openedAt simtime.Time
 	probing  bool // HalfOpen: the single probe slot is taken
-	observed int64
-	failed   int64
 }
 
 // Tracker scores a fixed set of target nodes and runs their breakers. Like
@@ -122,8 +120,6 @@ type Tracker struct {
 	nodes []node
 	index []int // node id -> nodes index, -1 when untracked
 	trans int64
-
-	tr *trace.NodeTracer
 }
 
 // New builds a tracker over the given target nodes. clock supplies the
@@ -153,20 +149,6 @@ func New(cfg Config, nodes []core.NodeID, clock func() simtime.Time) *Tracker {
 	return t
 }
 
-// SetTracer attaches a trace handle; breaker transitions are then recorded
-// as PhaseBreaker instants, and the per-node latency EWMA (SeriesHealth)
-// and breaker state (SeriesBreaker) as series. Nil (the default) disables.
-func (t *Tracker) SetTracer(tr *trace.NodeTracer) { t.tr = tr }
-
-// Nodes returns the tracked node set in tracker order.
-func (t *Tracker) Nodes() []core.NodeID {
-	out := make([]core.NodeID, len(t.nodes))
-	for i, n := range t.nodes {
-		out[i] = n.id
-	}
-	return out
-}
-
 // Transitions returns how many breaker state transitions have occurred.
 func (t *Tracker) Transitions() int64 { return t.trans }
 
@@ -176,14 +158,6 @@ func (t *Tracker) StateOf(id core.NodeID) State {
 		return n.state
 	}
 	return Closed
-}
-
-// EWMA returns a node's latency EWMA and whether it has samples yet.
-func (t *Tracker) EWMA(id core.NodeID) (simtime.Duration, bool) {
-	if n := t.lookup(id); n != nil && n.sampled {
-		return simtime.Duration(n.ewma), true
-	}
-	return 0, false
 }
 
 func (t *Tracker) lookup(id core.NodeID) *node {
@@ -212,23 +186,16 @@ func (t *Tracker) bestEWMA(skip *node) (float64, bool) {
 	return best, ok
 }
 
-// transition moves n to state s, emitting the trace instant and breaker
-// gauge every transition carries.
+// transition moves n to state s.
 func (t *Tracker) transition(n *node, s State) {
 	if n.state == s {
 		return
 	}
-	now := t.clock()
 	t.trans++
-	if t.tr != nil {
-		t.tr.Instant(trace.PhaseBreaker,
-			fmt.Sprintf("node %d %s -> %s", n.id, n.state, s), t.trans)
-		t.tr.Tracer().Gauge(int(n.id), trace.SeriesBreaker, now, int64(s))
-	}
 	n.state = s
 	switch s {
 	case Open:
-		n.openedAt = now
+		n.openedAt = t.clock()
 		n.probing = false
 	case HalfOpen:
 		n.probing = false
@@ -251,9 +218,7 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 	if n == nil {
 		return
 	}
-	n.observed++
 	if failed {
-		n.failed++
 		n.failRun++
 	} else {
 		n.failRun = 0
@@ -261,9 +226,6 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 			n.ewma, n.sampled = float64(lat), true
 		} else {
 			n.ewma = ewmaAlpha*float64(lat) + (1-ewmaAlpha)*n.ewma
-		}
-		if t.tr != nil {
-			t.tr.Tracer().Gauge(int(n.id), trace.SeriesHealth, t.clock(), int64(n.ewma))
 		}
 	}
 	outlier := false
@@ -293,8 +255,8 @@ func (t *Tracker) Observe(id core.NodeID, lat simtime.Duration, failed bool) {
 		}
 		t.transition(n, Closed)
 	case Open:
-		// Late settlements of offloads issued before ejection; counted in
-		// the stats above but they do not move the breaker.
+		// Late settlements of offloads issued before ejection do not move
+		// the breaker.
 	}
 }
 
@@ -334,12 +296,4 @@ func (t *Tracker) CommitAdmit(id core.NodeID) {
 	case HalfOpen:
 		n.probing = true
 	}
-}
-
-// Stats returns one node's observation counters (settled, failed).
-func (t *Tracker) Stats(id core.NodeID) (observed, failed int64) {
-	if n := t.lookup(id); n != nil {
-		return n.observed, n.failed
-	}
-	return 0, 0
 }

@@ -5,7 +5,6 @@ import (
 
 	"hamoffload/internal/core"
 	"hamoffload/internal/simtime"
-	"hamoffload/internal/trace"
 )
 
 // testClock is a hand-advanced simulated clock.
@@ -182,10 +181,6 @@ func TestStragglerSettlementsIgnored(t *testing.T) {
 	if trk.StateOf(1) != Open {
 		t.Fatal("observations while open must not transition the breaker")
 	}
-	obs, failed := trk.Stats(1)
-	if obs != 3 || failed != 2 {
-		t.Fatalf("stats = (%d, %d), want (3, 2)", obs, failed)
-	}
 }
 
 func TestStateString(t *testing.T) {
@@ -197,14 +192,11 @@ func TestStateString(t *testing.T) {
 }
 
 // TestUntrackedNodes: an id outside the tracked set — negative, past the
-// index or in a gap of it — reads as a closed breaker with no samples and
-// no stats, and observing or admitting it changes nothing. A nil clock pins
+// index or in a gap of it — reads as a closed breaker with no samples, and
+// observing or admitting it changes nothing. A nil clock pins
 // time to 0, so an opened breaker's cooldown never elapses.
 func TestUntrackedNodes(t *testing.T) {
 	trk := New(Config{}, nodes(1, 3), nil)
-	if got := trk.Nodes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Nodes = %v, want [1 3]", got)
-	}
 	for _, id := range nodes(-1, 2, 99) {
 		trk.Observe(id, 0, true)
 		trk.CommitAdmit(id)
@@ -213,9 +205,6 @@ func TestUntrackedNodes(t *testing.T) {
 		}
 		if _, ok := trk.EWMA(id); ok {
 			t.Errorf("untracked node %d has an EWMA", id)
-		}
-		if obs, failed := trk.Stats(id); obs != 0 || failed != 0 {
-			t.Errorf("untracked node %d: stats (%d, %d)", id, obs, failed)
 		}
 	}
 	if n := trk.Transitions(); n != 0 {
@@ -229,44 +218,5 @@ func TestUntrackedNodes(t *testing.T) {
 	}
 	if s := State(7).String(); s != "State(7)" {
 		t.Fatalf("State(7).String() = %q", s)
-	}
-}
-
-// TestSetTracerRecordsHealthSeries: a tracer attached with SetTracer alone
-// records the per-node latency EWMA and breaker-state gauges, stamped on the
-// tracker's clock, beside the breaker instants.
-func TestSetTracerRecordsHealthSeries(t *testing.T) {
-	clk := &testClock{}
-	trk := newT(Config{FailureStrikes: 1}, clk, 1)
-	tr := trace.NewTracer()
-	trk.SetTracer(tr.Node(0, "health", clk))
-	clk.tick(simtime.Microsecond)
-	trk.Observe(1, 5*simtime.Microsecond, false)
-	clk.tick(simtime.Microsecond)
-	trk.Observe(1, 0, true) // one strike opens the breaker
-	got := map[string]*trace.Series{}
-	for _, s := range tr.Series() {
-		got[s.Name()] = s
-	}
-	for name, want := range map[string]int64{
-		trace.SeriesHealth:  int64(5 * simtime.Microsecond),
-		trace.SeriesBreaker: int64(Open),
-	} {
-		s := got[name]
-		if s == nil {
-			t.Fatalf("series %s not recorded; have %d series", name, len(got))
-		}
-		if total := s.Total(); s.Node() != 1 || total.Count != 1 || total.Last != want {
-			t.Errorf("series %s: node %d, total %+v; want node 1, one sample of %d", name, s.Node(), total, want)
-		}
-	}
-	var n int64
-	for _, st := range tr.Registry(0).SpanStats() {
-		if st.Name == "node 1 closed -> open" {
-			n = st.Count
-		}
-	}
-	if n != 1 {
-		t.Errorf("breaker instant recorded %d times, want 1", n)
 	}
 }

@@ -69,27 +69,6 @@ func (leastInFlight) Pick(task int, nodes []core.NodeID, inflight []int) int {
 	return best
 }
 
-// Affinity pins tasks to nodes through assign, for workloads whose data
-// already lives on specific VEs. A task whose assigned node is not among
-// the scheduler's falls back to round-robin placement by task index.
-func Affinity(assign func(task int) core.NodeID) Policy { return affinity{assign} }
-
-type affinity struct {
-	assign func(task int) core.NodeID
-}
-
-func (affinity) Name() string { return "affinity" }
-
-func (a affinity) Pick(task int, nodes []core.NodeID, inflight []int) int {
-	want := a.assign(task)
-	for i, n := range nodes {
-		if n == want {
-			return i
-		}
-	}
-	return task % len(nodes)
-}
-
 // HealthAware composes a placement policy with a health tracker: candidate
 // nodes whose circuit breaker is open are filtered out before the inner
 // policy picks, so traffic routes around ejected nodes; the one node
@@ -163,8 +142,6 @@ type Scheduler struct {
 	obs      settleObserver // pol as an observer; nil when it does not observe
 	inflight []int
 	slots    []slot // parallel to nodes; each task points at its node's
-	issued   int64
-	done     int64
 }
 
 // slot is what a task needs of its node: the scheduler and the node's
@@ -207,34 +184,8 @@ func New(rt *core.Runtime, nodes []core.NodeID, pol Policy) (*Scheduler, error) 
 	return s, nil
 }
 
-// Targets returns every node of rt's application except the caller itself —
-// the natural node set for a scheduler over all VEs.
-func Targets(rt *core.Runtime) []core.NodeID {
-	var nodes []core.NodeID
-	for n := 0; n < rt.NumNodes(); n++ {
-		if core.NodeID(n) != rt.ThisNode() {
-			nodes = append(nodes, core.NodeID(n))
-		}
-	}
-	return nodes
-}
-
 // Nodes returns the scheduler's node set.
 func (s *Scheduler) Nodes() []core.NodeID { return append([]core.NodeID(nil), s.nodes...) }
-
-// Policy returns the placement policy.
-func (s *Scheduler) Policy() Policy { return s.pol }
-
-// InFlight returns the current per-node in-flight counts, parallel to
-// Nodes. Counts drop as futures settle (in Get/Test), so they reflect the
-// initiator's view, not the wire.
-func (s *Scheduler) InFlight() []int { return append([]int(nil), s.inflight...) }
-
-// Issued returns how many tasks the scheduler has placed.
-func (s *Scheduler) Issued() int64 { return s.issued }
-
-// Completed returns how many placed tasks have settled.
-func (s *Scheduler) Completed() int64 { return s.done }
 
 // place runs the policy for one task, clamping bad returns to round-robin.
 func (s *Scheduler) place(task int) int {
@@ -264,7 +215,6 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 		core.Issue(s.rt, b, node, &fn, &t.fut)
 		s.rt.NotePlacement(s.pol.Name(), node)
 		s.inflight[i]++
-		s.issued++
 		t.at, t.start = &s.slots[i], s.rt.SimNow()
 		t.fut.OnSettleHook(t)
 		futs[k] = &t.fut
@@ -290,7 +240,6 @@ type task[R any] struct {
 func (t *task[R]) FutureSettled() {
 	s, i := t.at.s, t.at.i
 	s.inflight[i]--
-	s.done++
 	if s.obs != nil {
 		_, err := t.fut.Get()
 		s.obs.observe(s.nodes[i], s.rt.SimNow().Sub(t.start), err != nil)

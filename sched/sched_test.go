@@ -43,26 +43,6 @@ func TestLeastInFlightPicksMinAndBreaksTiesLow(t *testing.T) {
 	}
 }
 
-func TestAffinityMapsAndFallsBack(t *testing.T) {
-	nodes := []core.NodeID{3, 5, 7}
-	pol := sched.Affinity(func(task int) core.NodeID {
-		if task < 3 {
-			return nodes[task]
-		}
-		return 42 // not a scheduler node: falls back to round-robin by index
-	})
-	for task := 0; task < 3; task++ {
-		if got := pol.Pick(task, nodes, []int{0, 0, 0}); got != task {
-			t.Errorf("task %d -> %d, want %d", task, got, task)
-		}
-	}
-	for task := 3; task < 9; task++ {
-		if got, want := pol.Pick(task, nodes, []int{0, 0, 0}), task%3; got != want {
-			t.Errorf("fallback task %d -> %d, want %d", task, got, want)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	hb, tb, err := locb.NewPair(1 << 20)
 	if err != nil {
@@ -97,12 +77,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := sched.New(host, []core.NodeID{99}, sched.RoundRobin()); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-	s, err := sched.New(host, sched.Targets(host), sched.RoundRobin())
+	s, err := sched.New(host, []core.NodeID{1}, sched.RoundRobin())
 	if err != nil {
 		t.Fatalf("valid scheduler rejected: %v", err)
 	}
 	if n := s.Nodes(); len(n) != 1 || n[0] != 1 {
-		t.Errorf("Targets = %v, want [1]", n)
+		t.Errorf("Nodes = %v, want [1]", n)
 	}
 }
 
@@ -127,7 +107,7 @@ func TestMapFuturesAllocs(t *testing.T) {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		s, err := sched.New(rt, sched.Targets(rt), sched.LeastInFlight())
+		s, err := sched.New(rt, []core.NodeID{1, 2}, sched.LeastInFlight())
 		if err != nil {
 			return err
 		}
@@ -161,8 +141,8 @@ func TestMapFuturesAllocs(t *testing.T) {
 				}
 			}
 		}
-		if bad != 0 || s.Completed() != s.Issued() {
-			t.Errorf("%d wrong results; %d of %d tasks settled", bad, s.Completed(), s.Issued())
+		if inflight := s.InFlight(); bad != 0 || inflight[0] != 0 || inflight[1] != 0 {
+			t.Errorf("%d wrong results; tasks still in flight per node: %v", bad, inflight)
 		}
 		if want := int64(512 + 11*(64+512)); hook.n != want {
 			t.Errorf("further hooks ran %d times, want %d", hook.n, want)

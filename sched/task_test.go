@@ -85,7 +85,7 @@ func (h *settledAt) FutureSettled() {
 // TestMapFuturesFeedsObserver: under HealthAware over two VEs, every task
 // of a MapFutures call is observed exactly once, at its settlement, on the
 // node it was placed on, with the latency from its issue stamp to then and
-// its outcome; the tracker sees each node's share, and the scheduler's
+// its outcome; the tracker sees each node's failures, and the scheduler's
 // in-flight slots all come back.
 func TestMapFuturesFeedsObserver(t *testing.T) {
 	const n = 40
@@ -99,8 +99,10 @@ func TestMapFuturesFeedsObserver(t *testing.T) {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		nodes := Targets(rt)
-		trk := health.New(health.Config{}, nodes, rt.SimNow)
+		nodes := []core.NodeID{1, 2}
+		// One failure opens a breaker, so each node's first failed task
+		// shows that the tracker saw it.
+		trk := health.New(health.Config{FailureStrikes: 1}, nodes, rt.SimNow)
 		tap := &tapPolicy{Policy: HealthAware(RoundRobin(), trk), clock: rt.SimNow}
 		s, err := New(rt, nodes, tap)
 		if err != nil {
@@ -157,20 +159,21 @@ func TestMapFuturesFeedsObserver(t *testing.T) {
 			}
 			perNode[o.node] = c
 		}
+		// Every task was placed before any settled, so no open breaker moved
+		// a placement, and an open breaker ignores later settlements.
 		for _, node := range nodes {
-			observed, failed := trk.Stats(node)
-			if c := perNode[node]; observed != c[0] || failed != c[1] || observed == 0 {
-				t.Errorf("tracker saw node %d settle %d (%d failed), the scheduler observed %d (%d failed)",
-					node, observed, failed, c[0], c[1])
+			if c := perNode[node]; c[0] == 0 || c[1] == 0 || trk.StateOf(node) != health.Open {
+				t.Errorf("node %d: the scheduler observed %d settlements (%d failed), the tracker's breaker is %v; want it opened",
+					node, c[0], c[1], trk.StateOf(node))
 			}
 		}
-		for i, v := range s.InFlight() {
+		if got := trk.Transitions(); got != int64(len(nodes)) {
+			t.Errorf("the tracker made %d breaker transitions, want one per node", got)
+		}
+		for i, v := range s.inflight {
 			if v != 0 {
 				t.Errorf("node %d still has %d tasks in flight", nodes[i], v)
 			}
-		}
-		if s.Issued() != n || s.Completed() != s.Issued() {
-			t.Errorf("issued %d, completed %d; want %d each", s.Issued(), s.Completed(), n)
 		}
 		return nil
 	})
@@ -204,7 +207,7 @@ func TestMapFuturesSyncFailureStaysSettled(t *testing.T) {
 				return err
 			}
 			defer func() { _ = rt.Finalize() }()
-			s, err := New(rt, Targets(rt), RoundRobin())
+			s, err := New(rt, []core.NodeID{1, 2}, RoundRobin())
 			if err != nil {
 				return err
 			}
@@ -238,13 +241,10 @@ func TestMapFuturesSyncFailureStaysSettled(t *testing.T) {
 					t.Errorf("batch %+v: task %d = %d, %v; want 3", batch, k, v, err)
 				}
 			}
-			for i, v := range s.InFlight() {
+			for i, v := range s.inflight {
 				if v != 0 {
 					t.Errorf("batch %+v: node %d still has %d tasks in flight", batch, i+1, v)
 				}
-			}
-			if s.Completed() != n {
-				t.Errorf("batch %+v: %d of %d tasks completed", batch, s.Completed(), n)
 			}
 			return nil
 		})
