@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/trace"
 )
 
 // Allocation pins for the request path (docs/LINTING.md, "Allocation
@@ -23,11 +24,12 @@ import (
 // ones on purpose.
 
 // TestRecordSizes pins the three records the runtime's free lists hand out,
-// and the future. Each list grows to the peak taken at once and no further,
-// so a field added to a record costs its bytes once per record in flight,
-// not per request; the pin makes that cost a deliberate change. A future is
-// per request: it is embedded in a gateway ticket or a MapFutures task, so
-// its bytes are every request's.
+// the future and the functor. Each list grows to the peak taken at once and
+// no further, so a field added to a record costs its bytes once per record
+// in flight, not per request; the pin makes that cost a deliberate change. A
+// future is per request: it is embedded in a gateway ticket or a MapFutures
+// task, so its bytes are every request's, and so are a queued gateway
+// request's functor's.
 func TestRecordSizes(t *testing.T) {
 	for _, r := range []struct {
 		name      string
@@ -37,6 +39,7 @@ func TestRecordSizes(t *testing.T) {
 		{"hookChain", unsafe.Sizeof(hookChain{}), 48},
 		{"Batcher", unsafe.Sizeof(Batcher{}), 120},
 		{"Future[int64]", unsafe.Sizeof(Future[int64]{}), 32},
+		{"Functor[int64]", unsafe.Sizeof(Functor[int64]{}), 104},
 	} {
 		if r.got != r.want {
 			t.Errorf("%s is %d B, want %d", r.name, r.got, r.want)
@@ -232,7 +235,7 @@ func TestChainedOnSettleZeroAlloc(t *testing.T) {
 // requestWire encodes fn's request message on rt, as an offload of it does.
 func requestWire[R any](t testing.TB, rt *Runtime, fn Functor[R]) []byte {
 	t.Helper()
-	msg, err := rt.bin.EncodeRequestTo(ham.NewEncoder(), fn.name, fn.args.bytes())
+	msg, err := rt.bin.EncodeRequestTo(ham.NewEncoder(), fn.mt.typ, fn.args.bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,3 +473,41 @@ func (b *frameBackend) Call(_ NodeID, msg []byte) (Handle, error) {
 }
 
 func (b *frameBackend) Wait(h Handle) ([]byte, error) { return *h.(*[]byte), nil }
+
+// TestTracedSyncAllocs pins a warm Sync with a tracer attached to both
+// runtimes (flows off) at the one object the armed path needs: the closer
+// of the offload span, which Issue hands its future as a settle hook. The
+// encode and execute spans are recorded from a start time, with no closure,
+// and no span name is built per offload: the encode and offload names are
+// built when the function is registered and the execute names when the
+// tracer is attached.
+const tracedSyncAllocs = 1
+
+func TestTracedSyncAllocs(t *testing.T) {
+	tbk := &allocBackend{}
+	target := NewRuntime(tbk, "alloc-arch-traced-t")
+	tbk.target = target
+	host := NewRuntime(&allocBackend{target: target}, "alloc-arch-traced-h")
+	tr := trace.NewTracer()
+	target.SetTracer(tr.Node(1, "alloc", WallClock))
+	host.SetTracer(tr.Node(0, "alloc", WallClock))
+	fn := fnAllocInc.Bind(41)
+	var v int64
+	var err error
+	cycle := func() { v, err = Sync(host, 1, fn) }
+	for range 100 {
+		cycle()
+	}
+	n := testing.AllocsPerRun(100, cycle)
+	if v != 42 || err != nil {
+		t.Fatalf("Sync result = %d, %v; want 42, nil", v, err)
+	}
+	for _, s := range tr.Spans()[len(tr.Spans())-3:] {
+		if want := string(s.Phase) + " fn:test.allocinc"; s.Name != want {
+			t.Errorf("span %q, want %q", s.Name, want)
+		}
+	}
+	if n != tracedSyncAllocs {
+		t.Errorf("a warm traced Sync allocates %.1f objects, want %d", n, tracedSyncAllocs)
+	}
+}

@@ -11,18 +11,18 @@ import (
 // management on a target is itself implemented as offloaded messages: the
 // host's Allocate is an active message whose handler runs the target-local
 // allocator.
-const (
-	// msgPrefix namespaces the runtime's own messages; offloads carrying it
-	// are node-pinned (see pinnedMessage).
-	msgPrefix    = "ham.rt."
-	msgAlloc     = "ham.rt.allocate"
-	msgFree      = "ham.rt.free"
-	msgTerminate = "ham.rt.terminate"
-	msgPing      = "ham.rt.ping"
-)
 
-func init() {
-	ham.RegisterHandler(msgAlloc, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+// msgPrefix namespaces the runtime's own messages, and offloads carrying it
+// are node-pinned. These address a specific node's state, so speculatively
+// re-executing one on a *different* node is never correct: a hedged allocate
+// returns an address on the wrong card, and a hedged terminate shuts down a
+// healthy node that still has traffic — then waits forever for the real
+// target's terminate to answer. Pinned offloads resolve through the plain
+// retry path regardless of the hedging policy.
+const msgPrefix = "ham.rt."
+
+var (
+	msgAlloc = register("ham.rt.allocate", func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		rt := env.(*Runtime)
 		size := dec.I64()
 		if err := dec.Err(); err != nil {
@@ -36,7 +36,7 @@ func init() {
 		return nil
 	})
 
-	ham.RegisterHandler(msgFree, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	msgFree = register("ham.rt.free", func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		rt := env.(*Runtime)
 		addr := dec.U64()
 		if err := dec.Err(); err != nil {
@@ -45,12 +45,12 @@ func init() {
 		return rt.backend.Memory().Free(mem.Addr(addr))
 	})
 
-	ham.RegisterHandler(msgTerminate, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	msgTerminate = register("ham.rt.terminate", func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		env.(*Runtime).terminated = true
 		return nil
 	})
 
-	ham.RegisterHandler(msgPing, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	msgPing = register("ham.rt.ping", func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		rt := env.(*Runtime)
 		d := rt.GetNodeDescriptor(rt.ThisNode())
 		enc.PutString(d.Name)
@@ -59,7 +59,7 @@ func init() {
 		enc.PutU64(rt.bin.Fingerprint())
 		return nil
 	})
-}
+)
 
 // Ping round-trips a descriptor request to node n — a liveness check that
 // also exercises the whole message path.

@@ -192,10 +192,12 @@ type Runtime struct {
 	// Continuous telemetry on tr (see telemetry.go): curFlow is the trace
 	// ID of the offload currently being sealed, lastFlow the most recently
 	// issued one (for scheduler placement events); inflight counts open
-	// offloads per target node for the gauge series.
-	curFlow  uint64
-	lastFlow uint64
-	inflight map[NodeID]int64
+	// offloads per target node for the gauge series; execNames, built when
+	// a tracer is first attached, names each key's execute span.
+	curFlow   uint64
+	lastFlow  uint64
+	inflight  map[NodeID]int64
+	execNames []string
 
 	// Hot-path scratch (see DESIGN.md §8). ctx is the one
 	// execution context handed to every handler; respDec settles futures
@@ -257,7 +259,12 @@ func (rt *Runtime) GetNodeDescriptor(n NodeID) NodeDescriptor {
 // The host and target runtimes of one application should share a Tracer so
 // causal records span nodes. A nil handle (the default) disables all of it
 // at the cost of one nil check per instrumentation site.
-func (rt *Runtime) SetTracer(nt *trace.NodeTracer) { rt.tr = nt }
+func (rt *Runtime) SetTracer(nt *trace.NodeTracer) {
+	rt.tr = nt
+	if nt != nil && rt.execNames == nil {
+		rt.execNames = rt.bin.Labels("execute ")
+	}
+}
 
 // Tracer returns the attached trace handle (nil when tracing is off).
 func (rt *Runtime) Tracer() *trace.NodeTracer { return rt.tr }
@@ -336,12 +343,14 @@ func (rt *Runtime) dispatchRaw(msg []byte) []byte {
 	if rt.tr == nil {
 		return rt.bin.Dispatch(rt, msg)
 	}
-	name := rt.bin.MessageName(msg)
-	if name == "" {
-		name = "(unknown)"
+	name := "execute (unknown)"
+	if k := ham.MessageKey(msg); int(k) < len(rt.execNames) {
+		name = rt.execNames[k]
 	}
-	defer rt.tr.Begin(trace.PhaseExecute, "execute "+name, rt.executed)()
-	return rt.bin.Dispatch(rt, msg)
+	id, start := rt.executed, rt.tr.Now()
+	resp := rt.bin.Dispatch(rt, msg)
+	rt.tr.Since(trace.PhaseExecute, name, id, start)
+	return resp
 }
 
 // Done implements Server.
@@ -359,7 +368,7 @@ func (rt *Runtime) Serve() error {
 // in-flight gauge, allocates the offload's causal trace ID (flows armed),
 // and — in the returned closure — feeds the issue-to-settle latency to the
 // SLO tracker. Without one it is a no-op.
-func (rt *Runtime) beginOffload(node NodeID, name string) func() {
+func (rt *Runtime) beginOffload(node NodeID, mt *msgType) func() {
 	if rt.tr == nil {
 		return func() {}
 	}
@@ -369,7 +378,7 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 	var fid uint64
 	if tr.FlowsEnabled() {
 		fid = tr.NextTraceID()
-		tr.Event(fid, start, int(rt.ThisNode()), trace.FlowIssue, name)
+		tr.Event(fid, start, int(rt.ThisNode()), trace.FlowIssue, mt.name)
 	}
 	rt.curFlow, rt.lastFlow = fid, fid
 	if rt.inflight == nil {
@@ -378,55 +387,50 @@ func (rt *Runtime) beginOffload(node NodeID, name string) func() {
 	rt.inflight[node]++
 	tr.Gauge(int(node), trace.SeriesInflight, start, rt.inflight[node])
 	return func() {
-		rt.tr.Since(trace.PhaseOffload, "offload "+name, id, spanStart)
+		rt.tr.Since(trace.PhaseOffload, mt.offload, id, spanStart)
 		end := rt.clock.Now()
 		rt.inflight[node]--
 		tr.Gauge(int(node), trace.SeriesInflight, end, rt.inflight[node])
 		tr.ObserveLatency(end, end.Sub(start))
-		tr.Event(fid, end, int(rt.ThisNode()), trace.FlowSettle, name)
+		tr.Event(fid, end, int(rt.ThisNode()), trace.FlowSettle, mt.name)
 	}
 }
 
 // encode builds the wire message of one offload in enc: it validates the
-// target, encodes the request (the key, then args, the arguments a functor
-// or a control message already holds encoded) and — as the policies ask —
-// seals it in the fault-tolerance envelope (the returned pending carries the
-// retransmission state) and the causal-flow frame (fid is its trace ID). The
-// wire may be enc's buffer, valid until enc is next written.
-func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, name string, args []byte) (wire []byte, pd *pending, fid uint64, err error) {
+// target, encodes a request of type mt (the key, then args, the arguments a
+// functor or a control message already holds encoded) and — as the policies
+// ask — seals it in the fault-tolerance envelope (the returned pending
+// carries the retransmission state) and the causal-flow frame (fid is its
+// trace ID). The wire may be enc's buffer, valid until enc is next written.
+func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, mt *msgType, args []byte) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
 		return nil, nil, 0, errOffloadSelf(node)
 	}
 	if int(node) < 0 || int(node) >= rt.NumNodes() {
 		return nil, nil, 0, errNoNode(node, rt.NumNodes())
 	}
-	var endEnc func()
-	if rt.tr != nil {
-		endEnc = rt.tr.Begin(trace.PhaseEncode, "encode "+name, rt.offloads+1)
-	}
-	msg, err := rt.bin.EncodeRequestTo(enc, name, args)
-	if endEnc != nil {
-		endEnc()
-	}
+	start := rt.tr.Now()
+	msg, err := rt.bin.EncodeRequestTo(enc, mt.typ, args)
+	rt.tr.Since(trace.PhaseEncode, mt.encode, rt.offloads+1, start)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	rt.offloads++
 	wire, pd = rt.seal(node, msg)
-	if pd != nil && pinnedMessage(name) {
+	if pd != nil && mt.pinned {
 		pd.pinned = true
 	}
 	wire, fid = rt.flowSeal(wire, pd)
 	return wire, pd, fid, nil
 }
 
-// callAsync posts the named message as a call of one, encoded into the
+// callAsync posts a message of type mt as a call of one, encoded into the
 // call's own encoder, and returns it; s receives the response payload or
 // the failure, at once when the message cannot be built or posted.
-func (rt *Runtime) callAsync(node NodeID, name string, args []byte, s sink) *call {
+func (rt *Runtime) callAsync(node NodeID, mt *msgType, args []byte, s sink) *call {
 	c := rt.takeCall()
 	c.sinks = append(c.sinks, s)
-	wire, pd, _, err := rt.encode(&c.enc, node, name, args)
+	wire, pd, _, err := rt.encode(&c.enc, node, mt, args)
 	if err != nil {
 		c.failAll(err)
 		return c
@@ -448,12 +452,12 @@ func errNoNode(node NodeID, n int) error {
 	return fmt.Errorf("core: no node %d in this application (%d nodes)", node, n)
 }
 
-// resolveSync posts the named message and waits for it, settling into s,
+// resolveSync posts a message of type mt and waits for it, settling into s,
 // which it marks busy: the returned decoder reads the response payload in
 // place, so decode it before the next offload, then clear s.busy.
-func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, args []byte) (*ham.Decoder, error) {
+func (rt *Runtime) resolveSync(s *rawSink, node NodeID, mt *msgType, args []byte) (*ham.Decoder, error) {
 	s.busy, s.done, s.err = true, false, nil
-	c := rt.callAsync(node, name, args, sink{s: s})
+	c := rt.callAsync(node, mt, args, sink{s: s})
 	if !s.done {
 		c.resolve()
 	}
@@ -467,13 +471,13 @@ func (rt *Runtime) resolveSync(s *rawSink, node NodeID, name string, args []byte
 // into the runtime's own raw sink rather than a typed future — or, while a
 // synchronous offload is resolving into that one, into a sink of its own.
 // Decode the payload before the next offload.
-func (rt *Runtime) callSync(node NodeID, name string, args []byte) (*ham.Decoder, error) {
-	defer rt.beginOffload(node, name)()
+func (rt *Runtime) callSync(node NodeID, mt *msgType, args []byte) (*ham.Decoder, error) {
+	defer rt.beginOffload(node, mt)()
 	s := &rt.raw
 	if s.busy {
 		s = &rawSink{}
 	}
-	dec, err := rt.resolveSync(s, node, name, args)
+	dec, err := rt.resolveSync(s, node, mt, args)
 	s.busy = false
 	return dec, err
 }

@@ -62,24 +62,7 @@ type pending struct {
 	attempt int
 	fid     uint64       // causal trace ID riding on msg, 0 without armed flows
 	sentAt  simtime.Time // issue time on the simulated clock; hedge delays measure from here
-	pinned  bool         // node-addressed runtime control message: never hedge
-}
-
-// pinnedMessage reports whether name is a runtime control message
-// (terminate, allocate, free, ping). These address a specific node's state,
-// so speculatively re-executing one on a *different* node is never correct:
-// a hedged allocate returns an address on the wrong card, and a hedged
-// terminate shuts down a healthy node that still has traffic — then waits
-// forever for the real target's terminate to answer. Pinned offloads
-// resolve through the plain retry path regardless of the hedging policy.
-func pinnedMessage(name string) bool {
-	return len(name) >= len(msgPrefix) && name[:len(msgPrefix)] == msgPrefix
-}
-
-// nextSeq allocates a fresh envelope sequence number.
-func (rt *Runtime) nextSeq() uint64 {
-	rt.seq++
-	return rt.seq
+	pinned  bool         // node-addressed runtime control message (msgType.pinned): never hedge
 }
 
 // seal wraps an encoded request for fault-tolerant transmission, when the
@@ -88,7 +71,8 @@ func (rt *Runtime) seal(node NodeID, msg []byte) ([]byte, *pending) {
 	if !rt.ft.enabled() {
 		return msg, nil
 	}
-	pd := &pending{node: node, seq: rt.nextSeq(), sentAt: rt.clock.Now()}
+	rt.seq++
+	pd := &pending{node: node, seq: rt.seq, sentAt: rt.clock.Now()}
 	pd.msg = sealMessage(envRequest, pd.seq, msg)
 	return pd.msg, pd
 }

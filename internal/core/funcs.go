@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"hamoffload/internal/ham"
@@ -11,8 +12,31 @@ import (
 // C++, every (function, argument-types) combination instantiates a message
 // type with generated serialisation and a handler; here, NewFuncN performs
 // the same instantiation through generics and registers the handler under
-// the function's name. Binding arguments yields a Functor that holds a copy
-// of them, encoded, which an offload transfers and the target executes.
+// the function's name, once, keeping the message type it gets back. Binding
+// arguments yields a Functor that holds that type and a copy of the
+// arguments, encoded, which an offload transfers and the target executes.
+
+// msgType is one message type as the runtime offloads it, resolved once, at
+// registration: the ordinal each binary keys it by, and what the runtime
+// derives from its name.
+type msgType struct {
+	typ             ham.Type
+	pinned          bool // a runtime control message (msgPrefix): never hedged
+	name            string
+	encode, offload string // the names of its traced encode and offload spans
+}
+
+// register registers h under name and resolves what the runtime derives
+// from the name.
+func register(name string, h ham.Handler) *msgType {
+	return &msgType{
+		typ:     ham.RegisterHandler(name, h),
+		pinned:  strings.HasPrefix(name, msgPrefix),
+		name:    name,
+		encode:  "encode " + name,
+		offload: "offload " + name,
+	}
+}
 
 // Marshaler lets composite argument types define their own wire format.
 // Implement it with pointer receivers.
@@ -147,13 +171,19 @@ type Unit struct{}
 // times, to any number of nodes. On the target the kernel reads a []byte
 // argument in the message itself (see NewFunc1).
 type Functor[R any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error)
 	args   boundArgs
 }
 
-// Name returns the registered function name the functor offloads.
-func (f Functor[R]) Name() string { return f.name }
+// Name returns the registered function name the functor offloads; "" for
+// the zero Functor.
+func (f Functor[R]) Name() string {
+	if f.mt == nil {
+		return ""
+	}
+	return f.mt.name
+}
 
 // argInline is how many bytes of encoded arguments a Functor holds in
 // itself: four scalar arguments, or the widest request of bench/perf's
@@ -225,13 +255,13 @@ func bound(e *ham.Encoder) boundArgs {
 // rather than the call, which is already back in its pool.
 func Issue[R any](rt *Runtime, b *Batcher, node NodeID, fn *Functor[R], f *Future[R]) {
 	if rt.tr != nil {
-		f.x = hookFunc(rt.beginOffload(node, fn.name))
+		f.x = hookFunc(rt.beginOffload(node, fn.mt))
 	}
 	var c *call
 	if b == nil || !rt.batch.Enabled() {
-		c = rt.callAsync(node, fn.name, fn.args.bytes(), sink{f, fn.decode})
+		c = rt.callAsync(node, fn.mt, fn.args.bytes(), sink{f, fn.decode})
 	} else {
-		wire, pd, fid, err := rt.encode(&b.enc, node, fn.name, fn.args.bytes())
+		wire, pd, fid, err := rt.encode(&b.enc, node, fn.mt, fn.args.bytes())
 		if err != nil {
 			f.fail(err)
 			return
@@ -261,15 +291,23 @@ func Sync[R any](rt *Runtime, node NodeID, fn Functor[R]) (R, error) {
 	if s.busy {
 		return Async(rt, node, fn).Get()
 	}
-	end := rt.beginOffload(node, fn.name)
+	end := rt.beginOffload(node, fn.mt)
 	var v R
-	dec, err := rt.resolveSync(s, node, fn.name, fn.args.bytes())
+	dec, err := rt.resolveSync(s, node, fn.mt, fn.args.bytes())
 	if err == nil {
 		v, err = fn.decode(dec)
 	}
 	s.busy = false
 	end()
 	return v, err
+}
+
+// reply encodes a kernel's result r, or passes its error on.
+func reply[R any](enc *ham.Encoder, rc valCodec[R], r R, err error) error {
+	if err == nil {
+		rc.enc(enc, r)
+	}
+	return err
 }
 
 func resultDecoder[R any](rc valCodec[R]) func(*ham.Decoder) (R, error) {
@@ -284,7 +322,7 @@ func fnName(name string) string { return "fn:" + name }
 
 // Func0 is a registered offloadable function with no arguments.
 type Func0[R any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error) // built once at registration, shared by every Bind
 }
 
@@ -293,26 +331,22 @@ type Func0[R any] struct {
 // functions are the natural place, mirroring C++ static initialisation.
 func NewFunc0[R any](name string, impl func(*Ctx) (R, error)) Func0[R] {
 	rc := codecFor[R]()
-	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	mt := register(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		r, err := impl(ctxOf(env))
-		if err != nil {
-			return err
-		}
-		rc.enc(enc, r)
-		return nil
+		return reply(enc, rc, r, err)
 	})
-	return Func0[R]{name: fnName(name), decode: resultDecoder(rc)}
+	return Func0[R]{mt: mt, decode: resultDecoder(rc)}
 }
 
 // Bind produces the offloadable functor. It allocates nothing: there are
 // no arguments to copy, and the result decoder is built at registration.
 func (f Func0[R]) Bind() Functor[R] {
-	return Functor[R]{name: f.name, decode: f.decode}
+	return Functor[R]{mt: f.mt, decode: f.decode}
 }
 
 // Func1 is a registered offloadable function with one argument.
 type Func1[R, A1 any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error)
 	a1     valCodec[A1]
 }
@@ -327,19 +361,15 @@ type Func1[R, A1 any] struct {
 // contract statically (docs/LINTING.md).
 func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A1] {
 	rc, a1 := codecFor[R](), argCodecFor[A1]()
-	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	mt := register(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		if err := dec.Err(); err != nil {
 			return err
 		}
 		r, err := impl(ctxOf(env), v1)
-		if err != nil {
-			return err
-		}
-		rc.enc(enc, r)
-		return nil
+		return reply(enc, rc, r, err)
 	})
-	return Func1[R, A1]{name: fnName(name), decode: resultDecoder(rc), a1: a1}
+	return Func1[R, A1]{mt: mt, decode: resultDecoder(rc), a1: a1}
 }
 
 // Bind binds the argument, producing the offloadable functor: v1 is
@@ -347,12 +377,12 @@ func NewFunc1[R, A1 any](name string, impl func(*Ctx, A1) (R, error)) Func1[R, A
 func (f Func1[R, A1]) Bind(v1 A1) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)
-	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
+	return Functor[R]{mt: f.mt, decode: f.decode, args: bound(e)}
 }
 
 // Func2 is a registered offloadable function with two arguments.
 type Func2[R, A1, A2 any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error)
 	a1     valCodec[A1]
 	a2     valCodec[A2]
@@ -363,20 +393,16 @@ type Func2[R, A1, A2 any] struct {
 // argument is a copy impl owns (see NewFunc1).
 func NewFunc2[R, A1, A2 any](name string, impl func(*Ctx, A1, A2) (R, error)) Func2[R, A1, A2] {
 	rc, a1, a2 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2]()
-	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	mt := register(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)
 		if err := dec.Err(); err != nil {
 			return err
 		}
 		r, err := impl(ctxOf(env), v1, v2)
-		if err != nil {
-			return err
-		}
-		rc.enc(enc, r)
-		return nil
+		return reply(enc, rc, r, err)
 	})
-	return Func2[R, A1, A2]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2}
+	return Func2[R, A1, A2]{mt: mt, decode: resultDecoder(rc), a1: a1, a2: a2}
 }
 
 // Bind binds the arguments, producing the offloadable functor: they are
@@ -385,12 +411,12 @@ func (f Func2[R, A1, A2]) Bind(v1 A1, v2 A2) Functor[R] {
 	e := argEncoder()
 	f.a1.enc(e, v1)
 	f.a2.enc(e, v2)
-	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
+	return Functor[R]{mt: f.mt, decode: f.decode, args: bound(e)}
 }
 
 // Func3 is a registered offloadable function with three arguments.
 type Func3[R, A1, A2, A3 any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error)
 	a1     valCodec[A1]
 	a2     valCodec[A2]
@@ -402,7 +428,7 @@ type Func3[R, A1, A2, A3 any] struct {
 // argument is a copy impl owns (see NewFunc1).
 func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, error)) Func3[R, A1, A2, A3] {
 	rc, a1, a2, a3 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2](), argCodecFor[A3]()
-	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	mt := register(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)
 		v3 := a3.dec(dec)
@@ -410,13 +436,9 @@ func NewFunc3[R, A1, A2, A3 any](name string, impl func(*Ctx, A1, A2, A3) (R, er
 			return err
 		}
 		r, err := impl(ctxOf(env), v1, v2, v3)
-		if err != nil {
-			return err
-		}
-		rc.enc(enc, r)
-		return nil
+		return reply(enc, rc, r, err)
 	})
-	return Func3[R, A1, A2, A3]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3}
+	return Func3[R, A1, A2, A3]{mt: mt, decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3}
 }
 
 // Bind binds the arguments, producing the offloadable functor: they are
@@ -426,12 +448,12 @@ func (f Func3[R, A1, A2, A3]) Bind(v1 A1, v2 A2, v3 A3) Functor[R] {
 	f.a1.enc(e, v1)
 	f.a2.enc(e, v2)
 	f.a3.enc(e, v3)
-	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
+	return Functor[R]{mt: f.mt, decode: f.decode, args: bound(e)}
 }
 
 // Func4 is a registered offloadable function with four arguments.
 type Func4[R, A1, A2, A3, A4 any] struct {
-	name   string
+	mt     *msgType
 	decode func(*ham.Decoder) (R, error)
 	a1     valCodec[A1]
 	a2     valCodec[A2]
@@ -444,7 +466,7 @@ type Func4[R, A1, A2, A3, A4 any] struct {
 // argument is a copy impl owns (see NewFunc1).
 func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4) (R, error)) Func4[R, A1, A2, A3, A4] {
 	rc, a1, a2, a3, a4 := codecFor[R](), argCodecFor[A1](), argCodecFor[A2](), argCodecFor[A3](), argCodecFor[A4]()
-	ham.RegisterHandler(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
+	mt := register(fnName(name), func(env any, dec *ham.Decoder, enc *ham.Encoder) error {
 		v1 := a1.dec(dec)
 		v2 := a2.dec(dec)
 		v3 := a3.dec(dec)
@@ -453,13 +475,9 @@ func NewFunc4[R, A1, A2, A3, A4 any](name string, impl func(*Ctx, A1, A2, A3, A4
 			return err
 		}
 		r, err := impl(ctxOf(env), v1, v2, v3, v4)
-		if err != nil {
-			return err
-		}
-		rc.enc(enc, r)
-		return nil
+		return reply(enc, rc, r, err)
 	})
-	return Func4[R, A1, A2, A3, A4]{name: fnName(name), decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3, a4: a4}
+	return Func4[R, A1, A2, A3, A4]{mt: mt, decode: resultDecoder(rc), a1: a1, a2: a2, a3: a3, a4: a4}
 }
 
 // Bind binds the arguments, producing the offloadable functor: they are
@@ -470,7 +488,7 @@ func (f Func4[R, A1, A2, A3, A4]) Bind(v1 A1, v2 A2, v3 A3, v4 A4) Functor[R] {
 	f.a2.enc(e, v2)
 	f.a3.enc(e, v3)
 	f.a4.enc(e, v4)
-	return Functor[R]{name: f.name, decode: f.decode, args: bound(e)}
+	return Functor[R]{mt: f.mt, decode: f.decode, args: bound(e)}
 }
 
 // GetAll collects every future, returning the results in order and the

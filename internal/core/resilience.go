@@ -18,7 +18,7 @@ package core
 // are. The runtime's own control messages (allocate, free, terminate,
 // ping) are node-pinned and never hedge: they mutate one specific node's
 // state, so a speculative copy on another node is wrong, not just wasted
-// (see pinnedMessage in ft.go).
+// (see msgPrefix in builtin.go).
 //
 // The retry budget is the storm brake: every retransmission and every
 // hedge spends a token from the target node's bucket, refilled on the

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 
+	"hamoffload/internal/ham"
 	"hamoffload/internal/trace"
 )
 
@@ -83,12 +84,10 @@ func (rt *Runtime) noteExecute(fid uint64, inner []byte) {
 	if rt.tr == nil {
 		return
 	}
-	name := ""
 	if _, _, payload, enveloped, err := openMessage(inner); enveloped && err == nil {
-		name = rt.bin.MessageName(payload)
-	} else {
-		name = rt.bin.MessageName(inner)
+		inner = payload
 	}
+	name, _ := rt.bin.NameOf(ham.MessageKey(inner))
 	rt.tr.Tracer().Event(fid, rt.clock.Now(), int(rt.ThisNode()), trace.FlowExecute, name)
 }
 

@@ -1,9 +1,6 @@
 package ham
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkEncodeMessage measures building a typical offload message: key,
 // two buffer pointers (3 words each) and a length.
@@ -51,7 +48,7 @@ func BenchmarkDecodeMessage(b *testing.B) {
 }
 
 // BenchmarkDispatch measures the full receive-side path of Fig. 6: key
-// extraction, key→address translation, handler call, response framing.
+// extraction, the handler-table index, handler call, response framing.
 func BenchmarkDispatch(b *testing.B) {
 	RegisterHandler("bench.dispatch", func(env any, dec *Decoder, enc *Encoder) error {
 		a := dec.I64()
@@ -69,30 +66,6 @@ func BenchmarkDispatch(b *testing.B) {
 		resp := bin.Dispatch(nil, msg)
 		if resp[0] != statusOK {
 			b.Fatal("dispatch failed")
-		}
-	}
-}
-
-// BenchmarkKeyTranslation measures the O(1) address↔key tables at realistic
-// registry sizes.
-func BenchmarkKeyTranslation(b *testing.B) {
-	for i := 0; i < 200; i++ {
-		RegisterHandler(fmt.Sprintf("bench.xlate.%03d", i),
-			func(env any, dec *Decoder, enc *Encoder) error { return nil })
-	}
-	bin := NewBinary("xlate-arch")
-	addr, err := bin.AddrOf(Key(len(bin.names) / 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k, err := bin.KeyOfAddr(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bin.AddrOf(k); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

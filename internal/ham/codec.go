@@ -5,8 +5,9 @@
 // handler addresses between binaries via typeid-name tables; this Go port
 // keeps the same architecture — a per-binary handler table with differing
 // local addresses, a lexicographically sorted name table yielding globally
-// valid handler keys, and O(1) translation in both directions — with Go
-// generics playing the role of the templates.
+// valid handler keys, each resolved once per binary, and one table index
+// from a key to its handler — with Go generics playing the role of the
+// templates.
 package ham
 
 import (

@@ -35,6 +35,12 @@ func FuzzDispatch(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(good[:3])
 	f.Add(append(append([]byte{}, good...), 0xcc, 0xdd))
+	// The last key of the table and the first past it.
+	for _, k := range []int{len(bin.handler) - 1, len(bin.handler)} {
+		e := NewEncoder()
+		e.PutU32(uint32(k))
+		f.Add(e.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		resp := bin.Dispatch(nil, msg)

@@ -202,58 +202,124 @@ func freshName(stem string) string {
 	return fmt.Sprintf("zzz.%s.%d", stem, freshNames)
 }
 
+// firstNames numbers the names firstName has handed out.
+var firstNames int
+
+// firstName returns a handler name that sorts before every name registered
+// so far, this run or an earlier one under -count: registering it moves
+// every existing key up by one in the binaries built afterwards.
+func firstName(stem string) string {
+	firstNames++
+	return fmt.Sprintf("!%s.%06d", stem, 999999-firstNames)
+}
+
+// constHandler answers every message with v.
+func constHandler(v int64) Handler {
+	return func(env any, dec *Decoder, enc *Encoder) error {
+		enc.PutI64(v)
+		return nil
+	}
+}
+
+// TestBinariesAgreeOnKeys: binaries built from one program agree on every
+// key, whether it is looked up by name or resolved from the type's ordinal,
+// while their local handler addresses differ, as between real binaries.
 func TestBinariesAgreeOnKeys(t *testing.T) {
 	names := registerN("test.agree", 20)
 	host := NewBinary("x86_64-host")
 	ve := NewBinary("aurora-ve")
+	if len(host.names) != len(ve.names) || len(host.keys) != len(host.names) {
+		t.Fatalf("tables of %d and %d keys, %d types", len(host.names), len(ve.names), len(host.keys))
+	}
+	for typ, hk := range host.keys {
+		if vk := ve.keys[typ]; hk != vk {
+			t.Fatalf("type %d resolves to key %d on the host and %d on the VE", typ, hk, vk)
+		}
+		if host.addrs[hk] == ve.addrs[hk] {
+			t.Errorf("addresses coincide for %s", host.names[hk])
+		}
+	}
 	for _, n := range names {
 		hk, err := host.KeyOf(n)
 		if err != nil {
 			t.Fatalf("host KeyOf(%s): %v", n, err)
 		}
-		vk, err := ve.KeyOf(n)
-		if err != nil {
-			t.Fatalf("ve KeyOf(%s): %v", n, err)
+		if vk, err := ve.KeyOf(n); err != nil || vk != hk {
+			t.Fatalf("keys disagree for %s: %d vs %d (%v)", n, hk, vk, err)
 		}
-		if hk != vk {
-			t.Fatalf("keys disagree for %s: %d vs %d", n, hk, vk)
-		}
-		// But the local addresses differ, as between real binaries.
-		ha, _ := host.AddrOf(hk)
-		va, _ := ve.AddrOf(vk)
-		if ha == va {
-			t.Errorf("addresses coincide for %s", n)
+		if host.names[hk] != n {
+			t.Fatalf("KeyOf(%s) = %d, which names %s", n, hk, host.names[hk])
 		}
 	}
-	if len(host.names) != len(ve.names) {
-		t.Fatal("binaries have different message counts")
+	if _, err := host.KeyOf("no.such.message"); err == nil {
+		t.Error("KeyOf of unknown name should fail")
 	}
 }
 
-func TestAddressKeyTranslationRoundTrip(t *testing.T) {
-	registerN("test.xlate", 8)
-	b := NewBinary("arch-a")
-	for k := Key(0); int(k) < len(b.names); k++ {
-		addr, err := b.AddrOf(k)
+// TestDispatchKeyRange: the last key of the table dispatches to the last
+// handler, and the key past it draws the key-range failure, not a panic.
+func TestDispatchKeyRange(t *testing.T) {
+	RegisterHandler("~last", constHandler(7)) // sorts after every other name
+	b := NewBinary("range-arch")
+	n := Key(len(b.handler))
+	for _, tc := range []struct {
+		key     Key
+		want    int64
+		wantErr string
+	}{
+		{n - 1, 7, ""},
+		{n, 0, keyRangeError(n, "range-arch").Error()},
+		{1 << 30, 0, keyRangeError(1<<30, "range-arch").Error()},
+	} {
+		e := NewEncoder()
+		e.PutU32(uint32(tc.key))
+		dec, err := DecodeResponse(b.Dispatch(nil, e.Bytes()))
+		if tc.wantErr != "" {
+			if err == nil || !strings.HasSuffix(err.Error(), tc.wantErr) {
+				t.Errorf("key %d of %d: %v, want the failure %q", tc.key, n, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || dec.I64() != tc.want {
+			t.Errorf("key %d of %d: %v, want the last handler's %d", tc.key, n, err, tc.want)
+		}
+	}
+}
+
+// TestLateRegistration: a binary holds the types registered before it was
+// built. One built earlier cannot encode a later type; two built on either
+// side of a registration that sorts first disagree on every key, and their
+// fingerprints (what core's CheckCompatible compares) say so; and each
+// binary dispatches its own encodes to the right handler.
+func TestLateRegistration(t *testing.T) {
+	early := RegisterHandler(freshName("late.early"), constHandler(1))
+	before := NewBinary("before-arch")
+	lateName := firstName("late.first")
+	late := RegisterHandler(lateName, constHandler(2))
+	after := NewBinary("after-arch")
+
+	if _, err := before.EncodeRequestTo(NewEncoder(), late, nil); err == nil || err.Error() != lateTypeError(late, "before-arch").Error() {
+		t.Errorf("a binary built before %s encodes it: %v", lateName, err)
+	}
+	if kb, ka := before.keys[early], after.keys[early]; ka != kb+1 {
+		t.Errorf("an earlier type's key is %d before and %d after a first-sorting registration, want one more", kb, ka)
+	}
+	if before.Fingerprint() == after.Fingerprint() {
+		t.Error("binaries that disagree on keys share a fingerprint")
+	}
+	for _, tc := range []struct {
+		b    *Binary
+		typ  Type
+		want int64
+	}{{before, early, 1}, {after, early, 1}, {after, late, 2}} {
+		msg, err := tc.b.EncodeRequestTo(NewEncoder(), tc.typ, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: encode type %d: %v", tc.b.arch, tc.typ, err)
 		}
-		back, err := b.KeyOfAddr(addr)
-		if err != nil {
-			t.Fatal(err)
+		dec, err := DecodeResponse(tc.b.Dispatch(nil, msg))
+		if err != nil || dec.I64() != tc.want {
+			t.Errorf("%s: type %d dispatched with %v, want the handler answering %d", tc.b.arch, tc.typ, err, tc.want)
 		}
-		if back != k {
-			t.Fatalf("key %d -> addr %#x -> key %d", k, addr, back)
-		}
-	}
-	if _, err := b.KeyOfAddr(0xdeadbeef); err == nil {
-		t.Error("KeyOfAddr of non-handler should fail")
-	}
-	if _, err := b.AddrOf(Key(1 << 30)); err == nil {
-		t.Error("AddrOf of out-of-range key should fail")
-	}
-	if _, err := b.KeyOf("no.such.message"); err == nil {
-		t.Error("KeyOf of unknown name should fail")
 	}
 }
 
@@ -401,15 +467,22 @@ func TestRegisteredCountAndNameOf(t *testing.T) {
 	if n := len(NewBinary("count-arch").names); n != before+1 {
 		t.Errorf("registering a new name: %d message types, want %d", n, before+1)
 	}
-	// Re-registration replaces, not duplicates.
-	RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
+	// Re-registration replaces, not duplicates, and keeps the ordinal.
+	typ := RegisterHandler(one, func(env any, dec *Decoder, enc *Encoder) error { return nil })
+	if again := RegisterHandler(one, constHandler(3)); again != typ {
+		t.Errorf("re-registration changed the ordinal %d to %d", typ, again)
+	}
 	b := NewBinary("count-arch")
 	if len(b.names) != before+1 {
 		t.Errorf("re-registration changed the count")
 	}
 	k, err := b.KeyOf(one)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || k != b.keys[typ] {
+		t.Fatalf("KeyOf = %d, %v; the ordinal resolves to %d", k, err, b.keys[typ])
+	}
+	msg, _ := b.EncodeRequestTo(NewEncoder(), typ, nil)
+	if dec, err := DecodeResponse(b.Dispatch(nil, msg)); err != nil || dec.I64() != 3 {
+		t.Errorf("the replaced type dispatched with %v, want the replacement's 3", err)
 	}
 	name, err := b.NameOf(k)
 	if err != nil || name != one {

@@ -1,8 +1,11 @@
 package ham
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -17,19 +20,27 @@ type Handler func(env any, dec *Decoder, enc *Encoder) error
 // built from the same program (paper §III-E, Fig. 6).
 type Key uint32
 
+// Type is a message type's registration ordinal, which RegisterHandler
+// returns: the handle a sender keeps for the type. Each binary resolves it
+// to the type's key once, when it is built, so an encode reads the key from
+// one slice and needs neither the name nor a map.
+type Type uint32
+
 // program is the process-wide registration list — the analog of the message
 // types a C++ HAM build instantiates. Both the "host binary" and the "target
 // binary" of a simulated heterogeneous application are derived from it.
 var program = struct {
 	sync.Mutex
-	handlers map[string]Handler
-}{handlers: make(map[string]Handler)}
+	types    map[string]Type
+	handlers []Handler // Type -> handler
+}{types: make(map[string]Type)}
 
-// RegisterHandler adds (or replaces) the handler for a message type name.
-// In the C++ original this happens implicitly through template instantiation
-// during static initialisation; here it is typically called from init
-// functions or the generic function-registration helpers.
-func RegisterHandler(name string, h Handler) {
+// RegisterHandler adds the handler for a message type name, or replaces it,
+// and returns the type's ordinal; a replacement keeps the ordinal. In the
+// C++ original this happens implicitly through template instantiation
+// during static initialisation; here it is typically called from package
+// initializers or the generic function-registration helpers.
+func RegisterHandler(name string, h Handler) Type {
 	if name == "" {
 		panic("ham: RegisterHandler with empty name")
 	}
@@ -38,7 +49,14 @@ func RegisterHandler(name string, h Handler) {
 	}
 	program.Lock()
 	defer program.Unlock()
-	program.handlers[name] = h
+	t, ok := program.types[name]
+	if !ok {
+		t = Type(len(program.handlers))
+		program.types[name] = t
+		program.handlers = append(program.handlers, nil)
+	}
+	program.handlers[t] = h
+	return t
 }
 
 // Binary is one process's instantiation of the program's message handlers —
@@ -46,13 +64,14 @@ func RegisterHandler(name string, h Handler) {
 // differ between binaries (here: synthesised deterministically from the
 // architecture name), while the sorted name table yields matching keys, so
 // a key produced on one binary dispatches to the right handler on another.
+// The receiver reaches the handler by indexing its table with the key: the
+// key → address translation of Fig. 6 is that one index.
 type Binary struct {
 	arch    string
-	names   []string       // sorted; index == Key
-	addrs   []uint64       // Key -> local handler "code address"
-	byName  map[string]Key // name -> Key
-	byAddr  map[uint64]Key // local address -> Key (the sender-side table)
-	handler []Handler      // Key -> handler
+	names   []string  // sorted; index == Key
+	addrs   []uint64  // Key -> local handler "code address"
+	handler []Handler // Key -> handler
+	keys    []Key     // Type -> Key, for the types registered when the binary was built
 
 	// Dispatch scratch: one codec pair reused across sequential Dispatch
 	// calls, so steady-state message execution does not allocate. The busy
@@ -67,56 +86,55 @@ type Binary struct {
 
 // NewBinary instantiates the current program for an architecture. Binaries
 // created after further registrations will disagree on keys, just as
-// differently built C++ binaries would — create all binaries of one
-// application after all registrations, as the runtime setup does.
+// differently built C++ binaries would, and a binary cannot encode a type
+// registered after it was built — create all binaries of one application
+// after all registrations, as the runtime setup does.
 func NewBinary(arch string) *Binary {
 	program.Lock()
 	defer program.Unlock()
-	names := make([]string, 0, len(program.handlers))
-	for n := range program.handlers {
-		names = append(names, n)
-	}
 	// Lexicographic sort of the type names: the same order on every binary
 	// without any communication (§III-E).
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(program.types))
+	n := len(names)
 	b := &Binary{
 		arch:    arch,
 		names:   names,
-		addrs:   make([]uint64, len(names)),
-		byName:  make(map[string]Key, len(names)),
-		byAddr:  make(map[uint64]Key, len(names)),
-		handler: make([]Handler, len(names)),
+		addrs:   make([]uint64, n),
+		handler: make([]Handler, n),
+		keys:    make([]Key, n),
 	}
-	for i, n := range names {
-		k := Key(i)
+	for i, name := range names {
+		t := program.types[name]
 		// Synthesise a distinct per-binary code address: a hash of the
 		// architecture and name. Real binaries get whatever the linker
 		// chose; all that matters is that addresses differ across binaries
 		// while keys agree.
-		addr := fakeAddress(arch, n)
-		b.addrs[i] = addr
-		b.byName[n] = k
-		b.byAddr[addr] = k
-		b.handler[i] = program.handlers[n]
+		b.addrs[i] = fakeAddress(arch, name)
+		b.handler[i] = program.handlers[t]
+		b.keys[t] = Key(i)
 	}
 	return b
 }
 
 // fakeAddress derives a deterministic 64-bit "code address" from the
-// architecture and symbol name (FNV-1a).
+// architecture and symbol name.
 func fakeAddress(arch, name string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, s := range []string{arch, "::", name} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
+	return fnv(fnv(fnv(fnvOffset, arch), "::"), name) | 1 // never zero
+}
+
+// FNV-1a, which fakeAddress and Fingerprint hash with.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv folds s into the FNV-1a hash h.
+func fnv(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
 	}
-	return h | 1 // never zero
+	return h
 }
 
 // Fingerprint digests the sorted message-type table. Two binaries agree on
@@ -125,29 +143,21 @@ func fakeAddress(arch, name string) uint64 {
 // program — the failure mode the C++ original leaves to matching ABIs and
 // build discipline (§III-E).
 func (b *Binary) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for _, n := range b.names {
-		for i := 0; i < len(n); i++ {
-			h ^= uint64(n[i])
-			h *= prime
-		}
-		h ^= 0x1f // name separator
-		h *= prime
+		h = fnv(fnv(h, n), "\x1f") // name separator
 	}
 	return h
 }
 
-// KeyOf returns the globally valid key for a message type name.
+// KeyOf returns the globally valid key for a message type name, for callers
+// that start from a name; an offload starts from its Type.
 func (b *Binary) KeyOf(name string) (Key, error) {
-	k, ok := b.byName[name]
+	k, ok := slices.BinarySearch(b.names, name)
 	if !ok {
 		return 0, unknownTypeError(name, b.arch)
 	}
-	return k, nil
+	return Key(k), nil
 }
 
 // NameOf returns the message type name for a key.
@@ -158,23 +168,14 @@ func (b *Binary) NameOf(k Key) (string, error) {
 	return b.names[k], nil
 }
 
-// AddrOf translates a key into this binary's local handler address — the
-// O(1) receive-side translation of Fig. 6.
-func (b *Binary) AddrOf(k Key) (uint64, error) {
-	if int(k) >= len(b.addrs) {
-		return 0, keyRangeError(k, b.arch)
+// Labels returns prefix+name for every key of the binary, in key order: the
+// names instrumentation gives its message types, built once.
+func (b *Binary) Labels(prefix string) []string {
+	out := make([]string, len(b.names))
+	for k, n := range b.names {
+		out[k] = prefix + n
 	}
-	return b.addrs[k], nil
-}
-
-// KeyOfAddr translates a local handler address into the globally valid key —
-// the send-side translation of Fig. 6.
-func (b *Binary) KeyOfAddr(addr uint64) (Key, error) {
-	k, ok := b.byAddr[addr]
-	if !ok {
-		return 0, unknownAddrError(addr, b.arch)
-	}
-	return k, nil
+	return out
 }
 
 // Translation-failure errors only fire on unknown handlers — programming
@@ -184,18 +185,18 @@ func unknownTypeError(name, arch string) error {
 	return fmt.Errorf("ham: message type %q not in binary %s", name, arch)
 }
 
+func lateTypeError(t Type, arch string) error {
+	return fmt.Errorf("ham: message type #%d was registered after binary %s was built", t, arch)
+}
+
 func keyRangeError(k Key, arch string) error {
 	return fmt.Errorf("ham: key %d out of range in binary %s", k, arch)
 }
 
-func unknownAddrError(addr uint64, arch string) error {
-	return fmt.Errorf("ham: address %#x is not a message handler in binary %s", addr, arch)
-}
-
 // Dispatch executes the message payload msg (key-prefixed wire format) and
 // returns the encoded response. It performs the generic-handler sequence of
-// §III-E: extract the key, translate it to the local handler address, call
-// the handler, which re-types the payload bytes back into the typed world.
+// §III-E: extract the key, index the local handler table with it, call the
+// handler, which re-types the payload bytes back into the typed world.
 //
 // The returned response aliases the binary's scratch buffer: it is valid
 // only until the next Dispatch on this Binary, and callers that need it
@@ -228,16 +229,11 @@ func (b *Binary) dispatch(env any, dec *Decoder, enc *Encoder) []byte {
 	if dec.Err() != nil {
 		return encodeFailure(enc, fmt.Errorf("ham: truncated message: %v", dec.Err()))
 	}
-	addr, err := b.AddrOf(key)
-	if err != nil {
-		return encodeFailure(enc, err)
-	}
-	k, err := b.KeyOfAddr(addr) // the local call through the handler table
-	if err != nil {
-		return encodeFailure(enc, err)
+	if int(key) >= len(b.handler) {
+		return encodeFailure(enc, keyRangeError(key, b.arch))
 	}
 	enc.PutU8(statusOK)
-	if err := b.handler[k](env, dec, enc); err != nil {
+	if err := b.handler[key](env, dec, enc); err != nil {
 		enc.Reset()
 		return encodeFailure(enc, err)
 	}
@@ -248,20 +244,14 @@ func (b *Binary) dispatch(env any, dec *Decoder, enc *Encoder) []byte {
 	return enc.Bytes()
 }
 
-// MessageName peeks the message type name of a key-prefixed wire message
-// without dispatching it, for instrumentation labels. Returns "" when the
-// message is truncated or the key is unknown.
-func (b *Binary) MessageName(msg []byte) string {
-	dec := NewDecoder(msg)
-	key := Key(dec.U32())
-	if dec.Err() != nil {
-		return ""
+// MessageKey peeks the key of a key-prefixed wire message without
+// dispatching it, for instrumentation labels; a truncated message reads as
+// a key past every binary's table.
+func MessageKey(msg []byte) Key {
+	if len(msg) < 4 {
+		return math.MaxUint32
 	}
-	name, err := b.NameOf(key)
-	if err != nil {
-		return ""
-	}
-	return name
+	return Key(binary.LittleEndian.Uint32(msg))
 }
 
 // Wire format of requests: [u32 key][payload]. Responses: [u8 status]
@@ -286,19 +276,19 @@ func (b *Binary) EncodeRequest(name string, writePayload func(*Encoder)) ([]byte
 	return enc.Bytes(), nil
 }
 
-// EncodeRequestTo builds the wire form of a message whose payload is already
-// encoded — args, the bytes a bound functor carries — into enc, which it
-// resets first: the key, then args as they are. The wire it returns is enc's
-// buffer: valid until enc is next written.
+// EncodeRequestTo builds the wire form of a message of type t whose payload
+// is already encoded — args, the bytes a bound functor carries — into enc,
+// which it resets first: the key this binary resolved t to, then args as
+// they are. The wire it returns is enc's buffer: valid until enc is next
+// written. A type registered after the binary was built has no key in it.
 //
 //ham:borrowed args
-func (b *Binary) EncodeRequestTo(enc *Encoder, name string, args []byte) ([]byte, error) {
-	k, err := b.KeyOf(name)
-	if err != nil {
-		return nil, err
+func (b *Binary) EncodeRequestTo(enc *Encoder, t Type, args []byte) ([]byte, error) {
+	if int(t) >= len(b.keys) {
+		return nil, lateTypeError(t, b.arch)
 	}
 	enc.Reset()
-	enc.PutU32(uint32(k))
+	enc.PutU32(uint32(b.keys[t]))
 	enc.PutRaw(args)
 	return enc.Bytes(), nil
 }

@@ -139,6 +139,7 @@ type Scheduler struct {
 	rt       *core.Runtime
 	nodes    []core.NodeID
 	pol      Policy
+	polName  string         // pol.Name(), resolved once: a composed policy builds it
 	obs      settleObserver // pol as an observer; nil when it does not observe
 	inflight []int
 	slots    []slot // parallel to nodes; each task points at its node's
@@ -174,6 +175,7 @@ func New(rt *core.Runtime, nodes []core.NodeID, pol Policy) (*Scheduler, error) 
 		rt:       rt,
 		nodes:    append([]core.NodeID(nil), nodes...),
 		pol:      pol,
+		polName:  pol.Name(),
 		obs:      obs,
 		inflight: make([]int, len(nodes)),
 		slots:    make([]slot, len(nodes)),
@@ -213,7 +215,7 @@ func MapFutures[R any](s *Scheduler, n int, gen func(task int) core.Functor[R]) 
 		t := &tasks[k]
 		fn := gen(k)
 		core.Issue(s.rt, b, node, &fn, &t.fut)
-		s.rt.NotePlacement(s.pol.Name(), node)
+		s.rt.NotePlacement(s.polName, node)
 		s.inflight[i]++
 		t.at, t.start = &s.slots[i], s.rt.SimNow()
 		t.fut.OnSettleHook(t)

@@ -8,6 +8,7 @@ import (
 	"hamoffload/internal/core"
 	"hamoffload/machine"
 	"hamoffload/sched"
+	"hamoffload/sched/health"
 )
 
 // Unit tests of the placement policies (pure functions, no backend) and the
@@ -94,7 +95,8 @@ var schedAdd = core.NewFunc2[int64]("sched.test_add",
 // and takes its batcher from the scheduler, so a warm wave costs exactly
 // those two objects whatever its size — 64 or 512 tasks over two VEs in
 // batch frames of 8 — and a further settle hook on every future chains
-// through the runtime's free list for nothing.
+// through the runtime's free list for nothing; under a composed policy too,
+// whose name HealthAware builds.
 func TestMapFuturesAllocs(t *testing.T) {
 	const slabs = 2
 	m, err := machine.New(machine.Config{VEs: 2})
@@ -107,45 +109,52 @@ func TestMapFuturesAllocs(t *testing.T) {
 			return err
 		}
 		defer func() { _ = rt.Finalize() }()
-		s, err := sched.New(rt, []core.NodeID{1, 2}, sched.LeastInFlight())
-		if err != nil {
-			return err
-		}
+		nodes := []core.NodeID{1, 2}
 		// The functors are bound up front: the pin is MapFutures', not Bind's.
 		fns := make([]core.Functor[int64], 512)
 		for task := range fns {
 			fns[task] = schedAdd.Bind(int64(task), 1)
 		}
-		var bad int
-		hook := &settleCount{}
-		wave := func(n int, hooked bool) func() {
-			return func() {
-				futs := sched.MapFutures(s, n, func(task int) core.Functor[int64] { return fns[task] })
-				for _, f := range futs {
-					if hooked {
-						f.OnSettleHook(hook)
+		for _, pol := range []sched.Policy{
+			sched.LeastInFlight(),
+			// A composed policy's name is built, so the scheduler asks for it once.
+			sched.HealthAware(sched.LeastInFlight(), health.New(health.Config{}, nodes, rt.SimNow)),
+		} {
+			s, err := sched.New(rt, nodes, pol)
+			if err != nil {
+				return err
+			}
+			var bad int
+			hook := &settleCount{}
+			wave := func(n int, hooked bool) func() {
+				return func() {
+					futs := sched.MapFutures(s, n, func(task int) core.Functor[int64] { return fns[task] })
+					for _, f := range futs {
+						if hooked {
+							f.OnSettleHook(hook)
+						}
 					}
-				}
-				for task, f := range futs {
-					if v, err := f.Get(); err != nil || v != int64(task)+1 {
-						bad++
+					for task, f := range futs {
+						if v, err := f.Get(); err != nil || v != int64(task)+1 {
+							bad++
+						}
 					}
 				}
 			}
-		}
-		wave(512, true)() // warm the call pool, the ring handles, the batcher and the chain nodes
-		for _, hooked := range []bool{false, true} {
-			for _, n := range []int{64, 512} {
-				if got := testing.AllocsPerRun(10, wave(n, hooked)); got != slabs {
-					t.Errorf("MapFutures of %d tasks (further hook %v) allocates %.0f objects, want %d", n, hooked, got, slabs)
+			wave(512, true)() // warm the call pool, the ring handles, the batcher and the chain nodes
+			for _, hooked := range []bool{false, true} {
+				for _, n := range []int{64, 512} {
+					if got := testing.AllocsPerRun(10, wave(n, hooked)); got != slabs {
+						t.Errorf("%s: MapFutures of %d tasks (further hook %v) allocates %.0f objects, want %d", pol.Name(), n, hooked, got, slabs)
+					}
 				}
 			}
-		}
-		if inflight := s.InFlight(); bad != 0 || inflight[0] != 0 || inflight[1] != 0 {
-			t.Errorf("%d wrong results; tasks still in flight per node: %v", bad, inflight)
-		}
-		if want := int64(512 + 11*(64+512)); hook.n != want {
-			t.Errorf("further hooks ran %d times, want %d", hook.n, want)
+			if inflight := s.InFlight(); bad != 0 || inflight[0] != 0 || inflight[1] != 0 {
+				t.Errorf("%s: %d wrong results; tasks still in flight per node: %v", pol.Name(), bad, inflight)
+			}
+			if want := int64(512 + 11*(64+512)); hook.n != want {
+				t.Errorf("%s: further hooks ran %d times, want %d", pol.Name(), hook.n, want)
+			}
 		}
 		return nil
 	})
