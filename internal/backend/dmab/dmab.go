@@ -261,12 +261,10 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 	return t.kctx.Instr().LoadWord(t.kctx.Proc, &t.flags[slot])
 }
 
-// QuietFlag implements ring.TargetTransport: the LHM load is quiet unless a
-// fault rule can fire on it or a tracer records it (dma.Instr.Quiet).
-func (t *veSide) QuietFlag(slot int, at simtime.Time) (simtime.Duration, bool, simtime.Time) {
-	in := t.kctx.Instr()
-	quiet, lapse := in.Quiet(&t.flags[slot], at)
-	return in.LoadCost(), quiet, lapse
+// QuietFlag implements ring.TargetTransport with the LHM loads' look-ahead
+// (dma.Instr.LoadsAhead).
+func (t *veSide) QuietFlag(slot int, at simtime.Time) (simtime.Duration, bool, simtime.Lapse) {
+	return t.kctx.Instr().LoadsAhead(&t.flags[slot], at)
 }
 
 // PeekFlag implements ring.TargetTransport.
@@ -275,7 +273,7 @@ func (t *veSide) PeekFlag(slot int) (uint64, error) {
 }
 
 // CountFlags implements ring.TargetTransport.
-func (t *veSide) CountFlags(n int64) { t.kctx.Instr().CountLoads(n) }
+func (t *veSide) CountFlags(n int64, at simtime.Time) { t.kctx.Instr().CountLoads(n, at) }
 
 // WatchFlags implements ring.TargetTransport: the host's stores land the
 // receive flags in VH memory.

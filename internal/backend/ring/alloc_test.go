@@ -27,10 +27,11 @@ func init() {
 // out, so the warm wave parks exactly one handle per offload and the next
 // wave allocates nothing. It runs over both protocols, each also under
 // rules that match VE 0: serve-peak's SlowDown window, a Stall window and a
-// Crash that never fires. Armed, dmab's idle VE can no longer park its flag
-// poll (a slowed LHM load is not quiet), so it loads the flag on every tick
-// (dma.Instr.LoadWord, simtime's tick sleep), and every VEO transfer passes
-// the VEOS entry's fault hooks.
+// Crash that never fires. Armed, dmab's idle VE parks its flag poll with the
+// slowed load in its cost, and every VEO transfer passes the VEOS entry's
+// fault hooks. Under a Jitter rule that fires on every LHM load (drawn from
+// [0, 1 ps): no delay), no flag load is quiet, so dmab's idle VE loads the
+// flag on every tick itself (dma.Instr.LoadWord, simtime's tick sleep).
 func TestHandlesInFlightZeroAlloc(t *testing.T) {
 	end := simtime.Time(1000 * simtime.Second) // past the run: every wave is inside
 	armed := &faults.Plan{Rules: []faults.Rule{
@@ -38,6 +39,7 @@ func TestHandlesInFlightZeroAlloc(t *testing.T) {
 		{Kind: faults.Stall, Node: 0, StallFor: simtime.Microsecond, Until: end},
 		{Kind: faults.Crash, Node: 0, AfterOp: 1 << 62},
 	}}
+	loud := &faults.Plan{Rules: []faults.Rule{{Kind: faults.Jitter, Site: faults.SiteLHM, Node: 0, Rate: 1, JitterMax: 1}}}
 	for _, tc := range []struct {
 		name    string
 		connect func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*core.Runtime, error)
@@ -45,6 +47,7 @@ func TestHandlesInFlightZeroAlloc(t *testing.T) {
 	}{
 		{"dmab", machine.ConnectDMA, nil},
 		{"dmab armed", machine.ConnectDMA, armed},
+		{"dmab loud", machine.ConnectDMA, loud},
 		{"veob", machine.ConnectVEO, nil},
 		{"veob armed", machine.ConnectVEO, armed},
 	} {

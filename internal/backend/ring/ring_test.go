@@ -171,13 +171,13 @@ func (f *fake) LoadFlag(slot int) (uint64, error) {
 	return f.recvFlag[slot], nil
 }
 
-func (f *fake) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Time) {
-	return f.loadCost, f.loadCost == 0 || f.quiet, 0
+func (f *fake) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Lapse) {
+	return f.loadCost, f.loadCost == 0 || f.quiet, simtime.Lapse{}
 }
 
 func (f *fake) PeekFlag(slot int) (uint64, error) { return f.recvFlag[slot], f.always["load"] }
 
-func (f *fake) CountFlags(n int64) {
+func (f *fake) CountFlags(n int64, _ simtime.Time) {
 	if f.loadCost > 0 {
 		f.count["load"] += int(n)
 	}

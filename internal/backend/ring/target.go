@@ -20,22 +20,20 @@ type TargetTransport interface {
 	// span. Serve issues it on the ticks of its idle poll that QuietFlag
 	// does not leave to the parked poll.
 	LoadFlag(slot int) (uint64, error)
-	// QuietFlag reports whether LoadFlag(slot), issued at at, would do
-	// nothing but take cost and read the flag word at its end: no fault
-	// rule can fire on it, no span records it. Serve's poll then parks
-	// (flagPoll) — PeekFlag at the end of a load, CountFlags for the loads
-	// it passed over. It is a pure read, asked any number of times, and its
-	// answer holds for later loads until the watch is notified or, if lapse
-	// is not zero, until lapse (a fault window about to open). cost is zero
-	// for a flag in local memory, which is always quiet: a transport whose
-	// cost is zero once has it zero for good, and Serve then asks no more.
-	QuietFlag(slot int, at simtime.Time) (cost simtime.Duration, quiet bool, lapse simtime.Time)
+	// QuietFlag reports whether LoadFlag(slot), issued at at, would only
+	// take cost (a slow-down window's included) and read the flag word at
+	// its end: no span records it, no fault rule fails it or delays it by a
+	// draw of its own. Serve's poll then parks (flagPoll) — PeekFlag at a
+	// load's end, CountFlags for the loads it passed over. A pure read, its
+	// answer holds for later loads until the watch is notified or lapse
+	// comes. cost is zero for a flag in local memory, always quiet.
+	QuietFlag(slot int, at simtime.Time) (cost simtime.Duration, quiet bool, lapse simtime.Lapse)
 	// PeekFlag is a quiet LoadFlag's read alone: the slot's flag word,
 	// taking no time and changing nothing.
 	PeekFlag(slot int) (uint64, error)
-	// CountFlags accounts for n quiet LoadFlags a parked poll passed over,
-	// as LoadFlag accounts for its own (dma.Instr.Loads).
-	CountFlags(n int64)
+	// CountFlags accounts for n quiet LoadFlags issued at at that a parked
+	// poll passed over, as LoadFlag accounts for its own (dma.Instr.Loads).
+	CountFlags(n int64, at simtime.Time)
 	// WatchFlags makes the store that lands any receive flag word notify w.
 	WatchFlags(w *simtime.Watch)
 	// Fetch brings the slot's n-byte message to the VE, charging the
@@ -129,23 +127,20 @@ type flagPoll struct {
 	t             *Target
 	s             core.Server
 	slot          int
+	at            simtime.Time // the tick Tick last answered for: the window of the loads counted
 	// What the last Hit read: the word Serve goes on with after a hit.
 	word uint64
 	err  error
-	// The flag is in local memory: its load is free and always quiet, so a
-	// tick asks the transport nothing and a miss counts no load.
-	free bool
 }
 
-// Tick implements simtime.Poller.
-func (q *flagPoll) Tick(at simtime.Time) (simtime.Duration, bool, simtime.Time) {
+// Tick implements simtime.Poller: the loads QuietFlag calls quiet are the
+// parked poll's, up to the one a fault rule fails, which Serve issues.
+func (q *flagPoll) Tick(at simtime.Time) (simtime.Duration, bool, simtime.Lapse) {
 	t := q.t
 	if q.s.Done() || !t.alive() {
-		return 0, true, 0
+		return 0, true, simtime.Lapse{}
 	}
-	if q.free {
-		return 0, false, 0
-	}
+	q.at = at
 	cost, quiet, lapse := t.Transport.QuietFlag(q.slot, at)
 	return cost, !quiet, lapse
 }
@@ -161,11 +156,7 @@ func (q *flagPoll) Hit() bool {
 }
 
 // Missed implements simtime.Poller: n quiet loads missed.
-func (q *flagPoll) Missed(n int64) {
-	if !q.free {
-		q.t.Transport.CountFlags(n)
-	}
-}
+func (q *flagPoll) Missed(n int64) { q.t.Transport.CountFlags(n, q.at) }
 
 // Self implements core.Backend.
 func (t *Target) Self() core.NodeID { return core.NodeID(t.TargetConfig.Self) }
@@ -198,8 +189,6 @@ func (t *Target) Serve(s core.Server) error {
 	idle := &t.idle
 	idle.Reset()
 	idle.s = s
-	cost, _, _ := t.Transport.QuietFlag(0, t.p.Now())
-	idle.free = cost == 0
 
 	for !s.Done() {
 		if !t.alive() {
@@ -216,7 +205,7 @@ func (t *Target) Serve(s core.Server) error {
 		if hit {
 			// The flag was up, or its read failed, at the end of a quiet
 			// load (or of a free one).
-			t.Transport.CountFlags(1)
+			t.Transport.CountFlags(1, idle.at)
 		} else if s.Done() || !t.alive() {
 			continue
 		} else {

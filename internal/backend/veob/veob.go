@@ -210,15 +210,15 @@ func (t *veSide) LoadFlag(slot int) (uint64, error) {
 
 // QuietFlag implements ring.TargetTransport: a local load is free and passes
 // no fault site.
-func (t *veSide) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Time) {
-	return 0, true, 0
+func (t *veSide) QuietFlag(int, simtime.Time) (simtime.Duration, bool, simtime.Lapse) {
+	return 0, true, simtime.Lapse{}
 }
 
 // PeekFlag implements ring.TargetTransport: the load itself.
 func (t *veSide) PeekFlag(slot int) (uint64, error) { return t.LoadFlag(slot) }
 
 // CountFlags implements ring.TargetTransport: local loads are not counted.
-func (t *veSide) CountFlags(int64) {}
+func (t *veSide) CountFlags(int64, simtime.Time) {}
 
 // WatchFlags implements ring.TargetTransport: the host's privileged DMA lands
 // the receive flags in HBM.

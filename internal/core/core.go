@@ -192,11 +192,12 @@ type Runtime struct {
 	// Continuous telemetry on tr (see telemetry.go): curFlow is the trace
 	// ID of the offload currently being sealed, lastFlow the most recently
 	// issued one (for scheduler placement events); inflight counts open
-	// offloads per target node for the gauge series; execNames, built when
-	// a tracer is first attached, names each key's execute span.
+	// offloads per target node for the gauge series (the last entry: any
+	// other node); execNames, built when a tracer is first attached, names
+	// each key's execute span.
 	curFlow   uint64
 	lastFlow  uint64
-	inflight  map[NodeID]int64
+	inflight  []int64
 	execNames []string
 
 	// Hot-path scratch (see DESIGN.md §8). ctx is the one
@@ -382,15 +383,16 @@ func (rt *Runtime) beginOffload(node NodeID, mt *msgType) func() {
 	}
 	rt.curFlow, rt.lastFlow = fid, fid
 	if rt.inflight == nil {
-		rt.inflight = map[NodeID]int64{}
+		rt.inflight = make([]int64, rt.NumNodes()+1)
 	}
-	rt.inflight[node]++
-	tr.Gauge(int(node), trace.SeriesInflight, start, rt.inflight[node])
+	open := &rt.inflight[min(uint(node), uint(len(rt.inflight)-1))]
+	*open++
+	tr.Gauge(int(node), trace.SeriesInflight, start, *open)
 	return func() {
 		rt.tr.Since(trace.PhaseOffload, mt.offload, id, spanStart)
 		end := rt.clock.Now()
-		rt.inflight[node]--
-		tr.Gauge(int(node), trace.SeriesInflight, end, rt.inflight[node])
+		*open--
+		tr.Gauge(int(node), trace.SeriesInflight, end, *open)
 		tr.ObserveLatency(end, end.Sub(start))
 		tr.Event(fid, end, int(rt.ThisNode()), trace.FlowSettle, mt.name)
 	}

@@ -328,6 +328,7 @@ type Instr struct {
 	loads  int64
 	stores int64
 	watch  *simtime.Watch // where the poll of its watched words parks (Watch)
+	early  bool           // settle counted the parked poll's load in flight
 }
 
 // NewInstr creates the instruction unit for one VE core.
@@ -404,30 +405,23 @@ func (in *Instr) LoadCost() simtime.Duration {
 	return in.timing.LHMPerWord + simtime.Duration(in.path.UPIHops)*in.timing.UPILatency*2
 }
 
-// Quiet reports whether LoadWord(w), issued at at, would do nothing but take
-// LoadCost, count the load and read the word at its end: the address
-// translates, no tracer records the load, and no fault rule can fire on it
-// (faults.Injector.QuietLoad). A poll of the word may then park
-// (simtime.Poller) — read it with PeekWord at a load's end, and count the
-// loads it passed over with CountLoads. If lapse is not zero, a load issued
-// at or after it may not be quiet: the answer lapses one LoadCost before a
-// rule's window opens, so the poll wakes, and counts the quiet loads it
-// passed over, before a rule inside the window reads the count.
-func (in *Instr) Quiet(w *Word, at simtime.Time) (quiet bool, lapse simtime.Time) {
-	if !in.resolve(w) || in.timing.Tracer != nil {
-		return false, 0
+// Quiet reports whether a poll of w may park (simtime.Poller): the address
+// translates and no tracer records its loads. Such a poll reads the word with
+// PeekWord and counts the loads it passed over (LoadsAhead) with CountLoads.
+func (in *Instr) Quiet(w *Word) bool {
+	return in.resolve(w) && in.timing.Tracer == nil
+}
+
+// LoadsAhead is what LoadWord(w) issued at at does, quiet: take cost — what a
+// slow-down window adds included (faults.Injector.LoadsAhead) — and read the
+// word. The loads after it do so until lapse: a window that opens or closes,
+// the first load a fault rule fails or delays by a draw of its own.
+func (in *Instr) LoadsAhead(w *Word, at simtime.Time) (cost simtime.Duration, quiet bool, lapse simtime.Lapse) {
+	if !in.Quiet(w) {
+		return in.LoadCost(), false, simtime.Lapse{}
 	}
-	f := in.timing.Faults
-	if f == nil {
-		return true, 0
-	}
-	if quiet, lapse = f.QuietLoad(at, in.path.Link.VE()); !quiet || lapse == 0 {
-		return quiet, 0
-	}
-	if lapse = lapse.Add(-in.LoadCost()); at >= lapse {
-		return false, 0
-	}
-	return true, lapse
+	loud, extra, until := in.timing.Faults.LoadsAhead(at, in.path.Link.VE(), in.timing.LHMPerWord)
+	return in.LoadCost() + extra, loud != 0, simtime.Lapse{At: until, Polls: max(loud, 0)}
 }
 
 // PeekWord is LoadWord's read alone: no time, no fault site, no count.
@@ -440,22 +434,38 @@ func (in *Instr) PeekWord(w *Word) (uint64, error) {
 
 // Watch makes every store that lands on w's word notify wt (mem.Memory.Watch),
 // for a poll of it that parks on wt, and settles that poll before Loads is
-// read. A word that does not translate is watched by nobody: its LoadWord
-// faults, so its poll is never quiet.
+// read or the injector reads the node's counters (faults.Injector.Settles).
+// A word that does not translate is watched by nobody: its LoadWord faults,
+// so its poll is never quiet.
 func (in *Instr) Watch(w *Word, wt *simtime.Watch) {
+	if in.watch != wt {
+		in.timing.Faults.Settles(in.path.Link.VE(), in.settle)
+	}
 	in.watch = wt
 	if in.resolve(w) {
 		w.word.Watch(wt)
 	}
 }
 
-// CountLoads counts n quiet LoadWords that a parked poll passed over, and
-// the ops they passed at their fault sites (faults.Injector.CountLoads).
-func (in *Instr) CountLoads(n int64) {
-	in.loads += n
-	if f := in.timing.Faults; f != nil {
-		f.CountLoads(in.path.Link.VE(), n)
+// settle counts the loads of the poll parked on in's watch that ended
+// (simtime.Watch.Settle) and, at its fault sites, the one in flight: the
+// loop's load passes them at its issue.
+func (in *Instr) settle() {
+	if at, ok := in.watch.Settle(); ok && !in.early {
+		in.timing.Faults.CountLoads(in.path.Link.VE(), 1, at)
+		in.early = true
 	}
+}
+
+// CountLoads counts n quiet LoadWords issued at at that a parked poll passed
+// over, and what they did at their fault sites (faults.Injector.CountLoads)
+// but for one that settle counted there early.
+func (in *Instr) CountLoads(n int64, at simtime.Time) {
+	in.loads += n
+	if in.early {
+		n, in.early = n-1, false
+	}
+	in.timing.Faults.CountLoads(in.path.Link.VE(), n, at)
 }
 
 // StoreWord performs one SHM: an 8-byte posted store to w's VEHVA, a flag

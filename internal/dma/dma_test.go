@@ -334,10 +334,12 @@ func TestLoadBytesAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A LoadWord is quiet — the engine may issue it as a poll's load — while no
-// fault rule can fire on it and no tracer records it; a quiet load is
-// LoadCost, PeekWord's word and one CountLoads. A rule's window keeps it
-// quiet until one LoadCost before the window opens, and from its end on.
+// A poll of a word may park — the engine issues its loads — while the word
+// translates and no tracer records its loads (Quiet); a quiet load is
+// LoadsAhead's cost, PeekWord's word and one CountLoads. A fault rule makes
+// only the loads it fails or delays by a draw of its own loud: LoadsAhead
+// names the first. A slow-down window is in the cost, to the picosecond of
+// what LoadWord takes under it, and its From and Until are the lapses.
 func TestQuietLoad(t *testing.T) {
 	r := newRig(t, 2*units.MiB)
 	seg, _ := r.host.ShmCreate(4096)
@@ -361,61 +363,67 @@ func TestQuietLoad(t *testing.T) {
 	if v, err := in.PeekWord(&w); v != 42 || err != nil || in.Loads() != 1 {
 		t.Errorf("PeekWord = %d, %v after %d loads; want 42 after the one LoadWord", v, err, in.Loads())
 	}
-	if in.CountLoads(1); in.Loads() != 2 {
+	if in.CountLoads(1, 0); in.Loads() != 2 {
 		t.Errorf("Loads = %d after CountLoads(1), want 2", in.Loads())
 	}
 	unregistered := in.Word(0xdead0000)
-	if q, lapse := in.Quiet(&w, 0); !q || lapse != 0 || quiet(in, &unregistered, 0) {
-		t.Error("a registered word's load is quiet for good with nothing armed, an unregistered one's never")
+	if !in.Quiet(&w) || in.Quiet(&unregistered) {
+		t.Error("a registered word's load is quiet, an unregistered one's never")
 	}
+	if cost, quiet, lapse := in.LoadsAhead(&w, 0); cost != in.LoadCost() || !quiet || lapse != (simtime.Lapse{}) {
+		t.Errorf("LoadsAhead with nothing armed = %v, %v, %+v; want LoadCost, quiet for good", cost, quiet, lapse)
+	}
+	if _, quiet, _ := in.LoadsAhead(&unregistered, 0); quiet {
+		t.Error("an unregistered word's load is quiet")
+	}
+	traced := r.tm
+	traced.Tracer = trace.NewTracer()
+	if tw := NewInstr(traced, r.ve.ATB(), r.path); tw.Quiet(&w) {
+		t.Error("a traced load is quiet")
+	}
+
 	const from, until = simtime.Time(10 * simtime.Microsecond), simtime.Time(20 * simtime.Microsecond)
-	window := func(k faults.Kind, s faults.Site) func(tm *topology.Timing) {
-		return func(tm *topology.Timing) {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: k, Site: s, Node: 0, From: from, Until: until}}})
-		}
-	}
-	edge := from.Add(-in.LoadCost())
+	slow := r.tm.LHMPerWord * 3 / 2 // Factor 2.5
 	for _, tc := range []struct {
 		name  string
-		arm   func(tm *topology.Timing)
+		rule  faults.Rule
 		at    simtime.Time
-		quiet bool
+		extra simtime.Duration
+		loud  int64
 		lapse simtime.Time
 	}{
-		{"tracer", func(tm *topology.Timing) { tm.Tracer = trace.NewTracer() }, 0, false, 0},
-		{"LHM rule on this VE", func(tm *topology.Timing) {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Jitter, Site: faults.SiteLHM, Node: 0}}})
-		}, 0, false, 0},
-		{"link rule on any VE", func(tm *topology.Timing) {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.LinkDown, Node: faults.AnyNode}}})
-		}, 0, false, 0},
-		{"rule on another site", func(tm *topology.Timing) {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.DMAError, Site: faults.SiteUserDMA, Node: 0}}})
-		}, 0, true, 0},
-		{"rule that no load passes", func(tm *topology.Timing) {
-			tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Crash, Node: 0}}})
-		}, 0, true, 0},
-		{"window ahead", window(faults.SlowDown, faults.SiteAny), 0, true, edge},
-		{"window ahead, last quiet load", window(faults.DMAError, faults.SiteLHM), edge - 1, true, edge},
-		{"window ahead, load ends in it", window(faults.DMAError, faults.SiteLHM), edge, false, 0},
-		{"inside the window", window(faults.LinkDown, faults.SiteAny), from, false, 0},
-		{"window over", window(faults.Jitter, faults.SiteLHM), until, true, 0},
-		{"window on the link of another site", window(faults.LinkDown, faults.SitePCIe), from, true, 0},
+		{"slow window ahead", faults.Rule{Kind: faults.SlowDown, Site: faults.SiteAny, Factor: 2.5, From: from, Until: until}, 0, 0, -1, from},
+		{"slow window open", faults.Rule{Kind: faults.SlowDown, Site: faults.SiteAny, Factor: 2.5, From: from, Until: until}, from, slow, -1, until},
+		{"slow window over", faults.Rule{Kind: faults.SlowDown, Site: faults.SiteLHM, Factor: 2.5, From: from, Until: until}, until, 0, -1, 0},
+		{"jitter window open", faults.Rule{Kind: faults.Jitter, Site: faults.SiteLHM, JitterMax: 9, From: from, Until: until}, from, 0, 0, until},
+		{"error after three loads", faults.Rule{Kind: faults.DMAError, Site: faults.SiteLHM, AfterOp: 3}, 0, 0, 3, 0},
+		{"rule on another site", faults.Rule{Kind: faults.DMAError, Site: faults.SiteUserDMA}, 0, 0, -1, 0},
+		{"rule that no load passes", faults.Rule{Kind: faults.Crash}, 0, 0, -1, 0},
 	} {
+		r := newRig(t, 2*units.MiB)
 		tm := r.tm
-		tc.arm(&tm)
+		tm.Faults = faults.New(&faults.Plan{Rules: []faults.Rule{tc.rule}})
+		seg, _ := r.host.ShmCreate(4096)
+		vehva, _ := r.ve.ATB().Register(r.host.Memory, seg.Addr, seg.Size)
 		in := NewInstr(tm, r.ve.ATB(), r.path)
 		w := in.Word(vehva)
-		if q, lapse := in.Quiet(&w, tc.at); q != tc.quiet || lapse != tc.lapse {
-			t.Errorf("%s: Quiet at %v = %v, %v; want %v, %v", tc.name, tc.at, q, lapse, tc.quiet, tc.lapse)
+		cost, quiet, lapse := in.LoadsAhead(&w, tc.at)
+		want := simtime.Lapse{At: tc.lapse, Polls: max(tc.loud, 0)}
+		if cost != in.LoadCost()+tc.extra || quiet != (tc.loud != 0) || lapse != want {
+			t.Errorf("%s: LoadsAhead(%v) = %v, %v, %+v; want %v, %v, %+v",
+				tc.name, tc.at, cost, quiet, lapse, in.LoadCost()+tc.extra, tc.loud != 0, want)
 		}
+		if tc.loud != -1 {
+			continue
+		}
+		r.runIn(t, func(p *simtime.Proc) {
+			p.Sleep(simtime.Duration(tc.at))
+			start := p.Now()
+			if _, err := in.LoadWord(p, &w); err != nil || p.Now().Sub(start) != cost {
+				t.Errorf("%s: LoadWord at %v took %v, %v; LoadsAhead's cost is %v", tc.name, tc.at, p.Now().Sub(start), err, cost)
+			}
+		})
 	}
-}
-
-// quiet is Quiet's first answer at at.
-func quiet(in *Instr, w *Word, at simtime.Time) bool {
-	q, _ := in.Quiet(w, at)
-	return q
 }
 
 // A Word follows the DMAATB: a Register that maps its VEHVA makes its load
@@ -430,8 +438,8 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	next := vehva + mem.Addr(units.AlignUp(units.Bytes(first.Size), 64*units.KiB)) // where the next registration goes
 	w := in.Word(next)
 	_, _, want := atb.Translate(next, 8)
-	if _, err := in.PeekWord(&w); quiet(in, &w, 0) || err == nil || err.Error() != want.Error() {
-		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v; want not quiet, %v", quiet(in, &w, 0), err, want)
+	if _, err := in.PeekWord(&w); in.Quiet(&w) || err == nil || err.Error() != want.Error() {
+		t.Fatalf("an unregistered word: quiet %v, PeekWord error %v; want not quiet, %v", in.Quiet(&w), err, want)
 	}
 	r.runIn(t, func(p *simtime.Proc) {
 		if _, err := in.LoadWord(p, &w); err == nil || err.Error() != want.Error() || in.Loads() != 0 {
@@ -444,8 +452,8 @@ func TestWordFollowsTheDMAATB(t *testing.T) {
 	if got, _ := atb.Register(r.host.Memory, second.Addr, second.Size); got != next {
 		t.Fatalf("registered at %#x, want %#x", got, next)
 	}
-	if v, err := in.PeekWord(&w); !quiet(in, &w, 0) || v != 42 || err != nil {
-		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", quiet(in, &w, 0), v, err)
+	if v, err := in.PeekWord(&w); !in.Quiet(&w) || v != 42 || err != nil {
+		t.Errorf("after Register: quiet %v, PeekWord %d, %v; want quiet, 42", in.Quiet(&w), v, err)
 	}
 }
 

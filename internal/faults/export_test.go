@@ -5,8 +5,5 @@ package faults
 func (in *Injector) Ops(kind Kind, site Site, node int) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if ops := in.tables[kind][site].ops; node < len(ops) {
-		return ops[node]
-	}
-	return 0
+	return in.tables[kind][site].op(node)
 }

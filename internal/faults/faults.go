@@ -222,10 +222,20 @@ type siteTable struct {
 	ops     []uint64
 }
 
-// grow extends the counters to node, the first time an op is counted for a
-// node id past the table.
-func (st *siteTable) grow(node int) {
-	st.ops = append(st.ops, make([]uint64, node+1-len(st.ops))...)
+// op returns node's op counter.
+func (st *siteTable) op(node int) uint64 {
+	if node < len(st.ops) {
+		return st.ops[node]
+	}
+	return 0
+}
+
+// add advances node's op counter by n, extending the counters to node.
+func (st *siteTable) add(node int, n uint64) {
+	if node >= len(st.ops) {
+		st.ops = append(st.ops, make([]uint64, node+1-len(st.ops))...)
+	}
+	st.ops[node] += n
 }
 
 // armed reports whether some rule can match node here.
@@ -253,6 +263,8 @@ type Injector struct {
 	mu       sync.Mutex
 	left     []int // remaining fires per op-scheduled rule; -1 = not op-scheduled
 	injected uint64
+
+	parked []func() // per node: Settles
 }
 
 // New compiles a plan. A nil plan yields a nil injector, the zero-cost
@@ -267,13 +279,9 @@ func New(p *Plan) *Injector {
 		left:  make([]int, len(p.Rules)),
 	}
 	for i, r := range in.rules {
-		switch {
-		case r.Rate > 0 || r.Until > 0:
+		in.left[i] = max(r.Count, 1)
+		if r.Rate > 0 || r.Until > 0 {
 			in.left[i] = -1
-		case r.Count <= 0:
-			in.left[i] = 1
-		default:
-			in.left[i] = r.Count
 		}
 		// A rule outside the declared kinds and sites, or naming a negative
 		// node, matches no hook.
@@ -306,52 +314,88 @@ func (in *Injector) Injected() uint64 {
 	if in == nil {
 		return 0
 	}
+	for node := range in.parked {
+		in.settle(node)
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
 }
 
-// fire advances the (kind, site, node) op counter and reports whether any
-// rule fires for this operation, returning the matched rule. The caller
-// holds in.mu and has checked armed(node).
+// Settles makes settle the one that brings node's counters up to a poll
+// parked past its LHM loads, in place of any before: it counts the loads
+// issued by now (CountLoads), as the loop counts each at its issue.
+// Injected calls it first, and so does LinkError, whose counter the link's
+// other transfers share.
+func (in *Injector) Settles(node int, settle func()) {
+	if in != nil {
+		in.parked = append(in.parked, make([]func(), max(node+1-len(in.parked), 0))...)
+		in.parked[node] = settle
+	}
+}
+
+// settle calls node's Settles.
+func (in *Injector) settle(node int) {
+	if node < len(in.parked) && in.parked[node] != nil {
+		in.parked[node]()
+	}
+}
+
+// fire advances the (kind, site, node) op counter and commits the first rule
+// that fires on the op (first). The caller has checked armed (hook).
 func (in *Injector) fire(kind Kind, site Site, node int, now simtime.Time) (*Rule, uint64, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	st := &in.tables[kind][site]
-	if node >= len(st.ops) {
-		st.grow(node)
+	op := st.op(node)
+	st.add(node, 1)
+	i := in.first(kind, site, node, op, now)
+	if i < 0 {
+		return nil, op, false
 	}
-	op := st.ops[node]
-	st.ops[node] = op + 1
-	for _, i := range st.rules {
-		r := &in.rules[i]
-		if r.Node != AnyNode && r.Node != node {
-			continue
-		}
-		switch {
-		case r.Rate > 0:
-			if r.Until > 0 && (now < r.From || now >= r.Until) {
-				continue
-			}
-			h := mix(in.seed, uint64(i), uint64(kind)<<16|uint64(site)<<8, uint64(node), op)
-			if float64(h>>11)/(1<<53) >= r.Rate {
-				continue
-			}
-		case r.Until > 0:
-			if now < r.From || now >= r.Until {
-				continue
-			}
-		default:
-			if op < r.AfterOp || in.left[i] == 0 {
-				continue
-			}
-			if r.Every > 0 && (op-r.AfterOp)%r.Every != 0 {
-				continue
-			}
-			in.left[i]--
-		}
-		in.injected++
-		return r, op, true
+	if in.left[i] > 0 {
+		in.left[i]--
 	}
-	return nil, op, false
+	in.injected++
+	return &in.rules[i], op, true
+}
+
+// first returns the first rule of (kind, site), in plan order, that fires on
+// op index op of node at now, or -1, changing nothing.
+func (in *Injector) first(kind Kind, site Site, node int, op uint64, now simtime.Time) int {
+	for _, i := range in.tables[kind][site].rules {
+		if in.fires(i, kind, site, node, op, now) {
+			return i
+		}
+	}
+	return -1
+}
+
+// fires is rule i's decision on op index op of (kind, site, node) at now.
+func (in *Injector) fires(i int, kind Kind, site Site, node int, op uint64, now simtime.Time) bool {
+	r := &in.rules[i]
+	switch {
+	case r.Node != AnyNode && r.Node != node:
+		return false
+	case r.Rate > 0:
+		if r.Until > 0 && (now < r.From || now >= r.Until) {
+			return false
+		}
+		h := mix(in.seed, uint64(i), uint64(kind)<<16|uint64(site)<<8, uint64(node), op)
+		return float64(h>>11)/(1<<53) < r.Rate
+	case r.Until > 0:
+		return now >= r.From && now < r.Until
+	}
+	return op >= r.AfterOp && in.left[i] != 0 && (r.Every == 0 || (op-r.AfterOp)%r.Every == 0)
+}
+
+// slowExtra is what SlowDown rule r adds to an operation of nominal cost
+// base.
+func (r *Rule) slowExtra(base simtime.Duration) simtime.Duration {
+	if r.Factor > 1 && base > 0 {
+		return simtime.Duration(float64(base) * (r.Factor - 1))
+	}
+	return 0
 }
 
 // loadCounters are the (kind, site) op counters an LHM load advances, each
@@ -363,71 +407,103 @@ var loadCounters = [...]struct {
 	site Site
 }{{LinkDown, SiteAny}, {DMAError, SiteLHM}, {SlowDown, SiteLHM}, {Jitter, SiteLHM}}
 
-// QuietLoad reports whether an LHM load on node, issued at now, is quiet: no
-// rule can fire on it, so it would only count the ops it passes (CountLoads).
-// If it is, lapse is when that may change, the next From of a rule's window
-// (0: never). Only a time-window rule (Until > 0, with or without Rate) is
-// ever quiet, outside [From, Until); an empty window (From >= Until) is quiet
-// for good. An op-scheduled rule, or a Rate rule without a window, keeps the
-// load armed for good: its op counter decides whether it fires. The tables
-// never change after New, so QuietLoad takes no lock and may be asked on any
-// process's stack.
-func (in *Injector) QuietLoad(now simtime.Time, node int) (quiet bool, lapse simtime.Time) {
-	if in == nil {
-		return true, 0
-	}
+// loadArmed reports whether a rule can match an LHM load on node: the
+// tables never change after New, so it takes no lock.
+func (in *Injector) loadArmed(node int) bool {
 	for _, c := range loadCounters {
-		st := &in.tables[c.kind][c.site]
-		if !st.armed(node) {
-			continue
-		}
-		for _, i := range st.rules {
-			r := &in.rules[i]
-			switch {
-			case r.Node != AnyNode && r.Node != node:
-			case r.Until <= 0:
-				return false, 0
-			case r.From >= r.Until || now >= r.Until:
-			case now >= r.From:
-				return false, 0
-			case lapse == 0 || r.From < lapse:
-				lapse = r.From
-			}
+		if in != nil && in.tables[c.kind][c.site].armed(node) {
+			return true
 		}
 	}
-	return true, lapse
+	return false
 }
 
-// CountLoads accounts for n quiet LHM loads on node (QuietLoad) that a parked
-// poll passed over: it advances every counter a literal load would, by n, so a
-// rule that reads one inside its window — Error.Op, a Rate or Jitter draw —
-// reads what the loads one by one would have left there.
-func (in *Injector) CountLoads(node int, n int64) {
-	if in == nil {
+// aheadMax bounds the LHM loads LoadsAhead decides on: under a rare Rate or
+// a far op-scheduled rule, a parked poll wakes every aheadMax loads.
+const aheadMax = 1024
+
+// LoadsAhead decides, firing nothing, on the LHM loads on node from the next
+// one on, issued at at: loud is the index of the first that a rule fails
+// (LinkDown, DMAError) or delays by a draw of its own (Jitter, a Rate or
+// op-scheduled SlowDown) — aheadMax if none of the first aheadMax is, -1 if
+// none ever is, 0 while a LinkDown rule that reads the op index can fire.
+// The loads before it fire at most a window-mode SlowDown,
+// adding extra to cost base (SlowDelay), until lapse: a From or Until.
+func (in *Injector) LoadsAhead(at simtime.Time, node int, base simtime.Duration) (loud int64, extra simtime.Duration, lapse simtime.Time) {
+	if !in.loadArmed(node) {
+		return -1, 0, 0
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	perOp := false // a rule that reads the op index may fire before lapse
+	for _, lc := range loadCounters {
+		for _, i := range in.tables[lc.kind][lc.site].rules {
+			r := &in.rules[i]
+			if r.Node != AnyNode && r.Node != node {
+				continue
+			}
+			for _, b := range [...]simtime.Time{r.From, r.Until} {
+				if r.From < r.Until && b > at && (lapse == 0 || b < lapse) {
+					lapse = b
+				}
+			}
+			live := (r.Rate > 0 || r.Until <= 0) && in.left[i] != 0 && (r.Until <= 0 || at >= r.From && at < r.Until)
+			if live && lc.kind == LinkDown {
+				// The host's transfers take the link's op indices too
+				// (pcie.Link.Err): no load ahead knows its own.
+				return 0, 0, 0
+			}
+			perOp = perOp || live
+		}
+	}
+	for k := range int64(aheadMax) {
+		for _, lc := range loadCounters {
+			op := in.tables[lc.kind][lc.site].op(node) + uint64(k)
+			if i := in.first(lc.kind, lc.site, node, op, at); i >= 0 {
+				if r := &in.rules[i]; lc.kind != SlowDown || r.Rate > 0 || r.Until <= 0 {
+					return k, extra, lapse
+				}
+				extra = in.rules[i].slowExtra(base)
+			}
+		}
+		if !perOp {
+			return -1, extra, lapse
+		}
+	}
+	return aheadMax, extra, lapse
+}
+
+// CountLoads accounts for n LHM loads on node issued at at, before the first
+// LoadsAhead calls loud, as n literal loads: counters and SlowDown window.
+func (in *Injector) CountLoads(node int, n int64, at simtime.Time) {
+	if !in.loadArmed(node) {
 		return
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.first(SlowDown, SiteLHM, node, in.tables[SlowDown][SiteLHM].op(node), at) >= 0 {
+		in.injected += uint64(n)
 	}
 	for _, c := range loadCounters {
 		if st := &in.tables[c.kind][c.site]; st.armed(node) {
-			in.mu.Lock()
-			if node >= len(st.ops) {
-				st.grow(node)
-			}
-			st.ops[node] += uint64(n)
-			in.mu.Unlock()
+			st.add(node, uint64(n))
 		}
 	}
+}
+
+// hook fires the (kind, site, node) hook at now where a rule can match it.
+func (in *Injector) hook(kind Kind, site Site, node int, now simtime.Time) (*Rule, uint64, bool) {
+	if in == nil || !in.tables[kind][site].armed(node) {
+		return nil, 0, false
+	}
+	return in.fire(kind, site, node, now)
 }
 
 // TransferError decides whether the transfer at site/node fails. The hook
 // point must consult it before moving any data: a failed transfer delivers
 // nothing.
 func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
-	if in == nil || !in.tables[DMAError][site].armed(node) {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if _, op, ok := in.fire(DMAError, site, node, now); ok {
+	if _, op, ok := in.hook(DMAError, site, node, now); ok {
 		return &Error{Kind: DMAError, Site: site, Node: node, Op: op}
 	}
 	return nil
@@ -437,12 +513,10 @@ func (in *Injector) TransferError(now simtime.Time, site Site, node int) error {
 // returning the byte offset to corrupt, or -1. Transfers of 8 bytes or
 // fewer are never corrupted (see BitFlip).
 func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int64 {
-	if in == nil || n <= 8 || !in.tables[BitFlip][site].armed(node) {
+	if n <= 8 {
 		return -1
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if _, op, ok := in.fire(BitFlip, site, node, now); ok {
+	if _, op, ok := in.hook(BitFlip, site, node, now); ok {
 		return int64(mix(in.seed, uint64(BitFlip), uint64(site), uint64(node), op) % uint64(n))
 	}
 	return -1
@@ -451,22 +525,14 @@ func (in *Injector) Corrupt(now simtime.Time, site Site, node int, n int64) int6
 // StallDelay decides whether a VEOS operation at node stalls, returning the
 // extra simulated delay to serve (0 = none).
 func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
-	if in == nil || !in.tables[Stall][SiteVEOS].armed(node) {
+	r, _, ok := in.hook(Stall, SiteVEOS, node, now)
+	switch {
+	case !ok:
 		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	r, _, ok := in.fire(Stall, SiteVEOS, node, now)
-	if !ok {
-		return 0
-	}
-	if r.StallFor > 0 {
+	case r.StallFor > 0:
 		return r.StallFor
 	}
-	if r.Until > now {
-		return r.Until.Sub(now)
-	}
-	return 0
+	return max(r.Until.Sub(now), 0)
 }
 
 // SlowDelay decides how much extra simulated latency the operation at
@@ -476,27 +542,13 @@ func (in *Injector) StallDelay(now simtime.Time, node int) simtime.Duration {
 // splitmix64 stream. Unlike TransferError the operation still succeeds:
 // this is the gray-failure hook, a node that is sick but alive.
 func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtime.Duration) simtime.Duration {
-	if in == nil {
-		return 0
-	}
-	slow := in.tables[SlowDown][site].armed(node)
-	jitter := in.tables[Jitter][site].armed(node)
-	if !slow && !jitter {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var extra simtime.Duration
-	if slow {
-		if r, _, ok := in.fire(SlowDown, site, node, now); ok && r.Factor > 1 && base > 0 {
-			extra += simtime.Duration(float64(base) * (r.Factor - 1))
-		}
+	if r, _, ok := in.hook(SlowDown, site, node, now); ok {
+		extra += r.slowExtra(base)
 	}
-	if jitter {
-		if r, op, ok := in.fire(Jitter, site, node, now); ok && r.JitterMax > 0 {
-			h := mix(in.seed, uint64(Jitter), uint64(site)<<16|uint64(node), op)
-			extra += simtime.Duration(h % uint64(r.JitterMax))
-		}
+	if r, op, ok := in.hook(Jitter, site, node, now); ok && r.JitterMax > 0 {
+		h := mix(in.seed, uint64(Jitter), uint64(site)<<16|uint64(node), op)
+		extra += simtime.Duration(h % uint64(r.JitterMax))
 	}
 	return extra
 }
@@ -505,12 +557,7 @@ func (in *Injector) SlowDelay(now simtime.Time, site Site, node int, base simtim
 // operation. The caller (the VEOS layer) records the crash; the injector
 // only schedules it.
 func (in *Injector) CrashNow(now simtime.Time, node int) bool {
-	if in == nil || !in.tables[Crash][SiteVEOS].armed(node) {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	_, _, ok := in.fire(Crash, SiteVEOS, node, now)
+	_, _, ok := in.hook(Crash, SiteVEOS, node, now)
 	return ok
 }
 
@@ -520,14 +567,13 @@ func (in *Injector) LinkArmed(node int) bool {
 }
 
 // LinkError decides whether a transfer crossing node's PCIe link fails
-// because the link is down.
+// because the link is down. A poll parked past node's LHM loads counts them
+// first (Settles): they take the link's op indices too.
 func (in *Injector) LinkError(now simtime.Time, node int) error {
-	if in == nil || !in.tables[LinkDown][SiteAny].armed(node) {
-		return nil
+	if in.LinkArmed(node) {
+		in.settle(node)
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if _, op, ok := in.fire(LinkDown, SiteAny, node, now); ok {
+	if _, op, ok := in.hook(LinkDown, SiteAny, node, now); ok {
 		return &Error{Kind: LinkDown, Site: SiteAny, Node: node, Op: op}
 	}
 	return nil
@@ -536,12 +582,7 @@ func (in *Injector) LinkError(now simtime.Time, node int) error {
 // ConnReset decides whether a wall-clock backend connection to node drops
 // at this operation.
 func (in *Injector) ConnReset(node int) bool {
-	if in == nil || !in.tables[ConnReset][SiteConn].armed(node) {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	_, _, ok := in.fire(ConnReset, SiteConn, node, 0)
+	_, _, ok := in.hook(ConnReset, SiteConn, node, 0)
 	return ok
 }
 

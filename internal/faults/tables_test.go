@@ -257,30 +257,36 @@ func TestCompiledTablesMatchMapKeyedReference(t *testing.T) {
 					t.Fatalf("plan %d call %d ConnReset: got %v, reference %v\nplan: %+v", seed, c, got, want, *plan)
 				}
 			case 7, 8:
-				// An LHM load, left to the engine where QuietLoad says so:
-				// one CountLoads, against the reference's literal load, which
-				// must fire nothing — then, or at any time before the lapse.
-				quiet, lapse := in.QuietLoad(now, node)
+				// A run of LHM loads issued at one instant before the lapse,
+				// as a parked poll passes them: those before the first loud
+				// one are one CountLoads, against the reference's literal
+				// loads, which must neither fail nor be delayed but by the
+				// window's extra; the loud one, when reached, is literal.
+				loud, extra, lapse := in.LoadsAhead(now, node, 700)
 				at := now
-				if quiet && lapse > now && g.chance(50) {
+				if lapse > now && g.chance(50) {
 					at = now + simtime.Time(g.intn(int(lapse-now)))
-				} else if quiet && lapse == 0 {
+				} else if lapse == 0 {
 					at = now + simtime.Time(g.intn(2000))
 				}
-				if !quiet {
-					gotSlow, gotErr := in.lhmLoad(now, node)
-					wantSlow, wantErr := ref.lhmLoad(now, node)
+				k := int64(g.intn(65))
+				if loud >= 0 && loud <= 64 {
+					k = int64(g.intn(int(loud) + 1))
+				}
+				for range k {
+					if slow, err := ref.lhmLoad(at, node); err != nil || slow != extra {
+						t.Fatalf("plan %d call %d: LoadsAhead(%v, %d) = loud %d, extra %v until %v, but a load at %v gets %v, %v\nplan: %+v",
+							seed, c, now, node, loud, extra, lapse, at, slow, err, *plan)
+					}
+				}
+				in.CountLoads(node, k, at)
+				if k == loud {
+					gotSlow, gotErr := in.lhmLoad(at, node)
+					wantSlow, wantErr := ref.lhmLoad(at, node)
 					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotSlow != wantSlow {
 						t.Fatalf("plan %d call %d LHM load: got %v, %v, reference %v, %v\nplan: %+v", seed, c, gotErr, gotSlow, wantErr, wantSlow, *plan)
 					}
-					break
 				}
-				injected := ref.injected
-				if slow, err := ref.lhmLoad(at, node); err != nil || slow != 0 || ref.injected != injected {
-					t.Fatalf("plan %d call %d: QuietLoad(%v, %d) = quiet until %v, but a load at %v gets %v, %v\nplan: %+v",
-						seed, c, now, node, lapse, at, err, slow, *plan)
-				}
-				in.CountLoads(node, 1)
 			}
 			if got := in.Injected(); got != ref.injected {
 				t.Fatalf("plan %d call %d: Injected() = %d, reference %d\nplan: %+v", seed, c, got, ref.injected, *plan)
@@ -305,68 +311,112 @@ func TestLinkErrorMatchesOnlySiteAnyRules(t *testing.T) {
 	}
 }
 
-// TestQuietLoadFollowsWindows pins the read-only query a poll asks before it
-// leaves an LHM load to the engine, against the rule list: only a rule whose
-// time window (with or without Rate) does not hold now leaves the load quiet,
-// until the next From; an op-scheduled rule or a Rate rule without a window
-// never does; a rule reaches the load through SiteAny and AnyNode too, a
-// LinkDown rule only through SiteAny; a rule of a kind the load does not pass
-// (BitFlip, Stall, Crash, ConnReset), or for another site or node, never
-// arms it; an empty window is quiet for good.
-func TestQuietLoadFollowsWindows(t *testing.T) {
+// TestLoadsAheadFollowsRules pins the read-only look-ahead a parked poll
+// asks before it passes LHM loads over, against the rule list: a rule that
+// fails loads (LinkDown, DMAError) or delays each by a draw of its own
+// (Jitter, a Rate or op-scheduled SlowDown) makes its first firing load loud;
+// a window-mode SlowDown makes no load loud and adds its extra to each; a
+// window's From and Until are the lapses; a rule reaches the load through
+// SiteAny and AnyNode too, a LinkDown rule only through SiteAny; a rule of a
+// kind the load does not pass, for another site or node, or with an empty
+// window, is not looked at; a rule that reads the op index and does not fire
+// in aheadMax loads — a tiny Rate, a far AfterOp, one a window shadows —
+// leaves the answer at aheadMax, but a LinkDown one, whose index the link's
+// other transfers take too, makes the next load loud wherever it can fire.
+func TestLoadsAheadFollowsRules(t *testing.T) {
 	const from, until = simtime.Time(100), simtime.Time(200)
 	win := func(k Kind, s Site, node int) Rule {
-		return Rule{Kind: k, Site: s, Node: node, From: from, Until: until}
+		return Rule{Kind: k, Site: s, Node: node, From: from, Until: until, Factor: 2.5}
 	}
 	for _, tc := range []struct {
 		name  string
 		rules []Rule
 		now   simtime.Time
-		quiet bool
+		loud  int64
+		extra simtime.Duration
 		lapse simtime.Time
 	}{
-		{"no plan", nil, 0, true, 0},
-		{"window ahead", []Rule{win(SlowDown, SiteLHM, 0)}, 0, true, from},
-		{"window open", []Rule{win(SlowDown, SiteLHM, 0)}, from, false, 0},
-		{"window's last instant", []Rule{win(Jitter, SiteLHM, 0)}, until - 1, false, 0},
-		{"window over", []Rule{win(DMAError, SiteLHM, 0)}, until, true, 0},
-		{"window and Rate ahead", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, 0, true, from},
-		{"window and Rate open", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, from, false, 0},
-		{"Rate without a window", []Rule{{Kind: Jitter, Site: SiteLHM, Rate: 0.5, JitterMax: 9}}, until, false, 0},
-		{"op-scheduled", []Rule{{Kind: DMAError, Site: SiteLHM, AfterOp: 1 << 40}}, 0, false, 0},
-		{"op-scheduled on another node", []Rule{{Kind: DMAError, Site: SiteLHM, Node: 1}}, 0, true, 0},
-		{"op-scheduled at another site", []Rule{{Kind: DMAError, Site: SiteUserDMA, Node: AnyNode}}, 0, true, 0},
-		{"AnyNode window ahead", []Rule{win(SlowDown, SiteAny, AnyNode)}, 50, true, from},
-		{"AnyNode window open", []Rule{win(SlowDown, SiteAny, AnyNode)}, 150, false, 0},
-		{"LinkDown at SiteAny, open", []Rule{win(LinkDown, SiteAny, 0)}, from, false, 0},
-		{"LinkDown at SiteAny, op-scheduled", []Rule{{Kind: LinkDown, Node: AnyNode}}, 0, false, 0},
-		{"LinkDown at SiteLHM never fires", []Rule{{Kind: LinkDown, Site: SiteLHM}}, 0, true, 0},
-		{"kinds a load does not pass", []Rule{{Kind: BitFlip}, {Kind: Stall}, {Kind: Crash}, {Kind: ConnReset}}, 0, true, 0},
-		{"empty window", []Rule{{Kind: SlowDown, Site: SiteLHM, From: until, Until: from}}, 0, true, 0},
-		{"empty window and Rate", []Rule{{Kind: DMAError, Rate: 1, From: from, Until: from}}, from, true, 0},
-		{"lapse is the next From", []Rule{
+		{"no plan", nil, 0, -1, 0, 0},
+		{"slow window ahead", []Rule{win(SlowDown, SiteLHM, 0)}, 0, -1, 0, from},
+		{"slow window open", []Rule{win(SlowDown, SiteLHM, 0)}, from, -1, 1050, until},
+		{"slow window over", []Rule{win(SlowDown, SiteLHM, 0)}, until, -1, 0, 0},
+		{"slow window at no factor", []Rule{{Kind: SlowDown, Site: SiteAny, Node: 0, Until: until}}, 0, -1, 0, until},
+		{"jitter window open", []Rule{win(Jitter, SiteLHM, 0)}, until - 1, 0, 0, until},
+		{"error window ahead", []Rule{win(DMAError, SiteLHM, 0)}, 0, -1, 0, from},
+		{"error window open", []Rule{win(DMAError, SiteLHM, 0)}, from, 0, 0, until},
+		{"Rate window ahead", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, 0, -1, 0, from},
+		{"Rate window open", []Rule{{Kind: DMAError, Site: SiteLHM, Rate: 0.5, From: from, Until: until}}, from, 0, 0, until},
+		{"Rate without a window", []Rule{{Kind: Jitter, Site: SiteLHM, Rate: 0.5, JitterMax: 9}}, until, 2, 0, 0},
+		{"tiny Rate", []Rule{{Kind: Jitter, Site: SiteLHM, Rate: 1e-12, JitterMax: 9}}, 0, aheadMax, 0, 0},
+		{"op-scheduled", []Rule{{Kind: DMAError, Site: SiteLHM, AfterOp: 3}}, 0, 3, 0, 0},
+		{"op-scheduled far", []Rule{{Kind: DMAError, Site: SiteLHM, AfterOp: 1 << 40}}, 0, aheadMax, 0, 0},
+		{"op-scheduled SlowDown", []Rule{{Kind: SlowDown, Site: SiteLHM, AfterOp: 2, Factor: 3}}, 0, 2, 0, 0},
+		{"op-scheduled on another node", []Rule{{Kind: DMAError, Site: SiteLHM, Node: 1}}, 0, -1, 0, 0},
+		{"op-scheduled at another site", []Rule{{Kind: DMAError, Site: SiteUserDMA, Node: AnyNode}}, 0, -1, 0, 0},
+		{"AnyNode slow window open", []Rule{win(SlowDown, SiteAny, AnyNode)}, 150, -1, 1050, until},
+		{"LinkDown at SiteAny, open", []Rule{win(LinkDown, SiteAny, 0)}, from, 0, 0, until},
+		{"LinkDown at SiteAny, op-scheduled", []Rule{{Kind: LinkDown, Node: AnyNode}}, 0, 0, 0, 0},
+		{"LinkDown at a tiny Rate", []Rule{{Kind: LinkDown, Node: 0, Rate: 1e-12}}, 0, 0, 0, 0},
+		{"LinkDown Rate window ahead", []Rule{{Kind: LinkDown, Node: 0, Rate: 1e-12, From: from, Until: until}}, 0, -1, 0, from},
+		{"LinkDown Rate window open", []Rule{{Kind: LinkDown, Node: 0, Rate: 1e-12, From: from, Until: until}}, from, 0, 0, 0},
+		{"LinkDown at SiteLHM never fires", []Rule{{Kind: LinkDown, Site: SiteLHM}}, 0, -1, 0, 0},
+		{"kinds a load does not pass", []Rule{{Kind: BitFlip}, {Kind: Stall}, {Kind: Crash}, {Kind: ConnReset}}, 0, -1, 0, 0},
+		{"empty window", []Rule{{Kind: DMAError, Site: SiteLHM, From: until, Until: from}}, 0, -1, 0, 0},
+		{"empty window and Rate", []Rule{{Kind: DMAError, Rate: 1, From: from, Until: from}}, from, -1, 0, 0},
+		{"lapse is the next boundary", []Rule{
 			win(SlowDown, SiteLHM, 0),
 			{Kind: Jitter, Site: SiteLHM, From: 400, Until: 500},
 			{Kind: DMAError, Site: SiteLHM, From: 300, Until: 350, Rate: 0.1},
 			{Kind: LinkDown, Node: 0, From: 20, Until: 40},
-		}, 250, true, 300},
-		{"one window open among others", []Rule{
-			{Kind: Jitter, Site: SiteLHM, From: 400, Until: 500},
-			{Kind: LinkDown, Node: 0, From: 20, Until: 40},
-		}, 30, false, 0},
-		{"an armed rule after a window", []Rule{win(SlowDown, SiteLHM, 0), {Kind: Jitter, Site: SiteLHM}}, 0, false, 0},
+		}, 250, -1, 0, 300},
+		{"the first slow rule wins", []Rule{
+			{Kind: SlowDown, Site: SiteLHM, Node: 0, Factor: 3, From: 150, Until: 170},
+			win(SlowDown, SiteLHM, 0),
+		}, 160, -1, 1400, 170},
+		{"a window shadows an op-scheduled rule", []Rule{
+			win(SlowDown, SiteLHM, 0),
+			{Kind: SlowDown, Site: SiteLHM, AfterOp: 1},
+		}, from, aheadMax, 1050, until},
+		{"an op-scheduled rule inside a window", []Rule{
+			{Kind: SlowDown, Site: SiteLHM, AfterOp: 5, Factor: 3},
+			win(SlowDown, SiteLHM, 0),
+		}, from, 5, 1050, until},
 	} {
 		var in *Injector
 		if tc.rules != nil {
-			in = New(&Plan{Rules: tc.rules})
+			in = New(&Plan{Seed: 3, Rules: tc.rules})
 		}
-		if quiet, lapse := in.QuietLoad(tc.now, 0); quiet != tc.quiet || lapse != tc.lapse {
-			t.Errorf("%s: QuietLoad(%v, 0) = %v, %v; want %v, %v", tc.name, tc.now, quiet, lapse, tc.quiet, tc.lapse)
+		loud, extra, lapse := in.LoadsAhead(tc.now, 0, 700)
+		if loud != tc.loud || extra != tc.extra || lapse != tc.lapse {
+			t.Errorf("%s: LoadsAhead(%v, 0) = %d, %v, %v; want %d, %v, %v", tc.name, tc.now, loud, extra, lapse, tc.loud, tc.extra, tc.lapse)
 		}
 		if in.Injected() != 0 {
-			t.Errorf("%s: QuietLoad fired a rule", tc.name)
+			t.Errorf("%s: LoadsAhead fired a rule", tc.name)
 		}
 	}
+}
+
+// Settles keeps one settle per node: a process that watches a node's flag
+// words later — after a recovery, on a reconnect — takes the place of the
+// one before. Injected calls every node's, LinkError only its node's, and
+// only where a LinkDown rule can match it.
+func TestSettlesKeepsOnePerNode(t *testing.T) {
+	in := New(&Plan{Rules: []Rule{{Kind: LinkDown, Node: 2, From: 10, Until: 20}}})
+	var calls [3]int
+	in.Settles(2, func() { calls[0]++ })
+	in.Settles(2, func() { calls[1]++ })
+	in.Settles(0, func() { calls[2]++ })
+	in.Injected()
+	if err := in.LinkError(15, 2); err == nil {
+		t.Fatal("LinkError inside the window = nil")
+	}
+	_ = in.LinkError(15, 0)
+	if calls != [3]int{0, 2, 1} {
+		t.Errorf("settle calls %v (replaced, node 2, node 0), want [0 2 1]", calls)
+	}
+	var none *Injector
+	none.Settles(0, func() { t.Error("a nil injector called a settle") })
+	_ = none.Injected()
 }
 
 // lhmLoad is what dma.Instr.LoadWord asks at its fault sites, in its order:
@@ -425,8 +475,8 @@ func TestHooksAllocateNothingWhenNoRuleCanMatch(t *testing.T) {
 			}
 			sink += int64(in.SlowDelay(1, SiteUserDMA, at.node, simtime.Microsecond))
 			sink += in.Corrupt(1, SiteUserDMA, at.node, 64)
-			if quiet, lapse := in.QuietLoad(2, at.node); quiet {
-				in.CountLoads(at.node, 5)
+			if loud, _, lapse := in.LoadsAhead(2, at.node, simtime.Microsecond); loud != 0 {
+				in.CountLoads(at.node, 5, 2)
 				sink += int64(lapse)
 			}
 		}
@@ -500,8 +550,8 @@ func TestHooksFromManyGoroutines(t *testing.T) {
 				in.StallDelay(0, node)
 				_ = in.LinkError(0, node)
 				in.CrashNow(0, node)
-				if quiet, _ := in.QuietLoad(simtime.Time(i), node); quiet {
-					in.CountLoads(node, 3)
+				if loud, _, _ := in.LoadsAhead(simtime.Time(i), node, simtime.Microsecond); loud < 0 || loud > 3 {
+					in.CountLoads(node, 3, simtime.Time(i))
 				}
 				in.Injected()
 			}

@@ -1,6 +1,7 @@
 package simtime_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -22,10 +23,20 @@ import (
 // generated world — 1 to 3 VEs over dmab, veob or the mpib split across
 // machines, offloads submitted sync, async, in batch frames or through the
 // gateway, under fault plans of slow-down windows, transfer errors, bit
-// flips, link-down windows and crashes — runs both ways, and every settle
-// instant and result, each card's LHM loads, the faults fired and, on a
-// traced world, every span and fault instant must agree. Events and yields
+// flips, link-down windows and crashes, and of op-scheduled and window-less
+// Rate rules at the sites an LHM flag load passes — runs both ways, and every
+// settle instant and result, each card's LHM loads, the faults fired and, on
+// a traced world, every span and fault instant must agree. Events and yields
 // may not: fusing sleeps is what the debt is for.
+//
+// A world with a rule at a site its dmab flag loads pass runs a third time,
+// with its tracer flipped. A traced flag load is the serve loop's own; an
+// untraced one's poll parks, passing over the loads no rule fails or delays
+// by a draw of its own, with a slow-down window in their cost. Both give the
+// same settle instants and results, loads and faults fired. A traced connect
+// of a third VE takes a tenth of a second of wall time, its two cards'
+// loads each the loop's own, so the test flips every other world of up to
+// two VEs; FuzzFaultPollEquivalence flips any.
 
 // debtWork is the worlds' kernel: it charges vector and scalar work, from
 // nanoseconds to tens of microseconds — long enough for the host's polls to
@@ -57,6 +68,7 @@ type debtWorld struct {
 	kill    int // kill card 0 of machine 0 before this op (-1: never)
 	ops     int
 	rules   func(connected simtime.Time) []faults.Rule
+	polled  bool // a rule is at a site a dmab flag load passes (pollSite)
 	seed    int64
 	// onConnect, if set, learns when the program has connected.
 	onConnect func(simtime.Time)
@@ -115,9 +127,13 @@ func genDebtWorld(seed int64) debtWorld {
 			continue // only the retry envelope's checksum tells a flipped message
 		}
 		picks = append(picks, pk)
+		w.polled = w.polled || pollSite(pk.kind, pk.site) && w.backend != "veob"
 	}
 	w.rules = func(connected simtime.Time) []faults.Rule {
 		rr := rand.New(rand.NewSource(seed ^ 0x5eed))
+		// The modes beyond the time window draw from a stream of their own,
+		// so a world's windows are what they were.
+		mr := rand.New(rand.NewSource(seed ^ 0x0b5e))
 		var rules []faults.Rule
 		for _, pk := range picks {
 			from := connected.Add(simtime.Duration(rr.Int63n(int64(200 * simtime.Microsecond))))
@@ -137,11 +153,48 @@ func genDebtWorld(seed int64) debtWorld {
 			default:
 				rule.Rate = 0.05 + 0.3*rr.Float64()
 			}
+			if pollSite(pk.kind, pk.site) {
+				widen(&rule, mr)
+			}
 			rules = append(rules, rule)
 		}
 		return rules
 	}
 	return w
+}
+
+// pollSite reports whether a rule of kind at site is one an LHM flag load
+// passes.
+func pollSite(kind faults.Kind, site faults.Site) bool {
+	switch kind {
+	case faults.LinkDown:
+		return site == faults.SiteAny
+	case faults.SlowDown:
+		return site == faults.SiteAny || site == faults.SiteLHM
+	case faults.DMAError, faults.Jitter:
+		return site == faults.SiteLHM
+	}
+	return false
+}
+
+// widen redraws half of the rules at an LHM load's sites from mr: an
+// op-scheduled rule without a window, or a Rate rule without one, counting
+// from the first op of the run; and a SlowDown's Factor, half of the time one
+// whose scaling of a cost is not a whole number of picoseconds.
+func widen(rule *faults.Rule, mr *rand.Rand) {
+	if rule.Kind == faults.SlowDown && mr.Intn(2) == 0 {
+		rule.Factor = 1 + float64(1+mr.Intn(40))/10
+	}
+	switch mr.Intn(4) {
+	case 0:
+		rule.From, rule.Until, rule.Rate = 0, 0, 0
+		rule.AfterOp = uint64(mr.Intn(20_000))
+		rule.Every = uint64(mr.Intn(300))
+		rule.Count = 1 + mr.Intn(8)
+	case 1:
+		rule.From, rule.Until = 0, 0
+		rule.Rate = 0.0005 + 0.02*mr.Float64()
+	}
 }
 
 // connected returns when a fault-free world of w's shape has connected.
@@ -266,10 +319,34 @@ func (w debtWorld) workload(p *machine.Proc, m *machine.Machine, rt *offload.Run
 		}
 		out.log = append(out.log, fmt.Sprintf("%d at %d: %d values sum %g, %v", i, p.Now(), len(v), sum, err))
 	}
+	// Between offloads the host moves data to and from a VE now and then:
+	// over dmab and veob its transfers cross the link whose op counter the
+	// VE's flag loads share (pcie.Link.Err). They draw from a stream of their
+	// own, so a world's offloads are what they were.
+	xr := rand.New(rand.NewSource(w.seed ^ 0x7a5f))
+	bufs := map[offload.NodeID]offload.BufferPtr[float64]{}
+	transfer := func() {
+		if xr.Intn(3) != 0 {
+			return
+		}
+		node := offload.NodeID(1 + xr.Intn(nodes))
+		b, ok := bufs[node]
+		var err error
+		if !ok {
+			if b, err = offload.Allocate[float64](rt, node, 4); err == nil {
+				bufs[node] = b
+			}
+		}
+		if err == nil {
+			err = errors.Join(offload.Put(rt, []float64{1, 2, 3, 4}, b), offload.Get(rt, b, make([]float64, 4)))
+		}
+		out.log = append(out.log, fmt.Sprintf("transfer to %d at %d: %v", node, p.Now(), err))
+	}
 	gap := func() {
 		if d := r.Intn(4); d > 0 {
 			p.Sleep(simtime.Duration(r.Intn(2000*d)) * simtime.Nanosecond)
 		}
+		transfer()
 	}
 	kill := func(i int) {
 		if i == w.kill {
@@ -383,6 +460,36 @@ func checkDebtWorld(t *testing.T, w debtWorld) {
 		}
 		t.Fatalf("%s: %d spans with the debt, %d charging eagerly", name, len(debt.spans), len(eager.spans))
 	}
+	if w.polled && w.ves <= 2 && w.seed%2 == 0 {
+		checkFlipped(t, w, debt, connected)
+	}
+}
+
+// checkFlipped runs w with its tracer flipped and requires what it ran with
+// its own, out, but the spans.
+func checkFlipped(t *testing.T, w debtWorld, out debtOutcome, connected simtime.Time) {
+	t.Helper()
+	flipped := w
+	flipped.traced = !w.traced
+	got := flipped.run(t, false, connected)
+	name := fmt.Sprintf("seed %d (%s, %d VEs, %s)", w.seed, w.backend, w.ves, w.submit)
+	untraced, traced := got, out
+	if w.traced {
+		untraced, traced = out, got
+	}
+	if untraced.err != traced.err {
+		t.Fatalf("%s: run error %q untraced, %q traced", name, untraced.err, traced.err)
+	}
+	for i := range max(len(untraced.log), len(traced.log)) {
+		if i >= len(untraced.log) || i >= len(traced.log) || untraced.log[i] != traced.log[i] {
+			t.Fatalf("%s: %d ops logged untraced, %d traced; op %d differs:\n  untraced %q\n  traced   %q",
+				name, len(untraced.log), len(traced.log), i, untraced.log[min(i, len(untraced.log)-1)], traced.log[min(i, len(traced.log)-1)])
+		}
+	}
+	if !slices.Equal(untraced.loads, traced.loads) || untraced.injected != traced.injected {
+		t.Fatalf("%s: loads %v, %d faults untraced; %v, %d traced",
+			name, untraced.loads, untraced.injected, traced.loads, traced.injected)
+	}
 }
 
 // FuzzDebtEquivalence is TestDebtEquivalence over fuzzed seeds.
@@ -390,5 +497,18 @@ func FuzzDebtEquivalence(f *testing.F) {
 	f.Add(int64(0))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkDebtWorld(t, genDebtWorld(seed))
+	})
+}
+
+// FuzzFaultPollEquivalence is the untraced-against-traced half of
+// TestDebtEquivalence over fuzzed seeds: each seed draws a world and its
+// fault plan, and the world runs with and without a tracer.
+func FuzzFaultPollEquivalence(f *testing.F) {
+	f.Add(int64(0))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		w := genDebtWorld(seed)
+		w.traced = false
+		connected := w.connected(t)
+		checkFlipped(t, w, w.run(t, false, connected), connected)
 	})
 }

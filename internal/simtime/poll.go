@@ -21,10 +21,10 @@ type Poller interface {
 	// more than take cost and read (pass a live fault site, record a span),
 	// or the process has something else to look at. Otherwise cost is the
 	// simulated time the poll takes, zero for a poll that is free. The answer
-	// stands for the later ticks of a park until the Watch is notified or, if
-	// lapse is not zero, until the first tick at or after lapse: an answer
-	// that the clock alone changes (a fault window that opens) says when.
-	Tick(at Time) (cost Duration, take bool, lapse Time)
+	// stands for the later ticks of a park until the Watch is notified or
+	// lapse comes: an answer that the clock or the count of polls alone
+	// changes (a fault window that opens, a rule that fires) says when.
+	Tick(at Time) (cost Duration, take bool, lapse Lapse)
 	// Hit reports whether the poll succeeds: at the tick for a free poll, at
 	// the end of its cost otherwise.
 	Hit() bool
@@ -33,11 +33,18 @@ type Poller interface {
 	Missed(n int64)
 }
 
+// A Lapse is when a Tick answer stops standing: the first tick at or after
+// At, or the tick of the Polls-th poll after the one asked; zero never comes.
+type Lapse struct {
+	At    Time
+	Polls int64
+}
+
 // Free completes the Poller of a free poll that only waits for Hit.
 type Free struct{}
 
 // Tick implements Poller.
-func (Free) Tick(Time) (Duration, bool, Time) { return 0, false, 0 }
+func (Free) Tick(Time) (Duration, bool, Lapse) { return 0, false, Lapse{} }
 
 // Missed implements Poller: a free poll leaves no trace.
 func (Free) Missed(int64) {}
@@ -89,8 +96,8 @@ const noWake = Time(math.MaxInt64)
 //
 // except that p parks on wt wherever the loop would only pass through: the
 // end of a poll that misses and the ticks that follow it. One wake is queued
-// for the first tick at or after until, and for the first tick at or after
-// the lapse of Tick's answer; a Notify that makes Hit true queues one for the
+// for the first tick at or after until, and for the tick where the lapse of
+// Tick's answer comes; a Notify that makes Hit true queues one for the
 // first poll end at or after it, and one that makes the next tick taken, for
 // that tick, if either comes before what is queued. The misses passed over
 // are accounted at the wake, in one Backoff step and one Missed. Poll
@@ -122,7 +129,7 @@ func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
 		}
 		gap := max(wt.Gap(), 0)
 		q.Missed(1)
-		atTick = p.parkPoll(q, wt, e.now.Add(gap), false, 0, 0, until)
+		atTick = p.parkPoll(q, wt, e.now.Add(gap), false, 0, Lapse{}, until)
 	}
 }
 
@@ -131,7 +138,7 @@ func (p *Proc) Poll(q Poller, wt *Watch, until Time) bool {
 // costs cost and whose Tick answer lapses at lapse. It accounts for the
 // misses passed over and reports whether the wake is a tick (else the end of
 // a poll that costs).
-func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Duration, lapse, until Time) bool {
+func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Duration, lapse Lapse, until Time) bool {
 	e := p.eng
 	if !issued {
 		// The tick's answer, asked before it comes: a tick the process takes
@@ -154,9 +161,17 @@ func (p *Proc) parkPoll(q Poller, wt *Watch, next Time, issued bool, cost Durati
 	if issued {
 		w.k0 = 1 // the tick now is behind
 	}
-	for _, at := range [...]Time{until, lapse} {
+	polls := Time(0) // poll 0, at point 0, is the one Tick answered for
+
+	if n := lapse.Polls; n > 0 {
+		if cost > 0 {
+			n *= 2
+		}
+		polls = w.at(n)
+	}
+	for _, at := range [...]Time{until, lapse.At, polls} {
 		if at != 0 {
-			if k, t, ok := w.find(at, w.k0, tickPoint); ok {
+			if k, t, ok := w.find(at, w.k0, tickPoint); ok && t < w.due {
 				w.queue(k, t)
 			}
 		}
@@ -210,13 +225,18 @@ func (wt *Watch) Notify() {
 // Settle accounts, as the wake of the poll parked on wt would, for the polls
 // of the park that ended and missed by now, and the park goes on from the
 // tick after them: a reader of what Missed counts (a load count) then reads
-// what the loop would have left there.
-func (wt *Watch) Settle() {
+// what the loop would have left there. It reports the tick of the poll issued
+// by now that has not ended, if any: what the loop does at an issue, it did.
+func (wt *Watch) Settle() (issued Time, ok bool) {
 	if w := wt.w; w != nil {
-		if k, _, ok := w.pending(endPoint); ok {
+		if k, _, end := w.pending(endPoint); end {
+			if kt, _, tick := w.pending(tickPoint); w.cost > 0 && (!tick || kt > k) {
+				issued, ok = w.at(k-1), true
+			}
 			w.settle(k)
 		}
 	}
+	return issued, ok
 }
 
 // settle accounts for the polls of w's park that end before grid point k and
@@ -363,7 +383,7 @@ func (g *grid) walk(x Time, from int64) (int64, Time, bool) {
 }
 
 // tick asks q's Tick on p's own stack.
-func (e *Engine) tick(p *Proc, q Poller, at Time) (Duration, bool, Time) {
+func (e *Engine) tick(p *Proc, q Poller, at Time) (Duration, bool, Lapse) {
 	e.asking = p
 	cost, take, lapse := q.Tick(at)
 	e.asking = nil

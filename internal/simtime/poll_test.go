@@ -51,23 +51,41 @@ func (c *cond) Hit() bool { return c.hit() }
 // costed makes a Poller's poll take cost, and its ticks the process's own
 // while take says so — or, with flips, while take and the number of flips at
 // or before the tick disagree: the clock alone flips the answer, and the
-// next flip is when it lapses.
+// next flip is when it lapses. With every, the tick after every misses in a
+// row is the process's own too, and the count of polls is when the answer
+// lapses; the process that takes it puts missed back to 0.
 type costed struct {
 	Poller
-	cost  Duration
-	take  func() bool
-	flips []Time // ascending
+	cost   Duration
+	take   func() bool
+	flips  []Time // ascending
+	every  int64
+	missed int64
 }
 
-func (c *costed) Tick(at Time) (Duration, bool, Time) {
+func (c *costed) Tick(at Time) (Duration, bool, Lapse) {
 	take := c.take()
+	var lapse Lapse
 	for _, f := range c.flips {
 		if f > at {
-			return c.cost, take, f
+			lapse.At = f
+			break
 		}
 		take = !take
 	}
-	return c.cost, take, 0
+	if c.every > 0 {
+		if c.missed >= c.every {
+			take = true
+		} else {
+			lapse.Polls = c.every - c.missed
+		}
+	}
+	return c.cost, take, lapse
+}
+
+func (c *costed) Missed(n int64) {
+	c.missed += n
+	c.Poller.Missed(n)
 }
 
 func never() bool { return false }
@@ -187,6 +205,11 @@ const (
 	// shadow's, often more than farRuns runs after the grid point it stands
 	// for. Only its named world has it.
 	longGap = allShapes + 1
+	// countedTakes adds pollers whose polls cost and whose Tick takes the
+	// tick after a drawn number of misses in a row, declaring the count of
+	// polls as its answer's lapse: a fault rule's first firing load. Only its
+	// named world has it, so the other worlds are what they were.
+	countedTakes = longGap << 1
 )
 
 // worldShapes names a world for each shape. The wake sources a parked poll
@@ -209,6 +232,7 @@ var worldShapes = []struct {
 	{"queue push or Event.Fire", pushOrFire},
 	{"poller stores", pollerStores},
 	{"long gap", longGap},
+	{"counted takes", countedTakes},
 }
 
 // runPollWorld expands seed into a small world — 1-4 pollers over flags, a
@@ -470,6 +494,27 @@ func runPollWorld(seed uint64, force worldShape, byLoop bool) *pollWorld {
 			pl := &costed{Poller: &cond{hit: func() bool { return flags[0] }},
 				cost: Duration(1 + pr.n(4)), take: never, flips: flips}
 			quiet(fmt.Sprintf("lapsing%d", i), pl, watch(Backoff{Base: g, Max: g}), Duration(pr.n(5)), 1+pr.n(6), noUntil)
+		}
+	}
+	if shapes&countedTakes != 0 {
+		pr := sr.fork()
+		for i, n := 0, 2+pr.n(4); i < n; i++ {
+			g := Duration(1 + pr.n(4))
+			pl := &costed{Poller: &cond{hit: func() bool { return flags[0] }},
+				cost: Duration(1 + pr.n(4)), take: never, every: int64(1 + pr.n(12))}
+			if pr.n(2) == 0 {
+				pl.flips = []Time{Time(1 + pr.n(200))}
+			}
+			wt := watch(Backoff{Base: g, After: Duration(pr.n(20)), Max: g << pr.n(3)})
+			rounds, delay := 1+pr.n(6), Duration(pr.n(5))
+			e.Spawn(fmt.Sprintf("counted%d", i), func(p *Proc) {
+				p.Sleep(delay)
+				for k := 0; k < rounds; k++ {
+					got, misses := poll(p, pl, wt, 0)
+					w.log.rec(p, fmt.Sprintf("poll hit=%v misses=%d", got, misses))
+					pl.missed = 0
+				}
+			})
 		}
 	}
 	if shapes&crashes != 0 {
@@ -999,9 +1044,9 @@ type takeAfterMiss struct {
 	ticks int
 }
 
-func (q *takeAfterMiss) Tick(Time) (Duration, bool, Time) {
+func (q *takeAfterMiss) Tick(Time) (Duration, bool, Lapse) {
 	q.ticks++
-	return 0, q.ticks%3 != 1, 0
+	return 0, q.ticks%3 != 1, Lapse{}
 }
 
 func (q *takeAfterMiss) Hit() bool { return false }

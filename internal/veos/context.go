@@ -43,7 +43,9 @@ type waitPoll Command
 
 // Tick implements simtime.Poller: looking at done is free, and all the wait
 // does.
-func (*waitPoll) Tick(simtime.Time) (simtime.Duration, bool, simtime.Time) { return 0, false, 0 }
+func (*waitPoll) Tick(simtime.Time) (simtime.Duration, bool, simtime.Lapse) {
+	return 0, false, simtime.Lapse{}
+}
 
 // Hit implements simtime.Poller.
 func (w *waitPoll) Hit() bool { return w.done.Fired() }

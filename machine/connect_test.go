@@ -9,9 +9,11 @@ import (
 
 // The DMA protocol's eight-VE connect, pinned: while the cards come up one
 // after another, the VEs already serving poll their receive flags with LHM
-// loads. Where no fault rule and no tracer can see those loads, a VE's poll
-// parks on its watch (ring's flagPoll) and costs no event; where one can, the
-// loop issues every load itself. The clock and the per-card load and
+// loads. Where no tracer records those loads, a VE's poll parks on its watch
+// (ring's flagPoll) and costs no event, under a fault rule too: a slow-down
+// window is in the cost of every load the parked poll passes over, and its
+// From and Until are wakes. Only a load that a rule fails or delays by a draw
+// of its own is the loop's. The clock and the per-card load and
 // injected-fault counts are those of every VE issuing every load itself;
 // events and queue depth are the parked polls'. Each card's init kernel owes
 // its dispatch and pays it with its first DMAATB registration
@@ -28,25 +30,26 @@ func TestEightVEConnectDMA(t *testing.T) {
 	}{
 		{"default", nil, 119, 2, 7_322_220_000_000, 0,
 			[8]int64{83260, 71450, 59640, 47830, 35743, 24024, 12305, 0}},
-		// VE 0 runs 4x slow throughout: each of its loads fires the rule, so
-		// its loop issues every load itself, three events a poll — the
-		// slow-down, the load, the gap.
-		{"VE 0 slow", &faults.Plan{Rules: []faults.Rule{{
-			Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4, Until: 1 << 62,
-		}}}, 243_312, 3, 7_322_328_000_000, 81_066,
+		// VE 0 runs 4x slow throughout: each of its loads fires the rule and
+		// takes four LHM round trips, the cost its parked poll's grid
+		// carries, so VE 0 issues no flag load itself. The two events over
+		// the default row are the slow-down sleeps of VE 0's two other
+		// transfers of the connect, which the SiteAny rule slows as well.
+		{"VE 0 slow", slowThroughout, 121, 3, 7_322_328_000_000, 81_066,
 			[8]int64{81064, 71450, 59640, 47830, 35743, 24024, 12305, 0}},
 		// VE 0's gray failure begins after the connect: until it does, VE 0
 		// polls like a healthy one, and every pin is the default row's.
 		{"VE 0 slow after connect", slowAfterConnect, 119, 3, 7_322_220_000_000, 0,
 			[8]int64{83260, 71450, 59640, 47830, 35743, 24024, 12305, 0}},
-		// A window inside the connect: VE 0's poll wakes where the window's
-		// lapse falls, its loop is literal in the window, and it parks again
-		// after. Clock, Injected and loads are what the literal loop gives
+		// A window inside the connect: VE 0's poll wakes at the first tick
+		// in the window and at the first after it, and parks in between
+		// with the slow load in its cost — two events over the default row.
+		// Clock, Injected and loads are what the literal loop gives
 		// throughout.
 		{"VE 0 slow mid-connect", &faults.Plan{Rules: []faults.Rule{{
 			Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4,
 			From: 3 * simtime.Time(simtime.Second), Until: 3_500 * simtime.Time(simtime.Millisecond),
-		}}}, 18_963, 3, 7_322_220_000_000, 6_281,
+		}}}, 121, 3, 7_322_220_000_000, 6_281,
 			[8]int64{83090, 71450, 59640, 47830, 35743, 24024, 12305, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,6 +83,11 @@ func TestEightVEConnectDMA(t *testing.T) {
 	}
 }
 
+// slowThroughout slows VE 0 4x from the start, for good.
+var slowThroughout = &faults.Plan{Rules: []faults.Rule{{
+	Kind: faults.SlowDown, Site: faults.SiteAny, Node: 0, Factor: 4, Until: 1 << 62,
+}}}
+
 // slowAfterConnect slows VE 0 4x in a window that opens 1.7 s after the
 // eight-VE connect ends.
 var slowAfterConnect = &faults.Plan{Rules: []faults.Rule{{
@@ -87,12 +95,14 @@ var slowAfterConnect = &faults.Plan{Rules: []faults.Rule{{
 	From: 9 * simtime.Time(simtime.Second), Until: 9_100 * simtime.Time(simtime.Millisecond),
 }}}
 
-// BenchmarkEightVEConnect is TestEightVEConnectDMA's default row and its
-// "VE 0 slow after connect" row on the wall clock: ms/connect is the wall
-// time of one eight-VE dmab connect (7.3 s simulated, machine.New not
-// included), and the engine's event count of one connect rides along.
+// BenchmarkEightVEConnect is TestEightVEConnectDMA's default row, its "VE 0
+// slow" row and its "VE 0 slow after connect" row on the wall clock:
+// ms/connect is the wall time of one eight-VE dmab connect (7.3 s simulated,
+// machine.New not included), and the engine's event count of one connect
+// rides along.
 func BenchmarkEightVEConnect(b *testing.B) {
 	b.Run("default", func(b *testing.B) { benchmarkEightVEConnect(b, nil) })
+	b.Run("VE 0 slow", func(b *testing.B) { benchmarkEightVEConnect(b, slowThroughout) })
 	b.Run("slow after connect", func(b *testing.B) { benchmarkEightVEConnect(b, slowAfterConnect) })
 }
 

@@ -45,7 +45,6 @@ var reachAllow = map[string]string{
 	"internal/pool.Free.Parked":                   "an observer the whole-system checker reads: records parked on a free list",
 	"internal/dma.Instr.Loads":                    "an observer the whole-system checker reads: LHM loads per card",
 	"internal/dma.Instr.Stores":                   "an observer the whole-system checker reads: SHM stores per card",
-	"internal/simtime.Watch.Settle":               "settles a parked poll's count before Loads or Stores is read",
 	"internal/veos.Card.Process":                  "how the whole-system checker finds a card's process, to read its Loads",
 	"internal/veos.Process.Loads":                 "an observer the whole-system checker reads: a process's LHM loads",
 	"internal/mem.Allocator.CheckInvariants":      "the allocator's invariant check, for the whole-system checker",
