@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"hamoffload/internal/simtime"
+	"hamoffload/internal/trace"
 	"hamoffload/machine"
 )
 
@@ -87,5 +89,54 @@ func TestEngineBaselineHolds(t *testing.T) {
 	}
 	if _, err := row.Regress("..", true, 0); err != nil {
 		t.Error(err)
+	}
+}
+
+// A flow records what ran: on the telemetry workload, whose seeded bit
+// flips draw NACKs, retransmissions and dedup answers, every execute event
+// belongs to an issued offload, an offload executes at most once per node,
+// and its execute falls strictly between its issue and its settle.
+func TestFlowRecordsWholeAndTrue(t *testing.T) {
+	for _, ves := range []int{2, 3, 4} {
+		res, err := Telemetry(machine.World{Config: machine.Config{VEs: ves}}, TelemetryConfig{Tasks: 96, Waves: 3})
+		if err != nil {
+			t.Fatalf("%d VEs: %v", ves, err)
+		}
+		issue, settle := map[uint64]simtime.Time{}, map[uint64]simtime.Time{}
+		type exec struct {
+			id   uint64
+			node int
+		}
+		execs := map[exec]simtime.Time{}
+		executed := map[uint64]bool{}
+		for _, e := range res.Tracer.FlowEvents() {
+			switch e.Kind {
+			case trace.FlowIssue:
+				issue[e.ID] = e.T
+			case trace.FlowSettle:
+				settle[e.ID] = e.T
+			case trace.FlowExecute:
+				k := exec{e.ID, e.Node}
+				if _, twice := execs[k]; twice {
+					t.Errorf("%d VEs: offload 0x%x executed twice on node %d", ves, e.ID, e.Node)
+				}
+				execs[k] = e.T
+				executed[e.ID] = true
+			}
+		}
+		// The offloads, and Finalize's terminate of each VE.
+		if want := 3*96 + ves; len(issue) != want || len(executed) != want {
+			t.Errorf("%d VEs: %d offloads issued, %d executed; want %d, each executed", ves, len(issue), len(executed), want)
+		}
+		for k, at := range execs {
+			is, issued := issue[k.id]
+			if !issued {
+				t.Errorf("%d VEs: execute on node %d under 0x%x, which no offload issued", ves, k.node, k.id)
+				continue
+			}
+			if st, ok := settle[k.id]; !ok || !(is < at && at < st) {
+				t.Errorf("%d VEs: offload 0x%x issued at %v, executed on node %d at %v, settled at %v (%v)", ves, k.id, is, k.node, at, st, ok)
+			}
+		}
 	}
 }

@@ -700,7 +700,7 @@ func (ng *engine) ret(st state, rs *ast.ReturnStmt) {
 			o := ng.origins[i]
 			if o.param >= 0 && !o.borrowed {
 				// Unannotated parameter flowing to a result: callers'
-				// results alias their argument (the openFlow pattern).
+				// results alias their argument (a parser returning a payload).
 				ng.sum.returned[o.param] = true
 				continue
 			}

@@ -17,6 +17,7 @@ import (
 
 type request struct {
 	msg  []byte
+	fids []uint64 // msg's causal trace IDs, for the target's Dispatch
 	resp chan []byte
 }
 
@@ -214,6 +215,9 @@ func (b *Node) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	// scratch buffers); the serving goroutine reads it asynchronously, so it
 	// gets its own copy.
 	req := request{msg: append([]byte(nil), msg...), resp: make(chan []byte, 1)}
+	if b.nt != nil {
+		req.fids = b.nt.Tracer().Swap(int(b.self), trace.Posted, nil)
+	}
 	b.chans[target] <- req
 	return &handle{resp: req.resp, target: target}, nil
 }
@@ -289,6 +293,9 @@ func (b *Node) Serve(s core.Server) error {
 		}
 		served++
 		b.nt.Since(trace.PhasePoll, "locb-recv", served, pollStart)
+		if b.nt != nil {
+			b.nt.Tracer().Swap(int(b.self), trace.Arrived, req.fids)
+		}
 		resp := s.Dispatch(req.msg)
 		endResult := b.nt.Begin(trace.PhaseResult, "locb-result", served)
 		// The response is only valid until the next Dispatch on s; the

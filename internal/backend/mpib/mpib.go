@@ -45,7 +45,8 @@ type request struct {
 	msg    []byte      // call message or put data
 	addr   uint64      // put/get address
 	getLen int64
-	mid    int64 // trace correlator
+	mid    int64    // trace correlator
+	fids   []uint64 // the call message's causal trace IDs, for the proxy's Call
 
 	done *simtime.Event
 	resp []byte
@@ -79,6 +80,7 @@ type proxy struct {
 	machine int
 	queue   *simtime.Queue[*request]
 	fabric  *ib.Fabric
+	tr      *trace.Tracer // the machine's, which its connection's Call reads trace IDs from
 	// p and inner are the rank's process and its machine's own DMA-protocol
 	// connection, set once the rank has connected.
 	p       *simtime.Proc
@@ -140,6 +142,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 			machine: m,
 			queue:   new(simtime.Queue[*request]),
 			fabric:  fabric,
+			tr:      cards[m][0].Timing.Tracer,
 		}
 		h.proxies[m] = px
 		ready := simtime.NewEvent(eng)
@@ -234,6 +237,9 @@ func (h *Host) callRemote(m int, local core.NodeID, msg []byte) (core.Handle, er
 		msg:    append([]byte(nil), msg...),
 		mid:    h.seqs,
 		done:   simtime.NewEvent(h.p.Engine()),
+	}
+	if h.nt != nil {
+		rq.fids = h.nt.Tracer().Swap(0, trace.Posted, nil)
 	}
 	callStart := h.nt.Now()
 	if err := h.forward(m, rq, int64(len(msg))+headerBytes); err != nil {
@@ -426,6 +432,9 @@ func (px *proxy) serve() {
 			progressed = true
 			switch rq.kind {
 			case reqCall:
+				if px.tr != nil {
+					px.tr.Swap(0, trace.Posted, rq.fids)
+				}
 				hh, err := inner.Call(rq.target, rq.msg)
 				if err != nil {
 					px.reply(rq, nil, err)

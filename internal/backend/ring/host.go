@@ -305,6 +305,15 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	callStart := h.cfg.tracer.Now()
 	h.p.Charge(c.f.Overhead) // PublishFlag pays it
 	slot := c.next
+	seq := c.seq[slot]
+	mid := h.cfg.mid(slot, seq)
+	if h.cfg.tracer != nil {
+		// The message's trace IDs wait for the VE under its correlator,
+		// taken before the drain below parks; a retried attempt lands in
+		// the same slot, under the same correlator, and replaces them.
+		tr := h.cfg.tracer.Tracer()
+		tr.Swap(int(target), trace.FlowBox(mid), tr.Swap(0, trace.Posted, nil))
+	}
 	// The host manages the buffers: a slot is free again once the result of
 	// its previous use has been consumed.
 	if prev := c.inUse[slot]; prev != nil {
@@ -312,8 +321,6 @@ func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 			return nil, fmt.Errorf("%s: draining slot %d: %w", h.cfg.Name, slot, err)
 		}
 	}
-	seq := c.seq[slot]
-	mid := h.cfg.mid(slot, seq)
 	if err := c.t.WriteMessage(slot, msg); err != nil {
 		return nil, h.stepErr(c, target, err)
 	}

@@ -192,40 +192,147 @@ func TestParallelMachinesConnect(t *testing.T) {
 // A target runtime is handed no clock of its own: its telemetry stamps come
 // from its backend's Clock — the kernel context ham_main runs on — so the
 // execute event of a causal record lands between the host's issue and settle
-// events instead of at t=0.
+// events instead of at t=0. The trace IDs reach the target beside the
+// messages on every path: both slot-ring protocols, a VE of a remote
+// machine through mpib's proxy, and the entries of a batch frame.
 func TestTargetFlowEventsCarryVETime(t *testing.T) {
-	for name, connect := range map[string]func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error){
-		"veo": machine.ConnectVEO, "dma": machine.ConnectDMA,
-	} {
-		tr := trace.New(trace.Config{Flows: true})
+	type connect func(*machine.Proc, *machine.Machine, machine.ProtocolOptions) (*offload.Runtime, error)
+	offloads := func(node offload.NodeID) func(*offload.Runtime) error {
+		return func(rt *offload.Runtime) error {
+			_, err := offload.Sync(rt, node, regEcho.Bind(3))
+			return err
+		}
+	}
+	single := func(c connect, opts machine.ProtocolOptions, work func(*offload.Runtime) error) func(*trace.Tracer) error {
+		return func(tr *trace.Tracer) error {
+			timing := topology.DefaultTiming()
+			timing.Tracer = tr
+			m, err := machine.New(machine.Config{VEs: 1, Timing: &timing})
+			if err != nil {
+				return err
+			}
+			return m.RunMain(func(p *machine.Proc) error {
+				rt, err := c(p, m, opts)
+				if err != nil {
+					return err
+				}
+				defer func() { _ = rt.Finalize() }()
+				return work(rt)
+			})
+		}
+	}
+	remote := func(tr *trace.Tracer) error {
 		timing := topology.DefaultTiming()
 		timing.Tracer = tr
-		m, err := machine.New(machine.Config{VEs: 1, Timing: &timing})
+		c, err := machine.NewCluster(2, machine.Config{VEs: 1, Timing: &timing})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		err = m.RunMain(func(p *machine.Proc) error {
-			rt, err := connect(p, m, machine.ProtocolOptions{})
+		return c.RunMain(func(p *machine.Proc) error {
+			rt, err := machine.ConnectCluster(p, c, machine.ProtocolOptions{})
 			if err != nil {
 				return err
 			}
 			defer func() { _ = rt.Finalize() }()
-			_, err = offload.Sync(rt, 1, regEcho.Bind(3))
-			return err
+			return offloads(c.VENodes()[1])(rt)
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	}
+	batch := func(rt *offload.Runtime) error {
+		_, err := offload.GetAll(offload.AsyncBatch(rt, 1, []offload.Functor[int64]{
+			regEcho.Bind(1), regEcho.Bind(2), regEcho.Bind(3),
+		}))
+		return err
+	}
+	for _, row := range []struct {
+		name  string
+		run   func(*trace.Tracer) error
+		execs int // the offloads and Finalize's terminates
+	}{
+		{"veo", single(machine.ConnectVEO, machine.ProtocolOptions{}, offloads(1)), 2},
+		{"dma", single(machine.ConnectDMA, machine.ProtocolOptions{}, offloads(1)), 2},
+		{"mpib remote VE", remote, 3},
+		{"batch frame", single(machine.ConnectDMA, machine.ProtocolOptions{Batch: offload.BatchPolicy{MaxMessages: 3}}, batch), 4},
+	} {
+		tr := trace.New(trace.Config{Flows: true})
+		if err := row.run(tr); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
-		at := map[trace.FlowKind]simtime.Time{}
-		events := tr.FlowEvents()
-		for _, e := range events {
-			if e.ID == events[0].ID { // the echo's record; terminate's follows
-				at[e.Kind] = e.T
+		at := map[uint64]map[trace.FlowKind]simtime.Time{}
+		for _, e := range tr.FlowEvents() {
+			if at[e.ID] == nil {
+				at[e.ID] = map[trace.FlowKind]simtime.Time{}
+			}
+			at[e.ID][e.Kind] = e.T
+		}
+		if len(at) != row.execs {
+			t.Errorf("%s: %d causal records, want %d", row.name, len(at), row.execs)
+		}
+		for id, ev := range at {
+			issue, exec, settle := ev[trace.FlowIssue], ev[trace.FlowExecute], ev[trace.FlowSettle]
+			if !(0 < issue && issue < exec && exec < settle) {
+				t.Errorf("%s: 0x%x issued %v, executed %v, settled %v: the target's event is off the VE's clock, or missing", row.name, id, issue, exec, settle)
 			}
 		}
-		issue, exec, settle := at[trace.FlowIssue], at[trace.FlowExecute], at[trace.FlowSettle]
-		if !(0 < issue && issue < exec && exec < settle) {
-			t.Errorf("%s: issue %v, execute %v, settle %v: the target's event is off the VE's clock", name, issue, exec, settle)
+	}
+}
+
+// A VE recovered after a crash serves its first messages in the slots and
+// under the sequence numbers the dead process had messages waiting in, but
+// not under their trace IDs: every execute the recovered process records
+// belongs to an offload issued after the recovery.
+func TestRecoveredVEInheritsNoTraceIDs(t *testing.T) {
+	tr := trace.New(trace.Config{Flows: true})
+	timing := topology.DefaultTiming()
+	timing.Tracer = tr
+	m, err := machine.New(machine.Config{VEs: 1, Timing: &timing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recovered simtime.Time
+	err = m.RunMain(func(p *machine.Proc) error {
+		rt, err := machine.ConnectDMA(p, m, machine.ProtocolOptions{})
+		if err != nil {
+			return err
 		}
+		var lost []*offload.Future[int64]
+		for v := range int64(4) {
+			lost = append(lost, offload.Async(rt, 1, regEcho.Bind(v)))
+		}
+		m.Cards[0].Kill()
+		for _, f := range lost {
+			_, _ = f.Get()
+		}
+		if err := rt.RecoverNode(1); err != nil {
+			return err
+		}
+		recovered = p.Now()
+		for v := range int64(4) {
+			if got, err := offload.Sync(rt, 1, regEcho.Bind(v)); err != nil || got != v {
+				return fmt.Errorf("offload %d after recovery = %d, %v", v, got, err)
+			}
+		}
+		return rt.Finalize()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := map[uint64]simtime.Time{}
+	after := 0
+	for _, e := range tr.FlowEvents() {
+		switch e.Kind {
+		case trace.FlowIssue:
+			issued[e.ID] = e.T
+		case trace.FlowExecute:
+			if e.T < recovered {
+				continue
+			}
+			after++
+			if at, ok := issued[e.ID]; !ok || at < recovered {
+				t.Errorf("the recovered VE executed 0x%x, an offload issued at %v, before the recovery at %v (%v)", e.ID, at, recovered, ok)
+			}
+		}
+	}
+	if after != 5 {
+		t.Errorf("%d executes after the recovery, want the 4 offloads and the terminate", after)
 	}
 }

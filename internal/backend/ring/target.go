@@ -255,6 +255,11 @@ func (t *Target) Serve(s core.Server) error {
 			return err
 		}
 
+		if t.nt != nil {
+			// The message's trace IDs, from the host's Call to Dispatch.
+			tr := t.nt.Tracer()
+			tr.Swap(t.TargetConfig.Self, trace.Arrived, tr.Swap(t.TargetConfig.Self, trace.FlowBox(mid), nil))
+		}
 		// What serving the message costs is owed until its result flag.
 		resp := s.Dispatch(msg)
 		endResult := t.nt.Begin(trace.PhaseResult, t.spanResult, mid)

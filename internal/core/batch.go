@@ -139,7 +139,7 @@ type batchQueue struct {
 	node  NodeID
 	frame []byte   // the wire frame under construction: header + entries
 	c     *call    // the open frame's sinks and per-entry FT state; nil while empty
-	fids  []uint64 // per-message causal trace IDs, 0 without flows
+	fids  []uint64 // the open frame's causal trace IDs in entry order, none without armed flows
 }
 
 // putEntry copies one wire message into the frame arena.
@@ -224,7 +224,9 @@ func (b *Batcher) add(node NodeID, wire []byte, pd *pending, fid uint64, s sink)
 	q.putEntry(wire)
 	c.pds = append(c.pds, pd)
 	c.sinks = append(c.sinks, s)
-	q.fids = append(q.fids, fid)
+	if fid != 0 {
+		q.fids = append(q.fids, fid)
+	}
 	if rt.tr != nil {
 		rt.tr.Tracer().Gauge(int(node), trace.SeriesQueue, rt.clock.Now(), int64(len(c.sinks)))
 	}
@@ -255,7 +257,10 @@ func (q *batchQueue) flush() {
 		return
 	}
 	rt, n := q.rt, len(c.sinks)
-	frame := q.frame
+	// The frame's trace IDs ride beside it, and with a retransmission, from
+	// now on: the next frame starts a list of its own.
+	frame, fids := q.frame, q.fids
+	q.fids = nil
 	binary.LittleEndian.PutUint32(frame[0:4], batMagic)
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(n))
 	var endBatch func()
@@ -268,29 +273,28 @@ func (q *batchQueue) flush() {
 		tr.Add(int(q.node), trace.SeriesOccupancy, now, int64(n))
 		tr.Gauge(int(q.node), trace.SeriesQueue, now, 0)
 		label := fmt.Sprintf("x%d", n)
-		for _, fid := range q.fids {
+		for _, fid := range fids {
 			tr.Event(fid, now, int(rt.ThisNode()), trace.FlowFlush, label)
 		}
 	}
 	if rt.ft.enabled() {
 		// The frame retransmits as a unit; the sub-envelopes' sequence
 		// numbers make re-execution safe, so the frame reuses the first
-		// entry's seq (and first trace ID) for bookkeeping and labels. The
-		// arena is reset below, so retransmission needs its own stable copy
-		// of the frame.
+		// entry's seq for bookkeeping and labels. The arena is reset below,
+		// so retransmission needs its own stable copy of the frame.
 		c.pd = &pending{
 			node: q.node,
 			msg:  append([]byte(nil), frame...),
 			seq:  c.pds[0].seq,
-			fid:  q.fids[0],
+			fids: fids,
 		}
 	}
 	q.c, c.q = nil, nil
-	err := c.post(q.node, frame)
+	err := c.post(q.node, frame, fids)
 	if endBatch != nil {
 		endBatch()
 	}
-	q.frame, q.fids = q.frame[:batHeader], q.fids[:0]
+	q.frame = q.frame[:batHeader]
 	if err != nil {
 		c.failAll(err)
 	}
@@ -305,8 +309,9 @@ func errBatchCount(got, want int) error {
 }
 
 // dispatchBatch executes one batch frame on the target: every entry runs
-// through the normal Dispatch path (FT validation, dedup, handler), so
-// errors stay isolated per entry, and the responses return as one frame.
+// through the normal Dispatch path (FT validation, dedup, handler) under its
+// own trace ID from fids, so errors stay isolated per entry, and the
+// responses return as one frame.
 // A frame with broken framing draws a plain failure response.
 //
 // The response frame is built incrementally in the runtime's arena: each
@@ -314,7 +319,7 @@ func errBatchCount(got, want int) error {
 // Dispatch response is only valid until the next Dispatch (it may alias the
 // binary's scratch encoder). The arena is stolen for the duration, so a
 // nested batch entry builds its frame in a fresh buffer.
-func (rt *Runtime) dispatchBatch(subs [][]byte, berr error) []byte {
+func (rt *Runtime) dispatchBatch(subs [][]byte, berr error, fids []uint64) []byte {
 	if berr != nil {
 		rt.tr.Instant(trace.PhaseFault, "corrupt batch frame", rt.executed)
 		rt.tr.Count("dispatch.batch.corrupt", 1)
@@ -331,7 +336,10 @@ func (rt *Runtime) dispatchBatch(subs [][]byte, berr error) []byte {
 	binary.LittleEndian.PutUint32(hdr[0:4], batMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(subs)))
 	frame = append(frame, hdr[:]...)
-	for _, m := range subs {
+	for i, m := range subs {
+		if i < len(fids) {
+			rt.tr.Tracer().Swap(int(rt.ThisNode()), trace.Arrived, fids[i:i+1])
+		}
 		resp := rt.Dispatch(m)
 		var l [batPerMsg]byte
 		binary.LittleEndian.PutUint32(l[:], uint32(len(resp)))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"hamoffload/internal/ham"
 	"hamoffload/internal/pool"
 )
@@ -90,11 +92,12 @@ func (c *call) recycle() {
 	c.rt.calls.Put(c)
 }
 
-// post hands the wire message to the backend, retrying a transient failure
-// of the post itself. On error the caller fails the call.
-func (c *call) post(node NodeID, wire []byte) error {
+// post hands the wire message, whose causal trace IDs are fids, to the
+// backend, retrying a transient failure of the post itself. On error the
+// caller fails the call.
+func (c *call) post(node NodeID, wire []byte, fids []uint64) error {
 	rt := c.rt
-	rt.noteSent(node, len(wire))
+	rt.noteSent(node, len(wire), fids)
 	h, err := rt.backend.Call(node, wire)
 	if err != nil && rt.canRetry(c.pd, err) {
 		h, err = rt.resubmit(c.pd)
@@ -185,6 +188,12 @@ func (c *call) retry(err error) {
 func (c *call) deliver(resp []byte) error {
 	if !c.frame {
 		p, err := c.rt.openResponse(c.pd, resp)
+		if err != nil && c.pd.last && !errors.Is(err, errNack) {
+			// The target ran its terminate, and with it its serve loop
+			// ended: a retransmission would wait for an answer forever.
+			c.failAll(errTerminated)
+			return nil
+		}
 		if err != nil {
 			return err
 		}

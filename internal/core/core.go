@@ -190,7 +190,7 @@ type Runtime struct {
 	budgetDenied int64
 
 	// Continuous telemetry on tr (see telemetry.go): curFlow is the trace
-	// ID of the offload currently being sealed, lastFlow the most recently
+	// ID of the offload currently being encoded, lastFlow the most recently
 	// issued one (for scheduler placement events); inflight counts open
 	// offloads per target node for the gauge series (the last entry: any
 	// other node); execNames, built when a tracer is first attached, names
@@ -263,9 +263,11 @@ func (rt *Runtime) GetNodeDescriptor(n NodeID) NodeDescriptor {
 func (rt *Runtime) SetTracer(nt *trace.NodeTracer) {
 	rt.tr = nt
 	if nt != nil && rt.execNames == nil {
-		rt.execNames = rt.bin.Labels("execute ")
+		rt.execNames = rt.bin.Labels(execPrefix)
 	}
 }
+
+const execPrefix = "execute " // an execute span's name: the prefix, then the message's
 
 // Tracer returns the attached trace handle (nil when tracing is off).
 func (rt *Runtime) Tracer() *trace.NodeTracer { return rt.tr }
@@ -296,13 +298,15 @@ func (rt *Runtime) Strays() int { return len(rt.strays) }
 //
 // Batch frames (see batch.go) unpack here too: each entry re-enters
 // Dispatch individually, so enveloping and dedup compose with batching.
+// Armed causal flows find the message's trace IDs where the transport, or
+// for an entry dispatchBatch, left them (trace.Arrived).
 //
 // The returned response may alias per-runtime scratch buffers; it is valid
 // only until the next Dispatch on this runtime (see Server).
 func (rt *Runtime) Dispatch(msg []byte) []byte {
-	if fid, inner, ok := openFlow(msg); ok {
-		rt.noteExecute(fid, inner)
-		msg = inner
+	var fids []uint64 // one, or a batch frame's in entry order
+	if rt.tr != nil {
+		fids = rt.tr.Tracer().Swap(int(rt.ThisNode()), trace.Arrived, nil)
 	}
 	// The split scratch is stolen for the duration of the batch dispatch so
 	// a (hostile) nested batch entry splits into a fresh slice instead of
@@ -310,14 +314,18 @@ func (rt *Runtime) Dispatch(msg []byte) []byte {
 	scratch := rt.subsScratch
 	rt.subsScratch = nil
 	if subs, isBatch, berr := openBatchInto(scratch[:0], msg); isBatch {
-		resp := rt.dispatchBatch(subs, berr)
+		resp := rt.dispatchBatch(subs, berr, fids)
 		rt.subsScratch = subs[:0]
 		return resp
 	}
 	rt.subsScratch = scratch
+	var fid uint64
+	if len(fids) > 0 {
+		fid = fids[0]
+	}
 	_, seq, payload, enveloped, cerr := openMessage(msg)
 	if !enveloped {
-		return rt.dispatchRaw(msg)
+		return rt.dispatchRaw(msg, fid)
 	}
 	if cerr != nil {
 		rt.tr.Instant(trace.PhaseFault, "corrupt request", rt.executed)
@@ -331,15 +339,17 @@ func (rt *Runtime) Dispatch(msg []byte) []byte {
 		rt.tr.Count("dispatch.dedup", 1)
 		return resp
 	}
-	sealed := sealMessage(envResponse, seq, rt.dispatchRaw(payload))
+	sealed := sealMessage(envResponse, seq, rt.dispatchRaw(payload, fid))
 	rt.dedup.put(seq, sealed)
 	return sealed
 }
 
-// dispatchRaw executes one bare active message.
+// dispatchRaw executes one bare active message, where offload fid's execute
+// step is recorded: no copy the envelope rejected or the dedup window
+// answered gets here, and a key no handler has runs nothing.
 //
 //ham:borrowed msg return
-func (rt *Runtime) dispatchRaw(msg []byte) []byte {
+func (rt *Runtime) dispatchRaw(msg []byte, fid uint64) []byte {
 	rt.executed++
 	if rt.tr == nil {
 		return rt.bin.Dispatch(rt, msg)
@@ -347,6 +357,7 @@ func (rt *Runtime) dispatchRaw(msg []byte) []byte {
 	name := "execute (unknown)"
 	if k := ham.MessageKey(msg); int(k) < len(rt.execNames) {
 		name = rt.execNames[k]
+		rt.tr.Tracer().Event(fid, rt.clock.Now(), int(rt.ThisNode()), trace.FlowExecute, name[len(execPrefix):])
 	}
 	id, start := rt.executed, rt.tr.Now()
 	resp := rt.bin.Dispatch(rt, msg)
@@ -400,10 +411,11 @@ func (rt *Runtime) beginOffload(node NodeID, mt *msgType) func() {
 
 // encode builds the wire message of one offload in enc: it validates the
 // target, encodes a request of type mt (the key, then args, the arguments a
-// functor or a control message already holds encoded) and — as the policies
-// ask — seals it in the fault-tolerance envelope (the returned pending
-// carries the retransmission state) and the causal-flow frame (fid is its
-// trace ID). The wire may be enc's buffer, valid until enc is next written.
+// functor or a control message already holds encoded) and — as the policy
+// asks — seals it in the fault-tolerance envelope (the returned pending
+// carries the retransmission state). fid is the offload's causal trace ID,
+// 0 without armed flows. The wire may be enc's buffer, valid until enc is
+// next written.
 func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, mt *msgType, args []byte) (wire []byte, pd *pending, fid uint64, err error) {
 	if node == rt.ThisNode() {
 		return nil, nil, 0, errOffloadSelf(node)
@@ -420,9 +432,9 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, mt *msgType, args []byt
 	rt.offloads++
 	wire, pd = rt.seal(node, msg)
 	if pd != nil && mt.pinned {
-		pd.pinned = true
+		pd.pinned, pd.last = true, mt == msgTerminate
 	}
-	wire, fid = rt.flowSeal(wire, pd)
+	fid, rt.curFlow = rt.curFlow, 0
 	return wire, pd, fid, nil
 }
 
@@ -432,13 +444,20 @@ func (rt *Runtime) encode(enc *ham.Encoder, node NodeID, mt *msgType, args []byt
 func (rt *Runtime) callAsync(node NodeID, mt *msgType, args []byte, s sink) *call {
 	c := rt.takeCall()
 	c.sinks = append(c.sinks, s)
-	wire, pd, _, err := rt.encode(&c.enc, node, mt, args)
+	wire, pd, fid, err := rt.encode(&c.enc, node, mt, args)
 	if err != nil {
 		c.failAll(err)
 		return c
 	}
+	var fids []uint64
+	if fid != 0 {
+		fids = []uint64{fid}
+		if pd != nil {
+			pd.fids = fids
+		}
+	}
 	c.pd = pd
-	if err := c.post(node, wire); err != nil {
+	if err := c.post(node, wire, fids); err != nil {
 		c.failAll(err)
 	}
 	return c
@@ -492,7 +511,7 @@ func (rt *Runtime) Finalize() error {
 		if NodeID(n) == rt.ThisNode() {
 			continue
 		}
-		if _, err := rt.callSync(NodeID(n), msgTerminate, nil); err != nil && firstErr == nil {
+		if _, err := rt.callSync(NodeID(n), msgTerminate, nil); err != nil && err != errTerminated && firstErr == nil {
 			firstErr = fmt.Errorf("core: terminating node %d: %w", n, err)
 		}
 	}

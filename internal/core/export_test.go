@@ -2,22 +2,6 @@ package core
 
 import "encoding/binary"
 
-// Test hooks for the external core_test package: the flow and batch frame
-// parsers, so the wire-bytes guard tests can take captured frames apart.
-// (The external package cannot see the unexported parsers, and this package
-// cannot import a backend to build frames end-to-end without a cycle.)
-
-// FlowHeaderLen is the size of the flow frame prefix (magic + trace ID).
-const FlowHeaderLen = flowHeader
-
-// OpenFlowFrame exposes openFlow.
-func OpenFlowFrame(msg []byte) (id uint64, inner []byte, ok bool) { return openFlow(msg) }
-
-// OpenBatchFrame exposes openBatch.
-func OpenBatchFrame(msg []byte) (entries [][]byte, isBatch bool, err error) {
-	return openBatch(msg)
-}
-
 // sealBatch frames msgs into one batch wire message: the frame oracle of the
 // batch tests (the runtime itself builds frames in place, call by call).
 func sealBatch(msgs [][]byte) []byte {

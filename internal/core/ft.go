@@ -60,9 +60,10 @@ type pending struct {
 	msg     []byte
 	seq     uint64
 	attempt int
-	fid     uint64       // causal trace ID riding on msg, 0 without armed flows
+	fids    []uint64     // msg's causal trace IDs (a frame's in entry order), none without armed flows
 	sentAt  simtime.Time // issue time on the simulated clock; hedge delays measure from here
 	pinned  bool         // node-addressed runtime control message (msgType.pinned): never hedge
+	last    bool         // a terminate: the target's serve loop ends once it runs
 }
 
 // seal wraps an encoded request for fault-tolerant transmission, when the
@@ -107,10 +108,10 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 		if tr := rt.tr.Tracer(); tr != nil {
 			now := rt.clock.Now()
 			tr.Add(int(pd.node), trace.SeriesRetries, now, 1)
-			// For a retried batch frame pd.fid is the first entry's ID; the
-			// whole frame retransmits as a unit, so one event stands in.
-			tr.Event(pd.fid, now, int(rt.ThisNode()), trace.FlowRetry,
-				fmt.Sprintf("attempt %d", pd.attempt))
+			label := fmt.Sprintf("attempt %d", pd.attempt)
+			for _, fid := range pd.fids {
+				tr.Event(fid, now, int(rt.ThisNode()), trace.FlowRetry, label)
+			}
 		}
 		d := rt.ft.BackoffBase
 		if d > 0 {
@@ -126,7 +127,7 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 			}
 			rt.clock.Sleep(d)
 		}
-		rt.noteSent(pd.node, len(pd.msg))
+		rt.noteSent(pd.node, len(pd.msg), pd.fids)
 		h, err := rt.backend.Call(pd.node, pd.msg)
 		if err == nil {
 			return h, nil
@@ -156,6 +157,14 @@ func (rt *Runtime) openResponse(pd *pending, resp []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// errNack is a target's answer to a request that failed its checksum: the
+// handler did not run.
+var errNack = fmt.Errorf("%w: target rejected request checksum", ErrPayloadCorrupt)
+
+// errTerminated settles a terminate whose answer arrived damaged: the target
+// ran it, so Finalize counts the node terminated.
+var errTerminated = errors.New("core: terminate answered, its answer damaged")
+
 // errBadEnvelope names what was wrong with a response that did not carry the
 // envelope its request went out in.
 func errBadEnvelope(enveloped bool, kind uint8, seq, want uint64) error {
@@ -163,7 +172,7 @@ func errBadEnvelope(enveloped bool, kind uint8, seq, want uint64) error {
 	case !enveloped:
 		return fmt.Errorf("%w: response not enveloped", ErrPayloadCorrupt)
 	case kind == envNack:
-		return fmt.Errorf("%w: target rejected request checksum (seq %d)", ErrPayloadCorrupt, seq)
+		return fmt.Errorf("%w (seq %d)", errNack, seq)
 	}
 	return fmt.Errorf("%w: response envelope kind %d seq %d (want seq %d)", ErrPayloadCorrupt, kind, seq, want)
 }

@@ -187,9 +187,11 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 	if tr := rt.tr.Tracer(); tr != nil {
 		now := rt.clock.Now()
 		tr.Add(int(node), trace.SeriesHedges, now, 1)
-		tr.Event(pd.fid, now, int(rt.ThisNode()), trace.FlowRetry, "hedge")
+		for _, fid := range pd.fids {
+			tr.Event(fid, now, int(rt.ThisNode()), trace.FlowRetry, "hedge")
+		}
 	}
-	rt.noteSent(node, len(pd.msg))
+	rt.noteSent(node, len(pd.msg), pd.fids)
 	h, err := rt.backend.Call(node, pd.msg)
 	if err != nil {
 		return nil

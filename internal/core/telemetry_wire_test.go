@@ -15,10 +15,9 @@ import (
 )
 
 // Wire-bytes guards for the observability handle. The promise under test:
-// an attached tracer with flows disarmed changes NOTHING on the wire or on
-// the simulated clock (host-side bookkeeping only), and arming flows wraps
-// each message in a 12-byte flow frame around the otherwise-identical inner
-// bytes — batch frames stay bare, with each entry flow-framed individually.
+// an attached tracer, causal flows armed or not, changes NOTHING on the wire
+// or on the simulated clock (host-side bookkeeping only) — an offload's
+// trace ID travels beside its message, not in it.
 
 // captureBackend records every host->target wire message before forwarding.
 type captureBackend struct {
@@ -57,6 +56,8 @@ func runTelemetryWire(t *testing.T, tr *trace.Tracer) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hb.SetTracer(tr, core.WallClock)
+	tb.SetTracer(tr, core.WallClock)
 	target := core.NewRuntime(tb, "loopback-target-arch")
 	target.SetTracer(tr.Node(1, "locb", core.WallClock))
 	var calls [][]byte
@@ -116,10 +117,11 @@ func runSimulatedWire(t *testing.T, tr *trace.Tracer) ([][]byte, simtime.Time) {
 }
 
 // TestTracerArming compares the three observability configurations on one
-// simulated workload. A tracer without flows must leave the wire bytes and
-// the final simulated time exactly as they are with no tracer; any armed
-// tracer must have recorded spans, series and SLO latencies; flows frame the
-// wire as TestTelemetryFlowsWrapWire's oracle says.
+// simulated workload. A tracer, with or without flows, must leave the wire
+// bytes and the final simulated time exactly as they are with no tracer;
+// any armed tracer must have recorded spans, series and SLO latencies; and
+// with flows every issued offload, batched or not, executes once on its
+// target under its own trace ID.
 func TestTracerArming(t *testing.T) {
 	baseWire, baseFinal := runSimulatedWire(t, nil)
 	for _, c := range []struct {
@@ -135,17 +137,44 @@ func TestTracerArming(t *testing.T) {
 			t.Errorf("%s: %d spans, %d series, %d SLO observations; want all non-zero",
 				c.name, tr.Len(), len(tr.Series()), tr.SLOReport().N)
 		}
-		if c.cfg.Flows {
-			if len(tr.FlowEvents()) == 0 {
-				t.Errorf("%s: no flow events recorded", c.name)
-			}
-			checkFlowFraming(t, baseWire, wire)
-			continue
-		}
 		if final != baseFinal {
 			t.Errorf("%s: final simulated time %v, want %v as with no tracer", c.name, final, baseFinal)
 		}
 		checkWireIdentical(t, c.name, baseWire, wire)
+		if c.cfg.Flows {
+			checkExecutedOnce(t, c.name, tr.FlowEvents())
+		}
+	}
+}
+
+// checkExecutedOnce fails unless every issued offload of events executed
+// exactly once, on node 1, and every execute belongs to an issued offload.
+func checkExecutedOnce(t *testing.T, name string, events []trace.FlowEvent) {
+	t.Helper()
+	issued, executed := map[uint64]bool{}, map[uint64]int{}
+	for _, e := range events {
+		switch e.Kind {
+		case trace.FlowIssue:
+			issued[e.ID] = true
+		case trace.FlowExecute:
+			if e.Node != 1 {
+				t.Errorf("%s: offload 0x%x executed on node %d", name, e.ID, e.Node)
+			}
+			executed[e.ID]++
+		}
+	}
+	if len(issued) == 0 {
+		t.Fatalf("%s: no offload issued", name)
+	}
+	for id := range issued {
+		if executed[id] != 1 {
+			t.Errorf("%s: offload 0x%x executed %d times, want once", name, id, executed[id])
+		}
+	}
+	for id := range executed {
+		if !issued[id] {
+			t.Errorf("%s: execute under 0x%x, which no offload issued", name, id)
+		}
 	}
 }
 
@@ -154,6 +183,14 @@ func TestTracerArming(t *testing.T) {
 // a tracer without flows must produce byte-identical message streams.
 func TestTelemetryDisarmedWireIdentical(t *testing.T) {
 	checkWireIdentical(t, "tracer", runTelemetryWire(t, nil), runTelemetryWire(t, trace.New(trace.Config{})))
+}
+
+// On loopback too, armed flows leave the wire alone, and locb carries each
+// message's trace IDs from its Call to the target's Dispatch.
+func TestLoopbackFlowsLeaveTheWire(t *testing.T) {
+	tr := trace.New(trace.Config{Flows: true})
+	checkWireIdentical(t, "tracer+flows", runTelemetryWire(t, nil), runTelemetryWire(t, tr))
+	checkExecutedOnce(t, "tracer+flows", tr.FlowEvents())
 }
 
 // checkWireIdentical fails unless got is message for message the stream
@@ -166,70 +203,6 @@ func checkWireIdentical(t *testing.T, name string, base, got [][]byte) {
 	for i := range base {
 		if !bytes.Equal(got[i], base[i]) {
 			t.Errorf("%s: message %d differs from the run with no tracer", name, i)
-		}
-	}
-}
-
-// TestTelemetryFlowsWrapWire pins the armed-flows framing on loopback.
-func TestTelemetryFlowsWrapWire(t *testing.T) {
-	checkFlowFraming(t, runTelemetryWire(t, nil), runTelemetryWire(t, trace.New(trace.Config{Flows: true})))
-}
-
-// checkFlowFraming is the armed-flows oracle: each non-batch message gains
-// exactly a flow header around the same inner bytes, batch frames stay bare
-// with each entry flow-framed, and trace IDs are unique.
-func checkFlowFraming(t *testing.T, base, flows [][]byte) {
-	t.Helper()
-	if len(base) != len(flows) {
-		t.Fatalf("message counts differ: %d bare, %d with flows", len(base), len(flows))
-	}
-	seen := map[uint64]bool{}
-	noteID := func(i int, id uint64) {
-		if id == 0 {
-			t.Fatalf("message %d: zero trace ID", i)
-		}
-		if seen[id] {
-			t.Fatalf("message %d: trace ID 0x%x reused", i, id)
-		}
-		seen[id] = true
-	}
-	for i := range base {
-		if entries, isBatch, err := core.OpenBatchFrame(base[i]); isBatch {
-			if err != nil {
-				t.Fatalf("message %d: bare batch frame broken: %v", i, err)
-			}
-			// The armed frame must still be a bare batch frame...
-			got, stillBatch, err := core.OpenBatchFrame(flows[i])
-			if !stillBatch || err != nil {
-				t.Fatalf("message %d: armed batch frame = batch %v, %v", i, stillBatch, err)
-			}
-			if len(got) != len(entries) {
-				t.Fatalf("message %d: entry count %d, want %d", i, len(got), len(entries))
-			}
-			// ...with each entry flow-framed around the bare entry.
-			for j := range entries {
-				id, inner, ok := core.OpenFlowFrame(got[j])
-				if !ok {
-					t.Fatalf("message %d entry %d: not flow-framed", i, j)
-				}
-				noteID(i, id)
-				if !bytes.Equal(inner, entries[j]) {
-					t.Fatalf("message %d entry %d: inner bytes differ from bare run", i, j)
-				}
-			}
-			continue
-		}
-		id, inner, ok := core.OpenFlowFrame(flows[i])
-		if !ok {
-			t.Fatalf("message %d: not flow-framed with flows armed", i)
-		}
-		noteID(i, id)
-		if len(flows[i]) != len(base[i])+core.FlowHeaderLen {
-			t.Fatalf("message %d: length %d, want bare %d + header %d",
-				i, len(flows[i]), len(base[i]), core.FlowHeaderLen)
-		}
-		if !bytes.Equal(inner, base[i]) {
-			t.Fatalf("message %d: inner bytes differ from bare run", i)
 		}
 	}
 }

@@ -426,7 +426,8 @@ const aheadMax = 1024
 // one on, issued at at: loud is the index of the first that a rule fails
 // (LinkDown, DMAError) or delays by a draw of its own (Jitter, a Rate or
 // op-scheduled SlowDown) — aheadMax if none of the first aheadMax is, -1 if
-// none ever is, 0 while a LinkDown rule that reads the op index can fire.
+// none ever is, 0 while a LinkDown rule that reads the op index can fire. A
+// rule an open window-mode rule of its (kind, site) shadows cannot fire.
 // The loads before it fire at most a window-mode SlowDown,
 // adding extra to cost base (SlowDelay), until lapse: a From or Until.
 func (in *Injector) LoadsAhead(at simtime.Time, node int, base simtime.Duration) (loud int64, extra simtime.Duration, lapse simtime.Time) {
@@ -437,6 +438,7 @@ func (in *Injector) LoadsAhead(at simtime.Time, node int, base simtime.Duration)
 	defer in.mu.Unlock()
 	perOp := false // a rule that reads the op index may fire before lapse
 	for _, lc := range loadCounters {
+		shadowed := false // by an open window-mode rule: it fires first until lapse
 		for _, i := range in.tables[lc.kind][lc.site].rules {
 			r := &in.rules[i]
 			if r.Node != AnyNode && r.Node != node {
@@ -447,7 +449,8 @@ func (in *Injector) LoadsAhead(at simtime.Time, node int, base simtime.Duration)
 					lapse = b
 				}
 			}
-			live := (r.Rate > 0 || r.Until <= 0) && in.left[i] != 0 && (r.Until <= 0 || at >= r.From && at < r.Until)
+			live := !shadowed && (r.Rate > 0 || r.Until <= 0) && in.left[i] != 0 && (r.Until <= 0 || at >= r.From && at < r.Until)
+			shadowed = shadowed || r.Rate == 0 && r.Until > 0 && at >= r.From && at < r.Until
 			if live && lc.kind == LinkDown {
 				// The host's transfers take the link's op indices too
 				// (pcie.Link.Err): no load ahead knows its own.

@@ -376,6 +376,18 @@ func TestLoadsAheadFollowsRules(t *testing.T) {
 		{"a window shadows an op-scheduled rule", []Rule{
 			win(SlowDown, SiteLHM, 0),
 			{Kind: SlowDown, Site: SiteLHM, AfterOp: 1},
+		}, from, -1, 1050, until},
+		{"an AnyNode window shadows a node's op-scheduled rule", []Rule{
+			win(SlowDown, SiteLHM, AnyNode),
+			{Kind: SlowDown, Site: SiteLHM, Node: 0, AfterOp: 1 << 40, Factor: 3},
+		}, from, -1, 1050, until},
+		{"a closed window shadows nothing", []Rule{
+			win(SlowDown, SiteLHM, 0),
+			{Kind: SlowDown, Site: SiteLHM, AfterOp: 1 << 40},
+		}, until, aheadMax, 0, 0},
+		{"a window shadows only its own site", []Rule{
+			win(SlowDown, SiteLHM, 0),
+			{Kind: Jitter, Site: SiteLHM, AfterOp: 1 << 40},
 		}, from, aheadMax, 1050, until},
 		{"an op-scheduled rule inside a window", []Rule{
 			{Kind: SlowDown, Site: SiteLHM, AfterOp: 5, Factor: 3},

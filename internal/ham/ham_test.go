@@ -484,12 +484,9 @@ func TestRegisteredCountAndNameOf(t *testing.T) {
 	if dec, err := DecodeResponse(b.Dispatch(nil, msg)); err != nil || dec.I64() != 3 {
 		t.Errorf("the replaced type dispatched with %v, want the replacement's 3", err)
 	}
-	name, err := b.NameOf(k)
-	if err != nil || name != one {
-		t.Errorf("NameOf = %q, %v", name, err)
-	}
-	if _, err := b.NameOf(Key(1 << 30)); err == nil {
-		t.Error("NameOf out of range accepted")
+	// Instrumentation names a key by its label (Labels), built once.
+	if name := b.Labels("")[k]; name != one {
+		t.Errorf("key %d is labelled %q, want %q", k, name, one)
 	}
 }
 

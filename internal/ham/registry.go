@@ -160,14 +160,6 @@ func (b *Binary) KeyOf(name string) (Key, error) {
 	return Key(k), nil
 }
 
-// NameOf returns the message type name for a key.
-func (b *Binary) NameOf(k Key) (string, error) {
-	if int(k) >= len(b.names) {
-		return "", keyRangeError(k, b.arch)
-	}
-	return b.names[k], nil
-}
-
 // Labels returns prefix+name for every key of the binary, in key order: the
 // names instrumentation gives its message types, built once.
 func (b *Binary) Labels(prefix string) []string {

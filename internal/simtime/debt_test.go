@@ -27,7 +27,9 @@ import (
 // Rate rules at the sites an LHM flag load passes — runs both ways, and every
 // settle instant and result, each card's LHM loads, the faults fired and, on
 // a traced world, every span and fault instant must agree. Events and yields
-// may not: fusing sleeps is what the debt is for.
+// may not: fusing sleeps is what the debt is for. A traced world also runs a
+// third time, its flows twin: with causal flows armed it must agree with its
+// flows-off run on all of these, spans included.
 //
 // A world with a rule at a site its dmab flag loads pass runs a third time,
 // with its tracer flipped. A traced flag load is the serve loop's own; an
@@ -64,6 +66,7 @@ type debtWorld struct {
 	backend string // "dmab", "veob" or "mpib"
 	submit  string // "sync", "async", "batch" or "gateway"
 	traced  bool
+	flows   bool // traced with causal flows armed (the flows twin)
 	retry   bool
 	kill    int // kill card 0 of machine 0 before this op (-1: never)
 	ops     int
@@ -218,7 +221,7 @@ func (w debtWorld) run(t *testing.T, eager bool, connected simtime.Time) debtOut
 	timing := topology.DefaultTiming()
 	var tr *trace.Tracer
 	if w.traced {
-		tr = trace.NewTracer()
+		tr = trace.New(trace.Config{Flows: w.flows})
 		timing.Tracer = tr
 	}
 	cfg := machine.Config{VEs: w.ves, Timing: &timing}
@@ -437,31 +440,43 @@ func checkDebtWorld(t *testing.T, w debtWorld) {
 	connected := w.connected(t)
 	debt, eager := w.run(t, false, connected), w.run(t, true, connected)
 	name := fmt.Sprintf("seed %d (%s, %d VEs, %s, traced %v)", w.seed, w.backend, w.ves, w.submit, w.traced)
-	if debt.err != eager.err {
-		t.Fatalf("%s: run error %q with the debt, %q charging eagerly", name, debt.err, eager.err)
-	}
-	if !slices.Equal(debt.log, eager.log) {
-		for i := range min(len(debt.log), len(eager.log)) {
-			if debt.log[i] != eager.log[i] {
-				t.Fatalf("%s: op %q with the debt, %q charging eagerly", name, debt.log[i], eager.log[i])
-			}
-		}
-		t.Fatalf("%s: %d ops logged with the debt, %d charging eagerly", name, len(debt.log), len(eager.log))
-	}
-	if !slices.Equal(debt.loads, eager.loads) || debt.injected != eager.injected {
-		t.Fatalf("%s: loads %v, %d faults with the debt; %v, %d charging eagerly",
-			name, debt.loads, debt.injected, eager.loads, eager.injected)
-	}
-	if !slices.Equal(debt.spans, eager.spans) {
-		for i := range min(len(debt.spans), len(eager.spans)) {
-			if debt.spans[i] != eager.spans[i] {
-				t.Fatalf("%s: span %q with the debt, %q charging eagerly", name, debt.spans[i], eager.spans[i])
-			}
-		}
-		t.Fatalf("%s: %d spans with the debt, %d charging eagerly", name, len(debt.spans), len(eager.spans))
+	mustAgree(t, name, "with the debt", "charging eagerly", debt, eager, true)
+	if w.traced {
+		// The flows twin: an offload's trace ID travels beside its messages,
+		// so arming flows may record flow events and nothing else.
+		twin := w
+		twin.flows = true
+		mustAgree(t, name, "with flows off", "with flows armed", debt, twin.run(t, false, connected), true)
 	}
 	if w.polled && w.ves <= 2 && w.seed%2 == 0 {
 		checkFlipped(t, w, debt, connected)
+	}
+}
+
+// mustAgree fails unless runs a and b of world name had the same outcome:
+// run error, every op's settle instant and result, loads and faults fired
+// and, with spans, every span.
+func mustAgree(t *testing.T, name, aName, bName string, a, b debtOutcome, spans bool) {
+	t.Helper()
+	if a.err != b.err {
+		t.Fatalf("%s: run error %q %s, %q %s", name, a.err, aName, b.err, bName)
+	}
+	for i := range max(len(a.log), len(b.log)) {
+		if i >= len(a.log) || i >= len(b.log) || a.log[i] != b.log[i] {
+			t.Fatalf("%s: %d ops logged %s, %d %s; op %d differs:\n  %s %q\n  %s %q",
+				name, len(a.log), aName, len(b.log), bName, i, aName, a.log[min(i, len(a.log)-1)], bName, b.log[min(i, len(b.log)-1)])
+		}
+	}
+	if !slices.Equal(a.loads, b.loads) || a.injected != b.injected {
+		t.Fatalf("%s: loads %v, %d faults %s; %v, %d %s", name, a.loads, a.injected, aName, b.loads, b.injected, bName)
+	}
+	if spans && !slices.Equal(a.spans, b.spans) {
+		for i := range min(len(a.spans), len(b.spans)) {
+			if a.spans[i] != b.spans[i] {
+				t.Fatalf("%s: span %q %s, %q %s", name, a.spans[i], aName, b.spans[i], bName)
+			}
+		}
+		t.Fatalf("%s: %d spans %s, %d %s", name, len(a.spans), aName, len(b.spans), bName)
 	}
 }
 
@@ -477,19 +492,7 @@ func checkFlipped(t *testing.T, w debtWorld, out debtOutcome, connected simtime.
 	if w.traced {
 		untraced, traced = out, got
 	}
-	if untraced.err != traced.err {
-		t.Fatalf("%s: run error %q untraced, %q traced", name, untraced.err, traced.err)
-	}
-	for i := range max(len(untraced.log), len(traced.log)) {
-		if i >= len(untraced.log) || i >= len(traced.log) || untraced.log[i] != traced.log[i] {
-			t.Fatalf("%s: %d ops logged untraced, %d traced; op %d differs:\n  untraced %q\n  traced   %q",
-				name, len(untraced.log), len(traced.log), i, untraced.log[min(i, len(untraced.log)-1)], traced.log[min(i, len(traced.log)-1)])
-		}
-	}
-	if !slices.Equal(untraced.loads, traced.loads) || untraced.injected != traced.injected {
-		t.Fatalf("%s: loads %v, %d faults untraced; %v, %d traced",
-			name, untraced.loads, untraced.injected, traced.loads, traced.injected)
-	}
+	mustAgree(t, name, "untraced", "traced", untraced, traced, false)
 }
 
 // FuzzDebtEquivalence is TestDebtEquivalence over fuzzed seeds.

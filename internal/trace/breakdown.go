@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"hamoffload/internal/simtime"
 )
@@ -42,12 +42,7 @@ func BreakdownWindow(spans []Span, start, end simtime.Time) []PhaseSlice {
 			continue
 		}
 		c := clipped{Span: s, idx: i}
-		if c.Start < start {
-			c.Start = start
-		}
-		if c.End > end {
-			c.End = end
-		}
+		c.Start, c.End = max(c.Start, start), min(c.End, end)
 		in = append(in, c)
 	}
 	// Elementary interval boundaries.
@@ -56,13 +51,8 @@ func BreakdownWindow(spans []Span, start, end simtime.Time) []PhaseSlice {
 	for _, c := range in {
 		bounds = append(bounds, c.Start, c.End)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:1]
-	for _, b := range bounds[1:] {
-		if b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
+	slices.Sort(bounds)
+	uniq := slices.Compact(bounds)
 	// Attribute each elementary interval to its innermost covering span.
 	rows := map[string]*PhaseSlice{}
 	var order []string

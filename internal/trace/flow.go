@@ -5,8 +5,8 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
-	"sort"
 
 	"hamoffload/internal/simtime"
 )
@@ -72,6 +72,39 @@ func (t *Tracer) Event(id uint64, now simtime.Time, node int, kind FlowKind, nam
 	t.mu.Lock()
 	t.flows = append(t.flows, FlowEvent{ID: id, T: now, Node: node, Kind: kind, Name: name})
 	t.mu.Unlock()
+}
+
+// A message's trace IDs travel beside it, not in its bytes: on their way
+// from the initiator's runtime to the target's they wait in boxes of the
+// shared tracer. A FlowBox is a node's Posted or Arrived box or, for one a
+// transport keeps between its two sides, a message correlator.
+type FlowBox int64
+
+const (
+	Posted  FlowBox = -1 // the message a node's runtime hands its transport's Call
+	Arrived FlowBox = -2 // the message a node's transport hands its runtime's Dispatch
+)
+
+// Swap puts ids in node's box and returns the IDs it held, so Swap with nil
+// ids takes them. The tracer owns ids from then on. A no-op unless Flows is
+// armed.
+func (t *Tracer) Swap(node int, box FlowBox, ids []uint64) []uint64 {
+	if !t.FlowsEnabled() {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k := [2]int64{int64(node), int64(box)}
+	held := t.boxes[k]
+	if ids == nil {
+		delete(t.boxes, k)
+	} else {
+		if t.boxes == nil {
+			t.boxes = map[[2]int64][]uint64{}
+		}
+		t.boxes[k] = ids
+	}
+	return held
 }
 
 // FlowEvents returns a copy of the causal event log in recording order.
@@ -156,23 +189,12 @@ func (t *Tracer) ExportChromeFlows(w io.Writer) error {
 		if len(chain) < 2 {
 			continue
 		}
-		pos := 0
-		for j, idx := range chain {
-			if idx == i {
-				pos = j
-				break
-			}
-		}
-		ph := "t"
-		switch pos {
+		ph, bp := "t", ""
+		switch slices.Index(chain, i) {
 		case 0:
 			ph = "s"
 		case len(chain) - 1:
-			ph = "f"
-		}
-		bp := ""
-		if ph == "f" {
-			bp = `,"bp":"e"`
+			ph, bp = "f", `,"bp":"e"`
 		}
 		emit(`{"name":"offload","cat":"flow","ph":%q,"id":"0x%x","ts":%.6f,"pid":%d,"tid":1%s}`,
 			ph, e.ID, e.T.Microseconds(), pid, bp)
@@ -206,20 +228,11 @@ func (t *Tracer) ExportFolded(w io.Writer) error {
 			} else {
 				stack += ";" + cur.Label()
 			}
-			gap := next.T.Sub(cur.T)
-			if gap < 0 {
-				gap = 0
-			}
-			weights[stack] += int64(gap)
+			weights[stack] += int64(max(next.T.Sub(cur.T), 0))
 		}
 	}
-	stacks := make([]string, 0, len(weights))
-	for s := range weights {
-		stacks = append(stacks, s)
-	}
-	sort.Strings(stacks)
 	bw := bufio.NewWriter(w)
-	for _, s := range stacks {
+	for _, s := range slices.Sorted(maps.Keys(weights)) {
 		// Weights are picoseconds of simulated time; flamegraph tools treat
 		// them as opaque sample counts.
 		fmt.Fprintf(bw, "%s %d\n", s, weights[s])

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,12 +103,7 @@ func (r *Registry) CounterNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(r.counters))
 }
 
 // Observe adds one duration to a named histogram, creating it on demand.
@@ -147,12 +144,7 @@ func (r *Registry) HistNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(r.hists))
 }
 
 // observeSpan folds one closed span into the per-name stats.
@@ -210,8 +202,4 @@ func (r *Registry) Render(w io.Writer) {
 	for _, n := range r.HistNames() {
 		r.Hist(n).Render(w)
 	}
-}
-
-func sortRegistries(rs []*Registry) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].node < rs[j].node })
 }

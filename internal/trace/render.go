@@ -3,7 +3,8 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // sparkRamp maps a bin's normalised value to a character; index 0 is "no
@@ -101,13 +102,8 @@ func (t *Tracer) RenderFlows(w io.Writer) {
 	if len(counts) == 0 {
 		return
 	}
-	kinds := make([]FlowKind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	fmt.Fprint(w, "Causal flow events:")
-	for _, k := range kinds {
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
 		fmt.Fprintf(w, " %s=%d", k, counts[k])
 	}
 	fmt.Fprintln(w)

@@ -11,14 +11,14 @@
 //   - a windowed SLO tracker computing rolling p50/p99/p99.9 offload
 //     latency and violation (burn-rate) accounting against a target;
 //   - with Config.Flows, causal offload flows: a deterministic 64-bit trace
-//     ID carried through core's wire envelopes links issue, placement,
-//     batch flush, retry, execute and settle events of one offload into one
-//     record, exportable as Chrome flow events or folded flamegraph stacks.
+//     ID, carried beside each wire message by the transports (Tracer.Swap),
+//     links issue, placement, batch flush, retry, execute and settle events
+//     of one offload into one record, exportable as Chrome flow events or
+//     folded flamegraph stacks.
 //
 // Everything is stamped with simulated time, so output is reproducible
-// bit-for-bit. Recording is host-side bookkeeping only — no simulated time,
-// no wire bytes — except Flows, whose 12-byte frame per message is a
-// deliberate, deterministic timing change.
+// bit-for-bit. Recording is host-side bookkeeping only: it takes no
+// simulated time and adds no wire bytes, flows included.
 package trace
 
 import (

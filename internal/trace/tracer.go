@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sync"
 
 	"hamoffload/internal/simtime"
@@ -101,9 +104,9 @@ type Config struct {
 	// SLOWindow is the initial SLO accounting window (default 100 µs);
 	// windows double like series bins when too many accumulate.
 	SLOWindow simtime.Duration
-	// Flows arms causal tracing: trace IDs are allocated per offload and a
-	// causal frame is added to every wire message. Off by default because it
-	// changes wire bytes (and therefore simulated transfer timing).
+	// Flows arms causal tracing: trace IDs are allocated per offload and
+	// travel beside its wire messages (Tracer.Swap), never in them, so an
+	// armed run moves the bytes and takes the time an unarmed one does.
 	Flows bool
 }
 
@@ -141,6 +144,7 @@ type Tracer struct {
 	slo      *SLO
 	flows    []FlowEvent // recorded only when cfg.Flows
 	traceSeq uint64
+	boxes    map[[2]int64][]uint64 // trace IDs beside messages in transit, by node and box (Swap)
 }
 
 // New returns an empty tracer with cfg's (defaulted) parameters and the
@@ -249,13 +253,8 @@ func (t *Tracer) Registries() []*Registry {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]*Registry, 0, len(t.regs))
-	for _, r := range t.regs {
-		out = append(out, r)
-	}
-	t.mu.Unlock()
-	sortRegistries(out)
-	return out
+	defer t.mu.Unlock()
+	return slices.SortedFunc(maps.Values(t.regs), func(a, b *Registry) int { return cmp.Compare(a.node, b.node) })
 }
 
 // Len returns the number of recorded spans.

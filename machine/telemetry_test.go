@@ -11,11 +11,10 @@ import (
 	"hamoffload/offload"
 )
 
-// Zero-cost guard for the tracer at the machine level: a tracer with flows
-// disarmed does only host-side bookkeeping, so the simulated run must end
-// at exactly the same time as the same run without a tracer. (Arming flows
-// adds 12 wire bytes per message and is a deliberate, deterministic timing
-// change; that case is covered by the determinism tests in bench.)
+// Zero-cost guard for the tracer at the machine level: a tracer does only
+// host-side bookkeeping, so the simulated run must end at exactly the same
+// time as the same run without a tracer — with causal flows armed too, whose
+// trace IDs travel beside the messages.
 
 // telemetryRun executes a small DMA workload — sync offloads plus a batch —
 // with tr as the machine's tracer (nil = off) and returns the final
@@ -80,5 +79,10 @@ func TestTelemetryDisarmedIsZeroCost(t *testing.T) {
 	}
 	if n := len(tr.FlowEvents()); n != 0 {
 		t.Fatalf("tracer without flows recorded %d flow events, want 0", n)
+	}
+	flows := trace.New(trace.Config{Flows: true})
+	if final := telemetryRun(t, flows); final != baseFinal || len(flows.FlowEvents()) == 0 {
+		t.Fatalf("flows armed: final simulated time %v (%v without a tracer), %d flow events",
+			final, baseFinal, len(flows.FlowEvents()))
 	}
 }
